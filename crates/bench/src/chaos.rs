@@ -88,6 +88,26 @@ fn next(seed: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// One report of metric `m` at virtual time `t`: `domain` per-CPU fields
+/// drawn from the seeded stream and divided by `div`. The chaos,
+/// replication and scrub experiments all ship this workload.
+pub(crate) fn report(
+    m: usize,
+    tag: &str,
+    t: f64,
+    domain: usize,
+    seed: &mut u64,
+    div: f64,
+) -> Point {
+    let mut p = Point::new(format!("perfevent_hwcounters_m{m}"))
+        .tag("tag", tag)
+        .timestamp((t * 1e9) as i64 + m as i64);
+    for i in 0..domain {
+        p = p.field(format!("_cpu{i}"), (next(seed) % 1_000_000) as f64 / div);
+    }
+    p
+}
+
 /// Run one cell: the fixed workload under `schedule`, resilient or not.
 pub fn run_cell(name: &str, schedule: FaultSchedule, resilient: bool) -> ChaosReport {
     let db = Database::new("host");
@@ -110,15 +130,7 @@ pub fn run_cell(name: &str, schedule: FaultSchedule, resilient: bool) -> ChaosRe
     for tick in 0..ticks {
         let t = tick as f64 / FREQ_HZ;
         for m in 0..N_METRICS {
-            let mut p = Point::new(format!("perfevent_hwcounters_m{m}"))
-                .tag("tag", "chaos")
-                .timestamp((t * 1e9) as i64 + m as i64);
-            for i in 0..DOMAIN {
-                p = p.field(
-                    format!("_cpu{i}"),
-                    (next(&mut value_seed) % 1_000_000) as f64,
-                );
-            }
+            let p = report(m, "chaos", t, DOMAIN, &mut value_seed, 1.0);
             shipper.ship(t, p, FREQ_HZ);
         }
         let st = shipper.stats();

@@ -10,10 +10,10 @@
 //! overflow into loss; at RF>=3 the surviving majority keeps acking
 //! quorum writes and the partition costs nothing but hint traffic.
 
+use crate::chaos::report;
 use pmove_hwsim::{FaultKind, FaultSchedule};
 use pmove_pcp::ReplShipper;
 use pmove_tsdb::repl::{ReplConfig, ReplicaSet};
-use pmove_tsdb::Point;
 
 /// Experiment duration in virtual seconds.
 pub const DURATION_S: f64 = 60.0;
@@ -72,15 +72,6 @@ impl ReplCell {
     }
 }
 
-/// Deterministic per-cell value stream (SplitMix64).
-fn next(seed: &mut u64) -> u64 {
-    *seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *seed;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Run one cell: the fixed workload at `rf` replicas, primary
 /// partitioned for [`PARTITION`], majority write quorum.
 pub fn run_cell(rf: usize) -> ReplCell {
@@ -103,15 +94,7 @@ pub fn run_cell(rf: usize) -> ReplCell {
         let t = tick as f64 / FREQ_HZ;
         coord.heartbeat(t);
         for m in 0..N_METRICS {
-            let mut p = Point::new(format!("perfevent_hwcounters_m{m}"))
-                .tag("tag", "chaos")
-                .timestamp((t * 1e9) as i64 + m as i64);
-            for i in 0..DOMAIN {
-                p = p.field(
-                    format!("_cpu{i}"),
-                    (next(&mut value_seed) % 1_000_000) as f64,
-                );
-            }
+            let p = report(m, "chaos", t, DOMAIN, &mut value_seed, 1.0);
             coord.ship(t, p, FREQ_HZ);
         }
     }

@@ -11,11 +11,12 @@
 //! verify the whole store while quarantining nothing and moving zero
 //! repair traffic — scrubbing a healthy store is free.
 
+use crate::chaos::report;
 use pmove_hwsim::FaultSchedule;
 use pmove_pcp::ReplShipper;
 use pmove_tsdb::repl::{IntegrityReport, ReplConfig, ReplicaSet};
 use pmove_tsdb::store::{RotSchedule, ScrubConfig, StoreOptions};
-use pmove_tsdb::{Database, ExecMode, Point, Query};
+use pmove_tsdb::{Database, ExecMode, Query};
 
 /// Experiment duration in virtual seconds.
 pub const DURATION_S: f64 = 20.0;
@@ -66,15 +67,6 @@ pub struct ScrubCell {
     pub converged: bool,
 }
 
-/// Deterministic per-cell value stream (SplitMix64).
-fn next(seed: &mut u64) -> u64 {
-    *seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *seed;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Run one cell: fault-free shipping, `flips` rot events on the victim,
 /// one full scrub pass, then the oracle comparison.
 pub fn run_cell(flips: u32) -> ScrubCell {
@@ -99,15 +91,7 @@ pub fn run_cell(flips: u32) -> ScrubCell {
         let t = (tick + 1) as f64 / FREQ_HZ;
         coord.heartbeat(t);
         for m in 0..N_METRICS {
-            let mut p = Point::new(format!("perfevent_hwcounters_m{m}"))
-                .tag("tag", "scrub")
-                .timestamp((t * 1e9) as i64 + m as i64);
-            for i in 0..DOMAIN {
-                p = p.field(
-                    format!("_cpu{i}"),
-                    (next(&mut value_seed) % 1_000_000) as f64 / 7.0,
-                );
-            }
+            let p = report(m, "scrub", t, DOMAIN, &mut value_seed, 7.0);
             oracle.write_point(p.clone()).unwrap();
             coord.ship(t, p, FREQ_HZ);
         }

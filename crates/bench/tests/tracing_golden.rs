@@ -22,7 +22,7 @@ fn tracing_report_matches_golden() {
         rendered.trim_end_matches('\n'),
         expected,
         "deterministic tracing report drifted from docs/results/tracing.txt; \
-         regenerate with `cargo run --release -p pmove-bench --bin tracing`"
+         regenerate with `pmove-bench tracing > docs/results/tracing.txt`"
     );
 }
 

@@ -201,6 +201,11 @@ fn boot_steps_0_to_2(
     Ok((kb, boot_ns))
 }
 
+/// The preset machine behind the `for_preset*` constructors.
+fn preset(key: &str) -> Result<Machine, PmoveError> {
+    Machine::preset(key).ok_or_else(|| PmoveError::BadProbeReport(format!("unknown preset {key}")))
+}
+
 impl PMoveDaemon {
     /// Steps ⓪–③: environment, probe, KB generation, KB insertion.
     ///
@@ -209,24 +214,61 @@ impl PMoveDaemon {
     /// record is bit-identical across same-configuration runs. The boot
     /// timeline does not advance the daemon clock (`now_s` stays 0).
     pub fn new(machine: Machine, env: DbParams) -> Result<Self, PmoveError> {
+        Self::boot(machine, env, None)
+    }
+
+    /// [`PMoveDaemon::new`] over durable storage: the time-series database
+    /// opens its WAL/chunk store and the document database replays its
+    /// journal from `vfs`, then steps ⓪–③ run as usual (step ③ mutations
+    /// are journaled). The replay is stamped as a fourth boot step,
+    /// `daemon.step4.recovery`, whose modeled duration is the disk time to
+    /// re-read the persisted state.
+    pub fn new_durable(
+        machine: Machine,
+        env: DbParams,
+        vfs: Arc<dyn pmove_tsdb::store::Vfs>,
+    ) -> Result<Self, PmoveError> {
+        Self::boot(machine, env, Some(vfs))
+    }
+
+    /// The one boot sequence; `vfs` selects durable stores (and step ④).
+    fn boot(
+        machine: Machine,
+        env: DbParams,
+        vfs: Option<Arc<dyn pmove_tsdb::store::Vfs>>,
+    ) -> Result<Self, PmoveError> {
         let obs = Registry::shared();
         let (kb, boot_ns) = boot_steps_0_to_2(&machine, &env, &obs)?;
 
-        let ts = pmove_tsdb::Database::with_obs(&env.influx_db, obs.clone());
-        let doc = Arc::new(pmove_docdb::Database::with_obs(&env.mongo_db, obs.clone()));
+        let (ts, doc, doc_journal, recovered) = match vfs {
+            None => {
+                let ts = pmove_tsdb::Database::with_obs(&env.influx_db, obs.clone());
+                let doc = pmove_docdb::Database::with_obs(&env.mongo_db, obs.clone());
+                (ts, Arc::new(doc), None, None)
+            }
+            Some(vfs) => {
+                let (ts, ts_rec) = pmove_tsdb::Database::open_with_obs(
+                    &env.influx_db,
+                    vfs.clone(),
+                    pmove_tsdb::store::StoreOptions::default(),
+                    obs.clone(),
+                )?;
+                let (journal, doc_rec) =
+                    pmove_docdb::DurableDatabase::open_with_obs(&env.mongo_db, vfs, obs.clone())?;
+                (ts, journal.shared(), Some(journal), Some((ts_rec, doc_rec)))
+            }
+        };
+        // Indexes are rebuilt on every boot, so they are not journaled.
         doc.collection(store::KB_COLLECTION).create_index("@type");
-        let inserted = store::insert_kb(&doc, &kb)?; // ③
-        let insert_ns = inserted as u64 * STEP3_PER_DOC_NS;
-        obs.record_span("daemon.step3.kb_insert", boot_ns, boot_ns + insert_ns);
 
         let ids = IdFactory::new(machine.key());
-        Ok(PMoveDaemon {
+        let mut daemon = PMoveDaemon {
             machine,
             kb,
             layer: builtin_layer(),
             ts,
             doc,
-            doc_journal: None,
+            doc_journal,
             recovery: None,
             repl: None,
             repl_recovery: Vec::new(),
@@ -244,77 +286,26 @@ impl PMoveDaemon {
             drill_every_backups: 3,
             backups_since_drill: 0,
             drills_run: 0,
-        })
-    }
-
-    /// [`PMoveDaemon::new`] over durable storage: the time-series database
-    /// opens its WAL/chunk store and the document database replays its
-    /// journal from `vfs`, then steps ⓪–③ run as usual (step ③ mutations
-    /// are journaled). The replay is stamped as a fourth boot step,
-    /// `daemon.step4.recovery`, whose modeled duration is the disk time to
-    /// re-read the persisted state.
-    pub fn new_durable(
-        machine: Machine,
-        env: DbParams,
-        vfs: Arc<dyn pmove_tsdb::store::Vfs>,
-    ) -> Result<Self, PmoveError> {
-        let obs = Registry::shared();
-        let (kb, boot_ns) = boot_steps_0_to_2(&machine, &env, &obs)?;
-
-        let (ts, ts_rec) = pmove_tsdb::Database::open_with_obs(
-            &env.influx_db,
-            vfs.clone(),
-            pmove_tsdb::store::StoreOptions::default(),
-            obs.clone(),
-        )?;
-        let (doc_journal, doc_rec) =
-            pmove_docdb::DurableDatabase::open_with_obs(&env.mongo_db, vfs, obs.clone())?;
-        let doc = doc_journal.shared();
-        // Indexes are rebuilt on every boot, so they are not journaled.
-        doc.collection(store::KB_COLLECTION).create_index("@type");
-        let inserted = store::insert_kb_durable(&doc_journal, &kb)?; // ③
-        let insert_ns = inserted as u64 * STEP3_PER_DOC_NS;
-        obs.record_span("daemon.step3.kb_insert", boot_ns, boot_ns + insert_ns);
+        };
+        let insert_ns = daemon.sync_kb()? as u64 * STEP3_PER_DOC_NS; // ③
+        daemon
+            .obs
+            .record_span("daemon.step3.kb_insert", boot_ns, boot_ns + insert_ns);
         let boot_ns = boot_ns + insert_ns;
 
         // ④ recovery: replaying WAL + journal over the chunk set.
-        let recovery = BootRecovery {
-            ts: ts_rec,
-            doc: doc_rec,
-            modeled_ns: ts_rec.modeled_ns + doc_rec.modeled_ns,
-        };
-        obs.record_span(
-            "daemon.step4.recovery",
-            boot_ns,
-            boot_ns + recovery.modeled_ns,
-        );
-
-        let ids = IdFactory::new(machine.key());
-        Ok(PMoveDaemon {
-            machine,
-            kb,
-            layer: builtin_layer(),
-            ts,
-            doc,
-            doc_journal: Some(doc_journal),
-            recovery: Some(recovery),
-            repl: None,
-            repl_recovery: Vec::new(),
-            ids,
-            now_s: 0.0,
-            background_busy: Vec::new(),
-            slo: SloEngine::new().with_meta(obs.clone()),
-            obs,
-            mode: DaemonMode::Normal,
-            degraded_reason: None,
-            scrubber: None,
-            scrub_cfg: None,
-            backup_period_s: None,
-            last_backup_s: 0.0,
-            drill_every_backups: 3,
-            backups_since_drill: 0,
-            drills_run: 0,
-        })
+        if let Some((ts_rec, doc_rec)) = recovered {
+            let modeled_ns = ts_rec.modeled_ns + doc_rec.modeled_ns;
+            daemon
+                .obs
+                .record_span("daemon.step4.recovery", boot_ns, boot_ns + modeled_ns);
+            daemon.recovery = Some(BootRecovery {
+                ts: ts_rec,
+                doc: doc_rec,
+                modeled_ns,
+            });
+        }
+        Ok(daemon)
     }
 
     /// Supervised boot (step ⑤): try the full durable stack first; when
@@ -420,14 +411,12 @@ impl PMoveDaemon {
     /// Convenience: replicated daemon for a preset machine, default env
     /// and quorum config (RF=3, W=2, R=2).
     pub fn for_preset_replicated(key: &str, seed: u64) -> Result<Self, PmoveError> {
-        let machine = Machine::preset(key)
-            .ok_or_else(|| PmoveError::BadProbeReport(format!("unknown preset {key}")))?;
-        Self::new_replicated(machine, DbParams::default(), ReplConfig::default(), seed)
-    }
-
-    /// True when the telemetry store is a quorum-replicated set.
-    pub fn is_replicated(&self) -> bool {
-        self.repl.is_some()
+        Self::new_replicated(
+            preset(key)?,
+            DbParams::default(),
+            ReplConfig::default(),
+            seed,
+        )
     }
 
     /// Scenario A through the replication coordinator: quorum writes,
@@ -447,41 +436,58 @@ impl PMoveDaemon {
         freq_hz: f64,
         schedules: Option<Vec<FaultSchedule>>,
     ) -> Result<ReplicatedOutcome, PmoveError> {
-        let set = self
-            .repl
-            .as_ref()
-            .ok_or_else(|| PmoveError::Collector("daemon is not replicated".into()))?;
+        let outcome = self.monitor_window(duration_s, schedules, |d, schedules| {
+            let set = d
+                .repl
+                .as_ref()
+                .ok_or_else(|| PmoveError::Collector("daemon is not replicated".into()))?;
+            scenario_a::monitor_system_replicated(
+                &d.machine,
+                &d.kb,
+                set,
+                d.now_s,
+                duration_s,
+                freq_hz,
+                &d.background_busy,
+                Some(&d.obs),
+                schedules.unwrap_or_else(|| vec![FaultSchedule::none(); set.len()]),
+            )
+        })?;
+        self.apply_replication_health(&outcome);
+        Ok(outcome)
+    }
+
+    /// One monitoring window — the only place Scenario A advances the
+    /// daemon clock, stamps `daemon.monitor` and runs the periodic duties
+    /// (scrub, rollup, backup), so every monitoring mode gets all of
+    /// them. `faults` are expressed relative to the window start (a
+    /// window `[a, b)` fires at `now_s + a`) and are shifted onto the
+    /// daemon clock before `sample` sees them. A failed window leaves the
+    /// clock untouched.
+    fn monitor_window<R>(
+        &mut self,
+        duration_s: f64,
+        faults: Option<Vec<FaultSchedule>>,
+        sample: impl FnOnce(&Self, Option<Vec<FaultSchedule>>) -> Result<R, PmoveError>,
+    ) -> Result<R, PmoveError> {
         let start_s = self.now_s;
-        let schedules = match schedules {
-            Some(list) => list
-                .into_iter()
-                .map(|schedule| {
-                    let mut shifted = FaultSchedule::none();
-                    for w in schedule.windows() {
-                        shifted =
-                            shifted.with_window(start_s + w.start_s, start_s + w.end_s, w.kind);
-                    }
-                    shifted
+        let shift = |schedule: FaultSchedule| {
+            schedule
+                .windows()
+                .iter()
+                .fold(FaultSchedule::none(), |shifted, w| {
+                    shifted.with_window(start_s + w.start_s, start_s + w.end_s, w.kind)
                 })
-                .collect(),
-            None => vec![FaultSchedule::none(); set.len()],
         };
-        let outcome = scenario_a::monitor_system_replicated(
-            &self.machine,
-            &self.kb,
-            set,
-            self.now_s,
-            duration_s,
-            freq_hz,
-            &self.background_busy,
-            Some(&self.obs),
-            schedules,
-        )?;
+        let faults = faults.map(|list| list.into_iter().map(shift).collect());
+        let out = sample(self, faults)?;
         self.now_s += duration_s;
         self.obs
             .record_span("daemon.monitor", s_to_ns(start_s), s_to_ns(self.now_s));
-        self.apply_replication_health(&outcome);
-        Ok(outcome)
+        self.scrub_tick();
+        self.rollup_tick();
+        self.backup_tick();
+        Ok(out)
     }
 
     /// Translate the coordinator's end-of-window health into the daemon
@@ -597,9 +603,7 @@ impl PMoveDaemon {
 
     /// Convenience: daemon for a preset machine with default env.
     pub fn for_preset(key: &str) -> Result<Self, PmoveError> {
-        let machine = Machine::preset(key)
-            .ok_or_else(|| PmoveError::BadProbeReport(format!("unknown preset {key}")))?;
-        Self::new(machine, DbParams::default())
+        Self::new(preset(key)?, DbParams::default())
     }
 
     /// Convenience: durable daemon for a preset machine with default env.
@@ -607,9 +611,7 @@ impl PMoveDaemon {
         key: &str,
         vfs: Arc<dyn pmove_tsdb::store::Vfs>,
     ) -> Result<Self, PmoveError> {
-        let machine = Machine::preset(key)
-            .ok_or_else(|| PmoveError::BadProbeReport(format!("unknown preset {key}")))?;
-        Self::new_durable(machine, DbParams::default(), vfs)
+        Self::new_durable(preset(key)?, DbParams::default(), vfs)
     }
 
     /// Convenience: supervised boot for a preset machine with default env.
@@ -617,9 +619,7 @@ impl PMoveDaemon {
         key: &str,
         vfs: Arc<dyn pmove_tsdb::store::Vfs>,
     ) -> Result<Self, PmoveError> {
-        let machine = Machine::preset(key)
-            .ok_or_else(|| PmoveError::BadProbeReport(format!("unknown preset {key}")))?;
-        Self::boot_supervised(machine, DbParams::default(), vfs)
+        Self::boot_supervised(preset(key)?, DbParams::default(), vfs)
     }
 
     /// True when both databases persist to a VFS.
@@ -823,24 +823,7 @@ impl PMoveDaemon {
 
     /// Scenario A: monitor system state for `duration_s` at `freq_hz`.
     pub fn monitor(&mut self, duration_s: f64, freq_hz: f64) -> SamplingReport {
-        let start_s = self.now_s;
-        let report = scenario_a::monitor_system_with_load(
-            &self.machine,
-            &self.kb,
-            &self.ts,
-            self.now_s,
-            duration_s,
-            freq_hz,
-            &self.background_busy,
-            Some(&self.obs),
-        );
-        self.now_s += duration_s;
-        self.obs
-            .record_span("daemon.monitor", s_to_ns(start_s), s_to_ns(self.now_s));
-        self.scrub_tick();
-        self.rollup_tick();
-        self.backup_tick();
-        report
+        self.monitor_node(duration_s, freq_hz, None, None)
     }
 
     /// [`PMoveDaemon::monitor`] with the self-healing transport enabled
@@ -854,35 +837,32 @@ impl PMoveDaemon {
         resilience: ResilienceConfig,
         fault: Option<FaultSchedule>,
     ) -> SamplingReport {
-        let start_s = self.now_s;
-        // Shift the schedule onto the daemon clock so callers can express
-        // faults relative to the run they inject them into.
-        let fault = fault.map(|schedule| {
-            let mut shifted = FaultSchedule::none();
-            for w in schedule.windows() {
-                shifted = shifted.with_window(start_s + w.start_s, start_s + w.end_s, w.kind);
-            }
-            shifted
-        });
-        let report = scenario_a::monitor_system_resilient(
-            &self.machine,
-            &self.kb,
-            &self.ts,
-            self.now_s,
-            duration_s,
-            freq_hz,
-            &self.background_busy,
-            Some(&self.obs),
-            Some(resilience),
-            fault,
-        );
-        self.now_s += duration_s;
-        self.obs
-            .record_span("daemon.monitor", s_to_ns(start_s), s_to_ns(self.now_s));
-        self.scrub_tick();
-        self.rollup_tick();
-        self.backup_tick();
-        report
+        self.monitor_node(duration_s, freq_hz, Some(resilience), fault)
+    }
+
+    /// Single-node Scenario A window into the host database.
+    fn monitor_node(
+        &mut self,
+        duration_s: f64,
+        freq_hz: f64,
+        resilience: Option<ResilienceConfig>,
+        fault: Option<FaultSchedule>,
+    ) -> SamplingReport {
+        self.monitor_window(duration_s, fault.map(|f| vec![f]), |d, fault| {
+            Ok(scenario_a::monitor_system_resilient(
+                &d.machine,
+                &d.kb,
+                &d.ts,
+                d.now_s,
+                duration_s,
+                freq_hz,
+                &d.background_busy,
+                Some(&d.obs),
+                resilience,
+                fault.and_then(|mut list| list.pop()),
+            ))
+        })
+        .expect("single-node sampling is infallible")
     }
 
     /// Scenario B: profile a kernel; appends the observation and syncs
@@ -1849,7 +1829,6 @@ mod tests {
     #[test]
     fn replicated_boot_brings_up_a_quorum_set() {
         let mut d = PMoveDaemon::for_preset_replicated("icl", 7).unwrap();
-        assert!(d.is_replicated());
         let set = d.repl.as_ref().unwrap();
         assert_eq!(set.len(), 3);
         assert_eq!(d.repl_recovery.len(), 3);
@@ -1888,8 +1867,22 @@ mod tests {
         assert_eq!(r.rows.len(), 1);
         // Plain (non-replicated) daemons refuse the quorum paths.
         let plain = PMoveDaemon::for_preset("icl").unwrap();
-        assert!(!plain.is_replicated());
         assert!(plain.quorum_query("SELECT 1").is_err());
+    }
+
+    #[test]
+    fn replicated_window_runs_the_periodic_duties() {
+        // Every monitoring mode closes its window through the same duty
+        // list: a duty enabled on a replicated daemon must actually run.
+        let mut d = PMoveDaemon::for_preset_replicated("icl", 7).unwrap();
+        d.monitor_replicated(5.0, 1.0, None).unwrap();
+        assert!(d.obs.snapshot().span("daemon.rollup").is_none());
+        d.enable_rollups(pmove_tsdb::RollupConfig::default());
+        d.monitor_replicated(5.0, 1.0, None).unwrap();
+        let snap = d.obs.snapshot();
+        let span = snap.span("daemon.rollup").expect("rollup ran");
+        assert_eq!(span.count, 1);
+        assert_eq!(span.last_start_ns, s_to_ns(d.now_s));
     }
 
     #[test]

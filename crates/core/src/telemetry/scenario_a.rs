@@ -54,45 +54,16 @@ pub fn default_gpu_metrics() -> Vec<String> {
 }
 
 /// Configure collectors from the KB and run the monitoring loop for
-/// `duration_s` seconds of virtual time at `freq_hz`.
-pub fn monitor_system(
-    machine: &Machine,
-    kb: &KnowledgeBase,
-    ts: &Database,
-    start_s: f64,
-    duration_s: f64,
-    freq_hz: f64,
-) -> SamplingReport {
-    monitor_system_with_load(machine, kb, ts, start_s, duration_s, freq_hz, &[], None)
-}
-
-/// [`monitor_system`] with pinned background load: `busy` lists
-/// `(os thread index, busy fraction)` pairs imposed by running processes,
-/// which the `pmdalinux` agent reflects in the per-CPU idle metrics.
-/// When `obs` is given, the transport, sampler and pmcd report their
-/// `pcp.*` self-telemetry into it.
-#[allow(clippy::too_many_arguments)]
-pub fn monitor_system_with_load(
-    machine: &Machine,
-    kb: &KnowledgeBase,
-    ts: &Database,
-    start_s: f64,
-    duration_s: f64,
-    freq_hz: f64,
-    busy: &[(u32, f64)],
-    obs: Option<&Arc<Registry>>,
-) -> SamplingReport {
-    monitor_system_resilient(
-        machine, kb, ts, start_s, duration_s, freq_hz, busy, obs, None, None,
-    )
-}
-
-/// [`monitor_system_with_load`] with the transport's self-healing mode
-/// switched on: when `resilience` is given, the shipper spills instead of
-/// dropping, retries with backoff behind a circuit breaker, and marks
-/// recovery gaps; when `fault` is given, the injected schedule perturbs
-/// the link/backend on the virtual clock. Both `None` is bit-identical to
-/// the plain path.
+/// `duration_s` seconds of virtual time at `freq_hz` into `ts`.
+///
+/// `busy` lists `(os thread index, busy fraction)` pairs imposed by
+/// running processes, which the `pmdalinux` agent reflects in the per-CPU
+/// idle metrics. When `obs` is given, the transport, sampler and pmcd
+/// report their `pcp.*` self-telemetry into it. When `resilience` is
+/// given, the shipper spills instead of dropping, retries with backoff
+/// behind a circuit breaker, and marks recovery gaps; when `fault` is
+/// given, the injected schedule perturbs the link/backend on the virtual
+/// clock. Both `None` is the paper's plain unbuffered path.
 #[allow(clippy::too_many_arguments)]
 pub fn monitor_system_resilient(
     machine: &Machine,
@@ -192,7 +163,7 @@ pub struct ReplicatedOutcome {
     pub degraded: bool,
 }
 
-/// [`monitor_system_with_load`] routed through the replication
+/// [`monitor_system_resilient`] routed through the replication
 /// coordinator: samples are quorum-written to `set` (one fault schedule
 /// per replica, virtual-clock absolute), misses park as hinted handoffs,
 /// and heartbeats drive hint replay, quarantine, and primary failover
@@ -229,6 +200,28 @@ mod tests {
     use super::*;
     use crate::kb::builder::build_kb;
     use crate::probe::ProbeReport;
+
+    fn monitor_system(
+        machine: &Machine,
+        kb: &KnowledgeBase,
+        ts: &Database,
+        start_s: f64,
+        duration_s: f64,
+        freq_hz: f64,
+    ) -> SamplingReport {
+        monitor_system_resilient(
+            machine,
+            kb,
+            ts,
+            start_s,
+            duration_s,
+            freq_hz,
+            &[],
+            None,
+            None,
+            None,
+        )
+    }
 
     #[test]
     fn monitoring_populates_the_tsdb() {

@@ -1,6 +1,5 @@
 //! Metric namespace and instance domains.
 
-use pmove_hwsim::topology::ComponentKind;
 use pmove_hwsim::MachineSpec;
 
 /// Instance domain of a metric: how many values one sample carries and how
@@ -51,19 +50,6 @@ impl InstanceDomain {
     /// Domain size on a machine.
     pub fn size(&self, spec: &MachineSpec) -> usize {
         self.instances(spec).len()
-    }
-
-    /// The component kind this domain's instances attach to in the KB.
-    pub fn component_kind(&self) -> ComponentKind {
-        match self {
-            InstanceDomain::Singular => ComponentKind::System,
-            InstanceDomain::PerCpu => ComponentKind::Thread,
-            InstanceDomain::PerNode | InstanceDomain::PerPackage => ComponentKind::NumaNode,
-            InstanceDomain::PerDisk => ComponentKind::Disk,
-            InstanceDomain::PerNic => ComponentKind::Nic,
-            InstanceDomain::PerGpu => ComponentKind::Gpu,
-            InstanceDomain::PerProcess => ComponentKind::Process,
-        }
     }
 }
 

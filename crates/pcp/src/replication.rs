@@ -36,14 +36,15 @@
 //! equation collapses to PR 5's six-term identity.
 
 use crate::error::PcpError;
-use crate::sampler::SamplingConfig;
+use crate::pmcd::Pmcd;
+use crate::sampler::{run_ticks, SampleSink, SamplingConfig};
 use crate::transport::{upgrade_on_fault, Shipper, TraceHandle, FETCH_NS, RETRY_NS};
 use pmove_hwsim::network::FaultSchedule;
 use pmove_hwsim::noise::NoiseSource;
 use pmove_obs::{Counter, Gauge, Histogram, Registry, TraceContext};
 use pmove_tsdb::repl::{IntegrityReport, ReplicaSet};
 use pmove_tsdb::store::Scrubber;
-use pmove_tsdb::{ExecMode, FieldValue, Point, Query, QueryResult, TsdbError};
+use pmove_tsdb::{ExecMode, FieldValue, Point, Query, TsdbError};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -269,11 +270,6 @@ impl<'a> ReplShipper<'a> {
         self.obs.as_ref().map(|o| &o.registry)
     }
 
-    /// The replica set being coordinated.
-    pub fn replica_set(&self) -> &ReplicaSet {
-        self.set
-    }
-
     /// Index of the current primary (query routing preference).
     pub fn primary(&self) -> usize {
         self.primary
@@ -291,7 +287,7 @@ impl<'a> ReplShipper<'a> {
     }
 
     /// Ledger and non-ledger values currently parked across all queues.
-    pub fn hints_pending_values(&self) -> u64 {
+    fn hints_pending_values(&self) -> u64 {
         self.queued_values.iter().sum()
     }
 
@@ -305,14 +301,10 @@ impl<'a> ReplShipper<'a> {
         self.health.iter().map(|h| !h.down).collect()
     }
 
-    /// R-quorum read routed through the coordinator's reachability view.
-    pub fn quorum_read(&self, q: &Query, mode: ExecMode) -> Result<QueryResult, TsdbError> {
-        self.set.quorum_read_with_mode(q, &self.reachable(), mode)
-    }
-
-    /// Like [`ReplShipper::quorum_read`] but returning the shared result
-    /// plus the chosen replica's cache verdict — the serving front-end's
-    /// entry point when it fronts a replicated store.
+    /// R-quorum read routed through the coordinator's reachability view,
+    /// returning the shared result plus the chosen replica's cache verdict
+    /// — the serving front-end's entry point when it fronts a replicated
+    /// store.
     pub fn quorum_read_cached(
         &self,
         q: &Query,
@@ -717,7 +709,7 @@ impl<'a> ReplShipper<'a> {
     /// cells widen the left-hand side of the equation, repaired cells
     /// balance them on the right, and the cumulative shortfall between
     /// the two is carried as `values_corrupt_pending`.
-    pub fn record_integrity(&mut self, report: &IntegrityReport) {
+    fn record_integrity(&mut self, report: &IntegrityReport) {
         self.stats.values_corrupted += report.cells_corrupted;
         self.stats.values_repaired += report.cells_repaired;
         self.stats.values_corrupt_pending = self
@@ -767,61 +759,42 @@ pub struct ReplSamplingReport {
     pub transport: ReplStats,
 }
 
+impl SampleSink for ReplShipper<'_> {
+    fn registry(&self) -> Option<Arc<Registry>> {
+        self.obs_registry().cloned()
+    }
+
+    fn skips_ticks(&self) -> bool {
+        false
+    }
+
+    fn begin_tick(&mut self, pmcd: &mut Pmcd, _tick: u64, t_now: f64) -> bool {
+        pmcd.heartbeat_all(t_now);
+        self.heartbeat(t_now);
+        true
+    }
+
+    fn ship(&mut self, t_now: f64, point: Point, freq_hz: f64, ctx: Option<TraceContext>) {
+        self.ship_traced(t_now, point, freq_hz, ctx);
+    }
+
+    fn end_run(&mut self, t_end: f64) {
+        // A final heartbeat so hints whose replica recovered near the end
+        // still replay; any trace still parked after that seals `hinted`.
+        self.heartbeat(t_end);
+        self.seal_pending_traces(t_end);
+    }
+}
+
 /// Drive one sampling run through the replication coordinator: the same
 /// unbuffered tick loop as [`crate::sampler::SamplingLoop::run`], with a
 /// coordinator heartbeat (hint replay, quarantine, failover) every tick.
 pub fn run_replicated(
     config: &SamplingConfig,
-    pmcd: &mut crate::pmcd::Pmcd,
+    pmcd: &mut Pmcd,
     coord: &mut ReplShipper<'_>,
 ) -> ReplSamplingReport {
-    let period = 1.0 / config.freq_hz;
-    let mut t_prev = config.start_s;
-    let mut total_domain = 0u64;
-    let mut domain_counted = false;
-    let obs = coord.obs_registry().cloned();
-    let tracer = obs.as_ref().and_then(|r| r.tracer());
-    let tick_counter = obs.as_ref().map(|r| r.counter("pcp.sampler.ticks", &[]));
-    let point_counter = obs
-        .as_ref()
-        .map(|r| r.counter("pcp.sampler.points_fetched", &[]));
-
-    for tick in 0..config.ticks() {
-        let t_now = config.start_s + (tick + 1) as f64 * period;
-        pmcd.heartbeat_all(t_now);
-        coord.heartbeat(t_now);
-        let points = pmcd.fetch_all(&config.metrics, t_prev, t_now);
-        if !domain_counted && !points.is_empty() {
-            total_domain = points.iter().map(|p| p.field_count() as u64).sum();
-            domain_counted = true;
-        }
-        if let Some(c) = &tick_counter {
-            c.inc();
-        }
-        if let Some(c) = &point_counter {
-            c.add(points.len() as u64);
-        }
-        for point in points {
-            let ctx = tracer
-                .as_ref()
-                .map(|tr| tr.start_trace("pcp.sample", (t_now * 1e9) as u64));
-            coord.ship_traced(t_now, point, config.freq_hz, ctx);
-        }
-        t_prev = t_now;
-    }
-
-    // Final heartbeat at the end of the run so hints whose replica
-    // recovered near the end still replay; any trace still parked after
-    // that seals with terminal status `hinted`.
-    coord.heartbeat(config.start_s + config.duration_s);
-    coord.seal_pending_traces(config.start_s + config.duration_s);
-
-    if let Some(registry) = &obs {
-        let start_ns = (config.start_s * 1e9).round().max(0.0) as u64;
-        let end_ns = (t_prev * 1e9).round().max(0.0) as u64;
-        registry.record_span("pcp.sampling", start_ns, end_ns);
-    }
-
+    let (_, total_domain) = run_ticks(config, pmcd, coord);
     ReplSamplingReport {
         ticks: config.ticks(),
         expected_values: config.ticks() * total_domain,

@@ -15,6 +15,9 @@
 use crate::error::{require_finite, require_non_negative, require_positive, PcpError};
 use crate::pmcd::Pmcd;
 use crate::transport::{Shipper, ShipperStats};
+use pmove_obs::{Registry, TraceContext};
+use pmove_tsdb::Point;
+use std::sync::Arc;
 
 /// Configuration of one sampling run.
 #[derive(Debug, Clone)]
@@ -94,6 +97,132 @@ impl SamplingReport {
     }
 }
 
+/// Where one run's samples go: the single-node [`Shipper`] or the
+/// replication coordinator. Lets [`run_ticks`] be the only tick loop.
+pub(crate) trait SampleSink {
+    /// The attached observability registry, if any.
+    fn registry(&self) -> Option<Arc<Registry>>;
+    /// True when [`SampleSink::begin_tick`] may skip ticks, which
+    /// registers the `pcp.resilience.ticks_skipped` counter up front.
+    fn skips_ticks(&self) -> bool;
+    /// Per-tick supervision before the fetch (agent and replica
+    /// heartbeats, spill drain). Returns false to skip this tick's fetch.
+    fn begin_tick(&mut self, pmcd: &mut Pmcd, tick: u64, t_now: f64) -> bool;
+    /// Ship one fetched report.
+    fn ship(&mut self, t_now: f64, point: Point, freq_hz: f64, ctx: Option<TraceContext>);
+    /// Last drain/replay opportunity at the end of the run, then seal the
+    /// trace of every report still parked.
+    fn end_run(&mut self, t_end: f64);
+}
+
+impl SampleSink for Shipper<'_> {
+    fn registry(&self) -> Option<Arc<Registry>> {
+        self.obs_registry().cloned()
+    }
+
+    fn skips_ticks(&self) -> bool {
+        self.is_resilient()
+    }
+
+    fn begin_tick(&mut self, pmcd: &mut Pmcd, tick: u64, t_now: f64) -> bool {
+        if !self.is_resilient() {
+            return true;
+        }
+        // Supervise the agents: detect crashed PMDAs, restart them after
+        // their backoff elapses.
+        pmcd.heartbeat_all(t_now);
+        // Adaptive frequency degradation: under sustained loss the
+        // shipper suggests sampling every n-th tick only; the freed ticks
+        // still drain the spill buffer.
+        let stride = self.suggested_stride();
+        if stride > 1 && !tick.is_multiple_of(stride) {
+            self.idle_tick(t_now);
+            return false;
+        }
+        true
+    }
+
+    fn ship(&mut self, t_now: f64, point: Point, freq_hz: f64, ctx: Option<TraceContext>) {
+        self.ship_traced(t_now, point, freq_hz, ctx);
+    }
+
+    fn end_run(&mut self, t_end: f64) {
+        // Spill left over from a fault that ended near the end can still
+        // land (no-op in default mode); what stays parked terminates its
+        // trace as `spill_pending` — the trace-side twin of the
+        // conservation ledger's pending term.
+        self.idle_tick(t_end);
+        self.seal_pending_traces(t_end);
+    }
+}
+
+/// The unbuffered tick loop. Returns `(ticks skipped, field values per
+/// tick)`; the sink holds the transport statistics.
+pub(crate) fn run_ticks(
+    config: &SamplingConfig,
+    pmcd: &mut Pmcd,
+    sink: &mut impl SampleSink,
+) -> (u64, u64) {
+    let period = 1.0 / config.freq_hz;
+    let mut t_prev = config.start_s;
+    let mut total_domain = None;
+    let mut ticks_skipped = 0u64;
+    // Hoisted self-observability handles (shared with the sink's
+    // registry, so one snapshot covers the whole pipeline).
+    let obs = sink.registry();
+    // Causal tracing: when the registry carries a tracer, every shipped
+    // report gets a `pcp.sample` root trace the transport then threads
+    // through retries, spill and hints to a terminal status.
+    let tracer = obs.as_ref().and_then(|r| r.tracer());
+    let counter = |name: &str| obs.as_ref().map(|r| r.counter(name, &[]));
+    let tick_counter = counter("pcp.sampler.ticks");
+    let point_counter = counter("pcp.sampler.points_fetched");
+    let skip_counter = match sink.skips_ticks() {
+        true => counter("pcp.resilience.ticks_skipped"),
+        false => None,
+    };
+
+    for tick in 0..config.ticks() {
+        let t_now = config.start_s + (tick + 1) as f64 * period;
+        if !sink.begin_tick(pmcd, tick, t_now) {
+            // `t_prev` is *not* advanced, so the next real fetch covers
+            // the whole skipped window (PCP counter semantics).
+            ticks_skipped += 1;
+            if let Some(c) = &skip_counter {
+                c.inc();
+            }
+            continue;
+        }
+        let points = pmcd.fetch_all(&config.metrics, t_prev, t_now);
+        if total_domain.is_none() && !points.is_empty() {
+            total_domain = Some(points.iter().map(|p| p.field_count() as u64).sum());
+        }
+        if let Some(c) = &tick_counter {
+            c.inc();
+        }
+        if let Some(c) = &point_counter {
+            c.add(points.len() as u64);
+        }
+        for point in points {
+            let ctx = tracer
+                .as_ref()
+                .map(|tr| tr.start_trace("pcp.sample", (t_now * 1e9) as u64));
+            sink.ship(t_now, point, config.freq_hz, ctx);
+        }
+        t_prev = t_now;
+    }
+    sink.end_run(config.start_s + config.duration_s);
+
+    if let Some(registry) = &obs {
+        // The loop ran from start_s to the last tick's timestamp on the
+        // virtual clock; stamp the span with those endpoints.
+        let start_ns = (config.start_s * 1e9).round().max(0.0) as u64;
+        let end_ns = (t_prev * 1e9).round().max(0.0) as u64;
+        registry.record_span("pcp.sampling", start_ns, end_ns);
+    }
+    (ticks_skipped, total_domain.unwrap_or(0))
+}
+
 /// The loop itself.
 pub struct SamplingLoop;
 
@@ -105,91 +234,7 @@ impl SamplingLoop {
         pmcd: &mut Pmcd,
         shipper: &mut Shipper<'_>,
     ) -> SamplingReport {
-        // Propagate the sampling frequency to the perfevent agent's noise
-        // model (per-read jitter grows with frequency).
-        let period = 1.0 / config.freq_hz;
-        let mut t_prev = config.start_s;
-        let mut total_domain = 0u64;
-        let mut domain_counted = false;
-        let mut ticks_skipped = 0u64;
-        let resilient = shipper.is_resilient();
-        // Hoisted self-observability handles (shared with the shipper's
-        // registry, so one snapshot covers the whole pipeline).
-        let obs = shipper.obs_registry().cloned();
-        // Causal tracing: when the registry carries a tracer, every
-        // shipped report gets a `pcp.sample` root trace the transport
-        // then threads through retries and spill to a terminal status.
-        let tracer = obs.as_ref().and_then(|r| r.tracer());
-        let tick_counter = obs.as_ref().map(|r| r.counter("pcp.sampler.ticks", &[]));
-        let point_counter = obs
-            .as_ref()
-            .map(|r| r.counter("pcp.sampler.points_fetched", &[]));
-        let skip_counter = if resilient {
-            obs.as_ref()
-                .map(|r| r.counter("pcp.resilience.ticks_skipped", &[]))
-        } else {
-            None
-        };
-
-        for tick in 0..config.ticks() {
-            let t_now = config.start_s + (tick + 1) as f64 * period;
-            if resilient {
-                // Supervise the agents: detect crashed PMDAs, restart
-                // them after their backoff elapses.
-                pmcd.heartbeat_all(t_now);
-                // Adaptive frequency degradation: under sustained loss
-                // the shipper suggests sampling every n-th tick only; the
-                // freed ticks still drain the spill buffer. Note t_prev is
-                // *not* advanced, so the next real fetch covers the whole
-                // skipped window (PCP counter semantics).
-                let stride = shipper.suggested_stride();
-                if stride > 1 && tick % stride != 0 {
-                    shipper.idle_tick(t_now);
-                    ticks_skipped += 1;
-                    if let Some(c) = &skip_counter {
-                        c.inc();
-                    }
-                    continue;
-                }
-            }
-            let points = pmcd.fetch_all(&config.metrics, t_prev, t_now);
-            if !domain_counted && !points.is_empty() {
-                total_domain = points.iter().map(|p| p.field_count() as u64).sum();
-                domain_counted = true;
-            }
-            if let Some(c) = &tick_counter {
-                c.inc();
-            }
-            if let Some(c) = &point_counter {
-                c.add(points.len() as u64);
-            }
-            for point in points {
-                let ctx = tracer
-                    .as_ref()
-                    .map(|tr| tr.start_trace("pcp.sample", (t_now * 1e9) as u64));
-                shipper.ship_traced(t_now, point, config.freq_hz, ctx);
-            }
-            t_prev = t_now;
-        }
-
-        if resilient {
-            // One last drain opportunity at the end of the run, so spill
-            // left over from a fault that ended near the end can land.
-            shipper.idle_tick(config.start_s + config.duration_s);
-        }
-        // Reports still parked in the spill buffer terminate their trace
-        // as `spill_pending` — the trace-side twin of the conservation
-        // ledger's pending term.
-        shipper.seal_pending_traces(config.start_s + config.duration_s);
-
-        if let Some(registry) = &obs {
-            // The loop ran from start_s to the last tick's timestamp on the
-            // virtual clock; stamp the span with those endpoints.
-            let start_ns = (config.start_s * 1e9).round().max(0.0) as u64;
-            let end_ns = (t_prev * 1e9).round().max(0.0) as u64;
-            registry.record_span("pcp.sampling", start_ns, end_ns);
-        }
-
+        let (ticks_skipped, total_domain) = run_ticks(config, pmcd, shipper);
         SamplingReport {
             ticks: config.ticks(),
             ticks_skipped,

@@ -307,13 +307,8 @@ impl<'a> Shipper<'a> {
     /// Attach a fault schedule evaluated against the virtual clock on
     /// every ship. An empty schedule is behaviour-identical to none.
     pub fn with_fault_schedule(mut self, schedule: FaultSchedule) -> Self {
-        self.set_fault_schedule(schedule);
-        self
-    }
-
-    /// Attach/replace the fault schedule in place.
-    pub fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
         self.fault = Some(schedule);
+        self
     }
 
     /// Enable the resilient transport mode. Panics on an invalid config;
@@ -1009,7 +1004,7 @@ mod tests {
             let db = Database::new("host");
             let mut s = Shipper::new(&db, LinkSpec::mbit_100(), 1.0 / 32.0, &["ident"]);
             if with_schedule {
-                s.set_fault_schedule(FaultSchedule::none());
+                s = s.with_fault_schedule(FaultSchedule::none());
             }
             let mut t = 0.0;
             for _ in 0..(32 * 5) {

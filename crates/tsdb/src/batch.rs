@@ -33,7 +33,7 @@ use crate::engine::column_of_field;
 use crate::line_protocol::render_series_key;
 use crate::point::Point;
 use crate::series::SeriesKey;
-use crate::storage::{shard_of_key, shard_of_series, Row, Storage, DEFAULT_SHARD_COUNT};
+use crate::storage::{shard_of_key, Row, Storage, DEFAULT_SHARD_COUNT};
 use crate::value::FieldValue;
 use pmove_store::RowRecord;
 use std::collections::{BTreeMap, HashMap};
@@ -62,27 +62,6 @@ impl Hasher for FnvHasher {
 
     fn finish(&self) -> u64 {
         self.0
-    }
-}
-
-/// Size/age thresholds for the per-shard ingest queues.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchConfig {
-    /// Flush a shard queue once it buffers this many points.
-    pub max_points: usize,
-    /// Flush a shard queue once its oldest point has waited this long
-    /// (virtual-clock units, same unit the caller passes as `now`).
-    pub max_age: i64,
-}
-
-impl Default for BatchConfig {
-    /// 4096 points or 1 s (nanosecond clock), whichever comes first —
-    /// matching the store's memtable flush granularity.
-    fn default() -> Self {
-        BatchConfig {
-            max_points: 4096,
-            max_age: 1_000_000_000,
-        }
     }
 }
 
@@ -217,13 +196,12 @@ impl ColumnarBatch {
     /// row-at-a-time path.
     pub(crate) fn apply(self, storage: &mut Storage) {
         for sc in self.series {
-            let rows: Vec<Row> = sc
+            let rows = sc
                 .ts
                 .into_iter()
                 .zip(sc.fields)
-                .map(|(timestamp, fields)| Row { timestamp, fields })
-                .collect();
-            storage.insert_series_rows_placed(&sc.key, Some(&sc.canonical), rows);
+                .map(|(timestamp, fields)| Row { timestamp, fields });
+            storage.insert_series_rows(&sc.key, Some(&sc.canonical), rows);
         }
     }
 }
@@ -251,84 +229,6 @@ impl BatchOutcome {
     /// True when every offered point was accepted.
     pub fn all_accepted(&self) -> bool {
         self.results.iter().all(Result::is_ok)
-    }
-}
-
-/// One shard's pending queue.
-#[derive(Debug, Default)]
-struct ShardQueue {
-    points: Vec<Point>,
-    /// Virtual time the oldest pending point arrived at.
-    oldest: i64,
-}
-
-/// Per-shard ingest queues that flush on size or age. The ingester is a
-/// buffering front for [`crate::Database::write_batch`]: callers `offer`
-/// points as they arrive and write whatever batches come back; a periodic
-/// `flush_due` drains queues whose oldest point has aged out, and
-/// `flush_all` drains everything at shutdown.
-///
-/// Queueing never changes admission semantics: the ingest limiter windows
-/// on *point* timestamps, not on the flush time, so a point admitted late
-/// lands in the same limiter window it would have occupied ingested
-/// immediately.
-#[derive(Debug)]
-pub struct BatchIngester {
-    cfg: BatchConfig,
-    queues: Vec<ShardQueue>,
-}
-
-impl BatchIngester {
-    /// Ingester with one queue per storage shard.
-    pub fn new(cfg: BatchConfig) -> BatchIngester {
-        assert!(cfg.max_points > 0, "batch size must be positive");
-        assert!(cfg.max_age >= 0, "batch age must be non-negative");
-        BatchIngester {
-            cfg,
-            queues: (0..DEFAULT_SHARD_COUNT)
-                .map(|_| ShardQueue::default())
-                .collect(),
-        }
-    }
-
-    /// Buffer one point at virtual time `now`; returns the point's shard
-    /// queue as a ready batch when the size threshold is reached. Routing
-    /// hashes the series key in place ([`shard_of_series`]) — no clone,
-    /// no canonical render — but lands on exactly the shard storage will
-    /// place the series on.
-    pub fn offer(&mut self, point: Point, now: i64) -> Option<Vec<Point>> {
-        let shard = shard_of_series(&point.measurement, &point.tags, DEFAULT_SHARD_COUNT);
-        let q = &mut self.queues[shard];
-        if q.points.is_empty() {
-            q.oldest = now;
-        }
-        q.points.push(point);
-        (q.points.len() >= self.cfg.max_points).then(|| std::mem::take(&mut q.points))
-    }
-
-    /// Drain every queue whose oldest point has waited at least
-    /// `max_age`, returning one batch per drained shard.
-    pub fn flush_due(&mut self, now: i64) -> Vec<Vec<Point>> {
-        let max_age = self.cfg.max_age;
-        self.queues
-            .iter_mut()
-            .filter(|q| !q.points.is_empty() && now.saturating_sub(q.oldest) >= max_age)
-            .map(|q| std::mem::take(&mut q.points))
-            .collect()
-    }
-
-    /// Drain every non-empty queue (shutdown / end of experiment).
-    pub fn flush_all(&mut self) -> Vec<Vec<Point>> {
-        self.queues
-            .iter_mut()
-            .filter(|q| !q.points.is_empty())
-            .map(|q| std::mem::take(&mut q.points))
-            .collect()
-    }
-
-    /// Points currently buffered across all queues.
-    pub fn pending(&self) -> usize {
-        self.queues.iter().map(|q| q.points.len()).sum()
     }
 }
 
@@ -395,30 +295,5 @@ mod tests {
             assert_eq!(sr.key, sb.key);
             assert_eq!(sr.rows, sb.rows);
         }
-    }
-
-    #[test]
-    fn ingester_flushes_on_size_and_age() {
-        let mut ing = BatchIngester::new(BatchConfig {
-            max_points: 2,
-            max_age: 100,
-        });
-        // Same series → same queue; second offer hits the size threshold.
-        assert!(ing.offer(pt("a", 1, 1.0), 0).is_none());
-        let batch = ing.offer(pt("a", 2, 2.0), 10).expect("size flush");
-        assert_eq!(batch.len(), 2);
-        assert_eq!(ing.pending(), 0);
-        // Age flush: nothing due before max_age, everything after.
-        ing.offer(pt("a", 3, 3.0), 50);
-        assert!(ing.flush_due(100).is_empty());
-        let due = ing.flush_due(150);
-        assert_eq!(due.len(), 1);
-        assert_eq!(due[0].len(), 1);
-        // flush_all drains the rest.
-        ing.offer(pt("a", 4, 4.0), 200);
-        ing.offer(pt("zz", 5, 5.0), 200);
-        let all = ing.flush_all();
-        assert_eq!(all.iter().map(Vec::len).sum::<usize>(), 2);
-        assert_eq!(ing.pending(), 0);
     }
 }

@@ -31,7 +31,6 @@ pub enum CacheLookup {
 
 #[derive(Debug)]
 struct CacheEntry {
-    measurement: String,
     version: u64,
     last_used: u64,
     result: Arc<QueryResult>,
@@ -101,13 +100,7 @@ impl QueryCache {
 
     /// Insert a result observed at `version`; returns how many entries
     /// were evicted to make room (0 or 1 in steady state).
-    pub fn insert(
-        &mut self,
-        key: String,
-        measurement: String,
-        version: u64,
-        result: Arc<QueryResult>,
-    ) -> usize {
+    pub fn insert(&mut self, key: String, version: u64, result: Arc<QueryResult>) -> usize {
         if self.capacity == 0 {
             return 0;
         }
@@ -115,7 +108,6 @@ impl QueryCache {
         self.entries.insert(
             key,
             CacheEntry {
-                measurement,
                 version,
                 last_used: self.tick,
                 result,
@@ -127,15 +119,6 @@ impl QueryCache {
             evicted += 1;
         }
         evicted
-    }
-
-    /// Eagerly drop every entry for one measurement; returns how many were
-    /// dropped. (Normal invalidation is lazy via versions; this is for
-    /// explicit administrative drops.)
-    pub fn invalidate_measurement(&mut self, measurement: &str) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|_, e| e.measurement != measurement);
-        before - self.entries.len()
     }
 
     /// Drop everything.
@@ -178,7 +161,7 @@ mod tests {
     fn hit_miss_and_version_staleness() {
         let mut c = QueryCache::new(4);
         assert!(matches!(c.get("q1", 0), CacheLookup::Miss));
-        c.insert("q1".into(), "m".into(), 0, result(1));
+        c.insert("q1".into(), 0, result(1));
         match c.get("q1", 0) {
             CacheLookup::Hit(r) => assert_eq!(r.columns, vec!["c1".to_string()]),
             _ => panic!("expected hit"),
@@ -192,11 +175,11 @@ mod tests {
     #[test]
     fn lru_eviction_order() {
         let mut c = QueryCache::new(2);
-        c.insert("a".into(), "m".into(), 0, result(1));
-        c.insert("b".into(), "m".into(), 0, result(2));
+        c.insert("a".into(), 0, result(1));
+        c.insert("b".into(), 0, result(2));
         // Touch `a`, making `b` the LRU victim.
         assert!(matches!(c.get("a", 0), CacheLookup::Hit(_)));
-        let evicted = c.insert("c".into(), "m".into(), 0, result(3));
+        let evicted = c.insert("c".into(), 0, result(3));
         assert_eq!(evicted, 1);
         assert!(matches!(c.get("b", 0), CacheLookup::Miss));
         assert!(matches!(c.get("a", 0), CacheLookup::Hit(_)));
@@ -206,24 +189,18 @@ mod tests {
     #[test]
     fn zero_capacity_disables() {
         let mut c = QueryCache::new(0);
-        assert_eq!(c.insert("a".into(), "m".into(), 0, result(1)), 0);
+        assert_eq!(c.insert("a".into(), 0, result(1)), 0);
         assert!(matches!(c.get("a", 0), CacheLookup::Miss));
         assert!(c.is_empty());
     }
 
     #[test]
-    fn shrink_and_eager_invalidate() {
+    fn shrinking_capacity_evicts() {
         let mut c = QueryCache::new(4);
         for (i, k) in ["a", "b", "c", "d"].iter().enumerate() {
-            c.insert(
-                (*k).into(),
-                if i < 2 { "m1" } else { "m2" }.into(),
-                0,
-                result(i),
-            );
+            c.insert((*k).into(), 0, result(i));
         }
-        assert_eq!(c.invalidate_measurement("m1"), 2);
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.len(), 4);
         c.set_capacity(1);
         assert_eq!(c.len(), 1);
         c.set_capacity(0);

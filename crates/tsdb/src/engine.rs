@@ -147,6 +147,15 @@ impl IngestLimiter {
     }
 }
 
+/// Who a row write comes from: a client (admission control and the
+/// [`IngestStats`] ledger apply) or the replication layer (hint replay,
+/// anti-entropy repair — already accounted where it was first accepted).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Origin {
+    Client,
+    Remote,
+}
+
 /// Counters describing the life of the database, used directly by the
 /// Table III reproduction (`Inserted`, `Zeros`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -679,7 +688,7 @@ impl Database {
     /// Write one point. Fails on empty fields or limiter rejection; on
     /// success the point is stored, counted, and published to subscribers.
     pub fn write_point(&self, point: Point) -> Result<(), TsdbError> {
-        self.write_point_inner(point, None).map(|_| ())
+        self.write_row(point, Origin::Client, None).map(|_| ())
     }
 
     /// Like [`Database::write_point`] but nests modeled child spans — a
@@ -695,37 +704,81 @@ impl Database {
         parent: TraceContext,
         start_ns: u64,
     ) -> (Result<(), TsdbError>, u64) {
-        match self.write_point_inner(point, Some((tracer, parent, start_ns))) {
+        self.write_row_traced(point, Origin::Client, tracer, parent, start_ns)
+    }
+
+    /// Apply a point replicated from another node (hinted-handoff replay
+    /// or anti-entropy repair). Unlike [`Database::write_point`] this
+    /// bypasses the ingest limiter and the client-facing [`IngestStats`]
+    /// ledger — the replication coordinator owns value accounting and a
+    /// repaired cell was already counted when it was first accepted — but
+    /// it keeps the WAL durability barrier, the live-subscription publish,
+    /// and the per-measurement write-version bump, so the LRU query cache
+    /// can never serve pre-repair rows.
+    pub fn apply_remote(&self, point: Point) -> Result<(), TsdbError> {
+        self.write_row(point, Origin::Remote, None).map(|_| ())
+    }
+
+    /// Like [`Database::apply_remote`] but nests the modeled ingest
+    /// spans (WAL group commit + shard ingest) under `parent` — the
+    /// hinted-handoff replay path of an end-to-end trace. Returns the
+    /// result plus the modeled end timestamp.
+    pub fn apply_remote_traced(
+        &self,
+        point: Point,
+        tracer: &Tracer,
+        parent: TraceContext,
+        start_ns: u64,
+    ) -> (Result<(), TsdbError>, u64) {
+        self.write_row_traced(point, Origin::Remote, tracer, parent, start_ns)
+    }
+
+    fn write_row_traced(
+        &self,
+        point: Point,
+        origin: Origin,
+        tracer: &Tracer,
+        parent: TraceContext,
+        start_ns: u64,
+    ) -> (Result<(), TsdbError>, u64) {
+        match self.write_row(point, origin, Some((tracer, parent, start_ns))) {
             Ok(end_ns) => (Ok(()), end_ns),
             Err(e) => (Err(e), start_ns),
         }
     }
 
-    /// Shared write path. `trace`, when present, is `(tracer, parent
+    /// The row write path, shared by both origins. Admission (the
+    /// `points_offered` tick, the ingest limiter) and the [`IngestStats`]
+    /// ledger apply to [`Origin::Client`] only; the WAL barrier, the
+    /// subscriber publish, the rollup mark and the write-version bump
+    /// apply to every row. `trace`, when present, is `(tracer, parent
     /// span, modeled start)`; on success the returned timestamp is the
     /// modeled ingest end on the virtual clock (0 when untraced).
-    fn write_point_inner(
+    fn write_row(
         &self,
         point: Point,
+        origin: Origin,
         trace: Option<(&Tracer, TraceContext, u64)>,
     ) -> Result<u64, TsdbError> {
-        {
-            let mut stats = self.stats.lock();
-            stats.points_offered += 1;
-        }
-        if let Some(o) = &self.obs {
-            o.points_offered.inc();
+        let client = origin == Origin::Client;
+        if client {
+            self.stats.lock().points_offered += 1;
+            if let Some(o) = &self.obs {
+                o.points_offered.inc();
+            }
         }
         if point.fields.is_empty() {
             return Err(TsdbError::EmptyFields);
         }
         let n = point.field_count() as u64;
-        if let Err(e) = self.limiter.lock().admit(point.timestamp, n) {
-            self.stats.lock().points_rejected += 1;
-            if let Some(o) = &self.obs {
-                o.points_rejected.inc();
+        if client {
+            if let Err(e) = self.limiter.lock().admit(point.timestamp, n) {
+                self.stats.lock().points_rejected += 1;
+                if let Some(o) = &self.obs {
+                    o.points_rejected.inc();
+                }
+                return Err(e);
             }
-            return Err(e);
         }
         // Durability barrier: when a store is attached, the point is
         // framed into the WAL and group-committed before it is counted,
@@ -739,26 +792,30 @@ impl Database {
             let info = st.commit()?;
             commit_ns = st.modeled_commit_ns(info.bytes).max(1);
         }
-        let zero_values = point.fields.values().filter(|v| v.is_zero()).count() as u64;
-        {
-            let mut stats = self.stats.lock();
-            stats.points_inserted += 1;
-            stats.values_inserted += n;
-            stats.zero_values_inserted += zero_values;
-        }
         let modeled_ns = EngineObs::INGEST_BASE_NS + EngineObs::INGEST_PER_VALUE_NS * n;
-        if let Some(o) = &self.obs {
-            o.points_inserted.inc();
-            o.values_inserted.add(n);
-            o.zero_values_inserted.add(zero_values);
-            match &trace {
-                // The trace exemplar ties the histogram's tail back to a
-                // concrete trace in the flight recorder.
-                Some((_, ctx, _)) if ctx.sampled => {
-                    o.ingest_ns.record_exemplar(modeled_ns, ctx.trace.0)
-                }
-                _ => o.ingest_ns.record(modeled_ns),
+        if client {
+            let zero_values = point.fields.values().filter(|v| v.is_zero()).count() as u64;
+            {
+                let mut stats = self.stats.lock();
+                stats.points_inserted += 1;
+                stats.values_inserted += n;
+                stats.zero_values_inserted += zero_values;
             }
+            if let Some(o) = &self.obs {
+                o.points_inserted.inc();
+                o.values_inserted.add(n);
+                o.zero_values_inserted.add(zero_values);
+                match &trace {
+                    // The trace exemplar ties the histogram's tail back to a
+                    // concrete trace in the flight recorder.
+                    Some((_, ctx, _)) if ctx.sampled => {
+                        o.ingest_ns.record_exemplar(modeled_ns, ctx.trace.0)
+                    }
+                    _ => o.ingest_ns.record(modeled_ns),
+                }
+            }
+        } else if let Some(o) = &self.obs {
+            o.registry.counter("tsdb.repl.remote_applied", &[]).inc();
         }
         let end_ns = self.trace_ingest(&point, commit_ns, modeled_ns, &trace);
         self.hub.publish(&point);
@@ -802,66 +859,6 @@ impl Database {
         cursor
     }
 
-    /// Apply a point replicated from another node (hinted-handoff replay
-    /// or anti-entropy repair). Unlike [`Database::write_point`] this
-    /// bypasses the ingest limiter and the client-facing [`IngestStats`]
-    /// ledger — the replication coordinator owns value accounting and a
-    /// repaired cell was already counted when it was first accepted — but
-    /// it keeps the WAL durability barrier, the live-subscription publish,
-    /// and the per-measurement write-version bump, so the LRU query cache
-    /// can never serve pre-repair rows.
-    pub fn apply_remote(&self, point: Point) -> Result<(), TsdbError> {
-        self.apply_remote_inner(point, None).map(|_| ())
-    }
-
-    /// Like [`Database::apply_remote`] but nests the modeled ingest
-    /// spans (WAL group commit + shard ingest) under `parent` — the
-    /// hinted-handoff replay path of an end-to-end trace. Returns the
-    /// result plus the modeled end timestamp.
-    pub fn apply_remote_traced(
-        &self,
-        point: Point,
-        tracer: &Tracer,
-        parent: TraceContext,
-        start_ns: u64,
-    ) -> (Result<(), TsdbError>, u64) {
-        match self.apply_remote_inner(point, Some((tracer, parent, start_ns))) {
-            Ok(end_ns) => (Ok(()), end_ns),
-            Err(e) => (Err(e), start_ns),
-        }
-    }
-
-    fn apply_remote_inner(
-        &self,
-        point: Point,
-        trace: Option<(&Tracer, TraceContext, u64)>,
-    ) -> Result<u64, TsdbError> {
-        if point.fields.is_empty() {
-            return Err(TsdbError::EmptyFields);
-        }
-        let mut commit_ns = 0u64;
-        if let Some(store) = &self.store {
-            let rows = rows_of_point(&point);
-            let mut st = store.lock();
-            st.append(&rows);
-            let info = st.commit()?;
-            commit_ns = st.modeled_commit_ns(info.bytes).max(1);
-        }
-        if let Some(o) = &self.obs {
-            o.registry.counter("tsdb.repl.remote_applied", &[]).inc();
-        }
-        let n = point.field_count() as u64;
-        let modeled_ns = EngineObs::INGEST_BASE_NS + EngineObs::INGEST_PER_VALUE_NS * n;
-        let end_ns = self.trace_ingest(&point, commit_ns, modeled_ns, &trace);
-        self.hub.publish(&point);
-        let measurement = point.measurement.clone();
-        let ts = point.timestamp;
-        self.storage.write().insert(point);
-        self.mark_rollup_write(&measurement, ts);
-        self.bump_version(&measurement);
-        Ok(end_ns)
-    }
-
     /// Current write version of one measurement: bumped on every accepted
     /// local or remote write (and on retention/recovery). Exposed so the
     /// replication tests can audit cache freshness.
@@ -887,22 +884,6 @@ impl Database {
                 }
             }
         }
-    }
-
-    /// Write a batch; returns how many points were accepted. Rejected points
-    /// are dropped, matching the lossy fire-and-forget transport of PCP.
-    pub fn write_points(&self, points: Vec<Point>) -> usize {
-        points
-            .into_iter()
-            .map(|p| self.write_point(p))
-            .filter(Result::is_ok)
-            .count()
-    }
-
-    /// Write a batch given as line protocol text.
-    pub fn write_line_protocol(&self, text: &str) -> Result<usize, TsdbError> {
-        let points = crate::line_protocol::parse_batch(text)?;
-        Ok(self.write_points(points))
     }
 
     /// Columnar batched write path. Admission (empty-field checks, limiter
@@ -1077,11 +1058,6 @@ impl Database {
         *self.rollups.write() = Some(rs);
     }
 
-    /// True when rollup tiers are enabled.
-    pub fn rollups_enabled(&self) -> bool {
-        self.rollups.read().is_some()
-    }
-
     /// Run one rollup materialization pass: every bucket marked dirty since
     /// the last tick is re-folded from raw storage into each tier. Bumps
     /// the write version of every measurement whose tiers changed so the
@@ -1149,55 +1125,18 @@ impl Database {
 
     /// Run a pre-parsed query in an explicit execution mode.
     pub fn query_with_mode(&self, q: &Query, mode: ExecMode) -> Result<QueryResult, TsdbError> {
-        self.query_arc_with_mode(q, mode).map(|r| (*r).clone())
+        self.query_arc_cached(q, mode).map(|(r, _)| (*r).clone())
     }
 
-    /// Like [`Database::query_with_mode`] but returns the shared result,
-    /// avoiding a row copy on cache hits (hot dashboard/bench path).
-    pub fn query_arc_with_mode(
-        &self,
-        q: &Query,
-        mode: ExecMode,
-    ) -> Result<Arc<QueryResult>, TsdbError> {
-        self.query_inner(q, mode, None).0.map(|(r, _)| r)
-    }
-
-    /// Like [`Database::query_arc_with_mode`] but also reports whether the
-    /// result cache served the rows. The serving layer uses the flag for
-    /// per-tenant hit/miss accounting without double-running the query.
+    /// Like [`Database::query_with_mode`] but returns the shared result
+    /// (no row copy on cache hits) plus whether the result cache served
+    /// the rows. The serving layer uses the flag for per-tenant hit/miss
+    /// accounting without double-running the query.
     pub fn query_arc_cached(
         &self,
         q: &Query,
         mode: ExecMode,
     ) -> Result<(Arc<QueryResult>, bool), TsdbError> {
-        self.query_inner(q, mode, None).0
-    }
-
-    /// Like [`Database::query_arc_with_mode`] but nests modeled query
-    /// spans — a `tsdb.query` wrapper with a planning child plus one
-    /// `tsdb.shard_scan` child per shard the executor visited (or a
-    /// `tsdb.query.cache_hit` child when the result cache serves the
-    /// rows) — under `parent`, laid out from `start_ns` on the virtual
-    /// clock. Returns the result plus the modeled end timestamp.
-    pub fn query_traced(
-        &self,
-        q: &Query,
-        mode: ExecMode,
-        tracer: &Tracer,
-        parent: TraceContext,
-        start_ns: u64,
-    ) -> (Result<Arc<QueryResult>, TsdbError>, u64) {
-        let (res, end_ns) = self.query_inner(q, mode, Some((tracer, parent, start_ns)));
-        (res.map(|(r, _)| r), end_ns)
-    }
-
-    fn query_inner(
-        &self,
-        q: &Query,
-        mode: ExecMode,
-        trace: Option<(&Tracer, TraceContext, u64)>,
-    ) -> (Result<(Arc<QueryResult>, bool), TsdbError>, u64) {
-        let start_fallback = trace.as_ref().map(|(_, _, s)| *s).unwrap_or(0);
         // Capture the measurement's write version BEFORE executing: if a
         // write lands mid-query the entry is recorded under the older
         // version and fails validation on its next lookup — conservative,
@@ -1207,10 +1146,8 @@ impl Database {
             let version = self.measurement_version(&q.measurement);
             let key = q.normalized();
             if let Some(hit) = self.cache_lookup(&key, version) {
-                let rows = hit.rows.len() as u64;
-                self.record_query_served_traced(rows, &trace);
-                let end_ns = self.trace_query(rows, None, true, &trace);
-                return (Ok((hit, true)), end_ns);
+                self.record_query_served(hit.rows.len() as u64);
+                return Ok((hit, true));
             }
             (Some(key), version)
         } else {
@@ -1226,92 +1163,28 @@ impl Database {
         if let Some(o) = &self.obs {
             o.query_executions.inc();
         }
-        match run {
-            Ok((result, stats)) => {
-                let rows = result.rows.len() as u64;
-                self.record_query_served_traced(rows, &trace);
-                self.record_exec_stats(&stats);
-                let end_ns = self.trace_query(rows, Some(&stats), false, &trace);
-                let result = Arc::new(result);
-                if let Some(key) = cache_key {
-                    let evicted = self.cache.lock().insert(
-                        key,
-                        q.measurement.clone(),
-                        version,
-                        result.clone(),
-                    );
-                    if let Some(o) = &self.obs {
-                        o.cache_insertions.inc();
-                        o.cache_evictions.add(evicted as u64);
-                    }
-                }
-                (Ok((result, false)), end_ns)
-            }
-            Err(e) => {
-                self.record_query_served(0);
-                (Err(e), start_fallback)
+        let (result, stats) = run.inspect_err(|_| self.record_query_served(0))?;
+        self.record_query_served(result.rows.len() as u64);
+        self.record_exec_stats(&stats);
+        let result = Arc::new(result);
+        if let Some(key) = cache_key {
+            let evicted = self.cache.lock().insert(key, version, result.clone());
+            if let Some(o) = &self.obs {
+                o.cache_insertions.inc();
+                o.cache_evictions.add(evicted as u64);
             }
         }
+        Ok((result, false))
     }
 
-    /// Lay out the modeled query spans: `tsdb.query` wrapping a planning
-    /// child (or a cache-hit child) and the per-shard scan children. The
-    /// total duration equals the modeled `tsdb.query_ns` sample so the
-    /// trace tree and the histogram tell one story.
-    fn trace_query(
-        &self,
-        rows: u64,
-        stats: Option<&ExecStats>,
-        cache_hit: bool,
-        trace: &Option<(&Tracer, TraceContext, u64)>,
-    ) -> u64 {
-        let Some((tracer, parent, start_ns)) = trace else {
-            return 0;
-        };
-        let (tracer, parent, start_ns) = (*tracer, *parent, *start_ns);
-        let query = tracer.child(parent, "tsdb.query", start_ns);
-        let mut cursor = start_ns + EngineObs::QUERY_BASE_NS;
-        if cache_hit {
-            let hit = tracer.child(query, "tsdb.query.cache_hit", start_ns);
-            tracer.end_span(hit, cursor);
-        } else {
-            let plan = tracer.child(query, "tsdb.query.plan", start_ns);
-            tracer.end_span(plan, cursor);
-            let shards = stats.map(|s| s.shards_scanned).unwrap_or(0).max(1);
-            let mut remaining = EngineObs::QUERY_PER_ROW_NS * rows;
-            for i in 0..shards {
-                let slice = (remaining / (shards - i)).max(1);
-                let scan = tracer.child(query, "tsdb.shard_scan", cursor);
-                tracer.end_span(scan, cursor + slice);
-                cursor += slice;
-                remaining = remaining.saturating_sub(slice);
-            }
-        }
-        let end_ns =
-            cursor.max(start_ns + EngineObs::QUERY_BASE_NS + EngineObs::QUERY_PER_ROW_NS * rows);
-        tracer.end_span(query, end_ns);
-        end_ns
-    }
-
-    /// Legacy served-query accounting: one `tsdb.queries` tick plus the
-    /// modelled latency — identical for executed and cache-served queries,
-    /// so enabling the cache never changes the exported histograms.
+    /// Served-query accounting: one `tsdb.queries` tick plus the modelled
+    /// latency — identical for executed and cache-served queries, so
+    /// enabling the cache never changes the exported histograms.
     fn record_query_served(&self, rows: u64) {
-        self.record_query_served_traced(rows, &None);
-    }
-
-    /// [`Database::record_query_served`] with an optional trace exemplar
-    /// tying the histogram sample back to the flight recorder.
-    fn record_query_served_traced(&self, rows: u64, trace: &Option<(&Tracer, TraceContext, u64)>) {
         if let Some(o) = &self.obs {
             o.queries.inc();
-            let modeled_ns = EngineObs::QUERY_BASE_NS + EngineObs::QUERY_PER_ROW_NS * rows;
-            match trace {
-                Some((_, ctx, _)) if ctx.sampled => {
-                    o.query_ns.record_exemplar(modeled_ns, ctx.trace.0)
-                }
-                _ => o.query_ns.record(modeled_ns),
-            }
+            o.query_ns
+                .record(EngineObs::QUERY_BASE_NS + EngineObs::QUERY_PER_ROW_NS * rows);
         }
     }
 
@@ -1514,9 +1387,8 @@ mod tests {
         let db = Database::new("test");
         db.set_ingest_limiter(IngestLimiter::per_window(10, 3));
         // 5 single-field points in window [0, 10): only 3 admitted.
-        let pts: Vec<Point> = (0..5).map(|i| pt(i, 1.0)).collect();
-        let accepted = db.write_points(pts);
-        assert_eq!(accepted, 3);
+        let accepted = (0..5).filter(|&i| db.write_point(pt(i, 1.0)).is_ok());
+        assert_eq!(accepted.count(), 3);
         assert_eq!(db.stats().points_rejected, 2);
         // next window admits again
         assert!(db.write_point(pt(10, 1.0)).is_ok());
@@ -1546,10 +1418,8 @@ mod tests {
     #[test]
     fn line_protocol_ingest() {
         let db = Database::new("test");
-        let n = db
-            .write_line_protocol("m,tag=o1 v=1 1\nm,tag=o1 v=2 2\n")
-            .unwrap();
-        assert_eq!(n, 2);
+        let points = crate::line_protocol::parse_batch("m,tag=o1 v=1 1\nm,tag=o1 v=2 2\n");
+        assert_eq!(db.write_batch(points.unwrap()).unwrap().accepted, 2);
         let r = db.query("SELECT \"v\" FROM \"m\"").unwrap();
         assert_eq!(r.rows[1].values["v"], Some(2.0));
     }
@@ -1577,8 +1447,9 @@ mod tests {
         let reg = Registry::shared();
         let db = Database::with_obs("test", reg.clone());
         db.set_ingest_limiter(IngestLimiter::per_window(10, 3));
-        let pts: Vec<Point> = (0..5).map(|i| pt(i, (i % 2) as f64)).collect();
-        db.write_points(pts);
+        for i in 0..5 {
+            let _ = db.write_point(pt(i, (i % 2) as f64));
+        }
         db.query("SELECT \"v\" FROM \"m\"").unwrap();
         let st = db.stats();
         let snap = reg.snapshot();
@@ -1798,6 +1669,61 @@ mod tests {
             .unwrap();
         assert_eq!(gaps.rows.len(), 1);
         assert_eq!(gaps.rows[0].values["rows_lost"], Some(4.0));
+    }
+
+    /// One row path, two origins: admission and the client ledger are
+    /// the only things an origin may change.
+    #[test]
+    fn both_origins_share_the_row_path_and_differ_only_in_admission() {
+        for remote in [false, true] {
+            let reg = Registry::shared();
+            let vfs: Arc<dyn Vfs> = Arc::new(pmove_store::MemDisk::new(9));
+            let (db, _) =
+                Database::open_with_obs("o", vfs.clone(), manual_opts(), reg.clone()).unwrap();
+            db.enable_rollups(RollupConfig::with_tiers(&[10]));
+            db.set_ingest_limiter(IngestLimiter::per_window(10, 1));
+            let rx = db.subscribe(Subscription::all());
+            let v0 = db.write_version("m");
+            let write = |p: Point| match remote {
+                true => db.apply_remote(p),
+                false => db.write_point(p),
+            };
+            // Two single-field points in one limiter window of capacity 1.
+            assert!(write(pt(1, 1.0)).is_ok());
+            assert_eq!(write(pt(2, 2.0)).is_ok(), remote, "limiter is client-only");
+            assert_eq!(write(Point::new("m")), Err(TsdbError::EmptyFields));
+            let stored = if remote { 2 } else { 1 };
+
+            // Differs: the IngestStats ledger counts client rows only, and
+            // remote rows tick their own counter.
+            let client_ledger = IngestStats {
+                points_offered: 3,
+                points_inserted: 1,
+                values_inserted: 1,
+                zero_values_inserted: 0,
+                points_rejected: 1,
+            };
+            let want = if remote {
+                IngestStats::default()
+            } else {
+                client_ledger
+            };
+            assert_eq!(db.stats(), want);
+            let snap = reg.snapshot();
+            assert_eq!(
+                snap.counter("tsdb.repl.remote_applied", &[]),
+                remote.then_some(2)
+            );
+
+            // Same for both: subscriber publish, rollup mark, write-version
+            // bump, and the WAL barrier (the rows survive a reopen).
+            assert_eq!(crate::subscribe::drain(&rx).len(), stored);
+            assert_eq!(db.rollup_audit().unwrap().dirty_buckets, 1);
+            assert_eq!(db.write_version("m"), v0 + stored as u64);
+            drop(db);
+            let (reopened, _) = Database::open("o", vfs, manual_opts()).unwrap();
+            assert_eq!(reopened.total_rows(), stored);
+        }
     }
 
     #[test]

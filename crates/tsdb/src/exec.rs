@@ -45,11 +45,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Canonical row key: `(timestamp, series id)`. Unique across a query's
 /// scanned rows, totally ordered, and equal to the oracle's emission order.
-type RowKey = (i64, u64);
+pub(crate) type RowKey = (i64, u64);
 
 /// Sentinel above every real key (`range` is end-exclusive, so a scanned
 /// row never has `timestamp == i64::MAX`).
-const KEY_SENTINEL: RowKey = (i64::MAX, u64::MAX);
+pub(crate) const KEY_SENTINEL: RowKey = (i64::MAX, u64::MAX);
 
 /// How a query is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -277,7 +277,7 @@ fn bucket_key(bucket: Option<i64>, ts: i64) -> i64 {
     }
 }
 
-fn projected_field(p: &Projection) -> &str {
+pub(crate) fn projected_field(p: &Projection) -> &str {
     match p {
         Projection::Aggregate(_, f) | Projection::Field(f) => f,
         Projection::Wildcard => unreachable!("plan expands wildcards"),
@@ -312,15 +312,11 @@ fn scan_rows(
 
     let mut rows = Vec::with_capacity(merged.len());
     for ((ts, _), fields) in merged {
-        let mut values = BTreeMap::new();
-        for (col, p) in plan.columns.iter().zip(&plan.projections) {
-            let v = fields.get(projected_field(p)).and_then(|v| v.as_f64());
-            values.insert(col.clone(), v);
-        }
-        rows.push(ResultRow {
-            timestamp: ts,
-            values,
-        });
+        let values = plan
+            .projections
+            .iter()
+            .map(|p| fields.get(projected_field(p)).and_then(|v| v.as_f64()));
+        rows.push(finish_row(ts, plan, values));
     }
     rows
 }
@@ -329,11 +325,16 @@ fn scan_rows(
 // Exact partial-aggregation path
 // ---------------------------------------------------------------------------
 
-/// Order-free partial accumulator for one projection in one bucket. Every
-/// state transition is commutative/associative under the canonical-key tie
-/// rules, so shards may fold rows in any order and merges in any pairing.
+/// Order-free partial accumulator for one projection in one bucket —
+/// the one accumulator under both the exact partial-aggregation path and
+/// the rollup tiers' serving path. Every state transition of `Extreme`,
+/// `Count` and `Edge` is commutative/associative under the canonical-key
+/// tie rules, so shards may fold rows in any order and merges in any
+/// pairing. `Sum` is an ordered fold: it is only ever fed one series'
+/// rows in timestamp order or one tier cell (see
+/// [`crate::rollup::RollupStore::route`]), never merged.
 #[derive(Debug, Clone)]
-enum ExactAcc {
+pub(crate) enum PartialAcc {
     /// `min` / `max`: value plus the canonical key where the current
     /// winner was set (smaller key wins equal values — the oracle keeps
     /// the first occurrence's bit pattern, e.g. for `-0.0` vs `0.0`).
@@ -351,53 +352,63 @@ enum ExactAcc {
         want_first: bool,
         entry: Option<(RowKey, f64)>,
     },
+    /// `sum` over one series (rollup serving only).
+    Sum { count: u64, sum: f64 },
 }
 
-impl ExactAcc {
-    fn for_projection(p: &Projection) -> Option<ExactAcc> {
+impl PartialAcc {
+    /// The accumulator for `p`, or `None` when `p` needs the ordered fold
+    /// (`mean` / `stddev` / `median`).
+    pub(crate) fn for_projection(p: &Projection) -> Option<PartialAcc> {
         Some(match p {
-            Projection::Aggregate(AggregateFn::Min, _) => ExactAcc::Extreme {
+            Projection::Aggregate(AggregateFn::Min, _) => PartialAcc::Extreme {
                 is_min: true,
                 count: 0,
                 best: f64::INFINITY,
                 best_key: KEY_SENTINEL,
             },
-            Projection::Aggregate(AggregateFn::Max, _) => ExactAcc::Extreme {
+            Projection::Aggregate(AggregateFn::Max, _) => PartialAcc::Extreme {
                 is_min: false,
                 count: 0,
                 best: f64::NEG_INFINITY,
                 best_key: KEY_SENTINEL,
             },
-            Projection::Aggregate(AggregateFn::Count, _) => ExactAcc::Count { count: 0 },
-            Projection::Aggregate(AggregateFn::First, _) => ExactAcc::Edge {
+            Projection::Aggregate(AggregateFn::Count, _) => PartialAcc::Count { count: 0 },
+            Projection::Aggregate(AggregateFn::First, _) => PartialAcc::Edge {
                 want_first: true,
                 entry: None,
             },
-            Projection::Aggregate(AggregateFn::Last, _) | Projection::Field(_) => ExactAcc::Edge {
-                want_first: false,
-                entry: None,
-            },
+            Projection::Aggregate(AggregateFn::Last, _) | Projection::Field(_) => {
+                PartialAcc::Edge {
+                    want_first: false,
+                    entry: None,
+                }
+            }
+            Projection::Aggregate(AggregateFn::Sum, _) => PartialAcc::Sum { count: 0, sum: 0.0 },
             _ => return None,
         })
     }
 
-    fn push(&mut self, key: RowKey, v: f64) {
+    /// Offer a candidate standing for `n` values: `(key, v)` is the
+    /// group's winner under this accumulator's own rule (a raw row offers
+    /// itself with `n == 1`). The tie rules live here and nowhere else.
+    fn offer(&mut self, n: u64, key: RowKey, v: f64) {
         match self {
-            ExactAcc::Extreme {
+            PartialAcc::Extreme {
                 is_min,
                 count,
                 best,
                 best_key,
             } => {
-                *count += 1;
+                *count += n;
                 let wins = if *is_min { v < *best } else { v > *best };
                 if wins || (v == *best && key < *best_key) {
                     *best = v;
                     *best_key = key;
                 }
             }
-            ExactAcc::Count { count } => *count += 1,
-            ExactAcc::Edge { want_first, entry } => match entry {
+            PartialAcc::Count { count } => *count += n,
+            PartialAcc::Edge { want_first, entry } => match entry {
                 None => *entry = Some((key, v)),
                 Some((k, val)) => {
                     let replace = if *want_first { key < *k } else { key > *k };
@@ -407,67 +418,109 @@ impl ExactAcc {
                     }
                 }
             },
+            PartialAcc::Sum { .. } => unreachable!("sum folds, it never merges"),
         }
     }
 
-    fn merge(&mut self, other: &ExactAcc) {
-        match (self, other) {
-            (
-                ExactAcc::Extreme {
-                    is_min,
-                    count,
-                    best,
-                    best_key,
-                },
-                ExactAcc::Extreme {
-                    count: c2,
-                    best: b2,
-                    best_key: k2,
-                    ..
-                },
-            ) => {
-                *count += c2;
-                let wins = if *is_min { *b2 < *best } else { *b2 > *best };
-                if wins || (*b2 == *best && *k2 < *best_key) {
-                    *best = *b2;
-                    *best_key = *k2;
-                }
+    /// Fold one raw value.
+    pub(crate) fn push(&mut self, key: RowKey, v: f64) {
+        match self {
+            PartialAcc::Sum { count, sum } => {
+                *count += 1;
+                *sum += v;
             }
-            (ExactAcc::Count { count }, ExactAcc::Count { count: c2 }) => *count += c2,
-            (ExactAcc::Edge { want_first, entry }, ExactAcc::Edge { entry: e2, .. }) => {
-                match (entry.as_mut(), e2) {
-                    (_, None) => {}
-                    (None, Some(e)) => *entry = Some(*e),
-                    (Some((k, v)), Some((k2, v2))) => {
-                        let replace = if *want_first { k2 < k } else { k2 > k };
-                        if replace {
-                            *k = *k2;
-                            *v = *v2;
-                        }
-                    }
-                }
+            _ => self.offer(1, key, v),
+        }
+    }
+
+    /// Merge a partial built from the same projection.
+    fn merge(&mut self, other: &PartialAcc) {
+        match *other {
+            PartialAcc::Extreme {
+                count,
+                best,
+                best_key,
+                ..
+            } => self.offer(count, best_key, best),
+            PartialAcc::Count { count } => self.offer(count, KEY_SENTINEL, 0.0),
+            PartialAcc::Edge { entry: None, .. } => {}
+            PartialAcc::Edge {
+                entry: Some((key, v)),
+                ..
+            } => self.offer(1, key, v),
+            PartialAcc::Sum { .. } => unreachable!("sum folds, it never merges"),
+        }
+    }
+
+    /// Merge one rollup tier cell's per-field state.
+    pub(crate) fn merge_cell(&mut self, agg: &crate::rollup::FieldAgg) {
+        if agg.count == 0 {
+            return;
+        }
+        match self {
+            PartialAcc::Extreme { is_min: true, .. } => self.offer(agg.count, agg.min_key, agg.min),
+            PartialAcc::Extreme { is_min: false, .. } => {
+                self.offer(agg.count, agg.max_key, agg.max)
             }
-            _ => unreachable!("partials from the same projection template"),
+            PartialAcc::Count { .. } => self.offer(agg.count, KEY_SENTINEL, 0.0),
+            PartialAcc::Edge {
+                want_first: true, ..
+            } => self.offer(1, agg.first_key, agg.first),
+            PartialAcc::Edge {
+                want_first: false, ..
+            } => self.offer(1, agg.last_key, agg.last),
+            PartialAcc::Sum { count, sum } => {
+                // `route()` guarantees a single series and bucket == tier
+                // interval, so exactly one cell ever reaches a Sum — the
+                // stored fold is adopted, never combined.
+                debug_assert_eq!(*count, 0, "sum must be served by exactly one cell");
+                *count += agg.count;
+                *sum = agg.sum;
+            }
         }
     }
 
     /// Mirrors [`Accumulator::finish`] for the supported functions,
-    /// including the all-NaN case (`min` stays `+inf`, `max` `-inf`) and
-    /// `count`'s 0-instead-of-NULL.
-    fn finish(&self) -> Option<f64> {
+    /// including the all-NaN case (`min` stays `+inf`, `max` `-inf`),
+    /// `count`'s 0-instead-of-NULL, and NULL for empty folds.
+    pub(crate) fn finish(&self) -> Option<f64> {
         match self {
-            ExactAcc::Extreme { count: 0, .. } => None,
-            ExactAcc::Extreme { best, .. } => Some(*best),
-            ExactAcc::Count { count } => Some(*count as f64),
-            ExactAcc::Edge { entry, .. } => entry.map(|(_, v)| v),
+            PartialAcc::Extreme { count: 0, .. } | PartialAcc::Sum { count: 0, .. } => None,
+            PartialAcc::Extreme { best, .. } => Some(*best),
+            PartialAcc::Count { count } => Some(*count as f64),
+            PartialAcc::Edge { entry, .. } => entry.map(|(_, v)| v),
+            PartialAcc::Sum { sum, .. } => Some(*sum),
         }
     }
 }
 
 /// The per-bucket accumulator template when every projection is exactly
-/// mergeable, else `None` (ordered fold required).
-fn exact_template(projections: &[Projection]) -> Option<Vec<ExactAcc>> {
-    projections.iter().map(ExactAcc::for_projection).collect()
+/// mergeable across shards, else `None` (ordered fold required — `sum`
+/// included: per-shard partial sums would reassociate the oracle's
+/// arithmetic).
+fn exact_template(projections: &[Projection]) -> Option<Vec<PartialAcc>> {
+    projections
+        .iter()
+        .map(|p| PartialAcc::for_projection(p).filter(|a| !matches!(a, PartialAcc::Sum { .. })))
+        .collect()
+}
+
+/// One result row from finished per-column values.
+pub(crate) fn finish_row(
+    timestamp: i64,
+    plan: &QueryPlan,
+    values: impl Iterator<Item = Option<f64>>,
+) -> ResultRow {
+    // Inserted one by one: collecting would stage every row's columns in
+    // a scratch vector first.
+    let mut row = BTreeMap::new();
+    for (col, v) in plan.columns.iter().zip(values) {
+        row.insert(col.clone(), v);
+    }
+    ResultRow {
+        timestamp,
+        values: row,
+    }
 }
 
 fn aggregate_exact(
@@ -479,8 +532,8 @@ fn aggregate_exact(
 ) -> Vec<ResultRow> {
     let template = exact_template(&plan.projections).expect("caller checked");
 
-    let partials: Vec<(BTreeMap<i64, Vec<ExactAcc>>, u64)> = fan_out(threads, jobs.len(), |j| {
-        let mut buckets: BTreeMap<i64, Vec<ExactAcc>> = BTreeMap::new();
+    let partials: Vec<(BTreeMap<i64, Vec<PartialAcc>>, u64)> = fan_out(threads, jobs.len(), |j| {
+        let mut buckets: BTreeMap<i64, Vec<PartialAcc>> = BTreeMap::new();
         let mut scanned = 0u64;
         for &id in jobs[j] {
             let s = view.series(id).expect("planned id exists");
@@ -503,7 +556,7 @@ fn aggregate_exact(
         (buckets, scanned)
     });
 
-    let mut merged: BTreeMap<i64, Vec<ExactAcc>> = BTreeMap::new();
+    let mut merged: BTreeMap<i64, Vec<PartialAcc>> = BTreeMap::new();
     for (buckets, scanned) in partials {
         stats.rows_scanned += scanned;
         for (k, accs) in buckets {
@@ -522,16 +575,7 @@ fn aggregate_exact(
 
     merged
         .into_iter()
-        .map(|(ts, accs)| {
-            let mut values = BTreeMap::new();
-            for (col, acc) in plan.columns.iter().zip(&accs) {
-                values.insert(col.clone(), acc.finish());
-            }
-            ResultRow {
-                timestamp: ts,
-                values,
-            }
-        })
+        .map(|(ts, accs)| finish_row(ts, plan, accs.iter().map(PartialAcc::finish)))
         .collect()
 }
 
@@ -583,14 +627,7 @@ fn aggregate_ordered(
     let mut current: Option<(i64, Vec<Accumulator>)> = None;
     let flush = |current: &mut Option<(i64, Vec<Accumulator>)>, rows: &mut Vec<ResultRow>| {
         if let Some((ts, accs)) = current.take() {
-            let mut values = BTreeMap::new();
-            for (col, acc) in plan.columns.iter().zip(&accs) {
-                values.insert(col.clone(), acc.finish());
-            }
-            rows.push(ResultRow {
-                timestamp: ts,
-                values,
-            });
+            rows.push(finish_row(ts, plan, accs.iter().map(Accumulator::finish)));
         }
     };
     for ((ts, _), vals) in merged {

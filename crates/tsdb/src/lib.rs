@@ -62,7 +62,7 @@ pub mod value;
 /// direct `pmove-store` dependency).
 pub use pmove_store as store;
 
-pub use batch::{BatchConfig, BatchIngester, BatchOutcome, ColumnarBatch};
+pub use batch::{BatchOutcome, ColumnarBatch};
 pub use cache::{QueryCache, DEFAULT_CACHE_CAPACITY};
 pub use engine::{Database, IngestLimiter, IngestStats, GAP_MEASUREMENT};
 pub use error::TsdbError;

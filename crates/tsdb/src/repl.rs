@@ -571,16 +571,12 @@ impl ReplicaSet {
         Ok(report)
     }
 
-    /// R-quorum read: require at least R reachable replicas, consult the
-    /// first R of them, and serve from the freshest (most stored rows,
-    /// ties to the lowest index — deterministic). After convergence every
-    /// choice is bit-identical, so freshness only matters mid-repair.
-    pub fn quorum_read_with_mode(
-        &self,
-        q: &Query,
-        reachable: &[bool],
-        mode: ExecMode,
-    ) -> Result<QueryResult, TsdbError> {
+    /// The replica an R-quorum read is served from: require at least R
+    /// reachable replicas, consult the first R of them, and pick the
+    /// freshest (most stored rows, ties to the lowest index —
+    /// deterministic). After convergence every choice is bit-identical,
+    /// so freshness only matters mid-repair.
+    fn read_replica(&self, reachable: &[bool]) -> Result<&Database, TsdbError> {
         if reachable.len() != self.len() {
             return Err(TsdbError::Replication(format!(
                 "reachability vector has {} entries for {} replicas",
@@ -604,7 +600,18 @@ impl ReplicaSet {
                 best = i;
             }
         }
-        self.replicas[best].query_with_mode(q, mode)
+        Ok(&self.replicas[best])
+    }
+
+    /// R-quorum read in an explicit execution mode, served from the
+    /// freshest of the first R reachable replicas.
+    pub fn quorum_read_with_mode(
+        &self,
+        q: &Query,
+        reachable: &[bool],
+        mode: ExecMode,
+    ) -> Result<QueryResult, TsdbError> {
+        self.read_replica(reachable)?.query_with_mode(q, mode)
     }
 
     /// [`ReplicaSet::quorum_read_with_mode`] returning the shared result
@@ -616,30 +623,7 @@ impl ReplicaSet {
         reachable: &[bool],
         mode: ExecMode,
     ) -> Result<(std::sync::Arc<QueryResult>, bool), TsdbError> {
-        if reachable.len() != self.len() {
-            return Err(TsdbError::Replication(format!(
-                "reachability vector has {} entries for {} replicas",
-                reachable.len(),
-                self.len()
-            )));
-        }
-        let up: Vec<usize> = (0..self.len()).filter(|&i| reachable[i]).collect();
-        if up.len() < self.cfg.read_quorum {
-            return Err(TsdbError::Replication(format!(
-                "read quorum unreachable: {} of {} replicas up, R={}",
-                up.len(),
-                self.len(),
-                self.cfg.read_quorum
-            )));
-        }
-        let consulted = &up[..self.cfg.read_quorum];
-        let mut best = consulted[0];
-        for &i in consulted {
-            if self.replicas[i].total_rows() > self.replicas[best].total_rows() {
-                best = i;
-            }
-        }
-        self.replicas[best].query_arc_cached(q, mode)
+        self.read_replica(reachable)?.query_arc_cached(q, mode)
     }
 
     /// [`ReplicaSet::quorum_read_with_mode`] over query text with every

@@ -43,18 +43,12 @@
 //! audit then reports `tier_rows ≥ raw_rows`, the surplus being history
 //! preserved by downsampling rather than a ledger leak.
 
+use crate::exec::{finish_row, projected_field, PartialAcc, RowKey, KEY_SENTINEL};
 use crate::query::{Projection, QueryPlan, ResultRow};
 use crate::series::SeriesId;
 use crate::storage::MeasurementView;
 use crate::value::FieldValue;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-
-/// Canonical row key, identical to the executor's `(timestamp, series id)`.
-type RowKey = (i64, u64);
-
-/// Sentinel above every real key (scanned rows never reach `i64::MAX`
-/// because ranges are end-exclusive).
-const KEY_SENTINEL: RowKey = (i64::MAX, u64::MAX);
 
 /// Default tier intervals in nanoseconds: 10 s and 1 min, the two
 /// downsampling levels the paper-scale deployment keeps.
@@ -99,7 +93,7 @@ impl RollupConfig {
 
 /// Per-field exact aggregate state for one (tier bucket, series) cell.
 ///
-/// Mirrors the executor's order-free partial accumulators: `min`/`max`
+/// Mirrors the executor's [`PartialAcc`] states: `min`/`max`
 /// carry the canonical key their current winner was set at (smaller key
 /// wins equal values, so `-0.0` vs `0.0` ties keep the oracle's bit
 /// pattern; NaN never wins a comparison), `first`/`last` are the values
@@ -257,11 +251,6 @@ impl RollupStore {
         }
     }
 
-    /// Configured tier intervals (ascending).
-    pub fn intervals(&self) -> &[i64] {
-        &self.cfg.tiers
-    }
-
     fn tiers_mut(&mut self, measurement: &str) -> &mut Vec<TierData> {
         let n = self.cfg.tiers.len();
         self.tiers
@@ -353,15 +342,6 @@ impl RollupStore {
             .values()
             .flat_map(|tiers| tiers.iter())
             .map(|t| t.cells.len() as u64)
-            .sum()
-    }
-
-    /// Pending dirty buckets (all measurements and tiers).
-    pub fn dirty_count(&self) -> u64 {
-        self.tiers
-            .values()
-            .flat_map(|tiers| tiers.iter())
-            .map(|t| t.dirty.len() as u64)
             .sum()
     }
 
@@ -532,160 +512,6 @@ fn materialize(
     }
 }
 
-/// Per-projection serving accumulator, merging tier cells (or raw rows)
-/// with exactly the executor's order-free tie rules; `Sum` is only ever
-/// fed one cell or one series' ordered rows.
-enum ServeAcc {
-    Extreme {
-        is_min: bool,
-        count: u64,
-        best: f64,
-        best_key: RowKey,
-    },
-    Count {
-        count: u64,
-    },
-    Edge {
-        want_first: bool,
-        entry: Option<(RowKey, f64)>,
-    },
-    Sum {
-        count: u64,
-        sum: f64,
-    },
-}
-
-impl ServeAcc {
-    fn for_projection(p: &Projection) -> ServeAcc {
-        use crate::aggregate::AggregateFn as F;
-        match p {
-            Projection::Aggregate(F::Min, _) => ServeAcc::Extreme {
-                is_min: true,
-                count: 0,
-                best: f64::INFINITY,
-                best_key: KEY_SENTINEL,
-            },
-            Projection::Aggregate(F::Max, _) => ServeAcc::Extreme {
-                is_min: false,
-                count: 0,
-                best: f64::NEG_INFINITY,
-                best_key: KEY_SENTINEL,
-            },
-            Projection::Aggregate(F::Count, _) => ServeAcc::Count { count: 0 },
-            Projection::Aggregate(F::First, _) => ServeAcc::Edge {
-                want_first: true,
-                entry: None,
-            },
-            Projection::Aggregate(F::Sum, _) => ServeAcc::Sum { count: 0, sum: 0.0 },
-            Projection::Aggregate(F::Last, _) | Projection::Field(_) => ServeAcc::Edge {
-                want_first: false,
-                entry: None,
-            },
-            _ => unreachable!("route() rejected this projection"),
-        }
-    }
-
-    /// Fold one raw value (edge/dirty buckets).
-    fn push(&mut self, key: RowKey, v: f64) {
-        match self {
-            ServeAcc::Extreme {
-                is_min,
-                count,
-                best,
-                best_key,
-            } => {
-                *count += 1;
-                let wins = if *is_min { v < *best } else { v > *best };
-                if wins || (v == *best && key < *best_key) {
-                    *best = v;
-                    *best_key = key;
-                }
-            }
-            ServeAcc::Count { count } => *count += 1,
-            ServeAcc::Edge { want_first, entry } => match entry {
-                None => *entry = Some((key, v)),
-                Some((k, val)) => {
-                    let replace = if *want_first { key < *k } else { key > *k };
-                    if replace {
-                        *k = key;
-                        *val = v;
-                    }
-                }
-            },
-            ServeAcc::Sum { count, sum } => {
-                *count += 1;
-                *sum += v;
-            }
-        }
-    }
-
-    /// Merge one tier cell's per-field state (interior buckets).
-    fn merge_cell(&mut self, agg: &FieldAgg) {
-        if agg.count == 0 {
-            return;
-        }
-        match self {
-            ServeAcc::Extreme {
-                is_min,
-                count,
-                best,
-                best_key,
-            } => {
-                *count += agg.count;
-                let (v, key) = if *is_min {
-                    (agg.min, agg.min_key)
-                } else {
-                    (agg.max, agg.max_key)
-                };
-                let wins = if *is_min { v < *best } else { v > *best };
-                if wins || (v == *best && key < *best_key) {
-                    *best = v;
-                    *best_key = key;
-                }
-            }
-            ServeAcc::Count { count } => *count += agg.count,
-            ServeAcc::Edge { want_first, entry } => {
-                let (key, v) = if *want_first {
-                    (agg.first_key, agg.first)
-                } else {
-                    (agg.last_key, agg.last)
-                };
-                match entry {
-                    None => *entry = Some((key, v)),
-                    Some((k, val)) => {
-                        let replace = if *want_first { key < *k } else { key > *k };
-                        if replace {
-                            *k = key;
-                            *val = v;
-                        }
-                    }
-                }
-            }
-            ServeAcc::Sum { count, sum } => {
-                // `route()` guarantees a single series and bucket == tier
-                // interval, so exactly one cell ever reaches a Sum — the
-                // stored fold is adopted, never combined.
-                debug_assert_eq!(*count, 0, "sum must be served by exactly one cell");
-                *count += agg.count;
-                *sum = agg.sum;
-            }
-        }
-    }
-
-    /// Mirrors `Accumulator::finish` (`count` reports 0, all-NaN extremes
-    /// report their untouched ±inf sentinel, empty folds are NULL).
-    fn finish(&self) -> Option<f64> {
-        match self {
-            ServeAcc::Extreme { count: 0, .. } => None,
-            ServeAcc::Extreme { best, .. } => Some(*best),
-            ServeAcc::Count { count } => Some(*count as f64),
-            ServeAcc::Edge { entry, .. } => entry.map(|(_, v)| v),
-            ServeAcc::Sum { count: 0, .. } => None,
-            ServeAcc::Sum { sum, .. } => Some(*sum),
-        }
-    }
-}
-
 /// Answer one fully covered, clean query bucket from materialized cells.
 fn serve_bucket_from_cells(
     tier: &TierData,
@@ -694,11 +520,7 @@ fn serve_bucket_from_cells(
     t: i64,
     plan: &QueryPlan,
 ) -> Option<ResultRow> {
-    let mut accs: Vec<ServeAcc> = plan
-        .projections
-        .iter()
-        .map(ServeAcc::for_projection)
-        .collect();
+    let mut accs = serve_accs(plan);
     let mut rows_present = false;
     let mut tb = bucket;
     let end = bucket.saturating_add(b);
@@ -714,18 +536,14 @@ fn serve_bucket_from_cells(
                 rows_present = true;
             }
             for (acc, p) in accs.iter_mut().zip(&plan.projections) {
-                let field = match p {
-                    Projection::Aggregate(_, f) | Projection::Field(f) => f,
-                    Projection::Wildcard => unreachable!("plan expands wildcards"),
-                };
-                if let Some(agg) = cell.fields.get(field) {
+                if let Some(agg) = cell.fields.get(projected_field(p)) {
                     acc.merge_cell(agg);
                 }
             }
         }
         tb = tb.saturating_add(t);
     }
-    rows_present.then(|| finish_row(bucket, &accs, plan))
+    rows_present.then(|| finish_row(bucket, plan, accs.iter().map(PartialAcc::finish)))
 }
 
 /// Answer one edge or dirty bucket by folding raw rows, clipped to the
@@ -743,11 +561,7 @@ fn serve_bucket_from_raw(
     let hi = bucket_end
         .min(plan.end as i128)
         .clamp(i64::MIN as i128, i64::MAX as i128) as i64;
-    let mut accs: Vec<ServeAcc> = plan
-        .projections
-        .iter()
-        .map(ServeAcc::for_projection)
-        .collect();
+    let mut accs = serve_accs(plan);
     let mut rows_present = false;
     for &id in &plan.ids {
         let Some(s) = view.series(id) else { continue };
@@ -756,28 +570,22 @@ fn serve_bucket_from_raw(
             rows_present = true;
             let key = (row.timestamp, id.0);
             for (acc, p) in accs.iter_mut().zip(&plan.projections) {
-                let field = match p {
-                    Projection::Aggregate(_, f) | Projection::Field(f) => f,
-                    Projection::Wildcard => unreachable!("plan expands wildcards"),
-                };
-                if let Some(v) = row.fields.get(field).and_then(FieldValue::as_f64) {
+                let v = row.fields.get(projected_field(p));
+                if let Some(v) = v.and_then(FieldValue::as_f64) {
                     acc.push(key, v);
                 }
             }
         }
     }
-    rows_present.then(|| finish_row(bucket as i64, &accs, plan))
+    rows_present.then(|| finish_row(bucket as i64, plan, accs.iter().map(PartialAcc::finish)))
 }
 
-fn finish_row(bucket: i64, accs: &[ServeAcc], plan: &QueryPlan) -> ResultRow {
-    let mut values = BTreeMap::new();
-    for (col, acc) in plan.columns.iter().zip(accs) {
-        values.insert(col.clone(), acc.finish());
-    }
-    ResultRow {
-        timestamp: bucket,
-        values,
-    }
+/// Fresh accumulators for a routed plan's projections.
+fn serve_accs(plan: &QueryPlan) -> Vec<PartialAcc> {
+    plan.projections
+        .iter()
+        .map(|p| PartialAcc::for_projection(p).expect("route() rejected this projection"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -810,12 +618,12 @@ mod tests {
         for t in 0..60 {
             rs.note_write("m", t);
         }
-        assert_eq!(rs.dirty_count(), 6 + 2);
+        assert_eq!(rs.audit(0).dirty_buckets, 6 + 2);
         let (report, touched) = rs.tick(&storage);
         assert_eq!(touched, vec!["m".to_string()]);
         assert_eq!(report.buckets_materialized, 8);
         assert_eq!(report.rows_folded, 60 * 2); // both tiers fold all rows
-        assert_eq!(rs.dirty_count(), 0);
+        assert_eq!(rs.audit(0).dirty_buckets, 0);
         let audit = rs.audit(storage.total_rows() as u64);
         assert!(audit.conserved(), "{audit:?}");
         assert_eq!(audit.tier_rows, vec![(10, 60), (30, 60)]);

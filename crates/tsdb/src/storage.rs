@@ -43,33 +43,6 @@ pub fn shard_of_key(canonical_key: &str, shard_count: usize) -> usize {
     (h % shard_count as u64) as usize
 }
 
-/// [`shard_of_key`] without materializing the canonical string: streams the
-/// exact byte sequence `SeriesKey::canonical` would render
-/// (`measurement,k=v,...`, tags in BTreeMap order) through the same FNV-1a
-/// state. The batch ingest queues route every incoming point through this,
-/// so placement stays identical to the row path at zero allocations.
-pub fn shard_of_series(
-    measurement: &str,
-    tags: &BTreeMap<String, String>,
-    shard_count: usize,
-) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut feed = |bytes: &[u8]| {
-        for b in bytes {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    feed(measurement.as_bytes());
-    for (k, v) in tags {
-        feed(b",");
-        feed(k.as_bytes());
-        feed(b"=");
-        feed(v.as_bytes());
-    }
-    (h % shard_count as u64) as usize
-}
-
 /// One stored sample: timestamp plus the point's field set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Row {
@@ -287,57 +260,30 @@ impl Storage {
     /// Insert one point, creating measurement/series as needed.
     pub fn insert(&mut self, point: Point) {
         let key = SeriesKey {
-            measurement: point.measurement.clone(),
-            tags: point.tags.clone(),
+            measurement: point.measurement,
+            tags: point.tags,
         };
-        let (id, shard) = self.resolve_series(&key, None);
-        let meta = self
-            .meta
-            .get_mut(&point.measurement)
-            .expect("just resolved");
-        for k in point.fields.keys() {
-            meta.field_keys.insert(k.clone(), ());
-        }
         let row = Row {
             timestamp: point.timestamp,
             fields: point.fields,
         };
-        self.shards[shard]
-            .series
-            .get_mut(&point.measurement)
-            .expect("shard map just ensured")
-            .get_mut(&id)
-            .expect("series just ensured")
-            .insert(row);
+        self.insert_series_rows(&key, None, std::iter::once(row));
     }
 
-    /// Bulk-append rows of one series: the series is resolved (or
-    /// created) exactly as [`Storage::insert`] would — same id-allocation
-    /// order, same canonical-key shard placement — but once per call
-    /// instead of once per point, and the shard map is walked once for
-    /// the whole row set. Rows are inserted in the given order, so
-    /// duplicate-timestamp last-write-wins merges resolve identically to
-    /// inserting the rows one at a time.
-    pub fn insert_series_rows(&mut self, key: &SeriesKey, rows: Vec<Row>) {
-        self.insert_series_rows_placed(key, None, rows);
-    }
-
-    /// [`Storage::insert_series_rows`] with an optional precomputed
-    /// canonical key, sparing the batch path a second render per new
-    /// series.
-    pub(crate) fn insert_series_rows_placed(
+    /// Append rows of one series — the single insert path under both
+    /// [`Storage::insert`] and the columnar batch. The series is resolved
+    /// (or created) once per call: same id-allocation order and
+    /// canonical-key shard placement whoever calls. Rows are inserted in
+    /// the given order, so duplicate-timestamp last-write-wins merges
+    /// resolve identically to inserting them one call at a time.
+    pub(crate) fn insert_series_rows(
         &mut self,
         key: &SeriesKey,
         canonical: Option<&str>,
-        rows: Vec<Row>,
+        rows: impl IntoIterator<Item = Row>,
     ) {
         let (id, shard) = self.resolve_series(key, canonical);
         let meta = self.meta.get_mut(&key.measurement).expect("just resolved");
-        for row in &rows {
-            for k in row.fields.keys() {
-                meta.field_keys.insert(k.clone(), ());
-            }
-        }
         let series = self.shards[shard]
             .series
             .get_mut(&key.measurement)
@@ -345,6 +291,9 @@ impl Storage {
             .get_mut(&id)
             .expect("series just ensured");
         for row in rows {
+            for k in row.fields.keys() {
+                meta.field_keys.insert(k.clone(), ());
+            }
             series.insert(row);
         }
     }
@@ -421,26 +370,6 @@ mod tests {
             .tag("host", host)
             .field("value", v)
             .timestamp(ts)
-    }
-
-    #[test]
-    fn streamed_shard_hash_matches_canonical_render() {
-        let keys = [
-            SeriesKey::new("cpu", [("host", "skx"), ("core", "0")]),
-            SeriesKey::new("m", [] as [(&str, &str); 0]),
-            SeriesKey::new("od,d=", [("a,b", "c=d"), ("", "")]),
-            SeriesKey::new("ünïcode", [("tag", "välue")]),
-        ];
-        for key in keys {
-            for count in [1, 4, 16] {
-                assert_eq!(
-                    shard_of_series(&key.measurement, &key.tags, count),
-                    shard_of_key(&key.canonical(), count),
-                    "divergent placement for {:?}",
-                    key.canonical()
-                );
-            }
-        }
     }
 
     #[test]
