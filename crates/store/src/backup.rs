@@ -34,11 +34,12 @@
 use crate::chunk::chunk_name;
 use crate::crc::{crc32, crc32_finish, crc32_init, crc32_update};
 use crate::error::{StoreError, StoreResult};
+use crate::merge::{distinct_cells, sort_rows};
 use crate::row::RowRecord;
 use crate::store::{decode_row_batch, WAL_FILE};
 use crate::vfs::{Vfs, VirtualFile};
 use crate::wal::{scan_frames, Wal};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -855,19 +856,9 @@ fn restore_inner(
         gen: chosen.map(|m| m.gen),
         ..RestoreReport::default()
     };
-    // Last-write-wins cell map; duplicates are counted, never dropped
+    // Every replayed row; duplicate cells are counted, never dropped
     // silently — the restore ledger has to balance.
-    let mut cells: BTreeMap<(String, String, i64), ()> = BTreeMap::new();
-    let mut insert_rows = |rows: &[RowRecord], dedup: &mut u64| {
-        for r in rows {
-            if cells
-                .insert((r.series.clone(), r.field.clone(), r.ts), ())
-                .is_some()
-            {
-                *dedup += 1;
-            }
-        }
-    };
+    let mut replayed: Vec<RowRecord> = Vec::new();
 
     // 1. Snapshot chunks: verify against the manifest *and* the chunk's
     //    own internal CRC, then copy verbatim into the target.
@@ -977,7 +968,7 @@ fn restore_inner(
                     decode_row_batch(payload).map_err(|_| BackupError::ArchiveDecode { seq })?;
                 report.replayed_records += 1;
                 report.replayed_rows += rows.len() as u64;
-                insert_rows(&rows, &mut report.dedup_rows);
+                replayed.extend(rows);
                 wal.append(payload);
             }
         }
@@ -989,7 +980,9 @@ fn restore_inner(
     }
     wal.commit()?;
 
-    report.restored_rows = report.snapshot_rows + cells.len() as u64;
+    let cells = distinct_cells(&sort_rows(&replayed)) as u64;
+    report.dedup_rows = report.replayed_rows - cells;
+    report.restored_rows = report.snapshot_rows + cells;
     Ok(report)
 }
 

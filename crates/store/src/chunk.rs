@@ -1,11 +1,12 @@
 //! Immutable TSM-style chunk files.
 //!
-//! A chunk is the durable, compressed form of a batch of rows: one block
-//! per (series, field, value-type), timestamps delta-of-delta encoded,
-//! float values Gorilla XOR compressed, the whole file sealed with a
-//! trailing CRC32. Within a chunk, duplicate (series, field, timestamp)
-//! entries are resolved last-write-wins at build time, so a chunk never
-//! carries two values for the same cell.
+//! A chunk is the durable, compressed form of a batch of rows: one
+//! [`Block`] per (series, field, value-type), timestamps delta-of-delta
+//! encoded, float values Gorilla XOR compressed, the whole file sealed
+//! with a trailing CRC32. Blocks are the unit everything durable works
+//! in: a chunk decodes to blocks (one key per block, never per cell), the
+//! merge kernel ([`crate::merge`]) consumes and produces blocks, and
+//! [`ChunkWriter`] encodes them straight into the output file.
 //!
 //! Layout:
 //!
@@ -16,21 +17,30 @@
 //!        | ts_len uvarint | ts_bytes | val_len uvarint | val_bytes
 //! ```
 //!
-//! Everything is a deterministic function of the input rows (grouping
-//! walks a `BTreeMap`), so two same-seed runs emit byte-identical files.
+//! Invariants, enforced on every decode (a file that breaks one is
+//! corrupt even when its CRC matches, and is quarantined like a CRC
+//! failure): blocks appear in strictly ascending `(series, field, type)`
+//! order; a block holds at least one cell; its timestamps are strictly
+//! ascending; the header's `min_ts`/`max_ts` are the first and last of
+//! them. The merge kernel relies on all four. Everything is a
+//! deterministic function of the input rows, so two same-seed runs emit
+//! byte-identical files.
 
 use crate::crc::crc32;
 use crate::encode::{
-    decode_timestamps, decode_values, encode_timestamps, encode_values, get_ivarint, get_uvarint,
-    put_ivarint, put_uvarint,
+    decode_timestamps, decode_values, encode_timestamps, encode_values, get_bytes, get_ivarint,
+    get_uvarint, put_bytes, put_ivarint, put_uvarint,
 };
 use crate::error::{StoreError, StoreResult};
+use crate::merge::{merge_blocks, sort_rows};
 use crate::row::{ColumnValue, RowRecord};
 use crate::vfs::Vfs;
-use std::collections::BTreeMap;
 
 /// File magic for chunk files.
 pub const CHUNK_MAGIC: &[u8; 8] = b"PMCHUNK1";
+
+/// Bytes before the first block: magic, sequence number, block count.
+const HEADER_LEN: usize = 8 + 8 + 4;
 
 /// File name for a chunk sequence number.
 pub fn chunk_name(seq: u64) -> String {
@@ -45,235 +55,301 @@ pub fn parse_chunk_name(name: &str) -> Option<u64> {
         .ok()
 }
 
+/// One column pair of one (series, field): at least one cell, timestamps
+/// strictly ascending, every value of one type.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Block {
+    /// Canonical series key (opaque to the store).
+    pub series: String,
+    /// Field name within the series.
+    pub field: String,
+    /// Timestamp column.
+    pub ts: Vec<i64>,
+    /// Value column, `values[i]` written at `ts[i]`.
+    pub values: Vec<ColumnValue>,
+}
+
 /// Summary of one written chunk.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChunkInfo {
     /// Chunk sequence number (also encoded in the file name).
     pub seq: u64,
     /// Blocks written.
     pub blocks: usize,
-    /// Rows stored (after in-chunk last-write-wins dedup).
+    /// Rows stored (after last-write-wins dedup).
     pub rows: usize,
-    /// Rows discarded by in-chunk dedup.
+    /// Rows offered but not stored: superseded by a later write of the
+    /// same cell (or, in a compaction output, expired).
     pub rows_deduped: usize,
     /// File size in bytes.
     pub bytes: u64,
     /// Raw in-memory footprint of the stored rows (compression baseline).
     pub raw_bytes: u64,
+    /// `[min_ts, max_ts]` over the stored rows.
+    pub time_range: (i64, i64),
+}
+
+/// What a chunk file holds: exact from a validating decode
+/// ([`check_chunk`]) or from writing the file, a best-effort estimate when
+/// [`probe_chunk`] reads it off damaged bytes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ChunkSummary {
+    /// Rows held (or claimed by the block headers that still parse).
+    pub rows: u64,
+    /// `[min_ts, max_ts]` across those rows, if any.
+    pub time_range: Option<(i64, i64)>,
+    /// File size in bytes.
+    pub bytes: u64,
+}
+
+impl ChunkSummary {
+    fn add(&mut self, block: &BlockRef<'_>) {
+        self.rows += block.count;
+        let (lo, hi) = self.time_range.unwrap_or((block.min_ts, block.max_ts));
+        self.time_range = Some((lo.min(block.min_ts), hi.max(block.max_ts)));
+    }
+}
+
+impl From<&ChunkInfo> for ChunkSummary {
+    fn from(info: &ChunkInfo) -> ChunkSummary {
+        ChunkSummary {
+            rows: info.rows as u64,
+            time_range: Some(info.time_range),
+            bytes: info.bytes,
+        }
+    }
+}
+
+/// Encoder for one chunk file: blocks go straight into the file image as
+/// the merge kernel emits them.
+pub(crate) struct ChunkWriter {
+    body: Vec<u8>,
+    info: ChunkInfo,
+}
+
+impl ChunkWriter {
+    /// Start the image of chunk `seq`.
+    pub(crate) fn new(seq: u64) -> ChunkWriter {
+        let mut body = Vec::new();
+        body.extend_from_slice(CHUNK_MAGIC);
+        body.extend_from_slice(&seq.to_le_bytes());
+        body.extend_from_slice(&[0; 4]); // block count, set by `finish`
+        ChunkWriter {
+            body,
+            info: ChunkInfo {
+                seq,
+                time_range: (i64::MAX, i64::MIN),
+                ..ChunkInfo::default()
+            },
+        }
+    }
+
+    /// Append `block`; the caller feeds blocks in ascending
+    /// `(series, field, type)` order.
+    pub(crate) fn push(&mut self, block: &Block) {
+        let (first, last) = (block.ts[0], block.ts[block.ts.len() - 1]);
+        let tag = block.values[0].type_tag();
+        let body = &mut self.body;
+        put_bytes(body, block.series.as_bytes());
+        put_bytes(body, block.field.as_bytes());
+        body.push(tag);
+        put_uvarint(body, block.ts.len() as u64);
+        put_ivarint(body, first);
+        put_ivarint(body, last);
+        put_bytes(body, &encode_timestamps(&block.ts));
+        put_bytes(body, &encode_values(tag, &block.values));
+        let info = &mut self.info;
+        info.blocks += 1;
+        info.rows += block.ts.len();
+        info.raw_bytes += block
+            .values
+            .iter()
+            .map(|v| v.raw_footprint() as u64)
+            .sum::<u64>();
+        info.time_range = (info.time_range.0.min(first), info.time_range.1.max(last));
+    }
+
+    /// Seal and persist the file (nothing is written when no block was
+    /// pushed). `rows_in` is how many rows were offered to the merge.
+    pub(crate) fn finish(mut self, vfs: &dyn Vfs, rows_in: u64) -> StoreResult<Option<ChunkInfo>> {
+        if self.info.blocks == 0 {
+            return Ok(None);
+        }
+        self.body[16..HEADER_LEN].copy_from_slice(&(self.info.blocks as u32).to_le_bytes());
+        let crc = crc32(&self.body);
+        self.body.extend_from_slice(&crc.to_le_bytes());
+        let mut f = vfs.create(&chunk_name(self.info.seq))?;
+        f.append(&self.body)?;
+        f.sync()?;
+        self.info.bytes = self.body.len() as u64;
+        self.info.rows_deduped = rows_in as usize - self.info.rows;
+        Ok(Some(self.info))
+    }
 }
 
 /// Build and persist a chunk from `rows` (in write order — later entries
-/// win duplicate cells). Returns `None` when `rows` is empty.
+/// win duplicate cells, and the winner's type decides its block, so a
+/// cell rewritten with a new type cannot survive as two blocks). Returns
+/// `None` when `rows` is empty.
 pub fn write_chunk(vfs: &dyn Vfs, seq: u64, rows: &[RowRecord]) -> StoreResult<Option<ChunkInfo>> {
-    if rows.is_empty() {
-        return Ok(None);
-    }
-    // Last-write-wins per (series, field, ts) cell first — the winner's
-    // type decides its block, so a cell rewritten with a new type cannot
-    // survive as two blocks with an order-dependent reader.
-    let mut cells: BTreeMap<(String, String, i64), ColumnValue> = BTreeMap::new();
-    for r in rows {
-        cells.insert((r.series.clone(), r.field.clone(), r.ts), r.value.clone());
-    }
-    // (series, field, type) -> ts -> value, in canonical BTreeMap order.
-    let mut groups: BTreeMap<(String, String, u8), BTreeMap<i64, ColumnValue>> = BTreeMap::new();
-    for ((series, field, ts), value) in cells {
-        groups
-            .entry((series, field, value.type_tag()))
-            .or_default()
-            .insert(ts, value);
-    }
-    let mut body = Vec::new();
-    body.extend_from_slice(CHUNK_MAGIC);
-    body.extend_from_slice(&seq.to_le_bytes());
-    body.extend_from_slice(&(groups.len() as u32).to_le_bytes());
-    let mut kept = 0usize;
-    let mut raw_bytes = 0u64;
-    for ((series, field, tag), cells) in &groups {
-        let ts: Vec<i64> = cells.keys().copied().collect();
-        let values: Vec<ColumnValue> = cells.values().cloned().collect();
-        kept += ts.len();
-        for v in &values {
-            raw_bytes += RowRecord::new("", "", 0, v.clone()).raw_footprint() as u64;
-        }
-        let ts_bytes = encode_timestamps(&ts);
-        let val_bytes = encode_values(*tag, &values);
-        put_uvarint(&mut body, series.len() as u64);
-        body.extend_from_slice(series.as_bytes());
-        put_uvarint(&mut body, field.len() as u64);
-        body.extend_from_slice(field.as_bytes());
-        body.push(*tag);
-        put_uvarint(&mut body, ts.len() as u64);
-        put_ivarint(&mut body, ts[0]);
-        put_ivarint(&mut body, *ts.last().unwrap());
-        put_uvarint(&mut body, ts_bytes.len() as u64);
-        body.extend_from_slice(&ts_bytes);
-        put_uvarint(&mut body, val_bytes.len() as u64);
-        body.extend_from_slice(&val_bytes);
-    }
-    body.extend_from_slice(&crc32(&body[..]).to_le_bytes());
-    let mut f = vfs.create(&chunk_name(seq))?;
-    f.append(&body)?;
-    f.sync()?;
-    Ok(Some(ChunkInfo {
-        seq,
-        blocks: groups.len(),
-        rows: kept,
-        rows_deduped: rows.len() - kept,
-        bytes: body.len() as u64,
-        raw_bytes,
-    }))
+    let mut writer = ChunkWriter::new(seq);
+    let stats =
+        merge_blocks(&[], &sort_rows(rows), None, &mut |b| writer.push(&b)).map_err(|(_, e)| e)?;
+    writer.finish(vfs, stats.rows_in)
 }
 
-/// Read and validate the chunk file `name`; returns its sequence number
-/// and rows (block order, timestamps ascending within a block). Any
-/// structural damage — bad magic, bad CRC, truncated block — is an error;
-/// recovery treats such chunks as absent.
-pub fn read_chunk(vfs: &dyn Vfs, name: &str) -> StoreResult<(u64, Vec<RowRecord>)> {
-    let data = vfs.read(name)?;
-    read_chunk_bytes(name, &data)
+/// One block as it lies in a chunk file: key and encoded columns still
+/// borrowed from the file bytes, nothing decoded yet.
+#[derive(Clone, Copy)]
+pub(crate) struct BlockRef<'a> {
+    series: &'a [u8],
+    field: &'a [u8],
+    tag: u8,
+    count: u64,
+    min_ts: i64,
+    max_ts: i64,
+    ts_bytes: &'a [u8],
+    val_bytes: &'a [u8],
 }
 
-/// [`read_chunk`] over bytes already in hand — the checksum-on-read path
-/// reads a file once, validates these bytes, and quarantines exactly them
-/// on failure.
-pub fn read_chunk_bytes(name: &str, data: &[u8]) -> StoreResult<(u64, Vec<RowRecord>)> {
-    if data.len() < CHUNK_MAGIC.len() + 8 + 4 + 4 {
-        return Err(StoreError::Corrupt(format!("chunk {name}: too short")));
-    }
-    if &data[..8] != CHUNK_MAGIC {
-        return Err(StoreError::Corrupt(format!("chunk {name}: bad magic")));
-    }
-    let body_end = data.len() - 4;
-    let stored_crc = u32::from_le_bytes(data[body_end..].try_into().unwrap());
-    if crc32(&data[..body_end]) != stored_crc {
-        return Err(StoreError::Corrupt(format!("chunk {name}: bad crc")));
-    }
-    let seq = u64::from_le_bytes(data[8..16].try_into().unwrap());
-    let block_count = u32::from_le_bytes(data[16..20].try_into().unwrap());
-    let mut pos = 20usize;
-    let mut rows = Vec::new();
-    let read_str = |data: &[u8], pos: &mut usize| -> StoreResult<String> {
-        let len = get_uvarint(data, pos)? as usize;
-        let end = pos
-            .checked_add(len)
-            .filter(|&e| e <= data.len())
-            .ok_or_else(|| StoreError::Decode("block key ran off the end".into()))?;
-        let s = std::str::from_utf8(&data[*pos..end])
-            .map_err(|_| StoreError::Decode("block key not UTF-8".into()))?
-            .to_string();
-        *pos = end;
-        Ok(s)
-    };
-    for _ in 0..block_count {
-        let series = read_str(&data[..body_end], &mut pos)?;
-        let field = read_str(&data[..body_end], &mut pos)?;
+impl<'a> BlockRef<'a> {
+    /// Walk one block starting at `pos`. Lengths and the type tag are
+    /// all this checks — the probe reads damaged files through it.
+    fn walk(data: &'a [u8], pos: &mut usize) -> StoreResult<BlockRef<'a>> {
+        let series = get_bytes(data, pos)?;
+        let field = get_bytes(data, pos)?;
         let tag = *data
-            .get(pos)
+            .get(*pos)
             .ok_or_else(|| StoreError::Decode("missing type tag".into()))?;
         ColumnValue::check_tag(tag)?;
-        pos += 1;
-        let count = get_uvarint(&data[..body_end], &mut pos)? as usize;
-        let _min_ts = get_ivarint(&data[..body_end], &mut pos)?;
-        let _max_ts = get_ivarint(&data[..body_end], &mut pos)?;
-        let ts_len = get_uvarint(&data[..body_end], &mut pos)? as usize;
-        let ts_end = pos
-            .checked_add(ts_len)
-            .filter(|&e| e <= body_end)
-            .ok_or_else(|| StoreError::Decode("timestamp bytes ran off the end".into()))?;
-        let ts = decode_timestamps(&data[pos..ts_end], count)?;
-        pos = ts_end;
-        let val_len = get_uvarint(&data[..body_end], &mut pos)? as usize;
-        let val_end = pos
-            .checked_add(val_len)
-            .filter(|&e| e <= body_end)
-            .ok_or_else(|| StoreError::Decode("value bytes ran off the end".into()))?;
-        let values = decode_values(tag, &data[pos..val_end], count)?;
-        pos = val_end;
-        for (t, v) in ts.into_iter().zip(values) {
-            rows.push(RowRecord {
-                series: series.clone(),
-                field: field.clone(),
-                ts: t,
-                value: v,
-            });
-        }
+        *pos += 1;
+        Ok(BlockRef {
+            series,
+            field,
+            tag,
+            count: get_uvarint(data, pos)?,
+            min_ts: get_ivarint(data, pos)?,
+            max_ts: get_ivarint(data, pos)?,
+            ts_bytes: get_bytes(data, pos)?,
+            val_bytes: get_bytes(data, pos)?,
+        })
     }
-    Ok((seq, rows))
+
+    /// `(series, field)`, which orders blocks exactly as the strings do.
+    pub(crate) fn key(&self) -> (&'a [u8], &'a [u8]) {
+        (self.series, self.field)
+    }
+
+    /// Decode both columns, enforcing the block invariants.
+    pub(crate) fn decode(&self) -> StoreResult<Block> {
+        let key = |bytes: &[u8]| {
+            String::from_utf8(bytes.to_vec())
+                .map_err(|_| StoreError::Decode("block key not UTF-8".into()))
+        };
+        let count = usize::try_from(self.count)
+            .map_err(|_| StoreError::Decode("block count overflows usize".into()))?;
+        let ts = decode_timestamps(self.ts_bytes, count)?;
+        if !ts.windows(2).all(|w| w[0] < w[1]) {
+            return Err(StoreError::Corrupt(
+                "block timestamps not strictly ascending".into(),
+            ));
+        }
+        if (ts.first(), ts.last()) != (Some(&self.min_ts), Some(&self.max_ts)) {
+            return Err(StoreError::Corrupt(
+                "block is empty or its header time range disagrees with its timestamps".into(),
+            ));
+        }
+        Ok(Block {
+            series: key(self.series)?,
+            field: key(self.field)?,
+            ts,
+            values: decode_values(self.tag, self.val_bytes, count)?,
+        })
+    }
 }
 
-/// Best-effort structural summary of a damaged chunk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkProbe {
-    /// Sequence number from the header (0 if the header itself is gone).
-    pub seq: u64,
-    /// Rows claimed by the block headers that still parse.
-    pub rows: u64,
-    /// `[min_ts, max_ts]` across parseable block headers, if any.
-    pub time_range: Option<(i64, i64)>,
+/// Check the envelope of chunk file `name` (length, magic, CRC) and index
+/// its blocks without decoding them. Any damage is an error; every read
+/// site treats such a chunk as absent and quarantines it.
+pub(crate) fn index_chunk<'a>(name: &str, data: &'a [u8]) -> StoreResult<(u64, Vec<BlockRef<'a>>)> {
+    let corrupt = |what: &str| StoreError::Corrupt(format!("chunk {name}: {what}"));
+    if data.len() < HEADER_LEN + 4 {
+        return Err(corrupt("too short"));
+    }
+    if &data[..8] != CHUNK_MAGIC {
+        return Err(corrupt("bad magic"));
+    }
+    let (body, stored_crc) = data.split_at(data.len() - 4);
+    if crc32(body).to_le_bytes() != stored_crc {
+        return Err(corrupt("bad crc"));
+    }
+    let seq = u64::from_le_bytes(data[8..16].try_into().expect("8 bytes"));
+    let block_count = u32::from_le_bytes(data[16..HEADER_LEN].try_into().expect("4 bytes"));
+    let mut pos = HEADER_LEN;
+    let mut blocks: Vec<BlockRef<'a>> = Vec::new();
+    for _ in 0..block_count {
+        let block = BlockRef::walk(body, &mut pos)?;
+        if blocks
+            .last()
+            .is_some_and(|prev| (prev.key(), prev.tag) >= (block.key(), block.tag))
+        {
+            return Err(corrupt("blocks out of (series, field, type) order"));
+        }
+        blocks.push(block);
+    }
+    Ok((seq, blocks))
+}
+
+/// Fully validate chunk file `name` — envelope, block order, and a
+/// decode of every column, one block at a time — and summarise it.
+pub(crate) fn check_chunk(name: &str, data: &[u8]) -> StoreResult<ChunkSummary> {
+    let mut summary = ChunkSummary {
+        bytes: data.len() as u64,
+        ..ChunkSummary::default()
+    };
+    for block in index_chunk(name, data)?.1 {
+        block.decode()?;
+        summary.add(&block);
+    }
+    Ok(summary)
+}
+
+/// Validate and decode the bytes of chunk file `name` into its sequence
+/// number and blocks (file order).
+pub fn read_chunk_bytes(name: &str, data: &[u8]) -> StoreResult<(u64, Vec<Block>)> {
+    let (seq, index) = index_chunk(name, data)?;
+    let blocks = index
+        .iter()
+        .map(BlockRef::decode)
+        .collect::<StoreResult<_>>()?;
+    Ok((seq, blocks))
 }
 
 /// Upper bound on a single block's claimed row count during a probe; a
 /// flipped bit inside a count varint must not inflate loss accounting.
 const PROBE_MAX_BLOCK_ROWS: u64 = 1 << 32;
 
-/// Probe chunk bytes that failed CRC validation: walk the block headers
+/// Probe chunk bytes that failed validation: walk the block headers
 /// ignoring the checksum and accumulate how many rows the file claimed to
 /// hold and over which time range, stopping at the first structural
 /// damage. Quarantine uses this to size the hole a lost chunk leaves —
 /// it is an estimate (the damage may be inside a header), never a way to
-/// trust the data itself.
-pub fn probe_chunk(data: &[u8]) -> Option<ChunkProbe> {
-    if data.len() < CHUNK_MAGIC.len() + 8 + 4 || &data[..8] != CHUNK_MAGIC {
+/// trust the data itself. `None` when the file header itself is gone.
+pub fn probe_chunk(data: &[u8]) -> Option<ChunkSummary> {
+    if data.len() < HEADER_LEN || &data[..8] != CHUNK_MAGIC {
         return None;
     }
-    let seq = u64::from_le_bytes(data[8..16].try_into().unwrap());
-    let block_count = u32::from_le_bytes(data[16..20].try_into().unwrap());
-    let mut pos = 20usize;
-    let mut probe = ChunkProbe {
-        seq,
-        rows: 0,
-        time_range: None,
-    };
-    let skip_bytes = |data: &[u8], pos: &mut usize| -> StoreResult<()> {
-        let len = get_uvarint(data, pos)? as usize;
-        let end = pos
-            .checked_add(len)
-            .filter(|&e| e <= data.len())
-            .ok_or_else(|| StoreError::Decode("probe ran off the end".into()))?;
-        *pos = end;
-        Ok(())
-    };
-    let block = |data: &[u8], pos: &mut usize| -> StoreResult<(u64, i64, i64)> {
-        skip_bytes(data, pos)?; // series
-        skip_bytes(data, pos)?; // field
-        let tag = *data
-            .get(*pos)
-            .ok_or_else(|| StoreError::Decode("probe: missing tag".into()))?;
-        ColumnValue::check_tag(tag)?;
-        *pos += 1;
-        let count = get_uvarint(data, pos)?;
-        if count > PROBE_MAX_BLOCK_ROWS {
-            return Err(StoreError::Decode("probe: implausible row count".into()));
-        }
-        let min_ts = get_ivarint(data, pos)?;
-        let max_ts = get_ivarint(data, pos)?;
-        if min_ts > max_ts {
-            return Err(StoreError::Decode("probe: inverted time range".into()));
-        }
-        skip_bytes(data, pos)?; // ts bytes
-        skip_bytes(data, pos)?; // val bytes
-        Ok((count, min_ts, max_ts))
+    let block_count = u32::from_le_bytes(data[16..HEADER_LEN].try_into().expect("4 bytes"));
+    let mut pos = HEADER_LEN;
+    let mut probe = ChunkSummary {
+        bytes: data.len() as u64,
+        ..ChunkSummary::default()
     };
     for _ in 0..block_count {
-        let Ok((count, min_ts, max_ts)) = block(data, &mut pos) else {
-            break;
-        };
-        probe.rows += count;
-        probe.time_range = Some(match probe.time_range {
-            None => (min_ts, max_ts),
-            Some((lo, hi)) => (lo.min(min_ts), hi.max(max_ts)),
-        });
+        match BlockRef::walk(data, &mut pos) {
+            Ok(b) if b.count <= PROBE_MAX_BLOCK_ROWS && b.min_ts <= b.max_ts => probe.add(&b),
+            _ => break,
+        }
     }
     Some(probe)
 }
@@ -309,6 +385,34 @@ mod tests {
         out
     }
 
+    fn read_chunk(disk: &MemDisk, name: &str) -> StoreResult<(u64, Vec<Block>)> {
+        read_chunk_bytes(name, &disk.read(name)?)
+    }
+
+    fn cells(blocks: &[Block]) -> Vec<(String, String, i64, ColumnValue)> {
+        let cell = |b: &Block, i: usize| {
+            (
+                b.series.clone(),
+                b.field.clone(),
+                b.ts[i],
+                b.values[i].clone(),
+            )
+        };
+        let mut out: Vec<_> = blocks
+            .iter()
+            .flat_map(|b| (0..b.ts.len()).map(move |i| cell(b, i)))
+            .collect();
+        out.sort_by(|x, y| (&x.0, &x.1, x.2).cmp(&(&y.0, &y.1, y.2)));
+        out
+    }
+
+    /// Overwrite `name` with `data`.
+    fn put(disk: &MemDisk, name: &str, data: &[u8]) {
+        let mut f = disk.create(name).unwrap();
+        f.append(data).unwrap();
+        f.sync().unwrap();
+    }
+
     #[test]
     fn chunk_roundtrip_preserves_rows() {
         let disk = MemDisk::new(1);
@@ -316,16 +420,22 @@ mod tests {
         assert_eq!(info.seq, 3);
         assert_eq!(info.rows, 202);
         assert_eq!(info.blocks, 4);
+        assert_eq!(info.time_range, (0, 99 * 500));
         let (seq, back) = read_chunk(&disk, &chunk_name(3)).unwrap();
         assert_eq!(seq, 3);
-        assert_eq!(back.len(), 202);
-        // Same cells, independent of block ordering.
-        let key = |r: &RowRecord| (r.series.clone(), r.field.clone(), r.ts);
-        let mut a: Vec<_> = rows().iter().map(|r| (key(r), r.value.clone())).collect();
-        let mut b: Vec<_> = back.iter().map(|r| (key(r), r.value.clone())).collect();
-        a.sort_by(|x, y| x.0.cmp(&y.0));
-        b.sort_by(|x, y| x.0.cmp(&y.0));
-        assert_eq!(a, b);
+        let mut want: Vec<_> = rows()
+            .into_iter()
+            .map(|r| (r.series, r.field, r.ts, r.value))
+            .collect();
+        want.sort_by(|x, y| (&x.0, &x.1, x.2).cmp(&(&y.0, &y.1, y.2)));
+        assert_eq!(cells(&back), want);
+        let data = disk.read(&chunk_name(3)).unwrap();
+        let summary = check_chunk(&chunk_name(3), &data).unwrap();
+        assert_eq!(summary, ChunkSummary::from(&info));
+        assert_eq!(
+            (summary.rows, summary.time_range),
+            (202, Some((0, 99 * 500)))
+        );
     }
 
     #[test]
@@ -351,10 +461,8 @@ mod tests {
         assert_eq!(info.rows, 1);
         assert_eq!(info.rows_deduped, 1);
         let (_, back) = read_chunk(&disk, &chunk_name(0)).unwrap();
-        assert_eq!(
-            back,
-            vec![RowRecord::new("s", "f", 5, ColumnValue::F64(2.0))]
-        );
+        assert_eq!(back.len(), 1);
+        assert_eq!(back[0].values, vec![ColumnValue::F64(2.0)]);
     }
 
     #[test]
@@ -368,9 +476,10 @@ mod tests {
         ];
         write_chunk(&disk, 0, &dup).unwrap().unwrap();
         let (_, back) = read_chunk(&disk, &chunk_name(0)).unwrap();
+        assert_eq!(back.len(), 1);
         assert_eq!(
-            back,
-            vec![RowRecord::new("s", "f", 5, ColumnValue::F64(2.0))]
+            (&back[0].ts, &back[0].values),
+            (&vec![5], &vec![ColumnValue::F64(2.0)])
         );
     }
 
@@ -389,18 +498,99 @@ mod tests {
         let mut data = disk.read(&name).unwrap();
         let mid = data.len() / 2;
         data[mid] ^= 0x10;
-        let mut f = disk.create(&name).unwrap();
-        f.append(&data).unwrap();
-        f.sync().unwrap();
+        put(&disk, &name, &data);
         assert!(matches!(
             read_chunk(&disk, &name),
             Err(StoreError::Corrupt(_))
         ));
         // Truncated file.
-        let mut f = disk.create(&name).unwrap();
-        f.append(&data[..10]).unwrap();
-        f.sync().unwrap();
+        put(&disk, &name, &data[..10]);
         assert!(read_chunk(&disk, &name).is_err());
+    }
+
+    /// `(series, count, min_ts, max_ts, timestamps)` of a hand-made block.
+    type Forged<'a> = (&'a str, u64, i64, i64, &'a [i64]);
+
+    /// A chunk file image with a valid envelope around hand-made bool
+    /// blocks of field "f", one `false` per timestamp.
+    fn forged(blocks: &[Forged<'_>]) -> Vec<u8> {
+        let mut body = CHUNK_MAGIC.to_vec();
+        body.extend_from_slice(&9u64.to_le_bytes());
+        body.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
+        for &(series, count, min_ts, max_ts, ts) in blocks {
+            put_uvarint(&mut body, series.len() as u64);
+            body.extend_from_slice(series.as_bytes());
+            put_uvarint(&mut body, 1);
+            body.push(b'f');
+            body.push(2);
+            put_uvarint(&mut body, count);
+            put_ivarint(&mut body, min_ts);
+            put_ivarint(&mut body, max_ts);
+            let ts_bytes = encode_timestamps(ts);
+            put_uvarint(&mut body, ts_bytes.len() as u64);
+            body.extend_from_slice(&ts_bytes);
+            let val_bytes = vec![0u8; ts.len().div_ceil(8)];
+            put_uvarint(&mut body, val_bytes.len() as u64);
+            body.extend_from_slice(&val_bytes);
+        }
+        let crc = crc32(&body);
+        body.extend_from_slice(&crc.to_le_bytes());
+        body
+    }
+
+    fn assert_corrupt(data: &[u8]) {
+        assert!(
+            matches!(
+                read_chunk_bytes("forged", data),
+                Err(StoreError::Corrupt(_))
+            ),
+            "{:?}",
+            read_chunk_bytes("forged", data)
+        );
+        assert!(check_chunk("forged", data).is_err());
+    }
+
+    #[test]
+    fn forged_baseline_is_accepted() {
+        // The forger itself is sound, so each rejection below is down to
+        // the one invariant its case breaks.
+        let ok = forged(&[("a", 2, 1, 5, &[1, 5]), ("b", 1, 3, 3, &[3])]);
+        let (seq, blocks) = read_chunk_bytes("forged", &ok).unwrap();
+        assert_eq!((seq, blocks.len()), (9, 2));
+        assert_eq!(blocks[0].values, vec![ColumnValue::Bool(false); 2]);
+    }
+
+    #[test]
+    fn empty_block_is_rejected() {
+        assert_corrupt(&forged(&[("a", 0, 0, 0, &[])]));
+    }
+
+    #[test]
+    fn non_ascending_timestamps_are_rejected() {
+        assert_corrupt(&forged(&[("a", 3, 1, 5, &[1, 7, 5])]));
+        assert_corrupt(&forged(&[("a", 2, 4, 4, &[4, 4])]));
+    }
+
+    #[test]
+    fn header_time_range_must_match_the_column() {
+        assert_corrupt(&forged(&[("a", 2, 0, 5, &[1, 5])]));
+        assert_corrupt(&forged(&[("a", 2, 1, 6, &[1, 5])]));
+    }
+
+    #[test]
+    fn out_of_order_blocks_are_rejected() {
+        assert_corrupt(&forged(&[("b", 1, 3, 3, &[3]), ("a", 1, 3, 3, &[3])]));
+        // Same (series, field): the type must strictly ascend too.
+        assert_corrupt(&forged(&[("a", 1, 3, 3, &[3]), ("a", 1, 4, 4, &[4])]));
+    }
+
+    #[test]
+    fn hostile_block_count_is_an_error_not_an_allocation() {
+        let data = forged(&[("a", u64::MAX >> 1, 1, 5, &[1, 5])]);
+        assert!(matches!(
+            read_chunk_bytes("forged", &data),
+            Err(StoreError::Decode(_))
+        ));
     }
 
     #[test]
@@ -430,7 +620,6 @@ mod tests {
             Err(StoreError::Corrupt(_))
         ));
         let probe = probe_chunk(&data).unwrap();
-        assert_eq!(probe.seq, 4);
         assert_eq!(probe.rows, 202);
         let (lo, hi) = probe.time_range.unwrap();
         assert_eq!((lo, hi), (0, 99 * 500));

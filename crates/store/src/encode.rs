@@ -59,6 +59,30 @@ pub fn get_ivarint(data: &[u8], pos: &mut usize) -> StoreResult<i64> {
     Ok(unzigzag(get_uvarint(data, pos)?))
 }
 
+/// Append a length-prefixed byte string.
+pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    put_uvarint(out, bytes.len() as u64);
+    out.extend_from_slice(bytes);
+}
+
+/// Read a length-prefixed byte string, advancing `pos`.
+pub fn get_bytes<'a>(data: &'a [u8], pos: &mut usize) -> StoreResult<&'a [u8]> {
+    let len = get_uvarint(data, pos)? as usize;
+    let end = pos
+        .checked_add(len)
+        .filter(|&e| e <= data.len())
+        .ok_or_else(|| StoreError::Decode("length-prefixed bytes ran off the end".into()))?;
+    let out = &data[*pos..end];
+    *pos = end;
+    Ok(out)
+}
+
+/// [`get_bytes`] that must be UTF-8.
+pub fn get_str<'a>(data: &'a [u8], pos: &mut usize) -> StoreResult<&'a str> {
+    std::str::from_utf8(get_bytes(data, pos)?)
+        .map_err(|_| StoreError::Decode("string not UTF-8".into()))
+}
+
 // ---------------------------------------------------------------- bit IO
 
 /// MSB-first bit writer over a byte vector.
@@ -79,21 +103,24 @@ impl BitWriter {
 
     /// Append one bit.
     pub fn push_bit(&mut self, bit: bool) {
-        if self.used == 8 {
-            self.bytes.push(0);
-            self.used = 0;
-        }
-        if bit {
-            let last = self.bytes.len() - 1;
-            self.bytes[last] |= 1 << (7 - self.used);
-        }
-        self.used += 1;
+        self.push_bits(bit as u64, 1);
     }
 
-    /// Append the low `n` bits of `v`, most significant first.
+    /// Append the low `n` bits of `v`, most significant first, filling
+    /// the rest of the current byte (up to eight bits) per step.
     pub fn push_bits(&mut self, v: u64, n: u8) {
-        for i in (0..n).rev() {
-            self.push_bit((v >> i) & 1 == 1);
+        let mut left = n;
+        while left > 0 {
+            if self.used == 8 {
+                self.bytes.push(0);
+                self.used = 0;
+            }
+            let room = 8 - self.used;
+            let take = room.min(left);
+            let piece = (v >> (left - take)) as u8 & (0xFF >> (8 - take));
+            *self.bytes.last_mut().expect("byte pushed above") |= piece << (room - take);
+            self.used += take;
+            left -= take;
         }
     }
 
@@ -123,20 +150,25 @@ impl<'a> BitReader<'a> {
 
     /// Next bit.
     pub fn read_bit(&mut self) -> StoreResult<bool> {
-        let byte = self
-            .bytes
-            .get(self.pos / 8)
-            .ok_or_else(|| StoreError::Decode("bit stream ran off the end".into()))?;
-        let bit = (byte >> (7 - (self.pos % 8))) & 1 == 1;
-        self.pos += 1;
-        Ok(bit)
+        Ok(self.read_bits(1)? == 1)
     }
 
-    /// Next `n` bits as the low bits of a u64.
+    /// Next `n` bits as the low bits of a u64, taking the rest of the
+    /// current byte (up to eight bits) per step.
     pub fn read_bits(&mut self, n: u8) -> StoreResult<u64> {
         let mut v = 0u64;
-        for _ in 0..n {
-            v = (v << 1) | self.read_bit()? as u64;
+        let mut left = n;
+        while left > 0 {
+            let byte = *self
+                .bytes
+                .get(self.pos / 8)
+                .ok_or_else(|| StoreError::Decode("bit stream ran off the end".into()))?;
+            let room = 8 - (self.pos % 8) as u8;
+            let take = room.min(left);
+            let piece = (byte >> (room - take)) & (0xFF >> (8 - take));
+            v = (v << take) | piece as u64;
+            self.pos += take as usize;
+            left -= take;
         }
         Ok(v)
     }
@@ -165,8 +197,21 @@ pub fn encode_timestamps(ts: &[i64]) -> Vec<u8> {
     out
 }
 
+/// Refuse a `count` that `data` cannot hold at `per_byte` items per byte,
+/// so a block header's count never sizes an allocation by itself.
+fn check_count(count: usize, data: &[u8], per_byte: usize) -> StoreResult<()> {
+    if count > data.len().saturating_mul(per_byte) {
+        return Err(StoreError::Decode(format!(
+            "count {count} exceeds what {} bytes can hold",
+            data.len()
+        )));
+    }
+    Ok(())
+}
+
 /// Decode `count` timestamps produced by [`encode_timestamps`].
 pub fn decode_timestamps(data: &[u8], count: usize) -> StoreResult<Vec<i64>> {
+    check_count(count, data, 1)?;
     let mut out = Vec::with_capacity(count);
     if count == 0 {
         return Ok(out);
@@ -239,6 +284,7 @@ pub fn encode_f64(values: &[f64]) -> Vec<u8> {
 
 /// Decode `count` floats produced by [`encode_f64`].
 pub fn decode_f64(data: &[u8], count: usize) -> StoreResult<Vec<f64>> {
+    check_count(count, data, 8)?;
     let mut r = BitReader::new(data);
     let mut out = Vec::with_capacity(count);
     if count == 0 {
@@ -311,8 +357,7 @@ pub fn encode_values(tag: u8, values: &[ColumnValue]) -> Vec<u8> {
                 let ColumnValue::Str(s) = v else {
                     unreachable!("mixed column")
                 };
-                put_uvarint(&mut out, s.len() as u64);
-                out.extend_from_slice(s.as_bytes());
+                put_bytes(&mut out, s.as_bytes());
             }
             out
         }
@@ -327,6 +372,7 @@ pub fn decode_values(tag: u8, data: &[u8], count: usize) -> StoreResult<Vec<Colu
             .map(ColumnValue::F64)
             .collect()),
         1 => {
+            check_count(count, data, 1)?;
             let mut out = Vec::with_capacity(count);
             let mut pos = 0;
             let mut prev = 0i64;
@@ -337,24 +383,18 @@ pub fn decode_values(tag: u8, data: &[u8], count: usize) -> StoreResult<Vec<Colu
             Ok(out)
         }
         2 => {
+            check_count(count, data, 8)?;
             let mut r = BitReader::new(data);
             (0..count)
                 .map(|_| r.read_bit().map(ColumnValue::Bool))
                 .collect()
         }
         3 => {
+            check_count(count, data, 1)?;
             let mut out = Vec::with_capacity(count);
             let mut pos = 0;
             for _ in 0..count {
-                let len = get_uvarint(data, &mut pos)? as usize;
-                let end = pos
-                    .checked_add(len)
-                    .filter(|&e| e <= data.len())
-                    .ok_or_else(|| StoreError::Decode("string ran off the end".into()))?;
-                let s = std::str::from_utf8(&data[pos..end])
-                    .map_err(|_| StoreError::Decode("string not UTF-8".into()))?;
-                out.push(ColumnValue::Str(s.to_string()));
-                pos = end;
+                out.push(ColumnValue::Str(get_str(data, &mut pos)?.to_string()));
             }
             Ok(out)
         }
@@ -485,6 +525,29 @@ mod tests {
             decode_values(3, &encode_values(3, &strs), strs.len()).unwrap(),
             strs
         );
+    }
+
+    #[test]
+    fn hostile_counts_error_before_allocating() {
+        let count = (u64::MAX >> 1) as usize;
+        let payload = [1u8, 2, 3];
+        assert!(matches!(
+            decode_timestamps(&payload, count),
+            Err(StoreError::Decode(_))
+        ));
+        assert!(matches!(
+            decode_f64(&payload, count),
+            Err(StoreError::Decode(_))
+        ));
+        for tag in 0..=3 {
+            assert!(matches!(
+                decode_values(tag, &payload, count),
+                Err(StoreError::Decode(_))
+            ));
+        }
+        // The bound is exact: 24 bools fit three bytes, 25 do not.
+        assert!(decode_values(2, &payload, 24).is_ok());
+        assert!(decode_values(2, &payload, 25).is_err());
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! The persistence layer under the P-MoVE stand-in databases: an
 //! append-only write-ahead log with CRC-framed records and group commit,
 //! immutable TSM-style chunks (delta-of-delta timestamps, Gorilla XOR
-//! floats), size-tiered compaction with last-write-wins dedup and
-//! retention-cutoff drops, and crash recovery that tolerates torn tails
-//! and bit flips.
+//! floats), compaction with last-write-wins dedup and retention-cutoff
+//! drops, and crash recovery that tolerates torn tails and bit flips.
 //!
 //! Every byte goes through the [`vfs::Vfs`] abstraction, with two
 //! implementations: [`vfs::StdFs`] over the real filesystem, and
@@ -20,9 +19,11 @@
 //! - [`crc`] / [`encode`] — checksums, varints, bit-level codecs
 //! - [`vfs`] / [`memdisk`] — where bytes live and how they fail
 //! - [`wal`] — durability of recent writes
-//! - [`chunk`] — compressed immutable storage of old writes
+//! - [`chunk`] — compressed immutable storage of old writes, as blocks
+//! - `merge` — the block-merge kernel under flush, compaction and scan
 //! - [`store`] — the engine tying them together ([`store::TsStore`])
 //! - [`scrub`] — background integrity verification over the engine
+#![forbid(unsafe_code)]
 
 pub mod backup;
 pub mod chunk;
@@ -30,6 +31,7 @@ pub mod crc;
 pub mod encode;
 pub mod error;
 pub mod memdisk;
+mod merge;
 pub mod row;
 pub mod scrub;
 pub mod store;
@@ -40,7 +42,7 @@ pub use backup::{
     list_generations, restore_at, restore_replay_all, BackupAttach, BackupError, BackupReport,
     BackupStats, Manifest, ManifestChunk, RestoreReport,
 };
-pub use chunk::{chunk_name, parse_chunk_name, probe_chunk, ChunkInfo, ChunkProbe};
+pub use chunk::{chunk_name, parse_chunk_name, probe_chunk, Block, ChunkInfo, ChunkSummary};
 pub use error::{StoreError, StoreResult};
 pub use memdisk::{FaultMode, FaultPlan, MemDisk, RotEvent, RotRecord, RotSchedule};
 pub use row::{ColumnValue, RowRecord};

@@ -51,6 +51,19 @@ impl ColumnValue {
             Err(StoreError::Decode(format!("bad value type tag {tag}")))
         }
     }
+
+    /// The raw footprint one cell occupies in the uncompressed in-memory
+    /// engine, which holds each cell as a timestamp plus an enum value
+    /// slot in the row's field map (string payloads add their heap
+    /// bytes). Key strings and map-node overhead are shared per series
+    /// and excluded, keeping the baseline conservative.
+    pub fn raw_footprint(&self) -> usize {
+        8 + std::mem::size_of::<ColumnValue>()
+            + match self {
+                ColumnValue::Str(s) => s.len(),
+                _ => 0,
+            }
+    }
 }
 
 /// One row offered to (and recovered from) the store.
@@ -82,17 +95,9 @@ impl RowRecord {
         }
     }
 
-    /// The raw footprint this row occupies in the uncompressed in-memory
-    /// engine, which holds each cell as a timestamp plus an enum value
-    /// slot in the row's field map (string payloads add their heap
-    /// bytes). Key strings and map-node overhead are shared per series
-    /// and excluded, keeping the baseline conservative.
+    /// [`ColumnValue::raw_footprint`] of this row's cell.
     pub fn raw_footprint(&self) -> usize {
-        8 + std::mem::size_of::<ColumnValue>()
-            + match &self.value {
-                ColumnValue::Str(s) => s.len(),
-                _ => 0,
-            }
+        self.value.raw_footprint()
     }
 }
 

@@ -5,10 +5,11 @@
 //! one sync) and only then moves the staged rows into the memtable — a
 //! row is *acknowledged* exactly when its commit returns `Ok`. When the
 //! memtable crosses `flush_threshold_rows` it is frozen into a compressed
-//! chunk ([`crate::chunk`]) and the WAL is truncated. Size-tiered
-//! compaction merges chunk sets last-write-wins and drops rows older than
-//! the retention cutoff, which is how `RetentionPolicy` finally reaches
-//! disk.
+//! chunk ([`crate::chunk`]) and the WAL is truncated. Compaction merges
+//! every live chunk last-write-wins and drops rows older than the
+//! retention cutoff, which is how `RetentionPolicy` finally reaches disk.
+//! Flush, compaction and scan are the same block merge
+//! ([`crate::merge`]) with a different sink.
 //!
 //! Crash recovery ([`TsStore::open`]) replays newest chunks first, then
 //! overlays the WAL rows. The ordering of flush (chunk synced *before*
@@ -21,10 +22,12 @@
 
 use crate::backup::{BackupAttach, BackupReport, BackupState, BackupStats};
 use crate::chunk::{
-    chunk_name, parse_chunk_name, probe_chunk, read_chunk_bytes, write_chunk, ChunkInfo,
+    check_chunk, chunk_name, index_chunk, parse_chunk_name, probe_chunk, write_chunk, Block,
+    BlockRef, ChunkInfo, ChunkSummary, ChunkWriter,
 };
-use crate::encode::{get_ivarint, get_uvarint, put_ivarint, put_uvarint};
+use crate::encode::{get_ivarint, get_str, get_uvarint, put_bytes, put_ivarint, put_uvarint};
 use crate::error::{StoreError, StoreResult};
+use crate::merge::{merge_blocks, sort_rows};
 use crate::row::{ColumnValue, RowRecord};
 use crate::vfs::Vfs;
 use crate::wal::{scan_frames, CommitInfo, Wal};
@@ -142,28 +145,27 @@ pub struct WalScrub {
     pub rows_rewritten: u64,
 }
 
-/// Manifest entry for a live chunk, kept in memory so quarantine can
-/// report the exact loss without trusting damaged bytes.
-#[derive(Debug, Clone, Copy)]
-struct ChunkMeta {
-    rows: u64,
-    time_range: Option<(i64, i64)>,
-    bytes: u64,
-}
-
-fn meta_of(rows: &[RowRecord], bytes: u64) -> ChunkMeta {
-    let mut time_range: Option<(i64, i64)> = None;
-    for r in rows {
-        time_range = Some(match time_range {
-            None => (r.ts, r.ts),
-            Some((lo, hi)) => (lo.min(r.ts), hi.max(r.ts)),
-        });
-    }
-    ChunkMeta {
-        rows: rows.len() as u64,
-        time_range,
-        bytes,
-    }
+/// Move chunk `seq`'s bytes `raw` out of the live namespace — copied
+/// under `quarantine/`, then the live file removed — and size the loss
+/// from `held`.
+fn quarantine_file(
+    vfs: &dyn Vfs,
+    seq: u64,
+    raw: &[u8],
+    held: Option<ChunkSummary>,
+    site: DetectionSite,
+) -> StoreResult<QuarantinedChunk> {
+    let mut f = vfs.create(&quarantine_name(seq))?;
+    f.append(raw)?;
+    f.sync()?;
+    vfs.remove(&chunk_name(seq))?;
+    Ok(QuarantinedChunk {
+        seq,
+        rows: held.map_or(0, |h| h.rows),
+        time_range: held.and_then(|h| h.time_range),
+        bytes: raw.len() as u64,
+        site,
+    })
 }
 
 /// Outcome of one compaction run.
@@ -281,20 +283,15 @@ pub fn encode_row_batch(rows: &[RowRecord]) -> Vec<u8> {
     let mut out = Vec::new();
     put_uvarint(&mut out, rows.len() as u64);
     for r in rows {
-        put_uvarint(&mut out, r.series.len() as u64);
-        out.extend_from_slice(r.series.as_bytes());
-        put_uvarint(&mut out, r.field.len() as u64);
-        out.extend_from_slice(r.field.as_bytes());
+        put_bytes(&mut out, r.series.as_bytes());
+        put_bytes(&mut out, r.field.as_bytes());
         put_ivarint(&mut out, r.ts);
         out.push(r.value.type_tag());
         match &r.value {
             ColumnValue::F64(v) => out.extend_from_slice(&v.to_bits().to_le_bytes()),
             ColumnValue::I64(v) => put_ivarint(&mut out, *v),
             ColumnValue::Bool(v) => out.push(*v as u8),
-            ColumnValue::Str(s) => {
-                put_uvarint(&mut out, s.len() as u64);
-                out.extend_from_slice(s.as_bytes());
-            }
+            ColumnValue::Str(s) => put_bytes(&mut out, s.as_bytes()),
         }
     }
     out
@@ -303,18 +300,7 @@ pub fn encode_row_batch(rows: &[RowRecord]) -> Vec<u8> {
 /// Decode a WAL record payload back into rows.
 pub fn decode_row_batch(data: &[u8]) -> StoreResult<Vec<RowRecord>> {
     let mut pos = 0usize;
-    let read_str = |pos: &mut usize| -> StoreResult<String> {
-        let len = get_uvarint(data, pos)? as usize;
-        let end = pos
-            .checked_add(len)
-            .filter(|&e| e <= data.len())
-            .ok_or_else(|| StoreError::Decode("wal string ran off the end".into()))?;
-        let s = std::str::from_utf8(&data[*pos..end])
-            .map_err(|_| StoreError::Decode("wal string not UTF-8".into()))?
-            .to_string();
-        *pos = end;
-        Ok(s)
-    };
+    let read_str = |pos: &mut usize| get_str(data, pos).map(str::to_string);
     let count = get_uvarint(data, &mut pos)? as usize;
     let mut rows = Vec::with_capacity(count.min(1 << 16));
     for _ in 0..count {
@@ -368,11 +354,10 @@ pub struct TsStore {
     staged: Vec<RowRecord>,
     /// Acknowledged rows awaiting a flush.
     memtable: Vec<RowRecord>,
-    /// Sequence numbers of live (valid) chunk files, ascending.
-    chunk_seqs: Vec<u64>,
+    /// Manifest of live (valid) chunk files by sequence number, kept so
+    /// quarantine can report the exact loss without trusting damaged bytes.
+    chunks: BTreeMap<u64, ChunkSummary>,
     next_seq: u64,
-    /// Manifest of live chunks — exact loss accounting for quarantine.
-    chunk_meta: BTreeMap<u64, ChunkMeta>,
     /// Every chunk quarantined over this store's lifetime (boot included).
     quarantined: Vec<QuarantinedChunk>,
     /// Archive + snapshot machinery, present when backups are enabled.
@@ -402,8 +387,7 @@ impl TsStore {
     ) -> StoreResult<(TsStore, RecoveryReport)> {
         let spec = vfs.disk_spec();
         let mut report = RecoveryReport::default();
-        let mut chunk_seqs = Vec::new();
-        let mut chunk_meta = BTreeMap::new();
+        let mut chunks = BTreeMap::new();
         let mut quarantined = Vec::new();
         let mut next_seq = 0u64;
         let mut bytes_read = 0u64;
@@ -424,35 +408,23 @@ impl TsStore {
             // chunk never collides with a damaged file.
             next_seq = next_seq.max(seq + 1);
             let data = vfs.read(&name)?;
-            match read_chunk_bytes(&name, &data) {
-                Ok((_, rows)) => {
-                    bytes_read += data.len() as u64;
-                    chunk_meta.insert(seq, meta_of(&rows, data.len() as u64));
-                    chunk_seqs.push(seq);
+            match check_chunk(&name, &data) {
+                Ok(summary) => {
+                    bytes_read += summary.bytes;
+                    chunks.insert(seq, summary);
                     report.chunks_loaded += 1;
                 }
-                Err(StoreError::DiskCrashed) => return Err(StoreError::DiskCrashed),
                 Err(_) => {
                     // Move the damaged file out of the live namespace but
                     // keep the bytes as evidence; queries over its range
                     // must surface a gap, not silently shorter series.
                     report.chunks_skipped += 1;
-                    let probe = probe_chunk(&data);
-                    let mut f = vfs.create(&quarantine_name(seq))?;
-                    f.append(&data)?;
-                    f.sync()?;
-                    vfs.remove(&name)?;
-                    quarantined.push(QuarantinedChunk {
-                        seq,
-                        rows: probe.map(|p| p.rows).unwrap_or(0),
-                        time_range: probe.and_then(|p| p.time_range),
-                        bytes: data.len() as u64,
-                        site: DetectionSite::Boot,
-                    });
+                    let held = probe_chunk(&data);
+                    let site = DetectionSite::Boot;
+                    quarantined.push(quarantine_file(vfs.as_ref(), seq, &data, held, site)?);
                 }
             }
         }
-        chunk_seqs.sort_unstable();
         let (wal, payloads, replay) = Wal::open(vfs.clone(), WAL_FILE)?;
         let mut memtable = Vec::new();
         for payload in &payloads {
@@ -486,9 +458,8 @@ impl TsStore {
                 wal,
                 staged: Vec::new(),
                 memtable,
-                chunk_seqs,
+                chunks,
                 next_seq,
-                chunk_meta,
                 quarantined,
                 bk: None,
                 bk_synced: BackupStats::default(),
@@ -502,18 +473,7 @@ impl TsStore {
     /// Stage `rows` and frame them as one WAL record. Not durable — and
     /// not visible to [`TsStore::scan`] — until [`TsStore::commit`].
     pub fn append(&mut self, rows: &[RowRecord]) {
-        if rows.is_empty() {
-            return;
-        }
-        let payload = encode_row_batch(rows);
-        self.wal.append(&payload);
-        if let Some(bk) = &mut self.bk {
-            bk.stage(payload);
-        }
-        self.staged.extend_from_slice(rows);
-        if let Some(obs) = &self.obs {
-            obs.wal_records_appended.add(rows.len() as u64);
-        }
+        self.append_owned(rows.to_vec());
     }
 
     /// [`TsStore::append`] taking ownership of the rows: identical WAL
@@ -590,14 +550,9 @@ impl TsStore {
         let seq = self.next_seq;
         let info = write_chunk(self.vfs.as_ref(), seq, &self.memtable)?
             .expect("non-empty memtable produces a chunk");
-        // Time range from the memtable, row count post-dedup from the
-        // written chunk — what a quarantine of this file would lose.
-        let mut meta = meta_of(&self.memtable, info.bytes);
-        meta.rows = info.rows as u64;
-        self.chunk_meta.insert(seq, meta);
+        self.chunks.insert(seq, ChunkSummary::from(&info));
         self.wal.reset()?;
         self.memtable.clear();
-        self.chunk_seqs.push(seq);
         self.next_seq += 1;
         if let Some(bk) = &mut self.bk {
             bk.on_flush();
@@ -608,7 +563,7 @@ impl TsStore {
             obs.compaction_flush_ns
                 .record((self.spec.write_time(info.bytes, IO_BLOCK_SIZE) * 1e9) as u64);
         }
-        if self.chunk_seqs.len() >= self.opts.compact_min_chunks {
+        if self.chunks.len() >= self.opts.compact_min_chunks {
             self.compact(None)?;
         }
         Ok(Some(info))
@@ -622,88 +577,38 @@ impl TsStore {
         &mut self,
         retention_cutoff: Option<i64>,
     ) -> StoreResult<Option<CompactionReport>> {
-        if self.chunk_seqs.is_empty() || (self.chunk_seqs.len() < 2 && retention_cutoff.is_none()) {
+        if self.chunks.is_empty() || (self.chunks.len() < 2 && retention_cutoff.is_none()) {
             return Ok(None);
         }
-        let mut chunks_in = 0usize;
-        let mut merged: BTreeMap<(String, String, i64), ColumnValue> = BTreeMap::new();
-        let mut rows_in = 0u64;
-        let mut bytes_before = 0u64;
-        let mut dropped_retention = 0u64;
-        for seq in self.chunk_seqs.clone() {
-            let name = chunk_name(seq);
-            let data = self.vfs.read(&name)?;
-            let rows = match read_chunk_bytes(&name, &data) {
-                Ok((_, rows)) => rows,
-                Err(StoreError::DiskCrashed) => return Err(StoreError::DiskCrashed),
-                Err(_) => {
-                    // Checksum-on-read: the input is provably damaged —
-                    // quarantine it and merge the survivors; the lost
-                    // range is reported, never silently folded in.
-                    self.quarantine(seq, &data, DetectionSite::Compact)?;
-                    continue;
-                }
-            };
-            chunks_in += 1;
-            bytes_before += data.len() as u64;
-            rows_in += rows.len() as u64;
-            for r in rows {
-                if matches!(retention_cutoff, Some(cut) if r.ts < cut) {
-                    dropped_retention += 1;
-                    // A newer chunk may have rewritten this cell inside
-                    // the window; the overwrite below still applies.
-                    merged.remove(&(r.series.clone(), r.field.clone(), r.ts));
-                    continue;
-                }
-                merged.insert((r.series, r.field, r.ts), r.value);
-            }
-        }
-        let rows_out = merged.len() as u64;
-        let dropped_lww = rows_in - rows_out - dropped_retention;
-        let out_rows: Vec<RowRecord> = merged
-            .into_iter()
-            .map(|((series, field, ts), value)| RowRecord {
-                series,
-                field,
-                ts,
-                value,
-            })
-            .collect();
         let seq = self.next_seq;
-        let written = write_chunk(self.vfs.as_ref(), seq, &out_rows)?;
+        let ((stats, writer), chunks_in, bytes_before) =
+            self.merge_live(DetectionSite::Compact, |chunks| {
+                let mut writer = ChunkWriter::new(seq);
+                let stats = merge_blocks(chunks, &[], retention_cutoff, &mut |b| writer.push(&b))?;
+                Ok((stats, writer))
+            })?;
+        let written = writer.finish(self.vfs.as_ref(), stats.rows_in)?;
         // Only after the merged chunk is durable do the inputs go away.
         // Inputs pinned by an in-progress backup job outlive the merge:
         // the snapshot fenced them, so their bytes must stay readable
         // until the job's manifest lands (or the job aborts).
-        for &old in &self.chunk_seqs.clone() {
-            if self.bk.as_ref().is_some_and(|bk| bk.is_pinned(old)) {
-                self.bk
-                    .as_mut()
-                    .expect("pin implies backup state")
-                    .defer_delete(chunk_name(old));
-            } else {
-                self.vfs.remove(&chunk_name(old))?;
+        for old in std::mem::take(&mut self.chunks).into_keys() {
+            match self.bk.as_mut().filter(|bk| bk.is_pinned(old)) {
+                Some(bk) => bk.defer_delete(chunk_name(old)),
+                None => self.vfs.remove(&chunk_name(old))?,
             }
-            self.chunk_meta.remove(&old);
         }
-        self.chunk_seqs.clear();
-        let bytes_after = match &written {
-            Some(info) => {
-                let mut meta = meta_of(&out_rows, info.bytes);
-                meta.rows = info.rows as u64;
-                self.chunk_meta.insert(seq, meta);
-                self.chunk_seqs.push(seq);
-                self.next_seq += 1;
-                info.bytes
-            }
-            None => 0,
-        };
+        let bytes_after = written.as_ref().map_or(0, |info| info.bytes);
+        if let Some(info) = &written {
+            self.chunks.insert(seq, ChunkSummary::from(info));
+            self.next_seq += 1;
+        }
         let report = CompactionReport {
             chunks_in,
-            rows_in,
-            rows_out,
-            rows_dropped_lww: dropped_lww,
-            rows_dropped_retention: dropped_retention,
+            rows_in: stats.rows_in,
+            rows_out: stats.rows_out,
+            rows_dropped_lww: stats.rows_in - stats.rows_out - stats.dropped_retention,
+            rows_dropped_retention: stats.dropped_retention,
             bytes_before,
             bytes_after,
             modeled_ns: (self
@@ -732,82 +637,103 @@ impl TsStore {
         self.compact(Some(cutoff))
     }
 
-    /// Merged, deduplicated view of every *acknowledged* row: chunks in
-    /// sequence order, memtable on top, last write winning each
+    /// Read every live chunk and run `attempt` — one merge-kernel pass —
+    /// over their block indexes, oldest first. A chunk that fails its
+    /// checksum, its header walk or (as the kernel reports) a column
+    /// decode is quarantined at `site` and the pass repeated over the
+    /// survivors. Returns the pass's result with the count and total
+    /// bytes of the chunks that went into it.
+    fn merge_live<T>(
+        &mut self,
+        site: DetectionSite,
+        mut attempt: impl FnMut(&[Vec<BlockRef<'_>>]) -> Result<T, (usize, StoreError)>,
+    ) -> StoreResult<(T, usize, u64)> {
+        let mut live = Vec::with_capacity(self.chunks.len());
+        for &seq in self.chunks.keys() {
+            live.push((seq, self.vfs.read(&chunk_name(seq))?));
+        }
+        loop {
+            let indexes: Result<Vec<_>, _> = live
+                .iter()
+                .enumerate()
+                .map(|(i, (seq, data))| {
+                    index_chunk(&chunk_name(*seq), data)
+                        .map(|(_, blocks)| blocks)
+                        .map_err(|e| (i, e))
+                })
+                .collect();
+            let (bad, _) = match indexes.and_then(|ix| attempt(&ix)) {
+                Ok(out) => {
+                    let bytes = live.iter().map(|(_, d)| d.len() as u64).sum();
+                    return Ok((out, live.len(), bytes));
+                }
+                Err(bad) => bad,
+            };
+            let (seq, data) = live.remove(bad);
+            self.quarantine(seq, &data, site)?;
+        }
+    }
+
+    /// Merged, deduplicated view of every *acknowledged* cell as blocks
+    /// in ascending (series, field, type) order: chunks in sequence
+    /// order, memtable on top, last write winning each
     /// (series, field, timestamp) cell. Staged-but-uncommitted rows are
     /// invisible, matching the acknowledgement contract.
     ///
-    /// Every chunk is CRC-verified as it is read; a chunk that fails is
-    /// quarantined (visible via [`TsStore::quarantined`]) and the scan
-    /// continues over the survivors — callers see an explicit loss
-    /// record, never a silent error or silently shorter data.
-    pub fn scan(&mut self) -> StoreResult<Vec<RowRecord>> {
-        let mut merged: BTreeMap<(String, String, i64), ColumnValue> = BTreeMap::new();
-        for seq in self.chunk_seqs.clone() {
-            let name = chunk_name(seq);
-            let data = self.vfs.read(&name)?;
-            match read_chunk_bytes(&name, &data) {
-                Ok((_, rows)) => {
-                    for r in rows {
-                        merged.insert((r.series, r.field, r.ts), r.value);
-                    }
-                }
-                Err(StoreError::DiskCrashed) => return Err(StoreError::DiskCrashed),
-                Err(_) => {
-                    self.quarantine(seq, &data, DetectionSite::Scan)?;
-                }
-            }
-        }
-        for r in &self.memtable {
-            merged.insert((r.series.clone(), r.field.clone(), r.ts), r.value.clone());
-        }
-        Ok(merged
-            .into_iter()
-            .map(|((series, field, ts), value)| RowRecord {
-                series,
-                field,
-                ts,
-                value,
-            })
-            .collect())
+    /// Every chunk is CRC-verified and validated as it is read; a chunk
+    /// that fails is quarantined (visible via [`TsStore::quarantined`])
+    /// and the scan continues over the survivors — callers see an
+    /// explicit loss record, never a silent error or silently shorter
+    /// data.
+    pub fn scan_blocks(&mut self) -> StoreResult<Vec<Block>> {
+        // Moved out for the pass: quarantining needs `&mut self`.
+        let memtable = std::mem::take(&mut self.memtable);
+        let newest = sort_rows(&memtable);
+        let merged = self.merge_live(DetectionSite::Scan, |chunks| {
+            let mut blocks = Vec::new();
+            merge_blocks(chunks, &newest, None, &mut |b| blocks.push(b))?;
+            Ok(blocks)
+        });
+        drop(newest);
+        self.memtable = memtable;
+        Ok(merged?.0)
     }
 
-    /// Move a corrupt chunk to the quarantine namespace: copy the bytes
-    /// under `quarantine/`, remove the live file, and drop the sequence
-    /// number from the live set (it stays reserved via `next_seq` and the
-    /// quarantine file itself). Returns the loss record.
+    /// [`TsStore::scan_blocks`] flattened to rows in (series, field,
+    /// timestamp) order, for callers whose unit is the row.
+    pub fn scan(&mut self) -> StoreResult<Vec<RowRecord>> {
+        let mut rows: Vec<RowRecord> = Vec::new();
+        for b in self.scan_blocks()? {
+            rows.extend(b.ts.iter().zip(b.values).map(|(&ts, value)| RowRecord {
+                series: b.series.clone(),
+                field: b.field.clone(),
+                ts,
+                value,
+            }));
+        }
+        // Blocks order a field's cells by type before timestamp; the sort
+        // is one pass unless some field's cells changed type.
+        rows.sort_by(|a, b| (&a.series, &a.field, a.ts).cmp(&(&b.series, &b.field, b.ts)));
+        Ok(rows)
+    }
+
+    /// Quarantine live chunk `seq` ([`quarantine_file`]) and drop it from
+    /// the manifest; its sequence number stays reserved via `next_seq`
+    /// and the quarantine file itself. The loss is exact when the
+    /// manifest knew the chunk, else a probe of the damaged bytes.
     fn quarantine(
         &mut self,
         seq: u64,
         raw: &[u8],
         site: DetectionSite,
     ) -> StoreResult<QuarantinedChunk> {
-        let mut f = self.vfs.create(&quarantine_name(seq))?;
-        f.append(raw)?;
-        f.sync()?;
-        self.vfs.remove(&chunk_name(seq))?;
-        self.chunk_seqs.retain(|&s| s != seq);
-        let (rows, time_range) = match self.chunk_meta.remove(&seq) {
-            Some(m) => (m.rows, m.time_range),
-            None => {
-                let probe = probe_chunk(raw);
-                (
-                    probe.map(|p| p.rows).unwrap_or(0),
-                    probe.and_then(|p| p.time_range),
-                )
-            }
-        };
-        let q = QuarantinedChunk {
-            seq,
-            rows,
-            time_range,
-            bytes: raw.len() as u64,
-            site,
-        };
+        let held = self.chunks.get(&seq).copied().or_else(|| probe_chunk(raw));
+        let q = quarantine_file(self.vfs.as_ref(), seq, raw, held, site)?;
+        self.chunks.remove(&seq);
         if let Some(obs) = &self.obs {
             obs.scrub_corruptions.inc();
             obs.scrub_chunks_quarantined.inc();
-            obs.scrub_rows_quarantined.add(rows);
+            obs.scrub_rows_quarantined.add(q.rows);
         }
         self.quarantined.push(q.clone());
         Ok(q)
@@ -817,7 +743,7 @@ impl TsStore {
     /// its byte size; a damaged one is quarantined. `Ok(None)` means the
     /// chunk was flushed away (compacted) between snapshot and visit.
     pub fn verify_chunk(&mut self, seq: u64) -> StoreResult<Option<VerifyOutcome>> {
-        if !self.chunk_seqs.contains(&seq) {
+        if !self.chunks.contains_key(&seq) {
             return Ok(None);
         }
         let name = chunk_name(seq);
@@ -826,11 +752,10 @@ impl TsStore {
             obs.scrub_chunks_verified.inc();
             obs.scrub_bytes_verified.add(data.len() as u64);
         }
-        match read_chunk_bytes(&name, &data) {
+        match check_chunk(&name, &data) {
             Ok(_) => Ok(Some(VerifyOutcome::Clean {
                 bytes: data.len() as u64,
             })),
-            Err(StoreError::DiskCrashed) => Err(StoreError::DiskCrashed),
             Err(_) => {
                 let q = self.quarantine(seq, &data, DetectionSite::Scrub)?;
                 Ok(Some(VerifyOutcome::Quarantined(q)))
@@ -924,7 +849,7 @@ impl TsStore {
     /// current sequence, pin the live chunk set against compaction, and
     /// return the generation id. Writes continue concurrently.
     pub fn backup_begin(&mut self) -> StoreResult<u64> {
-        let seqs = self.chunk_seqs.clone();
+        let seqs = self.chunk_seqs();
         let bk = self
             .bk
             .as_mut()
@@ -958,9 +883,8 @@ impl TsStore {
                     continue;
                 }
             };
-            match read_chunk_bytes(&name, &data) {
-                Ok((_, rows)) => {
-                    let rows = rows.len() as u64;
+            match check_chunk(&name, &data) {
+                Ok(ChunkSummary { rows, .. }) => {
                     let res = self
                         .bk
                         .as_mut()
@@ -969,12 +893,11 @@ impl TsStore {
                     self.sync_backup_obs();
                     res?;
                 }
-                Err(StoreError::DiskCrashed) => return Err(StoreError::DiskCrashed),
                 Err(_) => {
                     // The live chunk itself is damaged: quarantine it
                     // (if still live) and continue the generation over
                     // the survivors.
-                    if self.chunk_seqs.contains(&seq) {
+                    if self.chunks.contains_key(&seq) {
                         self.quarantine(seq, &data, DetectionSite::Backup)?;
                     }
                     self.bk.as_mut().expect("checked above").job_skip_chunk();
@@ -1073,7 +996,7 @@ impl TsStore {
 
     /// Byte size of a live chunk from the manifest.
     pub fn chunk_bytes(&self, seq: u64) -> Option<u64> {
-        self.chunk_meta.get(&seq).map(|m| m.bytes)
+        self.chunks.get(&seq).map(|m| m.bytes)
     }
 
     /// Acknowledged rows not yet flushed to a chunk.
@@ -1088,12 +1011,12 @@ impl TsStore {
 
     /// Live chunk files.
     pub fn chunk_count(&self) -> usize {
-        self.chunk_seqs.len()
+        self.chunks.len()
     }
 
     /// Sequence numbers of the live chunks, ascending.
-    pub fn chunk_seqs(&self) -> &[u64] {
-        &self.chunk_seqs
+    pub fn chunk_seqs(&self) -> Vec<u64> {
+        self.chunks.keys().copied().collect()
     }
 
     /// Bytes currently occupied by the WAL file.
@@ -1110,7 +1033,7 @@ impl TsStore {
 impl std::fmt::Debug for TsStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TsStore")
-            .field("chunks", &self.chunk_seqs)
+            .field("chunks", &self.chunk_seqs())
             .field("memtable_rows", &self.memtable.len())
             .field("staged_rows", &self.staged.len())
             .finish()
@@ -1340,6 +1263,77 @@ mod tests {
         assert!(disk.exists(&quarantine_name(0)).unwrap());
         assert!(!disk.exists(&name).unwrap());
         assert_eq!(store.chunk_seqs(), &[1]);
+    }
+
+    /// Rewrite chunk 0 of `disk` — one block, series "s", field "f" — so
+    /// its header claims `min_ts = 0` (the column starts at 1), and reseal
+    /// it: a structurally invalid chunk whose CRC matches.
+    fn forge_lying_header(disk: &MemDisk) {
+        let name = chunk_name(0);
+        let mut data = disk.read(&name).unwrap();
+        // 20-byte file header, "s" and "f" length-prefixed, tag, count.
+        let min_ts_at = 20 + 2 + 2 + 1 + 1;
+        assert_eq!(data[min_ts_at], 2, "zigzag varint of min_ts = 1");
+        data[min_ts_at] = 0;
+        let body = data.len() - 4;
+        let crc = crate::crc::crc32(&data[..body]);
+        data[body..].copy_from_slice(&crc.to_le_bytes());
+        let mut f = disk.create(&name).unwrap();
+        f.append(&data).unwrap();
+        f.sync().unwrap();
+    }
+
+    #[test]
+    fn crc_valid_but_invalid_chunk_is_quarantined_at_every_read_site() {
+        for site in [
+            DetectionSite::Boot,
+            DetectionSite::Scan,
+            DetectionSite::Compact,
+            DetectionSite::Scrub,
+            DetectionSite::Backup,
+        ] {
+            let disk = MemDisk::new(111);
+            let vfs: Arc<dyn Vfs> = Arc::new(disk.clone());
+            let (mut store, _) = TsStore::open(vfs.clone(), small_opts()).unwrap();
+            store.append(&[row("s", "f", 1, 1.0), row("s", "f", 2, 2.0)]);
+            store.commit().unwrap();
+            store.flush().unwrap();
+            store.append(&[row("s", "f", 3, 3.0)]);
+            store.commit().unwrap();
+            store.flush().unwrap();
+            forge_lying_header(&disk);
+            match site {
+                DetectionSite::Boot => {
+                    let (reopened, report) = TsStore::open(vfs, small_opts()).unwrap();
+                    assert_eq!((report.chunks_loaded, report.chunks_skipped), (1, 1));
+                    store = reopened;
+                }
+                DetectionSite::Scan => {}
+                DetectionSite::Compact => {
+                    let report = store.compact(None).unwrap().unwrap();
+                    assert_eq!((report.chunks_in, report.rows_in), (1, 1));
+                }
+                DetectionSite::Scrub => {
+                    let out = store.verify_chunk(0).unwrap().unwrap();
+                    assert!(matches!(out, VerifyOutcome::Quarantined(_)));
+                }
+                DetectionSite::Backup => {
+                    store.enable_backup(Arc::new(MemDisk::new(112))).unwrap();
+                    let report = store.backup_now().unwrap();
+                    assert_eq!(report.chunks, 1);
+                }
+            }
+            assert_eq!(
+                store.scan().unwrap(),
+                vec![row("s", "f", 3, 3.0)],
+                "{site:?}"
+            );
+            let q = store.quarantined();
+            assert_eq!(q.len(), 1, "{site:?}");
+            assert_eq!((q[0].seq, q[0].site, q[0].rows), (0, site, 2), "{site:?}");
+            assert!(disk.exists(&quarantine_name(0)).unwrap());
+            assert!(!disk.exists(&chunk_name(0)).unwrap());
+        }
     }
 
     #[test]

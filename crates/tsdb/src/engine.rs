@@ -12,14 +12,14 @@ use crate::query::{Query, QueryResult};
 use crate::retention::RetentionPolicy;
 use crate::rollup::{RollupAudit, RollupConfig, RollupStore, RollupTickReport};
 use crate::series::SeriesKey;
-use crate::storage::{shard_of_key, Storage, DEFAULT_SHARD_COUNT};
+use crate::storage::{shard_of_key, Row, Storage, DEFAULT_SHARD_COUNT};
 use crate::subscribe::{Subscription, SubscriptionHub};
 use crate::value::FieldValue;
 use crossbeam::channel::Receiver;
 use parking_lot::{Mutex, RwLock};
 use pmove_obs::{Counter, Histogram, Registry, TraceContext, Tracer};
 use pmove_store::{
-    BackupAttach, BackupReport, BackupStats, ChunkInfo, ColumnValue, CompactionReport,
+    BackupAttach, BackupReport, BackupStats, Block, ChunkInfo, ColumnValue, CompactionReport,
     QuarantinedChunk, RecoveryReport, RestoreReport, RowRecord, ScrubReport, Scrubber, StoreObs,
     StoreOptions, TsStore, Vfs,
 };
@@ -351,73 +351,47 @@ impl Database {
         Ok((db, report))
     }
 
-    /// Replay the store's merged durable view into in-memory storage and
-    /// attach it for subsequent writes.
-    fn adopt_store(&mut self, mut store: TsStore) -> Result<(), TsdbError> {
-        let rows = store.scan()?;
-        self.load_rows(rows)?;
+    /// Attach `store` for subsequent writes and replay its merged durable
+    /// view into in-memory storage.
+    fn adopt_store(&mut self, store: TsStore) -> Result<(), TsdbError> {
+        self.store = Some(Mutex::new(store));
+        self.rebuild_from_store()?;
         // Chunks quarantined during recovery left holes in the durable
         // view; annotate each lost range so queries surface an explicit
         // gap marker instead of a silently shorter series.
-        self.annotate_gaps(store.quarantined());
-        // Recovered points bypass `write_point`, so refresh every
-        // measurement's write version from what storage now holds.
-        self.bump_all_versions();
-        self.store = Some(Mutex::new(store));
+        self.annotate_quarantine_gaps();
         Ok(())
     }
 
-    /// Group durable rows back into points — one per (series key,
-    /// timestamp), fields re-assembled — and insert them into storage.
-    fn load_rows(&self, rows: Vec<RowRecord>) -> Result<(), TsdbError> {
-        let mut points: BTreeMap<(String, i64), BTreeMap<String, FieldValue>> = BTreeMap::new();
-        for row in rows {
-            points
-                .entry((row.series, row.ts))
-                .or_default()
-                .insert(row.field, field_of_column(row.value));
-        }
+    /// Insert the store's merged blocks — ascending (series, field,
+    /// type), timestamps ascending within each — into storage. A series'
+    /// blocks are adjacent, so its key is parsed once and its rows are
+    /// re-assembled by one timestamp merge across its field columns.
+    fn load_blocks(&self, blocks: Vec<Block>) -> Result<(), TsdbError> {
         let mut storage = self.storage.write();
-        for ((series, ts), fields) in points {
-            let (measurement, tags) = parse_series_key(&series)?;
-            storage.insert(Point {
-                measurement,
-                tags,
-                fields,
-                timestamp: ts,
+        let mut blocks = blocks.into_iter().peekable();
+        while let Some(first) = blocks.next() {
+            let (measurement, tags) = parse_series_key(&first.series)?;
+            let mut columns = Vec::new();
+            let mut next = Some(first);
+            while let Some(b) = next {
+                columns.push((b.field, b.ts.into_iter().zip(b.values).peekable()));
+                next = blocks.next_if(|n| n.series == b.series);
+            }
+            let rows = std::iter::from_fn(|| {
+                let heads = columns.iter_mut().filter_map(|(_, cells)| cells.peek());
+                let timestamp = heads.map(|cell| cell.0).min()?;
+                let mut fields = BTreeMap::new();
+                for (field, cells) in &mut columns {
+                    if let Some((_, value)) = cells.next_if(|cell| cell.0 == timestamp) {
+                        fields.insert(field.clone(), field_of_column(value));
+                    }
+                }
+                Some(Row { timestamp, fields })
             });
+            storage.insert_series_rows(&SeriesKey { measurement, tags }, None, rows);
         }
         Ok(())
-    }
-
-    /// Insert one in-memory [`GAP_MEASUREMENT`] marker point per
-    /// quarantined chunk with a recoverable time range. The markers are
-    /// deliberately not persisted: they are re-derived from the store's
-    /// quarantine record on every boot/rebuild, so they can never be
-    /// lost to the very corruption they describe.
-    fn annotate_gaps(&self, quarantined: &[QuarantinedChunk]) {
-        let mut marked = Vec::new();
-        {
-            let mut storage = self.storage.write();
-            for q in quarantined {
-                let Some((lo, hi)) = q.time_range else {
-                    continue;
-                };
-                storage.insert(
-                    Point::new(GAP_MEASUREMENT)
-                        .tag("source", "store")
-                        .tag("seq", format!("{:08}", q.seq))
-                        .field("gap_start_s", lo as f64 / 1e9)
-                        .field("gap_end_s", hi as f64 / 1e9)
-                        .field("rows_lost", q.rows as f64)
-                        .timestamp(hi),
-                );
-                marked.push(hi);
-            }
-        }
-        for ts in marked {
-            self.mark_rollup_write(GAP_MEASUREMENT, ts);
-        }
     }
 
     /// Rebuild the in-memory view from the durable store: the store is
@@ -437,9 +411,9 @@ impl Database {
         let Some(store) = &self.store else {
             return Ok(false);
         };
-        let rows = store.lock().scan()?;
+        let blocks = store.lock().scan_blocks()?;
         *self.storage.write() = Storage::new();
-        self.load_rows(rows)?;
+        self.load_blocks(blocks)?;
         {
             let names = self.storage.read().measurement_names();
             let mut versions = self.versions.lock();
@@ -464,16 +438,41 @@ impl Database {
         Ok(true)
     }
 
-    /// Insert a [`GAP_MEASUREMENT`] marker for every chunk the attached
-    /// store has quarantined. Idempotent — each chunk's marker lands on a
-    /// fixed (series, timestamp) cell, so re-annotation overwrites rather
-    /// than duplicates. No-op for a memory-only database.
+    /// Insert one in-memory [`GAP_MEASUREMENT`] marker point for every
+    /// chunk the attached store has quarantined with a recoverable time
+    /// range. The markers are deliberately not persisted: they are
+    /// re-derived from the store's quarantine record on every boot/rebuild,
+    /// so they can never be lost to the very corruption they describe.
+    /// Idempotent — each chunk's marker lands on a fixed (series,
+    /// timestamp) cell, so re-annotation overwrites rather than
+    /// duplicates. No-op for a memory-only database.
     pub fn annotate_quarantine_gaps(&self) {
         let quarantined = self.quarantined_chunks();
-        if quarantined.is_empty() {
+        let mut marked = Vec::new();
+        {
+            let mut storage = self.storage.write();
+            for q in &quarantined {
+                let Some((lo, hi)) = q.time_range else {
+                    continue;
+                };
+                storage.insert(
+                    Point::new(GAP_MEASUREMENT)
+                        .tag("source", "store")
+                        .tag("seq", format!("{:08}", q.seq))
+                        .field("gap_start_s", lo as f64 / 1e9)
+                        .field("gap_end_s", hi as f64 / 1e9)
+                        .field("rows_lost", q.rows as f64)
+                        .timestamp(hi),
+                );
+                marked.push(hi);
+            }
+        }
+        if marked.is_empty() {
             return;
         }
-        self.annotate_gaps(&quarantined);
+        for ts in marked {
+            self.mark_rollup_write(GAP_MEASUREMENT, ts);
+        }
         self.bump_version(GAP_MEASUREMENT);
     }
 
