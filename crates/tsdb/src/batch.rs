@@ -4,10 +4,13 @@
 //! The row-at-a-time path pays per point: a canonical-key render, a shard
 //! hash, a series map lookup, and — in durable mode — one WAL frame and
 //! one group commit. [`ColumnarBatch`] amortizes all four: points are
-//! transposed into per-series columns (`ts[]` + `fields[]`), each unique
+//! grouped per series into two parallel vectors (`ts[]` beside
+//! `fields[]`, each point's field set moved over whole), each unique
 //! series is rendered/hashed/interned **once** per batch, and the engine
 //! writes the whole batch as **one** WAL frame followed by **one** group
-//! commit ([`crate::Database::write_batch`]).
+//! commit ([`crate::Database::write_batch`]). The batch is a grouping of
+//! points, not the storage layout: typed per-field columns exist only in
+//! [`crate::storage`], which [`ColumnarBatch::apply`] writes into.
 //!
 //! Atomicity falls out of the WAL framing: `encode_row_batch` wraps every
 //! row of an `append` call in a single `[len][crc][payload]` frame, and
@@ -33,7 +36,7 @@ use crate::engine::column_of_field;
 use crate::line_protocol::render_series_key;
 use crate::point::Point;
 use crate::series::SeriesKey;
-use crate::storage::{shard_of_key, Row, Storage, DEFAULT_SHARD_COUNT};
+use crate::storage::{shard_of_key, Storage, DEFAULT_SHARD_COUNT};
 use crate::value::FieldValue;
 use pmove_store::RowRecord;
 use std::collections::{BTreeMap, HashMap};
@@ -191,17 +194,17 @@ impl ColumnarBatch {
         rows
     }
 
-    /// Apply the batch to storage: one series resolution per unique
-    /// series, in first-appearance order so id allocation matches the
-    /// row-at-a-time path.
+    /// Apply the batch to storage: each unique series is opened once, in
+    /// first-appearance order so id allocation matches the row-at-a-time
+    /// path, and its rows are written in arrival order into the series'
+    /// columns (the field sets are taken apart there, field names
+    /// interned per measurement — see [`crate::storage`]).
     pub(crate) fn apply(self, storage: &mut Storage) {
         for sc in self.series {
-            let rows = sc
-                .ts
-                .into_iter()
-                .zip(sc.fields)
-                .map(|(timestamp, fields)| Row { timestamp, fields });
-            storage.insert_series_rows(&sc.key, Some(&sc.canonical), rows);
+            let mut series = storage.append(&sc.key, Some(&sc.canonical));
+            for (ts, fields) in sc.ts.into_iter().zip(sc.fields) {
+                series.row_named(ts, fields);
+            }
         }
     }
 }
@@ -289,11 +292,13 @@ mod tests {
         let ids_r = mr.matching_series(&[]);
         let ids_b = mb.matching_series(&[]);
         assert_eq!(ids_r, ids_b, "id allocation order must match");
-        for (ir, ib) in ids_r.iter().zip(&ids_b) {
-            let sr = mr.series(*ir).unwrap();
-            let sb = mb.series(*ib).unwrap();
-            assert_eq!(sr.key, sb.key);
-            assert_eq!(sr.rows, sb.rows);
-        }
+        let cells = |s: &Storage| {
+            let mut out = Vec::new();
+            s.for_each_cell(&mut |key, ts, field, value| {
+                out.push((key.clone(), ts, field.to_string(), value.clone()));
+            });
+            out
+        };
+        assert_eq!(cells(&rowwise), cells(&batched));
     }
 }

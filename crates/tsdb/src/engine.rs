@@ -12,7 +12,7 @@ use crate::query::{Query, QueryResult};
 use crate::retention::RetentionPolicy;
 use crate::rollup::{RollupAudit, RollupConfig, RollupStore, RollupTickReport};
 use crate::series::SeriesKey;
-use crate::storage::{shard_of_key, Row, Storage, DEFAULT_SHARD_COUNT};
+use crate::storage::{shard_of_key, Storage, DEFAULT_SHARD_COUNT};
 use crate::subscribe::{Subscription, SubscriptionHub};
 use crate::value::FieldValue;
 use crossbeam::channel::Receiver;
@@ -23,7 +23,7 @@ use pmove_store::{
     QuarantinedChunk, RecoveryReport, RestoreReport, RowRecord, ScrubReport, Scrubber, StoreObs,
     StoreOptions, TsStore, Vfs,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Measurement holding gap-marker annotation points for time ranges the
@@ -80,8 +80,8 @@ fn mark_all_rows(rs: &mut RollupStore, storage: &Storage) {
             continue;
         };
         for series in view.series_iter() {
-            for row in &series.rows {
-                rs.note_write(&name, row.timestamp);
+            for &ts in series.timestamps() {
+                rs.note_write(&name, ts);
             }
         }
     }
@@ -365,31 +365,34 @@ impl Database {
 
     /// Insert the store's merged blocks — ascending (series, field,
     /// type), timestamps ascending within each — into storage. A series'
-    /// blocks are adjacent, so its key is parsed once and its rows are
-    /// re-assembled by one timestamp merge across its field columns.
+    /// blocks are adjacent, so its key is parsed and its field names
+    /// interned once; its rows are appended in timestamp order by walking
+    /// the blocks' columns side by side, each row taking the cells of the
+    /// blocks whose next timestamp it is.
     fn load_blocks(&self, blocks: Vec<Block>) -> Result<(), TsdbError> {
         let mut storage = self.storage.write();
         let mut blocks = blocks.into_iter().peekable();
         while let Some(first) = blocks.next() {
             let (measurement, tags) = parse_series_key(&first.series)?;
+            let mut series = storage.append(&SeriesKey { measurement, tags }, None);
             let mut columns = Vec::new();
             let mut next = Some(first);
             while let Some(b) = next {
-                columns.push((b.field, b.ts.into_iter().zip(b.values).peekable()));
+                let cells = b.ts.into_iter().zip(b.values).peekable();
+                columns.push((series.field(&b.field), cells));
                 next = blocks.next_if(|n| n.series == b.series);
             }
-            let rows = std::iter::from_fn(|| {
+            loop {
                 let heads = columns.iter_mut().filter_map(|(_, cells)| cells.peek());
-                let timestamp = heads.map(|cell| cell.0).min()?;
-                let mut fields = BTreeMap::new();
-                for (field, cells) in &mut columns {
-                    if let Some((_, value)) = cells.next_if(|cell| cell.0 == timestamp) {
-                        fields.insert(field.clone(), field_of_column(value));
-                    }
-                }
-                Some(Row { timestamp, fields })
-            });
-            storage.insert_series_rows(&SeriesKey { measurement, tags }, None, rows);
+                let Some(timestamp) = heads.map(|cell| cell.0).min() else {
+                    break;
+                };
+                let row = columns.iter_mut().filter_map(|(field, cells)| {
+                    let (_, value) = cells.next_if(|cell| cell.0 == timestamp)?;
+                    Some((*field, field_of_column(value)))
+                });
+                series.row(timestamp, row);
+            }
         }
         Ok(())
     }
@@ -870,19 +873,7 @@ impl Database {
     /// timestamp, fields sorted by name. This is the walk the replication
     /// layer's Merkle trees are built over.
     pub fn for_each_cell(&self, f: &mut dyn FnMut(&SeriesKey, i64, &str, &FieldValue)) {
-        let storage = self.storage.read();
-        for name in storage.measurement_names() {
-            let Some(view) = storage.measurement(&name) else {
-                continue;
-            };
-            for series in view.series_iter() {
-                for row in &series.rows {
-                    for (field, value) in &row.fields {
-                        f(&series.key, row.timestamp, field, value);
-                    }
-                }
-            }
-        }
+        self.storage.read().for_each_cell(f);
     }
 
     /// Columnar batched write path. Admission (empty-field checks, limiter
@@ -1124,7 +1115,9 @@ impl Database {
 
     /// Run a pre-parsed query in an explicit execution mode.
     pub fn query_with_mode(&self, q: &Query, mode: ExecMode) -> Result<QueryResult, TsdbError> {
-        self.query_arc_cached(q, mode).map(|(r, _)| (*r).clone())
+        let (result, _) = self.query_arc_cached(q, mode)?;
+        // The rows are copied only when the cache kept a reference.
+        Ok(Arc::try_unwrap(result).unwrap_or_else(|shared| (*shared).clone()))
     }
 
     /// Like [`Database::query_with_mode`] but returns the shared result

@@ -1,55 +1,53 @@
-//! Parallel sharded query executor.
+//! Query executor: one slice-based scan kernel behind every strategy.
 //!
 //! Determinism contract
 //! --------------------
 //! `run` with any [`ExecMode`] returns results **bit-identical** to the
 //! sequential reference executor ([`crate::query::execute`]), for every
 //! query and every thread count. The differential test harness
-//! (`tests/differential.rs`) pins this. Three execution strategies, chosen
-//! per plan:
+//! (`tests/differential.rs`) pins this.
 //!
-//! * **Raw scan** (no aggregates): each shard emits its rows as a run
-//!   sorted by the canonical `(timestamp, series id)` key; runs are k-way
-//!   merged. Keys are unique (duplicate timestamps within a series are
-//!   LWW-merged at insert; a series lives on exactly one shard), so the
-//!   merged order equals the oracle's stable sort by timestamp with
-//!   ascending-id tie-break.
-//! * **Exact partial aggregation** (`min`/`max`/`count`/`first`/`last` and
-//!   raw fields only): shards fold partial accumulators per time bucket in
-//!   any order — these functions admit order-free merges once ties are
-//!   resolved by the canonical key. Ties matter for bit-identity:
-//!   `-0.0 == 0.0` yet the bit patterns differ, and the oracle keeps the
-//!   first occurrence in canonical order, so partials carry the key at
-//!   which their current winner was set and merges prefer the smaller key
-//!   on equal values. NaN never wins a `<`/`>` comparison, matching the
-//!   oracle's fold.
-//! * **Ordered fold** (`sum`/`mean`/`stddev`/`median` present): floating
-//!   addition is not associative, so per-shard partial sums would drift
-//!   from the oracle by reassociation. Instead shards extract and sort
-//!   `(key, projected values)` runs in parallel; the merge then feeds the
-//!   *same* [`Accumulator`]s in the *same* canonical order as the oracle —
-//!   the identical arithmetic sequence, hence identical bits, including
-//!   NaN propagation. Bucket keys are non-decreasing along the merged
-//!   order, so grouping is run-detection instead of a map lookup per row.
+//! The scan kernel
+//! ---------------
+//! Every strategy reads storage the same way. Planning leaves the matching
+//! series in ascending id; each becomes a [`Cursor`]: two binary searches
+//! on its timestamp column give the row range inside the query window, and
+//! each projection resolves — once per query, not per row — to a slice of
+//! that range of the series' column. [`merge_rows`] then walks all cursors
+//! in canonical `(timestamp, series id)` order by timestamp rounds: find
+//! the smallest head timestamp, take every cursor holding it in ascending
+//! id, advance those. Timestamps are unique within a series and ids unique
+//! across them, so this is exactly the oracle's stable sort by timestamp
+//! over an ascending-id gather — without gathering or sorting anything.
+//!
+//! Two strategies consume the merged rows, chosen per plan:
+//!
+//! * **Raw scan** (no aggregates): one output row per merged row.
+//! * **Ordered fold** (aggregates): the *same* [`Accumulator`]s fed in the
+//!   *same* canonical order as the oracle — the identical arithmetic
+//!   sequence, hence identical bits for `sum`/`mean`/`stddev`/`median`
+//!   (floating addition is not associative), the first occurrence's bit
+//!   pattern on `-0.0`/`0.0` ties of `min`/`max`, and the same NaN
+//!   propagation. Bucket keys are non-decreasing along the merge, so
+//!   grouping is run-detection instead of a map lookup per row.
+//!
+//! A third — routed aggregates answered from materialized tier cells —
+//! lives in [`crate::rollup`].
+//!
+//! No fan-out
+//! ----------
+//! Every query runs on the calling thread, whatever thread count the mode
+//! carries. A per-shard fan-out with order-free partial accumulators used
+//! to sit beside the ordered fold. After the kernel it could only pay for
+//! `min`/`max`/`count`/`first`/`last` queries planning more than ~65,000
+//! rows, and no benchmark workload issues one (the largest query scans
+//! 57,600 rows and is a `mean`), so it was deleted rather than kept
+//! unmeasured — DESIGN.md "Why nothing fans out".
 
 use crate::aggregate::{Accumulator, AggregateFn};
 use crate::error::TsdbError;
 use crate::query::{self, Projection, Query, QueryPlan, QueryResult, ResultRow};
-use crate::series::SeriesId;
-use crate::storage::{MeasurementView, Storage};
-use crate::value::FieldValue;
-use parking_lot::Mutex;
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Canonical row key: `(timestamp, series id)`. Unique across a query's
-/// scanned rows, totally ordered, and equal to the oracle's emission order.
-pub(crate) type RowKey = (i64, u64);
-
-/// Sentinel above every real key (`range` is end-exclusive, so a scanned
-/// row never has `timestamp == i64::MAX`).
-pub(crate) const KEY_SENTINEL: RowKey = (i64::MAX, u64::MAX);
+use crate::storage::{ColumnSlice, MeasurementView, Storage};
 
 /// How a query is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,8 +55,9 @@ pub enum ExecMode {
     /// The original single-threaded executor, kept as the reference
     /// implementation (the oracle of the differential harness).
     Sequential,
-    /// Sharded executor with exactly this many worker threads (minimum 1;
-    /// one thread scans shards inline without spawning).
+    /// The scan kernel, with rollup routing. The thread count is recorded
+    /// in [`ExecStats`] and changes nothing else: no strategy spawns (see
+    /// the module docs).
     Parallel(usize),
 }
 
@@ -75,7 +74,7 @@ impl Default for ExecMode {
 }
 
 impl ExecMode {
-    /// Worker thread count this mode uses.
+    /// Thread count this mode carries.
     pub fn threads(&self) -> usize {
         match self {
             ExecMode::Sequential => 1,
@@ -87,9 +86,10 @@ impl ExecMode {
 /// Work accounting for one executed query (exported as `tsdb.query.*`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Executed on the sharded (parallel) path.
+    /// Executed by the scan kernel ([`ExecMode::Parallel`]), not the
+    /// reference executor.
     pub parallel: bool,
-    /// Worker threads used.
+    /// Thread count of the mode.
     pub threads: usize,
     /// Shards holding at least one matching series.
     pub shards_scanned: u64,
@@ -134,11 +134,11 @@ pub fn run_with_rollups(
             };
             Ok((result, stats))
         }
-        ExecMode::Parallel(n) => run_parallel(storage, q, n.max(1), rollups),
+        ExecMode::Parallel(n) => run_kernel(storage, q, n.max(1), rollups),
     }
 }
 
-fn run_parallel(
+fn run_kernel(
     storage: &Storage,
     q: &Query,
     threads: usize,
@@ -146,27 +146,16 @@ fn run_parallel(
 ) -> Result<(QueryResult, ExecStats), TsdbError> {
     let (plan, view) = query::plan(storage, q)?;
 
-    // Partition the (ascending) matching ids by their home shard; each
-    // per-shard list stays ascending.
-    let mut by_shard: Vec<Vec<SeriesId>> = vec![Vec::new(); storage.shard_count()];
+    let mut holds_match = vec![false; storage.shard_count()];
     for &id in &plan.ids {
-        by_shard[view.shard_of(id).expect("planned id is placed")].push(id);
+        holds_match[view.shard_of(id).expect("planned id is placed")] = true;
     }
-    let jobs: Vec<&[SeriesId]> = by_shard
-        .iter()
-        .filter(|ids| !ids.is_empty())
-        .map(Vec::as_slice)
-        .collect();
-
     let mut stats = ExecStats {
         parallel: true,
         threads,
-        shards_scanned: jobs.len() as u64,
-        rows_scanned: 0,
+        shards_scanned: holds_match.iter().filter(|&&m| m).count() as u64,
         series_pruned: plan.series_pruned as u64,
-        rollup_routed: false,
-        rollup_buckets_tier: 0,
-        rollup_buckets_raw: 0,
+        ..ExecStats::default()
     };
 
     // Routed aggregate queries are answered from materialized tier cells,
@@ -194,12 +183,12 @@ fn run_parallel(
         }
     }
 
-    let rows = if !plan.aggregated {
-        scan_rows(&plan, view, &jobs, threads, &mut stats)
-    } else if exact_template(&plan.projections).is_some() {
-        aggregate_exact(&plan, view, &jobs, threads, &mut stats)
+    let cursors = cursors(&plan, view);
+    stats.rows_scanned = cursors.iter().map(|c| c.ts.len() as u64).sum();
+    let rows = if plan.aggregated {
+        aggregate_ordered(&plan, &cursors)
     } else {
-        aggregate_ordered(&plan, view, &jobs, threads, &mut stats)
+        scan_rows(&plan, &cursors)
     };
 
     Ok((
@@ -212,75 +201,63 @@ fn run_parallel(
 }
 
 // ---------------------------------------------------------------------------
-// Shard fan-out
+// The scan kernel
 // ---------------------------------------------------------------------------
 
-/// Run `f(0..jobs)` on up to `threads` workers stealing job indices from a
-/// shared counter; results land in their job's slot, so output order is
-/// deterministic regardless of which worker ran which job. One thread (or
-/// one job) runs inline without spawning.
-fn fan_out<T, F>(threads: usize, jobs: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if threads <= 1 || jobs <= 1 {
-        return (0..jobs).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
-    rayon::scope(|s| {
-        for _ in 0..threads.min(jobs) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs {
-                    break;
-                }
-                *slots[i].lock() = Some(f(i));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every job index was claimed"))
+/// One series' share of a scan: its rows inside the plan's window as a
+/// slice of the timestamp column and, row-aligned, one slice per
+/// projection of the projected field's column.
+struct Cursor<'a> {
+    ts: &'a [i64],
+    cols: Vec<ColumnSlice<'a>>,
+}
+
+/// The plan's cursors, in ascending series id.
+fn cursors<'a>(plan: &QueryPlan, view: MeasurementView<'a>) -> Vec<Cursor<'a>> {
+    plan.ids
+        .iter()
+        .map(|&id| {
+            let s = view.series(id).expect("planned id exists");
+            let rows = s.range(plan.start, plan.end);
+            let slice = |field| Some(s.column(field?)?.slice(rows.clone()));
+            Cursor {
+                ts: &s.timestamps()[rows.clone()],
+                cols: plan
+                    .fields
+                    .iter()
+                    .map(|&field| slice(field).unwrap_or_default())
+                    .collect(),
+            }
+        })
         .collect()
 }
 
-/// K-way merge of runs each sorted by `key`; keys are globally unique.
-fn kway_merge<T, K: Ord + Copy>(runs: Vec<Vec<T>>, key: impl Fn(&T) -> K) -> Vec<T> {
-    let total = runs.iter().map(Vec::len).sum();
-    let mut iters: Vec<std::iter::Peekable<std::vec::IntoIter<T>>> =
-        runs.into_iter().map(|r| r.into_iter().peekable()).collect();
-    let mut out = Vec::with_capacity(total);
-    loop {
-        let mut best: Option<(usize, K)> = None;
-        for (i, it) in iters.iter_mut().enumerate() {
-            if let Some(item) = it.peek() {
-                let k = key(item);
-                if best.map(|(_, bk)| k < bk).unwrap_or(true) {
-                    best = Some((i, k));
-                }
+/// Visit every row of `cursors` (which are in ascending series id) in
+/// canonical `(timestamp, series id)` order, as `visit(timestamp, cursor,
+/// row within the cursor)`.
+///
+/// Each round takes the smallest head timestamp and every cursor holding
+/// it, in cursor order, finding the next round's timestamp on the same
+/// pass. When series share timestamps — samplers ticking together, every
+/// corpus the benchmark generates — that is one comparison per row.
+fn merge_rows<'a>(cursors: &[Cursor<'a>], mut visit: impl FnMut(i64, &Cursor<'a>, usize)) {
+    // `i64::MAX` marks an exhausted cursor: `range` is end-exclusive, so
+    // no scanned row carries it.
+    let head = |c: &Cursor<'_>, row: usize| c.ts.get(row).copied().unwrap_or(i64::MAX);
+    let mut at = vec![0usize; cursors.len()];
+    let mut heads: Vec<i64> = cursors.iter().map(|c| head(c, 0)).collect();
+    let mut ts = heads.iter().copied().min().unwrap_or(i64::MAX);
+    while ts != i64::MAX {
+        let mut next = i64::MAX;
+        for (k, cursor) in cursors.iter().enumerate() {
+            if heads[k] == ts {
+                visit(ts, cursor, at[k]);
+                at[k] += 1;
+                heads[k] = head(cursor, at[k]);
             }
+            next = next.min(heads[k]);
         }
-        match best {
-            Some((i, _)) => out.push(iters[i].next().expect("peeked")),
-            None => break,
-        }
-    }
-    out
-}
-
-fn bucket_key(bucket: Option<i64>, ts: i64) -> i64 {
-    match bucket {
-        Some(b) => ts.div_euclid(b) * b,
-        None => 0,
-    }
-}
-
-pub(crate) fn projected_field(p: &Projection) -> &str {
-    match p {
-        Projection::Aggregate(_, f) | Projection::Field(f) => f,
-        Projection::Wildcard => unreachable!("plan expands wildcards"),
+        ts = next;
     }
 }
 
@@ -288,332 +265,24 @@ pub(crate) fn projected_field(p: &Projection) -> &str {
 // Raw scan path
 // ---------------------------------------------------------------------------
 
-fn scan_rows(
-    plan: &QueryPlan,
-    view: MeasurementView<'_>,
-    jobs: &[&[SeriesId]],
-    threads: usize,
-    stats: &mut ExecStats,
-) -> Vec<ResultRow> {
-    let runs: Vec<Vec<(RowKey, &BTreeMap<String, FieldValue>)>> =
-        fan_out(threads, jobs.len(), |j| {
-            let mut run = Vec::new();
-            for &id in jobs[j] {
-                let s = view.series(id).expect("planned id exists");
-                for row in s.range(plan.start, plan.end) {
-                    run.push(((row.timestamp, id.0), &row.fields));
-                }
-            }
-            run.sort_unstable_by_key(|(k, _)| *k);
-            run
-        });
-    stats.rows_scanned = runs.iter().map(|r| r.len() as u64).sum();
-    let merged = kway_merge(runs, |(k, _)| *k);
-
-    let mut rows = Vec::with_capacity(merged.len());
-    for ((ts, _), fields) in merged {
-        let values = plan
-            .projections
-            .iter()
-            .map(|p| fields.get(projected_field(p)).and_then(|v| v.as_f64()));
-        rows.push(finish_row(ts, plan, values));
-    }
-    rows
-}
-
-// ---------------------------------------------------------------------------
-// Exact partial-aggregation path
-// ---------------------------------------------------------------------------
-
-/// Order-free partial accumulator for one projection in one bucket —
-/// the one accumulator under both the exact partial-aggregation path and
-/// the rollup tiers' serving path. Every state transition of `Extreme`,
-/// `Count` and `Edge` is commutative/associative under the canonical-key
-/// tie rules, so shards may fold rows in any order and merges in any
-/// pairing. `Sum` is an ordered fold: it is only ever fed one series'
-/// rows in timestamp order or one tier cell (see
-/// [`crate::rollup::RollupStore::route`]), never merged.
-#[derive(Debug, Clone)]
-pub(crate) enum PartialAcc {
-    /// `min` / `max`: value plus the canonical key where the current
-    /// winner was set (smaller key wins equal values — the oracle keeps
-    /// the first occurrence's bit pattern, e.g. for `-0.0` vs `0.0`).
-    Extreme {
-        is_min: bool,
-        count: u64,
-        best: f64,
-        best_key: RowKey,
-    },
-    /// `count`: order-free by construction.
-    Count { count: u64 },
-    /// `first` / `last` (and raw fields, which aggregate as `last`):
-    /// the value at the smallest / largest canonical key.
-    Edge {
-        want_first: bool,
-        entry: Option<(RowKey, f64)>,
-    },
-    /// `sum` over one series (rollup serving only).
-    Sum { count: u64, sum: f64 },
-}
-
-impl PartialAcc {
-    /// The accumulator for `p`, or `None` when `p` needs the ordered fold
-    /// (`mean` / `stddev` / `median`).
-    pub(crate) fn for_projection(p: &Projection) -> Option<PartialAcc> {
-        Some(match p {
-            Projection::Aggregate(AggregateFn::Min, _) => PartialAcc::Extreme {
-                is_min: true,
-                count: 0,
-                best: f64::INFINITY,
-                best_key: KEY_SENTINEL,
-            },
-            Projection::Aggregate(AggregateFn::Max, _) => PartialAcc::Extreme {
-                is_min: false,
-                count: 0,
-                best: f64::NEG_INFINITY,
-                best_key: KEY_SENTINEL,
-            },
-            Projection::Aggregate(AggregateFn::Count, _) => PartialAcc::Count { count: 0 },
-            Projection::Aggregate(AggregateFn::First, _) => PartialAcc::Edge {
-                want_first: true,
-                entry: None,
-            },
-            Projection::Aggregate(AggregateFn::Last, _) | Projection::Field(_) => {
-                PartialAcc::Edge {
-                    want_first: false,
-                    entry: None,
-                }
-            }
-            Projection::Aggregate(AggregateFn::Sum, _) => PartialAcc::Sum { count: 0, sum: 0.0 },
-            _ => return None,
-        })
-    }
-
-    /// Offer a candidate standing for `n` values: `(key, v)` is the
-    /// group's winner under this accumulator's own rule (a raw row offers
-    /// itself with `n == 1`). The tie rules live here and nowhere else.
-    fn offer(&mut self, n: u64, key: RowKey, v: f64) {
-        match self {
-            PartialAcc::Extreme {
-                is_min,
-                count,
-                best,
-                best_key,
-            } => {
-                *count += n;
-                let wins = if *is_min { v < *best } else { v > *best };
-                if wins || (v == *best && key < *best_key) {
-                    *best = v;
-                    *best_key = key;
-                }
-            }
-            PartialAcc::Count { count } => *count += n,
-            PartialAcc::Edge { want_first, entry } => match entry {
-                None => *entry = Some((key, v)),
-                Some((k, val)) => {
-                    let replace = if *want_first { key < *k } else { key > *k };
-                    if replace {
-                        *k = key;
-                        *val = v;
-                    }
-                }
-            },
-            PartialAcc::Sum { .. } => unreachable!("sum folds, it never merges"),
-        }
-    }
-
-    /// Fold one raw value.
-    pub(crate) fn push(&mut self, key: RowKey, v: f64) {
-        match self {
-            PartialAcc::Sum { count, sum } => {
-                *count += 1;
-                *sum += v;
-            }
-            _ => self.offer(1, key, v),
-        }
-    }
-
-    /// Merge a partial built from the same projection.
-    fn merge(&mut self, other: &PartialAcc) {
-        match *other {
-            PartialAcc::Extreme {
-                count,
-                best,
-                best_key,
-                ..
-            } => self.offer(count, best_key, best),
-            PartialAcc::Count { count } => self.offer(count, KEY_SENTINEL, 0.0),
-            PartialAcc::Edge { entry: None, .. } => {}
-            PartialAcc::Edge {
-                entry: Some((key, v)),
-                ..
-            } => self.offer(1, key, v),
-            PartialAcc::Sum { .. } => unreachable!("sum folds, it never merges"),
-        }
-    }
-
-    /// Merge one rollup tier cell's per-field state.
-    pub(crate) fn merge_cell(&mut self, agg: &crate::rollup::FieldAgg) {
-        if agg.count == 0 {
-            return;
-        }
-        match self {
-            PartialAcc::Extreme { is_min: true, .. } => self.offer(agg.count, agg.min_key, agg.min),
-            PartialAcc::Extreme { is_min: false, .. } => {
-                self.offer(agg.count, agg.max_key, agg.max)
-            }
-            PartialAcc::Count { .. } => self.offer(agg.count, KEY_SENTINEL, 0.0),
-            PartialAcc::Edge {
-                want_first: true, ..
-            } => self.offer(1, agg.first_key, agg.first),
-            PartialAcc::Edge {
-                want_first: false, ..
-            } => self.offer(1, agg.last_key, agg.last),
-            PartialAcc::Sum { count, sum } => {
-                // `route()` guarantees a single series and bucket == tier
-                // interval, so exactly one cell ever reaches a Sum — the
-                // stored fold is adopted, never combined.
-                debug_assert_eq!(*count, 0, "sum must be served by exactly one cell");
-                *count += agg.count;
-                *sum = agg.sum;
-            }
-        }
-    }
-
-    /// Mirrors [`Accumulator::finish`] for the supported functions,
-    /// including the all-NaN case (`min` stays `+inf`, `max` `-inf`),
-    /// `count`'s 0-instead-of-NULL, and NULL for empty folds.
-    pub(crate) fn finish(&self) -> Option<f64> {
-        match self {
-            PartialAcc::Extreme { count: 0, .. } | PartialAcc::Sum { count: 0, .. } => None,
-            PartialAcc::Extreme { best, .. } => Some(*best),
-            PartialAcc::Count { count } => Some(*count as f64),
-            PartialAcc::Edge { entry, .. } => entry.map(|(_, v)| v),
-            PartialAcc::Sum { sum, .. } => Some(*sum),
-        }
-    }
-}
-
-/// The per-bucket accumulator template when every projection is exactly
-/// mergeable across shards, else `None` (ordered fold required — `sum`
-/// included: per-shard partial sums would reassociate the oracle's
-/// arithmetic).
-fn exact_template(projections: &[Projection]) -> Option<Vec<PartialAcc>> {
-    projections
-        .iter()
-        .map(|p| PartialAcc::for_projection(p).filter(|a| !matches!(a, PartialAcc::Sum { .. })))
-        .collect()
-}
-
-/// One result row from finished per-column values.
-pub(crate) fn finish_row(
-    timestamp: i64,
-    plan: &QueryPlan,
-    values: impl Iterator<Item = Option<f64>>,
-) -> ResultRow {
-    // Inserted one by one: collecting would stage every row's columns in
-    // a scratch vector first.
-    let mut row = BTreeMap::new();
-    for (col, v) in plan.columns.iter().zip(values) {
-        row.insert(col.clone(), v);
-    }
-    ResultRow {
-        timestamp,
-        values: row,
-    }
-}
-
-fn aggregate_exact(
-    plan: &QueryPlan,
-    view: MeasurementView<'_>,
-    jobs: &[&[SeriesId]],
-    threads: usize,
-    stats: &mut ExecStats,
-) -> Vec<ResultRow> {
-    let template = exact_template(&plan.projections).expect("caller checked");
-
-    let partials: Vec<(BTreeMap<i64, Vec<PartialAcc>>, u64)> = fan_out(threads, jobs.len(), |j| {
-        let mut buckets: BTreeMap<i64, Vec<PartialAcc>> = BTreeMap::new();
-        let mut scanned = 0u64;
-        for &id in jobs[j] {
-            let s = view.series(id).expect("planned id exists");
-            for row in s.range(plan.start, plan.end) {
-                scanned += 1;
-                let key = (row.timestamp, id.0);
-                // Bucket created for every scanned row, even when no
-                // projected field matches — `count` reports 0 for such
-                // buckets, exactly like the oracle's group map.
-                let accs = buckets
-                    .entry(bucket_key(plan.bucket, row.timestamp))
-                    .or_insert_with(|| template.clone());
-                for (acc, p) in accs.iter_mut().zip(&plan.projections) {
-                    if let Some(v) = row.fields.get(projected_field(p)).and_then(|v| v.as_f64()) {
-                        acc.push(key, v);
-                    }
-                }
-            }
-        }
-        (buckets, scanned)
+fn scan_rows(plan: &QueryPlan, cursors: &[Cursor<'_>]) -> Vec<ResultRow> {
+    let mut rows = Vec::with_capacity(cursors.iter().map(|c| c.ts.len()).sum());
+    merge_rows(cursors, |ts, cursor, row| {
+        let values = cursor.cols.iter().map(|col| col.get(row));
+        rows.push(ResultRow::from_values(ts, &plan.columns, values));
     });
-
-    let mut merged: BTreeMap<i64, Vec<PartialAcc>> = BTreeMap::new();
-    for (buckets, scanned) in partials {
-        stats.rows_scanned += scanned;
-        for (k, accs) in buckets {
-            match merged.entry(k) {
-                Entry::Vacant(e) => {
-                    e.insert(accs);
-                }
-                Entry::Occupied(mut e) => {
-                    for (a, b) in e.get_mut().iter_mut().zip(&accs) {
-                        a.merge(b);
-                    }
-                }
-            }
-        }
-    }
-
-    merged
-        .into_iter()
-        .map(|(ts, accs)| finish_row(ts, plan, accs.iter().map(PartialAcc::finish)))
-        .collect()
+    rows
 }
 
 // ---------------------------------------------------------------------------
 // Ordered-fold path
 // ---------------------------------------------------------------------------
 
-fn aggregate_ordered(
-    plan: &QueryPlan,
-    view: MeasurementView<'_>,
-    jobs: &[&[SeriesId]],
-    threads: usize,
-    stats: &mut ExecStats,
-) -> Vec<ResultRow> {
-    // Parallel part: scan, project, and sort per shard.
-    let runs: Vec<Vec<(RowKey, Vec<Option<f64>>)>> = fan_out(threads, jobs.len(), |j| {
-        let mut run = Vec::new();
-        for &id in jobs[j] {
-            let s = view.series(id).expect("planned id exists");
-            for row in s.range(plan.start, plan.end) {
-                let vals: Vec<Option<f64>> = plan
-                    .projections
-                    .iter()
-                    .map(|p| row.fields.get(projected_field(p)).and_then(|v| v.as_f64()))
-                    .collect();
-                run.push(((row.timestamp, id.0), vals));
-            }
-        }
-        run.sort_unstable_by_key(|(k, _)| *k);
-        run
-    });
-    stats.rows_scanned = runs.iter().map(|r| r.len() as u64).sum();
-
-    // Sequential merge-fold: the same accumulators fed in the same
-    // canonical order as the oracle. Bucket keys are non-decreasing along
-    // the merge, so groups close as runs.
-    let merged = kway_merge(runs, |(k, _)| *k);
-    let fresh_accs = || -> Vec<Accumulator> {
+/// Fold the rows of `cursors`, in canonical order, into one set of
+/// accumulators per time bucket; buckets come out ascending. Bucket keys
+/// are non-decreasing along the merge, so groups close as runs.
+fn aggregate_ordered(plan: &QueryPlan, cursors: &[Cursor<'_>]) -> Vec<ResultRow> {
+    let fresh = || -> Vec<Accumulator> {
         plan.projections
             .iter()
             .map(|p| match p {
@@ -622,29 +291,34 @@ fn aggregate_ordered(
             })
             .collect()
     };
-
-    let mut rows = Vec::new();
-    let mut current: Option<(i64, Vec<Accumulator>)> = None;
-    let flush = |current: &mut Option<(i64, Vec<Accumulator>)>, rows: &mut Vec<ResultRow>| {
-        if let Some((ts, accs)) = current.take() {
-            rows.push(finish_row(ts, plan, accs.iter().map(Accumulator::finish)));
+    let mut buckets: Vec<(i64, Vec<Accumulator>)> = Vec::new();
+    // Exclusive end of the open bucket: one division per bucket, not per row.
+    let mut end = i64::MIN;
+    merge_rows(cursors, |ts, cursor, row| {
+        // A bucket opens for every scanned row, even when no projected
+        // field has a value there — `count` reports 0 for such buckets,
+        // exactly like the oracle's group map.
+        if ts >= end {
+            let (key, width) = match plan.bucket {
+                Some(b) => (ts.div_euclid(b) * b, b),
+                None => (0, i64::MAX),
+            };
+            end = key.saturating_add(width);
+            buckets.push((key, fresh()));
         }
-    };
-    for ((ts, _), vals) in merged {
-        let key = bucket_key(plan.bucket, ts);
-        if current.as_ref().map(|(k, _)| *k) != Some(key) {
-            flush(&mut current, &mut rows);
-            current = Some((key, fresh_accs()));
-        }
-        let accs = &mut current.as_mut().expect("just ensured").1;
-        for (acc, v) in accs.iter_mut().zip(vals) {
-            if let Some(v) = v {
+        let accs = &mut buckets.last_mut().expect("opened above").1;
+        for (acc, col) in accs.iter_mut().zip(&cursor.cols) {
+            if let Some(v) = col.get(row) {
                 acc.push(v);
             }
         }
-    }
-    flush(&mut current, &mut rows);
-    rows
+    });
+    buckets
+        .into_iter()
+        .map(|(ts, accs)| {
+            ResultRow::from_values(ts, &plan.columns, accs.iter().map(Accumulator::finish))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -798,17 +472,59 @@ mod tests {
     }
 
     #[test]
-    fn fan_out_is_order_deterministic() {
-        for threads in [1, 2, 8] {
-            let out = fan_out(threads, 20, |i| i * i);
-            assert_eq!(out, (0..20).map(|i| i * i).collect::<Vec<_>>());
+    fn projection_of_a_field_no_series_in_range_has() {
+        let s = corpus();
+        // `u` exists in the measurement, but only host z (ts 200) has it.
+        for text in [
+            "SELECT \"u\" FROM \"m\" WHERE time < 100",
+            "SELECT \"u\", \"v\" FROM \"m\" WHERE host='a'",
+            "SELECT count(\"u\"), max(\"u\"), last(\"v\") FROM \"m\" WHERE time < 100 GROUP BY time(25)",
+            "SELECT sum(\"u\"), mean(\"u\") FROM \"m\" WHERE host='b'",
+            // A field the measurement never saw at all.
+            "SELECT \"nosuch\", \"v\" FROM \"m\" WHERE host='c' AND time < 20",
+            "SELECT count(\"nosuch\"), sum(\"nosuch\") FROM \"m\" GROUP BY time(50)",
+        ] {
+            assert_matches_oracle(&s, text);
         }
+        let q = Query::parse("SELECT \"u\" FROM \"m\" WHERE host='a'").unwrap();
+        let (got, stats) = run(&s, &q, ExecMode::Parallel(2)).unwrap();
+        assert_eq!(stats.rows_scanned, 41, "every row is scanned and returned");
+        assert_eq!(got.rows.len(), 41);
+        assert!(got.rows.iter().all(|r| r.values["u"].is_none()));
     }
 
     #[test]
-    fn kway_merge_interleaves() {
-        let runs = vec![vec![1, 4, 7], vec![2, 5], vec![0, 3, 6, 8]];
-        assert_eq!(kway_merge(runs, |&x| x), vec![0, 1, 2, 3, 4, 5, 6, 7, 8]);
+    fn merge_rows_is_canonical() {
+        // Heads aligned, staggered and exhausted at different times; some
+        // cursors empty.
+        let ts: Vec<Vec<i64>> = (0..37)
+            .map(|k| match k % 4 {
+                0 => (0..20).map(|i| i * 10).collect(),
+                1 => (0..9).map(|i| i * 10 + k).collect(),
+                2 => Vec::new(),
+                _ => vec![k, 500 - k],
+            })
+            .collect();
+        let cursors: Vec<Cursor<'_>> = ts
+            .iter()
+            .map(|ts| Cursor {
+                ts,
+                cols: Vec::new(),
+            })
+            .collect();
+        let mut got = Vec::new();
+        merge_rows(&cursors, |t, c, row| {
+            assert_eq!(c.ts[row], t);
+            let k = cursors.iter().position(|x| std::ptr::eq(x, c)).unwrap();
+            got.push((t, k));
+        });
+        let mut want: Vec<(i64, usize)> = cursors
+            .iter()
+            .enumerate()
+            .flat_map(|(k, c)| c.ts.iter().map(move |&t| (t, k)))
+            .collect();
+        want.sort_unstable();
+        assert_eq!(got, want);
     }
 
     #[test]

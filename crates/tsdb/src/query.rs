@@ -14,9 +14,10 @@
 use crate::aggregate::{Accumulator, AggregateFn};
 use crate::error::TsdbError;
 use crate::series::SeriesId;
-use crate::storage::{MeasurementView, Storage};
+use crate::storage::{FieldId, MeasurementView, SeriesData, Storage};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::ops::Range;
 
 /// One projected column: a raw field or an aggregate over a field.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,7 +50,7 @@ pub struct Query {
 impl Query {
     /// Parse the textual query.
     pub fn parse(text: &str) -> Result<Self, TsdbError> {
-        Parser::new(text).parse()
+        Parser::new(text)?.parse()
     }
 
     /// Canonical textual rendering, used as the query-cache key: fixed
@@ -113,6 +114,9 @@ pub struct QueryPlan {
     pub projections: Vec<Projection>,
     /// Output column names, one per projection.
     pub columns: Vec<String>,
+    /// Each projection's field as interned by the measurement, `None` for
+    /// a field it never saw (the column is NULL in every row).
+    pub fields: Vec<Option<FieldId>>,
     /// Inclusive scan start.
     pub start: i64,
     /// Exclusive scan end.
@@ -128,9 +132,10 @@ pub struct QueryPlan {
     pub aggregated: bool,
 }
 
-/// Plan a query against storage, returning the plan plus the measurement
-/// view it was planned over.
-pub fn plan<'a>(
+/// Resolve a query against the measurement it names: wildcards expanded,
+/// columns named, fields looked up, bounds defaulted, every series the tag
+/// filters match. The one resolver under [`plan`] and [`execute`].
+fn resolve<'a>(
     storage: &'a Storage,
     q: &Query,
 ) -> Result<(QueryPlan, MeasurementView<'a>), TsdbError> {
@@ -149,32 +154,17 @@ pub fn plan<'a>(
             other => projections.push(other.clone()),
         }
     }
-    let columns: Vec<String> = projections
-        .iter()
-        .map(|p| match p {
-            Projection::Field(f) => f.clone(),
-            Projection::Aggregate(func, f) => format!("{}({f})", func.name()),
+    let mut columns = Vec::with_capacity(projections.len());
+    let mut fields = Vec::with_capacity(projections.len());
+    for p in &projections {
+        let (column, field) = match p {
+            Projection::Field(f) => (f.clone(), f),
+            Projection::Aggregate(func, f) => (format!("{}({f})", func.name()), f),
             Projection::Wildcard => unreachable!("expanded above"),
-        })
-        .collect();
-
-    let start = q.time_start.unwrap_or(i64::MIN);
-    let end = q.time_end.unwrap_or(i64::MAX);
-    let mut ids = Vec::new();
-    let mut series_pruned = 0;
-    for id in m.matching_series(&q.tag_filters) {
-        let overlaps = m
-            .series(id)
-            .and_then(|s| s.time_bounds())
-            .map(|(lo, hi)| lo < end && hi >= start)
-            .unwrap_or(false);
-        if overlaps {
-            ids.push(id);
-        } else {
-            series_pruned += 1;
-        }
+        };
+        columns.push(column);
+        fields.push(m.field_id(field));
     }
-
     let aggregated = projections
         .iter()
         .any(|p| matches!(p, Projection::Aggregate(..)));
@@ -182,15 +172,34 @@ pub fn plan<'a>(
         QueryPlan {
             projections,
             columns,
-            start,
-            end,
-            ids,
-            series_pruned,
+            fields,
+            start: q.time_start.unwrap_or(i64::MIN),
+            end: q.time_end.unwrap_or(i64::MAX),
+            ids: m.matching_series(&q.tag_filters),
+            series_pruned: 0,
             bucket: q.group_by_time,
             aggregated,
         },
         m,
     ))
+}
+
+/// Plan a query against storage, returning the plan plus the measurement
+/// view it was planned over.
+pub fn plan<'a>(
+    storage: &'a Storage,
+    q: &Query,
+) -> Result<(QueryPlan, MeasurementView<'a>), TsdbError> {
+    let (mut plan, m) = resolve(storage, q)?;
+    let matched = plan.ids.len();
+    let (start, end) = (plan.start, plan.end);
+    plan.ids.retain(|&id| {
+        m.series(id)
+            .and_then(|s| s.time_bounds())
+            .is_some_and(|(lo, hi)| lo < end && hi >= start)
+    });
+    plan.series_pruned = matched - plan.ids.len();
+    Ok((plan, m))
 }
 
 /// One output row.
@@ -200,6 +209,26 @@ pub struct ResultRow {
     pub timestamp: i64,
     /// Column name -> value (`None` renders as null).
     pub values: BTreeMap<String, Option<f64>>,
+}
+
+impl ResultRow {
+    /// One row from per-column values, in column order.
+    pub(crate) fn from_values(
+        timestamp: i64,
+        columns: &[String],
+        values: impl Iterator<Item = Option<f64>>,
+    ) -> ResultRow {
+        // Inserted one by one: collecting would stage every row's columns
+        // in a scratch vector first.
+        let mut row = BTreeMap::new();
+        for (col, v) in columns.iter().zip(values) {
+            row.insert(col.clone(), v);
+        }
+        ResultRow {
+            timestamp,
+            values: row,
+        }
+    }
 }
 
 /// Query result set.
@@ -323,11 +352,11 @@ fn tokenize(text: &str) -> Result<Vec<Token<'_>>, TsdbError> {
 }
 
 impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            tokens: tokenize(text).unwrap_or_default(),
+    fn new(text: &'a str) -> Result<Self, TsdbError> {
+        Ok(Parser {
+            tokens: tokenize(text)?,
             pos: 0,
-        }
+        })
     }
 
     fn peek(&self) -> Option<&Token<'a>> {
@@ -499,66 +528,42 @@ impl<'a> Parser<'a> {
 // Executor
 // ---------------------------------------------------------------------------
 
-/// Execute a parsed query against storage.
+/// Execute a parsed query against storage: the sequential reference
+/// every other executor is pinned to. Deliberately naive — gather every
+/// matching row, stable-sort by timestamp (ties keep the gather's
+/// ascending series id), fold — so that its order of arithmetic is
+/// evident from the code.
 pub fn execute(storage: &Storage, q: &Query) -> Result<QueryResult, TsdbError> {
-    let m = storage
-        .measurement(&q.measurement)
-        .ok_or_else(|| TsdbError::UnknownMeasurement(q.measurement.clone()))?;
+    let (plan, m) = resolve(storage, q)?;
 
-    // Resolve wildcard projections against the measurement's field keys.
-    let mut projections = Vec::new();
-    for p in &q.projections {
-        match p {
-            Projection::Wildcard => {
-                for f in m.field_keys() {
-                    projections.push(Projection::Field(f));
-                }
-            }
-            other => projections.push(other.clone()),
-        }
-    }
-    let columns: Vec<String> = projections
-        .iter()
-        .map(|p| match p {
-            Projection::Field(f) => f.clone(),
-            Projection::Aggregate(func, f) => format!("{}({f})", func.name()),
-            Projection::Wildcard => unreachable!("expanded above"),
-        })
-        .collect();
-
-    let start = q.time_start.unwrap_or(i64::MIN);
-    let end = q.time_end.unwrap_or(i64::MAX);
-    let ids = m.matching_series(&q.tag_filters);
-
-    // Merge rows from matching series into time order.
-    let mut merged: Vec<(
-        i64,
-        &std::collections::BTreeMap<String, crate::value::FieldValue>,
-    )> = Vec::new();
-    for id in ids {
+    let matched = plan.ids.iter().map(|&id| {
         let s = m.series(id).expect("id from matching_series");
-        for row in s.range(start, end) {
-            merged.push((row.timestamp, &row.fields));
+        (s, s.range(plan.start, plan.end))
+    });
+    let matched: Vec<(&SeriesData, Range<usize>)> = matched.collect();
+    let mut merged = Vec::with_capacity(matched.iter().map(|(_, rows)| rows.len()).sum());
+    for (s, rows) in matched {
+        for row in rows {
+            merged.push((s.timestamps()[row], s, row));
         }
     }
-    merged.sort_by_key(|(ts, _)| *ts);
+    merged.sort_by_key(|(ts, ..)| *ts);
 
-    let aggregated = projections
-        .iter()
-        .any(|p| matches!(p, Projection::Aggregate(..)));
+    let value = |s: &SeriesData, row: usize, field: Option<FieldId>| {
+        s.column(field?).and_then(|c| c.get(row))
+    };
 
     let mut rows = Vec::new();
-    if aggregated {
+    if plan.aggregated {
         // Bucketed or whole-range aggregation.
-        let bucket = q.group_by_time;
         let mut groups: BTreeMap<i64, Vec<Accumulator>> = BTreeMap::new();
-        for (ts, fields) in &merged {
-            let key = match bucket {
+        for &(ts, s, row) in &merged {
+            let key = match plan.bucket {
                 Some(b) => ts.div_euclid(b) * b,
                 None => 0,
             };
             let accs = groups.entry(key).or_insert_with(|| {
-                projections
+                plan.projections
                     .iter()
                     .map(|p| match p {
                         Projection::Aggregate(f, _) => Accumulator::new(*f),
@@ -566,44 +571,27 @@ pub fn execute(storage: &Storage, q: &Query) -> Result<QueryResult, TsdbError> {
                     })
                     .collect()
             });
-            for (acc, p) in accs.iter_mut().zip(&projections) {
-                let field = match p {
-                    Projection::Aggregate(_, f) | Projection::Field(f) => f,
-                    Projection::Wildcard => unreachable!(),
-                };
-                if let Some(v) = fields.get(field).and_then(|v| v.as_f64()) {
+            for (acc, &field) in accs.iter_mut().zip(&plan.fields) {
+                if let Some(v) = value(s, row, field) {
                     acc.push(v);
                 }
             }
         }
         for (ts, accs) in groups {
-            let mut values = BTreeMap::new();
-            for (col, acc) in columns.iter().zip(&accs) {
-                values.insert(col.clone(), acc.finish());
-            }
-            rows.push(ResultRow {
-                timestamp: ts,
-                values,
-            });
+            let values = accs.iter().map(Accumulator::finish);
+            rows.push(ResultRow::from_values(ts, &plan.columns, values));
         }
     } else {
-        for (ts, fields) in merged {
-            let mut values = BTreeMap::new();
-            for (col, p) in columns.iter().zip(&projections) {
-                let field = match p {
-                    Projection::Field(f) => f,
-                    _ => unreachable!("non-aggregated path"),
-                };
-                values.insert(col.clone(), fields.get(field).and_then(|v| v.as_f64()));
-            }
-            rows.push(ResultRow {
-                timestamp: ts,
-                values,
-            });
+        for (ts, s, row) in merged {
+            let values = plan.fields.iter().map(|&field| value(s, row, field));
+            rows.push(ResultRow::from_values(ts, &plan.columns, values));
         }
     }
 
-    Ok(QueryResult { columns, rows })
+    Ok(QueryResult {
+        columns: plan.columns,
+        rows,
+    })
 }
 
 #[cfg(test)]
@@ -725,6 +713,16 @@ mod tests {
         assert!(Query::parse("SELECT bogus(\"a\") FROM \"m\"").is_err());
         assert!(Query::parse("SELECT \"a\" FROM \"m\" GROUP BY time(0)").is_err());
         assert!(Query::parse("SELECT \"a\" FROM \"m\" trailing").is_err());
+        // Tokenizer errors surface as themselves, not as a missing SELECT.
+        let message = |text: &str| match Query::parse(text) {
+            Err(TsdbError::QueryParse(m)) => m,
+            other => panic!("{text}: expected a parse error, got {other:?}"),
+        };
+        assert_eq!(message("SELECT \"a FROM m"), "unclosed quote at 7");
+        assert_eq!(
+            message("SELECT \"a\" FROM \"m\" WHERE time >= 99999999999999999999"),
+            "bad number at 34"
+        );
     }
 
     #[test]

@@ -14,10 +14,9 @@
 //! * `count` / `min` / `max` / `first` / `last` (and raw field
 //!   projections, which aggregate as `last`) are **order-free** under the
 //!   canonical `(timestamp, series id)` tie rules, so per-series tier
-//!   cells merge exactly across tier buckets and series — the same
-//!   argument [`crate::exec`]'s exact partial-aggregation path makes.
-//!   Routed whenever the query bucket width is a multiple of a tier
-//!   interval.
+//!   cells merge exactly across tier buckets and series (`PartialAcc`
+//!   holds the tie rules). Routed whenever the query bucket width is a
+//!   multiple of a tier interval.
 //! * `sum` is an **ordered fold**: float addition is non-associative, so
 //!   summing per-segment partials reassociates the oracle's arithmetic.
 //!   A tier cell's sum *is* bit-exact for exactly one shape — the query
@@ -43,12 +42,19 @@
 //! audit then reports `tier_rows ≥ raw_rows`, the surplus being history
 //! preserved by downsampling rather than a ledger leak.
 
-use crate::exec::{finish_row, projected_field, PartialAcc, RowKey, KEY_SENTINEL};
+use crate::aggregate::AggregateFn;
 use crate::query::{Projection, QueryPlan, ResultRow};
 use crate::series::SeriesId;
-use crate::storage::MeasurementView;
-use crate::value::FieldValue;
+use crate::storage::{FieldId, MeasurementView};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+/// Canonical row key: `(timestamp, series id)`. Unique across a query's
+/// scanned rows, totally ordered, and equal to the oracle's emission order.
+type RowKey = (i64, u64);
+
+/// Sentinel above every real key (`range` is end-exclusive, so a scanned
+/// row never has `timestamp == i64::MAX`).
+const KEY_SENTINEL: RowKey = (i64::MAX, u64::MAX);
 
 /// Default tier intervals in nanoseconds: 10 s and 1 min, the two
 /// downsampling levels the paper-scale deployment keeps.
@@ -93,7 +99,7 @@ impl RollupConfig {
 
 /// Per-field exact aggregate state for one (tier bucket, series) cell.
 ///
-/// Mirrors the executor's [`PartialAcc`] states: `min`/`max`
+/// Mirrors the serving side's [`PartialAcc`] states: `min`/`max`
 /// carry the canonical key their current winner was set at (smaller key
 /// wins equal values, so `-0.0` vs `0.0` ties keep the oracle's bit
 /// pattern; NaN never wins a comparison), `first`/`last` are the values
@@ -160,8 +166,11 @@ impl FieldAgg {
 pub(crate) struct CellAgg {
     /// Raw rows of this series inside the bucket.
     pub rows: u64,
-    /// Field name -> aggregate state.
-    pub fields: BTreeMap<String, FieldAgg>,
+    /// Aggregate state of every field with a numeric value in the
+    /// bucket, by the measurement's interned field id (stable for the
+    /// life of a `Storage`; the engine clears the tiers when it replaces
+    /// one).
+    pub fields: BTreeMap<FieldId, FieldAgg>,
 }
 
 /// One downsampling tier of one measurement.
@@ -358,7 +367,7 @@ impl RollupStore {
         }
         let mut needs_exact_sum = false;
         for p in &plan.projections {
-            use crate::aggregate::AggregateFn as F;
+            use AggregateFn as F;
             match p {
                 Projection::Field(_) => {}
                 Projection::Aggregate(F::Count | F::Min | F::Max | F::First | F::Last, _) => {}
@@ -483,31 +492,184 @@ fn materialize(
     for &(run_lo, run_hi) in &runs {
         for &id in &ids {
             let Some(s) = view.series(id) else { continue };
-            // Fold the run's raw rows per bucket, in timestamp order —
-            // the per-series order `sum` exactness relies on.
-            let mut fresh: BTreeMap<i64, CellAgg> = BTreeMap::new();
-            for row in s.range(run_lo, run_hi) {
-                report.rows_folded += 1;
-                let bucket = bucket_floor(row.timestamp as i128, t as i128) as i64;
-                let cell = fresh.entry(bucket).or_insert_with(|| CellAgg {
-                    rows: 0,
+            let rows = s.range(run_lo, run_hi);
+            let ts = &s.timestamps()[rows.clone()];
+            report.rows_folded += ts.len() as u64;
+            // One cell per tier bucket the run's rows fall in. Each column
+            // folds in timestamp order — the per-series order `sum`
+            // exactness relies on.
+            let mut lo = 0;
+            while lo < ts.len() {
+                let bucket = bucket_floor(ts[lo] as i128, t as i128);
+                let hi = lo + ts[lo..].partition_point(|&x| (x as i128) < bucket + t as i128);
+                let mut cell = CellAgg {
+                    rows: (hi - lo) as u64,
                     fields: BTreeMap::new(),
-                });
-                cell.rows += 1;
-                let key = (row.timestamp, id.0);
-                for (field, value) in &row.fields {
-                    if let Some(v) = value.as_f64() {
-                        cell.fields
-                            .entry(field.clone())
-                            .or_insert_with(FieldAgg::new)
-                            .push(key, v);
+                };
+                for (field, col) in s.columns() {
+                    let col = col.slice(rows.start + lo..rows.start + hi);
+                    let mut agg = FieldAgg::new();
+                    for (i, &ts) in ts[lo..hi].iter().enumerate() {
+                        if let Some(v) = col.get(i) {
+                            agg.push((ts, id.0), v);
+                        }
+                    }
+                    if agg.count > 0 {
+                        cell.fields.insert(field, agg);
                     }
                 }
-            }
-            for (bucket, cell) in fresh {
-                tier.cells.insert((bucket, id), cell);
+                tier.cells.insert((bucket as i64, id), cell);
                 report.cells_written += 1;
+                lo = hi;
             }
+        }
+    }
+}
+
+/// Order-free accumulator for one projection in one served bucket. Every
+/// state transition of `Extreme`, `Count` and `Edge` is
+/// commutative/associative under the canonical-key tie rules, so tier
+/// cells and raw edge rows may be offered in any order. `Sum` is an
+/// ordered fold: it is only ever fed one series' rows in timestamp order
+/// or one tier cell (see [`RollupStore::route`]), never combined.
+#[derive(Debug, Clone)]
+enum PartialAcc {
+    /// `min` / `max`: value plus the canonical key where the current
+    /// winner was set (smaller key wins equal values — the oracle keeps
+    /// the first occurrence's bit pattern, e.g. for `-0.0` vs `0.0`).
+    Extreme {
+        is_min: bool,
+        count: u64,
+        best: f64,
+        best_key: RowKey,
+    },
+    /// `count`: order-free by construction.
+    Count { count: u64 },
+    /// `first` / `last` (and raw fields, which aggregate as `last`):
+    /// the value at the smallest / largest canonical key.
+    Edge {
+        want_first: bool,
+        entry: Option<(RowKey, f64)>,
+    },
+    /// `sum` over one series.
+    Sum { count: u64, sum: f64 },
+}
+
+impl PartialAcc {
+    /// The accumulator for `p`, or `None` when `p` needs the executor's
+    /// ordered fold (`mean` / `stddev` / `median`).
+    fn for_projection(p: &Projection) -> Option<PartialAcc> {
+        Some(match p {
+            Projection::Aggregate(AggregateFn::Min, _) => PartialAcc::Extreme {
+                is_min: true,
+                count: 0,
+                best: f64::INFINITY,
+                best_key: KEY_SENTINEL,
+            },
+            Projection::Aggregate(AggregateFn::Max, _) => PartialAcc::Extreme {
+                is_min: false,
+                count: 0,
+                best: f64::NEG_INFINITY,
+                best_key: KEY_SENTINEL,
+            },
+            Projection::Aggregate(AggregateFn::Count, _) => PartialAcc::Count { count: 0 },
+            Projection::Aggregate(AggregateFn::First, _) => PartialAcc::Edge {
+                want_first: true,
+                entry: None,
+            },
+            Projection::Aggregate(AggregateFn::Last, _) | Projection::Field(_) => {
+                PartialAcc::Edge {
+                    want_first: false,
+                    entry: None,
+                }
+            }
+            Projection::Aggregate(AggregateFn::Sum, _) => PartialAcc::Sum { count: 0, sum: 0.0 },
+            _ => return None,
+        })
+    }
+
+    /// Offer a candidate standing for `n` values: `(key, v)` is the
+    /// group's winner under this accumulator's own rule (a raw row offers
+    /// itself with `n == 1`). The tie rules live here and nowhere else.
+    fn offer(&mut self, n: u64, key: RowKey, v: f64) {
+        match self {
+            PartialAcc::Extreme {
+                is_min,
+                count,
+                best,
+                best_key,
+            } => {
+                *count += n;
+                let wins = if *is_min { v < *best } else { v > *best };
+                if wins || (v == *best && key < *best_key) {
+                    *best = v;
+                    *best_key = key;
+                }
+            }
+            PartialAcc::Count { count } => *count += n,
+            PartialAcc::Edge { want_first, entry } => match entry {
+                None => *entry = Some((key, v)),
+                Some((k, val)) => {
+                    let replace = if *want_first { key < *k } else { key > *k };
+                    if replace {
+                        *k = key;
+                        *val = v;
+                    }
+                }
+            },
+            PartialAcc::Sum { .. } => unreachable!("sum folds, it is never offered a candidate"),
+        }
+    }
+
+    /// Fold one raw value.
+    fn push(&mut self, key: RowKey, v: f64) {
+        match self {
+            PartialAcc::Sum { count, sum } => {
+                *count += 1;
+                *sum += v;
+            }
+            _ => self.offer(1, key, v),
+        }
+    }
+
+    /// Merge one rollup tier cell's per-field state.
+    fn merge_cell(&mut self, agg: &FieldAgg) {
+        if agg.count == 0 {
+            return;
+        }
+        match self {
+            PartialAcc::Extreme { is_min: true, .. } => self.offer(agg.count, agg.min_key, agg.min),
+            PartialAcc::Extreme { is_min: false, .. } => {
+                self.offer(agg.count, agg.max_key, agg.max)
+            }
+            PartialAcc::Count { .. } => self.offer(agg.count, KEY_SENTINEL, 0.0),
+            PartialAcc::Edge {
+                want_first: true, ..
+            } => self.offer(1, agg.first_key, agg.first),
+            PartialAcc::Edge {
+                want_first: false, ..
+            } => self.offer(1, agg.last_key, agg.last),
+            PartialAcc::Sum { count, sum } => {
+                // `route()` guarantees a single series and bucket == tier
+                // interval, so exactly one cell ever reaches a Sum — the
+                // stored fold is adopted, never combined.
+                debug_assert_eq!(*count, 0, "sum must be served by exactly one cell");
+                *count += agg.count;
+                *sum = agg.sum;
+            }
+        }
+    }
+
+    /// Mirrors [`crate::aggregate::Accumulator::finish`] for the supported
+    /// functions, including the all-NaN case (`min` stays `+inf`, `max`
+    /// `-inf`), `count`'s 0-instead-of-NULL, and NULL for empty folds.
+    fn finish(&self) -> Option<f64> {
+        match self {
+            PartialAcc::Extreme { count: 0, .. } | PartialAcc::Sum { count: 0, .. } => None,
+            PartialAcc::Extreme { best, .. } => Some(*best),
+            PartialAcc::Count { count } => Some(*count as f64),
+            PartialAcc::Edge { entry, .. } => entry.map(|(_, v)| v),
+            PartialAcc::Sum { sum, .. } => Some(*sum),
         }
     }
 }
@@ -535,15 +697,15 @@ fn serve_bucket_from_cells(
             if cell.rows > 0 {
                 rows_present = true;
             }
-            for (acc, p) in accs.iter_mut().zip(&plan.projections) {
-                if let Some(agg) = cell.fields.get(projected_field(p)) {
+            for (acc, field) in accs.iter_mut().zip(&plan.fields) {
+                if let Some(agg) = field.and_then(|f| cell.fields.get(&f)) {
                     acc.merge_cell(agg);
                 }
             }
         }
         tb = tb.saturating_add(t);
     }
-    rows_present.then(|| finish_row(bucket, plan, accs.iter().map(PartialAcc::finish)))
+    rows_present.then(|| finish(bucket, plan, &accs))
 }
 
 /// Answer one edge or dirty bucket by folding raw rows, clipped to the
@@ -565,19 +727,28 @@ fn serve_bucket_from_raw(
     let mut rows_present = false;
     for &id in &plan.ids {
         let Some(s) = view.series(id) else { continue };
-        for row in s.range(lo, hi) {
-            *rows_scanned += 1;
-            rows_present = true;
-            let key = (row.timestamp, id.0);
-            for (acc, p) in accs.iter_mut().zip(&plan.projections) {
-                let v = row.fields.get(projected_field(p));
-                if let Some(v) = v.and_then(FieldValue::as_f64) {
-                    acc.push(key, v);
+        let rows = s.range(lo, hi);
+        let ts = &s.timestamps()[rows.clone()];
+        *rows_scanned += ts.len() as u64;
+        rows_present |= !ts.is_empty();
+        for (acc, field) in accs.iter_mut().zip(&plan.fields) {
+            let Some(col) = field.and_then(|f| s.column(f)) else {
+                continue;
+            };
+            let col = col.slice(rows.clone());
+            for (i, &ts) in ts.iter().enumerate() {
+                if let Some(v) = col.get(i) {
+                    acc.push((ts, id.0), v);
                 }
             }
         }
     }
-    rows_present.then(|| finish_row(bucket as i64, plan, accs.iter().map(PartialAcc::finish)))
+    rows_present.then(|| finish(bucket as i64, plan, &accs))
+}
+
+/// The result row of one served bucket.
+fn finish(bucket: i64, plan: &QueryPlan, accs: &[PartialAcc]) -> ResultRow {
+    ResultRow::from_values(bucket, &plan.columns, accs.iter().map(PartialAcc::finish))
 }
 
 /// Fresh accumulators for a routed plan's projections.
@@ -651,7 +822,8 @@ mod tests {
         let after: Vec<_> = rs.tiers["m"][0].cells.clone().into_iter().collect();
         assert_eq!(before.len(), after.len());
         let cell = &rs.tiers["m"][0].cells[&(0, view_ids(&storage)[0])];
-        assert_eq!(cell.fields["v"].max, 999.0);
+        let v = storage.measurement("m").unwrap().field_id("v").unwrap();
+        assert_eq!(cell.fields[&v].max, 999.0);
     }
 
     #[test]

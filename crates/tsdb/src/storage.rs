@@ -1,18 +1,47 @@
-//! In-memory columnar storage: measurement -> series -> time-ordered rows,
-//! physically partitioned into a fixed number of shards by series key.
+//! In-memory columnar storage: measurement -> series -> one sorted
+//! timestamp column plus one typed value column per field, physically
+//! partitioned into a fixed number of shards by series key.
+//!
+//! Series columns
+//! --------------
+//! A series is a struct of arrays, never a list of rows. [`SeriesData`]
+//! holds `ts`, the strictly ascending timestamps of its rows, and one
+//! [`Column`] per field the series has ever carried, every column exactly
+//! as long as `ts`. Field names are interned once per measurement
+//! ([`FieldId`]); a series addresses its columns by that id, so neither a
+//! write nor a scan touches a field-name string per row.
+//!
+//! A [`Column`] keeps three row-aligned vectors, two of them usually empty:
+//!
+//! * `num` — the numeric view ([`FieldValue::as_f64`]) of every row's cell,
+//!   the only thing a query reads. For `Float` cells it is the stored value
+//!   itself, bit for bit.
+//! * `null` — `true` where a row has no numeric value: the point carried no
+//!   such field (sparse fields stay NULL, never 0), or the cell is a
+//!   non-numeric string. Allocated only once a row is NULL, so the common
+//!   dense float column is a bare `Vec<f64>`.
+//! * `exact` — the stored [`FieldValue`] wherever it is not a `Float`
+//!   (`Int`, `Bool`, `Str`), so integers beyond 2^53 and strings survive
+//!   the Merkle walk and snapshots exactly. Allocated only once such a cell
+//!   exists; a cell that changes type is rewritten in place.
+//!
+//! A write at an existing timestamp merges into the row, last write
+//! winning per cell — InfluxDB's duplicate-point semantics and the rule the
+//! durable chunk merge applies on disk. A write before the last timestamp
+//! is placed by binary search and shifts the columns.
 //!
 //! Sharding layout
 //! ---------------
 //! Every series is placed on exactly one shard, chosen by an FNV-1a hash of
 //! its canonical key (`measurement,tag=value,...`) modulo the fixed shard
 //! count. The placement is deterministic: the same series lands on the same
-//! shard regardless of insertion order, process, or thread count, so the
-//! parallel query executor can scan shards independently and merge partial
-//! results into a canonical order. All cross-series metadata — the series-id
-//! allocator, the inverted tag index, field keys, and the id -> shard
-//! placement map — stays measurement-global in [`MeasurementMeta`]; only the
-//! row data itself is sharded. That keeps the two invariants the engine
-//! relies on:
+//! shard regardless of insertion order, process, or thread count, and no
+//! query result depends on it (the executor walks series in ascending id,
+//! whichever shard holds them). All cross-series metadata — the series-id
+//! allocator, the inverted tag index, the field-name table, and the id ->
+//! shard placement map — stays measurement-global in [`MeasurementMeta`];
+//! only the column data itself is sharded. That keeps the two invariants
+//! the engine relies on:
 //!
 //! * **one series, one shard**: duplicate-timestamp last-write-wins merges
 //!   always happen within a single [`SeriesData`], never across shards;
@@ -24,11 +53,13 @@ use crate::index::TagIndex;
 use crate::point::Point;
 use crate::series::{SeriesId, SeriesKey};
 use crate::value::FieldValue;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 
 /// Number of storage shards. Fixed (not configurable per database) so that
-/// series placement — and therefore every per-shard artifact such as scan
-/// order and partial aggregates — is identical across runs and machines.
+/// series placement — and therefore every per-shard artifact such as the
+/// `shards_scanned` count — is identical across runs and machines.
 pub const DEFAULT_SHARD_COUNT: usize = 16;
 
 /// FNV-1a over the canonical series key, reduced modulo `shard_count`.
@@ -43,64 +74,215 @@ pub fn shard_of_key(canonical_key: &str, shard_count: usize) -> usize {
     (h % shard_count as u64) as usize
 }
 
-/// One stored sample: timestamp plus the point's field set.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Row {
-    /// Nanosecond timestamp.
-    pub timestamp: i64,
-    /// Field name -> value.
-    pub fields: BTreeMap<String, FieldValue>,
+/// A field name interned in its measurement: dense, assigned at the
+/// field's first appearance, never reused. Valid only for the [`Storage`]
+/// (and measurement) that issued it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct FieldId(u32);
+
+/// One field of one series, row-aligned with the series' timestamps. See
+/// the module docs for what each vector holds and when it is allocated.
+#[derive(Debug)]
+pub struct Column {
+    num: Vec<f64>,
+    null: Vec<bool>,
+    exact: Vec<Option<FieldValue>>,
 }
 
-/// Data for a single series.
+/// What one cell contributes to each of a column's vectors.
+fn split(value: FieldValue) -> (f64, bool, Option<FieldValue>) {
+    match value {
+        FieldValue::Float(v) => (v, false, None),
+        other => match other.as_f64() {
+            Some(v) => (v, false, Some(other)),
+            None => (0.0, true, Some(other)),
+        },
+    }
+}
+
+/// Make room for `x` in a vector that stays unallocated while it would
+/// only hold `T::default()`: the first other entry fills it out to `len`
+/// rows. `false`: `x` is a default and the vector records none.
+fn materialize<T: Clone + Default + PartialEq>(v: &mut Vec<T>, len: usize, x: &T) -> bool {
+    if v.is_empty() {
+        if *x == T::default() {
+            return false;
+        }
+        v.resize(len, T::default());
+    }
+    true
+}
+
+impl Column {
+    /// A column of `rows` NULL cells.
+    fn nulls(rows: usize) -> Column {
+        Column {
+            num: vec![0.0; rows],
+            null: vec![true; rows],
+            exact: Vec::new(),
+        }
+    }
+
+    /// A new row at `at`, holding `value` (`None`: no cell).
+    fn insert(&mut self, at: usize, value: Option<FieldValue>) {
+        let len = self.num.len();
+        let (num, null, exact) = value.map_or((0.0, true, None), split);
+        self.num.insert(at, num);
+        if materialize(&mut self.null, len, &null) {
+            self.null.insert(at, null);
+        }
+        if materialize(&mut self.exact, len, &exact) {
+            self.exact.insert(at, exact);
+        }
+    }
+
+    /// Overwrite the cell of row `at`.
+    fn set(&mut self, at: usize, value: FieldValue) {
+        let len = self.num.len();
+        let (num, null, exact) = split(value);
+        self.num[at] = num;
+        if materialize(&mut self.null, len, &null) {
+            self.null[at] = null;
+        }
+        if materialize(&mut self.exact, len, &exact) {
+            self.exact[at] = exact;
+        }
+    }
+
+    /// Drop the first `rows` rows.
+    fn drop_front(&mut self, rows: usize) {
+        self.num.drain(..rows);
+        self.null.drain(..rows.min(self.null.len()));
+        self.exact.drain(..rows.min(self.exact.len()));
+    }
+
+    /// Numeric value of row `i`, `None` when NULL.
+    pub fn get(&self, i: usize) -> Option<f64> {
+        self.slice(0..self.num.len()).get(i)
+    }
+
+    /// The stored value of row `i` exactly as written, `None` when the row
+    /// has no cell in this column.
+    pub fn cell(&self, i: usize) -> Option<Cow<'_, FieldValue>> {
+        match self.exact.get(i) {
+            Some(Some(v)) => Some(Cow::Borrowed(v)),
+            _ => self.get(i).map(|v| Cow::Owned(FieldValue::Float(v))),
+        }
+    }
+
+    /// The numeric view of a row range, for a scan.
+    pub fn slice(&self, rows: Range<usize>) -> ColumnSlice<'_> {
+        ColumnSlice {
+            num: &self.num[rows.clone()],
+            null: if self.null.is_empty() {
+                &[]
+            } else {
+                &self.null[rows]
+            },
+        }
+    }
+}
+
+/// Borrowed numeric view of some rows of one column: what a scan reads.
+/// The default value is the view of a column the series does not have —
+/// every row NULL.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ColumnSlice<'a> {
+    num: &'a [f64],
+    null: &'a [bool],
+}
+
+impl ColumnSlice<'_> {
+    /// Numeric value of row `i` of the slice, `None` when NULL (or when
+    /// the slice is the missing column's, which has no rows to index).
+    pub fn get(&self, i: usize) -> Option<f64> {
+        match self.null.get(i) {
+            Some(true) => None,
+            _ => self.num.get(i).copied(),
+        }
+    }
+}
+
+/// Data for a single series: the timestamp column and one value column
+/// per field, all the same length.
 #[derive(Debug)]
 pub struct SeriesData {
     /// Identity of the series.
     pub key: SeriesKey,
-    /// Rows sorted by timestamp (append-mostly; out-of-order inserts are
-    /// placed by binary search, as Influx's TSM engine effectively does).
-    pub rows: Vec<Row>,
+    /// Row timestamps, strictly ascending.
+    ts: Vec<i64>,
+    /// Columns by [`FieldId`]; `None` for a field of the measurement this
+    /// series never carried.
+    cols: Vec<Option<Column>>,
 }
 
 impl SeriesData {
-    /// Insert a row, keeping rows time-sorted. A write at an existing
-    /// timestamp does not append a duplicate row: its field set is merged
-    /// into the existing one, last write winning per field — InfluxDB's
-    /// duplicate-point semantics (and the same last-write-wins rule the
-    /// durable chunk compactor applies on disk).
-    fn insert(&mut self, row: Row) {
-        match self.rows.last_mut() {
-            Some(last) if last.timestamp == row.timestamp => {
-                last.fields.extend(row.fields);
+    /// Write one row: `cells` are stored at `ts`, merged last-write-wins
+    /// into the row already there if any. Append-mostly; an out-of-order
+    /// timestamp is placed by binary search, as Influx's TSM engine
+    /// effectively does.
+    fn upsert(&mut self, ts: i64, cells: impl IntoIterator<Item = (FieldId, FieldValue)>) {
+        let rows = self.ts.len();
+        let at = match self.ts.last() {
+            Some(&last) if last < ts => rows,
+            Some(&last) if last == ts => rows - 1,
+            None => 0,
+            _ => self.ts.partition_point(|&t| t < ts),
+        };
+        let fresh = self.ts.get(at) != Some(&ts);
+        if fresh {
+            self.ts.insert(at, ts);
+        }
+        for (FieldId(field), value) in cells {
+            let field = field as usize;
+            if self.cols.len() <= field {
+                self.cols.resize_with(field + 1, || None);
             }
-            Some(last) if last.timestamp < row.timestamp => self.rows.push(row),
-            None => self.rows.push(row),
-            _ => {
-                let pos = self.rows.partition_point(|r| r.timestamp <= row.timestamp);
-                if pos > 0 && self.rows[pos - 1].timestamp == row.timestamp {
-                    self.rows[pos - 1].fields.extend(row.fields);
-                } else {
-                    self.rows.insert(pos, row);
+            let col = self.cols[field].get_or_insert_with(|| Column::nulls(rows));
+            // A fresh row's column is one short until its cell arrives.
+            if col.num.len() < self.ts.len() {
+                col.insert(at, Some(value));
+            } else {
+                col.set(at, value);
+            }
+        }
+        if fresh {
+            for col in self.cols.iter_mut().flatten() {
+                if col.num.len() < self.ts.len() {
+                    col.insert(at, None);
                 }
             }
         }
     }
 
-    /// Rows with `start <= ts < end`. An inverted window (`end < start`)
-    /// is empty, not a panic.
-    pub fn range(&self, start: i64, end: i64) -> &[Row] {
-        let lo = self.rows.partition_point(|r| r.timestamp < start);
-        let hi = self.rows.partition_point(|r| r.timestamp < end);
-        &self.rows[lo..hi.max(lo)]
+    /// Row timestamps, strictly ascending.
+    pub fn timestamps(&self) -> &[i64] {
+        &self.ts
+    }
+
+    /// Row indices with `start <= ts < end`: two binary searches. An
+    /// inverted window (`end < start`) is empty, not a panic.
+    pub fn range(&self, start: i64, end: i64) -> Range<usize> {
+        let lo = self.ts.partition_point(|&t| t < start);
+        let hi = self.ts.partition_point(|&t| t < end);
+        lo..hi.max(lo)
     }
 
     /// `[min, max]` timestamps of stored rows, `None` when empty. Used by
     /// the planner to prune whole series out of a time-ranged scan.
     pub fn time_bounds(&self) -> Option<(i64, i64)> {
-        match (self.rows.first(), self.rows.last()) {
-            (Some(a), Some(b)) => Some((a.timestamp, b.timestamp)),
-            _ => None,
-        }
+        Some((*self.ts.first()?, *self.ts.last()?))
+    }
+
+    /// This series' column of `field`, `None` if it never carried one.
+    pub fn column(&self, field: FieldId) -> Option<&Column> {
+        self.cols.get(field.0 as usize)?.as_ref()
+    }
+
+    /// Every column this series has, ascending by field id.
+    pub fn columns(&self) -> impl Iterator<Item = (FieldId, &Column)> {
+        let cols = self.cols.iter().enumerate();
+        cols.filter_map(|(i, c)| Some((FieldId(i as u32), c.as_ref()?)))
     }
 }
 
@@ -118,12 +300,26 @@ struct MeasurementMeta {
     /// id -> shard, ascending by id (defines canonical series iteration).
     placement: BTreeMap<SeriesId, usize>,
     index: TagIndex,
-    field_keys: BTreeMap<String, ()>,
+    /// Field names ever written, each interned at its first appearance.
+    /// Sorted by name: the order of wildcard expansion and the Merkle walk.
+    fields: BTreeMap<String, FieldId>,
+}
+
+impl MeasurementMeta {
+    /// The id of `name`, interning it (the only time the name is kept) on
+    /// first appearance.
+    fn intern(&mut self, name: impl AsRef<str> + Into<String>) -> FieldId {
+        if let Some(&id) = self.fields.get(name.as_ref()) {
+            return id;
+        }
+        let id = FieldId(u32::try_from(self.fields.len()).expect("under 2^32 field names"));
+        self.fields.insert(name.into(), id);
+        id
+    }
 }
 
 /// Read-only view over one measurement, stitching the global metadata back
-/// together with the sharded row data. API-compatible with the pre-sharding
-/// `Measurement` struct so the sequential oracle executor is unchanged.
+/// together with the sharded column data.
 #[derive(Clone, Copy)]
 pub struct MeasurementView<'a> {
     name: &'a str,
@@ -162,7 +358,18 @@ impl<'a> MeasurementView<'a> {
 
     /// Field keys ever written to this measurement (sorted).
     pub fn field_keys(&self) -> Vec<String> {
-        self.meta.field_keys.keys().cloned().collect()
+        self.meta.fields.keys().cloned().collect()
+    }
+
+    /// Every field with its id, sorted by name.
+    pub fn fields(&self) -> impl Iterator<Item = (&'a str, FieldId)> + '_ {
+        self.meta.fields.iter().map(|(k, id)| (k.as_str(), *id))
+    }
+
+    /// The id a field name was interned under, `None` if the measurement
+    /// never saw it.
+    pub fn field_id(&self, name: &str) -> Option<FieldId> {
+        self.meta.fields.get(name).copied()
     }
 
     /// Distinct tag values for a key.
@@ -172,7 +379,7 @@ impl<'a> MeasurementView<'a> {
 
     /// Total number of stored rows across series.
     pub fn row_count(&self) -> usize {
-        self.series_iter().map(|s| s.rows.len()).sum()
+        self.series_iter().map(|s| s.ts.len()).sum()
     }
 
     /// Number of series in this measurement.
@@ -249,7 +456,8 @@ impl Storage {
                         id,
                         SeriesData {
                             key: key.clone(),
-                            rows: Vec::new(),
+                            ts: Vec::new(),
+                            cols: Vec::new(),
                         },
                     );
                 (id, shard)
@@ -263,38 +471,27 @@ impl Storage {
             measurement: point.measurement,
             tags: point.tags,
         };
-        let row = Row {
-            timestamp: point.timestamp,
-            fields: point.fields,
-        };
-        self.insert_series_rows(&key, None, std::iter::once(row));
+        self.append(&key, None)
+            .row_named(point.timestamp, point.fields);
     }
 
-    /// Append rows of one series — the single insert path under both
-    /// [`Storage::insert`] and the columnar batch. The series is resolved
-    /// (or created) once per call: same id-allocation order and
-    /// canonical-key shard placement whoever calls. Rows are inserted in
-    /// the given order, so duplicate-timestamp last-write-wins merges
-    /// resolve identically to inserting them one call at a time.
-    pub(crate) fn insert_series_rows(
-        &mut self,
-        key: &SeriesKey,
-        canonical: Option<&str>,
-        rows: impl IntoIterator<Item = Row>,
-    ) {
+    /// Open one series for writing — the single insert path under
+    /// [`Storage::insert`], the columnar batch and the durable store's
+    /// block load. The series is resolved (or created) once: same
+    /// id-allocation order and canonical-key shard placement whoever
+    /// calls. Rows land in the order written, so duplicate-timestamp
+    /// last-write-wins merges resolve identically to inserting them one
+    /// call at a time.
+    pub(crate) fn append(&mut self, key: &SeriesKey, canonical: Option<&str>) -> Appender<'_> {
         let (id, shard) = self.resolve_series(key, canonical);
-        let meta = self.meta.get_mut(&key.measurement).expect("just resolved");
-        let series = self.shards[shard]
-            .series
-            .get_mut(&key.measurement)
-            .expect("shard map just ensured")
-            .get_mut(&id)
-            .expect("series just ensured");
-        for row in rows {
-            for k in row.fields.keys() {
-                meta.field_keys.insert(k.clone(), ());
-            }
-            series.insert(row);
+        Appender {
+            meta: self.meta.get_mut(&key.measurement).expect("just resolved"),
+            series: self.shards[shard]
+                .series
+                .get_mut(&key.measurement)
+                .expect("shard map just ensured")
+                .get_mut(&id)
+                .expect("series just ensured"),
         }
     }
 
@@ -323,10 +520,13 @@ impl Storage {
         for shard in &mut self.shards {
             for (measurement, series) in shard.series.iter_mut() {
                 for (id, s) in series.iter_mut() {
-                    let keep_from = s.rows.partition_point(|r| r.timestamp < cutoff);
+                    let keep_from = s.ts.partition_point(|&t| t < cutoff);
                     removed += keep_from;
-                    s.rows.drain(..keep_from);
-                    if s.rows.is_empty() {
+                    s.ts.drain(..keep_from);
+                    for col in s.cols.iter_mut().flatten() {
+                        col.drop_front(keep_from);
+                    }
+                    if s.ts.is_empty() {
                         dead.push((measurement.clone(), *id));
                     }
                 }
@@ -358,6 +558,59 @@ impl Storage {
             .filter_map(|name| self.measurement(name))
             .map(|m| m.row_count())
             .sum()
+    }
+
+    /// Visit every stored cell in a deterministic order: measurements
+    /// sorted by name, series ascending by id, rows ascending by
+    /// timestamp, fields sorted by name. This is the walk the replication
+    /// layer's Merkle trees are built over.
+    pub fn for_each_cell(&self, f: &mut dyn FnMut(&SeriesKey, i64, &str, &FieldValue)) {
+        for name in self.meta.keys() {
+            let view = self.measurement(name).expect("listed measurement");
+            for series in view.series_iter() {
+                let named = view.fields();
+                let cols: Vec<(&str, &Column)> = named
+                    .filter_map(|(field, id)| Some((field, series.column(id)?)))
+                    .collect();
+                for (row, &ts) in series.ts.iter().enumerate() {
+                    for (field, col) in &cols {
+                        if let Some(cell) = col.cell(row) {
+                            f(&series.key, ts, field, &cell);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One series opened for writing (see [`Storage::append`]).
+pub(crate) struct Appender<'a> {
+    meta: &'a mut MeasurementMeta,
+    series: &'a mut SeriesData,
+}
+
+impl Appender<'_> {
+    /// The id of a field of this series' measurement, interned on first
+    /// appearance.
+    pub(crate) fn field(&mut self, name: &str) -> FieldId {
+        self.meta.intern(name)
+    }
+
+    /// Write one row of cells addressed by field id.
+    pub(crate) fn row(&mut self, ts: i64, cells: impl IntoIterator<Item = (FieldId, FieldValue)>) {
+        self.series.upsert(ts, cells);
+    }
+
+    /// Write one row of cells addressed by field name.
+    pub(crate) fn row_named(
+        &mut self,
+        ts: i64,
+        cells: impl IntoIterator<Item = (String, FieldValue)>,
+    ) {
+        let meta = &mut *self.meta;
+        let cells = cells.into_iter().map(|(name, v)| (meta.intern(name), v));
+        self.series.upsert(ts, cells);
     }
 }
 
@@ -391,8 +644,7 @@ mod tests {
         s.insert(pt("m", "a", 7, 3.0));
         let m = s.measurement("m").unwrap();
         let series = m.series_iter().next().unwrap();
-        let ts: Vec<i64> = series.rows.iter().map(|r| r.timestamp).collect();
-        assert_eq!(ts, vec![5, 7, 10]);
+        assert_eq!(series.timestamps(), [5, 7, 10]);
         assert_eq!(series.time_bounds(), Some((5, 10)));
     }
 
@@ -404,10 +656,7 @@ mod tests {
         }
         let m = s.measurement("m").unwrap();
         let series = m.series_iter().next().unwrap();
-        let r = series.range(3, 7);
-        assert_eq!(r.len(), 4);
-        assert_eq!(r[0].timestamp, 3);
-        assert_eq!(r[3].timestamp, 6);
+        assert_eq!(series.timestamps()[series.range(3, 7)], [3, 4, 5, 6]);
     }
 
     #[test]
@@ -468,10 +717,11 @@ mod tests {
         );
         let m = s.measurement("m").unwrap();
         assert_eq!(m.row_count(), 1);
-        let row = &m.series_iter().next().unwrap().rows[0];
-        assert_eq!(row.fields["x"], FieldValue::Float(10.0));
-        assert_eq!(row.fields["y"], FieldValue::Float(2.0));
-        assert_eq!(row.fields["z"], FieldValue::Float(3.0));
+        let series = m.series_iter().next().unwrap();
+        for (field, want) in [("x", 10.0), ("y", 2.0), ("z", 3.0)] {
+            let col = series.column(m.field_id(field).unwrap()).unwrap();
+            assert_eq!(col.get(0), Some(want), "{field}");
+        }
         // A different series at the same timestamp still gets its own row.
         s.insert(pt("m", "b", 5, 1.0));
         assert_eq!(s.measurement("m").unwrap().row_count(), 2);
@@ -491,9 +741,57 @@ mod tests {
         );
         let m = s.measurement("m").unwrap();
         let series = m.series_iter().next().unwrap();
-        let ts: Vec<i64> = series.rows.iter().map(|r| r.timestamp).collect();
-        assert_eq!(ts, vec![5, 10]);
-        assert_eq!(series.rows[0].fields["value"], FieldValue::Float(20.0));
+        assert_eq!(series.timestamps(), [5, 10]);
+        let col = series.column(m.field_id("value").unwrap()).unwrap();
+        assert_eq!((col.get(0), col.get(1)), (Some(20.0), Some(1.0)));
+    }
+
+    #[test]
+    fn sparse_and_typed_cells_read_back_exactly() {
+        let mut s = Storage::new();
+        let big = i64::MAX - 7; // not representable as f64
+        s.insert(Point::new("m").field("n", big).timestamp(1)); // first cell ever: an Int
+        s.insert(
+            Point::new("m")
+                .field("n", 2.5)
+                .field("s", "idle")
+                .timestamp(2),
+        );
+        s.insert(Point::new("m").field("s", "3.5").timestamp(3));
+        s.insert(Point::new("m").field("n", true).timestamp(0)); // late row shifts both columns
+        let m = s.measurement("m").unwrap();
+        let series = m.series_iter().next().unwrap();
+        let column = |name| series.column(m.field_id(name).unwrap()).unwrap();
+        // What queries read: the numeric view, NULL where there is none.
+        let numbers = |name| (0..4).map(|i| column(name).get(i)).collect::<Vec<_>>();
+        assert_eq!(numbers("n"), [Some(1.0), Some(big as f64), Some(2.5), None]);
+        assert_eq!(numbers("s"), [None, None, None, Some(3.5)]);
+        // What the Merkle walk reads: every cell as written.
+        let mut cells = Vec::new();
+        s.for_each_cell(&mut |_, ts, field, v| cells.push((ts, field.to_string(), v.clone())));
+        let cell = |ts, field: &str, v: FieldValue| (ts, field.to_string(), v);
+        assert_eq!(
+            cells,
+            [
+                cell(0, "n", FieldValue::Bool(true)),
+                cell(1, "n", FieldValue::Int(big)),
+                cell(2, "n", FieldValue::Float(2.5)),
+                cell(2, "s", FieldValue::Str("idle".into())),
+                cell(3, "s", FieldValue::Str("3.5".into())),
+            ]
+        );
+        // A type change rewrites the cell in place.
+        s.insert(Point::new("m").field("n", 9.0).timestamp(1));
+        let m = s.measurement("m").unwrap();
+        let n = m
+            .series_iter()
+            .next()
+            .unwrap()
+            .column(m.field_id("n").unwrap());
+        assert_eq!(
+            n.unwrap().cell(1).unwrap().as_ref(),
+            &FieldValue::Float(9.0)
+        );
     }
 
     #[test]

@@ -37,14 +37,7 @@ impl FieldValue {
     /// Render the value in line-protocol syntax.
     pub fn to_line_protocol(&self) -> String {
         match self {
-            FieldValue::Float(v) => {
-                if v.fract() == 0.0 && v.is_finite() && v.abs() < 1e15 {
-                    // keep a trailing ".0" marker off but still parse as float
-                    format!("{v}")
-                } else {
-                    format!("{v}")
-                }
-            }
+            FieldValue::Float(v) => format!("{v}"),
             FieldValue::Int(v) => format!("{v}i"),
             FieldValue::Bool(b) => format!("{b}"),
             FieldValue::Str(s) => format!("\"{}\"", s.replace('"', "\\\"")),

@@ -2,7 +2,8 @@
 //! ingest.
 //!
 //! Random point streams — multi-field points, duplicate timestamps (last
-//! write wins), NaN/±0.0/±inf payloads, interleaved measurements, and an
+//! write wins), NaN/±0.0/±inf payloads, `Int`/`Bool`/`Str` fields and cells
+//! rewritten with another type, interleaved measurements, and an
 //! ingest limiter tight enough to reject some of the stream — are pushed
 //! through `Database::write_batch` under random batch chunkings and through
 //! per-point `Database::write_point` calls. The two databases must then be
@@ -34,16 +35,23 @@ fn batch_cases() -> u32 {
         .unwrap_or(192)
 }
 
-/// Decode a value code into an f64, covering the awkward surface.
-fn value_of(code: u32) -> f64 {
-    match code {
+/// Decode a value code, covering the awkward surface: codes below 1000
+/// are floats, the rest the other field types.
+fn value_of(code: u32) -> FieldValue {
+    FieldValue::Float(match code {
         0..=899 => (code as f64 - 450.0) * 1.372_251,
         900..=924 => 0.0,
         925..=949 => -0.0,
         950..=964 => f64::INFINITY,
         965..=979 => f64::NEG_INFINITY,
-        _ => f64::NAN,
-    }
+        980..=999 => f64::NAN,
+        // Not floats: stored exactly, read by queries through `as_f64`.
+        // Rewriting a cell with another code changes its type in place.
+        1000..=1079 => return FieldValue::Int(i64::from(code) - 1040),
+        1080..=1119 => return FieldValue::Bool(code.is_multiple_of(2)),
+        1120..=1159 => return FieldValue::Str(format!("{}.5", i64::from(code) - 1140)),
+        _ => return FieldValue::Str("n/a".into()),
+    })
 }
 
 /// ((measurement, host, ts, field), (value code, extra-field code — 1000
@@ -57,12 +65,9 @@ fn point_of(&((m, h, ts, f), (code, extra, shape)): &PointCode) -> Point {
     if shape == 0 {
         return p; // exercises the EmptyFields reject path
     }
-    p = p.field(FIELDS[f % FIELDS.len()], FieldValue::Float(value_of(code)));
+    p = p.field(FIELDS[f % FIELDS.len()], value_of(code));
     if extra < 1000 {
-        p = p.field(
-            FIELDS[(f + 1) % FIELDS.len()],
-            FieldValue::Float(value_of(extra)),
-        );
+        p = p.field(FIELDS[(f + 1) % FIELDS.len()], value_of(extra));
     }
     p
 }
@@ -192,7 +197,7 @@ proptest! {
     fn batch_ingest_is_bit_identical_to_row_at_a_time(
         stream in prop::collection::vec(
             ((0usize..2, 0usize..4, 0i64..160, 0usize..3),
-             (0u32..1000, 0u32..2000, 0u32..20)),
+             (0u32..1200, 0u32..2000, 0u32..20)),
             1..160,
         ),
         chunks in prop::collection::vec(0u8..255, 1..12),

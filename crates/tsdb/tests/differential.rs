@@ -1,7 +1,8 @@
 //! Differential harness: the parallel sharded executor vs the sequential
 //! reference oracle.
 //!
-//! Random corpora (including NaN, ±0.0, ±inf values and sparse series) and
+//! Random corpora (including NaN, ±0.0, ±inf values, `Int`/`Bool`/`Str`
+//! fields, cells rewritten with another type, and sparse series) and
 //! random queries (raw scans, every aggregate, group-by windows, tag
 //! filters, empty/inverted time windows, unknown measurements) are run
 //! through `ExecMode::Sequential` and through `ExecMode::Parallel` at 1, 2,
@@ -15,7 +16,7 @@
 
 use pmove_tsdb::aggregate::AggregateFn;
 use pmove_tsdb::query::Projection;
-use pmove_tsdb::{Database, ExecMode, Point, Query, QueryResult, TsdbError};
+use pmove_tsdb::{Database, ExecMode, FieldValue, Point, Query, QueryResult, TsdbError};
 use proptest::prelude::*;
 
 const FIELDS: [&str; 3] = ["value", "aux", "gap"];
@@ -27,16 +28,23 @@ fn diff_cases() -> u32 {
         .unwrap_or(256)
 }
 
-/// Decode a value code into an f64, covering the full awkward surface.
-fn value_of(code: u32) -> f64 {
-    match code {
+/// Decode a value code, covering the full awkward surface: codes below
+/// 1000 are floats, the rest the other field types.
+fn value_of(code: u32) -> FieldValue {
+    FieldValue::Float(match code {
         0..=899 => (code as f64 - 450.0) * 1.372_251, // finite, non-integral
         900..=924 => 0.0,
         925..=949 => -0.0,
         950..=964 => f64::INFINITY,
         965..=979 => f64::NEG_INFINITY,
-        _ => f64::NAN,
-    }
+        980..=999 => f64::NAN,
+        // Not floats: stored exactly, read by queries through `as_f64`.
+        // Rewriting a cell with another code changes its type in place.
+        1000..=1079 => return FieldValue::Int(i64::from(code) - 1040),
+        1080..=1119 => return FieldValue::Bool(code.is_multiple_of(2)),
+        1120..=1159 => return FieldValue::Str(format!("{}.5", i64::from(code) - 1140)),
+        _ => return FieldValue::Str("n/a".into()),
+    })
 }
 
 /// Decode a projection code; `field` indexes [`FIELDS`].
@@ -117,7 +125,7 @@ fn db(mode: ExecMode, cache: bool) -> Database {
     d
 }
 
-fn point(host: usize, ts: i64, field: usize, value: f64) -> Point {
+fn point(host: usize, ts: i64, field: usize, value: FieldValue) -> Point {
     Point::new("m")
         .tag("host", format!("h{host}"))
         .field(FIELDS[field % FIELDS.len()], value)
@@ -136,13 +144,9 @@ fn check_case(points: &[PointCode], queries: &[QueryCode], extra: PointCode) {
             .iter()
             .any(|p| matches!(p, Projection::Aggregate(AggregateFn::Median, _)))
     });
-    let fix = |code: u32| {
-        let v = value_of(code);
-        if has_median && v.is_nan() {
-            4.25e2
-        } else {
-            v
-        }
+    let fix = |code: u32| match value_of(code) {
+        FieldValue::Float(v) if has_median && v.is_nan() => FieldValue::Float(4.25e2),
+        v => v,
     };
 
     let oracle = db(ExecMode::Sequential, false);
@@ -208,7 +212,7 @@ proptest! {
 
     #[test]
     fn parallel_engine_is_bit_identical_to_sequential(
-        points in prop::collection::vec((0usize..6, 0i64..200, 0usize..3, 0u32..1000), 1..120),
+        points in prop::collection::vec((0usize..6, 0i64..200, 0usize..3, 0u32..1200), 1..120),
         queries in prop::collection::vec(
             (
                 (prop::collection::vec((0u8..12, 0u8..3), 1..4), 0u8..8),
@@ -216,7 +220,7 @@ proptest! {
             ),
             1..5,
         ),
-        extra in (0usize..6, 0i64..220, 0usize..3, 0u32..900),
+        extra in (0usize..6, 0i64..220, 0usize..3, 0u32..1200),
     ) {
         check_case(&points, &queries, extra);
     }

@@ -1,8 +1,9 @@
 //! Differential harness: aggregate queries served from rollup tiers vs
 //! the raw-scan oracle.
 //!
-//! Random point streams (NaN payloads, signed zeros, infinities, duplicate
-//! timestamps, multiple measurements) are interleaved with rollup ticks at
+//! Random point streams (NaN payloads, signed zeros, infinities,
+//! `Int`/`Bool`/`Str` fields and cells rewritten with another type,
+//! duplicate timestamps) are interleaved with rollup ticks at
 //! random positions, and aggregate queries (`sum`/`count`/`min`/`max`/
 //! `first`/`last`, tier-aligned and unaligned windows, single- and
 //! multi-series filters) run at 1, 2, and 8 threads against a
@@ -32,16 +33,23 @@ fn rollup_cases() -> u32 {
         .unwrap_or(128)
 }
 
-/// Decode a value code into an f64, covering the awkward surface.
-fn value_of(code: u32) -> f64 {
-    match code {
+/// Decode a value code, covering the awkward surface: codes below 1000
+/// are floats, the rest the other field types.
+fn value_of(code: u32) -> FieldValue {
+    FieldValue::Float(match code {
         0..=899 => (code as f64 - 450.0) * 1.372_251,
         900..=924 => 0.0,
         925..=949 => -0.0,
         950..=964 => f64::INFINITY,
         965..=979 => f64::NEG_INFINITY,
-        _ => f64::NAN,
-    }
+        980..=999 => f64::NAN,
+        // Not floats: stored exactly, read by queries through `as_f64`.
+        // Rewriting a cell with another code changes its type in place.
+        1000..=1079 => return FieldValue::Int(i64::from(code) - 1040),
+        1080..=1119 => return FieldValue::Bool(code.is_multiple_of(2)),
+        1120..=1159 => return FieldValue::Str(format!("{}.5", i64::from(code) - 1140)),
+        _ => return FieldValue::Str("n/a".into()),
+    })
 }
 
 /// ((host, ts, field), (value code, tick-before flag of 0..8))
@@ -50,7 +58,7 @@ type PointCode = ((usize, i64, usize), (u32, u32));
 fn point_of(&((h, ts, f), (code, _)): &PointCode) -> Point {
     Point::new("m")
         .tag("host", format!("h{h}"))
-        .field(FIELDS[f % FIELDS.len()], FieldValue::Float(value_of(code)))
+        .field(FIELDS[f % FIELDS.len()], value_of(code))
         .timestamp(ts)
 }
 
@@ -178,7 +186,7 @@ proptest! {
     #[test]
     fn tier_served_aggregates_are_bit_identical_to_raw_oracle(
         stream in prop::collection::vec(
-            ((0usize..4, 0i64..200, 0usize..2), (0u32..1000, 0u32..8)),
+            ((0usize..4, 0i64..200, 0usize..2), (0u32..1200, 0u32..8)),
             1..100,
         ),
         queries in prop::collection::vec((0u8..6, 0u8..2, 0u8..6, 0u8..6), 1..6),

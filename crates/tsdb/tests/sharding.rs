@@ -101,7 +101,7 @@ fn retention_prunes_every_shard() {
     let m = s.measurement("m").unwrap();
     assert_eq!(m.series_count(), 40);
     for series in m.series_iter() {
-        assert!(series.rows.iter().all(|r| r.timestamp >= 100));
+        assert!(series.timestamps().iter().all(|&ts| ts >= 100));
     }
 
     let q = raw_query();
