@@ -31,12 +31,11 @@
 //! snapshot or the replay is either in the restored store or accounted
 //! as a last-write-wins duplicate, exactly.
 
+use crate::batch::{Memtable, WriteBatch};
 use crate::chunk::chunk_name;
 use crate::crc::{crc32, crc32_finish, crc32_init, crc32_update};
 use crate::error::{StoreError, StoreResult};
-use crate::merge::{distinct_cells, sort_rows};
-use crate::row::RowRecord;
-use crate::store::{decode_row_batch, WAL_FILE};
+use crate::store::WAL_FILE;
 use crate::vfs::{Vfs, VirtualFile};
 use crate::wal::{scan_frames, Wal};
 use std::collections::BTreeSet;
@@ -856,9 +855,9 @@ fn restore_inner(
         gen: chosen.map(|m| m.gen),
         ..RestoreReport::default()
     };
-    // Every replayed row; duplicate cells are counted, never dropped
+    // Every replayed cell; duplicate cells are counted, never dropped
     // silently — the restore ledger has to balance.
-    let mut replayed: Vec<RowRecord> = Vec::new();
+    let mut replayed = Memtable::default();
 
     // 1. Snapshot chunks: verify against the manifest *and* the chunk's
     //    own internal CRC, then copy verbatim into the target.
@@ -964,11 +963,11 @@ fn restore_inner(
             }
             expected = Some(seq + 1);
             if seq > flushed_seq {
-                let rows =
-                    decode_row_batch(payload).map_err(|_| BackupError::ArchiveDecode { seq })?;
+                let batch =
+                    WriteBatch::decode(payload).map_err(|_| BackupError::ArchiveDecode { seq })?;
                 report.replayed_records += 1;
-                report.replayed_rows += rows.len() as u64;
-                replayed.extend(rows);
+                report.replayed_rows += batch.cells() as u64;
+                replayed.absorb(batch);
                 wal.append(payload);
             }
         }
@@ -980,7 +979,7 @@ fn restore_inner(
     }
     wal.commit()?;
 
-    let cells = distinct_cells(&sort_rows(&replayed)) as u64;
+    let cells = replayed.distinct_cells() as u64;
     report.dedup_rows = report.replayed_rows - cells;
     report.restored_rows = report.snapshot_rows + cells;
     Ok(report)
@@ -990,7 +989,7 @@ fn restore_inner(
 mod tests {
     use super::*;
     use crate::memdisk::{FaultMode, FaultPlan, MemDisk};
-    use crate::row::ColumnValue;
+    use crate::row::{ColumnValue, RowRecord};
     use crate::store::{StoreOptions, TsStore};
 
     fn row(series: &str, field: &str, ts: i64, v: f64) -> RowRecord {

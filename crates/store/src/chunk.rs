@@ -26,13 +26,14 @@
 //! deterministic function of the input rows, so two same-seed runs emit
 //! byte-identical files.
 
+use crate::batch::{Memtable, WriteBatch};
 use crate::crc::crc32;
 use crate::encode::{
     decode_timestamps, decode_values, encode_timestamps, encode_values, get_bytes, get_ivarint,
     get_uvarint, put_bytes, put_ivarint, put_uvarint,
 };
 use crate::error::{StoreError, StoreResult};
-use crate::merge::{merge_blocks, sort_rows};
+use crate::merge::merge_blocks;
 use crate::row::{ColumnValue, RowRecord};
 use crate::vfs::Vfs;
 
@@ -57,7 +58,7 @@ pub fn parse_chunk_name(name: &str) -> Option<u64> {
 
 /// One column pair of one (series, field): at least one cell, timestamps
 /// strictly ascending, every value of one type.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Block {
     /// Canonical series key (opaque to the store).
     pub series: String,
@@ -67,6 +68,13 @@ pub struct Block {
     pub ts: Vec<i64>,
     /// Value column, `values[i]` written at `ts[i]`.
     pub values: Vec<ColumnValue>,
+}
+
+impl Block {
+    /// `(series, field)` as [`BlockRef::key`] gives it.
+    pub(crate) fn key(&self) -> (&[u8], &[u8]) {
+        (self.series.as_bytes(), self.field.as_bytes())
+    }
 }
 
 /// Summary of one written chunk.
@@ -187,15 +195,26 @@ impl ChunkWriter {
     }
 }
 
-/// Build and persist a chunk from `rows` (in write order — later entries
-/// win duplicate cells, and the winner's type decides its block, so a
-/// cell rewritten with a new type cannot survive as two blocks). Returns
-/// `None` when `rows` is empty.
-pub fn write_chunk(vfs: &dyn Vfs, seq: u64, rows: &[RowRecord]) -> StoreResult<Option<ChunkInfo>> {
+/// Build and persist a chunk from a memtable's blocks (within a block a
+/// later write of a cell follows an earlier one and wins, and the
+/// winner's type decides its block, so a cell rewritten with a new type
+/// cannot survive as two blocks). Returns `None` when there are none.
+pub(crate) fn write_blocks(
+    vfs: &dyn Vfs,
+    seq: u64,
+    newest: Vec<Block>,
+) -> StoreResult<Option<ChunkInfo>> {
     let mut writer = ChunkWriter::new(seq);
-    let stats =
-        merge_blocks(&[], &sort_rows(rows), None, &mut |b| writer.push(&b)).map_err(|(_, e)| e)?;
+    let stats = merge_blocks(&[], newest, None, &mut |b| writer.push(&b)).map_err(|(_, e)| e)?;
     writer.finish(vfs, stats.rows_in)
+}
+
+/// [`write_blocks`] for callers whose unit is the row: `rows` in write
+/// order, through the same memtable a store would hold them in.
+pub fn write_chunk(vfs: &dyn Vfs, seq: u64, rows: &[RowRecord]) -> StoreResult<Option<ChunkInfo>> {
+    let mut memtable = Memtable::default();
+    memtable.absorb(WriteBatch::from_rows(rows.iter().cloned()));
+    write_blocks(vfs, seq, memtable.blocks())
 }
 
 /// One block as it lies in a chunk file: key and encoded columns still

@@ -199,7 +199,7 @@ pub fn encode_timestamps(ts: &[i64]) -> Vec<u8> {
 
 /// Refuse a `count` that `data` cannot hold at `per_byte` items per byte,
 /// so a block header's count never sizes an allocation by itself.
-fn check_count(count: usize, data: &[u8], per_byte: usize) -> StoreResult<()> {
+pub(crate) fn check_count(count: usize, data: &[u8], per_byte: usize) -> StoreResult<()> {
     if count > data.len().saturating_mul(per_byte) {
         return Err(StoreError::Decode(format!(
             "count {count} exceeds what {} bytes can hold",

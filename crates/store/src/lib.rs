@@ -19,6 +19,7 @@
 //! - [`crc`] / [`encode`] — checksums, varints, bit-level codecs
 //! - [`vfs`] / [`memdisk`] — where bytes live and how they fail
 //! - [`wal`] — durability of recent writes
+//! - [`batch`] — the write path's block-shaped unit: WAL frame and memtable
 //! - [`chunk`] — compressed immutable storage of old writes, as blocks
 //! - `merge` — the block-merge kernel under flush, compaction and scan
 //! - [`store`] — the engine tying them together ([`store::TsStore`])
@@ -26,6 +27,7 @@
 #![forbid(unsafe_code)]
 
 pub mod backup;
+pub mod batch;
 pub mod chunk;
 pub mod crc;
 pub mod encode;
@@ -42,15 +44,15 @@ pub use backup::{
     list_generations, restore_at, restore_replay_all, BackupAttach, BackupError, BackupReport,
     BackupStats, Manifest, ManifestChunk, RestoreReport,
 };
+pub use batch::WriteBatch;
 pub use chunk::{chunk_name, parse_chunk_name, probe_chunk, Block, ChunkInfo, ChunkSummary};
 pub use error::{StoreError, StoreResult};
 pub use memdisk::{FaultMode, FaultPlan, MemDisk, RotEvent, RotRecord, RotSchedule};
 pub use row::{ColumnValue, RowRecord};
 pub use scrub::{ScrubConfig, ScrubReport, Scrubber};
 pub use store::{
-    decode_row_batch, encode_row_batch, quarantine_name, CompactionReport, DetectionSite,
-    QuarantinedChunk, RecoveryReport, StoreObs, StoreOptions, TsStore, VerifyOutcome, WalScrub,
-    QUARANTINE_PREFIX,
+    quarantine_name, CompactionReport, DetectionSite, QuarantinedChunk, RecoveryReport, StoreObs,
+    StoreOptions, TsStore, VerifyOutcome, WalScrub, QUARANTINE_PREFIX,
 };
 pub use vfs::{StdFs, Vfs, VirtualFile};
 pub use wal::{CommitInfo, Wal, WalReplay};

@@ -1,8 +1,8 @@
 //! The block-merge kernel: the one place last-write-wins is decided.
 //!
 //! Inputs are layers of already-sorted data — chunk block indexes oldest
-//! to newest, then optionally acknowledged rows (the memtable) on top —
-//! and the output is the merged view as [`Block`]s in ascending
+//! to newest, then optionally the memtable's blocks on top — and the
+//! output is the merged view as [`Block`]s in ascending
 //! `(series, field, type)` order, handed one at a time to a sink. The
 //! kernel walks the inputs key by key: it decodes only the blocks of the
 //! smallest `(series, field)` any layer still holds, merges their
@@ -11,13 +11,13 @@
 //! retention cutoff in the same pass, and moves on — so peak memory is
 //! one key's columns, whatever the chunks' size.
 //!
-//! Flush (rows only), compaction (chunks only, maybe a cutoff), scan and
-//! recovery (chunks under rows) are all this function with a different
-//! sink.
+//! Flush (memtable only), compaction (chunks only, maybe a cutoff), scan
+//! and recovery (chunks under the memtable) are all this function with a
+//! different sink.
 
 use crate::chunk::{Block, BlockRef};
 use crate::error::StoreError;
-use crate::row::{ColumnValue, RowRecord};
+use crate::row::ColumnValue;
 
 /// Row accounting of one merge.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -30,32 +30,14 @@ pub(crate) struct MergeStats {
     pub dropped_retention: u64,
 }
 
-fn cell_key(r: &RowRecord) -> (&[u8], &[u8]) {
-    (r.series.as_bytes(), r.field.as_bytes())
-}
-
-/// Order `rows` by (series, field, timestamp) without copying a key. The
-/// sort is stable, so among writes of one cell the latest stays last.
-pub(crate) fn sort_rows(rows: &[RowRecord]) -> Vec<&RowRecord> {
-    let mut sorted: Vec<&RowRecord> = rows.iter().collect();
-    sorted.sort_by(|a, b| (cell_key(a), a.ts).cmp(&(cell_key(b), b.ts)));
-    sorted
-}
-
-/// Number of distinct (series, field, timestamp) cells in [`sort_rows`]
-/// output.
-pub(crate) fn distinct_cells(sorted: &[&RowRecord]) -> usize {
-    let same = |w: &[&RowRecord]| (cell_key(w[0]), w[0].ts) == (cell_key(w[1]), w[1].ts);
-    sorted.len() - sorted.windows(2).filter(|w| same(w)).count()
-}
-
-/// Merge `chunks` (block indexes, oldest first) under `newest`
-/// ([`sort_rows`] output, newer than every chunk) into `sink`. A chunk
-/// block that fails to decode aborts the merge with the position of its
-/// chunk in `chunks`; what the sink received until then is void.
+/// Merge `chunks` (block indexes, oldest first) under `newest` (newer
+/// than every chunk: one block per key in ascending key order, whose
+/// timestamps may repeat, a later write after an earlier) into `sink`. A
+/// chunk block that fails to decode aborts the merge with the position of
+/// its chunk in `chunks`; what the sink received until then is void.
 pub(crate) fn merge_blocks(
     chunks: &[Vec<BlockRef<'_>>],
-    newest: &[&RowRecord],
+    mut newest: Vec<Block>,
     cutoff: Option<i64>,
     sink: &mut dyn FnMut(Block),
 ) -> Result<MergeStats, (usize, StoreError)> {
@@ -69,7 +51,7 @@ pub(crate) fn merge_blocks(
             .iter()
             .zip(&heads)
             .filter_map(|(c, &h)| c.get(h).map(BlockRef::key));
-        let Some(key) = chunk_keys.chain(newest.get(row).map(|r| cell_key(r))).min() else {
+        let Some(key) = chunk_keys.chain(newest.get(row).map(Block::key)).min() else {
             return Ok(stats);
         };
         // This key's columns from every layer that has it, oldest first.
@@ -80,25 +62,16 @@ pub(crate) fn merge_blocks(
                 heads[i] += 1;
             }
         }
-        let run = newest[row..]
-            .iter()
-            .take_while(|r| cell_key(r) == key)
-            .count();
-        if run > 0 {
-            let rows = &newest[row..row + run];
-            parts.push(Block {
-                series: rows[0].series.clone(),
-                field: rows[0].field.clone(),
-                ts: rows.iter().map(|r| r.ts).collect(),
-                values: rows.iter().map(|r| r.value.clone()).collect(),
-            });
-            row += run;
+        let chunk_parts = parts.len();
+        if newest.get(row).is_some_and(|b| b.key() == key) {
+            parts.push(std::mem::take(&mut newest[row]));
+            row += 1;
         }
         stats.rows_in += parts.iter().map(|p| p.ts.len() as u64).sum::<u64>();
         let expired = |p: &Block| cutoff.map_or(0, |cut| p.ts.partition_point(|&t| t < cut));
         // A lone chunk block inside the retention window is already what
         // the merge would produce.
-        if run == 0 && parts.len() == 1 && expired(&parts[0]) == 0 {
+        if chunk_parts == 1 && parts.len() == 1 && expired(&parts[0]) == 0 {
             stats.rows_out += parts[0].ts.len() as u64;
             sink(parts.pop().expect("one part"));
             continue;
@@ -110,7 +83,7 @@ pub(crate) fn merge_blocks(
             cells.extend((skip..part.ts.len()).map(|i| (part.ts[i], p as u32, i as u32)));
         }
         // Stable: cells of one timestamp stay oldest layer first (and, in
-        // `newest`, in write order), so the last of a run is the winner.
+        // `newest`'s block, in write order), so the last of a run wins.
         cells.sort_by_key(|c| c.0);
         let mut outs: [(Vec<i64>, Vec<ColumnValue>); 4] = Default::default();
         for (i, &(ts, p, pos)) in cells.iter().enumerate() {

@@ -1,11 +1,12 @@
 //! The storage engine: WAL + memtable + immutable chunks + compaction.
 //!
-//! Write path: [`TsStore::append`] stages rows and frames them into the
-//! WAL buffer; [`TsStore::commit`] group-commits the buffer (one append,
-//! one sync) and only then moves the staged rows into the memtable — a
-//! row is *acknowledged* exactly when its commit returns `Ok`. When the
-//! memtable crosses `flush_threshold_rows` it is frozen into a compressed
-//! chunk ([`crate::chunk`]) and the WAL is truncated. Compaction merges
+//! Write path: [`TsStore::append_batch`] frames a [`WriteBatch`] into the
+//! WAL buffer and stages it; [`TsStore::commit`] group-commits the buffer
+//! (one append, one sync) and only then folds the staged batches into the
+//! memtable ([`crate::batch`]) — a cell is *acknowledged* exactly when its
+//! commit returns `Ok`. When the memtable crosses `flush_threshold_rows`
+//! cells it is frozen into a compressed chunk ([`crate::chunk`]) and the
+//! WAL is truncated. Compaction merges
 //! every live chunk last-write-wins and drops rows older than the
 //! retention cutoff, which is how `RetentionPolicy` finally reaches disk.
 //! Flush, compaction and scan are the same block merge
@@ -21,14 +22,14 @@
 //! telemetry is bit-reproducible across runs and hosts.
 
 use crate::backup::{BackupAttach, BackupReport, BackupState, BackupStats};
+use crate::batch::{Memtable, WriteBatch};
 use crate::chunk::{
-    check_chunk, chunk_name, index_chunk, parse_chunk_name, probe_chunk, write_chunk, Block,
+    check_chunk, chunk_name, index_chunk, parse_chunk_name, probe_chunk, write_blocks, Block,
     BlockRef, ChunkInfo, ChunkSummary, ChunkWriter,
 };
-use crate::encode::{get_ivarint, get_str, get_uvarint, put_bytes, put_ivarint, put_uvarint};
 use crate::error::{StoreError, StoreResult};
-use crate::merge::{merge_blocks, sort_rows};
-use crate::row::{ColumnValue, RowRecord};
+use crate::merge::merge_blocks;
+use crate::row::RowRecord;
 use crate::vfs::Vfs;
 use crate::wal::{scan_frames, CommitInfo, Wal};
 use pmove_hwsim::disk::DiskSpec;
@@ -276,72 +277,6 @@ impl StoreObs {
     }
 }
 
-// --------------------------------------------------------- WAL payloads
-
-/// Encode a row batch into one WAL record payload.
-pub fn encode_row_batch(rows: &[RowRecord]) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_uvarint(&mut out, rows.len() as u64);
-    for r in rows {
-        put_bytes(&mut out, r.series.as_bytes());
-        put_bytes(&mut out, r.field.as_bytes());
-        put_ivarint(&mut out, r.ts);
-        out.push(r.value.type_tag());
-        match &r.value {
-            ColumnValue::F64(v) => out.extend_from_slice(&v.to_bits().to_le_bytes()),
-            ColumnValue::I64(v) => put_ivarint(&mut out, *v),
-            ColumnValue::Bool(v) => out.push(*v as u8),
-            ColumnValue::Str(s) => put_bytes(&mut out, s.as_bytes()),
-        }
-    }
-    out
-}
-
-/// Decode a WAL record payload back into rows.
-pub fn decode_row_batch(data: &[u8]) -> StoreResult<Vec<RowRecord>> {
-    let mut pos = 0usize;
-    let read_str = |pos: &mut usize| get_str(data, pos).map(str::to_string);
-    let count = get_uvarint(data, &mut pos)? as usize;
-    let mut rows = Vec::with_capacity(count.min(1 << 16));
-    for _ in 0..count {
-        let series = read_str(&mut pos)?;
-        let field = read_str(&mut pos)?;
-        let ts = get_ivarint(data, &mut pos)?;
-        let tag = *data
-            .get(pos)
-            .ok_or_else(|| StoreError::Decode("wal row missing type tag".into()))?;
-        pos += 1;
-        let value = match tag {
-            0 => {
-                let end = pos + 8;
-                if end > data.len() {
-                    return Err(StoreError::Decode("wal f64 truncated".into()));
-                }
-                let bits = u64::from_le_bytes(data[pos..end].try_into().unwrap());
-                pos = end;
-                ColumnValue::F64(f64::from_bits(bits))
-            }
-            1 => ColumnValue::I64(get_ivarint(data, &mut pos)?),
-            2 => {
-                let b = *data
-                    .get(pos)
-                    .ok_or_else(|| StoreError::Decode("wal bool truncated".into()))?;
-                pos += 1;
-                ColumnValue::Bool(b != 0)
-            }
-            3 => ColumnValue::Str(read_str(&mut pos)?),
-            t => return Err(StoreError::Decode(format!("wal row bad type tag {t}"))),
-        };
-        rows.push(RowRecord {
-            series,
-            field,
-            ts,
-            value,
-        });
-    }
-    Ok(rows)
-}
-
 // ----------------------------------------------------------------- store
 
 /// The durable time-series store.
@@ -350,10 +285,10 @@ pub struct TsStore {
     opts: StoreOptions,
     spec: DiskSpec,
     wal: Wal,
-    /// Rows framed into the WAL buffer but not yet acknowledged.
-    staged: Vec<RowRecord>,
-    /// Acknowledged rows awaiting a flush.
-    memtable: Vec<RowRecord>,
+    /// Batches framed into the WAL buffer but not yet acknowledged.
+    staged: Vec<WriteBatch>,
+    /// Acknowledged cells awaiting a flush.
+    memtable: Memtable,
     /// Manifest of live (valid) chunk files by sequence number, kept so
     /// quarantine can report the exact loss without trusting damaged bytes.
     chunks: BTreeMap<u64, ChunkSummary>,
@@ -425,19 +360,29 @@ impl TsStore {
                 }
             }
         }
-        let (wal, payloads, replay) = Wal::open(vfs.clone(), WAL_FILE)?;
-        let mut memtable = Vec::new();
-        for payload in &payloads {
+        let (mut wal, payloads, mut replay) = Wal::open(vfs.clone(), WAL_FILE)?;
+        let mut memtable = Memtable::default();
+        for (i, payload) in payloads.iter().enumerate() {
             bytes_read += payload.len() as u64 + 8;
-            // A payload that deframes but does not decode is treated like
-            // a CRC failure: it and everything after it are discarded
-            // (decode errors past the CRC can only come from a bit flip).
-            match decode_row_batch(payload) {
-                Ok(rows) => memtable.extend(rows),
-                Err(_) => break,
+            match WriteBatch::decode(payload) {
+                Ok(batch) => memtable.absorb(batch),
+                Err(_) => {
+                    // A payload that deframes but does not decode (a frame
+                    // version newer than this build, or damage sealed under
+                    // a matching CRC) is a corrupt frame: the log is cut
+                    // back to the frames before it, as for a torn tail, so
+                    // commits acknowledged from here on are not appended
+                    // behind a frame every later replay stops at.
+                    wal.rewrite(&payloads[..i])?;
+                    let cut = payloads[i..].iter().map(|p| p.len() as u64 + 8);
+                    replay.bytes_dropped += cut.sum::<u64>();
+                    replay.corrupt_frames += 1;
+                    replay.records = i as u64;
+                    break;
+                }
             }
         }
-        report.wal_rows = memtable.len() as u64;
+        report.wal_rows = memtable.cells() as u64;
         report.wal_bytes_dropped = replay.bytes_dropped;
         report.wal_corrupt_frames = replay.corrupt_frames;
         report.modeled_ns = (spec.write_time(bytes_read, IO_BLOCK_SIZE) * 1e9) as u64;
@@ -470,30 +415,31 @@ impl TsStore {
         ))
     }
 
-    /// Stage `rows` and frame them as one WAL record. Not durable — and
-    /// not visible to [`TsStore::scan`] — until [`TsStore::commit`].
-    pub fn append(&mut self, rows: &[RowRecord]) {
-        self.append_owned(rows.to_vec());
-    }
-
-    /// [`TsStore::append`] taking ownership of the rows: identical WAL
-    /// frame, identical staging semantics, but the records move into the
-    /// staging buffer instead of being cloned — the batch ingest path
-    /// hands over thousands of rows per call and never reuses them.
-    pub fn append_owned(&mut self, rows: Vec<RowRecord>) {
-        if rows.is_empty() {
+    /// Stage `batch` and frame it as one WAL record. Not durable — and
+    /// not visible to [`TsStore::scan_blocks`] — until [`TsStore::commit`].
+    pub fn append_batch(&mut self, batch: WriteBatch) {
+        if batch.cells() == 0 {
             return;
         }
-        let payload = encode_row_batch(&rows);
+        let payload = batch.encode();
         self.wal.append(&payload);
         if let Some(bk) = &mut self.bk {
             bk.stage(payload);
         }
-        let count = rows.len() as u64;
-        self.staged.extend(rows);
         if let Some(obs) = &self.obs {
-            obs.wal_records_appended.add(count);
+            obs.wal_records_appended.add(batch.cells() as u64);
         }
+        self.staged.push(batch);
+    }
+
+    /// [`TsStore::append_batch`] for callers whose unit is the row.
+    pub fn append(&mut self, rows: &[RowRecord]) {
+        self.append_batch(WriteBatch::from_rows(rows.iter().cloned()));
+    }
+
+    /// [`TsStore::append`] taking the rows by value.
+    pub fn append_owned(&mut self, rows: Vec<RowRecord>) {
+        self.append_batch(WriteBatch::from_rows(rows));
     }
 
     /// Modeled group-commit latency for a payload of `bytes` on this
@@ -514,11 +460,13 @@ impl TsStore {
             * 1e9) as u64
     }
 
-    /// Group-commit every staged record; on success the rows are
+    /// Group-commit every staged record; on success the cells are
     /// acknowledged and enter the memtable (flushing if over threshold).
     pub fn commit(&mut self) -> StoreResult<CommitInfo> {
         let info = self.wal.commit()?;
-        self.memtable.append(&mut self.staged);
+        for batch in self.staged.drain(..) {
+            self.memtable.absorb(batch);
+        }
         if let Some(bk) = &mut self.bk {
             // Archive only what the primary acknowledged; archival lag
             // (a slow or crashed backup disk) never fails the commit.
@@ -534,7 +482,7 @@ impl TsStore {
             }
         }
         self.sync_backup_obs();
-        if self.memtable.len() >= self.opts.flush_threshold_rows {
+        if self.memtable.cells() >= self.opts.flush_threshold_rows {
             self.flush()?;
         }
         Ok(info)
@@ -544,15 +492,15 @@ impl TsStore {
     /// WAL. The chunk is written and synced *before* the reset, so a
     /// crash in between duplicates rows instead of losing them.
     pub fn flush(&mut self) -> StoreResult<Option<ChunkInfo>> {
-        if self.memtable.is_empty() {
+        if self.memtable.cells() == 0 {
             return Ok(None);
         }
         let seq = self.next_seq;
-        let info = write_chunk(self.vfs.as_ref(), seq, &self.memtable)?
+        let info = write_blocks(self.vfs.as_ref(), seq, self.memtable.blocks())?
             .expect("non-empty memtable produces a chunk");
         self.chunks.insert(seq, ChunkSummary::from(&info));
         self.wal.reset()?;
-        self.memtable.clear();
+        self.memtable = Memtable::default();
         self.next_seq += 1;
         if let Some(bk) = &mut self.bk {
             bk.on_flush();
@@ -584,7 +532,8 @@ impl TsStore {
         let ((stats, writer), chunks_in, bytes_before) =
             self.merge_live(DetectionSite::Compact, |chunks| {
                 let mut writer = ChunkWriter::new(seq);
-                let stats = merge_blocks(chunks, &[], retention_cutoff, &mut |b| writer.push(&b))?;
+                let sink = &mut |b| writer.push(&b);
+                let stats = merge_blocks(chunks, Vec::new(), retention_cutoff, sink)?;
                 Ok((stats, writer))
             })?;
         let written = writer.finish(self.vfs.as_ref(), stats.rows_in)?;
@@ -633,7 +582,7 @@ impl TsStore {
     /// Drop every durable row older than `cutoff` (used by retention
     /// enforcement); compacts regardless of chunk count.
     pub fn enforce_retention(&mut self, cutoff: i64) -> StoreResult<Option<CompactionReport>> {
-        self.memtable.retain(|r| r.ts >= cutoff);
+        self.memtable.drop_before(cutoff);
         self.compact(Some(cutoff))
     }
 
@@ -687,14 +636,12 @@ impl TsStore {
     /// data.
     pub fn scan_blocks(&mut self) -> StoreResult<Vec<Block>> {
         // Moved out for the pass: quarantining needs `&mut self`.
-        let memtable = std::mem::take(&mut self.memtable);
-        let newest = sort_rows(&memtable);
+        let mut memtable = std::mem::take(&mut self.memtable);
         let merged = self.merge_live(DetectionSite::Scan, |chunks| {
             let mut blocks = Vec::new();
-            merge_blocks(chunks, &newest, None, &mut |b| blocks.push(b))?;
+            merge_blocks(chunks, memtable.blocks(), None, &mut |b| blocks.push(b))?;
             Ok(blocks)
         });
-        drop(newest);
         self.memtable = memtable;
         Ok(merged?.0)
     }
@@ -765,9 +712,9 @@ impl TsStore {
 
     /// Integrity-scan the WAL. Latent rot inside an already-durable frame
     /// is repairable without any replica: the memtable holds exactly the
-    /// acknowledged rows of the current log (the WAL resets precisely
+    /// acknowledged cells of the current log (the WAL resets precisely
     /// when the memtable flushes), so the log is rewritten losslessly
-    /// from memory.
+    /// from memory, as one frame.
     pub fn scrub_wal(&mut self) -> StoreResult<WalScrub> {
         let raw = self.wal.raw_bytes()?;
         let (_, _, corrupt_frames) = scan_frames(&raw);
@@ -780,13 +727,13 @@ impl TsStore {
             obs.scrub_bytes_verified.add(raw.len() as u64);
         }
         if corrupt_frames > 0 {
-            let payloads = if self.memtable.is_empty() {
+            let payloads = if self.memtable.cells() == 0 {
                 Vec::new()
             } else {
-                vec![encode_row_batch(&self.memtable)]
+                vec![self.memtable.to_batch().encode()]
             };
             self.wal.rewrite(&payloads)?;
-            out.rows_rewritten = self.memtable.len() as u64;
+            out.rows_rewritten = self.memtable.cells() as u64;
             if let Some(obs) = &self.obs {
                 obs.scrub_corruptions.inc();
                 obs.scrub_wal_rewrites.inc();
@@ -1001,12 +948,12 @@ impl TsStore {
 
     /// Acknowledged rows not yet flushed to a chunk.
     pub fn memtable_rows(&self) -> usize {
-        self.memtable.len()
+        self.memtable.cells()
     }
 
     /// Rows staged for the next commit.
     pub fn staged_rows(&self) -> usize {
-        self.staged.len()
+        self.staged.iter().map(WriteBatch::cells).sum()
     }
 
     /// Live chunk files.
@@ -1034,8 +981,8 @@ impl std::fmt::Debug for TsStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TsStore")
             .field("chunks", &self.chunk_seqs())
-            .field("memtable_rows", &self.memtable.len())
-            .field("staged_rows", &self.staged.len())
+            .field("memtable_rows", &self.memtable_rows())
+            .field("staged_rows", &self.staged_rows())
             .finish()
     }
 }
@@ -1043,7 +990,9 @@ impl std::fmt::Debug for TsStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crc::crc32;
     use crate::memdisk::{FaultMode, FaultPlan, MemDisk};
+    use crate::row::ColumnValue;
 
     fn row(series: &str, field: &str, ts: i64, v: f64) -> RowRecord {
         RowRecord::new(series, field, ts, ColumnValue::F64(v))
@@ -1056,17 +1005,96 @@ mod tests {
         }
     }
 
+    /// Write `payloads` as the durable log of `disk`, each framed as
+    /// [`Wal::append`] frames it.
+    fn put_wal(disk: &MemDisk, payloads: &[&[u8]]) {
+        let mut f = disk.create(WAL_FILE).unwrap();
+        for p in payloads {
+            f.append(&(p.len() as u32).to_le_bytes()).unwrap();
+            f.append(&crc32(p).to_le_bytes()).unwrap();
+            f.append(p).unwrap();
+        }
+        f.sync().unwrap();
+    }
+
     #[test]
-    fn row_batch_roundtrip() {
-        let rows = vec![
-            row("cpu,host=a", "_cpu0", 10, 1.5),
-            RowRecord::new("m", "i", 11, ColumnValue::I64(-4)),
-            RowRecord::new("m", "b", 12, ColumnValue::Bool(true)),
-            RowRecord::new("m", "s", 13, ColumnValue::Str("x=y".into())),
-        ];
-        let enc = encode_row_batch(&rows);
-        assert_eq!(decode_row_batch(&enc).unwrap(), rows);
-        assert!(decode_row_batch(&enc[..enc.len() - 1]).is_err());
+    fn frame_that_does_not_decode_is_cut_and_later_commits_survive() {
+        let disk = MemDisk::new(120);
+        let vfs: Arc<dyn Vfs> = Arc::new(disk.clone());
+        let good = WriteBatch::from_rows([row("s", "f", 1, 1.0)]).encode();
+        // Sealed under a valid CRC: a frame version this build does not
+        // know, then a frame that would decode.
+        let newer: &[u8] = &[0, 9, 1, 2, 3];
+        put_wal(&disk, &[&good, newer, &good]);
+        let dropped = (8 + newer.len() + 8 + good.len()) as u64;
+        let (mut store, report) = TsStore::open(vfs.clone(), small_opts()).unwrap();
+        assert_eq!((report.wal_rows, report.wal_corrupt_frames), (1, 1));
+        assert_eq!(report.wal_bytes_dropped, dropped);
+        assert_eq!(store.wal_size().unwrap(), (8 + good.len()) as u64);
+        store.append(&[row("s", "f", 2, 2.0)]);
+        store.commit().unwrap();
+        drop(store);
+        disk.restart();
+        let (mut store, report) = TsStore::open(vfs, small_opts()).unwrap();
+        assert_eq!((report.wal_rows, report.wal_corrupt_frames), (2, 0));
+        assert_eq!(report.wal_bytes_dropped, 0);
+        assert_eq!(
+            store.scan().unwrap(),
+            vec![row("s", "f", 1, 1.0), row("s", "f", 2, 2.0)]
+        );
+    }
+
+    #[test]
+    fn version_1_wal_still_recovers() {
+        // The log a pre-v2 build left behind for two commits: the second
+        // rewrites cell (cpu,host=a _cpu0 10) and adds one cell of each
+        // other type. Bytes pinned, not generated: no v1 encoder is left.
+        let first: &[u8] = b"\x01\x0acpu,host=a\x05_cpu0\x14\x00\x00\x00\x00\x00\x00\x00\xf8\x3f";
+        let second: &[u8] = b"\x04\x0acpu,host=a\x05_cpu0\x14\x00\x00\x00\x00\x00\x00\x00\x04\xc0\
+            \x01m\x01i\x16\x01\x07\x01m\x01b\x18\x02\x01\x01m\x01s\x1a\x03\x03x=y";
+        let disk = MemDisk::new(121);
+        put_wal(&disk, &[first, second]);
+        let (mut store, report) = TsStore::open(Arc::new(disk), small_opts()).unwrap();
+        assert_eq!((report.wal_rows, report.wal_corrupt_frames), (5, 0));
+        assert_eq!(
+            store.scan().unwrap(),
+            vec![
+                row("cpu,host=a", "_cpu0", 10, -2.5),
+                RowRecord::new("m", "b", 12, ColumnValue::Bool(true)),
+                RowRecord::new("m", "i", 11, ColumnValue::I64(-4)),
+                RowRecord::new("m", "s", 13, ColumnValue::Str("x=y".into())),
+            ]
+        );
+    }
+
+    #[test]
+    fn one_cell_commits_flush_the_chunk_of_one_commit() {
+        let cells: Vec<RowRecord> = (0..4096i64)
+            .map(|i| {
+                row(
+                    ["a", "b", "c"][i as usize % 3],
+                    "f",
+                    (i * 7919) % 1000,
+                    i as f64,
+                )
+            })
+            .collect();
+        let opts = StoreOptions {
+            flush_threshold_rows: usize::MAX,
+            ..small_opts()
+        };
+        let chunk = |one_by_one: bool| {
+            let disk = MemDisk::new(122);
+            let (mut store, _) = TsStore::open(Arc::new(disk.clone()), opts).unwrap();
+            for commit in cells.chunks(if one_by_one { 1 } else { cells.len() }) {
+                store.append(commit);
+                store.commit().unwrap();
+            }
+            assert_eq!(store.memtable_rows(), 4096);
+            store.flush().unwrap().unwrap();
+            disk.read(&chunk_name(0)).unwrap()
+        };
+        assert!(chunk(true) == chunk(false));
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! `BitFlip`), the prefix must cover at least every acknowledged batch.
 //!
 //! The same file pins the durable format: a differential suite holds
-//! every chunk file, compaction report and scan of the block-merge kernel
-//! to a per-cell `BTreeMap` oracle (the builder the kernel replaced), a
+//! every chunk file, compaction report and scan of the block path — WAL
+//! frame, memtable, crash replay and the block-merge kernel — to a
+//! per-cell `BTreeMap` oracle (the builder the kernel replaced), a
 //! codec property holds the byte-wise bit I/O to a bit-at-a-time
 //! reference, and one golden pins a compacted chunk's length and CRC.
 //!
@@ -489,14 +490,18 @@ fn block_kernel_matches_the_per_cell_oracle() {
         let vfs: Arc<dyn Vfs> = Arc::new(disk.clone());
         let spec = vfs.disk_spec();
         let (mut store, _) = TsStore::open(vfs.clone(), opts).unwrap();
-        // The model: live chunks as cell maps, the memtable in write order.
+        // The model: live chunks as cell maps, the memtable in write order,
+        // and what the log holds — every commit since the last flush,
+        // which is what a reopen replays (cells retention dropped from
+        // the memtable alone come back with it).
         let mut chunks: BTreeMap<u64, Cells> = BTreeMap::new();
         let mut memtable: Vec<RowRecord> = Vec::new();
+        let mut log: Vec<RowRecord> = Vec::new();
         let mut next_seq = 0u64;
         for step in 0..(6 + rng.below(30)) {
             let op = rng.below(10);
             let cutoff = (op == 9).then(|| rng.below(600) as i64);
-            if op < 6 {
+            if op < 5 {
                 let batch: Vec<RowRecord> = (0..1 + rng.below(12))
                     .map(|_| {
                         // Few keys and timestamps: duplicates within a
@@ -513,7 +518,27 @@ fn block_kernel_matches_the_per_cell_oracle() {
                     .collect();
                 store.append(&batch);
                 store.commit().unwrap();
+                log.extend(batch.iter().cloned());
                 memtable.extend(batch);
+            } else if op == 5 {
+                // Crash and recover: frames and memtable are rebuilt from
+                // the log, chunks re-indexed from their files.
+                drop(store);
+                disk.restart();
+                let (reopened, report) = TsStore::open(vfs.clone(), opts).unwrap();
+                store = reopened;
+                memtable = log.clone();
+                // Sequence numbers resume past the files that exist.
+                next_seq = chunks.keys().next_back().map_or(0, |seq| seq + 1);
+                assert_eq!(
+                    (report.chunks_loaded, report.wal_rows),
+                    (chunks.len(), log.len() as u64),
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(
+                    (report.wal_corrupt_frames, report.wal_bytes_dropped),
+                    (0, 0)
+                );
             } else if op < 8 {
                 let info = store.flush().unwrap();
                 assert_eq!(
@@ -529,6 +554,7 @@ fn block_kernel_matches_the_per_cell_oracle() {
                     chunks.insert(next_seq, cells);
                     next_seq += 1;
                     memtable.clear();
+                    log.clear();
                 }
             } else {
                 let report = match cutoff {

@@ -12,11 +12,17 @@
 //! points, not the storage layout: typed per-field columns exist only in
 //! [`crate::storage`], which [`ColumnarBatch::apply`] writes into.
 //!
-//! Atomicity falls out of the WAL framing: `encode_row_batch` wraps every
-//! row of an `append` call in a single `[len][crc][payload]` frame, and
-//! recovery drops a torn or corrupt frame wholly. A crash mid-commit
-//! therefore replays the entire batch or none of it — never a prefix
-//! (`pcp/tests/batch_crash.rs` pins this with seeded MemDisk faults).
+//! The durable store takes the same grouping ([`ColumnarBatch::blocks`]):
+//! per series the rendered key once, the timestamps once, and one value
+//! column per field — a `pmove_store::WriteBatch`, which is the WAL frame
+//! and what the store's memtable absorbs; no per-cell record exists on
+//! the way.
+//!
+//! Atomicity falls out of the WAL framing: the whole batch is one
+//! `[len][crc][payload]` frame, and recovery drops a torn or corrupt
+//! frame wholly. A crash mid-commit therefore replays the entire batch or
+//! none of it — never a prefix (`pcp/tests/batch_crash.rs` pins this with
+//! seeded MemDisk faults).
 //!
 //! Equivalence with row-at-a-time ingest is *bit-exact*, pinned by the
 //! `PMOVE_BATCH_CASES` differential suite. The two order contracts that
@@ -38,7 +44,7 @@ use crate::point::Point;
 use crate::series::SeriesKey;
 use crate::storage::{shard_of_key, Storage, DEFAULT_SHARD_COUNT};
 use crate::value::FieldValue;
-use pmove_store::RowRecord;
+use pmove_store::{RowRecord, WriteBatch};
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -173,25 +179,22 @@ impl ColumnarBatch {
         seen.iter().filter(|&&b| b).count()
     }
 
-    /// Flatten into durable rows for one WAL frame: series-major, each
-    /// series' escaped key rendered once. Per-series arrival order is
-    /// preserved, which is all last-write-wins replay needs.
-    pub fn wal_rows(&self) -> Vec<RowRecord> {
-        let mut rows = Vec::new();
+    /// The batch as the durable store takes it: one block per series —
+    /// escaped key rendered once, points in arrival order, which is all
+    /// last-write-wins replay needs.
+    pub fn blocks(&self) -> WriteBatch {
+        let mut out = WriteBatch::default();
         for sc in &self.series {
-            let rendered = render_series_key(&sc.key.measurement, &sc.key.tags);
-            for (ts, fields) in sc.ts.iter().zip(&sc.fields) {
-                for (field, value) in fields {
-                    rows.push(RowRecord::new(
-                        rendered.clone(),
-                        field.clone(),
-                        *ts,
-                        column_of_field(value),
-                    ));
-                }
-            }
+            let points = sc.ts.iter().copied().zip(&sc.fields);
+            push_series(&mut out, &sc.key.measurement, &sc.key.tags, points);
         }
-        rows
+        out
+    }
+
+    /// [`ColumnarBatch::blocks`] as one row per cell, for callers whose
+    /// unit is the row.
+    pub fn wal_rows(&self) -> Vec<RowRecord> {
+        self.blocks().into_rows()
     }
 
     /// Apply the batch to storage: each unique series is opened once, in
@@ -205,6 +208,22 @@ impl ColumnarBatch {
             for (ts, fields) in sc.ts.into_iter().zip(sc.fields) {
                 series.row_named(ts, fields);
             }
+        }
+    }
+}
+
+/// Append the `points` (timestamp and field set, arrival order) of
+/// series `measurement` + `tags` to `out` as one block.
+pub(crate) fn push_series<'a>(
+    out: &mut WriteBatch,
+    measurement: &str,
+    tags: &BTreeMap<String, String>,
+    points: impl ExactSizeIterator<Item = (i64, &'a BTreeMap<String, FieldValue>)>,
+) {
+    out.series(render_series_key(measurement, tags), points.len());
+    for (ts, fields) in points {
+        for (field, value) in fields {
+            out.push(ts, field, column_of_field(value));
         }
     }
 }
@@ -259,8 +278,9 @@ mod tests {
     }
 
     #[test]
-    fn wal_rows_are_series_major_and_order_preserving() {
+    fn blocks_are_series_major_and_order_preserving() {
         let batch = ColumnarBatch::build(vec![pt("b", 5, 1.0), pt("a", 1, 2.0), pt("b", 2, 3.0)]);
+        assert_eq!(batch.blocks().cells(), 3);
         let rows = batch.wal_rows();
         assert_eq!(rows.len(), 3);
         // Series b's rows first (first appearance), in arrival order.

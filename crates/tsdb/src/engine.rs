@@ -2,7 +2,7 @@
 //! subscriptions, and the ingest limiter that models database-side
 //! backpressure.
 
-use crate::batch::{BatchOutcome, ColumnarBatch};
+use crate::batch::{push_series, BatchOutcome, ColumnarBatch};
 use crate::cache::{CacheLookup, QueryCache};
 use crate::error::TsdbError;
 use crate::exec::{self, ExecMode, ExecStats};
@@ -20,8 +20,8 @@ use parking_lot::{Mutex, RwLock};
 use pmove_obs::{Counter, Histogram, Registry, TraceContext, Tracer};
 use pmove_store::{
     BackupAttach, BackupReport, BackupStats, Block, ChunkInfo, ColumnValue, CompactionReport,
-    QuarantinedChunk, RecoveryReport, RestoreReport, RowRecord, ScrubReport, Scrubber, StoreObs,
-    StoreOptions, TsStore, Vfs,
+    QuarantinedChunk, RecoveryReport, RestoreReport, ScrubReport, Scrubber, StoreObs, StoreOptions,
+    TsStore, Vfs, WriteBatch,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -51,24 +51,6 @@ fn field_of_column(v: ColumnValue) -> FieldValue {
         ColumnValue::Bool(x) => FieldValue::Bool(x),
         ColumnValue::Str(x) => FieldValue::Str(x),
     }
-}
-
-/// Flatten a point into durable rows: one per field, filed under the
-/// canonical series key.
-fn rows_of_point(point: &Point) -> Vec<RowRecord> {
-    let series = render_series_key(&point.measurement, &point.tags);
-    point
-        .fields
-        .iter()
-        .map(|(k, v)| {
-            RowRecord::new(
-                series.clone(),
-                k.clone(),
-                point.timestamp,
-                column_of_field(v),
-            )
-        })
-        .collect()
 }
 
 /// Mark every stored row's rollup bucket dirty — used when tiers are
@@ -783,14 +765,16 @@ impl Database {
             }
         }
         // Durability barrier: when a store is attached, the point is
-        // framed into the WAL and group-committed before it is counted,
-        // published, or made queryable — an acknowledged write is a
-        // durable write.
+        // framed into the WAL — a batch of one — and group-committed
+        // before it is counted, published, or made queryable: an
+        // acknowledged write is a durable write.
         let mut commit_ns = 0u64;
         if let Some(store) = &self.store {
-            let rows = rows_of_point(&point);
+            let mut batch = WriteBatch::default();
+            let points = std::iter::once((point.timestamp, &point.fields));
+            push_series(&mut batch, &point.measurement, &point.tags, points);
             let mut st = store.lock();
-            st.append(&rows);
+            st.append_batch(batch);
             let info = st.commit()?;
             commit_ns = st.modeled_commit_ns(info.bytes).max(1);
         }
@@ -954,9 +938,9 @@ impl Database {
         // group commit; acknowledgement implies the batch is durable.
         let mut commit_ns = 0u64;
         if let Some(store) = &self.store {
-            let rows = batch.wal_rows();
+            let blocks = batch.blocks();
             let mut st = store.lock();
-            st.append_owned(rows);
+            st.append_batch(blocks);
             let info = st.commit()?;
             commit_ns = st.modeled_commit_ns(info.bytes).max(1);
         }

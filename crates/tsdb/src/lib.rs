@@ -36,6 +36,7 @@
 //!     .unwrap();
 //! assert_eq!(rs.rows.len(), 1);
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod aggregate;
 pub mod batch;

@@ -6,49 +6,109 @@
 //! measurement[,tag=value...] field=value[,field=value...] [timestamp]
 //! ```
 //!
-//! Escapes supported: `\,` `\ ` `\=` in identifiers, `\"` inside string
-//! field values. Integer fields carry an `i` suffix, booleans are
+//! Escapes: `\,` `\ ` `\=` `\"` `\\` in identifiers (a backslash before
+//! any other character stands for itself), `\"` inside string field
+//! values. Integer fields carry an `i` suffix, booleans are
 //! `true`/`false`, everything else numeric is a float.
+//!
+//! [`parse`] reads a line in one scan. Every delimiter is ASCII, so the
+//! scan walks bytes, and a segment is copied out once, when its end is
+//! known — unescaped on the way only if it holds a backslash.
 
 use crate::error::TsdbError;
 use crate::point::Point;
 use crate::value::FieldValue;
 use std::collections::BTreeMap;
 
+/// The characters a backslash escapes in an identifier.
+const ESCAPED: [char; 5] = ['\\', ',', ' ', '=', '"'];
+
+fn bad(what: &str, text: &str) -> TsdbError {
+    TsdbError::LineProtocol(format!("{what}: {text}"))
+}
+
+fn escape_into(out: &mut String, s: &str) {
+    for c in s.chars() {
+        if ESCAPED.contains(&c) {
+            out.push('\\');
+        }
+        out.push(c);
+    }
+}
+
+/// Inverse of [`escape_into`]; the result is the only allocation.
+fn unescape(s: &str) -> String {
+    if !s.contains('\\') {
+        return s.to_string();
+    }
+    let mut out = String::with_capacity(s.len());
+    let mut chars = s.chars().peekable();
+    while let Some(c) = chars.next() {
+        let escaped = (c == '\\').then(|| chars.next_if(|n| ESCAPED.contains(n)));
+        out.push(escaped.flatten().unwrap_or(c));
+    }
+    out
+}
+
+/// Offset of the first byte of `stops` at or after `from` that no
+/// backslash escapes (one escapes the byte after it, whatever that is),
+/// or `b.len()`.
+fn until(b: &[u8], from: usize, stops: &[u8]) -> usize {
+    let mut i = from;
+    while let Some(c) = b.get(i) {
+        match c {
+            b'\\' => i += 1,
+            c if stops.contains(c) => return i,
+            _ => {}
+        }
+        i += 1;
+    }
+    b.len()
+}
+
 /// Render the canonical series key `measurement[,tag=value...]` — the
 /// identity under which the durable store files a series. Tags iterate
 /// in `BTreeMap` order and identifiers use line-protocol escaping, so
 /// the key is deterministic and lossless.
 pub fn render_series_key(measurement: &str, tags: &BTreeMap<String, String>) -> String {
-    let mut out = escape_ident(measurement);
+    let mut out = String::new();
+    escape_into(&mut out, measurement);
     for (k, v) in tags {
         out.push(',');
-        out.push_str(&escape_ident(k));
+        escape_into(&mut out, k);
         out.push('=');
-        out.push_str(&escape_ident(v));
+        escape_into(&mut out, v);
     }
     out
+}
+
+/// Scan `measurement[,tag=value...]` off the front of `s` — up to its
+/// first unescaped space when `s` is a line, all of it when a series
+/// key — and return the offset the scan stopped at.
+fn scan_head(s: &str, line: bool) -> Result<(String, BTreeMap<String, String>, usize), TsdbError> {
+    let b = s.as_bytes();
+    let (ends, key_ends): (&[u8], &[u8]) = if line { (b", ", b"=, ") } else { (b",", b"=,") };
+    let mut at = until(b, 0, ends);
+    let measurement = unescape(&s[..at]);
+    let mut tags = BTreeMap::new();
+    while b.get(at) == Some(&b',') {
+        let eq = until(b, at + 1, key_ends);
+        let end = until(b, eq, ends);
+        if b.get(eq) != Some(&b'=') {
+            return Err(bad("bad tag", &s[at + 1..end]));
+        }
+        tags.insert(unescape(&s[at + 1..eq]), unescape(&s[eq + 1..end]));
+        at = end;
+    }
+    Ok((measurement, tags, at))
 }
 
 /// Parse a series key produced by [`render_series_key`] back into its
 /// measurement and tag set.
 pub fn parse_series_key(key: &str) -> Result<(String, BTreeMap<String, String>), TsdbError> {
-    let mut parts = split_all_unescaped(key, ',');
-    let measurement = unescape_ident(
-        parts
-            .next()
-            .ok_or_else(|| TsdbError::LineProtocol("empty series key".into()))?,
-    );
+    let (measurement, tags, _) = scan_head(key, false)?;
     if measurement.is_empty() {
-        return Err(TsdbError::LineProtocol(
-            "empty measurement in series key".into(),
-        ));
-    }
-    let mut tags = BTreeMap::new();
-    for tag in parts {
-        let (k, v) = split_unescaped(tag, '=')
-            .ok_or_else(|| TsdbError::LineProtocol(format!("bad tag in series key: {tag}")))?;
-        tags.insert(unescape_ident(k), unescape_ident(v));
+        return Err(bad("empty measurement in series key", key));
     }
     Ok((measurement, tags))
 }
@@ -56,70 +116,79 @@ pub fn parse_series_key(key: &str) -> Result<(String, BTreeMap<String, String>),
 /// Render a point as one line of line protocol.
 pub fn render(point: &Point) -> String {
     let mut out = render_series_key(&point.measurement, &point.tags);
-    out.push(' ');
-    let fields: Vec<String> = point
-        .fields
-        .iter()
-        .map(|(k, v)| format!("{}={}", escape_ident(k), v.to_line_protocol()))
-        .collect();
-    out.push_str(&fields.join(","));
+    let mut sep = ' ';
+    for (k, v) in &point.fields {
+        out.push(sep);
+        escape_into(&mut out, k);
+        out.push('=');
+        out.push_str(&v.to_line_protocol());
+        sep = ',';
+    }
     out.push(' ');
     out.push_str(&point.timestamp.to_string());
     out
+}
+
+/// Scan one `key=value` of a field section from `from`: the offset of its
+/// first unescaped `=`, if it has one, and of the unescaped `,` outside
+/// `"…"` that ends it (or `b.len()`).
+fn scan_field(b: &[u8], from: usize) -> (Option<usize>, usize) {
+    let (mut eq, mut quoted, mut i) = (None, false, from);
+    while let Some(c) = b.get(i) {
+        match c {
+            b'\\' => i += 1,
+            b'"' => quoted = !quoted,
+            b'=' if eq.is_none() => eq = Some(i),
+            b',' if !quoted => break,
+            _ => {}
+        }
+        i += 1;
+    }
+    (eq, i.min(b.len()))
 }
 
 /// Parse a single line of line protocol into a [`Point`].
 pub fn parse(line: &str) -> Result<Point, TsdbError> {
     let line = line.trim();
     if line.is_empty() || line.starts_with('#') {
-        return Err(TsdbError::LineProtocol("empty line".into()));
+        return Err(bad("empty line", line));
     }
-    let (head, rest) = split_unescaped(line, ' ')
-        .ok_or_else(|| TsdbError::LineProtocol(format!("no field section: {line}")))?;
-
-    // head = measurement[,tag=value...]
-    let mut head_parts = split_all_unescaped(head, ',');
-    let measurement = unescape_ident(
-        head_parts
-            .next()
-            .ok_or_else(|| TsdbError::LineProtocol("missing measurement".into()))?,
-    );
-    let mut point = Point::new(measurement);
-    for tag in head_parts {
-        let (k, v) = split_unescaped(tag, '=')
-            .ok_or_else(|| TsdbError::LineProtocol(format!("bad tag: {tag}")))?;
-        point.tags.insert(unescape_ident(k), unescape_ident(v));
+    let (measurement, tags, head_end) = scan_head(line, true)?;
+    if head_end == line.len() {
+        return Err(bad("no field section", line));
     }
-
-    // rest = fields [timestamp] — timestamp is the final whitespace-separated
-    // integer if present.
-    let rest = rest.trim();
-    let (field_sec, ts) = match rest.rfind(' ') {
-        Some(idx)
-            if rest[idx + 1..]
-                .chars()
-                .all(|c| c.is_ascii_digit() || c == '-') =>
+    // The timestamp is the final space-separated token when that is all
+    // digits and dashes; what precedes it is the field section.
+    let rest = line[head_end + 1..].trim_start();
+    let (section, timestamp) = match rest.rfind(' ') {
+        Some(sp)
+            if rest[sp + 1..]
+                .bytes()
+                .all(|c| c.is_ascii_digit() || c == b'-') =>
         {
-            let ts: i64 = rest[idx + 1..]
-                .parse()
-                .map_err(|_| TsdbError::LineProtocol(format!("bad timestamp: {rest}")))?;
-            (&rest[..idx], ts)
+            let ts = rest[sp + 1..].parse();
+            (&rest[..sp], ts.map_err(|_| bad("bad timestamp", rest))?)
         }
         _ => (rest, 0),
     };
-    point.timestamp = ts;
-
-    for field in split_all_unescaped_respecting_quotes(field_sec, ',') {
-        let (k, v) = split_unescaped(&field, '=')
-            .ok_or_else(|| TsdbError::LineProtocol(format!("bad field: {field}")))?;
-        point
-            .fields
-            .insert(unescape_ident(k), parse_field_value(v)?);
+    let mut fields = BTreeMap::new();
+    let mut start = 0;
+    while start < section.len() {
+        let (eq, end) = scan_field(section.as_bytes(), start);
+        let eq = eq.ok_or_else(|| bad("bad field", &section[start..end]))?;
+        let value = parse_field_value(&section[eq + 1..end])?;
+        fields.insert(unescape(&section[start..eq]), value);
+        start = end + 1;
     }
-    if point.fields.is_empty() {
+    if fields.is_empty() {
         return Err(TsdbError::EmptyFields);
     }
-    Ok(point)
+    Ok(Point {
+        measurement,
+        tags,
+        fields,
+        timestamp,
+    })
 }
 
 /// Parse a multi-line batch, skipping blank and `#` comment lines.
@@ -146,77 +215,11 @@ fn parse_field_value(raw: &str) -> Result<FieldValue, TsdbError> {
         return int_part
             .parse::<i64>()
             .map(FieldValue::Int)
-            .map_err(|_| TsdbError::LineProtocol(format!("bad int: {raw}")));
+            .map_err(|_| bad("bad int", raw));
     }
     raw.parse::<f64>()
         .map(FieldValue::Float)
-        .map_err(|_| TsdbError::LineProtocol(format!("bad float: {raw}")))
-}
-
-fn escape_ident(s: &str) -> String {
-    s.replace(',', "\\,")
-        .replace(' ', "\\ ")
-        .replace('=', "\\=")
-}
-
-fn unescape_ident(s: &str) -> String {
-    s.replace("\\,", ",")
-        .replace("\\ ", " ")
-        .replace("\\=", "=")
-}
-
-/// Split on the first occurrence of `sep` that is not preceded by `\`.
-fn split_unescaped(s: &str, sep: char) -> Option<(&str, &str)> {
-    let bytes = s.as_bytes();
-    let mut prev_escape = false;
-    for (i, c) in s.char_indices() {
-        if c == sep && !prev_escape {
-            return Some((&s[..i], &s[i + c.len_utf8()..]));
-        }
-        prev_escape = c == '\\' && !prev_escape;
-        let _ = bytes;
-    }
-    None
-}
-
-/// Iterate over all unescaped-`sep`-separated segments.
-fn split_all_unescaped(s: &str, sep: char) -> impl Iterator<Item = &str> {
-    let mut parts = Vec::new();
-    let mut start = 0;
-    let mut prev_escape = false;
-    for (i, c) in s.char_indices() {
-        if c == sep && !prev_escape {
-            parts.push(&s[start..i]);
-            start = i + c.len_utf8();
-        }
-        prev_escape = c == '\\' && !prev_escape;
-    }
-    parts.push(&s[start..]);
-    parts.into_iter()
-}
-
-/// Like [`split_all_unescaped`] but does not split inside `"..."` string
-/// values (needed for string fields containing commas).
-fn split_all_unescaped_respecting_quotes(s: &str, sep: char) -> Vec<String> {
-    let mut parts = Vec::new();
-    let mut cur = String::new();
-    let mut in_quotes = false;
-    let mut prev_escape = false;
-    for c in s.chars() {
-        if c == '"' && !prev_escape {
-            in_quotes = !in_quotes;
-        }
-        if c == sep && !in_quotes && !prev_escape {
-            parts.push(std::mem::take(&mut cur));
-        } else {
-            cur.push(c);
-        }
-        prev_escape = c == '\\' && !prev_escape;
-    }
-    if !cur.is_empty() {
-        parts.push(cur);
-    }
-    parts
+        .map_err(|_| bad("bad float", raw))
 }
 
 #[cfg(test)]
@@ -299,5 +302,33 @@ mod tests {
     fn series_key_rejects_garbage() {
         assert!(parse_series_key("").is_err());
         assert!(parse_series_key("m,notag").is_err());
+    }
+
+    #[test]
+    fn backslashes_and_quotes_in_identifiers_roundtrip() {
+        // `a=x\` used to render as `a=x\,b=y` and parse back as one tag.
+        let mut tags = BTreeMap::new();
+        tags.insert("a".to_string(), "x\\".to_string());
+        tags.insert("b".to_string(), "y".to_string());
+        let key = render_series_key("m", &tags);
+        assert_eq!(key, "m,a=x\\\\,b=y");
+        assert_eq!(
+            parse_series_key(&key).unwrap(),
+            ("m".to_string(), tags.clone())
+        );
+        let mut p = Point::new("m\\")
+            .field("k\\", 5i64)
+            .field("q\"", true)
+            .timestamp(3);
+        p.tags = tags;
+        assert_eq!(parse(&render(&p)).unwrap(), p);
+    }
+
+    #[test]
+    fn backslash_before_an_ordinary_character_is_literal() {
+        // Keys written before `\\` was an escape keep their meaning.
+        let (m, tags) = parse_series_key("a\\b,k\\x=v\\").unwrap();
+        assert_eq!(m, "a\\b");
+        assert_eq!(tags["k\\x"], "v\\");
     }
 }
