@@ -1,26 +1,16 @@
 //! End-to-end causal-tracing reproduction: golden trace trees from
-//! fault-injected runs, critical-path attribution, the deterministic SLO
-//! alert timeline, and the tracing overhead table.
+//! fault-injected runs, critical-path attribution and the deterministic
+//! SLO alert timeline.
 //!
-//! Everything except the overhead table derives from the virtual clock
-//! and seeded generators, so the rendered report is byte-identical across
-//! runs — the `tracing_golden` test pins it. The overhead table measures
-//! wall-clock and is appended after [`OVERHEAD_MARKER`], outside the
-//! golden region.
+//! Everything derives from the virtual clock and seeded generators, so
+//! the rendered report is byte-identical across runs — the
+//! `tracing_golden` test pins it. What tracing costs in wall-clock time is
+//! gated by `pmove-pcp`'s `overhead` test, nowhere else.
 
 use pmove_core::PMoveDaemon;
-use pmove_hwsim::network::LinkSpec;
-use pmove_hwsim::{FaultKind, FaultSchedule, MachineSpec};
-use pmove_obs::{AlertState, Registry, TraceConfig, TraceTree, Tracer};
-use pmove_pcp::pmda_linux::LinuxAgent;
-use pmove_pcp::{Pmcd, ResilienceConfig, SamplingConfig, SamplingLoop, Shipper};
-use pmove_tsdb::Database;
-use std::sync::Arc;
-use std::time::Instant;
-
-/// Separates the deterministic (golden) report from the measured
-/// overhead table in `docs/results/tracing.txt`.
-pub const OVERHEAD_MARKER: &str = "== tracing overhead (wall-clock, not golden) ==";
+use pmove_hwsim::{FaultKind, FaultSchedule};
+use pmove_obs::{AlertState, TraceConfig, TraceTree};
+use pmove_pcp::ResilienceConfig;
 
 /// Deterministic outputs of the tracing reproduction.
 pub struct TracingReport {
@@ -146,7 +136,7 @@ pub fn run() -> TracingReport {
     }
 }
 
-/// Render the deterministic (golden) region of the report.
+/// Render the report.
 pub fn format(r: &TracingReport) -> String {
     let mut out = String::new();
     out.push_str("== fault-injected resilient transport: recovered trace ==\n");
@@ -161,85 +151,5 @@ pub fn format(r: &TracingReport) -> String {
     ));
     out.push_str("\n== induced ingest p99 regression: alert timeline ==\n");
     out.push_str(&r.slo_timeline);
-    out
-}
-
-/// One sampling run for the overhead table; `tracer_rate` of `None`
-/// means no tracer attached (the default configuration).
-fn overhead_run(tracer_rate: Option<f64>) -> std::time::Duration {
-    let spec = MachineSpec::csl();
-    let metrics: Vec<String> = vec![
-        "kernel.all.load".into(),
-        "kernel.percpu.cpu.idle".into(),
-        "kernel.percpu.cpu.user".into(),
-        "kernel.percpu.cpu.sys".into(),
-        "mem.util.used".into(),
-        "mem.util.free".into(),
-    ];
-    let db = Database::new("host");
-    let mut pmcd = Pmcd::new();
-    pmcd.register(Box::new(LinuxAgent::new(spec)));
-    let reg = Registry::shared();
-    let mut shipper =
-        Shipper::new(&db, LinkSpec::mbit_100(), 1.0 / 32.0, &["ovh"]).with_obs(reg.clone());
-    pmcd.set_obs(&reg);
-    if let Some(rate) = tracer_rate {
-        reg.set_tracer(Arc::new(Tracer::new(
-            42,
-            TraceConfig {
-                sample_rate: rate,
-                sample_on_fault: true,
-                ring_capacity: 256,
-            },
-        )));
-    }
-    let config = SamplingConfig::new(metrics, 32.0, 0.0, 60.0);
-    let start = Instant::now();
-    let report = SamplingLoop::run(&config, &mut pmcd, &mut shipper);
-    let elapsed = start.elapsed();
-    assert_eq!(report.ticks, 32 * 60);
-    elapsed
-}
-
-/// Measure the overhead of tracing per sampling rate against the
-/// no-tracer baseline (interleaved, min-of-N so noise cancels). Returns
-/// `(label, ratio)` rows.
-pub fn overhead_rows(reps: usize) -> Vec<(String, f64)> {
-    let rates: [Option<f64>; 4] = [None, Some(0.0), Some(0.1), Some(1.0)];
-    let mut mins = vec![f64::INFINITY; rates.len()];
-    // Warm-up (allocator, code pages) — twice, so the first measured
-    // round is not the one paying one-time costs.
-    for _ in 0..2 {
-        for &r in &rates {
-            overhead_run(r);
-        }
-    }
-    for _ in 0..reps {
-        for (i, &r) in rates.iter().enumerate() {
-            mins[i] = mins[i].min(overhead_run(r).as_secs_f64());
-        }
-    }
-    let base = mins[0];
-    rates
-        .iter()
-        .zip(&mins)
-        .map(|(r, m)| {
-            let label = match r {
-                None => "no tracer (default)".to_string(),
-                Some(rate) => format!("sample_rate={rate}"),
-            };
-            (label, m / base)
-        })
-        .collect()
-}
-
-/// Render the overhead table.
-pub fn format_overhead(rows: &[(String, f64)]) -> String {
-    let mut out = format!("{OVERHEAD_MARKER}\n");
-    out.push_str(&format!("{:<22} {:>10}\n", "configuration", "ratio"));
-    for (label, ratio) in rows {
-        out.push_str(&format!("{label:<22} {ratio:>9.4}x\n"));
-    }
-    out.push_str("gate: tracer attached at sample_rate=0 must stay under 1.05x\n");
     out
 }

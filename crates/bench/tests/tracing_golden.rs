@@ -1,27 +1,21 @@
-//! Pin the deterministic region of the causal-tracing reproduction to
-//! its captured golden (`docs/results/tracing.txt`, everything before
-//! the overhead marker), and assert the acceptance shape directly: the
+//! Pin the causal-tracing reproduction to its captured golden
+//! (`docs/results/tracing.txt`), and assert the acceptance shape directly: the
 //! fault-injected trace crosses the retry path, the quorum write fans
 //! out to W replica spans nesting WAL group commit + shard ingest, the
 //! critical-path analyzer attributes >= 90% of latency, and the induced
 //! p99 regression pages at the same virtual timestamp every run.
 
-use pmove_bench::tracing::{format, run, OVERHEAD_MARKER};
+use pmove_bench::tracing::{format, run};
 
 const GOLDEN: &str = include_str!("../../../docs/results/tracing.txt");
 
 #[test]
 fn tracing_report_matches_golden() {
-    let rendered = format(&run());
-    let expected = GOLDEN
-        .split(OVERHEAD_MARKER)
-        .next()
-        .expect("golden contains the overhead marker")
-        .trim_end_matches('\n');
+    // `pmove-bench tracing` prints the report and a newline.
     assert_eq!(
-        rendered.trim_end_matches('\n'),
-        expected,
-        "deterministic tracing report drifted from docs/results/tracing.txt; \
+        format!("{}\n", format(&run())),
+        GOLDEN,
+        "tracing report drifted from docs/results/tracing.txt; \
          regenerate with `pmove-bench tracing > docs/results/tracing.txt`"
     );
 }

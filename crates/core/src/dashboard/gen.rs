@@ -85,14 +85,114 @@ pub fn level_dashboard(kb: &KnowledgeBase, component_type: &str) -> Option<Dashb
     Some(build(kb, 3, format!("level: {component_type}"), &level))
 }
 
+/// One optional panel of the self dashboard: the counters and gauges
+/// whose names start with one of its prefixes.
+struct SelfPanel {
+    title: &'static str,
+    counters: &'static [&'static str],
+    gauges: &'static [&'static str],
+    /// Plot a counter only once it is non-zero: daemons that never use the
+    /// feature still register its counters, at zero, and grow no panel.
+    nonzero: bool,
+    /// One target per label set (`tenant=3`) instead of one `value` target
+    /// per name, so per-tenant behaviour reads directly off the panel.
+    per_labels: bool,
+}
+
+/// The optional panels, in dashboard order.
+const SELF_PANELS: &[SelfPanel] = &[
+    // WAL, compaction and docdb journal: daemons over durable storage.
+    SelfPanel {
+        title: "storage engine",
+        counters: &["wal.", "store.wal.", "compaction.", "docdb.journal."],
+        gauges: &[],
+        nonzero: false,
+        per_labels: false,
+    },
+    // Executor and result-cache counters. The engine registers these on
+    // attach, so every observed daemon grows the panel (hit rates read as
+    // flat zero until queries run).
+    SelfPanel {
+        title: "query engine",
+        counters: &["tsdb.query.", "tsdb.cache."],
+        gauges: &[],
+        nonzero: false,
+        per_labels: false,
+    },
+    // Spill/retry/breaker series of the self-healing transport mode.
+    SelfPanel {
+        title: "transport resilience",
+        counters: &["pcp.resilience."],
+        gauges: &["pcp.resilience."],
+        nonzero: true,
+        per_labels: false,
+    },
+    // Quorum-write, hinted-handoff and anti-entropy counters plus the
+    // coordinator's health gauges: daemons booted over the replicated store.
+    SelfPanel {
+        title: "replication",
+        counters: &["tsdb.repl."],
+        gauges: &["tsdb.repl."],
+        nonzero: true,
+        per_labels: false,
+    },
+    // Scrubber progress and the full-pass heartbeat gauge, once the
+    // scrubber ran or boot-time verification quarantined something.
+    SelfPanel {
+        title: "integrity",
+        counters: &["store.scrub."],
+        gauges: &["store.scrub."],
+        nonzero: true,
+        per_labels: false,
+    },
+    // Archiver/snapshot progress, the last-success heartbeat the
+    // backup-staleness SLO watches, restore accounting and the drill's
+    // bit-exact pass/fail gauge.
+    SelfPanel {
+        title: "backup & DR",
+        counters: &["store.backup.", "tsdb.restore.", "daemon.drill."],
+        gauges: &["store.backup.", "daemon.drill."],
+        nonzero: true,
+        per_labels: false,
+    },
+    // Columnar write-path throughput and continuous-query materialization.
+    SelfPanel {
+        title: "batch & rollup",
+        counters: &["tsdb.batch.", "tsdb.rollup."],
+        gauges: &[],
+        nonzero: true,
+        per_labels: false,
+    },
+    // The SLO engine's meta-metrics and the tracer's lifetime counters.
+    // (`pmove.` names export as themselves, without the `pmove.self.`
+    // prefix: `measurement_for`.)
+    SelfPanel {
+        title: "tracing & SLO",
+        counters: &["pmove.slo.", "pmove.trace."],
+        gauges: &["pmove.slo.", "pmove.trace."],
+        nonzero: false,
+        per_labels: false,
+    },
+    // Admission, shed and execution counters plus the per-tenant cache
+    // hit/miss and coalescing series of the multi-tenant serving layer.
+    SelfPanel {
+        title: "query serving",
+        counters: &["pmove.serve."],
+        gauges: &["pmove.serve."],
+        nonzero: false,
+        per_labels: true,
+    },
+];
+
 /// Self-observability dashboard (the framework watching itself): built
 /// from a registry [`Snapshot`](pmove_obs::Snapshot) instead of KB
 /// telemetry, targeting the `pmove.self.*` series that
 /// [`export_snapshot`](pmove_tsdb::export_snapshot) writes.
 ///
 /// Panels: transport loss (loss gauge + the four conservation counters),
-/// one latency panel per histogram (p50/p90/p99 targets), per-daemon-step
-/// span timings, and the remaining spans.
+/// one latency panel per histogram (p50/p90/p99 targets), the
+/// optional panels (`SELF_PANELS`) whose series the snapshot carries,
+/// per-daemon-step span timings, and the remaining spans.
 pub fn self_dashboard(kb: &KnowledgeBase, snap: &pmove_obs::Snapshot) -> Dashboard {
     use pmove_tsdb::self_export::{measurement_for, SELF_PREFIX, SPAN_PREFIX};
     let target = |measurement: &str, params: &str| Target {
@@ -131,244 +231,41 @@ pub fn self_dashboard(kb: &KnowledgeBase, snap: &pmove_obs::Snapshot) -> Dashboa
         d = d.panel(key.name.clone(), targets);
     }
 
-    // Storage engine: WAL, compaction, and docdb journal counters, when
-    // the daemon runs over durable storage.
-    let mut seen_storage = Vec::new();
-    let storage_targets: Vec<Target> = snap
-        .counters
-        .iter()
-        .filter(|(key, _)| {
-            key.name.starts_with("wal.")
-                || key.name.starts_with("store.wal.")
-                || key.name.starts_with("compaction.")
-                || key.name.starts_with("docdb.journal.")
-        })
-        .filter(|(key, _)| {
-            if seen_storage.contains(&key.name) {
-                false
-            } else {
-                seen_storage.push(key.name.clone());
-                true
-            }
-        })
-        .map(|(key, _)| target(&format!("{SELF_PREFIX}{}", key.name), "value"))
-        .collect();
-    if !storage_targets.is_empty() {
-        d = d.panel("storage engine", storage_targets);
-    }
-
-    // Query engine: parallel-executor and result-cache counters. The
-    // engine registers these on attach, so every observed daemon grows the
-    // panel (hit rates read as flat zero until queries run).
-    let mut seen_query = Vec::new();
-    let query_targets: Vec<Target> = snap
-        .counters
-        .iter()
-        .filter(|(key, _)| {
-            key.name.starts_with("tsdb.query.") || key.name.starts_with("tsdb.cache.")
-        })
-        .filter(|(key, _)| {
-            if seen_query.contains(&key.name) {
-                false
-            } else {
-                seen_query.push(key.name.clone());
-                true
-            }
-        })
-        .map(|(key, _)| target(&format!("{SELF_PREFIX}{}", key.name), "value"))
-        .collect();
-    if !query_targets.is_empty() {
-        d = d.panel("query engine", query_targets);
-    }
-
-    // Transport resilience: spill/retry/breaker counters and gauges, when
-    // the self-healing transport mode has been active. Plain runs carry
-    // only the zero-valued supervision counters, so they grow no panel.
-    let mut resilience_names: Vec<String> = snap
-        .counters
-        .iter()
-        .filter(|(key, value)| key.name.starts_with("pcp.resilience.") && *value > 0)
-        .map(|(key, _)| key.name.clone())
-        .chain(
-            snap.gauges
-                .iter()
-                .filter(|(key, _)| key.name.starts_with("pcp.resilience."))
-                .map(|(key, _)| key.name.clone()),
-        )
-        .collect();
-    resilience_names.sort();
-    resilience_names.dedup();
-    let resilience_targets: Vec<Target> = resilience_names
-        .iter()
-        .map(|name| target(&format!("{SELF_PREFIX}{name}"), "value"))
-        .collect();
-    if !resilience_targets.is_empty() {
-        d = d.panel("transport resilience", resilience_targets);
-    }
-
-    // Replication: quorum-write, hinted-handoff, and anti-entropy
-    // counters plus the coordinator's health gauges, when the daemon
-    // boots the replicated store. Non-replicated runs register none of
-    // these names, so they grow no panel.
-    let mut repl_names: Vec<String> = snap
-        .counters
-        .iter()
-        .filter(|(key, value)| key.name.starts_with("tsdb.repl.") && *value > 0)
-        .map(|(key, _)| key.name.clone())
-        .chain(
-            snap.gauges
-                .iter()
-                .filter(|(key, _)| key.name.starts_with("tsdb.repl."))
-                .map(|(key, _)| key.name.clone()),
-        )
-        .collect();
-    repl_names.sort();
-    repl_names.dedup();
-    let repl_targets: Vec<Target> = repl_names
-        .iter()
-        .map(|name| target(&format!("{SELF_PREFIX}{name}"), "value"))
-        .collect();
-    if !repl_targets.is_empty() {
-        d = d.panel("replication", repl_targets);
-    }
-
-    // Integrity: scrubber progress counters plus the full-pass heartbeat
-    // gauge, when the background scrubber has run (or boot-time
-    // verification quarantined something). Stores without scrubbing
-    // register only zero-valued counters and no gauge, so they grow no
-    // panel.
-    let mut scrub_names: Vec<String> = snap
-        .counters
-        .iter()
-        .filter(|(key, value)| key.name.starts_with("store.scrub.") && *value > 0)
-        .map(|(key, _)| key.name.clone())
-        .chain(
-            snap.gauges
-                .iter()
-                .filter(|(key, _)| key.name.starts_with("store.scrub."))
-                .map(|(key, _)| key.name.clone()),
-        )
-        .collect();
-    scrub_names.sort();
-    scrub_names.dedup();
-    let scrub_targets: Vec<Target> = scrub_names
-        .iter()
-        .map(|name| target(&format!("{SELF_PREFIX}{name}"), "value"))
-        .collect();
-    if !scrub_targets.is_empty() {
-        d = d.panel("integrity", scrub_targets);
-    }
-
-    // Backup & disaster recovery: archiver/snapshot progress counters,
-    // the last-success heartbeat gauge the backup-staleness SLO watches,
-    // restore accounting, and the drill's bit-exact pass/fail gauge.
-    // Daemons without backups enabled register none of these names, so
-    // they grow no panel.
-    let mut backup_names: Vec<String> = snap
-        .counters
-        .iter()
-        .filter(|(key, value)| {
-            (key.name.starts_with("store.backup.")
-                || key.name.starts_with("tsdb.restore.")
-                || key.name.starts_with("daemon.drill."))
-                && *value > 0
-        })
-        .map(|(key, _)| key.name.clone())
-        .chain(
-            snap.gauges
-                .iter()
-                .filter(|(key, _)| {
-                    key.name.starts_with("store.backup.") || key.name.starts_with("daemon.drill.")
-                })
-                .map(|(key, _)| key.name.clone()),
-        )
-        .collect();
-    backup_names.sort();
-    backup_names.dedup();
-    let backup_targets: Vec<Target> = backup_names
-        .iter()
-        .map(|name| target(&format!("{SELF_PREFIX}{name}"), "value"))
-        .collect();
-    if !backup_targets.is_empty() {
-        d = d.panel("backup & DR", backup_targets);
-    }
-
-    // Batch ingest & rollup tiers: columnar write-path throughput and the
-    // continuous-query materialization counters, when the batched path or
-    // the rollup engine has run. Row-at-a-time runs with rollups disabled
-    // register only zero-valued counters, so they grow no panel.
-    let mut batch_names: Vec<String> = snap
-        .counters
-        .iter()
-        .filter(|(key, value)| {
-            (key.name.starts_with("tsdb.batch.") || key.name.starts_with("tsdb.rollup."))
-                && *value > 0
-        })
-        .map(|(key, _)| key.name.clone())
-        .collect();
-    batch_names.sort();
-    batch_names.dedup();
-    let batch_targets: Vec<Target> = batch_names
-        .iter()
-        .map(|name| target(&format!("{SELF_PREFIX}{name}"), "value"))
-        .collect();
-    if !batch_targets.is_empty() {
-        d = d.panel("batch & rollup", batch_targets);
-    }
-
-    // Tracing & SLO: the SLO engine's meta-metrics and the tracer's
-    // lifetime counters. Both families live in the `pmove.` namespace and
-    // export under their own names (no `pmove.self.` prefix), so the
-    // targets address them directly. Untraced runs register none of
-    // these, so they grow no panel.
-    let mut obs_names: Vec<String> = snap
-        .counters
-        .iter()
-        .map(|(key, _)| key.name.clone())
-        .chain(snap.gauges.iter().map(|(key, _)| key.name.clone()))
-        .filter(|name| name.starts_with("pmove.slo.") || name.starts_with("pmove.trace."))
-        .collect();
-    obs_names.sort();
-    obs_names.dedup();
-    let obs_targets: Vec<Target> = obs_names.iter().map(|name| target(name, "value")).collect();
-    if !obs_targets.is_empty() {
-        d = d.panel("tracing & SLO", obs_targets);
-    }
-
-    // Query serving: admission, shed, and execution counters plus the
-    // per-tenant cache hit/miss and coalescing series, when the
-    // multi-tenant serving layer has run. Serving metrics live under
-    // `pmove.serve.` (exported unprefixed) and keep their labels, so
-    // each labeled series gets its own target — per-tenant cache
-    // behaviour reads directly off the panel. Runs that never serve
-    // register none of these names, so they grow no panel.
-    let mut serve_series: Vec<(String, String)> = snap
-        .counters
-        .iter()
-        .map(|(key, _)| key)
-        .chain(snap.gauges.iter().map(|(key, _)| key))
-        .filter(|key| key.name.starts_with("pmove.serve."))
-        .map(|key| {
-            let params = if key.labels.is_empty() {
-                "value".to_string()
-            } else {
-                key.labels
-                    .iter()
-                    .map(|(k, v)| format!("{k}={v}"))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            };
-            (key.name.clone(), params)
-        })
-        .collect();
-    serve_series.sort();
-    serve_series.dedup();
-    let serve_targets: Vec<Target> = serve_series
-        .iter()
-        .map(|(name, params)| target(name, params))
-        .collect();
-    if !serve_targets.is_empty() {
-        d = d.panel("query serving", serve_targets);
+    // The optional panels: each grows only when the snapshot carries
+    // series of its family.
+    let named = |prefixes: &[&str], name: &str| prefixes.iter().any(|x| name.starts_with(x));
+    for p in SELF_PANELS {
+        let counters = snap
+            .counters
+            .iter()
+            .filter(|(key, value)| named(p.counters, &key.name) && (!p.nonzero || *value > 0))
+            .map(|(key, _)| key);
+        let gauges = snap
+            .gauges
+            .iter()
+            .filter(|(key, _)| named(p.gauges, &key.name))
+            .map(|(key, _)| key);
+        let mut series: Vec<(String, String)> = counters
+            .chain(gauges)
+            .map(|key| {
+                let params = if p.per_labels && !key.labels.is_empty() {
+                    key.labels
+                        .iter()
+                        .map(|(k, v)| format!("{k}={v}"))
+                        .collect::<Vec<_>>()
+                        .join(",")
+                } else {
+                    "value".to_string()
+                };
+                (measurement_for(&key.name), params)
+            })
+            .collect();
+        series.sort();
+        series.dedup();
+        if !series.is_empty() {
+            let targets = series.iter().map(|(m, params)| target(m, params)).collect();
+            d = d.panel(p.title, targets);
+        }
     }
 
     // Span timings: daemon boot steps get their own panel.

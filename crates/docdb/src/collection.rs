@@ -21,8 +21,6 @@ pub struct FindOptions {
     pub descending: bool,
     /// Keep at most this many results.
     pub limit: Option<usize>,
-    /// Project only these dotted paths (plus `_id`).
-    pub projection: Option<Vec<String>>,
 }
 
 impl FindOptions {
@@ -43,12 +41,6 @@ impl FindOptions {
     /// Cap the number of results.
     pub fn limit(mut self, n: usize) -> Self {
         self.limit = Some(n);
-        self
-    }
-
-    /// Project only the given paths.
-    pub fn project<I: IntoIterator<Item = S>, S: Into<String>>(mut self, paths: I) -> Self {
-        self.projection = Some(paths.into_iter().map(Into::into).collect());
         self
     }
 }
@@ -216,7 +208,7 @@ impl Collection {
         self.find_with(filter, &FindOptions::default())
     }
 
-    /// Find with sort/limit/projection options.
+    /// Find with sort/limit options.
     pub fn find_with(&self, filter: &Value, opts: &FindOptions) -> Result<Vec<Value>, DocDbError> {
         if let Some(o) = &self.obs {
             o.finds.inc();
@@ -253,23 +245,6 @@ impl Collection {
         }
         if let Some(limit) = opts.limit {
             out.truncate(limit);
-        }
-        if let Some(proj) = &opts.projection {
-            out = out
-                .into_iter()
-                .map(|doc| {
-                    let mut slim = serde_json::Map::new();
-                    if let Some(id) = doc.get("_id") {
-                        slim.insert("_id".into(), id.clone());
-                    }
-                    for p in proj {
-                        if let Some(v) = get_path(&doc, p) {
-                            slim.insert(p.clone(), v.clone());
-                        }
-                    }
-                    Value::Object(slim)
-                })
-                .collect();
         }
         Ok(out)
     }
@@ -400,14 +375,12 @@ mod tests {
     }
 
     #[test]
-    fn sort_limit_project() {
+    fn sort_and_limit() {
         let c = filled();
-        let opts = FindOptions::sort("freq").desc().limit(1).project(["name"]);
+        let opts = FindOptions::sort("freq").desc().limit(1);
         let r = c.find_with(&json!({"@type": "Interface"}), &opts).unwrap();
         assert_eq!(r.len(), 1);
         assert_eq!(r[0]["name"], json!("cpu0"));
-        assert!(r[0].get("freq").is_none());
-        assert!(r[0].get("_id").is_some());
     }
 
     #[test]

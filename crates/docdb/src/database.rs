@@ -57,11 +57,6 @@ impl Database {
             .clone()
     }
 
-    /// Existing collection, if any.
-    pub fn get_collection(&self, name: &str) -> Option<Arc<Collection>> {
-        self.collections.read().get(name).cloned()
-    }
-
     /// Sorted collection names.
     pub fn collection_names(&self) -> Vec<String> {
         self.collections.read().keys().cloned().collect()
@@ -80,25 +75,6 @@ impl Database {
             out.insert(name.clone(), json!(col.all()));
         }
         Value::Object(out)
-    }
-
-    /// Import a snapshot produced by [`Database::export_snapshot`],
-    /// appending to existing collections. Returns documents imported.
-    pub fn import_snapshot(&self, snapshot: &Value) -> usize {
-        let mut imported = 0;
-        if let Some(map) = snapshot.as_object() {
-            for (name, docs) in map {
-                if let Some(arr) = docs.as_array() {
-                    let col = self.collection(name);
-                    for doc in arr {
-                        if col.insert_one(doc.clone()).is_ok() {
-                            imported += 1;
-                        }
-                    }
-                }
-            }
-        }
-        imported
     }
 }
 
@@ -123,7 +99,6 @@ mod tests {
         a.insert_one(json!({"x": 1})).unwrap();
         assert_eq!(b.len(), 1);
         assert_eq!(db.collection_names(), vec!["kb".to_string()]);
-        assert!(db.get_collection("nosuch").is_none());
     }
 
     #[test]
@@ -152,21 +127,5 @@ mod tests {
         assert_eq!(snap.counter("docdb.updates", &labels), Some(1));
         assert_eq!(snap.counter("docdb.deletes", &labels), Some(1));
         assert!(db.obs_registry().is_some());
-    }
-
-    #[test]
-    fn snapshot_roundtrip() {
-        let src = Database::new("src");
-        src.collection("kb").insert_one(json!({"a": 1})).unwrap();
-        src.collection("obs").insert_one(json!({"b": 2})).unwrap();
-        let snap = src.export_snapshot();
-
-        let dst = Database::new("dst");
-        let n = dst.import_snapshot(&snap);
-        assert_eq!(n, 2);
-        assert_eq!(dst.collection("kb").len(), 1);
-        assert_eq!(dst.collection("obs").len(), 1);
-        // Re-import collides on _id and imports nothing.
-        assert_eq!(dst.import_snapshot(&snap), 0);
     }
 }

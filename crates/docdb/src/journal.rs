@@ -161,11 +161,6 @@ impl DurableDatabase {
         self.db.name()
     }
 
-    /// Durable journal size in bytes.
-    pub fn journal_size(&self) -> Result<u64, DocDbError> {
-        Ok(self.wal.lock().size()?)
-    }
-
     /// Operations made durable since open (excluding replayed ones).
     pub fn journal_records(&self) -> u64 {
         self.wal.lock().durable_records()

@@ -11,7 +11,7 @@
 //! * **update operators**: `$set`, `$unset`, `$inc`, `$push`;
 //! * **hash indexes** over dotted paths, consulted automatically by equality
 //!   queries;
-//! * sorted/limited **find** with projection.
+//! * sorted/limited **find**.
 //!
 //! ```
 //! use pmove_docdb::Database;

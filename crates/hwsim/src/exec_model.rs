@@ -243,11 +243,6 @@ impl Execution {
         }
     }
 
-    /// Mean package power over the run, in watts.
-    pub fn package_power_w(&self) -> f64 {
-        self.quantity_total(Quantity::EnergyPkg) / self.duration_s
-    }
-
     /// Fraction of the quantity falling into the window `[t0, t1)` of
     /// virtual time, assuming a uniform rate over the run.
     pub fn window_fraction(&self, t0: f64, t1: f64) -> f64 {
@@ -463,7 +458,7 @@ mod tests {
     fn package_power_in_plausible_server_range() {
         let m = model();
         let exec = m.run(&triad(), 0.0);
-        let w = exec.package_power_w();
+        let w = exec.quantity_total(Quantity::EnergyPkg) / exec.duration_s;
         assert!(w > 50.0 && w < 400.0, "power {w} W");
     }
 }

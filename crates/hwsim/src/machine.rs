@@ -7,7 +7,7 @@
 
 use crate::disk::DiskSpec;
 use crate::gpu::GpuSpec;
-use crate::topology::{ComponentId, ComponentKind, Topology};
+use crate::topology::{ComponentKind, Topology};
 use crate::vendor::{IsaExt, Microarch};
 use serde::{Deserialize, Serialize};
 use serde_json::json;
@@ -309,11 +309,6 @@ impl Machine {
     /// Short key.
     pub fn key(&self) -> &str {
         &self.spec.key
-    }
-
-    /// OS-index → topology id for hardware threads.
-    pub fn thread_ids(&self) -> Vec<ComponentId> {
-        self.topology.threads().iter().map(|c| c.id).collect()
     }
 }
 

@@ -31,15 +31,6 @@ impl LinkSpec {
         }
     }
 
-    /// A gigabit link.
-    pub fn gbit_1() -> Self {
-        LinkSpec {
-            bandwidth_bps: 1e9,
-            latency_s: 100e-6,
-            overhead_bytes: 64,
-        }
-    }
-
     /// Time to transfer a message of `bytes` payload.
     pub fn transfer_time(&self, bytes: usize) -> f64 {
         self.latency_s + (bytes + self.overhead_bytes as usize) as f64 * 8.0 / self.bandwidth_bps
@@ -146,11 +137,6 @@ impl CongestedLink {
     /// Messages delivered as batched zeros.
     pub fn zeroed(&self) -> u64 {
         self.zeroed
-    }
-
-    /// Bytes actually carried so far in the current window.
-    pub fn window_load(&self) -> f64 {
-        self.bytes_in_window
     }
 }
 
@@ -360,7 +346,6 @@ mod tests {
         let t = l.transfer_time(1000);
         // 1064 bytes at 100 Mbit = 85.1 µs + 200 µs latency.
         assert!((t - (200e-6 + 1064.0 * 8.0 / 100e6)).abs() < 1e-9);
-        assert!(LinkSpec::gbit_1().transfer_time(1000) < t);
     }
 
     #[test]

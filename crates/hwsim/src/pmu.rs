@@ -322,11 +322,6 @@ impl CounterBank {
         self.programmed.clear();
     }
 
-    /// Number of programmed events.
-    pub fn programmed_count(&self) -> usize {
-        self.programmed.len()
-    }
-
     /// Hardware counter slots.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -434,7 +429,6 @@ mod tests {
         assert!(b.is_multiplexing());
         assert_eq!(b.duty_cycle(), 0.5);
         b.clear();
-        assert_eq!(b.programmed_count(), 0);
         assert_eq!(b.duty_cycle(), 1.0);
     }
 

@@ -209,11 +209,18 @@ impl StreamKernel {
             }
         }
     }
+}
 
-    /// Closed-form expected checksum for `run(n)`.
-    pub fn expected_checksum(&self, n: usize) -> f64 {
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const N: usize = 10_000;
+
+    /// Closed-form expected checksum for `k.run(n)`.
+    fn expected_checksum(k: StreamKernel, n: usize) -> f64 {
         let n = n as f64;
-        match self {
+        match k {
             StreamKernel::Sum => n,          // Σ 1
             StreamKernel::Copy => 2.0 * n,   // Σ 2
             StreamKernel::Scale => 6.0 * n,  // Σ 3·2
@@ -231,13 +238,6 @@ impl StreamKernel {
             }
         }
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    const N: usize = 10_000;
 
     #[test]
     fn every_kernel_matches_its_closed_form() {
@@ -252,7 +252,7 @@ mod tests {
             StreamKernel::Peakflops,
         ] {
             let r = k.run(N);
-            let expect = k.expected_checksum(N);
+            let expect = expected_checksum(k, N);
             let rel = (r.checksum - expect).abs() / expect.abs().max(1.0);
             assert!(rel < 1e-9, "{}: {} vs {}", k.name(), r.checksum, expect);
             assert!(r.seconds >= 0.0);

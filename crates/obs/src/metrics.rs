@@ -366,17 +366,6 @@ impl Registry {
         self.tracing_on.store(true, Ordering::Release);
     }
 
-    /// Detach the tracer; subsequent [`Registry::tracer`] calls return
-    /// `None` and tracing reverts to zero-cost.
-    pub fn clear_tracer(&self) {
-        self.tracing_on.store(false, Ordering::Release);
-        let mut slot = match self.tracer.lock() {
-            Ok(g) => g,
-            Err(poison) => poison.into_inner(),
-        };
-        *slot = None;
-    }
-
     /// The attached tracer, if any. Cheap when tracing is off.
     pub fn tracer(&self) -> Option<Arc<Tracer>> {
         if !self.tracing_on.load(Ordering::Acquire) {
@@ -525,8 +514,6 @@ mod tests {
         assert!(reg.tracer().is_none());
         reg.set_tracer(Arc::new(Tracer::new(1, TraceConfig::default())));
         assert!(reg.tracer().is_some());
-        reg.clear_tracer();
-        assert!(reg.tracer().is_none());
     }
 
     #[test]

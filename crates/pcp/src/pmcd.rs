@@ -108,19 +108,9 @@ impl Pmcd {
         self.tags.insert(key.into(), value.into());
     }
 
-    /// Remove all stamped tags.
-    pub fn clear_tags(&mut self) {
-        self.tags.clear();
-    }
-
     /// All metrics across agents.
     pub fn namespace(&self) -> Vec<MetricDesc> {
         self.agents.iter().flat_map(|a| a.metrics()).collect()
-    }
-
-    /// Registered agent names.
-    pub fn agent_names(&self) -> Vec<String> {
-        self.agents.iter().map(|a| a.name().to_string()).collect()
     }
 
     /// Mutable access to an agent by name (to attach executions, etc.).
@@ -251,21 +241,19 @@ mod tests {
         let ns = p.namespace();
         assert!(ns.iter().any(|m| m.name == "kernel.percpu.cpu.idle"));
         assert!(ns.iter().any(|m| m.name == "test.answer"));
-        assert_eq!(p.agent_names(), vec!["pmdalinux", "const"]);
     }
 
     #[test]
     fn fetch_builds_tagged_point() {
         let mut p = coordinator();
+        let point = p.fetch("test.answer", 0.0, 1.0).unwrap();
+        assert!(point.tags.is_empty());
         p.set_tag("tag", "obs-123");
         let point = p.fetch("kernel.percpu.cpu.idle", 0.0, 1.0).unwrap();
         assert_eq!(point.measurement, "kernel_percpu_cpu_idle");
         assert_eq!(point.field_count(), 16);
         assert_eq!(point.tags["tag"], "obs-123");
         assert_eq!(point.timestamp, 1_000_000_000);
-        p.clear_tags();
-        let point = p.fetch("test.answer", 0.0, 1.0).unwrap();
-        assert!(point.tags.is_empty());
     }
 
     #[test]

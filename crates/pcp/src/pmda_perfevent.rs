@@ -65,19 +65,9 @@ impl PerfEventAgent {
         self.executions.push((exec, Some(affinity)));
     }
 
-    /// Drop all attached executions.
-    pub fn detach_all(&mut self) {
-        self.executions.clear();
-    }
-
     /// Whether the configured events exceed the counter bank (multiplexing).
     pub fn is_multiplexing(&self) -> bool {
         self.bank.is_multiplexing()
-    }
-
-    /// Configured (accepted) event names.
-    pub fn configured_events(&self) -> &[String] {
-        &self.events
     }
 
     fn quantity_of(&self, event: &str) -> Option<(Quantity, Domain)> {
@@ -188,7 +178,8 @@ mod tests {
     #[test]
     fn rejects_unsupported_events() {
         let a = PerfEventAgent::new(MachineSpec::csl(), &["NOT_AN_EVENT", "RAPL_ENERGY_PKG"]);
-        assert_eq!(a.configured_events(), &["RAPL_ENERGY_PKG".to_string()]);
+        let names: Vec<String> = a.metrics().into_iter().map(|d| d.name).collect();
+        assert_eq!(names, ["perfevent.hwcounters.RAPL_ENERGY_PKG"]);
     }
 
     #[test]
@@ -246,13 +237,5 @@ mod tests {
             .all(|d| d.name.starts_with("perfevent.hwcounters.")));
         assert!(m.iter().any(|d| d.indom == InstanceDomain::PerPackage));
         assert!(m.iter().any(|d| d.indom == InstanceDomain::PerCpu));
-    }
-
-    #[test]
-    fn detach_clears_counts() {
-        let mut a = agent_with_exec();
-        a.detach_all();
-        let s = a.sample("perfevent.hwcounters.FP_ARITH:SCALAR_DOUBLE", 0.0, 100.0);
-        assert!(s.iter().all(|(_, v)| *v == 0.0));
     }
 }

@@ -90,11 +90,6 @@ impl SamplingReport {
     pub fn throughput(&self, duration_s: f64) -> f64 {
         (self.transport.values_inserted + self.transport.values_zeroed) as f64 / duration_s
     }
-
-    /// Non-zero inserted values per second (A.Tput — actual throughput).
-    pub fn actual_throughput(&self, duration_s: f64) -> f64 {
-        self.transport.values_inserted as f64 / duration_s
-    }
 }
 
 /// Where one run's samples go: the single-node [`Shipper`] or the
@@ -294,7 +289,6 @@ mod tests {
         let (report, _) = run(2.0, &["kernel.percpu.cpu.idle"]);
         // 16 fields × 2 Hz = 32 values/s.
         assert!((report.throughput(10.0) - 32.0).abs() < 0.5);
-        assert!(report.actual_throughput(10.0) <= report.throughput(10.0));
     }
 
     #[test]

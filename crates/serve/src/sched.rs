@@ -148,11 +148,6 @@ impl WfqQueue {
         self.len_requests == 0
     }
 
-    /// Queued groups.
-    pub fn group_count(&self) -> usize {
-        self.by_order.len()
-    }
-
     fn weight(&self, p: Priority) -> u32 {
         match p {
             Priority::Interactive => self.interactive_weight,
@@ -273,14 +268,6 @@ impl WfqQueue {
     pub fn next_eligibility(&self) -> Option<u64> {
         self.by_order.values().map(|g| g.eligible_ns()).min()
     }
-
-    /// Lowest priority currently queued, if any.
-    pub fn lowest_queued_priority(&self) -> Option<Priority> {
-        self.by_order
-            .values()
-            .flat_map(|g| g.members.iter().map(|m| m.priority))
-            .min()
-    }
 }
 
 #[cfg(test)]
@@ -326,7 +313,6 @@ mod tests {
         q.admit("panel", req(1, Priority::Interactive));
         q.admit("other", req(2, Priority::Interactive));
         assert_eq!(q.len(), 3);
-        assert_eq!(q.group_count(), 2);
         let g = q.pop_eligible(0).unwrap();
         assert_eq!(g.key, "panel");
         assert_eq!(g.members.len(), 2);

@@ -114,11 +114,6 @@ impl SuiteMatrix {
             }
         }
     }
-
-    /// Expected nnz/row class of the original (for shape checks).
-    pub fn original_nnz_per_row(&self) -> f64 {
-        self.original_nnz() as f64 / self.original_rows() as f64
-    }
 }
 
 #[cfg(test)]
@@ -158,8 +153,8 @@ mod tests {
         let g = SuiteMatrix::HumanGene1.generate(1.0);
         g.validate().unwrap();
         let density = g.mean_row_nnz() / g.rows as f64;
-        let orig_density = SuiteMatrix::HumanGene1.original_nnz_per_row()
-            / SuiteMatrix::HumanGene1.original_rows() as f64;
+        let orig_rows = SuiteMatrix::HumanGene1.original_rows() as f64;
+        let orig_density = SuiteMatrix::HumanGene1.original_nnz() as f64 / orig_rows / orig_rows;
         assert!(
             (density - orig_density).abs() < 0.04,
             "density {density} vs original {orig_density}"

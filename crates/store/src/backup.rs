@@ -521,11 +521,6 @@ impl BackupState {
         self.deferred.push(name);
     }
 
-    /// Is a snapshot job in progress?
-    pub fn job_active(&self) -> bool {
-        self.job.is_some()
-    }
-
     /// Pop the next chunk seq the active job still has to copy.
     pub(crate) fn job_todo_pop(&mut self) -> Option<u64> {
         self.job.as_mut()?.todo.pop()

@@ -148,7 +148,6 @@ struct Inner {
     rot_events: Vec<RotEvent>,
     rot_prefix: Option<String>,
     rot_fired: usize,
-    rot_applied: u64,
 }
 
 impl Inner {
@@ -242,7 +241,6 @@ impl Inner {
             if let Some(f) = self.files.get_mut(&victim) {
                 f.durable[offset as usize] ^= 1 << bit;
             }
-            self.rot_applied += 1;
             out.push(RotRecord {
                 at_s: ev.at_s,
                 file: victim,
@@ -282,7 +280,6 @@ impl MemDisk {
                 rot_events: Vec::new(),
                 rot_prefix: None,
                 rot_fired: 0,
-                rot_applied: 0,
             })),
         }
     }
@@ -329,11 +326,6 @@ impl MemDisk {
             out.extend(inner.apply_rot(ev));
         }
         out
-    }
-
-    /// Total latent bit flips applied over the disk's lifetime.
-    pub fn rot_flips_applied(&self) -> u64 {
-        self.inner.lock().rot_applied
     }
 
     /// Has a scheduled fault fired?
@@ -597,7 +589,6 @@ mod tests {
         disk.schedule_rot(RotSchedule::none().at(10.0, 1).at(20.0, 2));
         // Nothing fires before its time.
         assert!(disk.advance_rot(9.99).is_empty());
-        assert_eq!(disk.rot_flips_applied(), 0);
         let first = disk.advance_rot(10.0);
         assert_eq!(first.len(), 1);
         // The disk keeps serving reads — rot is silent.
@@ -613,7 +604,6 @@ mod tests {
         let rest = disk.advance_rot(100.0);
         assert_eq!(rest.len(), 2);
         assert!(disk.advance_rot(1000.0).is_empty());
-        assert_eq!(disk.rot_flips_applied(), 3);
     }
 
     #[test]

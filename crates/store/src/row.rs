@@ -32,17 +32,6 @@ impl ColumnValue {
         }
     }
 
-    /// Human-readable name for a tag (diagnostics).
-    pub fn tag_name(tag: u8) -> &'static str {
-        match tag {
-            0 => "f64",
-            1 => "i64",
-            2 => "bool",
-            3 => "str",
-            _ => "unknown",
-        }
-    }
-
     /// Validate a tag read from disk.
     pub fn check_tag(tag: u8) -> StoreResult<u8> {
         if tag <= 3 {
@@ -113,7 +102,6 @@ mod tests {
         assert_eq!(ColumnValue::Str("x".into()).type_tag(), 3);
         assert!(ColumnValue::check_tag(3).is_ok());
         assert!(ColumnValue::check_tag(4).is_err());
-        assert_eq!(ColumnValue::tag_name(0), "f64");
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Columnar batch ingest: struct-of-arrays buffers that turn many points
 //! into one series-interned, group-committed write.
 //!
-//! The row-at-a-time path pays per point: a canonical-key render, a shard
-//! hash, a series map lookup, and — in durable mode — one WAL frame and
-//! one group commit. [`ColumnarBatch`] amortizes all four: points are
-//! grouped per series into two parallel vectors (`ts[]` beside
-//! `fields[]`, each point's field set moved over whole), each unique
-//! series is rendered/hashed/interned **once** per batch, and the engine
+//! The row-at-a-time path pays per point: a series map lookup and — in
+//! durable mode — one WAL frame and one group commit. [`ColumnarBatch`]
+//! amortizes all three: points are grouped per series into two parallel
+//! vectors (`ts[]` beside `fields[]`, each point's field set moved over
+//! whole), each unique series is interned **once** per batch, and the engine
 //! writes the whole batch as **one** WAL frame followed by **one** group
 //! commit ([`crate::Database::write_batch`]). The batch is a grouping of
 //! points, not the storage layout: typed per-field columns exist only in
@@ -42,7 +41,7 @@ use crate::engine::column_of_field;
 use crate::line_protocol::render_series_key;
 use crate::point::Point;
 use crate::series::SeriesKey;
-use crate::storage::{shard_of_key, Storage, DEFAULT_SHARD_COUNT};
+use crate::storage::Storage;
 use crate::value::FieldValue;
 use pmove_store::{RowRecord, WriteBatch};
 use std::collections::{BTreeMap, HashMap};
@@ -51,7 +50,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// FNV-1a for the batch's series-grouping map: the keys are short strings
 /// hashed millions of times per ingest run, where SipHash's setup cost
 /// dominates. Grouping is an in-batch implementation detail, so the
-/// weaker hash never affects placement or query results.
+/// weaker hash never affects query results.
 #[derive(Default)]
 struct FnvHasher(u64);
 
@@ -75,16 +74,11 @@ impl Hasher for FnvHasher {
 }
 
 /// Struct-of-arrays columns for one series within a batch: timestamps and
-/// field sets in arrival order, plus the interning work (canonical render,
-/// shard hash) done once instead of once per point.
+/// field sets in arrival order.
 #[derive(Debug)]
 pub struct SeriesColumns {
     /// Series identity.
     pub key: SeriesKey,
-    /// Canonical (unescaped) key, the shard-placement hash input.
-    pub canonical: String,
-    /// Home shard under the fixed default layout.
-    pub shard: usize,
     /// Timestamps in arrival order.
     pub ts: Vec<i64>,
     /// Field sets in arrival order (moved out of the points, not copied).
@@ -106,7 +100,7 @@ pub struct ColumnarBatch {
 
 impl ColumnarBatch {
     /// Transpose points into columns. Each unique series is interned once
-    /// (one `SeriesKey` clone, one canonical render, one shard hash).
+    /// (one `SeriesKey` clone).
     pub fn build(points: Vec<Point>) -> ColumnarBatch {
         let total = points.len();
         let mut series: Vec<SeriesColumns> = Vec::new();
@@ -121,12 +115,8 @@ impl ColumnarBatch {
             let slot = match index.get(&key) {
                 Some(&i) => i,
                 None => {
-                    let canonical = key.canonical();
-                    let shard = shard_of_key(&canonical, DEFAULT_SHARD_COUNT);
                     series.push(SeriesColumns {
                         key: key.clone(),
-                        canonical,
-                        shard,
                         ts: Vec::new(),
                         fields: Vec::new(),
                     });
@@ -170,15 +160,6 @@ impl ColumnarBatch {
         self.series.len()
     }
 
-    /// Distinct home shards the batch touches.
-    pub fn shard_spread(&self) -> usize {
-        let mut seen = [false; DEFAULT_SHARD_COUNT];
-        for sc in &self.series {
-            seen[sc.shard % DEFAULT_SHARD_COUNT] = true;
-        }
-        seen.iter().filter(|&&b| b).count()
-    }
-
     /// The batch as the durable store takes it: one block per series —
     /// escaped key rendered once, points in arrival order, which is all
     /// last-write-wins replay needs.
@@ -204,7 +185,7 @@ impl ColumnarBatch {
     /// interned per measurement — see [`crate::storage`]).
     pub(crate) fn apply(self, storage: &mut Storage) {
         for sc in self.series {
-            let mut series = storage.append(&sc.key, Some(&sc.canonical));
+            let mut series = storage.append(&sc.key);
             for (ts, fields) in sc.ts.into_iter().zip(sc.fields) {
                 series.row_named(ts, fields);
             }
@@ -240,8 +221,6 @@ pub struct BatchOutcome {
     pub rejected: usize,
     /// Unique series the accepted points covered.
     pub series: usize,
-    /// Distinct home shards the accepted points covered.
-    pub shards: usize,
     /// Modeled WAL group-commit cost for the whole batch (0 when
     /// memory-only or nothing was accepted).
     pub commit_ns: u64,
@@ -274,7 +253,6 @@ mod tests {
         assert_eq!(batch.series()[1].key.tags["host"], "a");
         assert_eq!(batch.series()[0].ts, vec![1, 3]);
         assert_eq!(batch.series()[1].ts, vec![2]);
-        assert!(batch.shard_spread() >= 1);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::query::{Query, QueryResult};
 use crate::retention::RetentionPolicy;
 use crate::rollup::{RollupAudit, RollupConfig, RollupStore, RollupTickReport};
 use crate::series::SeriesKey;
-use crate::storage::{shard_of_key, Storage, DEFAULT_SHARD_COUNT};
+use crate::storage::Storage;
 use crate::subscribe::{Subscription, SubscriptionHub};
 use crate::value::FieldValue;
 use crossbeam::channel::Receiver;
@@ -173,10 +173,8 @@ struct EngineObs {
     queries: Arc<Counter>,
     ingest_ns: Arc<Histogram>,
     query_ns: Arc<Histogram>,
-    // Sharded query engine accounting.
+    // Query engine accounting.
     query_executions: Arc<Counter>,
-    query_parallel: Arc<Counter>,
-    query_shards_scanned: Arc<Counter>,
     query_rows_scanned: Arc<Counter>,
     query_series_pruned: Arc<Counter>,
     // Query-result cache accounting.
@@ -228,8 +226,6 @@ impl EngineObs {
             ingest_ns: registry.histogram("tsdb.ingest_ns", &[], buckets.clone()),
             query_ns: registry.histogram("tsdb.query_ns", &[], buckets),
             query_executions: c("tsdb.query.executions"),
-            query_parallel: c("tsdb.query.parallel"),
-            query_shards_scanned: c("tsdb.query.shards_scanned"),
             query_rows_scanned: c("tsdb.query.rows_scanned"),
             query_series_pruned: c("tsdb.query.series_pruned"),
             cache_hits: c("tsdb.cache.hits"),
@@ -356,7 +352,7 @@ impl Database {
         let mut blocks = blocks.into_iter().peekable();
         while let Some(first) = blocks.next() {
             let (measurement, tags) = parse_series_key(&first.series)?;
-            let mut series = storage.append(&SeriesKey { measurement, tags }, None);
+            let mut series = storage.append(&SeriesKey { measurement, tags });
             let mut columns = Vec::new();
             let mut next = Some(first);
             while let Some(b) = next {
@@ -531,7 +527,7 @@ impl Database {
     /// replayed on top, every CRC verified — a typed
     /// [`TsdbError::Backup`] refusal on any gap or corruption, never a
     /// silently-wrong restore. On success the attached store is replaced,
-    /// shards and rollup tiers are rebuilt from the restored bytes, and
+    /// series and rollup tiers are rebuilt from the restored bytes, and
     /// every measurement's write version is bumped so the query cache can
     /// never serve pre-restore rows.
     pub fn restore_at(
@@ -816,7 +812,8 @@ impl Database {
     /// Lay out the modeled ingest spans for one accepted point:
     /// `tsdb.ingest` wrapping `store.wal.group_commit` (durable mode
     /// only, `commit_ns > 0`) then `tsdb.shard_ingest` (status carries
-    /// the shard index the point's canonical series key routes to).
+    /// the Merkle shard of the point's rendered series key, a label the
+    /// trace goldens pin).
     /// Returns the modeled end timestamp (0 when untraced).
     fn trace_ingest(
         &self,
@@ -837,7 +834,7 @@ impl Database {
             cursor += commit_ns;
         }
         let series = render_series_key(&point.measurement, &point.tags);
-        let shard = shard_of_key(&series, DEFAULT_SHARD_COUNT);
+        let shard = crate::repl::merkle_shard(&series);
         let si = tracer.child(ingest, "tsdb.shard_ingest", cursor);
         tracer.end_span_status(si, cursor + ingest_ns, &format!("shard-{shard:02}"));
         cursor += ingest_ns;
@@ -868,7 +865,7 @@ impl Database {
     /// same stored rows bit for bit. What changes is the cost model: the
     /// admitted points are pivoted into per-series columns, framed into
     /// **one** WAL record, group-committed once, and bulk-inserted per
-    /// shard. Crash mid-frame replays or drops the whole batch — never a
+    /// series. Crash mid-frame replays or drops the whole batch — never a
     /// prefix (see `store::wal` framing).
     ///
     /// A WAL commit error fails the entire call before anything is counted
@@ -919,7 +916,6 @@ impl Database {
                 accepted: 0,
                 rejected,
                 series: 0,
-                shards: 0,
                 commit_ns: 0,
             });
         }
@@ -976,7 +972,6 @@ impl Database {
             }
         }
         let series = batch.series_count();
-        let shards = batch.shard_spread();
         let mark_rollups = self.rollups.read().is_some();
         let rollup_marks: Vec<(String, Vec<i64>)> = if mark_rollups {
             batch
@@ -1014,7 +1009,6 @@ impl Database {
             accepted,
             rejected,
             series,
-            shards,
             commit_ns,
         })
     }
@@ -1166,10 +1160,6 @@ impl Database {
 
     fn record_exec_stats(&self, stats: &ExecStats) {
         if let Some(o) = &self.obs {
-            if stats.parallel {
-                o.query_parallel.inc();
-            }
-            o.query_shards_scanned.add(stats.shards_scanned);
             o.query_rows_scanned.add(stats.rows_scanned);
             o.query_series_pruned.add(stats.series_pruned);
             if stats.rollup_routed {

@@ -4,8 +4,8 @@
 //! --------------------
 //! `run` with any [`ExecMode`] returns results **bit-identical** to the
 //! sequential reference executor ([`crate::query::execute`]), for every
-//! query and every thread count. The differential test harness
-//! (`tests/differential.rs`) pins this.
+//! query. The differential test harness (`tests/differential.rs`) pins
+//! this.
 //!
 //! The scan kernel
 //! ---------------
@@ -36,18 +36,14 @@
 //!
 //! No fan-out
 //! ----------
-//! Every query runs on the calling thread, whatever thread count the mode
-//! carries. A per-shard fan-out with order-free partial accumulators used
-//! to sit beside the ordered fold. After the kernel it could only pay for
-//! `min`/`max`/`count`/`first`/`last` queries planning more than ~65,000
-//! rows, and no benchmark workload issues one (the largest query scans
-//! 57,600 rows and is a `mean`), so it was deleted rather than kept
-//! unmeasured — DESIGN.md "Why nothing fans out".
+//! Every query runs on the calling thread, whatever number
+//! [`ExecMode::Parallel`] carries: no benchmark workload issues a query a
+//! fan-out could pay for (DESIGN.md "Why nothing fans out").
 
 use crate::aggregate::{Accumulator, AggregateFn};
 use crate::error::TsdbError;
 use crate::query::{self, Projection, Query, QueryPlan, QueryResult, ResultRow};
-use crate::storage::{ColumnSlice, MeasurementView, Storage};
+use crate::storage::{ColumnSlice, Measurement, Storage};
 
 /// How a query is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,9 +51,8 @@ pub enum ExecMode {
     /// The original single-threaded executor, kept as the reference
     /// implementation (the oracle of the differential harness).
     Sequential,
-    /// The scan kernel, with rollup routing. The thread count is recorded
-    /// in [`ExecStats`] and changes nothing else: no strategy spawns (see
-    /// the module docs).
+    /// The scan kernel, with rollup routing. The number is ignored: no
+    /// strategy spawns (see the module docs).
     Parallel(usize),
 }
 
@@ -73,27 +68,10 @@ impl Default for ExecMode {
     }
 }
 
-impl ExecMode {
-    /// Thread count this mode carries.
-    pub fn threads(&self) -> usize {
-        match self {
-            ExecMode::Sequential => 1,
-            ExecMode::Parallel(n) => (*n).max(1),
-        }
-    }
-}
-
 /// Work accounting for one executed query (exported as `tsdb.query.*`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Executed by the scan kernel ([`ExecMode::Parallel`]), not the
-    /// reference executor.
-    pub parallel: bool,
-    /// Thread count of the mode.
-    pub threads: usize,
-    /// Shards holding at least one matching series.
-    pub shards_scanned: u64,
-    /// Rows scanned across all shards (after time-range narrowing).
+    /// Rows scanned (after time-range narrowing).
     pub rows_scanned: u64,
     /// Series skipped by the planner's time-bounds pruning.
     pub series_pruned: u64,
@@ -115,7 +93,7 @@ pub fn run(
 }
 
 /// [`run`] with optional rollup tiers: eligible aggregate queries on the
-/// parallel path are routed to the coarsest covering tier (see
+/// kernel path are routed to the coarsest covering tier (see
 /// [`crate::rollup`] for the exactness envelope). Sequential mode never
 /// uses tiers — it stays the pure oracle the differential harness trusts.
 pub fn run_with_rollups(
@@ -125,35 +103,18 @@ pub fn run_with_rollups(
     rollups: Option<&crate::rollup::RollupStore>,
 ) -> Result<(QueryResult, ExecStats), TsdbError> {
     match mode {
-        ExecMode::Sequential => {
-            let result = query::execute(storage, q)?;
-            let stats = ExecStats {
-                parallel: false,
-                threads: 1,
-                ..ExecStats::default()
-            };
-            Ok((result, stats))
-        }
-        ExecMode::Parallel(n) => run_kernel(storage, q, n.max(1), rollups),
+        ExecMode::Sequential => Ok((query::execute(storage, q)?, ExecStats::default())),
+        ExecMode::Parallel(_) => run_kernel(storage, q, rollups),
     }
 }
 
 fn run_kernel(
     storage: &Storage,
     q: &Query,
-    threads: usize,
     rollups: Option<&crate::rollup::RollupStore>,
 ) -> Result<(QueryResult, ExecStats), TsdbError> {
     let (plan, view) = query::plan(storage, q)?;
-
-    let mut holds_match = vec![false; storage.shard_count()];
-    for &id in &plan.ids {
-        holds_match[view.shard_of(id).expect("planned id is placed")] = true;
-    }
     let mut stats = ExecStats {
-        parallel: true,
-        threads,
-        shards_scanned: holds_match.iter().filter(|&&m| m).count() as u64,
         series_pruned: plan.series_pruned as u64,
         ..ExecStats::default()
     };
@@ -213,7 +174,7 @@ struct Cursor<'a> {
 }
 
 /// The plan's cursors, in ascending series id.
-fn cursors<'a>(plan: &QueryPlan, view: MeasurementView<'a>) -> Vec<Cursor<'a>> {
+fn cursors<'a>(plan: &QueryPlan, view: &'a Measurement) -> Vec<Cursor<'a>> {
     plan.ids
         .iter()
         .map(|&id| {
@@ -348,11 +309,9 @@ mod tests {
         let q = Query::parse(text).unwrap();
         let oracle = execute(storage, &q).unwrap();
         for threads in [1, 2, 8] {
-            let (got, stats) = run(storage, &q, ExecMode::Parallel(threads)).unwrap();
+            let (got, _) = run(storage, &q, ExecMode::Parallel(threads)).unwrap();
             assert_eq!(got.columns, oracle.columns, "{text} ({threads} threads)");
             assert_eq!(bits(&got), bits(&oracle), "{text} ({threads} threads)");
-            assert!(stats.parallel);
-            assert_eq!(stats.threads, threads);
         }
     }
 
@@ -468,7 +427,7 @@ mod tests {
         let q = Query::parse("SELECT sum(\"v\") FROM \"m\"").unwrap();
         let (got, stats) = run(&s, &q, ExecMode::Sequential).unwrap();
         assert_eq!(bits(&got), bits(&execute(&s, &q).unwrap()));
-        assert!(!stats.parallel);
+        assert_eq!(stats, ExecStats::default());
     }
 
     #[test]

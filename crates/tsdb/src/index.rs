@@ -81,13 +81,6 @@ impl TagIndex {
             .unwrap_or_default()
     }
 
-    /// All tag keys seen.
-    pub fn tag_keys(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.keys.keys().cloned().collect();
-        v.sort();
-        v
-    }
-
     /// Number of distinct (key, value) postings.
     pub fn cardinality(&self) -> usize {
         self.postings.len()
@@ -149,7 +142,6 @@ mod tests {
     #[test]
     fn introspection() {
         let i = idx();
-        assert_eq!(i.tag_keys(), vec!["cpu".to_string(), "host".to_string()]);
         assert_eq!(i.cardinality(), 3);
         assert_eq!(
             i.values_for_key("host"),

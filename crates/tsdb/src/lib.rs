@@ -11,11 +11,10 @@
 //! * an InfluxQL-like query layer: `SELECT f1, f2 FROM m WHERE tag='v' AND
 //!   time >= a AND time < b` with aggregations (`MIN`/`MAX`/`MEAN`/...) and
 //!   `GROUP BY time(interval)` downsampling ([`query`]);
-//! * a **parallel sharded query engine**: series are hash-partitioned
-//!   across fixed shards, scanned concurrently, and merged deterministically
-//!   so results are bit-identical to the sequential reference executor at
-//!   any thread count ([`exec`]), fronted by a write-invalidated LRU
-//!   query-result cache ([`cache`]);
+//! * a **query engine**: one scan kernel on the calling thread merges the
+//!   matching series' column slices in `(timestamp, series id)` order,
+//!   bit-identical to the sequential reference executor ([`exec`]), fronted
+//!   by a write-invalidated LRU query-result cache ([`cache`]);
 //! * **retention policies** that age out old points ([`retention`]);
 //! * **live subscriptions** feeding dashboards ([`subscribe`]);
 //! * an **ingest throughput limit** modelling the database-side backpressure
@@ -77,5 +76,4 @@ pub use retention::RetentionPolicy;
 pub use rollup::{RollupAudit, RollupConfig, RollupStore, RollupTickReport};
 pub use self_export::export_snapshot;
 pub use series::{SeriesId, SeriesKey};
-pub use storage::DEFAULT_SHARD_COUNT;
 pub use value::FieldValue;

@@ -57,13 +57,6 @@ impl Point {
         self.fields.len()
     }
 
-    /// True if every field in the point is numerically zero. High-frequency
-    /// sampling in the paper produced *batched zero* insertions; the loss
-    /// accounting needs to recognize them.
-    pub fn all_zero(&self) -> bool {
-        !self.fields.is_empty() && self.fields.values().all(FieldValue::is_zero)
-    }
-
     /// Approximate serialized size in bytes (used by the network model).
     pub fn wire_size(&self) -> usize {
         let tag_len: usize = self.tags.iter().map(|(k, v)| k.len() + v.len() + 2).sum();
@@ -95,15 +88,6 @@ mod tests {
         assert_eq!(p.tags["host"], "skx");
         assert_eq!(p.field_count(), 2);
         assert_eq!(p.timestamp, 123);
-    }
-
-    #[test]
-    fn all_zero_requires_every_field_zero() {
-        assert!(!sample().all_zero());
-        let z = Point::new("m").field("a", 0.0).field("b", 0i64);
-        assert!(z.all_zero());
-        let empty = Point::new("m");
-        assert!(!empty.all_zero());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use crate::aggregate::{Accumulator, AggregateFn};
 use crate::error::TsdbError;
 use crate::series::SeriesId;
-use crate::storage::{FieldId, MeasurementView, SeriesData, Storage};
+use crate::storage::{FieldId, Measurement, SeriesData, Storage};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::ops::Range;
@@ -135,10 +135,7 @@ pub struct QueryPlan {
 /// Resolve a query against the measurement it names: wildcards expanded,
 /// columns named, fields looked up, bounds defaulted, every series the tag
 /// filters match. The one resolver under [`plan`] and [`execute`].
-fn resolve<'a>(
-    storage: &'a Storage,
-    q: &Query,
-) -> Result<(QueryPlan, MeasurementView<'a>), TsdbError> {
+fn resolve<'a>(storage: &'a Storage, q: &Query) -> Result<(QueryPlan, &'a Measurement), TsdbError> {
     let m = storage
         .measurement(&q.measurement)
         .ok_or_else(|| TsdbError::UnknownMeasurement(q.measurement.clone()))?;
@@ -185,11 +182,11 @@ fn resolve<'a>(
 }
 
 /// Plan a query against storage, returning the plan plus the measurement
-/// view it was planned over.
+/// it was planned over.
 pub fn plan<'a>(
     storage: &'a Storage,
     q: &Query,
-) -> Result<(QueryPlan, MeasurementView<'a>), TsdbError> {
+) -> Result<(QueryPlan, &'a Measurement), TsdbError> {
     let (mut plan, m) = resolve(storage, q)?;
     let matched = plan.ids.len();
     let (start, end) = (plan.start, plan.end);
@@ -774,7 +771,7 @@ mod tests {
         assert_eq!(plan.series_pruned, 0);
     }
 
-    fn plan_unbounded<'a>(s: &'a Storage, q: &Query) -> (QueryPlan, MeasurementView<'a>) {
+    fn plan_unbounded<'a>(s: &'a Storage, q: &Query) -> (QueryPlan, &'a Measurement) {
         plan(s, q).unwrap()
     }
 

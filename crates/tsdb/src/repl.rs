@@ -12,12 +12,13 @@
 //! ## Merkle layout
 //!
 //! The cell space of a replica is every `(series, timestamp, field,
-//! value)` tuple it stores. Cells are placed by the same FNV-1a hash of
-//! the canonical series key that shards the parallel query engine
-//! ([`shard_of_key`]), giving [`DEFAULT_SHARD_COUNT`] shards; inside a
-//! shard, a *locator* hash over (canonical key, timestamp) — value- and
-//! field-independent, so divergent versions of a row land in the same
-//! bucket on every replica — selects one of [`MERKLE_BUCKETS`] buckets.
+//! value)` tuple it stores. Cells are placed by an FNV-1a hash of the
+//! canonical series key (`merkle_shard`) on one of `MERKLE_SHARDS` (16)
+//! shards — a partition of the key space for this summary only, not a
+//! storage layout. Inside a shard, a *locator* hash over (canonical key,
+//! timestamp) — value- and field-independent, so divergent versions of a
+//! row land in the same bucket on every replica — selects one of
+//! [`MERKLE_BUCKETS`] buckets.
 //! A bucket's leaf is the XOR of its cells' *content* hashes (which do
 //! cover field name and value bits, `f64::to_bits` for floats); XOR makes
 //! the leaf independent of visit order, and last-write-wins storage
@@ -31,7 +32,6 @@ use crate::error::TsdbError;
 use crate::exec::ExecMode;
 use crate::point::Point;
 use crate::query::{Query, QueryResult};
-use crate::storage::{shard_of_key, DEFAULT_SHARD_COUNT};
 use crate::value::FieldValue;
 use pmove_obs::{Counter, Registry};
 use pmove_store::{
@@ -45,6 +45,10 @@ use std::sync::Arc;
 /// keyspace, not the whole database.
 pub const MERKLE_BUCKETS: usize = 32;
 
+/// Shards of the Merkle summary. Fixed, so the `(shard, bucket)` ranges
+/// replicas exchange mean the same cells on every node.
+const MERKLE_SHARDS: usize = 16;
+
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
@@ -54,6 +58,12 @@ fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// The Merkle shard of a series: FNV-1a over its key, modulo
+/// [`MERKLE_SHARDS`].
+pub(crate) fn merkle_shard(series_key: &str) -> usize {
+    (fnv(FNV_BASIS, series_key.as_bytes()) % MERKLE_SHARDS as u64) as usize
 }
 
 /// Locator hash: decides *where* a row lives in the tree. Covers the
@@ -91,7 +101,7 @@ pub struct ShardTree {
     pub root: u64,
 }
 
-/// Merkle summary of a whole replica, one [`ShardTree`] per storage shard.
+/// Merkle summary of a whole replica, one [`ShardTree`] per Merkle shard.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MerkleSnapshot {
     /// Per-shard trees, indexed by shard id.
@@ -101,10 +111,10 @@ pub struct MerkleSnapshot {
 impl MerkleSnapshot {
     /// Build the summary from a replica's current cell space.
     pub fn of(db: &Database) -> MerkleSnapshot {
-        let mut leaves = vec![[0u64; MERKLE_BUCKETS]; DEFAULT_SHARD_COUNT];
+        let mut leaves = vec![[0u64; MERKLE_BUCKETS]; MERKLE_SHARDS];
         db.for_each_cell(&mut |key, ts, field, value| {
             let canonical = key.canonical();
-            let shard = shard_of_key(&canonical, DEFAULT_SHARD_COUNT);
+            let shard = merkle_shard(&canonical);
             let bucket = locator_bucket(&canonical, ts);
             leaves[shard][bucket] ^= content_hash(&canonical, ts, field, value);
         });
@@ -652,7 +662,7 @@ fn collect_rows(db: &Database, want: &HashSet<(usize, usize)>) -> Vec<Point> {
     let mut rows: BTreeMap<(String, i64), Point> = BTreeMap::new();
     db.for_each_cell(&mut |key, ts, field, value| {
         let canonical = key.canonical();
-        let shard = shard_of_key(&canonical, DEFAULT_SHARD_COUNT);
+        let shard = merkle_shard(&canonical);
         let bucket = locator_bucket(&canonical, ts);
         if !want.contains(&(shard, bucket)) {
             return;

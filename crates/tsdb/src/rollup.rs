@@ -45,7 +45,7 @@
 use crate::aggregate::AggregateFn;
 use crate::query::{Projection, QueryPlan, ResultRow};
 use crate::series::SeriesId;
-use crate::storage::{FieldId, MeasurementView};
+use crate::storage::{FieldId, Measurement};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Canonical row key: `(timestamp, series id)`. Unique across a query's
@@ -311,7 +311,7 @@ impl RollupStore {
                 any = true;
                 let dirty: Vec<i64> = std::mem::take(&mut tier.dirty).into_iter().collect();
                 report.buckets_materialized += dirty.len() as u64;
-                materialize(tier, &dirty, t, view.as_ref(), &mut report);
+                materialize(tier, &dirty, t, view, &mut report);
             }
             if any {
                 report.measurements_touched += 1;
@@ -401,7 +401,7 @@ impl RollupStore {
         tier_idx: usize,
         interval: i64,
         plan: &QueryPlan,
-        view: MeasurementView<'_>,
+        view: &Measurement,
         rows_scanned: &mut u64,
         buckets_tier: &mut u64,
         buckets_raw: &mut u64,
@@ -463,7 +463,7 @@ fn materialize(
     tier: &mut TierData,
     dirty: &[i64],
     t: i64,
-    view: Option<&MeasurementView<'_>>,
+    view: Option<&Measurement>,
     report: &mut RollupTickReport,
 ) {
     for &bucket in dirty {
@@ -714,7 +714,7 @@ fn serve_bucket_from_raw(
     bucket: i128,
     bucket_end: i128,
     plan: &QueryPlan,
-    view: MeasurementView<'_>,
+    view: &Measurement,
     rows_scanned: &mut u64,
 ) -> Option<ResultRow> {
     let lo = bucket

@@ -48,13 +48,6 @@ impl SeriesKey {
         }
         s
     }
-
-    /// Whether this series matches all `tag=value` constraints given.
-    pub fn matches_tags(&self, constraints: &BTreeMap<String, String>) -> bool {
-        constraints
-            .iter()
-            .all(|(k, v)| self.tags.get(k).is_some_and(|tv| tv == v))
-    }
 }
 
 #[cfg(test)]
@@ -67,19 +60,5 @@ mod tests {
         let b = SeriesKey::new("m", [("a", "1"), ("b", "2")]);
         assert_eq!(a, b);
         assert_eq!(a.canonical(), "m,a=1,b=2");
-    }
-
-    #[test]
-    fn tag_matching() {
-        let k = SeriesKey::new("m", [("host", "skx"), ("cpu", "0")]);
-        let mut constraints = BTreeMap::new();
-        assert!(k.matches_tags(&constraints)); // empty constraints match
-        constraints.insert("host".into(), "skx".into());
-        assert!(k.matches_tags(&constraints));
-        constraints.insert("cpu".into(), "1".into());
-        assert!(!k.matches_tags(&constraints));
-        let mut missing = BTreeMap::new();
-        missing.insert("rack".into(), "r1".into());
-        assert!(!k.matches_tags(&missing));
     }
 }

@@ -1,11 +1,9 @@
-//! Snapshot export/import and downsampling.
+//! Snapshot export/import.
 //!
 //! SUPERDB users "without P-MoVE ... can only download selected data for
 //! ML training" (§III-E): the export path serializes selected series as
-//! JSON. The downsampler implements the continuous-aggregation flow that
-//! feeds `AGGObservationInterface` summaries.
+//! JSON.
 
-use crate::aggregate::AggregateFn;
 use crate::engine::Database;
 use crate::error::TsdbError;
 use crate::point::Point;
@@ -96,60 +94,6 @@ pub fn import_measurement(db: &Database, doc: &Value) -> Result<usize, TsdbError
     Ok(written)
 }
 
-/// Downsample a measurement into a new measurement: per bucket of
-/// `interval` timestamp units, one point whose fields are `agg` over each
-/// source field. Returns points written. The continuous-aggregation
-/// building block for retention-friendly long-term storage.
-pub fn downsample(
-    db: &Database,
-    source: &str,
-    dest: &str,
-    interval: i64,
-    agg: AggregateFn,
-    tag: Option<(&str, &str)>,
-) -> Result<usize, TsdbError> {
-    assert!(interval > 0, "interval must be positive");
-    let fields = db.field_keys(source);
-    if fields.is_empty() {
-        return Err(TsdbError::UnknownMeasurement(source.to_string()));
-    }
-    let where_clause = tag
-        .map(|(k, v)| format!(" WHERE {k}='{v}'"))
-        .unwrap_or_default();
-
-    use std::collections::BTreeMap;
-    let mut buckets: BTreeMap<i64, Vec<(String, f64)>> = BTreeMap::new();
-    for field in &fields {
-        let q = format!(
-            "SELECT {}(\"{field}\") FROM \"{source}\"{where_clause} GROUP BY time({interval})",
-            agg.name()
-        );
-        let rs = db.query(&q)?;
-        for row in rs.rows {
-            if let Some(Some(v)) = row.values.values().next() {
-                buckets
-                    .entry(row.timestamp)
-                    .or_default()
-                    .push((field.clone(), *v));
-            }
-        }
-    }
-    let mut written = 0;
-    for (ts, fields) in buckets {
-        let mut p = Point::new(dest).timestamp(ts);
-        if let Some((k, v)) = tag {
-            p.tags.insert(k.to_string(), v.to_string());
-        }
-        for (f, v) in fields {
-            p.fields.insert(f, v.into());
-        }
-        if db.write_point(p).is_ok() {
-            written += 1;
-        }
-    }
-    Ok(written)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,42 +176,5 @@ mod tests {
     fn export_unknown_measurement_errors() {
         let db = Database::new("t");
         assert!(export_measurement(&db, "ghost", None).is_err());
-        assert!(downsample(&db, "ghost", "d", 5, AggregateFn::Mean, None).is_err());
-    }
-
-    #[test]
-    fn downsample_means_per_bucket() {
-        let db = filled();
-        let n = downsample(
-            &db,
-            "m",
-            "m_5s_mean",
-            5,
-            AggregateFn::Mean,
-            Some(("tag", "o1")),
-        )
-        .unwrap();
-        assert_eq!(n, 4); // 20 points / 5-unit buckets
-        let r = db
-            .query("SELECT \"_cpu0\" FROM \"m_5s_mean\" WHERE tag='o1'")
-            .unwrap();
-        assert_eq!(r.rows.len(), 4);
-        // First bucket: mean(0..=4) = 2.
-        assert_eq!(r.rows[0].values["_cpu0"], Some(2.0));
-        assert_eq!(r.rows[3].values["_cpu0"], Some(17.0));
-    }
-
-    #[test]
-    fn downsample_then_retention_bounds_storage() {
-        // The long-term pattern: downsample, then expire the raw series.
-        let db = filled();
-        downsample(&db, "m", "m_agg", 5, AggregateFn::Max, None).unwrap();
-        db.add_retention_policy(crate::retention::RetentionPolicy::keep("raw", 2));
-        let removed = db.enforce_retention(100).unwrap();
-        // Raw rows and old aggregate buckets both expire under the shared
-        // policy (real flows stamp aggregates at "now"); the store shrinks
-        // to at most the retention window.
-        assert!(removed >= 20, "raw rows expired");
-        assert!(db.total_rows() <= 2);
     }
 }

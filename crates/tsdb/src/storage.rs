@@ -1,6 +1,5 @@
 //! In-memory columnar storage: measurement -> series -> one sorted
-//! timestamp column plus one typed value column per field, physically
-//! partitioned into a fixed number of shards by series key.
+//! timestamp column plus one typed value column per field.
 //!
 //! Series columns
 //! --------------
@@ -30,24 +29,13 @@
 //! durable chunk merge applies on disk. A write before the last timestamp
 //! is placed by binary search and shifts the columns.
 //!
-//! Sharding layout
-//! ---------------
-//! Every series is placed on exactly one shard, chosen by an FNV-1a hash of
-//! its canonical key (`measurement,tag=value,...`) modulo the fixed shard
-//! count. The placement is deterministic: the same series lands on the same
-//! shard regardless of insertion order, process, or thread count, and no
-//! query result depends on it (the executor walks series in ascending id,
-//! whichever shard holds them). All cross-series metadata — the series-id
-//! allocator, the inverted tag index, the field-name table, and the id ->
-//! shard placement map — stays measurement-global in [`MeasurementMeta`];
-//! only the column data itself is sharded. That keeps the two invariants
-//! the engine relies on:
-//!
-//! * **one series, one shard**: duplicate-timestamp last-write-wins merges
-//!   always happen within a single [`SeriesData`], never across shards;
-//! * **global series ids**: `matching_series` still returns ids in ascending
-//!   order over the whole measurement, which defines the canonical
-//!   `(timestamp, series id)` row order every executor must reproduce.
+//! Series ids
+//! ----------
+//! Ids are allocated at a series' first appearance, one counter for the
+//! whole [`Storage`]. A [`Measurement`] keeps its series in a map ascending
+//! by id, so [`Measurement::matching_series`] returns ids in ascending
+//! order: the canonical `(timestamp, series id)` row order every executor
+//! must reproduce.
 
 use crate::index::TagIndex;
 use crate::point::Point;
@@ -56,23 +44,6 @@ use crate::value::FieldValue;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
-
-/// Number of storage shards. Fixed (not configurable per database) so that
-/// series placement — and therefore every per-shard artifact such as the
-/// `shards_scanned` count — is identical across runs and machines.
-pub const DEFAULT_SHARD_COUNT: usize = 16;
-
-/// FNV-1a over the canonical series key, reduced modulo `shard_count`.
-/// Deterministic and dependency-free; the same function the durable layer
-/// could use to co-locate series on disk.
-pub fn shard_of_key(canonical_key: &str, shard_count: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in canonical_key.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % shard_count as u64) as usize
-}
 
 /// A field name interned in its measurement: dense, assigned at the
 /// field's first appearance, never reused. Valid only for the [`Storage`]
@@ -286,95 +257,69 @@ impl SeriesData {
     }
 }
 
-/// One storage shard: per-measurement series maps holding only the series
-/// placed on this shard.
+/// One measurement: its series, and what they share — the tag index and
+/// the field-name table.
 #[derive(Debug, Default)]
-struct Shard {
-    series: HashMap<String, BTreeMap<SeriesId, SeriesData>>,
-}
-
-/// Measurement-global metadata (series ids, placement, tag index, fields).
-#[derive(Debug, Default)]
-struct MeasurementMeta {
+pub struct Measurement {
     series_ids: HashMap<SeriesKey, SeriesId>,
-    /// id -> shard, ascending by id (defines canonical series iteration).
-    placement: BTreeMap<SeriesId, usize>,
+    /// Ascending by id: the canonical series iteration order.
+    series: BTreeMap<SeriesId, SeriesData>,
     index: TagIndex,
     /// Field names ever written, each interned at its first appearance.
     /// Sorted by name: the order of wildcard expansion and the Merkle walk.
     fields: BTreeMap<String, FieldId>,
 }
 
-impl MeasurementMeta {
-    /// The id of `name`, interning it (the only time the name is kept) on
-    /// first appearance.
-    fn intern(&mut self, name: impl AsRef<str> + Into<String>) -> FieldId {
-        if let Some(&id) = self.fields.get(name.as_ref()) {
-            return id;
-        }
-        let id = FieldId(u32::try_from(self.fields.len()).expect("under 2^32 field names"));
-        self.fields.insert(name.into(), id);
-        id
+/// The id of `name` in `fields`, interning it (the only time the name is
+/// kept) on first appearance.
+fn intern(fields: &mut BTreeMap<String, FieldId>, name: impl AsRef<str> + Into<String>) -> FieldId {
+    if let Some(&id) = fields.get(name.as_ref()) {
+        return id;
     }
+    let id = FieldId(u32::try_from(fields.len()).expect("under 2^32 field names"));
+    fields.insert(name.into(), id);
+    id
 }
 
-/// Read-only view over one measurement, stitching the global metadata back
-/// together with the sharded column data.
-#[derive(Clone, Copy)]
-pub struct MeasurementView<'a> {
-    name: &'a str,
-    meta: &'a MeasurementMeta,
-    shards: &'a [Shard],
-}
-
-impl<'a> MeasurementView<'a> {
+impl Measurement {
     /// All series in ascending id order (canonical order).
-    pub fn series_iter(&self) -> impl Iterator<Item = &'a SeriesData> + '_ {
-        self.meta
-            .placement
-            .iter()
-            .filter_map(move |(id, &shard)| self.shards[shard].series.get(self.name)?.get(id))
+    pub fn series_iter(&self) -> impl Iterator<Item = &SeriesData> {
+        self.series.values()
     }
 
     /// Look up one series by id.
-    pub fn series(&self, id: SeriesId) -> Option<&'a SeriesData> {
-        let shard = *self.meta.placement.get(&id)?;
-        self.shards[shard].series.get(self.name)?.get(&id)
-    }
-
-    /// Shard holding a series.
-    pub fn shard_of(&self, id: SeriesId) -> Option<usize> {
-        self.meta.placement.get(&id).copied()
+    pub fn series(&self, id: SeriesId) -> Option<&SeriesData> {
+        self.series.get(&id)
     }
 
     /// Series ids matching a set of tag constraints, using the inverted
     /// index when constraints exist, otherwise all series. Always ascending.
     pub fn matching_series(&self, constraints: &[(String, String)]) -> Vec<SeriesId> {
-        match self.meta.index.lookup_all(constraints) {
+        match self.index.lookup_all(constraints) {
             Some(set) => set.into_iter().collect(),
-            None => self.meta.placement.keys().copied().collect(),
+            None => self.series.keys().copied().collect(),
         }
     }
 
     /// Field keys ever written to this measurement (sorted).
     pub fn field_keys(&self) -> Vec<String> {
-        self.meta.fields.keys().cloned().collect()
+        self.fields.keys().cloned().collect()
     }
 
     /// Every field with its id, sorted by name.
-    pub fn fields(&self) -> impl Iterator<Item = (&'a str, FieldId)> + '_ {
-        self.meta.fields.iter().map(|(k, id)| (k.as_str(), *id))
+    pub fn fields(&self) -> impl Iterator<Item = (&str, FieldId)> {
+        self.fields.iter().map(|(k, id)| (k.as_str(), *id))
     }
 
     /// The id a field name was interned under, `None` if the measurement
     /// never saw it.
     pub fn field_id(&self, name: &str) -> Option<FieldId> {
-        self.meta.fields.get(name).copied()
+        self.fields.get(name).copied()
     }
 
     /// Distinct tag values for a key.
     pub fn tag_values(&self, key: &str) -> Vec<String> {
-        self.meta.index.values_for_key(key)
+        self.index.values_for_key(key)
     }
 
     /// Total number of stored rows across series.
@@ -384,85 +329,21 @@ impl<'a> MeasurementView<'a> {
 
     /// Number of series in this measurement.
     pub fn series_count(&self) -> usize {
-        self.meta.placement.len()
+        self.series.len()
     }
 }
 
 /// Whole-database storage shared behind the engine lock.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Storage {
-    shard_count: usize,
-    shards: Vec<Shard>,
-    meta: BTreeMap<String, MeasurementMeta>,
+    measurements: BTreeMap<String, Measurement>,
     next_series: u64,
 }
 
-impl Default for Storage {
-    fn default() -> Self {
-        Storage::with_shards(DEFAULT_SHARD_COUNT)
-    }
-}
-
 impl Storage {
-    /// Create empty storage with the default shard count.
+    /// Create empty storage.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Create empty storage with an explicit shard count (tests exercise
-    /// degenerate layouts such as a single shard).
-    pub fn with_shards(shard_count: usize) -> Self {
-        assert!(shard_count > 0, "shard count must be positive");
-        Storage {
-            shard_count,
-            shards: (0..shard_count).map(|_| Shard::default()).collect(),
-            meta: BTreeMap::new(),
-            next_series: 0,
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shard_count
-    }
-
-    /// Resolve `key` to its id and shard, allocating both on first
-    /// appearance. `canonical` is the precomputed canonical key when the
-    /// caller already rendered it (the columnar batch path); `None`
-    /// renders on demand. Either way the shard is the FNV-1a placement
-    /// [`shard_of_key`] defines, so batched and row-at-a-time inserts
-    /// agree on layout.
-    fn resolve_series(&mut self, key: &SeriesKey, canonical: Option<&str>) -> (SeriesId, usize) {
-        let meta = self.meta.entry(key.measurement.clone()).or_default();
-        match meta.series_ids.get(key) {
-            Some(id) => (*id, meta.placement[id]),
-            None => {
-                let id = SeriesId(self.next_series);
-                self.next_series += 1;
-                let shard = match canonical {
-                    Some(c) => shard_of_key(c, self.shard_count),
-                    None => shard_of_key(&key.canonical(), self.shard_count),
-                };
-                meta.series_ids.insert(key.clone(), id);
-                meta.placement.insert(id, shard);
-                for (k, v) in &key.tags {
-                    meta.index.insert(k, v, id);
-                }
-                self.shards[shard]
-                    .series
-                    .entry(key.measurement.clone())
-                    .or_default()
-                    .insert(
-                        id,
-                        SeriesData {
-                            key: key.clone(),
-                            ts: Vec::new(),
-                            cols: Vec::new(),
-                        },
-                    );
-                (id, shard)
-            }
-        }
     }
 
     /// Insert one point, creating measurement/series as needed.
@@ -471,93 +352,81 @@ impl Storage {
             measurement: point.measurement,
             tags: point.tags,
         };
-        self.append(&key, None)
-            .row_named(point.timestamp, point.fields);
+        self.append(&key).row_named(point.timestamp, point.fields);
     }
 
     /// Open one series for writing — the single insert path under
     /// [`Storage::insert`], the columnar batch and the durable store's
-    /// block load. The series is resolved (or created) once: same
-    /// id-allocation order and canonical-key shard placement whoever
-    /// calls. Rows land in the order written, so duplicate-timestamp
+    /// block load. The series is resolved, or created with the next id,
+    /// once. Rows land in the order written, so duplicate-timestamp
     /// last-write-wins merges resolve identically to inserting them one
     /// call at a time.
-    pub(crate) fn append(&mut self, key: &SeriesKey, canonical: Option<&str>) -> Appender<'_> {
-        let (id, shard) = self.resolve_series(key, canonical);
+    pub(crate) fn append(&mut self, key: &SeriesKey) -> Appender<'_> {
+        let m = self
+            .measurements
+            .entry(key.measurement.clone())
+            .or_default();
+        let id = match m.series_ids.get(key) {
+            Some(&id) => id,
+            None => {
+                let id = SeriesId(self.next_series);
+                self.next_series += 1;
+                m.series_ids.insert(key.clone(), id);
+                for (k, v) in &key.tags {
+                    m.index.insert(k, v, id);
+                }
+                id
+            }
+        };
         Appender {
-            meta: self.meta.get_mut(&key.measurement).expect("just resolved"),
-            series: self.shards[shard]
-                .series
-                .get_mut(&key.measurement)
-                .expect("shard map just ensured")
-                .get_mut(&id)
-                .expect("series just ensured"),
+            fields: &mut m.fields,
+            series: m.series.entry(id).or_insert_with(|| SeriesData {
+                key: key.clone(),
+                ts: Vec::new(),
+                cols: Vec::new(),
+            }),
         }
     }
 
     /// Access a measurement.
-    pub fn measurement(&self, name: &str) -> Option<MeasurementView<'_>> {
-        let (name, meta) = self.meta.get_key_value(name)?;
-        Some(MeasurementView {
-            name,
-            meta,
-            shards: &self.shards,
-        })
+    pub fn measurement(&self, name: &str) -> Option<&Measurement> {
+        self.measurements.get(name)
     }
 
     /// All measurement names (sorted).
     pub fn measurement_names(&self) -> Vec<String> {
-        self.meta.keys().cloned().collect()
+        self.measurements.keys().cloned().collect()
     }
 
-    /// Drop all rows strictly older than `cutoff` across every measurement
-    /// and every shard; returns the number of rows removed. Empty series are
-    /// pruned from their shard and removed from the measurement's index,
-    /// id map, and placement map.
+    /// Drop all rows strictly older than `cutoff` across every
+    /// measurement; returns the number of rows removed. Emptied series are
+    /// removed from their measurement's series map, index and id map.
     pub fn drop_before(&mut self, cutoff: i64) -> usize {
         let mut removed = 0;
-        let mut dead: Vec<(String, SeriesId)> = Vec::new();
-        for shard in &mut self.shards {
-            for (measurement, series) in shard.series.iter_mut() {
-                for (id, s) in series.iter_mut() {
-                    let keep_from = s.ts.partition_point(|&t| t < cutoff);
-                    removed += keep_from;
-                    s.ts.drain(..keep_from);
-                    for col in s.cols.iter_mut().flatten() {
-                        col.drop_front(keep_from);
-                    }
-                    if s.ts.is_empty() {
-                        dead.push((measurement.clone(), *id));
-                    }
+        for m in self.measurements.values_mut() {
+            m.series.retain(|id, s| {
+                let keep_from = s.ts.partition_point(|&t| t < cutoff);
+                removed += keep_from;
+                s.ts.drain(..keep_from);
+                for col in s.cols.iter_mut().flatten() {
+                    col.drop_front(keep_from);
                 }
-            }
-        }
-        for (measurement, id) in dead {
-            let Some(meta) = self.meta.get_mut(&measurement) else {
-                continue;
-            };
-            let Some(shard) = meta.placement.remove(&id) else {
-                continue;
-            };
-            if let Some(series) = self.shards[shard].series.get_mut(&measurement) {
-                if let Some(s) = series.remove(&id) {
+                let emptied = s.ts.is_empty();
+                if emptied {
                     for (k, v) in &s.key.tags {
-                        meta.index.remove(k, v, id);
+                        m.index.remove(k, v, *id);
                     }
-                    meta.series_ids.remove(&s.key);
+                    m.series_ids.remove(&s.key);
                 }
-            }
+                !emptied
+            });
         }
         removed
     }
 
     /// Total rows stored.
     pub fn total_rows(&self) -> usize {
-        self.meta
-            .keys()
-            .filter_map(|name| self.measurement(name))
-            .map(|m| m.row_count())
-            .sum()
+        self.measurements.values().map(|m| m.row_count()).sum()
     }
 
     /// Visit every stored cell in a deterministic order: measurements
@@ -565,10 +434,9 @@ impl Storage {
     /// timestamp, fields sorted by name. This is the walk the replication
     /// layer's Merkle trees are built over.
     pub fn for_each_cell(&self, f: &mut dyn FnMut(&SeriesKey, i64, &str, &FieldValue)) {
-        for name in self.meta.keys() {
-            let view = self.measurement(name).expect("listed measurement");
-            for series in view.series_iter() {
-                let named = view.fields();
+        for m in self.measurements.values() {
+            for series in m.series_iter() {
+                let named = m.fields();
                 let cols: Vec<(&str, &Column)> = named
                     .filter_map(|(field, id)| Some((field, series.column(id)?)))
                     .collect();
@@ -586,7 +454,8 @@ impl Storage {
 
 /// One series opened for writing (see [`Storage::append`]).
 pub(crate) struct Appender<'a> {
-    meta: &'a mut MeasurementMeta,
+    /// The field-name table of the series' measurement.
+    fields: &'a mut BTreeMap<String, FieldId>,
     series: &'a mut SeriesData,
 }
 
@@ -594,7 +463,7 @@ impl Appender<'_> {
     /// The id of a field of this series' measurement, interned on first
     /// appearance.
     pub(crate) fn field(&mut self, name: &str) -> FieldId {
-        self.meta.intern(name)
+        intern(self.fields, name)
     }
 
     /// Write one row of cells addressed by field id.
@@ -608,8 +477,8 @@ impl Appender<'_> {
         ts: i64,
         cells: impl IntoIterator<Item = (String, FieldValue)>,
     ) {
-        let meta = &mut *self.meta;
-        let cells = cells.into_iter().map(|(name, v)| (meta.intern(name), v));
+        let fields = &mut *self.fields;
+        let cells = cells.into_iter().map(|(name, v)| (intern(fields, name), v));
         self.series.upsert(ts, cells);
     }
 }
@@ -803,60 +672,5 @@ mod tests {
             s.measurement("m").unwrap().field_keys(),
             vec!["a".to_string(), "b".to_string()]
         );
-    }
-
-    #[test]
-    fn placement_is_deterministic_and_insertion_order_free() {
-        // Same series set inserted in two different orders: identical
-        // shard placement, because placement depends only on the canonical
-        // key hash.
-        let hosts = ["a", "b", "c", "d", "e", "f", "g", "h"];
-        let mut fwd = Storage::new();
-        for h in hosts {
-            fwd.insert(pt("m", h, 1, 1.0));
-        }
-        let mut rev = Storage::new();
-        for h in hosts.iter().rev() {
-            rev.insert(pt("m", h, 1, 1.0));
-        }
-        for h in hosts {
-            let key = SeriesKey {
-                measurement: "m".into(),
-                tags: std::iter::once(("host".to_string(), h.to_string())).collect(),
-            };
-            let expect = shard_of_key(&key.canonical(), DEFAULT_SHARD_COUNT);
-            let mf = fwd.measurement("m").unwrap();
-            let mr = rev.measurement("m").unwrap();
-            let idf = mf.matching_series(&[("host".into(), h.into())])[0];
-            let idr = mr.matching_series(&[("host".into(), h.into())])[0];
-            assert_eq!(mf.shard_of(idf), Some(expect));
-            assert_eq!(mr.shard_of(idr), Some(expect));
-        }
-    }
-
-    #[test]
-    fn series_spread_across_shards() {
-        // With enough distinct tag sets, more than one shard must be
-        // populated (sanity that the hash actually distributes).
-        let mut s = Storage::new();
-        for i in 0..64 {
-            s.insert(pt("m", &format!("host{i}"), 1, 1.0));
-        }
-        let m = s.measurement("m").unwrap();
-        let mut used: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
-        for id in m.matching_series(&[]) {
-            used.insert(m.shard_of(id).unwrap());
-        }
-        assert!(used.len() > 4, "expected spread, got {used:?}");
-    }
-
-    #[test]
-    fn single_shard_storage_still_works() {
-        let mut s = Storage::with_shards(1);
-        s.insert(pt("m", "a", 1, 1.0));
-        s.insert(pt("m", "b", 2, 2.0));
-        let m = s.measurement("m").unwrap();
-        assert_eq!(m.row_count(), 2);
-        assert_eq!(m.shard_of(m.matching_series(&[])[0]), Some(0));
     }
 }

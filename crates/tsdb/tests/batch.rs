@@ -245,21 +245,3 @@ fn empty_batch_is_a_no_op() {
     assert_eq!(out.series, 0);
     assert_eq!(db.stats().points_offered, 0);
 }
-
-/// A stream wide enough to cover the key space spreads over every
-/// storage shard: a fleet-wide burst never lands on a shard subset.
-#[test]
-fn wide_batch_spreads_over_every_shard() {
-    let db = Database::new("spread");
-    let points: Vec<Point> = (0..256)
-        .map(|i| {
-            Point::new("m")
-                .tag("host", format!("h{i}"))
-                .field("v", i as f64)
-                .timestamp(i)
-        })
-        .collect();
-    let out = db.write_batch(points).unwrap();
-    assert_eq!(out.series, 256);
-    assert_eq!(out.shards, pmove_tsdb::DEFAULT_SHARD_COUNT);
-}

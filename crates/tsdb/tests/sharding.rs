@@ -1,31 +1,10 @@
-//! Regression pins for sharded storage: duplicate-timestamp LWW merges
-//! stay within their series' shard, rows sharing a timestamp across
-//! shards are never conflated, retention prunes every shard, and the
-//! shard count itself is observationally invisible.
+//! Regression pins for series identity: duplicate-timestamp LWW merges
+//! stay within their series, rows sharing a timestamp across series are
+//! never conflated, and retention prunes every series.
 
 use pmove_tsdb::query::Projection;
-use pmove_tsdb::series::SeriesKey;
-use pmove_tsdb::storage::{shard_of_key, Storage};
-use pmove_tsdb::{exec, Database, ExecMode, Point, Query, DEFAULT_SHARD_COUNT};
-
-/// Two hosts of the same measurement whose series keys hash to
-/// *different* shards (found deterministically, asserted, not assumed).
-fn cross_shard_hosts() -> (String, String) {
-    let shard = |host: &str| {
-        shard_of_key(
-            &SeriesKey::new("m", [("host", host)]).canonical(),
-            DEFAULT_SHARD_COUNT,
-        )
-    };
-    let a = "h0".to_string();
-    for i in 1..200 {
-        let b = format!("h{i}");
-        if shard(&b) != shard(&a) {
-            return (a, b);
-        }
-    }
-    panic!("no cross-shard host pair in 200 candidates");
-}
+use pmove_tsdb::storage::Storage;
+use pmove_tsdb::{exec, Database, ExecMode, Point, Query};
 
 fn pt(host: &str, ts: i64, v: f64) -> Point {
     Point::new("m")
@@ -45,20 +24,18 @@ fn raw_query() -> Query {
     }
 }
 
-/// Same timestamp written to series in different shards of one
-/// measurement: LWW must merge *within* each series only, and the merged
-/// scan must keep one row per (timestamp, series) in canonical order —
-/// identically at every thread count.
+/// Same timestamp written to two series of one measurement: LWW must
+/// merge *within* each series only, and the merged scan must keep one row
+/// per (timestamp, series) in canonical order — identically in every mode.
 #[test]
-fn duplicate_timestamps_across_shards_stay_distinct_and_lww_merges_within() {
-    let (a, b) = cross_shard_hosts();
+fn duplicate_timestamps_across_series_stay_distinct_and_lww_merges_within() {
     let db = Database::new("t");
     db.set_query_cache_capacity(0);
-    db.write_point(pt(&a, 10, 1.0)).unwrap();
-    db.write_point(pt(&b, 10, 2.0)).unwrap();
-    // Overwrite series a at the same timestamp: last write wins in a's
-    // shard; b's shard must be untouched.
-    db.write_point(pt(&a, 10, 7.5)).unwrap();
+    db.write_point(pt("a", 10, 1.0)).unwrap();
+    db.write_point(pt("b", 10, 2.0)).unwrap();
+    // Overwrite series a at the same timestamp: last write wins in a;
+    // b must be untouched.
+    db.write_point(pt("a", 10, 7.5)).unwrap();
 
     let q = raw_query();
     let seq = db.query_with_mode(&q, ExecMode::Sequential).unwrap();
@@ -78,12 +55,12 @@ fn duplicate_timestamps_across_shards_stay_distinct_and_lww_merges_within() {
     assert_eq!(values, vec![7.5, 2.0]);
 }
 
-/// Retention must prune rows in *every* shard, drop emptied series from
-/// placement and index, and leave both executors agreeing afterwards.
+/// Retention must prune rows in *every* series, drop emptied series from
+/// index and id map, and leave both executors agreeing afterwards.
 #[test]
-fn retention_prunes_every_shard() {
+fn retention_prunes_every_series() {
     let mut s = Storage::new();
-    // 40 hosts spread over the 16 shards, each with old and new rows.
+    // 40 hosts, each with old and new rows.
     for i in 0..40 {
         let host = format!("h{i}");
         s.insert(pt(&host, 10, i as f64));
@@ -94,6 +71,8 @@ fn retention_prunes_every_shard() {
         s.insert(pt(&format!("h{i}"), 20, 1.0));
     }
     assert_eq!(s.total_rows(), 88);
+    let h45 = [("host".to_string(), "h45".to_string())];
+    let old_id = s.measurement("m").unwrap().matching_series(&h45)[0];
 
     let removed = s.drop_before(100);
     assert_eq!(removed, 48);
@@ -103,6 +82,10 @@ fn retention_prunes_every_shard() {
     for series in m.series_iter() {
         assert!(series.timestamps().iter().all(|&ts| ts >= 100));
     }
+    // The emptied series left the tag index, and the id map: the same key
+    // written again is a new series with a fresh id.
+    assert_eq!(m.tag_values("host").len(), 40);
+    assert!(m.matching_series(&h45).is_empty());
 
     let q = raw_query();
     let (seq, _) = exec::run(&s, &q, ExecMode::Sequential).unwrap();
@@ -111,41 +94,9 @@ fn retention_prunes_every_shard() {
         let (par, _) = exec::run(&s, &q, ExecMode::Parallel(threads)).unwrap();
         assert_eq!(par, seq, "threads={threads}");
     }
-}
 
-/// The shard count is an implementation detail: 1-shard and 16-shard
-/// stores loaded with the same writes answer every query identically.
-#[test]
-fn shard_count_is_observationally_invisible() {
-    let mut one = Storage::with_shards(1);
-    let mut many = Storage::with_shards(DEFAULT_SHARD_COUNT);
-    for i in 0..24 {
-        let host = format!("h{}", i % 7);
-        let p = pt(&host, (i * 13) % 50, i as f64 * 1.25);
-        one.insert(p.clone());
-        many.insert(p);
-    }
-    let queries = [
-        raw_query(),
-        Query {
-            projections: vec![Projection::Aggregate(
-                pmove_tsdb::aggregate::AggregateFn::Sum,
-                "value".into(),
-            )],
-            measurement: "m".into(),
-            tag_filters: Vec::new(),
-            time_start: Some(5),
-            time_end: Some(45),
-            group_by_time: Some(10),
-        },
-    ];
-    for q in &queries {
-        let (want, _) = exec::run(&one, q, ExecMode::Sequential).unwrap();
-        for s in [&one, &many] {
-            for mode in [ExecMode::Sequential, ExecMode::Parallel(8)] {
-                let (got, _) = exec::run(s, q, mode).unwrap();
-                assert_eq!(got, want, "{mode:?} on {} shards", s.shard_count());
-            }
-        }
-    }
+    s.insert(pt("h45", 300, 1.0));
+    let m = s.measurement("m").unwrap();
+    assert!(m.matching_series(&h45)[0] > old_id);
+    assert_eq!(m.series_count(), 41);
 }
