@@ -164,7 +164,10 @@ pub fn run_cell(flips: u32) -> ScrubCell {
     // Count every quarantine on the victim, whatever detected it: the
     // scrub tick that caught the first damaged chunk, or the rebuild's
     // store scan that caught the rest in the same sweep.
-    let chunks_quarantined = set.replica(VICTIM).quarantined_chunks().len() as u64;
+    let chunks_quarantined = set
+        .replica(VICTIM)
+        .store()
+        .map_or(0, |s| s.quarantined().len()) as u64;
     ScrubCell {
         flips,
         chunks_rotted,

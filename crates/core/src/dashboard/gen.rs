@@ -680,7 +680,7 @@ mod tests {
         disk.advance_rot(6.0);
         for _ in 0..6 {
             d.monitor(5.0, 1.0);
-            if !d.ts.quarantined_chunks().is_empty() {
+            if !d.ts.store().unwrap().quarantined().is_empty() {
                 break;
             }
         }

@@ -73,7 +73,8 @@ pub struct PMoveDaemon {
     /// Step ④ recovery outcome; `None` on memory-only daemons.
     pub recovery: Option<BootRecovery>,
     /// Replicated telemetry store (RF durable replicas behind a quorum
-    /// coordinator); `None` unless booted via [`PMoveDaemon::new_replicated`].
+    /// coordinator); `None` unless booted via
+    /// [`PMoveDaemon::for_preset_replicated`].
     pub repl: Option<ReplicaSet>,
     /// Per-replica recovery reports from the replicated boot (empty
     /// otherwise).
@@ -143,6 +144,13 @@ const BACKUP_PER_BYTE_NS: u64 = 2;
 /// Modeled fixed cost of one restore drill (scratch restore + diff).
 const DRILL_BASE_NS: u64 = 250_000;
 
+/// FNV-1a over `bytes`: the deterministic seed/fingerprint hash.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Flatten a database's cell space into a diffable map: `(canonical
 /// series, timestamp, field) -> value fingerprint`, floats fingerprinted
 /// by `f64::to_bits` so the drill comparison is bit-exact (NaN payloads
@@ -163,14 +171,7 @@ fn drill_cell_map(
             F::Float(x) => (0u8, x.to_bits()),
             F::Int(x) => (1, *x as u64),
             F::Bool(x) => (2, u64::from(*x)),
-            F::Str(s) => {
-                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-                for b in s.bytes() {
-                    h ^= b as u64;
-                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
-                }
-                (3, h)
-            }
+            F::Str(s) => (3, fnv1a(s.as_bytes())),
         };
         map.insert((canonical, ts, field.to_string()), fp);
     });
@@ -207,31 +208,20 @@ fn preset(key: &str) -> Result<Machine, PmoveError> {
 }
 
 impl PMoveDaemon {
-    /// Steps ⓪–③: environment, probe, KB generation, KB insertion.
+    /// The one boot sequence — steps ⓪–③: environment, probe, KB
+    /// generation, KB insertion.
     ///
     /// Each step is stamped as a `daemon.stepN.*` span on a synthetic boot
     /// timeline starting at 0 ns with modeled durations, so the span
     /// record is bit-identical across same-configuration runs. The boot
     /// timeline does not advance the daemon clock (`now_s` stays 0).
-    pub fn new(machine: Machine, env: DbParams) -> Result<Self, PmoveError> {
-        Self::boot(machine, env, None)
-    }
-
-    /// [`PMoveDaemon::new`] over durable storage: the time-series database
-    /// opens its WAL/chunk store and the document database replays its
-    /// journal from `vfs`, then steps ⓪–③ run as usual (step ③ mutations
-    /// are journaled). The replay is stamped as a fourth boot step,
+    ///
+    /// `vfs` selects durable storage: the time-series database opens its
+    /// WAL/chunk store and the document database replays its journal from
+    /// it, then steps ⓪–③ run as usual (step ③ mutations are journaled).
+    /// The replay is stamped as a fourth boot step,
     /// `daemon.step4.recovery`, whose modeled duration is the disk time to
     /// re-read the persisted state.
-    pub fn new_durable(
-        machine: Machine,
-        env: DbParams,
-        vfs: Arc<dyn pmove_tsdb::store::Vfs>,
-    ) -> Result<Self, PmoveError> {
-        Self::boot(machine, env, Some(vfs))
-    }
-
-    /// The one boot sequence; `vfs` selects durable stores (and step ④).
     fn boot(
         machine: Machine,
         env: DbParams,
@@ -316,16 +306,16 @@ impl PMoveDaemon {
     /// `daemon.step5.supervise` span, the chosen mode as a `daemon.mode`
     /// gauge (0 = normal, 1 = degraded), and each fallback bumps the
     /// `daemon.supervisor.fallbacks` counter.
-    pub fn boot_supervised(
+    fn boot_supervised(
         machine: Machine,
         env: DbParams,
         vfs: Arc<dyn pmove_tsdb::store::Vfs>,
     ) -> Result<Self, PmoveError> {
         let spec = machine.spec.clone();
-        let mut daemon = match Self::new_durable(machine, env.clone(), vfs) {
+        let mut daemon = match Self::boot(machine, env.clone(), Some(vfs)) {
             Ok(d) => d,
             Err(e) => {
-                let mut d = Self::new(Machine::new(spec), env)?;
+                let mut d = Self::boot(Machine::new(spec), env, None)?;
                 d.mode = DaemonMode::DegradedMonitorOnly;
                 d.degraded_reason = Some(e.to_string());
                 d.obs.counter("daemon.supervisor.fallbacks", &[]).inc();
@@ -368,13 +358,13 @@ impl PMoveDaemon {
     /// Monitoring then routes through [`PMoveDaemon::monitor_replicated`];
     /// the plain `ts` database stays available for self-telemetry and
     /// non-replicated scenarios.
-    pub fn new_replicated(
+    fn new_replicated(
         machine: Machine,
         env: DbParams,
         cfg: ReplConfig,
         seed: u64,
     ) -> Result<Self, PmoveError> {
-        let mut daemon = Self::new(machine, env.clone())?;
+        let mut daemon = Self::boot(machine, env.clone(), None)?;
         let snap = daemon.obs.snapshot();
         let boot_ns = snap
             .span("daemon.step3.kb_insert")
@@ -603,7 +593,7 @@ impl PMoveDaemon {
 
     /// Convenience: daemon for a preset machine with default env.
     pub fn for_preset(key: &str) -> Result<Self, PmoveError> {
-        Self::new(preset(key)?, DbParams::default())
+        Self::boot(preset(key)?, DbParams::default(), None)
     }
 
     /// Convenience: durable daemon for a preset machine with default env.
@@ -611,7 +601,7 @@ impl PMoveDaemon {
         key: &str,
         vfs: Arc<dyn pmove_tsdb::store::Vfs>,
     ) -> Result<Self, PmoveError> {
-        Self::new_durable(preset(key)?, DbParams::default(), vfs)
+        Self::boot(preset(key)?, DbParams::default(), Some(vfs))
     }
 
     /// Convenience: supervised boot for a preset machine with default env.
@@ -661,26 +651,30 @@ impl PMoveDaemon {
     /// [`PMoveDaemon::install_default_slos`] so the `backup_staleness`
     /// objective (pages when the `store.backup.last_success` heartbeat
     /// falls three periods behind) picks up this cadence. Returns
-    /// `false` (and enables nothing) on a memory-only daemon.
+    /// `false` (and enables nothing) on a memory-only daemon, and `false`
+    /// plus a `daemon.backup.errors` tick when `period_s` is not a
+    /// positive number or the destination cannot be attached.
     pub fn enable_backups(&mut self, period_s: f64) -> bool {
-        assert!(period_s > 0.0, "backup period must be positive");
-        if !self.ts.is_durable() {
+        let Some(mut store) = self.ts.store() else {
             return false;
-        }
+        };
         let seed = Self::trace_seed(self.machine.key()) ^ 0xBACC_BACC_BACC_BACC;
         let dest: Arc<dyn pmove_tsdb::store::Vfs> =
             Arc::new(pmove_tsdb::store::MemDisk::new(seed | 1));
-        // Stamp the clock first so catch-up archival of any already-
-        // committed WAL tail carries the current time, not 0.
-        self.ts.note_time((self.now_s * 1e9).round() as i64);
-        if self.ts.enable_backup(dest).is_err() {
+        let attached = period_s > 0.0 && {
+            // Stamp the clock first so catch-up archival of any already-
+            // committed WAL tail carries the current time, not 0.
+            store.note_time((self.now_s * 1e9).round() as i64);
+            store.enable_backup(dest).is_ok()
+        };
+        if !attached {
             self.obs.counter("daemon.backup.errors", &[]).inc();
             return false;
         }
         // Group archival: the commit fast path stages the payload and the
         // destination write happens every 32 records (or at any flush or
         // snapshot fence), keeping archiver ingest overhead negligible.
-        self.ts.set_archive_group(32);
+        store.set_archive_group(32);
         self.backup_period_s = Some(period_s);
         self.last_backup_s = self.now_s;
         true
@@ -697,13 +691,18 @@ impl PMoveDaemon {
         let Some(period_s) = self.backup_period_s else {
             return;
         };
-        self.ts.note_time((self.now_s * 1e9).round() as i64);
+        let Some(mut store) = self.ts.store() else {
+            return;
+        };
+        store.note_time((self.now_s * 1e9).round() as i64);
         if self.now_s - self.last_backup_s + 1e-9 < period_s {
             return;
         }
         let start = s_to_ns(self.now_s);
-        match self.ts.backup_now() {
-            Ok(Some(report)) => {
+        let backup = store.backup_now();
+        drop(store); // the drill below takes the store lock itself
+        match backup {
+            Ok(report) => {
                 self.last_backup_s = self.now_s;
                 let modeled = BACKUP_BASE_NS + report.bytes * BACKUP_PER_BYTE_NS;
                 self.obs
@@ -716,7 +715,6 @@ impl PMoveDaemon {
                     self.restore_drill();
                 }
             }
-            Ok(None) => {}
             Err(_) => {
                 self.obs.counter("daemon.backup.errors", &[]).inc();
             }
@@ -732,23 +730,23 @@ impl PMoveDaemon {
     /// `Some(false)` on any mismatch or restore refusal, `None` when
     /// backups are not enabled.
     pub fn restore_drill(&mut self) -> Option<bool> {
-        let src = self.ts.backup_dest()?;
+        let src = self.ts.store()?.backup_dest()?;
         let start = s_to_ns(self.now_s);
         self.drills_run += 1;
         self.obs.counter("daemon.drill.runs", &[]).inc();
         let seed = Self::trace_seed(self.machine.key()) ^ 0xD1A1_0000_0000_0000 ^ self.drills_run;
         let scratch: Arc<dyn pmove_tsdb::store::Vfs> =
             Arc::new(pmove_tsdb::store::MemDisk::new(seed | 1));
-        let restored = pmove_tsdb::Database::restored_at_with_obs(
-            format!("{}-drill", self.ts.name()),
+        let mut scratch_db =
+            pmove_tsdb::Database::with_obs(format!("{}-drill", self.ts.name()), self.obs.clone());
+        let restored = scratch_db.restore_at(
             src.as_ref(),
             scratch,
             pmove_tsdb::store::StoreOptions::default(),
-            self.obs.clone(),
             i64::MAX,
         );
         let ok = match restored {
-            Ok((scratch_db, report)) => {
+            Ok(report) => {
                 let live = drill_cell_map(&self.ts);
                 let rest = drill_cell_map(&scratch_db);
                 let mismatches = live
@@ -805,9 +803,12 @@ impl PMoveDaemon {
         let Some(scrubber) = self.scrubber.as_mut() else {
             return;
         };
-        let report = match self.ts.scrub_tick(scrubber, self.now_s) {
-            Ok(Some(report)) => report,
-            Ok(None) => return,
+        let now_s = self.now_s;
+        let Some(ticked) = self.ts.store().map(|mut s| scrubber.tick(&mut s, now_s)) else {
+            return;
+        };
+        let report = match ticked {
+            Ok(report) => report,
             Err(_) => {
                 self.obs.counter("daemon.scrub.errors", &[]).inc();
                 return;
@@ -899,12 +900,7 @@ impl PMoveDaemon {
     /// Deterministic tracer seed: FNV-1a of the machine key, so two
     /// daemons on the same preset mint identical trace ids.
     fn trace_seed(key: &str) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in key.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        fnv1a(key.as_bytes())
     }
 
     /// Attach a deterministic tracer to the registry so every pipeline
@@ -1388,7 +1384,7 @@ mod tests {
         let mut quarantined = false;
         for _ in 0..6 {
             d.monitor(5.0, 2.0);
-            if !d.ts.quarantined_chunks().is_empty() {
+            if !d.ts.store().unwrap().quarantined().is_empty() {
                 quarantined = true;
                 break;
             }
@@ -1422,6 +1418,12 @@ mod tests {
         let disk = Arc::new(MemDisk::new(51));
         let vfs: Arc<dyn Vfs> = disk;
         let mut d = PMoveDaemon::for_preset_durable("icl", vfs).unwrap();
+        // A period that is not a positive number is refused, not a panic.
+        assert!(![0.0, -10.0, f64::NAN]
+            .into_iter()
+            .any(|p| d.enable_backups(p)));
+        let errors = d.obs.snapshot().counter("daemon.backup.errors", &[]);
+        assert_eq!((errors, d.backup_period_s), (Some(3), None));
         assert!(d.enable_backups(10.0));
         d.drill_every_backups = 2;
         d.install_default_slos();
@@ -1435,7 +1437,8 @@ mod tests {
         for _ in 0..8 {
             d.monitor(5.0, 2.0);
         }
-        let stats = d.ts.backup_stats().expect("backups enabled");
+        let stats = d.ts.store().unwrap().backup_stats();
+        let stats = stats.expect("backups enabled");
         assert!(
             stats.generations_completed >= 3,
             "40 s / 10 s period produced {} generations",
@@ -1681,7 +1684,8 @@ mod tests {
         use pmove_hwsim::gpu::{GpuKernelProfile, GpuSpec};
         let mut spec = pmove_hwsim::MachineSpec::csl();
         spec.gpus.push(GpuSpec::gv100());
-        let mut d = PMoveDaemon::new(pmove_hwsim::Machine::new(spec), DbParams::default()).unwrap();
+        let mut d =
+            PMoveDaemon::boot(pmove_hwsim::Machine::new(spec), DbParams::default(), None).unwrap();
         let kernel = GpuKernelProfile {
             name: "spmv_csr_kernel".into(),
             flops_f64: 1 << 28,

@@ -53,6 +53,6 @@ pub use slo::{AlertState, BurnWindow, Objective, SloEngine, SloSpec, Transition}
 pub use snapshot::{HistogramSnapshot, Snapshot, SpanSnapshot};
 pub use span::SpanGuard;
 pub use trace::{
-    SpanId, StageShare, TraceConfig, TraceContext, TraceId, TraceSpan, TraceTree, Tracer,
+    Span, SpanId, StageShare, TraceConfig, TraceContext, TraceId, TraceSpan, TraceTree, Tracer,
     TracerStats,
 };

@@ -18,17 +18,18 @@
 //! * **Bounded**: finished trees land in a drop-oldest ring (the
 //!   flight recorder), so memory is O(ring × spans) forever.
 //!
-//! Context propagation is by value: [`TraceContext`] is `Copy` and rides
-//! on batches across retries, spill queues, hinted handoff, and quorum
-//! fan-out. A context is terminated exactly once via
-//! [`Tracer::finish_trace`]; any child span still open at that point is
-//! force-closed with status `unclosed`, which the chaos proptest treats
-//! as an orphan and rejects.
+//! Context propagation is by value: a [`Span`] (tracer + `Copy`
+//! [`TraceContext`], or nothing) rides on reports across retries, spill
+//! queues, hinted handoff, and quorum fan-out. A trace is terminated
+//! exactly once via [`Span::finish`]; any child span still open at that
+//! point is force-closed with status `unclosed`, which the chaos
+//! proptest treats as an orphan and rejects.
 
+use crate::metrics::Histogram;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// SplitMix64 — the same generator the chaos harness uses.
 fn splitmix64(mut z: u64) -> u64 {
@@ -548,6 +549,83 @@ impl std::fmt::Debug for Tracer {
     }
 }
 
+/// A tracer plus a context, or nothing: the one handle a pipeline stage
+/// carries, so each stage has one body whether or not a trace is
+/// attached. Three states — *none* (no tracer), *unsampled* (a root that
+/// keeps its context, so [`Span::fault`] can still upgrade it and
+/// [`Span::finish`] still ticks [`TracerStats::finished`]) and
+/// *recording*. Unless recording, every method returns at once (no lock,
+/// no allocation) and a child is [`Span::none`].
+#[derive(Debug, Clone, Default)]
+pub struct Span(Option<(Arc<Tracer>, TraceContext)>);
+
+impl Span {
+    /// The null span.
+    pub fn none() -> Span {
+        Span(None)
+    }
+
+    /// Open a new trace rooted at `name`; [`Span::none`] without a tracer.
+    pub fn root(tracer: Option<&Arc<Tracer>>, name: &str, start_ns: u64) -> Span {
+        Span(tracer.map(|t| (t.clone(), t.start_trace(name, start_ns))))
+    }
+
+    /// The tracer and context, when spans opened from here land in a
+    /// trace tree.
+    fn recording(&self) -> Option<&(Arc<Tracer>, TraceContext)> {
+        self.0.as_ref().filter(|live| live.1.sampled)
+    }
+
+    /// True when spans opened from here land in a trace tree.
+    pub fn is_recording(&self) -> bool {
+        self.recording().is_some()
+    }
+
+    /// Open a child span under this one.
+    pub fn child(&self, name: &str, start_ns: u64) -> Span {
+        let open = |(t, ctx): &(Arc<Tracer>, _)| (t.clone(), t.child(*ctx, name, start_ns));
+        Span(self.recording().map(open))
+    }
+
+    /// Close this span with status `ok`.
+    pub fn end(&self, end_ns: u64) {
+        self.end_status(end_ns, "ok");
+    }
+
+    /// Close this span with an explicit status.
+    pub fn end_status(&self, end_ns: u64, status: &str) {
+        if let Some((t, ctx)) = &self.0 {
+            t.end_span_status(*ctx, end_ns, status);
+        }
+    }
+
+    /// Report a fault on the trace ([`Tracer::mark_fault`]): a recording
+    /// trace is flagged, an unsampled root starts recording from here
+    /// when the tracer's `sample_on_fault` policy asks for it.
+    pub fn fault(&mut self, root_name: &str, now_ns: u64) {
+        if let Some((t, ctx)) = &mut self.0 {
+            *ctx = t.mark_fault(*ctx, root_name, now_ns);
+        }
+    }
+
+    /// Terminate the trace with its terminal `status`.
+    pub fn finish(self, end_ns: u64, status: &str) {
+        if let Some((t, ctx)) = self.0 {
+            t.finish_trace(ctx, end_ns, status);
+        }
+    }
+
+    /// Record `v` into `h`, tagged as this trace's exemplar when
+    /// recording — the tag ties the histogram's tail back to a concrete
+    /// tree in the flight recorder.
+    pub fn observe(&self, h: &Histogram, v: u64) {
+        match self.recording() {
+            Some(live) => h.record_exemplar(v, live.1.trace.0),
+            None => h.record(v),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -619,31 +697,40 @@ mod tests {
 
     #[test]
     fn unsampled_traces_record_nothing_until_fault() {
-        let tracer = Tracer::new(
+        let tracer = Arc::new(Tracer::new(
             3,
             TraceConfig {
                 sample_rate: 0.0,
                 sample_on_fault: true,
                 ring_capacity: 8,
             },
-        );
-        let root = tracer.start_trace("sample", 100);
-        assert!(!root.sampled);
-        let child = tracer.child(root, "ship", 150);
-        assert!(!child.sampled);
+        ));
+        let mut root = Span::root(Some(&tracer), "sample", 100);
+        assert!(!root.is_recording());
+        // The child of a non-recording span is the null span.
+        assert!(root.child("ship", 150).0.is_none());
         assert_eq!(tracer.active_count(), 0);
 
         // Fault upgrades: recording starts, rooted at the original start.
-        let upgraded = tracer.mark_fault(child, "sample", 500);
-        assert!(upgraded.sampled);
-        let retry = tracer.child(upgraded, "retry", 600);
-        tracer.end_span_status(retry, 700, "spilled");
-        tracer.finish_trace(upgraded, 900, "lost");
+        root.fault("sample", 500);
+        assert!(root.is_recording());
+        root.child("retry", 600).end_status(700, "spilled");
+        let latency = Histogram::new(vec![1_000]);
+        root.observe(&latency, 800);
+        assert_eq!(latency.exemplar().map(|e| e.1), Some(800));
+        root.finish(900, "lost");
         let tree = tracer.last_finished().unwrap();
         assert!(tree.fault);
         assert_eq!(tree.root().start_ns, 100);
-        assert_eq!(tree.terminal_status(), "lost");
+        assert_eq!((tree.terminal_status(), tree.spans.len()), ("lost", 2));
         assert_eq!(tracer.stats().fault_upgrades, 1);
+
+        // Unsampled and null spans: `finish` still ticks; nothing records.
+        Span::root(Some(&tracer), "sample", 0).finish(1, "inserted");
+        Span::none().finish(1, "inserted");
+        Span::none().observe(&latency, 5);
+        assert_eq!((tracer.stats().started, tracer.stats().finished), (2, 2));
+        assert_eq!((tracer.stats().retained, latency.count()), (1, 2));
     }
 
     #[test]

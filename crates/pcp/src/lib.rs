@@ -15,6 +15,14 @@
 //! * **agent resource accounting** (CPU, memory, network, disk) matching
 //!   the shapes of Fig. 6: flat memory, linear CPU/network/disk in
 //!   sampling frequency — [`resource`].
+//!
+//! Entry points: [`SamplingLoop::run`] drives a [`Shipper`], and
+//! [`run_replicated`] a [`ReplShipper`], one tick loop behind both. Each
+//! shipper has one ship path: `ship(t, point, freq_hz)` is
+//! `ship_span(t, point, freq_hz, Span::none())`, and the sampler passes
+//! the report's `pcp.sample` root span when the registry carries a
+//! tracer. [`ResilienceConfig`] sizes the opt-in spill buffer; the rest
+//! of the resilient policy is fixed ([`resilience`]).
 
 pub mod agent;
 pub mod error;

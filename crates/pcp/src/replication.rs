@@ -38,13 +38,13 @@
 use crate::error::PcpError;
 use crate::pmcd::Pmcd;
 use crate::sampler::{run_ticks, SampleSink, SamplingConfig};
-use crate::transport::{upgrade_on_fault, Shipper, TraceHandle, FETCH_NS, RETRY_NS};
+use crate::transport::{Shipper, FETCH_NS, RETRY_NS, SAMPLE_ROOT};
 use pmove_hwsim::network::FaultSchedule;
 use pmove_hwsim::noise::NoiseSource;
-use pmove_obs::{Counter, Gauge, Histogram, Registry, TraceContext};
+use pmove_obs::{Counter, Gauge, Histogram, Registry, Span};
 use pmove_tsdb::repl::{IntegrityReport, ReplicaSet};
 use pmove_tsdb::store::Scrubber;
-use pmove_tsdb::{ExecMode, FieldValue, Point, Query, TsdbError};
+use pmove_tsdb::{ExecMode, FieldValue, Origin, Point, Query, TsdbError};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -155,7 +155,7 @@ struct HintEntry {
     /// The report's trace, kept open while parked (ledger entries only:
     /// non-ledger hints belong to reports already terminated at offer
     /// time). Terminates on replay, eviction, or end-of-run seal.
-    trace: Option<TraceHandle>,
+    trace: Span,
 }
 
 /// Per-replica health as the coordinator sees it through heartbeats.
@@ -332,28 +332,22 @@ impl<'a> ReplShipper<'a> {
 
     /// Ship one report through a quorum write at time `t`.
     pub fn ship(&mut self, t: f64, point: Point, freq_hz: f64) -> ReplShipOutcome {
-        self.ship_traced(t, point, freq_hz, None)
+        self.ship_span(t, point, freq_hz, Span::none())
     }
 
-    /// Like [`ReplShipper::ship`] but carrying an optional trace context:
-    /// the quorum fan-out records one `repl.replica_write` child per
-    /// replica (acked writes nest the replica's WAL group commit and
-    /// shard ingest), quorum misses upgrade the trace, park it with the
-    /// ledger hint, and heartbeat replay continues the same tree
-    /// (`repl.hint_replay`) to a terminal status.
-    pub fn ship_traced(
+    /// [`ReplShipper::ship`] under the report's root span: the quorum
+    /// fan-out records one `repl.replica_write` child per replica (acked
+    /// writes nest the replica's WAL group commit and shard ingest),
+    /// quorum misses upgrade the trace, park it with the ledger hint, and
+    /// heartbeat replay continues the same tree (`repl.hint_replay`) to a
+    /// terminal status.
+    pub fn ship_span(
         &mut self,
         t: f64,
         point: Point,
         freq_hz: f64,
-        ctx: Option<TraceContext>,
+        mut tr: Span,
     ) -> ReplShipOutcome {
-        let tr: Option<TraceHandle> = ctx.and_then(|c| {
-            self.obs
-                .as_ref()
-                .and_then(|o| o.registry.tracer())
-                .map(|tracer| (tracer, c))
-        });
         let n = point.field_count() as u64;
         self.stats.reports_offered += 1;
         self.stats.values_offered += n;
@@ -378,68 +372,44 @@ impl<'a> ReplShipper<'a> {
         let mut cursor = quorum_start + Self::QUORUM_BASE_NS;
         // Replica writes are laid out sequentially on the virtual clock
         // so the critical-path analyzer attributes the fan-out exactly.
-        let qspan = tr.as_ref().filter(|(_, c)| c.sampled).map(|(tracer, c)| {
-            let fetch = tracer.child(*c, "pcp.fetch", t_ns);
-            tracer.end_span(fetch, t_ns + FETCH_NS);
-            (
-                tracer.clone(),
-                tracer.child(*c, "repl.quorum_write", quorum_start),
-            )
-        });
+        // The clock advances only while the fan-out is recorded: a report
+        // that starts recording at a quorum miss is stamped at its start.
+        tr.child("pcp.fetch", t_ns).end(t_ns + FETCH_NS);
+        let qspan = tr.child("repl.quorum_write", quorum_start);
         let mut acks = vec![false; rf];
         let mut ack_count = 0usize;
         for (i, ack) in acks.iter_mut().enumerate() {
             let reachable = self.replica_write_ok(t, i);
-            match &qspan {
-                Some((tracer, q)) => {
-                    let rspan = tracer.child(*q, "repl.replica_write", cursor);
-                    if reachable {
-                        let (res, end_ns) = self.set.replica(i).write_point_traced(
-                            point.clone(),
-                            tracer,
-                            rspan,
-                            cursor + Self::QUORUM_PER_ACK_NS,
-                        );
-                        let end_ns = end_ns.max(cursor + Self::QUORUM_PER_ACK_NS);
-                        if res.is_ok() {
-                            *ack = true;
-                            ack_count += 1;
-                            tracer.end_span_status(rspan, end_ns, "acked");
-                        } else {
-                            tracer.end_span_status(rspan, end_ns, "rejected");
-                        }
-                        cursor = end_ns;
-                    } else {
-                        tracer.end_span_status(
-                            rspan,
-                            cursor + Self::QUORUM_PER_ACK_NS,
-                            "unreachable",
-                        );
-                        cursor += Self::QUORUM_PER_ACK_NS;
-                    }
+            let rspan = qspan.child("repl.replica_write", cursor);
+            let mut end_ns = cursor + Self::QUORUM_PER_ACK_NS;
+            let status = if !reachable {
+                "unreachable"
+            } else {
+                let (res, ingest_end) =
+                    self.set
+                        .replica(i)
+                        .write(point.clone(), Origin::Client, &rspan, end_ns);
+                end_ns = ingest_end;
+                if res.is_ok() {
+                    *ack = true;
+                    ack_count += 1;
+                    "acked"
+                } else {
+                    "rejected"
                 }
-                None => {
-                    if reachable && self.set.replica(i).write_point(point.clone()).is_ok() {
-                        *ack = true;
-                        ack_count += 1;
-                    }
-                }
+            };
+            rspan.end_status(end_ns, status);
+            if rspan.is_recording() {
+                cursor = end_ns;
             }
         }
-        if let Some((tracer, q)) = &qspan {
-            tracer.end_span(*q, cursor);
-        }
+        qspan.end(cursor);
         self.stats.replica_acks += ack_count as u64;
         if let Some(o) = &self.obs {
             let modeled_ns = Self::QUORUM_BASE_NS
                 + Self::QUORUM_PER_ACK_NS * ack_count as u64
                 + Self::QUORUM_PER_VALUE_NS * n;
-            match &tr {
-                Some((_, c)) if c.sampled => {
-                    o.quorum_write_ns.record_exemplar(modeled_ns, c.trace.0)
-                }
-                _ => o.quorum_write_ns.record(modeled_ns),
-            }
+            tr.observe(&o.quorum_write_ns, modeled_ns);
         }
 
         let quorum = ack_count >= w;
@@ -462,12 +432,10 @@ impl<'a> ReplShipper<'a> {
             self.stats.values_zeroed += n;
             for (i, &acked) in acks.iter().enumerate() {
                 if !acked {
-                    self.park(i, point.clone(), n, false, None, cursor);
+                    self.park(i, point.clone(), n, false, Span::none(), cursor);
                 }
             }
-            if let Some((tracer, c)) = &tr {
-                tracer.finish_trace(*c, cursor, "zeroed");
-            }
+            tr.finish(cursor, "zeroed");
             self.export_gauges();
             return ReplShipOutcome::InsertedZero;
         }
@@ -476,23 +444,18 @@ impl<'a> ReplShipper<'a> {
             self.stats.values_inserted += n;
             for (i, &acked) in acks.iter().enumerate() {
                 if !acked {
-                    self.park(i, point.clone(), n, false, None, cursor);
+                    self.park(i, point.clone(), n, false, Span::none(), cursor);
                 }
             }
-            if let Some((tracer, c)) = &tr {
-                tracer.finish_trace(*c, cursor, "inserted");
-            }
+            tr.finish(cursor, "inserted");
             ReplShipOutcome::Inserted
         } else {
             // Quorum missed: the first failed replica's hint carries the
             // ledger; the rest are repair bookkeeping. A miss is a fault
             // site — unsampled traces upgrade here.
-            let tr = upgrade_on_fault(tr, cursor);
-            if let Some((tracer, c)) = &tr {
-                let park_span = tracer.child(*c, "repl.hint_park", cursor);
-                tracer.end_span_status(park_span, cursor, "hinted");
-            }
-            let mut tr = tr;
+            tr.fault(SAMPLE_ROOT, cursor);
+            tr.child("repl.hint_park", cursor)
+                .end_status(cursor, "hinted");
             let mut ledger_parked = false;
             let mut ledger_pending = true;
             for (i, &acked) in acks.iter().enumerate() {
@@ -501,9 +464,10 @@ impl<'a> ReplShipper<'a> {
                 }
                 if ledger_pending {
                     ledger_pending = false;
-                    ledger_parked = self.park(i, point.clone(), n, true, tr.take(), cursor);
+                    let trace = std::mem::take(&mut tr);
+                    ledger_parked = self.park(i, point.clone(), n, true, trace, cursor);
                 } else {
-                    self.park(i, point.clone(), n, false, None, cursor);
+                    self.park(i, point.clone(), n, false, Span::none(), cursor);
                 }
             }
             if ledger_parked {
@@ -526,7 +490,7 @@ impl<'a> ReplShipper<'a> {
         point: Point,
         values: u64,
         ledger: bool,
-        trace: Option<TraceHandle>,
+        trace: Span,
         now_ns: u64,
     ) -> bool {
         let cap = self.set.config().hint_capacity_values;
@@ -538,9 +502,7 @@ impl<'a> ReplShipper<'a> {
             if ledger {
                 self.stats.values_lost += values;
             }
-            if let Some((tracer, c)) = trace {
-                tracer.finish_trace(c, now_ns, "lost");
-            }
+            trace.finish(now_ns, "lost");
             return false;
         }
         while self.queued_values[i] + values > cap {
@@ -554,9 +516,7 @@ impl<'a> ReplShipper<'a> {
                 self.stats.values_hinted -= old.values;
                 self.stats.values_evicted += old.values;
             }
-            if let Some((tracer, c)) = old.trace {
-                tracer.finish_trace(c, now_ns, "evicted");
-            }
+            old.trace.finish(now_ns, "evicted");
         }
         self.hints[i].push_back(HintEntry {
             point,
@@ -621,27 +581,16 @@ impl<'a> ReplShipper<'a> {
                 break;
             }
             let entry = self.hints[i].pop_front().expect("checked non-empty");
-            let applied = match &entry.trace {
-                Some((tracer, c)) if c.sampled => {
-                    let replay = tracer.child(*c, "repl.hint_replay", t_ns);
-                    let (res, end_ns) = self.set.replica(i).apply_remote_traced(
-                        entry.point.clone(),
-                        tracer,
-                        replay,
-                        t_ns + RETRY_NS,
-                    );
-                    let end_ns = end_ns.max(t_ns + RETRY_NS);
-                    let status = if res.is_ok() { "ok" } else { "rejected" };
-                    tracer.end_span_status(replay, end_ns, status);
-                    res.is_ok()
-                }
-                _ => self
-                    .set
-                    .replica(i)
-                    .apply_remote(entry.point.clone())
-                    .is_ok(),
-            };
-            if !applied {
+            let replay = entry.trace.child("repl.hint_replay", t_ns);
+            let (res, end_ns) = self.set.replica(i).write(
+                entry.point.clone(),
+                Origin::Remote,
+                &replay,
+                t_ns + RETRY_NS,
+            );
+            let status = if res.is_ok() { "ok" } else { "rejected" };
+            replay.end_status(end_ns, status);
+            if res.is_err() {
                 self.hints[i].push_front(entry);
                 break;
             }
@@ -656,9 +605,7 @@ impl<'a> ReplShipper<'a> {
                 self.stats.values_hinted -= values;
                 self.stats.values_inserted += values;
             }
-            if let Some((tracer, c)) = entry.trace {
-                tracer.finish_trace(c, t_ns + RETRY_NS, "recovered");
-            }
+            entry.trace.finish(t_ns + RETRY_NS, "recovered");
         }
     }
 
@@ -669,9 +616,7 @@ impl<'a> ReplShipper<'a> {
         let t_ns = (t * 1e9) as u64;
         for queue in &mut self.hints {
             for entry in queue.iter_mut() {
-                if let Some((tracer, c)) = entry.trace.take() {
-                    tracer.finish_trace(c, t_ns, "hinted");
-                }
+                std::mem::take(&mut entry.trace).finish(t_ns, "hinted");
             }
         }
     }
@@ -774,8 +719,8 @@ impl SampleSink for ReplShipper<'_> {
         true
     }
 
-    fn ship(&mut self, t_now: f64, point: Point, freq_hz: f64, ctx: Option<TraceContext>) {
-        self.ship_traced(t_now, point, freq_hz, ctx);
+    fn ship(&mut self, t_now: f64, point: Point, freq_hz: f64, span: Span) {
+        self.ship_span(t_now, point, freq_hz, span);
     }
 
     fn end_run(&mut self, t_end: f64) {

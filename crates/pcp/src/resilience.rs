@@ -18,112 +18,44 @@
 //! no [`ResilienceConfig`] attached — is bit-identical to the paper's
 //! unbuffered behaviour.
 
-use crate::error::{require_finite, require_non_negative, require_positive, PcpError};
-
-/// Tuning for the resilient transport mode. All fields are validated by
-/// [`ResilienceConfig::validate`]; `Default` gives a sane production-ish
-/// profile.
+/// Tuning for the resilient transport mode. The spill bound is the one
+/// value callers size to their workload; the retry, breaker and
+/// degradation policy below is fixed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResilienceConfig {
     /// Spill buffer bound, in field values. When full, the *oldest*
     /// spilled report is evicted (counted, not silently dropped).
     pub spill_capacity_values: u64,
-    /// Re-send attempts per spilled report before it is declared lost.
-    pub max_retries: u32,
-    /// First retry backoff (virtual seconds).
-    pub backoff_base_s: f64,
-    /// Backoff ceiling (virtual seconds).
-    pub backoff_cap_s: f64,
-    /// Relative deterministic jitter applied to each backoff delay.
-    pub backoff_jitter: f64,
-    /// Consecutive DB failures that open the circuit breaker.
-    pub breaker_threshold: u32,
-    /// Time the breaker stays open before probing again (virtual seconds).
-    pub breaker_cooldown_s: f64,
-    /// Per-window loss percentage that counts as a "lossy" window for
-    /// adaptive degradation.
-    pub degrade_loss_pct: f64,
-    /// Consecutive lossy windows before the tick stride doubles (and
-    /// consecutive clean windows before it halves back).
-    pub degrade_windows: u32,
-    /// Upper bound on the tick stride (1 = never skip).
-    pub max_stride: u64,
-    /// Write `pmove_gap` marker points on recovery.
-    pub gap_markers: bool,
 }
 
 impl Default for ResilienceConfig {
     fn default() -> Self {
         ResilienceConfig {
             spill_capacity_values: 4096,
-            max_retries: 6,
-            backoff_base_s: 0.25,
-            backoff_cap_s: 4.0,
-            backoff_jitter: 0.2,
-            breaker_threshold: 5,
-            breaker_cooldown_s: 2.0,
-            degrade_loss_pct: 50.0,
-            degrade_windows: 3,
-            max_stride: 8,
-            gap_markers: true,
         }
     }
 }
 
-impl ResilienceConfig {
-    /// Reject non-finite or out-of-range tuning values with a typed error
-    /// instead of letting NaN leak into backoff arithmetic.
-    pub fn validate(&self) -> Result<(), PcpError> {
-        require_positive("backoff_base_s", self.backoff_base_s)?;
-        require_positive("backoff_cap_s", self.backoff_cap_s)?;
-        if self.backoff_cap_s < self.backoff_base_s {
-            return Err(PcpError::InvalidConfig {
-                field: "backoff_cap_s",
-                value: self.backoff_cap_s,
-                reason: "must be >= backoff_base_s",
-            });
-        }
-        require_non_negative("backoff_jitter", self.backoff_jitter)?;
-        if self.backoff_jitter > 1.0 {
-            return Err(PcpError::InvalidConfig {
-                field: "backoff_jitter",
-                value: self.backoff_jitter,
-                reason: "must be <= 1",
-            });
-        }
-        require_positive("breaker_cooldown_s", self.breaker_cooldown_s)?;
-        require_finite("degrade_loss_pct", self.degrade_loss_pct)?;
-        if !(0.0..=100.0).contains(&self.degrade_loss_pct) {
-            return Err(PcpError::InvalidConfig {
-                field: "degrade_loss_pct",
-                value: self.degrade_loss_pct,
-                reason: "must be within 0..=100",
-            });
-        }
-        if self.breaker_threshold == 0 {
-            return Err(PcpError::InvalidConfig {
-                field: "breaker_threshold",
-                value: 0.0,
-                reason: "must be >= 1",
-            });
-        }
-        if self.degrade_windows == 0 {
-            return Err(PcpError::InvalidConfig {
-                field: "degrade_windows",
-                value: 0.0,
-                reason: "must be >= 1",
-            });
-        }
-        if self.max_stride == 0 {
-            return Err(PcpError::InvalidConfig {
-                field: "max_stride",
-                value: 0.0,
-                reason: "must be >= 1",
-            });
-        }
-        Ok(())
-    }
-}
+/// Re-send attempts per spilled report before it is declared lost.
+pub(crate) const MAX_RETRIES: u32 = 6;
+/// First retry backoff (virtual seconds).
+pub(crate) const BACKOFF_BASE_S: f64 = 0.25;
+/// Backoff ceiling (virtual seconds).
+pub(crate) const BACKOFF_CAP_S: f64 = 4.0;
+/// Relative deterministic jitter applied to each backoff delay.
+pub(crate) const BACKOFF_JITTER: f64 = 0.2;
+/// Consecutive DB failures that open the circuit breaker.
+pub(crate) const BREAKER_THRESHOLD: u32 = 5;
+/// Time the breaker stays open before probing again (virtual seconds).
+pub(crate) const BREAKER_COOLDOWN_S: f64 = 2.0;
+/// Per-window loss percentage that counts as a "lossy" window for
+/// adaptive degradation.
+pub(crate) const DEGRADE_LOSS_PCT: f64 = 50.0;
+/// Consecutive lossy windows before the tick stride doubles (and
+/// consecutive clean windows before it halves back).
+pub(crate) const DEGRADE_WINDOWS: u32 = 3;
+/// Upper bound on the tick stride (1 = never skip).
+pub(crate) const MAX_STRIDE: u64 = 8;
 
 /// Circuit breaker state (the classic three-state machine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -220,34 +152,6 @@ impl CircuitBreaker {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_config_is_valid() {
-        assert!(ResilienceConfig::default().validate().is_ok());
-    }
-
-    #[test]
-    fn validation_rejects_bad_values() {
-        let mut c = ResilienceConfig {
-            backoff_base_s: f64::NAN,
-            ..ResilienceConfig::default()
-        };
-        assert!(c.validate().is_err());
-        c.backoff_base_s = 1.0;
-        c.backoff_cap_s = 0.5;
-        assert!(c.validate().is_err());
-        c.backoff_cap_s = 2.0;
-        c.backoff_jitter = 1.5;
-        assert!(c.validate().is_err());
-        c.backoff_jitter = 0.1;
-        c.degrade_loss_pct = 120.0;
-        assert!(c.validate().is_err());
-        c.degrade_loss_pct = 50.0;
-        c.max_stride = 0;
-        assert!(c.validate().is_err());
-        c.max_stride = 4;
-        assert!(c.validate().is_ok());
-    }
 
     #[test]
     fn breaker_opens_after_threshold_and_recovers() {

@@ -14,8 +14,8 @@
 
 use crate::error::{require_finite, require_non_negative, require_positive, PcpError};
 use crate::pmcd::Pmcd;
-use crate::transport::{Shipper, ShipperStats};
-use pmove_obs::{Registry, TraceContext};
+use crate::transport::{Shipper, ShipperStats, SAMPLE_ROOT};
+use pmove_obs::{Registry, Span};
 use pmove_tsdb::Point;
 use std::sync::Arc;
 
@@ -103,8 +103,8 @@ pub(crate) trait SampleSink {
     /// Per-tick supervision before the fetch (agent and replica
     /// heartbeats, spill drain). Returns false to skip this tick's fetch.
     fn begin_tick(&mut self, pmcd: &mut Pmcd, tick: u64, t_now: f64) -> bool;
-    /// Ship one fetched report.
-    fn ship(&mut self, t_now: f64, point: Point, freq_hz: f64, ctx: Option<TraceContext>);
+    /// Ship one fetched report under its root span.
+    fn ship(&mut self, t_now: f64, point: Point, freq_hz: f64, span: Span);
     /// Last drain/replay opportunity at the end of the run, then seal the
     /// trace of every report still parked.
     fn end_run(&mut self, t_end: f64);
@@ -137,8 +137,8 @@ impl SampleSink for Shipper<'_> {
         true
     }
 
-    fn ship(&mut self, t_now: f64, point: Point, freq_hz: f64, ctx: Option<TraceContext>) {
-        self.ship_traced(t_now, point, freq_hz, ctx);
+    fn ship(&mut self, t_now: f64, point: Point, freq_hz: f64, span: Span) {
+        self.ship_span(t_now, point, freq_hz, span);
     }
 
     fn end_run(&mut self, t_end: f64) {
@@ -199,10 +199,8 @@ pub(crate) fn run_ticks(
             c.add(points.len() as u64);
         }
         for point in points {
-            let ctx = tracer
-                .as_ref()
-                .map(|tr| tr.start_trace("pcp.sample", (t_now * 1e9) as u64));
-            sink.ship(t_now, point, config.freq_hz, ctx);
+            let span = Span::root(tracer.as_ref(), SAMPLE_ROOT, (t_now * 1e9) as u64);
+            sink.ship(t_now, point, config.freq_hz, span);
         }
         t_prev = t_now;
     }

@@ -21,11 +21,11 @@
 //! values_lost + values_spill_pending + values_evicted`.
 
 use crate::error::{require_non_negative, require_positive, PcpError};
-use crate::resilience::{BreakerState, CircuitBreaker, ResilienceConfig};
+use crate::resilience::{self, BreakerState, CircuitBreaker, ResilienceConfig};
 use pmove_hwsim::network::{FaultSchedule, FaultState, LinkSpec};
 use pmove_hwsim::noise::NoiseSource;
-use pmove_obs::{Counter, Gauge, Registry, TraceContext, Tracer};
-use pmove_tsdb::{Database, Point};
+use pmove_obs::{Counter, Gauge, Registry, Span};
+use pmove_tsdb::{Database, Origin, Point};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -41,18 +41,9 @@ const ATTEMPT_PER_VALUE_NS: u64 = 120;
 /// Modeled cost of one spill-replay attempt (ns).
 pub(crate) const RETRY_NS: u64 = 15_000;
 
-/// A live trace riding on one report: the tracer it belongs to plus the
-/// context whose trace the shipper must terminate.
-pub(crate) type TraceHandle = (Arc<Tracer>, TraceContext);
-
-/// Upgrade an unsampled trace at a fault site when the tracer's
-/// always-sample-on-fault policy asks for it; flag sampled ones.
-pub(crate) fn upgrade_on_fault(tr: Option<TraceHandle>, now_ns: u64) -> Option<TraceHandle> {
-    tr.map(|(tracer, ctx)| {
-        let ctx = tracer.mark_fault(ctx, "pcp.sample", now_ns);
-        (tracer, ctx)
-    })
-}
+/// Root span name of one report's trace; fault sites that upgrade an
+/// unsampled trace re-create the root under it.
+pub(crate) const SAMPLE_ROOT: &str = "pcp.sample";
 
 /// Outcome of shipping one report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,7 +195,7 @@ struct SpilledReport {
     attempts: u32,
     /// The report's trace, kept open while parked: it terminates when
     /// the entry is recovered, evicted, lost, or sealed at run end.
-    trace: Option<TraceHandle>,
+    trace: Span,
 }
 
 /// The unbuffered shipping path: target sampler → network → host DB.
@@ -274,7 +265,10 @@ impl<'a> Shipper<'a> {
             rescfg: None,
             robs: None,
             spill: VecDeque::new(),
-            breaker: CircuitBreaker::new(1, 0.0),
+            breaker: CircuitBreaker::new(
+                resilience::BREAKER_THRESHOLD,
+                resilience::BREAKER_COOLDOWN_S,
+            ),
             backoff_s: 0.0,
             next_retry_s: f64::NEG_INFINITY,
             outage_since: None,
@@ -311,20 +305,11 @@ impl<'a> Shipper<'a> {
         self
     }
 
-    /// Enable the resilient transport mode. Panics on an invalid config;
-    /// use [`Shipper::try_with_resilience`] for the typed-error path.
-    pub fn with_resilience(self, cfg: ResilienceConfig) -> Self {
-        self.try_with_resilience(cfg)
-            .expect("bad resilience config")
-    }
-
-    /// Enable the resilient transport mode, validating the config.
-    pub fn try_with_resilience(mut self, cfg: ResilienceConfig) -> Result<Self, PcpError> {
-        cfg.validate()?;
-        self.breaker = CircuitBreaker::new(cfg.breaker_threshold, cfg.breaker_cooldown_s);
+    /// Enable the resilient transport mode.
+    pub fn with_resilience(mut self, cfg: ResilienceConfig) -> Self {
         self.rescfg = Some(cfg);
         self.ensure_resilience_obs();
-        Ok(self)
+        self
     }
 
     fn ensure_resilience_obs(&mut self) {
@@ -370,31 +355,19 @@ impl<'a> Shipper<'a> {
     /// Ship one report (a [`Point`] carrying one field per instance) sampled
     /// at `t` with sampling frequency `freq_hz`.
     pub fn ship(&mut self, t: f64, point: Point, freq_hz: f64) -> ShipOutcome {
-        self.ship_traced(t, point, freq_hz, None)
+        self.ship_span(t, point, freq_hz, Span::none())
     }
 
-    /// Like [`Shipper::ship`] but carrying an optional trace context.
-    /// The shipper owns the trace from here on: every terminal fate —
-    /// inserted, zeroed, lost, evicted, recovered, spill_pending —
-    /// finishes the trace with a matching status, and fault paths
-    /// upgrade unsampled traces when the tracer's `sample_on_fault`
-    /// policy is set. The context survives spill parking and replays, so
-    /// one tree shows the report's whole journey.
-    pub fn ship_traced(
-        &mut self,
-        t: f64,
-        point: Point,
-        freq_hz: f64,
-        ctx: Option<TraceContext>,
-    ) -> ShipOutcome {
+    /// [`Shipper::ship`] under the report's root span. The shipper owns
+    /// the trace from here on: every terminal fate — inserted, zeroed,
+    /// lost, evicted, recovered, spill_pending — finishes it with a
+    /// matching status, and fault paths upgrade unsampled traces when
+    /// the tracer's `sample_on_fault` policy is set. The span survives
+    /// spill parking and replays, so one tree shows the report's whole
+    /// journey.
+    pub fn ship_span(&mut self, t: f64, point: Point, freq_hz: f64, span: Span) -> ShipOutcome {
         let before = self.stats;
-        let tr = ctx.and_then(|c| {
-            self.obs
-                .as_ref()
-                .and_then(|o| o.registry.tracer())
-                .map(|tracer| (tracer, c))
-        });
-        let outcome = self.ship_inner(t, point, freq_hz, tr);
+        let outcome = self.ship_inner(t, point, freq_hz, span);
         self.stats.breaker_opens = self.breaker.opens;
         self.export_obs(before);
         outcome
@@ -471,26 +444,26 @@ impl<'a> Shipper<'a> {
         }
     }
 
-    /// Adaptive frequency degradation: after `degrade_windows` consecutive
-    /// lossy windows the suggested tick stride doubles (capped); after as
-    /// many clean windows it halves back toward 1.
+    /// Adaptive frequency degradation: after
+    /// [`resilience::DEGRADE_WINDOWS`] consecutive lossy windows the
+    /// suggested tick stride doubles (capped); after as many clean
+    /// windows it halves back toward 1.
     fn evaluate_window(&mut self) {
-        let Some(cfg) = self.rescfg else { return };
-        if self.window_offered == 0 {
+        if self.rescfg.is_none() || self.window_offered == 0 {
             return;
         }
         let loss = 100.0 * self.window_failed as f64 / self.window_offered as f64;
-        if loss >= cfg.degrade_loss_pct {
+        if loss >= resilience::DEGRADE_LOSS_PCT {
             self.clean_windows = 0;
             self.lossy_windows += 1;
-            if self.lossy_windows >= cfg.degrade_windows {
+            if self.lossy_windows >= resilience::DEGRADE_WINDOWS {
                 self.lossy_windows = 0;
-                self.stride = (self.stride * 2).min(cfg.max_stride);
+                self.stride = (self.stride * 2).min(resilience::MAX_STRIDE);
             }
         } else {
             self.lossy_windows = 0;
             self.clean_windows += 1;
-            if self.clean_windows >= cfg.degrade_windows {
+            if self.clean_windows >= resilience::DEGRADE_WINDOWS {
                 self.clean_windows = 0;
                 self.stride = (self.stride / 2).max(1);
             }
@@ -499,13 +472,7 @@ impl<'a> Shipper<'a> {
         self.window_failed = 0;
     }
 
-    fn ship_inner(
-        &mut self,
-        t: f64,
-        point: Point,
-        freq_hz: f64,
-        tr: Option<TraceHandle>,
-    ) -> ShipOutcome {
+    fn ship_inner(&mut self, t: f64, point: Point, freq_hz: f64, mut tr: Span) -> ShipOutcome {
         let values = point.field_count() as u64;
         self.stats.reports_offered += 1;
         self.stats.values_offered += values;
@@ -560,15 +527,12 @@ impl<'a> Shipper<'a> {
             if ok {
                 self.stats.values_zeroed += values;
                 self.note_success(t);
-                if let Some((tracer, ctx)) = &tr {
-                    tracer.finish_trace(*ctx, end_ns, "zeroed");
-                }
+                tr.finish(end_ns, "zeroed");
                 return ShipOutcome::InsertedZero;
             }
             self.stats.values_lost += values;
-            if let Some((tracer, ctx)) = upgrade_on_fault(tr, t_ns) {
-                tracer.finish_trace(ctx, end_ns, "lost");
-            }
+            tr.fault(SAMPLE_ROOT, t_ns);
+            tr.finish(end_ns, "lost");
             return ShipOutcome::Lost;
         }
 
@@ -576,50 +540,28 @@ impl<'a> Shipper<'a> {
         if ok {
             self.stats.values_inserted += values;
             self.note_success(t);
-            if let Some((tracer, ctx)) = &tr {
-                tracer.finish_trace(*ctx, end_ns, "inserted");
-            }
+            tr.finish(end_ns, "inserted");
             ShipOutcome::Inserted
         } else {
             self.stats.values_lost += values;
-            if let Some((tracer, ctx)) = upgrade_on_fault(tr, t_ns) {
-                tracer.finish_trace(ctx, end_ns, "lost");
-            }
+            tr.fault(SAMPLE_ROOT, t_ns);
+            tr.finish(end_ns, "lost");
             ShipOutcome::Lost
         }
     }
 
     /// Write `point` to the DB, laying out the modeled fetch + attempt +
-    /// ingest spans under the trace when one is attached. Returns whether
-    /// the write landed plus the modeled end timestamp.
-    fn deliver(
-        &self,
-        t_ns: u64,
-        point: Point,
-        values: u64,
-        tr: &Option<TraceHandle>,
-    ) -> (bool, u64) {
-        match tr {
-            Some((tracer, ctx)) if ctx.sampled => {
-                let fetch = tracer.child(*ctx, "pcp.fetch", t_ns);
-                tracer.end_span(fetch, t_ns + FETCH_NS);
-                let att_start = t_ns + FETCH_NS;
-                let att = tracer.child(*ctx, "pcp.ship_attempt", att_start);
-                let wire_end = att_start + ATTEMPT_BASE_NS + ATTEMPT_PER_VALUE_NS * values;
-                let (res, ingest_end) = self.db.write_point_traced(point, tracer, att, wire_end);
-                let end_ns = ingest_end.max(wire_end);
-                if res.is_ok() {
-                    tracer.end_span(att, end_ns);
-                } else {
-                    tracer.end_span_status(att, end_ns, "db_rejected");
-                }
-                (res.is_ok(), end_ns)
-            }
-            _ => {
-                let end_ns = t_ns + FETCH_NS + ATTEMPT_BASE_NS + ATTEMPT_PER_VALUE_NS * values;
-                (self.db.write_point(point).is_ok(), end_ns)
-            }
-        }
+    /// ingest spans under `tr`. Returns whether the write landed plus the
+    /// modeled end timestamp.
+    fn deliver(&self, t_ns: u64, point: Point, values: u64, tr: &Span) -> (bool, u64) {
+        tr.child("pcp.fetch", t_ns).end(t_ns + FETCH_NS);
+        let att_start = t_ns + FETCH_NS;
+        let att = tr.child("pcp.ship_attempt", att_start);
+        let wire_end = att_start + ATTEMPT_BASE_NS + ATTEMPT_PER_VALUE_NS * values;
+        let (res, end_ns) = self.db.write(point, Origin::Client, &att, wire_end);
+        let status = if res.is_ok() { "ok" } else { "db_rejected" };
+        att.end_status(end_ns, status);
+        (res.is_ok(), end_ns)
     }
 
     /// A report could not be delivered at `t`. Default mode: lost, as the
@@ -630,22 +572,18 @@ impl<'a> Shipper<'a> {
         t: f64,
         point: Point,
         values: u64,
-        tr: Option<TraceHandle>,
+        mut tr: Span,
         reason: &str,
     ) -> ShipOutcome {
         let t_ns = (t * 1e9) as u64;
         // A failed delivery is a fault site: upgrade unsampled traces so
         // the flight recorder always holds the interesting journeys.
-        let tr = upgrade_on_fault(tr, t_ns);
-        if let Some((tracer, ctx)) = &tr {
-            let att = tracer.child(*ctx, "pcp.ship_attempt", t_ns);
-            tracer.end_span_status(att, t_ns + ATTEMPT_BASE_NS, reason);
-        }
+        tr.fault(SAMPLE_ROOT, t_ns);
+        tr.child("pcp.ship_attempt", t_ns)
+            .end_status(t_ns + ATTEMPT_BASE_NS, reason);
         let Some(cfg) = self.rescfg else {
             self.stats.values_lost += values;
-            if let Some((tracer, ctx)) = &tr {
-                tracer.finish_trace(*ctx, t_ns + ATTEMPT_BASE_NS, "lost");
-            }
+            tr.finish(t_ns + ATTEMPT_BASE_NS, "lost");
             return ShipOutcome::Lost;
         };
         self.window_failed += values;
@@ -655,23 +593,17 @@ impl<'a> Shipper<'a> {
         if values > cfg.spill_capacity_values {
             // Could never fit; count it lost rather than churn the buffer.
             self.stats.values_lost += values;
-            if let Some((tracer, ctx)) = &tr {
-                tracer.finish_trace(*ctx, t_ns + ATTEMPT_BASE_NS, "lost");
-            }
+            tr.finish(t_ns + ATTEMPT_BASE_NS, "lost");
             return ShipOutcome::Lost;
         }
         while self.stats.values_spill_pending + values > cfg.spill_capacity_values {
             let old = self.spill.pop_front().expect("pending implies entries");
             self.stats.values_spill_pending -= old.values;
             self.stats.values_evicted += old.values;
-            if let Some((tracer, ctx)) = old.trace {
-                tracer.finish_trace(ctx, t_ns, "evicted");
-            }
+            old.trace.finish(t_ns, "evicted");
         }
-        if let Some((tracer, ctx)) = &tr {
-            let park = tracer.child(*ctx, "pcp.spill_park", t_ns + ATTEMPT_BASE_NS);
-            tracer.end_span(park, t_ns + ATTEMPT_BASE_NS);
-        }
+        tr.child("pcp.spill_park", t_ns + ATTEMPT_BASE_NS)
+            .end(t_ns + ATTEMPT_BASE_NS);
         self.spill.push_back(SpilledReport {
             point,
             values,
@@ -686,8 +618,7 @@ impl<'a> Shipper<'a> {
     /// Try to replay spilled reports, oldest first, respecting the retry
     /// backoff, the circuit breaker, link state, and window capacity.
     fn drain_spill(&mut self, t: f64) {
-        let Some(cfg) = self.rescfg else { return };
-        if self.spill.is_empty() || t < self.next_retry_s {
+        if self.rescfg.is_none() || self.spill.is_empty() || t < self.next_retry_s {
             return;
         }
         let fault = self.fault_state_at(t);
@@ -709,22 +640,20 @@ impl<'a> Shipper<'a> {
                 self.breaker.record_failure(t);
                 let front = self.spill.front_mut().expect("checked non-empty");
                 front.attempts += 1;
-                if let Some((tracer, ctx)) = &front.trace {
-                    let retry = tracer.child(*ctx, "pcp.retry", t_ns);
-                    tracer.end_span_status(retry, t_ns + RETRY_NS, "backend_down");
-                }
-                if front.attempts >= cfg.max_retries {
+                front
+                    .trace
+                    .child("pcp.retry", t_ns)
+                    .end_status(t_ns + RETRY_NS, "backend_down");
+                if front.attempts >= resilience::MAX_RETRIES {
                     let dead = self.spill.pop_front().expect("checked non-empty");
                     self.stats.values_spill_pending -= dead.values;
                     self.stats.values_lost += dead.values;
-                    if let Some((tracer, ctx)) = dead.trace {
-                        tracer.finish_trace(ctx, t_ns + RETRY_NS, "lost");
-                    }
+                    dead.trace.finish(t_ns + RETRY_NS, "lost");
                 }
                 // Capped exponential backoff with deterministic jitter.
-                self.backoff_s =
-                    (self.backoff_s * 2.0).clamp(cfg.backoff_base_s, cfg.backoff_cap_s);
-                let jitter = 1.0 + cfg.backoff_jitter * (self.noise.uniform() - 0.5);
+                self.backoff_s = (self.backoff_s * 2.0)
+                    .clamp(resilience::BACKOFF_BASE_S, resilience::BACKOFF_CAP_S);
+                let jitter = 1.0 + resilience::BACKOFF_JITTER * (self.noise.uniform() - 0.5);
                 self.next_retry_s = t + self.backoff_s * jitter;
                 return;
             }
@@ -734,36 +663,18 @@ impl<'a> Shipper<'a> {
             self.stats.values_spill_pending -= entry.values;
             self.stats.bytes_shipped +=
                 entry.point.wire_size() as u64 + self.link.overhead_bytes as u64;
-            match &entry.trace {
-                Some((tracer, ctx)) if ctx.sampled => {
-                    let retry = tracer.child(*ctx, "pcp.retry", t_ns);
-                    let (res, ingest_end) =
-                        self.db
-                            .write_point_traced(entry.point, tracer, retry, t_ns + RETRY_NS);
-                    let end_ns = ingest_end.max(t_ns + RETRY_NS);
-                    tracer.end_span(retry, end_ns);
-                    if res.is_ok() {
-                        self.stats.values_inserted += entry.values;
-                        self.stats.values_recovered += entry.values;
-                        tracer.finish_trace(*ctx, end_ns, "recovered");
-                    } else {
-                        self.stats.values_lost += entry.values;
-                        tracer.finish_trace(*ctx, end_ns, "lost");
-                    }
-                }
-                _ => {
-                    let res = self.db.write_point(entry.point);
-                    if res.is_ok() {
-                        self.stats.values_inserted += entry.values;
-                        self.stats.values_recovered += entry.values;
-                    } else {
-                        self.stats.values_lost += entry.values;
-                    }
-                    if let Some((tracer, ctx)) = entry.trace {
-                        let status = if res.is_ok() { "recovered" } else { "lost" };
-                        tracer.finish_trace(ctx, t_ns + RETRY_NS, status);
-                    }
-                }
+            let retry = entry.trace.child("pcp.retry", t_ns);
+            let (res, end_ns) = self
+                .db
+                .write(entry.point, Origin::Client, &retry, t_ns + RETRY_NS);
+            retry.end(end_ns);
+            if res.is_ok() {
+                self.stats.values_inserted += entry.values;
+                self.stats.values_recovered += entry.values;
+                entry.trace.finish(end_ns, "recovered");
+            } else {
+                self.stats.values_lost += entry.values;
+                entry.trace.finish(end_ns, "lost");
             }
             self.backoff_s = 0.0;
             self.next_retry_s = t;
@@ -777,9 +688,7 @@ impl<'a> Shipper<'a> {
     pub fn seal_pending_traces(&mut self, t: f64) {
         let t_ns = (t * 1e9) as u64;
         for entry in &mut self.spill {
-            if let Some((tracer, ctx)) = entry.trace.take() {
-                tracer.finish_trace(ctx, t_ns, "spill_pending");
-            }
+            std::mem::take(&mut entry.trace).finish(t_ns, "spill_pending");
         }
     }
 
@@ -787,16 +696,16 @@ impl<'a> Shipper<'a> {
     /// point covering `[outage_start, t)` so queries can distinguish
     /// "lost" from "not sampled".
     fn note_success(&mut self, t: f64) {
-        let Some(cfg) = self.rescfg else { return };
+        if self.rescfg.is_none() {
+            return;
+        }
         if let Some(start) = self.outage_since.take() {
-            if cfg.gap_markers {
-                let gap = Point::new(GAP_MEASUREMENT)
-                    .timestamp((t * 1e9) as i64)
-                    .field("gap_start_s", start)
-                    .field("gap_end_s", t);
-                if self.db.write_point(gap).is_ok() {
-                    self.stats.gap_markers += 1;
-                }
+            let gap = Point::new(GAP_MEASUREMENT)
+                .timestamp((t * 1e9) as i64)
+                .field("gap_start_s", start)
+                .field("gap_end_s", t);
+            if self.db.write_point(gap).is_ok() {
+                self.stats.gap_markers += 1;
             }
         }
     }
@@ -991,11 +900,6 @@ mod tests {
         assert!(s.set_capacity(1000.0, f64::NAN).is_err());
         assert!(s.set_capacity(1000.0, 0.1).is_ok());
         assert_eq!(s.capacity_values_per_s, 1000.0);
-        let bad = ResilienceConfig {
-            backoff_base_s: -1.0,
-            ..ResilienceConfig::default()
-        };
-        assert!(s.try_with_resilience(bad).is_err());
     }
 
     #[test]
@@ -1072,7 +976,6 @@ mod tests {
         let schedule = FaultSchedule::none().with_window(0.0, 1000.0, FaultKind::LinkDown);
         let cfg = ResilienceConfig {
             spill_capacity_values: 32, // room for 4 reports of 8 values
-            ..ResilienceConfig::default()
         };
         let mut s = Shipper::new(&db, LinkSpec::mbit_100(), 0.5, &["res2"])
             .with_fault_schedule(schedule)
@@ -1120,7 +1023,6 @@ mod tests {
             FaultSchedule::none().with_window(0.0, 60.0, FaultKind::BandwidthDegraded(0.001));
         let cfg = ResilienceConfig {
             spill_capacity_values: 64,
-            ..ResilienceConfig::default()
         };
         let mut s = Shipper::new(&db, LinkSpec::mbit_100(), 0.5, &["res4"])
             .with_fault_schedule(schedule)

@@ -491,14 +491,14 @@ fn snapshot_restore_agrees_with_full_replay_and_replays_less() {
 fn replica_bootstraps_from_backup_and_merkle_delta() {
     let (mut set, _) = ReplicaSet::durable("dr", ReplConfig::default(), 99, manual_opts()).unwrap();
     let dest = MemDisk::new(0xD0_0D | 1);
-    set.replica(0)
+    let store0 = || set.replica(0).store().unwrap();
+    store0()
         .enable_backup(Arc::new(dest.clone()) as Arc<dyn Vfs>)
-        .unwrap()
         .unwrap();
     let mut seed = 99u64;
     // Phase 1: writes reach all replicas; replica 0 archives them.
     for t in 0..30i64 {
-        set.replica(0).note_time(t * 1_000);
+        store0().note_time(t * 1_000);
         let mut p = Point::new("m0").tag("tag", "dr").timestamp(t * 1_000);
         p = p.field("_cpu0", value(&mut seed));
         for r in set.replicas() {
@@ -508,7 +508,7 @@ fn replica_bootstraps_from_backup_and_merkle_delta() {
             for r in set.replicas() {
                 r.flush().unwrap();
             }
-            set.replica(0).backup_now().unwrap().unwrap();
+            store0().backup_now().unwrap();
         }
     }
     assert!(set.converged());

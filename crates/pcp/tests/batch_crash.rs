@@ -136,7 +136,7 @@ fn run_case(seed: u64, op_offset: u64, mode: FaultMode) -> bool {
     // A torn commit is not corruption: nothing was quarantined, and no
     // gap markers blame the dropped batch for "lost" data.
     assert_eq!(report.chunks_skipped, 0);
-    assert!(db.quarantined_chunks().is_empty());
+    assert!(db.store().unwrap().quarantined().is_empty());
     assert!(matches!(
         db.query(&format!("SELECT * FROM \"{GAP_MEASUREMENT}\"")),
         Err(TsdbError::UnknownMeasurement(_))

@@ -10,9 +10,11 @@
 
 use pmove_hwsim::network::LinkSpec;
 use pmove_hwsim::FaultSchedule;
-use pmove_obs::{Registry, TraceConfig, Tracer};
-use pmove_pcp::{ResilienceConfig, Shipper, ShipperStats};
-use pmove_tsdb::{Database, Point};
+use pmove_obs::{Registry, Span, TraceConfig, Tracer};
+use pmove_pcp::{ReplShipOutcome, ReplShipper, ReplStats};
+use pmove_pcp::{ResilienceConfig, ShipOutcome, Shipper, ShipperStats};
+use pmove_tsdb::repl::{ReplConfig, ReplicaSet};
+use pmove_tsdb::{Database, FieldValue, Point};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -122,9 +124,8 @@ proptest! {
     ) {
         let case = Case { seed, freq, domain, n_metrics, duration_s };
         let fault = FaultSchedule::random(seed, duration_s as f64);
-        let resilience = resilient.then(|| ResilienceConfig {
+        let resilience = resilient.then_some(ResilienceConfig {
             spill_capacity_values: spill_capacity,
-            ..ResilienceConfig::default()
         });
 
         let (st, rows) = run(&case, Some(fault.clone()), resilience);
@@ -196,9 +197,8 @@ proptest! {
     ) {
         let case = Case { seed, freq, domain, n_metrics, duration_s };
         let fault = FaultSchedule::random(seed, duration_s as f64);
-        let resilience = resilient.then(|| ResilienceConfig {
+        let resilience = resilient.then_some(ResilienceConfig {
             spill_capacity_values: spill_capacity,
-            ..ResilienceConfig::default()
         });
 
         let freq_hz = case.freq as f64;
@@ -228,12 +228,11 @@ proptest! {
         let mut offered_reports = 0u64;
         for _ in 0..ticks {
             for m in 0..case.n_metrics {
-                let ctx = tracer.start_trace("pcp.sample", (t * 1e9) as u64);
-                shipper.ship_traced(
+                shipper.ship_span(
                     t,
                     report((t * 1e9) as i64 + m as i64, m, case.domain, &mut value_seed),
                     freq_hz,
-                    Some(ctx),
+                    Span::root(Some(&tracer), "pcp.sample", (t * 1e9) as u64),
                 );
                 offered_reports += 1;
             }
@@ -277,5 +276,161 @@ proptest! {
         // sum of traced terminal values matches the transport ledger.
         let st = shipper.stats();
         prop_assert!(st.conserved());
+    }
+}
+
+/// The four ways a run can be traced: no tracer, head sampling off,
+/// every trace recorded, and recording that starts at a fault.
+fn trace_modes(seed: u64) -> [Option<Arc<Tracer>>; 4] {
+    let tracer = |sample_rate, sample_on_fault| {
+        let config = TraceConfig {
+            sample_rate,
+            sample_on_fault,
+            ring_capacity: 64,
+        };
+        Some(Arc::new(Tracer::new(seed, config)))
+    };
+    [
+        None,
+        tracer(0.0, false),
+        tracer(1.0, true),
+        tracer(0.0, true),
+    ]
+}
+
+type Cells = Vec<(String, i64, String, u64)>;
+
+/// Every stored cell in `for_each_cell` order, floats by bit pattern.
+fn cells(db: &Database) -> Cells {
+    let mut out = Vec::new();
+    db.for_each_cell(&mut |key, ts, field, value| {
+        let FieldValue::Float(x) = value else {
+            panic!("the chaos reports carry floats only, got {value:?}");
+        };
+        out.push((key.canonical(), ts, field.to_string(), x.to_bits()));
+    });
+    out
+}
+
+/// The resilient single-node run of `case` under `tracer`.
+fn traced_shipper_run(
+    case: &Case,
+    spill_capacity: u64,
+    tracer: Option<Arc<Tracer>>,
+) -> (ShipperStats, Vec<ShipOutcome>, Cells) {
+    let freq_hz = case.freq as f64;
+    let fault = FaultSchedule::random(case.seed, case.duration_s as f64);
+    let registry = Registry::shared();
+    if let Some(tracer) = &tracer {
+        registry.set_tracer(tracer.clone());
+    }
+    let db = Database::new("host");
+    let mut shipper = Shipper::new(
+        &db,
+        LinkSpec::mbit_100(),
+        1.0 / freq_hz,
+        &["chaos", &format!("{:x}", case.seed)],
+    )
+    .with_obs(registry)
+    .with_fault_schedule(fault.clone())
+    .with_resilience(ResilienceConfig {
+        spill_capacity_values: spill_capacity,
+    });
+    let mut outcomes = Vec::new();
+    let mut value_seed = case.seed;
+    let mut t = 0.0;
+    for _ in 0..case.freq * case.duration_s {
+        for m in 0..case.n_metrics {
+            let point = report((t * 1e9) as i64 + m as i64, m, case.domain, &mut value_seed);
+            let span = Span::root(tracer.as_ref(), "pcp.sample", (t * 1e9) as u64);
+            outcomes.push(shipper.ship_span(t, point, freq_hz, span));
+        }
+        t += 1.0 / freq_hz;
+    }
+    let end_s = case.duration_s as f64;
+    let mut t_idle = end_s;
+    while t_idle <= fault.last_fault_end_s().max(end_s) + 10.0 {
+        shipper.idle_tick(t_idle);
+        t_idle += 0.5;
+    }
+    shipper.seal_pending_traces(t_idle);
+    (shipper.stats(), outcomes, cells(&db))
+}
+
+/// The RF=3 quorum run of `case` under `tracer`, one random fault
+/// schedule per replica and a heartbeat (hint replay) every tick.
+fn traced_repl_run(
+    case: &Case,
+    hint_capacity: u64,
+    tracer: Option<Arc<Tracer>>,
+) -> (ReplStats, Vec<ReplShipOutcome>, Vec<Cells>) {
+    let freq_hz = case.freq as f64;
+    let cfg = ReplConfig {
+        hint_capacity_values: hint_capacity,
+        ..ReplConfig::default()
+    };
+    let set = ReplicaSet::in_memory("chaos", cfg).unwrap();
+    let schedules = (0..set.len() as u64)
+        .map(|i| FaultSchedule::random(case.seed ^ (i + 1), case.duration_s as f64))
+        .collect();
+    let registry = Registry::shared();
+    if let Some(tracer) = &tracer {
+        registry.set_tracer(tracer.clone());
+    }
+    let mut coord = ReplShipper::new(&set, schedules, &["chaos", &format!("{:x}", case.seed)])
+        .unwrap()
+        .with_obs(registry);
+    let mut outcomes = Vec::new();
+    let mut value_seed = case.seed;
+    let mut t = 0.0;
+    for _ in 0..case.freq * case.duration_s {
+        coord.heartbeat(t);
+        for m in 0..case.n_metrics {
+            let point = report((t * 1e9) as i64 + m as i64, m, case.domain, &mut value_seed);
+            let span = Span::root(tracer.as_ref(), "pcp.sample", (t * 1e9) as u64);
+            outcomes.push(coord.ship_span(t, point, freq_hz, span));
+        }
+        t += 1.0 / freq_hz;
+    }
+    coord.heartbeat(t + 10.0);
+    coord.seal_pending_traces(t + 10.0);
+    let stored = set.replicas().iter().map(cells).collect();
+    (coord.stats(), outcomes, stored)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(trace_cases()))]
+
+    /// Tracing is observationally invisible: whether no tracer is
+    /// attached, head sampling is off, every trace is recorded, or
+    /// recording starts at a fault, the resilient shipper and the quorum
+    /// coordinator keep the same ledger, return the same outcome for
+    /// every report, and store the same cells bit for bit.
+    #[test]
+    fn tracing_is_observationally_invisible(
+        seed in any::<u64>(),
+        freq in 1u32..=16,
+        domain in 1usize..=32,
+        n_metrics in 1usize..=4,
+        duration_s in 2u32..=5,
+        spill_capacity in 64u64..=4096,
+        hint_capacity in 32u64..=2048,
+    ) {
+        let case = Case { seed, freq, domain, n_metrics, duration_s };
+        let [untraced, traced @ ..] = trace_modes(seed);
+        let plain = traced_shipper_run(&case, spill_capacity, untraced.clone());
+        let plain_repl = traced_repl_run(&case, hint_capacity, untraced);
+        prop_assert!(plain.0.conserved() && plain_repl.0.conserved());
+        for tracer in traced {
+            let config = tracer.as_ref().map(|t| t.config().clone());
+            let run = traced_shipper_run(&case, spill_capacity, tracer.clone());
+            prop_assert_eq!(&plain, &run, "shipper diverged under {:?}", config);
+            let run = traced_repl_run(&case, hint_capacity, tracer.clone());
+            prop_assert_eq!(&plain_repl, &run, "coordinator diverged under {:?}", config);
+            // Both runs terminated every trace they started.
+            let tracer = tracer.expect("traced modes carry a tracer");
+            prop_assert_eq!(tracer.stats().started, tracer.stats().finished);
+            prop_assert_eq!(tracer.active_count(), 0);
+        }
     }
 }

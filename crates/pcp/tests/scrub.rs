@@ -306,8 +306,8 @@ fn quarantine_rebuild_invalidates_cached_queries() {
         ..ScrubConfig::default()
     });
     let mut t = 2.0;
-    while db.quarantined_chunks().is_empty() {
-        db.scrub_tick(&mut scrubber, t).unwrap();
+    while db.store().unwrap().quarantined().is_empty() {
+        scrubber.tick(&mut db.store().unwrap(), t).unwrap();
         t += 0.5;
         assert!(t < 60.0, "scrub never found the rotted chunk");
     }

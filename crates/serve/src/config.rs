@@ -40,6 +40,11 @@ pub enum OverloadPolicy {
     Queue,
 }
 
+/// Weighted-fair-queueing weight of [`Priority::Interactive`].
+pub(crate) const INTERACTIVE_WEIGHT: u32 = 8;
+/// Weighted-fair-queueing weight of [`Priority::Background`].
+pub(crate) const BACKGROUND_WEIGHT: u32 = 1;
+
 /// Validated configuration of the serving front-end.
 #[derive(Debug, Clone)]
 pub struct ServingConfig {
@@ -57,10 +62,6 @@ pub struct ServingConfig {
     pub tenant_cap: usize,
     /// What happens when a tenant's bucket is empty.
     pub overload: OverloadPolicy,
-    /// Weighted-fair-queueing weight of [`Priority::Interactive`].
-    pub interactive_weight: u32,
-    /// Weighted-fair-queueing weight of [`Priority::Background`].
-    pub background_weight: u32,
     /// Serving-latency p99 objective (ns, submit -> completion). The
     /// default SLO installed over the `pmove.serve.latency_ns` histogram
     /// pages when the tail crosses it; must be one of the registry's
@@ -77,22 +78,12 @@ impl Default for ServingConfig {
             tenant_burst: 100,
             tenant_cap: 64,
             overload: OverloadPolicy::Queue,
-            interactive_weight: 8,
-            background_weight: 1,
             slo_p99_ns: 5_000_000,
         }
     }
 }
 
 impl ServingConfig {
-    /// Weight of one priority class.
-    pub fn weight(&self, p: Priority) -> u32 {
-        match p {
-            Priority::Interactive => self.interactive_weight,
-            Priority::Background => self.background_weight,
-        }
-    }
-
     /// Validate the configuration; every rejected field maps to a typed
     /// [`ServeError`] so callers can render precise diagnostics.
     pub fn validate(&self) -> Result<(), ServeError> {
@@ -110,22 +101,6 @@ impl ServingConfig {
         }
         if self.tenant_cap == 0 {
             return Err(ServeError::ZeroTenantCap);
-        }
-        if self.interactive_weight == 0 || self.background_weight == 0 {
-            return Err(ServeError::ZeroWeight {
-                interactive: self.interactive_weight,
-                background: self.background_weight,
-            });
-        }
-        if self
-            .interactive_weight
-            .checked_add(self.background_weight)
-            .is_none()
-        {
-            return Err(ServeError::WeightSumOverflow {
-                interactive: self.interactive_weight,
-                background: self.background_weight,
-            });
         }
         if self.slo_p99_ns == 0 {
             return Err(ServeError::ZeroSloThreshold);
@@ -151,21 +126,6 @@ pub enum ServeError {
     },
     /// `tenant_cap == 0`: every request would be refused.
     ZeroTenantCap,
-    /// A scheduling class with weight 0 would never be served.
-    ZeroWeight {
-        /// Interactive weight as configured.
-        interactive: u32,
-        /// Background weight as configured.
-        background: u32,
-    },
-    /// Class weights whose sum overflows `u32` break the WFQ virtual
-    /// clock arithmetic.
-    WeightSumOverflow {
-        /// Interactive weight as configured.
-        interactive: u32,
-        /// Background weight as configured.
-        background: u32,
-    },
     /// `slo_p99_ns == 0`: the latency objective would page on any sample.
     ZeroSloThreshold,
     /// The backend failed to execute a query.
@@ -182,20 +142,6 @@ impl fmt::Display for ServeError {
                 "serving config: zero-rate token bucket (rate={rate_per_s}/s, burst={burst})"
             ),
             ServeError::ZeroTenantCap => write!(f, "serving config: zero per-tenant cap"),
-            ServeError::ZeroWeight {
-                interactive,
-                background,
-            } => write!(
-                f,
-                "serving config: zero class weight (interactive={interactive}, background={background})"
-            ),
-            ServeError::WeightSumOverflow {
-                interactive,
-                background,
-            } => write!(
-                f,
-                "serving config: weight sum overflows u32 (interactive={interactive}, background={background})"
-            ),
             ServeError::ZeroSloThreshold => write!(f, "serving config: zero SLO threshold"),
             ServeError::Backend(e) => write!(f, "serving backend: {e}"),
         }
@@ -262,37 +208,6 @@ mod tests {
             ..ServingConfig::default()
         };
         assert_eq!(cfg.validate(), Err(ServeError::ZeroTenantCap));
-    }
-
-    #[test]
-    fn zero_weight_is_rejected() {
-        let cfg = ServingConfig {
-            background_weight: 0,
-            ..ServingConfig::default()
-        };
-        assert_eq!(
-            cfg.validate(),
-            Err(ServeError::ZeroWeight {
-                interactive: 8,
-                background: 0,
-            })
-        );
-    }
-
-    #[test]
-    fn weight_sum_overflow_is_rejected() {
-        let cfg = ServingConfig {
-            interactive_weight: u32::MAX,
-            background_weight: 1,
-            ..ServingConfig::default()
-        };
-        assert_eq!(
-            cfg.validate(),
-            Err(ServeError::WeightSumOverflow {
-                interactive: u32::MAX,
-                background: 1,
-            })
-        );
     }
 
     #[test]

@@ -199,8 +199,8 @@ impl<B: QueryBackend> QueryServer<B> {
         }
 
         let mut queue = WfqQueue::new(
-            self.cfg.interactive_weight,
-            self.cfg.background_weight,
+            crate::config::INTERACTIVE_WEIGHT,
+            crate::config::BACKGROUND_WEIGHT,
             self.cfg.queue_capacity,
         );
         let mut buckets: BTreeMap<u32, TokenBucket> = BTreeMap::new();

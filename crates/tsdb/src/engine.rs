@@ -16,12 +16,11 @@ use crate::storage::Storage;
 use crate::subscribe::{Subscription, SubscriptionHub};
 use crate::value::FieldValue;
 use crossbeam::channel::Receiver;
-use parking_lot::{Mutex, RwLock};
-use pmove_obs::{Counter, Histogram, Registry, TraceContext, Tracer};
+use parking_lot::{Mutex, MutexGuard, RwLock};
+use pmove_obs::{Counter, Histogram, Registry, Span};
 use pmove_store::{
-    BackupAttach, BackupReport, BackupStats, Block, ChunkInfo, ColumnValue, CompactionReport,
-    QuarantinedChunk, RecoveryReport, RestoreReport, ScrubReport, Scrubber, StoreObs, StoreOptions,
-    TsStore, Vfs, WriteBatch,
+    Block, ChunkInfo, ColumnValue, RecoveryReport, RestoreReport, StoreObs, StoreOptions, TsStore,
+    Vfs, WriteBatch,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -133,8 +132,10 @@ impl IngestLimiter {
 /// [`IngestStats`] ledger apply) or the replication layer (hint replay,
 /// anti-entropy repair — already accounted where it was first accepted).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Origin {
+pub enum Origin {
+    /// A client write: admitted by the limiter, counted in the ledger.
     Client,
+    /// A replicated row: neither admitted nor counted here.
     Remote,
 }
 
@@ -428,7 +429,9 @@ impl Database {
     /// timestamp) cell, so re-annotation overwrites rather than
     /// duplicates. No-op for a memory-only database.
     pub fn annotate_quarantine_gaps(&self) {
-        let quarantined = self.quarantined_chunks();
+        let quarantined = self
+            .store()
+            .map_or(Vec::new(), |s| s.quarantined().to_vec());
         let mut marked = Vec::new();
         {
             let mut storage = self.storage.write();
@@ -457,68 +460,13 @@ impl Database {
         self.bump_version(GAP_MEASUREMENT);
     }
 
-    /// Attach a backup destination to the durable store: every committed
-    /// WAL frame is continuously archived to `dest`, and
-    /// [`Database::backup_now`] captures consistent snapshot generations
-    /// there. `Ok(None)` for a memory-only database.
-    pub fn enable_backup(&self, dest: Arc<dyn Vfs>) -> Result<Option<BackupAttach>, TsdbError> {
-        match &self.store {
-            Some(store) => Ok(Some(store.lock().enable_backup(dest)?)),
-            None => Ok(None),
-        }
-    }
-
-    /// Set the archiver's group-archival threshold: the archive write to
-    /// the backup destination happens once this many committed records
-    /// are pending (flushes and snapshot fences always drain). No-op for
-    /// memory-only databases or when backups are not enabled.
-    pub fn set_archive_group(&self, group: u64) {
-        if let Some(store) = &self.store {
-            store.lock().set_archive_group(group);
-        }
-    }
-
-    /// True when a durable store with an attached backup destination is
-    /// present.
-    pub fn backup_enabled(&self) -> bool {
-        self.store
-            .as_ref()
-            .is_some_and(|s| s.lock().backup_enabled())
-    }
-
-    /// Stamp the store's virtual clock; archived records carry this
-    /// timestamp, which is what point-in-time restore targets. No-op for
-    /// memory-only databases.
-    pub fn note_time(&self, vts: i64) {
-        if let Some(store) = &self.store {
-            store.lock().note_time(vts);
-        }
-    }
-
-    /// Capture one complete snapshot generation on the backup destination:
-    /// fence the WAL, copy every live chunk (CRC-verified on the way out),
-    /// and commit the generation's manifest. `Ok(None)` when memory-only
-    /// or no backup destination is attached.
-    pub fn backup_now(&self) -> Result<Option<BackupReport>, TsdbError> {
-        let Some(store) = &self.store else {
-            return Ok(None);
-        };
-        let mut store = store.lock();
-        if !store.backup_enabled() {
-            return Ok(None);
-        }
-        Ok(Some(store.backup_now()?))
-    }
-
-    /// Cumulative archiver/snapshot counters, `None` when no backup
-    /// destination is attached.
-    pub fn backup_stats(&self) -> Option<BackupStats> {
-        self.store.as_ref().and_then(|s| s.lock().backup_stats())
-    }
-
-    /// The attached backup destination, if any.
-    pub fn backup_dest(&self) -> Option<Arc<dyn Vfs>> {
-        self.store.as_ref().and_then(|s| s.lock().backup_dest())
+    /// The durable store behind this database, locked — scrubbing,
+    /// backups, compaction and the quarantine record are called on it
+    /// directly (`db.store()?.backup_now()`). `None` when memory-only.
+    /// Hold the guard for one statement only: every `Database` method
+    /// that touches the store takes the same lock.
+    pub fn store(&self) -> Option<MutexGuard<'_, TsStore>> {
+        self.store.as_ref().map(|s| s.lock())
     }
 
     /// Point-in-time restore: rebuild this database from the backup at
@@ -557,65 +505,12 @@ impl Database {
         Ok(report)
     }
 
-    /// Construct a fresh database restored from the backup at `src` —
-    /// the restore-drill and replica-bootstrap entry point. See
-    /// [`Database::restore_at`] for the PITR semantics.
-    pub fn restored_at(
-        name: impl Into<String>,
-        src: &dyn Vfs,
-        target: Arc<dyn Vfs>,
-        opts: StoreOptions,
-        t_vts: i64,
-    ) -> Result<(Database, RestoreReport), TsdbError> {
-        let mut db = Database::new(name);
-        let report = db.restore_at(src, target, opts, t_vts)?;
-        Ok((db, report))
-    }
-
-    /// [`Database::restored_at`] with observability: the restored
-    /// database's `tsdb.*` / store metrics land in `registry`, and the
-    /// `tsdb.restore.*` counters record the restore itself.
-    pub fn restored_at_with_obs(
-        name: impl Into<String>,
-        src: &dyn Vfs,
-        target: Arc<dyn Vfs>,
-        opts: StoreOptions,
-        registry: Arc<Registry>,
-        t_vts: i64,
-    ) -> Result<(Database, RestoreReport), TsdbError> {
-        let mut db = Database::with_obs(name.into(), registry);
-        let report = db.restore_at(src, target, opts, t_vts)?;
-        Ok((db, report))
-    }
-
     /// Number of stored cells (series × timestamp × field triples) — the
     /// unit the integrity audit counts corruption and repair in.
     pub fn cell_count(&self) -> u64 {
         let mut n = 0u64;
         self.for_each_cell(&mut |_, _, _, _| n += 1);
         n
-    }
-
-    /// Advance the background scrubber one tick against the attached
-    /// store on the virtual clock. `Ok(None)` when memory-only.
-    pub fn scrub_tick(
-        &self,
-        scrubber: &mut Scrubber,
-        now_s: f64,
-    ) -> Result<Option<ScrubReport>, TsdbError> {
-        match &self.store {
-            Some(store) => Ok(Some(scrubber.tick(&mut store.lock(), now_s)?)),
-            None => Ok(None),
-        }
-    }
-
-    /// Chunks the attached store has quarantined over its lifetime
-    /// (empty for a memory-only database).
-    pub fn quarantined_chunks(&self) -> Vec<QuarantinedChunk> {
-        match &self.store {
-            Some(store) => store.lock().quarantined().to_vec(),
-            None => Vec::new(),
-        }
     }
 
     /// True when writes are backed by the durable storage engine.
@@ -628,15 +523,6 @@ impl Database {
     pub fn flush(&self) -> Result<Option<ChunkInfo>, TsdbError> {
         match &self.store {
             Some(store) => Ok(store.lock().flush()?),
-            None => Ok(None),
-        }
-    }
-
-    /// Merge all on-disk chunks (last write wins per cell). `Ok(None)`
-    /// when memory-only or there is nothing to merge.
-    pub fn compact(&self) -> Result<Option<CompactionReport>, TsdbError> {
-        match &self.store {
-            Some(store) => Ok(store.lock().compact(None)?),
             None => Ok(None),
         }
     }
@@ -668,23 +554,7 @@ impl Database {
     /// Write one point. Fails on empty fields or limiter rejection; on
     /// success the point is stored, counted, and published to subscribers.
     pub fn write_point(&self, point: Point) -> Result<(), TsdbError> {
-        self.write_row(point, Origin::Client, None).map(|_| ())
-    }
-
-    /// Like [`Database::write_point`] but nests modeled child spans — a
-    /// `tsdb.ingest` wrapper around the WAL group commit (durable mode
-    /// only) and the shard ingest — under `parent`, laid out from
-    /// `start_ns` on the virtual clock. Returns the write result plus
-    /// the modeled end timestamp so the caller can close its own span
-    /// after the ingest.
-    pub fn write_point_traced(
-        &self,
-        point: Point,
-        tracer: &Tracer,
-        parent: TraceContext,
-        start_ns: u64,
-    ) -> (Result<(), TsdbError>, u64) {
-        self.write_row_traced(point, Origin::Client, tracer, parent, start_ns)
+        self.write(point, Origin::Client, &Span::none(), 0).0
     }
 
     /// Apply a point replicated from another node (hinted-handoff replay
@@ -696,49 +566,36 @@ impl Database {
     /// and the per-measurement write-version bump, so the LRU query cache
     /// can never serve pre-repair rows.
     pub fn apply_remote(&self, point: Point) -> Result<(), TsdbError> {
-        self.write_row(point, Origin::Remote, None).map(|_| ())
-    }
-
-    /// Like [`Database::apply_remote`] but nests the modeled ingest
-    /// spans (WAL group commit + shard ingest) under `parent` — the
-    /// hinted-handoff replay path of an end-to-end trace. Returns the
-    /// result plus the modeled end timestamp.
-    pub fn apply_remote_traced(
-        &self,
-        point: Point,
-        tracer: &Tracer,
-        parent: TraceContext,
-        start_ns: u64,
-    ) -> (Result<(), TsdbError>, u64) {
-        self.write_row_traced(point, Origin::Remote, tracer, parent, start_ns)
-    }
-
-    fn write_row_traced(
-        &self,
-        point: Point,
-        origin: Origin,
-        tracer: &Tracer,
-        parent: TraceContext,
-        start_ns: u64,
-    ) -> (Result<(), TsdbError>, u64) {
-        match self.write_row(point, origin, Some((tracer, parent, start_ns))) {
-            Ok(end_ns) => (Ok(()), end_ns),
-            Err(e) => (Err(e), start_ns),
-        }
+        self.write(point, Origin::Remote, &Span::none(), 0).0
     }
 
     /// The row write path, shared by both origins. Admission (the
     /// `points_offered` tick, the ingest limiter) and the [`IngestStats`]
     /// ledger apply to [`Origin::Client`] only; the WAL barrier, the
     /// subscriber publish, the rollup mark and the write-version bump
-    /// apply to every row. `trace`, when present, is `(tracer, parent
-    /// span, modeled start)`; on success the returned timestamp is the
-    /// modeled ingest end on the virtual clock (0 when untraced).
+    /// apply to every row. The modeled ingest spans nest under `span`,
+    /// laid out from `start_ns` on the virtual clock. Returns the write
+    /// result plus the modeled end timestamp (`start_ns` for a refused
+    /// write) so the caller can close its own span after the ingest.
+    pub fn write(
+        &self,
+        point: Point,
+        origin: Origin,
+        span: &Span,
+        start_ns: u64,
+    ) -> (Result<(), TsdbError>, u64) {
+        match self.write_row(point, origin, span, start_ns) {
+            Ok(end_ns) => (Ok(()), end_ns),
+            Err(e) => (Err(e), start_ns),
+        }
+    }
+
     fn write_row(
         &self,
         point: Point,
         origin: Origin,
-        trace: Option<(&Tracer, TraceContext, u64)>,
+        span: &Span,
+        start_ns: u64,
     ) -> Result<u64, TsdbError> {
         let client = origin == Origin::Client;
         if client {
@@ -787,26 +644,21 @@ impl Database {
                 o.points_inserted.inc();
                 o.values_inserted.add(n);
                 o.zero_values_inserted.add(zero_values);
-                match &trace {
-                    // The trace exemplar ties the histogram's tail back to a
-                    // concrete trace in the flight recorder.
-                    Some((_, ctx, _)) if ctx.sampled => {
-                        o.ingest_ns.record_exemplar(modeled_ns, ctx.trace.0)
-                    }
-                    _ => o.ingest_ns.record(modeled_ns),
-                }
+                span.observe(&o.ingest_ns, modeled_ns);
             }
         } else if let Some(o) = &self.obs {
             o.registry.counter("tsdb.repl.remote_applied", &[]).inc();
         }
-        let end_ns = self.trace_ingest(&point, commit_ns, modeled_ns, &trace);
+        if span.is_recording() {
+            self.trace_ingest(&point, span, start_ns, commit_ns, modeled_ns);
+        }
         self.hub.publish(&point);
         let measurement = point.measurement.clone();
         let ts = point.timestamp;
         self.storage.write().insert(point);
         self.mark_rollup_write(&measurement, ts);
         self.bump_version(&measurement);
-        Ok(end_ns)
+        Ok(start_ns + commit_ns + modeled_ns)
     }
 
     /// Lay out the modeled ingest spans for one accepted point:
@@ -814,32 +666,28 @@ impl Database {
     /// only, `commit_ns > 0`) then `tsdb.shard_ingest` (status carries
     /// the Merkle shard of the point's rendered series key, a label the
     /// trace goldens pin).
-    /// Returns the modeled end timestamp (0 when untraced).
     fn trace_ingest(
         &self,
         point: &Point,
+        span: &Span,
+        start_ns: u64,
         commit_ns: u64,
         ingest_ns: u64,
-        trace: &Option<(&Tracer, TraceContext, u64)>,
-    ) -> u64 {
-        let Some((tracer, parent, start_ns)) = trace else {
-            return 0;
-        };
-        let (tracer, parent, start_ns) = (*tracer, *parent, *start_ns);
-        let ingest = tracer.child(parent, "tsdb.ingest", start_ns);
-        let mut cursor = start_ns;
+    ) {
+        let ingest = span.child("tsdb.ingest", start_ns);
+        let wal_end = start_ns + commit_ns;
         if commit_ns > 0 {
-            let wal = tracer.child(ingest, "store.wal.group_commit", cursor);
-            tracer.end_span(wal, cursor + commit_ns);
-            cursor += commit_ns;
+            ingest
+                .child("store.wal.group_commit", start_ns)
+                .end(wal_end);
         }
         let series = render_series_key(&point.measurement, &point.tags);
         let shard = crate::repl::merkle_shard(&series);
-        let si = tracer.child(ingest, "tsdb.shard_ingest", cursor);
-        tracer.end_span_status(si, cursor + ingest_ns, &format!("shard-{shard:02}"));
-        cursor += ingest_ns;
-        tracer.end_span(ingest, cursor);
-        cursor
+        let status = format!("shard-{shard:02}");
+        ingest
+            .child("tsdb.shard_ingest", wal_end)
+            .end_status(wal_end + ingest_ns, &status);
+        ingest.end(wal_end + ingest_ns);
     }
 
     /// Current write version of one measurement: bumped on every accepted
@@ -1481,7 +1329,7 @@ mod tests {
             db.write_point(pt(t, t as f64)).unwrap();
         }
         db.flush().unwrap().unwrap();
-        let report = db.compact().unwrap().unwrap();
+        let report = db.store().unwrap().compact(None).unwrap().unwrap();
         assert_eq!(report.chunks_in, 2);
         assert_eq!(report.rows_out, 8);
         // Chunks only — the WAL is empty — and a reopen sees all rows.
@@ -1592,7 +1440,7 @@ mod tests {
             .unwrap();
         assert_eq!(gaps.rows.len(), 1);
         assert_eq!(gaps.rows[0].values["gap_end_s"], Some(3.0));
-        assert_eq!(db.quarantined_chunks().len(), 1);
+        assert_eq!(db.store().unwrap().quarantined().len(), 1);
     }
 
     #[test]
@@ -1612,8 +1460,8 @@ mod tests {
         // Scrub detects the rot and quarantines the chunk...
         let mut scrubber = pmove_store::Scrubber::new(pmove_store::ScrubConfig::default());
         let mut now = 0.0;
-        while db.quarantined_chunks().is_empty() {
-            db.scrub_tick(&mut scrubber, now).unwrap().unwrap();
+        while db.store().unwrap().quarantined().is_empty() {
+            scrubber.tick(&mut db.store().unwrap(), now).unwrap();
             now += 1.0;
             assert!(now < 200.0, "scrub never found the rotted chunk");
         }

@@ -21,6 +21,18 @@
 //!   which, combined with PCP's unbuffered samplers, produces the data-point
 //!   losses quantified in Table III of the paper.
 //!
+//! Entry points on [`Database`]: one row write path,
+//! [`Database::write`]`(point, origin, &Span, start_ns)`, with
+//! [`Database::write_point`] (a client write) and
+//! [`Database::apply_remote`] (a replicated row) as its two spellings
+//! under [`pmove_obs::Span::none`]; [`Database::write_batch`] for
+//! columnar batches; [`Database::query`] and its pre-parsed forms;
+//! [`Database::flush`], [`Database::restore_at`] and
+//! [`Database::rebuild_from_store`] for the engine's share of durability.
+//! Everything that is purely the durable store's — scrub ticks, backups,
+//! compaction, the quarantine record — is called on [`store::TsStore`]
+//! through [`Database::store`].
+//!
 //! ```
 //! use pmove_tsdb::{Database, Point, FieldValue};
 //!
@@ -64,7 +76,7 @@ pub use pmove_store as store;
 
 pub use batch::{BatchOutcome, ColumnarBatch};
 pub use cache::{QueryCache, DEFAULT_CACHE_CAPACITY};
-pub use engine::{Database, IngestLimiter, IngestStats, GAP_MEASUREMENT};
+pub use engine::{Database, IngestLimiter, IngestStats, Origin, GAP_MEASUREMENT};
 pub use error::TsdbError;
 pub use exec::{ExecMode, ExecStats};
 pub use point::Point;

@@ -7,8 +7,8 @@
 //! ```
 //!
 //! Escapes: `\,` `\ ` `\=` `\"` `\\` in identifiers (a backslash before
-//! any other character stands for itself), `\"` inside string field
-//! values. Integer fields carry an `i` suffix, booleans are
+//! any other character stands for itself), `\"` and `\\` inside string
+//! field values. Integer fields carry an `i` suffix, booleans are
 //! `true`/`false`, everything else numeric is a float.
 //!
 //! [`parse`] reads a line in one scan. Every delimiter is ASCII, so the
@@ -22,6 +22,9 @@ use std::collections::BTreeMap;
 
 /// The characters a backslash escapes in an identifier.
 const ESCAPED: [char; 5] = ['\\', ',', ' ', '=', '"'];
+/// The characters a backslash escapes inside a `"…"` string field value
+/// (what [`FieldValue::to_line_protocol`] writes).
+const STR_ESCAPED: [char; 2] = ['\\', '"'];
 
 fn bad(what: &str, text: &str) -> TsdbError {
     TsdbError::LineProtocol(format!("{what}: {text}"))
@@ -36,16 +39,17 @@ fn escape_into(out: &mut String, s: &str) {
     }
 }
 
-/// Inverse of [`escape_into`]; the result is the only allocation.
-fn unescape(s: &str) -> String {
+/// Drop the backslash before each character of `escaped` (the inverse of
+/// [`escape_into`] for [`ESCAPED`]); the result is the only allocation.
+fn unescape(s: &str, escaped: &[char]) -> String {
     if !s.contains('\\') {
         return s.to_string();
     }
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars().peekable();
     while let Some(c) = chars.next() {
-        let escaped = (c == '\\').then(|| chars.next_if(|n| ESCAPED.contains(n)));
-        out.push(escaped.flatten().unwrap_or(c));
+        let literal = (c == '\\').then(|| chars.next_if(|n| escaped.contains(n)));
+        out.push(literal.flatten().unwrap_or(c));
     }
     out
 }
@@ -89,7 +93,7 @@ fn scan_head(s: &str, line: bool) -> Result<(String, BTreeMap<String, String>, u
     let b = s.as_bytes();
     let (ends, key_ends): (&[u8], &[u8]) = if line { (b", ", b"=, ") } else { (b",", b"=,") };
     let mut at = until(b, 0, ends);
-    let measurement = unescape(&s[..at]);
+    let measurement = unescape(&s[..at], &ESCAPED);
     let mut tags = BTreeMap::new();
     while b.get(at) == Some(&b',') {
         let eq = until(b, at + 1, key_ends);
@@ -97,7 +101,8 @@ fn scan_head(s: &str, line: bool) -> Result<(String, BTreeMap<String, String>, u
         if b.get(eq) != Some(&b'=') {
             return Err(bad("bad tag", &s[at + 1..end]));
         }
-        tags.insert(unescape(&s[at + 1..eq]), unescape(&s[eq + 1..end]));
+        let (key, value) = (&s[at + 1..eq], &s[eq + 1..end]);
+        tags.insert(unescape(key, &ESCAPED), unescape(value, &ESCAPED));
         at = end;
     }
     Ok((measurement, tags, at))
@@ -177,7 +182,7 @@ pub fn parse(line: &str) -> Result<Point, TsdbError> {
         let (eq, end) = scan_field(section.as_bytes(), start);
         let eq = eq.ok_or_else(|| bad("bad field", &section[start..end]))?;
         let value = parse_field_value(&section[eq + 1..end])?;
-        fields.insert(unescape(&section[start..eq]), value);
+        fields.insert(unescape(&section[start..eq], &ESCAPED), value);
         start = end + 1;
     }
     if fields.is_empty() {
@@ -203,7 +208,8 @@ pub fn parse_batch(text: &str) -> Result<Vec<Point>, TsdbError> {
 fn parse_field_value(raw: &str) -> Result<FieldValue, TsdbError> {
     let raw = raw.trim();
     if raw.starts_with('"') && raw.ends_with('"') && raw.len() >= 2 {
-        return Ok(FieldValue::Str(raw[1..raw.len() - 1].replace("\\\"", "\"")));
+        let inner = &raw[1..raw.len() - 1];
+        return Ok(FieldValue::Str(unescape(inner, &STR_ESCAPED)));
     }
     if raw == "true" || raw == "t" || raw == "T" {
         return Ok(FieldValue::Bool(true));
@@ -322,6 +328,24 @@ mod tests {
             .timestamp(3);
         p.tags = tags;
         assert_eq!(parse(&render(&p)).unwrap(), p);
+    }
+
+    #[test]
+    fn backslashes_and_quotes_in_string_values_roundtrip() {
+        // `s="x\",z=1` used to read `\"` as an escaped quote and fail.
+        for text in ["x\\", "a\\\"b", "\\\\", "q\"", "k\\x, y=z"] {
+            let p = Point::new("m")
+                .tag("h", "a")
+                .field("s", text)
+                .field("z", 1.0)
+                .timestamp(5);
+            assert_eq!(parse(&render(&p)).unwrap(), p, "{text:?}");
+        }
+        let line = render(&Point::new("m").field("s", "x\\").timestamp(5));
+        assert_eq!(line, "m s=\"x\\\\\" 5");
+        // A lone backslash before any other character keeps its meaning.
+        let p = parse("m s=\"a\\b\\,\" 1").unwrap();
+        assert_eq!(p.fields["s"], FieldValue::Str("a\\b\\,".into()));
     }
 
     #[test]

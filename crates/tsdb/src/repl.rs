@@ -482,8 +482,8 @@ impl ReplicaSet {
         }
         let disk = Arc::new(MemDisk::new(seed | 1));
         let vfs: Arc<dyn Vfs> = disk.clone();
-        let (db, restore) =
-            Database::restored_at(format!("{}-r{i}", self.name), src, vfs, opts, t_vts)?;
+        let mut db = Database::new(format!("{}-r{i}", self.name));
+        let restore = db.restore_at(src, vfs, opts, t_vts)?;
         self.replicas[i] = db;
         self.disks[i] = disk;
         let repair = self.repair_until_converged(max_rounds)?;
@@ -528,8 +528,9 @@ impl ReplicaSet {
         let mut report = IntegrityReport::default();
         let mut victims = Vec::new();
         for (i, scrubber) in scrubbers.iter_mut().enumerate() {
-            let Some(r) = self.replicas[i].scrub_tick(scrubber, now_s)? else {
-                continue;
+            let r = match self.replicas[i].store() {
+                Some(mut store) => scrubber.tick(&mut store, now_s)?,
+                None => continue,
             };
             report.files_checked += r.files_checked;
             report.bytes_verified += r.bytes_verified;

@@ -40,7 +40,9 @@ impl FieldValue {
             FieldValue::Float(v) => format!("{v}"),
             FieldValue::Int(v) => format!("{v}i"),
             FieldValue::Bool(b) => format!("{b}"),
-            FieldValue::Str(s) => format!("\"{}\"", s.replace('"', "\\\"")),
+            FieldValue::Str(s) => {
+                format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
+            }
         }
     }
 }

@@ -30,18 +30,20 @@ const IDENT: &str = "[a-zA-Z0-9 ,=\\\\\"._:/-]{1,12}";
 
 /// The multi-pass parser `line_protocol::parse` replaced — split the line,
 /// split the head, split the field section into owned segments, split
-/// each at `=` — as the reference. Its identifier unescaping is the
-/// current one (`\\` and `\"` are escapes), since that is a fix and not
-/// part of what the scanner must reproduce.
+/// each at `=` — as the reference. Its unescaping is the current one
+/// (`\\` and `\"` are escapes, in identifiers and in string values),
+/// since that is a fix and not part of what the scanner must reproduce.
 mod oracle {
     use super::*;
 
-    fn unescape(s: &str) -> String {
+    const IDENT_ESCAPES: &str = "\\, =\"";
+
+    fn unescape(s: &str, escapes: &str) -> String {
         let mut out = String::new();
         let mut chars = s.chars().peekable();
         while let Some(c) = chars.next() {
             match chars.peek() {
-                Some(&n) if c == '\\' && "\\, =\"".contains(n) => {
+                Some(&n) if c == '\\' && escapes.contains(n) => {
                     out.push(n);
                     chars.next();
                 }
@@ -66,12 +68,15 @@ mod oracle {
             head_parts
                 .next()
                 .ok_or_else(|| TsdbError::LineProtocol("missing measurement".into()))?,
+            IDENT_ESCAPES,
         );
         let mut point = Point::new(measurement);
         for tag in head_parts {
             let (k, v) = split_unescaped(tag, '=')
                 .ok_or_else(|| TsdbError::LineProtocol(format!("bad tag: {tag}")))?;
-            point.tags.insert(unescape(k), unescape(v));
+            point
+                .tags
+                .insert(unescape(k, IDENT_ESCAPES), unescape(v, IDENT_ESCAPES));
         }
 
         // rest = fields [timestamp] — timestamp is the final whitespace-separated
@@ -95,7 +100,9 @@ mod oracle {
         for field in split_all_unescaped_respecting_quotes(field_sec, ',') {
             let (k, v) = split_unescaped(&field, '=')
                 .ok_or_else(|| TsdbError::LineProtocol(format!("bad field: {field}")))?;
-            point.fields.insert(unescape(k), parse_field_value(v)?);
+            point
+                .fields
+                .insert(unescape(k, IDENT_ESCAPES), parse_field_value(v)?);
         }
         if point.fields.is_empty() {
             return Err(TsdbError::EmptyFields);
@@ -106,7 +113,8 @@ mod oracle {
     fn parse_field_value(raw: &str) -> Result<FieldValue, TsdbError> {
         let raw = raw.trim();
         if raw.starts_with('"') && raw.ends_with('"') && raw.len() >= 2 {
-            return Ok(FieldValue::Str(raw[1..raw.len() - 1].replace("\\\"", "\"")));
+            let text = unescape(&raw[1..raw.len() - 1], "\\\"");
+            return Ok(FieldValue::Str(text));
         }
         if raw == "true" || raw == "t" || raw == "T" {
             return Ok(FieldValue::Bool(true));
@@ -283,7 +291,7 @@ proptest! {
         measurement in IDENT,
         tags in prop::collection::vec((IDENT, IDENT), 0..3),
         floats in prop::collection::vec((IDENT, -1e9f64..1e9), 0..3),
-        text in prop::collection::vec((IDENT, "[a-z ,=\"]{0,6}"), 0..3),
+        text in prop::collection::vec((IDENT, "[a-z ,=\"\\\\]{0,6}"), 0..3),
         flag in any::<bool>(),
         ts in any::<i64>(),
         stamped in any::<bool>(),
