@@ -434,3 +434,38 @@ proptest! {
         }
     }
 }
+
+/// A traced report through `Shipper::ship_span` into a durable database:
+/// the engine lays its modeled spans out per point — `tsdb.ingest` under
+/// the ship attempt, around the WAL group commit and then the point's
+/// `tsdb.shard_ingest`, whose status names the series' Merkle shard.
+#[test]
+fn traced_single_write_lays_out_the_ingest_spans_per_point() {
+    use pmove_tsdb::store::{MemDisk, StoreOptions};
+    let [_, _, recording, _] = trace_modes(7);
+    let tracer = recording.expect("the third mode records every trace");
+    let registry = Registry::shared();
+    registry.set_tracer(tracer.clone());
+    let disk = Arc::new(MemDisk::new(7));
+    let (db, _) = Database::open("host", disk, StoreOptions::default()).unwrap();
+    let mut shipper =
+        Shipper::new(&db, LinkSpec::mbit_100(), 1.0, &["chaos", "span"]).with_obs(registry);
+    let mut value_seed = 7;
+    for t_ns in [1_000_000_000u64, 2_000_000_000] {
+        let point = report(t_ns as i64, 0, 4, &mut value_seed);
+        let span = Span::root(Some(&tracer), "pcp.sample", t_ns);
+        let outcome = shipper.ship_span(t_ns as f64 / 1e9, point, 1.0, span);
+        assert_eq!(outcome, ShipOutcome::Inserted);
+        let tree = tracer.last_finished().expect("the trace just finished");
+        let rendered = tree.render();
+        let (_, spans) = rendered.split_once('\n').expect("a header line");
+        // Relative to the root's start, as the parent commit laid them out.
+        let want = "  - pcp.sample [0..6536696] 6536696ns status=inserted\n\
+            \x20   - pcp.fetch [0..8000] 8000ns\n\
+            \x20   - pcp.ship_attempt [8000..6536696] 6528696ns\n\
+            \x20     - tsdb.ingest [20480..6536696] 6516216ns\n\
+            \x20       - store.wal.group_commit [20480..6530896] 6510416ns\n\
+            \x20       - tsdb.shard_ingest [6530896..6536696] 5800ns status=shard-12\n";
+        assert_eq!(spans, want);
+    }
+}

@@ -22,10 +22,8 @@
 //! wrapping); a row gap is the distance from the row after the previous
 //! one. Columns apply in file order and a field may own several (its
 //! values changed type mid-batch), so arrival order — all last-write-wins
-//! needs — survives. A version-1 payload (one `series | field | ts | type |
-//! value` record per cell behind a row count) is still decoded, for WALs
-//! and archives written before version 2, and written by nobody; its
-//! count is never 0, so the leading `0x00` tells the two apart.
+//! needs — survives. A payload that does not open with `0x00 | 0x02` is
+//! not a frame of this build.
 
 use crate::chunk::Block;
 use crate::encode::{
@@ -242,18 +240,17 @@ impl WriteBatch {
         out
     }
 
-    /// Decode a WAL frame payload of either version. Anything a writer
-    /// of that version cannot have produced is [`StoreError::Decode`].
+    /// Decode a WAL frame payload. Anything [`WriteBatch::encode`]
+    /// cannot have produced is [`StoreError::Decode`].
     pub fn decode(data: &[u8]) -> StoreResult<WriteBatch> {
-        let mut pos = 1usize;
-        match data.first() {
-            Some(0) => {}
-            Some(_) => return WriteBatch::decode_v1(data),
-            None => return Err(StoreError::Decode("empty wal frame".into())),
-        }
-        match get_byte(data, &mut pos)? {
-            FRAME_VERSION => {}
-            v => return Err(StoreError::Decode(format!("wal frame version {v}"))),
+        let mut pos = 0usize;
+        match (get_byte(data, &mut pos)?, get_byte(data, &mut pos)?) {
+            (0, FRAME_VERSION) => {}
+            (a, b) => {
+                return Err(StoreError::Decode(format!(
+                    "wal frame opens {a:#04x} {b:#04x}"
+                )))
+            }
         }
         let mut batch = WriteBatch::default();
         for _ in 0..get_count(data, &mut pos)? {
@@ -308,21 +305,6 @@ impl WriteBatch {
         }
         if pos != data.len() {
             return Err(StoreError::Decode("wal frame has trailing bytes".into()));
-        }
-        Ok(batch)
-    }
-
-    /// Version 1: `count u`, then per cell `series | field | ts i | type
-    /// u8 | value`.
-    fn decode_v1(data: &[u8]) -> StoreResult<WriteBatch> {
-        let mut pos = 0usize;
-        let mut batch = WriteBatch::default();
-        for _ in 0..get_count(data, &mut pos)? {
-            let series = get_str(data, &mut pos)?;
-            let field = get_str(data, &mut pos)?;
-            let ts = get_ivarint(data, &mut pos)?;
-            let tag = get_byte(data, &mut pos)?;
-            batch.push_cell(series, ts, field, get_value(tag, data, &mut pos)?);
         }
         Ok(batch)
     }

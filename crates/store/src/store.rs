@@ -990,6 +990,7 @@ impl std::fmt::Debug for TsStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backup::{restore_at, segment_name, BackupError};
     use crate::crc::crc32;
     use crate::memdisk::{FaultMode, FaultPlan, MemDisk};
     use crate::row::ColumnValue;
@@ -1005,10 +1006,10 @@ mod tests {
         }
     }
 
-    /// Write `payloads` as the durable log of `disk`, each framed as
+    /// Write `payloads` to file `name` of `disk`, each framed as
     /// [`Wal::append`] frames it.
-    fn put_wal(disk: &MemDisk, payloads: &[&[u8]]) {
-        let mut f = disk.create(WAL_FILE).unwrap();
+    fn put_frames(disk: &MemDisk, name: &str, payloads: &[&[u8]]) {
+        let mut f = disk.create(name).unwrap();
         for p in payloads {
             f.append(&(p.len() as u32).to_le_bytes()).unwrap();
             f.append(&crc32(p).to_le_bytes()).unwrap();
@@ -1019,52 +1020,47 @@ mod tests {
 
     #[test]
     fn frame_that_does_not_decode_is_cut_and_later_commits_survive() {
-        let disk = MemDisk::new(120);
-        let vfs: Arc<dyn Vfs> = Arc::new(disk.clone());
         let good = WriteBatch::from_rows([row("s", "f", 1, 1.0)]).encode();
         // Sealed under a valid CRC: a frame version this build does not
-        // know, then a frame that would decode.
+        // know, and what a pre-v2 build logged for one cell (count, then
+        // `series | field | ts | type | value`; bytes pinned, nothing in
+        // the tree writes that layout).
         let newer: &[u8] = &[0, 9, 1, 2, 3];
-        put_wal(&disk, &[&good, newer, &good]);
-        let dropped = (8 + newer.len() + 8 + good.len()) as u64;
-        let (mut store, report) = TsStore::open(vfs.clone(), small_opts()).unwrap();
-        assert_eq!((report.wal_rows, report.wal_corrupt_frames), (1, 1));
-        assert_eq!(report.wal_bytes_dropped, dropped);
-        assert_eq!(store.wal_size().unwrap(), (8 + good.len()) as u64);
-        store.append(&[row("s", "f", 2, 2.0)]);
-        store.commit().unwrap();
-        drop(store);
-        disk.restart();
-        let (mut store, report) = TsStore::open(vfs, small_opts()).unwrap();
-        assert_eq!((report.wal_rows, report.wal_corrupt_frames), (2, 0));
-        assert_eq!(report.wal_bytes_dropped, 0);
-        assert_eq!(
-            store.scan().unwrap(),
-            vec![row("s", "f", 1, 1.0), row("s", "f", 2, 2.0)]
-        );
-    }
+        let v1: &[u8] = b"\x01\x0acpu,host=a\x05_cpu0\x14\x00\x00\x00\x00\x00\x00\x00\xf8\x3f";
+        for (seed, bad) in [(120, newer), (121, v1)] {
+            let disk = MemDisk::new(seed);
+            let vfs: Arc<dyn Vfs> = Arc::new(disk.clone());
+            // Then a frame that would decode.
+            put_frames(&disk, WAL_FILE, &[&good, bad, &good]);
+            let dropped = (8 + bad.len() + 8 + good.len()) as u64;
+            let (mut store, report) = TsStore::open(vfs.clone(), small_opts()).unwrap();
+            assert_eq!((report.wal_rows, report.wal_corrupt_frames), (1, 1));
+            assert_eq!(report.wal_bytes_dropped, dropped);
+            assert_eq!(store.wal_size().unwrap(), (8 + good.len()) as u64);
+            store.append(&[row("s", "f", 2, 2.0)]);
+            store.commit().unwrap();
+            drop(store);
+            disk.restart();
+            let (mut store, report) = TsStore::open(vfs, small_opts()).unwrap();
+            assert_eq!((report.wal_rows, report.wal_corrupt_frames), (2, 0));
+            assert_eq!(report.wal_bytes_dropped, 0);
+            assert_eq!(
+                store.scan().unwrap(),
+                vec![row("s", "f", 1, 1.0), row("s", "f", 2, 2.0)]
+            );
 
-    #[test]
-    fn version_1_wal_still_recovers() {
-        // The log a pre-v2 build left behind for two commits: the second
-        // rewrites cell (cpu,host=a _cpu0 10) and adds one cell of each
-        // other type. Bytes pinned, not generated: no v1 encoder is left.
-        let first: &[u8] = b"\x01\x0acpu,host=a\x05_cpu0\x14\x00\x00\x00\x00\x00\x00\x00\xf8\x3f";
-        let second: &[u8] = b"\x04\x0acpu,host=a\x05_cpu0\x14\x00\x00\x00\x00\x00\x00\x00\x04\xc0\
-            \x01m\x01i\x16\x01\x07\x01m\x01b\x18\x02\x01\x01m\x01s\x1a\x03\x03x=y";
-        let disk = MemDisk::new(121);
-        put_wal(&disk, &[first, second]);
-        let (mut store, report) = TsStore::open(Arc::new(disk), small_opts()).unwrap();
-        assert_eq!((report.wal_rows, report.wal_corrupt_frames), (5, 0));
-        assert_eq!(
-            store.scan().unwrap(),
-            vec![
-                row("cpu,host=a", "_cpu0", 10, -2.5),
-                RowRecord::new("m", "b", 12, ColumnValue::Bool(true)),
-                RowRecord::new("m", "i", 11, ColumnValue::I64(-4)),
-                RowRecord::new("m", "s", 13, ColumnValue::Str("x=y".into())),
-            ]
-        );
+            // As archive record 1 (`seq | vts | payload`) the same bytes
+            // are a typed restore refusal, not a shorter history.
+            let archive = MemDisk::new(seed);
+            let record = [&1u64.to_le_bytes()[..], &0i64.to_le_bytes(), bad].concat();
+            put_frames(&archive, &segment_name(0), &[&record]);
+            let target: Arc<dyn Vfs> = Arc::new(MemDisk::new(seed));
+            let err = restore_at(&archive, target, i64::MAX).unwrap_err();
+            assert!(
+                matches!(err, BackupError::ArchiveDecode { seq: 1 }),
+                "got {err:?}"
+            );
+        }
     }
 
     #[test]

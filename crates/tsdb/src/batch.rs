@@ -1,15 +1,15 @@
-//! Columnar batch ingest: struct-of-arrays buffers that turn many points
-//! into one series-interned, group-committed write.
+//! Columnar batch: the grouping every write goes through, one point or
+//! many.
 //!
-//! The row-at-a-time path pays per point: a series map lookup and — in
-//! durable mode — one WAL frame and one group commit. [`ColumnarBatch`]
-//! amortizes all three: points are grouped per series into two parallel
-//! vectors (`ts[]` beside `fields[]`, each point's field set moved over
-//! whole), each unique series is interned **once** per batch, and the engine
-//! writes the whole batch as **one** WAL frame followed by **one** group
-//! commit ([`crate::Database::write_batch`]). The batch is a grouping of
-//! points, not the storage layout: typed per-field columns exist only in
-//! [`crate::storage`], which [`ColumnarBatch::apply`] writes into.
+//! [`ColumnarBatch`] groups points per series as the engine admits them —
+//! per series the key once and the points' `(timestamp, field set)` rows
+//! in arrival order, each field set moved over whole — so each series is
+//! interned once, the durable store takes the lot as **one** WAL frame
+//! under **one** group commit, and storage opens each series once. A
+//! single point is a batch of one and pays nothing for the grouping: no
+//! hash, no key copy. The batch is a grouping of points, not the storage
+//! layout: typed per-field columns exist only in [`crate::storage`],
+//! which `ColumnarBatch::apply` writes into.
 //!
 //! The durable store takes the same grouping ([`ColumnarBatch::blocks`]):
 //! per series the rendered key once, the timestamps once, and one value
@@ -23,23 +23,18 @@
 //! none of it — never a prefix (`pcp/tests/batch_crash.rs` pins this with
 //! seeded MemDisk faults).
 //!
-//! Equivalence with row-at-a-time ingest is *bit-exact*, pinned by the
-//! `PMOVE_BATCH_CASES` differential suite. The two order contracts that
-//! make it hold:
-//!
-//! * **series-id order**: ids are allocated at first appearance, and ids
-//!   define the canonical `(timestamp, series id)` row order every query
-//!   result depends on. The batch interns series in first-appearance
-//!   order of the incoming points — the same allocation sequence the row
-//!   path produces.
-//! * **LWW order**: within one series, rows stay in arrival order, so
-//!   duplicate-timestamp field merges resolve identically. Across series
-//!   the series-major replay order differs from arrival order, but
-//!   cross-series cells never collide, so the merged state is the same.
+//! However a stream is cut into batches the stored state is the same bit
+//! for bit (the `PMOVE_BATCH_CASES` suite, against a point-at-a-time
+//! model), because series take slots — and so ids, which fix the
+//! canonical `(timestamp, series id)` row order of every query — in order
+//! of first appearance, and rows of one series stay in arrival order, so
+//! duplicate timestamps merge last-write-wins as they arrived; replaying
+//! series by series reorders only cells that cannot collide.
 
 use crate::engine::column_of_field;
 use crate::line_protocol::render_series_key;
 use crate::point::Point;
+use crate::repl::{fnv, FNV_BASIS};
 use crate::series::SeriesKey;
 use crate::storage::Storage;
 use crate::value::FieldValue;
@@ -56,16 +51,8 @@ struct FnvHasher(u64);
 
 impl Hasher for FnvHasher {
     fn write(&mut self, bytes: &[u8]) {
-        let mut h = if self.0 == 0 {
-            0xcbf2_9ce4_8422_2325
-        } else {
-            self.0
-        };
-        for b in bytes {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.0 = h;
+        let h = if self.0 == 0 { FNV_BASIS } else { self.0 };
+        self.0 = fnv(h, bytes);
     }
 
     fn finish(&self) -> u64 {
@@ -73,91 +60,69 @@ impl Hasher for FnvHasher {
     }
 }
 
-/// Struct-of-arrays columns for one series within a batch: timestamps and
-/// field sets in arrival order.
+/// One series within a batch: its points in arrival order.
 #[derive(Debug)]
 pub struct SeriesColumns {
     /// Series identity.
     pub key: SeriesKey,
-    /// Timestamps in arrival order.
-    pub ts: Vec<i64>,
-    /// Field sets in arrival order (moved out of the points, not copied).
-    pub fields: Vec<BTreeMap<String, FieldValue>>,
+    /// Timestamp and field set of each point, in arrival order (the field
+    /// sets moved out of the points, not copied).
+    pub rows: Vec<(i64, BTreeMap<String, FieldValue>)>,
 }
 
-/// A set of points transposed into per-series columns, series kept in
-/// first-appearance order (the id-allocation order the row path uses).
-#[derive(Debug)]
+/// A set of points grouped per series, series kept in first-appearance
+/// order (the order series ids are allocated in).
+#[derive(Debug, Default)]
 pub struct ColumnarBatch {
     series: Vec<SeriesColumns>,
-    /// Arrival order as `(series slot, row index)` — what live
-    /// subscription publishing replays so batching is invisible to
-    /// subscribers.
-    order: Vec<(u32, u32)>,
+    /// Slot of every series but the newest, which [`ColumnarBatch::push`]
+    /// finds by comparison: a series enters when the next one is opened,
+    /// so a run of one series — a batch of one included — neither hashes
+    /// nor clones a key.
+    index: HashMap<SeriesKey, usize, BuildHasherDefault<FnvHasher>>,
     /// Total points in the batch.
     pub points: usize,
 }
 
 impl ColumnarBatch {
-    /// Transpose points into columns. Each unique series is interned once
-    /// (one `SeriesKey` clone).
+    /// Group `points`, kept in arrival order within each series.
     pub fn build(points: Vec<Point>) -> ColumnarBatch {
-        let total = points.len();
-        let mut series: Vec<SeriesColumns> = Vec::new();
-        let mut order: Vec<(u32, u32)> = Vec::with_capacity(total);
-        let mut index: HashMap<SeriesKey, usize, BuildHasherDefault<FnvHasher>> =
-            HashMap::default();
+        let mut batch = ColumnarBatch::default();
         for point in points {
-            let key = SeriesKey {
-                measurement: point.measurement,
-                tags: point.tags,
-            };
-            let slot = match index.get(&key) {
-                Some(&i) => i,
+            batch.push(point);
+        }
+        batch
+    }
+
+    /// Add one point behind the ones already in: its tag and field sets
+    /// are moved, and a series seen for the first time takes the next
+    /// slot.
+    pub(crate) fn push(&mut self, point: Point) {
+        let key = SeriesKey {
+            measurement: point.measurement,
+            tags: point.tags,
+        };
+        let slot = match self.series.last() {
+            Some(last) if last.key == key => self.series.len() - 1,
+            last => match self.index.get(&key) {
+                Some(&slot) => slot,
                 None => {
-                    series.push(SeriesColumns {
-                        key: key.clone(),
-                        ts: Vec::new(),
-                        fields: Vec::new(),
-                    });
-                    index.insert(key, series.len() - 1);
-                    series.len() - 1
+                    if let Some(last) = last {
+                        self.index.insert(last.key.clone(), self.series.len() - 1);
+                    }
+                    let rows = Vec::new();
+                    self.series.push(SeriesColumns { key, rows });
+                    self.series.len() - 1
                 }
-            };
-            order.push((slot as u32, series[slot].ts.len() as u32));
-            series[slot].ts.push(point.timestamp);
-            series[slot].fields.push(point.fields);
-        }
-        ColumnarBatch {
-            series,
-            order,
-            points: total,
-        }
+            },
+        };
+        self.series[slot].rows.push((point.timestamp, point.fields));
+        self.points += 1;
     }
 
-    /// Reconstruct the batch's points in arrival order. Clones tag and
-    /// field sets, so callers only iterate when someone is listening
-    /// (live subscribers).
-    pub fn arrival_points(&self) -> impl Iterator<Item = Point> + '_ {
-        self.order.iter().map(|&(slot, idx)| {
-            let sc = &self.series[slot as usize];
-            Point {
-                measurement: sc.key.measurement.clone(),
-                tags: sc.key.tags.clone(),
-                fields: sc.fields[idx as usize].clone(),
-                timestamp: sc.ts[idx as usize],
-            }
-        })
-    }
-
-    /// Per-series columns in first-appearance order.
+    /// The series in first-appearance order.
     pub fn series(&self) -> &[SeriesColumns] {
         &self.series
-    }
-
-    /// Unique series in the batch.
-    pub fn series_count(&self) -> usize {
-        self.series.len()
     }
 
     /// The batch as the durable store takes it: one block per series —
@@ -166,8 +131,13 @@ impl ColumnarBatch {
     pub fn blocks(&self) -> WriteBatch {
         let mut out = WriteBatch::default();
         for sc in &self.series {
-            let points = sc.ts.iter().copied().zip(&sc.fields);
-            push_series(&mut out, &sc.key.measurement, &sc.key.tags, points);
+            let key = render_series_key(&sc.key.measurement, &sc.key.tags);
+            out.series(key, sc.rows.len());
+            for (ts, fields) in &sc.rows {
+                for (field, value) in fields {
+                    out.push(*ts, field, column_of_field(value));
+                }
+            }
         }
         out
     }
@@ -178,34 +148,29 @@ impl ColumnarBatch {
         self.blocks().into_rows()
     }
 
-    /// Apply the batch to storage: each unique series is opened once, in
-    /// first-appearance order so id allocation matches the row-at-a-time
-    /// path, and its rows are written in arrival order into the series'
-    /// columns (the field sets are taken apart there, field names
-    /// interned per measurement — see [`crate::storage`]).
-    pub(crate) fn apply(self, storage: &mut Storage) {
-        for sc in self.series {
+    /// Move the batch's field sets into storage: each series is opened
+    /// once, in first-appearance order (the order ids are allocated in),
+    /// and its rows are written in arrival order into the series' columns
+    /// (the field sets are taken apart there, field names interned per
+    /// measurement — see [`crate::storage`]). Keys and timestamps stay
+    /// behind for the caller's rollup marks and version bumps.
+    pub(crate) fn apply(&mut self, storage: &mut Storage) {
+        for sc in &mut self.series {
             let mut series = storage.append(&sc.key);
-            for (ts, fields) in sc.ts.into_iter().zip(sc.fields) {
-                series.row_named(ts, fields);
+            for (ts, fields) in &mut sc.rows {
+                series.row_named(*ts, std::mem::take(fields));
             }
         }
     }
-}
 
-/// Append the `points` (timestamp and field set, arrival order) of
-/// series `measurement` + `tags` to `out` as one block.
-pub(crate) fn push_series<'a>(
-    out: &mut WriteBatch,
-    measurement: &str,
-    tags: &BTreeMap<String, String>,
-    points: impl ExactSizeIterator<Item = (i64, &'a BTreeMap<String, FieldValue>)>,
-) {
-    out.series(render_series_key(measurement, tags), points.len());
-    for (ts, fields) in points {
-        for (field, value) in fields {
-            out.push(ts, field, column_of_field(value));
-        }
+    /// The measurements the batch holds points of, each once.
+    pub(crate) fn measurements(mut self) -> impl Iterator<Item = String> {
+        let by_name =
+            |a: &SeriesColumns, b: &SeriesColumns| a.key.measurement.cmp(&b.key.measurement);
+        self.series.sort_unstable_by(by_name);
+        self.series
+            .dedup_by(|a, b| a.key.measurement == b.key.measurement);
+        self.series.into_iter().map(|sc| sc.key.measurement)
     }
 }
 
@@ -248,11 +213,14 @@ mod tests {
     fn build_interns_series_in_first_appearance_order() {
         let batch = ColumnarBatch::build(vec![pt("b", 1, 1.0), pt("a", 2, 2.0), pt("b", 3, 3.0)]);
         assert_eq!(batch.points, 3);
-        assert_eq!(batch.series_count(), 2);
+        assert_eq!(batch.series().len(), 2);
         assert_eq!(batch.series()[0].key.tags["host"], "b");
         assert_eq!(batch.series()[1].key.tags["host"], "a");
-        assert_eq!(batch.series()[0].ts, vec![1, 3]);
-        assert_eq!(batch.series()[1].ts, vec![2]);
+        let stamps = |slot: usize| -> Vec<i64> {
+            let rows = batch.series()[slot].rows.iter();
+            rows.map(|(ts, _)| *ts).collect()
+        };
+        assert_eq!((stamps(0), stamps(1)), (vec![1, 3], vec![2]));
     }
 
     #[test]

@@ -1,8 +1,15 @@
 //! The database engine: writes, queries, retention enforcement, live
 //! subscriptions, and the ingest limiter that models database-side
 //! backpressure.
+//!
+//! Every write runs one body, `Database::ingest`: admit per point →
+//! group per series → one WAL frame and commit → ledger → modeled spans →
+//! publish → storage → rollup marks → version bumps.
+//! [`Database::write_point`], [`Database::apply_remote`] and
+//! [`Database::write`] hand it a batch of one, [`Database::write_batch`]
+//! any number and alone ticks the `tsdb.batch.*` counters.
 
-use crate::batch::{push_series, BatchOutcome, ColumnarBatch};
+use crate::batch::{BatchOutcome, ColumnarBatch};
 use crate::cache::{CacheLookup, QueryCache};
 use crate::error::TsdbError;
 use crate::exec::{self, ExecMode, ExecStats};
@@ -20,7 +27,7 @@ use parking_lot::{Mutex, MutexGuard, RwLock};
 use pmove_obs::{Counter, Histogram, Registry, Span};
 use pmove_store::{
     Block, ChunkInfo, ColumnValue, RecoveryReport, RestoreReport, StoreObs, StoreOptions, TsStore,
-    Vfs, WriteBatch,
+    Vfs,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -454,8 +461,10 @@ impl Database {
         if marked.is_empty() {
             return;
         }
-        for ts in marked {
-            self.mark_rollup_write(GAP_MEASUREMENT, ts);
+        if let Some(rs) = self.rollups.write().as_mut() {
+            for ts in marked {
+                rs.note_write(GAP_MEASUREMENT, ts);
+            }
         }
         self.bump_version(GAP_MEASUREMENT);
     }
@@ -569,14 +578,10 @@ impl Database {
         self.write(point, Origin::Remote, &Span::none(), 0).0
     }
 
-    /// The row write path, shared by both origins. Admission (the
-    /// `points_offered` tick, the ingest limiter) and the [`IngestStats`]
-    /// ledger apply to [`Origin::Client`] only; the WAL barrier, the
-    /// subscriber publish, the rollup mark and the write-version bump
-    /// apply to every row. The modeled ingest spans nest under `span`,
-    /// laid out from `start_ns` on the virtual clock. Returns the write
-    /// result plus the modeled end timestamp (`start_ns` for a refused
-    /// write) so the caller can close its own span after the ingest.
+    /// One point from either origin under the caller's span: a batch of
+    /// one through the write body. Returns the write result plus
+    /// the modeled end timestamp (`start_ns` for a refused write) so the
+    /// caller can close its own span after the ingest.
     pub fn write(
         &self,
         point: Point,
@@ -584,117 +589,188 @@ impl Database {
         span: &Span,
         start_ns: u64,
     ) -> (Result<(), TsdbError>, u64) {
-        match self.write_row(point, origin, span, start_ns) {
-            Ok(end_ns) => (Ok(()), end_ns),
+        match self.ingest([point], origin, span, start_ns) {
+            Ok((mut out, end_ns)) => (out.results.pop().expect("one result a point"), end_ns),
             Err(e) => (Err(e), start_ns),
         }
     }
 
-    fn write_row(
+    /// Write many points as one batch: admitted per point in arrival
+    /// order, grouped per series, framed into **one** WAL record and
+    /// group-committed once — a crash mid-frame replays or drops the
+    /// whole batch, never a prefix (see `store::wal` framing). However a
+    /// stream is cut into batches, the accepted set, the ledger and the
+    /// stored rows are the same bit for bit.
+    ///
+    /// A WAL commit error fails the entire call before anything is counted
+    /// inserted or published; the caller may retry the same batch (last
+    /// write wins makes the retry idempotent).
+    pub fn write_batch(&self, points: Vec<Point>) -> Result<BatchOutcome, TsdbError> {
+        let (out, _) = self.ingest(points, Origin::Client, &Span::none(), 0)?;
+        if let Some(o) = &self.obs {
+            o.batch_batches.inc();
+            o.batch_points.add(out.accepted as u64);
+            o.batch_rejected.add(out.rejected as u64);
+            if out.accepted > 0 && self.store.is_some() {
+                o.batch_wal_frames.inc();
+            }
+        }
+        Ok(out)
+    }
+
+    /// The write body under every entry point. Admission — the
+    /// `points_offered` tick, the empty-field check, the ingest limiter
+    /// keyed on point timestamps — runs per point in arrival order, and
+    /// with the [`IngestStats`] ledger applies to [`Origin::Client`]
+    /// only; the WAL barrier, the subscriber publish, the rollup marks
+    /// and the write-version bumps apply to every accepted point. The
+    /// modeled spans nest under `span` from `start_ns` on the virtual
+    /// clock: `tsdb.ingest` around `store.wal.group_commit` (durable
+    /// only) and then one `tsdb.shard_ingest` a point, its status the
+    /// Merkle shard of the point's series (a label the trace goldens
+    /// pin). Returns the outcome plus the modeled end timestamp
+    /// (`start_ns` when nothing was accepted).
+    fn ingest(
         &self,
-        point: Point,
+        points: impl IntoIterator<Item = Point>,
         origin: Origin,
         span: &Span,
         start_ns: u64,
-    ) -> Result<u64, TsdbError> {
+    ) -> Result<(BatchOutcome, u64), TsdbError> {
         let client = origin == Origin::Client;
-        if client {
-            self.stats.lock().points_offered += 1;
-            if let Some(o) = &self.obs {
-                o.points_offered.inc();
-            }
-        }
-        if point.fields.is_empty() {
-            return Err(TsdbError::EmptyFields);
-        }
-        let n = point.field_count() as u64;
-        if client {
-            if let Err(e) = self.limiter.lock().admit(point.timestamp, n) {
-                self.stats.lock().points_rejected += 1;
-                if let Some(o) = &self.obs {
-                    o.points_rejected.inc();
+        let points = points.into_iter();
+        let mut results = Vec::with_capacity(points.size_hint().0);
+        let mut batch = ColumnarBatch::default();
+        let mut rejected = 0usize;
+        // Subscribers get a copy of each point admitted while they listen,
+        // in arrival order, once the batch is durable.
+        let listening = !self.hub.is_empty();
+        let mut heard = Vec::new();
+        {
+            // Stats and limiter move together so a concurrent writer
+            // can't interleave between the offered tick and the admission
+            // decision.
+            let mut gate = client.then(|| (self.stats.lock(), self.limiter.lock()));
+            for point in points {
+                if let Some((stats, _)) = &mut gate {
+                    stats.points_offered += 1;
                 }
-                return Err(e);
+                let verdict = match &mut gate {
+                    _ if point.fields.is_empty() => Err(TsdbError::EmptyFields),
+                    Some((stats, limiter)) => limiter
+                        .admit(point.timestamp, point.field_count() as u64)
+                        .inspect_err(|_| {
+                            stats.points_rejected += 1;
+                            rejected += 1;
+                        }),
+                    None => Ok(()),
+                };
+                if verdict.is_ok() {
+                    if listening {
+                        heard.push(point.clone());
+                    }
+                    batch.push(point);
+                }
+                results.push(verdict);
             }
         }
-        // Durability barrier: when a store is attached, the point is
-        // framed into the WAL — a batch of one — and group-committed
-        // before it is counted, published, or made queryable: an
-        // acknowledged write is a durable write.
-        let mut commit_ns = 0u64;
-        if let Some(store) = &self.store {
-            let mut batch = WriteBatch::default();
-            let points = std::iter::once((point.timestamp, &point.fields));
-            push_series(&mut batch, &point.measurement, &point.tags, points);
-            let mut st = store.lock();
-            st.append_batch(batch);
-            let info = st.commit()?;
-            commit_ns = st.modeled_commit_ns(info.bytes).max(1);
+        if let (true, Some(o)) = (client, &self.obs) {
+            o.points_offered.add(results.len() as u64);
+            o.points_rejected.add(rejected as u64);
         }
-        let modeled_ns = EngineObs::INGEST_BASE_NS + EngineObs::INGEST_PER_VALUE_NS * n;
+        let mut outcome = BatchOutcome {
+            results,
+            accepted: batch.points,
+            rejected,
+            series: batch.series().len(),
+            commit_ns: 0,
+        };
+        if outcome.accepted == 0 {
+            return Ok((outcome, start_ns));
+        }
+        // Durability barrier: when a store is attached, the batch rides
+        // one WAL frame and one group commit before it is counted,
+        // published, or made queryable: an acknowledged write is a
+        // durable write.
+        if let Some(store) = &self.store {
+            let blocks = batch.blocks();
+            let mut st = store.lock();
+            st.append_batch(blocks);
+            let info = st.commit()?;
+            outcome.commit_ns = st.modeled_commit_ns(info.bytes).max(1);
+        }
+        let ingest = span.child("tsdb.ingest", start_ns);
+        let mut end_ns = start_ns + outcome.commit_ns;
+        if outcome.commit_ns > 0 {
+            ingest.child("store.wal.group_commit", start_ns).end(end_ns);
+        }
+        let (mut values, mut zeros) = (0u64, 0u64);
+        for sc in batch.series() {
+            let status = span.is_recording().then(|| {
+                let series = render_series_key(&sc.key.measurement, &sc.key.tags);
+                format!("shard-{:02}", crate::repl::merkle_shard(&series))
+            });
+            for (_, fields) in &sc.rows {
+                let n = fields.len() as u64;
+                let modeled_ns = EngineObs::INGEST_BASE_NS + EngineObs::INGEST_PER_VALUE_NS * n;
+                if client {
+                    values += n;
+                    zeros += fields.values().filter(|v| v.is_zero()).count() as u64;
+                    if let Some(o) = &self.obs {
+                        span.observe(&o.ingest_ns, modeled_ns);
+                    }
+                }
+                if let Some(status) = &status {
+                    ingest
+                        .child("tsdb.shard_ingest", end_ns)
+                        .end_status(end_ns + modeled_ns, status);
+                }
+                end_ns += modeled_ns;
+            }
+        }
+        ingest.end(end_ns);
         if client {
-            let zero_values = point.fields.values().filter(|v| v.is_zero()).count() as u64;
             {
                 let mut stats = self.stats.lock();
-                stats.points_inserted += 1;
-                stats.values_inserted += n;
-                stats.zero_values_inserted += zero_values;
+                stats.points_inserted += outcome.accepted as u64;
+                stats.values_inserted += values;
+                stats.zero_values_inserted += zeros;
             }
             if let Some(o) = &self.obs {
-                o.points_inserted.inc();
-                o.values_inserted.add(n);
-                o.zero_values_inserted.add(zero_values);
-                span.observe(&o.ingest_ns, modeled_ns);
+                o.points_inserted.add(outcome.accepted as u64);
+                o.values_inserted.add(values);
+                o.zero_values_inserted.add(zeros);
             }
         } else if let Some(o) = &self.obs {
-            o.registry.counter("tsdb.repl.remote_applied", &[]).inc();
+            let applied = o.registry.counter("tsdb.repl.remote_applied", &[]);
+            applied.add(outcome.accepted as u64);
         }
-        if span.is_recording() {
-            self.trace_ingest(&point, span, start_ns, commit_ns, modeled_ns);
+        for point in &heard {
+            self.hub.publish(point);
         }
-        self.hub.publish(&point);
-        let measurement = point.measurement.clone();
-        let ts = point.timestamp;
-        self.storage.write().insert(point);
-        self.mark_rollup_write(&measurement, ts);
-        self.bump_version(&measurement);
-        Ok(start_ns + commit_ns + modeled_ns)
-    }
-
-    /// Lay out the modeled ingest spans for one accepted point:
-    /// `tsdb.ingest` wrapping `store.wal.group_commit` (durable mode
-    /// only, `commit_ns > 0`) then `tsdb.shard_ingest` (status carries
-    /// the Merkle shard of the point's rendered series key, a label the
-    /// trace goldens pin).
-    fn trace_ingest(
-        &self,
-        point: &Point,
-        span: &Span,
-        start_ns: u64,
-        commit_ns: u64,
-        ingest_ns: u64,
-    ) {
-        let ingest = span.child("tsdb.ingest", start_ns);
-        let wal_end = start_ns + commit_ns;
-        if commit_ns > 0 {
-            ingest
-                .child("store.wal.group_commit", start_ns)
-                .end(wal_end);
+        batch.apply(&mut self.storage.write());
+        // Queries hold `rollups` shared for as long as they run: wait for
+        // them only when there are tiers to mark.
+        if self.rollups.read().is_some() {
+            if let Some(rs) = self.rollups.write().as_mut() {
+                for sc in batch.series() {
+                    for &(ts, _) in &sc.rows {
+                        rs.note_write(&sc.key.measurement, ts);
+                    }
+                }
+            }
         }
-        let series = render_series_key(&point.measurement, &point.tags);
-        let shard = crate::repl::merkle_shard(&series);
-        let status = format!("shard-{shard:02}");
-        ingest
-            .child("tsdb.shard_ingest", wal_end)
-            .end_status(wal_end + ingest_ns, &status);
-        ingest.end(wal_end + ingest_ns);
+        for measurement in batch.measurements() {
+            self.bump_version(&measurement);
+        }
+        Ok((outcome, end_ns))
     }
 
     /// Current write version of one measurement: bumped on every accepted
     /// local or remote write (and on retention/recovery). Exposed so the
     /// replication tests can audit cache freshness.
     pub fn write_version(&self, measurement: &str) -> u64 {
-        self.measurement_version(measurement)
+        self.versions.lock().get(measurement).copied().unwrap_or(0)
     }
 
     /// Visit every stored cell in a deterministic order: measurements
@@ -703,162 +779,6 @@ impl Database {
     /// layer's Merkle trees are built over.
     pub fn for_each_cell(&self, f: &mut dyn FnMut(&SeriesKey, i64, &str, &FieldValue)) {
         self.storage.read().for_each_cell(f);
-    }
-
-    /// Columnar batched write path. Admission (empty-field checks, limiter
-    /// windows keyed on point timestamps, `points_offered`/`points_rejected`
-    /// accounting) happens per point in arrival order, so a stream pushed
-    /// through this path is observationally identical to row-at-a-time
-    /// [`Database::write_point`] calls — same accepted set, same ledger,
-    /// same stored rows bit for bit. What changes is the cost model: the
-    /// admitted points are pivoted into per-series columns, framed into
-    /// **one** WAL record, group-committed once, and bulk-inserted per
-    /// series. Crash mid-frame replays or drops the whole batch — never a
-    /// prefix (see `store::wal` framing).
-    ///
-    /// A WAL commit error fails the entire call before anything is counted
-    /// inserted or published; the caller may retry the same batch (last
-    /// write wins makes the retry idempotent).
-    pub fn write_batch(&self, points: Vec<Point>) -> Result<BatchOutcome, TsdbError> {
-        let total = points.len();
-        let mut results = Vec::with_capacity(total);
-        let mut admitted = Vec::with_capacity(total);
-        let mut rejected = 0usize;
-        {
-            // Stats and limiter move together so a concurrent row-at-a-time
-            // writer can't interleave between the offered tick and the
-            // admission decision.
-            let mut stats = self.stats.lock();
-            let mut limiter = self.limiter.lock();
-            for point in points {
-                stats.points_offered += 1;
-                if point.fields.is_empty() {
-                    results.push(Err(TsdbError::EmptyFields));
-                    continue;
-                }
-                let n = point.field_count() as u64;
-                match limiter.admit(point.timestamp, n) {
-                    Ok(()) => {
-                        results.push(Ok(()));
-                        admitted.push(point);
-                    }
-                    Err(e) => {
-                        stats.points_rejected += 1;
-                        rejected += 1;
-                        results.push(Err(e));
-                    }
-                }
-            }
-        }
-        if let Some(o) = &self.obs {
-            o.points_offered.add(total as u64);
-            o.points_rejected.add(rejected as u64);
-        }
-        if admitted.is_empty() {
-            if let Some(o) = &self.obs {
-                o.batch_batches.inc();
-                o.batch_rejected.add(rejected as u64);
-            }
-            return Ok(BatchOutcome {
-                results,
-                accepted: 0,
-                rejected,
-                series: 0,
-                commit_ns: 0,
-            });
-        }
-        let per_point: Vec<(u64, u64)> = admitted
-            .iter()
-            .map(|p| {
-                (
-                    p.field_count() as u64,
-                    p.fields.values().filter(|v| v.is_zero()).count() as u64,
-                )
-            })
-            .collect();
-        let accepted = admitted.len();
-        let batch = ColumnarBatch::build(admitted);
-        // Durability barrier: the whole batch rides one WAL frame and one
-        // group commit; acknowledgement implies the batch is durable.
-        let mut commit_ns = 0u64;
-        if let Some(store) = &self.store {
-            let blocks = batch.blocks();
-            let mut st = store.lock();
-            st.append_batch(blocks);
-            let info = st.commit()?;
-            commit_ns = st.modeled_commit_ns(info.bytes).max(1);
-        }
-        let values: u64 = per_point.iter().map(|(n, _)| n).sum();
-        let zeros: u64 = per_point.iter().map(|(_, z)| z).sum();
-        {
-            let mut stats = self.stats.lock();
-            stats.points_inserted += accepted as u64;
-            stats.values_inserted += values;
-            stats.zero_values_inserted += zeros;
-        }
-        if let Some(o) = &self.obs {
-            o.points_inserted.add(accepted as u64);
-            o.values_inserted.add(values);
-            o.zero_values_inserted.add(zeros);
-            for (n, _) in &per_point {
-                o.ingest_ns
-                    .record(EngineObs::INGEST_BASE_NS + EngineObs::INGEST_PER_VALUE_NS * n);
-            }
-            o.batch_batches.inc();
-            o.batch_points.add(accepted as u64);
-            o.batch_rejected.add(rejected as u64);
-            if self.store.is_some() {
-                o.batch_wal_frames.inc();
-            }
-        }
-        // Subscribers observe points in arrival order, exactly as the
-        // row-at-a-time path publishes them. Reconstructing points clones
-        // tag/field maps, so skip it entirely when nobody is listening.
-        if !self.hub.is_empty() {
-            for p in batch.arrival_points() {
-                self.hub.publish(&p);
-            }
-        }
-        let series = batch.series_count();
-        let mark_rollups = self.rollups.read().is_some();
-        let rollup_marks: Vec<(String, Vec<i64>)> = if mark_rollups {
-            batch
-                .series()
-                .iter()
-                .map(|sc| (sc.key.measurement.clone(), sc.ts.clone()))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let measurements: std::collections::BTreeSet<String> = batch
-            .series()
-            .iter()
-            .map(|sc| sc.key.measurement.clone())
-            .collect();
-        {
-            let mut storage = self.storage.write();
-            batch.apply(&mut storage);
-        }
-        if !rollup_marks.is_empty() {
-            let mut guard = self.rollups.write();
-            if let Some(rs) = guard.as_mut() {
-                for (measurement, stamps) in &rollup_marks {
-                    for ts in stamps {
-                        rs.note_write(measurement, *ts);
-                    }
-                }
-            }
-        }
-        for m in &measurements {
-            self.bump_version(m);
-        }
-        Ok(BatchOutcome {
-            results,
-            accepted,
-            rejected,
-            series,
-            commit_ns,
-        })
     }
 
     /// Enable continuous-query rollup tiers with the given configuration.
@@ -918,16 +838,6 @@ impl Database {
         self.rollups.read().as_ref().map_or(0, |rs| rs.cell_count())
     }
 
-    /// Mark one accepted write's bucket dirty in every rollup tier.
-    /// Callers must NOT hold the `storage` lock (lock order: storage
-    /// before rollups; this takes only `rollups`).
-    fn mark_rollup_write(&self, measurement: &str, ts: i64) {
-        let mut guard = self.rollups.write();
-        if let Some(rs) = guard.as_mut() {
-            rs.note_write(measurement, ts);
-        }
-    }
-
     /// Run a textual query.
     pub fn query(&self, text: &str) -> Result<QueryResult, TsdbError> {
         let q = Query::parse(text)?;
@@ -961,7 +871,7 @@ impl Database {
         // never stale.
         let cache_enabled = self.cache.lock().capacity() > 0;
         let (cache_key, version) = if cache_enabled {
-            let version = self.measurement_version(&q.measurement);
+            let version = self.write_version(&q.measurement);
             let key = q.normalized();
             if let Some(hit) = self.cache_lookup(&key, version) {
                 self.record_query_served(hit.rows.len() as u64);
@@ -1043,16 +953,13 @@ impl Database {
         }
     }
 
-    fn measurement_version(&self, measurement: &str) -> u64 {
-        self.versions.lock().get(measurement).copied().unwrap_or(0)
-    }
-
+    /// The name is copied at the measurement's first bump only.
     fn bump_version(&self, measurement: &str) {
-        *self
-            .versions
-            .lock()
-            .entry(measurement.to_string())
-            .or_insert(0) += 1;
+        let mut versions = self.versions.lock();
+        match versions.get_mut(measurement) {
+            Some(v) => *v += 1,
+            None => drop(versions.insert(measurement.to_string(), 1)),
+        }
     }
 
     /// Bump every measurement's version. Iterates storage's measurement
@@ -1485,10 +1392,11 @@ mod tests {
         assert_eq!(gaps.rows[0].values["rows_lost"], Some(4.0));
     }
 
-    /// One row path, two origins: admission and the client ledger are
-    /// the only things an origin may change.
+    /// One write body, two origins: admission and the client ledger are
+    /// the only things an origin may change, and a single point never
+    /// ticks a `tsdb.batch.*` counter.
     #[test]
-    fn both_origins_share_the_row_path_and_differ_only_in_admission() {
+    fn both_origins_share_the_write_body_and_differ_only_in_admission() {
         for remote in [false, true] {
             let reg = Registry::shared();
             let vfs: Arc<dyn Vfs> = Arc::new(pmove_store::MemDisk::new(9));
@@ -1528,6 +1436,19 @@ mod tests {
                 snap.counter("tsdb.repl.remote_applied", &[]),
                 remote.then_some(2)
             );
+            for (name, ledger) in [
+                ("tsdb.points_offered", want.points_offered),
+                ("tsdb.points_inserted", want.points_inserted),
+                ("tsdb.values_inserted", want.values_inserted),
+                ("tsdb.zero_values_inserted", want.zero_values_inserted),
+                ("tsdb.points_rejected", want.points_rejected),
+                ("tsdb.batch.batches", 0),
+                ("tsdb.batch.points", 0),
+                ("tsdb.batch.points_rejected", 0),
+                ("tsdb.batch.wal_frames", 0),
+            ] {
+                assert_eq!(snap.counter(name, &[]), Some(ledger), "{name}");
+            }
 
             // Same for both: subscriber publish, rollup mark, write-version
             // bump, and the WAL barrier (the rows survive a reopen).

@@ -21,12 +21,13 @@
 //!   which, combined with PCP's unbuffered samplers, produces the data-point
 //!   losses quantified in Table III of the paper.
 //!
-//! Entry points on [`Database`]: one row write path,
-//! [`Database::write`]`(point, origin, &Span, start_ns)`, with
-//! [`Database::write_point`] (a client write) and
+//! Entry points on [`Database`]: one write body under four wrappers —
+//! [`Database::write_batch`] for any number of client points, and for a
+//! batch of one [`Database::write`]`(point, origin, &Span, start_ns)`
+//! with [`Database::write_point`] (a client write) and
 //! [`Database::apply_remote`] (a replicated row) as its two spellings
-//! under [`pmove_obs::Span::none`]; [`Database::write_batch`] for
-//! columnar batches; [`Database::query`] and its pre-parsed forms;
+//! under [`pmove_obs::Span::none`]; [`Database::query`] and its
+//! pre-parsed forms;
 //! [`Database::flush`], [`Database::restore_at`] and
 //! [`Database::rebuild_from_store`] for the engine's share of durability.
 //! Everything that is purely the durable store's — scrub ticks, backups,

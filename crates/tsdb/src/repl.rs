@@ -49,10 +49,10 @@ pub const MERKLE_BUCKETS: usize = 32;
 /// replicas exchange mean the same cells on every node.
 const MERKLE_SHARDS: usize = 16;
 
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
+pub(crate) fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
     for b in bytes {
         h ^= u64::from(*b);
         h = h.wrapping_mul(FNV_PRIME);

@@ -362,10 +362,15 @@ impl Storage {
     /// last-write-wins merges resolve identically to inserting them one
     /// call at a time.
     pub(crate) fn append(&mut self, key: &SeriesKey) -> Appender<'_> {
+        // The name is copied at the measurement's first series only.
+        if !self.measurements.contains_key(&key.measurement) {
+            let name = key.measurement.clone();
+            self.measurements.insert(name, Measurement::default());
+        }
         let m = self
             .measurements
-            .entry(key.measurement.clone())
-            .or_default();
+            .get_mut(&key.measurement)
+            .expect("present");
         let id = match m.series_ids.get(key) {
             Some(&id) => id,
             None => {

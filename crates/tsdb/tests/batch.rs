@@ -1,29 +1,50 @@
-//! Differential harness: the columnar batched write path vs row-at-a-time
-//! ingest.
+//! Differential harness: the engine's one write body vs a model of the
+//! row path it replaced.
 //!
-//! Random point streams — multi-field points, duplicate timestamps (last
-//! write wins), NaN/±0.0/±inf payloads, `Int`/`Bool`/`Str` fields and cells
-//! rewritten with another type, interleaved measurements, and an
-//! ingest limiter tight enough to reject some of the stream — are pushed
-//! through `Database::write_batch` under random batch chunkings and through
-//! per-point `Database::write_point` calls. The two databases must then be
-//! observationally identical **bit for bit**:
+//! The model is what `Database::write_point` / `apply_remote` used to be,
+//! kept here as test-only code: one point at a time, a hand-kept limiter
+//! window and `IngestStats` ledger for client points, `Storage::insert`
+//! for every admitted one. Random point streams — multi-field points,
+//! duplicate timestamps (last write wins), NaN/±0.0/±inf payloads,
+//! `Int`/`Bool`/`Str` fields and cells rewritten with another type,
+//! interleaved measurements, empty-field points, replicated
+//! (`Origin::Remote`) points between client ones, and an ingest limiter
+//! tight enough to reject some of the stream — go through the model and
+//! through three databases:
+//!
+//! * `chunked`: in memory, client runs cut into `write_batch` calls of 1–7
+//!   points at random, remote points through `apply_remote`;
+//! * `single`: durable, every point one `Database::write` call;
+//! * `ones`: durable, every client point one `write_batch` of one.
+//!
+//! Each database must match the model **bit for bit** on
 //!
 //! * every stored cell (`for_each_cell` walk, `f64::to_bits` rendering);
 //! * query results across modes (the Fig. 9 surface);
 //! * the `IngestStats` ledger the Table III reproduction reads
-//!   (`points_offered`/`inserted`/`values`/`zeros`/`rejected`);
+//!   (`points_offered`/`inserted`/`values`/`zeros`/`rejected`), which
+//!   remote points leave untouched;
 //! * per-point accept/reject outcomes in arrival order;
-//! * the subscription stream dashboards consume.
+//! * the subscription stream dashboards consume, remote points included;
+//! * the write version of each measurement: one bump per call per
+//!   measurement the call stored a point of.
+//!
+//! `single` and `ones` must also agree on the WAL: byte for byte, commit
+//! for commit, and in the modeled commit time each point is charged.
 //!
 //! `PMOVE_BATCH_CASES` overrides the case count (default 192).
 
+use pmove_obs::{Registry, Span};
+use pmove_tsdb::storage::Storage;
+use pmove_tsdb::store::{MemDisk, StoreOptions};
 use pmove_tsdb::subscribe::{drain, Subscription};
 use pmove_tsdb::{
-    BatchOutcome, Database, ExecMode, FieldValue, IngestLimiter, Point, Query, QueryResult,
-    TsdbError,
+    exec, Database, ExecMode, FieldValue, IngestLimiter, IngestStats, Origin, Point, Query,
+    QueryResult, TsdbError,
 };
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 const MEASUREMENTS: [&str; 2] = ["m", "n"];
 const FIELDS: [&str; 3] = ["value", "aux", "gap"];
@@ -55,14 +76,22 @@ fn value_of(code: u32) -> FieldValue {
 }
 
 /// ((measurement, host, ts, field), (value code, extra-field code — 1000
-/// for single-field, shape code — 0 of 0..20 marks an empty-fields point))
+/// for single-field, shape code of 0..20 — 0 and 19 mark an empty-fields
+/// point, 16 and up a replicated one))
 type PointCode = ((usize, usize, i64, usize), (u32, u32, u32));
+
+fn origin_of(&(_, (_, _, shape)): &PointCode) -> Origin {
+    match shape {
+        16.. => Origin::Remote,
+        _ => Origin::Client,
+    }
+}
 
 fn point_of(&((m, h, ts, f), (code, extra, shape)): &PointCode) -> Point {
     let mut p = Point::new(MEASUREMENTS[m % MEASUREMENTS.len()])
         .tag("host", format!("h{h}"))
         .timestamp(ts);
-    if shape == 0 {
+    if shape == 0 || shape == 19 {
         return p; // exercises the EmptyFields reject path
     }
     p = p.field(FIELDS[f % FIELDS.len()], value_of(code));
@@ -99,11 +128,14 @@ fn outcome(r: Result<QueryResult, TsdbError>) -> String {
 }
 
 /// Bit-exact rendering of every stored cell, in the deterministic
-/// Merkle-walk order.
-fn cells(db: &Database) -> String {
+/// Merkle-walk order: `walk` is `Database::for_each_cell` or the model's
+/// `Storage::for_each_cell`.
+fn cells(
+    walk: impl FnOnce(&mut dyn FnMut(&pmove_tsdb::SeriesKey, i64, &str, &FieldValue)),
+) -> String {
     use std::fmt::Write as _;
     let mut s = String::new();
-    db.for_each_cell(&mut |key, ts, field, value| {
+    walk(&mut |key, ts, field, value| {
         let v = match value {
             FieldValue::Float(x) => format!("{:016x}", x.to_bits()),
             other => format!("{other:?}"),
@@ -130,63 +162,223 @@ const QUERIES: [&str; 6] = [
     "SELECT mean(\"value\") FROM \"m\" WHERE host='h0' GROUP BY time(11)",
 ];
 
-fn check_case(stream: &[PointCode], chunks: &[u8], limited: bool) {
-    let row_db = Database::new("row");
-    let batch_db = Database::new("batch");
-    if limited {
-        // Tight enough that real streams overflow some windows; keyed on
-        // point timestamps, so queue-delay cannot change admission.
-        row_db.set_ingest_limiter(IngestLimiter::per_window(16, 6));
-        batch_db.set_ingest_limiter(IngestLimiter::per_window(16, 6));
-    }
-    let row_rx = row_db.subscribe(Subscription::all());
-    let batch_rx = batch_db.subscribe(Subscription::all());
+/// Limiter the limited cases install: tight enough that real streams
+/// overflow some windows; keyed on point timestamps, so queue delay
+/// cannot change admission.
+const WINDOW: i64 = 16;
+const MAX_PER_WINDOW: u64 = 6;
 
-    // Row-at-a-time reference: per-point accept/reject outcomes.
-    let mut row_results: Vec<bool> = Vec::new();
-    for code in stream {
-        row_results.push(row_db.write_point(point_of(code)).is_ok());
-    }
+/// Modeled in-memory cost the engine charges a point of `n` values.
+fn modeled_ns(n: u64) -> u64 {
+    4_000 + 450 * n
+}
 
-    // Batched subject: the same stream, random chunk boundaries.
-    let mut batch_results: Vec<bool> = Vec::new();
-    let mut it = stream.iter();
-    let mut chunk_sizes = chunks.iter().cycle();
-    loop {
-        let take = (*chunk_sizes.next().unwrap() as usize % 7) + 1;
-        let chunk: Vec<Point> = it.by_ref().take(take).map(point_of).collect();
-        if chunk.is_empty() {
-            break;
+/// The row path: one point at a time.
+#[derive(Default)]
+struct RowModel {
+    storage: Storage,
+    ledger: IngestStats,
+    limited: bool,
+    /// Limiter window in use and the values admitted into it.
+    window: Option<(i64, u64)>,
+    published: Vec<Point>,
+}
+
+impl RowModel {
+    fn write(&mut self, p: Point, origin: Origin) -> bool {
+        let client = origin == Origin::Client;
+        if client {
+            self.ledger.points_offered += 1;
         }
-        let BatchOutcome { results, .. } = batch_db.write_batch(chunk).unwrap();
-        batch_results.extend(results.iter().map(Result::is_ok));
+        if p.fields.is_empty() {
+            return false;
+        }
+        let n = p.field_count() as u64;
+        if client && self.limited {
+            let w = p.timestamp.div_euclid(WINDOW);
+            let used = match self.window {
+                Some((at, used)) if at == w => used,
+                _ => 0,
+            };
+            if used + n > MAX_PER_WINDOW {
+                self.window = Some((w, used));
+                self.ledger.points_rejected += 1;
+                return false;
+            }
+            self.window = Some((w, used + n));
+        }
+        if client {
+            self.ledger.points_inserted += 1;
+            self.ledger.values_inserted += n;
+            self.ledger.zero_values_inserted +=
+                p.fields.values().filter(|v| v.is_zero()).count() as u64;
+        }
+        self.published.push(p.clone());
+        self.storage.insert(p);
+        true
+    }
+}
+
+/// One database under test with what is expected of it so far.
+struct Subject {
+    db: Database,
+    rx: crossbeam::channel::Receiver<Point>,
+    results: Vec<bool>,
+    versions: BTreeMap<String, u64>,
+}
+
+impl Subject {
+    fn new(db: Database, limited: bool) -> Subject {
+        if limited {
+            db.set_ingest_limiter(IngestLimiter::per_window(WINDOW, MAX_PER_WINDOW));
+        }
+        Subject {
+            rx: db.subscribe(Subscription::all()),
+            db,
+            results: Vec::new(),
+            versions: BTreeMap::new(),
+        }
     }
 
-    assert_eq!(
-        batch_results, row_results,
-        "per-point accept/reject outcomes diverged"
-    );
-    assert_eq!(
-        batch_db.stats(),
-        row_db.stats(),
-        "IngestStats ledger diverged (Table III surface)"
-    );
-    assert_eq!(cells(&batch_db), cells(&row_db), "stored cells diverged");
-    assert_eq!(
-        rendered_points(&drain(&batch_rx)),
-        rendered_points(&drain(&row_rx)),
-        "subscription stream diverged"
-    );
+    fn durable(name: &str, limited: bool) -> (Subject, Arc<Registry>) {
+        let opts = StoreOptions {
+            flush_threshold_rows: usize::MAX,
+            compact_min_chunks: usize::MAX,
+        };
+        let reg = Registry::shared();
+        let disk = Arc::new(MemDisk::new(7));
+        let (db, _) = Database::open_with_obs(name, disk, opts, reg.clone()).unwrap();
+        (Subject::new(db, limited), reg)
+    }
 
-    for text in QUERIES {
-        let q = Query::parse(text).unwrap();
-        for mode in [ExecMode::Sequential, ExecMode::Parallel(4)] {
+    /// Note one call's per-point outcomes: a version bump for every
+    /// measurement the call stored a point of.
+    fn note(&mut self, points: &[Point], results: Vec<bool>) {
+        let stored = points.iter().zip(&results).filter(|(_, ok)| **ok);
+        let touched: BTreeSet<&str> = stored.map(|(p, _)| p.measurement.as_str()).collect();
+        for m in touched {
+            *self.versions.entry(m.to_string()).or_default() += 1;
+        }
+        self.results.extend(results);
+    }
+
+    fn write_batch(&mut self, points: Vec<Point>) -> u64 {
+        let out = self.db.write_batch(points.clone()).unwrap();
+        assert_eq!(
+            out.accepted,
+            out.results.iter().filter(|r| r.is_ok()).count()
+        );
+        self.note(&points, out.results.iter().map(Result::is_ok).collect());
+        out.commit_ns
+    }
+
+    fn apply_remote(&mut self, point: Point) {
+        let ok = self.db.apply_remote(point.clone()).is_ok();
+        self.note(&[point], vec![ok]);
+    }
+
+    fn matches(&self, model: &RowModel, expected: &[bool], what: &str) {
+        assert_eq!(
+            self.results, expected,
+            "{what}: per-point outcomes diverged"
+        );
+        assert_eq!(
+            self.db.stats(),
+            model.ledger,
+            "{what}: IngestStats ledger diverged (Table III surface)"
+        );
+        assert_eq!(
+            cells(|f| self.db.for_each_cell(f)),
+            cells(|f| model.storage.for_each_cell(f)),
+            "{what}: stored cells diverged"
+        );
+        assert_eq!(
+            rendered_points(&drain(&self.rx)),
+            rendered_points(&model.published),
+            "{what}: subscription stream diverged"
+        );
+        for m in MEASUREMENTS {
+            let want = self.versions.get(m).copied().unwrap_or(0);
             assert_eq!(
-                outcome(batch_db.query_with_mode(&q, mode)),
-                outcome(row_db.query_with_mode(&q, mode)),
-                "query diverged in {mode:?}: {text}"
+                self.db.write_version(m),
+                want,
+                "{what}: write version of {m}"
             );
         }
+        for text in QUERIES {
+            let q = Query::parse(text).unwrap();
+            for mode in [ExecMode::Sequential, ExecMode::Parallel(4)] {
+                let want = exec::run(&model.storage, &q, mode).map(|(result, _)| result);
+                assert_eq!(
+                    outcome(self.db.query_with_mode(&q, mode)),
+                    outcome(want),
+                    "{what}: query diverged in {mode:?}: {text}"
+                );
+            }
+        }
+    }
+}
+
+fn check_case(stream: &[PointCode], chunks: &[u8], limited: bool) {
+    let mut model = RowModel {
+        limited,
+        ..RowModel::default()
+    };
+    let expected: Vec<bool> = stream
+        .iter()
+        .map(|code| model.write(point_of(code), origin_of(code)))
+        .collect();
+
+    // Client runs under random chunk boundaries, chunks of one included;
+    // a remote point ends the run it interrupts.
+    let mut chunked = Subject::new(Database::new("chunked"), limited);
+    let mut chunk_sizes = chunks.iter().cycle();
+    let mut rest = stream;
+    while let Some(first) = rest.first() {
+        if origin_of(first) == Origin::Remote {
+            chunked.apply_remote(point_of(first));
+            rest = &rest[1..];
+            continue;
+        }
+        let take = (*chunk_sizes.next().unwrap() as usize % 7) + 1;
+        let run = rest.iter().take(take);
+        let run = run.take_while(|code| origin_of(code) == Origin::Client);
+        let chunk: Vec<Point> = run.map(point_of).collect();
+        rest = &rest[chunk.len()..];
+        chunked.write_batch(chunk);
+    }
+    chunked.matches(&model, &expected, "chunked");
+
+    // n single writes against n batches of one, on durable databases.
+    let (mut single, single_reg) = Subject::durable("wal", limited);
+    let (mut ones, ones_reg) = Subject::durable("wal", limited);
+    const START_NS: u64 = 7;
+    for code in stream {
+        let (point, origin) = (point_of(code), origin_of(code));
+        let charged = modeled_ns(point.field_count() as u64);
+        let (res, end_ns) = single
+            .db
+            .write(point.clone(), origin, &Span::none(), START_NS);
+        single.note(std::slice::from_ref(&point), vec![res.is_ok()]);
+        if origin == Origin::Remote {
+            ones.apply_remote(point);
+            continue;
+        }
+        let commit_ns = ones.write_batch(vec![point]);
+        let want = match res {
+            Ok(()) => START_NS + commit_ns + charged,
+            Err(_) => START_NS,
+        };
+        assert_eq!(end_ns, want, "modeled end of a single write");
+    }
+    single.matches(&model, &expected, "single");
+    ones.matches(&model, &expected, "ones");
+    let wal = |s: &Subject| s.db.store().unwrap().wal_size().unwrap();
+    assert_eq!(wal(&single), wal(&ones), "WAL bytes");
+    let stored = expected.iter().filter(|ok| **ok).count() as u64;
+    for reg in [single_reg, ones_reg] {
+        let commits = reg.snapshot().counter("wal.commits", &[("db", "wal")]);
+        assert_eq!(commits, Some(stored), "one WAL frame a stored point");
     }
 }
 
@@ -233,6 +425,25 @@ fn limiter_rejections_match_row_path() {
     // Later window: retries land cleanly.
     stream.extend((0..4).map(|i| ((0, 0, 100 + i, 0), (700 + i as u32, 1000, 1))));
     check_case(&stream, &[6, 2, 9], true);
+}
+
+/// Deterministic pin: a replicated point in a full limiter window is
+/// stored, published and version-bumped, and neither the ledger nor the
+/// window of the client points around it notices.
+#[test]
+fn remote_points_bypass_admission_between_client_points() {
+    let client = |ts, code| ((0, 0, ts, 0), (code, 100, 1));
+    let remote = |ts, code| ((1, 2, ts, 0), (code, 1000, 16));
+    let stream: Vec<PointCode> = vec![
+        client(1, 100),
+        client(2, 101),
+        client(3, 102), // fills the window: 6 values
+        remote(4, 103),
+        client(5, 104),                // rejected
+        ((1, 2, 6, 0), (0, 1000, 19)), // remote, no fields: refused, offered nowhere
+        client(17, 105),               // next window
+    ];
+    check_case(&stream, &[3, 1, 5], true);
 }
 
 /// An empty batch is a no-op with a well-formed outcome.
