@@ -15,7 +15,7 @@ use pmove_hwsim::{ExecModel, Machine};
 use pmove_kernels::StreamKernel;
 use pmove_pcp::pmda_perfevent::PerfEventAgent;
 use pmove_pcp::{Pmcd, SamplingConfig, SamplingLoop, Shipper};
-use pmove_tsdb::Database;
+use pmove_tsdb::{Database, Query};
 
 /// Elements per kernel run (large enough that runs span multiple sampling
 /// windows even at low frequency).
@@ -84,9 +84,9 @@ pub fn measure(machine_key: &str, freq: f64, kernel: StreamKernel) -> ErrCell {
 
     let total = |event: &str| -> f64 {
         let m = format!("perfevent_hwcounters_{}", event.replace([':', '.'], "_"));
-        db.query(&format!("SELECT * FROM \"{m}\" WHERE tag='{tag}'"))
-            .map(|r| r.total())
-            .unwrap_or(0.0)
+        let q = Query::parse(&format!("SELECT * FROM \"{m}\" WHERE tag='{tag}'"));
+        q.and_then(|q| db.query_frame(&q))
+            .map_or(0.0, |f| f.total())
     };
     let flops_meas = total(flop_ev);
     let bytes_meas = (total(load_ev) + total(store_ev)) * 8.0;

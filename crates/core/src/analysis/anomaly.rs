@@ -6,7 +6,9 @@
 //! summary statistics deviate from the level's distribution — the classic
 //! "one slow thread / one hot socket" detector.
 
-use pmove_tsdb::Database;
+use pmove_tsdb::aggregate::AggregateFn;
+use pmove_tsdb::query::Projection;
+use pmove_tsdb::{Database, Query};
 
 /// One flagged component series.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,21 +37,23 @@ pub fn anomaly_scan(
     if fields.len() < 3 {
         return Vec::new(); // too few peers to compare
     }
-    let where_clause = tag
-        .map(|(k, v)| format!(" WHERE {k}='{v}'"))
-        .unwrap_or_default();
-    let mut means = Vec::with_capacity(fields.len());
-    for f in &fields {
-        let q = format!("SELECT mean(\"{f}\") FROM \"{measurement}\"{where_clause}");
-        let Ok(r) = db.query(&q) else { continue };
-        let v = r
-            .rows
-            .first()
-            .and_then(|row| row.values.values().next().copied().flatten());
-        if let Some(v) = v {
-            means.push((f.clone(), v));
-        }
-    }
+    // One whole-range query, one mean per field.
+    let mean = |f: &String| Projection::Aggregate(AggregateFn::Mean, f.clone());
+    let Ok(frame) = db.query_frame(&Query {
+        projections: fields.iter().map(mean).collect(),
+        measurement: measurement.to_string(),
+        tag_filters: tag.map(|(k, v)| (k.into(), v.into())).into_iter().collect(),
+        time_start: None,
+        time_end: None,
+        group_by_time: None,
+    }) else {
+        return Vec::new();
+    };
+    let means: Vec<(String, f64)> = fields
+        .into_iter()
+        .zip(&frame.cols)
+        .filter_map(|(f, col)| Some((f, (*col.first()?)?)))
+        .collect();
     if means.len() < 3 {
         return Vec::new();
     }

@@ -10,7 +10,7 @@ use crate::analysis::anomaly::Anomaly;
 use crate::kb::views;
 use crate::kb::KnowledgeBase;
 use pmove_jsonld::Dtmi;
-use pmove_tsdb::Database;
+use pmove_tsdb::{Database, Query};
 
 /// One step of a root-cause trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,14 +50,9 @@ pub fn trace_anomaly(kb: &KnowledgeBase, ts: &Database, anomaly: &Anomaly) -> Ve
             for t in iface.telemetry() {
                 let field = t.field_name.clone().unwrap_or_else(|| "value".into());
                 let q = format!("SELECT mean(\"{field}\") FROM \"{}\"", t.db_name);
-                if let Ok(r) = ts.query(&q) {
-                    let v = r
-                        .rows
-                        .first()
-                        .and_then(|row| row.values.values().next().copied().flatten());
-                    if let Some(v) = v {
-                        stats.push((t.db_name.clone(), field.clone(), v));
-                    }
+                let frame = Query::parse(&q).and_then(|q| ts.query_frame(&q));
+                if let Some(v) = frame.ok().and_then(|f| *f.cols[0].first()?) {
+                    stats.push((t.db_name.clone(), field.clone(), v));
                 }
             }
             TraceStep {

@@ -131,39 +131,29 @@ impl<'a> LiveCarm<'a> {
         let mut buckets: BTreeMap<i64, BTreeMap<String, f64>> = BTreeMap::new();
         for event in &events {
             let measurement = format!("perfevent_hwcounters_{}", event.replace([':', '.'], "_"));
-            // Discover the fields, then aggregate each with a per-bucket
-            // sum and add the fields together. Structured queries go
-            // straight to the planner (and share the engine's result
-            // cache) instead of round-tripping through the parser.
-            let discover = Query {
-                projections: vec![Projection::Wildcard],
-                measurement: measurement.clone(),
+            // One per-bucket sum per field of the event, the fields added
+            // together in field order. A structured query goes straight to
+            // the planner (and shares the engine's result cache) instead
+            // of round-tripping through the parser.
+            let sum = |f| Projection::Aggregate(AggregateFn::Sum, f);
+            let Ok(frame) = ts.query_frame(&Query {
+                projections: ts.field_keys(&measurement).into_iter().map(sum).collect(),
+                measurement,
                 tag_filters: tag_filters.clone(),
                 time_start: None,
                 time_end: None,
-                group_by_time: None,
-            };
-            let Ok(fields) = ts.query_parsed(&discover).map(|r| r.columns) else {
+                group_by_time: Some(bucket_ns),
+            }) else {
                 continue;
             };
-            for field in fields {
-                let q = Query {
-                    projections: vec![Projection::Aggregate(AggregateFn::Sum, field.clone())],
-                    measurement: measurement.clone(),
-                    tag_filters: tag_filters.clone(),
-                    time_start: None,
-                    time_end: None,
-                    group_by_time: Some(bucket_ns),
-                };
-                if let Ok(r) = ts.query_parsed(&q) {
-                    for row in r.rows {
-                        if let Some(Some(v)) = row.values.values().next() {
-                            *buckets
-                                .entry(row.timestamp)
-                                .or_default()
-                                .entry(event.clone())
-                                .or_insert(0.0) += v;
-                        }
+            for col in &frame.cols {
+                for (&ts, v) in frame.ts.iter().zip(col) {
+                    if let Some(v) = v {
+                        *buckets
+                            .entry(ts)
+                            .or_default()
+                            .entry(event.clone())
+                            .or_insert(0.0) += v;
                     }
                 }
             }

@@ -17,7 +17,7 @@ fn targets_for(kb: &KnowledgeBase, interfaces: &[&Interface]) -> Vec<(String, Ve
             let targets = if fields.is_empty() {
                 vec![Target {
                     datasource: Datasource::influx(&kb.db.influx_uid),
-                    measurement: measurement.clone(),
+                    measurement: measurement.to_string(),
                     params: "value".into(),
                 }]
             } else {
@@ -25,12 +25,12 @@ fn targets_for(kb: &KnowledgeBase, interfaces: &[&Interface]) -> Vec<(String, Ve
                     .into_iter()
                     .map(|f| Target {
                         datasource: Datasource::influx(&kb.db.influx_uid),
-                        measurement: measurement.clone(),
-                        params: f,
+                        measurement: measurement.to_string(),
+                        params: f.to_string(),
                     })
                     .collect()
             };
-            (measurement, targets)
+            (measurement.to_string(), targets)
         })
         .collect()
 }

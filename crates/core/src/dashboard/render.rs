@@ -1,12 +1,14 @@
 //! Text rendering of dashboards: the Grafana stand-in's display path.
 //!
-//! Each panel queries the time-series database for its targets and renders
-//! an ASCII sparkline per series — enough for the examples to *show* live
+//! Each panel asks the time-series database for its targets — one
+//! multi-field query per measurement — and renders an ASCII sparkline per
+//! column of the answer: enough for the examples to *show* live
 //! dashboards in a terminal.
 
-use crate::dashboard::model::{Dashboard, Panel};
+use crate::dashboard::model::{Dashboard, Panel, Target};
 use pmove_tsdb::query::Projection;
 use pmove_tsdb::{Database, Query};
+use std::fmt::Write as _;
 
 const SPARK: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
 
@@ -39,43 +41,46 @@ pub fn sparkline(values: &[f64], width: usize) -> String {
 }
 
 /// Render one panel against the database. `tag` optionally filters by an
-/// observation id.
+/// observation id. Each run of targets on one measurement — every
+/// generated panel is one run — is a single multi-field query, and each
+/// target reads its own column of the answer.
 pub fn render_panel(db: &Database, panel: &Panel, tag: Option<&str>, width: usize) -> String {
     let mut out = format!("── {} ──\n", panel.title);
-    for t in &panel.targets {
-        // Structured query (no parser round-trip): every target renders
+    let mut series: Vec<f64> = Vec::new();
+    let same_measurement = |a: &Target, b: &Target| a.measurement == b.measurement;
+    for run in panel.targets.chunk_by(same_measurement) {
+        // Structured query (no parser round-trip): the panel renders
         // through the same normalized cache key the engine uses.
-        let q = Query {
-            projections: vec![Projection::Field(t.params.clone())],
-            measurement: t.measurement.clone(),
+        let frame = db.query_frame(&Query {
+            projections: run
+                .iter()
+                .map(|t| Projection::Field(t.params.clone()))
+                .collect(),
+            measurement: run[0].measurement.clone(),
             tag_filters: tag
                 .map(|v| vec![("tag".to_string(), v.to_string())])
                 .unwrap_or_default(),
             time_start: None,
             time_end: None,
             group_by_time: None,
-        };
-        match db.query_parsed(&q) {
-            Ok(r) => {
-                let series: Vec<f64> = r
-                    .column_series(&t.params)
-                    .into_iter()
-                    .map(|(_, v)| v)
-                    .collect();
-                if series.is_empty() {
-                    out.push_str(&format!("  {:<10} (no data)\n", t.params));
-                } else {
-                    let last = series.last().copied().unwrap_or(0.0);
-                    out.push_str(&format!(
-                        "  {:<10} {} last={:.3e} n={}\n",
-                        t.params,
-                        sparkline(&series, width),
-                        last,
-                        series.len()
-                    ));
-                }
-            }
-            Err(_) => out.push_str(&format!("  {:<10} (no measurement)\n", t.params)),
+        });
+        for (at, t) in run.iter().enumerate() {
+            let Ok(frame) = &frame else {
+                let _ = writeln!(out, "  {:<10} (no measurement)", t.params);
+                continue;
+            };
+            series.clear();
+            series.extend(frame.cols[at].iter().flatten());
+            let _ = match series.last() {
+                None => writeln!(out, "  {:<10} (no data)", t.params),
+                Some(last) => writeln!(
+                    out,
+                    "  {:<10} {} last={last:.3e} n={}",
+                    t.params,
+                    sparkline(&series, width),
+                    series.len()
+                ),
+            };
         }
     }
     out
@@ -93,7 +98,7 @@ pub fn render_dashboard(db: &Database, dashboard: &Dashboard, tag: Option<&str>)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dashboard::model::{Dashboard, Datasource, Target};
+    use crate::dashboard::model::{Dashboard, Datasource};
     use pmove_tsdb::Point;
 
     fn db_with_series() -> Database {
@@ -151,5 +156,94 @@ mod tests {
         let db = db_with_series();
         let out = render_dashboard(&db, &dashboard(), Some("other-tag"));
         assert!(out.contains("no data"));
+    }
+
+    /// One query per target through the row edge, as `render_panel` did
+    /// before a panel became one query: the model of its output.
+    fn per_target_model(db: &Database, panel: &Panel, tag: Option<&str>, width: usize) -> String {
+        let mut out = format!("── {} ──\n", panel.title);
+        let filter = tag.map(|v| format!(" WHERE tag='{v}'"));
+        for t in &panel.targets {
+            let q = format!("SELECT \"{}\" FROM \"{}\"", t.params, t.measurement);
+            let Ok(r) = db.query(&(q + filter.as_deref().unwrap_or(""))) else {
+                out.push_str(&format!("  {:<10} (no measurement)\n", t.params));
+                continue;
+            };
+            let series: Vec<f64> = r.rows.iter().filter_map(|r| r.values[&t.params]).collect();
+            match series.last() {
+                None => out.push_str(&format!("  {:<10} (no data)\n", t.params)),
+                Some(last) => out.push_str(&format!(
+                    "  {:<10} {} last={:.3e} n={}\n",
+                    t.params,
+                    sparkline(&series, width),
+                    last,
+                    series.len()
+                )),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn a_panel_is_one_query_per_run_and_prints_what_per_target_queries_did() {
+        let db = db_with_series();
+        for t in 0..3 {
+            let p = Point::new("m").tag("tag", "o2").field("_cpu1", t as f64);
+            db.write_point(p.timestamp(100 + t)).unwrap();
+            let p = Point::new("k")
+                .tag("tag", "o1")
+                .field("value", 7.5 - t as f64);
+            db.write_point(p.timestamp(t)).unwrap();
+        }
+        let target = |measurement: &str, params: &str| Target {
+            datasource: Datasource::influx("u"),
+            measurement: measurement.into(),
+            params: params.into(),
+        };
+        // Two measurements interleaved, a field targeted twice, a field the
+        // measurement never saw beside a measurement that does not exist,
+        // a field only another tag has.
+        let d = Dashboard::new(1, "mixed").panel(
+            "mixed",
+            vec![
+                target("m", "_cpu0"),
+                target("k", "value"),
+                target("m", "_cpu0"),
+                target("m", "nosuch"),
+                target("ghost", "x"),
+                target("m", "_cpu1"),
+            ],
+        );
+        let panel = &d.panels[0];
+        for tag in [None, Some("o1"), Some("o2"), Some("nobody")] {
+            let got = render_panel(&db, panel, tag, 12);
+            assert_eq!(got, per_target_model(&db, panel, tag, 12), "tag {tag:?}");
+            // Served from the cache, the same text again.
+            assert_eq!(got, render_panel(&db, panel, tag, 12), "tag {tag:?}");
+        }
+        let lines: Vec<String> = render_panel(&db, panel, Some("o1"), 12)
+            .lines()
+            .map(|l| l.split_whitespace().last().unwrap().to_string())
+            .collect();
+        assert_eq!(lines.join(" "), "── n=20 n=3 n=20 data) measurement) data)");
+
+        // Runs [m] [k] [m m] [ghost] [m]: four answers cached, the error not.
+        db.set_query_cache_capacity(0);
+        db.set_query_cache_capacity(64);
+        render_panel(&db, panel, None, 12);
+        assert_eq!(db.query_cache_len(), 4);
+        // A generated panel — one measurement — is one query.
+        let generated = Dashboard::new(2, "m").panel(
+            "m",
+            vec![
+                target("m", "_cpu0"),
+                target("m", "_cpu1"),
+                target("m", "_cpu0"),
+            ],
+        );
+        db.set_query_cache_capacity(0);
+        db.set_query_cache_capacity(64);
+        render_panel(&db, &generated.panels[0], None, 12);
+        assert_eq!(db.query_cache_len(), 1);
     }
 }

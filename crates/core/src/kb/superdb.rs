@@ -13,7 +13,7 @@ use crate::kb::observation::{AggObservation, ObservationInterface};
 use crate::kb::{store, KnowledgeBase};
 use pmove_docdb::Database as DocDb;
 use pmove_tsdb::aggregate::Summary;
-use pmove_tsdb::{Database as TsDb, Point};
+use pmove_tsdb::{Database as TsDb, Point, Query};
 use serde_json::json;
 
 /// The global database pair.
@@ -222,9 +222,8 @@ impl SuperDb {
         measurement: &str,
         field: &str,
     ) -> Result<Vec<(i64, f64)>, PmoveError> {
-        let q = format!("SELECT \"{field}\" FROM \"{measurement}\"");
-        let r = self.ts.query(&q)?;
-        Ok(r.column_series(field))
+        let q = Query::parse(&format!("SELECT \"{field}\" FROM \"{measurement}\""))?;
+        Ok(self.ts.query_frame(&q)?.column_series(field))
     }
 }
 

@@ -9,6 +9,7 @@
 
 use crate::kb::KnowledgeBase;
 use pmove_jsonld::{Dtmi, Interface};
+use std::collections::{BTreeMap, HashSet};
 
 /// Focus view: the component itself.
 pub fn focus<'a>(kb: &'a KnowledgeBase, id: &Dtmi) -> Option<&'a Interface> {
@@ -30,13 +31,12 @@ pub fn focus_path<'a>(kb: &'a KnowledgeBase, id: &Dtmi) -> Vec<&'a Interface> {
 /// Subtree view: pre-order traversal from a component to all its leaves.
 pub fn subtree<'a>(kb: &'a KnowledgeBase, id: &Dtmi) -> Vec<&'a Interface> {
     let mut out = Vec::new();
-    let mut stack = vec![id.clone()];
+    // Ids are walked by reference, the KB's own.
+    let mut stack: Vec<&'a Dtmi> = kb.get(id).map(|root| &root.id).into_iter().collect();
     while let Some(cur) = stack.pop() {
-        if let Some(iface) = kb.get(&cur) {
+        if let Some(iface) = kb.get(cur) {
             out.push(iface);
-            for child in kb.children_of(&cur).iter().rev() {
-                stack.push(child.clone());
-            }
+            stack.extend(kb.children_of(cur).iter().rev());
         }
     }
     out
@@ -48,21 +48,23 @@ pub fn level<'a>(kb: &'a KnowledgeBase, component_type: &str) -> Vec<&'a Interfa
 }
 
 /// All telemetry DB measurements visible from a set of interfaces —
-/// the metric selection step of automatic dashboard generation.
-pub fn telemetry_measurements(interfaces: &[&Interface]) -> Vec<(String, Vec<String>)> {
-    use std::collections::BTreeMap;
-    let mut by_db: BTreeMap<String, Vec<String>> = BTreeMap::new();
+/// the metric selection step of automatic dashboard generation:
+/// measurements in name order, each with its fields in first-seen order.
+pub fn telemetry_measurements<'a>(interfaces: &[&'a Interface]) -> Vec<(&'a str, Vec<&'a str>)> {
+    // Per measurement, the ordered fields beside the set of those seen.
+    let mut by_db: BTreeMap<&str, (Vec<&str>, HashSet<&str>)> = BTreeMap::new();
     for iface in interfaces {
         for t in iface.telemetry() {
-            let fields = by_db.entry(t.db_name.clone()).or_default();
-            if let Some(f) = &t.field_name {
-                if !fields.contains(f) {
-                    fields.push(f.clone());
+            let (fields, seen) = by_db.entry(&t.db_name).or_default();
+            if let Some(f) = t.field_name.as_deref() {
+                if seen.insert(f) {
+                    fields.push(f);
                 }
             }
         }
     }
-    by_db.into_iter().collect()
+    let ordered = by_db.into_iter();
+    ordered.map(|(db, (fields, _))| (db, fields)).collect()
 }
 
 #[cfg(test)]
@@ -117,13 +119,60 @@ mod tests {
         // Per-cpu idle measurement present, with one field per thread.
         let idle = ms
             .iter()
-            .find(|(db, _)| db == "kernel_percpu_cpu_idle")
+            .find(|(db, _)| *db == "kernel_percpu_cpu_idle")
             .expect("idle metric");
         assert_eq!(idle.1.len(), 16);
         // HW counters too.
         assert!(ms
             .iter()
             .any(|(db, _)| db.starts_with("perfevent_hwcounters_")));
+    }
+
+    /// `subtree` and `telemetry_measurements` as they were when they
+    /// cloned every id and name: the order model.
+    fn owned_model(kb: &KnowledgeBase, id: &Dtmi) -> (Vec<Dtmi>, Vec<(String, Vec<String>)>) {
+        let mut out = Vec::new();
+        let mut stack = vec![id.clone()];
+        while let Some(cur) = stack.pop() {
+            if let Some(iface) = kb.get(&cur) {
+                out.push(iface);
+                for child in kb.children_of(&cur).iter().rev() {
+                    stack.push(child.clone());
+                }
+            }
+        }
+        let mut by_db: BTreeMap<String, Vec<String>> = BTreeMap::new();
+        for iface in &out {
+            for t in iface.telemetry() {
+                let fields = by_db.entry(t.db_name.clone()).or_default();
+                if let Some(f) = &t.field_name {
+                    if !fields.contains(f) {
+                        fields.push(f.clone());
+                    }
+                }
+            }
+        }
+        let ids = out.iter().map(|i| i.id.clone()).collect();
+        (ids, by_db.into_iter().collect())
+    }
+
+    #[test]
+    fn borrowed_views_keep_the_owned_order() {
+        for preset in ["skx", "icl"] {
+            let kb = build_kb(&ProbeReport::collect(&Machine::preset(preset).unwrap())).unwrap();
+            // Every subtree of the KB, the whole tree included.
+            for root in &kb.interfaces {
+                let (ids, measurements) = owned_model(&kb, &root.id);
+                let sub = subtree(&kb, &root.id);
+                let got: Vec<Dtmi> = sub.iter().map(|i| i.id.clone()).collect();
+                assert_eq!(got, ids, "{preset}: subtree of {}", root.display_name);
+                let got: Vec<(String, Vec<String>)> = telemetry_measurements(&sub)
+                    .into_iter()
+                    .map(|(db, fields)| (db.into(), fields.into_iter().map(Into::into).collect()))
+                    .collect();
+                assert_eq!(got, measurements, "{preset}: {}", root.display_name);
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::kb::superdb::SuperDb;
 use crate::telemetry::daemon::PMoveDaemon;
 use pmove_obs::Registry;
 use pmove_pcp::SamplingReport;
-use pmove_tsdb::RetentionPolicy;
+use pmove_tsdb::{Query, RetentionPolicy};
 use std::sync::Arc;
 
 /// Liveness view of one cluster node, as the supervisor sees it.
@@ -215,16 +215,10 @@ impl Cluster {
         self.nodes
             .iter()
             .map(|d| {
-                let mean =
-                    d.ts.query("SELECT mean(\"value\") FROM \"kernel_all_load\"")
-                        .ok()
-                        .and_then(|r| {
-                            r.rows
-                                .first()
-                                .and_then(|row| row.values.values().next().copied().flatten())
-                        })
-                        .unwrap_or(0.0);
-                (d.kb.machine_key.clone(), mean)
+                let q = Query::parse("SELECT mean(\"value\") FROM \"kernel_all_load\"");
+                let frame = q.and_then(|q| d.ts.query_frame(&q));
+                let mean = frame.ok().and_then(|f| *f.cols[0].first()?);
+                (d.kb.machine_key.clone(), mean.unwrap_or(0.0))
             })
             .collect()
     }

@@ -24,6 +24,7 @@ use pmove_obs::{
 };
 use pmove_pcp::{ResilienceConfig, SamplingReport};
 use pmove_serve::{QueryServer, ServeReport, ServeRequest, ServingConfig};
+use pmove_tsdb::query::{Projection, Query};
 use pmove_tsdb::repl::{RepairReport, ReplConfig, ReplicaSet};
 use std::sync::Arc;
 
@@ -1121,18 +1122,17 @@ impl PMoveDaemon {
             .ok_or_else(|| PmoveError::NotInKb(format!("observation {obs_id}")))?;
         let mut series: Vec<(String, String, Vec<f64>)> = Vec::new();
         for m in &obs.metrics {
-            for field in &m.fields {
-                let q = format!(
-                    "SELECT \"{field}\" FROM \"{}\" WHERE tag='{obs_id}'",
-                    m.db_name
-                );
-                let values: Vec<f64> = self
-                    .ts
-                    .query(&q)?
-                    .column_series(field)
-                    .into_iter()
-                    .map(|(_, v)| v)
-                    .collect();
+            let fields = m.fields.iter().cloned().map(Projection::Field);
+            let frame = self.ts.query_frame(&Query {
+                projections: fields.collect(),
+                measurement: m.db_name.clone(),
+                tag_filters: vec![("tag".into(), obs_id.into())],
+                time_start: None,
+                time_end: None,
+                group_by_time: None,
+            })?;
+            for (field, col) in m.fields.iter().zip(&frame.cols) {
+                let values = col.iter().flatten().copied().collect();
                 series.push((m.db_name.clone(), field.clone(), values));
             }
         }

@@ -18,7 +18,7 @@ use pmove_hwsim::pmu::Domain;
 use pmove_hwsim::{ExecModel, Execution, KernelProfile, Machine};
 use pmove_pcp::pmda_perfevent::PerfEventAgent;
 use pmove_pcp::{Pmcd, SamplingConfig, SamplingLoop, Shipper};
-use pmove_tsdb::Database;
+use pmove_tsdb::{Database, Query};
 use serde_json::json;
 
 /// A Scenario-B request: what to run and what to measure.
@@ -251,7 +251,8 @@ pub fn recall_generic_total(
     formula.eval(|hw_event| {
         let measurement = format!("perfevent_hwcounters_{}", hw_event.replace([':', '.'], "_"));
         let q = format!("SELECT * FROM \"{measurement}\" WHERE tag='{obs_id}'");
-        ts.query(&q).ok().map(|r| r.total())
+        let frame = Query::parse(&q).and_then(|q| ts.query_frame(&q));
+        frame.ok().map(|f| f.total())
     })
 }
 
@@ -430,7 +431,7 @@ mod tests {
             "SELECT \"_proc_triad\" FROM \"proc_psinfo_utime\" WHERE tag='{}'",
             obs.id
         );
-        let total = ts.query(&q).unwrap().total();
+        let total = ts.query_frame(&Query::parse(&q).unwrap()).unwrap().total();
         let expect = 4.0 * 0.97 * obs.duration_s();
         assert!(
             (total - expect).abs() / expect < 0.35,

@@ -302,14 +302,14 @@ impl<'a> ReplShipper<'a> {
     }
 
     /// R-quorum read routed through the coordinator's reachability view,
-    /// returning the shared result plus the chosen replica's cache verdict
+    /// returning the shared frame plus the chosen replica's cache verdict
     /// — the serving front-end's entry point when it fronts a replicated
     /// store.
     pub fn quorum_read_cached(
         &self,
         q: &Query,
         mode: ExecMode,
-    ) -> Result<(std::sync::Arc<pmove_tsdb::QueryResult>, bool), TsdbError> {
+    ) -> Result<(std::sync::Arc<pmove_tsdb::Frame>, bool), TsdbError> {
         self.set.quorum_read_cached(q, &self.reachable(), mode)
     }
 
@@ -685,9 +685,9 @@ impl pmove_serve::QueryBackend for &ReplShipper<'_> {
     /// [`pmove_serve::QueryServer`] front the replicated store with the
     /// same failure semantics the shipper itself sees.
     fn execute(&self, q: &Query) -> Result<pmove_serve::BackendExec, TsdbError> {
-        let (result, cache_hit) = self.quorum_read_cached(q, ExecMode::default())?;
+        let (frame, cache_hit) = self.quorum_read_cached(q, ExecMode::default())?;
         Ok(pmove_serve::BackendExec {
-            rows: result.rows.len() as u64,
+            rows: frame.len() as u64,
             cache_hit,
         })
     }

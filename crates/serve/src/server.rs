@@ -53,9 +53,9 @@ pub trait QueryBackend {
 
 impl QueryBackend for &Database {
     fn execute(&self, q: &Query) -> Result<BackendExec, TsdbError> {
-        let (result, cache_hit) = self.query_arc_cached(q, ExecMode::default())?;
+        let (frame, cache_hit) = self.query_arc_cached(q, ExecMode::default())?;
         Ok(BackendExec {
-            rows: result.rows.len() as u64,
+            rows: frame.len() as u64,
             cache_hit,
         })
     }
@@ -66,9 +66,9 @@ impl QueryBackend for &ReplicaSet {
     /// result cache provides the hit verdict.
     fn execute(&self, q: &Query) -> Result<BackendExec, TsdbError> {
         let reachable = vec![true; self.len()];
-        let (result, cache_hit) = self.quorum_read_cached(q, &reachable, ExecMode::default())?;
+        let (frame, cache_hit) = self.quorum_read_cached(q, &reachable, ExecMode::default())?;
         Ok(BackendExec {
-            rows: result.rows.len() as u64,
+            rows: frame.len() as u64,
             cache_hit,
         })
     }

@@ -11,7 +11,7 @@
 //! write landing mid-execution makes the entry stale on its next lookup
 //! even if the query already saw the new data.
 
-use crate::query::QueryResult;
+use crate::query::Frame;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -21,7 +21,7 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 64;
 /// Outcome of a cache lookup.
 pub enum CacheLookup {
     /// Fresh entry; the shared result.
-    Hit(Arc<QueryResult>),
+    Hit(Arc<Frame>),
     /// An entry existed but its measurement has been written since; it has
     /// been dropped.
     Stale,
@@ -33,7 +33,7 @@ pub enum CacheLookup {
 struct CacheEntry {
     version: u64,
     last_used: u64,
-    result: Arc<QueryResult>,
+    result: Arc<Frame>,
 }
 
 /// The cache. LRU over a monotone access tick; capacity 0 disables it.
@@ -100,7 +100,7 @@ impl QueryCache {
 
     /// Insert a result observed at `version`; returns how many entries
     /// were evicted to make room (0 or 1 in steady state).
-    pub fn insert(&mut self, key: String, version: u64, result: Arc<QueryResult>) -> usize {
+    pub fn insert(&mut self, key: String, version: u64, result: Arc<Frame>) -> usize {
         if self.capacity == 0 {
             return 0;
         }
@@ -150,10 +150,10 @@ impl Default for QueryCache {
 mod tests {
     use super::*;
 
-    fn result(n: usize) -> Arc<QueryResult> {
-        Arc::new(QueryResult {
+    fn result(n: usize) -> Arc<Frame> {
+        Arc::new(Frame {
             columns: vec![format!("c{n}")],
-            rows: Vec::new(),
+            ..Frame::default()
         })
     }
 

@@ -15,7 +15,7 @@ use crate::error::TsdbError;
 use crate::exec::{self, ExecMode, ExecStats};
 use crate::line_protocol::{parse_series_key, render_series_key};
 use crate::point::Point;
-use crate::query::{Query, QueryResult};
+use crate::query::{Frame, Query, QueryResult};
 use crate::retention::RetentionPolicy;
 use crate::rollup::{RollupAudit, RollupConfig, RollupStore, RollupTickReport};
 use crate::series::SeriesKey;
@@ -851,20 +851,27 @@ impl Database {
 
     /// Run a pre-parsed query in an explicit execution mode.
     pub fn query_with_mode(&self, q: &Query, mode: ExecMode) -> Result<QueryResult, TsdbError> {
-        let (result, _) = self.query_arc_cached(q, mode)?;
-        // The rows are copied only when the cache kept a reference.
-        Ok(Arc::try_unwrap(result).unwrap_or_else(|shared| (*shared).clone()))
+        let (frame, _) = self.query_arc_cached(q, mode)?;
+        Ok(frame.into_rows())
     }
 
-    /// Like [`Database::query_with_mode`] but returns the shared result
-    /// (no row copy on cache hits) plus whether the result cache served
-    /// the rows. The serving layer uses the flag for per-tenant hit/miss
+    /// Run a pre-parsed query in the database's current execution mode
+    /// and return its columns, shared with the result cache: what
+    /// in-tree readers call.
+    pub fn query_frame(&self, q: &Query) -> Result<Arc<Frame>, TsdbError> {
+        let (frame, _) = self.query_arc_cached(q, *self.exec_mode.lock())?;
+        Ok(frame)
+    }
+
+    /// Like [`Database::query_with_mode`] but returns the shared frame
+    /// (nothing copied on cache hits) plus whether the result cache
+    /// served it. The serving layer uses the flag for per-tenant hit/miss
     /// accounting without double-running the query.
     pub fn query_arc_cached(
         &self,
         q: &Query,
         mode: ExecMode,
-    ) -> Result<(Arc<QueryResult>, bool), TsdbError> {
+    ) -> Result<(Arc<Frame>, bool), TsdbError> {
         // Capture the measurement's write version BEFORE executing: if a
         // write lands mid-query the entry is recorded under the older
         // version and fails validation on its next lookup — conservative,
@@ -874,7 +881,7 @@ impl Database {
             let version = self.write_version(&q.measurement);
             let key = q.normalized();
             if let Some(hit) = self.cache_lookup(&key, version) {
-                self.record_query_served(hit.rows.len() as u64);
+                self.record_query_served(hit.len() as u64);
                 return Ok((hit, true));
             }
             (Some(key), version)
@@ -886,13 +893,13 @@ impl Database {
             // Lock order: storage before rollups, matching every writer.
             let storage = self.storage.read();
             let rollups = self.rollups.read();
-            exec::run_with_rollups(&storage, q, mode, rollups.as_ref())
+            exec::run_frame(&storage, q, mode, rollups.as_ref())
         };
         if let Some(o) = &self.obs {
             o.query_executions.inc();
         }
         let (result, stats) = run.inspect_err(|_| self.record_query_served(0))?;
-        self.record_query_served(result.rows.len() as u64);
+        self.record_query_served(result.len() as u64);
         self.record_exec_stats(&stats);
         let result = Arc::new(result);
         if let Some(key) = cache_key {
@@ -928,7 +935,7 @@ impl Database {
         }
     }
 
-    fn cache_lookup(&self, key: &str, version: u64) -> Option<Arc<QueryResult>> {
+    fn cache_lookup(&self, key: &str, version: u64) -> Option<Arc<Frame>> {
         let lookup = self.cache.lock().get(key, version);
         match lookup {
             CacheLookup::Hit(r) => {

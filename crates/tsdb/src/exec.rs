@@ -5,7 +5,8 @@
 //! `run` with any [`ExecMode`] returns results **bit-identical** to the
 //! sequential reference executor ([`crate::query::execute`]), for every
 //! query. The differential test harness (`tests/differential.rs`) pins
-//! this.
+//! this. Rows are the public edge's view: the kernel answers in columns
+//! and [`Frame::into_rows`] converts where a caller asks for rows.
 //!
 //! The scan kernel
 //! ---------------
@@ -20,7 +21,8 @@
 //! across them, so this is exactly the oracle's stable sort by timestamp
 //! over an ascending-id gather — without gathering or sorting anything.
 //!
-//! Two strategies consume the merged rows, chosen per plan:
+//! Two strategies consume the merged rows, chosen per plan, and push what
+//! they make of them onto the answer's column-major [`Frame`]:
 //!
 //! * **Raw scan** (no aggregates): one output row per merged row.
 //! * **Ordered fold** (aggregates): the *same* [`Accumulator`]s fed in the
@@ -29,7 +31,8 @@
 //!   (floating addition is not associative), the first occurrence's bit
 //!   pattern on `-0.0`/`0.0` ties of `min`/`max`, and the same NaN
 //!   propagation. Bucket keys are non-decreasing along the merge, so
-//!   grouping is run-detection instead of a map lookup per row.
+//!   grouping is run-detection instead of a map lookup per row, and one
+//!   bucket's accumulators are live at a time.
 //!
 //! A third — routed aggregates answered from materialized tier cells —
 //! lives in [`crate::rollup`].
@@ -42,8 +45,10 @@
 
 use crate::aggregate::{Accumulator, AggregateFn};
 use crate::error::TsdbError;
-use crate::query::{self, Projection, Query, QueryPlan, QueryResult, ResultRow};
+use crate::query::{self, Frame, Projection, Query, QueryPlan, QueryResult};
+use crate::rollup::RollupStore;
 use crate::storage::{ColumnSlice, Measurement, Storage};
+use std::sync::Arc;
 
 /// How a query is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,27 +88,38 @@ pub struct ExecStats {
     pub rollup_buckets_raw: u64,
 }
 
-/// Execute a query in the given mode.
+/// Execute a query in the given mode, answering in rows: the kernel's
+/// frame converted at this edge, the oracle's rows as they are.
 pub fn run(
     storage: &Storage,
     q: &Query,
     mode: ExecMode,
 ) -> Result<(QueryResult, ExecStats), TsdbError> {
-    run_with_rollups(storage, q, mode, None)
+    match mode {
+        ExecMode::Sequential => Ok((query::execute(storage, q)?, ExecStats::default())),
+        ExecMode::Parallel(_) => {
+            let (frame, stats) = run_kernel(storage, q, None)?;
+            Ok((Arc::new(frame).into_rows(), stats))
+        }
+    }
 }
 
-/// [`run`] with optional rollup tiers: eligible aggregate queries on the
-/// kernel path are routed to the coarsest covering tier (see
-/// [`crate::rollup`] for the exactness envelope). Sequential mode never
-/// uses tiers — it stays the pure oracle the differential harness trusts.
-pub fn run_with_rollups(
+/// [`run`] answering in columns, with optional rollup tiers: eligible
+/// aggregate queries on the kernel path are routed to the coarsest
+/// covering tier (see [`crate::rollup`] for the exactness envelope).
+/// Sequential mode never uses tiers — it stays the pure oracle the
+/// differential harness trusts.
+pub(crate) fn run_frame(
     storage: &Storage,
     q: &Query,
     mode: ExecMode,
-    rollups: Option<&crate::rollup::RollupStore>,
-) -> Result<(QueryResult, ExecStats), TsdbError> {
+    rollups: Option<&RollupStore>,
+) -> Result<(Frame, ExecStats), TsdbError> {
     match mode {
-        ExecMode::Sequential => Ok((query::execute(storage, q)?, ExecStats::default())),
+        ExecMode::Sequential => {
+            let rows = query::execute(storage, q)?;
+            Ok((Frame::from_rows(rows), ExecStats::default()))
+        }
         ExecMode::Parallel(_) => run_kernel(storage, q, rollups),
     }
 }
@@ -111,54 +127,33 @@ pub fn run_with_rollups(
 fn run_kernel(
     storage: &Storage,
     q: &Query,
-    rollups: Option<&crate::rollup::RollupStore>,
-) -> Result<(QueryResult, ExecStats), TsdbError> {
-    let (plan, view) = query::plan(storage, q)?;
+    rollups: Option<&RollupStore>,
+) -> Result<(Frame, ExecStats), TsdbError> {
+    let (mut plan, view) = query::plan(storage, q)?;
     let mut stats = ExecStats {
         series_pruned: plan.series_pruned as u64,
         ..ExecStats::default()
     };
+    let mut frame = Frame::new(std::mem::take(&mut plan.columns));
 
     // Routed aggregate queries are answered from materialized tier cells,
     // with per-bucket raw fallback for window edges and dirty buckets.
     if let Some(rs) = rollups {
-        if let Some((tier_idx, interval)) = rs.route(&q.measurement, &plan) {
+        if let Some(tier) = rs.route(&q.measurement, &plan) {
             stats.rollup_routed = true;
-            let rows = rs.serve(
-                &q.measurement,
-                tier_idx,
-                interval,
-                &plan,
-                view,
-                &mut stats.rows_scanned,
-                &mut stats.rollup_buckets_tier,
-                &mut stats.rollup_buckets_raw,
-            );
-            return Ok((
-                QueryResult {
-                    columns: plan.columns,
-                    rows,
-                },
-                stats,
-            ));
+            rs.serve(&q.measurement, tier, &plan, view, &mut stats, &mut frame);
+            return Ok((frame, stats));
         }
     }
 
     let cursors = cursors(&plan, view);
     stats.rows_scanned = cursors.iter().map(|c| c.ts.len() as u64).sum();
-    let rows = if plan.aggregated {
-        aggregate_ordered(&plan, &cursors)
+    if plan.aggregated {
+        aggregate_ordered(&plan, &cursors, &mut frame);
     } else {
-        scan_rows(&plan, &cursors)
-    };
-
-    Ok((
-        QueryResult {
-            columns: plan.columns,
-            rows,
-        },
-        stats,
-    ))
+        scan_rows(&cursors, &mut frame);
+    }
+    Ok((frame, stats))
 }
 
 // ---------------------------------------------------------------------------
@@ -226,13 +221,11 @@ fn merge_rows<'a>(cursors: &[Cursor<'a>], mut visit: impl FnMut(i64, &Cursor<'a>
 // Raw scan path
 // ---------------------------------------------------------------------------
 
-fn scan_rows(plan: &QueryPlan, cursors: &[Cursor<'_>]) -> Vec<ResultRow> {
-    let mut rows = Vec::with_capacity(cursors.iter().map(|c| c.ts.len()).sum());
+fn scan_rows(cursors: &[Cursor<'_>], out: &mut Frame) {
+    out.reserve(cursors.iter().map(|c| c.ts.len()).sum());
     merge_rows(cursors, |ts, cursor, row| {
-        let values = cursor.cols.iter().map(|col| col.get(row));
-        rows.push(ResultRow::from_values(ts, &plan.columns, values));
+        out.push_row(ts, cursor.cols.iter().map(|col| col.get(row)));
     });
-    rows
 }
 
 // ---------------------------------------------------------------------------
@@ -241,45 +234,47 @@ fn scan_rows(plan: &QueryPlan, cursors: &[Cursor<'_>]) -> Vec<ResultRow> {
 
 /// Fold the rows of `cursors`, in canonical order, into one set of
 /// accumulators per time bucket; buckets come out ascending. Bucket keys
-/// are non-decreasing along the merge, so groups close as runs.
-fn aggregate_ordered(plan: &QueryPlan, cursors: &[Cursor<'_>]) -> Vec<ResultRow> {
-    let fresh = || -> Vec<Accumulator> {
-        plan.projections
-            .iter()
-            .map(|p| match p {
-                Projection::Aggregate(f, _) => Accumulator::new(*f),
-                _ => Accumulator::new(AggregateFn::Last),
-            })
-            .collect()
+/// are non-decreasing along the merge, so groups close as runs: one
+/// bucket is open at a time, and becomes a row of `out` when the next
+/// opens.
+fn aggregate_ordered(plan: &QueryPlan, cursors: &[Cursor<'_>], out: &mut Frame) {
+    let fresh = || {
+        plan.projections.iter().map(|p| match p {
+            Projection::Aggregate(f, _) => Accumulator::new(*f),
+            _ => Accumulator::new(AggregateFn::Last),
+        })
     };
-    let mut buckets: Vec<(i64, Vec<Accumulator>)> = Vec::new();
-    // Exclusive end of the open bucket: one division per bucket, not per row.
+    let mut accs: Vec<Accumulator> = Vec::new();
+    // Key of the open bucket and its exclusive end: one division per
+    // bucket, not per row.
+    let mut open = None;
     let mut end = i64::MIN;
     merge_rows(cursors, |ts, cursor, row| {
         // A bucket opens for every scanned row, even when no projected
         // field has a value there — `count` reports 0 for such buckets,
         // exactly like the oracle's group map.
         if ts >= end {
+            if let Some(key) = open {
+                out.push_row(key, accs.iter().map(Accumulator::finish));
+            }
             let (key, width) = match plan.bucket {
                 Some(b) => (ts.div_euclid(b) * b, b),
                 None => (0, i64::MAX),
             };
             end = key.saturating_add(width);
-            buckets.push((key, fresh()));
+            open = Some(key);
+            accs.clear();
+            accs.extend(fresh());
         }
-        let accs = &mut buckets.last_mut().expect("opened above").1;
         for (acc, col) in accs.iter_mut().zip(&cursor.cols) {
             if let Some(v) = col.get(row) {
                 acc.push(v);
             }
         }
     });
-    buckets
-        .into_iter()
-        .map(|(ts, accs)| {
-            ResultRow::from_values(ts, &plan.columns, accs.iter().map(Accumulator::finish))
-        })
-        .collect()
+    if let Some(key) = open {
+        out.push_row(key, accs.iter().map(Accumulator::finish));
+    }
 }
 
 #[cfg(test)]

@@ -81,7 +81,7 @@ pub use engine::{Database, IngestLimiter, IngestStats, Origin, GAP_MEASUREMENT};
 pub use error::TsdbError;
 pub use exec::{ExecMode, ExecStats};
 pub use point::Point;
-pub use query::{Query, QueryPlan, QueryResult, ResultRow};
+pub use query::{Frame, Query, QueryPlan, QueryResult, ResultRow};
 pub use repl::{
     IntegrityReport, MerkleSnapshot, RepairReport, ReplConfig, ReplicaSet, MERKLE_BUCKETS,
 };

@@ -18,6 +18,7 @@ use crate::storage::{FieldId, Measurement, SeriesData, Storage};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// One projected column: a raw field or an aggregate over a field.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,11 +54,15 @@ impl Query {
         Parser::new(text)?.parse()
     }
 
-    /// Canonical textual rendering, used as the query-cache key: fixed
-    /// spacing and quoting, tag filters sorted and deduplicated (their
-    /// order and multiplicity don't affect results — `lookup_all`
-    /// intersects posting sets). Two queries with the same normalized text
-    /// produce the same result against the same storage state.
+    /// Canonical textual rendering, used as the query-cache and coalescing
+    /// key: fixed spacing, every name quoted with `\`, `"` and `'`
+    /// backslash-escaped (no name can break out of its quotes, so
+    /// structurally different queries never share a key, and
+    /// [`Query::parse`] reads the text back), tag filters sorted and
+    /// deduplicated (their order and multiplicity don't affect results —
+    /// `lookup_all` intersects posting sets). Two queries with the same
+    /// normalized text produce the same result against the same storage
+    /// state.
     pub fn normalized(&self) -> String {
         let mut s = String::from("SELECT ");
         for (i, p) in self.projections.iter().enumerate() {
@@ -66,36 +71,54 @@ impl Query {
             }
             match p {
                 Projection::Wildcard => s.push('*'),
-                Projection::Field(f) => {
-                    let _ = write!(s, "\"{f}\"");
-                }
+                Projection::Field(f) => quote_into(&mut s, '"', f),
                 Projection::Aggregate(func, f) => {
-                    let _ = write!(s, "{}(\"{f}\")", func.name());
+                    s.push_str(func.name());
+                    s.push('(');
+                    quote_into(&mut s, '"', f);
+                    s.push(')');
                 }
             }
         }
-        let _ = write!(s, " FROM \"{}\"", self.measurement);
-        let mut clauses: Vec<String> = Vec::new();
-        let mut tags = self.tag_filters.clone();
+        s.push_str(" FROM ");
+        quote_into(&mut s, '"', &self.measurement);
+        let mut tags: Vec<&(String, String)> = self.tag_filters.iter().collect();
         tags.sort();
         tags.dedup();
+        let mut sep = " WHERE ";
+        let mut clause = |s: &mut String| s.push_str(std::mem::replace(&mut sep, " AND "));
         for (k, v) in tags {
-            clauses.push(format!("{k}='{v}'"));
+            clause(&mut s);
+            quote_into(&mut s, '"', k);
+            s.push('=');
+            quote_into(&mut s, '\'', v);
         }
         if let Some(t) = self.time_start {
-            clauses.push(format!("time >= {t}"));
+            clause(&mut s);
+            let _ = write!(s, "time >= {t}");
         }
         if let Some(t) = self.time_end {
-            clauses.push(format!("time < {t}"));
-        }
-        if !clauses.is_empty() {
-            let _ = write!(s, " WHERE {}", clauses.join(" AND "));
+            clause(&mut s);
+            let _ = write!(s, "time < {t}");
         }
         if let Some(b) = self.group_by_time {
             let _ = write!(s, " GROUP BY time({b})");
         }
         s
     }
+}
+
+/// Append `name` between `quote`s with `\`, `"` and `'` backslash-escaped
+/// (the `line_protocol::escape_into` idiom; [`tokenize`] is the inverse).
+fn quote_into(out: &mut String, quote: char, name: &str) {
+    out.push(quote);
+    for c in name.chars() {
+        if matches!(c, '\\' | '"' | '\'') {
+            out.push('\\');
+        }
+        out.push(c);
+    }
+    out.push(quote);
 }
 
 // ---------------------------------------------------------------------------
@@ -199,6 +222,96 @@ pub fn plan<'a>(
     Ok((plan, m))
 }
 
+/// Column-major query result: what the scan kernel emits, the result
+/// cache holds and in-tree readers take slices of. Columns are positional
+/// (`cols[j]` answers `columns[j]`, duplicates included) and row-aligned
+/// with `ts`.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Frame {
+    /// Column names in projection order.
+    pub columns: Vec<String>,
+    /// Row timestamps in time order (bucket starts for aggregated queries).
+    pub ts: Vec<i64>,
+    /// One value column per name (`None` is NULL), each `ts.len()` long.
+    pub cols: Vec<Vec<Option<f64>>>,
+}
+
+impl Frame {
+    /// An empty frame of the given columns.
+    pub(crate) fn new(columns: Vec<String>) -> Frame {
+        Frame {
+            cols: vec![Vec::new(); columns.len()],
+            ts: Vec::new(),
+            columns,
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.ts.len()
+    }
+
+    /// True when the frame has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.ts.is_empty()
+    }
+
+    /// Make room for `rows` more rows.
+    pub(crate) fn reserve(&mut self, rows: usize) {
+        self.ts.reserve(rows);
+        self.cols.iter_mut().for_each(|col| col.reserve(rows));
+    }
+
+    /// Append one row from per-column values, in column order.
+    pub(crate) fn push_row(&mut self, ts: i64, values: impl Iterator<Item = Option<f64>>) {
+        self.ts.push(ts);
+        for (col, v) in self.cols.iter_mut().zip(values) {
+            col.push(v);
+        }
+    }
+
+    /// Extract the first column of that name as a (timestamp, value)
+    /// series, skipping nulls.
+    pub fn column_series(&self, column: &str) -> Vec<(i64, f64)> {
+        let at = self.columns.iter().position(|c| c == column);
+        let cells = self.ts.iter().zip(at.map_or(&[][..], |at| &self.cols[at]));
+        cells.filter_map(|(&ts, v)| v.map(|x| (ts, x))).collect()
+    }
+
+    /// Sum every numeric cell, row by row (total data-point accounting).
+    pub fn total(&self) -> f64 {
+        let rows = 0..self.len();
+        let cells = rows.flat_map(|i| self.cols.iter().filter_map(move |col| col[i]));
+        cells.sum()
+    }
+
+    /// The row view of the public edge — the one place rows are built. An
+    /// unshared frame gives its column names away; one the result cache
+    /// also holds is copied, once.
+    pub fn into_rows(self: Arc<Self>) -> QueryResult {
+        let row = |i: usize| {
+            let values = self.cols.iter().map(|col| col[i]);
+            ResultRow::from_values(self.ts[i], &self.columns, values)
+        };
+        let rows = (0..self.len()).map(row).collect();
+        let columns = Arc::try_unwrap(self)
+            .map_or_else(|shared| shared.columns.clone(), |owned| owned.columns);
+        QueryResult { columns, rows }
+    }
+
+    /// The frame of a row result (how the [`execute`] oracle's answer
+    /// enters the cache).
+    pub(crate) fn from_rows(result: QueryResult) -> Frame {
+        let cell = |row: &ResultRow, col| row.values.get(col).copied().flatten();
+        let column = |col| result.rows.iter().map(|row| cell(row, col)).collect();
+        Frame {
+            cols: result.columns.iter().map(column).collect(),
+            ts: result.rows.iter().map(|row| row.timestamp).collect(),
+            columns: result.columns,
+        }
+    }
+}
+
 /// One output row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResultRow {
@@ -210,7 +323,7 @@ pub struct ResultRow {
 
 impl ResultRow {
     /// One row from per-column values, in column order.
-    pub(crate) fn from_values(
+    fn from_values(
         timestamp: i64,
         columns: &[String],
         values: impl Iterator<Item = Option<f64>>,
@@ -228,36 +341,14 @@ impl ResultRow {
     }
 }
 
-/// Query result set.
+/// Query result set as rows of maps: the view of the public edge, built
+/// by [`Frame::into_rows`] and by the [`execute`] oracle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryResult {
     /// Column names in projection order.
     pub columns: Vec<String>,
     /// Output rows in time order.
     pub rows: Vec<ResultRow>,
-}
-
-impl QueryResult {
-    /// Extract one column as a (timestamp, value) series, skipping nulls.
-    pub fn column_series(&self, column: &str) -> Vec<(i64, f64)> {
-        self.rows
-            .iter()
-            .filter_map(|r| {
-                r.values
-                    .get(column)
-                    .and_then(|v| v.map(|x| (r.timestamp, x)))
-            })
-            .collect()
-    }
-
-    /// Sum every numeric cell (used for total data-point accounting).
-    pub fn total(&self) -> f64 {
-        self.rows
-            .iter()
-            .flat_map(|r| r.values.values())
-            .filter_map(|v| *v)
-            .sum()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -289,12 +380,16 @@ fn tokenize(text: &str) -> Result<Vec<Token<'_>>, TsdbError> {
                 chars.next();
                 let mut s = String::new();
                 let mut closed = false;
-                for (_, c2) in chars.by_ref() {
-                    if c2 == c {
-                        closed = true;
-                        break;
+                while let Some((_, c2)) = chars.next() {
+                    match c2 {
+                        // A backslash makes the next character literal.
+                        '\\' => s.extend(chars.next().map(|(_, escaped)| escaped)),
+                        c2 if c2 == c => {
+                            closed = true;
+                            break;
+                        }
+                        c2 => s.push(c2),
                     }
-                    s.push(c2);
                 }
                 if !closed {
                     return Err(TsdbError::QueryParse(format!("unclosed quote at {i}")));
@@ -440,8 +535,10 @@ impl<'a> Parser<'a> {
         if self.at_keyword("WHERE") {
             self.next();
             loop {
-                let lhs = self.name()?;
-                if lhs.eq_ignore_ascii_case("time") {
+                // Only a bare `time` is the time column; quoted, it is a tag
+                // key like any other.
+                if self.at_keyword("time") {
+                    self.next();
                     let op = match self.next() {
                         Some(Token::Word(w)) => w.to_string(),
                         Some(Token::Symbol(c)) => c.to_string(),
@@ -473,6 +570,7 @@ impl<'a> Parser<'a> {
                         }
                     }
                 } else {
+                    let key = self.name()?;
                     match self.next() {
                         Some(Token::Symbol('=')) => {}
                         other => {
@@ -482,7 +580,7 @@ impl<'a> Parser<'a> {
                         }
                     }
                     let value = self.name()?;
-                    q.tag_filters.push((lhs, value));
+                    q.tag_filters.push((key, value));
                 }
                 if self.at_keyword("AND") {
                     self.next();
@@ -633,7 +731,7 @@ mod tests {
         let q = Query::parse("SELECT \"_cpu0\" FROM \"m\" WHERE tag='obs1'").unwrap();
         let r = execute(&s, &q).unwrap();
         assert_eq!(r.rows.len(), 10);
-        assert_eq!(r.column_series("_cpu0").len(), 10);
+        assert_eq!(Frame::from_rows(r).column_series("_cpu0").len(), 10);
     }
 
     #[test]
@@ -689,7 +787,7 @@ mod tests {
         let r = execute(&s, &q).unwrap();
         assert_eq!(r.rows.len(), 1);
         assert_eq!(r.rows[0].values["_cpu1"], None);
-        assert!(r.column_series("_cpu1").is_empty());
+        assert!(Frame::from_rows(r).column_series("_cpu1").is_empty());
     }
 
     #[test]
@@ -744,11 +842,63 @@ mod tests {
         assert_eq!(a.normalized(), b.normalized());
         assert_eq!(
             a.normalized(),
-            "SELECT sum(\"v\") FROM \"m\" WHERE a='1' AND b='2' AND time >= 3 AND time < 9 GROUP BY time(5)"
+            "SELECT sum(\"v\") FROM \"m\" WHERE \"a\"='1' AND \"b\"='2' AND time >= 3 AND time < 9 GROUP BY time(5)"
         );
         // Different filters keep distinct keys.
         let c = Query::parse("SELECT sum(\"v\") FROM \"m\" WHERE a='2'").unwrap();
         assert_ne!(a.normalized(), c.normalized());
+    }
+
+    #[test]
+    fn normalized_escapes_what_would_break_out_of_quotes() {
+        let field = |f: &str| Projection::Field(f.to_string());
+        let q = |projections| Query {
+            projections,
+            ..Query::parse("SELECT * FROM \"m\"").unwrap()
+        };
+        // One field spelled like two fields' worth of key text.
+        let (one, two) = (q(vec![field("a\", \"b")]), q(vec![field("a"), field("b")]));
+        assert_eq!(two.normalized(), "SELECT \"a\", \"b\" FROM \"m\"");
+        assert_eq!(one.normalized(), "SELECT \"a\\\", \\\"b\" FROM \"m\"");
+        assert_eq!(Query::parse(&one.normalized()).unwrap(), one);
+        // Quoted, `time` is a tag key; bare, the time column.
+        let tagged = Query {
+            tag_filters: vec![("time".into(), "it's".into())],
+            ..two.clone()
+        };
+        assert_eq!(
+            tagged.normalized(),
+            "SELECT \"a\", \"b\" FROM \"m\" WHERE \"time\"='it\\'s'"
+        );
+        assert_eq!(Query::parse(&tagged.normalized()).unwrap(), tagged);
+    }
+
+    #[test]
+    fn frame_converts_to_rows_consumed_or_shared() {
+        let frame = Frame {
+            columns: vec!["v".into(), "w".into(), "v".into()],
+            ts: vec![1, 2],
+            cols: vec![
+                vec![Some(1.0), None],
+                vec![None, None],
+                vec![Some(1.0), None],
+            ],
+        };
+        assert!(frame.column_series("w").is_empty() && frame.column_series("x").is_empty());
+        assert_eq!(frame.column_series("v"), vec![(1, 1.0)]);
+        assert_eq!(frame.total(), 2.0);
+        let shared = Arc::new(frame.clone());
+        let copied = shared.clone().into_rows();
+        assert_eq!(copied, shared.clone().into_rows());
+        assert_eq!(copied, Arc::new(frame.clone()).into_rows());
+        assert_eq!(copied.columns, frame.columns);
+        assert_eq!(copied.rows[1].timestamp, 2);
+        // A row is a map: the duplicate column is one entry.
+        assert_eq!(copied.rows[0].values.len(), 2);
+        assert_eq!(copied.rows[0].values["v"], Some(1.0));
+        assert_eq!(Frame::from_rows(copied), frame);
+        let empty = Arc::new(Frame::new(vec!["v".into()]));
+        assert!(empty.is_empty() && empty.into_rows().rows.is_empty());
     }
 
     #[test]

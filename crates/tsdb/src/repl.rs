@@ -31,7 +31,7 @@ use crate::engine::Database;
 use crate::error::TsdbError;
 use crate::exec::ExecMode;
 use crate::point::Point;
-use crate::query::{Query, QueryResult};
+use crate::query::{Frame, Query, QueryResult};
 use crate::value::FieldValue;
 use pmove_obs::{Counter, Registry};
 use pmove_store::{
@@ -625,7 +625,7 @@ impl ReplicaSet {
         self.read_replica(reachable)?.query_with_mode(q, mode)
     }
 
-    /// [`ReplicaSet::quorum_read_with_mode`] returning the shared result
+    /// [`ReplicaSet::quorum_read_with_mode`] returning the shared frame
     /// plus whether the chosen replica's result cache served it — the
     /// serving front-end's per-tenant hit accounting over quorum reads.
     pub fn quorum_read_cached(
@@ -633,7 +633,7 @@ impl ReplicaSet {
         q: &Query,
         reachable: &[bool],
         mode: ExecMode,
-    ) -> Result<(std::sync::Arc<QueryResult>, bool), TsdbError> {
+    ) -> Result<(std::sync::Arc<Frame>, bool), TsdbError> {
         self.read_replica(reachable)?.query_arc_cached(q, mode)
     }
 

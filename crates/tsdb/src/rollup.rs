@@ -43,7 +43,8 @@
 //! preserved by downsampling rather than a ledger leak.
 
 use crate::aggregate::AggregateFn;
-use crate::query::{Projection, QueryPlan, ResultRow};
+use crate::exec::ExecStats;
+use crate::query::{Frame, Projection, QueryPlan};
 use crate::series::SeriesId;
 use crate::storage::{FieldId, Measurement};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -391,26 +392,24 @@ impl RollupStore {
             .find(|&(i, _)| i < tiers.len())
     }
 
-    /// Answer a routed query from tier `tier_idx`, falling back to raw
-    /// rows for edge and dirty buckets. `plan` must have been accepted by
-    /// [`RollupStore::route`].
-    #[allow(clippy::too_many_arguments)]
+    /// Answer a routed query from the `(tier index, interval)`
+    /// [`RollupStore::route`] accepted `plan` for, falling back to raw
+    /// rows for edge and dirty buckets; one row per non-empty bucket is
+    /// appended to `out`.
     pub(crate) fn serve(
         &self,
         measurement: &str,
-        tier_idx: usize,
-        interval: i64,
+        (tier_idx, interval): (usize, i64),
         plan: &QueryPlan,
         view: &Measurement,
-        rows_scanned: &mut u64,
-        buckets_tier: &mut u64,
-        buckets_raw: &mut u64,
-    ) -> Vec<ResultRow> {
+        stats: &mut ExecStats,
+        out: &mut Frame,
+    ) {
         let tier = &self.tiers[measurement][tier_idx];
         let b = plan.bucket.expect("routed plan has a bucket") as i128;
         let t = interval as i128;
         if plan.ids.is_empty() {
-            return Vec::new();
+            return;
         }
         // Effective scan window, clipped by the matching series' stored
         // bounds so the bucket walk is finite even for unbounded queries.
@@ -423,15 +422,14 @@ impl RollupStore {
             }
         }
         if data_lo > data_hi {
-            return Vec::new();
+            return;
         }
         let eff_lo = (plan.start as i128).max(data_lo as i128);
         let eff_hi = (plan.end as i128).min(data_hi as i128 + 1);
         if eff_lo >= eff_hi {
-            return Vec::new();
+            return;
         }
 
-        let mut out = Vec::new();
         let mut bucket = bucket_floor(eff_lo, b);
         while bucket < eff_hi {
             let bucket_end = bucket + b;
@@ -439,19 +437,15 @@ impl RollupStore {
             let d_lo = bucket.clamp(i64::MIN as i128, i64::MAX as i128) as i64;
             let d_hi = bucket_end.clamp(i64::MIN as i128, i64::MAX as i128) as i64;
             let dirty = d_lo < d_hi && tier.dirty.range(d_lo..d_hi).next().is_some();
-            let row = if interior && !dirty {
-                *buckets_tier += 1;
-                serve_bucket_from_cells(tier, bucket as i64, b as i64, t as i64, plan)
+            if interior && !dirty {
+                stats.rollup_buckets_tier += 1;
+                serve_bucket_from_cells(tier, bucket as i64, b as i64, t as i64, plan, out);
             } else {
-                *buckets_raw += 1;
-                serve_bucket_from_raw(bucket, bucket_end, plan, view, rows_scanned)
-            };
-            if let Some(row) = row {
-                out.push(row);
+                stats.rollup_buckets_raw += 1;
+                serve_bucket_from_raw(bucket, bucket_end, plan, view, &mut stats.rows_scanned, out);
             }
             bucket = bucket_end;
         }
-        out
     }
 }
 
@@ -674,14 +668,16 @@ impl PartialAcc {
     }
 }
 
-/// Answer one fully covered, clean query bucket from materialized cells.
+/// Answer one fully covered, clean query bucket from materialized cells:
+/// one row appended to `out` if the bucket holds any.
 fn serve_bucket_from_cells(
     tier: &TierData,
     bucket: i64,
     b: i64,
     t: i64,
     plan: &QueryPlan,
-) -> Option<ResultRow> {
+    out: &mut Frame,
+) {
     let mut accs = serve_accs(plan);
     let mut rows_present = false;
     let mut tb = bucket;
@@ -705,18 +701,21 @@ fn serve_bucket_from_cells(
         }
         tb = tb.saturating_add(t);
     }
-    rows_present.then(|| finish(bucket, plan, &accs))
+    if rows_present {
+        out.push_row(bucket, accs.iter().map(PartialAcc::finish));
+    }
 }
 
 /// Answer one edge or dirty bucket by folding raw rows, clipped to the
-/// query window.
+/// query window: one row appended to `out` if any was scanned.
 fn serve_bucket_from_raw(
     bucket: i128,
     bucket_end: i128,
     plan: &QueryPlan,
     view: &Measurement,
     rows_scanned: &mut u64,
-) -> Option<ResultRow> {
+    out: &mut Frame,
+) {
     let lo = bucket
         .max(plan.start as i128)
         .clamp(i64::MIN as i128, i64::MAX as i128) as i64;
@@ -743,12 +742,9 @@ fn serve_bucket_from_raw(
             }
         }
     }
-    rows_present.then(|| finish(bucket as i64, plan, &accs))
-}
-
-/// The result row of one served bucket.
-fn finish(bucket: i64, plan: &QueryPlan, accs: &[PartialAcc]) -> ResultRow {
-    ResultRow::from_values(bucket, &plan.columns, accs.iter().map(PartialAcc::finish))
+    if rows_present {
+        out.push_row(bucket as i64, accs.iter().map(PartialAcc::finish));
+    }
 }
 
 /// Fresh accumulators for a routed plan's projections.

@@ -7,6 +7,7 @@
 use crate::engine::Database;
 use crate::error::TsdbError;
 use crate::point::Point;
+use crate::query::Query;
 use serde_json::{json, Value};
 
 /// Encode one field value for export. JSON numbers cannot carry every
@@ -44,17 +45,14 @@ pub fn export_measurement(
         .map(|(k, v)| format!(" WHERE {k}='{v}'"))
         .unwrap_or_default();
     let q = format!("SELECT * FROM \"{measurement}\"{where_clause}");
-    let rs = db.query(&q)?;
-    let points: Vec<Value> = rs
-        .rows
-        .iter()
+    let frame = db.query_frame(&Query::parse(&q)?)?;
+    let points: Vec<Value> = (0..frame.len())
         .map(|row| {
-            let fields: serde_json::Map<String, Value> = row
-                .values
-                .iter()
-                .filter_map(|(k, v)| v.map(|x| (k.clone(), encode_value(x))))
+            let cells = frame.columns.iter().zip(&frame.cols);
+            let fields: serde_json::Map<String, Value> = cells
+                .filter_map(|(k, col)| col[row].map(|x| (k.clone(), encode_value(x))))
                 .collect();
-            json!({"t": row.timestamp, "fields": fields})
+            json!({"t": frame.ts[row], "fields": fields})
         })
         .collect();
     Ok(json!({

@@ -118,6 +118,30 @@ fn outcome(r: Result<QueryResult, TsdbError>) -> String {
     }
 }
 
+/// [`outcome`] of the frame the query answers with, converted to rows
+/// twice: once while this function (and, cached, the result cache)
+/// shares it, once after — consumed, if nothing else holds it. Each
+/// column is also read positionally against the rows.
+fn frame_outcome(s: &Database, q: &Query) -> String {
+    let frame = match s.query_frame(q) {
+        Ok(frame) => frame,
+        Err(e) => return outcome(Err(e)),
+    };
+    let copied = frame.clone().into_rows();
+    assert_eq!(copied.columns, frame.columns);
+    assert_eq!(frame.cols.len(), frame.columns.len());
+    for (name, col) in frame.columns.iter().zip(&frame.cols) {
+        assert_eq!(col.len(), frame.len(), "column {name}");
+        for ((row, ts), v) in copied.rows.iter().zip(&frame.ts).zip(col) {
+            assert_eq!(row.timestamp, *ts);
+            assert_eq!(row.values[name].map(f64::to_bits), v.map(f64::to_bits));
+        }
+    }
+    let copied = outcome(Ok(copied));
+    assert_eq!(outcome(Ok(frame.into_rows())), copied, "second conversion");
+    copied
+}
+
 fn db(mode: ExecMode, cache: bool) -> Database {
     let d = Database::new("diff");
     d.set_exec_mode(mode);
@@ -184,6 +208,13 @@ fn check_case(points: &[PointCode], queries: &[QueryCode], extra: PointCode) {
                 s.exec_mode(),
                 q.normalized()
             );
+            assert_eq!(
+                frame_outcome(s, q),
+                want,
+                "frame diverged: mode {:?} cache={cached} query {}",
+                s.exec_mode(),
+                q.normalized()
+            );
         }
     }
 
@@ -207,8 +238,106 @@ fn check_case(points: &[PointCode], queries: &[QueryCode], extra: PointCode) {
     }
 }
 
+/// Names that try to break out of the key's quoting or pass for syntax.
+const NAMES: [&str; 16] = [
+    "a",
+    "b",
+    "a\", \"b",
+    "a', 'b",
+    "\\",
+    "a\\",
+    "\"",
+    "'",
+    "time",
+    "",
+    " ",
+    "a b",
+    "sum(\"a\")",
+    "*",
+    "a=b",
+    "é",
+];
+
+type KeyCode = ((Vec<(u8, u8)>, u8), (Vec<(u8, u8)>, u16, u16, u8));
+
+/// Decode a query over [`NAMES`], in canonical form: tag filters sorted
+/// and deduplicated, which is all `normalized` is allowed to forget.
+fn canonical_of(((projs, m), (tags, t0, t1, bucket)): &KeyCode) -> Query {
+    let name = |i: u8| NAMES[i as usize % NAMES.len()].to_string();
+    let mut tag_filters: Vec<(String, String)> =
+        tags.iter().map(|&(k, v)| (name(k), name(v))).collect();
+    tag_filters.sort();
+    tag_filters.dedup();
+    Query {
+        projections: projs
+            .iter()
+            .map(|&(kind, f)| match kind {
+                0 => Projection::Wildcard,
+                1 | 2 => Projection::Field(name(f)),
+                3 => Projection::Aggregate(AggregateFn::Sum, name(f)),
+                _ => Projection::Aggregate(AggregateFn::Last, name(f)),
+            })
+            .collect(),
+        measurement: name(*m),
+        tag_filters,
+        time_start: (*t0 < 300).then(|| *t0 as i64 - 150),
+        time_end: (*t1 < 300).then(|| i64::MAX - *t1 as i64),
+        group_by_time: (*bucket < 40).then(|| *bucket as i64 + 1),
+    }
+}
+
+/// The reproduction the escaping closes: one field spelled like two
+/// fields' worth of key text was served the two-field query's cached frame.
+#[test]
+fn quote_bearing_field_does_not_share_a_cache_entry() {
+    let db = db(ExecMode::Parallel(1), true);
+    let spelled = "a\", \"b";
+    let p = Point::new("m").field("a", 1.0).field("b", 2.0);
+    db.write_point(p.field(spelled, 3.0).timestamp(1)).unwrap();
+    let select = |fields: &[&str]| Query {
+        projections: fields
+            .iter()
+            .map(|f| Projection::Field(f.to_string()))
+            .collect(),
+        ..Query::parse("SELECT * FROM \"m\"").unwrap()
+    };
+    let two = db.query_frame(&select(&["a", "b"])).unwrap();
+    assert_eq!(two.columns, ["a", "b"]);
+    let one = db.query_frame(&select(&[spelled])).unwrap();
+    assert_eq!(one.columns, [spelled]);
+    assert_eq!(one.cols, [[Some(3.0)]]);
+    assert_eq!(db.query_cache_len(), 2);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(diff_cases()))]
+
+    /// The cache / coalescing key is injective up to tag-filter order and
+    /// multiplicity, and it is query text: parsing it gives the query back.
+    #[test]
+    fn normalized_key_round_trips_and_never_collides(
+        a in (
+            (prop::collection::vec((0u8..5, 0u8..16), 0..4), 0u8..16),
+            (prop::collection::vec((0u8..16, 0u8..16), 0..3), 0u16..400, 0u16..400, 0u8..60),
+        ),
+        b in (
+            (prop::collection::vec((0u8..5, 0u8..16), 0..4), 0u8..16),
+            (prop::collection::vec((0u8..16, 0u8..16), 0..3), 0u16..400, 0u16..400, 0u8..60),
+        ),
+        shuffle in 0usize..4,
+    ) {
+        let (a, b) = (canonical_of(&a), canonical_of(&b));
+        prop_assert_eq!(a.normalized() == b.normalized(), a == b);
+        // The tag filters in another order, one of them twice: same key.
+        let mut reordered = a.clone();
+        reordered.tag_filters.reverse();
+        let repeat = reordered.tag_filters.get(shuffle).cloned();
+        reordered.tag_filters.extend(repeat);
+        prop_assert_eq!(reordered.normalized(), a.normalized());
+        if !a.projections.is_empty() {
+            prop_assert_eq!(Query::parse(&a.normalized()).unwrap(), a);
+        }
+    }
 
     #[test]
     fn parallel_engine_is_bit_identical_to_sequential(
@@ -249,6 +378,36 @@ fn nan_and_signed_zero_windows_are_bit_identical() {
         ((vec![(1, 0)], 2), (280, 280, 59)),
     ];
     check_case(&points, &queries, (5, 3, 0, 400));
+}
+
+/// Deterministic pin: the shapes a positional frame could get wrong and
+/// a row map hides — the same projection twice, `*` beside a named
+/// field, a column NULL in every row (a field nothing wrote, a field
+/// only another host wrote), and no rows at all.
+#[test]
+fn duplicate_wildcard_and_null_columns_are_bit_identical() {
+    let points: Vec<PointCode> = vec![
+        (0, 1, 0, 100),
+        (0, 2, 0, 930), // -0.0
+        (0, 2, 1, 300),
+        (1, 2, 0, 999),  // NaN
+        (1, 7, 1, 1100), // Int
+    ];
+    let queries: Vec<QueryCode> = vec![
+        // SELECT value, value
+        ((vec![(1, 0), (1, 0)], 6), (280, 280, 59)),
+        // SELECT sum(value), value, sum(value) GROUP BY time(3)
+        ((vec![(5, 0), (1, 0), (5, 0)], 6), (280, 280, 2)),
+        // SELECT *, aux, *
+        ((vec![(0, 0), (1, 1), (0, 0)], 6), (280, 280, 59)),
+        // SELECT gap, value: nothing ever wrote `gap`.
+        ((vec![(1, 2), (1, 0)], 6), (280, 280, 59)),
+        // SELECT aux, count(aux) on h2: only other hosts wrote to `m`.
+        ((vec![(1, 1), (6, 1)], 2), (280, 280, 59)),
+        // SELECT *, value over a window past the data: an empty frame.
+        ((vec![(0, 0), (1, 0)], 6), (200, 280, 59)),
+    ];
+    check_case(&points, &queries, (0, 3, 2, 500));
 }
 
 /// Deterministic pin: inverted and out-of-range windows (zero matching

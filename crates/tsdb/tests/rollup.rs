@@ -87,6 +87,19 @@ fn query_of(&(agg, field, host, bucket): &QueryCode) -> Query {
     .unwrap()
 }
 
+/// `q` with its aggregate projected twice around a raw field and a column
+/// NULL in every bucket (nothing writes `never`): routed exactly when `q`
+/// is, and a shape only a positional frame can get wrong.
+fn widened(q: &Query) -> Query {
+    let agg = q.projections[0].clone();
+    let extra = Query::parse("SELECT \"aux\", min(\"never\") FROM \"m\"").unwrap();
+    let [raw, never] = extra.projections.try_into().unwrap();
+    Query {
+        projections: vec![agg.clone(), raw, agg, never],
+        ..q.clone()
+    }
+}
+
 /// Canonical, bit-exact rendering of a query outcome.
 fn outcome(r: Result<QueryResult, TsdbError>) -> String {
     use std::fmt::Write as _;
@@ -113,6 +126,28 @@ fn outcome(r: Result<QueryResult, TsdbError>) -> String {
     }
 }
 
+/// [`outcome`] of the frame the query answers with, converted to rows
+/// while shared (copied) and again once unshared (consumed), each column
+/// also read positionally against the rows.
+fn frame_outcome(s: &Database, q: &Query) -> String {
+    let frame = match s.query_frame(q) {
+        Ok(frame) => frame,
+        Err(e) => return outcome(Err(e)),
+    };
+    let copied = frame.clone().into_rows();
+    assert_eq!(copied.columns, frame.columns);
+    for (name, col) in frame.columns.iter().zip(&frame.cols) {
+        assert_eq!(col.len(), frame.len(), "column {name}");
+        for ((row, ts), v) in copied.rows.iter().zip(&frame.ts).zip(col) {
+            assert_eq!(row.timestamp, *ts);
+            assert_eq!(row.values[name].map(f64::to_bits), v.map(f64::to_bits));
+        }
+    }
+    let copied = outcome(Ok(copied));
+    assert_eq!(outcome(Ok(frame.into_rows())), copied, "second conversion");
+    copied
+}
+
 fn check_case(stream: &[PointCode], queries: &[QueryCode]) {
     let oracle = Database::new("oracle");
     oracle.set_exec_mode(ExecMode::Sequential);
@@ -129,6 +164,10 @@ fn check_case(stream: &[PointCode], queries: &[QueryCode]) {
         })
         .collect();
     let queries: Vec<Query> = queries.iter().map(query_of).collect();
+    let queries: Vec<Query> = queries
+        .iter()
+        .flat_map(|q| [q.clone(), widened(q)])
+        .collect();
 
     let compare = |stage: &str| {
         for q in &queries {
@@ -138,6 +177,13 @@ fn check_case(stream: &[PointCode], queries: &[QueryCode]) {
                     outcome(s.query_parsed(q)),
                     want,
                     "{stage}: mode {:?} query {}",
+                    s.exec_mode(),
+                    q.normalized()
+                );
+                assert_eq!(
+                    frame_outcome(s, q),
+                    want,
+                    "{stage}: frame, mode {:?} query {}",
                     s.exec_mode(),
                     q.normalized()
                 );

@@ -282,7 +282,7 @@ fn point_of(&((_, m, host, ts), (mask, a, b, c)): &OpCode) -> Point {
     p
 }
 
-const QUERIES: [&str; 14] = [
+const QUERIES: [&str; 16] = [
     "SELECT * FROM \"m\"",
     "SELECT * FROM \"n\" WHERE host='h1'",
     "SELECT \"late\", \"value\" FROM \"m\" WHERE time >= 10 AND time < 45",
@@ -297,6 +297,10 @@ const QUERIES: [&str; 14] = [
     "SELECT mean(\"value\") FROM \"m\" WHERE host='h9'",
     "SELECT \"value\" FROM \"m\" WHERE time < 0",
     "SELECT * FROM \"ghost\"",
+    // The same projection twice: one map entry in a row, two columns in
+    // the frame the rows are made from.
+    "SELECT \"value\", *, \"value\" FROM \"m\" WHERE host='h1'",
+    "SELECT sum(\"aux\"), \"aux\", sum(\"aux\"), max(\"never\") FROM \"n\" GROUP BY time(9)",
 ];
 
 fn compare(stage: usize, storage: &Storage, model: &Model) {

@@ -13,7 +13,7 @@ use pmove::core::telemetry::scenario_b::ProfileRequest;
 use pmove::core::PMoveDaemon;
 use pmove::hwsim::vendor::IsaExt;
 use pmove::kernels::StreamKernel;
-use pmove::tsdb::Point;
+use pmove::tsdb::{Point, Query};
 
 fn main() {
     let superdb = SuperDb::new();
@@ -71,18 +71,13 @@ fn main() {
             .metrics
             .iter()
             .map(|m| {
-                let values: Vec<f64> = daemon
-                    .ts
-                    .query(&format!(
-                        "SELECT \"{}\" FROM \"{}\" WHERE tag='{}'",
-                        m.fields[0], m.db_name, obs.id
-                    ))
-                    .map(|r| {
-                        r.column_series(&m.fields[0])
-                            .into_iter()
-                            .map(|(_, v)| v)
-                            .collect()
-                    })
+                let q = Query::parse(&format!(
+                    "SELECT \"{}\" FROM \"{}\" WHERE tag='{}'",
+                    m.fields[0], m.db_name, obs.id
+                ));
+                let values: Vec<f64> = q
+                    .and_then(|q| daemon.ts.query_frame(&q))
+                    .map(|f| f.cols[0].iter().flatten().copied().collect())
                     .unwrap_or_default();
                 (m.db_name.clone(), m.fields[0].clone(), values)
             })
