@@ -28,6 +28,7 @@
 //! | [`scrub`]  | `scrub` | latent-rot detection and read-repair |
 //! | [`serving`] | `serving` | multi-tenant coalescing and overload admission |
 //! | [`tracing`] | `tracing` | golden trace trees, SLO timeline, tracer overhead |
+#![forbid(unsafe_code)]
 
 pub mod ablation;
 pub mod chaos;

@@ -54,7 +54,7 @@ pub fn run_cell(host: &str, freq: f64, n_metrics: usize) -> StorageReport {
     let disk = Arc::new(MemDisk::new(0xC0FFEE));
     let vfs: Arc<dyn Vfs> = disk.clone();
     let (db, _) = Database::open("influx", vfs.clone(), opts_manual()).expect("fresh disk");
-    let row = table3::run_cell_into(&db, None, host, freq, n_metrics);
+    let row = table3::run_cell_into(&db, pmove_obs::Registry::disabled(), host, freq, n_metrics);
     let wal_bytes = disk.durable_bytes();
     drop(db);
 

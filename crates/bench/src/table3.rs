@@ -102,12 +102,12 @@ pub fn run_cell(host: &str, freq: f64, n_metrics: usize) -> Row {
 }
 
 /// Ship one cell's samples into a caller-provided database (possibly a
-/// durable one), optionally observed through `registry`. This is the body
+/// durable one), observed through `registry` (possibly disabled). This is the body
 /// shared by [`run_cell_audited`] and the storage-engine bench, which
 /// replays the same workload over the WAL/chunk store.
 pub fn run_cell_into(
     db: &Database,
-    registry: Option<std::sync::Arc<Registry>>,
+    registry: std::sync::Arc<Registry>,
     host: &str,
     freq: f64,
     n_metrics: usize,
@@ -125,10 +125,8 @@ pub fn run_cell_into(
         LinkSpec::mbit_100(),
         1.0 / freq,
         &[host, &format!("t3-{freq}-{n_metrics}")],
-    );
-    if let Some(reg) = registry {
-        shipper = shipper.with_obs(reg);
-    }
+    )
+    .with_obs(registry);
     let mut pmcd = Pmcd::new();
     pmcd.set_tag("tag", format!("table3-{host}-{freq}-{n_metrics}"));
     pmcd.register(Box::new(agent));
@@ -155,7 +153,7 @@ pub fn run_cell_into(
 pub fn run_cell_audited(host: &str, freq: f64, n_metrics: usize) -> (Row, ConservationCell) {
     let registry = Registry::shared();
     let db = Database::new("host");
-    let row = run_cell_into(&db, Some(registry.clone()), host, freq, n_metrics);
+    let row = run_cell_into(&db, registry.clone(), host, freq, n_metrics);
 
     let snap = registry.snapshot();
     let cell = ConservationCell {

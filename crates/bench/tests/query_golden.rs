@@ -52,7 +52,7 @@ fn cache_enabled_run_stays_fresh_and_conserves() {
     let db = Database::with_obs("host", registry.clone());
     db.set_query_cache_capacity(64);
 
-    let row1 = pmove_bench::table3::run_cell_into(&db, Some(registry.clone()), "icl", 8.0, 4);
+    let row1 = pmove_bench::table3::run_cell_into(&db, registry.clone(), "icl", 8.0, 4);
     let q = Query {
         projections: vec![Projection::Wildcard],
         measurement: "perfevent_hwcounters_UNHALTED_CORE_CYCLES".into(),
@@ -71,7 +71,7 @@ fn cache_enabled_run_stays_fresh_and_conserves() {
 
     // A second cell (different frequency → different timestamps) writes
     // the same measurements: the cached entry must be invalidated.
-    let row2 = pmove_bench::table3::run_cell_into(&db, Some(registry.clone()), "icl", 16.0, 4);
+    let row2 = pmove_bench::table3::run_cell_into(&db, registry.clone(), "icl", 16.0, 4);
     let r2 = db.query_parsed(&q).unwrap();
     let fresh = db.query_with_mode(&q, ExecMode::Sequential).unwrap();
     assert_eq!(r2, fresh, "cached path served stale rows");

@@ -70,8 +70,17 @@ mod tests {
             freq_hz: 8.0,
             pinning: PinningStrategy::Compact,
         };
-        let out =
-            profile_kernel(&machine, &mut kb, &layer, &ts, &mut ids, &req, 0.0, None).unwrap();
+        let out = profile_kernel(
+            &machine,
+            &mut kb,
+            &layer,
+            &ts,
+            &mut ids,
+            &req,
+            0.0,
+            &pmove_obs::Registry::disabled(),
+        )
+        .unwrap();
         let text = observation_report(
             &ts,
             &layer,

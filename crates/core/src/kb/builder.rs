@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 
 /// Build the knowledge base for one probed target.
 pub fn build_kb(report: &ProbeReport) -> Result<KnowledgeBase, PmoveError> {
-    build_kb_observed(report, None)
+    build_kb_observed(report, &pmove_obs::Registry::disabled())
 }
 
 /// [`build_kb`] with `kb.builder.*` counters recorded in `obs`:
@@ -24,7 +24,7 @@ pub fn build_kb(report: &ProbeReport) -> Result<KnowledgeBase, PmoveError> {
 /// enriched.
 pub fn build_kb_observed(
     report: &ProbeReport,
-    obs: Option<&pmove_obs::Registry>,
+    obs: &pmove_obs::Registry,
 ) -> Result<KnowledgeBase, PmoveError> {
     let host = report.hostname().to_string();
     let mut kb = KnowledgeBase::new(host.clone(), report.pmu_name());
@@ -69,9 +69,9 @@ pub fn build_kb_observed(
     attach_gpus(&mut kb, report)?;
 
     kb.validate()?;
-    if let Some(reg) = obs {
+    if obs.is_enabled() {
         let labels = [("host", host.as_str())];
-        reg.counter("kb.builder.interfaces_built", &labels)
+        obs.counter("kb.builder.interfaces_built", &labels)
             .add(kb.len() as u64);
         let mut sw = 0u64;
         let mut hw = 0u64;
@@ -83,11 +83,11 @@ pub fn build_kb_observed(
                 }
             }
         }
-        reg.counter("kb.builder.sw_telemetry_attached", &labels)
+        obs.counter("kb.builder.sw_telemetry_attached", &labels)
             .add(sw);
-        reg.counter("kb.builder.hw_telemetry_attached", &labels)
+        obs.counter("kb.builder.hw_telemetry_attached", &labels)
             .add(hw);
-        reg.counter("kb.builder.gpus_enriched", &labels)
+        obs.counter("kb.builder.gpus_enriched", &labels)
             .add(kb.of_type("gpu").len() as u64);
     }
     Ok(kb)
@@ -371,7 +371,7 @@ mod tests {
         let m = Machine::preset("csl").unwrap();
         let report = ProbeReport::collect(&m);
         let reg = pmove_obs::Registry::shared();
-        let kb = build_kb_observed(&report, Some(&reg)).unwrap();
+        let kb = build_kb_observed(&report, &reg).unwrap();
         let snap = reg.snapshot();
         let labels = [("host", "csl")];
         assert_eq!(

@@ -42,6 +42,7 @@
 //! assert_eq!(report.ticks, 20);
 //! assert!(daemon.ts.measurements().contains(&"kernel_all_load".to_string()));
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod abstraction;
 pub mod analysis;

@@ -195,7 +195,7 @@ fn boot_steps_0_to_2(
     obs.record_span("daemon.step1.probe", boot_ns, boot_ns + probe_ns);
     boot_ns += probe_ns;
 
-    let mut kb = builder::build_kb_observed(&report, Some(obs))?; // ②
+    let mut kb = builder::build_kb_observed(&report, obs)?; // ②
     kb.db = env.clone();
     let gen_ns = kb.len() as u64 * STEP2_PER_INTERFACE_NS;
     obs.record_span("daemon.step2.kb_generation", boot_ns, boot_ns + gen_ns);
@@ -440,7 +440,7 @@ impl PMoveDaemon {
                 duration_s,
                 freq_hz,
                 &d.background_busy,
-                Some(&d.obs),
+                &d.obs,
                 schedules.unwrap_or_else(|| vec![FaultSchedule::none(); set.len()]),
             )
         })?;
@@ -859,7 +859,7 @@ impl PMoveDaemon {
                 duration_s,
                 freq_hz,
                 &d.background_busy,
-                Some(&d.obs),
+                &d.obs,
                 resilience,
                 fault.and_then(|mut list| list.pop()),
             ))
@@ -880,7 +880,7 @@ impl PMoveDaemon {
             &mut self.ids,
             request,
             self.now_s,
-            Some(&self.obs),
+            &self.obs,
         )?;
         self.now_s = outcome.execution.end_s() + 0.1;
         self.sync_kb()?;

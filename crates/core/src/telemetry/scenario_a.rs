@@ -58,8 +58,8 @@ pub fn default_gpu_metrics() -> Vec<String> {
 ///
 /// `busy` lists `(os thread index, busy fraction)` pairs imposed by
 /// running processes, which the `pmdalinux` agent reflects in the per-CPU
-/// idle metrics. When `obs` is given, the transport, sampler and pmcd
-/// report their `pcp.*` self-telemetry into it. When `resilience` is
+/// idle metrics. The transport, sampler and pmcd report their `pcp.*`
+/// self-telemetry into `obs` (possibly disabled). When `resilience` is
 /// given, the shipper spills instead of dropping, retries with backoff
 /// behind a circuit breaker, and marks recovery gaps; when `fault` is
 /// given, the injected schedule perturbs the link/backend on the virtual
@@ -73,7 +73,7 @@ pub fn monitor_system_resilient(
     duration_s: f64,
     freq_hz: f64,
     busy: &[(u32, f64)],
-    obs: Option<&Arc<Registry>>,
+    obs: &Arc<Registry>,
     resilience: Option<ResilienceConfig>,
     fault: Option<FaultSchedule>,
 ) -> SamplingReport {
@@ -84,10 +84,8 @@ pub fn monitor_system_resilient(
         LinkSpec::mbit_100(),
         1.0 / freq_hz,
         &[machine.key(), "scenario_a"],
-    );
-    if let Some(reg) = obs {
-        shipper = shipper.with_obs(reg.clone());
-    }
+    )
+    .with_obs(obs.clone());
     if let Some(schedule) = fault {
         shipper = shipper.with_fault_schedule(schedule);
     }
@@ -106,7 +104,7 @@ fn configure_collectors(
     machine: &Machine,
     kb: &KnowledgeBase,
     busy: &[(u32, f64)],
-    obs: Option<&Arc<Registry>>,
+    obs: &Arc<Registry>,
 ) -> (Pmcd, Vec<String>) {
     let declared: Vec<String> = kb
         .interfaces
@@ -141,9 +139,7 @@ fn configure_collectors(
         rss_bytes: 9.0e6,
         lifetime: None,
     }])));
-    if let Some(reg) = obs {
-        pmcd.set_obs(reg);
-    }
+    pmcd.set_obs(obs);
     (pmcd, metrics)
 }
 
@@ -177,14 +173,12 @@ pub fn monitor_system_replicated(
     duration_s: f64,
     freq_hz: f64,
     busy: &[(u32, f64)],
-    obs: Option<&Arc<Registry>>,
+    obs: &Arc<Registry>,
     schedules: Vec<FaultSchedule>,
 ) -> Result<ReplicatedOutcome, PmoveError> {
     let (mut pmcd, metrics) = configure_collectors(machine, kb, busy, obs);
-    let mut coord = ReplShipper::new(set, schedules, &[machine.key(), "scenario_a", set.name()])?;
-    if let Some(reg) = obs {
-        coord = coord.with_obs(reg.clone());
-    }
+    let mut coord = ReplShipper::new(set, schedules, &[machine.key(), "scenario_a", set.name()])?
+        .with_obs(obs.clone());
     let config = SamplingConfig::new(metrics, freq_hz, start_s, duration_s);
     let report = run_replicated(&config, &mut pmcd, &mut coord);
     Ok(ReplicatedOutcome {
@@ -217,7 +211,7 @@ mod tests {
             duration_s,
             freq_hz,
             &[],
-            None,
+            &Registry::disabled(),
             None,
             None,
         )
@@ -277,9 +271,18 @@ mod tests {
 
         let set = ReplicaSet::in_memory("pmove", ReplConfig::default()).unwrap();
         let schedules = vec![FaultSchedule::none(); set.len()];
-        let out =
-            monitor_system_replicated(&machine, &kb, &set, 0.0, 10.0, 1.0, &[], None, schedules)
-                .unwrap();
+        let out = monitor_system_replicated(
+            &machine,
+            &kb,
+            &set,
+            0.0,
+            10.0,
+            1.0,
+            &[],
+            &Registry::disabled(),
+            schedules,
+        )
+        .unwrap();
         assert_eq!(out.report.ticks, plain.ticks);
         assert_eq!(out.report.transport.values_lost, 0);
         assert!(!out.degraded);

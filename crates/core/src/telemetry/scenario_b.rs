@@ -46,9 +46,9 @@ pub struct ProfileOutcome {
 }
 
 /// Execute Scenario B. Telemetry lands in `ts`, tagged with the new
-/// observation id; the observation is appended to `kb`. When `obs` is
-/// given, the transport, sampler and pmcd report their `pcp.*`
-/// self-telemetry into it.
+/// observation id; the observation is appended to `kb`. The transport,
+/// sampler and pmcd report their `pcp.*` self-telemetry into `obs`
+/// (possibly disabled).
 #[allow(clippy::too_many_arguments)]
 pub fn profile_kernel(
     machine: &Machine,
@@ -58,7 +58,7 @@ pub fn profile_kernel(
     ids: &mut IdFactory,
     request: &ProfileRequest,
     start_s: f64,
-    obs: Option<&std::sync::Arc<pmove_obs::Registry>>,
+    obs: &std::sync::Arc<pmove_obs::Registry>,
 ) -> Result<ProfileOutcome, PmoveError> {
     let pmu = kb.pmu_name.clone();
 
@@ -130,11 +130,9 @@ pub fn profile_kernel(
         LinkSpec::mbit_100(),
         1.0 / request.freq_hz,
         &[machine.key(), &obs_id],
-    );
-    if let Some(reg) = obs {
-        shipper = shipper.with_obs(reg.clone());
-        pmcd.set_obs(reg);
-    }
+    )
+    .with_obs(obs.clone());
+    pmcd.set_obs(obs);
     // PCP "stops the sampling as the kernel is halted": even for kernels
     // shorter than one period, a final read covers the full run.
     let duration = (exec.end_s() - start_s).max(1.0 / request.freq_hz);
@@ -317,7 +315,7 @@ mod tests {
             &mut ids,
             &request(),
             5.0,
-            None,
+            &pmove_obs::Registry::disabled(),
         )
         .unwrap();
 
@@ -359,8 +357,17 @@ mod tests {
     fn recalled_totals_approximate_ground_truth() {
         let (machine, mut kb, layer, ts, mut ids) = setup();
         let req = request();
-        let outcome =
-            profile_kernel(&machine, &mut kb, &layer, &ts, &mut ids, &req, 0.0, None).unwrap();
+        let outcome = profile_kernel(
+            &machine,
+            &mut kb,
+            &layer,
+            &ts,
+            &mut ids,
+            &req,
+            0.0,
+            &pmove_obs::Registry::disabled(),
+        )
+        .unwrap();
         // AVX512_DP_FLOPS (scaled by ×8) should recall ≈ the true FLOPs.
         let truth = req.profile.total_flops() as f64;
         let recalled = recall_generic_total(
@@ -380,7 +387,16 @@ mod tests {
         let (machine, mut kb, layer, ts, mut ids) = setup();
         let mut req = request();
         req.generic_events = vec!["L3_HIT".into()]; // Intel: unsupported
-        let err = profile_kernel(&machine, &mut kb, &layer, &ts, &mut ids, &req, 0.0, None);
+        let err = profile_kernel(
+            &machine,
+            &mut kb,
+            &layer,
+            &ts,
+            &mut ids,
+            &req,
+            0.0,
+            &pmove_obs::Registry::disabled(),
+        );
         assert!(matches!(err, Err(PmoveError::UnmappedEvent { .. })));
     }
 
@@ -397,7 +413,7 @@ mod tests {
             &mut ids,
             &request(),
             0.0,
-            None,
+            &pmove_obs::Registry::disabled(),
         )
         .unwrap();
         profile_kernel(
@@ -408,7 +424,7 @@ mod tests {
             &mut ids,
             &request(),
             10.0,
-            None,
+            &pmove_obs::Registry::disabled(),
         )
         .unwrap();
         let procs = kb.of_type("process");
@@ -450,7 +466,7 @@ mod tests {
             &mut ids,
             &request(),
             0.0,
-            None,
+            &pmove_obs::Registry::disabled(),
         )
         .unwrap();
         let b = profile_kernel(
@@ -461,7 +477,7 @@ mod tests {
             &mut ids,
             &request(),
             10.0,
-            None,
+            &pmove_obs::Registry::disabled(),
         )
         .unwrap();
         assert_ne!(a.observation.id, b.observation.id);

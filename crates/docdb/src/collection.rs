@@ -10,7 +10,6 @@ use parking_lot::RwLock;
 use pmove_obs::{Counter, Registry};
 use serde_json::{json, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Options controlling `find_with`.
 #[derive(Debug, Clone, Default)]
@@ -54,10 +53,10 @@ struct Inner {
 
 /// Hoisted per-collection `docdb.*` op counters, labelled by collection.
 struct CollectionObs {
-    inserts: Arc<Counter>,
-    finds: Arc<Counter>,
-    updates: Arc<Counter>,
-    deletes: Arc<Counter>,
+    inserts: Counter,
+    finds: Counter,
+    updates: Counter,
+    deletes: Counter,
 }
 
 impl CollectionObs {
@@ -78,30 +77,29 @@ pub struct Collection {
     name: String,
     inner: RwLock<Inner>,
     next_id: AtomicU64,
-    obs: Option<CollectionObs>,
+    obs: CollectionObs,
 }
 
 impl Collection {
     /// New empty collection.
     pub fn new(name: impl Into<String>) -> Self {
+        Collection::with_obs(name, &Registry::disabled())
+    }
+
+    /// [`Collection::new`] with `docdb.*` op counters (labelled with the
+    /// collection name) registered in `registry`.
+    pub fn with_obs(name: impl Into<String>, registry: &Registry) -> Self {
+        let name = name.into();
         Collection {
-            name: name.into(),
+            obs: CollectionObs::new(registry, &name),
+            name,
             inner: RwLock::new(Inner {
                 docs: Vec::new(),
                 indexes: Vec::new(),
                 live: 0,
             }),
             next_id: AtomicU64::new(1),
-            obs: None,
         }
-    }
-
-    /// [`Collection::new`] with `docdb.*` op counters (labelled with the
-    /// collection name) registered in `registry`.
-    pub fn with_obs(name: impl Into<String>, registry: &Registry) -> Self {
-        let mut c = Collection::new(name);
-        c.obs = Some(CollectionObs::new(registry, &c.name));
-        c
     }
 
     /// Collection name.
@@ -139,9 +137,7 @@ impl Collection {
 
     /// Insert one document; assigns `_id` if absent. Returns the `_id`.
     pub fn insert_one(&self, mut doc: Value) -> Result<String, DocDbError> {
-        if let Some(o) = &self.obs {
-            o.inserts.inc();
-        }
+        self.obs.inserts.inc();
         let map = doc.as_object_mut().ok_or(DocDbError::NotAnObject)?;
         let id = match map.get("_id") {
             Some(Value::String(s)) => s.clone(),
@@ -210,9 +206,7 @@ impl Collection {
 
     /// Find with sort/limit options.
     pub fn find_with(&self, filter: &Value, opts: &FindOptions) -> Result<Vec<Value>, DocDbError> {
-        if let Some(o) = &self.obs {
-            o.finds.inc();
-        }
+        self.obs.finds.inc();
         let inner = self.inner.read();
         let mut out = Vec::new();
         match self.candidate_slots(&inner, filter) {
@@ -259,9 +253,7 @@ impl Collection {
 
     /// Update all matching documents; returns the number updated.
     pub fn update_many(&self, filter: &Value, spec: &Value) -> Result<usize, DocDbError> {
-        if let Some(o) = &self.obs {
-            o.updates.inc();
-        }
+        self.obs.updates.inc();
         let mut inner = self.inner.write();
         let mut updated = 0;
         for slot in 0..inner.docs.len() {
@@ -284,9 +276,7 @@ impl Collection {
 
     /// Delete all matching documents; returns the number deleted.
     pub fn delete_many(&self, filter: &Value) -> Result<usize, DocDbError> {
-        if let Some(o) = &self.obs {
-            o.deletes.inc();
-        }
+        self.obs.deletes.inc();
         let mut inner = self.inner.write();
         let mut deleted = 0;
         for slot in 0..inner.docs.len() {

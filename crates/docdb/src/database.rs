@@ -12,31 +12,24 @@ use std::sync::Arc;
 pub struct Database {
     name: String,
     collections: RwLock<BTreeMap<String, Arc<Collection>>>,
-    obs: Option<Arc<Registry>>,
+    obs: Arc<Registry>,
 }
 
 impl Database {
     /// New empty database.
     pub fn new(name: impl Into<String>) -> Self {
-        Database {
-            name: name.into(),
-            collections: RwLock::new(BTreeMap::new()),
-            obs: None,
-        }
+        Database::with_obs(name, Registry::disabled())
     }
 
     /// [`Database::new`] with an observability registry: every collection
     /// created through [`Database::collection`] counts its operations
     /// under `docdb.*`, labelled with the collection name.
     pub fn with_obs(name: impl Into<String>, registry: Arc<Registry>) -> Self {
-        let mut db = Database::new(name);
-        db.obs = Some(registry);
-        db
-    }
-
-    /// The attached observability registry, if any.
-    pub fn obs_registry(&self) -> Option<&Arc<Registry>> {
-        self.obs.as_ref()
+        Database {
+            name: name.into(),
+            collections: RwLock::new(BTreeMap::new()),
+            obs: registry,
+        }
     }
 
     /// Database name.
@@ -48,12 +41,7 @@ impl Database {
     pub fn collection(&self, name: &str) -> Arc<Collection> {
         let mut cols = self.collections.write();
         cols.entry(name.to_string())
-            .or_insert_with(|| {
-                Arc::new(match &self.obs {
-                    Some(reg) => Collection::with_obs(name, reg),
-                    None => Collection::new(name),
-                })
-            })
+            .or_insert_with(|| Arc::new(Collection::with_obs(name, &self.obs)))
             .clone()
     }
 
@@ -126,6 +114,5 @@ mod tests {
         assert_eq!(snap.counter("docdb.finds", &labels), Some(1));
         assert_eq!(snap.counter("docdb.updates", &labels), Some(1));
         assert_eq!(snap.counter("docdb.deletes", &labels), Some(1));
-        assert!(db.obs_registry().is_some());
     }
 }

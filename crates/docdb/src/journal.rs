@@ -40,10 +40,10 @@ pub struct JournalReport {
 
 /// Hoisted `docdb.journal.*` metric handles, labelled by database.
 struct JournalObs {
-    records_appended: Arc<Counter>,
-    commits: Arc<Counter>,
-    bytes_committed: Arc<Counter>,
-    records_replayed: Arc<Counter>,
+    records_appended: Counter,
+    commits: Counter,
+    bytes_committed: Counter,
+    records_replayed: Counter,
 }
 
 impl JournalObs {
@@ -66,7 +66,7 @@ impl JournalObs {
 pub struct DurableDatabase {
     db: Arc<Database>,
     wal: Mutex<Wal>,
-    obs: Option<JournalObs>,
+    obs: JournalObs,
 }
 
 /// Journal file name for database `name`.
@@ -81,7 +81,7 @@ impl DurableDatabase {
         name: impl Into<String>,
         vfs: Arc<dyn Vfs>,
     ) -> Result<(DurableDatabase, JournalReport), DocDbError> {
-        Self::open_inner(name.into(), vfs, None)
+        Self::open_with_obs(name, vfs, Registry::disabled())
     }
 
     /// [`DurableDatabase::open`] with `docdb.*` and `docdb.journal.*`
@@ -91,36 +91,27 @@ impl DurableDatabase {
         vfs: Arc<dyn Vfs>,
         registry: Arc<Registry>,
     ) -> Result<(DurableDatabase, JournalReport), DocDbError> {
-        Self::open_inner(name.into(), vfs, Some(registry))
-    }
-
-    fn open_inner(
-        name: String,
-        vfs: Arc<dyn Vfs>,
-        registry: Option<Arc<Registry>>,
-    ) -> Result<(DurableDatabase, JournalReport), DocDbError> {
-        let obs = registry
-            .as_ref()
-            .map(|reg| JournalObs::new(reg, name.as_str()));
-        let db = Arc::new(match registry {
-            Some(reg) => Database::with_obs(name.clone(), reg),
-            None => Database::new(name.clone()),
-        });
-        let (wal, payloads, replay) = Wal::open(vfs.clone(), &journal_file(&name))?;
+        let name = name.into();
+        let obs = JournalObs::new(&registry, &name);
+        let db = Arc::new(Database::with_obs(name.clone(), registry));
+        let (mut wal, payloads, replay) = Wal::open(vfs.clone(), &journal_file(&name))?;
         let mut report = JournalReport {
             bytes_dropped: replay.bytes_dropped,
             ..JournalReport::default()
         };
         let mut bytes_read = 0u64;
-        for payload in &payloads {
+        for (i, payload) in payloads.iter().enumerate() {
             bytes_read += payload.len() as u64 + 8;
-            // A payload that deframes but is not valid JSON can only come
-            // from a bit flip past the CRC: it and everything after it
-            // are discarded, like a CRC failure.
+            // A payload that deframes but is not valid JSON is damage sealed
+            // under a matching CRC: cut the journal back to the frames before
+            // it, so later ops are not appended behind a frame replay stops at.
             let Ok(op) = std::str::from_utf8(payload)
                 .map_err(|_| ())
                 .and_then(|s| serde_json::from_str::<Value>(s).map_err(|_| ()))
             else {
+                wal.rewrite(&payloads[..i])?;
+                let cut = payloads[i..].iter().map(|p| p.len() as u64 + 8);
+                report.bytes_dropped += cut.sum::<u64>();
                 break;
             };
             match apply_op(&db, &op) {
@@ -132,9 +123,7 @@ impl DurableDatabase {
             .disk_spec()
             .write_time(bytes_read, IO_BLOCK_SIZE as usize)
             * 1e9) as u64;
-        if let Some(obs) = &obs {
-            obs.records_replayed.add(report.records_replayed);
-        }
+        obs.records_replayed.add(report.records_replayed);
         Ok((
             DurableDatabase {
                 db,
@@ -175,11 +164,9 @@ impl DurableDatabase {
         let mut wal = self.wal.lock();
         wal.append(&payload);
         let info = wal.commit()?;
-        if let Some(obs) = &self.obs {
-            obs.records_appended.add(info.records);
-            obs.commits.inc();
-            obs.bytes_committed.add(info.bytes);
-        }
+        self.obs.records_appended.add(info.records);
+        self.obs.commits.inc();
+        self.obs.bytes_committed.add(info.bytes);
         Ok(())
     }
 
@@ -418,6 +405,33 @@ mod tests {
         drop(db2);
         let (db3, _) = DurableDatabase::open("kb", vfs).unwrap();
         assert_eq!(db3.db().collection("c").len(), 3);
+    }
+
+    #[test]
+    fn crc_valid_frame_that_is_not_json_is_cut_not_appended_behind() {
+        let (_, vfs) = disk();
+        let (db, _) = DurableDatabase::open("kb", vfs.clone()).unwrap();
+        db.insert_one("c", json!({"n": 1})).unwrap();
+        drop(db);
+        // Damage sealed under a matching CRC: deframes, does not parse.
+        let garbage = b"\xff\xfenot json";
+        let (mut wal, _, _) = Wal::open(vfs.clone(), &journal_file("kb")).unwrap();
+        wal.append(garbage);
+        wal.commit().unwrap();
+        drop(wal);
+
+        let (db2, report) = DurableDatabase::open("kb", vfs.clone()).unwrap();
+        assert_eq!(report.records_replayed, 1);
+        assert_eq!(report.bytes_dropped, garbage.len() as u64 + 8);
+        db2.insert_one("c", json!({"n": 2})).unwrap();
+        db2.insert_one("c", json!({"n": 3})).unwrap();
+        drop(db2);
+        // Acknowledged after the cut: both survive every later reopen.
+        for _ in 0..2 {
+            let (db3, report) = DurableDatabase::open("kb", vfs.clone()).unwrap();
+            assert_eq!((report.records_replayed, report.bytes_dropped), (3, 0));
+            assert_eq!(db3.db().collection("c").len(), 3);
+        }
     }
 
     #[test]

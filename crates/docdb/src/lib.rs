@@ -23,6 +23,7 @@
 //! let found = kb.find(&json!({"@type": {"$eq": "Interface"}})).unwrap();
 //! assert_eq!(found.len(), 1);
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod collection;
 pub mod database;

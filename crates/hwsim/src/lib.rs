@@ -34,6 +34,7 @@
 //!
 //! Everything is deterministic: stochastic elements derive from
 //! `rand_chacha` seeded per (machine, event) pair.
+#![forbid(unsafe_code)]
 
 pub mod cache_model;
 pub mod clock;

@@ -18,6 +18,7 @@
 //! * [`validate`] — structural validation of DTDL documents;
 //! * [`serialize`] — Interface ⇄ JSON-LD document conversion and
 //!   Interface → triple projection.
+#![forbid(unsafe_code)]
 
 pub mod context;
 pub mod dtdl;

@@ -18,6 +18,7 @@
 //!   preconditioned CG with symmetric Gauss–Seidel, residual-verified;
 //! * [`registry`] — kernel lookup by name for Scenario B's
 //!   "request an executable" flow.
+#![forbid(unsafe_code)]
 
 pub mod ground_truth;
 pub mod hpcg;

@@ -11,12 +11,16 @@
 //!    produce identical snapshots.
 //! 2. **Cheap when hot**: counters and histograms are lock-free atomics;
 //!    the registry lock is only taken when a handle is first created (or a
-//!    span is recorded). Handles are `Arc`s meant to be hoisted out of hot
-//!    loops.
+//!    span is recorded). Handles are cheap clones meant to be hoisted out
+//!    of hot loops.
 //! 3. **Explicit handles, no globals**: a [`Registry`] is constructed per
 //!    pipeline (daemon, shipper, benchmark cell) and threaded through.
 //!    This keeps parallel tests and multi-node clusters from polluting
 //!    each other's telemetry.
+//! 4. **Absence is a value**: an unobserved pipeline holds
+//!    [`Registry::disabled`], whose handles are empty and record nothing,
+//!    and an untraced call carries [`Span::none`]; neither is an
+//!    `Option`, so every stage has one code path.
 //!
 //! The crate deliberately has no serde/tsdb dependency; `pmove-tsdb`
 //! provides the exporter that flushes a [`Snapshot`] into time series
@@ -38,6 +42,7 @@
 //! let snap = reg.snapshot();
 //! assert_eq!(snap.counters[0].1, 128);
 //! ```
+#![forbid(unsafe_code)]
 
 mod audit;
 mod metrics;

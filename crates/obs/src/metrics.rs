@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::snapshot::{HistogramSnapshot, Snapshot, SpanSnapshot};
 use crate::span::{SpanGuard, SpanStats};
@@ -32,16 +32,17 @@ impl MetricKey {
     }
 }
 
-/// Monotonic event counter (lock-free).
-#[derive(Debug, Default)]
-pub struct Counter {
-    value: AtomicU64,
-}
+/// Monotonic event counter: a cheap-clone handle onto a lock-free cell,
+/// empty from [`Registry::disabled`] — `add` does nothing, `get` reads 0.
+#[derive(Debug, Clone)]
+pub struct Counter(Option<Arc<AtomicU64>>);
 
 impl Counter {
     /// Add `n` events.
     pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
+        if let Some(value) = &self.0 {
+            value.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// Add one event.
@@ -51,25 +52,26 @@ impl Counter {
 
     /// Current total.
     pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
+        self.0.as_ref().map_or(0, |v| v.load(Ordering::Relaxed))
     }
 }
 
-/// Last-value gauge storing an `f64` (lock-free via bit transmutation).
-#[derive(Debug, Default)]
-pub struct Gauge {
-    bits: AtomicU64,
-}
+/// Last-value gauge storing an `f64` (lock-free via bit transmutation);
+/// a handle like [`Counter`], empty from [`Registry::disabled`].
+#[derive(Debug, Clone)]
+pub struct Gauge(Option<Arc<AtomicU64>>);
 
 impl Gauge {
     /// Overwrite the gauge value.
     pub fn set(&self, v: f64) {
-        self.bits.store(v.to_bits(), Ordering::Relaxed);
+        if let Some(bits) = &self.0 {
+            bits.store(v.to_bits(), Ordering::Relaxed);
+        }
     }
 
     /// Current value.
     pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
+        f64::from_bits(self.0.as_ref().map_or(0, |b| b.load(Ordering::Relaxed)))
     }
 }
 
@@ -78,9 +80,13 @@ impl Gauge {
 /// Buckets are upper-inclusive bounds; one implicit overflow bucket catches
 /// everything above the last bound. Recording is lock-free. Quantiles are
 /// estimated by linear interpolation inside the winning bucket, which is
-/// deterministic for a given sample multiset.
+/// deterministic for a given sample multiset. A handle like [`Counter`]:
+/// empty from [`Registry::disabled`], every getter then reads 0 / `None`.
+#[derive(Debug, Clone)]
+pub struct Histogram(Option<Arc<HistogramCell>>);
+
 #[derive(Debug)]
-pub struct Histogram {
+struct HistogramCell {
     bounds: Vec<u64>,
     buckets: Vec<AtomicU64>,
     count: AtomicU64,
@@ -89,6 +95,20 @@ pub struct Histogram {
     /// Largest tagged sample and the trace it belongs to, so a p99
     /// outlier links straight to its trace tree. `(trace_id, value)`.
     exemplar: Mutex<Option<(u64, u64)>>,
+}
+
+impl HistogramCell {
+    fn exemplar(&self) -> std::sync::MutexGuard<'_, Option<(u64, u64)>> {
+        match self.exemplar.lock() {
+            Ok(g) => g,
+            Err(poison) => poison.into_inner(),
+        }
+    }
+
+    fn counts(&self) -> Vec<u64> {
+        let load = |b: &AtomicU64| b.load(Ordering::Relaxed);
+        self.buckets.iter().map(load).collect()
+    }
 }
 
 impl Histogram {
@@ -100,23 +120,24 @@ impl Histogram {
             "histogram bounds must be strictly ascending"
         );
         let buckets = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
-        Histogram {
+        Histogram(Some(Arc::new(HistogramCell {
             bounds,
             buckets,
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
             exemplar: Mutex::new(None),
-        }
+        })))
     }
 
     /// Record one sample.
     pub fn record(&self, v: u64) {
-        let idx = self.bounds.partition_point(|&b| b < v);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        let Some(h) = &self.0 else { return };
+        let idx = h.bounds.partition_point(|&b| b < v);
+        h.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        h.count.fetch_add(1, Ordering::Relaxed);
+        h.sum.fetch_add(v, Ordering::Relaxed);
+        h.max.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Record one sample and tag it with the trace it belongs to. The
@@ -124,11 +145,9 @@ impl Histogram {
     /// id), so the retained exemplar is deterministic regardless of
     /// arrival order and always points at the tail of the distribution.
     pub fn record_exemplar(&self, v: u64, trace_id: u64) {
+        let Some(h) = &self.0 else { return };
         self.record(v);
-        let mut slot = match self.exemplar.lock() {
-            Ok(g) => g,
-            Err(poison) => poison.into_inner(),
-        };
+        let mut slot = h.exemplar();
         let replace = match *slot {
             None => true,
             Some((t, cur)) => v > cur || (v == cur && trace_id < t),
@@ -140,25 +159,24 @@ impl Histogram {
 
     /// The current exemplar, if any sample was tagged: `(trace_id, value)`.
     pub fn exemplar(&self) -> Option<(u64, u64)> {
-        match self.exemplar.lock() {
-            Ok(g) => *g,
-            Err(poison) => *poison.into_inner(),
-        }
+        *self.0.as_ref()?.exemplar()
     }
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.0
+            .as_ref()
+            .map_or(0, |h| h.count.load(Ordering::Relaxed))
     }
 
     /// Sum of recorded samples.
     pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
+        self.0.as_ref().map_or(0, |h| h.sum.load(Ordering::Relaxed))
     }
 
     /// Largest recorded sample (0 when empty).
     pub fn max(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
+        self.0.as_ref().map_or(0, |h| h.max.load(Ordering::Relaxed))
     }
 
     /// Mean sample value (0.0 when empty).
@@ -174,15 +192,12 @@ impl Histogram {
     /// Estimate the `q`-quantile (`0.0..=1.0`) by linear interpolation
     /// within the bucket containing the target rank.
     pub fn quantile(&self, q: f64) -> f64 {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        quantile_from_counts(&self.bounds, &counts, self.count(), self.max(), q)
+        let Some(h) = &self.0 else { return 0.0 };
+        quantile_from_counts(&h.bounds, &h.counts(), self.count(), self.max(), q)
     }
 
     pub(crate) fn snapshot(&self) -> HistogramSnapshot {
+        let cell = self.0.as_ref();
         HistogramSnapshot {
             count: self.count(),
             sum: self.sum(),
@@ -191,12 +206,8 @@ impl Histogram {
             p50: self.quantile(0.50),
             p90: self.quantile(0.90),
             p99: self.quantile(0.99),
-            bounds: self.bounds.clone(),
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
+            bounds: cell.map_or_else(Vec::new, |h| h.bounds.clone()),
+            buckets: cell.map_or_else(Vec::new, |h| h.counts()),
             exemplar: self.exemplar(),
         }
     }
@@ -274,19 +285,21 @@ pub fn latency_buckets() -> Vec<u64> {
 
 #[derive(Default)]
 struct RegistryInner {
-    counters: BTreeMap<MetricKey, Arc<Counter>>,
-    gauges: BTreeMap<MetricKey, Arc<Gauge>>,
-    histograms: BTreeMap<MetricKey, Arc<Histogram>>,
+    counters: BTreeMap<MetricKey, Arc<AtomicU64>>,
+    gauges: BTreeMap<MetricKey, Arc<AtomicU64>>,
+    histograms: BTreeMap<MetricKey, Histogram>,
     spans: BTreeMap<String, SpanStats>,
 }
 
 /// Owner of all metrics for one pipeline instance.
 ///
 /// Cloneable via `Arc<Registry>`; every accessor takes `&self`. Handle
-/// creation locks briefly; the returned `Arc` handles are lock-free to
-/// update.
+/// creation locks briefly; the returned handles are lock-free to update.
+/// "No registry" is [`Registry::disabled`], not an `Option`.
 #[derive(Default)]
 pub struct Registry {
+    /// Set only on [`Registry::disabled`]: nothing is ever registered.
+    disabled: bool,
     inner: Mutex<RegistryInner>,
     /// Fast-path flag so untraced pipelines pay one relaxed load, not a
     /// lock, to discover there is no tracer.
@@ -306,6 +319,27 @@ impl Registry {
         Arc::new(Registry::new())
     }
 
+    /// The one shared registry that records nothing — what an unobserved
+    /// pipeline holds: `counter` / `gauge` / `histogram` hand out empty
+    /// handles without locking or allocating, spans are dropped, no tracer
+    /// attaches and [`Registry::snapshot`] stays empty.
+    pub fn disabled() -> Arc<Registry> {
+        static DISABLED: OnceLock<Arc<Registry>> = OnceLock::new();
+        let build = || {
+            Arc::new(Registry {
+                disabled: true,
+                ..Registry::default()
+            })
+        };
+        DISABLED.get_or_init(build).clone()
+    }
+
+    /// False only for [`Registry::disabled`]: guards work done purely to
+    /// label or export a metric (a `format!`, a snapshot walk).
+    pub fn is_enabled(&self) -> bool {
+        !self.disabled
+    }
+
     fn lock(&self) -> std::sync::MutexGuard<'_, RegistryInner> {
         match self.inner.lock() {
             Ok(g) => g,
@@ -314,32 +348,33 @@ impl Registry {
     }
 
     /// Get or create the counter `name{labels}`.
-    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
+    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
+        if self.disabled {
+            return Counter(None);
+        }
         let key = MetricKey::new(name, labels);
-        Arc::clone(self.lock().counters.entry(key).or_default())
+        Counter(Some(self.lock().counters.entry(key).or_default().clone()))
     }
 
     /// Get or create the gauge `name{labels}`.
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
+    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
+        if self.disabled {
+            return Gauge(None);
+        }
         let key = MetricKey::new(name, labels);
-        Arc::clone(self.lock().gauges.entry(key).or_default())
+        Gauge(Some(self.lock().gauges.entry(key).or_default().clone()))
     }
 
     /// Get or create the histogram `name{labels}` with `bounds` (bounds are
     /// fixed on first creation; later calls reuse the existing instance).
-    pub fn histogram(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        bounds: Vec<u64>,
-    ) -> Arc<Histogram> {
+    pub fn histogram(&self, name: &str, labels: &[(&str, &str)], bounds: Vec<u64>) -> Histogram {
+        if self.disabled {
+            return Histogram(None);
+        }
         let key = MetricKey::new(name, labels);
-        Arc::clone(
-            self.lock()
-                .histograms
-                .entry(key)
-                .or_insert_with(|| Arc::new(Histogram::new(bounds))),
-        )
+        let mut inner = self.lock();
+        let live = || Histogram::new(bounds);
+        inner.histograms.entry(key).or_insert_with(live).clone()
     }
 
     /// Open a span at virtual time `start_ns`; finish it with
@@ -350,6 +385,9 @@ impl Registry {
 
     /// Record a completed span directly from explicit timestamps.
     pub fn record_span(&self, name: &str, start_ns: u64, end_ns: u64) {
+        if self.disabled {
+            return;
+        }
         let mut inner = self.lock();
         let stats = inner.spans.entry(name.to_string()).or_default();
         stats.record(start_ns, end_ns);
@@ -358,6 +396,9 @@ impl Registry {
     /// Attach a tracer so pipeline stages holding this registry can
     /// start and propagate trace trees without extra plumbing.
     pub fn set_tracer(&self, tracer: Arc<Tracer>) {
+        if self.disabled {
+            return;
+        }
         let mut slot = match self.tracer.lock() {
             Ok(g) => g,
             Err(poison) => poison.into_inner(),
@@ -385,12 +426,12 @@ impl Registry {
             counters: inner
                 .counters
                 .iter()
-                .map(|(k, c)| (k.clone(), c.get()))
+                .map(|(k, c)| (k.clone(), c.load(Ordering::Relaxed)))
                 .collect(),
             gauges: inner
                 .gauges
                 .iter()
-                .map(|(k, g)| (k.clone(), g.get()))
+                .map(|(k, g)| (k.clone(), f64::from_bits(g.load(Ordering::Relaxed))))
                 .collect(),
             histograms: inner
                 .histograms
@@ -517,8 +558,38 @@ mod tests {
     }
 
     #[test]
+    fn disabled_registry_and_empty_handles_do_nothing() {
+        use crate::trace::{TraceConfig, Tracer};
+        let reg = Registry::disabled();
+        assert!(!reg.is_enabled() && Registry::new().is_enabled());
+        assert!(Arc::ptr_eq(&reg, &Registry::disabled()), "one instance");
+        let (a, b) = (reg.counter("c", &[("h", "skx")]), reg.counter("c", &[]));
+        a.add(3);
+        a.inc();
+        assert_eq!((a.get(), b.get()), (0, 0));
+        let g = reg.gauge("g", &[]);
+        g.set(0.375);
+        assert_eq!(g.get(), 0.0);
+        let h = reg.histogram("h", &[], latency_buckets());
+        h.record(7);
+        h.record_exemplar(9, 1);
+        crate::Span::none().observe(&h, 5);
+        assert_eq!((h.count(), h.sum(), h.max(), h.exemplar()), (0, 0, 0, None));
+        assert_eq!((h.mean(), h.quantile(0.99)), (0.0, 0.0));
+        reg.record_span("s", 0, 10);
+        reg.span_enter("s", 0).finish(10);
+        reg.set_tracer(Arc::new(Tracer::new(1, TraceConfig::default())));
+        assert!(reg.tracer().is_none());
+        assert_eq!(reg.snapshot(), Snapshot::default());
+        // A clone of a live handle shares its cell; empty ones share nothing.
+        let live = Registry::new().counter("c", &[]);
+        live.clone().inc();
+        assert_eq!((live.get(), a.clone().get()), (1, 0));
+    }
+
+    #[test]
     fn gauge_stores_floats() {
-        let g = Gauge::default();
+        let g = Registry::new().gauge("g", &[]);
         g.set(0.375);
         assert_eq!(g.get(), 0.375);
     }

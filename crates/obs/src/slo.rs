@@ -355,7 +355,7 @@ impl Tracker {
 pub struct SloEngine {
     trackers: Vec<Tracker>,
     timeline: Vec<Transition>,
-    meta: Option<Arc<Registry>>,
+    meta: Arc<Registry>,
 }
 
 impl SloEngine {
@@ -364,14 +364,14 @@ impl SloEngine {
         SloEngine {
             trackers: Vec::new(),
             timeline: Vec::new(),
-            meta: None,
+            meta: Registry::disabled(),
         }
     }
 
     /// Publish `pmove.slo.*` meta-metrics into `registry` on every
     /// evaluation.
     pub fn with_meta(mut self, registry: Arc<Registry>) -> SloEngine {
-        self.meta = Some(registry);
+        self.meta = registry;
         self
     }
 
@@ -421,13 +421,8 @@ impl SloEngine {
             let mut driver: Option<(&BurnWindow, f64)> = None;
             for w in &tr.spec.windows {
                 let burn = tr.burn(w.window_ns);
-                if let Some(meta) = &self.meta {
-                    meta.gauge(
-                        "pmove.slo.burn_rate",
-                        &[("slo", tr.spec.name.as_str()), ("window", w.name.as_str())],
-                    )
-                    .set(burn);
-                }
+                let labels = [("slo", tr.spec.name.as_str()), ("window", w.name.as_str())];
+                self.meta.gauge("pmove.slo.burn_rate", &labels).set(burn);
                 if burn >= w.burn_threshold && w.severity > desired {
                     desired = w.severity;
                     driver = Some((w, burn));
@@ -461,20 +456,18 @@ impl SloEngine {
                 };
                 fired.push(t.clone());
                 self.timeline.push(t);
-                if let Some(meta) = &self.meta {
-                    meta.counter("pmove.slo.transitions", &[("slo", tr.spec.name.as_str())])
-                        .inc();
-                }
+                self.meta
+                    .counter("pmove.slo.transitions", &[("slo", tr.spec.name.as_str())])
+                    .inc();
             }
             tr.state = next;
-            if let Some(meta) = &self.meta {
-                meta.gauge("pmove.slo.state", &[("slo", tr.spec.name.as_str())])
-                    .set(match next {
-                        AlertState::Ok => 0.0,
-                        AlertState::Warning => 1.0,
-                        AlertState::Page => 2.0,
-                    });
-            }
+            self.meta
+                .gauge("pmove.slo.state", &[("slo", tr.spec.name.as_str())])
+                .set(match next {
+                    AlertState::Ok => 0.0,
+                    AlertState::Warning => 1.0,
+                    AlertState::Page => 2.0,
+                });
         }
         fired
     }

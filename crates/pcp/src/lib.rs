@@ -23,6 +23,7 @@
 //! the report's `pcp.sample` root span when the registry carries a
 //! tracer. [`ResilienceConfig`] sizes the opt-in spill buffer; the rest
 //! of the resilient policy is fixed ([`resilience`]).
+#![forbid(unsafe_code)]
 
 pub mod agent;
 pub mod error;

@@ -15,14 +15,24 @@ use crate::metric::MetricDesc;
 use pmove_obs::{Counter, Registry};
 use pmove_tsdb::Point;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Hoisted `pcp.pmcd.*` counters.
 struct PmcdObs {
-    fetches: Arc<Counter>,
-    misses: Arc<Counter>,
-    agent_crashes: Arc<Counter>,
-    agent_restarts: Arc<Counter>,
+    fetches: Counter,
+    misses: Counter,
+    agent_crashes: Counter,
+    agent_restarts: Counter,
+}
+
+impl PmcdObs {
+    fn new(registry: &Registry) -> PmcdObs {
+        PmcdObs {
+            fetches: registry.counter("pcp.pmcd.fetches", &[]),
+            misses: registry.counter("pcp.pmcd.misses", &[]),
+            agent_crashes: registry.counter("pcp.resilience.agent_crashes", &[]),
+            agent_restarts: registry.counter("pcp.resilience.agent_restarts", &[]),
+        }
+    }
 }
 
 /// Supervisor bookkeeping for one agent.
@@ -67,7 +77,7 @@ pub struct Pmcd {
     /// Optional tag set stamped on every shipped point (Scenario B stamps
     /// the observation UUID here so KB queries can recall the data).
     pub tags: BTreeMap<String, String>,
-    obs: Option<PmcdObs>,
+    obs: PmcdObs,
 }
 
 impl Pmcd {
@@ -82,19 +92,14 @@ impl Pmcd {
             agents: Vec::new(),
             supervision: Vec::new(),
             tags: BTreeMap::new(),
-            obs: None,
+            obs: PmcdObs::new(&Registry::disabled()),
         }
     }
 
     /// Count every fetch (and every miss) in `registry` under
     /// `pcp.pmcd.*`, and supervision events under `pcp.resilience.*`.
     pub fn set_obs(&mut self, registry: &Registry) {
-        self.obs = Some(PmcdObs {
-            fetches: registry.counter("pcp.pmcd.fetches", &[]),
-            misses: registry.counter("pcp.pmcd.misses", &[]),
-            agent_crashes: registry.counter("pcp.resilience.agent_crashes", &[]),
-            agent_restarts: registry.counter("pcp.resilience.agent_restarts", &[]),
-        });
+        self.obs = PmcdObs::new(registry);
     }
 
     /// Register an agent.
@@ -129,9 +134,7 @@ impl Pmcd {
                     agent.restart(t_now);
                     sup.crashed = false;
                     sup.restarts += 1;
-                    if let Some(o) = obs {
-                        o.agent_restarts.inc();
-                    }
+                    obs.agent_restarts.inc();
                 }
             } else if !agent.heartbeat(t_now) {
                 sup.crashed = true;
@@ -139,9 +142,7 @@ impl Pmcd {
                 sup.backoff_s = (sup.backoff_s * 2.0)
                     .clamp(Self::RESTART_BACKOFF_BASE_S, Self::RESTART_BACKOFF_CAP_S);
                 sup.next_restart_s = t_now + sup.backoff_s;
-                if let Some(o) = obs {
-                    o.agent_crashes.inc();
-                }
+                obs.agent_crashes.inc();
             }
         }
     }
@@ -165,11 +166,9 @@ impl Pmcd {
     /// reported.
     pub fn fetch(&mut self, metric: &str, t_prev: f64, t_now: f64) -> Option<Point> {
         let point = self.fetch_inner(metric, t_prev, t_now);
-        if let Some(o) = &self.obs {
-            o.fetches.inc();
-            if point.is_none() {
-                o.misses.inc();
-            }
+        self.obs.fetches.inc();
+        if point.is_none() {
+            self.obs.misses.inc();
         }
         point
     }

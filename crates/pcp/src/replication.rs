@@ -169,19 +169,19 @@ struct ReplicaHealth {
 /// Hoisted `tsdb.repl.*` metric handles.
 struct ReplObs {
     registry: Arc<Registry>,
-    quorum_writes: Arc<Counter>,
-    quorum_write_failures: Arc<Counter>,
-    hints_queued: Arc<Counter>,
-    hints_replayed: Arc<Counter>,
-    hints_dropped: Arc<Counter>,
-    failovers: Arc<Counter>,
-    values_corrupted: Arc<Counter>,
-    values_repaired: Arc<Counter>,
-    corrupt_pending: Arc<Gauge>,
-    hints_pending: Arc<Gauge>,
-    replicas_healthy: Arc<Gauge>,
-    primary: Arc<Gauge>,
-    quorum_write_ns: Arc<Histogram>,
+    quorum_writes: Counter,
+    quorum_write_failures: Counter,
+    hints_queued: Counter,
+    hints_replayed: Counter,
+    hints_dropped: Counter,
+    failovers: Counter,
+    values_corrupted: Counter,
+    values_repaired: Counter,
+    corrupt_pending: Gauge,
+    hints_pending: Gauge,
+    replicas_healthy: Gauge,
+    primary: Gauge,
+    quorum_write_ns: Histogram,
 }
 
 impl ReplObs {
@@ -220,7 +220,7 @@ pub struct ReplShipper<'a> {
     primary: usize,
     stats: ReplStats,
     noise: NoiseSource,
-    obs: Option<ReplObs>,
+    obs: ReplObs,
 }
 
 impl<'a> ReplShipper<'a> {
@@ -254,20 +254,15 @@ impl<'a> ReplShipper<'a> {
             primary: 0,
             stats: ReplStats::default(),
             noise: NoiseSource::from_labels(seed_labels),
-            obs: None,
+            obs: ReplObs::new(Registry::disabled()),
         })
     }
 
     /// Attach an observability registry: every ship/heartbeat updates the
     /// `tsdb.repl.*` counters, gauges, and the modelled quorum latency.
     pub fn with_obs(mut self, registry: Arc<Registry>) -> ReplShipper<'a> {
-        self.obs = Some(ReplObs::new(registry));
+        self.obs = ReplObs::new(registry);
         self
-    }
-
-    /// The attached observability registry, if any.
-    pub fn obs_registry(&self) -> Option<&Arc<Registry>> {
-        self.obs.as_ref().map(|o| &o.registry)
     }
 
     /// Index of the current primary (query routing preference).
@@ -405,24 +400,18 @@ impl<'a> ReplShipper<'a> {
         }
         qspan.end(cursor);
         self.stats.replica_acks += ack_count as u64;
-        if let Some(o) = &self.obs {
-            let modeled_ns = Self::QUORUM_BASE_NS
-                + Self::QUORUM_PER_ACK_NS * ack_count as u64
-                + Self::QUORUM_PER_VALUE_NS * n;
-            tr.observe(&o.quorum_write_ns, modeled_ns);
-        }
+        let modeled_ns = Self::QUORUM_BASE_NS
+            + Self::QUORUM_PER_ACK_NS * ack_count as u64
+            + Self::QUORUM_PER_VALUE_NS * n;
+        tr.observe(&self.obs.quorum_write_ns, modeled_ns);
 
         let quorum = ack_count >= w;
         if quorum {
             self.stats.quorum_writes += 1;
-            if let Some(o) = &self.obs {
-                o.quorum_writes.inc();
-            }
+            self.obs.quorum_writes.inc();
         } else {
             self.stats.quorum_write_failures += 1;
-            if let Some(o) = &self.obs {
-                o.quorum_write_failures.inc();
-            }
+            self.obs.quorum_write_failures.inc();
         }
 
         if read_zero {
@@ -496,9 +485,7 @@ impl<'a> ReplShipper<'a> {
         let cap = self.set.config().hint_capacity_values;
         if values > cap {
             self.stats.hints_dropped += 1;
-            if let Some(o) = &self.obs {
-                o.hints_dropped.inc();
-            }
+            self.obs.hints_dropped.inc();
             if ledger {
                 self.stats.values_lost += values;
             }
@@ -509,9 +496,7 @@ impl<'a> ReplShipper<'a> {
             let old = self.hints[i].pop_front().expect("capacity implies entries");
             self.queued_values[i] -= old.values;
             self.stats.hints_dropped += 1;
-            if let Some(o) = &self.obs {
-                o.hints_dropped.inc();
-            }
+            self.obs.hints_dropped.inc();
             if old.ledger {
                 self.stats.values_hinted -= old.values;
                 self.stats.values_evicted += old.values;
@@ -526,9 +511,7 @@ impl<'a> ReplShipper<'a> {
         });
         self.queued_values[i] += values;
         self.stats.hints_queued += 1;
-        if let Some(o) = &self.obs {
-            o.hints_queued.inc();
-        }
+        self.obs.hints_queued.inc();
         if ledger {
             self.stats.values_hinted += values;
         }
@@ -596,9 +579,7 @@ impl<'a> ReplShipper<'a> {
             }
             self.queued_values[i] -= values;
             self.stats.hints_replayed += 1;
-            if let Some(o) = &self.obs {
-                o.hints_replayed.inc();
-            }
+            self.obs.hints_replayed.inc();
             if entry.ledger {
                 // The report is now durable on one replica; anti-entropy
                 // spreads it to the rest, so it graduates to inserted.
@@ -628,9 +609,7 @@ impl<'a> ReplShipper<'a> {
             if next != self.primary {
                 self.primary = next;
                 self.stats.failovers += 1;
-                if let Some(o) = &self.obs {
-                    o.failovers.inc();
-                }
+                self.obs.failovers.inc();
             }
         }
     }
@@ -661,20 +640,18 @@ impl<'a> ReplShipper<'a> {
             .stats
             .values_corrupted
             .saturating_sub(self.stats.values_repaired);
-        if let Some(o) = &self.obs {
-            o.values_corrupted.add(report.cells_corrupted);
-            o.values_repaired.add(report.cells_repaired);
-            o.corrupt_pending
-                .set(self.stats.values_corrupt_pending as f64);
-        }
+        self.obs.values_corrupted.add(report.cells_corrupted);
+        self.obs.values_repaired.add(report.cells_repaired);
+        self.obs
+            .corrupt_pending
+            .set(self.stats.values_corrupt_pending as f64);
     }
 
     fn export_gauges(&self) {
-        if let Some(o) = &self.obs {
-            o.hints_pending.set(self.hints_pending_values() as f64);
-            o.replicas_healthy.set(self.healthy_count() as f64);
-            o.primary.set(self.primary as f64);
-        }
+        let o = &self.obs;
+        o.hints_pending.set(self.hints_pending_values() as f64);
+        o.replicas_healthy.set(self.healthy_count() as f64);
+        o.primary.set(self.primary as f64);
     }
 }
 
@@ -705,8 +682,8 @@ pub struct ReplSamplingReport {
 }
 
 impl SampleSink for ReplShipper<'_> {
-    fn registry(&self) -> Option<Arc<Registry>> {
-        self.obs_registry().cloned()
+    fn registry(&self) -> Arc<Registry> {
+        self.obs.registry.clone()
     }
 
     fn skips_ticks(&self) -> bool {

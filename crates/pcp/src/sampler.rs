@@ -95,8 +95,8 @@ impl SamplingReport {
 /// Where one run's samples go: the single-node [`Shipper`] or the
 /// replication coordinator. Lets [`run_ticks`] be the only tick loop.
 pub(crate) trait SampleSink {
-    /// The attached observability registry, if any.
-    fn registry(&self) -> Option<Arc<Registry>>;
+    /// The attached observability registry, possibly disabled.
+    fn registry(&self) -> Arc<Registry>;
     /// True when [`SampleSink::begin_tick`] may skip ticks, which
     /// registers the `pcp.resilience.ticks_skipped` counter up front.
     fn skips_ticks(&self) -> bool;
@@ -111,8 +111,8 @@ pub(crate) trait SampleSink {
 }
 
 impl SampleSink for Shipper<'_> {
-    fn registry(&self) -> Option<Arc<Registry>> {
-        self.obs_registry().cloned()
+    fn registry(&self) -> Arc<Registry> {
+        self.obs.registry.clone()
     }
 
     fn skips_ticks(&self) -> bool {
@@ -168,14 +168,12 @@ pub(crate) fn run_ticks(
     // Causal tracing: when the registry carries a tracer, every shipped
     // report gets a `pcp.sample` root trace the transport then threads
     // through retries, spill and hints to a terminal status.
-    let tracer = obs.as_ref().and_then(|r| r.tracer());
-    let counter = |name: &str| obs.as_ref().map(|r| r.counter(name, &[]));
-    let tick_counter = counter("pcp.sampler.ticks");
-    let point_counter = counter("pcp.sampler.points_fetched");
-    let skip_counter = match sink.skips_ticks() {
-        true => counter("pcp.resilience.ticks_skipped"),
-        false => None,
-    };
+    let tracer = obs.tracer();
+    let tick_counter = obs.counter("pcp.sampler.ticks", &[]);
+    let point_counter = obs.counter("pcp.sampler.points_fetched", &[]);
+    let skip_counter = sink
+        .skips_ticks()
+        .then(|| obs.counter("pcp.resilience.ticks_skipped", &[]));
 
     for tick in 0..config.ticks() {
         let t_now = config.start_s + (tick + 1) as f64 * period;
@@ -192,12 +190,8 @@ pub(crate) fn run_ticks(
         if total_domain.is_none() && !points.is_empty() {
             total_domain = Some(points.iter().map(|p| p.field_count() as u64).sum());
         }
-        if let Some(c) = &tick_counter {
-            c.inc();
-        }
-        if let Some(c) = &point_counter {
-            c.add(points.len() as u64);
-        }
+        tick_counter.inc();
+        point_counter.add(points.len() as u64);
         for point in points {
             let span = Span::root(tracer.as_ref(), SAMPLE_ROOT, (t_now * 1e9) as u64);
             sink.ship(t_now, point, config.freq_hz, span);
@@ -206,13 +200,11 @@ pub(crate) fn run_ticks(
     }
     sink.end_run(config.start_s + config.duration_s);
 
-    if let Some(registry) = &obs {
-        // The loop ran from start_s to the last tick's timestamp on the
-        // virtual clock; stamp the span with those endpoints.
-        let start_ns = (config.start_s * 1e9).round().max(0.0) as u64;
-        let end_ns = (t_prev * 1e9).round().max(0.0) as u64;
-        registry.record_span("pcp.sampling", start_ns, end_ns);
-    }
+    // The loop ran from start_s to the last tick's timestamp on the
+    // virtual clock; stamp the span with those endpoints.
+    let start_ns = (config.start_s * 1e9).round().max(0.0) as u64;
+    let end_ns = (t_prev * 1e9).round().max(0.0) as u64;
+    obs.record_span("pcp.sampling", start_ns, end_ns);
     (ticks_skipped, total_domain.unwrap_or(0))
 }
 

@@ -129,16 +129,16 @@ impl ShipperStats {
 
 /// Hoisted `pcp.transport.*` metric handles, resolved once when a
 /// registry is attached so the per-ship cost is a handful of atomic adds.
-struct TransportObs {
-    registry: Arc<Registry>,
-    reports_offered: Arc<Counter>,
-    values_offered: Arc<Counter>,
-    values_inserted: Arc<Counter>,
-    values_zeroed: Arc<Counter>,
-    values_lost: Arc<Counter>,
-    bytes_shipped: Arc<Counter>,
-    window_fill: Arc<Gauge>,
-    loss_pct: Arc<Gauge>,
+pub(crate) struct TransportObs {
+    pub(crate) registry: Arc<Registry>,
+    reports_offered: Counter,
+    values_offered: Counter,
+    values_inserted: Counter,
+    values_zeroed: Counter,
+    values_lost: Counter,
+    bytes_shipped: Counter,
+    window_fill: Gauge,
+    loss_pct: Gauge,
 }
 
 impl TransportObs {
@@ -162,14 +162,14 @@ impl TransportObs {
 /// registry and a [`ResilienceConfig`] are attached — so default-mode
 /// snapshots carry no resilience series at all.
 struct ResilienceObs {
-    retries: Arc<Counter>,
-    spilled: Arc<Counter>,
-    evicted: Arc<Counter>,
-    recovered: Arc<Counter>,
-    gap_markers: Arc<Counter>,
-    breaker_opens: Arc<Counter>,
-    spill_pending: Arc<Gauge>,
-    breaker_state: Arc<Gauge>,
+    retries: Counter,
+    spilled: Counter,
+    evicted: Counter,
+    recovered: Counter,
+    gap_markers: Counter,
+    breaker_opens: Counter,
+    spill_pending: Gauge,
+    breaker_state: Gauge,
 }
 
 impl ResilienceObs {
@@ -212,11 +212,11 @@ pub struct Shipper<'a> {
     window_capacity: f64,
     noise: NoiseSource,
     stats: ShipperStats,
-    obs: Option<TransportObs>,
+    pub(crate) obs: TransportObs,
     // --- fault injection + resilience (inert by default) ---
     fault: Option<FaultSchedule>,
     rescfg: Option<ResilienceConfig>,
-    robs: Option<ResilienceObs>,
+    robs: ResilienceObs,
     spill: VecDeque<SpilledReport>,
     breaker: CircuitBreaker,
     backoff_s: f64,
@@ -260,10 +260,10 @@ impl<'a> Shipper<'a> {
             window_capacity: 0.0,
             noise: NoiseSource::from_labels(seed_labels),
             stats: ShipperStats::default(),
-            obs: None,
+            obs: TransportObs::new(Registry::disabled()),
             fault: None,
             rescfg: None,
-            robs: None,
+            robs: ResilienceObs::new(&Registry::disabled()),
             spill: VecDeque::new(),
             breaker: CircuitBreaker::new(
                 resilience::BREAKER_THRESHOLD,
@@ -293,7 +293,7 @@ impl<'a> Shipper<'a> {
     /// Attach an observability registry; every subsequent [`Shipper::ship`]
     /// updates the `pcp.transport.*` counters and gauges in it.
     pub fn with_obs(mut self, registry: Arc<Registry>) -> Self {
-        self.obs = Some(TransportObs::new(registry));
+        self.obs = TransportObs::new(registry);
         self.ensure_resilience_obs();
         self
     }
@@ -313,10 +313,8 @@ impl<'a> Shipper<'a> {
     }
 
     fn ensure_resilience_obs(&mut self) {
-        if self.robs.is_none() {
-            if let (Some(o), Some(_)) = (&self.obs, &self.rescfg) {
-                self.robs = Some(ResilienceObs::new(&o.registry));
-            }
+        if self.rescfg.is_some() {
+            self.robs = ResilienceObs::new(&self.obs.registry);
         }
     }
 
@@ -334,11 +332,6 @@ impl<'a> Shipper<'a> {
     /// every `n`-th tick. Always 1 in default mode.
     pub fn suggested_stride(&self) -> u64 {
         self.stride
-    }
-
-    /// The attached observability registry, if any.
-    pub fn obs_registry(&self) -> Option<&Arc<Registry>> {
-        self.obs.as_ref().map(|o| &o.registry)
     }
 
     /// Probability that an on-time report still reads as batched zeros at
@@ -387,40 +380,36 @@ impl<'a> Shipper<'a> {
     }
 
     fn export_obs(&mut self, before: ShipperStats) {
-        let s = self.stats;
-        if let Some(o) = &self.obs {
-            o.reports_offered
-                .add(s.reports_offered - before.reports_offered);
-            o.values_offered
-                .add(s.values_offered - before.values_offered);
-            o.values_inserted
-                .add(s.values_inserted - before.values_inserted);
-            o.values_zeroed.add(s.values_zeroed - before.values_zeroed);
-            o.values_lost.add(s.values_lost - before.values_lost);
-            o.bytes_shipped.add(s.bytes_shipped - before.bytes_shipped);
-            let fill = if self.window_capacity > 0.0 {
-                self.values_in_window / self.window_capacity
-            } else {
-                0.0
-            };
-            o.window_fill.set(fill);
-            o.loss_pct.set(s.loss_pct());
-        }
-        if let Some(r) = &self.robs {
-            r.retries.add(s.retries - before.retries);
-            r.spilled.add(s.values_spilled - before.values_spilled);
-            r.evicted.add(s.values_evicted - before.values_evicted);
-            r.recovered
-                .add(s.values_recovered - before.values_recovered);
-            r.gap_markers.add(s.gap_markers - before.gap_markers);
-            r.breaker_opens.add(s.breaker_opens - before.breaker_opens);
-            r.spill_pending.set(s.values_spill_pending as f64);
-            r.breaker_state.set(match self.breaker.state() {
-                BreakerState::Closed => 0.0,
-                BreakerState::HalfOpen => 1.0,
-                BreakerState::Open => 2.0,
-            });
-        }
+        let (s, o, r) = (self.stats, &self.obs, &self.robs);
+        o.reports_offered
+            .add(s.reports_offered - before.reports_offered);
+        o.values_offered
+            .add(s.values_offered - before.values_offered);
+        o.values_inserted
+            .add(s.values_inserted - before.values_inserted);
+        o.values_zeroed.add(s.values_zeroed - before.values_zeroed);
+        o.values_lost.add(s.values_lost - before.values_lost);
+        o.bytes_shipped.add(s.bytes_shipped - before.bytes_shipped);
+        let fill = if self.window_capacity > 0.0 {
+            self.values_in_window / self.window_capacity
+        } else {
+            0.0
+        };
+        o.window_fill.set(fill);
+        o.loss_pct.set(s.loss_pct());
+        r.retries.add(s.retries - before.retries);
+        r.spilled.add(s.values_spilled - before.values_spilled);
+        r.evicted.add(s.values_evicted - before.values_evicted);
+        r.recovered
+            .add(s.values_recovered - before.values_recovered);
+        r.gap_markers.add(s.gap_markers - before.gap_markers);
+        r.breaker_opens.add(s.breaker_opens - before.breaker_opens);
+        r.spill_pending.set(s.values_spill_pending as f64);
+        r.breaker_state.set(match self.breaker.state() {
+            BreakerState::Closed => 0.0,
+            BreakerState::HalfOpen => 1.0,
+            BreakerState::Open => 2.0,
+        });
     }
 
     fn fault_state_at(&self, t: f64) -> FaultState {
@@ -817,7 +806,6 @@ mod tests {
         let reg = Registry::shared();
         let mut s =
             Shipper::new(&db, LinkSpec::mbit_100(), 1.0 / 32.0, &["t5"]).with_obs(reg.clone());
-        assert!(s.obs_registry().is_some());
         let mut t = 0.0;
         for _ in 0..(32 * 5) {
             for m in 0..6 {

@@ -312,15 +312,16 @@ fn cells(db: &Database) -> Cells {
     out
 }
 
-/// The resilient single-node run of `case` under `tracer`.
+/// The resilient single-node run of `case` under `tracer`, observed
+/// through `registry`.
 fn traced_shipper_run(
     case: &Case,
     spill_capacity: u64,
     tracer: Option<Arc<Tracer>>,
+    registry: Arc<Registry>,
 ) -> (ShipperStats, Vec<ShipOutcome>, Cells) {
     let freq_hz = case.freq as f64;
     let fault = FaultSchedule::random(case.seed, case.duration_s as f64);
-    let registry = Registry::shared();
     if let Some(tracer) = &tracer {
         registry.set_tracer(tracer.clone());
     }
@@ -418,12 +419,16 @@ proptest! {
     ) {
         let case = Case { seed, freq, domain, n_metrics, duration_s };
         let [untraced, traced @ ..] = trace_modes(seed);
-        let plain = traced_shipper_run(&case, spill_capacity, untraced.clone());
+        let plain = traced_shipper_run(&case, spill_capacity, untraced.clone(), Registry::shared());
+        // No registry at all: same ledger, same outcomes, same cells.
+        let bare = traced_shipper_run(&case, spill_capacity, None, Registry::disabled());
+        prop_assert_eq!(&plain, &bare, "shipper diverged with no registry");
         let plain_repl = traced_repl_run(&case, hint_capacity, untraced);
         prop_assert!(plain.0.conserved() && plain_repl.0.conserved());
         for tracer in traced {
             let config = tracer.as_ref().map(|t| t.config().clone());
-            let run = traced_shipper_run(&case, spill_capacity, tracer.clone());
+            let run =
+                traced_shipper_run(&case, spill_capacity, tracer.clone(), Registry::shared());
             prop_assert_eq!(&plain, &run, "shipper diverged under {:?}", config);
             let run = traced_repl_run(&case, hint_capacity, tracer.clone());
             prop_assert_eq!(&plain_repl, &run, "coordinator diverged under {:?}", config);

@@ -25,6 +25,7 @@
 //! ([`QueryServer::run`]), producing a [`ServeReport`] whose conservation
 //! identity — `submitted == rejected + admitted` and
 //! `admitted == served + shed` — is checked by a fairness proptest.
+#![forbid(unsafe_code)]
 
 pub mod bucket;
 pub mod config;

@@ -140,7 +140,7 @@ struct InFlight {
 pub struct QueryServer<B: QueryBackend> {
     backend: B,
     cfg: ServingConfig,
-    obs: Option<Arc<Registry>>,
+    obs: Arc<Registry>,
 }
 
 impl<B: QueryBackend> QueryServer<B> {
@@ -150,7 +150,7 @@ impl<B: QueryBackend> QueryServer<B> {
         Ok(QueryServer {
             backend,
             cfg,
-            obs: None,
+            obs: Registry::disabled(),
         })
     }
 
@@ -158,7 +158,7 @@ impl<B: QueryBackend> QueryServer<B> {
     /// serving-latency histogram the default SLO watches, and serve-span
     /// trace trees when the registry has a tracer installed.
     pub fn with_obs(mut self, registry: Arc<Registry>) -> QueryServer<B> {
-        self.obs = Some(registry);
+        self.obs = registry;
         self
     }
 
@@ -535,8 +535,9 @@ impl<B: QueryBackend> QueryServer<B> {
     /// One serve-span tree per execution: queue wait then execution,
     /// rooted at the triggering member's submission.
     fn emit_trace(&self, fl: &InFlight, status: &str) {
-        let Some(reg) = &self.obs else { return };
-        let Some(tracer) = reg.tracer() else { return };
+        let Some(tracer) = self.obs.tracer() else {
+            return;
+        };
         let submit_ns = fl.members.first().map(|m| m.submit_ns).unwrap_or(0);
         let root = tracer.start_trace("serve.request", submit_ns);
         let wait = tracer.child(root, "serve.queue_wait", submit_ns);
@@ -548,36 +549,30 @@ impl<B: QueryBackend> QueryServer<B> {
             fl.done_ns,
             if status == "error" { "error" } else { "ok" },
         );
-        reg.record_span("serve.request", submit_ns, fl.done_ns);
+        self.obs.record_span("serve.request", submit_ns, fl.done_ns);
     }
 
     fn count(&self, name: &str, labels: &[(&str, &str)]) {
-        if let Some(reg) = &self.obs {
-            reg.counter(name, labels).inc();
-        }
+        self.obs.counter(name, labels).inc();
     }
 
     fn tenant_count(&self, name: &str, tenant: u32) {
-        if let Some(reg) = &self.obs {
+        if self.obs.is_enabled() {
             let t = tenant.to_string();
-            reg.counter(name, &[("tenant", &t)]).inc();
+            self.obs.counter(name, &[("tenant", &t)]).inc();
         }
     }
 
     fn gauge_set(&self, name: &str, v: f64) {
-        if let Some(reg) = &self.obs {
-            reg.gauge(name, &[]).set(v);
-        }
+        self.obs.gauge(name, &[]).set(v);
     }
 
     fn latency(&self, latency_ns: u64, priority: Priority) {
-        if let Some(reg) = &self.obs {
-            reg.histogram(
-                "pmove.serve.latency_ns",
-                &[("class", priority.label())],
-                latency_buckets(),
-            )
-            .record(latency_ns);
+        if self.obs.is_enabled() {
+            let labels = [("class", priority.label())];
+            self.obs
+                .histogram("pmove.serve.latency_ns", &labels, latency_buckets())
+                .record(latency_ns);
         }
     }
 }

@@ -21,6 +21,7 @@
 //!   numbers from the matrix structure) — the bridge that lets the machine
 //!   simulator monitor these kernels;
 //! * [`verify`] — reference implementation and result comparison.
+#![forbid(unsafe_code)]
 
 pub mod bandwidth;
 pub mod coo;

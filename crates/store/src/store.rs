@@ -193,40 +193,40 @@ pub struct CompactionReport {
 /// Metric handles for the engine, exported under `pmove.self.wal.*` and
 /// `pmove.self.compaction.*` by the tsdb self-telemetry exporter.
 pub struct StoreObs {
-    wal_records_appended: Arc<Counter>,
-    wal_commits: Arc<Counter>,
-    wal_bytes_committed: Arc<Counter>,
-    wal_records_replayed: Arc<Counter>,
-    wal_corrupt_frames: Arc<Counter>,
-    wal_resets: Arc<Counter>,
-    wal_commit_ns: Arc<Histogram>,
-    compaction_snapshots: Arc<Counter>,
-    compaction_runs: Arc<Counter>,
-    compaction_rows_in: Arc<Counter>,
-    compaction_rows_out: Arc<Counter>,
-    compaction_rows_dropped_lww: Arc<Counter>,
-    compaction_rows_dropped_retention: Arc<Counter>,
-    compaction_bytes_before: Arc<Counter>,
-    compaction_bytes_after: Arc<Counter>,
-    compaction_flush_ns: Arc<Histogram>,
-    compaction_compact_ns: Arc<Histogram>,
-    scrub_chunks_verified: Arc<Counter>,
-    scrub_bytes_verified: Arc<Counter>,
-    scrub_corruptions: Arc<Counter>,
-    scrub_chunks_quarantined: Arc<Counter>,
-    scrub_rows_quarantined: Arc<Counter>,
-    scrub_wal_rewrites: Arc<Counter>,
-    scrub_full_passes: Arc<Counter>,
-    scrub_last_full_pass: Arc<Gauge>,
-    backup_generations: Arc<Counter>,
-    backup_chunks_copied: Arc<Counter>,
-    backup_bytes_copied: Arc<Counter>,
-    backup_chunks_skipped: Arc<Counter>,
-    backup_errors: Arc<Counter>,
-    backup_archive_records: Arc<Counter>,
-    backup_archive_bytes: Arc<Counter>,
-    backup_archive_errors: Arc<Counter>,
-    backup_last_success: Arc<Gauge>,
+    wal_records_appended: Counter,
+    wal_commits: Counter,
+    wal_bytes_committed: Counter,
+    wal_records_replayed: Counter,
+    wal_corrupt_frames: Counter,
+    wal_resets: Counter,
+    wal_commit_ns: Histogram,
+    compaction_snapshots: Counter,
+    compaction_runs: Counter,
+    compaction_rows_in: Counter,
+    compaction_rows_out: Counter,
+    compaction_rows_dropped_lww: Counter,
+    compaction_rows_dropped_retention: Counter,
+    compaction_bytes_before: Counter,
+    compaction_bytes_after: Counter,
+    compaction_flush_ns: Histogram,
+    compaction_compact_ns: Histogram,
+    scrub_chunks_verified: Counter,
+    scrub_bytes_verified: Counter,
+    scrub_corruptions: Counter,
+    scrub_chunks_quarantined: Counter,
+    scrub_rows_quarantined: Counter,
+    scrub_wal_rewrites: Counter,
+    scrub_full_passes: Counter,
+    scrub_last_full_pass: Gauge,
+    backup_generations: Counter,
+    backup_chunks_copied: Counter,
+    backup_bytes_copied: Counter,
+    backup_chunks_skipped: Counter,
+    backup_errors: Counter,
+    backup_archive_records: Counter,
+    backup_archive_bytes: Counter,
+    backup_archive_errors: Counter,
+    backup_last_success: Gauge,
 }
 
 impl StoreObs {
@@ -303,7 +303,7 @@ pub struct TsStore {
     /// (not just the backup state) so an archiver attached after a
     /// restart resumes at the caller's clock, never at 0.
     vts: i64,
-    obs: Option<StoreObs>,
+    obs: StoreObs,
 }
 
 impl TsStore {
@@ -311,14 +311,14 @@ impl TsStore {
     /// are indexed, corrupt ones skipped, and surviving WAL records are
     /// replayed into the memtable.
     pub fn open(vfs: Arc<dyn Vfs>, opts: StoreOptions) -> StoreResult<(TsStore, RecoveryReport)> {
-        Self::open_with_obs(vfs, opts, None)
+        Self::open_with_obs(vfs, opts, StoreObs::new(&Registry::disabled(), ""))
     }
 
     /// [`TsStore::open`] with metric handles attached.
     pub fn open_with_obs(
         vfs: Arc<dyn Vfs>,
         opts: StoreOptions,
-        obs: Option<StoreObs>,
+        obs: StoreObs,
     ) -> StoreResult<(TsStore, RecoveryReport)> {
         let spec = vfs.disk_spec();
         let mut report = RecoveryReport::default();
@@ -386,14 +386,12 @@ impl TsStore {
         report.wal_bytes_dropped = replay.bytes_dropped;
         report.wal_corrupt_frames = replay.corrupt_frames;
         report.modeled_ns = (spec.write_time(bytes_read, IO_BLOCK_SIZE) * 1e9) as u64;
-        if let Some(obs) = &obs {
-            obs.wal_records_replayed.add(replay.records);
-            obs.wal_corrupt_frames.add(replay.corrupt_frames);
-            for q in &quarantined {
-                obs.scrub_corruptions.inc();
-                obs.scrub_chunks_quarantined.inc();
-                obs.scrub_rows_quarantined.add(q.rows);
-            }
+        obs.wal_records_replayed.add(replay.records);
+        obs.wal_corrupt_frames.add(replay.corrupt_frames);
+        for q in &quarantined {
+            obs.scrub_corruptions.inc();
+            obs.scrub_chunks_quarantined.inc();
+            obs.scrub_rows_quarantined.add(q.rows);
         }
         Ok((
             TsStore {
@@ -426,9 +424,7 @@ impl TsStore {
         if let Some(bk) = &mut self.bk {
             bk.stage(payload);
         }
-        if let Some(obs) = &self.obs {
-            obs.wal_records_appended.add(batch.cells() as u64);
-        }
+        self.obs.wal_records_appended.add(batch.cells() as u64);
         self.staged.push(batch);
     }
 
@@ -474,12 +470,11 @@ impl TsStore {
             // backlog drains on the next flush, snapshot, or full group.
             bk.archive_maybe();
         }
-        if let Some(obs) = &self.obs {
-            if info.records > 0 {
-                obs.wal_commits.inc();
-                obs.wal_bytes_committed.add(info.bytes);
-                obs.wal_commit_ns.record(self.modeled_commit_ns(info.bytes));
-            }
+        if info.records > 0 {
+            let obs = &self.obs;
+            obs.wal_commits.inc();
+            obs.wal_bytes_committed.add(info.bytes);
+            obs.wal_commit_ns.record(self.modeled_commit_ns(info.bytes));
         }
         self.sync_backup_obs();
         if self.memtable.cells() >= self.opts.flush_threshold_rows {
@@ -505,12 +500,11 @@ impl TsStore {
         if let Some(bk) = &mut self.bk {
             bk.on_flush();
         }
-        if let Some(obs) = &self.obs {
-            obs.compaction_snapshots.inc();
-            obs.wal_resets.inc();
-            obs.compaction_flush_ns
-                .record((self.spec.write_time(info.bytes, IO_BLOCK_SIZE) * 1e9) as u64);
-        }
+        self.obs.compaction_snapshots.inc();
+        self.obs.wal_resets.inc();
+        self.obs
+            .compaction_flush_ns
+            .record((self.spec.write_time(info.bytes, IO_BLOCK_SIZE) * 1e9) as u64);
         if self.chunks.len() >= self.opts.compact_min_chunks {
             self.compact(None)?;
         }
@@ -565,17 +559,16 @@ impl TsStore {
                 .write_time(bytes_before + bytes_after, IO_BLOCK_SIZE)
                 * 1e9) as u64,
         };
-        if let Some(obs) = &self.obs {
-            obs.compaction_runs.inc();
-            obs.compaction_rows_in.add(report.rows_in);
-            obs.compaction_rows_out.add(report.rows_out);
-            obs.compaction_rows_dropped_lww.add(report.rows_dropped_lww);
-            obs.compaction_rows_dropped_retention
-                .add(report.rows_dropped_retention);
-            obs.compaction_bytes_before.add(report.bytes_before);
-            obs.compaction_bytes_after.add(report.bytes_after);
-            obs.compaction_compact_ns.record(report.modeled_ns);
-        }
+        let obs = &self.obs;
+        obs.compaction_runs.inc();
+        obs.compaction_rows_in.add(report.rows_in);
+        obs.compaction_rows_out.add(report.rows_out);
+        obs.compaction_rows_dropped_lww.add(report.rows_dropped_lww);
+        obs.compaction_rows_dropped_retention
+            .add(report.rows_dropped_retention);
+        obs.compaction_bytes_before.add(report.bytes_before);
+        obs.compaction_bytes_after.add(report.bytes_after);
+        obs.compaction_compact_ns.record(report.modeled_ns);
         Ok(Some(report))
     }
 
@@ -677,11 +670,9 @@ impl TsStore {
         let held = self.chunks.get(&seq).copied().or_else(|| probe_chunk(raw));
         let q = quarantine_file(self.vfs.as_ref(), seq, raw, held, site)?;
         self.chunks.remove(&seq);
-        if let Some(obs) = &self.obs {
-            obs.scrub_corruptions.inc();
-            obs.scrub_chunks_quarantined.inc();
-            obs.scrub_rows_quarantined.add(q.rows);
-        }
+        self.obs.scrub_corruptions.inc();
+        self.obs.scrub_chunks_quarantined.inc();
+        self.obs.scrub_rows_quarantined.add(q.rows);
         self.quarantined.push(q.clone());
         Ok(q)
     }
@@ -695,10 +686,8 @@ impl TsStore {
         }
         let name = chunk_name(seq);
         let data = self.vfs.read(&name)?;
-        if let Some(obs) = &self.obs {
-            obs.scrub_chunks_verified.inc();
-            obs.scrub_bytes_verified.add(data.len() as u64);
-        }
+        self.obs.scrub_chunks_verified.inc();
+        self.obs.scrub_bytes_verified.add(data.len() as u64);
         match check_chunk(&name, &data) {
             Ok(_) => Ok(Some(VerifyOutcome::Clean {
                 bytes: data.len() as u64,
@@ -723,9 +712,7 @@ impl TsStore {
             corrupt_frames,
             rows_rewritten: 0,
         };
-        if let Some(obs) = &self.obs {
-            obs.scrub_bytes_verified.add(raw.len() as u64);
-        }
+        self.obs.scrub_bytes_verified.add(raw.len() as u64);
         if corrupt_frames > 0 {
             let payloads = if self.memtable.cells() == 0 {
                 Vec::new()
@@ -734,10 +721,8 @@ impl TsStore {
             };
             self.wal.rewrite(&payloads)?;
             out.rows_rewritten = self.memtable.cells() as u64;
-            if let Some(obs) = &self.obs {
-                obs.scrub_corruptions.inc();
-                obs.scrub_wal_rewrites.inc();
-            }
+            self.obs.scrub_corruptions.inc();
+            self.obs.scrub_wal_rewrites.inc();
         }
         Ok(out)
     }
@@ -862,10 +847,8 @@ impl TsStore {
             .as_mut()
             .ok_or_else(|| StoreError::Io("backups not enabled".into()))?;
         let (report, deferred) = bk.finish_job()?;
-        if let Some(obs) = &self.obs {
-            obs.backup_generations.inc();
-            obs.backup_last_success.set(report.fence_vts as f64);
-        }
+        self.obs.backup_generations.inc();
+        self.obs.backup_last_success.set(report.fence_vts as f64);
         for name in deferred {
             // Best-effort: these were compaction inputs the pin kept
             // alive; failing to delete them costs bytes, not safety.
@@ -906,10 +889,10 @@ impl TsStore {
 
     /// Mirror backup stat deltas into the metric handles.
     fn sync_backup_obs(&mut self) {
-        let (Some(bk), Some(obs)) = (&self.bk, &self.obs) else {
+        let Some(bk) = &self.bk else {
             return;
         };
-        let now = bk.stats();
+        let (now, obs) = (bk.stats(), &self.obs);
         let was = self.bk_synced;
         obs.backup_chunks_copied
             .add(now.chunks_copied - was.chunks_copied);
@@ -930,10 +913,8 @@ impl TsStore {
     /// Record a completed full-store scrub pass at virtual time `now_s`
     /// (drives the `store.scrub.last_full_pass` staleness gauge).
     pub fn note_full_scrub_pass(&mut self, now_s: f64) {
-        if let Some(obs) = &self.obs {
-            obs.scrub_full_passes.inc();
-            obs.scrub_last_full_pass.set(now_s * 1e9);
-        }
+        self.obs.scrub_full_passes.inc();
+        self.obs.scrub_last_full_pass.set(now_s * 1e9);
     }
 
     /// Every chunk quarantined over this store's lifetime, boot included.
@@ -1397,7 +1378,7 @@ mod tests {
         let registry = Registry::new();
         let vfs: Arc<dyn Vfs> = Arc::new(MemDisk::new(108));
         let obs = StoreObs::new(&registry, "influx");
-        let (mut store, _) = TsStore::open_with_obs(vfs, small_opts(), Some(obs)).unwrap();
+        let (mut store, _) = TsStore::open_with_obs(vfs, small_opts(), obs).unwrap();
         store.append(&[row("s", "f", 1, 1.0), row("s", "f", 2, 2.0)]);
         store.commit().unwrap();
         store.flush().unwrap();

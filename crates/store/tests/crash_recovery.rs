@@ -347,7 +347,7 @@ fn bit_flip_inside_wal_record_truncates_at_corrupt_frame() {
 
         let registry = Registry::new();
         let obs = StoreObs::new(&registry, "walcrash");
-        let (mut store, report) = TsStore::open_with_obs(vfs.clone(), opts, Some(obs))
+        let (mut store, report) = TsStore::open_with_obs(vfs.clone(), opts, obs)
             .unwrap_or_else(|e| panic!("seed {seed}: recovery panicked on corruption: {e}"));
         let recovered = store.scan().unwrap();
         let metric = registry

@@ -173,42 +173,42 @@ pub struct IngestStats {
 /// cost model, and two same-seed runs produce identical histograms.
 struct EngineObs {
     registry: Arc<Registry>,
-    points_offered: Arc<Counter>,
-    points_inserted: Arc<Counter>,
-    values_inserted: Arc<Counter>,
-    zero_values_inserted: Arc<Counter>,
-    points_rejected: Arc<Counter>,
-    queries: Arc<Counter>,
-    ingest_ns: Arc<Histogram>,
-    query_ns: Arc<Histogram>,
+    points_offered: Counter,
+    points_inserted: Counter,
+    values_inserted: Counter,
+    zero_values_inserted: Counter,
+    points_rejected: Counter,
+    queries: Counter,
+    ingest_ns: Histogram,
+    query_ns: Histogram,
     // Query engine accounting.
-    query_executions: Arc<Counter>,
-    query_rows_scanned: Arc<Counter>,
-    query_series_pruned: Arc<Counter>,
+    query_executions: Counter,
+    query_rows_scanned: Counter,
+    query_series_pruned: Counter,
     // Query-result cache accounting.
-    cache_hits: Arc<Counter>,
-    cache_misses: Arc<Counter>,
-    cache_insertions: Arc<Counter>,
-    cache_evictions: Arc<Counter>,
-    cache_invalidations: Arc<Counter>,
+    cache_hits: Counter,
+    cache_misses: Counter,
+    cache_insertions: Counter,
+    cache_evictions: Counter,
+    cache_invalidations: Counter,
     // Columnar batch ingest accounting.
-    batch_batches: Arc<Counter>,
-    batch_points: Arc<Counter>,
-    batch_rejected: Arc<Counter>,
-    batch_wal_frames: Arc<Counter>,
+    batch_batches: Counter,
+    batch_points: Counter,
+    batch_rejected: Counter,
+    batch_wal_frames: Counter,
     // Rollup tier accounting.
-    rollup_ticks: Arc<Counter>,
-    rollup_buckets_materialized: Arc<Counter>,
-    rollup_rows_folded: Arc<Counter>,
-    rollup_cells_written: Arc<Counter>,
-    rollup_queries_routed: Arc<Counter>,
-    rollup_buckets_tier: Arc<Counter>,
-    rollup_buckets_raw: Arc<Counter>,
+    rollup_ticks: Counter,
+    rollup_buckets_materialized: Counter,
+    rollup_rows_folded: Counter,
+    rollup_cells_written: Counter,
+    rollup_queries_routed: Counter,
+    rollup_buckets_tier: Counter,
+    rollup_buckets_raw: Counter,
     // Point-in-time restore accounting.
-    restore_runs: Arc<Counter>,
-    restore_rows: Arc<Counter>,
-    restore_replayed_records: Arc<Counter>,
-    restore_dedup_rows: Arc<Counter>,
+    restore_runs: Counter,
+    restore_rows: Counter,
+    restore_replayed_records: Counter,
+    restore_dedup_rows: Counter,
 }
 
 impl EngineObs {
@@ -269,7 +269,7 @@ pub struct Database {
     stats: Mutex<IngestStats>,
     retention: Mutex<Vec<RetentionPolicy>>,
     hub: SubscriptionHub,
-    obs: Option<EngineObs>,
+    obs: EngineObs,
     /// Durable storage engine; `None` for a memory-only database.
     store: Option<Mutex<TsStore>>,
     /// Execution mode used by `query`/`query_parsed`.
@@ -289,6 +289,13 @@ impl Database {
     /// Create a database with unlimited ingest and the default infinite
     /// `autogen` retention policy.
     pub fn new(name: impl Into<String>) -> Self {
+        Database::with_obs(name, Registry::disabled())
+    }
+
+    /// [`Database::new`] with an observability registry attached: the
+    /// write and query paths update `tsdb.*` counters and the modelled
+    /// ingest/query latency histograms.
+    pub fn with_obs(name: impl Into<String>, registry: Arc<Registry>) -> Self {
         Database {
             name: name.into(),
             storage: RwLock::new(Storage::new()),
@@ -296,7 +303,7 @@ impl Database {
             stats: Mutex::new(IngestStats::default()),
             retention: Mutex::new(vec![RetentionPolicy::infinite("autogen")]),
             hub: SubscriptionHub::new(),
-            obs: None,
+            obs: EngineObs::new(registry),
             store: None,
             exec_mode: Mutex::new(ExecMode::default()),
             cache: Mutex::new(QueryCache::default()),
@@ -314,10 +321,7 @@ impl Database {
         vfs: Arc<dyn Vfs>,
         opts: StoreOptions,
     ) -> Result<(Self, RecoveryReport), TsdbError> {
-        let mut db = Database::new(name);
-        let (store, report) = TsStore::open(vfs, opts)?;
-        db.adopt_store(store)?;
-        Ok((db, report))
+        Database::open_with_obs(name, vfs, opts, Registry::disabled())
     }
 
     /// [`Database::open`] with observability: `tsdb.*` engine metrics plus
@@ -332,7 +336,7 @@ impl Database {
         let name = name.into();
         let store_obs = StoreObs::new(&registry, &name);
         let mut db = Database::with_obs(name, registry);
-        let (store, report) = TsStore::open_with_obs(vfs, opts, Some(store_obs))?;
+        let (store, report) = TsStore::open_with_obs(vfs, opts, store_obs)?;
         db.adopt_store(store)?;
         Ok((db, report))
     }
@@ -505,12 +509,11 @@ impl Database {
         let store = TsStore::open(target, opts)?.0;
         self.store = Some(Mutex::new(store));
         self.rebuild_from_store()?;
-        if let Some(obs) = &self.obs {
-            obs.restore_runs.inc();
-            obs.restore_rows.add(report.restored_rows);
-            obs.restore_replayed_records.add(report.replayed_records);
-            obs.restore_dedup_rows.add(report.dedup_rows);
-        }
+        let obs = &self.obs;
+        obs.restore_runs.inc();
+        obs.restore_rows.add(report.restored_rows);
+        obs.restore_replayed_records.add(report.replayed_records);
+        obs.restore_dedup_rows.add(report.dedup_rows);
         Ok(report)
     }
 
@@ -534,20 +537,6 @@ impl Database {
             Some(store) => Ok(store.lock().flush()?),
             None => Ok(None),
         }
-    }
-
-    /// [`Database::new`] with an observability registry attached: the
-    /// write and query paths update `tsdb.*` counters and the modelled
-    /// ingest/query latency histograms.
-    pub fn with_obs(name: impl Into<String>, registry: Arc<Registry>) -> Self {
-        let mut db = Database::new(name);
-        db.obs = Some(EngineObs::new(registry));
-        db
-    }
-
-    /// The attached observability registry, if any.
-    pub fn obs_registry(&self) -> Option<&Arc<Registry>> {
-        self.obs.as_ref().map(|o| &o.registry)
     }
 
     /// Database name.
@@ -607,13 +596,11 @@ impl Database {
     /// write wins makes the retry idempotent).
     pub fn write_batch(&self, points: Vec<Point>) -> Result<BatchOutcome, TsdbError> {
         let (out, _) = self.ingest(points, Origin::Client, &Span::none(), 0)?;
-        if let Some(o) = &self.obs {
-            o.batch_batches.inc();
-            o.batch_points.add(out.accepted as u64);
-            o.batch_rejected.add(out.rejected as u64);
-            if out.accepted > 0 && self.store.is_some() {
-                o.batch_wal_frames.inc();
-            }
+        self.obs.batch_batches.inc();
+        self.obs.batch_points.add(out.accepted as u64);
+        self.obs.batch_rejected.add(out.rejected as u64);
+        if out.accepted > 0 && self.store.is_some() {
+            self.obs.batch_wal_frames.inc();
         }
         Ok(out)
     }
@@ -674,9 +661,9 @@ impl Database {
                 results.push(verdict);
             }
         }
-        if let (true, Some(o)) = (client, &self.obs) {
-            o.points_offered.add(results.len() as u64);
-            o.points_rejected.add(rejected as u64);
+        if client {
+            self.obs.points_offered.add(results.len() as u64);
+            self.obs.points_rejected.add(rejected as u64);
         }
         let mut outcome = BatchOutcome {
             results,
@@ -716,9 +703,7 @@ impl Database {
                 if client {
                     values += n;
                     zeros += fields.values().filter(|v| v.is_zero()).count() as u64;
-                    if let Some(o) = &self.obs {
-                        span.observe(&o.ingest_ns, modeled_ns);
-                    }
+                    span.observe(&self.obs.ingest_ns, modeled_ns);
                 }
                 if let Some(status) = &status {
                     ingest
@@ -736,13 +721,11 @@ impl Database {
                 stats.values_inserted += values;
                 stats.zero_values_inserted += zeros;
             }
-            if let Some(o) = &self.obs {
-                o.points_inserted.add(outcome.accepted as u64);
-                o.values_inserted.add(values);
-                o.zero_values_inserted.add(zeros);
-            }
-        } else if let Some(o) = &self.obs {
-            let applied = o.registry.counter("tsdb.repl.remote_applied", &[]);
+            self.obs.points_inserted.add(outcome.accepted as u64);
+            self.obs.values_inserted.add(values);
+            self.obs.zero_values_inserted.add(zeros);
+        } else {
+            let applied = self.obs.registry.counter("tsdb.repl.remote_applied", &[]);
             applied.add(outcome.accepted as u64);
         }
         for point in &heard {
@@ -811,13 +794,12 @@ impl Database {
         for name in &touched {
             self.bump_version(name);
         }
-        if let Some(o) = &self.obs {
-            o.rollup_ticks.inc();
-            o.rollup_buckets_materialized
-                .add(report.buckets_materialized);
-            o.rollup_rows_folded.add(report.rows_folded);
-            o.rollup_cells_written.add(report.cells_written);
-        }
+        self.obs.rollup_ticks.inc();
+        self.obs
+            .rollup_buckets_materialized
+            .add(report.buckets_materialized);
+        self.obs.rollup_rows_folded.add(report.rows_folded);
+        self.obs.rollup_cells_written.add(report.cells_written);
         Some(report)
     }
 
@@ -895,19 +877,15 @@ impl Database {
             let rollups = self.rollups.read();
             exec::run_frame(&storage, q, mode, rollups.as_ref())
         };
-        if let Some(o) = &self.obs {
-            o.query_executions.inc();
-        }
+        self.obs.query_executions.inc();
         let (result, stats) = run.inspect_err(|_| self.record_query_served(0))?;
         self.record_query_served(result.len() as u64);
         self.record_exec_stats(&stats);
         let result = Arc::new(result);
         if let Some(key) = cache_key {
             let evicted = self.cache.lock().insert(key, version, result.clone());
-            if let Some(o) = &self.obs {
-                o.cache_insertions.inc();
-                o.cache_evictions.add(evicted as u64);
-            }
+            self.obs.cache_insertions.inc();
+            self.obs.cache_evictions.add(evicted as u64);
         }
         Ok((result, false))
     }
@@ -916,45 +894,36 @@ impl Database {
     /// latency — identical for executed and cache-served queries, so
     /// enabling the cache never changes the exported histograms.
     fn record_query_served(&self, rows: u64) {
-        if let Some(o) = &self.obs {
-            o.queries.inc();
-            o.query_ns
-                .record(EngineObs::QUERY_BASE_NS + EngineObs::QUERY_PER_ROW_NS * rows);
-        }
+        self.obs.queries.inc();
+        self.obs
+            .query_ns
+            .record(EngineObs::QUERY_BASE_NS + EngineObs::QUERY_PER_ROW_NS * rows);
     }
 
     fn record_exec_stats(&self, stats: &ExecStats) {
-        if let Some(o) = &self.obs {
-            o.query_rows_scanned.add(stats.rows_scanned);
-            o.query_series_pruned.add(stats.series_pruned);
-            if stats.rollup_routed {
-                o.rollup_queries_routed.inc();
-            }
-            o.rollup_buckets_tier.add(stats.rollup_buckets_tier);
-            o.rollup_buckets_raw.add(stats.rollup_buckets_raw);
+        self.obs.query_rows_scanned.add(stats.rows_scanned);
+        self.obs.query_series_pruned.add(stats.series_pruned);
+        if stats.rollup_routed {
+            self.obs.rollup_queries_routed.inc();
         }
+        self.obs.rollup_buckets_tier.add(stats.rollup_buckets_tier);
+        self.obs.rollup_buckets_raw.add(stats.rollup_buckets_raw);
     }
 
     fn cache_lookup(&self, key: &str, version: u64) -> Option<Arc<Frame>> {
         let lookup = self.cache.lock().get(key, version);
         match lookup {
             CacheLookup::Hit(r) => {
-                if let Some(o) = &self.obs {
-                    o.cache_hits.inc();
-                }
+                self.obs.cache_hits.inc();
                 Some(r)
             }
             CacheLookup::Stale => {
-                if let Some(o) = &self.obs {
-                    o.cache_invalidations.inc();
-                    o.cache_misses.inc();
-                }
+                self.obs.cache_invalidations.inc();
+                self.obs.cache_misses.inc();
                 None
             }
             CacheLookup::Miss => {
-                if let Some(o) = &self.obs {
-                    o.cache_misses.inc();
-                }
+                self.obs.cache_misses.inc();
                 None
             }
         }

@@ -261,12 +261,12 @@ pub struct IntegrityReport {
 /// Hoisted `tsdb.repl.*` repair metrics.
 struct ReplSetObs {
     registry: Arc<Registry>,
-    merkle_rounds: Arc<Counter>,
-    merkle_ranges_repaired: Arc<Counter>,
-    merkle_cells_streamed: Arc<Counter>,
-    scrub_chunks_quarantined: Arc<Counter>,
-    scrub_cells_corrupted: Arc<Counter>,
-    scrub_cells_repaired: Arc<Counter>,
+    merkle_rounds: Counter,
+    merkle_ranges_repaired: Counter,
+    merkle_cells_streamed: Counter,
+    scrub_chunks_quarantined: Counter,
+    scrub_cells_corrupted: Counter,
+    scrub_cells_repaired: Counter,
 }
 
 impl ReplSetObs {
@@ -290,7 +290,7 @@ pub struct ReplicaSet {
     cfg: ReplConfig,
     replicas: Vec<Database>,
     disks: Vec<Arc<MemDisk>>,
-    obs: Option<ReplSetObs>,
+    obs: ReplSetObs,
 }
 
 impl ReplicaSet {
@@ -306,7 +306,7 @@ impl ReplicaSet {
             cfg,
             replicas,
             disks: Vec::new(),
-            obs: None,
+            obs: ReplSetObs::new(&Registry::disabled()),
         })
     }
 
@@ -341,7 +341,7 @@ impl ReplicaSet {
                 cfg,
                 replicas,
                 disks,
-                obs: None,
+                obs: ReplSetObs::new(&Registry::disabled()),
             },
             reports,
         ))
@@ -350,7 +350,7 @@ impl ReplicaSet {
     /// Attach an observability registry: repair passes update the
     /// `tsdb.repl.merkle_*` counters.
     pub fn with_obs(mut self, registry: &Arc<Registry>) -> ReplicaSet {
-        self.obs = Some(ReplSetObs::new(registry));
+        self.obs = ReplSetObs::new(registry);
         self
     }
 
@@ -433,11 +433,9 @@ impl ReplicaSet {
             }
         }
         report.converged = self.converged();
-        if let Some(o) = &self.obs {
-            o.merkle_rounds.inc();
-            o.merkle_ranges_repaired.add(report.ranges_repaired);
-            o.merkle_cells_streamed.add(report.cells_streamed);
-        }
+        self.obs.merkle_rounds.inc();
+        self.obs.merkle_ranges_repaired.add(report.ranges_repaired);
+        self.obs.merkle_cells_streamed.add(report.cells_streamed);
         Ok(report)
     }
 
@@ -487,11 +485,9 @@ impl ReplicaSet {
         self.replicas[i] = db;
         self.disks[i] = disk;
         let repair = self.repair_until_converged(max_rounds)?;
-        if let Some(obs) = &self.obs {
-            obs.merkle_rounds.add(repair.rounds);
-            obs.merkle_ranges_repaired.add(repair.ranges_repaired);
-            obs.merkle_cells_streamed.add(repair.cells_streamed);
-        }
+        self.obs.merkle_rounds.add(repair.rounds);
+        self.obs.merkle_ranges_repaired.add(repair.ranges_repaired);
+        self.obs.merkle_cells_streamed.add(repair.cells_streamed);
         Ok((restore, repair))
     }
 
@@ -539,14 +535,12 @@ impl ReplicaSet {
             }
             if !r.quarantined.is_empty() {
                 report.chunks_quarantined += r.quarantined.len() as u64;
-                if let Some(o) = &self.obs {
-                    // One detection span per quarantined chunk, laid out
-                    // over the tick's modeled verification time.
-                    let start = (now_s * 1e9) as u64;
-                    for _ in &r.quarantined {
-                        o.registry
-                            .record_span("scrub.detect", start, start + r.modeled_ns.max(1));
-                    }
+                // One detection span per quarantined chunk, laid out
+                // over the tick's modeled verification time.
+                let start = (now_s * 1e9) as u64;
+                let end = start + r.modeled_ns.max(1);
+                for _ in &r.quarantined {
+                    self.obs.registry.record_span("scrub.detect", start, end);
                 }
                 victims.push(i);
             }
@@ -574,11 +568,10 @@ impl ReplicaSet {
             }
         }
         report.converged = self.converged();
-        if let Some(o) = &self.obs {
-            o.scrub_chunks_quarantined.add(report.chunks_quarantined);
-            o.scrub_cells_corrupted.add(report.cells_corrupted);
-            o.scrub_cells_repaired.add(report.cells_repaired);
-        }
+        let o = &self.obs;
+        o.scrub_chunks_quarantined.add(report.chunks_quarantined);
+        o.scrub_cells_corrupted.add(report.cells_corrupted);
+        o.scrub_cells_repaired.add(report.cells_repaired);
         Ok(report)
     }
 

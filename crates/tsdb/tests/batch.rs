@@ -10,12 +10,16 @@
 //! interleaved measurements, empty-field points, replicated
 //! (`Origin::Remote`) points between client ones, and an ingest limiter
 //! tight enough to reject some of the stream — go through the model and
-//! through three databases:
+//! through five databases:
 //!
 //! * `chunked`: in memory, client runs cut into `write_batch` calls of 1–7
 //!   points at random, remote points through `apply_remote`;
+//! * `observed`: `chunked` again, built `with_obs` — metrics must be
+//!   invisible, and its `tsdb.points_*` / `tsdb.batch.*` counters must
+//!   equal the model's ledger;
 //! * `single`: durable, every point one `Database::write` call;
-//! * `ones`: durable, every client point one `write_batch` of one.
+//! * `ones`: durable, every client point one `write_batch` of one;
+//! * `bare`: `ones` again, opened with no registry.
 //!
 //! Each database must match the model **bit for bit** on
 //!
@@ -30,7 +34,8 @@
 //!   measurement the call stored a point of.
 //!
 //! `single` and `ones` must also agree on the WAL: byte for byte, commit
-//! for commit, and in the modeled commit time each point is charged.
+//! for commit, and in the modeled commit time each point is charged;
+//! `bare` must write the same WAL bytes and charge the same commit times.
 //!
 //! `PMOVE_BATCH_CASES` overrides the case count (default 192).
 
@@ -219,6 +224,12 @@ impl RowModel {
     }
 }
 
+/// Nothing flushes or compacts: the WAL holds every commit of a case.
+const DURABLE_OPTS: StoreOptions = StoreOptions {
+    flush_threshold_rows: usize::MAX,
+    compact_min_chunks: usize::MAX,
+};
+
 /// One database under test with what is expected of it so far.
 struct Subject {
     db: Database,
@@ -241,13 +252,9 @@ impl Subject {
     }
 
     fn durable(name: &str, limited: bool) -> (Subject, Arc<Registry>) {
-        let opts = StoreOptions {
-            flush_threshold_rows: usize::MAX,
-            compact_min_chunks: usize::MAX,
-        };
         let reg = Registry::shared();
         let disk = Arc::new(MemDisk::new(7));
-        let (db, _) = Database::open_with_obs(name, disk, opts, reg.clone()).unwrap();
+        let (db, _) = Database::open_with_obs(name, disk, DURABLE_OPTS, reg.clone()).unwrap();
         (Subject::new(db, limited), reg)
     }
 
@@ -330,28 +337,56 @@ fn check_case(stream: &[PointCode], chunks: &[u8], limited: bool) {
         .collect();
 
     // Client runs under random chunk boundaries, chunks of one included;
-    // a remote point ends the run it interrupts.
-    let mut chunked = Subject::new(Database::new("chunked"), limited);
-    let mut chunk_sizes = chunks.iter().cycle();
-    let mut rest = stream;
-    while let Some(first) = rest.first() {
-        if origin_of(first) == Origin::Remote {
-            chunked.apply_remote(point_of(first));
-            rest = &rest[1..];
-            continue;
+    // a remote point ends the run it interrupts. Once with no registry,
+    // once observed.
+    let reg = Registry::shared();
+    for (what, db) in [
+        ("chunked", Database::new("chunked")),
+        ("observed", Database::with_obs("chunked", reg.clone())),
+    ] {
+        let mut chunked = Subject::new(db, limited);
+        let mut chunk_sizes = chunks.iter().cycle();
+        let mut rest = stream;
+        let mut batches = 0u64;
+        while let Some(first) = rest.first() {
+            if origin_of(first) == Origin::Remote {
+                chunked.apply_remote(point_of(first));
+                rest = &rest[1..];
+                continue;
+            }
+            let take = (*chunk_sizes.next().unwrap() as usize % 7) + 1;
+            let run = rest.iter().take(take);
+            let run = run.take_while(|code| origin_of(code) == Origin::Client);
+            let chunk: Vec<Point> = run.map(point_of).collect();
+            rest = &rest[chunk.len()..];
+            chunked.write_batch(chunk);
+            batches += 1;
         }
-        let take = (*chunk_sizes.next().unwrap() as usize % 7) + 1;
-        let run = rest.iter().take(take);
-        let run = run.take_while(|code| origin_of(code) == Origin::Client);
-        let chunk: Vec<Point> = run.map(point_of).collect();
-        rest = &rest[chunk.len()..];
-        chunked.write_batch(chunk);
+        chunked.matches(&model, &expected, what);
+        if what == "observed" {
+            let (snap, ledger) = (reg.snapshot(), &model.ledger);
+            let counted = |name: &str| snap.counter(name, &[]).unwrap();
+            assert_eq!(counted("tsdb.points_offered"), ledger.points_offered);
+            assert_eq!(counted("tsdb.points_inserted"), ledger.points_inserted);
+            assert_eq!(counted("tsdb.values_inserted"), ledger.values_inserted);
+            let zeros = counted("tsdb.zero_values_inserted");
+            assert_eq!(zeros, ledger.zero_values_inserted);
+            assert_eq!(counted("tsdb.points_rejected"), ledger.points_rejected);
+            assert_eq!(counted("tsdb.batch.batches"), batches);
+            assert_eq!(counted("tsdb.batch.points"), ledger.points_inserted);
+            let rejected = counted("tsdb.batch.points_rejected");
+            assert_eq!(rejected, ledger.points_rejected);
+            assert_eq!(counted("tsdb.batch.wal_frames"), 0, "in memory");
+        }
     }
-    chunked.matches(&model, &expected, "chunked");
 
-    // n single writes against n batches of one, on durable databases.
+    // n single writes against n batches of one, on durable databases;
+    // the batches of one again on a database opened with no registry.
     let (mut single, single_reg) = Subject::durable("wal", limited);
     let (mut ones, ones_reg) = Subject::durable("wal", limited);
+    let bare_disk = Arc::new(MemDisk::new(7));
+    let (bare, _) = Database::open("wal", bare_disk, DURABLE_OPTS).unwrap();
+    let mut bare = Subject::new(bare, limited);
     const START_NS: u64 = 7;
     for code in stream {
         let (point, origin) = (point_of(code), origin_of(code));
@@ -361,10 +396,12 @@ fn check_case(stream: &[PointCode], chunks: &[u8], limited: bool) {
             .write(point.clone(), origin, &Span::none(), START_NS);
         single.note(std::slice::from_ref(&point), vec![res.is_ok()]);
         if origin == Origin::Remote {
-            ones.apply_remote(point);
+            ones.apply_remote(point.clone());
+            bare.apply_remote(point);
             continue;
         }
-        let commit_ns = ones.write_batch(vec![point]);
+        let commit_ns = ones.write_batch(vec![point.clone()]);
+        assert_eq!(bare.write_batch(vec![point]), commit_ns, "bare commit");
         let want = match res {
             Ok(()) => START_NS + commit_ns + charged,
             Err(_) => START_NS,
@@ -373,8 +410,10 @@ fn check_case(stream: &[PointCode], chunks: &[u8], limited: bool) {
     }
     single.matches(&model, &expected, "single");
     ones.matches(&model, &expected, "ones");
+    bare.matches(&model, &expected, "bare");
     let wal = |s: &Subject| s.db.store().unwrap().wal_size().unwrap();
     assert_eq!(wal(&single), wal(&ones), "WAL bytes");
+    assert_eq!(wal(&bare), wal(&ones), "WAL bytes with no registry");
     let stored = expected.iter().filter(|ok| **ok).count() as u64;
     for reg in [single_reg, ones_reg] {
         let commits = reg.snapshot().counter("wal.commits", &[("db", "wal")]);

@@ -35,7 +35,7 @@ fn main() {
         60.0,
         2.0,
         &[],
-        Some(&plain.obs),
+        &plain.obs,
         None, // resilience off
         Some(faults()),
     );

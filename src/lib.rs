@@ -6,6 +6,7 @@
 //!
 //! See the crate-level documentation of [`core`] for the framework itself
 //! and `DESIGN.md` in the repository root for the system inventory.
+#![forbid(unsafe_code)]
 
 pub use pmove_core as core;
 pub use pmove_docdb as docdb;
