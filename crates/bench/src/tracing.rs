@@ -54,7 +54,7 @@ fn resilient_trace() -> String {
         ..TraceConfig::default()
     });
     let fault = FaultSchedule::none().with_window(10.0, 20.0, FaultKind::LinkDown);
-    let report = d.monitor_resilient(40.0, 1.0, ResilienceConfig::default(), Some(fault));
+    let report = d.monitor_resilient(40.0, 1.0, Some(ResilienceConfig::default()), Some(fault));
     assert!(report.transport.conserved(), "{:?}", report.transport);
     assert_eq!(tracer.active_count(), 0, "orphaned traces after drain");
     let trees = tracer.flight_recorder();

@@ -577,7 +577,7 @@ mod tests {
         // A resilient run through an outage grows the panel.
         let mut d = crate::telemetry::daemon::PMoveDaemon::for_preset("icl").unwrap();
         let fault = FaultSchedule::none().with_window(5.0, 15.0, FaultKind::LinkDown);
-        d.monitor_resilient(30.0, 1.0, ResilienceConfig::default(), Some(fault));
+        d.monitor_resilient(30.0, 1.0, Some(ResilienceConfig::default()), Some(fault));
         let dash = d.self_dashboard();
         let panel = dash
             .panels

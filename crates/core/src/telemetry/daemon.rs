@@ -16,21 +16,38 @@ use crate::probe::ProbeReport;
 use crate::telemetry::scenario_a::{self, ReplicatedOutcome};
 use crate::telemetry::scenario_b::{self, ProfileOutcome, ProfileRequest};
 use pmove_hwsim::kernel_profile::{KernelProfile, Precision};
+use pmove_hwsim::network::LinkSpec;
 use pmove_hwsim::{ExecModel, FaultSchedule, Machine};
 use pmove_kernels::hpcg;
 use pmove_obs::{
     AlertState, BurnWindow, Objective, Registry, SloEngine, SloSpec, TraceConfig, Tracer,
     Transition,
 };
-use pmove_pcp::{ResilienceConfig, SamplingReport};
+use pmove_pcp::{
+    run_replicated, Pmcd, ReplShipper, ResilienceConfig, SamplingConfig, SamplingLoop,
+    SamplingReport, Shipper,
+};
 use pmove_serve::{QueryServer, ServeReport, ServeRequest, ServingConfig};
 use pmove_tsdb::query::{Projection, Query};
 use pmove_tsdb::repl::{RepairReport, ReplConfig, ReplicaSet};
+use pmove_tsdb::store::{MemDisk, ScrubConfig, Scrubber, StoreOptions, Vfs};
+use std::fmt;
 use std::sync::Arc;
 
 /// Convert virtual-clock seconds to integer nanoseconds for span stamps.
 fn s_to_ns(s: f64) -> u64 {
     (s * 1e9).round().max(0.0) as u64
+}
+
+/// `schedule`, written relative to a window start, moved onto the daemon
+/// clock: a window `[a, b)` fires at `start_s + a`.
+fn on_clock(schedule: FaultSchedule, start_s: f64) -> FaultSchedule {
+    schedule
+        .windows()
+        .iter()
+        .fold(FaultSchedule::none(), |shifted, w| {
+            shifted.with_window(start_s + w.start_s, start_s + w.end_s, w.kind)
+        })
 }
 
 /// What boot step ④ recovered from the durable stores.
@@ -44,15 +61,52 @@ pub struct BootRecovery {
     pub modeled_ns: u64,
 }
 
-/// How much of the stack the daemon booted with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How much of the stack the daemon is running, and why not all of it.
+/// Every mode but `Normal` is monitor-only: monitoring keeps running, but
+/// KB-mutating operations (profiling, benchmarks) are refused with the
+/// mode's `Display` text as the reason.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DaemonMode {
     /// Full stack: every scenario available.
     Normal,
-    /// Supervised fallback after a failed durable boot: monitoring keeps
-    /// running against in-memory stores, but KB-mutating operations
-    /// (profiling, benchmarks) are refused until the operator intervenes.
-    DegradedMonitorOnly,
+    /// Supervised fallback after a failed durable boot (the boot error's
+    /// text): in-memory stores until the operator intervenes.
+    BootFallback(String),
+    /// A replicated window ended with fewer than W replicas reachable;
+    /// lifts by itself once a later window ends with the quorum back.
+    QuorumLost {
+        /// Replicas reachable at the end of the window.
+        healthy: usize,
+        /// Replicas in the set.
+        replicas: usize,
+    },
+}
+
+impl fmt::Display for DaemonMode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DaemonMode::Normal => f.write_str("normal"),
+            DaemonMode::BootFallback(reason) => f.write_str(reason),
+            DaemonMode::QuorumLost { healthy, replicas } => write!(
+                f,
+                "replication write quorum unreachable: {healthy} of {replicas} replicas reachable"
+            ),
+        }
+    }
+}
+
+/// Backup scheduler state, present once [`PMoveDaemon::enable_backups`]
+/// attached a destination.
+#[derive(Clone, Copy)]
+struct BackupSchedule {
+    /// Capture cadence in virtual seconds.
+    period_s: f64,
+    /// Virtual time of the last completed generation.
+    last_s: f64,
+    /// Completed generations since the last restore drill.
+    since_drill: u64,
+    /// Restore drills run so far; seeds each drill's scratch disk.
+    drills: u64,
 }
 
 /// The daemon.
@@ -85,8 +139,9 @@ pub struct PMoveDaemon {
     /// Virtual clock (seconds since daemon start).
     pub now_s: f64,
     /// Pinned background load — `(os thread, busy fraction)` pairs of
-    /// long-running processes, reflected in Scenario A's SW telemetry.
-    pub background_busy: Vec<(u32, f64)>,
+    /// long-running processes, reflected in Scenario A's SW telemetry
+    /// (see [`PMoveDaemon::set_background_load`]).
+    background_busy: Vec<(u32, f64)>,
     /// Self-observability registry: every subsystem the daemon owns
     /// (transport, pmcd, tsdb, docdb, KB builder) reports into it.
     pub obs: Arc<Registry>,
@@ -94,31 +149,14 @@ pub struct PMoveDaemon {
     /// [`PMoveDaemon::install_default_slos`] or [`SloEngine::add`] and
     /// evaluate on the daemon's virtual clock.
     pub slo: SloEngine,
-    /// Which stack the daemon booted with (see [`DaemonMode`]).
+    /// Which stack the daemon is running (see [`DaemonMode`]).
     pub mode: DaemonMode,
-    /// Why the supervisor degraded the boot, when it did.
-    pub degraded_reason: Option<String>,
     /// Background integrity scrubber over the durable time-series store;
-    /// `None` until [`PMoveDaemon::enable_scrubbing`]. Ticks piggy-back
-    /// on the monitoring loop so scrub progress rides the same virtual
-    /// clock as everything else.
-    pub scrubber: Option<pmove_tsdb::store::Scrubber>,
-    /// Cadence the scrubber was enabled with; drives the staleness bound
-    /// of the `scrub_staleness` SLO.
-    pub scrub_cfg: Option<pmove_tsdb::store::ScrubConfig>,
-    /// Backup cadence in virtual seconds; `None` until
-    /// [`PMoveDaemon::enable_backups`]. Ticks piggy-back on the
-    /// monitoring loop like scrubbing and rollups.
-    pub backup_period_s: Option<f64>,
-    /// Virtual time of the last completed backup generation.
-    pub last_backup_s: f64,
-    /// Run an automated restore drill after every this many completed
-    /// backup generations (0 disables the drill loop).
-    pub drill_every_backups: u64,
-    /// Completed generations since the last restore drill.
-    backups_since_drill: u64,
-    /// Restore drills run so far; seeds each drill's scratch disk.
-    drills_run: u64,
+    /// `None` until [`PMoveDaemon::enable_scrubbing`]. Its config is the
+    /// cadence the `scrub_staleness` SLO holds it to.
+    scrubber: Option<Scrubber>,
+    /// `None` until [`PMoveDaemon::enable_backups`].
+    backup: Option<BackupSchedule>,
 }
 
 /// Modeled boot-step durations (virtual ns, deterministic): reading the
@@ -135,9 +173,9 @@ const STEP5_SUPERVISE_NS: u64 = 40_000;
 const REPAIR_BASE_NS: u64 = 60_000;
 /// Modeled per-cell cost of streaming a divergent range during repair.
 const REPAIR_PER_CELL_NS: u64 = 700;
-/// Degradation reason prefix for replication-driven monitor-only mode;
-/// used to recognise (and lift) it when the quorum returns.
-const REPL_DEGRADED_REASON: &str = "replication write quorum unreachable";
+/// Run an automated restore drill after every this many completed backup
+/// generations.
+const DRILL_EVERY_BACKUPS: u64 = 3;
 /// Modeled fixed cost of fencing + committing one backup generation.
 const BACKUP_BASE_NS: u64 = 80_000;
 /// Modeled per-byte cost of copying chunk bytes to the backup disk.
@@ -223,11 +261,15 @@ impl PMoveDaemon {
     /// The replay is stamped as a fourth boot step,
     /// `daemon.step4.recovery`, whose modeled duration is the disk time to
     /// re-read the persisted state.
+    ///
+    /// Returns the daemon and the boot-timeline position it reached (the
+    /// end of step ④, or ③ when nothing was replayed), where the
+    /// supervised and replicated constructors stamp their own steps.
     fn boot(
         machine: Machine,
         env: DbParams,
-        vfs: Option<Arc<dyn pmove_tsdb::store::Vfs>>,
-    ) -> Result<Self, PmoveError> {
+        vfs: Option<Arc<dyn Vfs>>,
+    ) -> Result<(Self, u64), PmoveError> {
         let obs = Registry::shared();
         let (kb, boot_ns) = boot_steps_0_to_2(&machine, &env, &obs)?;
 
@@ -241,7 +283,7 @@ impl PMoveDaemon {
                 let (ts, ts_rec) = pmove_tsdb::Database::open_with_obs(
                     &env.influx_db,
                     vfs.clone(),
-                    pmove_tsdb::store::StoreOptions::default(),
+                    StoreOptions::default(),
                     obs.clone(),
                 )?;
                 let (journal, doc_rec) =
@@ -269,20 +311,14 @@ impl PMoveDaemon {
             slo: SloEngine::new().with_meta(obs.clone()),
             obs,
             mode: DaemonMode::Normal,
-            degraded_reason: None,
             scrubber: None,
-            scrub_cfg: None,
-            backup_period_s: None,
-            last_backup_s: 0.0,
-            drill_every_backups: 3,
-            backups_since_drill: 0,
-            drills_run: 0,
+            backup: None,
         };
         let insert_ns = daemon.sync_kb()? as u64 * STEP3_PER_DOC_NS; // ③
         daemon
             .obs
             .record_span("daemon.step3.kb_insert", boot_ns, boot_ns + insert_ns);
-        let boot_ns = boot_ns + insert_ns;
+        let mut boot_ns = boot_ns + insert_ns;
 
         // ④ recovery: replaying WAL + journal over the chunk set.
         if let Some((ts_rec, doc_rec)) = recovered {
@@ -295,119 +331,93 @@ impl PMoveDaemon {
                 doc: doc_rec,
                 modeled_ns,
             });
+            boot_ns += modeled_ns;
         }
-        Ok(daemon)
+        Ok((daemon, boot_ns))
     }
 
-    /// Supervised boot (step ⑤): try the full durable stack first; when
-    /// recovery of the tsdb/docdb fails (crashed disk, torn files), fall
-    /// back to a memory-only daemon in [`DaemonMode::DegradedMonitorOnly`]
-    /// instead of refusing to start — monitoring availability beats
-    /// durability when the two conflict. The decision is stamped as a
-    /// `daemon.step5.supervise` span, the chosen mode as a `daemon.mode`
-    /// gauge (0 = normal, 1 = degraded), and each fallback bumps the
-    /// `daemon.supervisor.fallbacks` counter.
-    fn boot_supervised(
-        machine: Machine,
-        env: DbParams,
-        vfs: Arc<dyn pmove_tsdb::store::Vfs>,
-    ) -> Result<Self, PmoveError> {
-        let spec = machine.spec.clone();
-        let mut daemon = match Self::boot(machine, env.clone(), Some(vfs)) {
-            Ok(d) => d,
-            Err(e) => {
-                let mut d = Self::boot(Machine::new(spec), env, None)?;
-                d.mode = DaemonMode::DegradedMonitorOnly;
-                d.degraded_reason = Some(e.to_string());
-                d.obs.counter("daemon.supervisor.fallbacks", &[]).inc();
-                d
-            }
-        };
-        daemon.stamp_supervise_step();
-        Ok(daemon)
+    /// Convenience: daemon for a preset machine with default env.
+    pub fn for_preset(key: &str) -> Result<Self, PmoveError> {
+        Ok(Self::boot(preset(key)?, DbParams::default(), None)?.0)
     }
 
-    /// Stamp the step ⑤ span right after the last completed boot step and
-    /// publish the chosen mode as a gauge.
-    fn stamp_supervise_step(&mut self) {
-        let snap = self.obs.snapshot();
-        let start_ns = ["daemon.step4.recovery", "daemon.step3.kb_insert"]
-            .iter()
-            .filter_map(|name| snap.span(name))
-            .map(|s| s.last_end_ns)
-            .max()
-            .unwrap_or(0);
-        self.obs.record_span(
+    /// Convenience: durable daemon for a preset machine with default env.
+    pub fn for_preset_durable(key: &str, vfs: Arc<dyn Vfs>) -> Result<Self, PmoveError> {
+        Ok(Self::boot(preset(key)?, DbParams::default(), Some(vfs))?.0)
+    }
+
+    /// Supervised boot (step ⑤) for a preset machine with default env:
+    /// try the full durable stack first; when recovery of the tsdb/docdb
+    /// fails (crashed disk, torn files), fall back to a memory-only daemon
+    /// in [`DaemonMode::BootFallback`] instead of refusing to start —
+    /// monitoring availability beats durability when the two conflict.
+    /// The decision is stamped as a `daemon.step5.supervise` span right
+    /// after the last boot step, the chosen mode as the `daemon.mode`
+    /// gauge, and each fallback bumps the `daemon.supervisor.fallbacks`
+    /// counter.
+    pub fn for_preset_supervised(key: &str, vfs: Arc<dyn Vfs>) -> Result<Self, PmoveError> {
+        let (mut daemon, boot_ns, mode) =
+            match Self::boot(preset(key)?, DbParams::default(), Some(vfs)) {
+                Ok((d, boot_ns)) => (d, boot_ns, DaemonMode::Normal),
+                Err(e) => {
+                    let (d, boot_ns) = Self::boot(preset(key)?, DbParams::default(), None)?;
+                    d.obs.counter("daemon.supervisor.fallbacks", &[]).inc();
+                    (d, boot_ns, DaemonMode::BootFallback(e.to_string()))
+                }
+            };
+        daemon.obs.record_span(
             "daemon.step5.supervise",
-            start_ns,
-            start_ns + STEP5_SUPERVISE_NS,
+            boot_ns,
+            boot_ns + STEP5_SUPERVISE_NS,
         );
-        let mode_value = match self.mode {
-            DaemonMode::Normal => 0.0,
-            DaemonMode::DegradedMonitorOnly => 1.0,
-        };
-        self.obs.gauge("daemon.mode", &[]).set(mode_value);
+        daemon.set_mode(mode);
+        Ok(daemon)
     }
 
-    /// Replicated boot: steps ⓪–③ as usual, then the telemetry store
-    /// comes up as `cfg.replication_factor` durable replicas (each on its
-    /// own seeded disk) behind a quorum coordinator instead of a single
-    /// database. Replica recovery is stamped as the step ④ span (the sum
-    /// of the per-replica modeled replay times), and the chosen RF/W/R
-    /// are published as `daemon.replication.*` gauges.
+    /// Replicated daemon for a preset machine, default env and quorum
+    /// config (RF=3, W=2, R=2): steps ⓪–③ as usual, then the telemetry
+    /// store comes up as RF durable replicas (each on its own seeded disk)
+    /// behind a quorum coordinator. Replica recovery is stamped as the
+    /// step ④ span (the sum of the per-replica modeled replay times) and
+    /// RF/W/R are published as `daemon.replication.*` gauges.
     ///
     /// Monitoring then routes through [`PMoveDaemon::monitor_replicated`];
     /// the plain `ts` database stays available for self-telemetry and
     /// non-replicated scenarios.
-    fn new_replicated(
-        machine: Machine,
-        env: DbParams,
-        cfg: ReplConfig,
-        seed: u64,
-    ) -> Result<Self, PmoveError> {
-        let mut daemon = Self::boot(machine, env.clone(), None)?;
-        let snap = daemon.obs.snapshot();
-        let boot_ns = snap
-            .span("daemon.step3.kb_insert")
-            .map(|s| s.last_end_ns)
-            .unwrap_or(0);
-        let (set, reports) = ReplicaSet::durable(
-            &env.influx_db,
-            cfg,
-            seed,
-            pmove_tsdb::store::StoreOptions::default(),
-        )?;
+    pub fn for_preset_replicated(key: &str, seed: u64) -> Result<Self, PmoveError> {
+        let env = DbParams::default();
+        let cfg = ReplConfig::default();
+        let (mut daemon, boot_ns) = Self::boot(preset(key)?, env.clone(), None)?;
+        let (set, reports) =
+            ReplicaSet::durable(&env.influx_db, cfg, seed, StoreOptions::default())?;
         let set = set.with_obs(&daemon.obs);
         let recovery_ns: u64 = reports.iter().map(|r| r.modeled_ns).sum();
         daemon
             .obs
             .record_span("daemon.step4.recovery", boot_ns, boot_ns + recovery_ns);
-        daemon
-            .obs
-            .gauge("daemon.replication.rf", &[])
-            .set(cfg.replication_factor as f64);
-        daemon
-            .obs
-            .gauge("daemon.replication.write_quorum", &[])
-            .set(cfg.write_quorum as f64);
-        daemon
-            .obs
-            .gauge("daemon.replication.read_quorum", &[])
-            .set(cfg.read_quorum as f64);
+        let gauge = |name: &str, v: usize| daemon.obs.gauge(name, &[]).set(v as f64);
+        gauge("daemon.replication.rf", cfg.replication_factor);
+        gauge("daemon.replication.write_quorum", cfg.write_quorum);
+        gauge("daemon.replication.read_quorum", cfg.read_quorum);
         daemon.repl = Some(set);
         daemon.repl_recovery = reports;
         Ok(daemon)
     }
 
-    /// Convenience: replicated daemon for a preset machine, default env
-    /// and quorum config (RF=3, W=2, R=2).
-    pub fn for_preset_replicated(key: &str, seed: u64) -> Result<Self, PmoveError> {
-        Self::new_replicated(
-            preset(key)?,
-            DbParams::default(),
-            ReplConfig::default(),
-            seed,
-        )
+    /// Enter `mode` and publish it as the `daemon.mode` gauge (0 = normal,
+    /// 1 = monitor-only).
+    fn set_mode(&mut self, mode: DaemonMode) {
+        let value = if mode == DaemonMode::Normal { 0.0 } else { 1.0 };
+        self.obs.gauge("daemon.mode", &[]).set(value);
+        self.mode = mode;
+    }
+
+    /// The replica set, or the error every replicated-only call returns on
+    /// a plain daemon.
+    fn replicas(&self) -> Result<&ReplicaSet, PmoveError> {
+        self.repl
+            .as_ref()
+            .ok_or_else(|| PmoveError::Collector("daemon is not replicated".into()))
     }
 
     /// Scenario A through the replication coordinator: quorum writes,
@@ -418,60 +428,56 @@ impl PMoveDaemon {
     /// Failure handling is graduated: a quarantined primary is *failed
     /// over* (the coordinator promotes the lowest healthy replica) and
     /// the daemon stays fully operational; the daemon drops to
-    /// [`DaemonMode::DegradedMonitorOnly`] only when the window ends with
-    /// fewer than W replicas reachable — and that degradation lifts by
-    /// itself once a later window ends with the quorum restored.
+    /// [`DaemonMode::QuorumLost`] only when the window ends with fewer
+    /// than W replicas reachable — and that lifts by itself once a later
+    /// window ends with the quorum restored.
     pub fn monitor_replicated(
         &mut self,
         duration_s: f64,
         freq_hz: f64,
         schedules: Option<Vec<FaultSchedule>>,
     ) -> Result<ReplicatedOutcome, PmoveError> {
-        let outcome = self.monitor_window(duration_s, schedules, |d, schedules| {
-            let set = d
-                .repl
-                .as_ref()
-                .ok_or_else(|| PmoveError::Collector("daemon is not replicated".into()))?;
-            scenario_a::monitor_system_replicated(
-                &d.machine,
-                &d.kb,
-                set,
-                d.now_s,
-                duration_s,
-                freq_hz,
-                &d.background_busy,
-                &d.obs,
-                schedules.unwrap_or_else(|| vec![FaultSchedule::none(); set.len()]),
-            )
+        let start_s = self.now_s;
+        let schedules: Option<Vec<_>> =
+            schedules.map(|list| list.into_iter().map(|s| on_clock(s, start_s)).collect());
+        let outcome = self.monitor_window(duration_s, freq_hz, |d, config, pmcd| {
+            let set = d.replicas()?;
+            let schedules = schedules.unwrap_or_else(|| vec![FaultSchedule::none(); set.len()]);
+            let labels = [d.machine.key(), "scenario_a", set.name()];
+            let mut coord = ReplShipper::new(set, schedules, &labels)?.with_obs(d.obs.clone());
+            let report = run_replicated(config, pmcd, &mut coord);
+            Ok(ReplicatedOutcome {
+                report,
+                healthy: coord.healthy_count(),
+                primary: coord.primary(),
+                degraded: coord.is_degraded(),
+            })
         })?;
         self.apply_replication_health(&outcome);
         Ok(outcome)
     }
 
-    /// One monitoring window — the only place Scenario A advances the
-    /// daemon clock, stamps `daemon.monitor` and runs the periodic duties
-    /// (scrub, rollup, backup), so every monitoring mode gets all of
-    /// them. `faults` are expressed relative to the window start (a
-    /// window `[a, b)` fires at `now_s + a`) and are shifted onto the
-    /// daemon clock before `sample` sees them. A failed window leaves the
-    /// clock untouched.
+    /// One monitoring window — the only place Scenario A configures the
+    /// collectors from the KB, advances the daemon clock, stamps
+    /// `daemon.monitor` and runs the periodic duties (scrub, rollup,
+    /// backup), so every monitoring mode gets all of them. `sample` ships
+    /// the window through the mode's transport. An invalid frequency or
+    /// duration, or a failed `sample`, leaves the clock untouched.
     fn monitor_window<R>(
         &mut self,
         duration_s: f64,
-        faults: Option<Vec<FaultSchedule>>,
-        sample: impl FnOnce(&Self, Option<Vec<FaultSchedule>>) -> Result<R, PmoveError>,
+        freq_hz: f64,
+        sample: impl FnOnce(&Self, &SamplingConfig, &mut Pmcd) -> Result<R, PmoveError>,
     ) -> Result<R, PmoveError> {
         let start_s = self.now_s;
-        let shift = |schedule: FaultSchedule| {
-            schedule
-                .windows()
-                .iter()
-                .fold(FaultSchedule::none(), |shifted, w| {
-                    shifted.with_window(start_s + w.start_s, start_s + w.end_s, w.kind)
-                })
-        };
-        let faults = faults.map(|list| list.into_iter().map(shift).collect());
-        let out = sample(self, faults)?;
+        let (mut pmcd, metrics) = scenario_a::configure_collectors(
+            &self.machine,
+            &self.kb,
+            &self.background_busy,
+            &self.obs,
+        );
+        let config = SamplingConfig::try_new(metrics, freq_hz, start_s, duration_s)?;
+        let out = sample(self, &config, &mut pmcd)?;
         self.now_s += duration_s;
         self.obs
             .record_span("daemon.monitor", s_to_ns(start_s), s_to_ns(self.now_s));
@@ -482,31 +488,24 @@ impl PMoveDaemon {
     }
 
     /// Translate the coordinator's end-of-window health into the daemon
-    /// mode: degrade to monitor-only exactly while the write quorum is
-    /// unreachable, and lift that (and only that) degradation when the
-    /// quorum returns. Boot-supervision degradation is never overwritten.
+    /// mode: [`DaemonMode::QuorumLost`] exactly while the write quorum is
+    /// unreachable — each such window re-enters it with its own count and
+    /// ticks `daemon.replication.degraded_windows` — and back to normal
+    /// when the quorum returns. A boot fallback is never overwritten.
     fn apply_replication_health(&mut self, outcome: &ReplicatedOutcome) {
-        let repl_degraded = self
-            .degraded_reason
-            .as_deref()
-            .is_some_and(|r| r.starts_with(REPL_DEGRADED_REASON));
-        if outcome.degraded {
-            if self.mode == DaemonMode::Normal || repl_degraded {
-                self.mode = DaemonMode::DegradedMonitorOnly;
-                self.degraded_reason = Some(format!(
-                    "{REPL_DEGRADED_REASON}: {} of {} replicas reachable",
-                    outcome.healthy,
-                    self.repl.as_ref().map(|s| s.len()).unwrap_or(0)
-                ));
-                self.obs.gauge("daemon.mode", &[]).set(1.0);
+        match (&self.mode, outcome.degraded) {
+            (DaemonMode::BootFallback(_), _) | (DaemonMode::Normal, false) => {}
+            (_, true) => {
+                let replicas = self.replicas().map_or(0, ReplicaSet::len);
+                self.set_mode(DaemonMode::QuorumLost {
+                    healthy: outcome.healthy,
+                    replicas,
+                });
                 self.obs
                     .counter("daemon.replication.degraded_windows", &[])
                     .inc();
             }
-        } else if repl_degraded {
-            self.mode = DaemonMode::Normal;
-            self.degraded_reason = None;
-            self.obs.gauge("daemon.mode", &[]).set(0.0);
+            (DaemonMode::QuorumLost { .. }, false) => self.set_mode(DaemonMode::Normal),
         }
     }
 
@@ -514,11 +513,7 @@ impl PMoveDaemon {
     /// `max_rounds` is hit), stamped as a `daemon.repair` span whose
     /// modeled length scales with the cells streamed.
     pub fn repair_replicas(&mut self, max_rounds: u64) -> Result<RepairReport, PmoveError> {
-        let set = self
-            .repl
-            .as_ref()
-            .ok_or_else(|| PmoveError::Collector("daemon is not replicated".into()))?;
-        let report = set.repair_until_converged(max_rounds)?;
+        let report = self.replicas()?.repair_until_converged(max_rounds)?;
         let start_ns = s_to_ns(self.now_s);
         let repair_ns =
             REPAIR_BASE_NS * report.rounds.max(1) + REPAIR_PER_CELL_NS * report.cells_streamed;
@@ -531,11 +526,7 @@ impl PMoveDaemon {
     /// R-quorum read over the replica set (every replica assumed
     /// reachable — post-run analytics path).
     pub fn quorum_query(&self, text: &str) -> Result<pmove_tsdb::QueryResult, PmoveError> {
-        let set = self
-            .repl
-            .as_ref()
-            .ok_or_else(|| PmoveError::Collector("daemon is not replicated".into()))?;
-        Ok(set.quorum_read(text)?)
+        Ok(self.replicas()?.quorum_read(text)?)
     }
 
     /// Run a multi-tenant serving schedule against the daemon's telemetry
@@ -576,13 +567,9 @@ impl PMoveDaemon {
 
     /// Guard for operations that mutate the KB: refused while degraded.
     pub fn ensure_writable(&self) -> Result<(), PmoveError> {
-        match self.mode {
+        match &self.mode {
             DaemonMode::Normal => Ok(()),
-            DaemonMode::DegradedMonitorOnly => Err(PmoveError::DegradedMode(
-                self.degraded_reason
-                    .clone()
-                    .unwrap_or_else(|| "supervised fallback".into()),
-            )),
+            mode => Err(PmoveError::DegradedMode(mode.to_string())),
         }
     }
 
@@ -590,27 +577,6 @@ impl PMoveDaemon {
     /// specific threads); subsequent Scenario A windows reflect it.
     pub fn set_background_load(&mut self, busy: &[(u32, f64)]) {
         self.background_busy = busy.to_vec();
-    }
-
-    /// Convenience: daemon for a preset machine with default env.
-    pub fn for_preset(key: &str) -> Result<Self, PmoveError> {
-        Self::boot(preset(key)?, DbParams::default(), None)
-    }
-
-    /// Convenience: durable daemon for a preset machine with default env.
-    pub fn for_preset_durable(
-        key: &str,
-        vfs: Arc<dyn pmove_tsdb::store::Vfs>,
-    ) -> Result<Self, PmoveError> {
-        Self::boot(preset(key)?, DbParams::default(), Some(vfs))
-    }
-
-    /// Convenience: supervised boot for a preset machine with default env.
-    pub fn for_preset_supervised(
-        key: &str,
-        vfs: Arc<dyn pmove_tsdb::store::Vfs>,
-    ) -> Result<Self, PmoveError> {
-        Self::boot_supervised(preset(key)?, DbParams::default(), vfs)
     }
 
     /// True when both databases persist to a VFS.
@@ -631,13 +597,21 @@ impl PMoveDaemon {
     /// scrubber tick, so the whole store is CRC-verified within
     /// `cfg.full_pass_period_s` of monitored virtual time. Returns
     /// `false` (and enables nothing) on a memory-only daemon — there are
-    /// no on-disk chunks to verify.
-    pub fn enable_scrubbing(&mut self, cfg: pmove_tsdb::store::ScrubConfig) -> bool {
+    /// no on-disk chunks to verify — and `false` plus a
+    /// `daemon.scrub.errors` tick when `cfg` cannot keep that promise: a
+    /// period that is not a positive finite number (a zero staleness
+    /// bound, or a pass that never finishes) or a negative or NaN burst
+    /// (nothing ever verifies).
+    pub fn enable_scrubbing(&mut self, cfg: ScrubConfig) -> bool {
         if !self.ts.is_durable() {
             return false;
         }
-        self.scrubber = Some(pmove_tsdb::store::Scrubber::new(cfg));
-        self.scrub_cfg = Some(cfg);
+        let period_s = cfg.full_pass_period_s;
+        if !(period_s > 0.0 && period_s.is_finite() && cfg.burst_bytes >= 0.0) {
+            self.obs.counter("daemon.scrub.errors", &[]).inc();
+            return false;
+        }
+        self.scrubber = Some(Scrubber::new(cfg));
         true
     }
 
@@ -646,23 +620,22 @@ impl PMoveDaemon {
     /// addressed archive on a dedicated seeded backup disk, and every
     /// `period_s` of monitored virtual time the monitor loop captures a
     /// complete snapshot generation there ([`PMoveDaemon::backup_tick`]).
-    /// Every `drill_every_backups` generations an automated restore
-    /// drill restores the newest backup into a scratch store and diffs
-    /// it bit-exactly against the live database. Call before
+    /// Every third generation an automated restore drill restores the
+    /// newest backup into a scratch store and diffs it bit-exactly
+    /// against the live database. Call before
     /// [`PMoveDaemon::install_default_slos`] so the `backup_staleness`
     /// objective (pages when the `store.backup.last_success` heartbeat
     /// falls three periods behind) picks up this cadence. Returns
     /// `false` (and enables nothing) on a memory-only daemon, and `false`
     /// plus a `daemon.backup.errors` tick when `period_s` is not a
-    /// positive number or the destination cannot be attached.
+    /// positive finite number or the destination cannot be attached.
     pub fn enable_backups(&mut self, period_s: f64) -> bool {
         let Some(mut store) = self.ts.store() else {
             return false;
         };
         let seed = Self::trace_seed(self.machine.key()) ^ 0xBACC_BACC_BACC_BACC;
-        let dest: Arc<dyn pmove_tsdb::store::Vfs> =
-            Arc::new(pmove_tsdb::store::MemDisk::new(seed | 1));
-        let attached = period_s > 0.0 && {
+        let dest: Arc<dyn Vfs> = Arc::new(MemDisk::new(seed | 1));
+        let attached = period_s > 0.0 && period_s.is_finite() && {
             // Stamp the clock first so catch-up archival of any already-
             // committed WAL tail carries the current time, not 0.
             store.note_time((self.now_s * 1e9).round() as i64);
@@ -676,8 +649,12 @@ impl PMoveDaemon {
         // destination write happens every 32 records (or at any flush or
         // snapshot fence), keeping archiver ingest overhead negligible.
         store.set_archive_group(32);
-        self.backup_period_s = Some(period_s);
-        self.last_backup_s = self.now_s;
+        self.backup = Some(BackupSchedule {
+            period_s,
+            last_s: self.now_s,
+            since_drill: 0,
+            drills: 0,
+        });
         true
     }
 
@@ -685,40 +662,38 @@ impl PMoveDaemon {
     /// store's virtual clock (archived records carry it; it is what
     /// point-in-time restore targets), and when a full period has elapsed
     /// capture a snapshot generation, stamped as a `daemon.backup` span.
-    /// Every `drill_every_backups` completed generations the tick also
+    /// Every [`DRILL_EVERY_BACKUPS`] completed generations the tick also
     /// runs [`PMoveDaemon::restore_drill`]. No-op until
     /// [`PMoveDaemon::enable_backups`].
     fn backup_tick(&mut self) {
-        let Some(period_s) = self.backup_period_s else {
+        let Some(schedule) = self.backup.as_mut() else {
             return;
         };
         let Some(mut store) = self.ts.store() else {
             return;
         };
         store.note_time((self.now_s * 1e9).round() as i64);
-        if self.now_s - self.last_backup_s + 1e-9 < period_s {
+        if self.now_s - schedule.last_s + 1e-9 < schedule.period_s {
             return;
         }
         let start = s_to_ns(self.now_s);
         let backup = store.backup_now();
         drop(store); // the drill below takes the store lock itself
-        match backup {
-            Ok(report) => {
-                self.last_backup_s = self.now_s;
-                let modeled = BACKUP_BASE_NS + report.bytes * BACKUP_PER_BYTE_NS;
-                self.obs
-                    .record_span("daemon.backup", start, start + modeled.max(1));
-                self.backups_since_drill += 1;
-                if self.drill_every_backups > 0
-                    && self.backups_since_drill >= self.drill_every_backups
-                {
-                    self.backups_since_drill = 0;
-                    self.restore_drill();
-                }
-            }
-            Err(_) => {
-                self.obs.counter("daemon.backup.errors", &[]).inc();
-            }
+        let Ok(report) = backup else {
+            self.obs.counter("daemon.backup.errors", &[]).inc();
+            return;
+        };
+        schedule.last_s = self.now_s;
+        schedule.since_drill += 1;
+        let drill_due = schedule.since_drill >= DRILL_EVERY_BACKUPS;
+        if drill_due {
+            schedule.since_drill = 0;
+        }
+        let modeled = BACKUP_BASE_NS + report.bytes * BACKUP_PER_BYTE_NS;
+        self.obs
+            .record_span("daemon.backup", start, start + modeled.max(1));
+        if drill_due {
+            self.restore_drill();
         }
     }
 
@@ -731,21 +706,17 @@ impl PMoveDaemon {
     /// `Some(false)` on any mismatch or restore refusal, `None` when
     /// backups are not enabled.
     pub fn restore_drill(&mut self) -> Option<bool> {
+        let schedule = self.backup.as_mut()?;
         let src = self.ts.store()?.backup_dest()?;
         let start = s_to_ns(self.now_s);
-        self.drills_run += 1;
+        schedule.drills += 1;
         self.obs.counter("daemon.drill.runs", &[]).inc();
-        let seed = Self::trace_seed(self.machine.key()) ^ 0xD1A1_0000_0000_0000 ^ self.drills_run;
-        let scratch: Arc<dyn pmove_tsdb::store::Vfs> =
-            Arc::new(pmove_tsdb::store::MemDisk::new(seed | 1));
+        let seed = Self::trace_seed(self.machine.key()) ^ 0xD1A1_0000_0000_0000 ^ schedule.drills;
+        let scratch: Arc<dyn Vfs> = Arc::new(MemDisk::new(seed | 1));
         let mut scratch_db =
             pmove_tsdb::Database::with_obs(format!("{}-drill", self.ts.name()), self.obs.clone());
-        let restored = scratch_db.restore_at(
-            src.as_ref(),
-            scratch,
-            pmove_tsdb::store::StoreOptions::default(),
-            i64::MAX,
-        );
+        let restored =
+            scratch_db.restore_at(src.as_ref(), scratch, StoreOptions::default(), i64::MAX);
         let ok = match restored {
             Ok(report) => {
                 let live = drill_cell_map(&self.ts);
@@ -823,48 +794,49 @@ impl PMoveDaemon {
         }
     }
 
-    /// Scenario A: monitor system state for `duration_s` at `freq_hz`.
+    /// Scenario A: monitor system state for `duration_s` at `freq_hz` into
+    /// the host database over the paper's plain unbuffered transport.
+    ///
+    /// # Panics
+    ///
+    /// When `freq_hz` is not a positive finite number or `duration_s` is
+    /// negative or not finite ([`SamplingConfig::try_new`] refuses them).
     pub fn monitor(&mut self, duration_s: f64, freq_hz: f64) -> SamplingReport {
-        self.monitor_node(duration_s, freq_hz, None, None)
+        self.monitor_resilient(duration_s, freq_hz, None, None)
     }
 
-    /// [`PMoveDaemon::monitor`] with the self-healing transport enabled
-    /// and an optional injected fault schedule (virtual-clock relative to
-    /// the current daemon time: a window `[a, b)` in the schedule fires at
-    /// `now_s + a`). Monitoring is allowed in every [`DaemonMode`].
+    /// [`PMoveDaemon::monitor`] with the self-healing transport when
+    /// `resilience` is given (spill instead of drop, retry with backoff
+    /// behind a circuit breaker, recovery gap markers) and an optional
+    /// injected fault schedule (virtual-clock relative to the current
+    /// daemon time: a window `[a, b)` in the schedule fires at `now_s +
+    /// a`). Monitoring is allowed in every [`DaemonMode`].
+    ///
+    /// # Panics
+    ///
+    /// On the sampling numbers [`PMoveDaemon::monitor`] panics on.
     pub fn monitor_resilient(
-        &mut self,
-        duration_s: f64,
-        freq_hz: f64,
-        resilience: ResilienceConfig,
-        fault: Option<FaultSchedule>,
-    ) -> SamplingReport {
-        self.monitor_node(duration_s, freq_hz, Some(resilience), fault)
-    }
-
-    /// Single-node Scenario A window into the host database.
-    fn monitor_node(
         &mut self,
         duration_s: f64,
         freq_hz: f64,
         resilience: Option<ResilienceConfig>,
         fault: Option<FaultSchedule>,
     ) -> SamplingReport {
-        self.monitor_window(duration_s, fault.map(|f| vec![f]), |d, fault| {
-            Ok(scenario_a::monitor_system_resilient(
-                &d.machine,
-                &d.kb,
-                &d.ts,
-                d.now_s,
-                duration_s,
-                freq_hz,
-                &d.background_busy,
-                &d.obs,
-                resilience,
-                fault.and_then(|mut list| list.pop()),
-            ))
+        let fault = fault.map(|f| on_clock(f, self.now_s));
+        self.monitor_window(duration_s, freq_hz, |d, config, pmcd| {
+            let labels = [d.machine.key(), "scenario_a"];
+            let mut shipper =
+                Shipper::try_new(&d.ts, LinkSpec::mbit_100(), 1.0 / freq_hz, &labels)?
+                    .with_obs(d.obs.clone());
+            if let Some(schedule) = fault {
+                shipper = shipper.with_fault_schedule(schedule);
+            }
+            if let Some(cfg) = resilience {
+                shipper = shipper.with_resilience(cfg);
+            }
+            Ok(SamplingLoop::run(config, pmcd, &mut shipper))
         })
-        .expect("single-node sampling is infallible")
+        .expect("a positive finite frequency and a non-negative finite duration")
     }
 
     /// Scenario B: profile a kernel; appends the observation and syncs
@@ -1074,19 +1046,16 @@ impl PMoveDaemon {
         // Scrub staleness: page when the background scrubber's full-pass
         // heartbeat falls three periods behind. Daemons that never enable
         // scrubbing never publish the gauge and stay vacuously Ok.
-        let period_s = self
-            .scrub_cfg
-            .map(|c| c.full_pass_period_s)
-            .unwrap_or_else(|| pmove_tsdb::store::ScrubConfig::default().full_pass_period_s);
+        let scrub = self.scrubber.as_ref().map(Scrubber::config);
+        let period_s = scrub.unwrap_or_default().full_pass_period_s;
         self.slo
             .add(SloSpec::scrub_staleness((period_s * 3.0 * 1e9) as u64));
         // Backup staleness: page when the newest complete generation's
         // fence falls three backup periods behind. Daemons that never
         // enable backups never publish the gauge and stay vacuously Ok.
-        let backup_period_s = self.backup_period_s.unwrap_or(60.0);
-        self.slo.add(SloSpec::backup_staleness(
-            (backup_period_s * 3.0 * 1e9) as u64,
-        ));
+        let period_s = self.backup.map_or(60.0, |b| b.period_s);
+        self.slo
+            .add(SloSpec::backup_staleness((period_s * 3.0 * 1e9) as u64));
     }
 
     /// Evaluate every installed SLO against the current registry state at
@@ -1365,10 +1334,24 @@ mod tests {
         let disk = Arc::new(MemDisk::new(41));
         let vfs: Arc<dyn Vfs> = disk.clone();
         let mut d = PMoveDaemon::for_preset_durable("icl", vfs).unwrap();
-        assert!(d.enable_scrubbing(ScrubConfig {
-            full_pass_period_s: 4.0,
+        // A config whose pass never finishes, never verifies anything or
+        // gives the staleness SLO a zero bound is refused, not installed.
+        let period = |full_pass_period_s| ScrubConfig {
+            full_pass_period_s,
             ..ScrubConfig::default()
-        }));
+        };
+        let refused = [0.0, -4.0, f64::NAN, f64::INFINITY].map(period);
+        let negative_burst = ScrubConfig {
+            burst_bytes: -1.0,
+            ..period(4.0)
+        };
+        assert!(!refused
+            .into_iter()
+            .chain([negative_burst])
+            .any(|cfg| d.enable_scrubbing(cfg)));
+        let errors = d.obs.snapshot().counter("daemon.scrub.errors", &[]);
+        assert_eq!((errors, d.scrubber.is_none()), (Some(5), true));
+        assert!(d.enable_scrubbing(period(4.0)));
         d.install_default_slos();
         // Memory-only daemons have nothing to scrub and refuse to enable.
         let mut plain = PMoveDaemon::for_preset("icl").unwrap();
@@ -1418,22 +1401,22 @@ mod tests {
         let disk = Arc::new(MemDisk::new(51));
         let vfs: Arc<dyn Vfs> = disk;
         let mut d = PMoveDaemon::for_preset_durable("icl", vfs).unwrap();
-        // A period that is not a positive number is refused, not a panic.
-        assert!(![0.0, -10.0, f64::NAN]
+        // A period that is not a positive finite number is refused, not a
+        // panic (an infinite one would never capture a generation).
+        assert!(![0.0, -10.0, f64::NAN, f64::INFINITY]
             .into_iter()
             .any(|p| d.enable_backups(p)));
         let errors = d.obs.snapshot().counter("daemon.backup.errors", &[]);
-        assert_eq!((errors, d.backup_period_s), (Some(3), None));
+        assert_eq!((errors, d.backup.is_none()), (Some(4), true));
         assert!(d.enable_backups(10.0));
-        d.drill_every_backups = 2;
         d.install_default_slos();
         // Memory-only daemons have nothing durable to back up.
         let mut plain = PMoveDaemon::for_preset("icl").unwrap();
         assert!(!plain.enable_backups(10.0));
 
         // Each monitoring window ends with a backup tick; after 40 s of
-        // monitored time at a 10 s period several generations exist and
-        // the scheduled drill has run at least once.
+        // monitored time at a 10 s period four generations exist and the
+        // scheduled drill (every third) has run once.
         for _ in 0..8 {
             d.monitor(5.0, 2.0);
         }
@@ -1448,7 +1431,7 @@ mod tests {
         assert_eq!(stats.backup_errors, 0);
         let snap = d.obs.snapshot();
         assert!(snap.span("daemon.backup").is_some());
-        assert!(snap.span("daemon.restore_drill").is_some());
+        assert_eq!(snap.counter("daemon.drill.runs", &[]), Some(1));
         assert_eq!(
             snap.gauge("daemon.drill.bit_exact", &[]),
             Some(1.0),
@@ -1489,7 +1472,7 @@ mod tests {
         let d = PMoveDaemon::for_preset_supervised("icl", vfs).unwrap();
         assert_eq!(d.mode, DaemonMode::Normal);
         assert!(d.is_durable());
-        assert!(d.degraded_reason.is_none());
+        assert!(d.ensure_writable().is_ok());
         let snap = d.obs.snapshot();
         // Step ⑤ starts where step ④ ended.
         let s4 = snap.span("daemon.step4.recovery").unwrap();
@@ -1512,9 +1495,13 @@ mod tests {
         });
         let vfs: Arc<dyn Vfs> = disk;
         let mut d = PMoveDaemon::for_preset_supervised("icl", vfs).unwrap();
-        assert_eq!(d.mode, DaemonMode::DegradedMonitorOnly);
+        // The mode carries the boot error, and is the refusal's reason.
+        let DaemonMode::BootFallback(reason) = d.mode.clone() else {
+            panic!("{:?}", d.mode);
+        };
+        assert!(reason.contains("virtual disk crashed"), "{reason}");
+        assert_eq!(d.ensure_writable(), Err(PmoveError::DegradedMode(reason)));
         assert!(!d.is_durable());
-        assert!(d.degraded_reason.is_some());
         // Monitoring still runs end to end...
         let r = d.monitor(5.0, 2.0);
         assert_eq!(r.ticks, 10);
@@ -1545,7 +1532,7 @@ mod tests {
         // Warm the clock so the schedule shift is exercised.
         d.monitor(5.0, 1.0);
         let fault = FaultSchedule::none().with_window(10.0, 20.0, FaultKind::LinkDown);
-        let r = d.monitor_resilient(40.0, 1.0, ResilienceConfig::default(), Some(fault));
+        let r = d.monitor_resilient(40.0, 1.0, Some(ResilienceConfig::default()), Some(fault));
         assert_eq!(r.ticks, 40);
         assert!(r.transport.conserved(), "{:?}", r.transport);
         assert!(r.transport.values_spilled > 0, "outage forced spills");
@@ -1684,7 +1671,7 @@ mod tests {
         use pmove_hwsim::gpu::{GpuKernelProfile, GpuSpec};
         let mut spec = pmove_hwsim::MachineSpec::csl();
         spec.gpus.push(GpuSpec::gv100());
-        let mut d =
+        let (mut d, _) =
             PMoveDaemon::boot(pmove_hwsim::Machine::new(spec), DbParams::default(), None).unwrap();
         let kernel = GpuKernelProfile {
             name: "spmv_csr_kernel".into(),
@@ -1990,9 +1977,11 @@ mod tests {
         let out = d.monitor_replicated(10.0, 1.0, Some(schedules)).unwrap();
         assert!(out.degraded);
         assert_eq!(out.healthy, 1);
-        assert_eq!(d.mode, DaemonMode::DegradedMonitorOnly);
-        let reason = d.degraded_reason.clone().unwrap();
-        assert!(reason.starts_with(REPL_DEGRADED_REASON), "{reason}");
+        let lost = DaemonMode::QuorumLost {
+            healthy: 1,
+            replicas: 3,
+        };
+        assert_eq!(d.mode, lost);
         // Monitor-only: KB mutation is refused while the quorum is gone.
         assert!(matches!(
             d.run_stream_benchmark(1 << 20),
@@ -2009,10 +1998,159 @@ mod tests {
         let out2 = d.monitor_replicated(10.0, 1.0, None).unwrap();
         assert!(!out2.degraded);
         assert_eq!(d.mode, DaemonMode::Normal);
-        assert!(d.degraded_reason.is_none());
         assert_eq!(d.obs.snapshot().gauge("daemon.mode", &[]), Some(0.0));
         // Hints replayed during recovery + one repair pass reconverge.
         let rep = d.repair_replicas(8).unwrap();
         assert!(rep.converged);
+    }
+
+    #[test]
+    fn replicated_mode_table_follows_the_quorum_window_by_window() {
+        use pmove_hwsim::{FaultKind, FaultSchedule};
+        let up = FaultSchedule::none;
+        let down = || FaultSchedule::none().with_window(0.0, 100.0, FaultKind::LinkDown);
+        let lost = |healthy| DaemonMode::QuorumLost {
+            healthy,
+            replicas: 3,
+        };
+        let reason =
+            |n| format!("replication write quorum unreachable: {n} of 3 replicas reachable");
+        // (links, mode, `daemon.mode` gauge, degraded windows, refusal)
+        let table = [
+            (None, DaemonMode::Normal, None, None, None),
+            (
+                Some([up(), down(), down()]),
+                lost(1),
+                Some(1.0),
+                Some(1),
+                Some(reason(1)),
+            ),
+            // Re-degrading while degraded ticks the counter again and the
+            // reason takes the new healthy count.
+            (
+                Some([down(), down(), down()]),
+                lost(0),
+                Some(1.0),
+                Some(2),
+                Some(reason(0)),
+            ),
+            (None, DaemonMode::Normal, Some(0.0), Some(2), None),
+            // The primary alone down fails over; W=2 holds, nothing degrades.
+            (
+                Some([down(), up(), up()]),
+                DaemonMode::Normal,
+                Some(0.0),
+                Some(2),
+                None,
+            ),
+        ];
+        let mut d = PMoveDaemon::for_preset_replicated("icl", 29).unwrap();
+        for (i, (links, mode, gauge, windows, refusal)) in table.into_iter().enumerate() {
+            d.monitor_replicated(10.0, 1.0, links.map(Vec::from))
+                .unwrap();
+            let snap = d.obs.snapshot();
+            let counter = snap.counter("daemon.replication.degraded_windows", &[]);
+            let got = (&d.mode, snap.gauge("daemon.mode", &[]), counter);
+            assert_eq!(got, (&mode, gauge, windows), "window {i}");
+            let refused = refusal.map(PmoveError::DegradedMode);
+            assert_eq!(d.ensure_writable().err(), refused, "window {i}");
+        }
+    }
+
+    #[test]
+    fn bad_sampling_numbers_are_errors_that_leave_the_clock_alone() {
+        let mut d = PMoveDaemon::for_preset_replicated("icl", 7).unwrap();
+        let bad = [
+            (10.0, 0.0),
+            (10.0, -1.0),
+            (10.0, f64::NAN),
+            (f64::NAN, 1.0),
+            (-1.0, 1.0),
+            (f64::INFINITY, 1.0),
+        ];
+        for (duration_s, freq_hz) in bad {
+            let err = d.monitor_replicated(duration_s, freq_hz, None).unwrap_err();
+            assert!(matches!(err, PmoveError::Collector(_)), "{err}");
+        }
+        assert_eq!(d.now_s, 0.0);
+        assert!(d.obs.snapshot().span("daemon.monitor").is_none());
+        assert_eq!(
+            d.monitor_replicated(1.0, 1.0, None).unwrap().report.ticks,
+            1
+        );
+    }
+
+    #[test]
+    fn monitoring_populates_the_tsdb() {
+        let mut d = PMoveDaemon::for_preset("icl").unwrap();
+        let report = d.monitor(10.0, 1.0);
+        assert_eq!(report.ticks, 10);
+        assert_eq!(report.transport.values_lost, 0);
+        // Measurements exist with KB-declared names.
+        let ms = d.ts.measurements();
+        assert!(ms.contains(&"kernel_percpu_cpu_idle".to_string()));
+        assert!(ms.contains(&"mem_numa_alloc_hit".to_string()));
+        // Per-cpu measurement carries 16 fields.
+        assert_eq!(d.ts.field_keys("kernel_percpu_cpu_idle").len(), 16);
+        // Queryable through the normal query path.
+        let r =
+            d.ts.query("SELECT \"_cpu3\" FROM \"kernel_percpu_cpu_idle\"")
+                .unwrap();
+        assert_eq!(r.rows.len(), 10);
+    }
+
+    #[test]
+    fn gpu_telemetry_joins_scenario_a_when_devices_attached() {
+        let mut spec = pmove_hwsim::MachineSpec::csl();
+        spec.gpus.push(pmove_hwsim::gpu::GpuSpec::gv100());
+        let (mut d, _) = PMoveDaemon::boot(Machine::new(spec), DbParams::default(), None).unwrap();
+        d.monitor(10.0, 1.0);
+        let ms = d.ts.measurements();
+        assert!(ms.contains(&"nvidia_memused".to_string()), "{ms:?}");
+        assert!(ms.contains(&"nvidia_power".to_string()));
+        let r =
+            d.ts.query("SELECT \"_gpu0\" FROM \"nvidia_power\"")
+                .unwrap();
+        assert_eq!(r.rows.len(), 10);
+        // Idle device: power in the idle band.
+        assert!(r.rows.iter().all(|row| {
+            let v = row.values["_gpu0"].unwrap();
+            (30.0..80.0).contains(&v)
+        }));
+    }
+
+    #[test]
+    fn replicated_monitoring_matches_the_plain_path_bit_for_bit() {
+        // The replicated coordinator with no faults must ingest exactly
+        // the series the single-node shipper does: same collector stack,
+        // same tick grid, bit-identical values on every replica.
+        let mut plain = PMoveDaemon::for_preset("icl").unwrap();
+        let report = plain.monitor(10.0, 1.0);
+        let mut d = PMoveDaemon::for_preset_replicated("icl", 7).unwrap();
+        let out = d.monitor_replicated(10.0, 1.0, None).unwrap();
+        assert_eq!(out.report.ticks, report.ticks);
+        assert_eq!(out.report.transport.values_lost, 0);
+        assert!(!out.degraded);
+        let set = d.repl.as_ref().unwrap();
+        assert!(set.converged());
+        for m in plain.ts.measurements() {
+            let q = format!("SELECT * FROM \"{m}\"");
+            let want = plain.ts.query(&q).unwrap();
+            for i in 0..set.len() {
+                let got = set.replica(i).query(&q).unwrap();
+                assert_eq!(got.rows, want.rows, "series {m} differs on replica {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn low_frequency_always_sampled_semantics() {
+        // SWTelemetry is "always sampled with a low frequency": a 1 Hz run
+        // over 60 s yields 60 ticks, no losses, no zeros.
+        let mut d = PMoveDaemon::for_preset("csl").unwrap();
+        d.now_s = 100.0;
+        let report = d.monitor(60.0, 1.0);
+        assert_eq!(report.ticks, 60);
+        assert_eq!(report.transport.loss_plus_zero_pct(), 0.0);
     }
 }

@@ -38,7 +38,7 @@ fn durable_icl() -> String {
     }
     d.ts.flush().unwrap();
     let outage = FaultSchedule::none().with_window(5.0, 15.0, FaultKind::LinkDown);
-    d.monitor_resilient(30.0, 1.0, ResilienceConfig::default(), Some(outage));
+    d.monitor_resilient(30.0, 1.0, Some(ResilienceConfig::default()), Some(outage));
     d.profile(&ProfileRequest {
         profile: stream_kernel_profile(StreamKernel::Triad, 1 << 30, 4, IsaExt::Avx512),
         command: "triad -n 1073741824 -t 4".into(),

@@ -28,7 +28,7 @@ fn self_dashboard_of_a_busy_daemon_matches_golden() {
     d.monitor(10.0, 1.0);
     d.ts.flush().unwrap();
     let outage = FaultSchedule::none().with_window(5.0, 15.0, FaultKind::LinkDown);
-    d.monitor_resilient(30.0, 1.0, ResilienceConfig::default(), Some(outage));
+    d.monitor_resilient(30.0, 1.0, Some(ResilienceConfig::default()), Some(outage));
     let panel = "SELECT mean(\"value\") FROM \"kernel_all_load\"";
     let schedule: Vec<ServeRequest> = (0..8u64)
         .map(|i| ServeRequest {

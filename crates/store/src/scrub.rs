@@ -93,6 +93,11 @@ impl Scrubber {
         }
     }
 
+    /// The pacing config this scrubber was built with.
+    pub fn config(&self) -> ScrubConfig {
+        self.cfg
+    }
+
     /// Full passes completed over this scrubber's lifetime.
     pub fn full_passes(&self) -> u64 {
         self.full_passes

@@ -21,7 +21,7 @@ fn main() {
     let set_len = daemon.repl.as_ref().expect("replica set").len();
     println!("== replicated boot ==");
     println!(
-        "replicas {} (recovered {} reports), mode {:?}",
+        "replicas {} (recovered {} reports), mode {}",
         set_len,
         daemon.repl_recovery.len(),
         daemon.mode
@@ -64,12 +64,9 @@ fn main() {
         .expect("degraded window");
     println!("\n== window 2: quorum unreachable ==");
     println!(
-        "healthy {}/{}, degraded {}, mode {:?}",
+        "healthy {}/{}, degraded {}, mode: {}",
         out.healthy, set_len, out.degraded, daemon.mode
     );
-    if let Some(reason) = &daemon.degraded_reason {
-        println!("reason: {reason}");
-    }
 
     // Window 3: everything back. The degradation lifts by itself, and a
     // repair pass streams the divergent ranges until the replicas are
@@ -79,7 +76,7 @@ fn main() {
         .expect("healthy window");
     println!("\n== window 3: replicas recovered ==");
     println!(
-        "healthy {}/{}, degraded {}, mode {:?}",
+        "healthy {}/{}, degraded {}, mode {}",
         out.healthy, set_len, out.degraded, daemon.mode
     );
     let repair = daemon.repair_replicas(8).expect("anti-entropy");

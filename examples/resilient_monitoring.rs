@@ -11,7 +11,7 @@
 //! cargo run --example resilient_monitoring
 //! ```
 
-use pmove::core::telemetry::{scenario_a, Cluster};
+use pmove::core::telemetry::Cluster;
 use pmove::core::PMoveDaemon;
 use pmove::hwsim::{FaultKind, FaultSchedule};
 use pmove::pcp::ResilienceConfig;
@@ -26,19 +26,8 @@ fn main() {
 
     // Default (paper-mode) transport under the same faults: whatever the
     // outage swallows is gone.
-    let plain = PMoveDaemon::for_preset("icl").expect("preset machine");
-    let report = scenario_a::monitor_system_resilient(
-        &plain.machine,
-        &plain.kb,
-        &plain.ts,
-        0.0,
-        60.0,
-        2.0,
-        &[],
-        &plain.obs,
-        None, // resilience off
-        Some(faults()),
-    );
+    let mut plain = PMoveDaemon::for_preset("icl").expect("preset machine");
+    let report = plain.monitor_resilient(60.0, 2.0, None, Some(faults()));
     println!("== default transport ==");
     println!(
         "offered {} inserted {} lost {}",
@@ -50,7 +39,8 @@ fn main() {
     // Self-healing transport: spill during the outage, drain after it,
     // mark the gap.
     let mut daemon = PMoveDaemon::for_preset("icl").expect("preset machine");
-    let report = daemon.monitor_resilient(60.0, 2.0, ResilienceConfig::default(), Some(faults()));
+    let report =
+        daemon.monitor_resilient(60.0, 2.0, Some(ResilienceConfig::default()), Some(faults()));
     println!("\n== resilient transport ==");
     println!(
         "offered {} inserted {} lost {} recovered {} gap markers {} conserved {}",
