@@ -88,8 +88,6 @@ pub fn format(spec_key: &str, rows: &[VariabilityRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmove_hwsim::dvfs;
-    use pmove_hwsim::vendor::IsaExt;
 
     #[test]
     fn wider_isa_throttles_clock_but_still_wins() {
@@ -124,17 +122,6 @@ mod tests {
         let scalar = &rows[0];
         let avx2 = rows.last().unwrap();
         assert!(avx2.clock_ghz > scalar.clock_ghz * 0.95);
-    }
-
-    #[test]
-    fn dvfs_clock_matches_dvfs_module() {
-        let spec = MachineSpec::csl();
-        let model = ExecModel::new(spec.clone()).with_dvfs();
-        let p = KernelProfile::named("x")
-            .with_threads(28)
-            .with_flops(IsaExt::Avx512, Precision::F64, 1 << 30)
-            .with_mem(1, 0, IsaExt::Avx512);
-        assert_eq!(model.clock_ghz(&p), dvfs::effective_frequency(&spec, &p));
     }
 
     #[test]

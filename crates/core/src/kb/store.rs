@@ -170,7 +170,7 @@ mod tests {
         });
         insert_kb(&db, &kb).unwrap();
         let obs = db.collection(OBS_COLLECTION);
-        assert_eq!(obs.len(), 1);
+        assert_eq!(obs.all().len(), 1);
         let d = obs
             .find_one(&json!({"observation": "obs-1"}))
             .unwrap()

@@ -286,7 +286,7 @@ mod tests {
         assert_eq!(got.len(), 5);
         // The machine tag is stamped.
         assert_eq!(s.ts.tag_values("m", "machine"), vec!["icl".to_string()]);
-        assert_eq!(s.doc.collection("ts_observations").len(), 1);
+        assert_eq!(s.doc.collection("ts_observations").all().len(), 1);
     }
 
     #[test]
@@ -353,6 +353,6 @@ mod tests {
         assert_eq!(agg.summaries.len(), 1);
         assert_eq!(agg.summaries[0].2.mean, 2.0);
         s.upload_agg_observation(&agg).unwrap();
-        assert_eq!(s.doc.collection("agg_observations").len(), 1);
+        assert_eq!(s.doc.collection("agg_observations").all().len(), 1);
     }
 }

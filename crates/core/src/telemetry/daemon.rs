@@ -287,7 +287,7 @@ impl PMoveDaemon {
                     obs.clone(),
                 )?;
                 let (journal, doc_rec) =
-                    pmove_docdb::DurableDatabase::open_with_obs(&env.mongo_db, vfs, obs.clone())?;
+                    pmove_docdb::DurableDatabase::open(&env.mongo_db, vfs, obs.clone())?;
                 (ts, journal.shared(), Some(journal), Some((ts_rec, doc_rec)))
             }
         };
@@ -1280,7 +1280,10 @@ mod tests {
         assert_eq!(d.kb.machine_key, "icl");
         assert!(!d.kb.is_empty());
         // Step ③: KB documents in the doc DB.
-        assert_eq!(d.doc.collection(store::KB_COLLECTION).len(), d.kb.len());
+        assert_eq!(
+            d.doc.collection(store::KB_COLLECTION).all().len(),
+            d.kb.len()
+        );
         // The abstraction layer knows this PMU.
         assert!(d.layer.pmu("icl").is_some());
         assert!(PMoveDaemon::for_preset("vax").is_err());
@@ -1313,7 +1316,7 @@ mod tests {
         assert!(rec2.doc.records_replayed > 0);
         assert!(rec2.modeled_ns > 0);
         assert_eq!(d2.ts.total_rows(), rows, "telemetry survives the restart");
-        assert_eq!(d2.doc.collection(store::KB_COLLECTION).len(), kb_len);
+        assert_eq!(d2.doc.collection(store::KB_COLLECTION).all().len(), kb_len);
         // Step ④ is stamped right after step ③ on the boot timeline.
         let snap = d2.obs.snapshot();
         let s3 = snap.span("daemon.step3.kb_insert").unwrap();
@@ -1631,7 +1634,7 @@ mod tests {
         assert!(triad <= dram * 1.05, "triad {triad} dram {dram}");
         assert!(triad >= dram * 0.4, "triad {triad} dram {dram}");
         assert_eq!(d.kb.benchmarks.len(), 1);
-        assert_eq!(d.doc.collection(store::BENCH_COLLECTION).len(), 1);
+        assert_eq!(d.doc.collection(store::BENCH_COLLECTION).all().len(), 1);
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! Collections: ordered bags of JSON documents with filters, updates,
-//! indexes and find options.
+//! Collections: ordered bags of JSON documents with filters, updates and
+//! hash indexes.
 
-use crate::document::{compare, get_path};
 use crate::error::DocDbError;
 use crate::filter::{equality_constraints, matches};
 use crate::index::PathIndex;
@@ -10,39 +9,6 @@ use parking_lot::RwLock;
 use pmove_obs::{Counter, Registry};
 use serde_json::{json, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Options controlling `find_with`.
-#[derive(Debug, Clone, Default)]
-pub struct FindOptions {
-    /// Sort by this dotted path (ascending unless `descending`).
-    pub sort_by: Option<String>,
-    /// Reverse the sort order.
-    pub descending: bool,
-    /// Keep at most this many results.
-    pub limit: Option<usize>,
-}
-
-impl FindOptions {
-    /// Sort ascending by `path`.
-    pub fn sort(path: impl Into<String>) -> Self {
-        FindOptions {
-            sort_by: Some(path.into()),
-            ..Default::default()
-        }
-    }
-
-    /// Flip to descending order.
-    pub fn desc(mut self) -> Self {
-        self.descending = true;
-        self
-    }
-
-    /// Cap the number of results.
-    pub fn limit(mut self, n: usize) -> Self {
-        self.limit = Some(n);
-        self
-    }
-}
 
 struct Inner {
     /// Slot-addressed documents; `None` marks deleted slots.
@@ -81,14 +47,9 @@ pub struct Collection {
 }
 
 impl Collection {
-    /// New empty collection.
-    pub fn new(name: impl Into<String>) -> Self {
-        Collection::with_obs(name, &Registry::disabled())
-    }
-
-    /// [`Collection::new`] with `docdb.*` op counters (labelled with the
-    /// collection name) registered in `registry`.
-    pub fn with_obs(name: impl Into<String>, registry: &Registry) -> Self {
+    /// New empty collection whose `docdb.*` op counters (labelled with the
+    /// collection name) are registered in `registry`.
+    pub(crate) fn new(name: impl Into<String>, registry: &Registry) -> Self {
         let name = name.into();
         Collection {
             obs: CollectionObs::new(registry, &name),
@@ -102,11 +63,6 @@ impl Collection {
         }
     }
 
-    /// Collection name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Raise the auto-`_id` counter to at least `min`, so documents
     /// restored from a journal never collide with freshly assigned ids.
     pub(crate) fn bump_next_id(&self, min: u64) {
@@ -114,13 +70,8 @@ impl Collection {
     }
 
     /// Number of live documents.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.read().live
-    }
-
-    /// True when no documents are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Create a hash index over `path` and index existing documents.
@@ -172,14 +123,6 @@ impl Collection {
         Ok(id)
     }
 
-    /// Insert many documents; stops at the first error.
-    pub fn insert_many<I: IntoIterator<Item = Value>>(
-        &self,
-        docs: I,
-    ) -> Result<Vec<String>, DocDbError> {
-        docs.into_iter().map(|d| self.insert_one(d)).collect()
-    }
-
     fn candidate_slots(&self, inner: &Inner, filter: &Value) -> Option<Vec<usize>> {
         // Use the most selective matching index among top-level equality
         // constraints, if any.
@@ -201,11 +144,6 @@ impl Collection {
 
     /// Find documents matching `filter` (insertion order).
     pub fn find(&self, filter: &Value) -> Result<Vec<Value>, DocDbError> {
-        self.find_with(filter, &FindOptions::default())
-    }
-
-    /// Find with sort/limit options.
-    pub fn find_with(&self, filter: &Value, opts: &FindOptions) -> Result<Vec<Value>, DocDbError> {
         self.obs.finds.inc();
         let inner = self.inner.read();
         let mut out = Vec::new();
@@ -227,77 +165,67 @@ impl Collection {
                 }
             }
         }
-        if let Some(path) = &opts.sort_by {
-            out.sort_by(|a, b| {
-                let av = get_path(a, path).unwrap_or(&Value::Null);
-                let bv = get_path(b, path).unwrap_or(&Value::Null);
-                compare(av, bv)
-            });
-            if opts.descending {
-                out.reverse();
-            }
-        }
-        if let Some(limit) = opts.limit {
-            out.truncate(limit);
-        }
         Ok(out)
     }
 
     /// First matching document, if any.
     pub fn find_one(&self, filter: &Value) -> Result<Option<Value>, DocDbError> {
-        Ok(self
-            .find_with(filter, &FindOptions::default().limit(1))?
-            .into_iter()
-            .next())
+        Ok(self.find(filter)?.into_iter().next())
     }
 
-    /// Update all matching documents; returns the number updated.
+    /// Update all matching documents; returns the number updated. Every
+    /// match and every update is evaluated before any document or index
+    /// entry is replaced, so an `Err` leaves the collection untouched.
     pub fn update_many(&self, filter: &Value, spec: &Value) -> Result<usize, DocDbError> {
         self.obs.updates.inc();
         let mut inner = self.inner.write();
-        let mut updated = 0;
-        for slot in 0..inner.docs.len() {
-            let Some(doc) = inner.docs[slot].clone() else {
-                continue;
-            };
-            if matches(&doc, filter)? {
+        let mut staged = Vec::new();
+        for (slot, doc) in inner.docs.iter().enumerate() {
+            let Some(doc) = doc else { continue };
+            if matches(doc, filter)? {
                 let mut new_doc = doc.clone();
                 update::apply(&mut new_doc, spec)?;
-                for idx in &mut inner.indexes {
-                    idx.remove(slot, &doc);
-                    idx.add(slot, &new_doc);
-                }
-                inner.docs[slot] = Some(new_doc);
-                updated += 1;
+                staged.push((slot, new_doc));
             }
+        }
+        let updated = staged.len();
+        let inner = &mut *inner;
+        for (slot, new_doc) in staged {
+            for idx in &mut inner.indexes {
+                if let Some(old) = &inner.docs[slot] {
+                    idx.remove(slot, old);
+                }
+                idx.add(slot, &new_doc);
+            }
+            inner.docs[slot] = Some(new_doc);
         }
         Ok(updated)
     }
 
-    /// Delete all matching documents; returns the number deleted.
+    /// Delete all matching documents; returns the number deleted. The
+    /// filter is evaluated against every document first, so an `Err`
+    /// deletes nothing.
     pub fn delete_many(&self, filter: &Value) -> Result<usize, DocDbError> {
         self.obs.deletes.inc();
         let mut inner = self.inner.write();
-        let mut deleted = 0;
-        for slot in 0..inner.docs.len() {
-            let Some(doc) = inner.docs[slot].clone() else {
-                continue;
-            };
-            if matches(&doc, filter)? {
+        let mut doomed = Vec::new();
+        for (slot, doc) in inner.docs.iter().enumerate() {
+            if let Some(doc) = doc {
+                if matches(doc, filter)? {
+                    doomed.push(slot);
+                }
+            }
+        }
+        let inner = &mut *inner;
+        for &slot in &doomed {
+            if let Some(doc) = inner.docs[slot].take() {
                 for idx in &mut inner.indexes {
                     idx.remove(slot, &doc);
                 }
-                inner.docs[slot] = None;
-                inner.live -= 1;
-                deleted += 1;
             }
         }
-        Ok(deleted)
-    }
-
-    /// Count documents matching the filter.
-    pub fn count(&self, filter: &Value) -> Result<usize, DocDbError> {
-        Ok(self.find(filter)?.len())
+        inner.live -= doomed.len();
+        Ok(doomed.len())
     }
 
     /// All documents (insertion order).
@@ -319,14 +247,19 @@ impl std::fmt::Debug for Collection {
 mod tests {
     use super::*;
 
+    fn empty(name: &str) -> Collection {
+        Collection::new(name, &Registry::disabled())
+    }
+
     fn filled() -> Collection {
-        let c = Collection::new("kb");
-        c.insert_many([
+        let c = empty("kb");
+        for doc in [
             json!({"@type": "Interface", "name": "cpu0", "freq": 3.7}),
             json!({"@type": "Interface", "name": "cpu1", "freq": 2.7}),
             json!({"@type": "Telemetry", "name": "metric4"}),
-        ])
-        .unwrap();
+        ] {
+            c.insert_one(doc).unwrap();
+        }
         c
     }
 
@@ -341,7 +274,7 @@ mod tests {
 
     #[test]
     fn duplicate_id_rejected() {
-        let c = Collection::new("t");
+        let c = empty("t");
         c.insert_one(json!({"_id": "x"})).unwrap();
         assert_eq!(
             c.insert_one(json!({"_id": "x"})),
@@ -351,26 +284,17 @@ mod tests {
 
     #[test]
     fn non_object_rejected() {
-        let c = Collection::new("t");
+        let c = empty("t");
         assert_eq!(c.insert_one(json!([1, 2])), Err(DocDbError::NotAnObject));
     }
 
     #[test]
     fn find_with_filter() {
         let c = filled();
-        assert_eq!(c.count(&json!({"@type": "Interface"})).unwrap(), 2);
+        assert_eq!(c.find(&json!({"@type": "Interface"})).unwrap().len(), 2);
         let one = c.find_one(&json!({"name": "metric4"})).unwrap().unwrap();
         assert_eq!(one["@type"], json!("Telemetry"));
         assert!(c.find_one(&json!({"name": "nope"})).unwrap().is_none());
-    }
-
-    #[test]
-    fn sort_and_limit() {
-        let c = filled();
-        let opts = FindOptions::sort("freq").desc().limit(1);
-        let r = c.find_with(&json!({"@type": "Interface"}), &opts).unwrap();
-        assert_eq!(r.len(), 1);
-        assert_eq!(r[0]["name"], json!("cpu0"));
     }
 
     #[test]
@@ -393,33 +317,76 @@ mod tests {
         let n = c.delete_many(&json!({"@type": "Telemetry"})).unwrap();
         assert_eq!(n, 1);
         assert_eq!(c.len(), 2);
-        assert_eq!(c.count(&json!({"@type": "Telemetry"})).unwrap(), 0);
+        assert!(c.find(&json!({"@type": "Telemetry"})).unwrap().is_empty());
     }
 
     #[test]
     fn index_is_used_and_stays_consistent() {
         let c = filled();
         c.create_index("@type");
-        assert_eq!(c.count(&json!({"@type": "Interface"})).unwrap(), 2);
+        let count = |t: &str| c.find(&json!({"@type": t})).unwrap().len();
+        assert_eq!(count("Interface"), 2);
         // Update moves documents between index keys.
         c.update_many(
             &json!({"name": "cpu1"}),
             &json!({"$set": {"@type": "Retired"}}),
         )
         .unwrap();
-        assert_eq!(c.count(&json!({"@type": "Interface"})).unwrap(), 1);
-        assert_eq!(c.count(&json!({"@type": "Retired"})).unwrap(), 1);
+        assert_eq!(count("Interface"), 1);
+        assert_eq!(count("Retired"), 1);
         // Delete removes from the index.
         c.delete_many(&json!({"@type": "Retired"})).unwrap();
-        assert_eq!(c.count(&json!({"@type": "Retired"})).unwrap(), 0);
+        assert_eq!(count("Retired"), 0);
+    }
+
+    #[test]
+    fn null_equality_finds_missing_fields_through_an_index() {
+        let c = filled();
+        c.create_index("freq");
+        let missing = c.find(&json!({"freq": null})).unwrap();
+        assert_eq!(missing.len(), 1);
+        assert_eq!(missing[0]["name"], json!("metric4"));
+        assert_eq!(c.find(&json!({"freq": {"$eq": null}})).unwrap(), missing);
     }
 
     #[test]
     fn index_on_id_speeds_duplicate_check() {
-        let c = Collection::new("t");
+        let c = empty("t");
         c.create_index("_id");
         c.insert_one(json!({"_id": "a"})).unwrap();
         assert!(c.insert_one(json!({"_id": "a"})).is_err());
         assert!(c.insert_one(json!({"_id": "b"})).is_ok());
+    }
+
+    #[test]
+    fn failed_update_many_changes_nothing() {
+        // The first document takes the `$inc`; the second refuses it.
+        let c = empty("t");
+        c.create_index("n");
+        c.insert_one(json!({"n": 1})).unwrap();
+        c.insert_one(json!({"n": "x"})).unwrap();
+        let before = c.all();
+        assert!(c
+            .update_many(&json!({}), &json!({"$inc": {"n": 1}}))
+            .is_err());
+        assert_eq!(c.all(), before);
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.find(&json!({"n": 1})).unwrap(), before[..1]);
+        assert!(c.find(&json!({"n": 2.0})).unwrap().is_empty());
+    }
+
+    #[test]
+    fn failed_delete_many_changes_nothing() {
+        // `k = 1` matches the first branch; `k = 2` reaches the bad operator.
+        let c = empty("t");
+        c.create_index("k");
+        c.insert_one(json!({"k": 1})).unwrap();
+        c.insert_one(json!({"k": 2})).unwrap();
+        let before = c.all();
+        let filter = json!({"$or": [{"k": 1}, {"k": {"$bogus": 1}}]});
+        assert!(c.delete_many(&filter).is_err());
+        assert_eq!(c.all(), before);
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.find(&json!({"k": 1})).unwrap(), before[..1]);
     }
 }

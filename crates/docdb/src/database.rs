@@ -1,10 +1,8 @@
-//! Named databases holding collections, plus JSON snapshot import/export
-//! (the stand-in for mongodump/mongorestore used by SUPERDB uploads).
+//! Named databases holding collections.
 
 use crate::collection::Collection;
 use parking_lot::RwLock;
 use pmove_obs::Registry;
-use serde_json::{json, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -32,37 +30,17 @@ impl Database {
         }
     }
 
-    /// Database name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Get or create a collection.
     pub fn collection(&self, name: &str) -> Arc<Collection> {
         let mut cols = self.collections.write();
         cols.entry(name.to_string())
-            .or_insert_with(|| Arc::new(Collection::with_obs(name, &self.obs)))
+            .or_insert_with(|| Arc::new(Collection::new(name, &self.obs)))
             .clone()
     }
 
     /// Sorted collection names.
-    pub fn collection_names(&self) -> Vec<String> {
+    pub(crate) fn collection_names(&self) -> Vec<String> {
         self.collections.read().keys().cloned().collect()
-    }
-
-    /// Drop a collection; returns whether it existed.
-    pub fn drop_collection(&self, name: &str) -> bool {
-        self.collections.write().remove(name).is_some()
-    }
-
-    /// Export everything as one JSON value: `{collection: [docs...]}`.
-    pub fn export_snapshot(&self) -> Value {
-        let cols = self.collections.read();
-        let mut out = serde_json::Map::new();
-        for (name, col) in cols.iter() {
-            out.insert(name.clone(), json!(col.all()));
-        }
-        Value::Object(out)
     }
 }
 
@@ -78,6 +56,7 @@ impl std::fmt::Debug for Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::json;
 
     #[test]
     fn collections_are_created_on_demand_and_shared() {
@@ -87,14 +66,6 @@ mod tests {
         a.insert_one(json!({"x": 1})).unwrap();
         assert_eq!(b.len(), 1);
         assert_eq!(db.collection_names(), vec!["kb".to_string()]);
-    }
-
-    #[test]
-    fn drop_collection_removes() {
-        let db = Database::new("st");
-        db.collection("tmp");
-        assert!(db.drop_collection("tmp"));
-        assert!(!db.drop_collection("tmp"));
     }
 
     #[test]

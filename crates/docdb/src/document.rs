@@ -4,7 +4,7 @@
 use serde_json::Value;
 
 /// Read the value at a dotted path; `None` when any segment is missing.
-pub fn get_path<'a>(doc: &'a Value, path: &str) -> Option<&'a Value> {
+pub(crate) fn get_path<'a>(doc: &'a Value, path: &str) -> Option<&'a Value> {
     let mut cur = doc;
     for seg in path.split('.') {
         cur = match cur {
@@ -22,7 +22,7 @@ pub fn get_path<'a>(doc: &'a Value, path: &str) -> Option<&'a Value> {
 /// Write `value` at a dotted path, creating intermediate objects as needed.
 /// Returns `false` (and leaves the document untouched) when the path walks
 /// through a non-object, non-creatable value.
-pub fn set_path(doc: &mut Value, path: &str, value: Value) -> bool {
+pub(crate) fn set_path(doc: &mut Value, path: &str, value: Value) -> bool {
     let mut cur = doc;
     let segs: Vec<&str> = path.split('.').collect();
     for (i, seg) in segs.iter().enumerate() {
@@ -57,7 +57,7 @@ pub fn set_path(doc: &mut Value, path: &str, value: Value) -> bool {
 }
 
 /// Remove the value at a dotted path; returns the removed value if present.
-pub fn remove_path(doc: &mut Value, path: &str) -> Option<Value> {
+pub(crate) fn remove_path(doc: &mut Value, path: &str) -> Option<Value> {
     let (parent_path, leaf) = match path.rfind('.') {
         Some(i) => (Some(&path[..i]), &path[i + 1..]),
         None => (None, path),
@@ -73,7 +73,7 @@ pub fn remove_path(doc: &mut Value, path: &str) -> Option<Value> {
 }
 
 /// Mutable dotted-path access.
-pub fn get_path_mut<'a>(doc: &'a mut Value, path: &str) -> Option<&'a mut Value> {
+pub(crate) fn get_path_mut<'a>(doc: &'a mut Value, path: &str) -> Option<&'a mut Value> {
     let mut cur = doc;
     for seg in path.split('.') {
         cur = match cur {
@@ -91,7 +91,7 @@ pub fn get_path_mut<'a>(doc: &'a mut Value, path: &str) -> Option<&'a mut Value>
 /// Total order over JSON values used for comparisons and sorting:
 /// null < bool < number < string < array < object (Mongo's BSON ordering,
 /// simplified).
-pub fn compare(a: &Value, b: &Value) -> std::cmp::Ordering {
+pub(crate) fn compare(a: &Value, b: &Value) -> std::cmp::Ordering {
     use std::cmp::Ordering;
     fn rank(v: &Value) -> u8 {
         match v {

@@ -16,7 +16,7 @@ use serde_json::Value;
 use std::cmp::Ordering;
 
 /// Evaluate `filter` against `doc`.
-pub fn matches(doc: &Value, filter: &Value) -> Result<bool, DocDbError> {
+pub(crate) fn matches(doc: &Value, filter: &Value) -> Result<bool, DocDbError> {
     let obj = filter
         .as_object()
         .ok_or_else(|| DocDbError::BadFilter("filter must be an object".into()))?;
@@ -127,23 +127,23 @@ fn apply_op(actual: Option<&Value>, op: &str, operand: &Value) -> Result<bool, D
 }
 
 /// If the filter is (or contains at top level) a plain equality on a path,
-/// return `(path, value)` pairs usable for index lookups.
-pub fn equality_constraints(filter: &Value) -> Vec<(String, Value)> {
+/// return `(path, value)` pairs usable for index lookups. Equality with
+/// `null` is left out: it also matches documents that lack the path, which
+/// no index entry records.
+pub(crate) fn equality_constraints(filter: &Value) -> Vec<(String, Value)> {
     let mut out = Vec::new();
     if let Some(obj) = filter.as_object() {
         for (key, cond) in obj {
             if key.starts_with('$') {
                 continue;
             }
-            match cond {
-                Value::Object(ops) => {
-                    if let Some(v) = ops.get("$eq") {
-                        if ops.len() == 1 {
-                            out.push((key.clone(), v.clone()));
-                        }
-                    }
-                }
-                literal => out.push((key.clone(), literal.clone())),
+            let value = match cond {
+                Value::Object(ops) if ops.len() == 1 => ops.get("$eq"),
+                Value::Object(_) => None,
+                literal => Some(literal),
+            };
+            if let Some(v) = value.filter(|v| !v.is_null()) {
+                out.push((key.clone(), v.clone()));
             }
         }
     }
@@ -223,7 +223,10 @@ mod tests {
 
     #[test]
     fn extracts_equality_constraints() {
-        let f = json!({"a": 1, "b": {"$eq": "x"}, "c": {"$gt": 0}, "$or": []});
+        let f = json!({
+            "a": 1, "b": {"$eq": "x"}, "c": {"$gt": 0}, "$or": [],
+            "d": null, "e": {"$eq": null}
+        });
         let eq = equality_constraints(&f);
         assert_eq!(eq.len(), 2);
         assert!(eq.contains(&("a".to_string(), json!(1))));

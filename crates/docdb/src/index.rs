@@ -10,14 +10,14 @@ use std::collections::{BTreeSet, HashMap};
 /// Index over one dotted path. Values are keyed by their canonical JSON
 /// serialization, which is exact for strings/numbers/bools.
 #[derive(Debug, Default)]
-pub struct PathIndex {
+pub(crate) struct PathIndex {
     path: String,
     postings: HashMap<String, BTreeSet<usize>>,
 }
 
 impl PathIndex {
     /// New empty index over `path`.
-    pub fn new(path: impl Into<String>) -> Self {
+    pub(crate) fn new(path: impl Into<String>) -> Self {
         PathIndex {
             path: path.into(),
             postings: HashMap::new(),
@@ -25,7 +25,7 @@ impl PathIndex {
     }
 
     /// Indexed path.
-    pub fn path(&self) -> &str {
+    pub(crate) fn path(&self) -> &str {
         &self.path
     }
 
@@ -34,7 +34,7 @@ impl PathIndex {
     }
 
     /// Index a document stored at `slot`.
-    pub fn add(&mut self, slot: usize, doc: &Value) {
+    pub(crate) fn add(&mut self, slot: usize, doc: &Value) {
         if let Some(v) = get_path(doc, &self.path) {
             self.postings
                 .entry(Self::key_of(v))
@@ -44,7 +44,7 @@ impl PathIndex {
     }
 
     /// Remove a document from the index.
-    pub fn remove(&mut self, slot: usize, doc: &Value) {
+    pub(crate) fn remove(&mut self, slot: usize, doc: &Value) {
         if let Some(v) = get_path(doc, &self.path) {
             let key = Self::key_of(v);
             if let Some(set) = self.postings.get_mut(&key) {
@@ -57,13 +57,8 @@ impl PathIndex {
     }
 
     /// Slots whose document holds exactly `value` at the indexed path.
-    pub fn lookup(&self, value: &Value) -> Option<&BTreeSet<usize>> {
+    pub(crate) fn lookup(&self, value: &Value) -> Option<&BTreeSet<usize>> {
         self.postings.get(&Self::key_of(value))
-    }
-
-    /// Number of distinct indexed values.
-    pub fn cardinality(&self) -> usize {
-        self.postings.len()
     }
 }
 
@@ -84,7 +79,6 @@ mod tests {
         assert!(idx.lookup(&json!("Command")).is_none());
         idx.remove(1, &json!({"@type": "Interface"}));
         assert_eq!(idx.lookup(&json!("Interface")).unwrap().len(), 1);
-        assert_eq!(idx.cardinality(), 2);
     }
 
     #[test]

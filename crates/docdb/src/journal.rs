@@ -60,7 +60,7 @@ impl JournalObs {
 
 /// A [`Database`] whose mutations survive restarts.
 ///
-/// Reads go through [`DurableDatabase::db`]; mutations MUST go through
+/// Reads go through [`DurableDatabase::shared`]; mutations MUST go through
 /// the methods here — a mutation applied directly to a collection handle
 /// bypasses the journal and will not survive a reopen.
 pub struct DurableDatabase {
@@ -76,17 +76,9 @@ fn journal_file(name: &str) -> String {
 
 impl DurableDatabase {
     /// Open (or create) a durable database on `vfs`, replaying any
-    /// existing journal.
+    /// existing journal, with `docdb.*` and `docdb.journal.*` metrics
+    /// registered in `registry`.
     pub fn open(
-        name: impl Into<String>,
-        vfs: Arc<dyn Vfs>,
-    ) -> Result<(DurableDatabase, JournalReport), DocDbError> {
-        Self::open_with_obs(name, vfs, Registry::disabled())
-    }
-
-    /// [`DurableDatabase::open`] with `docdb.*` and `docdb.journal.*`
-    /// metrics registered in `registry`.
-    pub fn open_with_obs(
         name: impl Into<String>,
         vfs: Arc<dyn Vfs>,
         registry: Arc<Registry>,
@@ -134,24 +126,14 @@ impl DurableDatabase {
         ))
     }
 
-    /// The underlying database, for reads (`collection`, `find`, exports).
-    pub fn db(&self) -> &Database {
-        &self.db
-    }
-
     /// A shared handle to the underlying database. Callers may read
     /// through it freely; mutations must still go through the journal.
     pub fn shared(&self) -> Arc<Database> {
         self.db.clone()
     }
 
-    /// Database name.
-    pub fn name(&self) -> &str {
-        self.db.name()
-    }
-
     /// Operations made durable since open (excluding replayed ones).
-    pub fn journal_records(&self) -> u64 {
+    fn journal_records(&self) -> u64 {
         self.wal.lock().durable_records()
     }
 
@@ -187,50 +169,12 @@ impl DurableDatabase {
         Ok(id)
     }
 
-    /// Insert many documents (each journaled); stops at the first error.
-    pub fn insert_many<I: IntoIterator<Item = Value>>(
-        &self,
-        collection: &str,
-        docs: I,
-    ) -> Result<Vec<String>, DocDbError> {
-        docs.into_iter()
-            .map(|d| self.insert_one(collection, d))
-            .collect()
-    }
-
-    /// Update all matching documents (journaled); returns the number
-    /// updated.
-    pub fn update_many(
-        &self,
-        collection: &str,
-        filter: &Value,
-        spec: &Value,
-    ) -> Result<usize, DocDbError> {
-        let n = self.db.collection(collection).update_many(filter, spec)?;
-        self.log(json!({"op": "update", "c": collection, "filter": filter, "spec": spec}))?;
-        Ok(n)
-    }
-
     /// Delete all matching documents (journaled); returns the number
     /// deleted.
     pub fn delete_many(&self, collection: &str, filter: &Value) -> Result<usize, DocDbError> {
         let n = self.db.collection(collection).delete_many(filter)?;
         self.log(json!({"op": "delete", "c": collection, "filter": filter}))?;
         Ok(n)
-    }
-
-    /// Create a hash index on `collection` over `path` (journaled, so the
-    /// index is rebuilt on reopen).
-    pub fn create_index(&self, collection: &str, path: &str) -> Result<(), DocDbError> {
-        self.db.collection(collection).create_index(path);
-        self.log(json!({"op": "index", "c": collection, "path": path}))
-    }
-
-    /// Drop a collection (journaled); returns whether it existed.
-    pub fn drop_collection(&self, collection: &str) -> Result<bool, DocDbError> {
-        let existed = self.db.drop_collection(collection);
-        self.log(json!({"op": "drop", "c": collection}))?;
-        Ok(existed)
     }
 }
 
@@ -265,19 +209,8 @@ fn apply_op(db: &Database, op: &Value) -> Result<(), DocDbError> {
             note_assigned_id(&col, &op["doc"]);
             col.insert_one(op["doc"].clone())?;
         }
-        "update" => {
-            db.collection(name)
-                .update_many(&op["filter"], &op["spec"])?;
-        }
         "delete" => {
             db.collection(name).delete_many(&op["filter"])?;
-        }
-        "index" => {
-            db.collection(name)
-                .create_index(op["path"].as_str().unwrap_or_default());
-        }
-        "drop" => {
-            db.drop_collection(name);
         }
         other => {
             return Err(DocDbError::Storage(format!(
@@ -299,73 +232,79 @@ mod tests {
         (disk, vfs)
     }
 
+    /// Every collection's documents, by collection name.
+    fn state(db: &DurableDatabase) -> Vec<(String, Vec<Value>)> {
+        let db = db.shared();
+        db.collection_names()
+            .into_iter()
+            .map(|c| {
+                let docs = db.collection(&c).all();
+                (c, docs)
+            })
+            .collect()
+    }
+
     #[test]
     fn reopen_replays_every_acknowledged_op() {
         let (_, vfs) = disk();
-        let (db, report) = DurableDatabase::open("kb", vfs.clone()).unwrap();
+        let (db, report) = DurableDatabase::open("kb", vfs.clone(), Registry::disabled()).unwrap();
         assert_eq!(report, JournalReport::default());
-        db.create_index("twins", "@type").unwrap();
-        db.insert_many(
-            "twins",
-            [
-                json!({"@type": "Interface", "name": "cpu0", "freq": 3.7}),
-                json!({"@type": "Interface", "name": "cpu1", "freq": 2.7}),
-                json!({"@type": "Telemetry", "name": "metric4"}),
-            ],
-        )
-        .unwrap();
+        for doc in [
+            json!({"@type": "Interface", "name": "cpu0", "freq": 3.7}),
+            json!({"@type": "Interface", "name": "cpu1", "freq": 2.7}),
+            json!({"@type": "Telemetry", "name": "metric4"}),
+        ] {
+            db.insert_one("twins", doc).unwrap();
+        }
         db.insert_one("scratch", json!({"tmp": true})).unwrap();
-        db.update_many(
-            "twins",
-            &json!({"@type": "Interface"}),
-            &json!({"$inc": {"freq": 1.0}}),
-        )
-        .unwrap();
         db.delete_many("twins", &json!({"name": "metric4"}))
             .unwrap();
-        db.drop_collection("scratch").unwrap();
-        let before = db.db().export_snapshot();
+        let before = state(&db);
         drop(db);
 
-        let (db2, report) = DurableDatabase::open("kb", vfs).unwrap();
-        assert_eq!(report.records_replayed, 8);
+        let (db2, report) = DurableDatabase::open("kb", vfs, Registry::disabled()).unwrap();
+        assert_eq!(report.records_replayed, 5);
         assert_eq!(report.records_skipped, 0);
         assert_eq!(report.bytes_dropped, 0);
         assert!(report.modeled_ns > 0);
-        assert_eq!(db2.db().export_snapshot(), before);
-        // The rebuilt index answers equality queries.
-        assert_eq!(
-            db2.db()
-                .collection("twins")
-                .count(&json!({"@type": "Interface"}))
-                .unwrap(),
-            2
-        );
-        let d = db2
-            .db()
-            .collection("twins")
-            .find_one(&json!({"name": "cpu0"}))
-            .unwrap()
-            .unwrap();
-        assert_eq!(d["freq"], json!(4.7));
+        assert_eq!(state(&db2), before);
+        let twins = db2.shared().collection("twins");
+        assert_eq!(twins.find(&json!({"@type": "Interface"})).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn failed_delete_many_leaves_memory_equal_to_the_journal() {
+        let (_, vfs) = disk();
+        let (db, _) = DurableDatabase::open("kb", vfs.clone(), Registry::disabled()).unwrap();
+        db.insert_one("c", json!({"k": 1})).unwrap();
+        db.insert_one("c", json!({"k": 2})).unwrap();
+        let before = state(&db);
+        // `k = 1` matches the first branch; `k = 2` reaches the bad operator.
+        let filter = json!({"$or": [{"k": 1}, {"k": {"$bogus": 1}}]});
+        assert!(db.delete_many("c", &filter).is_err());
+        assert_eq!(state(&db), before);
+        drop(db);
+        let (db2, report) = DurableDatabase::open("kb", vfs, Registry::disabled()).unwrap();
+        assert_eq!(report.records_replayed, 2);
+        assert_eq!(state(&db2), before);
     }
 
     #[test]
     fn auto_id_counter_survives_reopen() {
         let (_, vfs) = disk();
-        let (db, _) = DurableDatabase::open("kb", vfs.clone()).unwrap();
+        let (db, _) = DurableDatabase::open("kb", vfs.clone(), Registry::disabled()).unwrap();
         let a = db.insert_one("c", json!({"x": 1})).unwrap();
         drop(db);
-        let (db2, _) = DurableDatabase::open("kb", vfs).unwrap();
+        let (db2, _) = DurableDatabase::open("kb", vfs, Registry::disabled()).unwrap();
         let b = db2.insert_one("c", json!({"x": 2})).unwrap();
         assert_ne!(a, b, "restored counter must not re-issue {a}");
-        assert_eq!(db2.db().collection("c").len(), 2);
+        assert_eq!(db2.shared().collection("c").len(), 2);
     }
 
     #[test]
     fn unacknowledged_op_is_absent_after_crash() {
         let (disk, vfs) = disk();
-        let (db, _) = DurableDatabase::open("kb", vfs.clone()).unwrap();
+        let (db, _) = DurableDatabase::open("kb", vfs.clone(), Registry::disabled()).unwrap();
         db.insert_one("c", json!({"n": 1})).unwrap();
         // Crash on the very next disk operation (the append of op 2).
         disk.schedule_fault(FaultPlan {
@@ -377,9 +316,9 @@ mod tests {
         drop(db);
 
         disk.restart();
-        let (db2, report) = DurableDatabase::open("kb", vfs).unwrap();
+        let (db2, report) = DurableDatabase::open("kb", vfs, Registry::disabled()).unwrap();
         assert_eq!(report.records_replayed, 1);
-        let docs = db2.db().collection("c").all();
+        let docs = db2.shared().collection("c").all();
         assert_eq!(docs.len(), 1);
         assert_eq!(docs[0]["n"], json!(1));
     }
@@ -387,7 +326,7 @@ mod tests {
     #[test]
     fn torn_tail_loses_only_the_unacknowledged_suffix() {
         let (disk, vfs) = disk();
-        let (db, _) = DurableDatabase::open("kb", vfs.clone()).unwrap();
+        let (db, _) = DurableDatabase::open("kb", vfs.clone(), Registry::disabled()).unwrap();
         db.insert_one("c", json!({"n": 1})).unwrap();
         db.insert_one("c", json!({"n": 2})).unwrap();
         disk.schedule_fault(FaultPlan {
@@ -398,19 +337,19 @@ mod tests {
         drop(db);
 
         disk.restart();
-        let (db2, _) = DurableDatabase::open("kb", vfs.clone()).unwrap();
-        assert_eq!(db2.db().collection("c").len(), 2);
+        let (db2, _) = DurableDatabase::open("kb", vfs.clone(), Registry::disabled()).unwrap();
+        assert_eq!(db2.shared().collection("c").len(), 2);
         // And the repaired journal keeps accepting writes.
         db2.insert_one("c", json!({"n": 4})).unwrap();
         drop(db2);
-        let (db3, _) = DurableDatabase::open("kb", vfs).unwrap();
-        assert_eq!(db3.db().collection("c").len(), 3);
+        let (db3, _) = DurableDatabase::open("kb", vfs, Registry::disabled()).unwrap();
+        assert_eq!(db3.shared().collection("c").len(), 3);
     }
 
     #[test]
     fn crc_valid_frame_that_is_not_json_is_cut_not_appended_behind() {
         let (_, vfs) = disk();
-        let (db, _) = DurableDatabase::open("kb", vfs.clone()).unwrap();
+        let (db, _) = DurableDatabase::open("kb", vfs.clone(), Registry::disabled()).unwrap();
         db.insert_one("c", json!({"n": 1})).unwrap();
         drop(db);
         // Damage sealed under a matching CRC: deframes, does not parse.
@@ -420,7 +359,7 @@ mod tests {
         wal.commit().unwrap();
         drop(wal);
 
-        let (db2, report) = DurableDatabase::open("kb", vfs.clone()).unwrap();
+        let (db2, report) = DurableDatabase::open("kb", vfs.clone(), Registry::disabled()).unwrap();
         assert_eq!(report.records_replayed, 1);
         assert_eq!(report.bytes_dropped, garbage.len() as u64 + 8);
         db2.insert_one("c", json!({"n": 2})).unwrap();
@@ -428,9 +367,10 @@ mod tests {
         drop(db2);
         // Acknowledged after the cut: both survive every later reopen.
         for _ in 0..2 {
-            let (db3, report) = DurableDatabase::open("kb", vfs.clone()).unwrap();
+            let (db3, report) =
+                DurableDatabase::open("kb", vfs.clone(), Registry::disabled()).unwrap();
             assert_eq!((report.records_replayed, report.bytes_dropped), (3, 0));
-            assert_eq!(db3.db().collection("c").len(), 3);
+            assert_eq!(db3.shared().collection("c").len(), 3);
         }
     }
 
@@ -447,7 +387,7 @@ mod tests {
         for seed in 0..16u64 {
             let disk = Arc::new(MemDisk::new(seed));
             let vfs: Arc<dyn Vfs> = disk.clone();
-            let (db, _) = DurableDatabase::open("kb", vfs.clone()).unwrap();
+            let (db, _) = DurableDatabase::open("kb", vfs.clone(), Registry::disabled()).unwrap();
             db.insert_one("c", json!({"n": 1})).unwrap();
             db.insert_one("c", json!({"n": 2})).unwrap();
             disk.schedule_fault(FaultPlan {
@@ -458,8 +398,9 @@ mod tests {
             drop(db);
 
             disk.restart();
-            let (db2, report) = DurableDatabase::open("kb", vfs.clone()).unwrap();
-            let docs = db2.db().collection("c").all();
+            let (db2, report) =
+                DurableDatabase::open("kb", vfs.clone(), Registry::disabled()).unwrap();
+            let docs = db2.shared().collection("c").all();
             // A clean prefix: both acked docs, the torn one only if its
             // frame survived whole — never a partial or garbled record.
             assert!(
@@ -483,12 +424,12 @@ mod tests {
             // The rewritten journal is clean and keeps accepting writes.
             db2.insert_one("c", json!({"n": docs.len() + 1})).unwrap();
             drop(db2);
-            let (db3, report3) = DurableDatabase::open("kb", vfs).unwrap();
+            let (db3, report3) = DurableDatabase::open("kb", vfs, Registry::disabled()).unwrap();
             assert_eq!(
                 report3.bytes_dropped, 0,
                 "seed {seed}: damage survived recovery"
             );
-            assert_eq!(db3.db().collection("c").len(), docs.len() + 1);
+            assert_eq!(db3.shared().collection("c").len(), docs.len() + 1);
         }
         assert!(
             torn_cases > 0,
@@ -500,12 +441,12 @@ mod tests {
     fn journal_metrics_are_exported() {
         let (_, vfs) = disk();
         let reg = Registry::shared();
-        let (db, _) = DurableDatabase::open_with_obs("kb", vfs.clone(), reg.clone()).unwrap();
+        let (db, _) = DurableDatabase::open("kb", vfs.clone(), reg.clone()).unwrap();
         db.insert_one("c", json!({"x": 1})).unwrap();
         db.insert_one("c", json!({"x": 2})).unwrap();
         drop(db);
         let reg2 = Registry::shared();
-        let (_db2, _) = DurableDatabase::open_with_obs("kb", vfs, reg2.clone()).unwrap();
+        let (_db2, _) = DurableDatabase::open("kb", vfs, reg2.clone()).unwrap();
         let l = [("db", "kb")];
         let snap = reg.snapshot();
         assert_eq!(snap.counter("docdb.journal.records_appended", &l), Some(2));
@@ -523,14 +464,14 @@ mod tests {
     #[test]
     fn two_databases_share_a_disk_without_colliding() {
         let (_, vfs) = disk();
-        let (a, _) = DurableDatabase::open("alpha", vfs.clone()).unwrap();
-        let (b, _) = DurableDatabase::open("beta", vfs.clone()).unwrap();
+        let (a, _) = DurableDatabase::open("alpha", vfs.clone(), Registry::disabled()).unwrap();
+        let (b, _) = DurableDatabase::open("beta", vfs.clone(), Registry::disabled()).unwrap();
         a.insert_one("c", json!({"who": "a"})).unwrap();
         b.insert_one("c", json!({"who": "b"})).unwrap();
         drop((a, b));
-        let (a2, _) = DurableDatabase::open("alpha", vfs.clone()).unwrap();
-        let (b2, _) = DurableDatabase::open("beta", vfs).unwrap();
-        assert_eq!(a2.db().collection("c").all()[0]["who"], json!("a"));
-        assert_eq!(b2.db().collection("c").all()[0]["who"], json!("b"));
+        let (a2, _) = DurableDatabase::open("alpha", vfs.clone(), Registry::disabled()).unwrap();
+        let (b2, _) = DurableDatabase::open("beta", vfs, Registry::disabled()).unwrap();
+        assert_eq!(a2.shared().collection("c").all()[0]["who"], json!("a"));
+        assert_eq!(b2.shared().collection("c").all()[0]["who"], json!("b"));
     }
 }

@@ -4,14 +4,17 @@
 //! P-MoVE paper uses to hold the knowledge base (JSON-LD documents extended
 //! with per-computation entries). It provides:
 //!
-//! * **collections** of JSON documents with auto-assigned `_id`s;
+//! * a [`Database`] of named [`Collection`]s of JSON documents with
+//!   auto-assigned `_id`s;
 //! * a MongoDB-flavoured **filter language**: `$eq`, `$ne`, `$gt`, `$gte`,
 //!   `$lt`, `$lte`, `$in`, `$nin`, `$exists`, `$and`, `$or`, `$not`,
 //!   `$contains` (substring), with dotted-path field access;
-//! * **update operators**: `$set`, `$unset`, `$inc`, `$push`;
+//! * **update operators**: `$set`, `$unset`, `$inc`, `$push`; a failed
+//!   `update_many` or `delete_many` changes nothing;
 //! * **hash indexes** over dotted paths, consulted automatically by equality
 //!   queries;
-//! * sorted/limited **find**.
+//! * a [`DurableDatabase`] whose inserts and deletes are journaled through
+//!   the storage engine's WAL and replayed at open ([`JournalReport`]).
 //!
 //! ```
 //! use pmove_docdb::Database;
@@ -24,23 +27,18 @@
 //! assert_eq!(found.len(), 1);
 //! ```
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod collection;
-pub mod database;
-pub mod document;
-pub mod error;
-pub mod filter;
-pub mod index;
-pub mod journal;
-pub mod update;
+mod collection;
+mod database;
+mod document;
+mod error;
+mod filter;
+mod index;
+mod journal;
+mod update;
 
-pub use collection::{Collection, FindOptions};
+pub use collection::Collection;
 pub use database::Database;
 pub use error::DocDbError;
 pub use journal::{DurableDatabase, JournalReport};
-
-/// Convenience macro building a `serde_json::Value` document.
-#[macro_export]
-macro_rules! doc {
-    ($($t:tt)*) => { serde_json::json!({ $($t)* }) };
-}

@@ -10,7 +10,7 @@ use serde_json::{json, Value};
 /// `{"$set": {"a.b": 1}, "$inc": {"count": 2}}`. A spec without any `$`
 /// operator replaces the entire document body (preserving `_id`), matching
 /// Mongo's replace semantics.
-pub fn apply(doc: &mut Value, spec: &Value) -> Result<(), DocDbError> {
+pub(crate) fn apply(doc: &mut Value, spec: &Value) -> Result<(), DocDbError> {
     let obj = spec
         .as_object()
         .ok_or_else(|| DocDbError::BadUpdate("update must be an object".into()))?;

@@ -2,13 +2,13 @@
 //!
 //! Two tools at different fidelities:
 //!
-//! 1. [`derive_locality`] — the analytic model the execution engine uses:
+//! 1. `derive_locality` — the analytic model the execution engine uses:
 //!    given a kernel's working set and a machine's cache capacities it
 //!    produces per-level service fractions (which level satisfies each
 //!    byte of core traffic).
 //! 2. [`CacheSim`] — a real set-associative LRU cache simulator for memory
-//!    address traces, used by tests and by SpMV locality estimation on
-//!    sampled traces (RCM vs original ordering).
+//!    address traces: the reference the analytic locality scores (RCM vs
+//!    original ordering) are validated against.
 
 use crate::kernel_profile::LocalityProfile;
 use crate::machine::MachineSpec;
@@ -17,7 +17,7 @@ use crate::machine::MachineSpec;
 /// larger sets spill smoothly to the next level. The smoothing window
 /// reflects that a set slightly larger than a cache still enjoys partial
 /// residency.
-pub fn derive_locality(
+pub(crate) fn derive_locality(
     spec: &MachineSpec,
     working_set_bytes: u64,
     threads: u32,
@@ -96,25 +96,6 @@ impl CacheSim {
         }
     }
 
-    /// Access a run of `bytes` starting at `addr` (counts line accesses).
-    pub fn access_range(&mut self, addr: u64, bytes: u64) {
-        let first = addr / self.line_bytes;
-        let last = (addr + bytes.max(1) - 1) / self.line_bytes;
-        for line in first..=last {
-            self.access(line * self.line_bytes);
-        }
-    }
-
-    /// Hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
     /// Hit ratio (0 when nothing accessed).
     pub fn hit_ratio(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -123,12 +104,6 @@ impl CacheSim {
         } else {
             self.hits as f64 / total as f64
         }
-    }
-
-    /// Reset statistics but keep contents.
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
     }
 }
 
@@ -180,8 +155,6 @@ mod tests {
         for i in 0..32 {
             assert!(c.access(i * 64));
         }
-        assert_eq!(c.hits(), 32);
-        assert_eq!(c.misses(), 32);
         assert_eq!(c.hit_ratio(), 0.5);
     }
 
@@ -205,16 +178,6 @@ mod tests {
         assert!(c.access(8)); // same line
         assert!(c.access(63));
         assert!(!c.access(64)); // next line
-    }
-
-    #[test]
-    fn sim_access_range_touches_every_line() {
-        let mut c = CacheSim::new(65536, 8, 64);
-        c.access_range(10, 300); // spans lines 0..=4 (5 lines)
-        assert_eq!(c.misses(), 5);
-        c.reset_stats();
-        c.access_range(0, 64);
-        assert_eq!(c.hits(), 1);
     }
 
     #[test]

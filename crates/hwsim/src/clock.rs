@@ -14,7 +14,7 @@ pub struct VirtualClock {
 
 impl VirtualClock {
     /// New clock at t=0 with the given TSC frequency (Hz).
-    pub fn new(tsc_hz: f64) -> Self {
+    fn new(tsc_hz: f64) -> Self {
         assert!(tsc_hz > 0.0, "TSC frequency must be positive");
         VirtualClock { now_ns: 0, tsc_hz }
     }
@@ -24,30 +24,14 @@ impl VirtualClock {
         Self::new(freq_ghz * 1e9)
     }
 
-    /// Current time in nanoseconds.
-    pub fn now_ns(&self) -> i64 {
-        self.now_ns
-    }
-
     /// Current time in seconds.
-    pub fn now_secs(&self) -> f64 {
+    fn now_secs(&self) -> f64 {
         self.now_ns as f64 / 1e9
     }
 
     /// Read the TSC: cycles elapsed since t=0.
     pub fn rdtsc(&self) -> u64 {
         (self.now_secs() * self.tsc_hz) as u64
-    }
-
-    /// TSC frequency in Hz.
-    pub fn tsc_hz(&self) -> f64 {
-        self.tsc_hz
-    }
-
-    /// Advance by nanoseconds.
-    pub fn advance_ns(&mut self, ns: i64) {
-        assert!(ns >= 0, "time cannot go backwards");
-        self.now_ns += ns;
     }
 
     /// Advance by (fractional) seconds.
@@ -69,11 +53,11 @@ mod tests {
     #[test]
     fn advances_and_reads() {
         let mut c = VirtualClock::for_freq_ghz(2.0);
-        assert_eq!(c.now_ns(), 0);
+        assert_eq!(c.now_secs(), 0.0);
         c.advance_secs(1.5);
-        assert_eq!(c.now_ns(), 1_500_000_000);
+        assert_eq!(c.now_secs(), 1.5);
         assert_eq!(c.rdtsc(), 3_000_000_000);
-        c.advance_ns(500_000_000);
+        c.advance_secs(0.5);
         assert_eq!(c.now_secs(), 2.0);
     }
 
@@ -86,6 +70,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "backwards")]
     fn no_time_travel() {
-        VirtualClock::new(1e9).advance_ns(-1);
+        VirtualClock::new(1e9).advance_secs(-1e-9);
     }
 }

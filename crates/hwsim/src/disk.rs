@@ -31,7 +31,7 @@ impl DiskSpec {
     }
 
     /// A fast NVMe device.
-    pub fn nvme(name: impl Into<String>) -> Self {
+    pub(crate) fn nvme(name: impl Into<String>) -> Self {
         DiskSpec {
             name: name.into(),
             rotational: false,

@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 
 /// AVX frequency license classes (Intel terminology).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum License {
+enum License {
     /// L0: scalar/light-SSE — nominal turbo.
     L0,
     /// L1: heavy AVX2 — one bin group down.
@@ -33,7 +33,7 @@ pub enum License {
 impl License {
     /// License class of a kernel: determined by the widest ISA carrying a
     /// non-trivial share (>10 %) of its FP work.
-    pub fn of_profile(profile: &KernelProfile) -> License {
+    fn of_profile(profile: &KernelProfile) -> License {
         let total = profile.total_flops().max(1);
         let share = |isa: IsaExt| profile.flops_with_isa(isa) as f64 / total as f64;
         if share(IsaExt::Avx512) > 0.1 {
@@ -46,7 +46,7 @@ impl License {
     }
 
     /// Frequency multiplier for this license on an architecture.
-    pub fn multiplier(&self, arch: Microarch) -> f64 {
+    fn multiplier(&self, arch: Microarch) -> f64 {
         match (arch, self) {
             (_, License::L0) => 1.0,
             // Zen3 has no AVX-512 and negligible AVX2 offset.
@@ -61,7 +61,7 @@ impl License {
 
 /// Multi-core turbo derating: 1.0 at one active core, decaying to the
 /// all-core sustained ratio as every core lights up.
-pub fn turbo_multiplier(spec: &MachineSpec, active_cores: u32) -> f64 {
+fn turbo_multiplier(spec: &MachineSpec, active_cores: u32) -> f64 {
     let total = spec.total_cores().max(1) as f64;
     let active = active_cores.clamp(1, spec.total_cores()) as f64;
     // Server parts sustain ~80 % of max turbo all-core; client ~88 %.
@@ -75,7 +75,7 @@ pub fn turbo_multiplier(spec: &MachineSpec, active_cores: u32) -> f64 {
 
 /// The effective clock (GHz) a kernel runs at: nominal turbo × multi-core
 /// derating × AVX license multiplier.
-pub fn effective_frequency(spec: &MachineSpec, profile: &KernelProfile) -> f64 {
+pub(crate) fn effective_frequency(spec: &MachineSpec, profile: &KernelProfile) -> f64 {
     // Threads spread one-per-core before SMT (the balanced pinning the
     // framework defaults to), so active cores = min(threads, cores).
     let cores = profile.threads.min(spec.total_cores());

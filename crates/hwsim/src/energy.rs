@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 /// Per-machine energy coefficients.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EnergyModel {
+pub(crate) struct EnergyModel {
     /// Idle package power per socket, watts.
     pub idle_w_per_socket: f64,
     /// Energy per retired instruction, joules.
@@ -27,7 +27,7 @@ pub struct EnergyModel {
 
 impl EnergyModel {
     /// Coefficients for a machine spec.
-    pub fn for_machine(spec: &MachineSpec) -> Self {
+    pub(crate) fn for_machine(spec: &MachineSpec) -> Self {
         let idle = match spec.arch {
             Microarch::SkylakeX => 55.0,
             Microarch::CascadeLake => 50.0,
@@ -50,7 +50,7 @@ impl EnergyModel {
     /// * `cache_bytes` — bytes served by caches;
     /// * `dram_bytes` — bytes served by DRAM;
     /// * `sockets` — active package count.
-    pub fn package_energy(
+    pub(crate) fn package_energy(
         &self,
         duration_s: f64,
         instructions: f64,
@@ -65,24 +65,9 @@ impl EnergyModel {
     }
 
     /// DRAM-domain energy (joules) for a phase.
-    pub fn dram_energy(&self, duration_s: f64, dram_bytes: f64, sockets: u32) -> f64 {
+    pub(crate) fn dram_energy(&self, duration_s: f64, dram_bytes: f64, sockets: u32) -> f64 {
         self.dram_idle_w_per_socket * sockets as f64 * duration_s
             + self.j_per_dram_byte * dram_bytes * 0.5
-    }
-
-    /// Mean package power (watts) over a phase.
-    pub fn package_power(
-        &self,
-        duration_s: f64,
-        instructions: f64,
-        cache_bytes: f64,
-        dram_bytes: f64,
-        sockets: u32,
-    ) -> f64 {
-        if duration_s <= 0.0 {
-            return self.idle_w_per_socket * sockets as f64;
-        }
-        self.package_energy(duration_s, instructions, cache_bytes, dram_bytes, sockets) / duration_s
     }
 }
 
@@ -106,16 +91,16 @@ mod tests {
         let flops = 1e10;
         let scalar_instr = flops; // 1 flop per instr
         let avx512_instr = flops / 8.0;
-        let p_scalar = m.package_power(1.0, scalar_instr, 1e9, 1e9, 1);
-        let p_vec = m.package_power(1.0, avx512_instr, 1e9, 1e9, 1);
+        let p_scalar = m.package_energy(1.0, scalar_instr, 1e9, 1e9, 1);
+        let p_vec = m.package_energy(1.0, avx512_instr, 1e9, 1e9, 1);
         assert!(p_scalar > p_vec * 1.05, "{p_scalar} vs {p_vec}");
     }
 
     #[test]
     fn dram_traffic_adds_power() {
         let m = EnergyModel::for_machine(&MachineSpec::csl());
-        let low = m.package_power(1.0, 1e9, 0.0, 1e9, 1);
-        let high = m.package_power(1.0, 1e9, 0.0, 50e9, 1);
+        let low = m.package_energy(1.0, 1e9, 0.0, 1e9, 1);
+        let high = m.package_energy(1.0, 1e9, 0.0, 50e9, 1);
         assert!(high > low);
     }
 
@@ -126,11 +111,5 @@ mod tests {
         let dram = m.dram_energy(1.0, 10e9, 1);
         assert!(dram < pkg);
         assert!(dram > 0.0);
-    }
-
-    #[test]
-    fn zero_duration_power_defaults_to_idle() {
-        let m = EnergyModel::for_machine(&MachineSpec::icl());
-        assert_eq!(m.package_power(0.0, 1e9, 0.0, 0.0, 1), m.idle_w_per_socket);
     }
 }

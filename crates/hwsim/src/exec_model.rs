@@ -45,11 +45,6 @@ impl ExecModel {
         self
     }
 
-    /// The underlying machine spec.
-    pub fn spec(&self) -> &MachineSpec {
-        &self.spec
-    }
-
     /// Clock the kernel would run at under the current DVFS setting.
     pub fn clock_ghz(&self, profile: &KernelProfile) -> f64 {
         if self.dvfs {
@@ -60,7 +55,7 @@ impl ExecModel {
     }
 
     /// Compute-bound time in seconds: each ISA group at its peak.
-    pub fn compute_time(&self, profile: &KernelProfile) -> f64 {
+    fn compute_time(&self, profile: &KernelProfile) -> f64 {
         profile
             .flops
             .iter()
@@ -77,14 +72,9 @@ impl ExecModel {
     }
 
     /// Memory-bound time in seconds: bytes per serving level over that
-    /// level's bandwidth at the given thread count.
-    pub fn memory_time(&self, profile: &KernelProfile, locality: &LocalityProfile) -> f64 {
-        self.memory_time_scaled(profile, locality, 1.0)
-    }
-
-    /// [`ExecModel::memory_time`] with a core-clock ratio: cache levels
-    /// (1–3) are core-clocked and slow with the ratio; DRAM is not.
-    fn memory_time_scaled(
+    /// level's bandwidth at the given thread count. Cache levels (1–3) are
+    /// core-clocked and slow with `freq_ratio`; DRAM is not.
+    fn memory_time(
         &self,
         profile: &KernelProfile,
         locality: &LocalityProfile,
@@ -113,7 +103,7 @@ impl ExecModel {
         let clock_ghz = self.clock_ghz(profile);
         let freq_ratio = clock_ghz / self.spec.freq_ghz;
         let compute = self.compute_time(profile) / freq_ratio;
-        let memory = self.memory_time_scaled(profile, &locality, freq_ratio);
+        let memory = self.memory_time(profile, &locality, freq_ratio);
         // Serial launch/teardown overhead: ~2 % plus a fixed 50 µs.
         let duration = (compute.max(memory)) * 1.02 + 50e-6;
         // Deterministic ±3 % per-thread load imbalance, precomputed once
@@ -161,7 +151,7 @@ impl ExecModel {
 
 /// Deterministic sampling-overhead fraction as a function of frequency:
 /// ~0.005 % at 1 Hz growing to ~0.05 % at 64 Hz.
-pub fn sampling_overhead_fraction(freq_hz: f64) -> f64 {
+fn sampling_overhead_fraction(freq_hz: f64) -> f64 {
     5e-5 + 7e-6 * freq_hz.max(0.0)
 }
 
@@ -198,7 +188,7 @@ impl Execution {
     }
 
     /// Bytes served from a memory level (1..=4).
-    pub fn bytes_from_level(&self, level: u8) -> f64 {
+    fn bytes_from_level(&self, level: u8) -> f64 {
         self.profile.total_bytes() as f64 * self.locality.fraction(level)
     }
 
@@ -245,7 +235,7 @@ impl Execution {
 
     /// Fraction of the quantity falling into the window `[t0, t1)` of
     /// virtual time, assuming a uniform rate over the run.
-    pub fn window_fraction(&self, t0: f64, t1: f64) -> f64 {
+    fn window_fraction(&self, t0: f64, t1: f64) -> f64 {
         let lo = t0.max(self.start_s);
         let hi = t1.min(self.end_s());
         if hi <= lo || self.duration_s <= 0.0 {
@@ -310,20 +300,20 @@ mod tests {
         let p = triad();
         let exec = m.run(&p, 0.0);
         assert!(exec.locality.dram > 0.9);
-        let mem = m.memory_time(&p, &exec.locality);
+        let mem = m.memory_time(&p, &exec.locality, 1.0);
         let comp = m.compute_time(&p);
         assert!(mem > comp * 2.0, "mem {mem} comp {comp}");
         // Achieved bandwidth ≈ machine DRAM bandwidth.
         let bw = p.total_bytes() as f64 / exec.duration_s;
-        assert!(bw < m.spec().dram_bw_total() * 1.05);
-        assert!(bw > m.spec().dram_bw_total() * 0.5);
+        assert!(bw < m.spec.dram_bw_total() * 1.05);
+        assert!(bw > m.spec.dram_bw_total() * 0.5);
     }
 
     #[test]
     fn compute_kernel_reaches_near_peak() {
         let m = model();
         let exec = m.run(&peakflops(), 0.0);
-        let peak = m.spec().peak_gflops_f64(IsaExt::Avx512, 28);
+        let peak = m.spec.peak_gflops_f64(IsaExt::Avx512, 28);
         let achieved = exec.gflops();
         assert!(achieved > 0.9 * peak, "achieved {achieved} peak {peak}");
         assert!(achieved <= peak);
@@ -452,6 +442,20 @@ mod tests {
         let t0 = base.run(&triad(), 0.0).duration_s;
         let t1 = dvfs.run(&triad(), 0.0).duration_s;
         assert!(t1 / t0 < 1.05, "ratio {}", t1 / t0);
+    }
+
+    #[test]
+    fn dvfs_clock_matches_dvfs_module() {
+        let spec = MachineSpec::csl();
+        let model = ExecModel::new(spec.clone()).with_dvfs();
+        let p = KernelProfile::named("x")
+            .with_threads(28)
+            .with_flops(IsaExt::Avx512, Precision::F64, 1 << 30)
+            .with_mem(1, 0, IsaExt::Avx512);
+        assert_eq!(
+            model.clock_ghz(&p),
+            crate::dvfs::effective_frequency(&spec, &p)
+        );
     }
 
     #[test]

@@ -42,21 +42,8 @@ impl GpuSpec {
         }
     }
 
-    /// An A100-like device for multi-GPU scenarios.
-    pub fn a100() -> Self {
-        GpuSpec {
-            model: "NVIDIA A100-PCIE-40GB".into(),
-            memory_mb: 40960,
-            sm_count: 108,
-            shared_mem_kb: 164,
-            l2_kb: 40960,
-            numa_node: 1,
-            bus_id: "0000:af:00.0".into(),
-        }
-    }
-
     /// `nvidia-smi`-style probe record.
-    pub fn smi_record(&self, index: u32) -> Value {
+    pub(crate) fn smi_record(&self, index: u32) -> Value {
         json!({
             "index": index,
             "name": self.model,
@@ -66,7 +53,7 @@ impl GpuSpec {
     }
 
     /// `DeviceQuery`-style hardware record.
-    pub fn device_query(&self) -> Value {
+    pub(crate) fn device_query(&self) -> Value {
         json!({
             "multiProcessorCount": self.sm_count,
             "sharedMemPerMultiprocessor": self.shared_mem_kb * 1024,
@@ -93,7 +80,7 @@ pub fn nvml_metrics() -> Vec<(&'static str, &'static str)> {
 }
 
 /// ncu hardware metrics captured around wrapped kernel launches.
-pub fn ncu_metrics() -> Vec<(&'static str, &'static str)> {
+pub(crate) fn ncu_metrics() -> Vec<(&'static str, &'static str)> {
     vec![
         (
             "gpu__compute_memory_access_throughput",

@@ -10,9 +10,6 @@
 use crate::vendor::IsaExt;
 use serde::{Deserialize, Serialize};
 
-/// Re-export: ISA class of a group of FLOPs.
-pub type IsaClass = IsaExt;
-
 /// Floating-point precision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Precision {
@@ -22,21 +19,11 @@ pub enum Precision {
     F64,
 }
 
-impl Precision {
-    /// Bytes per element.
-    pub fn bytes(&self) -> u32 {
-        match self {
-            Precision::F32 => 4,
-            Precision::F64 => 8,
-        }
-    }
-}
-
 /// A group of floating-point operations executed with one ISA class.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FlopGroup {
+pub(crate) struct FlopGroup {
     /// Vector ISA used.
-    pub isa: IsaClass,
+    pub isa: IsaExt,
     /// Element precision.
     pub precision: Precision,
     /// Number of FP *operations* (not instructions).
@@ -45,7 +32,7 @@ pub struct FlopGroup {
 
 impl FlopGroup {
     /// FP instructions retired for this group (ops / lanes).
-    pub fn instructions(&self) -> u64 {
+    fn instructions(&self) -> u64 {
         let lanes = match self.precision {
             Precision::F64 => self.isa.f64_lanes() as u64,
             Precision::F32 => (self.isa.f64_lanes() * 2) as u64,
@@ -90,7 +77,7 @@ impl LocalityProfile {
     }
 
     /// Validity check.
-    pub fn is_valid(&self) -> bool {
+    fn is_valid(&self) -> bool {
         let s = self.l1 + self.l2 + self.l3 + self.dram;
         self.l1 >= 0.0
             && self.l2 >= 0.0
@@ -100,7 +87,7 @@ impl LocalityProfile {
     }
 
     /// Per-level fractions indexed 1..=4 (4 = DRAM).
-    pub fn fraction(&self, level: u8) -> f64 {
+    pub(crate) fn fraction(&self, level: u8) -> f64 {
         match level {
             1 => self.l1,
             2 => self.l2,
@@ -119,7 +106,7 @@ pub struct KernelProfile {
     /// Threads the kernel runs with.
     pub threads: u32,
     /// FLOP groups (a kernel may mix scalar and vector work).
-    pub flops: Vec<FlopGroup>,
+    pub(crate) flops: Vec<FlopGroup>,
     /// Elements loaded (scalar-equivalent element count).
     pub load_elems: u64,
     /// Elements stored.
@@ -128,7 +115,7 @@ pub struct KernelProfile {
     pub elem_bytes: u32,
     /// ISA width of the memory instructions (vector loads move
     /// `isa.width_bytes()` per instruction).
-    pub mem_isa: IsaClass,
+    pub mem_isa: IsaExt,
     /// Total bytes touched repeatedly (determines cache residency).
     pub working_set_bytes: u64,
     /// Explicit locality; when `None` the cache model derives it from the
@@ -163,7 +150,7 @@ impl KernelProfile {
     }
 
     /// Add a FLOP group.
-    pub fn with_flops(mut self, isa: IsaClass, precision: Precision, ops: u64) -> Self {
+    pub fn with_flops(mut self, isa: IsaExt, precision: Precision, ops: u64) -> Self {
         self.flops.push(FlopGroup {
             isa,
             precision,
@@ -173,7 +160,7 @@ impl KernelProfile {
     }
 
     /// Set element loads/stores.
-    pub fn with_mem(mut self, loads: u64, stores: u64, mem_isa: IsaClass) -> Self {
+    pub fn with_mem(mut self, loads: u64, stores: u64, mem_isa: IsaExt) -> Self {
         self.load_elems = loads;
         self.store_elems = stores;
         self.mem_isa = mem_isa;
@@ -198,7 +185,7 @@ impl KernelProfile {
     }
 
     /// FLOPs executed with a given ISA class (any precision).
-    pub fn flops_with_isa(&self, isa: IsaClass) -> u64 {
+    pub fn flops_with_isa(&self, isa: IsaExt) -> u64 {
         self.flops
             .iter()
             .filter(|g| g.isa == isa)
@@ -206,18 +193,9 @@ impl KernelProfile {
             .sum()
     }
 
-    /// FP instructions retired with a given ISA class.
-    pub fn flop_instructions_with_isa(&self, isa: IsaClass) -> u64 {
-        self.flops
-            .iter()
-            .filter(|g| g.isa == isa)
-            .map(FlopGroup::instructions)
-            .sum()
-    }
-
     /// FP instructions retired with a given ISA class *and* precision —
     /// what Intel's `FP_ARITH` sub-events count.
-    pub fn flop_instructions_with(&self, isa: IsaClass, precision: Precision) -> u64 {
+    pub(crate) fn flop_instructions_with(&self, isa: IsaExt, precision: Precision) -> u64 {
         self.flops
             .iter()
             .filter(|g| g.isa == isa && g.precision == precision)
@@ -231,12 +209,12 @@ impl KernelProfile {
     }
 
     /// Load instructions retired.
-    pub fn load_instructions(&self) -> u64 {
+    pub(crate) fn load_instructions(&self) -> u64 {
         self.load_elems.div_ceil(self.elems_per_mem_instr())
     }
 
     /// Store instructions retired.
-    pub fn store_instructions(&self) -> u64 {
+    pub(crate) fn store_instructions(&self) -> u64 {
         self.store_elems.div_ceil(self.elems_per_mem_instr())
     }
 
@@ -245,19 +223,8 @@ impl KernelProfile {
         (self.load_elems + self.store_elems) * self.elem_bytes as u64
     }
 
-    /// Cache-aware arithmetic intensity: FLOPs per byte of total memory
-    /// traffic from the core's perspective (CARM's definition — all memory
-    /// accesses count, regardless of the level that serves them).
-    pub fn arithmetic_intensity(&self) -> f64 {
-        let bytes = self.total_bytes();
-        if bytes == 0 {
-            return f64::INFINITY;
-        }
-        self.total_flops() as f64 / bytes as f64
-    }
-
     /// Rough total instruction count (FP + memory + ~20 % overhead ops).
-    pub fn total_instructions(&self) -> u64 {
+    pub(crate) fn total_instructions(&self) -> u64 {
         let fp: u64 = self.flops.iter().map(FlopGroup::instructions).sum();
         let mem = self.load_instructions() + self.store_instructions();
         fp + mem + (fp + mem) / 5
@@ -267,6 +234,12 @@ impl KernelProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Cache-aware arithmetic intensity (CARM's definition): FLOPs per
+    /// byte of all core memory traffic, whichever level serves it.
+    fn ai(p: &KernelProfile) -> f64 {
+        p.total_flops() as f64 / p.total_bytes() as f64
+    }
 
     /// STREAM triad: a[i] = b[i] + s*c[i]; 2 flops, 2 loads, 1 store per i.
     fn triad(n: u64, isa: IsaExt) -> KernelProfile {
@@ -283,7 +256,7 @@ mod tests {
         // excluded); the paper's 0.625 uses a different byte convention,
         // checked in the kernels crate.
         let p = triad(1000, IsaExt::Avx2);
-        assert!((p.arithmetic_intensity() - 2.0 / 24.0).abs() < 1e-12);
+        assert!((ai(&p) - 2.0 / 24.0).abs() < 1e-12);
     }
 
     #[test]
@@ -292,9 +265,10 @@ mod tests {
         let avx512 = triad(1024, IsaExt::Avx512);
         assert_eq!(scalar.load_instructions(), 2048);
         assert_eq!(avx512.load_instructions(), 256); // 8 elems/instr
-        assert_eq!(scalar.flop_instructions_with_isa(IsaExt::Scalar), 2048);
-        assert_eq!(avx512.flop_instructions_with_isa(IsaExt::Avx512), 256);
-        assert_eq!(avx512.flop_instructions_with_isa(IsaExt::Scalar), 0);
+        let f64_instr = |p: &KernelProfile, isa| p.flop_instructions_with(isa, Precision::F64);
+        assert_eq!(f64_instr(&scalar, IsaExt::Scalar), 2048);
+        assert_eq!(f64_instr(&avx512, IsaExt::Avx512), 256);
+        assert_eq!(f64_instr(&avx512, IsaExt::Scalar), 0);
     }
 
     #[test]
@@ -323,7 +297,7 @@ mod tests {
     fn zero_mem_kernel_has_infinite_ai() {
         let p =
             KernelProfile::named("peakflops").with_flops(IsaExt::Avx2, Precision::F64, 1_000_000);
-        assert!(p.arithmetic_intensity().is_infinite());
+        assert!(ai(&p).is_infinite());
     }
 
     #[test]

@@ -6,25 +6,29 @@
 //! so this crate provides the *machine substrate* the framework runs
 //! against:
 //!
-//! * [`machine`] — machine specifications, including presets for the paper's
-//!   four targets (SKX, ICL, CSL, ZEN3), and construction of the full
-//!   component [`topology`] (node → socket → core → thread, caches, NUMA
-//!   domains, memory, disks, NICs, GPUs);
+//! * [`Machine`] / [`MachineSpec`] — machine specifications, including
+//!   presets for the paper's four targets (SKX, ICL, CSL, ZEN3), and
+//!   construction of the full component [`topology`] (node → socket → core
+//!   → thread, caches, NUMA domains, memory, disks, NICs, GPUs);
+//! * [`vendor`] — vendors, microarchitectures and vector ISA extensions;
 //! * [`pmu`] — per-microarchitecture performance-event catalogs (the
 //!   libpfm4 stand-in), programmable-counter limits per vendor, counter
 //!   multiplexing, and the event *semantics* that tie event names to
 //!   quantities of the execution model;
-//! * [`kernel_profile`] / [`exec_model`] — a roofline-style execution model:
+//! * [`kernel_profile`] / [`ExecModel`] — a roofline-style execution model:
 //!   given a kernel's operation mix (FLOPs by ISA class, loads/stores,
 //!   working set, locality) and a machine, it produces a deterministic
-//!   execution timeline and per-interval counter deltas;
+//!   execution timeline and per-interval counter deltas, with a RAPL
+//!   package/DRAM energy model and optional DVFS (turbo derating, AVX
+//!   licenses);
 //! * [`cache_model`] — analytic per-level hit fractions plus a real
 //!   set-associative LRU cache simulator for access traces;
-//! * [`energy`] — a RAPL package/DRAM energy model;
 //! * [`noise`] — seeded overcount/undercount noise reproducing the PMU
 //!   non-determinism reported by Weaver et al. and visible in Fig. 4;
-//! * [`network`] / [`disk`] — the host↔target link and target disk models
-//!   behind Table III's losses and Fig. 6's resource usage;
+//! * [`network`] / [`disk`] — the host↔target link, fault schedules and
+//!   the target disk model behind Table III's losses and Fig. 6's resource
+//!   usage;
+//! * [`clock`] — the virtual clock and its TSC;
 //! * [`gpu`] — NVIDIA device models with NVML-like metric catalogs and
 //!   ncu-style kernel reports (Listing 4);
 //! * [`system_state`] — deterministic software/system-state metrics
@@ -35,16 +39,17 @@
 //! Everything is deterministic: stochastic elements derive from
 //! `rand_chacha` seeded per (machine, event) pair.
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod cache_model;
 pub mod clock;
 pub mod disk;
-pub mod dvfs;
-pub mod energy;
-pub mod exec_model;
+mod dvfs;
+mod energy;
+mod exec_model;
 pub mod gpu;
 pub mod kernel_profile;
-pub mod machine;
+mod machine;
 pub mod network;
 pub mod noise;
 pub mod pmu;
@@ -54,9 +59,7 @@ pub mod topology;
 pub mod vendor;
 
 pub use exec_model::{ExecModel, Execution};
-pub use kernel_profile::{IsaClass, KernelProfile, LocalityProfile, Precision};
+pub use kernel_profile::KernelProfile;
 pub use machine::{Machine, MachineSpec};
-pub use network::{FaultKind, FaultSchedule, FaultState, FaultWindow};
-pub use pmu::{EventCatalog, EventDef, Quantity};
-pub use topology::{Component, ComponentId, ComponentKind, Topology};
-pub use vendor::{Microarch, Vendor};
+pub use network::{FaultKind, FaultSchedule};
+pub use pmu::{EventCatalog, Quantity};

@@ -159,7 +159,7 @@ impl MachineSpec {
     }
 
     /// All four Table II presets.
-    pub fn presets() -> Vec<MachineSpec> {
+    fn presets() -> Vec<MachineSpec> {
         vec![Self::skx(), Self::icl(), Self::csl(), Self::zen3()]
     }
 
@@ -180,7 +180,7 @@ impl MachineSpec {
 
     /// Theoretical DRAM bandwidth per socket in bytes/s
     /// (channels × MT/s × 8 bytes).
-    pub fn dram_bw_per_socket(&self) -> f64 {
+    fn dram_bw_per_socket(&self) -> f64 {
         self.mem_channels as f64 * self.mem_freq_mhz as f64 * 1e6 * 8.0
     }
 
@@ -200,7 +200,7 @@ impl MachineSpec {
     /// Per-core cache bandwidth in bytes per cycle for a level (1..=3).
     /// Values follow the usual sustained per-core figures for these
     /// microarchitectures.
-    pub fn cache_bytes_per_cycle(&self, level: u8) -> f64 {
+    fn cache_bytes_per_cycle(&self, level: u8) -> f64 {
         match (self.arch, level) {
             (Microarch::Zen3, 1) => 64.0,
             (Microarch::Zen3, 2) => 32.0,
@@ -240,7 +240,7 @@ impl MachineSpec {
     }
 
     /// Build the full component topology for this spec.
-    pub fn build_topology(&self) -> Topology {
+    fn build_topology(&self) -> Topology {
         let mut t = Topology::new(self.key.clone());
         let mut cpu_index = 0u32;
         for s in 0..self.sockets {

@@ -1,11 +1,13 @@
-//! Host ↔ target network link model.
+//! Host ↔ target link and fault schedules.
 //!
 //! The paper's monitoring host talks to targets over a 100 Mbit cabled
 //! link; PCP ships samples over it with no buffering, so when the offered
 //! load (sampling frequency × instance-domain size) exceeds what the link
 //! and the DB can absorb within one sampling period, samples are lost or
-//! arrive as batched zeros (Table III). This model captures exactly that
-//! windowed-capacity behaviour, deterministically.
+//! arrive as batched zeros (Table III). [`LinkSpec`] describes that link
+//! (the windowed-capacity model over it is `pmove_pcp::transport`'s);
+//! [`FaultSchedule`] injects outages, degradations and brown-outs on the
+//! virtual clock.
 
 use crate::noise::NoiseSource;
 use serde::{Deserialize, Serialize};
@@ -29,114 +31,6 @@ impl LinkSpec {
             latency_s: 200e-6,
             overhead_bytes: 64,
         }
-    }
-
-    /// Time to transfer a message of `bytes` payload.
-    pub fn transfer_time(&self, bytes: usize) -> f64 {
-        self.latency_s + (bytes + self.overhead_bytes as usize) as f64 * 8.0 / self.bandwidth_bps
-    }
-}
-
-/// Outcome of offering one message to the congested link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendOutcome {
-    /// Delivered within the sampling window.
-    Delivered,
-    /// Lost: the link/receiver had no capacity left in this window.
-    Lost,
-    /// Delivered but the sampler had already moved on — the receiver sees
-    /// a batched zero value instead of the true reading (the paper's
-    /// "batched zeros" artefact at high frequency).
-    DeliveredZero,
-}
-
-/// A link with windowed congestion behaviour.
-///
-/// Within each window of `window_s` seconds the link can carry a limited
-/// number of payload bytes. Offers beyond ~100 % capacity are lost; offers
-/// landing between the *stall threshold* (75 %) and full capacity are
-/// delivered late and therefore read as zeros. Small deterministic jitter
-/// makes per-window outcomes vary like the real measurements do.
-#[derive(Debug)]
-pub struct CongestedLink {
-    spec: LinkSpec,
-    window_s: f64,
-    current_window: i64,
-    bytes_in_window: f64,
-    noise: NoiseSource,
-    delivered: u64,
-    lost: u64,
-    zeroed: u64,
-}
-
-impl CongestedLink {
-    /// New link with congestion windows of `window_s` seconds.
-    pub fn new(spec: LinkSpec, window_s: f64, seed_labels: &[&str]) -> Self {
-        assert!(window_s > 0.0, "window must be positive");
-        CongestedLink {
-            spec,
-            window_s,
-            current_window: i64::MIN,
-            bytes_in_window: 0.0,
-            noise: NoiseSource::from_labels(seed_labels),
-            delivered: 0,
-            lost: 0,
-            zeroed: 0,
-        }
-    }
-
-    /// The underlying link spec.
-    pub fn spec(&self) -> LinkSpec {
-        self.spec
-    }
-
-    /// Capacity of one window in payload bytes. The factor models the
-    /// effective goodput of small telemetry PDUs (~12 % of line rate),
-    /// which is what lets 88-field reports at 32 Hz overrun a 100 Mbit
-    /// link's per-window service capability like Table III shows.
-    pub fn window_capacity_bytes(&self) -> f64 {
-        self.spec.bandwidth_bps / 8.0 * self.window_s * 0.12
-    }
-
-    /// Offer a message of `bytes` at time `t`; returns the outcome.
-    pub fn offer(&mut self, t: f64, bytes: usize) -> SendOutcome {
-        let w = (t / self.window_s).floor() as i64;
-        if w != self.current_window {
-            self.current_window = w;
-            self.bytes_in_window = 0.0;
-        }
-        let msg = (bytes + self.spec.overhead_bytes as usize) as f64;
-        self.bytes_in_window += msg;
-        let cap = self.window_capacity_bytes() * (1.0 + self.noise.normal(0.0, 0.05));
-        let utilization = self.bytes_in_window / cap;
-        let outcome = if utilization > 1.0 {
-            SendOutcome::Lost
-        } else if utilization > 0.75 {
-            SendOutcome::DeliveredZero
-        } else {
-            SendOutcome::Delivered
-        };
-        match outcome {
-            SendOutcome::Delivered => self.delivered += 1,
-            SendOutcome::Lost => self.lost += 1,
-            SendOutcome::DeliveredZero => self.zeroed += 1,
-        }
-        outcome
-    }
-
-    /// Messages delivered (with true values).
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    /// Messages lost.
-    pub fn lost(&self) -> u64 {
-        self.lost
-    }
-
-    /// Messages delivered as batched zeros.
-    pub fn zeroed(&self) -> u64 {
-        self.zeroed
     }
 }
 
@@ -192,11 +86,6 @@ impl FaultState {
             backend_availability: 1.0,
         }
     }
-
-    /// True when this state is indistinguishable from a healthy system.
-    pub fn is_healthy(&self) -> bool {
-        self.link_up && self.capacity_factor >= 1.0 && self.backend_availability >= 1.0
-    }
 }
 
 /// A deterministic fault schedule: a list of windows evaluated against
@@ -234,11 +123,6 @@ impl FaultSchedule {
     /// The scheduled windows.
     pub fn windows(&self) -> &[FaultWindow] {
         &self.windows
-    }
-
-    /// True when no window is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
     }
 
     /// End of the last scheduled window (0 when empty) — the earliest
@@ -319,21 +203,6 @@ impl FaultSchedule {
         }
         s
     }
-
-    /// Seed-derived *per-replica* schedules: `n` independent random
-    /// schedules over `[0, duration_s)`, each deterministically derived
-    /// from `seed` and the replica index, so a replicated store can give
-    /// every node its own uncorrelated fault history. Same seed → same set.
-    pub fn random_set(seed: u64, duration_s: f64, n: usize) -> Vec<FaultSchedule> {
-        (0..n)
-            .map(|i| {
-                FaultSchedule::random(
-                    seed ^ (i as u64 + 1).wrapping_mul(0xa076_1d64_78bd_642f),
-                    duration_s,
-                )
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -341,68 +210,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn transfer_time_includes_latency_and_overhead() {
-        let l = LinkSpec::mbit_100();
-        let t = l.transfer_time(1000);
-        // 1064 bytes at 100 Mbit = 85.1 µs + 200 µs latency.
-        assert!((t - (200e-6 + 1064.0 * 8.0 / 100e6)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn light_load_all_delivered() {
-        let mut link = CongestedLink::new(LinkSpec::mbit_100(), 0.5, &["t1"]);
-        for i in 0..100 {
-            let out = link.offer(i as f64 * 0.5, 200);
-            assert_eq!(out, SendOutcome::Delivered);
-        }
-        assert_eq!(link.delivered(), 100);
-        assert_eq!(link.lost(), 0);
-    }
-
-    #[test]
-    fn overload_loses_messages() {
-        let mut link = CongestedLink::new(LinkSpec::mbit_100(), 0.03125, &["t2"]);
-        // Fire a burst of large reports into a single window.
-        let mut lost = 0;
-        for _ in 0..2000 {
-            if link.offer(0.0, 2000) == SendOutcome::Lost {
-                lost += 1;
-            }
-        }
-        assert!(lost > 1000, "lost {lost}");
-        assert!(link.zeroed() > 0);
-    }
-
-    #[test]
-    fn window_rollover_resets_capacity() {
-        let mut link = CongestedLink::new(LinkSpec::mbit_100(), 0.1, &["t3"]);
-        // Saturate window 0.
-        for _ in 0..5000 {
-            link.offer(0.05, 1500);
-        }
-        assert!(link.lost() > 0);
-        // A fresh window delivers again.
-        assert_eq!(link.offer(0.15, 200), SendOutcome::Delivered);
-    }
-
-    #[test]
-    fn determinism() {
-        let run = || {
-            let mut link = CongestedLink::new(LinkSpec::mbit_100(), 0.03125, &["same"]);
-            (0..500)
-                .map(|i| link.offer(i as f64 * 0.001, 1200) as u8)
-                .collect::<Vec<u8>>()
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
     fn empty_schedule_is_healthy_everywhere() {
         let s = FaultSchedule::none();
-        assert!(s.is_empty());
+        assert!(s.windows().is_empty());
         assert_eq!(s.last_fault_end_s(), 0.0);
         for t in [0.0, 1.5, 1e6] {
-            assert!(s.state_at(t).is_healthy());
+            assert_eq!(s.state_at(t), FaultState::healthy());
         }
     }
 
@@ -412,7 +225,7 @@ mod tests {
             .with_window(1.0, 2.0, FaultKind::LinkDown)
             .with_window(1.5, 3.0, FaultKind::BandwidthDegraded(0.5))
             .with_window(1.5, 3.0, FaultKind::BackendBrownout(0.4));
-        assert!(s.state_at(0.99).is_healthy());
+        assert_eq!(s.state_at(0.99), FaultState::healthy());
         let at1 = s.state_at(1.0);
         assert!(!at1.link_up);
         assert_eq!(at1.capacity_factor, 1.0);
@@ -425,7 +238,7 @@ mod tests {
         let at2 = s.state_at(2.0);
         assert!(at2.link_up);
         assert_eq!(at2.capacity_factor, 0.5);
-        assert!(s.state_at(3.0).is_healthy());
+        assert_eq!(s.state_at(3.0), FaultState::healthy());
         assert_eq!(s.last_fault_end_s(), 3.0);
     }
 
@@ -442,10 +255,10 @@ mod tests {
     #[test]
     fn canned_midrun_scenarios_hit_the_middle() {
         let b = FaultSchedule::midrun_brownout(30.0, 0.2);
-        assert!(b.state_at(5.0).is_healthy());
+        assert_eq!(b.state_at(5.0), FaultState::healthy());
         assert_eq!(b.state_at(15.0).backend_availability, 0.2);
         let d = FaultSchedule::midrun_degraded(40.0, 0.3);
-        assert!(d.state_at(5.0).is_healthy());
+        assert_eq!(d.state_at(5.0), FaultState::healthy());
         assert_eq!(d.state_at(20.0).capacity_factor, 0.3);
     }
 
@@ -472,16 +285,6 @@ mod tests {
             FaultSchedule::random(1, 20.0),
             FaultSchedule::random(2, 20.0)
         );
-    }
-
-    #[test]
-    fn random_set_is_deterministic_and_per_replica() {
-        let a = FaultSchedule::random_set(11, 30.0, 3);
-        let b = FaultSchedule::random_set(11, 30.0, 3);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 3);
-        // Replica schedules are mutually independent draws.
-        assert!(a[0] != a[1] || a[1] != a[2] || a[0].is_empty());
     }
 
     #[test]

@@ -38,14 +38,14 @@ impl NoiseSource {
     }
 
     /// Seed directly.
-    pub fn from_seed(seed: u64) -> Self {
+    pub(crate) fn from_seed(seed: u64) -> Self {
         NoiseSource {
             rng: ChaCha8Rng::seed_from_u64(seed),
         }
     }
 
     /// Standard-normal sample (Box–Muller; two uniforms per call).
-    pub fn std_normal(&mut self) -> f64 {
+    fn std_normal(&mut self) -> f64 {
         let u1: f64 = self.rng.gen_range(f64::EPSILON..1.0);
         let u2: f64 = self.rng.gen_range(0.0..1.0);
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()

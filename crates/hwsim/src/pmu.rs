@@ -268,13 +268,8 @@ impl EventCatalog {
     }
 
     /// All events.
-    pub fn events(&self) -> &[EventDef] {
+    pub(crate) fn events(&self) -> &[EventDef] {
         &self.events
-    }
-
-    /// Events counted per hardware thread.
-    pub fn per_thread_events(&self) -> impl Iterator<Item = &EventDef> {
-        self.events.iter().filter(|e| e.domain == Domain::PerThread)
     }
 }
 
@@ -317,23 +312,13 @@ impl CounterBank {
         true
     }
 
-    /// Remove all programmed events.
-    pub fn clear(&mut self) {
-        self.programmed.clear();
-    }
-
-    /// Hardware counter slots.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Whether the bank is multiplexing (more events than counters).
     pub fn is_multiplexing(&self) -> bool {
         self.programmed.len() > self.capacity
     }
 
     /// Fraction of time each event is actually counted.
-    pub fn duty_cycle(&self) -> f64 {
+    fn duty_cycle(&self) -> f64 {
         if self.programmed.is_empty() {
             return 1.0;
         }
@@ -402,18 +387,11 @@ mod tests {
     }
 
     #[test]
-    fn per_thread_iterator_excludes_rapl() {
-        let c = EventCatalog::for_arch(Microarch::Zen3);
-        assert!(c.per_thread_events().all(|e| e.domain == Domain::PerThread));
-        assert!(c.per_thread_events().count() < c.events().len());
-    }
-
-    #[test]
     fn bank_capacity_follows_vendor() {
         let intel = CounterBank::for_arch(Microarch::CascadeLake, true);
-        assert_eq!(intel.capacity(), 4);
+        assert_eq!(intel.capacity, 4);
         let amd = CounterBank::for_arch(Microarch::Zen3, true);
-        assert_eq!(amd.capacity(), 2);
+        assert_eq!(amd.capacity, 2);
     }
 
     #[test]
@@ -428,8 +406,6 @@ mod tests {
         b.program("D");
         assert!(b.is_multiplexing());
         assert_eq!(b.duty_cycle(), 0.5);
-        b.clear();
-        assert_eq!(b.duty_cycle(), 1.0);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use serde_json::{json, Value};
 
 /// Software (PCP-style) metrics every Linux target exposes, with their
 /// instance domains. These are what `pmdalinux` reports in Scenario A.
-pub fn linux_sw_metrics() -> Vec<(&'static str, &'static str, &'static str)> {
+fn linux_sw_metrics() -> Vec<(&'static str, &'static str, &'static str)> {
     // (metric name, instance domain, description)
     vec![
         ("kernel.all.load", "singular", "1-minute load average"),
@@ -196,7 +196,10 @@ mod tests {
         assert_eq!(r["cpu"]["pmu_name"], json!("csl"));
         assert!(r["pmu_events"].as_array().unwrap().len() > 8);
         assert!(r["sw_metrics"].as_array().unwrap().len() >= 15);
-        assert_eq!(r["components"].as_array().unwrap().len(), m.topology.len());
+        assert_eq!(
+            r["components"].as_array().unwrap().len(),
+            m.topology.iter().count()
+        );
         assert!(r["gpus"].as_array().unwrap().is_empty());
     }
 

@@ -42,7 +42,7 @@ pub enum ComponentKind {
 
 impl ComponentKind {
     /// Stable lower-case label used in DTMIs and level views.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self {
             ComponentKind::System => "system".into(),
             ComponentKind::NumaNode => "numanode".into(),
@@ -84,7 +84,7 @@ pub struct Topology {
 
 impl Topology {
     /// New topology containing only a root system component.
-    pub fn new(system_name: impl Into<String>) -> Self {
+    pub(crate) fn new(system_name: impl Into<String>) -> Self {
         let mut t = Topology {
             components: Vec::new(),
         };
@@ -100,12 +100,12 @@ impl Topology {
     }
 
     /// Root component id.
-    pub fn root(&self) -> ComponentId {
+    pub(crate) fn root(&self) -> ComponentId {
         ComponentId(0)
     }
 
     /// Add a component under `parent`; returns its id.
-    pub fn add(
+    pub(crate) fn add(
         &mut self,
         parent: ComponentId,
         kind: ComponentKind,
@@ -125,40 +125,30 @@ impl Topology {
     }
 
     /// Set an attribute on a component.
-    pub fn set_attr(&mut self, id: ComponentId, key: &str, value: serde_json::Value) {
+    pub(crate) fn set_attr(&mut self, id: ComponentId, key: &str, value: serde_json::Value) {
         self.components[id.0 as usize]
             .attrs
             .insert(key.to_string(), value);
     }
 
     /// Access a component.
-    pub fn get(&self, id: ComponentId) -> &Component {
+    fn get(&self, id: ComponentId) -> &Component {
         &self.components[id.0 as usize]
     }
 
-    /// Number of components.
-    pub fn len(&self) -> usize {
-        self.components.len()
-    }
-
-    /// True when only the root exists (or not even that).
-    pub fn is_empty(&self) -> bool {
-        self.components.len() <= 1
-    }
-
     /// Iterate all components in id order.
-    pub fn iter(&self) -> impl Iterator<Item = &Component> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Component> {
         self.components.iter()
     }
 
     /// All components of one kind — the KB *level view*.
-    pub fn of_kind(&self, kind: ComponentKind) -> Vec<&Component> {
+    pub(crate) fn of_kind(&self, kind: ComponentKind) -> Vec<&Component> {
         self.components.iter().filter(|c| c.kind == kind).collect()
     }
 
     /// Path from a component up to the root — the KB *focus view* extension
     /// (component → system perspective).
-    pub fn path_to_root(&self, id: ComponentId) -> Vec<&Component> {
+    fn path_to_root(&self, id: ComponentId) -> Vec<&Component> {
         let mut path = Vec::new();
         let mut cur = Some(id);
         while let Some(c) = cur {
@@ -167,21 +157,6 @@ impl Topology {
             path.push(comp);
         }
         path
-    }
-
-    /// All components in the subtree rooted at `id` (pre-order) — the KB
-    /// *subtree view*.
-    pub fn subtree(&self, id: ComponentId) -> Vec<&Component> {
-        let mut out = Vec::new();
-        let mut stack = vec![id];
-        while let Some(c) = stack.pop() {
-            let comp = self.get(c);
-            out.push(comp);
-            for &child in comp.children.iter().rev() {
-                stack.push(child);
-            }
-        }
-        out
     }
 
     /// Hardware threads (logical CPUs), in id order. Their position in this
@@ -194,18 +169,16 @@ impl Topology {
     pub fn ancestor_of_kind(&self, id: ComponentId, kind: ComponentKind) -> Option<&Component> {
         self.path_to_root(id).into_iter().find(|c| c.kind == kind)
     }
-
-    /// Find a component by name (unique names assumed for non-process
-    /// components, which the builders guarantee).
-    pub fn by_name(&self, name: &str) -> Option<&Component> {
-        self.components.iter().find(|c| c.name == name)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use serde_json::json;
+
+    fn by_name<'a>(t: &'a Topology, name: &str) -> &'a Component {
+        t.iter().find(|c| c.name == name).unwrap()
+    }
 
     /// A toy 1-socket, 2-core, SMT-2 machine.
     fn toy() -> Topology {
@@ -230,37 +203,25 @@ mod tests {
     fn construction_and_counts() {
         let t = toy();
         // root + node + socket + l3 + 2×(core + l1 + l2 + 2 threads) + mem
-        assert_eq!(t.len(), 15);
+        assert_eq!(t.iter().count(), 15);
         assert_eq!(t.threads().len(), 4);
         assert_eq!(t.of_kind(ComponentKind::Core).len(), 2);
         assert_eq!(t.of_kind(ComponentKind::Cache(1)).len(), 2);
-        assert!(!t.is_empty());
     }
 
     #[test]
     fn focus_path_reaches_root() {
         let t = toy();
-        let cpu3 = t.by_name("cpu3").unwrap();
+        let cpu3 = by_name(&t, "cpu3");
         let path = t.path_to_root(cpu3.id);
         let names: Vec<&str> = path.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, vec!["cpu3", "core1", "socket0", "node0", "toy"]);
     }
 
     #[test]
-    fn subtree_is_preorder() {
-        let t = toy();
-        let socket = t.by_name("socket0").unwrap();
-        let sub = t.subtree(socket.id);
-        assert_eq!(sub[0].name, "socket0");
-        assert_eq!(sub[1].name, "l3cache0");
-        // Whole-socket subtree: socket + l3 + 2*(core + l1 + l2 + 2 threads)
-        assert_eq!(sub.len(), 12);
-    }
-
-    #[test]
     fn ancestor_lookup() {
         let t = toy();
-        let cpu0 = t.by_name("cpu0").unwrap();
+        let cpu0 = by_name(&t, "cpu0");
         let socket = t.ancestor_of_kind(cpu0.id, ComponentKind::Socket).unwrap();
         assert_eq!(socket.name, "socket0");
         assert!(t.ancestor_of_kind(cpu0.id, ComponentKind::Gpu).is_none());
@@ -269,7 +230,7 @@ mod tests {
     #[test]
     fn attributes_stored() {
         let t = toy();
-        let l3 = t.by_name("l3cache0").unwrap();
+        let l3 = by_name(&t, "l3cache0");
         assert_eq!(l3.attrs["size_kb"], json!(28160));
     }
 

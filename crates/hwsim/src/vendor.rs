@@ -45,7 +45,7 @@ impl Microarch {
 
     /// Short PMU name used by the abstraction-layer config files
     /// (`[pmu_name | alias]`).
-    pub fn pmu_name(&self) -> &'static str {
+    pub(crate) fn pmu_name(&self) -> &'static str {
         match self {
             Microarch::SkylakeX => "skx",
             Microarch::IceLake => "icl",
@@ -78,7 +78,7 @@ impl Microarch {
     /// Paper §IV-A: Intel has four programmable counters per core (eight
     /// when not shared with a sibling thread); AMD exposes two internal
     /// counters per sampling flag.
-    pub fn programmable_counters(&self, smt_active: bool) -> usize {
+    pub(crate) fn programmable_counters(&self, smt_active: bool) -> usize {
         match self.vendor() {
             Vendor::Intel => {
                 if smt_active {
@@ -93,7 +93,7 @@ impl Microarch {
 
     /// FMA throughput: double-precision FLOPs per cycle per core for a
     /// given vector extension (2 ops/FMA × lanes × FMA units).
-    pub fn flops_per_cycle_f64(&self, isa: IsaExt) -> f64 {
+    pub(crate) fn flops_per_cycle_f64(&self, isa: IsaExt) -> f64 {
         let units = match self {
             // Two 512-bit FMA ports on SKX/CSL Gold, two 256-bit on Zen3.
             Microarch::SkylakeX | Microarch::CascadeLake | Microarch::IceLake => 2.0,
@@ -130,7 +130,7 @@ pub enum IsaExt {
 
 impl IsaExt {
     /// Number of f64 lanes per vector register.
-    pub fn f64_lanes(&self) -> u32 {
+    pub(crate) fn f64_lanes(&self) -> u32 {
         match self {
             IsaExt::Scalar => 1,
             IsaExt::Sse => 2,
@@ -140,7 +140,7 @@ impl IsaExt {
     }
 
     /// Register width in bytes (data moved per vector memory instruction).
-    pub fn width_bytes(&self) -> u32 {
+    pub(crate) fn width_bytes(&self) -> u32 {
         self.f64_lanes() * 8
     }
 

@@ -16,7 +16,7 @@ use serde_json::Value;
 
 /// Primitive DTDL schemas (subset used by the KB).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Schema {
+pub(crate) enum Schema {
     /// 64-bit float.
     Double,
     /// 64-bit integer.
@@ -31,7 +31,7 @@ pub enum Schema {
 
 impl Schema {
     /// DTDL schema keyword.
-    pub fn keyword(&self) -> &'static str {
+    pub(crate) fn keyword(&self) -> &'static str {
         match self {
             Schema::Double => "double",
             Schema::Integer => "integer",
@@ -42,7 +42,7 @@ impl Schema {
     }
 
     /// Parse a DTDL schema keyword.
-    pub fn parse(s: &str) -> Option<Self> {
+    pub(crate) fn parse(s: &str) -> Option<Self> {
         Some(match s {
             "double" | "float" => Schema::Double,
             "integer" | "long" => Schema::Integer,
@@ -65,7 +65,7 @@ pub enum TelemetryKind {
 
 impl TelemetryKind {
     /// The `@type` string used in KB documents.
-    pub fn type_name(&self) -> &'static str {
+    pub(crate) fn type_name(&self) -> &'static str {
         match self {
             TelemetryKind::Software => "SWTelemetry",
             TelemetryKind::Hardware => "HWTelemetry",
@@ -76,7 +76,7 @@ impl TelemetryKind {
 /// A DTDL Property: a static characteristic of the component
 /// (model name, memory size, NUMA node, ...).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Property {
+pub(crate) struct Property {
     /// Identifier of this property entry.
     pub id: Dtmi,
     /// Property name (`model`, `memory`, `numa node`).
@@ -112,7 +112,7 @@ pub struct Telemetry {
 
 /// A DTDL Relationship edge between twins.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Relationship {
+pub(crate) struct Relationship {
     /// Identifier of this relationship entry.
     pub id: Dtmi,
     /// Relationship name (`contains`, `connectedTo`, `runsOn`).
@@ -124,7 +124,7 @@ pub struct Relationship {
 /// A DTDL Command (unused by the evaluation but part of the metamodel;
 /// P-MoVE uses it for benchmark/kernel launch hooks).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Command {
+pub(crate) struct Command {
     /// Identifier of this command entry.
     pub id: Dtmi,
     /// Command name (`run_benchmark`).
@@ -135,7 +135,7 @@ pub struct Command {
 
 /// One entry in an Interface's `contents` array.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Content {
+pub(crate) enum Content {
     /// Static property.
     Property(Property),
     /// Telemetry stream.
@@ -148,7 +148,7 @@ pub enum Content {
 
 impl Content {
     /// The entry's own DTMI.
-    pub fn id(&self) -> &Dtmi {
+    pub(crate) fn id(&self) -> &Dtmi {
         match self {
             Content::Property(p) => &p.id,
             Content::Telemetry(t) => &t.id,
@@ -158,7 +158,7 @@ impl Content {
     }
 
     /// The entry's `name`.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         match self {
             Content::Property(p) => &p.name,
             Content::Telemetry(t) => &t.name,
@@ -181,7 +181,7 @@ pub struct Interface {
     /// Display name.
     pub display_name: String,
     /// Contents: properties, telemetry, relationships, commands.
-    pub contents: Vec<Content>,
+    pub(crate) contents: Vec<Content>,
 }
 
 impl Interface {
@@ -252,7 +252,7 @@ impl Interface {
     }
 
     /// All properties.
-    pub fn properties(&self) -> impl Iterator<Item = &Property> {
+    fn properties(&self) -> impl Iterator<Item = &Property> {
         self.contents.iter().filter_map(|c| match c {
             Content::Property(p) => Some(p),
             _ => None,
@@ -268,7 +268,7 @@ impl Interface {
     }
 
     /// All relationships.
-    pub fn relationships(&self) -> impl Iterator<Item = &Relationship> {
+    pub(crate) fn relationships(&self) -> impl Iterator<Item = &Relationship> {
         self.contents.iter().filter_map(|c| match c {
             Content::Relationship(r) => Some(r),
             _ => None,

@@ -60,25 +60,9 @@ impl Dtmi {
         Dtmi::new(segments, self.version)
     }
 
-    /// Parent DTMI (one segment shorter); `None` at the root.
-    pub fn parent(&self) -> Option<Self> {
-        if self.segments.len() <= 1 {
-            return None;
-        }
-        Some(Dtmi {
-            segments: self.segments[..self.segments.len() - 1].to_vec(),
-            version: self.version,
-        })
-    }
-
     /// Final path segment (the local name).
     pub fn local_name(&self) -> &str {
         self.segments.last().map(String::as_str).unwrap_or("")
-    }
-
-    /// Depth in the twin hierarchy (number of segments).
-    pub fn depth(&self) -> usize {
-        self.segments.len()
     }
 
     /// True when `self` is `other` or a descendant of `other`.
@@ -117,7 +101,7 @@ mod tests {
         assert_eq!(d.version, 1);
         assert_eq!(d.to_string(), "dtmi:dt:cn1:gpu0;1");
         assert_eq!(d.local_name(), "gpu0");
-        assert_eq!(d.depth(), 3);
+        assert_eq!(d.segments.len(), 3);
     }
 
     #[test]
@@ -137,8 +121,8 @@ mod tests {
         let node = root.child("cn1").unwrap();
         let gpu = node.child("gpu0").unwrap();
         assert_eq!(gpu.to_string(), "dtmi:dt:cn1:gpu0;1");
-        assert_eq!(gpu.parent().unwrap(), node);
-        assert_eq!(root.parent(), None);
+        assert!(gpu.is_within(&node));
+        assert!(!node.is_within(&gpu));
         assert!(gpu.is_within(&root));
         assert!(gpu.is_within(&gpu));
         assert!(!root.is_within(&gpu));

@@ -11,8 +11,6 @@ pub enum JsonLdError {
     BadDocument(String),
     /// DTDL validation failed.
     Validation(String),
-    /// A referenced term had no definition in the active context.
-    UnknownTerm(String),
 }
 
 impl fmt::Display for JsonLdError {
@@ -21,7 +19,6 @@ impl fmt::Display for JsonLdError {
             JsonLdError::BadDtmi(s) => write!(f, "invalid DTMI: {s}"),
             JsonLdError::BadDocument(s) => write!(f, "invalid JSON-LD document: {s}"),
             JsonLdError::Validation(s) => write!(f, "DTDL validation error: {s}"),
-            JsonLdError::UnknownTerm(s) => write!(f, "unknown term: {s}"),
         }
     }
 }

@@ -9,7 +9,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Triple pattern: `None` matches anything.
 #[derive(Debug, Clone, Default)]
-pub struct Pattern {
+pub(crate) struct Pattern {
     /// Subject constraint.
     pub subject: Option<String>,
     /// Predicate constraint.
@@ -20,24 +20,24 @@ pub struct Pattern {
 
 impl Pattern {
     /// Match any triple.
-    pub fn any() -> Self {
+    pub(crate) fn any() -> Self {
         Pattern::default()
     }
 
     /// Constrain the subject.
-    pub fn s(mut self, subject: impl Into<String>) -> Self {
+    pub(crate) fn s(mut self, subject: impl Into<String>) -> Self {
         self.subject = Some(subject.into());
         self
     }
 
     /// Constrain the predicate.
-    pub fn p(mut self, predicate: impl Into<String>) -> Self {
+    pub(crate) fn p(mut self, predicate: impl Into<String>) -> Self {
         self.predicate = Some(predicate.into());
         self
     }
 
     /// Constrain the object.
-    pub fn o(mut self, object: Node) -> Self {
+    pub(crate) fn o(mut self, object: Node) -> Self {
         self.object = Some(object);
         self
     }
@@ -47,7 +47,6 @@ impl Pattern {
 #[derive(Debug, Default)]
 pub struct Graph {
     triples: Vec<Triple>,
-    dead: BTreeSet<usize>,
     spo: BTreeMap<String, BTreeSet<usize>>,
     pos: BTreeMap<String, BTreeSet<usize>>,
     osp: BTreeMap<String, BTreeSet<usize>>,
@@ -59,22 +58,12 @@ impl Graph {
         Self::default()
     }
 
-    /// Number of live triples.
-    pub fn len(&self) -> usize {
-        self.triples.len() - self.dead.len()
-    }
-
-    /// True when the graph holds no triples.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     fn object_key(o: &Node) -> String {
         format!("{o}")
     }
 
     /// Insert a triple (duplicates are allowed, as in RDF multisets here).
-    pub fn insert(&mut self, t: Triple) {
+    fn insert(&mut self, t: Triple) {
         let id = self.triples.len();
         self.spo.entry(t.subject.clone()).or_default().insert(id);
         self.pos.entry(t.predicate.clone()).or_default().insert(id);
@@ -86,30 +75,13 @@ impl Graph {
     }
 
     /// Convenience insert.
-    pub fn add(&mut self, subject: impl Into<String>, predicate: impl Into<String>, object: Node) {
+    pub(crate) fn add(
+        &mut self,
+        subject: impl Into<String>,
+        predicate: impl Into<String>,
+        object: Node,
+    ) {
         self.insert(Triple::new(subject, predicate, object));
-    }
-
-    /// Delete every triple matching the pattern; returns the count removed.
-    pub fn delete(&mut self, pattern: &Pattern) -> usize {
-        let ids: Vec<usize> = self.candidates(pattern).collect();
-        let mut removed = 0;
-        for id in ids {
-            if self.dead.contains(&id) {
-                continue;
-            }
-            let t = &self.triples[id];
-            if Self::matches(t, pattern) {
-                self.spo.get_mut(&t.subject).map(|s| s.remove(&id));
-                self.pos.get_mut(&t.predicate).map(|s| s.remove(&id));
-                self.osp
-                    .get_mut(&Self::object_key(&t.object))
-                    .map(|s| s.remove(&id));
-                self.dead.insert(id);
-                removed += 1;
-            }
-        }
-        removed
     }
 
     fn matches(t: &Triple, p: &Pattern) -> bool {
@@ -134,39 +106,13 @@ impl Graph {
     }
 
     /// All live triples matching a pattern, in insertion order.
-    pub fn query(&self, pattern: &Pattern) -> Vec<&Triple> {
+    pub(crate) fn query(&self, pattern: &Pattern) -> Vec<&Triple> {
         let mut ids: Vec<usize> = self
             .candidates(pattern)
-            .filter(|id| !self.dead.contains(id))
             .filter(|&id| Self::matches(&self.triples[id], pattern))
             .collect();
         ids.sort_unstable();
         ids.into_iter().map(|id| &self.triples[id]).collect()
-    }
-
-    /// Objects of `(subject, predicate, ?)`.
-    pub fn objects(&self, subject: &str, predicate: &str) -> Vec<&Node> {
-        self.query(&Pattern::any().s(subject).p(predicate))
-            .into_iter()
-            .map(|t| &t.object)
-            .collect()
-    }
-
-    /// Subjects of `(?, predicate, object)`.
-    pub fn subjects(&self, predicate: &str, object: &Node) -> Vec<&str> {
-        self.query(&Pattern::any().p(predicate).o(object.clone()))
-            .into_iter()
-            .map(|t| t.subject.as_str())
-            .collect()
-    }
-
-    /// Iterate all live triples.
-    pub fn iter(&self) -> impl Iterator<Item = &Triple> {
-        self.triples
-            .iter()
-            .enumerate()
-            .filter(move |(id, _)| !self.dead.contains(id))
-            .map(|(_, t)| t)
     }
 }
 
@@ -196,37 +142,11 @@ mod tests {
     }
 
     #[test]
-    fn objects_and_subjects_helpers() {
-        let g = filled();
-        assert_eq!(g.objects("gpu0", "name"), vec![&Node::lit("NVIDIA GV100")]);
-        let subs = g.subjects("rdf:type", &Node::lit("Interface"));
-        assert_eq!(subs, vec!["gpu0", "cpu0"]);
-    }
-
-    #[test]
-    fn delete_by_pattern() {
-        let mut g = filled();
-        let removed = g.delete(&Pattern::any().s("gpu0"));
-        assert_eq!(removed, 3);
-        assert_eq!(g.len(), 2);
-        assert!(g.query(&Pattern::any().s("gpu0")).is_empty());
-        // Deleting again removes nothing.
-        assert_eq!(g.delete(&Pattern::any().s("gpu0")), 0);
-    }
-
-    #[test]
     fn duplicates_allowed_and_counted() {
         let mut g = Graph::new();
         g.add("s", "p", Node::lit("o"));
         g.add("s", "p", Node::lit("o"));
-        assert_eq!(g.len(), 2);
+        assert_eq!(g.query(&Pattern::any()).len(), 2);
         assert_eq!(g.query(&Pattern::any().s("s")).len(), 2);
-    }
-
-    #[test]
-    fn iter_skips_deleted() {
-        let mut g = filled();
-        g.delete(&Pattern::any().p("partOf"));
-        assert_eq!(g.iter().count(), 3);
     }
 }

@@ -5,34 +5,31 @@
 //! (each component a stand-alone sub-twin) serialized over JSON-LD; this
 //! crate supplies:
 //!
-//! * [`triple`] — RDF triples over IRIs/literals;
-//! * [`graph`] — an indexed triple store with `(s?, p?, o?)` pattern queries
-//!   (SPO/POS/OSP indexes);
-//! * [`dtmi`] — Digital Twin Model Identifier parsing/validation
+//! * [`Dtmi`] — Digital Twin Model Identifier parsing/validation
 //!   (`dtmi:dt:cn1:gpu0;1`);
-//! * [`context`] / [`expand`] — the JSON-LD `@context` term-expansion subset
-//!   that DTDL documents rely on;
-//! * [`dtdl`] — the six DTDL metamodel classes the paper lists (Interface,
-//!   Telemetry, Property, Command, Relationship, plus schemas) with P-MoVE's
-//!   `SWTelemetry`/`HWTelemetry` extension types;
+//! * [`dtdl`] — the DTDL metamodel classes the paper lists ([`Interface`]
+//!   with its properties, telemetry, relationships and commands) with
+//!   P-MoVE's `SWTelemetry`/`HWTelemetry` extension types;
 //! * [`validate`] — structural validation of DTDL documents;
-//! * [`serialize`] — Interface ⇄ JSON-LD document conversion and
-//!   Interface → triple projection.
+//! * [`serialize`] — Interface ⇄ JSON-LD document conversion (the
+//!   `dtmi:dtdl:context;2` document shape of Listing 4) and Interface →
+//!   triple projection;
+//! * [`Graph`] — an indexed RDF triple store (SPO/POS/OSP indexes), and
+//!   [`query`] — basic-graph-pattern joins over it.
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod context;
 pub mod dtdl;
-pub mod dtmi;
-pub mod error;
-pub mod expand;
-pub mod graph;
+mod dtmi;
+mod error;
+mod graph;
 pub mod query;
 pub mod serialize;
-pub mod triple;
+mod triple;
 pub mod validate;
 
-pub use dtdl::{Content, Interface, Property, Relationship, Schema, Telemetry, TelemetryKind};
+pub use dtdl::{Interface, TelemetryKind};
 pub use dtmi::Dtmi;
 pub use error::JsonLdError;
 pub use graph::Graph;
-pub use triple::{Node, Triple};
+pub use triple::Node;

@@ -17,19 +17,17 @@ use std::collections::BTreeMap;
 
 /// One term of a BGP pattern: a variable or a constant.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Term {
+enum Term {
     /// Named variable (`?iface`).
     Var(String),
     /// Constant IRI/string (matches subjects/predicates by string, objects
     /// by node-aware matching: plain strings match IRIs and literals).
     Const(String),
-    /// Constant object node (typed literal etc.).
-    ConstNode(Node),
 }
 
 impl Term {
     /// Parse `?name` as a variable, anything else as a string constant.
-    pub fn parse(s: &str) -> Term {
+    fn parse(s: &str) -> Term {
         if let Some(name) = s.strip_prefix('?') {
             Term::Var(name.to_string())
         } else {
@@ -41,17 +39,14 @@ impl Term {
 /// One triple pattern with variables.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TriplePattern {
-    /// Subject term.
-    pub s: Term,
-    /// Predicate term.
-    pub p: Term,
-    /// Object term.
-    pub o: Term,
+    s: Term,
+    p: Term,
+    o: Term,
 }
 
 impl TriplePattern {
     /// Build from three textual terms (`?x`, constants).
-    pub fn new(s: &str, p: &str, o: &str) -> TriplePattern {
+    fn new(s: &str, p: &str, o: &str) -> TriplePattern {
         TriplePattern {
             s: Term::parse(s),
             p: Term::parse(p),
@@ -67,7 +62,6 @@ impl TriplePattern {
         }
         match &self.o {
             Term::Var(_) => true,
-            Term::ConstNode(n) => n == node,
             Term::Const(s) => match node {
                 Node::Iri(v) | Node::Literal(v) => v == s,
                 Node::TypedLiteral(v, _) => v == s,
@@ -90,7 +84,6 @@ pub fn solve(graph: &Graph, patterns: &[TriplePattern]) -> Vec<Solution> {
 fn resolve_str(term: &Term, binding: &Solution) -> Option<String> {
     match term {
         Term::Const(s) => Some(s.clone()),
-        Term::ConstNode(n) => Some(n.lexical().to_string()),
         Term::Var(v) => binding.get(v).map(|n| n.lexical().to_string()),
     }
 }
@@ -125,13 +118,10 @@ fn solve_rec(
     if let Some(p) = &p {
         probe = probe.p(p.clone());
     }
-    // Objects bind exactly when a node form is known (variable bound or
-    // ConstNode); plain-string constants are checked per candidate so
-    // they can match either IRIs or literals.
-    if let (Term::Var(_), Some(node)) = (&pat.o, &o_bound) {
-        probe = probe.o(node.clone());
-    }
-    if let Term::ConstNode(node) = &pat.o {
+    // Objects bind exactly when a variable is bound; plain-string
+    // constants are checked per candidate so they can match either IRIs
+    // or literals.
+    if let Some(node) = &o_bound {
         probe = probe.o(node.clone());
     }
 

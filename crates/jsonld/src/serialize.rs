@@ -1,7 +1,6 @@
 //! Interface ⇄ JSON-LD conversion (the exact document shape of Listing 4)
 //! and Interface → RDF triple projection for the graph views.
 
-use crate::context::DTDL_CONTEXT;
 use crate::dtdl::{
     Command, Content, Interface, Property, Relationship, Schema, Telemetry, TelemetryKind,
 };
@@ -10,6 +9,9 @@ use crate::error::JsonLdError;
 use crate::graph::Graph;
 use crate::triple::Node;
 use serde_json::{json, Map, Value};
+
+/// The DTDL v2 context IRI every interface document carries.
+const DTDL_CONTEXT: &str = "dtmi:dtdl:context;2";
 
 /// Serialize an interface into the Listing-4 JSON-LD document shape.
 pub fn interface_to_json(i: &Interface) -> Value {
@@ -291,9 +293,8 @@ mod tests {
         assert_eq!(part.len(), 1);
         assert_eq!(part[0].object, Node::iri("dtmi:dt:cn1;1"));
         // Property values queryable.
-        assert_eq!(
-            g.objects("dtmi:dt:cn1:gpu0;1", "prop:model"),
-            vec![&Node::lit("NVIDIA Quadro GV100")]
-        );
+        let model = g.query(&Pattern::any().s("dtmi:dt:cn1:gpu0;1").p("prop:model"));
+        assert_eq!(model.len(), 1);
+        assert_eq!(model[0].object, Node::lit("NVIDIA Quadro GV100"));
     }
 }

@@ -16,35 +16,25 @@ pub enum Node {
 
 impl Node {
     /// Build an IRI node.
-    pub fn iri(s: impl Into<String>) -> Self {
+    pub(crate) fn iri(s: impl Into<String>) -> Self {
         Node::Iri(s.into())
     }
 
     /// Build a plain literal node.
-    pub fn lit(s: impl Into<String>) -> Self {
+    pub(crate) fn lit(s: impl Into<String>) -> Self {
         Node::Literal(s.into())
     }
 
-    /// Build an integer-typed literal.
-    pub fn int(v: i64) -> Self {
-        Node::TypedLiteral(v.to_string(), "xsd:integer".into())
-    }
-
     /// Build a double-typed literal.
-    pub fn double(v: f64) -> Self {
+    pub(crate) fn double(v: f64) -> Self {
         Node::TypedLiteral(v.to_string(), "xsd:double".into())
     }
 
     /// The lexical form, regardless of node kind.
-    pub fn lexical(&self) -> &str {
+    pub(crate) fn lexical(&self) -> &str {
         match self {
             Node::Iri(s) | Node::Literal(s) | Node::TypedLiteral(s, _) => s,
         }
-    }
-
-    /// Is this an IRI node?
-    pub fn is_iri(&self) -> bool {
-        matches!(self, Node::Iri(_))
     }
 }
 
@@ -60,7 +50,7 @@ impl fmt::Display for Node {
 
 /// One RDF statement.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct Triple {
+pub(crate) struct Triple {
     /// Subject (always an IRI in this KB).
     pub subject: String,
     /// Predicate IRI / term.
@@ -71,7 +61,11 @@ pub struct Triple {
 
 impl Triple {
     /// Build a triple.
-    pub fn new(subject: impl Into<String>, predicate: impl Into<String>, object: Node) -> Self {
+    pub(crate) fn new(
+        subject: impl Into<String>,
+        predicate: impl Into<String>,
+        object: Node,
+    ) -> Self {
         Triple {
             subject: subject.into(),
             predicate: predicate.into(),
@@ -99,11 +93,9 @@ mod tests {
         assert_eq!(Node::iri("dtmi:dt;1"), Node::Iri("dtmi:dt;1".into()));
         assert_eq!(Node::lit("x").lexical(), "x");
         assert_eq!(
-            Node::int(3),
-            Node::TypedLiteral("3".into(), "xsd:integer".into())
+            Node::double(3.0),
+            Node::TypedLiteral("3".into(), "xsd:double".into())
         );
-        assert!(Node::iri("a").is_iri());
-        assert!(!Node::lit("a").is_iri());
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// * content names must be non-empty and unique within the interface;
 /// * telemetry entries must name a sampler and a DB measurement;
 /// * versions must agree between the interface and its contents.
-pub fn validate_interface(i: &Interface) -> Result<(), JsonLdError> {
+fn validate_interface(i: &Interface) -> Result<(), JsonLdError> {
     let mut seen = BTreeSet::new();
     for c in &i.contents {
         let id = c.id();

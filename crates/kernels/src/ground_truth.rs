@@ -43,7 +43,7 @@ impl OpCounts {
 }
 
 /// `sum`: `s += a[i]` — 1 flop, 1 load per element.
-pub fn sum(n: u64) -> OpCounts {
+pub(crate) fn sum(n: u64) -> OpCounts {
     OpCounts {
         flops: n,
         load_elems: n,
@@ -52,29 +52,9 @@ pub fn sum(n: u64) -> OpCounts {
     }
 }
 
-/// `copy`: `b[i] = a[i]` — no flops, 1 load + 1 store.
-pub fn copy(n: u64) -> OpCounts {
-    OpCounts {
-        flops: 0,
-        load_elems: n,
-        store_elems: n,
-        working_set_bytes: 2 * n * 8,
-    }
-}
-
-/// `scale`: `b[i] = s·a[i]` — 1 flop, 1 load + 1 store.
-pub fn scale(n: u64) -> OpCounts {
-    OpCounts {
-        flops: n,
-        load_elems: n,
-        store_elems: n,
-        working_set_bytes: 2 * n * 8,
-    }
-}
-
 /// `stream` (likwid's 3-vector triad): `a[i] = b[i] + s·c[i]` —
 /// 2 flops, 2 loads, 1 store.
-pub fn stream(n: u64) -> OpCounts {
+pub(crate) fn stream(n: u64) -> OpCounts {
     OpCounts {
         flops: 2 * n,
         load_elems: 2 * n,
@@ -85,7 +65,7 @@ pub fn stream(n: u64) -> OpCounts {
 
 /// `triad` (likwid's 4-vector triad): `a[i] = b[i] + c[i]·d[i]` —
 /// 2 flops, 3 loads, 1 store. AI = 2/32 = 0.0625.
-pub fn triad(n: u64) -> OpCounts {
+pub(crate) fn triad(n: u64) -> OpCounts {
     OpCounts {
         flops: 2 * n,
         load_elems: 3 * n,
@@ -95,7 +75,7 @@ pub fn triad(n: u64) -> OpCounts {
 }
 
 /// `ddot`: `s += a[i]·b[i]` — 2 flops, 2 loads. AI = 2/16 = 0.125.
-pub fn ddot(n: u64) -> OpCounts {
+pub(crate) fn ddot(n: u64) -> OpCounts {
     OpCounts {
         flops: 2 * n,
         load_elems: 2 * n,
@@ -105,7 +85,7 @@ pub fn ddot(n: u64) -> OpCounts {
 }
 
 /// `daxpy`: `b[i] += s·a[i]` — 2 flops, 2 loads, 1 store.
-pub fn daxpy(n: u64) -> OpCounts {
+pub(crate) fn daxpy(n: u64) -> OpCounts {
     OpCounts {
         flops: 2 * n,
         load_elems: 2 * n,
@@ -116,7 +96,7 @@ pub fn daxpy(n: u64) -> OpCounts {
 
 /// `peakflops`: 16 FMA-chain flops per loaded element — AI = 16/8 = 2.0,
 /// matching the PeakFlops benchmark of Fig. 9.
-pub fn peakflops(n: u64) -> OpCounts {
+pub(crate) fn peakflops(n: u64) -> OpCounts {
     OpCounts {
         flops: 16 * n,
         load_elems: n,
@@ -135,7 +115,6 @@ mod tests {
         assert!((peakflops(1000).arithmetic_intensity() - 2.0).abs() < 1e-12);
         assert!((triad(1000).arithmetic_intensity() - 0.0625).abs() < 1e-12);
         assert!((stream(1000).arithmetic_intensity() - 2.0 / 24.0).abs() < 1e-12);
-        assert_eq!(copy(1000).arithmetic_intensity(), 0.0);
         assert!((sum(1000).arithmetic_intensity() - 0.125).abs() < 1e-12);
         assert!((daxpy(1000).arithmetic_intensity() - 2.0 / 24.0).abs() < 1e-12);
     }

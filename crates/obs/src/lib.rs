@@ -36,8 +36,7 @@
 //! let lat = reg.histogram("ingest_ns", &[], pmove_obs::latency_buckets());
 //! lat.record(1_500);
 //!
-//! let span = reg.span_enter("daemon.step2_build_kb", 1_000);
-//! span.finish(41_000);
+//! reg.record_span("daemon.step2_build_kb", 1_000, 41_000);
 //!
 //! let snap = reg.snapshot();
 //! assert_eq!(snap.counters[0].1, 128);
@@ -56,7 +55,6 @@ pub use audit::{AuditError, ConservationAudit, ConservationCell};
 pub use metrics::{latency_buckets, Counter, Gauge, Histogram, MetricKey, Registry};
 pub use slo::{AlertState, BurnWindow, Objective, SloEngine, SloSpec, Transition};
 pub use snapshot::{HistogramSnapshot, Snapshot, SpanSnapshot};
-pub use span::SpanGuard;
 pub use trace::{
     Span, SpanId, StageShare, TraceConfig, TraceContext, TraceId, TraceSpan, TraceTree, Tracer,
     TracerStats,

@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::snapshot::{HistogramSnapshot, Snapshot, SpanSnapshot};
-use crate::span::{SpanGuard, SpanStats};
+use crate::span::SpanStats;
 use crate::trace::Tracer;
 
 /// Identity of one metric: name plus sorted `label=value` pairs.
@@ -377,12 +377,6 @@ impl Registry {
         inner.histograms.entry(key).or_insert_with(live).clone()
     }
 
-    /// Open a span at virtual time `start_ns`; finish it with
-    /// [`SpanGuard::finish`]. Aggregates per span name.
-    pub fn span_enter<'r>(&'r self, name: &str, start_ns: u64) -> SpanGuard<'r> {
-        SpanGuard::new(self, name, start_ns)
-    }
-
     /// Record a completed span directly from explicit timestamps.
     pub fn record_span(&self, name: &str, start_ns: u64, end_ns: u64) {
         if self.disabled {
@@ -577,7 +571,6 @@ mod tests {
         assert_eq!((h.count(), h.sum(), h.max(), h.exemplar()), (0, 0, 0, None));
         assert_eq!((h.mean(), h.quantile(0.99)), (0.0, 0.0));
         reg.record_span("s", 0, 10);
-        reg.span_enter("s", 0).finish(10);
         reg.set_tracer(Arc::new(Tracer::new(1, TraceConfig::default())));
         assert!(reg.tracer().is_none());
         assert_eq!(reg.snapshot(), Snapshot::default());

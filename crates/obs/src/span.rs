@@ -6,7 +6,7 @@
 //! step timings (the daemon construction steps 0–3 each run once, so
 //! "last" equals "the" timing for them).
 
-use crate::metrics::{quantile_from_counts, Registry, LATENCY_BOUNDS};
+use crate::metrics::{quantile_from_counts, LATENCY_BOUNDS};
 
 /// Aggregated statistics for one span name. Durations additionally
 /// bucket against [`LATENCY_BOUNDS`], so snapshots report p50/p90/p99
@@ -49,37 +49,6 @@ impl SpanStats {
     }
 }
 
-/// An open span; call [`SpanGuard::finish`] with the end timestamp.
-///
-/// Dropping without finishing records nothing — the clock is virtual, so
-/// there is no meaningful implicit end time to substitute.
-#[must_use = "a span records nothing until finish(end_ns) is called"]
-pub struct SpanGuard<'r> {
-    registry: &'r Registry,
-    name: String,
-    start_ns: u64,
-}
-
-impl<'r> SpanGuard<'r> {
-    pub(crate) fn new(registry: &'r Registry, name: &str, start_ns: u64) -> SpanGuard<'r> {
-        SpanGuard {
-            registry,
-            name: name.to_string(),
-            start_ns,
-        }
-    }
-
-    /// The timestamp this span was opened with.
-    pub fn start_ns(&self) -> u64 {
-        self.start_ns
-    }
-
-    /// Close the span at virtual time `end_ns` and record it.
-    pub fn finish(self, end_ns: u64) {
-        self.registry.record_span(&self.name, self.start_ns, end_ns);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::Registry;
@@ -87,8 +56,8 @@ mod tests {
     #[test]
     fn spans_aggregate_per_name() {
         let reg = Registry::new();
-        reg.span_enter("step", 0).finish(100);
-        reg.span_enter("step", 1_000).finish(1_250);
+        reg.record_span("step", 0, 100);
+        reg.record_span("step", 1_000, 1_250);
         let snap = reg.snapshot();
         let (name, s) = &snap.spans[0];
         assert_eq!(name, "step");
@@ -98,15 +67,6 @@ mod tests {
         assert_eq!(s.max_ns, 250);
         assert_eq!(s.last_start_ns, 1_000);
         assert_eq!(s.last_end_ns, 1_250);
-    }
-
-    #[test]
-    fn unfinished_span_records_nothing() {
-        let reg = Registry::new();
-        let guard = reg.span_enter("open", 5);
-        assert_eq!(guard.start_ns(), 5);
-        drop(guard);
-        assert!(reg.snapshot().spans.is_empty());
     }
 
     #[test]

@@ -115,7 +115,7 @@ mod tests {
     use super::*;
 
     fn agent() -> NvidiaAgent {
-        NvidiaAgent::new(vec![GpuSpec::gv100(), GpuSpec::a100()])
+        NvidiaAgent::new(vec![GpuSpec::gv100(), GpuSpec::gv100()])
     }
 
     #[test]

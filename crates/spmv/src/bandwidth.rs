@@ -1,40 +1,12 @@
-//! Matrix bandwidth and profile metrics.
+//! Locality of the `x` gathers in SpMV, from the matrix structure.
 //!
-//! Bandwidth is the maximum |row − col| over stored entries; the profile
-//! (envelope size) sums per-row spans. Both shrink under a good RCM
-//! reordering, and both correlate with SpMV cache locality: a small
-//! bandwidth means the touched slice of `x` stays cache-resident.
+//! The span of columns a row touches shrinks under a good RCM reordering,
+//! and a small span means the touched slice of `x` stays cache-resident.
 
 use crate::csr::Csr;
 
-/// Maximum |row - col| over all non-zeros.
-pub fn bandwidth(m: &Csr) -> usize {
-    let mut bw = 0usize;
-    for r in 0..m.rows {
-        let (cols, _) = m.row(r);
-        for &c in cols {
-            bw = bw.max(r.abs_diff(c as usize));
-        }
-    }
-    bw
-}
-
-/// Envelope/profile: Σ_r (r − min_col(r)) over rows with entries left of
-/// the diagonal region (standard envelope definition for symmetric
-/// matrices).
-pub fn profile(m: &Csr) -> u64 {
-    let mut total = 0u64;
-    for r in 0..m.rows {
-        let (cols, _) = m.row(r);
-        if let Some(&min_c) = cols.first() {
-            total += (r as u64).saturating_sub(min_c as u64);
-        }
-    }
-    total
-}
-
 /// Mean per-row span (max_col − min_col): the width of `x` a row touches.
-pub fn mean_row_span(m: &Csr) -> f64 {
+fn mean_row_span(m: &Csr) -> f64 {
     if m.rows == 0 {
         return 0.0;
     }
@@ -62,6 +34,20 @@ pub fn x_locality(m: &Csr, cache_bytes: u64) -> f64 {
     (budget / span_bytes).min(1.0)
 }
 
+/// Maximum |row - col| over all non-zeros: the test oracle for how much
+/// a reordering gathers a matrix around its diagonal.
+#[cfg(test)]
+pub(crate) fn bandwidth(m: &Csr) -> usize {
+    let mut bw = 0usize;
+    for r in 0..m.rows {
+        let (cols, _) = m.row(r);
+        for &c in cols {
+            bw = bw.max(r.abs_diff(c as usize));
+        }
+    }
+    bw
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,15 +59,6 @@ mod tests {
         let m = banded_fem(300, 15, 20, 1, false);
         assert!(bandwidth(&m) <= 15);
         assert!(mean_row_span(&m) <= 31.0);
-    }
-
-    #[test]
-    fn rcm_shrinks_bandwidth_and_profile() {
-        let m = mesh2d(30, 30, 5, true);
-        let perm = rcm_permutation(&m);
-        let r = apply_symmetric(&m, &perm);
-        assert!(bandwidth(&r) < bandwidth(&m) / 3);
-        assert!(profile(&r) < profile(&m) / 2);
     }
 
     #[test]
@@ -113,7 +90,7 @@ mod tests {
             values: vec![],
         };
         assert_eq!(bandwidth(&empty), 0);
-        assert_eq!(profile(&empty), 0);
         assert_eq!(mean_row_span(&empty), 0.0);
+        assert_eq!(empty.row_imbalance(), 0.0);
     }
 }

@@ -33,16 +33,11 @@ impl Coo {
     }
 
     /// Add `(r,c,v)` and `(c,r,v)` (symmetric construction).
-    pub fn push_sym(&mut self, row: u32, col: u32, value: f64) {
+    pub(crate) fn push_sym(&mut self, row: u32, col: u32, value: f64) {
         self.push(row, col, value);
         if row != col {
             self.push(col, row, value);
         }
-    }
-
-    /// Number of stored entries (before dedup).
-    pub fn nnz(&self) -> usize {
-        self.entries.len()
     }
 }
 
@@ -56,7 +51,7 @@ mod tests {
         m.push(0, 1, 1.0);
         m.push_sym(1, 2, 2.0);
         m.push_sym(2, 2, 3.0); // diagonal: no mirror
-        assert_eq!(m.nnz(), 4);
+        assert_eq!(m.entries.len(), 4);
     }
 
     #[test]

@@ -73,28 +73,6 @@ impl Csr {
         self.nnz() as f64 / self.rows as f64
     }
 
-    /// Maximum non-zeros in any row (load-imbalance indicator; what makes
-    /// merge-based SpMV shine over row-based).
-    pub fn max_row_nnz(&self) -> usize {
-        (0..self.rows).map(|r| self.row_nnz(r)).max().unwrap_or(0)
-    }
-
-    /// Coefficient of variation of row lengths (0 = perfectly regular).
-    pub fn row_imbalance(&self) -> f64 {
-        if self.rows == 0 {
-            return 0.0;
-        }
-        let mean = self.mean_row_nnz();
-        if mean == 0.0 {
-            return 0.0;
-        }
-        let var: f64 = (0..self.rows)
-            .map(|r| (self.row_nnz(r) as f64 - mean).powi(2))
-            .sum::<f64>()
-            / self.rows as f64;
-        var.sqrt() / mean
-    }
-
     /// Structural check: monotone row_ptr, in-bounds sorted columns.
     pub fn validate(&self) -> Result<(), String> {
         if self.row_ptr.len() != self.rows + 1 {
@@ -123,7 +101,7 @@ impl Csr {
     }
 
     /// Dense `y = A x` working buffer size check helper.
-    pub fn compatible_x(&self, x: &[f64]) -> bool {
+    pub(crate) fn compatible_x(&self, x: &[f64]) -> bool {
         x.len() == self.cols
     }
 
@@ -138,12 +116,31 @@ impl Csr {
     }
 }
 
+/// Row-length skew, the test oracle for the generators' structure classes.
+#[cfg(test)]
+impl Csr {
+    /// Coefficient of variation of row lengths (0 = perfectly regular).
+    /// An empty matrix reads 0: its mean is 0 (`mean_row_nnz` guards
+    /// `rows == 0`).
+    pub(crate) fn row_imbalance(&self) -> f64 {
+        let mean = self.mean_row_nnz();
+        if mean == 0.0 {
+            return 0.0;
+        }
+        let var: f64 = (0..self.rows)
+            .map(|r| (self.row_nnz(r) as f64 - mean).powi(2))
+            .sum::<f64>()
+            / self.rows as f64;
+        var.sqrt() / mean
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// [[1 2 0], [0 0 3], [4 0 5]]
-    pub fn small() -> Csr {
+    fn small() -> Csr {
         let mut coo = Coo::new(3, 3);
         coo.push(0, 0, 1.0);
         coo.push(0, 1, 2.0);
@@ -177,7 +174,6 @@ mod tests {
     fn row_statistics() {
         let m = small();
         assert_eq!(m.row_nnz(1), 1);
-        assert_eq!(m.max_row_nnz(), 2);
         assert!((m.mean_row_nnz() - 5.0 / 3.0).abs() < 1e-12);
         assert!(m.row_imbalance() > 0.0);
     }

@@ -12,7 +12,7 @@
 //! * [`suite`] — scaled stand-ins for the five Table IV matrices;
 //! * [`reorder`] — Reverse Cuthill–McKee (real BFS implementation), degree
 //!   sort, random permutation, identity; symmetric permutation application;
-//! * [`bandwidth`] — bandwidth/profile locality metrics;
+//! * [`bandwidth`] — the `x`-gather locality score RCM improves;
 //! * [`row`] — row-parallel CSR SpMV (the MKL stand-in, rayon-parallel);
 //! * [`merge`] — merge-path SpMV (real 2-D diagonal binary-search
 //!   partitioning per Merrill & Garland);
@@ -22,6 +22,7 @@
 //!   simulator monitor these kernels;
 //! * [`verify`] — reference implementation and result comparison.
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod bandwidth;
 pub mod coo;
@@ -33,8 +34,3 @@ pub mod reorder;
 pub mod row;
 pub mod suite;
 pub mod verify;
-
-pub use coo::Coo;
-pub use csr::Csr;
-pub use reorder::Reordering;
-pub use suite::SuiteMatrix;

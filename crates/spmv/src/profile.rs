@@ -75,11 +75,6 @@ pub fn op_counts(a: &Csr, algo: SpmvAlgorithm, locality_cache_bytes: u64) -> Spm
     }
 }
 
-/// Arithmetic intensity implied by the counts (flops per byte moved).
-pub fn arithmetic_intensity(c: &SpmvOpCounts) -> f64 {
-    c.flops as f64 / ((c.load_elems + c.store_elems) as f64 * 8.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,7 +96,7 @@ mod tests {
         // SpMV is strongly memory-bound: AI well under 0.25 flops/byte.
         let a = mesh2d(30, 30, 3, true);
         let c = op_counts(&a, SpmvAlgorithm::Mkl, 1 << 20);
-        let ai = arithmetic_intensity(&c);
+        let ai = c.flops as f64 / ((c.load_elems + c.store_elems) as f64 * 8.0);
         assert!(ai > 0.05 && ai < 0.25, "ai {ai}");
     }
 

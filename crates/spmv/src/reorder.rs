@@ -52,7 +52,7 @@ impl Reordering {
 }
 
 /// Reverse Cuthill–McKee permutation: `perm[new] = old`.
-pub fn rcm_permutation(m: &Csr) -> Vec<u32> {
+pub(crate) fn rcm_permutation(m: &Csr) -> Vec<u32> {
     let n = m.rows;
     let degree: Vec<u32> = (0..n).map(|r| m.row_nnz(r) as u32).collect();
     let mut visited = vec![false; n];
@@ -118,14 +118,14 @@ fn pseudo_peripheral(m: &Csr, degree: &[u32], visited: &[bool]) -> u32 {
 }
 
 /// Ascending-degree order.
-pub fn degree_permutation(m: &Csr) -> Vec<u32> {
+fn degree_permutation(m: &Csr) -> Vec<u32> {
     let mut order: Vec<u32> = (0..m.rows as u32).collect();
     order.sort_by_key(|&r| m.row_nnz(r as usize));
     order
 }
 
 /// Seeded Fisher–Yates permutation.
-pub fn random_permutation(n: usize, seed: u64) -> Vec<u32> {
+fn random_permutation(n: usize, seed: u64) -> Vec<u32> {
     let mut order: Vec<u32> = (0..n as u32).collect();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     for i in (1..n).rev() {
@@ -137,7 +137,7 @@ pub fn random_permutation(n: usize, seed: u64) -> Vec<u32> {
 
 /// Apply a symmetric permutation `PAPᵀ`: row and column `old` both move to
 /// position `new` where `perm[new] = old`.
-pub fn apply_symmetric(m: &Csr, perm: &[u32]) -> Csr {
+pub(crate) fn apply_symmetric(m: &Csr, perm: &[u32]) -> Csr {
     assert_eq!(perm.len(), m.rows, "permutation length mismatch");
     assert_eq!(
         m.rows, m.cols,

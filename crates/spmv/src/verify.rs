@@ -5,23 +5,12 @@ use crate::merge::spmv_merge;
 use crate::row::{spmv_row_parallel, spmv_seq};
 
 /// Max absolute difference between two vectors.
-pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
+fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "length mismatch");
     a.iter()
         .zip(b)
         .map(|(x, y)| (x - y).abs())
         .fold(0.0, f64::max)
-}
-
-/// Relative L2 error ‖a−b‖ / ‖b‖ (0 when both are zero).
-pub fn rel_l2_error(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "length mismatch");
-    let num: f64 = a.iter().zip(b).map(|(x, y)| (x - y).powi(2)).sum();
-    let den: f64 = b.iter().map(|y| y * y).sum();
-    if den == 0.0 {
-        return num.sqrt();
-    }
-    (num / den).sqrt()
 }
 
 /// Run every SpMV implementation on the same input and check they agree
@@ -59,9 +48,6 @@ mod tests {
     #[test]
     fn diff_metrics() {
         assert_eq!(max_abs_diff(&[1.0, 2.0], &[1.5, 2.0]), 0.5);
-        assert!(rel_l2_error(&[1.0, 0.0], &[1.0, 0.0]) < 1e-15);
-        assert_eq!(rel_l2_error(&[0.0], &[0.0]), 0.0);
-        assert!((rel_l2_error(&[2.0], &[1.0]) - 1.0).abs() < 1e-15);
     }
 
     #[test]

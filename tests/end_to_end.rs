@@ -23,7 +23,7 @@ fn steps_0_to_3_produce_queryable_kb() {
     // The KB is in memory and in the doc DB.
     assert!(d.kb.len() > 40);
     let col = d.doc.collection(store::KB_COLLECTION);
-    assert_eq!(col.len(), d.kb.len());
+    assert_eq!(col.all().len(), d.kb.len());
     // Mongo-style query over KB documents works.
     let interfaces = col
         .find(&json!({"@type": "Interface", "componentType": "thread"}))
@@ -118,7 +118,7 @@ fn benchmarks_recorded_and_reloadable() {
     d.run_stream_benchmark(1 << 22).unwrap();
     d.run_hpcg_benchmark(6, 6, 6).unwrap();
     let col = d.doc.collection(store::BENCH_COLLECTION);
-    assert_eq!(col.len(), 2);
+    assert_eq!(col.all().len(), 2);
     let stream = col
         .find_one(&json!({"benchmark": "stream"}))
         .unwrap()
