@@ -285,7 +285,9 @@ mod tests {
         let got = s.download_training_series("m", "_cpu0").unwrap();
         assert_eq!(got.len(), 5);
         // The machine tag is stamped.
-        assert_eq!(s.ts.tag_values("m", "machine"), vec!["icl".to_string()]);
+        let tagged =
+            s.ts.query("SELECT \"_cpu0\" FROM \"m\" WHERE machine='icl'");
+        assert_eq!(tagged.unwrap().rows.len(), 5);
         assert_eq!(s.doc.collection("ts_observations").all().len(), 1);
     }
 

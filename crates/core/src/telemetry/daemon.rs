@@ -1718,7 +1718,7 @@ mod tests {
         let boot = tracer
             .flight_recorder()
             .into_iter()
-            .find(|t| t.root().name == "daemon.boot")
+            .find(|t| t.spans[0].name == "daemon.boot")
             .expect("boot trace recorded");
         assert_eq!(boot.terminal_status(), "booted");
         assert!(boot.spans.len() >= 5, "{}", boot.render());
@@ -2154,6 +2154,9 @@ mod tests {
         d.now_s = 100.0;
         let report = d.monitor(60.0, 1.0);
         assert_eq!(report.ticks, 60);
-        assert_eq!(report.transport.loss_plus_zero_pct(), 0.0);
+        assert_eq!(
+            report.transport.values_lost + report.transport.values_zeroed,
+            0
+        );
     }
 }

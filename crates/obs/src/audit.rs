@@ -30,12 +30,12 @@ pub struct ConservationCell {
 
 impl ConservationCell {
     /// True when the conservation identity holds exactly.
-    pub fn holds(&self) -> bool {
+    pub(crate) fn holds(&self) -> bool {
         self.offered == self.inserted + self.zeroed + self.lost
     }
 
     /// Signed imbalance (`offered - accounted`); 0 when conserved.
-    pub fn imbalance(&self) -> i64 {
+    pub(crate) fn imbalance(&self) -> i64 {
         self.offered as i64 - (self.inserted + self.zeroed + self.lost) as i64
     }
 }
@@ -85,16 +85,6 @@ impl ConservationAudit {
         self.cells.push((name.to_string(), cell));
     }
 
-    /// Number of recorded cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
     /// Verify every recorded cell; `Ok(cells_checked)` or the first
     /// violation in recording order.
     pub fn verify(&self) -> Result<usize, AuditError> {
@@ -127,7 +117,6 @@ mod tests {
             },
         );
         assert_eq!(audit.verify(), Ok(1));
-        assert!(!audit.is_empty());
     }
 
     #[test]

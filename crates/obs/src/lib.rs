@@ -22,6 +22,12 @@
 //!    and an untraced call carries [`Span::none`]; neither is an
 //!    `Option`, so every stage has one code path.
 //!
+//! Every module is private. The surface is the [`Registry`] with its
+//! [`Counter`], [`Gauge`] and [`Histogram`] handles, the plain-data
+//! [`Snapshot`], the [`Tracer`] and the [`Span`] every stage carries, the
+//! burn-rate [`SloEngine`], and the [`ConservationAudit`] that checks
+//! `offered == inserted + zeroed + lost` per Table III cell.
+//!
 //! The crate deliberately has no serde/tsdb dependency; `pmove-tsdb`
 //! provides the exporter that flushes a [`Snapshot`] into time series
 //! under the `pmove.self.*` namespace.
@@ -42,6 +48,7 @@
 //! assert_eq!(snap.counters[0].1, 128);
 //! ```
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod audit;
 mod metrics;
@@ -51,11 +58,8 @@ mod snapshot;
 mod span;
 mod trace;
 
-pub use audit::{AuditError, ConservationAudit, ConservationCell};
-pub use metrics::{latency_buckets, Counter, Gauge, Histogram, MetricKey, Registry};
+pub use audit::{ConservationAudit, ConservationCell};
+pub use metrics::{latency_buckets, Counter, Gauge, Histogram, Registry};
 pub use slo::{AlertState, BurnWindow, Objective, SloEngine, SloSpec, Transition};
-pub use snapshot::{HistogramSnapshot, Snapshot, SpanSnapshot};
-pub use trace::{
-    Span, SpanId, StageShare, TraceConfig, TraceContext, TraceId, TraceSpan, TraceTree, Tracer,
-    TracerStats,
-};
+pub use snapshot::Snapshot;
+pub use trace::{Span, TraceConfig, TraceTree, Tracer};

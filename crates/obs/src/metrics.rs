@@ -19,7 +19,7 @@ pub struct MetricKey {
 
 impl MetricKey {
     /// Build a key; labels are sorted so equivalent label sets collide.
-    pub fn new(name: &str, labels: &[(&str, &str)]) -> MetricKey {
+    pub(crate) fn new(name: &str, labels: &[(&str, &str)]) -> MetricKey {
         let mut labels: Vec<(String, String)> = labels
             .iter()
             .map(|(k, v)| (k.to_string(), v.to_string()))
@@ -49,11 +49,6 @@ impl Counter {
     pub fn inc(&self) {
         self.add(1);
     }
-
-    /// Current total.
-    pub fn get(&self) -> u64 {
-        self.0.as_ref().map_or(0, |v| v.load(Ordering::Relaxed))
-    }
 }
 
 /// Last-value gauge storing an `f64` (lock-free via bit transmutation);
@@ -67,11 +62,6 @@ impl Gauge {
         if let Some(bits) = &self.0 {
             bits.store(v.to_bits(), Ordering::Relaxed);
         }
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.as_ref().map_or(0, |b| b.load(Ordering::Relaxed)))
     }
 }
 
@@ -113,7 +103,7 @@ impl HistogramCell {
 
 impl Histogram {
     /// Build with the given ascending upper bounds.
-    pub fn new(bounds: Vec<u64>) -> Histogram {
+    pub(crate) fn new(bounds: Vec<u64>) -> Histogram {
         assert!(!bounds.is_empty(), "histogram needs at least one bound");
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
@@ -144,7 +134,7 @@ impl Histogram {
     /// exemplar kept is the largest tagged sample (ties: lowest trace
     /// id), so the retained exemplar is deterministic regardless of
     /// arrival order and always points at the tail of the distribution.
-    pub fn record_exemplar(&self, v: u64, trace_id: u64) {
+    pub(crate) fn record_exemplar(&self, v: u64, trace_id: u64) {
         let Some(h) = &self.0 else { return };
         self.record(v);
         let mut slot = h.exemplar();
@@ -158,29 +148,29 @@ impl Histogram {
     }
 
     /// The current exemplar, if any sample was tagged: `(trace_id, value)`.
-    pub fn exemplar(&self) -> Option<(u64, u64)> {
+    pub(crate) fn exemplar(&self) -> Option<(u64, u64)> {
         *self.0.as_ref()?.exemplar()
     }
 
     /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.0
             .as_ref()
             .map_or(0, |h| h.count.load(Ordering::Relaxed))
     }
 
     /// Sum of recorded samples.
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.0.as_ref().map_or(0, |h| h.sum.load(Ordering::Relaxed))
     }
 
     /// Largest recorded sample (0 when empty).
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.0.as_ref().map_or(0, |h| h.max.load(Ordering::Relaxed))
     }
 
     /// Mean sample value (0.0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         let n = self.count();
         if n == 0 {
             0.0
@@ -191,7 +181,7 @@ impl Histogram {
 
     /// Estimate the `q`-quantile (`0.0..=1.0`) by linear interpolation
     /// within the bucket containing the target rank.
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         let Some(h) = &self.0 else { return 0.0 };
         quantile_from_counts(&h.bounds, &h.counts(), self.count(), self.max(), q)
     }
@@ -479,16 +469,22 @@ mod tests {
         let b = reg.counter("x", &[("h", "skx")]);
         a.add(3);
         b.inc();
-        assert_eq!(a.get(), 4);
+        reg.counter("x", &[("h", "icl")]);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("x", &[("h", "skx")]), Some(4));
         // Different labels are a different metric.
-        assert_eq!(reg.counter("x", &[("h", "icl")]).get(), 0);
+        assert_eq!(snap.counter("x", &[("h", "icl")]), Some(0));
     }
 
     #[test]
     fn label_order_does_not_matter() {
         let reg = Registry::new();
         reg.counter("m", &[("a", "1"), ("b", "2")]).inc();
-        assert_eq!(reg.counter("m", &[("b", "2"), ("a", "1")]).get(), 1);
+        reg.counter("m", &[("b", "2"), ("a", "1")]).inc();
+        assert_eq!(
+            reg.snapshot().counter("m", &[("b", "2"), ("a", "1")]),
+            Some(2)
+        );
     }
 
     #[test]
@@ -560,10 +556,9 @@ mod tests {
         let (a, b) = (reg.counter("c", &[("h", "skx")]), reg.counter("c", &[]));
         a.add(3);
         a.inc();
-        assert_eq!((a.get(), b.get()), (0, 0));
+        b.inc();
         let g = reg.gauge("g", &[]);
         g.set(0.375);
-        assert_eq!(g.get(), 0.0);
         let h = reg.histogram("h", &[], latency_buckets());
         h.record(7);
         h.record_exemplar(9, 1);
@@ -575,16 +570,18 @@ mod tests {
         assert!(reg.tracer().is_none());
         assert_eq!(reg.snapshot(), Snapshot::default());
         // A clone of a live handle shares its cell; empty ones share nothing.
-        let live = Registry::new().counter("c", &[]);
-        live.clone().inc();
-        assert_eq!((live.get(), a.clone().get()), (1, 0));
+        let live = Registry::new();
+        live.counter("c", &[]).clone().inc();
+        a.clone().inc();
+        assert_eq!(live.snapshot().counter("c", &[]), Some(1));
+        assert_eq!(reg.snapshot(), Snapshot::default());
     }
 
     #[test]
     fn gauge_stores_floats() {
-        let g = Registry::new().gauge("g", &[]);
-        g.set(0.375);
-        assert_eq!(g.get(), 0.375);
+        let reg = Registry::new();
+        reg.gauge("g", &[]).set(0.375);
+        assert_eq!(reg.snapshot().gauge("g", &[]), Some(0.375));
     }
 
     #[test]

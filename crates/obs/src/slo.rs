@@ -480,11 +480,6 @@ impl SloEngine {
             .map(|t| t.state)
     }
 
-    /// Every transition so far, in evaluation order.
-    pub fn timeline(&self) -> &[Transition] {
-        &self.timeline
-    }
-
     /// Deterministic text rendering of the alert timeline, suitable for
     /// goldens.
     pub fn render_timeline(&self) -> String {

@@ -88,7 +88,7 @@ pub struct TraceSpan {
 
 impl TraceSpan {
     /// Span duration in virtual nanoseconds.
-    pub fn duration_ns(&self) -> u64 {
+    pub(crate) fn duration_ns(&self) -> u64 {
         self.end_ns.saturating_sub(self.start_ns)
     }
 }
@@ -117,12 +117,12 @@ pub struct TraceTree {
 
 impl TraceTree {
     /// The root span.
-    pub fn root(&self) -> &TraceSpan {
+    pub(crate) fn root(&self) -> &TraceSpan {
         &self.spans[0]
     }
 
     /// End-to-end duration of the trace.
-    pub fn duration_ns(&self) -> u64 {
+    pub(crate) fn duration_ns(&self) -> u64 {
         self.root().duration_ns()
     }
 
@@ -168,7 +168,7 @@ impl TraceTree {
     /// Walk the dominant-child chain from the root: at each node descend
     /// into the longest child (ties: lowest id). Returns the visited
     /// spans — the critical path of the trace.
-    pub fn critical_path(&self) -> Vec<&TraceSpan> {
+    pub(crate) fn critical_path(&self) -> Vec<&TraceSpan> {
         let mut path = vec![self.root()];
         let mut cur = self.root().id;
         loop {
@@ -338,11 +338,6 @@ impl Tracer {
         }
     }
 
-    /// The configured policy.
-    pub fn config(&self) -> &TraceConfig {
-        &self.config
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, TracerInner> {
         match self.inner.lock() {
             Ok(g) => g,
@@ -438,7 +433,12 @@ impl Tracer {
     /// from `now_ns` onward, rooted at `root_name` with the original
     /// root start. Returns the context to continue with — callers must
     /// replace their stored copy.
-    pub fn mark_fault(&self, ctx: TraceContext, root_name: &str, now_ns: u64) -> TraceContext {
+    pub(crate) fn mark_fault(
+        &self,
+        ctx: TraceContext,
+        root_name: &str,
+        now_ns: u64,
+    ) -> TraceContext {
         if ctx.sampled {
             let mut inner = self.lock();
             if let Some(t) = inner.active.get_mut(&ctx.trace.0) {
@@ -553,7 +553,7 @@ impl std::fmt::Debug for Tracer {
 /// carries, so each stage has one body whether or not a trace is
 /// attached. Three states — *none* (no tracer), *unsampled* (a root that
 /// keeps its context, so [`Span::fault`] can still upgrade it and
-/// [`Span::finish`] still ticks [`TracerStats::finished`]) and
+/// [`Span::finish`] still ticks `TracerStats::finished`) and
 /// *recording*. Unless recording, every method returns at once (no lock,
 /// no allocation) and a child is [`Span::none`].
 #[derive(Debug, Clone, Default)]
@@ -599,7 +599,7 @@ impl Span {
         }
     }
 
-    /// Report a fault on the trace ([`Tracer::mark_fault`]): a recording
+    /// Report a fault on the trace (`Tracer::mark_fault`): a recording
     /// trace is flagged, an unsampled root starts recording from here
     /// when the tracer's `sample_on_fault` policy asks for it.
     pub fn fault(&mut self, root_name: &str, now_ns: u64) {

@@ -3,7 +3,7 @@
 use crate::metric::MetricDesc;
 
 /// One sampled value: instance/field name + value.
-pub type Sample = (String, f64);
+pub(crate) type Sample = (String, f64);
 
 /// A PCP metric agent (PMDA).
 pub trait Agent {
@@ -31,142 +31,4 @@ pub trait Agent {
     /// Restart a crashed agent at virtual time `t_now`. The default is a
     /// no-op; crash-capable agents reset their state here.
     fn restart(&mut self, _t_now: f64) {}
-}
-
-/// A trivial agent serving constant values — used by tests and as a
-/// template for custom PMDAs.
-pub struct ConstantAgent {
-    /// Agent name.
-    pub agent_name: String,
-    /// Served metrics with their constant values.
-    pub values: Vec<(MetricDesc, f64)>,
-}
-
-impl Agent for ConstantAgent {
-    fn name(&self) -> &str {
-        &self.agent_name
-    }
-
-    fn metrics(&self) -> Vec<MetricDesc> {
-        self.values.iter().map(|(m, _)| m.clone()).collect()
-    }
-
-    fn sample(&mut self, metric: &str, _t_prev: f64, _t_now: f64) -> Vec<Sample> {
-        self.values
-            .iter()
-            .filter(|(m, _)| m.name == metric)
-            .map(|(_, v)| ("value".to_string(), *v))
-            .collect()
-    }
-}
-
-/// A crash-capable test agent: serves like [`ConstantAgent`] until the
-/// virtual clock reaches `crash_at_s`, then its heartbeat fails and it
-/// stops serving samples until the supervisor restarts it. The crash is
-/// one-shot, so runs replay deterministically.
-pub struct FlakyAgent {
-    /// Agent name.
-    pub agent_name: String,
-    /// Served metrics with their constant values.
-    pub values: Vec<(MetricDesc, f64)>,
-    /// Virtual time at which the agent crashes.
-    pub crash_at_s: f64,
-    crashed: bool,
-    crashes: u64,
-}
-
-impl FlakyAgent {
-    /// New agent crashing at `crash_at_s`.
-    pub fn new(
-        agent_name: impl Into<String>,
-        values: Vec<(MetricDesc, f64)>,
-        crash_at_s: f64,
-    ) -> FlakyAgent {
-        FlakyAgent {
-            agent_name: agent_name.into(),
-            values,
-            crash_at_s,
-            crashed: false,
-            crashes: 0,
-        }
-    }
-
-    /// How many times this agent has crashed.
-    pub fn crashes(&self) -> u64 {
-        self.crashes
-    }
-}
-
-impl Agent for FlakyAgent {
-    fn name(&self) -> &str {
-        &self.agent_name
-    }
-
-    fn metrics(&self) -> Vec<MetricDesc> {
-        self.values.iter().map(|(m, _)| m.clone()).collect()
-    }
-
-    fn sample(&mut self, metric: &str, _t_prev: f64, _t_now: f64) -> Vec<Sample> {
-        if self.crashed {
-            return Vec::new();
-        }
-        self.values
-            .iter()
-            .filter(|(m, _)| m.name == metric)
-            .map(|(_, v)| ("value".to_string(), *v))
-            .collect()
-    }
-
-    fn heartbeat(&mut self, t_now: f64) -> bool {
-        if !self.crashed && t_now >= self.crash_at_s {
-            self.crashed = true;
-            self.crashes += 1;
-        }
-        !self.crashed
-    }
-
-    fn restart(&mut self, _t_now: f64) {
-        self.crashed = false;
-        // One-shot: it will not crash again after the restart.
-        self.crash_at_s = f64::INFINITY;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::metric::InstanceDomain;
-
-    #[test]
-    fn constant_agent_serves_its_metrics() {
-        let mut a = ConstantAgent {
-            agent_name: "const".into(),
-            values: vec![(
-                MetricDesc::new("x.y", InstanceDomain::Singular, "test"),
-                42.0,
-            )],
-        };
-        assert_eq!(a.name(), "const");
-        assert_eq!(a.metrics().len(), 1);
-        assert_eq!(a.sample("x.y", 0.0, 1.0), vec![("value".to_string(), 42.0)]);
-        assert!(a.sample("nosuch", 0.0, 1.0).is_empty());
-        // Default liveness: always healthy, restart is a no-op.
-        assert!(a.heartbeat(100.0));
-        a.restart(100.0);
-    }
-
-    #[test]
-    fn flaky_agent_crashes_and_restarts() {
-        let desc = MetricDesc::new("f.x", InstanceDomain::Singular, "test");
-        let mut a = FlakyAgent::new("flaky", vec![(desc, 7.0)], 5.0);
-        assert!(a.heartbeat(4.9));
-        assert_eq!(a.sample("f.x", 4.0, 4.5).len(), 1);
-        assert!(!a.heartbeat(5.0), "crashed at 5 s");
-        assert!(a.sample("f.x", 5.0, 5.5).is_empty());
-        assert_eq!(a.crashes(), 1);
-        a.restart(6.0);
-        assert!(a.heartbeat(100.0), "stays up after restart");
-        assert_eq!(a.sample("f.x", 100.0, 100.5).len(), 1);
-        assert_eq!(a.crashes(), 1);
-    }
 }

@@ -1,7 +1,5 @@
 //! Metric namespace and instance domains.
 
-use pmove_hwsim::MachineSpec;
-
 /// Instance domain of a metric: how many values one sample carries and how
 /// the fields are named. Table III's losses scale with the domain size
 /// (88 values per report on skx vs 16 on icl).
@@ -25,34 +23,6 @@ pub enum InstanceDomain {
     PerProcess,
 }
 
-impl InstanceDomain {
-    /// Field names this domain produces on a machine.
-    pub fn instances(&self, spec: &MachineSpec) -> Vec<String> {
-        match self {
-            InstanceDomain::Singular => vec!["value".into()],
-            InstanceDomain::PerCpu => (0..spec.total_threads())
-                .map(|i| format!("_cpu{i}"))
-                .collect(),
-            InstanceDomain::PerNode | InstanceDomain::PerPackage => {
-                (0..spec.sockets).map(|i| format!("_node{i}")).collect()
-            }
-            InstanceDomain::PerDisk => spec.disks.iter().map(|d| d.name.clone()).collect(),
-            InstanceDomain::PerNic => vec!["eth0".into()],
-            InstanceDomain::PerGpu => (0..spec.gpus.len()).map(|i| format!("_gpu{i}")).collect(),
-            InstanceDomain::PerProcess => {
-                // The tracked process set is dynamic; the default domain is
-                // the interesting processes of the current observation.
-                vec!["_proc_main".into()]
-            }
-        }
-    }
-
-    /// Domain size on a machine.
-    pub fn size(&self, spec: &MachineSpec) -> usize {
-        self.instances(spec).len()
-    }
-}
-
 /// Description of one metric in the namespace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricDesc {
@@ -67,7 +37,7 @@ pub struct MetricDesc {
 
 impl MetricDesc {
     /// Build a descriptor.
-    pub fn new(
+    pub(crate) fn new(
         name: impl Into<String>,
         indom: InstanceDomain,
         description: impl Into<String>,
@@ -82,12 +52,16 @@ impl MetricDesc {
     /// The time-series measurement name: dots and colons become
     /// underscores (`kernel_percpu_cpu_idle`,
     /// `perfevent_hwcounters_FP_ARITH_SCALAR_DOUBLE`).
-    pub fn db_name(&self) -> String {
+    pub(crate) fn db_name(&self) -> String {
         self.name.replace(['.', ':'], "_")
     }
 
     /// Descriptor for a PMU hardware event.
-    pub fn perfevent(event_name: &str, description: impl Into<String>, per_package: bool) -> Self {
+    pub(crate) fn perfevent(
+        event_name: &str,
+        description: impl Into<String>,
+        per_package: bool,
+    ) -> Self {
         MetricDesc {
             name: format!("perfevent.hwcounters.{event_name}"),
             indom: if per_package {
@@ -98,44 +72,11 @@ impl MetricDesc {
             description: description.into(),
         }
     }
-
-    /// Is this a hardware (PMU) metric?
-    pub fn is_hw(&self) -> bool {
-        self.name.starts_with("perfevent.")
-    }
-
-    /// The underlying PMU event name for perfevent metrics.
-    pub fn event_name(&self) -> Option<&str> {
-        self.name.strip_prefix("perfevent.hwcounters.")
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn domain_sizes_match_machines() {
-        let skx = MachineSpec::skx();
-        let icl = MachineSpec::icl();
-        assert_eq!(InstanceDomain::PerCpu.size(&skx), 88);
-        assert_eq!(InstanceDomain::PerCpu.size(&icl), 16);
-        assert_eq!(InstanceDomain::PerNode.size(&skx), 2);
-        assert_eq!(InstanceDomain::PerDisk.size(&skx), 4);
-        assert_eq!(InstanceDomain::Singular.size(&skx), 1);
-    }
-
-    #[test]
-    fn instance_field_names() {
-        let icl = MachineSpec::icl();
-        let cpus = InstanceDomain::PerCpu.instances(&icl);
-        assert_eq!(cpus[0], "_cpu0");
-        assert_eq!(cpus[15], "_cpu15");
-        assert_eq!(
-            InstanceDomain::PerNode.instances(&icl),
-            vec!["_node0".to_string()]
-        );
-    }
 
     #[test]
     fn db_name_flattening() {
@@ -146,13 +87,10 @@ mod tests {
     }
 
     #[test]
-    fn perfevent_helpers() {
-        let hw = MetricDesc::perfevent("RAPL_ENERGY_PKG", "energy", true);
-        assert!(hw.is_hw());
-        assert_eq!(hw.indom, InstanceDomain::PerPackage);
-        assert_eq!(hw.event_name(), Some("RAPL_ENERGY_PKG"));
-        let sw = MetricDesc::new("mem.util.used", InstanceDomain::Singular, "mem");
-        assert!(!sw.is_hw());
-        assert_eq!(sw.event_name(), None);
+    fn perfevent_domains() {
+        let pkg = MetricDesc::perfevent("RAPL_ENERGY_PKG", "energy", true);
+        assert_eq!(pkg.indom, InstanceDomain::PerPackage);
+        let thread = MetricDesc::perfevent("FP_ARITH:SCALAR_DOUBLE", "fp", false);
+        assert_eq!(thread.indom, InstanceDomain::PerCpu);
     }
 }

@@ -39,8 +39,6 @@ impl PmcdObs {
 #[derive(Debug, Clone, Copy)]
 struct Supervision {
     crashed: bool,
-    crashes: u64,
-    restarts: u64,
     backoff_s: f64,
     next_restart_s: f64,
 }
@@ -49,25 +47,10 @@ impl Supervision {
     fn healthy() -> Supervision {
         Supervision {
             crashed: false,
-            crashes: 0,
-            restarts: 0,
             backoff_s: 0.0,
             next_restart_s: 0.0,
         }
     }
-}
-
-/// Liveness summary of one supervised agent.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AgentHealth {
-    /// Agent name.
-    pub name: String,
-    /// False while the agent is down awaiting its restart.
-    pub alive: bool,
-    /// Crashes observed so far.
-    pub crashes: u64,
-    /// Supervised restarts performed so far.
-    pub restarts: u64,
 }
 
 /// The coordinator.
@@ -82,9 +65,9 @@ pub struct Pmcd {
 
 impl Pmcd {
     /// First restart delay after a crash (virtual seconds).
-    pub const RESTART_BACKOFF_BASE_S: f64 = 0.5;
+    pub(crate) const RESTART_BACKOFF_BASE_S: f64 = 0.5;
     /// Restart delay ceiling (virtual seconds).
-    pub const RESTART_BACKOFF_CAP_S: f64 = 8.0;
+    pub(crate) const RESTART_BACKOFF_CAP_S: f64 = 8.0;
 
     /// Coordinator with no agents.
     pub fn new() -> Self {
@@ -114,31 +97,24 @@ impl Pmcd {
     }
 
     /// All metrics across agents.
-    pub fn namespace(&self) -> Vec<MetricDesc> {
+    pub(crate) fn namespace(&self) -> Vec<MetricDesc> {
         self.agents.iter().flat_map(|a| a.metrics()).collect()
-    }
-
-    /// Mutable access to an agent by name (to attach executions, etc.).
-    pub fn agent_mut(&mut self, name: &str) -> Option<&mut Box<dyn Agent>> {
-        self.agents.iter_mut().find(|a| a.name() == name)
     }
 
     /// Probe every agent's liveness at `t_now`. Crashed agents are marked
     /// down (their fetches miss) and restarted once their backoff has
     /// elapsed; consecutive crashes double the backoff up to the cap.
-    pub fn heartbeat_all(&mut self, t_now: f64) {
+    pub(crate) fn heartbeat_all(&mut self, t_now: f64) {
         let obs = &self.obs;
         for (agent, sup) in self.agents.iter_mut().zip(self.supervision.iter_mut()) {
             if sup.crashed {
                 if t_now >= sup.next_restart_s {
                     agent.restart(t_now);
                     sup.crashed = false;
-                    sup.restarts += 1;
                     obs.agent_restarts.inc();
                 }
             } else if !agent.heartbeat(t_now) {
                 sup.crashed = true;
-                sup.crashes += 1;
                 sup.backoff_s = (sup.backoff_s * 2.0)
                     .clamp(Self::RESTART_BACKOFF_BASE_S, Self::RESTART_BACKOFF_CAP_S);
                 sup.next_restart_s = t_now + sup.backoff_s;
@@ -147,24 +123,10 @@ impl Pmcd {
         }
     }
 
-    /// Liveness summary per agent.
-    pub fn agent_health(&self) -> Vec<AgentHealth> {
-        self.agents
-            .iter()
-            .zip(&self.supervision)
-            .map(|(a, s)| AgentHealth {
-                name: a.name().to_string(),
-                alive: !s.crashed,
-                crashes: s.crashes,
-                restarts: s.restarts,
-            })
-            .collect()
-    }
-
     /// Fetch one metric over a window and assemble the report point.
     /// Returns `None` when no agent serves the metric or no instance
     /// reported.
-    pub fn fetch(&mut self, metric: &str, t_prev: f64, t_now: f64) -> Option<Point> {
+    pub(crate) fn fetch(&mut self, metric: &str, t_prev: f64, t_now: f64) -> Option<Point> {
         let point = self.fetch_inner(metric, t_prev, t_now);
         self.obs.fetches.inc();
         if point.is_none() {
@@ -216,21 +178,61 @@ impl Default for Pmcd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agent::{ConstantAgent, FlakyAgent};
+    use crate::agent::Sample;
     use crate::metric::InstanceDomain;
     use crate::pmda_linux::LinuxAgent;
     use pmove_hwsim::MachineSpec;
 
+    /// Serves one constant metric until the virtual clock reaches
+    /// `crash_at_s`; then its heartbeat fails and it serves nothing until
+    /// restarted. It crashes once, so runs replay deterministically.
+    struct FlakyAgent {
+        desc: MetricDesc,
+        crash_at_s: f64,
+        crashed: bool,
+    }
+
+    impl FlakyAgent {
+        fn boxed(metric: &str, crash_at_s: f64) -> Box<dyn Agent> {
+            Box::new(FlakyAgent {
+                desc: MetricDesc::new(metric, InstanceDomain::Singular, "test"),
+                crash_at_s,
+                crashed: false,
+            })
+        }
+    }
+
+    impl Agent for FlakyAgent {
+        fn name(&self) -> &str {
+            "flaky"
+        }
+
+        fn metrics(&self) -> Vec<MetricDesc> {
+            vec![self.desc.clone()]
+        }
+
+        fn sample(&mut self, metric: &str, _t_prev: f64, _t_now: f64) -> Vec<Sample> {
+            match !self.crashed && metric == self.desc.name {
+                true => vec![("value".to_string(), 42.0)],
+                false => Vec::new(),
+            }
+        }
+
+        fn heartbeat(&mut self, t_now: f64) -> bool {
+            self.crashed |= t_now >= self.crash_at_s;
+            !self.crashed
+        }
+
+        fn restart(&mut self, _t_now: f64) {
+            self.crashed = false;
+            self.crash_at_s = f64::INFINITY;
+        }
+    }
+
     fn coordinator() -> Pmcd {
         let mut p = Pmcd::new();
         p.register(Box::new(LinuxAgent::new(MachineSpec::icl())));
-        p.register(Box::new(ConstantAgent {
-            agent_name: "const".into(),
-            values: vec![(
-                MetricDesc::new("test.answer", InstanceDomain::Singular, "42"),
-                42.0,
-            )],
-        }));
+        p.register(FlakyAgent::boxed("test.answer", f64::INFINITY));
         p
     }
 
@@ -287,40 +289,30 @@ mod tests {
     }
 
     #[test]
-    fn agent_mut_lookup() {
-        let mut p = coordinator();
-        assert!(p.agent_mut("pmdalinux").is_some());
-        assert!(p.agent_mut("ghost").is_none());
-    }
-
-    #[test]
     fn crashed_agent_is_skipped_then_restarted_with_backoff() {
         let reg = pmove_obs::Registry::new();
-        let desc = MetricDesc::new("flaky.metric", InstanceDomain::Singular, "test");
         let mut p = Pmcd::new();
         p.set_obs(&reg);
-        p.register(Box::new(FlakyAgent::new("flaky", vec![(desc, 7.0)], 5.0)));
+        p.register(FlakyAgent::boxed("flaky.metric", 5.0));
+        let supervised = |reg: &pmove_obs::Registry| {
+            let snap = reg.snapshot();
+            let count = |name: &str| snap.counter(name, &[]).unwrap();
+            let crashes = count("pcp.resilience.agent_crashes");
+            (crashes, count("pcp.resilience.agent_restarts"))
+        };
         // Healthy before the crash.
         p.heartbeat_all(4.5);
         assert!(p.fetch("flaky.metric", 4.0, 4.5).is_some());
-        assert!(p.agent_health()[0].alive);
         // Crash detected at 5 s; fetches miss while down.
         p.heartbeat_all(5.0);
-        let health = &p.agent_health()[0];
-        assert!(!health.alive);
-        assert_eq!(health.crashes, 1);
+        assert_eq!(supervised(&reg), (1, 0));
         assert!(p.fetch("flaky.metric", 5.0, 5.5).is_none());
         // Not restarted before the backoff elapses...
         p.heartbeat_all(5.0 + Pmcd::RESTART_BACKOFF_BASE_S / 2.0);
-        assert!(!p.agent_health()[0].alive);
+        assert!(p.fetch("flaky.metric", 5.0, 5.5).is_none());
         // ...but restarted after it.
         p.heartbeat_all(5.0 + Pmcd::RESTART_BACKOFF_BASE_S);
-        let health = &p.agent_health()[0];
-        assert!(health.alive);
-        assert_eq!(health.restarts, 1);
+        assert_eq!(supervised(&reg), (1, 1));
         assert!(p.fetch("flaky.metric", 6.0, 6.5).is_some());
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("pcp.resilience.agent_crashes", &[]), Some(1));
-        assert_eq!(snap.counter("pcp.resilience.agent_restarts", &[]), Some(1));
     }
 }

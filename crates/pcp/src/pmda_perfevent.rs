@@ -65,11 +65,6 @@ impl PerfEventAgent {
         self.executions.push((exec, Some(affinity)));
     }
 
-    /// Whether the configured events exceed the counter bank (multiplexing).
-    pub fn is_multiplexing(&self) -> bool {
-        self.bank.is_multiplexing()
-    }
-
     fn quantity_of(&self, event: &str) -> Option<(Quantity, Domain)> {
         self.catalog.get(event).map(|d| (d.quantity, d.domain))
     }
@@ -210,22 +205,6 @@ mod tests {
         let s = a.sample("perfevent.hwcounters.MEM_INST_RETIRED:ALL_LOADS", 0.0, 0.5);
         let total: f64 = s.iter().map(|(_, v)| v).sum();
         assert_eq!(total, 0.0); // execution starts at t=1.0
-    }
-
-    #[test]
-    fn multiplexing_detected_when_events_exceed_bank() {
-        // CSL with SMT: 4 programmable counters; 5 per-thread events.
-        let a = PerfEventAgent::new(
-            MachineSpec::csl(),
-            &[
-                "FP_ARITH:SCALAR_DOUBLE",
-                "FP_ARITH:256B_PACKED_DOUBLE",
-                "FP_ARITH:512B_PACKED_DOUBLE",
-                "MEM_INST_RETIRED:ALL_LOADS",
-                "MEM_INST_RETIRED:ALL_STORES",
-            ],
-        );
-        assert!(a.is_multiplexing());
     }
 
     #[test]

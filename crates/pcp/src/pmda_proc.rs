@@ -44,18 +44,6 @@ impl ProcAgent {
     pub fn new(processes: Vec<TrackedProcess>) -> Self {
         ProcAgent { processes }
     }
-
-    /// Register an additional process.
-    pub fn track(&mut self, p: TrackedProcess) {
-        self.processes.push(p);
-    }
-
-    /// Number of tracked processes (the instance-domain size; `pmdaproc`'s
-    /// larger memory footprint in Fig. 6 comes from tracking *all* system
-    /// processes).
-    pub fn tracked(&self) -> usize {
-        self.processes.len()
-    }
 }
 
 impl Agent for ProcAgent {
@@ -146,21 +134,6 @@ mod tests {
         let s1 = a.sample("proc.psinfo.rss", 0.0, 1.0);
         let s2 = a.sample("proc.psinfo.rss", 1.0, 100.0);
         assert_eq!(s1, s2);
-    }
-
-    #[test]
-    fn tracking_grows_domain() {
-        let mut a = agent();
-        assert_eq!(a.tracked(), 2);
-        a.track(TrackedProcess {
-            name: "extra".into(),
-            utime_per_s: 0.0,
-            stime_per_s: 0.0,
-            rss_bytes: 1.0,
-            lifetime: None,
-        });
-        assert_eq!(a.tracked(), 3);
-        assert_eq!(a.sample("proc.psinfo.rss", 0.0, 1.0).len(), 3);
     }
 
     #[test]

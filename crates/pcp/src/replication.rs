@@ -125,23 +125,6 @@ impl ReplStats {
     pub fn conserved(&self) -> bool {
         self.accounted() == self.values_offered + self.values_corrupted
     }
-
-    /// Values that never became quorum-durable: lost outright, evicted
-    /// from a hint queue, parked when the run ended, or destroyed by rot
-    /// and not (yet) repaired.
-    pub fn unrecovered(&self) -> u64 {
-        self.values_lost + self.values_evicted + self.values_hinted + self.values_corrupt_pending
-    }
-
-    /// Unrecovered values as a percentage of offered (the replication
-    /// bench's loss metric).
-    pub fn loss_pct(&self) -> f64 {
-        if self.values_offered == 0 {
-            0.0
-        } else {
-            100.0 * self.unrecovered() as f64 / self.values_offered as f64
-        }
-    }
 }
 
 /// One parked report. `ledger` marks the single hint that carries the
@@ -300,7 +283,7 @@ impl<'a> ReplShipper<'a> {
     /// returning the shared frame plus the chosen replica's cache verdict
     /// — the serving front-end's entry point when it fronts a replicated
     /// store.
-    pub fn quorum_read_cached(
+    pub(crate) fn quorum_read_cached(
         &self,
         q: &Query,
         mode: ExecMode,

@@ -59,7 +59,7 @@ pub(crate) const MAX_STRIDE: u64 = 8;
 
 /// Circuit breaker state (the classic three-state machine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
+pub(crate) enum BreakerState {
     /// Traffic flows; failures are counted.
     Closed,
     /// DB path disabled until the cooldown elapses.
@@ -73,7 +73,7 @@ pub enum BreakerState {
 /// virtual time, then half-opens to probe; a probe success closes it,
 /// a probe failure re-opens it.
 #[derive(Debug, Clone)]
-pub struct CircuitBreaker {
+pub(crate) struct CircuitBreaker {
     threshold: u32,
     cooldown_s: f64,
     state: BreakerState,
@@ -89,7 +89,7 @@ pub struct CircuitBreaker {
 
 impl CircuitBreaker {
     /// New closed breaker.
-    pub fn new(threshold: u32, cooldown_s: f64) -> CircuitBreaker {
+    pub(crate) fn new(threshold: u32, cooldown_s: f64) -> CircuitBreaker {
         CircuitBreaker {
             threshold: threshold.max(1),
             cooldown_s,
@@ -103,13 +103,13 @@ impl CircuitBreaker {
     }
 
     /// Current state.
-    pub fn state(&self) -> BreakerState {
+    pub(crate) fn state(&self) -> BreakerState {
         self.state
     }
 
     /// May a request proceed at virtual time `t`? Transitions Open →
     /// HalfOpen when the cooldown has elapsed.
-    pub fn allow(&mut self, t: f64) -> bool {
+    pub(crate) fn allow(&mut self, t: f64) -> bool {
         match self.state {
             BreakerState::Closed | BreakerState::HalfOpen => true,
             BreakerState::Open => {
@@ -125,7 +125,7 @@ impl CircuitBreaker {
     }
 
     /// Record a successful DB operation.
-    pub fn record_success(&mut self) {
+    pub(crate) fn record_success(&mut self) {
         if self.state != BreakerState::Closed {
             self.closes += 1;
         }
@@ -134,7 +134,7 @@ impl CircuitBreaker {
     }
 
     /// Record a failed DB operation at virtual time `t`.
-    pub fn record_failure(&mut self, t: f64) {
+    pub(crate) fn record_failure(&mut self, t: f64) {
         self.consecutive_failures += 1;
         let trip = match self.state {
             BreakerState::HalfOpen => true,

@@ -71,7 +71,7 @@ pub fn agent_costs() -> [AgentCost; 4] {
 /// domains and fails to sample at pace, so CPU/network fall below the
 /// linear trend (Fig. 6's 4/8-per-second anomaly). Returns the pace
 /// efficiency in (0, 1].
-pub fn pace_efficiency(freq_hz: f64, values_per_report: u64) -> f64 {
+pub(crate) fn pace_efficiency(freq_hz: f64, values_per_report: u64) -> f64 {
     let large_domain = values_per_report >= 50;
     if large_domain && (4.0..16.0).contains(&freq_hz) {
         0.82

@@ -61,14 +61,8 @@ impl SamplingConfig {
     /// Number of ticks in the run. PCP "stops the sampling as the kernel
     /// is halted": a trailing partial period still gets its final read, so
     /// the tick count rounds up.
-    pub fn ticks(&self) -> u64 {
+    pub(crate) fn ticks(&self) -> u64 {
         (self.duration_s * self.freq_hz).ceil() as u64
-    }
-
-    /// Data points (field values) expected at the DB if nothing were lost:
-    /// ticks × Σ(instance-domain sizes). Needs the per-metric domain sizes.
-    pub fn expected_values(&self, domain_sizes: &[usize]) -> u64 {
-        self.ticks() * domain_sizes.iter().map(|s| *s as u64).sum::<u64>()
     }
 }
 
@@ -83,13 +77,6 @@ pub struct SamplingReport {
     pub expected_values: u64,
     /// Transport statistics.
     pub transport: ShipperStats,
-}
-
-impl SamplingReport {
-    /// Inserted values per second of sampled time (Tput of Table III).
-    pub fn throughput(&self, duration_s: f64) -> f64 {
-        (self.transport.values_inserted + self.transport.values_zeroed) as f64 / duration_s
-    }
 }
 
 /// Where one run's samples go: the single-node [`Shipper`] or the
@@ -250,14 +237,16 @@ mod tests {
             10.0,
         );
         let report = SamplingLoop::run(&cfg, &mut pmcd, &mut shipper);
-        (report, db.stats().values_inserted)
+        (report, db.cell_count())
     }
 
     #[test]
     fn tick_count_and_expected_values() {
         let cfg = SamplingConfig::new(vec!["m".into()], 2.0, 0.0, 10.0);
         assert_eq!(cfg.ticks(), 20);
-        assert_eq!(cfg.expected_values(&[16, 2]), 360);
+        let (report, _) = run(2.0, &["kernel.percpu.cpu.idle", "kernel.all.load"]);
+        // 20 ticks × (16 + 1) fields
+        assert_eq!(report.expected_values, 340);
     }
 
     #[test]
@@ -275,17 +264,11 @@ mod tests {
     }
 
     #[test]
-    fn throughput_accounting() {
-        let (report, _) = run(2.0, &["kernel.percpu.cpu.idle"]);
-        // 16 fields × 2 Hz = 32 values/s.
-        assert!((report.throughput(10.0) - 32.0).abs() < 0.5);
-    }
-
-    #[test]
     fn high_frequency_produces_zeros() {
         let (report, _) = run(32.0, &["kernel.percpu.cpu.idle"]);
         assert!(report.transport.values_zeroed > 0);
-        assert!(report.transport.loss_plus_zero_pct() > 10.0);
+        let t = report.transport;
+        assert!(10 * (t.values_lost + t.values_zeroed) > t.values_offered);
     }
 
     #[test]

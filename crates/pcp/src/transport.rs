@@ -20,7 +20,7 @@
 //! schedules: `values_offered == values_inserted + values_zeroed +
 //! values_lost + values_spill_pending + values_evicted`.
 
-use crate::error::{require_non_negative, require_positive, PcpError};
+use crate::error::{require_positive, PcpError};
 use crate::resilience::{self, BreakerState, CircuitBreaker, ResilienceConfig};
 use pmove_hwsim::network::{FaultSchedule, FaultState, LinkSpec};
 use pmove_hwsim::noise::NoiseSource;
@@ -31,6 +31,9 @@ use std::sync::Arc;
 
 /// Measurement name of the gap-marker points written on recovery.
 pub const GAP_MEASUREMENT: &str = "pmove_gap";
+
+/// Relative jitter (standard deviation) of each window's capacity.
+const CAPACITY_JITTER: f64 = 0.25;
 
 /// Modeled PDU fetch time preceding each ship attempt (ns).
 pub(crate) const FETCH_NS: u64 = 8_000;
@@ -114,17 +117,6 @@ impl ShipperStats {
         }
         100.0 * self.values_lost as f64 / self.values_offered as f64
     }
-
-    /// Combined loss+zero ratio (L+Z% of Table III). Uses saturating
-    /// addition so adversarial counter values cannot overflow in debug
-    /// builds.
-    pub fn loss_plus_zero_pct(&self) -> f64 {
-        if self.values_offered == 0 {
-            return 0.0;
-        }
-        100.0 * self.values_lost.saturating_add(self.values_zeroed) as f64
-            / self.values_offered as f64
-    }
 }
 
 /// Hoisted `pcp.transport.*` metric handles, resolved once when a
@@ -204,8 +196,6 @@ pub struct Shipper<'a> {
     link: LinkSpec,
     /// Mean end-to-end service capacity, in field values per second.
     pub capacity_values_per_s: f64,
-    /// Relative jitter of the per-window capacity.
-    pub capacity_jitter: f64,
     window_s: f64,
     current_window: i64,
     values_in_window: f64,
@@ -233,7 +223,7 @@ impl<'a> Shipper<'a> {
     /// Default end-to-end service capacity (values/s) of the paper's host
     /// stack (PCP PDU handling + InfluxDB insert over the 100 Mbit link).
     /// Table III's skx rows saturate around 7–12 k inserted values/s.
-    pub const DEFAULT_CAPACITY: f64 = 11_000.0;
+    pub(crate) const DEFAULT_CAPACITY: f64 = 11_000.0;
 
     /// New shipper writing into `db` over `link`, with windowed capacity.
     pub fn new(db: &'a Database, link: LinkSpec, window_s: f64, seed_labels: &[&str]) -> Self {
@@ -253,7 +243,6 @@ impl<'a> Shipper<'a> {
             db,
             link,
             capacity_values_per_s: Self::DEFAULT_CAPACITY,
-            capacity_jitter: 0.25,
             window_s,
             current_window: i64::MIN,
             values_in_window: 0.0,
@@ -278,16 +267,6 @@ impl<'a> Shipper<'a> {
             clean_windows: 0,
             stride: 1,
         })
-    }
-
-    /// Validate and set the capacity model (the fields are public for
-    /// ablation sweeps; this is the checked path).
-    pub fn set_capacity(&mut self, values_per_s: f64, jitter: f64) -> Result<(), PcpError> {
-        require_positive("capacity_values_per_s", values_per_s)?;
-        require_non_negative("capacity_jitter", jitter)?;
-        self.capacity_values_per_s = values_per_s;
-        self.capacity_jitter = jitter;
-        Ok(())
     }
 
     /// Attach an observability registry; every subsequent [`Shipper::ship`]
@@ -319,25 +298,20 @@ impl<'a> Shipper<'a> {
     }
 
     /// True when a [`ResilienceConfig`] is attached.
-    pub fn is_resilient(&self) -> bool {
+    pub(crate) fn is_resilient(&self) -> bool {
         self.rescfg.is_some()
-    }
-
-    /// Current circuit-breaker state (always `Closed` in default mode).
-    pub fn breaker_state(&self) -> BreakerState {
-        self.breaker.state()
     }
 
     /// Tick stride the adaptive degradation currently suggests: sample
     /// every `n`-th tick. Always 1 in default mode.
-    pub fn suggested_stride(&self) -> u64 {
+    pub(crate) fn suggested_stride(&self) -> u64 {
         self.stride
     }
 
     /// Probability that an on-time report still reads as batched zeros at
     /// this sampling frequency: 0 at ≤6 Hz, rising toward ~0.4 at 32 Hz
     /// (the stale-read artefact of §V-A).
-    pub fn zero_probability(freq_hz: f64) -> f64 {
+    pub(crate) fn zero_probability(freq_hz: f64) -> f64 {
         if freq_hz <= 6.0 {
             0.0
         } else {
@@ -429,7 +403,7 @@ impl<'a> Shipper<'a> {
             self.values_in_window = 0.0;
             self.window_capacity = self.capacity_values_per_s
                 * self.window_s
-                * (1.0 + self.noise.normal(0.0, self.capacity_jitter)).max(0.1);
+                * (1.0 + self.noise.normal(0.0, CAPACITY_JITTER)).max(0.1);
         }
     }
 
@@ -703,11 +677,6 @@ impl<'a> Shipper<'a> {
     pub fn stats(&self) -> ShipperStats {
         self.stats
     }
-
-    /// The link used.
-    pub fn link(&self) -> LinkSpec {
-        self.link
-    }
 }
 
 #[cfg(test)]
@@ -735,7 +704,7 @@ mod tests {
         }
         assert_eq!(s.stats().values_inserted, 320);
         assert_eq!(s.stats().loss_pct(), 0.0);
-        assert_eq!(db.stats().points_inserted, 20);
+        assert_eq!(db.total_rows(), 20);
     }
 
     #[test]
@@ -753,7 +722,6 @@ mod tests {
         }
         let st = s.stats();
         assert!(st.loss_pct() > 15.0, "loss {}", st.loss_pct());
-        assert!(st.loss_plus_zero_pct() > st.loss_pct());
         assert!(st.values_zeroed > 0);
     }
 
@@ -785,15 +753,16 @@ mod tests {
 
     #[test]
     fn zeroed_points_store_zero_fields() {
-        let db = Database::new("host");
+        let reg = Registry::shared();
+        let db = Database::with_obs("host", reg.clone());
         let mut s = Shipper::new(&db, LinkSpec::mbit_100(), 1.0 / 64.0, &["t4"]);
         // Force many ships at very high frequency; some will be zeroed.
         for i in 0..200 {
             s.ship(i as f64 / 64.0, report(i, 4), 64.0);
         }
         assert!(s.stats().values_zeroed > 0);
-        let zeros = db.stats().zero_values_inserted;
-        assert_eq!(zeros, s.stats().values_zeroed);
+        let zeros = reg.snapshot().counter("tsdb.zero_values_inserted", &[]);
+        assert_eq!(zeros, Some(s.stats().values_zeroed));
         let r = db
             .query("SELECT \"_cpu0\" FROM \"perfevent_hwcounters_test\"")
             .unwrap();
@@ -850,28 +819,22 @@ mod tests {
             ..ShipperStats::default()
         };
         assert_eq!(st.loss_pct(), 25.0);
-        assert_eq!(st.loss_plus_zero_pct(), 40.0);
         assert_eq!(ShipperStats::default().loss_pct(), 0.0);
     }
 
     #[test]
     fn stats_ratios_zero_offered_and_overflow_edges() {
-        // Zero offered: both ratios must be 0, not NaN.
+        // Zero offered: the ratio must be 0, not NaN.
         let empty = ShipperStats::default();
         assert_eq!(empty.loss_pct(), 0.0);
-        assert_eq!(empty.loss_plus_zero_pct(), 0.0);
         assert!(empty.conserved());
-        // u64 extremes: the sum lost+zeroed would overflow with plain `+`;
-        // the saturating path must stay finite and ≤ ~200 %.
+        // u64 extremes: the sum lost+zeroed would overflow with plain `+`.
         let extreme = ShipperStats {
             values_offered: u64::MAX,
             values_lost: u64::MAX,
             values_zeroed: u64::MAX,
             ..ShipperStats::default()
         };
-        let pct = extreme.loss_plus_zero_pct();
-        assert!(pct.is_finite());
-        assert!((99.0..=101.0).contains(&pct), "saturated pct {pct}");
         assert!(extreme.loss_pct().is_finite());
         // accounted() saturates instead of wrapping.
         assert_eq!(extreme.accounted(), u64::MAX);
@@ -882,12 +845,7 @@ mod tests {
         let db = Database::new("host");
         assert!(Shipper::try_new(&db, LinkSpec::mbit_100(), 0.0, &["v"]).is_err());
         assert!(Shipper::try_new(&db, LinkSpec::mbit_100(), f64::NAN, &["v"]).is_err());
-        let mut s = Shipper::try_new(&db, LinkSpec::mbit_100(), 0.5, &["v"]).unwrap();
-        assert!(s.set_capacity(f64::INFINITY, 0.1).is_err());
-        assert!(s.set_capacity(-5.0, 0.1).is_err());
-        assert!(s.set_capacity(1000.0, f64::NAN).is_err());
-        assert!(s.set_capacity(1000.0, 0.1).is_ok());
-        assert_eq!(s.capacity_values_per_s, 1000.0);
+        assert!(Shipper::try_new(&db, LinkSpec::mbit_100(), 0.5, &["v"]).is_ok());
     }
 
     #[test]
@@ -923,7 +881,7 @@ mod tests {
         assert_eq!(st.values_lost, 80);
         assert_eq!(st.values_inserted, 0);
         assert!(st.conserved());
-        assert_eq!(db.stats().points_inserted, 0);
+        assert_eq!(db.total_rows(), 0);
     }
 
     #[test]
@@ -999,7 +957,6 @@ mod tests {
         assert!(st.retries > 0);
         assert!(st.values_recovered > 0, "drained after the brown-out");
         assert!(st.conserved(), "{st:?}");
-        assert_eq!(s.breaker_state(), BreakerState::Closed);
     }
 
     #[test]

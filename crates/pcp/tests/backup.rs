@@ -10,12 +10,10 @@
 //! Case count defaults to 32 and is raised in CI via
 //! `PMOVE_BACKUP_CASES`.
 
-use pmove_tsdb::repl::{ReplConfig, ReplicaSet};
 use pmove_tsdb::store::{
     chunk_name, list_generations, restore_at, restore_replay_all, BackupError, ColumnValue,
     FaultMode, FaultPlan, MemDisk, RotSchedule, RowRecord, StoreOptions, TsStore, Vfs,
 };
-use pmove_tsdb::Point;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -143,7 +141,7 @@ fn run_case(case: &Case) -> RunOutcome {
                 crash_at_op: primary.ops_done() + 1,
                 mode: FaultMode::CleanStop,
             });
-            store.append(&rows);
+            store.append_owned(rows);
             assert!(store.commit().is_err(), "commit under crash must fail");
             primary.restart();
             drop(store);
@@ -159,7 +157,7 @@ fn run_case(case: &Case) -> RunOutcome {
             continue;
         }
 
-        store.append(&rows);
+        store.append_owned(rows.clone());
         store.commit().unwrap();
         oracle.extend(cells_of(&rows));
         fences.push(vts);
@@ -386,7 +384,7 @@ proptest! {
         for b in 0..n_batches {
             store.note_time((b as i64 + 1) * 1_000);
             let rows = batch(b, 3, &mut value_seed);
-            store.append(&rows);
+            store.append_owned(rows.clone());
             store.commit().unwrap();
             oracle.extend(cells_of(&rows));
             store.flush().unwrap();
@@ -406,7 +404,7 @@ proptest! {
         // Live store untouched by the failed backup.
         prop_assert_eq!(&cells_of(&store.scan().unwrap()), &live_before);
         // The chunk pins were released: compaction may proceed.
-        store.append(&[RowRecord::new("s0", "f0", 999_999, ColumnValue::F64(1.5))]);
+        store.append_owned(vec![RowRecord::new("s0", "f0", 999_999, ColumnValue::F64(1.5))]);
         store.note_time((n_batches as i64 + 1) * 1_000);
         store.commit().unwrap();
         store.flush().unwrap();
@@ -446,7 +444,7 @@ fn snapshot_restore_agrees_with_full_replay_and_replays_less() {
     let mut seed = 7u64;
     for b in 0..20u64 {
         store.note_time((b as i64 + 1) * 1_000);
-        store.append(&batch(b, 4, &mut seed));
+        store.append_owned(batch(b, 4, &mut seed));
         store.commit().unwrap();
         if b % 4 == 3 {
             store.flush().unwrap();
@@ -482,59 +480,4 @@ fn snapshot_restore_agrees_with_full_replay_and_replays_less() {
         "snapshot restore and full replay disagree"
     );
     assert!(snap.conserved() && full.conserved());
-}
-
-/// Replica bootstrap-from-backup: a replaced replica catches up from the
-/// newest backup plus the Merkle delta, converging bit-identically with
-/// its peers without a full re-sync.
-#[test]
-fn replica_bootstraps_from_backup_and_merkle_delta() {
-    let (mut set, _) = ReplicaSet::durable("dr", ReplConfig::default(), 99, manual_opts()).unwrap();
-    let dest = MemDisk::new(0xD0_0D | 1);
-    let store0 = || set.replica(0).store().unwrap();
-    store0()
-        .enable_backup(Arc::new(dest.clone()) as Arc<dyn Vfs>)
-        .unwrap();
-    let mut seed = 99u64;
-    // Phase 1: writes reach all replicas; replica 0 archives them.
-    for t in 0..30i64 {
-        store0().note_time(t * 1_000);
-        let mut p = Point::new("m0").tag("tag", "dr").timestamp(t * 1_000);
-        p = p.field("_cpu0", value(&mut seed));
-        for r in set.replicas() {
-            r.write_point(p.clone()).unwrap();
-        }
-        if t == 20 {
-            for r in set.replicas() {
-                r.flush().unwrap();
-            }
-            store0().backup_now().unwrap();
-        }
-    }
-    assert!(set.converged());
-    // Replica 2's node is lost entirely; replace it from the backup.
-    // The backup fence is at t=20, the peers are at t=29: bootstrap must
-    // restore the snapshot+archive prefix, then stream only the delta.
-    let (restore, repair) = set
-        .bootstrap_from_backup(2, &dest, manual_opts(), 0x5EED, i64::MAX, 4)
-        .unwrap();
-    assert!(restore.restored_rows > 0, "bootstrap restored nothing");
-    assert!(restore.conserved());
-    assert!(repair.converged, "post-bootstrap anti-entropy diverged");
-    assert!(
-        set.converged(),
-        "replica set not bit-identical after bootstrap"
-    );
-    // The new node answers queries identically to its peers.
-    let q = "SELECT \"_cpu0\" FROM \"m0\"";
-    let want = set.replica(0).query(q).unwrap();
-    let got = set.replica(2).query(q).unwrap();
-    assert_eq!(want.rows.len(), got.rows.len());
-    for (a, b) in want.rows.iter().zip(&got.rows) {
-        assert_eq!(a.timestamp, b.timestamp);
-        assert_eq!(
-            a.values["_cpu0"].map(f64::to_bits),
-            b.values["_cpu0"].map(f64::to_bits)
-        );
-    }
 }

@@ -91,7 +91,7 @@ fn run_case(seed: u64, op_offset: u64, mode: FaultMode) -> bool {
 
     for b in &batches[..2] {
         let out = db.write_batch(b.clone()).unwrap();
-        assert!(out.all_accepted());
+        assert_eq!(out.rejected, 0);
         ledger.reports_offered += 1;
         ledger.values_offered += values_per_batch;
         ledger.values_inserted += values_per_batch;
@@ -145,7 +145,7 @@ fn run_case(seed: u64, op_offset: u64, mode: FaultMode) -> bool {
     // Retry the whole batch: idempotent if it survived (last write wins
     // on identical cells), completing if it was dropped.
     let out = db.write_batch(batches[2].clone()).unwrap();
-    assert!(out.all_accepted());
+    assert_eq!(out.rejected, 0);
     assert_eq!(rows_of(&db, "b2"), POINTS_PER_BATCH);
     if !survived {
         ledger.values_inserted += values_per_batch;
@@ -207,7 +207,7 @@ fn acknowledged_batches_survive_clean_crash() {
     let (db, _) = Database::open("batch", vfs.clone(), StoreOptions::default()).unwrap();
     let mut seed = 99u64;
     for i in 0..3 {
-        assert!(db.write_batch(batch(i, &mut seed)).unwrap().all_accepted());
+        assert_eq!(db.write_batch(batch(i, &mut seed)).unwrap().rejected, 0);
     }
     drop(db);
     disk.schedule_fault(FaultPlan {

@@ -425,13 +425,12 @@ proptest! {
         prop_assert_eq!(&plain, &bare, "shipper diverged with no registry");
         let plain_repl = traced_repl_run(&case, hint_capacity, untraced);
         prop_assert!(plain.0.conserved() && plain_repl.0.conserved());
-        for tracer in traced {
-            let config = tracer.as_ref().map(|t| t.config().clone());
+        for (mode, tracer) in traced.into_iter().enumerate() {
             let run =
                 traced_shipper_run(&case, spill_capacity, tracer.clone(), Registry::shared());
-            prop_assert_eq!(&plain, &run, "shipper diverged under {:?}", config);
+            prop_assert_eq!(&plain, &run, "shipper diverged under trace mode {}", mode + 1);
             let run = traced_repl_run(&case, hint_capacity, tracer.clone());
-            prop_assert_eq!(&plain_repl, &run, "coordinator diverged under {:?}", config);
+            prop_assert_eq!(&plain_repl, &run, "coordinator diverged under trace mode {}", mode + 1);
             // Both runs terminated every trace they started.
             let tracer = tracer.expect("traced modes carry a tracer");
             prop_assert_eq!(tracer.stats().started, tracer.stats().finished);

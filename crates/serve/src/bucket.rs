@@ -13,7 +13,7 @@ const NS_PER_S: u128 = 1_000_000_000;
 /// A token bucket: `burst` capacity, `rate_per_s` refill, virtual-clock
 /// driven.
 #[derive(Debug, Clone)]
-pub struct TokenBucket {
+pub(crate) struct TokenBucket {
     rate_per_s: u64,
     burst: u64,
     /// Whole tokens currently available.
@@ -27,7 +27,7 @@ pub struct TokenBucket {
 
 impl TokenBucket {
     /// Full bucket at virtual time 0.
-    pub fn new(rate_per_s: u64, burst: u64) -> TokenBucket {
+    pub(crate) fn new(rate_per_s: u64, burst: u64) -> TokenBucket {
         debug_assert!(rate_per_s > 0 && burst > 0, "validated by ServingConfig");
         TokenBucket {
             rate_per_s,
@@ -41,7 +41,7 @@ impl TokenBucket {
     /// Advance the bucket to `now_ns`, converting accumulated credit into
     /// whole tokens. A full bucket discards credit (no banking beyond the
     /// burst).
-    pub fn refill(&mut self, now_ns: u64) {
+    pub(crate) fn refill(&mut self, now_ns: u64) {
         if now_ns <= self.last_ns {
             return;
         }
@@ -70,7 +70,7 @@ impl TokenBucket {
     }
 
     /// Take one token at `now_ns` if available.
-    pub fn try_take(&mut self, now_ns: u64) -> bool {
+    pub(crate) fn try_take(&mut self, now_ns: u64) -> bool {
         self.refill(now_ns);
         if self.tokens > 0 {
             self.tokens -= 1;
@@ -85,7 +85,7 @@ impl TokenBucket {
     /// `now_ns`; otherwise the deterministic future time the refill
     /// produces one. The reservation debits the bucket immediately, so
     /// consecutive reservations space out at the refill rate.
-    pub fn reserve(&mut self, now_ns: u64) -> u64 {
+    pub(crate) fn reserve(&mut self, now_ns: u64) -> u64 {
         self.refill(now_ns);
         if self.tokens > 0 {
             self.tokens -= 1;
@@ -104,12 +104,6 @@ impl TokenBucket {
         self.credit = self.credit + u128::from(wait) * rate - NS_PER_S;
         self.last_ns = at;
         at
-    }
-
-    /// Tokens available at `now_ns` without taking any.
-    pub fn available(&mut self, now_ns: u64) -> u64 {
-        self.refill(now_ns);
-        self.tokens
     }
 }
 
@@ -135,7 +129,8 @@ mod tests {
         let mut b = TokenBucket::new(1_000, 2);
         assert!(b.try_take(0));
         assert!(b.try_take(0));
-        assert_eq!(b.available(10_000_000_000), 2);
+        b.refill(10_000_000_000);
+        assert_eq!(b.tokens, 2);
     }
 
     #[test]

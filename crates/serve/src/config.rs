@@ -13,7 +13,7 @@ pub enum Priority {
 
 impl Priority {
     /// Stable label for metrics and reports.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             Priority::Interactive => "interactive",
             Priority::Background => "background",
@@ -86,7 +86,7 @@ impl Default for ServingConfig {
 impl ServingConfig {
     /// Validate the configuration; every rejected field maps to a typed
     /// [`ServeError`] so callers can render precise diagnostics.
-    pub fn validate(&self) -> Result<(), ServeError> {
+    pub(crate) fn validate(&self) -> Result<(), ServeError> {
         if self.queue_capacity == 0 {
             return Err(ServeError::ZeroCapacityQueue);
         }

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 /// Why a request was refused at admission (never admitted).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RejectReason {
+pub(crate) enum RejectReason {
     /// The tenant's token bucket was empty under the `Reject` policy.
     RateLimit,
     /// The tenant already had `tenant_cap` requests in the layer.
@@ -14,7 +14,7 @@ pub enum RejectReason {
 
 impl RejectReason {
     /// Stable label for metrics and reports.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             RejectReason::RateLimit => "rate_limit",
             RejectReason::TenantCap => "tenant_cap",
@@ -78,7 +78,7 @@ pub struct LatencySummary {
 
 impl LatencySummary {
     /// Summarize a sample set (sorted internally).
-    pub fn of(samples: &mut [u64]) -> LatencySummary {
+    pub(crate) fn of(samples: &mut [u64]) -> LatencySummary {
         samples.sort_unstable();
         let rank = |q: f64| -> u64 {
             if samples.is_empty() {

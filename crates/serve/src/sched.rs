@@ -23,7 +23,7 @@ const VCOST_SCALE: u128 = 1 << 40;
 
 /// One admitted request waiting in the queue.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueuedRequest {
+pub(crate) struct QueuedRequest {
     /// Global admission sequence number (deterministic tie-break).
     pub seq: u64,
     /// Owning tenant.
@@ -39,7 +39,7 @@ pub struct QueuedRequest {
 
 /// A coalesced group of identical queued queries.
 #[derive(Debug, Clone)]
-pub struct QueuedGroup {
+pub(crate) struct QueuedGroup {
     /// Group admission order (tie-break within equal virtual finishes).
     pub gseq: u64,
     /// Normalized query text every member shares.
@@ -54,7 +54,7 @@ impl QueuedGroup {
     /// Earliest member eligibility: the group may dispatch as soon as any
     /// member's reservation is covered (the rest free-ride on the single
     /// execution; their tokens were already debited).
-    pub fn eligible_ns(&self) -> u64 {
+    pub(crate) fn eligible_ns(&self) -> u64 {
         self.members
             .iter()
             .map(|m| m.eligible_ns)
@@ -63,7 +63,7 @@ impl QueuedGroup {
     }
 
     /// Highest member priority (drives re-keying on joins).
-    pub fn priority(&self) -> Priority {
+    pub(crate) fn priority(&self) -> Priority {
         self.members
             .iter()
             .map(|m| m.priority)
@@ -74,7 +74,7 @@ impl QueuedGroup {
 
 /// Outcome of [`WfqQueue::admit`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AdmitOutcome {
+pub(crate) enum AdmitOutcome {
     /// Entered the queue (new group or joined an existing one), nobody
     /// displaced.
     Queued,
@@ -98,7 +98,7 @@ pub enum AdmitOutcome {
 
 /// The weighted-fair admission queue.
 #[derive(Debug)]
-pub struct WfqQueue {
+pub(crate) struct WfqQueue {
     interactive_weight: u32,
     background_weight: u32,
     capacity: usize,
@@ -124,7 +124,11 @@ fn class_idx(p: Priority) -> usize {
 
 impl WfqQueue {
     /// Empty queue with the given class weights and request capacity.
-    pub fn new(interactive_weight: u32, background_weight: u32, capacity: usize) -> WfqQueue {
+    pub(crate) fn new(
+        interactive_weight: u32,
+        background_weight: u32,
+        capacity: usize,
+    ) -> WfqQueue {
         WfqQueue {
             interactive_weight,
             background_weight,
@@ -139,12 +143,12 @@ impl WfqQueue {
     }
 
     /// Queued requests (not groups).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len_requests
     }
 
     /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len_requests == 0
     }
 
@@ -166,7 +170,7 @@ impl WfqQueue {
 
     /// Admit one request under `key`. Full queues shed the lowest-priority
     /// request present (newcomer included); ties shed the latest arrival.
-    pub fn admit(&mut self, key: &str, req: QueuedRequest) -> AdmitOutcome {
+    pub(crate) fn admit(&mut self, key: &str, req: QueuedRequest) -> AdmitOutcome {
         let mut outcome = AdmitOutcome::Queued;
         if self.len_requests >= self.capacity {
             // Victim: lowest priority, then highest (latest) seq. The
@@ -250,7 +254,7 @@ impl WfqQueue {
 
     /// Dispatch the next group: the smallest `(vfinish, gseq)` whose
     /// eligibility has arrived. Advances the WFQ virtual clock.
-    pub fn pop_eligible(&mut self, now_ns: u64) -> Option<QueuedGroup> {
+    pub(crate) fn pop_eligible(&mut self, now_ns: u64) -> Option<QueuedGroup> {
         let order = *self
             .by_order
             .iter()
@@ -265,7 +269,7 @@ impl WfqQueue {
 
     /// Earliest future eligibility among queued groups (for scheduling a
     /// wakeup when everything queued is still rate-deferred).
-    pub fn next_eligibility(&self) -> Option<u64> {
+    pub(crate) fn next_eligibility(&self) -> Option<u64> {
         self.by_order.values().map(|g| g.eligible_ns()).min()
     }
 }

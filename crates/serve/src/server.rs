@@ -162,11 +162,6 @@ impl<B: QueryBackend> QueryServer<B> {
         self
     }
 
-    /// The validated configuration.
-    pub fn config(&self) -> &ServingConfig {
-        &self.cfg
-    }
-
     /// Run one open-loop schedule to completion and account every request.
     ///
     /// The schedule is processed in `(at_ns, index)` order regardless of
@@ -809,14 +804,14 @@ mod tests {
 
     #[test]
     fn quorum_backend_serves_queries() {
-        use pmove_tsdb::{ReplConfig, ReplicaSet};
+        use pmove_tsdb::{repl::ReplConfig, ReplicaSet};
         let set = ReplicaSet::in_memory("serve-q", ReplConfig::default()).unwrap();
         for s in 0..10i64 {
             let p = Point::new("cpu")
                 .timestamp(s * 1_000_000_000)
                 .field("busy", 1.0);
             for r in set.replicas() {
-                r.apply_remote(p.clone()).unwrap();
+                r.write_point(p.clone()).unwrap();
             }
         }
         let mut srv = QueryServer::new(&set, ServingConfig::default()).unwrap();

@@ -43,18 +43,18 @@ use std::fmt;
 use std::sync::Arc;
 
 /// Namespace prefix for archive segments on the backup destination.
-pub const ARCHIVE_PREFIX: &str = "archive/";
+pub(crate) const ARCHIVE_PREFIX: &str = "archive/";
 
 /// Magic bytes opening every generation manifest.
 const MANIFEST_MAGIC: &[u8; 8] = b"PMBKUP1\0";
 
 /// Archive segment file name for segment `id`.
-pub fn segment_name(id: u64) -> String {
+pub(crate) fn segment_name(id: u64) -> String {
     format!("{ARCHIVE_PREFIX}seg-{id:08}.log")
 }
 
 /// Inverse of [`segment_name`].
-pub fn parse_segment_name(name: &str) -> Option<u64> {
+pub(crate) fn parse_segment_name(name: &str) -> Option<u64> {
     name.strip_prefix(ARCHIVE_PREFIX)?
         .strip_prefix("seg-")?
         .strip_suffix(".log")?
@@ -63,12 +63,12 @@ pub fn parse_segment_name(name: &str) -> Option<u64> {
 }
 
 /// Directory-style prefix for generation `gen` on the destination.
-pub fn generation_prefix(gen: u64) -> String {
+pub(crate) fn generation_prefix(gen: u64) -> String {
     format!("gen-{gen:08}/")
 }
 
 /// Manifest file name for generation `gen`.
-pub fn manifest_name(gen: u64) -> String {
+pub(crate) fn manifest_name(gen: u64) -> String {
     format!("gen-{gen:08}/manifest")
 }
 
@@ -375,7 +375,7 @@ pub struct BackupReport {
 
 /// The store-side backup state: archive cursor, pinned chunks, and the
 /// active snapshot job. Owned by `TsStore` when backups are enabled.
-pub struct BackupState {
+pub(crate) struct BackupState {
     dest: Arc<dyn Vfs>,
     /// Segment currently receiving archive frames.
     seg: u64,
@@ -420,7 +420,7 @@ impl BackupState {
     /// whatever is already durable there and re-archiving `wal_payloads`
     /// (the live WAL contents) so rows committed before enablement — or
     /// recovered across a crash — are covered by the archive.
-    pub fn attach(
+    pub(crate) fn attach(
         dest: Arc<dyn Vfs>,
         vts: i64,
         wal_payloads: &[Vec<u8>],
@@ -477,24 +477,24 @@ impl BackupState {
     }
 
     /// Advance the virtual clock (monotonic).
-    pub fn note_time(&mut self, vts: i64) {
+    pub(crate) fn note_time(&mut self, vts: i64) {
         self.vts = self.vts.max(vts);
     }
 
     /// Queue one committed WAL payload for archival.
-    pub fn stage(&mut self, payload: Vec<u8>) {
+    pub(crate) fn stage(&mut self, payload: Vec<u8>) {
         self.pending.push(payload);
     }
 
     /// Set the group-archival threshold (clamped to at least 1).
-    pub fn set_group(&mut self, group: u64) {
+    pub(crate) fn set_group(&mut self, group: u64) {
         self.group = group.max(1);
     }
 
     /// Archive pending payloads if the group threshold is met (the
     /// per-commit fast path: below the threshold this is a no-op, so a
     /// commit pays only one `Vec` push for archival).
-    pub fn archive_maybe(&mut self) -> u64 {
+    pub(crate) fn archive_maybe(&mut self) -> u64 {
         if (self.pending.len() as u64) < self.group {
             return 0;
         }
@@ -502,22 +502,22 @@ impl BackupState {
     }
 
     /// Running totals.
-    pub fn stats(&self) -> BackupStats {
+    pub(crate) fn stats(&self) -> BackupStats {
         self.stats
     }
 
     /// The backup destination.
-    pub fn dest(&self) -> Arc<dyn Vfs> {
+    pub(crate) fn dest(&self) -> Arc<dyn Vfs> {
         self.dest.clone()
     }
 
     /// Is `seq` pinned by an in-progress snapshot job?
-    pub fn is_pinned(&self, seq: u64) -> bool {
+    pub(crate) fn is_pinned(&self, seq: u64) -> bool {
         self.pinned.contains(&seq)
     }
 
     /// Remember `name` for deletion once the pin set drains.
-    pub fn defer_delete(&mut self, name: String) {
+    pub(crate) fn defer_delete(&mut self, name: String) {
         self.deferred.push(name);
     }
 
@@ -562,7 +562,7 @@ impl BackupState {
     /// leave the payloads pending and mark the archiver dirty — the
     /// primary commit that carried the rows has already succeeded, so
     /// archival lag must never fail the write path.
-    pub fn archive_pending(&mut self) -> u64 {
+    pub(crate) fn archive_pending(&mut self) -> u64 {
         if self.pending.is_empty() {
             return 0;
         }
@@ -614,7 +614,7 @@ impl BackupState {
     /// the flush fence (only when nothing is awaiting archival — the
     /// fence must never claim coverage the archive doesn't have) and
     /// seal the current segment.
-    pub fn on_flush(&mut self) {
+    pub(crate) fn on_flush(&mut self) {
         // Drain any group-archival backlog first: the fence below may
         // only advance over records the archive actually holds.
         self.archive_pending();
@@ -630,7 +630,7 @@ impl BackupState {
 
     /// Begin a snapshot generation over `chunk_seqs`, pinning them
     /// against compaction. Returns the generation id.
-    pub fn begin_job(&mut self, chunk_seqs: &[u64]) -> StoreResult<u64> {
+    pub(crate) fn begin_job(&mut self, chunk_seqs: &[u64]) -> StoreResult<u64> {
         if self.job.is_some() {
             return Err(StoreError::Io("backup already in progress".into()));
         }
@@ -654,7 +654,7 @@ impl BackupState {
     }
 
     /// Copy one verified chunk into the active generation.
-    pub fn job_copy_chunk(&mut self, seq: u64, data: &[u8], rows: u64) -> StoreResult<()> {
+    pub(crate) fn job_copy_chunk(&mut self, seq: u64, data: &[u8], rows: u64) -> StoreResult<()> {
         let job = self
             .job
             .as_mut()
@@ -678,7 +678,7 @@ impl BackupState {
     }
 
     /// Note a chunk the job could not capture (quarantined mid-job).
-    pub fn job_skip_chunk(&mut self) {
+    pub(crate) fn job_skip_chunk(&mut self) {
         if let Some(job) = self.job.as_mut() {
             job.skipped += 1;
             self.stats.chunks_skipped += 1;
@@ -688,7 +688,7 @@ impl BackupState {
     /// Write the manifest — the commit point of the whole generation —
     /// and release the pins. Deferred deletions are returned for the
     /// store to apply to its own namespace.
-    pub fn finish_job(&mut self) -> StoreResult<(BackupReport, Vec<String>)> {
+    pub(crate) fn finish_job(&mut self) -> StoreResult<(BackupReport, Vec<String>)> {
         let job = self
             .job
             .as_mut()
@@ -726,7 +726,7 @@ impl BackupState {
     /// return the deferred deletions. The torn generation keeps its id
     /// (never reused) and, having no valid manifest, is invisible to
     /// restore.
-    pub fn abort_job(&mut self) -> Vec<String> {
+    pub(crate) fn abort_job(&mut self) -> Vec<String> {
         if self.job.take().is_some() {
             self.stats.backup_errors += 1;
         }
@@ -1018,18 +1018,18 @@ mod tests {
     fn backup_restore_roundtrip_snapshot_plus_replay() {
         let (mut store, _, dest) = store_with_backup(40);
         store.note_time(1_000);
-        store.append(&[row("s", "f", 1, 1.0), row("s", "f", 2, -0.0)]);
+        store.append_owned(vec![row("s", "f", 1, 1.0), row("s", "f", 2, -0.0)]);
         store.commit().unwrap();
         store.flush().unwrap(); // chunk 0, archive fence advances
         store.note_time(2_000);
-        store.append(&[row("s", "f", 3, f64::NAN)]);
+        store.append_owned(vec![row("s", "f", 3, f64::NAN)]);
         store.commit().unwrap();
         let report = store.backup_now().unwrap();
         assert_eq!(report.chunks, 1);
         assert_eq!(report.fence_vts, 2_000);
         // Rows committed after the snapshot ride the archive alone.
         store.note_time(3_000);
-        store.append(&[row("s", "f", 4, 4.0), row("s", "f", 2, 20.0)]);
+        store.append_owned(vec![row("s", "f", 4, 4.0), row("s", "f", 2, 20.0)]);
         store.commit().unwrap();
 
         let want: Vec<RowRecord> = store.scan().unwrap();
@@ -1059,7 +1059,7 @@ mod tests {
         let (mut store, primary, dest) = store_with_backup(41);
         store.note_time(1_000);
         for i in 0..3i64 {
-            store.append(&[row("s", "f", i, i as f64)]);
+            store.append_owned(vec![row("s", "f", i, i as f64)]);
             store.commit().unwrap();
             store.flush().unwrap();
         }
@@ -1069,7 +1069,7 @@ mod tests {
         store.compact(None).unwrap().unwrap();
         // The inputs are merged away from the live set but their files
         // must survive for the pinned snapshot.
-        assert_eq!(store.chunk_count(), 1);
+        assert_eq!(store.chunk_seqs().len(), 1);
         for seq in 0..3 {
             assert!(
                 primary.exists(&chunk_name(seq)).unwrap(),
@@ -1092,7 +1092,7 @@ mod tests {
     fn torn_backup_is_invisible_and_next_tick_completes() {
         let (mut store, _, dest) = store_with_backup(42);
         store.note_time(1_000);
-        store.append(&[row("s", "f", 1, 1.0)]);
+        store.append_owned(vec![row("s", "f", 1, 1.0)]);
         store.commit().unwrap();
         store.flush().unwrap();
         // Crash the backup disk mid-job: the chunk copy (or the
@@ -1126,7 +1126,7 @@ mod tests {
     fn corrupt_backed_up_chunk_is_refused_not_restored() {
         let (mut store, _, dest) = store_with_backup(43);
         store.note_time(1_000);
-        store.append(&[row("s", "f", 1, 1.0), row("s", "f", 2, 2.0)]);
+        store.append_owned(vec![row("s", "f", 1, 1.0), row("s", "f", 2, 2.0)]);
         store.commit().unwrap();
         store.flush().unwrap();
         store.backup_now().unwrap();
@@ -1150,10 +1150,10 @@ mod tests {
     fn archive_corruption_before_target_is_refused() {
         let (mut store, _, dest) = store_with_backup(44);
         store.note_time(1_000);
-        store.append(&[row("s", "f", 1, 1.0)]);
+        store.append_owned(vec![row("s", "f", 1, 1.0)]);
         store.commit().unwrap();
         store.note_time(2_000);
-        store.append(&[row("s", "f", 2, 2.0)]);
+        store.append_owned(vec![row("s", "f", 2, 2.0)]);
         store.commit().unwrap();
         // Rot the first archive segment's first frame payload.
         let name = segment_name(0);
@@ -1174,7 +1174,7 @@ mod tests {
     fn archiver_rides_through_destination_crash() {
         let (mut store, _, dest) = store_with_backup(45);
         store.note_time(1_000);
-        store.append(&[row("s", "f", 1, 1.0)]);
+        store.append_owned(vec![row("s", "f", 1, 1.0)]);
         store.commit().unwrap();
         // Crash the backup disk; the primary commit must still succeed.
         dest.schedule_fault(FaultPlan {
@@ -1182,13 +1182,13 @@ mod tests {
             mode: FaultMode::TornTail,
         });
         store.note_time(2_000);
-        store.append(&[row("s", "f", 2, 2.0)]);
+        store.append_owned(vec![row("s", "f", 2, 2.0)]);
         store.commit().unwrap(); // archive write fails silently
         assert!(store.backup_stats().unwrap().archive_errors >= 1);
         dest.restart();
         // The retry resyncs, seals past any torn bytes, and catches up.
         store.note_time(3_000);
-        store.append(&[row("s", "f", 3, 3.0)]);
+        store.append_owned(vec![row("s", "f", 3, 3.0)]);
         store.commit().unwrap();
         let (got, rr) = restore_rows(&dest, i64::MAX);
         assert_eq!(got.len(), 3, "archive lag repaired after dest restart");
@@ -1202,14 +1202,14 @@ mod tests {
         let (mut store, _) = TsStore::open(Arc::new(primary.clone()), manual_opts()).unwrap();
         store.enable_backup(Arc::new(dest.clone())).unwrap();
         store.note_time(1_000);
-        store.append(&[row("s", "f", 1, 1.0)]);
+        store.append_owned(vec![row("s", "f", 1, 1.0)]);
         store.commit().unwrap();
         // Primary dies; reopen and re-enable backups.
         primary.schedule_fault(FaultPlan {
             crash_at_op: primary.ops_done() + 1,
             mode: FaultMode::CleanStop,
         });
-        store.append(&[row("s", "f", 2, 2.0)]);
+        store.append_owned(vec![row("s", "f", 2, 2.0)]);
         assert!(store.commit().is_err());
         primary.restart();
         drop(store);
@@ -1219,7 +1219,7 @@ mod tests {
         assert_eq!(attach.resumed_seq, 1, "archive cursor resumes");
         assert_eq!(attach.catchup_records, 1, "live WAL re-archived");
         store.note_time(5_000);
-        store.append(&[row("s", "f", 9, 9.0)]);
+        store.append_owned(vec![row("s", "f", 9, 9.0)]);
         store.commit().unwrap();
         let (got, rr) = restore_rows(&dest, i64::MAX);
         assert_eq!(got.len(), 2);

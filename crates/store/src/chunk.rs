@@ -5,8 +5,8 @@
 //! encoded, float values Gorilla XOR compressed, the whole file sealed
 //! with a trailing CRC32. Blocks are the unit everything durable works
 //! in: a chunk decodes to blocks (one key per block, never per cell), the
-//! merge kernel ([`crate::merge`]) consumes and produces blocks, and
-//! [`ChunkWriter`] encodes them straight into the output file.
+//! merge kernel (`crate::merge`) consumes and produces blocks, and
+//! `ChunkWriter` encodes them straight into the output file.
 //!
 //! Layout:
 //!
@@ -38,7 +38,7 @@ use crate::row::{ColumnValue, RowRecord};
 use crate::vfs::Vfs;
 
 /// File magic for chunk files.
-pub const CHUNK_MAGIC: &[u8; 8] = b"PMCHUNK1";
+pub(crate) const CHUNK_MAGIC: &[u8; 8] = b"PMCHUNK1";
 
 /// Bytes before the first block: magic, sequence number, block count.
 const HEADER_LEN: usize = 8 + 8 + 4;
@@ -49,7 +49,7 @@ pub fn chunk_name(seq: u64) -> String {
 }
 
 /// Parse a chunk sequence number back out of a file name.
-pub fn parse_chunk_name(name: &str) -> Option<u64> {
+pub(crate) fn parse_chunk_name(name: &str) -> Option<u64> {
     name.strip_prefix("chunk-")?
         .strip_suffix(".tsm")?
         .parse()
@@ -101,7 +101,7 @@ pub struct ChunkInfo {
 /// ([`check_chunk`]) or from writing the file, a best-effort estimate when
 /// [`probe_chunk`] reads it off damaged bytes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChunkSummary {
+pub(crate) struct ChunkSummary {
     /// Rows held (or claimed by the block headers that still parse).
     pub rows: u64,
     /// `[min_ts, max_ts]` across those rows, if any.
@@ -209,7 +209,7 @@ pub(crate) fn write_blocks(
     writer.finish(vfs, stats.rows_in)
 }
 
-/// [`write_blocks`] for callers whose unit is the row: `rows` in write
+/// `write_blocks` for callers whose unit is the row: `rows` in write
 /// order, through the same memtable a store would hold them in.
 pub fn write_chunk(vfs: &dyn Vfs, seq: u64, rows: &[RowRecord]) -> StoreResult<Option<ChunkInfo>> {
     let mut memtable = Memtable::default();
@@ -354,7 +354,7 @@ const PROBE_MAX_BLOCK_ROWS: u64 = 1 << 32;
 /// damage. Quarantine uses this to size the hole a lost chunk leaves —
 /// it is an estimate (the damage may be inside a header), never a way to
 /// trust the data itself. `None` when the file header itself is gone.
-pub fn probe_chunk(data: &[u8]) -> Option<ChunkSummary> {
+pub(crate) fn probe_chunk(data: &[u8]) -> Option<ChunkSummary> {
     if data.len() < HEADER_LEN || &data[..8] != CHUNK_MAGIC {
         return None;
     }

@@ -40,12 +40,12 @@ fn tables() -> &'static [[u32; 256]; 8] {
 }
 
 /// Start a streaming CRC32 (pair with [`crc32_update`] / [`crc32_finish`]).
-pub fn crc32_init() -> u32 {
+pub(crate) fn crc32_init() -> u32 {
     0xFFFF_FFFF
 }
 
 /// Fold `data` into a streaming CRC32 state from [`crc32_init`].
-pub fn crc32_update(mut c: u32, data: &[u8]) -> u32 {
+pub(crate) fn crc32_update(mut c: u32, data: &[u8]) -> u32 {
     let t = tables();
     let mut chunks = data.chunks_exact(8);
     for ch in &mut chunks {
@@ -67,7 +67,7 @@ pub fn crc32_update(mut c: u32, data: &[u8]) -> u32 {
 }
 
 /// Finish a streaming CRC32 state into the checksum value.
-pub fn crc32_finish(c: u32) -> u32 {
+pub(crate) fn crc32_finish(c: u32) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 

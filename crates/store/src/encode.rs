@@ -20,7 +20,7 @@ pub fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Read a LEB128 varint, advancing `pos`.
-pub fn get_uvarint(data: &[u8], pos: &mut usize) -> StoreResult<u64> {
+pub(crate) fn get_uvarint(data: &[u8], pos: &mut usize) -> StoreResult<u64> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
@@ -40,12 +40,12 @@ pub fn get_uvarint(data: &[u8], pos: &mut usize) -> StoreResult<u64> {
 }
 
 /// Zigzag-encode a signed value so small magnitudes stay small.
-pub fn zigzag(v: i64) -> u64 {
+pub(crate) fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 /// Inverse of [`zigzag`].
-pub fn unzigzag(v: u64) -> i64 {
+pub(crate) fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
@@ -55,18 +55,18 @@ pub fn put_ivarint(out: &mut Vec<u8>, v: i64) {
 }
 
 /// Read a zigzag varint.
-pub fn get_ivarint(data: &[u8], pos: &mut usize) -> StoreResult<i64> {
+pub(crate) fn get_ivarint(data: &[u8], pos: &mut usize) -> StoreResult<i64> {
     Ok(unzigzag(get_uvarint(data, pos)?))
 }
 
 /// Append a length-prefixed byte string.
-pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+pub(crate) fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     put_uvarint(out, bytes.len() as u64);
     out.extend_from_slice(bytes);
 }
 
 /// Read a length-prefixed byte string, advancing `pos`.
-pub fn get_bytes<'a>(data: &'a [u8], pos: &mut usize) -> StoreResult<&'a [u8]> {
+pub(crate) fn get_bytes<'a>(data: &'a [u8], pos: &mut usize) -> StoreResult<&'a [u8]> {
     let len = get_uvarint(data, pos)? as usize;
     let end = pos
         .checked_add(len)
@@ -78,7 +78,7 @@ pub fn get_bytes<'a>(data: &'a [u8], pos: &mut usize) -> StoreResult<&'a [u8]> {
 }
 
 /// [`get_bytes`] that must be UTF-8.
-pub fn get_str<'a>(data: &'a [u8], pos: &mut usize) -> StoreResult<&'a str> {
+pub(crate) fn get_str<'a>(data: &'a [u8], pos: &mut usize) -> StoreResult<&'a str> {
     std::str::from_utf8(get_bytes(data, pos)?)
         .map_err(|_| StoreError::Decode("string not UTF-8".into()))
 }
@@ -102,7 +102,7 @@ impl BitWriter {
     }
 
     /// Append one bit.
-    pub fn push_bit(&mut self, bit: bool) {
+    pub(crate) fn push_bit(&mut self, bit: bool) {
         self.push_bits(bit as u64, 1);
     }
 
@@ -149,7 +149,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Next bit.
-    pub fn read_bit(&mut self) -> StoreResult<bool> {
+    pub(crate) fn read_bit(&mut self) -> StoreResult<bool> {
         Ok(self.read_bits(1)? == 1)
     }
 
@@ -210,7 +210,7 @@ pub(crate) fn check_count(count: usize, data: &[u8], per_byte: usize) -> StoreRe
 }
 
 /// Decode `count` timestamps produced by [`encode_timestamps`].
-pub fn decode_timestamps(data: &[u8], count: usize) -> StoreResult<Vec<i64>> {
+pub(crate) fn decode_timestamps(data: &[u8], count: usize) -> StoreResult<Vec<i64>> {
     check_count(count, data, 1)?;
     let mut out = Vec::with_capacity(count);
     if count == 0 {

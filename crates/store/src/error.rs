@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Result alias used throughout the crate.
-pub type StoreResult<T> = Result<T, StoreError>;
+pub(crate) type StoreResult<T> = Result<T, StoreError>;
 
 /// Errors produced by the durable storage engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,12 +33,6 @@ impl fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-impl From<std::io::Error> for StoreError {
-    fn from(e: std::io::Error) -> Self {
-        StoreError::Io(e.to_string())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -50,12 +44,5 @@ mod tests {
             .to_string()
             .contains("bad magic"));
         assert!(StoreError::DiskCrashed.to_string().contains("crashed"));
-    }
-
-    #[test]
-    fn io_error_converts() {
-        let io = std::io::Error::new(std::io::ErrorKind::NotFound, "nope");
-        let e: StoreError = io.into();
-        assert!(matches!(e, StoreError::Io(_)));
     }
 }

@@ -108,8 +108,7 @@ impl RotSchedule {
                 flips: 1,
             });
         }
-        out.events
-            .sort_by(|a, b| a.at_s.partial_cmp(&b.at_s).unwrap());
+        out.events.sort_by(|a, b| a.at_s.total_cmp(&b.at_s));
         out
     }
 }
@@ -143,7 +142,6 @@ struct Inner {
     plan: Option<FaultPlan>,
     ops_done: u64,
     crashed: bool,
-    faults_fired: u32,
     rng: u64,
     rot_events: Vec<RotEvent>,
     rot_prefix: Option<String>,
@@ -177,7 +175,6 @@ impl Inner {
     fn crash(&mut self, target: &str) {
         let mode = self.plan.expect("crash without plan").mode;
         self.crashed = true;
-        self.faults_fired += 1;
         if matches!(mode, FaultMode::TornTail | FaultMode::BitFlip) {
             let r = self.rng_next();
             if let Some(f) = self.files.get_mut(target) {
@@ -266,7 +263,7 @@ impl MemDisk {
     }
 
     /// [`MemDisk::new`] with an explicit block-device model.
-    pub fn with_spec(seed: u64, spec: DiskSpec) -> MemDisk {
+    pub(crate) fn with_spec(seed: u64, spec: DiskSpec) -> MemDisk {
         MemDisk {
             inner: Arc::new(Mutex::new(Inner {
                 files: BTreeMap::new(),
@@ -275,7 +272,6 @@ impl MemDisk {
                 plan: None,
                 ops_done: 0,
                 crashed: false,
-                faults_fired: 0,
                 rng: seed ^ 0xA076_1D64_78BD_642F,
                 rot_events: Vec::new(),
                 rot_prefix: None,
@@ -302,11 +298,13 @@ impl MemDisk {
 
     /// Install a latent-rot schedule; replaces any previous schedule and
     /// resets the fired cursor. Events fire when [`MemDisk::advance_rot`]
-    /// passes their `at_s`.
+    /// passes their `at_s`; an event at NaN is never passed, so it never
+    /// fires and holds back no other event.
     pub fn schedule_rot(&self, schedule: RotSchedule) {
         let mut inner = self.inner.lock();
         let mut events = schedule.events;
-        events.sort_by(|a, b| a.at_s.partial_cmp(&b.at_s).unwrap());
+        events.retain(|e| !e.at_s.is_nan());
+        events.sort_by(|a, b| a.at_s.total_cmp(&b.at_s));
         inner.rot_events = events;
         inner.rot_prefix = schedule.target_prefix;
         inner.rot_fired = 0;
@@ -331,11 +329,6 @@ impl MemDisk {
     /// Has a scheduled fault fired?
     pub fn crashed(&self) -> bool {
         self.inner.lock().crashed
-    }
-
-    /// Number of faults that have fired over the disk's lifetime.
-    pub fn faults_fired(&self) -> u32 {
-        self.inner.lock().faults_fired
     }
 
     /// Write/sync operations performed so far (the fault-op index space).
@@ -634,6 +627,32 @@ mod tests {
             (records, disk.read("chunk-00000001.tsm").unwrap())
         };
         assert_eq!(run(21), run(21));
+    }
+
+    #[test]
+    fn nan_rot_times_never_fire_and_block_nothing() {
+        let disk = MemDisk::new(13);
+        let mut f = disk.create("chunk-00000001.tsm").unwrap();
+        f.append(&[0u8; 64]).unwrap();
+        f.sync().unwrap();
+        let schedule = RotSchedule::none()
+            .at(f64::NAN, 1)
+            .at(-f64::NAN, 1)
+            .at(5.0, 1)
+            .at(1.0, 1);
+        disk.schedule_rot(schedule);
+        let fired: Vec<f64> = disk
+            .advance_rot(f64::INFINITY)
+            .iter()
+            .map(|r| r.at_s)
+            .collect();
+        assert_eq!(fired, [1.0, 5.0]);
+        assert!(disk.advance_rot(f64::NAN).is_empty());
+        // A NaN window places every event at NaN: none fires.
+        let random = RotSchedule::random(3, 4, f64::NAN, 10.0);
+        assert_eq!(random.events.len(), 4);
+        disk.schedule_rot(random);
+        assert!(disk.advance_rot(f64::INFINITY).is_empty());
     }
 
     #[test]

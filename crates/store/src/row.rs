@@ -33,7 +33,7 @@ impl ColumnValue {
     }
 
     /// Validate a tag read from disk.
-    pub fn check_tag(tag: u8) -> StoreResult<u8> {
+    pub(crate) fn check_tag(tag: u8) -> StoreResult<u8> {
         if tag <= 3 {
             Ok(tag)
         } else {
@@ -46,7 +46,7 @@ impl ColumnValue {
     /// slot in the row's field map (string payloads add their heap
     /// bytes). Key strings and map-node overhead are shared per series
     /// and excluded, keeping the baseline conservative.
-    pub fn raw_footprint(&self) -> usize {
+    pub(crate) fn raw_footprint(&self) -> usize {
         8 + std::mem::size_of::<ColumnValue>()
             + match self {
                 ColumnValue::Str(s) => s.len(),
@@ -83,11 +83,6 @@ impl RowRecord {
             value,
         }
     }
-
-    /// [`ColumnValue::raw_footprint`] of this row's cell.
-    pub fn raw_footprint(&self) -> usize {
-        self.value.raw_footprint()
-    }
 }
 
 #[cfg(test)]
@@ -107,9 +102,8 @@ mod tests {
     #[test]
     fn raw_footprint_counts_ts_and_value_slot() {
         let slot = std::mem::size_of::<ColumnValue>();
-        let r = RowRecord::new("s", "f", 1, ColumnValue::F64(2.0));
-        assert_eq!(r.raw_footprint(), 8 + slot);
-        let s = RowRecord::new("s", "f", 1, ColumnValue::Str("0123456789ab".into()));
+        assert_eq!(ColumnValue::F64(2.0).raw_footprint(), 8 + slot);
+        let s = ColumnValue::Str("0123456789ab".into());
         assert_eq!(s.raw_footprint(), 8 + slot + 12);
     }
 }

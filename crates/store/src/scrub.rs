@@ -98,11 +98,6 @@ impl Scrubber {
         self.cfg
     }
 
-    /// Full passes completed over this scrubber's lifetime.
-    pub fn full_passes(&self) -> u64 {
-        self.full_passes
-    }
-
     /// Snapshot the store's current file set as a new pass work list.
     fn start_pass(&mut self, store: &TsStore) -> Pass {
         let mut items: Vec<PassItem> = store
@@ -129,7 +124,7 @@ impl Scrubber {
 
     /// Advance the scrubber to virtual time `now_s`, verifying as many
     /// files as the token bucket allows. Passes roll over automatically:
-    /// when one completes, [`TsStore::note_full_scrub_pass`] stamps the
+    /// when one completes, `TsStore::note_full_scrub_pass` stamps the
     /// staleness gauge and the next tick snapshots a fresh work list.
     pub fn tick(&mut self, store: &mut TsStore, now_s: f64) -> StoreResult<ScrubReport> {
         let mut report = ScrubReport::default();
@@ -225,11 +220,11 @@ mod tests {
         for _ in 0..chunks {
             let rows: Vec<RowRecord> = (0..16).map(|i| row(ts + i, (ts + i) as f64)).collect();
             ts += 16;
-            store.append(&rows);
+            store.append_owned(rows);
             store.commit().unwrap();
             store.flush().unwrap();
         }
-        store.append(&[row(ts, ts as f64), row(ts + 1, (ts + 1) as f64)]);
+        store.append_owned(vec![row(ts, ts as f64), row(ts + 1, (ts + 1) as f64)]);
         store.commit().unwrap();
         (disk, store)
     }
@@ -242,9 +237,10 @@ mod tests {
             ..ScrubConfig::default()
         });
         let mut now = 0.0;
-        let mut total_checked = 0;
-        while scrubber.full_passes() == 0 {
+        let (mut total_checked, mut passes) = (0, 0);
+        while passes == 0 {
             let r = scrubber.tick(&mut store, now).unwrap();
+            passes = r.full_passes_completed;
             total_checked += r.files_checked;
             assert!(r.quarantined.is_empty());
             now += 1.0;
@@ -265,10 +261,12 @@ mod tests {
             full_pass_period_s: 8.0,
             burst_bytes: 1.0, // tiny burst: at most one file per tick
         });
-        let mut per_tick = Vec::new();
+        let (mut per_tick, mut passes) = (Vec::new(), 0);
         let mut now = 0.0;
-        while scrubber.full_passes() == 0 {
-            per_tick.push(scrubber.tick(&mut store, now).unwrap().files_checked);
+        while passes == 0 {
+            let r = scrubber.tick(&mut store, now).unwrap();
+            passes = r.full_passes_completed;
+            per_tick.push(r.files_checked);
             now += 1.0;
             assert!(now < 64.0);
         }
@@ -287,9 +285,11 @@ mod tests {
             ..ScrubConfig::default()
         });
         let mut now = 2.0;
-        let mut quarantined = Vec::new();
-        while scrubber.full_passes() == 0 {
-            quarantined.extend(scrubber.tick(&mut store, now).unwrap().quarantined);
+        let (mut quarantined, mut passes) = (Vec::new(), 0);
+        while passes == 0 {
+            let r = scrubber.tick(&mut store, now).unwrap();
+            passes = r.full_passes_completed;
+            quarantined.extend(r.quarantined);
             now += 1.0;
             assert!(now < 100.0);
         }
@@ -297,11 +297,11 @@ mod tests {
         assert_eq!(quarantined[0].site, DetectionSite::Scrub);
         assert_eq!(quarantined[0].rows, 16);
         assert!(quarantined[0].time_range.is_some());
-        assert_eq!(store.chunk_count(), 3);
+        assert_eq!(store.chunk_seqs().len(), 3);
         assert_eq!(store.quarantined(), &quarantined[..]);
         // Evidence preserved under quarantine/.
         let q = crate::store::quarantine_name(quarantined[0].seq);
-        assert!(store.vfs().exists(&q).unwrap());
+        assert!(disk.exists(&q).unwrap());
         // The scan keeps serving the survivors.
         assert_eq!(store.scan().unwrap().len(), 3 * 16 + 2);
     }
@@ -314,11 +314,11 @@ mod tests {
         disk.advance_rot(1.0);
         let mut scrubber = Scrubber::new(ScrubConfig::default());
         let mut now = 1.0;
-        let mut wal = None;
-        while scrubber.full_passes() == 0 {
-            if let Some(w) = scrubber.tick(&mut store, now).unwrap().wal {
-                wal = Some(w);
-            }
+        let (mut wal, mut passes) = (None, 0);
+        while passes == 0 {
+            let r = scrubber.tick(&mut store, now).unwrap();
+            passes = r.full_passes_completed;
+            wal = r.wal.or(wal);
             now += 1.0;
             assert!(now < 200.0);
         }

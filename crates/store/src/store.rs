@@ -38,16 +38,16 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// WAL file name inside the store's [`Vfs`] namespace.
-pub const WAL_FILE: &str = "wal.log";
+pub(crate) const WAL_FILE: &str = "wal.log";
 
 /// Namespace prefix for quarantined chunk files. A chunk that fails its
 /// CRC is *moved* here — never deleted — so the damaged bytes stay
 /// available as evidence while the live namespace only ever holds files
 /// that verified.
-pub const QUARANTINE_PREFIX: &str = "quarantine/";
+pub(crate) const QUARANTINE_PREFIX: &str = "quarantine/";
 
 /// Quarantine file name for a chunk sequence number.
-pub fn quarantine_name(seq: u64) -> String {
+pub(crate) fn quarantine_name(seq: u64) -> String {
     format!("{QUARANTINE_PREFIX}{}", chunk_name(seq))
 }
 
@@ -125,7 +125,7 @@ pub struct QuarantinedChunk {
 
 /// Result of CRC-verifying one live chunk ([`TsStore::verify_chunk`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum VerifyOutcome {
+pub(crate) enum VerifyOutcome {
     /// The chunk's CRC checked out.
     Clean {
         /// File size verified.
@@ -429,11 +429,6 @@ impl TsStore {
     }
 
     /// [`TsStore::append_batch`] for callers whose unit is the row.
-    pub fn append(&mut self, rows: &[RowRecord]) {
-        self.append_batch(WriteBatch::from_rows(rows.iter().cloned()));
-    }
-
-    /// [`TsStore::append`] taking the rows by value.
     pub fn append_owned(&mut self, rows: Vec<RowRecord>) {
         self.append_batch(WriteBatch::from_rows(rows));
     }
@@ -680,7 +675,7 @@ impl TsStore {
     /// CRC-verify one live chunk for the scrubber. A clean chunk reports
     /// its byte size; a damaged one is quarantined. `Ok(None)` means the
     /// chunk was flushed away (compacted) between snapshot and visit.
-    pub fn verify_chunk(&mut self, seq: u64) -> StoreResult<Option<VerifyOutcome>> {
+    pub(crate) fn verify_chunk(&mut self, seq: u64) -> StoreResult<Option<VerifyOutcome>> {
         if !self.chunks.contains_key(&seq) {
             return Ok(None);
         }
@@ -704,7 +699,7 @@ impl TsStore {
     /// acknowledged cells of the current log (the WAL resets precisely
     /// when the memtable flushes), so the log is rewritten losslessly
     /// from memory, as one frame.
-    pub fn scrub_wal(&mut self) -> StoreResult<WalScrub> {
+    pub(crate) fn scrub_wal(&mut self) -> StoreResult<WalScrub> {
         let raw = self.wal.raw_bytes()?;
         let (_, _, corrupt_frames) = scan_frames(&raw);
         let mut out = WalScrub {
@@ -742,11 +737,6 @@ impl TsStore {
         Ok(attach)
     }
 
-    /// Is the backup subsystem attached?
-    pub fn backup_enabled(&self) -> bool {
-        self.bk.is_some()
-    }
-
     /// Set the archiver's group-archival threshold: commits stage their
     /// payload and the archive write happens once `group` records are
     /// pending (flushes and snapshot fences always drain). `group = 1`
@@ -780,7 +770,7 @@ impl TsStore {
     /// Begin an online snapshot generation: fence the archive at the
     /// current sequence, pin the live chunk set against compaction, and
     /// return the generation id. Writes continue concurrently.
-    pub fn backup_begin(&mut self) -> StoreResult<u64> {
+    pub(crate) fn backup_begin(&mut self) -> StoreResult<u64> {
         let seqs = self.chunk_seqs();
         let bk = self
             .bk
@@ -794,7 +784,7 @@ impl TsStore {
     /// A chunk that fails verification is quarantined (the job skips it
     /// and the loss is accounted like any other quarantine). Returns
     /// `true` when every chunk has been processed.
-    pub fn backup_step(&mut self, max_chunks: usize) -> StoreResult<bool> {
+    pub(crate) fn backup_step(&mut self, max_chunks: usize) -> StoreResult<bool> {
         for _ in 0..max_chunks {
             let Some(seq) = self
                 .bk
@@ -841,7 +831,7 @@ impl TsStore {
 
     /// Write the active job's manifest — the commit point of the whole
     /// generation — release the pins, and apply deferred deletions.
-    pub fn backup_finish(&mut self) -> StoreResult<BackupReport> {
+    pub(crate) fn backup_finish(&mut self) -> StoreResult<BackupReport> {
         let bk = self
             .bk
             .as_mut()
@@ -861,7 +851,7 @@ impl TsStore {
     /// Abandon the active snapshot job (pins released, generation id
     /// burned, torn files left without a manifest — invisible to
     /// restore).
-    pub fn backup_abort(&mut self) {
+    pub(crate) fn backup_abort(&mut self) {
         let deferred = match &mut self.bk {
             Some(bk) => bk.abort_job(),
             None => Vec::new(),
@@ -912,7 +902,7 @@ impl TsStore {
 
     /// Record a completed full-store scrub pass at virtual time `now_s`
     /// (drives the `store.scrub.last_full_pass` staleness gauge).
-    pub fn note_full_scrub_pass(&mut self, now_s: f64) {
+    pub(crate) fn note_full_scrub_pass(&mut self, now_s: f64) {
         self.obs.scrub_full_passes.inc();
         self.obs.scrub_last_full_pass.set(now_s * 1e9);
     }
@@ -923,38 +913,28 @@ impl TsStore {
     }
 
     /// Byte size of a live chunk from the manifest.
-    pub fn chunk_bytes(&self, seq: u64) -> Option<u64> {
+    pub(crate) fn chunk_bytes(&self, seq: u64) -> Option<u64> {
         self.chunks.get(&seq).map(|m| m.bytes)
     }
 
     /// Acknowledged rows not yet flushed to a chunk.
-    pub fn memtable_rows(&self) -> usize {
+    pub(crate) fn memtable_rows(&self) -> usize {
         self.memtable.cells()
     }
 
     /// Rows staged for the next commit.
-    pub fn staged_rows(&self) -> usize {
+    pub(crate) fn staged_rows(&self) -> usize {
         self.staged.iter().map(WriteBatch::cells).sum()
     }
 
-    /// Live chunk files.
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
     /// Sequence numbers of the live chunks, ascending.
-    pub fn chunk_seqs(&self) -> Vec<u64> {
+    pub(crate) fn chunk_seqs(&self) -> Vec<u64> {
         self.chunks.keys().copied().collect()
     }
 
     /// Bytes currently occupied by the WAL file.
     pub fn wal_size(&self) -> StoreResult<u64> {
         self.wal.size()
-    }
-
-    /// The underlying virtual filesystem.
-    pub fn vfs(&self) -> &Arc<dyn Vfs> {
-        &self.vfs
     }
 }
 
@@ -1018,7 +998,7 @@ mod tests {
             assert_eq!((report.wal_rows, report.wal_corrupt_frames), (1, 1));
             assert_eq!(report.wal_bytes_dropped, dropped);
             assert_eq!(store.wal_size().unwrap(), (8 + good.len()) as u64);
-            store.append(&[row("s", "f", 2, 2.0)]);
+            store.append_owned(vec![row("s", "f", 2, 2.0)]);
             store.commit().unwrap();
             drop(store);
             disk.restart();
@@ -1064,7 +1044,7 @@ mod tests {
             let disk = MemDisk::new(122);
             let (mut store, _) = TsStore::open(Arc::new(disk.clone()), opts).unwrap();
             for commit in cells.chunks(if one_by_one { 1 } else { cells.len() }) {
-                store.append(commit);
+                store.append_owned(commit.to_vec());
                 store.commit().unwrap();
             }
             assert_eq!(store.memtable_rows(), 4096);
@@ -1079,7 +1059,7 @@ mod tests {
         let vfs: Arc<dyn Vfs> = Arc::new(MemDisk::new(100));
         let (mut store, report) = TsStore::open(vfs.clone(), small_opts()).unwrap();
         assert_eq!(report, RecoveryReport::default());
-        store.append(&[row("s", "f", 1, 1.0), row("s", "f", 2, 2.0)]);
+        store.append_owned(vec![row("s", "f", 1, 1.0), row("s", "f", 2, 2.0)]);
         // Staged rows are invisible until commit.
         assert!(store.scan().unwrap().is_empty());
         store.commit().unwrap();
@@ -1098,9 +1078,9 @@ mod tests {
         let vfs: Arc<dyn Vfs> = Arc::new(MemDisk::new(101));
         let (mut store, _) = TsStore::open(vfs.clone(), small_opts()).unwrap();
         let rows: Vec<RowRecord> = (0..10).map(|i| row("s", "f", i, i as f64)).collect();
-        store.append(&rows);
+        store.append_owned(rows);
         store.commit().unwrap();
-        assert_eq!(store.chunk_count(), 1);
+        assert_eq!(store.chunk_seqs().len(), 1);
         assert_eq!(store.memtable_rows(), 0);
         assert_eq!(store.wal_size().unwrap(), 0);
         assert_eq!(store.scan().unwrap().len(), 10);
@@ -1116,19 +1096,19 @@ mod tests {
     fn compaction_merges_lww_and_enforces_retention() {
         let vfs: Arc<dyn Vfs> = Arc::new(MemDisk::new(102));
         let (mut store, _) = TsStore::open(vfs.clone(), small_opts()).unwrap();
-        store.append(&[row("s", "f", 1, 1.0), row("s", "f", 5, 5.0)]);
+        store.append_owned(vec![row("s", "f", 1, 1.0), row("s", "f", 5, 5.0)]);
         store.commit().unwrap();
         store.flush().unwrap();
-        store.append(&[row("s", "f", 5, 50.0), row("s", "f", 9, 9.0)]);
+        store.append_owned(vec![row("s", "f", 5, 50.0), row("s", "f", 9, 9.0)]);
         store.commit().unwrap();
         store.flush().unwrap();
-        assert_eq!(store.chunk_count(), 2);
+        assert_eq!(store.chunk_seqs().len(), 2);
         let report = store.compact(Some(2)).unwrap().unwrap();
         assert_eq!(report.rows_in, 4);
         assert_eq!(report.rows_dropped_retention, 1); // ts=1
         assert_eq!(report.rows_dropped_lww, 1); // older ts=5
         assert_eq!(report.rows_out, 2);
-        assert_eq!(store.chunk_count(), 1);
+        assert_eq!(store.chunk_seqs().len(), 1);
         assert_eq!(
             store.scan().unwrap(),
             vec![row("s", "f", 5, 50.0), row("s", "f", 9, 9.0)]
@@ -1142,10 +1122,13 @@ mod tests {
     fn retention_prunes_memtable_and_disk() {
         let vfs: Arc<dyn Vfs> = Arc::new(MemDisk::new(103));
         let (mut store, _) = TsStore::open(vfs, small_opts()).unwrap();
-        store.append(&[row("s", "old", 1, 1.0), row("s", "new", 100, 2.0)]);
+        store.append_owned(vec![row("s", "old", 1, 1.0), row("s", "new", 100, 2.0)]);
         store.commit().unwrap();
         store.flush().unwrap();
-        store.append(&[row("s", "mem_old", 2, 3.0), row("s", "mem_new", 200, 4.0)]);
+        store.append_owned(vec![
+            row("s", "mem_old", 2, 3.0),
+            row("s", "mem_new", 200, 4.0),
+        ]);
         store.commit().unwrap();
         store.enforce_retention(50).unwrap();
         let left = store.scan().unwrap();
@@ -1157,13 +1140,13 @@ mod tests {
     fn compact_drop_everything_leaves_no_chunks() {
         let vfs: Arc<dyn Vfs> = Arc::new(MemDisk::new(104));
         let (mut store, _) = TsStore::open(vfs, small_opts()).unwrap();
-        store.append(&[row("s", "f", 1, 1.0)]);
+        store.append_owned(vec![row("s", "f", 1, 1.0)]);
         store.commit().unwrap();
         store.flush().unwrap();
         let report = store.enforce_retention(10).unwrap().unwrap();
         assert_eq!(report.rows_out, 0);
         assert_eq!(report.bytes_after, 0);
-        assert_eq!(store.chunk_count(), 0);
+        assert_eq!(store.chunk_seqs().len(), 0);
         assert!(store.scan().unwrap().is_empty());
     }
 
@@ -1172,7 +1155,7 @@ mod tests {
         let disk = MemDisk::new(105);
         let vfs: Arc<dyn Vfs> = Arc::new(disk.clone());
         let (mut store, _) = TsStore::open(vfs, small_opts()).unwrap();
-        store.append(&[row("s", "f", 1, 1.0)]);
+        store.append_owned(vec![row("s", "f", 1, 1.0)]);
         disk.schedule_fault(FaultPlan {
             crash_at_op: disk.ops_done() + 1,
             mode: FaultMode::CleanStop,
@@ -1187,7 +1170,7 @@ mod tests {
         let disk = MemDisk::new(106);
         let vfs: Arc<dyn Vfs> = Arc::new(disk.clone());
         let (mut store, _) = TsStore::open(vfs.clone(), small_opts()).unwrap();
-        store.append(&[row("s", "f", 1, 1.0), row("s", "f", 2, 2.0)]);
+        store.append_owned(vec![row("s", "f", 1, 1.0), row("s", "f", 2, 2.0)]);
         store.commit().unwrap();
         // Chunk write is create+append+sync (3 ops); crash on the WAL
         // reset right after, leaving rows in both chunk and WAL.
@@ -1213,7 +1196,7 @@ mod tests {
         let disk = MemDisk::new(107);
         let vfs: Arc<dyn Vfs> = Arc::new(disk.clone());
         let (mut store, _) = TsStore::open(vfs.clone(), small_opts()).unwrap();
-        store.append(&[row("s", "f", 1, 1.0)]);
+        store.append_owned(vec![row("s", "f", 1, 1.0)]);
         store.commit().unwrap();
         store.flush().unwrap();
         // Smash the chunk.
@@ -1229,7 +1212,7 @@ mod tests {
         assert_eq!(report.chunks_loaded, 0);
         assert!(store.scan().unwrap().is_empty());
         // New flushes never reuse the damaged file's sequence number.
-        store.append(&[row("s", "f", 2, 2.0)]);
+        store.append_owned(vec![row("s", "f", 2, 2.0)]);
         store.commit().unwrap();
         store.flush().unwrap();
         assert_eq!(store.chunk_seqs(), &[1]);
@@ -1240,10 +1223,10 @@ mod tests {
         let disk = MemDisk::new(109);
         let vfs: Arc<dyn Vfs> = Arc::new(disk.clone());
         let (mut store, _) = TsStore::open(vfs, small_opts()).unwrap();
-        store.append(&[row("s", "f", 1, 1.0), row("s", "f", 2, 2.0)]);
+        store.append_owned(vec![row("s", "f", 1, 1.0), row("s", "f", 2, 2.0)]);
         store.commit().unwrap();
         store.flush().unwrap();
-        store.append(&[row("s", "f", 3, 3.0)]);
+        store.append_owned(vec![row("s", "f", 3, 3.0)]);
         store.commit().unwrap();
         store.flush().unwrap();
         // Rot one payload byte of chunk 0 (keep the magic intact).
@@ -1300,10 +1283,10 @@ mod tests {
             let disk = MemDisk::new(111);
             let vfs: Arc<dyn Vfs> = Arc::new(disk.clone());
             let (mut store, _) = TsStore::open(vfs.clone(), small_opts()).unwrap();
-            store.append(&[row("s", "f", 1, 1.0), row("s", "f", 2, 2.0)]);
+            store.append_owned(vec![row("s", "f", 1, 1.0), row("s", "f", 2, 2.0)]);
             store.commit().unwrap();
             store.flush().unwrap();
-            store.append(&[row("s", "f", 3, 3.0)]);
+            store.append_owned(vec![row("s", "f", 3, 3.0)]);
             store.commit().unwrap();
             store.flush().unwrap();
             forge_lying_header(&disk);
@@ -1346,7 +1329,7 @@ mod tests {
         let disk = MemDisk::new(110);
         let vfs: Arc<dyn Vfs> = Arc::new(disk.clone());
         let (mut store, _) = TsStore::open(vfs.clone(), small_opts()).unwrap();
-        store.append(&[row("s", "f", 1, 1.0)]);
+        store.append_owned(vec![row("s", "f", 1, 1.0)]);
         store.commit().unwrap();
         store.flush().unwrap();
         let name = chunk_name(0);
@@ -1367,7 +1350,7 @@ mod tests {
         // quarantined sequence number via the evidence file.
         let (mut store, report) = TsStore::open(vfs, small_opts()).unwrap();
         assert_eq!(report.chunks_skipped, 0);
-        store.append(&[row("s", "f", 9, 9.0)]);
+        store.append_owned(vec![row("s", "f", 9, 9.0)]);
         store.commit().unwrap();
         store.flush().unwrap();
         assert_eq!(store.chunk_seqs(), &[1]);
@@ -1379,10 +1362,10 @@ mod tests {
         let vfs: Arc<dyn Vfs> = Arc::new(MemDisk::new(108));
         let obs = StoreObs::new(&registry, "influx");
         let (mut store, _) = TsStore::open_with_obs(vfs, small_opts(), obs).unwrap();
-        store.append(&[row("s", "f", 1, 1.0), row("s", "f", 2, 2.0)]);
+        store.append_owned(vec![row("s", "f", 1, 1.0), row("s", "f", 2, 2.0)]);
         store.commit().unwrap();
         store.flush().unwrap();
-        store.append(&[row("s", "f", 3, 3.0)]);
+        store.append_owned(vec![row("s", "f", 3, 3.0)]);
         store.commit().unwrap();
         store.flush().unwrap();
         store.compact(None).unwrap().unwrap();
@@ -1407,7 +1390,7 @@ mod tests {
             let vfs: Arc<dyn Vfs> = Arc::new(disk.clone());
             let (mut store, _) = TsStore::open(vfs, small_opts()).unwrap();
             for i in 0..20i64 {
-                store.append(&[row("cpu,host=a", "_cpu0", i * 500, 20.0 + i as f64)]);
+                store.append_owned(vec![row("cpu,host=a", "_cpu0", i * 500, 20.0 + i as f64)]);
                 store.commit().unwrap();
             }
             store.flush().unwrap();

@@ -1,14 +1,11 @@
 //! Virtual filesystem abstraction: every byte the engine persists goes
-//! through [`Vfs`] / [`VirtualFile`], so the same WAL/chunk/compaction
-//! code runs against the real filesystem ([`StdFs`]) and against the
-//! deterministic fault-injecting disk (`MemDisk`) used by the
-//! crash-recovery property tests.
+//! through [`Vfs`] / [`VirtualFile`]. The implementation in the tree is
+//! the deterministic fault-injecting disk (`MemDisk`), so the same
+//! WAL/chunk/compaction code runs under every seeded fault schedule the
+//! crash-recovery property tests draw.
 
-use crate::error::{StoreError, StoreResult};
+use crate::error::StoreResult;
 use pmove_hwsim::disk::DiskSpec;
-use std::fs;
-use std::io::Write;
-use std::path::PathBuf;
 
 /// An open, append-only file handle.
 pub trait VirtualFile: Send {
@@ -50,206 +47,6 @@ pub trait Vfs: Send + Sync {
     fn exists(&self, name: &str) -> StoreResult<bool>;
 
     /// The block-device model used to derive deterministic modeled
-    /// latencies for the `pmove.self.wal.*` histograms. Real filesystems
-    /// report the paper's SATA target so observability stays
-    /// bit-reproducible regardless of host hardware.
-    fn disk_spec(&self) -> DiskSpec {
-        DiskSpec::sata("store")
-    }
-}
-
-// ------------------------------------------------------------------ std
-
-/// [`Vfs`] over a real directory via `std::fs`.
-pub struct StdFs {
-    root: PathBuf,
-}
-
-impl StdFs {
-    /// Open (creating if needed) a store rooted at `root`.
-    pub fn new(root: impl Into<PathBuf>) -> StoreResult<StdFs> {
-        let root = root.into();
-        fs::create_dir_all(&root)?;
-        Ok(StdFs { root })
-    }
-
-    fn path(&self, name: &str) -> PathBuf {
-        self.root.join(name)
-    }
-
-    /// Names like `quarantine/chunk-….tsm` live one directory down;
-    /// create the parent before opening so namespaced writes just work.
-    fn ensure_parent(&self, name: &str) -> StoreResult<()> {
-        if name.contains('/') {
-            if let Some(parent) = self.path(name).parent() {
-                fs::create_dir_all(parent)?;
-            }
-        }
-        Ok(())
-    }
-}
-
-struct StdFile {
-    file: fs::File,
-}
-
-impl VirtualFile for StdFile {
-    fn append(&mut self, data: &[u8]) -> StoreResult<()> {
-        self.file.write_all(data)?;
-        Ok(())
-    }
-
-    fn sync(&mut self) -> StoreResult<()> {
-        self.file.sync_all()?;
-        Ok(())
-    }
-
-    fn len(&self) -> StoreResult<u64> {
-        Ok(self.file.metadata()?.len())
-    }
-}
-
-impl Vfs for StdFs {
-    fn open_append(&self, name: &str) -> StoreResult<Box<dyn VirtualFile>> {
-        self.ensure_parent(name)?;
-        let file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.path(name))?;
-        Ok(Box::new(StdFile { file }))
-    }
-
-    fn create(&self, name: &str) -> StoreResult<Box<dyn VirtualFile>> {
-        self.ensure_parent(name)?;
-        let file = fs::OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(self.path(name))?;
-        Ok(Box::new(StdFile { file }))
-    }
-
-    fn read(&self, name: &str) -> StoreResult<Vec<u8>> {
-        Ok(fs::read(self.path(name))?)
-    }
-
-    fn list(&self) -> StoreResult<Vec<String>> {
-        let mut names = Vec::new();
-        for entry in fs::read_dir(&self.root)? {
-            let entry = entry?;
-            let file_type = entry.file_type()?;
-            let Ok(name) = entry.file_name().into_string() else {
-                continue;
-            };
-            if file_type.is_file() {
-                names.push(name);
-            } else if file_type.is_dir() {
-                // One level of namespacing (e.g. quarantine/), matching
-                // the flat-with-prefixes view MemDisk presents.
-                for sub in fs::read_dir(entry.path())? {
-                    let sub = sub?;
-                    if sub.file_type()?.is_file() {
-                        if let Ok(sub_name) = sub.file_name().into_string() {
-                            names.push(format!("{name}/{sub_name}"));
-                        }
-                    }
-                }
-            }
-        }
-        names.sort();
-        Ok(names)
-    }
-
-    fn remove(&self, name: &str) -> StoreResult<()> {
-        match fs::remove_file(self.path(name)) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(StoreError::Io(e.to_string())),
-        }
-    }
-
-    fn exists(&self, name: &str) -> StoreResult<bool> {
-        Ok(self.path(name).exists())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("pmove-store-test-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
-    }
-
-    #[test]
-    fn stdfs_append_read_list_remove() {
-        let root = tmpdir("basic");
-        let vfs = StdFs::new(&root).unwrap();
-        let mut f = vfs.create("a.log").unwrap();
-        f.append(b"hello ").unwrap();
-        f.append(b"world").unwrap();
-        f.sync().unwrap();
-        assert_eq!(f.len().unwrap(), 11);
-        drop(f);
-        assert_eq!(vfs.read("a.log").unwrap(), b"hello world");
-        // Re-open for append keeps content.
-        let mut f = vfs.open_append("a.log").unwrap();
-        f.append(b"!").unwrap();
-        f.sync().unwrap();
-        assert_eq!(vfs.read("a.log").unwrap(), b"hello world!");
-        // Create truncates.
-        let f2 = vfs.create("a.log").unwrap();
-        assert!(f2.is_empty().unwrap());
-        assert_eq!(vfs.list().unwrap(), vec!["a.log".to_string()]);
-        assert!(vfs.exists("a.log").unwrap());
-        vfs.remove("a.log").unwrap();
-        vfs.remove("a.log").unwrap(); // idempotent
-        assert!(!vfs.exists("a.log").unwrap());
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn stdfs_namespaced_files_roundtrip() {
-        let root = tmpdir("namespaced");
-        let vfs = StdFs::new(&root).unwrap();
-        let mut f = vfs.create("quarantine/chunk-00000001.tsm").unwrap();
-        f.append(b"evidence").unwrap();
-        f.sync().unwrap();
-        drop(f);
-        assert!(vfs.exists("quarantine/chunk-00000001.tsm").unwrap());
-        assert_eq!(
-            vfs.read("quarantine/chunk-00000001.tsm").unwrap(),
-            b"evidence"
-        );
-        vfs.create("top.log").unwrap();
-        assert_eq!(
-            vfs.list().unwrap(),
-            vec![
-                "quarantine/chunk-00000001.tsm".to_string(),
-                "top.log".to_string()
-            ]
-        );
-        vfs.remove("quarantine/chunk-00000001.tsm").unwrap();
-        assert!(!vfs.exists("quarantine/chunk-00000001.tsm").unwrap());
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn missing_file_read_errors() {
-        let root = tmpdir("missing");
-        let vfs = StdFs::new(&root).unwrap();
-        assert!(vfs.read("ghost").is_err());
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn default_disk_spec_matches_paper_target() {
-        let root = tmpdir("spec");
-        let vfs = StdFs::new(&root).unwrap();
-        assert!(vfs.disk_spec().rotational);
-        let _ = fs::remove_dir_all(&root);
-    }
+    /// latencies for the `pmove.self.wal.*` histograms.
+    fn disk_spec(&self) -> DiskSpec;
 }

@@ -46,7 +46,7 @@ pub struct WalReplay {
 /// Parse every valid frame in `data`; returns the payloads, the byte
 /// length of the valid prefix, and how many frames were rejected as
 /// corrupt (as opposed to merely torn short at the tail).
-pub fn scan_frames(data: &[u8]) -> (Vec<Vec<u8>>, usize, u64) {
+pub(crate) fn scan_frames(data: &[u8]) -> (Vec<Vec<u8>>, usize, u64) {
     let mut payloads = Vec::new();
     let mut pos = 0usize;
     let mut corrupt = 0u64;
@@ -163,7 +163,7 @@ impl Wal {
 
     /// Truncate the log (after its records were flushed into a chunk).
     /// Buffered-but-uncommitted records are preserved for the next commit.
-    pub fn reset(&mut self) -> StoreResult<()> {
+    pub(crate) fn reset(&mut self) -> StoreResult<()> {
         self.file = self.vfs.create(&self.name)?;
         self.durable_records = 0;
         Ok(())
@@ -172,7 +172,7 @@ impl Wal {
     /// Rewrite the durable log to exactly `payloads`, one frame each —
     /// the scrubber's repair path when latent rot lands inside an
     /// already-durable frame. Buffered-but-uncommitted records are
-    /// preserved for the next commit, exactly like [`Wal::reset`].
+    /// preserved for the next commit, exactly like `Wal::reset`.
     pub fn rewrite(&mut self, payloads: &[Vec<u8>]) -> StoreResult<()> {
         let mut framed = Vec::new();
         for p in payloads {
@@ -190,7 +190,7 @@ impl Wal {
     }
 
     /// Raw durable+buffered bytes of the log file, for integrity scans.
-    pub fn raw_bytes(&self) -> StoreResult<Vec<u8>> {
+    pub(crate) fn raw_bytes(&self) -> StoreResult<Vec<u8>> {
         if self.vfs.exists(&self.name)? {
             self.vfs.read(&self.name)
         } else {
@@ -203,13 +203,8 @@ impl Wal {
         self.durable_records
     }
 
-    /// Records buffered but not yet committed.
-    pub fn pending_records(&self) -> u64 {
-        self.pending_records
-    }
-
     /// Current file size in bytes.
-    pub fn size(&self) -> StoreResult<u64> {
+    pub(crate) fn size(&self) -> StoreResult<u64> {
         self.file.len()
     }
 }
@@ -359,7 +354,6 @@ mod tests {
         wal.rewrite(&[b"first".to_vec(), b"second".to_vec()])
             .unwrap();
         assert_eq!(wal.durable_records(), 2);
-        assert_eq!(wal.pending_records(), 1);
         let (payloads, _, corrupt) = scan_frames(&wal.raw_bytes().unwrap());
         assert_eq!(corrupt, 0);
         assert_eq!(payloads, vec![b"first".to_vec(), b"second".to_vec()]);

@@ -131,7 +131,7 @@ fn run_case(seed: u64, batches: &[Vec<RowRecord>], plan: Option<FaultPlan>) -> C
     let (mut store, _) = TsStore::open(vfs.clone(), opts).expect("fresh open cannot fail");
     let mut acked = 0usize;
     for batch in batches {
-        store.append(batch);
+        store.append_owned(batch.to_vec());
         match store.commit() {
             Ok(_) => acked += 1,
             Err(_) => break,
@@ -287,7 +287,7 @@ fn recovered_store_accepts_new_writes() {
         };
         let (mut store, _) = TsStore::open(vfs.clone(), opts).unwrap();
         for batch in &batches {
-            store.append(batch);
+            store.append_owned(batch.to_vec());
             if store.commit().is_err() {
                 break;
             }
@@ -296,7 +296,7 @@ fn recovered_store_accepts_new_writes() {
         disk.restart();
         let (mut store, _) = TsStore::open(vfs.clone(), opts).unwrap();
         let sentinel = RowRecord::new("post,host=x", "alive", 9_999_999, ColumnValue::Bool(true));
-        store.append(std::slice::from_ref(&sentinel));
+        store.append_owned(vec![sentinel.clone()]);
         store.commit().unwrap();
         drop(store);
         let (mut store, _) = TsStore::open(vfs, opts).unwrap();
@@ -332,7 +332,7 @@ fn bit_flip_inside_wal_record_truncates_at_corrupt_frame() {
         let batches: Vec<Vec<RowRecord>> = (0..6).map(|i| gen_batch(&mut rng, i)).collect();
         let (mut store, _) = TsStore::open(vfs.clone(), opts).unwrap();
         for batch in &batches {
-            store.append(batch);
+            store.append_owned(batch.to_vec());
             store.commit().expect("no fault scheduled yet");
         }
         // Flip a durable bit while one more commit is in flight.
@@ -340,7 +340,7 @@ fn bit_flip_inside_wal_record_truncates_at_corrupt_frame() {
             crash_at_op: disk.ops_done() + 2,
             mode: FaultMode::BitFlip,
         });
-        store.append(&gen_batch(&mut rng, 6));
+        store.append_owned(gen_batch(&mut rng, 6));
         assert!(store.commit().is_err(), "seed {seed}: fault did not fire");
         drop(store);
         disk.restart();
@@ -351,10 +351,11 @@ fn bit_flip_inside_wal_record_truncates_at_corrupt_frame() {
             .unwrap_or_else(|e| panic!("seed {seed}: recovery panicked on corruption: {e}"));
         let recovered = store.scan().unwrap();
         let metric = registry
-            .counter("store.wal.corrupt_frames", &[("db", "walcrash")])
-            .get();
+            .snapshot()
+            .counter("store.wal.corrupt_frames", &[("db", "walcrash")]);
         assert_eq!(
-            metric, report.wal_corrupt_frames,
+            metric,
+            Some(report.wal_corrupt_frames),
             "seed {seed}: metric disagrees with the recovery report"
         );
         // Whatever survived must be the LWW view of an exact batch
@@ -380,7 +381,7 @@ fn bit_flip_inside_wal_record_truncates_at_corrupt_frame() {
         }
         // Recovery rewrote the log to the valid prefix: a second open is
         // clean, byte-identical, and the store accepts new writes.
-        store.append(&[RowRecord::new(
+        store.append_owned(vec![RowRecord::new(
             "post,host=x",
             "alive",
             9_999_999,
@@ -516,7 +517,7 @@ fn block_kernel_matches_the_per_cell_oracle() {
                         )
                     })
                     .collect();
-                store.append(&batch);
+                store.append_owned(batch.clone());
                 store.commit().unwrap();
                 log.extend(batch.iter().cloned());
                 memtable.extend(batch);
@@ -807,7 +808,7 @@ fn compacted_chunk_format_is_pinned() {
                 rows.push(RowRecord::new("mem,host=skx", "note", i, v));
             }
         }
-        store.append(&rows);
+        store.append_owned(rows);
         store.commit().unwrap();
         store.flush().unwrap().unwrap();
     }

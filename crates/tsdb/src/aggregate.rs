@@ -28,7 +28,7 @@ pub enum AggregateFn {
 
 impl AggregateFn {
     /// Parse from the InfluxQL function name (case-insensitive).
-    pub fn parse(name: &str) -> Option<Self> {
+    pub(crate) fn parse(name: &str) -> Option<Self> {
         Some(match name.to_ascii_lowercase().as_str() {
             "min" => AggregateFn::Min,
             "max" => AggregateFn::Max,
@@ -44,7 +44,7 @@ impl AggregateFn {
     }
 
     /// Lower-case function name.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             AggregateFn::Min => "min",
             AggregateFn::Max => "max",
@@ -136,17 +136,17 @@ impl Accumulator {
             AggregateFn::Median => percentile(&mut self.values.clone(), 50.0),
         })
     }
-
-    /// Number of values seen so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
 }
 
 /// Linear-interpolation percentile of an unsorted slice; `p` in [0, 100].
-pub fn percentile(values: &mut [f64], p: f64) -> f64 {
+///
+/// Values are ordered by [`f64::total_cmp`], so a stored NaN has a place:
+/// above `+inf` (below `-inf` when its sign bit is set). The answer is
+/// the same on every run and in every execution mode, and is NaN only
+/// when the interpolation touches a NaN.
+pub(crate) fn percentile(values: &mut [f64], p: f64) -> f64 {
     assert!(!values.is_empty(), "percentile of empty slice");
-    values.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in telemetry"));
+    values.sort_by(f64::total_cmp);
     let p = p.clamp(0.0, 100.0);
     if values.len() == 1 {
         return values[0];
@@ -163,7 +163,7 @@ pub fn percentile(values: &mut [f64], p: f64) -> f64 {
 }
 
 /// Convenience: run one aggregate over a slice.
-pub fn aggregate(func: AggregateFn, values: &[f64]) -> Option<f64> {
+pub(crate) fn aggregate(func: AggregateFn, values: &[f64]) -> Option<f64> {
     let mut acc = Accumulator::new(func);
     for &v in values {
         acc.push(v);
@@ -254,6 +254,25 @@ mod tests {
         assert!((percentile(&mut v, 50.0) - 2.5).abs() < 1e-12);
         let mut single = vec![7.0];
         assert_eq!(percentile(&mut single, 99.0), 7.0);
+    }
+
+    #[test]
+    fn percentile_orders_nan_above_infinity() {
+        let mut v = vec![f64::NAN, 1.0, f64::INFINITY, 2.0];
+        assert_eq!(percentile(&mut v, 0.0), 1.0);
+        assert_eq!(percentile(&mut v, 200.0 / 3.0), f64::INFINITY);
+        assert!(percentile(&mut v, 100.0).is_nan());
+        assert_eq!(
+            aggregate(AggregateFn::Median, &[f64::NAN, 2.0, 1.0]),
+            Some(2.0)
+        );
+        assert!(aggregate(AggregateFn::Median, &[f64::NAN, 1.0])
+            .unwrap()
+            .is_nan());
+        assert_eq!(
+            aggregate(AggregateFn::Median, &[-f64::NAN, 1.0, 2.0]),
+            Some(1.0)
+        );
     }
 
     #[test]

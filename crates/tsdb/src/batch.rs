@@ -62,7 +62,7 @@ impl Hasher for FnvHasher {
 
 /// One series within a batch: its points in arrival order.
 #[derive(Debug)]
-pub struct SeriesColumns {
+pub(crate) struct SeriesColumns {
     /// Series identity.
     pub key: SeriesKey,
     /// Timestamp and field set of each point, in arrival order (the field
@@ -121,14 +121,14 @@ impl ColumnarBatch {
     }
 
     /// The series in first-appearance order.
-    pub fn series(&self) -> &[SeriesColumns] {
+    pub(crate) fn series(&self) -> &[SeriesColumns] {
         &self.series
     }
 
     /// The batch as the durable store takes it: one block per series —
     /// escaped key rendered once, points in arrival order, which is all
     /// last-write-wins replay needs.
-    pub fn blocks(&self) -> WriteBatch {
+    pub(crate) fn blocks(&self) -> WriteBatch {
         let mut out = WriteBatch::default();
         for sc in &self.series {
             let key = render_series_key(&sc.key.measurement, &sc.key.tags);
@@ -142,7 +142,7 @@ impl ColumnarBatch {
         out
     }
 
-    /// [`ColumnarBatch::blocks`] as one row per cell, for callers whose
+    /// `ColumnarBatch::blocks` as one row per cell, for callers whose
     /// unit is the row.
     pub fn wal_rows(&self) -> Vec<RowRecord> {
         self.blocks().into_rows()
@@ -189,13 +189,6 @@ pub struct BatchOutcome {
     /// Modeled WAL group-commit cost for the whole batch (0 when
     /// memory-only or nothing was accepted).
     pub commit_ns: u64,
-}
-
-impl BatchOutcome {
-    /// True when every offered point was accepted.
-    pub fn all_accepted(&self) -> bool {
-        self.results.iter().all(Result::is_ok)
-    }
 }
 
 #[cfg(test)]

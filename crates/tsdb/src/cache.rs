@@ -16,10 +16,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Default number of cached results per database.
-pub const DEFAULT_CACHE_CAPACITY: usize = 64;
+pub(crate) const DEFAULT_CACHE_CAPACITY: usize = 64;
 
 /// Outcome of a cache lookup.
-pub enum CacheLookup {
+pub(crate) enum CacheLookup {
     /// Fresh entry; the shared result.
     Hit(Arc<Frame>),
     /// An entry existed but its measurement has been written since; it has
@@ -38,7 +38,7 @@ struct CacheEntry {
 
 /// The cache. LRU over a monotone access tick; capacity 0 disables it.
 #[derive(Debug)]
-pub struct QueryCache {
+pub(crate) struct QueryCache {
     capacity: usize,
     tick: u64,
     entries: HashMap<String, CacheEntry>,
@@ -46,7 +46,7 @@ pub struct QueryCache {
 
 impl QueryCache {
     /// Cache holding up to `capacity` results (0 disables caching).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         QueryCache {
             capacity,
             tick: 0,
@@ -55,22 +55,17 @@ impl QueryCache {
     }
 
     /// Maximum number of entries.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Current number of entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// True when no entries are cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Resize; shrinking evicts LRU entries, 0 clears and disables.
-    pub fn set_capacity(&mut self, capacity: usize) {
+    pub(crate) fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity;
         if capacity == 0 {
             self.entries.clear();
@@ -83,7 +78,7 @@ impl QueryCache {
 
     /// Look up `key`, validating against the measurement's current write
     /// version.
-    pub fn get(&mut self, key: &str, current_version: u64) -> CacheLookup {
+    pub(crate) fn get(&mut self, key: &str, current_version: u64) -> CacheLookup {
         self.tick += 1;
         let stale = match self.entries.get_mut(key) {
             None => return CacheLookup::Miss,
@@ -100,7 +95,7 @@ impl QueryCache {
 
     /// Insert a result observed at `version`; returns how many entries
     /// were evicted to make room (0 or 1 in steady state).
-    pub fn insert(&mut self, key: String, version: u64, result: Arc<Frame>) -> usize {
+    pub(crate) fn insert(&mut self, key: String, version: u64, result: Arc<Frame>) -> usize {
         if self.capacity == 0 {
             return 0;
         }
@@ -119,11 +114,6 @@ impl QueryCache {
             evicted += 1;
         }
         evicted
-    }
-
-    /// Drop everything.
-    pub fn clear(&mut self) {
-        self.entries.clear();
     }
 
     fn evict_lru(&mut self) {
@@ -191,7 +181,7 @@ mod tests {
         let mut c = QueryCache::new(0);
         assert_eq!(c.insert("a".into(), 0, result(1)), 0);
         assert!(matches!(c.get("a", 0), CacheLookup::Miss));
-        assert!(c.is_empty());
+        assert_eq!(c.len(), 0);
     }
 
     #[test]
@@ -204,6 +194,6 @@ mod tests {
         c.set_capacity(1);
         assert_eq!(c.len(), 1);
         c.set_capacity(0);
-        assert!(c.is_empty());
+        assert_eq!(c.len(), 0);
     }
 }

@@ -1,13 +1,14 @@
-//! The database engine: writes, queries, retention enforcement, live
-//! subscriptions, and the ingest limiter that models database-side
-//! backpressure.
+//! The database engine: writes, queries, retention enforcement and live
+//! subscriptions.
 //!
 //! Every write runs one body, `Database::ingest`: admit per point →
 //! group per series → one WAL frame and commit → ledger → modeled spans →
 //! publish → storage → rollup marks → version bumps.
-//! [`Database::write_point`], [`Database::apply_remote`] and
-//! [`Database::write`] hand it a batch of one, [`Database::write_batch`]
-//! any number and alone ticks the `tsdb.batch.*` counters.
+//! [`Database::write_point`] and [`Database::write`] hand it a batch of
+//! one, [`Database::write_batch`] any number and alone ticks the
+//! `tsdb.batch.*` counters. The database admits every point that carries
+//! a field: Table III's database-side backpressure is modelled once, by
+//! the PCP shipper's capacity window.
 
 use crate::batch::{BatchOutcome, ColumnarBatch};
 use crate::cache::{CacheLookup, QueryCache};
@@ -75,92 +76,15 @@ fn mark_all_rows(rs: &mut RollupStore, storage: &Storage) {
     }
 }
 
-/// Models the maximum sustained point-insertion rate of the database.
-///
-/// InfluxDB 1.8 on the paper's host sustains a finite number of inserted
-/// field values per second; once PCP's unbuffered samplers exceed that,
-/// points are lost in transmission (Table III). The limiter is windowed:
-/// at most `max_per_window` field values are accepted per `window` of
-/// (virtual) time; further writes in the same window fail with
-/// [`TsdbError::IngestOverloaded`].
-#[derive(Debug, Clone)]
-pub struct IngestLimiter {
-    /// Window width in timestamp units.
-    pub window: i64,
-    /// Field values accepted per window.
-    pub max_per_window: u64,
-    current_window: i64,
-    accepted_in_window: u64,
-}
-
-impl IngestLimiter {
-    /// Unlimited ingest (no backpressure).
-    pub fn unlimited() -> Self {
-        IngestLimiter {
-            window: i64::MAX,
-            max_per_window: u64::MAX,
-            current_window: 0,
-            accepted_in_window: 0,
-        }
-    }
-
-    /// Limit to `max_per_window` field values per `window` time units.
-    pub fn per_window(window: i64, max_per_window: u64) -> Self {
-        assert!(window > 0, "window must be positive");
-        IngestLimiter {
-            window,
-            max_per_window,
-            current_window: i64::MIN,
-            accepted_in_window: 0,
-        }
-    }
-
-    /// Try to admit `n` field values at time `ts`.
-    fn admit(&mut self, ts: i64, n: u64) -> Result<(), TsdbError> {
-        if self.max_per_window == u64::MAX {
-            return Ok(());
-        }
-        let w = ts.div_euclid(self.window);
-        if w != self.current_window {
-            self.current_window = w;
-            self.accepted_in_window = 0;
-        }
-        if self.accepted_in_window + n > self.max_per_window {
-            return Err(TsdbError::IngestOverloaded {
-                accepted_in_window: self.accepted_in_window,
-            });
-        }
-        self.accepted_in_window += n;
-        Ok(())
-    }
-}
-
-/// Who a row write comes from: a client (admission control and the
-/// [`IngestStats`] ledger apply) or the replication layer (hint replay,
-/// anti-entropy repair — already accounted where it was first accepted).
+/// Who a row write comes from: a client (counted in the `tsdb.points_*`
+/// ledger) or the replication layer (hint replay, anti-entropy repair —
+/// already accounted where it was first accepted).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Origin {
-    /// A client write: admitted by the limiter, counted in the ledger.
+    /// A client write: counted in the ledger.
     Client,
-    /// A replicated row: neither admitted nor counted here.
+    /// A replicated row: counted under `tsdb.repl.remote_applied` only.
     Remote,
-}
-
-/// Counters describing the life of the database, used directly by the
-/// Table III reproduction (`Inserted`, `Zeros`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IngestStats {
-    /// Points offered to the engine.
-    pub points_offered: u64,
-    /// Points accepted and stored.
-    pub points_inserted: u64,
-    /// Field values accepted and stored (a point can carry several).
-    pub values_inserted: u64,
-    /// Field values that were numerically zero (the "batched zeros" the
-    /// paper counts separately at high frequency).
-    pub zero_values_inserted: u64,
-    /// Points rejected by the ingest limiter.
-    pub points_rejected: u64,
 }
 
 /// Hoisted `tsdb.*` metric handles for the hot write/query paths.
@@ -265,8 +189,6 @@ impl EngineObs {
 pub struct Database {
     name: String,
     storage: RwLock<Storage>,
-    limiter: Mutex<IngestLimiter>,
-    stats: Mutex<IngestStats>,
     retention: Mutex<Vec<RetentionPolicy>>,
     hub: SubscriptionHub,
     obs: EngineObs,
@@ -286,8 +208,8 @@ pub struct Database {
 }
 
 impl Database {
-    /// Create a database with unlimited ingest and the default infinite
-    /// `autogen` retention policy.
+    /// Create a database with the default infinite `autogen` retention
+    /// policy.
     pub fn new(name: impl Into<String>) -> Self {
         Database::with_obs(name, Registry::disabled())
     }
@@ -299,8 +221,6 @@ impl Database {
         Database {
             name: name.into(),
             storage: RwLock::new(Storage::new()),
-            limiter: Mutex::new(IngestLimiter::unlimited()),
-            stats: Mutex::new(IngestStats::default()),
             retention: Mutex::new(vec![RetentionPolicy::infinite("autogen")]),
             hub: SubscriptionHub::new(),
             obs: EngineObs::new(registry),
@@ -544,33 +464,24 @@ impl Database {
         &self.name
     }
 
-    /// Install an ingest limiter (replacing the current one).
-    pub fn set_ingest_limiter(&self, limiter: IngestLimiter) {
-        *self.limiter.lock() = limiter;
-    }
-
-    /// Write one point. Fails on empty fields or limiter rejection; on
-    /// success the point is stored, counted, and published to subscribers.
+    /// Write one client point. Fails on empty fields; on success the
+    /// point is stored, counted, and published to subscribers.
     pub fn write_point(&self, point: Point) -> Result<(), TsdbError> {
         self.write(point, Origin::Client, &Span::none(), 0).0
-    }
-
-    /// Apply a point replicated from another node (hinted-handoff replay
-    /// or anti-entropy repair). Unlike [`Database::write_point`] this
-    /// bypasses the ingest limiter and the client-facing [`IngestStats`]
-    /// ledger — the replication coordinator owns value accounting and a
-    /// repaired cell was already counted when it was first accepted — but
-    /// it keeps the WAL durability barrier, the live-subscription publish,
-    /// and the per-measurement write-version bump, so the LRU query cache
-    /// can never serve pre-repair rows.
-    pub fn apply_remote(&self, point: Point) -> Result<(), TsdbError> {
-        self.write(point, Origin::Remote, &Span::none(), 0).0
     }
 
     /// One point from either origin under the caller's span: a batch of
     /// one through the write body. Returns the write result plus
     /// the modeled end timestamp (`start_ns` for a refused write) so the
     /// caller can close its own span after the ingest.
+    ///
+    /// A replicated point ([`Origin::Remote`]: hinted-handoff replay or
+    /// anti-entropy repair) skips the client ledger — the replication
+    /// coordinator owns value accounting and a repaired cell was already
+    /// counted when it was first accepted — but keeps the WAL durability
+    /// barrier, the live-subscription publish, and the per-measurement
+    /// write-version bump, so the LRU query cache can never serve
+    /// pre-repair rows.
     pub fn write(
         &self,
         point: Point,
@@ -606,17 +517,17 @@ impl Database {
     }
 
     /// The write body under every entry point. Admission — the
-    /// `points_offered` tick, the empty-field check, the ingest limiter
-    /// keyed on point timestamps — runs per point in arrival order, and
-    /// with the [`IngestStats`] ledger applies to [`Origin::Client`]
-    /// only; the WAL barrier, the subscriber publish, the rollup marks
-    /// and the write-version bumps apply to every accepted point. The
-    /// modeled spans nest under `span` from `start_ns` on the virtual
-    /// clock: `tsdb.ingest` around `store.wal.group_commit` (durable
-    /// only) and then one `tsdb.shard_ingest` a point, its status the
-    /// Merkle shard of the point's series (a label the trace goldens
-    /// pin). Returns the outcome plus the modeled end timestamp
-    /// (`start_ns` when nothing was accepted).
+    /// empty-field check — runs per point in arrival order; the
+    /// `tsdb.points_*` ledger (`offered == inserted + rejected`) counts
+    /// [`Origin::Client`] points only; the WAL barrier, the subscriber
+    /// publish, the rollup marks and the write-version bumps apply to
+    /// every accepted point. The modeled spans nest under `span` from
+    /// `start_ns` on the virtual clock: `tsdb.ingest` around
+    /// `store.wal.group_commit` (durable only) and then one
+    /// `tsdb.shard_ingest` a point, its status the Merkle shard of the
+    /// point's series (a label the trace goldens pin). Returns the
+    /// outcome plus the modeled end timestamp (`start_ns` when nothing
+    /// was accepted).
     fn ingest(
         &self,
         points: impl IntoIterator<Item = Point>,
@@ -633,33 +544,17 @@ impl Database {
         // in arrival order, once the batch is durable.
         let listening = !self.hub.is_empty();
         let mut heard = Vec::new();
-        {
-            // Stats and limiter move together so a concurrent writer
-            // can't interleave between the offered tick and the admission
-            // decision.
-            let mut gate = client.then(|| (self.stats.lock(), self.limiter.lock()));
-            for point in points {
-                if let Some((stats, _)) = &mut gate {
-                    stats.points_offered += 1;
-                }
-                let verdict = match &mut gate {
-                    _ if point.fields.is_empty() => Err(TsdbError::EmptyFields),
-                    Some((stats, limiter)) => limiter
-                        .admit(point.timestamp, point.field_count() as u64)
-                        .inspect_err(|_| {
-                            stats.points_rejected += 1;
-                            rejected += 1;
-                        }),
-                    None => Ok(()),
-                };
-                if verdict.is_ok() {
-                    if listening {
-                        heard.push(point.clone());
-                    }
-                    batch.push(point);
-                }
-                results.push(verdict);
+        for point in points {
+            if point.fields.is_empty() {
+                rejected += 1;
+                results.push(Err(TsdbError::EmptyFields));
+                continue;
             }
+            if listening {
+                heard.push(point.clone());
+            }
+            batch.push(point);
+            results.push(Ok(()));
         }
         if client {
             self.obs.points_offered.add(results.len() as u64);
@@ -715,12 +610,6 @@ impl Database {
         }
         ingest.end(end_ns);
         if client {
-            {
-                let mut stats = self.stats.lock();
-                stats.points_inserted += outcome.accepted as u64;
-                stats.values_inserted += values;
-                stats.zero_values_inserted += zeros;
-            }
             self.obs.points_inserted.add(outcome.accepted as u64);
             self.obs.values_inserted.add(values);
             self.obs.zero_values_inserted.add(zeros);
@@ -969,16 +858,6 @@ impl Database {
         self.cache.lock().len()
     }
 
-    /// Current ingest statistics snapshot.
-    pub fn stats(&self) -> IngestStats {
-        *self.stats.lock()
-    }
-
-    /// Reset the ingest statistics (between experiment runs).
-    pub fn reset_stats(&self) {
-        *self.stats.lock() = IngestStats::default();
-    }
-
     /// Register a retention policy.
     pub fn add_retention_policy(&self, policy: RetentionPolicy) {
         self.retention.lock().push(policy);
@@ -1027,15 +906,6 @@ impl Database {
             .unwrap_or_default()
     }
 
-    /// Distinct values of one tag key within a measurement.
-    pub fn tag_values(&self, measurement: &str, tag_key: &str) -> Vec<String> {
-        self.storage
-            .read()
-            .measurement(measurement)
-            .map(|m| m.tag_values(tag_key))
-            .unwrap_or_default()
-    }
-
     /// Total number of stored rows (all measurements).
     pub fn total_rows(&self) -> usize {
         self.storage.read().total_rows()
@@ -1060,6 +930,20 @@ mod tests {
         Point::new("m").tag("tag", "o1").field("v", v).timestamp(ts)
     }
 
+    /// The `tsdb.points_*` ledger: offered, inserted, values, zeros,
+    /// rejected.
+    fn ledger(reg: &Registry) -> [u64; 5] {
+        let snap = reg.snapshot();
+        [
+            "tsdb.points_offered",
+            "tsdb.points_inserted",
+            "tsdb.values_inserted",
+            "tsdb.zero_values_inserted",
+            "tsdb.points_rejected",
+        ]
+        .map(|name| snap.counter(name, &[]).unwrap())
+    }
+
     #[test]
     fn write_and_query_roundtrip() {
         let db = Database::new("test");
@@ -1068,36 +952,40 @@ mod tests {
         }
         let r = db.query("SELECT \"v\" FROM \"m\" WHERE tag='o1'").unwrap();
         assert_eq!(r.rows.len(), 5);
-        assert_eq!(db.stats().points_inserted, 5);
     }
 
     #[test]
     fn empty_fields_rejected() {
-        let db = Database::new("test");
+        let reg = Registry::shared();
+        let db = Database::with_obs("test", reg.clone());
         assert_eq!(db.write_point(Point::new("m")), Err(TsdbError::EmptyFields));
-        assert_eq!(db.stats().points_offered, 1);
-        assert_eq!(db.stats().points_inserted, 0);
+        assert_eq!(ledger(&reg), [1, 0, 0, 0, 1]);
+        assert_eq!(db.total_rows(), 0);
     }
 
+    /// Admission refuses exactly the points without fields, and the
+    /// outcome and the ledger both balance: `accepted + rejected` is every
+    /// point offered.
     #[test]
-    fn limiter_drops_excess_within_window() {
-        let db = Database::new("test");
-        db.set_ingest_limiter(IngestLimiter::per_window(10, 3));
-        // 5 single-field points in window [0, 10): only 3 admitted.
-        let accepted = (0..5).filter(|&i| db.write_point(pt(i, 1.0)).is_ok());
-        assert_eq!(accepted.count(), 3);
-        assert_eq!(db.stats().points_rejected, 2);
-        // next window admits again
-        assert!(db.write_point(pt(10, 1.0)).is_ok());
+    fn batch_outcome_and_ledger_count_every_offered_point() {
+        let reg = Registry::shared();
+        let db = Database::with_obs("test", reg.clone());
+        let batch = vec![pt(1, 1.0), Point::new("m"), pt(2, 0.0), Point::new("n")];
+        let out = db.write_batch(batch).unwrap();
+        assert_eq!((out.accepted, out.rejected), (2, 2));
+        assert_eq!(out.accepted + out.rejected, out.results.len());
+        assert_eq!(ledger(&reg), [4, 2, 2, 1, 2]);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("tsdb.batch.points_rejected", &[]), Some(2));
     }
 
     #[test]
     fn zero_values_counted() {
-        let db = Database::new("test");
+        let reg = Registry::shared();
+        let db = Database::with_obs("test", reg.clone());
         db.write_point(Point::new("m").field("a", 0.0).field("b", 1.0).timestamp(1))
             .unwrap();
-        assert_eq!(db.stats().zero_values_inserted, 1);
-        assert_eq!(db.stats().values_inserted, 2);
+        assert_eq!(ledger(&reg), [1, 1, 2, 1, 0]);
     }
 
     #[test]
@@ -1126,55 +1014,31 @@ mod tests {
         let db = Database::new("test");
         let rx = db.subscribe(Subscription::measurement("m"));
         db.write_point(pt(1, 5.0)).unwrap();
-        let got = crate::subscribe::drain(&rx);
+        let got: Vec<Point> = rx.try_iter().collect();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].fields["v"], FieldValue::Float(5.0));
     }
 
     #[test]
-    fn reset_stats_zeroes() {
-        let db = Database::new("test");
-        db.write_point(pt(1, 1.0)).unwrap();
-        db.reset_stats();
-        assert_eq!(db.stats(), IngestStats::default());
-    }
-
-    #[test]
-    fn obs_counters_mirror_ingest_stats() {
+    fn obs_counters_and_modelled_latencies() {
         let reg = Registry::shared();
         let db = Database::with_obs("test", reg.clone());
-        db.set_ingest_limiter(IngestLimiter::per_window(10, 3));
         for i in 0..5 {
-            let _ = db.write_point(pt(i, (i % 2) as f64));
+            db.write_point(pt(i, (i % 2) as f64)).unwrap();
         }
+        let _ = db.write_point(Point::new("m"));
         db.query("SELECT \"v\" FROM \"m\"").unwrap();
-        let st = db.stats();
+        assert_eq!(ledger(&reg), [6, 5, 5, 3, 1]);
         let snap = reg.snapshot();
-        assert_eq!(
-            snap.counter("tsdb.points_offered", &[]),
-            Some(st.points_offered)
-        );
-        assert_eq!(
-            snap.counter("tsdb.points_inserted", &[]),
-            Some(st.points_inserted)
-        );
-        assert_eq!(
-            snap.counter("tsdb.points_rejected", &[]),
-            Some(st.points_rejected)
-        );
-        assert_eq!(
-            snap.counter("tsdb.zero_values_inserted", &[]),
-            Some(st.zero_values_inserted)
-        );
         assert_eq!(snap.counter("tsdb.queries", &[]), Some(1));
         // Modelled latencies: one histogram sample per insert / per query,
         // deterministic across runs.
         let ingest = snap.histogram("tsdb.ingest_ns", &[]).unwrap();
-        assert_eq!(ingest.count, st.points_inserted);
+        assert_eq!(ingest.count, 5);
         assert_eq!(ingest.max, 4_450);
         let query = snap.histogram("tsdb.query_ns", &[]).unwrap();
         assert_eq!(query.count, 1);
-        assert_eq!(query.sum, 25_000 + 900 * 3);
+        assert_eq!(query.sum, 25_000 + 900 * 5);
     }
 
     #[test]
@@ -1368,72 +1232,52 @@ mod tests {
         assert_eq!(gaps.rows[0].values["rows_lost"], Some(4.0));
     }
 
-    /// One write body, two origins: admission and the client ledger are
-    /// the only things an origin may change, and a single point never
-    /// ticks a `tsdb.batch.*` counter.
+    /// One write body, two origins: the `tsdb.points_*` ledger and
+    /// `tsdb.repl.remote_applied` are the only things an origin may
+    /// change, both refuse a point without fields, and a single point
+    /// never ticks a `tsdb.batch.*` counter.
     #[test]
-    fn both_origins_share_the_write_body_and_differ_only_in_admission() {
-        for remote in [false, true] {
+    fn both_origins_share_the_write_body_and_differ_only_in_the_ledger() {
+        for origin in [Origin::Client, Origin::Remote] {
+            let remote = origin == Origin::Remote;
             let reg = Registry::shared();
             let vfs: Arc<dyn Vfs> = Arc::new(pmove_store::MemDisk::new(9));
             let (db, _) =
                 Database::open_with_obs("o", vfs.clone(), manual_opts(), reg.clone()).unwrap();
-            db.enable_rollups(RollupConfig::with_tiers(&[10]));
-            db.set_ingest_limiter(IngestLimiter::per_window(10, 1));
-            let rx = db.subscribe(Subscription::all());
+            db.enable_rollups(RollupConfig { tiers: vec![10] });
+            let rx = db.subscribe(Subscription::measurement(""));
             let v0 = db.write_version("m");
-            let write = |p: Point| match remote {
-                true => db.apply_remote(p),
-                false => db.write_point(p),
-            };
-            // Two single-field points in one limiter window of capacity 1.
+            let write = |p: Point| db.write(p, origin, &Span::none(), 0).0;
             assert!(write(pt(1, 1.0)).is_ok());
-            assert_eq!(write(pt(2, 2.0)).is_ok(), remote, "limiter is client-only");
+            assert!(write(pt(2, 0.0)).is_ok());
             assert_eq!(write(Point::new("m")), Err(TsdbError::EmptyFields));
-            let stored = if remote { 2 } else { 1 };
 
-            // Differs: the IngestStats ledger counts client rows only, and
-            // remote rows tick their own counter.
-            let client_ledger = IngestStats {
-                points_offered: 3,
-                points_inserted: 1,
-                values_inserted: 1,
-                zero_values_inserted: 0,
-                points_rejected: 1,
-            };
-            let want = if remote {
-                IngestStats::default()
-            } else {
-                client_ledger
-            };
-            assert_eq!(db.stats(), want);
+            // Differs: the ledger counts client points only, and remote
+            // rows tick their own counter.
+            let want = if remote { [0; 5] } else { [3, 2, 2, 1, 1] };
+            assert_eq!(ledger(&reg), want);
             let snap = reg.snapshot();
             assert_eq!(
                 snap.counter("tsdb.repl.remote_applied", &[]),
                 remote.then_some(2)
             );
-            for (name, ledger) in [
-                ("tsdb.points_offered", want.points_offered),
-                ("tsdb.points_inserted", want.points_inserted),
-                ("tsdb.values_inserted", want.values_inserted),
-                ("tsdb.zero_values_inserted", want.zero_values_inserted),
-                ("tsdb.points_rejected", want.points_rejected),
-                ("tsdb.batch.batches", 0),
-                ("tsdb.batch.points", 0),
-                ("tsdb.batch.points_rejected", 0),
-                ("tsdb.batch.wal_frames", 0),
+            for name in [
+                "tsdb.batch.batches",
+                "tsdb.batch.points",
+                "tsdb.batch.points_rejected",
+                "tsdb.batch.wal_frames",
             ] {
-                assert_eq!(snap.counter(name, &[]), Some(ledger), "{name}");
+                assert_eq!(snap.counter(name, &[]), Some(0), "{name}");
             }
 
             // Same for both: subscriber publish, rollup mark, write-version
             // bump, and the WAL barrier (the rows survive a reopen).
-            assert_eq!(crate::subscribe::drain(&rx).len(), stored);
+            assert_eq!(rx.try_iter().count(), 2);
             assert_eq!(db.rollup_audit().unwrap().dirty_buckets, 1);
-            assert_eq!(db.write_version("m"), v0 + stored as u64);
+            assert_eq!(db.write_version("m"), v0 + 2);
             drop(db);
             let (reopened, _) = Database::open("o", vfs, manual_opts()).unwrap();
-            assert_eq!(reopened.total_rows(), stored);
+            assert_eq!(reopened.total_rows(), 2);
         }
     }
 
@@ -1452,7 +1296,6 @@ mod tests {
         db.write_point(pt(1, 1.0)).unwrap();
         assert_eq!(db.measurements(), vec!["m".to_string()]);
         assert_eq!(db.field_keys("m"), vec!["v".to_string()]);
-        assert_eq!(db.tag_values("m", "tag"), vec!["o1".to_string()]);
         assert!(db.field_keys("nosuch").is_empty());
     }
 }

@@ -7,21 +7,12 @@ use std::fmt;
 pub enum TsdbError {
     /// The point carried no fields; InfluxDB rejects such writes too.
     EmptyFields,
-    /// A write was rejected because the ingest limiter had no capacity left
-    /// in the current window. This is the backpressure signal that produces
-    /// the losses of Table III.
-    IngestOverloaded {
-        /// Points already accepted in the congested window.
-        accepted_in_window: u64,
-    },
     /// Line-protocol text failed to parse.
     LineProtocol(String),
     /// Query text failed to parse.
     QueryParse(String),
     /// The query referenced a measurement that does not exist.
     UnknownMeasurement(String),
-    /// A retention policy name was not found.
-    UnknownRetentionPolicy(String),
     /// The durable storage engine failed (WAL commit, chunk flush,
     /// compaction, or recovery).
     Storage(String),
@@ -51,14 +42,9 @@ impl fmt::Display for TsdbError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TsdbError::EmptyFields => write!(f, "point has no fields"),
-            TsdbError::IngestOverloaded { accepted_in_window } => write!(
-                f,
-                "ingest overloaded: {accepted_in_window} points already accepted in window"
-            ),
             TsdbError::LineProtocol(msg) => write!(f, "line protocol error: {msg}"),
             TsdbError::QueryParse(msg) => write!(f, "query parse error: {msg}"),
             TsdbError::UnknownMeasurement(m) => write!(f, "unknown measurement: {m}"),
-            TsdbError::UnknownRetentionPolicy(p) => write!(f, "unknown retention policy: {p}"),
             TsdbError::Storage(msg) => write!(f, "storage engine error: {msg}"),
             TsdbError::Replication(msg) => write!(f, "replication error: {msg}"),
             TsdbError::Backup(e) => write!(f, "backup error: {e}"),
@@ -76,9 +62,7 @@ mod tests {
     fn display_is_informative() {
         let e = TsdbError::UnknownMeasurement("cpu".into());
         assert!(e.to_string().contains("cpu"));
-        let e = TsdbError::IngestOverloaded {
-            accepted_in_window: 7,
-        };
+        let e = TsdbError::Replication("quorum of 7".into());
         assert!(e.to_string().contains('7'));
     }
 }

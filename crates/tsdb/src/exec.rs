@@ -3,7 +3,7 @@
 //! Determinism contract
 //! --------------------
 //! `run` with any [`ExecMode`] returns results **bit-identical** to the
-//! sequential reference executor ([`crate::query::execute`]), for every
+//! sequential reference executor (`crate::query::execute`), for every
 //! query. The differential test harness (`tests/differential.rs`) pins
 //! this. Rows are the public edge's view: the kernel answers in columns
 //! and [`Frame::into_rows`] converts where a caller asks for rows.
@@ -11,10 +11,10 @@
 //! The scan kernel
 //! ---------------
 //! Every strategy reads storage the same way. Planning leaves the matching
-//! series in ascending id; each becomes a [`Cursor`]: two binary searches
+//! series in ascending id; each becomes a `Cursor`: two binary searches
 //! on its timestamp column give the row range inside the query window, and
 //! each projection resolves — once per query, not per row — to a slice of
-//! that range of the series' column. [`merge_rows`] then walks all cursors
+//! that range of the series' column. `merge_rows` then walks all cursors
 //! in canonical `(timestamp, series id)` order by timestamp rounds: find
 //! the smallest head timestamp, take every cursor holding it in ascending
 //! id, advance those. Timestamps are unique within a series and ids unique
@@ -35,7 +35,7 @@
 //!   bucket's accumulators are live at a time.
 //!
 //! A third — routed aggregates answered from materialized tier cells —
-//! lives in [`crate::rollup`].
+//! lives in `crate::rollup`.
 //!
 //! No fan-out
 //! ----------

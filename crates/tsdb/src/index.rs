@@ -10,54 +10,42 @@ use std::collections::{BTreeSet, HashMap};
 
 /// Inverted index over tag pairs.
 #[derive(Debug, Default)]
-pub struct TagIndex {
+pub(crate) struct TagIndex {
     postings: HashMap<(String, String), BTreeSet<SeriesId>>,
-    keys: HashMap<String, BTreeSet<String>>,
 }
 
 impl TagIndex {
-    /// Create an empty index.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Register a series under one tag pair.
-    pub fn insert(&mut self, key: &str, value: &str, series: SeriesId) {
+    pub(crate) fn insert(&mut self, key: &str, value: &str, series: SeriesId) {
         self.postings
             .entry((key.to_string(), value.to_string()))
             .or_default()
             .insert(series);
-        self.keys
-            .entry(key.to_string())
-            .or_default()
-            .insert(value.to_string());
     }
 
     /// Remove a series from one tag pair (used by retention when a series
     /// becomes empty).
-    pub fn remove(&mut self, key: &str, value: &str, series: SeriesId) {
-        if let Some(set) = self.postings.get_mut(&(key.to_string(), value.to_string())) {
+    pub(crate) fn remove(&mut self, key: &str, value: &str, series: SeriesId) {
+        let pair = (key.to_string(), value.to_string());
+        if let Some(set) = self.postings.get_mut(&pair) {
             set.remove(&series);
             if set.is_empty() {
-                self.postings.remove(&(key.to_string(), value.to_string()));
-                if let Some(values) = self.keys.get_mut(key) {
-                    values.remove(value);
-                    if values.is_empty() {
-                        self.keys.remove(key);
-                    }
-                }
+                self.postings.remove(&pair);
             }
         }
     }
 
     /// Series carrying `key=value`.
-    pub fn lookup(&self, key: &str, value: &str) -> Option<&BTreeSet<SeriesId>> {
+    pub(crate) fn lookup(&self, key: &str, value: &str) -> Option<&BTreeSet<SeriesId>> {
         self.postings.get(&(key.to_string(), value.to_string()))
     }
 
     /// Intersect postings for several constraints. `None` constraint list
     /// semantics: an empty list yields `None` (caller should scan instead).
-    pub fn lookup_all(&self, constraints: &[(String, String)]) -> Option<BTreeSet<SeriesId>> {
+    pub(crate) fn lookup_all(
+        &self,
+        constraints: &[(String, String)],
+    ) -> Option<BTreeSet<SeriesId>> {
         let mut iter = constraints.iter();
         let first = iter.next()?;
         let mut acc = self.lookup(&first.0, &first.1).cloned().unwrap_or_default();
@@ -72,19 +60,6 @@ impl TagIndex {
         }
         Some(acc)
     }
-
-    /// All values observed for a tag key (for `SHOW TAG VALUES`).
-    pub fn values_for_key(&self, key: &str) -> Vec<String> {
-        self.keys
-            .get(key)
-            .map(|s| s.iter().cloned().collect())
-            .unwrap_or_default()
-    }
-
-    /// Number of distinct (key, value) postings.
-    pub fn cardinality(&self) -> usize {
-        self.postings.len()
-    }
 }
 
 #[cfg(test)]
@@ -92,7 +67,7 @@ mod tests {
     use super::*;
 
     fn idx() -> TagIndex {
-        let mut i = TagIndex::new();
+        let mut i = TagIndex::default();
         i.insert("host", "skx", SeriesId(1));
         i.insert("host", "skx", SeriesId(2));
         i.insert("host", "icl", SeriesId(3));
@@ -136,16 +111,6 @@ mod tests {
         let mut i = idx();
         i.remove("host", "icl", SeriesId(3));
         assert!(i.lookup("host", "icl").is_none());
-        assert_eq!(i.values_for_key("host"), vec!["skx".to_string()]);
-    }
-
-    #[test]
-    fn introspection() {
-        let i = idx();
-        assert_eq!(i.cardinality(), 3);
-        assert_eq!(
-            i.values_for_key("host"),
-            vec!["icl".to_string(), "skx".to_string()]
-        );
+        assert_eq!(i.lookup("host", "skx").unwrap().len(), 2);
     }
 }

@@ -74,7 +74,7 @@ fn until(b: &[u8], from: usize, stops: &[u8]) -> usize {
 /// identity under which the durable store files a series. Tags iterate
 /// in `BTreeMap` order and identifiers use line-protocol escaping, so
 /// the key is deterministic and lossless.
-pub fn render_series_key(measurement: &str, tags: &BTreeMap<String, String>) -> String {
+pub(crate) fn render_series_key(measurement: &str, tags: &BTreeMap<String, String>) -> String {
     let mut out = String::new();
     escape_into(&mut out, measurement);
     for (k, v) in tags {
@@ -110,7 +110,7 @@ fn scan_head(s: &str, line: bool) -> Result<(String, BTreeMap<String, String>, u
 
 /// Parse a series key produced by [`render_series_key`] back into its
 /// measurement and tag set.
-pub fn parse_series_key(key: &str) -> Result<(String, BTreeMap<String, String>), TsdbError> {
+pub(crate) fn parse_series_key(key: &str) -> Result<(String, BTreeMap<String, String>), TsdbError> {
     let (measurement, tags, _) = scan_head(key, false)?;
     if measurement.is_empty() {
         return Err(bad("empty measurement in series key", key));

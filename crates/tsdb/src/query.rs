@@ -236,6 +236,8 @@ pub struct Frame {
     pub cols: Vec<Vec<Option<f64>>>,
 }
 
+// `len` is called outside the crate; nothing asks for `is_empty`.
+#[allow(clippy::len_without_is_empty)]
 impl Frame {
     /// An empty frame of the given columns.
     pub(crate) fn new(columns: Vec<String>) -> Frame {
@@ -249,11 +251,6 @@ impl Frame {
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.ts.len()
-    }
-
-    /// True when the frame has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.ts.is_empty()
     }
 
     /// Make room for `rows` more rows.
@@ -342,7 +339,7 @@ impl ResultRow {
 }
 
 /// Query result set as rows of maps: the view of the public edge, built
-/// by [`Frame::into_rows`] and by the [`execute`] oracle.
+/// by [`Frame::into_rows`] and by the `execute` oracle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryResult {
     /// Column names in projection order.
@@ -628,7 +625,7 @@ impl<'a> Parser<'a> {
 /// matching row, stable-sort by timestamp (ties keep the gather's
 /// ascending series id), fold — so that its order of arithmetic is
 /// evident from the code.
-pub fn execute(storage: &Storage, q: &Query) -> Result<QueryResult, TsdbError> {
+pub(crate) fn execute(storage: &Storage, q: &Query) -> Result<QueryResult, TsdbError> {
     let (plan, m) = resolve(storage, q)?;
 
     let matched = plan.ids.iter().map(|&id| {
@@ -898,7 +895,7 @@ mod tests {
         assert_eq!(copied.rows[0].values["v"], Some(1.0));
         assert_eq!(Frame::from_rows(copied), frame);
         let empty = Arc::new(Frame::new(vec!["v".into()]));
-        assert!(empty.is_empty() && empty.into_rows().rows.is_empty());
+        assert!(empty.len() == 0 && empty.into_rows().rows.is_empty());
     }
 
     #[test]

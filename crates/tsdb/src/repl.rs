@@ -18,7 +18,7 @@
 //! storage layout. Inside a shard, a *locator* hash over (canonical key,
 //! timestamp) — value- and field-independent, so divergent versions of a
 //! row land in the same bucket on every replica — selects one of
-//! [`MERKLE_BUCKETS`] buckets.
+//! `MERKLE_BUCKETS` buckets.
 //! A bucket's leaf is the XOR of its cells' *content* hashes (which do
 //! cover field name and value bits, `f64::to_bits` for floats); XOR makes
 //! the leaf independent of visit order, and last-write-wins storage
@@ -27,23 +27,21 @@
 //! leaf array; set root = FNV-1a over shard roots. Two replicas hold
 //! bit-identical data iff their roots agree.
 
-use crate::engine::Database;
+use crate::engine::{Database, Origin};
 use crate::error::TsdbError;
 use crate::exec::ExecMode;
 use crate::point::Point;
 use crate::query::{Frame, Query, QueryResult};
 use crate::value::FieldValue;
-use pmove_obs::{Counter, Registry};
-use pmove_store::{
-    MemDisk, RecoveryReport, RestoreReport, ScrubConfig, Scrubber, StoreOptions, Vfs,
-};
+use pmove_obs::{Counter, Registry, Span};
+use pmove_store::{MemDisk, RecoveryReport, ScrubConfig, Scrubber, StoreOptions, Vfs};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 /// Buckets per shard in the Merkle summary. 16 shards x 32 buckets = 512
 /// repairable ranges; a single divergent row re-streams 1/512th of the
 /// keyspace, not the whole database.
-pub const MERKLE_BUCKETS: usize = 32;
+pub(crate) const MERKLE_BUCKETS: usize = 32;
 
 /// Shards of the Merkle summary. Fixed, so the `(shard, bucket)` ranges
 /// replicas exchange mean the same cells on every node.
@@ -94,7 +92,7 @@ fn content_hash(canonical: &str, ts: i64, field: &str, value: &FieldValue) -> u6
 
 /// Merkle summary of one shard: a leaf per bucket plus the shard root.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardTree {
+pub(crate) struct ShardTree {
     /// XOR-combined content hashes, one per bucket.
     pub leaves: Vec<u64>,
     /// FNV-1a over the leaf array.
@@ -103,14 +101,14 @@ pub struct ShardTree {
 
 /// Merkle summary of a whole replica, one [`ShardTree`] per Merkle shard.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MerkleSnapshot {
+pub(crate) struct MerkleSnapshot {
     /// Per-shard trees, indexed by shard id.
     pub shards: Vec<ShardTree>,
 }
 
 impl MerkleSnapshot {
     /// Build the summary from a replica's current cell space.
-    pub fn of(db: &Database) -> MerkleSnapshot {
+    pub(crate) fn of(db: &Database) -> MerkleSnapshot {
         let mut leaves = vec![[0u64; MERKLE_BUCKETS]; MERKLE_SHARDS];
         db.for_each_cell(&mut |key, ts, field, value| {
             let canonical = key.canonical();
@@ -135,7 +133,7 @@ impl MerkleSnapshot {
     }
 
     /// Root over the whole replica.
-    pub fn root(&self) -> u64 {
+    pub(crate) fn root(&self) -> u64 {
         let mut h = FNV_BASIS;
         for s in &self.shards {
             h = fnv(h, &s.root.to_le_bytes());
@@ -145,7 +143,7 @@ impl MerkleSnapshot {
 
     /// The `(shard, bucket)` ranges where two replicas diverge. Empty iff
     /// the replicas are bit-identical.
-    pub fn diff(&self, other: &MerkleSnapshot) -> Vec<(usize, usize)> {
+    pub(crate) fn diff(&self, other: &MerkleSnapshot) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
         for (si, (a, b)) in self.shards.iter().zip(&other.shards).enumerate() {
             if a.root == b.root {
@@ -195,7 +193,7 @@ impl ReplConfig {
     /// limit. (W + R > RF gives read-your-writes after repair; smaller
     /// quorums are legal but only eventually consistent, so the default
     /// keeps W + R = 4 > 3 = RF.)
-    pub fn validate(&self) -> Result<(), TsdbError> {
+    pub(crate) fn validate(&self) -> Result<(), TsdbError> {
         let bad = |field: &str, got: usize| {
             Err(TsdbError::Replication(format!(
                 "invalid {field}: {got} (rf={})",
@@ -293,6 +291,8 @@ pub struct ReplicaSet {
     obs: ReplSetObs,
 }
 
+// Never empty: `ReplConfig::validate` rejects RF = 0.
+#[allow(clippy::len_without_is_empty)]
 impl ReplicaSet {
     /// In-memory replica set (no durable logs); mostly for tests.
     pub fn in_memory(name: impl Into<String>, cfg: ReplConfig) -> Result<ReplicaSet, TsdbError> {
@@ -369,11 +369,6 @@ impl ReplicaSet {
         self.replicas.len()
     }
 
-    /// Never true: `validate` rejects RF = 0.
-    pub fn is_empty(&self) -> bool {
-        self.replicas.is_empty()
-    }
-
     /// One replica database.
     pub fn replica(&self, i: usize) -> &Database {
         &self.replicas[i]
@@ -390,7 +385,7 @@ impl ReplicaSet {
     }
 
     /// Merkle summary of one replica.
-    pub fn merkle(&self, i: usize) -> MerkleSnapshot {
+    pub(crate) fn merkle(&self, i: usize) -> MerkleSnapshot {
         MerkleSnapshot::of(&self.replicas[i])
     }
 
@@ -407,7 +402,7 @@ impl ReplicaSet {
     /// a single coordinator, no two replicas can hold *different* values
     /// for the same (series, ts, field), so the union converges replicas
     /// bit-identically rather than merely reconciling them.
-    pub fn anti_entropy_round(&self) -> Result<RepairReport, TsdbError> {
+    pub(crate) fn anti_entropy_round(&self) -> Result<RepairReport, TsdbError> {
         let mut report = RepairReport {
             rounds: 1,
             ..RepairReport::default()
@@ -424,11 +419,15 @@ impl ReplicaSet {
                 let from_j = collect_rows(&self.replicas[j], &want);
                 for p in from_i {
                     report.cells_streamed += p.field_count() as u64;
-                    self.replicas[j].apply_remote(p)?;
+                    self.replicas[j]
+                        .write(p, Origin::Remote, &Span::none(), 0)
+                        .0?;
                 }
                 for p in from_j {
                     report.cells_streamed += p.field_count() as u64;
-                    self.replicas[i].apply_remote(p)?;
+                    self.replicas[i]
+                        .write(p, Origin::Remote, &Span::none(), 0)
+                        .0?;
                 }
             }
         }
@@ -455,40 +454,6 @@ impl ReplicaSet {
         }
         total.converged = self.converged();
         Ok(total)
-    }
-
-    /// Replace replica `i` with a fresh node bootstrapped from the backup
-    /// at `src` (newest generation with fence ≤ `t_vts` plus archived WAL
-    /// replay), then converge the tail it missed via Merkle anti-entropy —
-    /// the replaced node streams only the divergent ranges from its
-    /// peers instead of a full re-sync. Durable sets only: the new node
-    /// gets a fresh seeded disk derived from `seed`.
-    pub fn bootstrap_from_backup(
-        &mut self,
-        i: usize,
-        src: &dyn Vfs,
-        opts: StoreOptions,
-        seed: u64,
-        t_vts: i64,
-        max_rounds: u64,
-    ) -> Result<(RestoreReport, RepairReport), TsdbError> {
-        if i >= self.disks.len() {
-            return Err(TsdbError::Replication(format!(
-                "bootstrap_from_backup: no durable replica {i} (set has {} durable replicas)",
-                self.disks.len()
-            )));
-        }
-        let disk = Arc::new(MemDisk::new(seed | 1));
-        let vfs: Arc<dyn Vfs> = disk.clone();
-        let mut db = Database::new(format!("{}-r{i}", self.name));
-        let restore = db.restore_at(src, vfs, opts, t_vts)?;
-        self.replicas[i] = db;
-        self.disks[i] = disk;
-        let repair = self.repair_until_converged(max_rounds)?;
-        self.obs.merkle_rounds.add(repair.rounds);
-        self.obs.merkle_ranges_repaired.add(repair.ranges_repaired);
-        self.obs.merkle_cells_streamed.add(repair.cells_streamed);
-        Ok((restore, repair))
     }
 
     /// One background scrubber per replica, sharing one pacing config.
@@ -834,8 +799,8 @@ mod tests {
                 b.values["v"].map(f64::to_bits)
             );
         }
-        // Repair re-entered through apply_remote, which keeps the WAL
-        // barrier: the healed cells are durable again.
+        // Repair re-entered as remote writes, which keep the WAL barrier:
+        // the healed cells are durable again.
         assert!(set.replica(1).is_durable());
     }
 
@@ -850,8 +815,11 @@ mod tests {
             r.write_point(pt("h0", 1, 1.0)).unwrap();
         }
         assert!(set.converged());
-        // apply_remote keeps the WAL barrier: remote rows are durable too.
-        set.replica(0).apply_remote(pt("h1", 2, 2.0)).unwrap();
+        // A remote write keeps the WAL barrier: remote rows are durable too.
+        let remote = set
+            .replica(0)
+            .write(pt("h1", 2, 2.0), Origin::Remote, &Span::none(), 0);
+        remote.0.unwrap();
         assert_eq!(set.replica(0).total_rows(), 2);
     }
 }

@@ -18,7 +18,7 @@ pub struct RetentionPolicy {
 
 impl RetentionPolicy {
     /// Policy that never expires data (InfluxDB's default `autogen`).
-    pub fn infinite(name: impl Into<String>) -> Self {
+    pub(crate) fn infinite(name: impl Into<String>) -> Self {
         RetentionPolicy {
             name: name.into(),
             duration: None,
@@ -36,7 +36,7 @@ impl RetentionPolicy {
 
     /// Cutoff timestamp given the current time: points strictly older are
     /// expired. `None` when the policy keeps everything.
-    pub fn cutoff(&self, now: i64) -> Option<i64> {
+    pub(crate) fn cutoff(&self, now: i64) -> Option<i64> {
         self.duration.map(|d| now.saturating_sub(d))
     }
 }

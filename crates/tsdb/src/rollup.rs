@@ -59,14 +59,14 @@ const KEY_SENTINEL: RowKey = (i64::MAX, u64::MAX);
 
 /// Default tier intervals in nanoseconds: 10 s and 1 min, the two
 /// downsampling levels the paper-scale deployment keeps.
-pub const DEFAULT_TIERS_NS: [i64; 2] = [10_000_000_000, 60_000_000_000];
+pub(crate) const DEFAULT_TIERS_NS: [i64; 2] = [10_000_000_000, 60_000_000_000];
 
 /// Modelled fixed cost of one rollup tick (ns on the virtual clock).
-pub const ROLLUP_TICK_BASE_NS: u64 = 20_000;
+pub(crate) const ROLLUP_TICK_BASE_NS: u64 = 20_000;
 /// Modelled cost per raw row folded into a tier cell.
-pub const ROLLUP_PER_ROW_NS: u64 = 120;
+pub(crate) const ROLLUP_PER_ROW_NS: u64 = 120;
 /// Modelled cost per bucket materialized.
-pub const ROLLUP_PER_BUCKET_NS: u64 = 900;
+pub(crate) const ROLLUP_PER_BUCKET_NS: u64 = 900;
 
 /// Tier configuration: ascending bucket intervals, in timestamp units.
 #[derive(Debug, Clone)]
@@ -81,20 +81,6 @@ impl Default for RollupConfig {
         RollupConfig {
             tiers: DEFAULT_TIERS_NS.to_vec(),
         }
-    }
-}
-
-impl RollupConfig {
-    /// Config with explicit tier intervals (tests use small raw units).
-    pub fn with_tiers(tiers: &[i64]) -> Self {
-        assert!(
-            tiers.iter().all(|&t| t > 0),
-            "tier intervals must be positive"
-        );
-        let mut tiers = tiers.to_vec();
-        tiers.sort_unstable();
-        tiers.dedup();
-        RollupConfig { tiers }
     }
 }
 
@@ -187,7 +173,7 @@ pub(crate) struct TierData {
 /// All rollup state of one database: per measurement, one [`TierData`]
 /// per configured interval.
 #[derive(Debug)]
-pub struct RollupStore {
+pub(crate) struct RollupStore {
     cfg: RollupConfig,
     tiers: HashMap<String, Vec<TierData>>,
 }
@@ -237,13 +223,6 @@ impl RollupAudit {
     /// anything the tiers cover.
     pub fn conserved(&self) -> bool {
         self.dirty_buckets == 0 && self.tier_rows.iter().all(|&(_, n)| n == self.raw_rows)
-    }
-
-    /// Weak balance: nothing pending and no tier accounts *fewer* rows
-    /// than raw storage holds — rolled-up points are never lost, they can
-    /// only outlive their raw copies.
-    pub fn accounted(&self) -> bool {
-        self.dirty_buckets == 0 && self.tier_rows.iter().all(|&(_, n)| n >= self.raw_rows)
     }
 }
 
@@ -347,7 +326,7 @@ impl RollupStore {
     }
 
     /// Total materialized cells (all measurements and tiers).
-    pub fn cell_count(&self) -> u64 {
+    pub(crate) fn cell_count(&self) -> u64 {
         self.tiers
             .values()
             .flat_map(|tiers| tiers.iter())
@@ -781,7 +760,9 @@ mod tests {
     #[test]
     fn tick_materializes_and_audit_balances() {
         let storage = filled();
-        let mut rs = RollupStore::new(RollupConfig::with_tiers(&[10, 30]));
+        let mut rs = RollupStore::new(RollupConfig {
+            tiers: vec![10, 30],
+        });
         for t in 0..60 {
             rs.note_write("m", t);
         }
@@ -799,7 +780,7 @@ mod tests {
     #[test]
     fn tick_is_idempotent_under_rewrites() {
         let mut storage = filled();
-        let mut rs = RollupStore::new(RollupConfig::with_tiers(&[10]));
+        let mut rs = RollupStore::new(RollupConfig { tiers: vec![10] });
         for t in 0..60 {
             rs.note_write("m", t);
         }
@@ -825,7 +806,7 @@ mod tests {
     #[test]
     fn vanished_measurement_clears_cells() {
         let mut storage = filled();
-        let mut rs = RollupStore::new(RollupConfig::with_tiers(&[10]));
+        let mut rs = RollupStore::new(RollupConfig { tiers: vec![10] });
         for t in 0..60 {
             rs.note_write("m", t);
         }
@@ -834,7 +815,8 @@ mod tests {
         storage.drop_before(i64::MAX);
         // Retention does NOT mark dirty (tiers outlive raw)...
         let audit = rs.audit(storage.total_rows() as u64);
-        assert!(audit.accounted() && !audit.conserved());
+        assert!(!audit.conserved());
+        assert_eq!((audit.dirty_buckets, audit.raw_rows), (0, 0));
         assert_eq!(audit.rolled_beyond_raw, 60);
         // ...but an explicit re-mark + tick folds the (now empty) truth.
         for t in 0..60 {
@@ -847,7 +829,9 @@ mod tests {
     #[test]
     fn route_respects_the_exactness_envelope() {
         let storage = filled();
-        let mut rs = RollupStore::new(RollupConfig::with_tiers(&[10, 30]));
+        let mut rs = RollupStore::new(RollupConfig {
+            tiers: vec![10, 30],
+        });
         rs.note_write("m", 0);
         let q = |text: &str| {
             crate::query::plan(&storage, &crate::Query::parse(text).unwrap())

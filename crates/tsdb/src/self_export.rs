@@ -103,7 +103,8 @@ pub fn export_snapshot(db: &Database, snap: &Snapshot, t_ns: i64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmove_obs::Registry;
+    use pmove_obs::{Registry, Span, TraceConfig, Tracer};
+    use std::sync::Arc;
 
     fn filled_registry() -> Registry {
         let reg = Registry::new();
@@ -162,8 +163,15 @@ mod tests {
             reg.record_span("stage", 0, 1_000);
         }
         reg.record_span("stage", 0, 900_000);
-        reg.histogram("tsdb.ingest_ns", &[], pmove_obs::latency_buckets())
-            .record_exemplar(5_000, 0xDEAD);
+        // A recording span tags what it observes with its trace id.
+        let tracer = Arc::new(Tracer::new(1, TraceConfig::default()));
+        let span = Span::root(Some(&tracer), "sample", 0);
+        span.observe(
+            &reg.histogram("tsdb.ingest_ns", &[], pmove_obs::latency_buckets()),
+            5_000,
+        );
+        span.finish(1, "ok");
+        let trace = tracer.last_finished().unwrap().id.0;
         let db = Database::new("meta");
         export_snapshot(&db, &reg.snapshot(), 5);
         let r = db
@@ -174,7 +182,7 @@ mod tests {
         let r = db
             .query("SELECT \"exemplar_trace_id\" FROM \"pmove.self.tsdb.ingest_ns\"")
             .unwrap();
-        assert_eq!(r.rows[0].values["exemplar_trace_id"], Some(0xDEAD as f64));
+        assert_eq!(r.rows[0].values["exemplar_trace_id"], Some(trace as f64));
     }
 
     #[test]

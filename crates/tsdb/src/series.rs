@@ -21,22 +21,6 @@ pub struct SeriesKey {
 }
 
 impl SeriesKey {
-    /// Build a key from a measurement and any iterable of tag pairs.
-    pub fn new<I, K, V>(measurement: impl Into<String>, tags: I) -> Self
-    where
-        I: IntoIterator<Item = (K, V)>,
-        K: Into<String>,
-        V: Into<String>,
-    {
-        SeriesKey {
-            measurement: measurement.into(),
-            tags: tags
-                .into_iter()
-                .map(|(k, v)| (k.into(), v.into()))
-                .collect(),
-        }
-    }
-
     /// Human-readable `measurement,k=v,k=v` form (stable because of BTreeMap).
     pub fn canonical(&self) -> String {
         let mut s = self.measurement.clone();
@@ -56,8 +40,11 @@ mod tests {
 
     #[test]
     fn canonical_is_order_independent() {
-        let a = SeriesKey::new("m", [("b", "2"), ("a", "1")]);
-        let b = SeriesKey::new("m", [("a", "1"), ("b", "2")]);
+        let key = |tags: [(&str, &str); 2]| SeriesKey {
+            measurement: "m".into(),
+            tags: tags.map(|(k, v)| (k.to_string(), v.to_string())).into(),
+        };
+        let (a, b) = (key([("b", "2"), ("a", "1")]), key([("a", "1"), ("b", "2")]));
         assert_eq!(a, b);
         assert_eq!(a.canonical(), "m,a=1,b=2");
     }

@@ -31,7 +31,7 @@ fn decode_value(v: &Value) -> Option<f64> {
 
 /// Export every series of a measurement (optionally tag-filtered) as a
 /// JSON document: `{measurement, points: [{t, tags, fields}]}`.
-/// Field values are encoded bit-exactly; see [`encode_value`].
+/// Field values are encoded bit-exactly; see `encode_value`.
 pub fn export_measurement(
     db: &Database,
     measurement: &str,

@@ -3,14 +3,14 @@
 //!
 //! Series columns
 //! --------------
-//! A series is a struct of arrays, never a list of rows. [`SeriesData`]
+//! A series is a struct of arrays, never a list of rows. `SeriesData`
 //! holds `ts`, the strictly ascending timestamps of its rows, and one
-//! [`Column`] per field the series has ever carried, every column exactly
+//! `Column` per field the series has ever carried, every column exactly
 //! as long as `ts`. Field names are interned once per measurement
 //! ([`FieldId`]); a series addresses its columns by that id, so neither a
 //! write nor a scan touches a field-name string per row.
 //!
-//! A [`Column`] keeps three row-aligned vectors, two of them usually empty:
+//! A `Column` keeps three row-aligned vectors, two of them usually empty:
 //!
 //! * `num` — the numeric view ([`FieldValue::as_f64`]) of every row's cell,
 //!   the only thing a query reads. For `Float` cells it is the stored value
@@ -33,7 +33,7 @@
 //! ----------
 //! Ids are allocated at a series' first appearance, one counter for the
 //! whole [`Storage`]. A [`Measurement`] keeps its series in a map ascending
-//! by id, so [`Measurement::matching_series`] returns ids in ascending
+//! by id, so `Measurement::matching_series` returns ids in ascending
 //! order: the canonical `(timestamp, series id)` row order every executor
 //! must reproduce.
 
@@ -54,7 +54,7 @@ pub struct FieldId(u32);
 /// One field of one series, row-aligned with the series' timestamps. See
 /// the module docs for what each vector holds and when it is allocated.
 #[derive(Debug)]
-pub struct Column {
+pub(crate) struct Column {
     num: Vec<f64>,
     null: Vec<bool>,
     exact: Vec<Option<FieldValue>>,
@@ -128,13 +128,13 @@ impl Column {
     }
 
     /// Numeric value of row `i`, `None` when NULL.
-    pub fn get(&self, i: usize) -> Option<f64> {
+    pub(crate) fn get(&self, i: usize) -> Option<f64> {
         self.slice(0..self.num.len()).get(i)
     }
 
     /// The stored value of row `i` exactly as written, `None` when the row
     /// has no cell in this column.
-    pub fn cell(&self, i: usize) -> Option<Cow<'_, FieldValue>> {
+    pub(crate) fn cell(&self, i: usize) -> Option<Cow<'_, FieldValue>> {
         match self.exact.get(i) {
             Some(Some(v)) => Some(Cow::Borrowed(v)),
             _ => self.get(i).map(|v| Cow::Owned(FieldValue::Float(v))),
@@ -142,7 +142,7 @@ impl Column {
     }
 
     /// The numeric view of a row range, for a scan.
-    pub fn slice(&self, rows: Range<usize>) -> ColumnSlice<'_> {
+    pub(crate) fn slice(&self, rows: Range<usize>) -> ColumnSlice<'_> {
         ColumnSlice {
             num: &self.num[rows.clone()],
             null: if self.null.is_empty() {
@@ -158,7 +158,7 @@ impl Column {
 /// The default value is the view of a column the series does not have —
 /// every row NULL.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ColumnSlice<'a> {
+pub(crate) struct ColumnSlice<'a> {
     num: &'a [f64],
     null: &'a [bool],
 }
@@ -166,7 +166,7 @@ pub struct ColumnSlice<'a> {
 impl ColumnSlice<'_> {
     /// Numeric value of row `i` of the slice, `None` when NULL (or when
     /// the slice is the missing column's, which has no rows to index).
-    pub fn get(&self, i: usize) -> Option<f64> {
+    pub(crate) fn get(&self, i: usize) -> Option<f64> {
         match self.null.get(i) {
             Some(true) => None,
             _ => self.num.get(i).copied(),
@@ -177,9 +177,9 @@ impl ColumnSlice<'_> {
 /// Data for a single series: the timestamp column and one value column
 /// per field, all the same length.
 #[derive(Debug)]
-pub struct SeriesData {
+pub(crate) struct SeriesData {
     /// Identity of the series.
-    pub key: SeriesKey,
+    pub(crate) key: SeriesKey,
     /// Row timestamps, strictly ascending.
     ts: Vec<i64>,
     /// Columns by [`FieldId`]; `None` for a field of the measurement this
@@ -227,13 +227,13 @@ impl SeriesData {
     }
 
     /// Row timestamps, strictly ascending.
-    pub fn timestamps(&self) -> &[i64] {
+    pub(crate) fn timestamps(&self) -> &[i64] {
         &self.ts
     }
 
     /// Row indices with `start <= ts < end`: two binary searches. An
     /// inverted window (`end < start`) is empty, not a panic.
-    pub fn range(&self, start: i64, end: i64) -> Range<usize> {
+    pub(crate) fn range(&self, start: i64, end: i64) -> Range<usize> {
         let lo = self.ts.partition_point(|&t| t < start);
         let hi = self.ts.partition_point(|&t| t < end);
         lo..hi.max(lo)
@@ -241,17 +241,17 @@ impl SeriesData {
 
     /// `[min, max]` timestamps of stored rows, `None` when empty. Used by
     /// the planner to prune whole series out of a time-ranged scan.
-    pub fn time_bounds(&self) -> Option<(i64, i64)> {
+    pub(crate) fn time_bounds(&self) -> Option<(i64, i64)> {
         Some((*self.ts.first()?, *self.ts.last()?))
     }
 
     /// This series' column of `field`, `None` if it never carried one.
-    pub fn column(&self, field: FieldId) -> Option<&Column> {
+    pub(crate) fn column(&self, field: FieldId) -> Option<&Column> {
         self.cols.get(field.0 as usize)?.as_ref()
     }
 
     /// Every column this series has, ascending by field id.
-    pub fn columns(&self) -> impl Iterator<Item = (FieldId, &Column)> {
+    pub(crate) fn columns(&self) -> impl Iterator<Item = (FieldId, &Column)> {
         let cols = self.cols.iter().enumerate();
         cols.filter_map(|(i, c)| Some((FieldId(i as u32), c.as_ref()?)))
     }
@@ -283,18 +283,18 @@ fn intern(fields: &mut BTreeMap<String, FieldId>, name: impl AsRef<str> + Into<S
 
 impl Measurement {
     /// All series in ascending id order (canonical order).
-    pub fn series_iter(&self) -> impl Iterator<Item = &SeriesData> {
+    pub(crate) fn series_iter(&self) -> impl Iterator<Item = &SeriesData> {
         self.series.values()
     }
 
     /// Look up one series by id.
-    pub fn series(&self, id: SeriesId) -> Option<&SeriesData> {
+    pub(crate) fn series(&self, id: SeriesId) -> Option<&SeriesData> {
         self.series.get(&id)
     }
 
     /// Series ids matching a set of tag constraints, using the inverted
     /// index when constraints exist, otherwise all series. Always ascending.
-    pub fn matching_series(&self, constraints: &[(String, String)]) -> Vec<SeriesId> {
+    pub(crate) fn matching_series(&self, constraints: &[(String, String)]) -> Vec<SeriesId> {
         match self.index.lookup_all(constraints) {
             Some(set) => set.into_iter().collect(),
             None => self.series.keys().copied().collect(),
@@ -307,29 +307,19 @@ impl Measurement {
     }
 
     /// Every field with its id, sorted by name.
-    pub fn fields(&self) -> impl Iterator<Item = (&str, FieldId)> {
+    pub(crate) fn fields(&self) -> impl Iterator<Item = (&str, FieldId)> {
         self.fields.iter().map(|(k, id)| (k.as_str(), *id))
     }
 
     /// The id a field name was interned under, `None` if the measurement
     /// never saw it.
-    pub fn field_id(&self, name: &str) -> Option<FieldId> {
+    pub(crate) fn field_id(&self, name: &str) -> Option<FieldId> {
         self.fields.get(name).copied()
     }
 
-    /// Distinct tag values for a key.
-    pub fn tag_values(&self, key: &str) -> Vec<String> {
-        self.index.values_for_key(key)
-    }
-
     /// Total number of stored rows across series.
-    pub fn row_count(&self) -> usize {
+    pub(crate) fn row_count(&self) -> usize {
         self.series_iter().map(|s| s.ts.len()).sum()
-    }
-
-    /// Number of series in this measurement.
-    pub fn series_count(&self) -> usize {
-        self.series.len()
     }
 }
 
@@ -491,6 +481,8 @@ impl Appender<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::ExecMode;
+    use crate::query::Query;
 
     fn pt(m: &str, host: &str, ts: i64, v: f64) -> Point {
         Point::new(m)
@@ -566,8 +558,53 @@ mod tests {
         assert_eq!(removed, 1);
         let m = s.measurement("m").unwrap();
         assert_eq!(m.series_iter().count(), 1);
-        assert_eq!(m.series_count(), 1);
-        assert!(m.tag_values("host") == vec!["new".to_string()]);
+        assert!(m.index.lookup("host", "old").is_none());
+        assert!(m.index.lookup("host", "new").is_some());
+    }
+
+    /// Retention must prune rows in *every* series, drop emptied series
+    /// from index and id map, and leave both executors agreeing
+    /// afterwards.
+    #[test]
+    fn retention_prunes_every_series() {
+        let mut s = Storage::new();
+        // 40 hosts, each with old and new rows.
+        for i in 0..40 {
+            let host = format!("h{i}");
+            s.insert(pt("m", &host, 10, i as f64));
+            s.insert(pt("m", &host, 200, i as f64 + 0.5));
+        }
+        // 8 hosts with *only* old rows: their series must disappear entirely.
+        for i in 40..48 {
+            s.insert(pt("m", &format!("h{i}"), 20, 1.0));
+        }
+        assert_eq!(s.total_rows(), 88);
+        let h45 = [("host".to_string(), "h45".to_string())];
+        let old_id = s.measurement("m").unwrap().matching_series(&h45)[0];
+
+        let removed = s.drop_before(100);
+        assert_eq!(removed, 48);
+        assert_eq!(s.total_rows(), 40);
+        let m = s.measurement("m").unwrap();
+        assert_eq!(m.series_iter().count(), 40);
+        for series in m.series_iter() {
+            assert!(series.timestamps().iter().all(|&ts| ts >= 100));
+        }
+        // The emptied series left the tag index, and the id map: the same
+        // key written again is a new series with a fresh id.
+        assert!(m.matching_series(&h45).is_empty());
+        let q = Query::parse("SELECT \"value\" FROM \"m\"").unwrap();
+        let (seq, _) = crate::exec::run(&s, &q, ExecMode::Sequential).unwrap();
+        assert_eq!(seq.rows.len(), 40);
+        for threads in [2, 8] {
+            let (par, _) = crate::exec::run(&s, &q, ExecMode::Parallel(threads)).unwrap();
+            assert_eq!(par, seq, "threads={threads}");
+        }
+
+        s.insert(pt("m", "h45", 300, 1.0));
+        let m = s.measurement("m").unwrap();
+        assert!(m.matching_series(&h45)[0] > old_id);
+        assert_eq!(m.series_iter().count(), 41);
     }
 
     #[test]

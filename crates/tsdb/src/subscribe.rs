@@ -16,15 +16,8 @@ pub struct Subscription {
 }
 
 impl Subscription {
-    /// Subscribe to every measurement.
-    pub fn all() -> Self {
-        Subscription {
-            measurement_prefix: String::new(),
-            tags: Vec::new(),
-        }
-    }
-
-    /// Subscribe to measurements starting with `prefix`.
+    /// Subscribe to measurements starting with `prefix` (every measurement
+    /// when empty).
     pub fn measurement(prefix: impl Into<String>) -> Self {
         Subscription {
             measurement_prefix: prefix.into(),
@@ -39,7 +32,7 @@ impl Subscription {
     }
 
     /// Whether a point is interesting to this subscription.
-    pub fn matches(&self, point: &Point) -> bool {
+    pub(crate) fn matches(&self, point: &Point) -> bool {
         point.measurement.starts_with(&self.measurement_prefix)
             && self
                 .tags
@@ -50,18 +43,18 @@ impl Subscription {
 
 /// Fan-out hub the engine publishes into.
 #[derive(Debug, Default)]
-pub struct SubscriptionHub {
+pub(crate) struct SubscriptionHub {
     subscribers: Mutex<Vec<(Subscription, Sender<Point>)>>,
 }
 
 impl SubscriptionHub {
     /// Create an empty hub.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Register a subscription; returns the receiving end.
-    pub fn subscribe(&self, sub: Subscription) -> Receiver<Point> {
+    pub(crate) fn subscribe(&self, sub: Subscription) -> Receiver<Point> {
         let (tx, rx) = unbounded();
         self.subscribers.lock().push((sub, tx));
         rx
@@ -69,7 +62,7 @@ impl SubscriptionHub {
 
     /// Publish a point to all matching, still-connected subscribers.
     /// Disconnected subscribers are dropped lazily here.
-    pub fn publish(&self, point: &Point) {
+    pub(crate) fn publish(&self, point: &Point) {
         let mut subs = self.subscribers.lock();
         subs.retain(|(sub, tx)| {
             if sub.matches(point) {
@@ -84,23 +77,14 @@ impl SubscriptionHub {
     }
 
     /// Number of live subscribers.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.subscribers.lock().len()
     }
 
     /// True when nobody is subscribed.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
-
-/// Drain everything currently queued on a receiver without blocking.
-pub fn drain(rx: &Receiver<Point>) -> Vec<Point> {
-    let mut out = Vec::new();
-    while let Ok(p) = rx.try_recv() {
-        out.push(p);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -117,24 +101,24 @@ mod tests {
         assert!(s.matches(&pt("perfevent_hwcounters_x", "skx")));
         assert!(!s.matches(&pt("kernel_percpu", "skx")));
         assert!(!s.matches(&pt("perfevent_hwcounters_x", "icl")));
-        assert!(Subscription::all().matches(&pt("anything", "any")));
+        assert!(Subscription::measurement("").matches(&pt("anything", "any")));
     }
 
     #[test]
     fn hub_fans_out_matching_points() {
         let hub = SubscriptionHub::new();
-        let rx_all = hub.subscribe(Subscription::all());
-        let rx_skx = hub.subscribe(Subscription::all().with_tag("host", "skx"));
+        let rx_all = hub.subscribe(Subscription::measurement(""));
+        let rx_skx = hub.subscribe(Subscription::measurement("").with_tag("host", "skx"));
         hub.publish(&pt("m", "skx"));
         hub.publish(&pt("m", "icl"));
-        assert_eq!(drain(&rx_all).len(), 2);
-        assert_eq!(drain(&rx_skx).len(), 1);
+        assert_eq!(rx_all.try_iter().count(), 2);
+        assert_eq!(rx_skx.try_iter().count(), 1);
     }
 
     #[test]
     fn disconnected_matching_subscriber_is_removed() {
         let hub = SubscriptionHub::new();
-        let rx = hub.subscribe(Subscription::all());
+        let rx = hub.subscribe(Subscription::measurement(""));
         assert_eq!(hub.len(), 1);
         drop(rx);
         hub.publish(&pt("m", "a"));

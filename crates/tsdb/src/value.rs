@@ -30,12 +30,12 @@ impl FieldValue {
 
     /// True when the value is numerically zero. Used by the loss accounting
     /// in Table III, which counts "batched zero" insertions separately.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         matches!(self.as_f64(), Some(v) if v == 0.0)
     }
 
     /// Render the value in line-protocol syntax.
-    pub fn to_line_protocol(&self) -> String {
+    pub(crate) fn to_line_protocol(&self) -> String {
         match self {
             FieldValue::Float(v) => format!("{v}"),
             FieldValue::Int(v) => format!("{v}i"),

@@ -1,22 +1,19 @@
 //! Differential harness: the engine's one write body vs a model of the
 //! row path it replaced.
 //!
-//! The model is what `Database::write_point` / `apply_remote` used to be,
-//! kept here as test-only code: one point at a time, a hand-kept limiter
-//! window and `IngestStats` ledger for client points, `Storage::insert`
-//! for every admitted one. Random point streams — multi-field points,
-//! duplicate timestamps (last write wins), NaN/±0.0/±inf payloads,
-//! `Int`/`Bool`/`Str` fields and cells rewritten with another type,
-//! interleaved measurements, empty-field points, replicated
-//! (`Origin::Remote`) points between client ones, and an ingest limiter
-//! tight enough to reject some of the stream — go through the model and
-//! through five databases:
+//! The model is what the single-point writes used to be, kept here as
+//! test-only code: one point at a time, a hand-kept ledger for client
+//! points, `Storage::insert` for every admitted one. Random point streams
+//! — multi-field points, duplicate timestamps (last write wins),
+//! NaN/±0.0/±inf payloads, `Int`/`Bool`/`Str` fields and cells rewritten
+//! with another type, interleaved measurements, empty-field points (the
+//! ones admission refuses), and replicated (`Origin::Remote`) points
+//! between client ones — go through the model and through five databases:
 //!
 //! * `chunked`: in memory, client runs cut into `write_batch` calls of 1–7
-//!   points at random, remote points through `apply_remote`;
+//!   points at random, remote points one `Database::write` each;
 //! * `observed`: `chunked` again, built `with_obs` — metrics must be
-//!   invisible, and its `tsdb.points_*` / `tsdb.batch.*` counters must
-//!   equal the model's ledger;
+//!   invisible, and its `tsdb.batch.*` counters must match the batches;
 //! * `single`: durable, every point one `Database::write` call;
 //! * `ones`: durable, every client point one `write_batch` of one;
 //! * `bare`: `ones` again, opened with no registry.
@@ -25,13 +22,17 @@
 //!
 //! * every stored cell (`for_each_cell` walk, `f64::to_bits` rendering);
 //! * query results across modes (the Fig. 9 surface);
-//! * the `IngestStats` ledger the Table III reproduction reads
-//!   (`points_offered`/`inserted`/`values`/`zeros`/`rejected`), which
-//!   remote points leave untouched;
+//! * the `tsdb.points_*` ledger (`offered`/`inserted`/`values`/`zeros`/
+//!   `rejected`) on every observed database, which remote points leave
+//!   untouched;
 //! * per-point accept/reject outcomes in arrival order;
 //! * the subscription stream dashboards consume, remote points included;
 //! * the write version of each measurement: one bump per call per
 //!   measurement the call stored a point of.
+//!
+//! After every call the accounting identities hold: a batch's `accepted +
+//! rejected` is its point count, and an observed database's ledger has
+//! `points_offered == points_inserted + points_rejected`.
 //!
 //! `single` and `ones` must also agree on the WAL: byte for byte, commit
 //! for commit, and in the modeled commit time each point is charged;
@@ -42,10 +43,9 @@
 use pmove_obs::{Registry, Span};
 use pmove_tsdb::storage::Storage;
 use pmove_tsdb::store::{MemDisk, StoreOptions};
-use pmove_tsdb::subscribe::{drain, Subscription};
+use pmove_tsdb::subscribe::Subscription;
 use pmove_tsdb::{
-    exec, Database, ExecMode, FieldValue, IngestLimiter, IngestStats, Origin, Point, Query,
-    QueryResult, TsdbError,
+    exec, Database, ExecMode, FieldValue, Origin, Point, Query, QueryResult, TsdbError,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -167,25 +167,46 @@ const QUERIES: [&str; 6] = [
     "SELECT mean(\"value\") FROM \"m\" WHERE host='h0' GROUP BY time(11)",
 ];
 
-/// Limiter the limited cases install: tight enough that real streams
-/// overflow some windows; keyed on point timestamps, so queue delay
-/// cannot change admission.
-const WINDOW: i64 = 16;
-const MAX_PER_WINDOW: u64 = 6;
-
 /// Modeled in-memory cost the engine charges a point of `n` values.
 fn modeled_ns(n: u64) -> u64 {
     4_000 + 450 * n
+}
+
+/// The client ledger the `tsdb.points_*` counters keep.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Ledger {
+    offered: u64,
+    inserted: u64,
+    values: u64,
+    zeros: u64,
+    rejected: u64,
+}
+
+impl Ledger {
+    fn of(reg: &Registry) -> Ledger {
+        let snap = reg.snapshot();
+        let counted = |name: &str| snap.counter(name, &[]).unwrap();
+        Ledger {
+            offered: counted("tsdb.points_offered"),
+            inserted: counted("tsdb.points_inserted"),
+            values: counted("tsdb.values_inserted"),
+            zeros: counted("tsdb.zero_values_inserted"),
+            rejected: counted("tsdb.points_rejected"),
+        }
+    }
+}
+
+/// A "batched zero" for the ledger: any value that reads as numerically
+/// zero (`-0.0` and `false` included).
+fn is_zero(v: &FieldValue) -> bool {
+    v.as_f64() == Some(0.0)
 }
 
 /// The row path: one point at a time.
 #[derive(Default)]
 struct RowModel {
     storage: Storage,
-    ledger: IngestStats,
-    limited: bool,
-    /// Limiter window in use and the values admitted into it.
-    window: Option<(i64, u64)>,
+    ledger: Ledger,
     published: Vec<Point>,
 }
 
@@ -193,30 +214,18 @@ impl RowModel {
     fn write(&mut self, p: Point, origin: Origin) -> bool {
         let client = origin == Origin::Client;
         if client {
-            self.ledger.points_offered += 1;
+            self.ledger.offered += 1;
         }
         if p.fields.is_empty() {
+            if client {
+                self.ledger.rejected += 1;
+            }
             return false;
         }
-        let n = p.field_count() as u64;
-        if client && self.limited {
-            let w = p.timestamp.div_euclid(WINDOW);
-            let used = match self.window {
-                Some((at, used)) if at == w => used,
-                _ => 0,
-            };
-            if used + n > MAX_PER_WINDOW {
-                self.window = Some((w, used));
-                self.ledger.points_rejected += 1;
-                return false;
-            }
-            self.window = Some((w, used + n));
-        }
         if client {
-            self.ledger.points_inserted += 1;
-            self.ledger.values_inserted += n;
-            self.ledger.zero_values_inserted +=
-                p.fields.values().filter(|v| v.is_zero()).count() as u64;
+            self.ledger.inserted += 1;
+            self.ledger.values += p.field_count() as u64;
+            self.ledger.zeros += p.fields.values().filter(|v| is_zero(v)).count() as u64;
         }
         self.published.push(p.clone());
         self.storage.insert(p);
@@ -233,34 +242,39 @@ const DURABLE_OPTS: StoreOptions = StoreOptions {
 /// One database under test with what is expected of it so far.
 struct Subject {
     db: Database,
+    /// The database's registry; disabled when it was built without one.
+    reg: Arc<Registry>,
     rx: crossbeam::channel::Receiver<Point>,
     results: Vec<bool>,
     versions: BTreeMap<String, u64>,
 }
 
 impl Subject {
-    fn new(db: Database, limited: bool) -> Subject {
-        if limited {
-            db.set_ingest_limiter(IngestLimiter::per_window(WINDOW, MAX_PER_WINDOW));
-        }
+    fn new(db: Database, reg: Arc<Registry>) -> Subject {
         Subject {
-            rx: db.subscribe(Subscription::all()),
+            rx: db.subscribe(Subscription::measurement("")),
             db,
+            reg,
             results: Vec::new(),
             versions: BTreeMap::new(),
         }
     }
 
-    fn durable(name: &str, limited: bool) -> (Subject, Arc<Registry>) {
+    fn durable(name: &str) -> Subject {
         let reg = Registry::shared();
         let disk = Arc::new(MemDisk::new(7));
         let (db, _) = Database::open_with_obs(name, disk, DURABLE_OPTS, reg.clone()).unwrap();
-        (Subject::new(db, limited), reg)
+        Subject::new(db, reg)
     }
 
     /// Note one call's per-point outcomes: a version bump for every
-    /// measurement the call stored a point of.
+    /// measurement the call stored a point of. The ledger balances after
+    /// every call.
     fn note(&mut self, points: &[Point], results: Vec<bool>) {
+        if self.reg.is_enabled() {
+            let l = Ledger::of(&self.reg);
+            assert_eq!(l.offered, l.inserted + l.rejected, "ledger unbalanced");
+        }
         let stored = points.iter().zip(&results).filter(|(_, ok)| **ok);
         let touched: BTreeSet<&str> = stored.map(|(p, _)| p.measurement.as_str()).collect();
         for m in touched {
@@ -275,13 +289,17 @@ impl Subject {
             out.accepted,
             out.results.iter().filter(|r| r.is_ok()).count()
         );
+        assert_eq!(out.results.len(), points.len());
+        assert_eq!(out.accepted + out.rejected, out.results.len(), "outcome");
         self.note(&points, out.results.iter().map(Result::is_ok).collect());
         out.commit_ns
     }
 
-    fn apply_remote(&mut self, point: Point) {
-        let ok = self.db.apply_remote(point.clone()).is_ok();
-        self.note(&[point], vec![ok]);
+    fn remote(&mut self, point: Point) {
+        let (res, _) = self
+            .db
+            .write(point.clone(), Origin::Remote, &Span::none(), 0);
+        self.note(&[point], vec![res.is_ok()]);
     }
 
     fn matches(&self, model: &RowModel, expected: &[bool], what: &str) {
@@ -289,18 +307,20 @@ impl Subject {
             self.results, expected,
             "{what}: per-point outcomes diverged"
         );
-        assert_eq!(
-            self.db.stats(),
-            model.ledger,
-            "{what}: IngestStats ledger diverged (Table III surface)"
-        );
+        if self.reg.is_enabled() {
+            assert_eq!(
+                Ledger::of(&self.reg),
+                model.ledger,
+                "{what}: ledger diverged"
+            );
+        }
         assert_eq!(
             cells(|f| self.db.for_each_cell(f)),
             cells(|f| model.storage.for_each_cell(f)),
             "{what}: stored cells diverged"
         );
         assert_eq!(
-            rendered_points(&drain(&self.rx)),
+            rendered_points(&self.rx.try_iter().collect::<Vec<_>>()),
             rendered_points(&model.published),
             "{what}: subscription stream diverged"
         );
@@ -326,11 +346,8 @@ impl Subject {
     }
 }
 
-fn check_case(stream: &[PointCode], chunks: &[u8], limited: bool) {
-    let mut model = RowModel {
-        limited,
-        ..RowModel::default()
-    };
+fn check_case(stream: &[PointCode], chunks: &[u8]) {
+    let mut model = RowModel::default();
     let expected: Vec<bool> = stream
         .iter()
         .map(|code| model.write(point_of(code), origin_of(code)))
@@ -340,17 +357,17 @@ fn check_case(stream: &[PointCode], chunks: &[u8], limited: bool) {
     // a remote point ends the run it interrupts. Once with no registry,
     // once observed.
     let reg = Registry::shared();
-    for (what, db) in [
-        ("chunked", Database::new("chunked")),
-        ("observed", Database::with_obs("chunked", reg.clone())),
+    for (what, db, reg) in [
+        ("chunked", Database::new("chunked"), Registry::disabled()),
+        ("observed", Database::with_obs("chunked", reg.clone()), reg),
     ] {
-        let mut chunked = Subject::new(db, limited);
+        let mut chunked = Subject::new(db, reg.clone());
         let mut chunk_sizes = chunks.iter().cycle();
         let mut rest = stream;
         let mut batches = 0u64;
         while let Some(first) = rest.first() {
             if origin_of(first) == Origin::Remote {
-                chunked.apply_remote(point_of(first));
+                chunked.remote(point_of(first));
                 rest = &rest[1..];
                 continue;
             }
@@ -366,27 +383,20 @@ fn check_case(stream: &[PointCode], chunks: &[u8], limited: bool) {
         if what == "observed" {
             let (snap, ledger) = (reg.snapshot(), &model.ledger);
             let counted = |name: &str| snap.counter(name, &[]).unwrap();
-            assert_eq!(counted("tsdb.points_offered"), ledger.points_offered);
-            assert_eq!(counted("tsdb.points_inserted"), ledger.points_inserted);
-            assert_eq!(counted("tsdb.values_inserted"), ledger.values_inserted);
-            let zeros = counted("tsdb.zero_values_inserted");
-            assert_eq!(zeros, ledger.zero_values_inserted);
-            assert_eq!(counted("tsdb.points_rejected"), ledger.points_rejected);
             assert_eq!(counted("tsdb.batch.batches"), batches);
-            assert_eq!(counted("tsdb.batch.points"), ledger.points_inserted);
-            let rejected = counted("tsdb.batch.points_rejected");
-            assert_eq!(rejected, ledger.points_rejected);
+            assert_eq!(counted("tsdb.batch.points"), ledger.inserted);
+            assert_eq!(counted("tsdb.batch.points_rejected"), ledger.rejected);
             assert_eq!(counted("tsdb.batch.wal_frames"), 0, "in memory");
         }
     }
 
     // n single writes against n batches of one, on durable databases;
     // the batches of one again on a database opened with no registry.
-    let (mut single, single_reg) = Subject::durable("wal", limited);
-    let (mut ones, ones_reg) = Subject::durable("wal", limited);
+    let mut single = Subject::durable("wal");
+    let mut ones = Subject::durable("wal");
     let bare_disk = Arc::new(MemDisk::new(7));
     let (bare, _) = Database::open("wal", bare_disk, DURABLE_OPTS).unwrap();
-    let mut bare = Subject::new(bare, limited);
+    let mut bare = Subject::new(bare, Registry::disabled());
     const START_NS: u64 = 7;
     for code in stream {
         let (point, origin) = (point_of(code), origin_of(code));
@@ -396,8 +406,8 @@ fn check_case(stream: &[PointCode], chunks: &[u8], limited: bool) {
             .write(point.clone(), origin, &Span::none(), START_NS);
         single.note(std::slice::from_ref(&point), vec![res.is_ok()]);
         if origin == Origin::Remote {
-            ones.apply_remote(point.clone());
-            bare.apply_remote(point);
+            ones.remote(point.clone());
+            bare.remote(point);
             continue;
         }
         let commit_ns = ones.write_batch(vec![point.clone()]);
@@ -415,7 +425,7 @@ fn check_case(stream: &[PointCode], chunks: &[u8], limited: bool) {
     assert_eq!(wal(&single), wal(&ones), "WAL bytes");
     assert_eq!(wal(&bare), wal(&ones), "WAL bytes with no registry");
     let stored = expected.iter().filter(|ok| **ok).count() as u64;
-    for reg in [single_reg, ones_reg] {
+    for reg in [&single.reg, &ones.reg] {
         let commits = reg.snapshot().counter("wal.commits", &[("db", "wal")]);
         assert_eq!(commits, Some(stored), "one WAL frame a stored point");
     }
@@ -432,9 +442,8 @@ proptest! {
             1..160,
         ),
         chunks in prop::collection::vec(0u8..255, 1..12),
-        limited in any::<bool>(),
     ) {
-        check_case(&stream, &chunks, limited);
+        check_case(&stream, &chunks);
     }
 }
 
@@ -450,48 +459,56 @@ fn duplicate_timestamps_in_one_batch_are_lww() {
         ((0, 1, 10, 0), (999, 1000, 1)), // NaN in a different series
         ((0, 0, 10, 0), (925, 1000, 1)), // final winner: -0.0
     ];
-    check_case(&stream, &[4], false);
+    check_case(&stream, &[4]);
 }
 
-/// Deterministic pin: a batch overflowing a limiter window rejects
-/// exactly the points the row-at-a-time path rejects, and the retry of
-/// the rejected tail in a later window is accepted by both.
+/// Deterministic pin: points without fields are refused wherever they
+/// fall in a batch — first, last, back to back, the whole batch — and
+/// counted rejected in the outcome and the ledger exactly as the
+/// row-at-a-time path counts them.
 #[test]
-fn limiter_rejections_match_row_path() {
-    let mut stream: Vec<PointCode> = (0..12)
-        .map(|i| ((0, 0, i % 4, 0), (100 + i as u32, 1000, 1)))
-        .collect();
-    // Later window: retries land cleanly.
-    stream.extend((0..4).map(|i| ((0, 0, 100 + i, 0), (700 + i as u32, 1000, 1))));
-    check_case(&stream, &[6, 2, 9], true);
+fn empty_field_rejections_match_row_path() {
+    let full = |ts, code| ((0, 0, ts, 0), (code, 1000, 1));
+    let empty = |ts| ((0, 1, ts, 0), (0, 1000, 0));
+    let stream: Vec<PointCode> = vec![
+        empty(0),
+        full(1, 100),
+        empty(2),
+        empty(3),
+        full(4, 101),
+        empty(5),
+        empty(6),
+        empty(7),
+        full(8, 102),
+    ];
+    check_case(&stream, &[3, 2, 0, 2]);
 }
 
-/// Deterministic pin: a replicated point in a full limiter window is
-/// stored, published and version-bumped, and neither the ledger nor the
-/// window of the client points around it notices.
+/// Deterministic pin: a replicated point between client points is
+/// stored, published and version-bumped, and the ledger never sees it;
+/// a replicated point without fields is refused and counted nowhere.
 #[test]
-fn remote_points_bypass_admission_between_client_points() {
+fn remote_points_skip_the_ledger_between_client_points() {
     let client = |ts, code| ((0, 0, ts, 0), (code, 100, 1));
     let remote = |ts, code| ((1, 2, ts, 0), (code, 1000, 16));
     let stream: Vec<PointCode> = vec![
         client(1, 100),
         client(2, 101),
-        client(3, 102), // fills the window: 6 values
         remote(4, 103),
-        client(5, 104),                // rejected
+        ((0, 0, 5, 0), (0, 1000, 0)),  // client, no fields: rejected
         ((1, 2, 6, 0), (0, 1000, 19)), // remote, no fields: refused, offered nowhere
-        client(17, 105),               // next window
+        client(17, 105),
     ];
-    check_case(&stream, &[3, 1, 5], true);
+    check_case(&stream, &[3, 1, 5]);
 }
 
 /// An empty batch is a no-op with a well-formed outcome.
 #[test]
 fn empty_batch_is_a_no_op() {
-    let db = Database::new("empty");
+    let reg = Registry::shared();
+    let db = Database::with_obs("empty", reg.clone());
     let out = db.write_batch(Vec::new()).unwrap();
-    assert!(out.all_accepted());
-    assert_eq!(out.accepted, 0);
-    assert_eq!(out.series, 0);
-    assert_eq!(db.stats().points_offered, 0);
+    assert!(out.results.is_empty());
+    assert_eq!((out.accepted, out.rejected, out.series), (0, 0, 0));
+    assert_eq!(Ledger::of(&reg), Ledger::default());
 }

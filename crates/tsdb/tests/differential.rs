@@ -160,18 +160,6 @@ type PointCode = (usize, i64, usize, u32);
 
 fn check_case(points: &[PointCode], queries: &[QueryCode], extra: PointCode) {
     let queries: Vec<Query> = queries.iter().map(query_of).collect();
-    // `percentile` (Median) has no defined NaN ordering — the oracle
-    // panics on it — so NaN-bearing corpora and Median are mutually
-    // exclusive; every other special value stays in play.
-    let has_median = queries.iter().any(|q| {
-        q.projections
-            .iter()
-            .any(|p| matches!(p, Projection::Aggregate(AggregateFn::Median, _)))
-    });
-    let fix = |code: u32| match value_of(code) {
-        FieldValue::Float(v) if has_median && v.is_nan() => FieldValue::Float(4.25e2),
-        v => v,
-    };
 
     let oracle = db(ExecMode::Sequential, false);
     let subjects: Vec<(Database, bool)> = [1usize, 2, 8]
@@ -184,9 +172,9 @@ fn check_case(points: &[PointCode], queries: &[QueryCode], extra: PointCode) {
         .collect();
 
     for &(h, ts, f, code) in points {
-        oracle.write_point(point(h, ts, f, fix(code))).unwrap();
+        oracle.write_point(point(h, ts, f, value_of(code))).unwrap();
         for (s, _) in &subjects {
-            s.write_point(point(h, ts, f, fix(code))).unwrap();
+            s.write_point(point(h, ts, f, value_of(code))).unwrap();
         }
     }
 
@@ -220,9 +208,9 @@ fn check_case(points: &[PointCode], queries: &[QueryCode], extra: PointCode) {
 
     // Phase B: a write lands; cached entries must not serve stale rows.
     let (h, ts, f, code) = extra;
-    oracle.write_point(point(h, ts, f, fix(code))).unwrap();
+    oracle.write_point(point(h, ts, f, value_of(code))).unwrap();
     for (s, _) in &subjects {
-        s.write_point(point(h, ts, f, fix(code))).unwrap();
+        s.write_point(point(h, ts, f, value_of(code))).unwrap();
     }
     for q in &queries {
         let want = outcome(oracle.query_parsed(q));
@@ -378,6 +366,28 @@ fn nan_and_signed_zero_windows_are_bit_identical() {
         ((vec![(1, 0)], 2), (280, 280, 59)),
     ];
     check_case(&points, &queries, (5, 3, 0, 400));
+}
+
+/// Deterministic pin: a stored NaN beside `median`, the pair the oracle
+/// once panicked on ("no NaN in telemetry"). The answer is defined —
+/// NaN orders above `+inf` — and the same in every mode.
+#[test]
+fn median_over_stored_nan_is_defined() {
+    let db = db(ExecMode::Sequential, false);
+    let points = pmove_tsdb::line_protocol::parse_batch("m v=NaN 1\nm v=1 2\nm v=3 3\n");
+    assert_eq!(db.write_batch(points.unwrap()).unwrap().accepted, 3);
+    let q = Query::parse("SELECT median(\"v\") FROM \"m\"").unwrap();
+    for mode in [ExecMode::Sequential, ExecMode::Parallel(2)] {
+        let r = db.query_with_mode(&q, mode).unwrap();
+        assert_eq!(r.rows[0].values[&r.columns[0]], Some(3.0), "{mode:?}");
+    }
+    let two = Query::parse("SELECT median(\"v\") FROM \"m\" WHERE time < 3").unwrap();
+    let r = db.query_with_mode(&two, ExecMode::Sequential).unwrap();
+    assert!(r.rows[0].values[&r.columns[0]].unwrap().is_nan());
+    // Every query shape over NaN corpora: bit-identical across modes.
+    let points: Vec<PointCode> = vec![(0, 0, 0, 999), (0, 1, 0, 100), (1, 1, 0, 990)];
+    let queries: Vec<QueryCode> = vec![((vec![(10, 0), (2, 0)], 6), (280, 280, 1))];
+    check_case(&points, &queries, (0, 2, 0, 985));
 }
 
 /// Deterministic pin: the shapes a positional frame could get wrong and

@@ -4,7 +4,9 @@
 //! characters that need escaping — spaces, commas, equals signs, double
 //! quotes and backslashes — in the measurement, tag keys/values, and
 //! field keys alike. The same guarantee carries the durable store's
-//! series keys, so a hostile metric name can never corrupt a chunk key.
+//! series keys, so a hostile metric name can never corrupt a chunk key:
+//! a point written to a durable database reads back under the same
+//! measurement and tags after recovery.
 //!
 //! The single-pass scanner is held to the parser it replaced (kept below
 //! as [`oracle`]): the same `Point`, or an error of the same class, on
@@ -12,8 +14,9 @@
 //!
 //! `PMOVE_LP_CASES` overrides the case count (default 96).
 
-use pmove_tsdb::line_protocol::{parse, parse_series_key, render, render_series_key};
-use pmove_tsdb::{FieldValue, Point, TsdbError};
+use pmove_tsdb::line_protocol::{parse, render};
+use pmove_tsdb::store::{MemDisk, StoreOptions};
+use pmove_tsdb::{Database, FieldValue, Point, SeriesKey, TsdbError};
 use proptest::prelude::*;
 
 fn lp_cases() -> u32 {
@@ -257,15 +260,19 @@ proptest! {
         k2 in IDENT,
         v2 in IDENT,
     ) {
-        let mut tags = std::collections::BTreeMap::new();
-        tags.insert(k1, v1);
-        tags.insert(k2, v2);
-        let key = render_series_key(&measurement, &tags);
-        let (m, t) = parse_series_key(&key).unwrap_or_else(|e| {
-            panic!("series key failed to parse: {key:?}: {e}")
-        });
-        prop_assert_eq!(m, measurement);
-        prop_assert_eq!(t, tags);
+        // The WAL frames the point under its rendered series key, and
+        // recovery parses the key back.
+        let p = Point::new(measurement).tag(k1, v1).tag(k2, v2).field("f", 1.5).timestamp(7);
+        let disk = std::sync::Arc::new(MemDisk::new(1));
+        let (db, _) = Database::open("lp", disk.clone(), StoreOptions::default()).unwrap();
+        db.write_point(p.clone()).unwrap();
+        drop(db);
+        let (db, report) = Database::open("lp", disk, StoreOptions::default()).unwrap();
+        prop_assert_eq!(report.wal_rows, 1);
+        let mut keys = Vec::new();
+        db.for_each_cell(&mut |key, _, _, _| keys.push(key.clone()));
+        let want = SeriesKey { measurement: p.measurement, tags: p.tags };
+        prop_assert_eq!(keys, vec![want]);
     }
 
     #[test]

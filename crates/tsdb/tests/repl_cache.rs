@@ -4,12 +4,13 @@
 //! per-measurement write version. Locally ingested points bump it in
 //! `write_point`; this suite pins the regression risk replication
 //! introduced: writes that arrive *remotely* — hint replay and
-//! anti-entropy repair both land through `Database::apply_remote` —
+//! anti-entropy repair both land as `Origin::Remote` writes —
 //! must bump the same version, or a replica that cached a result while
 //! it was behind would keep serving pre-repair rows forever.
 
+use pmove_obs::Span;
 use pmove_tsdb::repl::{ReplConfig, ReplicaSet};
-use pmove_tsdb::{Database, FieldValue, Point};
+use pmove_tsdb::{Database, FieldValue, Origin, Point};
 
 fn point(ts: i64, v: f64) -> Point {
     Point::new("m")
@@ -19,10 +20,11 @@ fn point(ts: i64, v: f64) -> Point {
 }
 
 #[test]
-fn apply_remote_bumps_the_write_version() {
+fn remote_write_bumps_the_write_version() {
     let db = Database::new("r");
     let v0 = db.write_version("m");
-    db.apply_remote(point(1_000, 1.25)).unwrap();
+    let (res, _) = db.write(point(1_000, 1.25), Origin::Remote, &Span::none(), 0);
+    res.unwrap();
     assert!(
         db.write_version("m") > v0,
         "remote write left version stale"
@@ -50,7 +52,7 @@ fn cache_never_serves_pre_repair_rows_after_anti_entropy() {
     let again = lagging.query(q).unwrap();
     assert_eq!(again.rows.len(), 1);
 
-    // Anti-entropy streams the divergent range in via `apply_remote`.
+    // Anti-entropy streams the divergent range in as remote writes.
     let v_pre = lagging.write_version("m");
     let repair = set.repair_until_converged(4).unwrap();
     assert!(repair.converged);

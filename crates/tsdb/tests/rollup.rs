@@ -159,7 +159,9 @@ fn check_case(stream: &[PointCode], queries: &[QueryCode]) {
             let d = Database::new("rollup");
             d.set_exec_mode(ExecMode::Parallel(t));
             d.set_query_cache_capacity(0);
-            d.enable_rollups(RollupConfig::with_tiers(&TIERS));
+            d.enable_rollups(RollupConfig {
+                tiers: TIERS.to_vec(),
+            });
             d
         })
         .collect();
@@ -273,7 +275,9 @@ fn nan_and_signed_zero_cells_route_and_match() {
     let db = Database::with_obs("routed", reg.clone());
     db.set_exec_mode(ExecMode::Parallel(4));
     db.set_query_cache_capacity(0);
-    db.enable_rollups(RollupConfig::with_tiers(&TIERS));
+    db.enable_rollups(RollupConfig {
+        tiers: TIERS.to_vec(),
+    });
     for code in &stream {
         db.write_point(point_of(code)).unwrap();
     }
@@ -293,7 +297,9 @@ fn sequential_mode_never_routes() {
     let db = Database::with_obs("seq", reg.clone());
     db.set_exec_mode(ExecMode::Sequential);
     db.set_query_cache_capacity(0);
-    db.enable_rollups(RollupConfig::with_tiers(&TIERS));
+    db.enable_rollups(RollupConfig {
+        tiers: TIERS.to_vec(),
+    });
     for ts in 0..40 {
         db.write_point(
             Point::new("m")

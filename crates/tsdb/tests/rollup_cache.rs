@@ -5,7 +5,7 @@
 //! measurement are *served* — buckets that fell back to raw scans while
 //! dirty are served from tier cells afterwards — so the tick must bump
 //! the version of every measurement it materialized, exactly as
-//! `apply_remote` must for replicated writes (see `repl_cache.rs`).
+//! a remote write must for replicated rows (see `repl_cache.rs`).
 //! Serving is bit-identical either way, but a stale entry would pin the
 //! pre-tick routing stats and, worse, outlive a later tier rewrite.
 
@@ -21,7 +21,7 @@ fn point(ts: i64, v: f64) -> Point {
 #[test]
 fn rollup_tick_bumps_the_write_version() {
     let db = Database::new("r");
-    db.enable_rollups(RollupConfig::with_tiers(&[10]));
+    db.enable_rollups(RollupConfig { tiers: vec![10] });
     db.write_point(point(5, 1.25)).unwrap();
     let v0 = db.write_version("m");
     let report = db.rollup_tick().unwrap();
@@ -35,7 +35,7 @@ fn rollup_tick_bumps_the_write_version() {
 #[test]
 fn idle_tick_bumps_nothing() {
     let db = Database::new("r");
-    db.enable_rollups(RollupConfig::with_tiers(&[10]));
+    db.enable_rollups(RollupConfig { tiers: vec![10] });
     db.write_point(point(5, 1.25)).unwrap();
     db.rollup_tick().unwrap();
     let v0 = db.write_version("m");
@@ -52,7 +52,7 @@ fn idle_tick_bumps_nothing() {
 fn cached_aggregates_stay_bit_identical_across_ticks() {
     let db = Database::new("r");
     db.set_exec_mode(ExecMode::Parallel(4));
-    db.enable_rollups(RollupConfig::with_tiers(&[10]));
+    db.enable_rollups(RollupConfig { tiers: vec![10] });
     for ts in 0..30 {
         db.write_point(point(ts, ts as f64 * 0.5)).unwrap();
     }

@@ -19,9 +19,9 @@
 
 use pmove_tsdb::aggregate::{Accumulator, AggregateFn};
 use pmove_tsdb::exec;
-use pmove_tsdb::query::Projection;
+use pmove_tsdb::query::{Projection, ResultRow};
 use pmove_tsdb::storage::Storage;
-use pmove_tsdb::{ExecMode, FieldValue, Point, Query, QueryResult, ResultRow, SeriesKey};
+use pmove_tsdb::{ExecMode, FieldValue, Point, Query, QueryResult, SeriesKey};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -131,7 +131,10 @@ impl Model {
             .iter()
             .map(|p| match p {
                 Projection::Field(f) => (f.clone(), f),
-                Projection::Aggregate(func, f) => (format!("{}({f})", func.name()), f),
+                Projection::Aggregate(func, f) => {
+                    let name = format!("{func:?}").to_lowercase();
+                    (format!("{name}({f})"), f)
+                }
                 Projection::Wildcard => unreachable!("expanded above"),
             })
             .collect();
