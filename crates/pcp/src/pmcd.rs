@@ -57,6 +57,10 @@ impl Supervision {
 pub struct Pmcd {
     agents: Vec<Box<dyn Agent>>,
     supervision: Vec<Supervision>,
+    /// Every metric some agent serves: the first server's description and
+    /// every serving agent, in registration order. Built by `register`,
+    /// so a fetch resolves its metric with one lookup.
+    serving: BTreeMap<String, (MetricDesc, Vec<usize>)>,
     /// Optional tag set stamped on every shipped point (Scenario B stamps
     /// the observation UUID here so KB queries can recall the data).
     pub tags: BTreeMap<String, String>,
@@ -74,6 +78,7 @@ impl Pmcd {
         Pmcd {
             agents: Vec::new(),
             supervision: Vec::new(),
+            serving: BTreeMap::new(),
             tags: BTreeMap::new(),
             obs: PmcdObs::new(&Registry::disabled()),
         }
@@ -85,8 +90,14 @@ impl Pmcd {
         self.obs = PmcdObs::new(registry);
     }
 
-    /// Register an agent.
+    /// Register an agent; its metrics resolve to it from now on (after
+    /// any agent registered earlier that serves them too).
     pub fn register(&mut self, agent: Box<dyn Agent>) {
+        for desc in agent.metrics() {
+            let name = desc.name.clone();
+            let (_, agents) = self.serving.entry(name).or_insert((desc, Vec::new()));
+            agents.push(self.agents.len());
+        }
         self.agents.push(agent);
         self.supervision.push(Supervision::healthy());
     }
@@ -94,11 +105,6 @@ impl Pmcd {
     /// Set a tag stamped on all subsequent points.
     pub fn set_tag(&mut self, key: impl Into<String>, value: impl Into<String>) {
         self.tags.insert(key.into(), value.into());
-    }
-
-    /// All metrics across agents.
-    pub(crate) fn namespace(&self) -> Vec<MetricDesc> {
-        self.agents.iter().flat_map(|a| a.metrics()).collect()
     }
 
     /// Probe every agent's liveness at `t_now`. Crashed agents are marked
@@ -136,15 +142,12 @@ impl Pmcd {
     }
 
     fn fetch_inner(&mut self, metric: &str, t_prev: f64, t_now: f64) -> Option<Point> {
-        let desc = self.namespace().into_iter().find(|d| d.name == metric)?;
-        for (i, agent) in self.agents.iter_mut().enumerate() {
+        let (desc, serving) = self.serving.get(metric)?;
+        for &i in serving {
             if self.supervision[i].crashed {
                 continue;
             }
-            if !agent.metrics().iter().any(|m| m.name == metric) {
-                continue;
-            }
-            let samples = agent.sample(metric, t_prev, t_now);
+            let samples = self.agents[i].sample(metric, t_prev, t_now);
             if samples.is_empty() {
                 return None;
             }
@@ -238,10 +241,16 @@ mod tests {
 
     #[test]
     fn namespace_merges_agents() {
-        let p = coordinator();
-        let ns = p.namespace();
-        assert!(ns.iter().any(|m| m.name == "kernel.percpu.cpu.idle"));
-        assert!(ns.iter().any(|m| m.name == "test.answer"));
+        let mut p = coordinator();
+        p.register(FlakyAgent::boxed("test.answer", f64::INFINITY));
+        assert_eq!(p.serving["kernel.percpu.cpu.idle"].1, [0]);
+        // A metric two agents serve resolves to both, first registered
+        // first.
+        let (desc, agents) = &p.serving["test.answer"];
+        assert_eq!(
+            (desc.name.as_str(), agents.as_slice()),
+            ("test.answer", &[1, 2][..])
+        );
     }
 
     #[test]

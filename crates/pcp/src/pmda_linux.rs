@@ -2,12 +2,15 @@
 
 use crate::agent::{Agent, Sample};
 use crate::metric::{InstanceDomain, MetricDesc};
-use pmove_hwsim::system_state::SystemState;
+use pmove_hwsim::system_state::{StateSnapshot, SystemState};
 use pmove_hwsim::MachineSpec;
 
 /// The Linux kernel-metrics agent.
 pub struct LinuxAgent {
     state: SystemState,
+    /// The snapshot of the last `t_now` sampled (its bits), shared by every
+    /// metric of one tick.
+    snap: Option<(u64, StateSnapshot)>,
     total_mem_bytes: f64,
     disk_names: Vec<String>,
 }
@@ -20,14 +23,17 @@ impl LinuxAgent {
         let state = SystemState::new(spec);
         LinuxAgent {
             state,
+            snap: None,
             total_mem_bytes,
             disk_names,
         }
     }
 
     /// Mutable access to the system state, so Scenario B can mark threads
-    /// busy during pinned kernel executions.
+    /// busy during pinned kernel executions. The snapshot taken before is
+    /// dropped.
     pub fn state_mut(&mut self) -> &mut SystemState {
+        self.snap = None;
         &mut self.state
     }
 }
@@ -93,7 +99,11 @@ impl Agent for LinuxAgent {
     }
 
     fn sample(&mut self, metric: &str, t_prev: f64, t_now: f64) -> Vec<Sample> {
-        let snap = self.state.snapshot(t_now);
+        let at = t_now.to_bits();
+        if self.snap.as_ref().is_none_or(|(held, _)| *held != at) {
+            self.snap = Some((at, self.state.snapshot(t_now)));
+        }
+        let (_, snap) = self.snap.as_ref().expect("taken above");
         let dt = (t_now - t_prev).max(0.0);
         match metric {
             "kernel.all.load" => vec![("value".into(), snap.load_avg)],
@@ -182,6 +192,19 @@ mod tests {
         let s = a.sample("kernel.percpu.cpu.idle", 0.0, 1.0);
         assert!(s[0].1 < 0.05);
         assert!(s[5].1 > 0.5);
+    }
+
+    #[test]
+    fn load_set_between_samples_of_one_tick_is_seen() {
+        let mut a = LinuxAgent::new(MachineSpec::icl());
+        let idle = a.sample("kernel.percpu.cpu.idle", 0.0, 1.0);
+        let load = a.sample("kernel.all.load", 0.0, 1.0)[0].1;
+        a.state_mut().set_kernel_busy(&[(0, 1.0), (1, 1.0)]);
+        // Same `t_now`: the snapshot held for the tick must not answer.
+        let busy = a.sample("kernel.percpu.cpu.idle", 0.0, 1.0);
+        assert!(idle[0].1 > 0.5 && busy[0].1 < 0.05, "{idle:?} {busy:?}");
+        assert_eq!(busy[5], idle[5]);
+        assert!(a.sample("kernel.all.load", 0.0, 1.0)[0].1 >= load + 2.0);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! with a trailing CRC32. Blocks are the unit everything durable works
 //! in: a chunk decodes to blocks (one key per block, never per cell), the
 //! merge kernel (`crate::merge`) consumes and produces blocks, and
-//! `ChunkWriter` encodes them straight into the output file.
+//! `ChunkWriter` encodes them straight into the output file — or, for a
+//! key whose parts are time-disjoint, copies the oldest part's encoded
+//! columns out of its chunk and continues them.
 //!
 //! Layout:
 //!
@@ -29,11 +31,11 @@
 use crate::batch::{Memtable, WriteBatch};
 use crate::crc::crc32;
 use crate::encode::{
-    decode_timestamps, decode_values, encode_timestamps, encode_values, get_bytes, get_ivarint,
-    get_uvarint, put_bytes, put_ivarint, put_uvarint,
+    get_bytes, get_ivarint, get_uvarint, put_bytes, put_ivarint, put_uvarint, TsCursor, TsEncoder,
+    TsEnd, ValueCursor, ValueEncoder, ValueEnd,
 };
 use crate::error::{StoreError, StoreResult};
-use crate::merge::merge_blocks;
+use crate::merge::{merge_blocks, MergeError, Part, Sink};
 use crate::row::{ColumnValue, RowRecord};
 use crate::vfs::Vfs;
 
@@ -95,6 +97,8 @@ pub struct ChunkInfo {
     pub raw_bytes: u64,
     /// `[min_ts, max_ts]` over the stored rows.
     pub time_range: (i64, i64),
+    /// The CRC32 sealed into the file's trailer.
+    pub(crate) crc: u32,
 }
 
 /// What a chunk file holds: exact from a validating decode
@@ -108,6 +112,10 @@ pub(crate) struct ChunkSummary {
     pub time_range: Option<(i64, i64)>,
     /// File size in bytes.
     pub bytes: u64,
+    /// The CRC [`ChunkWriter`] sealed the file with, when this store wrote
+    /// it (a chunk found at open has none): while the file's trailer still
+    /// matches, its blocks are this store's own output.
+    pub crc: Option<u32>,
 }
 
 impl ChunkSummary {
@@ -124,7 +132,26 @@ impl From<&ChunkInfo> for ChunkSummary {
             rows: info.rows as u64,
             time_range: Some(info.time_range),
             bytes: info.bytes,
+            crc: Some(info.crc),
         }
+    }
+}
+
+/// One block's columns being encoded: from nothing, or resumed where a
+/// copied block's columns ended.
+#[derive(Default)]
+struct BlockEncoder {
+    stamps: TsEncoder,
+    values: ValueEncoder,
+    /// Raw footprint of the cells so far.
+    raw: u64,
+}
+
+impl BlockEncoder {
+    fn push(&mut self, ts: i64, value: &ColumnValue) {
+        self.stamps.push(ts);
+        self.values.push(value);
+        self.raw += value.raw_footprint() as u64;
     }
 }
 
@@ -152,33 +179,34 @@ impl ChunkWriter {
         }
     }
 
-    /// Append `block`; the caller feeds blocks in ascending
-    /// `(series, field, type)` order.
-    pub(crate) fn push(&mut self, block: &Block) {
-        let (first, last) = (block.ts[0], block.ts[block.ts.len() - 1]);
-        let tag = block.values[0].type_tag();
+    /// Append the block of key `(series, field, type)` whose first stamp
+    /// is `first` and whose columns `columns` holds. Returns its cells.
+    fn put(
+        &mut self,
+        (series, field, tag): (&str, &str, u8),
+        first: i64,
+        columns: BlockEncoder,
+    ) -> u64 {
+        let TsEnd { count, last, .. } = columns.stamps.end();
         let body = &mut self.body;
-        put_bytes(body, block.series.as_bytes());
-        put_bytes(body, block.field.as_bytes());
+        put_bytes(body, series.as_bytes());
+        put_bytes(body, field.as_bytes());
         body.push(tag);
-        put_uvarint(body, block.ts.len() as u64);
+        put_uvarint(body, count as u64);
         put_ivarint(body, first);
         put_ivarint(body, last);
-        put_bytes(body, &encode_timestamps(&block.ts));
-        put_bytes(body, &encode_values(tag, &block.values));
+        put_bytes(body, &columns.stamps.into_bytes());
+        put_bytes(body, &columns.values.into_bytes());
         let info = &mut self.info;
         info.blocks += 1;
-        info.rows += block.ts.len();
-        info.raw_bytes += block
-            .values
-            .iter()
-            .map(|v| v.raw_footprint() as u64)
-            .sum::<u64>();
+        info.rows += count;
+        info.raw_bytes += columns.raw;
         info.time_range = (info.time_range.0.min(first), info.time_range.1.max(last));
+        count as u64
     }
 
     /// Seal and persist the file (nothing is written when no block was
-    /// pushed). `rows_in` is how many rows were offered to the merge.
+    /// emitted). `rows_in` is how many rows were offered to the merge.
     pub(crate) fn finish(mut self, vfs: &dyn Vfs, rows_in: u64) -> StoreResult<Option<ChunkInfo>> {
         if self.info.blocks == 0 {
             return Ok(None);
@@ -191,7 +219,61 @@ impl ChunkWriter {
         f.sync()?;
         self.info.bytes = self.body.len() as u64;
         self.info.rows_deduped = rows_in as usize - self.info.rows;
+        self.info.crc = crc;
         Ok(Some(self.info))
+    }
+}
+
+impl Sink for ChunkWriter {
+    /// Encode the parts' cells as one block, straight into the image. The
+    /// oldest part, when its chunk is this store's own output, is not
+    /// re-encoded: its cursors walk it — checking it as a decode would and
+    /// finding where its columns end — and its encoded columns are copied
+    /// for the newer parts' cells to continue. Any other chunk's bytes may
+    /// hold what the encoder would not write, so it is re-encoded like the
+    /// rest.
+    fn emit(&mut self, parts: Vec<Part<'_>>) -> Result<u64, MergeError> {
+        let (key, first) = match &parts[0] {
+            Part::Chunk(at, block, _) => {
+                let (series, field) = block.keys().map_err(|e| (*at, e))?;
+                ((series, field, block.tag), block.min_ts)
+            }
+            Part::Mem(block) => {
+                let tag = block.values[0].type_tag();
+                (
+                    (block.series.as_str(), block.field.as_str(), tag),
+                    block.ts[0],
+                )
+            }
+        };
+        let mut columns = BlockEncoder::default();
+        let mut newer = &parts[..];
+        if let [Part::Chunk(at, base, true), rest @ ..] = &parts[..] {
+            let mut raw = 0;
+            let (stamps, values) = base
+                .cells(|_, v| raw += v.raw_footprint() as u64)
+                .map_err(|e| (*at, e))?;
+            columns = BlockEncoder {
+                stamps: TsEncoder::resume(base.ts_bytes.to_vec(), stamps),
+                values: ValueEncoder::resume(base.tag, base.val_bytes.to_vec(), values),
+                raw,
+            };
+            newer = rest;
+        }
+        for part in newer {
+            match part {
+                Part::Chunk(at, block, _) => {
+                    let push = |ts, v: &ValueCursor<'_>| columns.push(ts, &v.value());
+                    block.cells(push).map_err(|e| (*at, e))?;
+                }
+                Part::Mem(block) => {
+                    for (&ts, value) in block.ts.iter().zip(&block.values) {
+                        columns.push(ts, value);
+                    }
+                }
+            }
+        }
+        Ok(self.put(key, first, columns))
     }
 }
 
@@ -205,7 +287,7 @@ pub(crate) fn write_blocks(
     newest: Vec<Block>,
 ) -> StoreResult<Option<ChunkInfo>> {
     let mut writer = ChunkWriter::new(seq);
-    let stats = merge_blocks(&[], newest, None, &mut |b| writer.push(&b)).map_err(|(_, e)| e)?;
+    let stats = merge_blocks(&[], newest, None, &mut writer).map_err(|(_, e)| e)?;
     writer.finish(vfs, stats.rows_in)
 }
 
@@ -259,31 +341,79 @@ impl<'a> BlockRef<'a> {
         (self.series, self.field)
     }
 
-    /// Decode both columns, enforcing the block invariants.
-    pub(crate) fn decode(&self) -> StoreResult<Block> {
-        let key = |bytes: &[u8]| {
-            String::from_utf8(bytes.to_vec())
-                .map_err(|_| StoreError::Decode("block key not UTF-8".into()))
+    /// `(type, min_ts, max_ts)` as the header states them.
+    pub(crate) fn span(&self) -> (u8, i64, i64) {
+        (self.tag, self.min_ts, self.max_ts)
+    }
+
+    /// The key as strings; one that is not UTF-8 makes the block corrupt.
+    fn keys(&self) -> StoreResult<(&'a str, &'a str)> {
+        let key = |bytes| {
+            std::str::from_utf8(bytes).map_err(|_| StoreError::Decode("block key not UTF-8".into()))
         };
+        Ok((key(self.series)?, key(self.field)?))
+    }
+
+    /// Walk both columns in step, enforcing the block invariants, and hand
+    /// each cell to `cell`: its timestamp, and the value cursor standing
+    /// on its value. Returns where the two columns ended. Every decode of
+    /// a block is this walk.
+    pub(crate) fn cells(
+        &self,
+        mut cell: impl FnMut(i64, &ValueCursor<'a>),
+    ) -> StoreResult<(TsEnd, ValueEnd)> {
+        let corrupt = |what: &str| StoreError::Corrupt(what.into());
         let count = usize::try_from(self.count)
             .map_err(|_| StoreError::Decode("block count overflows usize".into()))?;
-        let ts = decode_timestamps(self.ts_bytes, count)?;
-        if !ts.windows(2).all(|w| w[0] < w[1]) {
-            return Err(StoreError::Corrupt(
-                "block timestamps not strictly ascending".into(),
+        let mut stamps = TsCursor::new(self.ts_bytes, count)?;
+        let mut values = ValueCursor::new(self.tag, self.val_bytes, count)?;
+        for i in 0..count {
+            let prev = stamps.end().last;
+            let ts = stamps.step()?;
+            if i == 0 && ts != self.min_ts {
+                return Err(corrupt(
+                    "block header's min_ts disagrees with its timestamps",
+                ));
+            }
+            if i > 0 && ts <= prev {
+                return Err(corrupt("block timestamps not strictly ascending"));
+            }
+            values.step()?;
+            cell(ts, &values);
+        }
+        let end = stamps.end();
+        if count == 0 || end.last != self.max_ts {
+            return Err(corrupt(
+                "block is empty or its header's max_ts disagrees with its timestamps",
             ));
         }
-        if (ts.first(), ts.last()) != (Some(&self.min_ts), Some(&self.max_ts)) {
-            return Err(StoreError::Corrupt(
-                "block is empty or its header time range disagrees with its timestamps".into(),
-            ));
-        }
-        Ok(Block {
-            series: key(self.series)?,
-            field: key(self.field)?,
-            ts,
-            values: decode_values(self.tag, self.val_bytes, count)?,
-        })
+        Ok((end, values.end()))
+    }
+
+    /// Decode both columns, enforcing the block invariants.
+    pub(crate) fn decode(&self) -> StoreResult<Block> {
+        let (series, field) = self.keys()?;
+        let mut block = Block {
+            series: series.to_string(),
+            field: field.to_string(),
+            ..Block::default()
+        };
+        self.append_to(&mut block)?;
+        Ok(block)
+    }
+
+    /// Decode the cells onto the end of `block`.
+    pub(crate) fn append_to(&self, block: &mut Block) -> StoreResult<()> {
+        // A timestamp takes a byte at least: the reservation is bounded by
+        // the file, whatever the header claims.
+        let room = usize::try_from(self.count).map_or(0, |n| n.min(self.ts_bytes.len()));
+        block.ts.reserve(room);
+        block.values.reserve(room);
+        self.cells(|ts, value| {
+            block.ts.push(ts);
+            block.values.push(value.value());
+        })?;
+        Ok(())
     }
 }
 
@@ -319,15 +449,16 @@ pub(crate) fn index_chunk<'a>(name: &str, data: &'a [u8]) -> StoreResult<(u64, V
     Ok((seq, blocks))
 }
 
-/// Fully validate chunk file `name` — envelope, block order, and a
-/// decode of every column, one block at a time — and summarise it.
+/// Fully validate chunk file `name` — envelope, block order, and a walk
+/// of every column, one block at a time — and summarise it.
 pub(crate) fn check_chunk(name: &str, data: &[u8]) -> StoreResult<ChunkSummary> {
     let mut summary = ChunkSummary {
         bytes: data.len() as u64,
         ..ChunkSummary::default()
     };
     for block in index_chunk(name, data)?.1 {
-        block.decode()?;
+        block.keys()?;
+        block.cells(|_, _| ())?;
         summary.add(&block);
     }
     Ok(summary)
@@ -376,6 +507,7 @@ pub(crate) fn probe_chunk(data: &[u8]) -> Option<ChunkSummary> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encode::encode_timestamps;
     use crate::memdisk::MemDisk;
 
     fn rows() -> Vec<RowRecord> {
@@ -450,7 +582,17 @@ mod tests {
         assert_eq!(cells(&back), want);
         let data = disk.read(&chunk_name(3)).unwrap();
         let summary = check_chunk(&chunk_name(3), &data).unwrap();
-        assert_eq!(summary, ChunkSummary::from(&info));
+        // What writing the file knew, but the writer's CRC: a chunk read
+        // back is not known to be this store's own output.
+        let written = ChunkSummary::from(&info);
+        assert_eq!(written.crc, Some(crc32(&data[..data.len() - 4])));
+        assert_eq!(
+            summary,
+            ChunkSummary {
+                crc: None,
+                ..written
+            }
+        );
         assert_eq!(
             (summary.rows, summary.time_range),
             (202, Some((0, 99 * 500)))

@@ -1,12 +1,27 @@
 //! Column codecs: varints, delta-of-delta timestamps, Gorilla XOR floats,
 //! zigzag-delta integers, bit-packed booleans, length-prefixed strings.
 //!
+//! Each column has one encoder and one decoder, and both keep their state
+//! in the open. The decoder is a validating cursor (`TsCursor`,
+//! `ValueCursor`) that can say where its column ended — the last
+//! timestamp and delta; the last value, the Gorilla window and the bit
+//! length — and the encoder (`TsEncoder`, `ValueEncoder`) resumes from
+//! exactly that end state, so compaction copies a column's bytes and
+//! appends to them instead of decoding and re-encoding it. Encoding a
+//! whole column is a resume from nothing, decoding one a collect over its
+//! cursor.
+//!
+//! The bit I/O under the float and bool columns is word-wide: the writer
+//! fills a 64-bit accumulator and spills it a whole word at a time, the
+//! reader cuts each field out of the 64-bit window at its position.
+//!
 //! All encoders are deterministic functions of their input — two runs over
 //! the same rows produce byte-identical output, which is what makes chunk
-//! files reproducible across same-seed experiments.
+//! files reproducible across same-seed experiments — and a resumed encoder
+//! writes what one that saw every value would.
 
 use crate::error::{StoreError, StoreResult};
-use crate::row::ColumnValue;
+use crate::row::{ColumnValue, CELL_FOOTPRINT};
 
 // ---------------------------------------------------------------- varint
 
@@ -83,21 +98,51 @@ pub(crate) fn get_str<'a>(data: &'a [u8], pos: &mut usize) -> StoreResult<&'a st
         .map_err(|_| StoreError::Decode("string not UTF-8".into()))
 }
 
+/// Refuse a `count` that `data` cannot hold at `per_byte` items per byte,
+/// so a block header's count never sizes an allocation by itself.
+pub(crate) fn check_count(count: usize, data: &[u8], per_byte: usize) -> StoreResult<()> {
+    if count > data.len().saturating_mul(per_byte) {
+        return Err(StoreError::Decode(format!(
+            "count {count} exceeds what {} bytes can hold",
+            data.len()
+        )));
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------- bit IO
 
-/// MSB-first bit writer over a byte vector.
+/// A mask of the low `n` (at most 64) bits.
+fn low_bits(n: u32) -> u64 {
+    u64::MAX.checked_shr(64 - n).unwrap_or(0)
+}
+
+/// MSB-first bit writer: pushes fill a 64-bit accumulator, which spills
+/// into the byte vector a whole word at a time. `BitWriter::default()` is
+/// the resume of an empty stream.
+#[derive(Default)]
 pub struct BitWriter {
     bytes: Vec<u8>,
-    /// Bits already used in the last byte (0..8).
-    used: u8,
+    /// Bits not spilled yet: the low `pending` bits (fewer than 64).
+    acc: u64,
+    pending: u32,
 }
 
 impl BitWriter {
-    /// Empty writer.
-    pub fn new() -> BitWriter {
+    /// Re-open the stream made of the first `bits` (at most `8 *
+    /// bytes.len()`) bits of `bytes` — a partial last byte included,
+    /// anything after it dropped — so that pushes continue it.
+    pub fn resume(mut bytes: Vec<u8>, bits: usize) -> BitWriter {
+        let (full, part) = (bits / 8, (bits % 8) as u32);
+        let acc = match part {
+            0 => 0,
+            _ => u64::from(bytes[full] >> (8 - part)),
+        };
+        bytes.truncate(full);
         BitWriter {
-            bytes: Vec::new(),
-            used: 8,
+            bytes,
+            acc,
+            pending: part,
         }
     }
 
@@ -106,39 +151,43 @@ impl BitWriter {
         self.push_bits(bit as u64, 1);
     }
 
-    /// Append the low `n` bits of `v`, most significant first, filling
-    /// the rest of the current byte (up to eight bits) per step.
+    /// Append the low `n` (at most 64) bits of `v`, most significant first.
     pub fn push_bits(&mut self, v: u64, n: u8) {
-        let mut left = n;
-        while left > 0 {
-            if self.used == 8 {
-                self.bytes.push(0);
-                self.used = 0;
-            }
-            let room = 8 - self.used;
-            let take = room.min(left);
-            let piece = (v >> (left - take)) as u8 & (0xFF >> (8 - take));
-            *self.bytes.last_mut().expect("byte pushed above") |= piece << (room - take);
-            self.used += take;
-            left -= take;
+        let n = u32::from(n);
+        let v = v & low_bits(n);
+        let room = 64 - self.pending;
+        if n < room {
+            self.acc = (self.acc << n) | v;
+            self.pending += n;
+            return;
         }
+        // Fill the accumulator, spill it, keep what did not fit.
+        let rest = n - room;
+        let word = match room {
+            64 => v,
+            _ => (self.acc << room) | (v >> rest),
+        };
+        self.bytes.extend_from_slice(&word.to_be_bytes());
+        self.acc = v & low_bits(rest);
+        self.pending = rest;
     }
 
-    /// Finish and return the byte buffer.
-    pub fn into_bytes(self) -> Vec<u8> {
+    /// Finish (the last byte zero-padded) and return the byte buffer.
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        if self.pending > 0 {
+            let word = self.acc << (64 - self.pending);
+            let used = self.pending.div_ceil(8) as usize;
+            self.bytes.extend_from_slice(&word.to_be_bytes()[..used]);
+        }
         self.bytes
     }
 }
 
-impl Default for BitWriter {
-    fn default() -> Self {
-        BitWriter::new()
-    }
-}
-
-/// MSB-first bit reader.
+/// MSB-first bit reader: each read cuts its field out of the 64-bit
+/// window that starts at the current bit.
 pub struct BitReader<'a> {
     bytes: &'a [u8],
+    /// Bits read so far.
     pos: usize,
 }
 
@@ -153,258 +202,368 @@ impl<'a> BitReader<'a> {
         Ok(self.read_bits(1)? == 1)
     }
 
-    /// Next `n` bits as the low bits of a u64, taking the rest of the
-    /// current byte (up to eight bits) per step.
+    /// Next `n` (at most 64) bits as the low bits of a u64.
     pub fn read_bits(&mut self, n: u8) -> StoreResult<u64> {
-        let mut v = 0u64;
-        let mut left = n;
-        while left > 0 {
-            let byte = *self
-                .bytes
-                .get(self.pos / 8)
-                .ok_or_else(|| StoreError::Decode("bit stream ran off the end".into()))?;
-            let room = 8 - (self.pos % 8) as u8;
-            let take = room.min(left);
-            let piece = (byte >> (room - take)) & (0xFF >> (8 - take));
-            v = (v << take) | piece as u64;
-            self.pos += take as usize;
-            left -= take;
+        let end = self.pos + usize::from(n);
+        if end > self.bytes.len().saturating_mul(8) {
+            return Err(StoreError::Decode("bit stream ran off the end".into()));
         }
+        let v = match n {
+            0 => 0,
+            n => self.window() >> (64 - n),
+        };
+        self.pos = end;
         Ok(v)
+    }
+
+    /// The 64 bits from the current one on, zeros past the end. Called
+    /// only with at least one bit left.
+    fn window(&self) -> u64 {
+        let (at, shift) = (self.pos / 8, (self.pos % 8) as u32);
+        let word = match self.bytes.get(at..at + 8) {
+            Some(word) => u64::from_be_bytes(word.try_into().expect("8 bytes")),
+            None => {
+                let tail = &self.bytes[at..];
+                let packed = tail.iter().fold(0, |w, &b| (w << 8) | u64::from(b));
+                packed << (8 * (8 - tail.len()))
+            }
+        };
+        let next = self.bytes.get(at + 8).map_or(0, |&b| u64::from(b));
+        (word << shift) | ((next << shift) >> 8)
     }
 }
 
 // ------------------------------------------------- delta-of-delta stamps
 
-/// Encode timestamps as first value + first delta + delta-of-deltas, all
-/// zigzag varints. Regular sampling collapses to one byte per stamp.
-pub fn encode_timestamps(ts: &[i64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(ts.len() + 8);
-    if ts.is_empty() {
-        return out;
-    }
-    put_ivarint(&mut out, ts[0]);
-    if ts.len() == 1 {
-        return out;
-    }
-    let mut prev_delta = ts[1].wrapping_sub(ts[0]);
-    put_ivarint(&mut out, prev_delta);
-    for w in ts[1..].windows(2) {
-        let delta = w[1].wrapping_sub(w[0]);
-        put_ivarint(&mut out, delta.wrapping_sub(prev_delta));
-        prev_delta = delta;
-    }
-    out
+/// Where a timestamp column ended: what [`TsEncoder`] needs to continue it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct TsEnd {
+    /// Stamps so far.
+    pub(crate) count: usize,
+    /// The last stamp.
+    pub(crate) last: i64,
+    /// The last delta (0 before the second stamp).
+    delta: i64,
 }
 
-/// Refuse a `count` that `data` cannot hold at `per_byte` items per byte,
-/// so a block header's count never sizes an allocation by itself.
-pub(crate) fn check_count(count: usize, data: &[u8], per_byte: usize) -> StoreResult<()> {
-    if count > data.len().saturating_mul(per_byte) {
-        return Err(StoreError::Decode(format!(
-            "count {count} exceeds what {} bytes can hold",
-            data.len()
-        )));
-    }
-    Ok(())
+/// Delta-of-delta timestamp encoder: the first stamp, then each delta
+/// minus the one before it (the first minus 0), all zigzag varints.
+/// Regular sampling collapses to one byte per stamp.
+#[derive(Default)]
+pub(crate) struct TsEncoder {
+    out: Vec<u8>,
+    end: TsEnd,
 }
 
-/// Decode `count` timestamps produced by [`encode_timestamps`].
-pub(crate) fn decode_timestamps(data: &[u8], count: usize) -> StoreResult<Vec<i64>> {
-    check_count(count, data, 1)?;
-    let mut out = Vec::with_capacity(count);
-    if count == 0 {
-        return Ok(out);
+impl TsEncoder {
+    /// Continue the column `out` holds, which ended at `end`.
+    pub(crate) fn resume(out: Vec<u8>, end: TsEnd) -> TsEncoder {
+        TsEncoder { out, end }
     }
-    let mut pos = 0;
-    let first = get_ivarint(data, &mut pos)?;
-    out.push(first);
-    if count == 1 {
-        return Ok(out);
-    }
-    let mut delta = get_ivarint(data, &mut pos)?;
-    let mut cur = first.wrapping_add(delta);
-    out.push(cur);
-    for _ in 2..count {
-        let dod = get_ivarint(data, &mut pos)?;
-        delta = delta.wrapping_add(dod);
-        cur = cur.wrapping_add(delta);
-        out.push(cur);
-    }
-    Ok(out)
-}
 
-// ---------------------------------------------------------- Gorilla XOR
-
-/// Gorilla-compress a float column: first value raw, then XOR with the
-/// previous value, reusing the previous leading/trailing-zero window when
-/// it still fits (control bit 0) or emitting a fresh 5+6-bit window.
-pub fn encode_f64(values: &[f64]) -> Vec<u8> {
-    let mut w = BitWriter::new();
-    let mut prev = 0u64;
-    let mut prev_lead: u8 = 0xFF; // invalid: force a fresh window first
-    let mut prev_sig: u8 = 0;
-    for (i, v) in values.iter().enumerate() {
-        let bits = v.to_bits();
-        if i == 0 {
-            w.push_bits(bits, 64);
-            prev = bits;
-            continue;
-        }
-        let xor = prev ^ bits;
-        prev = bits;
-        if xor == 0 {
-            w.push_bit(false);
-            continue;
-        }
-        w.push_bit(true);
-        let lead = (xor.leading_zeros() as u8).min(31);
-        let trail = xor.trailing_zeros() as u8;
-        let sig = 64 - lead - trail;
-        let fits = prev_lead != 0xFF && lead >= prev_lead && {
-            let prev_trail = 64 - prev_lead - prev_sig;
-            trail >= prev_trail
-        };
-        if fits {
-            w.push_bit(false);
-            let prev_trail = 64 - prev_lead - prev_sig;
-            w.push_bits(xor >> prev_trail, prev_sig);
+    /// Append one stamp.
+    pub(crate) fn push(&mut self, t: i64) {
+        let end = &mut self.end;
+        if end.count == 0 {
+            put_ivarint(&mut self.out, t);
         } else {
-            w.push_bit(true);
-            w.push_bits(lead as u64, 5);
-            // sig ∈ 1..=64 stored as sig-1 in 6 bits.
-            w.push_bits((sig - 1) as u64, 6);
-            w.push_bits(xor >> trail, sig);
-            prev_lead = lead;
-            prev_sig = sig;
+            let delta = t.wrapping_sub(end.last);
+            put_ivarint(&mut self.out, delta.wrapping_sub(end.delta));
+            end.delta = delta;
+        }
+        end.last = t;
+        end.count += 1;
+    }
+
+    /// Where the column ends now.
+    pub(crate) fn end(&self) -> TsEnd {
+        self.end
+    }
+
+    /// The encoded column.
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
+        self.out
+    }
+}
+
+/// Encode a timestamp column: a `TsEncoder` over every stamp.
+pub fn encode_timestamps(ts: &[i64]) -> Vec<u8> {
+    let mut stamps = TsEncoder::resume(Vec::with_capacity(ts.len() + 8), TsEnd::default());
+    ts.iter().for_each(|&t| stamps.push(t));
+    stamps.into_bytes()
+}
+
+/// The one decoder of a timestamp column: a cursor that validates as it
+/// goes and can say where the column ended.
+pub(crate) struct TsCursor<'a> {
+    data: &'a [u8],
+    pos: usize,
+    end: TsEnd,
+}
+
+impl<'a> TsCursor<'a> {
+    /// Cursor over a column of `count` stamps; a count `data` cannot hold
+    /// is refused.
+    pub(crate) fn new(data: &'a [u8], count: usize) -> StoreResult<TsCursor<'a>> {
+        check_count(count, data, 1)?;
+        Ok(TsCursor {
+            data,
+            pos: 0,
+            end: TsEnd::default(),
+        })
+    }
+
+    /// Decode the next stamp.
+    pub(crate) fn step(&mut self) -> StoreResult<i64> {
+        let v = get_ivarint(self.data, &mut self.pos)?;
+        let end = &mut self.end;
+        if end.count == 0 {
+            end.last = v;
+        } else {
+            end.delta = end.delta.wrapping_add(v);
+            end.last = end.last.wrapping_add(end.delta);
+        }
+        end.count += 1;
+        Ok(end.last)
+    }
+
+    /// Where the column ends after the stamps stepped so far.
+    pub(crate) fn end(&self) -> TsEnd {
+        self.end
+    }
+}
+
+// ---------------------------------------------------------- value columns
+
+/// Where a value column ended: what [`ValueEncoder`] needs to continue it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ValueEnd {
+    /// Values so far.
+    count: usize,
+    /// The last value's bits: an f64's, an i64's, a bool's 0 or 1.
+    last: u64,
+    /// The Gorilla window last opened: leading zeros, significant bits.
+    window: Option<(u8, u8)>,
+    /// Bits used (float and bool columns).
+    bits: usize,
+}
+
+/// Value-column encoder for every type. Floats are Gorilla-XOR
+/// compressed: the first value raw, then its XOR with the previous one —
+/// `0` when equal; `10` and the significant bits when they fit the open
+/// window; `11`, a fresh window (5-bit leading-zero count, 6-bit length
+/// minus one) and the bits otherwise. Ints are zigzag deltas from the
+/// previous (the first from 0), bools one bit each, strings
+/// length-prefixed.
+#[derive(Default)]
+pub(crate) struct ValueEncoder {
+    out: BitWriter,
+    end: ValueEnd,
+}
+
+impl ValueEncoder {
+    /// Continue the column of type `tag` that `bytes` holds, which ended
+    /// at `end`.
+    pub(crate) fn resume(tag: u8, bytes: Vec<u8>, end: ValueEnd) -> ValueEncoder {
+        let bits = match tag {
+            0 | 2 => end.bits,
+            _ => bytes.len() * 8,
+        };
+        ValueEncoder {
+            out: BitWriter::resume(bytes, bits),
+            end,
         }
     }
-    w.into_bytes()
+
+    /// Append one value of the column's type.
+    pub(crate) fn push(&mut self, value: &ColumnValue) {
+        let (out, end) = (&mut self.out, &mut self.end);
+        match value {
+            ColumnValue::F64(x) => push_gorilla(out, end, x.to_bits()),
+            ColumnValue::I64(x) => {
+                put_ivarint(&mut out.bytes, x.wrapping_sub(end.last as i64));
+                end.last = *x as u64;
+            }
+            ColumnValue::Bool(b) => out.push_bit(*b),
+            ColumnValue::Str(s) => put_bytes(&mut out.bytes, s.as_bytes()),
+        }
+        end.count += 1;
+    }
+
+    /// The encoded column.
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
+        self.out.into_bytes()
+    }
+}
+
+/// Append float `bits` to a Gorilla column that ended at `end`.
+fn push_gorilla(out: &mut BitWriter, end: &mut ValueEnd, bits: u64) {
+    let xor = end.last ^ bits;
+    end.last = bits;
+    if end.count == 0 {
+        return out.push_bits(bits, 64);
+    }
+    if xor == 0 {
+        return out.push_bit(false);
+    }
+    let lead = (xor.leading_zeros() as u8).min(31);
+    let trail = xor.trailing_zeros() as u8;
+    match end.window {
+        Some((open_lead, sig)) if lead >= open_lead && trail >= 64 - open_lead - sig => {
+            out.push_bits(0b10, 2);
+            out.push_bits(xor >> (64 - open_lead - sig), sig);
+        }
+        _ => {
+            let sig = 64 - lead - trail;
+            let window = (0b11 << 11) | (u64::from(lead) << 6) | u64::from(sig - 1);
+            out.push_bits(window, 13);
+            out.push_bits(xor >> trail, sig);
+            end.window = Some((lead, sig));
+        }
+    }
+}
+
+/// Gorilla-compress a float column: a `ValueEncoder` over every value.
+pub fn encode_f64(values: &[f64]) -> Vec<u8> {
+    let mut floats = ValueEncoder::default();
+    values
+        .iter()
+        .for_each(|&v| floats.push(&ColumnValue::F64(v)));
+    floats.into_bytes()
+}
+
+/// Encode a homogeneous value column (`values` must all match `tag`).
+pub fn encode_values(tag: u8, values: &[ColumnValue]) -> Vec<u8> {
+    debug_assert!(values.iter().all(|v| v.type_tag() == tag), "mixed column");
+    let mut column = ValueEncoder::default();
+    values.iter().for_each(|v| column.push(v));
+    column.into_bytes()
+}
+
+/// The one decoder of a value column of any type: a cursor that validates
+/// as it goes and can say where the column ended.
+pub(crate) struct ValueCursor<'a> {
+    tag: u8,
+    bits: BitReader<'a>,
+    /// Byte position (int and string columns).
+    pos: usize,
+    end: ValueEnd,
+    /// The last string read.
+    text: &'a str,
+}
+
+impl<'a> ValueCursor<'a> {
+    /// Cursor over a column of `count` values of type `tag`; a bad tag, or
+    /// a count `data` cannot hold, is refused.
+    pub(crate) fn new(tag: u8, data: &'a [u8], count: usize) -> StoreResult<ValueCursor<'a>> {
+        let per_byte = match ColumnValue::check_tag(tag)? {
+            0 | 2 => 8,
+            _ => 1,
+        };
+        check_count(count, data, per_byte)?;
+        Ok(ValueCursor {
+            tag,
+            bits: BitReader::new(data),
+            pos: 0,
+            end: ValueEnd::default(),
+            text: "",
+        })
+    }
+
+    /// Decode the next value.
+    pub(crate) fn step(&mut self) -> StoreResult<()> {
+        let (bits, end) = (&mut self.bits, &mut self.end);
+        end.last = match self.tag {
+            0 => step_gorilla(bits, end)?,
+            1 => (end.last as i64).wrapping_add(get_ivarint(bits.bytes, &mut self.pos)?) as u64,
+            2 => bits.read_bits(1)?,
+            _ => {
+                self.text = get_str(bits.bytes, &mut self.pos)?;
+                0
+            }
+        };
+        end.count += 1;
+        Ok(())
+    }
+
+    /// The value `step` decoded last.
+    pub(crate) fn value(&self) -> ColumnValue {
+        let last = self.end.last;
+        match self.tag {
+            0 => ColumnValue::F64(f64::from_bits(last)),
+            1 => ColumnValue::I64(last as i64),
+            2 => ColumnValue::Bool(last == 1),
+            _ => ColumnValue::Str(self.text.to_string()),
+        }
+    }
+
+    /// [`ColumnValue::raw_footprint`] of that value, without building it.
+    pub(crate) fn raw_footprint(&self) -> usize {
+        CELL_FOOTPRINT + self.text.len()
+    }
+
+    /// Where the column ends after the values stepped so far.
+    pub(crate) fn end(&self) -> ValueEnd {
+        ValueEnd {
+            bits: self.bits.pos,
+            ..self.end
+        }
+    }
+}
+
+/// Decode the next float of a Gorilla column that ended at `end`.
+fn step_gorilla(bits: &mut BitReader<'_>, end: &mut ValueEnd) -> StoreResult<u64> {
+    if end.count == 0 {
+        return bits.read_bits(64);
+    }
+    if !bits.read_bit()? {
+        return Ok(end.last);
+    }
+    if bits.read_bit()? {
+        let lead = bits.read_bits(5)? as u8;
+        let sig = bits.read_bits(6)? as u8 + 1;
+        if lead + sig > 64 {
+            return Err(StoreError::Decode("gorilla window exceeds 64 bits".into()));
+        }
+        end.window = Some((lead, sig));
+    }
+    let (lead, sig) = end
+        .window
+        .ok_or_else(|| StoreError::Decode("gorilla window reused before one opened".into()))?;
+    Ok(end.last ^ (bits.read_bits(sig)? << (64 - lead - sig)))
 }
 
 /// Decode `count` floats produced by [`encode_f64`].
 pub fn decode_f64(data: &[u8], count: usize) -> StoreResult<Vec<f64>> {
-    check_count(count, data, 8)?;
-    let mut r = BitReader::new(data);
-    let mut out = Vec::with_capacity(count);
-    if count == 0 {
-        return Ok(out);
-    }
-    let mut prev = r.read_bits(64)?;
-    out.push(f64::from_bits(prev));
-    let mut lead: u8 = 0;
-    let mut sig: u8 = 0;
-    for _ in 1..count {
-        if !r.read_bit()? {
-            out.push(f64::from_bits(prev));
-            continue;
-        }
-        if r.read_bit()? {
-            lead = r.read_bits(5)? as u8;
-            sig = r.read_bits(6)? as u8 + 1;
-        }
-        if lead + sig > 64 {
-            return Err(StoreError::Decode("gorilla window exceeds 64 bits".into()));
-        }
-        let trail = 64 - lead - sig;
-        let xor = r.read_bits(sig)? << trail;
-        prev ^= xor;
-        out.push(f64::from_bits(prev));
-    }
-    Ok(out)
-}
-
-// ----------------------------------------------------- non-float columns
-
-/// Encode a homogeneous value column (`values` must all match `tag`).
-pub fn encode_values(tag: u8, values: &[ColumnValue]) -> Vec<u8> {
-    match tag {
-        0 => {
-            let floats: Vec<f64> = values
-                .iter()
-                .map(|v| match v {
-                    ColumnValue::F64(x) => *x,
-                    _ => unreachable!("mixed column"),
-                })
-                .collect();
-            encode_f64(&floats)
-        }
-        1 => {
-            let mut out = Vec::new();
-            let mut prev = 0i64;
-            for v in values {
-                let ColumnValue::I64(x) = v else {
-                    unreachable!("mixed column")
-                };
-                put_ivarint(&mut out, x.wrapping_sub(prev));
-                prev = *x;
-            }
-            out
-        }
-        2 => {
-            let mut w = BitWriter::new();
-            for v in values {
-                let ColumnValue::Bool(b) = v else {
-                    unreachable!("mixed column")
-                };
-                w.push_bit(*b);
-            }
-            w.into_bytes()
-        }
-        _ => {
-            let mut out = Vec::new();
-            for v in values {
-                let ColumnValue::Str(s) = v else {
-                    unreachable!("mixed column")
-                };
-                put_bytes(&mut out, s.as_bytes());
-            }
-            out
-        }
-    }
+    let mut floats = ValueCursor::new(0, data, count)?;
+    (0..count)
+        .map(|_| {
+            floats.step()?;
+            Ok(f64::from_bits(floats.end.last))
+        })
+        .collect()
 }
 
 /// Decode `count` values of type `tag` produced by [`encode_values`].
 pub fn decode_values(tag: u8, data: &[u8], count: usize) -> StoreResult<Vec<ColumnValue>> {
-    match tag {
-        0 => Ok(decode_f64(data, count)?
-            .into_iter()
-            .map(ColumnValue::F64)
-            .collect()),
-        1 => {
-            check_count(count, data, 1)?;
-            let mut out = Vec::with_capacity(count);
-            let mut pos = 0;
-            let mut prev = 0i64;
-            for _ in 0..count {
-                prev = prev.wrapping_add(get_ivarint(data, &mut pos)?);
-                out.push(ColumnValue::I64(prev));
-            }
-            Ok(out)
-        }
-        2 => {
-            check_count(count, data, 8)?;
-            let mut r = BitReader::new(data);
-            (0..count)
-                .map(|_| r.read_bit().map(ColumnValue::Bool))
-                .collect()
-        }
-        3 => {
-            check_count(count, data, 1)?;
-            let mut out = Vec::with_capacity(count);
-            let mut pos = 0;
-            for _ in 0..count {
-                out.push(ColumnValue::Str(get_str(data, &mut pos)?.to_string()));
-            }
-            Ok(out)
-        }
-        t => Err(StoreError::Decode(format!("bad value type tag {t}"))),
-    }
+    let mut values = ValueCursor::new(tag, data, count)?;
+    (0..count)
+        .map(|_| {
+            values.step()?;
+            Ok(values.value())
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Decode `count` timestamps produced by [`encode_timestamps`].
+    fn decode_timestamps(data: &[u8], count: usize) -> StoreResult<Vec<i64>> {
+        let mut stamps = TsCursor::new(data, count)?;
+        (0..count).map(|_| stamps.step()).collect()
+    }
 
     #[test]
     fn varints_roundtrip() {
@@ -435,7 +594,7 @@ mod tests {
 
     #[test]
     fn bit_io_roundtrip() {
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::default();
         w.push_bits(0b1011, 4);
         w.push_bit(true);
         w.push_bits(0xDEADBEEF, 32);
@@ -500,6 +659,31 @@ mod tests {
     }
 
     #[test]
+    fn gorilla_window_reused_before_one_opened_is_an_error() {
+        // `1.0` raw, then control bits `10`: reuse a window none opened.
+        let mut data = 1.0f64.to_bits().to_be_bytes().to_vec();
+        data.push(0x80);
+        assert!(matches!(decode_f64(&data, 2), Err(StoreError::Decode(_))));
+        assert!(matches!(
+            decode_values(0, &data, 2),
+            Err(StoreError::Decode(_))
+        ));
+        // The same stream opening a window first (`11`, lead 0, sig 1)
+        // and then reusing it decodes.
+        let mut w = BitWriter::default();
+        w.push_bits(1.0f64.to_bits(), 64);
+        w.push_bits(0b11, 2);
+        w.push_bits(0, 5);
+        w.push_bits(0, 6);
+        w.push_bits(1, 1);
+        w.push_bits(0b10, 2);
+        w.push_bits(1, 1);
+        let back = decode_f64(&w.into_bytes(), 3).unwrap();
+        assert_eq!(back[1].to_bits(), 1.0f64.to_bits() ^ (1 << 63));
+        assert_eq!(back[2], 1.0);
+    }
+
+    #[test]
     fn value_columns_roundtrip() {
         let ints: Vec<ColumnValue> = [3i64, 4, 4, -100, i64::MAX]
             .iter()
@@ -525,6 +709,37 @@ mod tests {
             decode_values(3, &encode_values(3, &strs), strs.len()).unwrap(),
             strs
         );
+    }
+
+    #[test]
+    fn encoders_resume_where_their_cursors_end() {
+        let ts: Vec<i64> = vec![-7, 0, 500, 1000, 1001, 1_000_000, i64::MAX];
+        let floats: Vec<ColumnValue> = [20.0, 20.0, 20.25, -0.0, f64::MAX, 1.5, 1.5]
+            .iter()
+            .map(|&v| ColumnValue::F64(v))
+            .collect();
+        let ints: Vec<ColumnValue> = (0..7).map(|i| ColumnValue::I64(i * i - 9)).collect();
+        let bools: Vec<ColumnValue> = (0..7).map(|i| ColumnValue::Bool(i % 3 == 0)).collect();
+        let strs: Vec<ColumnValue> = (0..7).map(|i| ColumnValue::Str("ab".repeat(i))).collect();
+        for cut in 0..=ts.len() {
+            let head = encode_timestamps(&ts[..cut]);
+            let mut cursor = TsCursor::new(&head, cut).unwrap();
+            for _ in 0..cut {
+                cursor.step().unwrap();
+            }
+            let mut resumed = TsEncoder::resume(head.clone(), cursor.end());
+            ts[cut..].iter().for_each(|&t| resumed.push(t));
+            assert_eq!(resumed.into_bytes(), encode_timestamps(&ts), "stamps {cut}");
+            for (tag, column) in [(0, &floats), (1, &ints), (2, &bools), (3, &strs)] {
+                let head = encode_values(tag, &column[..cut]);
+                let mut cursor = ValueCursor::new(tag, &head, cut).unwrap();
+                (0..cut).for_each(|_| cursor.step().unwrap());
+                let mut resumed = ValueEncoder::resume(tag, head.clone(), cursor.end());
+                column[cut..].iter().for_each(|v| resumed.push(v));
+                let whole = encode_values(tag, column);
+                assert_eq!(resumed.into_bytes(), whole, "type {tag} at {cut}");
+            }
+        }
     }
 
     #[test]

@@ -2,18 +2,32 @@
 //!
 //! Inputs are layers of already-sorted data — chunk block indexes oldest
 //! to newest, then optionally the memtable's blocks on top — and the
-//! output is the merged view as [`Block`]s in ascending
-//! `(series, field, type)` order, handed one at a time to a sink. The
-//! kernel walks the inputs key by key: it decodes only the blocks of the
-//! smallest `(series, field)` any layer still holds, merges their
-//! timestamp-sorted columns with the newest layer winning each cell (the
-//! winner's type choosing the output block), drops cells older than the
-//! retention cutoff in the same pass, and moves on — so peak memory is
-//! one key's columns, whatever the chunks' size.
+//! output is the merged view in ascending `(series, field, type)` order,
+//! handed to a [`Sink`] as parts whose cells, in order, are the merge. The
+//! kernel walks the inputs key by key, collecting the parts of the
+//! smallest `(series, field)` any layer still holds, and takes one of two
+//! paths:
 //!
-//! Flush (memtable only), compaction (chunks only, maybe a cutoff), scan
-//! and recovery (chunks under the memtable) are all this function with a
-//! different sink.
+//! - **Concatenation.** When the parts are of one type, each comes after
+//!   the one before (a chunk block's header `max_ts` below the next
+//!   part's `min_ts`) and none reaches back past the retention cutoff,
+//!   the parts are the merge already and go to the sink as they are. A
+//!   lone chunk block is such a key, and so is every key of append-only
+//!   monitoring.
+//! - **Sort.** Anything else decodes every part and stable-sorts the
+//!   cells by timestamp, the newest layer winning each cell (the winner's
+//!   type choosing the output block) and cells older than the cutoff
+//!   dropped in the same pass; each output block goes to the sink as a
+//!   part of its own.
+//!
+//! The sink chooses the output form. `Vec<Block>` — scan, and so recovery
+//! — decodes and appends. The chunk writer — flush and compaction —
+//! encodes, and when the oldest part's chunk is this store's own output it
+//! copies that part's encoded columns and continues them with the newer
+//! parts' cells, so compaction costs what is new rather than what is
+//! stored. Either way a chunk block is decoded by the same validating
+//! column cursors, and a failure names the chunk it came from. Peak
+//! memory is one key's columns, whatever the chunks' size.
 
 use crate::chunk::{Block, BlockRef};
 use crate::error::StoreError;
@@ -30,17 +44,115 @@ pub(crate) struct MergeStats {
     pub dropped_retention: u64,
 }
 
-/// Merge `chunks` (block indexes, oldest first) under `newest` (newer
-/// than every chunk: one block per key in ascending key order, whose
-/// timestamps may repeat, a later write after an earlier) into `sink`. A
-/// chunk block that fails to decode aborts the merge with the position of
-/// its chunk in `chunks`; what the sink received until then is void.
+/// A merge failure: the position of the chunk whose block failed to
+/// decode among the kernel's inputs, and why.
+pub(crate) type MergeError = (usize, StoreError);
+
+/// One chunk's block index as the kernel reads it.
+pub(crate) struct Layer<'a> {
+    /// The chunk's blocks, in file order.
+    pub blocks: Vec<BlockRef<'a>>,
+    /// The chunk is this store's own output — its trailer is the CRC the
+    /// chunk writer sealed it with — so its encoded columns are exactly
+    /// what re-encoding their cells writes, and may be copied.
+    pub own: bool,
+}
+
+/// One layer's share of the key being merged.
+pub(crate) enum Part<'a> {
+    /// A chunk block: the chunk's position among the inputs, the block,
+    /// and whether the chunk is its [`Layer::own`] output.
+    Chunk(usize, BlockRef<'a>, bool),
+    /// The newest layer's block.
+    Mem(Block),
+}
+
+impl Part<'_> {
+    /// `(type, first, last)` when the part is of one type and its
+    /// timestamps strictly ascend (a chunk block's are, or it is corrupt).
+    fn span(&self) -> Option<(u8, i64, i64)> {
+        match self {
+            Part::Chunk(_, block, _) => Some(block.span()),
+            Part::Mem(block) => {
+                let tag = block.values.first()?.type_tag();
+                let one_type = block.values.iter().all(|v| v.type_tag() == tag);
+                let ascending = block.ts.windows(2).all(|w| w[0] < w[1]);
+                let last = block.ts[block.ts.len() - 1];
+                (one_type && ascending).then_some((tag, block.ts[0], last))
+            }
+        }
+    }
+
+    /// The part's cells.
+    fn decode(self) -> Result<Block, MergeError> {
+        match self {
+            Part::Chunk(at, block, _) => block.decode().map_err(|e| (at, e)),
+            Part::Mem(block) => Ok(block),
+        }
+    }
+}
+
+/// Where the merged view goes; the sink chooses its form.
+pub(crate) trait Sink {
+    /// Take the merge of one key as parts, oldest first, of one type and
+    /// time-disjoint, so that their cells in order are the merge. Returns
+    /// how many cells that is.
+    fn emit(&mut self, parts: Vec<Part<'_>>) -> Result<u64, MergeError>;
+}
+
+impl Sink for Vec<Block> {
+    fn emit(&mut self, parts: Vec<Part<'_>>) -> Result<u64, MergeError> {
+        let mut parts = parts.into_iter();
+        let Some(first) = parts.next() else {
+            return Ok(0);
+        };
+        let mut block = first.decode()?;
+        for part in parts {
+            match part {
+                Part::Chunk(at, newer, _) => newer.append_to(&mut block).map_err(|e| (at, e))?,
+                Part::Mem(newer) => {
+                    block.ts.extend(newer.ts);
+                    block.values.extend(newer.values);
+                }
+            }
+        }
+        let cells = block.ts.len() as u64;
+        self.push(block);
+        Ok(cells)
+    }
+}
+
+/// Whether `parts` (oldest first) concatenate into their merge: one type,
+/// each part after the one before, nothing before `cutoff`.
+fn disjoint(parts: &[Part<'_>], cutoff: Option<i64>) -> bool {
+    let mut prev: Option<(u8, i64)> = None;
+    for part in parts {
+        let Some((tag, first, last)) = part.span() else {
+            return false;
+        };
+        let fits = match prev {
+            None => cutoff.is_none_or(|cut| first >= cut),
+            Some((prev_tag, prev_last)) => prev_tag == tag && prev_last < first,
+        };
+        if !fits {
+            return false;
+        }
+        prev = Some((tag, last));
+    }
+    true
+}
+
+/// Merge `chunks` (oldest first) under `newest` (newer than every chunk:
+/// one block per key in ascending key order, whose timestamps may repeat,
+/// a later write after an earlier) into `sink`. A chunk block that fails
+/// to decode aborts the merge with the position of its chunk in `chunks`;
+/// what the sink received until then is void.
 pub(crate) fn merge_blocks(
-    chunks: &[Vec<BlockRef<'_>>],
+    chunks: &[Layer<'_>],
     mut newest: Vec<Block>,
     cutoff: Option<i64>,
-    sink: &mut dyn FnMut(Block),
-) -> Result<MergeStats, (usize, StoreError)> {
+    sink: &mut impl Sink,
+) -> Result<MergeStats, MergeError> {
     let mut stats = MergeStats::default();
     let mut heads = vec![0usize; chunks.len()];
     let mut row = 0usize;
@@ -50,35 +162,36 @@ pub(crate) fn merge_blocks(
         let chunk_keys = chunks
             .iter()
             .zip(&heads)
-            .filter_map(|(c, &h)| c.get(h).map(BlockRef::key));
+            .filter_map(|(c, &h)| c.blocks.get(h).map(BlockRef::key));
         let Some(key) = chunk_keys.chain(newest.get(row).map(Block::key)).min() else {
             return Ok(stats);
         };
-        // This key's columns from every layer that has it, oldest first.
-        let mut parts: Vec<Block> = Vec::new();
+        // This key's blocks from every layer that has it, oldest first.
+        let mut parts: Vec<Part<'_>> = Vec::new();
         for (i, chunk) in chunks.iter().enumerate() {
-            while let Some(block) = chunk.get(heads[i]).filter(|b| b.key() == key) {
-                parts.push(block.decode().map_err(|e| (i, e))?);
+            while let Some(&block) = chunk.blocks.get(heads[i]).filter(|b| b.key() == key) {
+                parts.push(Part::Chunk(i, block, chunk.own));
                 heads[i] += 1;
             }
         }
-        let chunk_parts = parts.len();
         if newest.get(row).is_some_and(|b| b.key() == key) {
-            parts.push(std::mem::take(&mut newest[row]));
+            parts.push(Part::Mem(std::mem::take(&mut newest[row])));
             row += 1;
         }
-        stats.rows_in += parts.iter().map(|p| p.ts.len() as u64).sum::<u64>();
-        let expired = |p: &Block| cutoff.map_or(0, |cut| p.ts.partition_point(|&t| t < cut));
-        // A lone chunk block inside the retention window is already what
-        // the merge would produce.
-        if chunk_parts == 1 && parts.len() == 1 && expired(&parts[0]) == 0 {
-            stats.rows_out += parts[0].ts.len() as u64;
-            sink(parts.pop().expect("one part"));
+        if disjoint(&parts, cutoff) {
+            let rows = sink.emit(parts)?;
+            stats.rows_in += rows;
+            stats.rows_out += rows;
             continue;
         }
+        let mut parts = parts
+            .into_iter()
+            .map(Part::decode)
+            .collect::<Result<Vec<_>, _>>()?;
+        stats.rows_in += parts.iter().map(|p| p.ts.len() as u64).sum::<u64>();
         cells.clear();
         for (p, part) in parts.iter().enumerate() {
-            let skip = expired(part);
+            let skip = cutoff.map_or(0, |cut| part.ts.partition_point(|&t| t < cut));
             stats.dropped_retention += skip as u64;
             cells.extend((skip..part.ts.len()).map(|i| (part.ts[i], p as u32, i as u32)));
         }
@@ -98,12 +211,13 @@ pub(crate) fn merge_blocks(
         }
         for (ts, values) in outs.into_iter().filter(|o| !o.0.is_empty()) {
             stats.rows_out += ts.len() as u64;
-            sink(Block {
+            let block = Block {
                 series: parts[0].series.clone(),
                 field: parts[0].field.clone(),
                 ts,
                 values,
-            });
+            };
+            sink.emit(vec![Part::Mem(block)])?;
         }
     }
 }

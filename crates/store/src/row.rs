@@ -47,13 +47,16 @@ impl ColumnValue {
     /// bytes). Key strings and map-node overhead are shared per series
     /// and excluded, keeping the baseline conservative.
     pub(crate) fn raw_footprint(&self) -> usize {
-        8 + std::mem::size_of::<ColumnValue>()
+        CELL_FOOTPRINT
             + match self {
                 ColumnValue::Str(s) => s.len(),
                 _ => 0,
             }
     }
 }
+
+/// [`ColumnValue::raw_footprint`] without a string payload.
+pub(crate) const CELL_FOOTPRINT: usize = 8 + std::mem::size_of::<ColumnValue>();
 
 /// One row offered to (and recovered from) the store.
 #[derive(Debug, Clone, PartialEq)]

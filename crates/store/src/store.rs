@@ -25,10 +25,10 @@ use crate::backup::{BackupAttach, BackupReport, BackupState, BackupStats};
 use crate::batch::{Memtable, WriteBatch};
 use crate::chunk::{
     check_chunk, chunk_name, index_chunk, parse_chunk_name, probe_chunk, write_blocks, Block,
-    BlockRef, ChunkInfo, ChunkSummary, ChunkWriter,
+    ChunkInfo, ChunkSummary, ChunkWriter,
 };
 use crate::error::{StoreError, StoreResult};
-use crate::merge::merge_blocks;
+use crate::merge::{merge_blocks, Layer, MergeError};
 use crate::row::RowRecord;
 use crate::vfs::Vfs;
 use crate::wal::{scan_frames, CommitInfo, Wal};
@@ -521,8 +521,7 @@ impl TsStore {
         let ((stats, writer), chunks_in, bytes_before) =
             self.merge_live(DetectionSite::Compact, |chunks| {
                 let mut writer = ChunkWriter::new(seq);
-                let sink = &mut |b| writer.push(&b);
-                let stats = merge_blocks(chunks, Vec::new(), retention_cutoff, sink)?;
+                let stats = merge_blocks(chunks, Vec::new(), retention_cutoff, &mut writer)?;
                 Ok((stats, writer))
             })?;
         let written = writer.finish(self.vfs.as_ref(), stats.rows_in)?;
@@ -575,38 +574,40 @@ impl TsStore {
     }
 
     /// Read every live chunk and run `attempt` — one merge-kernel pass —
-    /// over their block indexes, oldest first. A chunk that fails its
-    /// checksum, its header walk or (as the kernel reports) a column
-    /// decode is quarantined at `site` and the pass repeated over the
-    /// survivors. Returns the pass's result with the count and total
-    /// bytes of the chunks that went into it.
+    /// over their block indexes, oldest first. A chunk counts as this
+    /// store's own output while its trailer is the CRC the store sealed
+    /// it with. A chunk that fails its checksum, its header walk or (as
+    /// the kernel reports) a column decode is quarantined at `site` and
+    /// the pass repeated over the survivors. Returns the pass's result
+    /// with the count and total bytes of the chunks that went into it.
     fn merge_live<T>(
         &mut self,
         site: DetectionSite,
-        mut attempt: impl FnMut(&[Vec<BlockRef<'_>>]) -> Result<T, (usize, StoreError)>,
+        mut attempt: impl FnMut(&[Layer<'_>]) -> Result<T, MergeError>,
     ) -> StoreResult<(T, usize, u64)> {
         let mut live = Vec::with_capacity(self.chunks.len());
-        for &seq in self.chunks.keys() {
-            live.push((seq, self.vfs.read(&chunk_name(seq))?));
+        for (&seq, summary) in &self.chunks {
+            live.push((seq, summary.crc, self.vfs.read(&chunk_name(seq))?));
         }
         loop {
-            let indexes: Result<Vec<_>, _> = live
+            let layers: Result<Vec<_>, _> = live
                 .iter()
                 .enumerate()
-                .map(|(i, (seq, data))| {
+                .map(|(i, (seq, crc, data))| {
+                    let own = crc.is_some_and(|crc| data.ends_with(&crc.to_le_bytes()));
                     index_chunk(&chunk_name(*seq), data)
-                        .map(|(_, blocks)| blocks)
+                        .map(|(_, blocks)| Layer { blocks, own })
                         .map_err(|e| (i, e))
                 })
                 .collect();
-            let (bad, _) = match indexes.and_then(|ix| attempt(&ix)) {
+            let (bad, _) = match layers.and_then(|layers| attempt(&layers)) {
                 Ok(out) => {
-                    let bytes = live.iter().map(|(_, d)| d.len() as u64).sum();
+                    let bytes = live.iter().map(|(_, _, d)| d.len() as u64).sum();
                     return Ok((out, live.len(), bytes));
                 }
                 Err(bad) => bad,
             };
-            let (seq, data) = live.remove(bad);
+            let (seq, _, data) = live.remove(bad);
             self.quarantine(seq, &data, site)?;
         }
     }
@@ -627,7 +628,7 @@ impl TsStore {
         let mut memtable = std::mem::take(&mut self.memtable);
         let merged = self.merge_live(DetectionSite::Scan, |chunks| {
             let mut blocks = Vec::new();
-            merge_blocks(chunks, memtable.blocks(), None, &mut |b| blocks.push(b))?;
+            merge_blocks(chunks, memtable.blocks(), None, &mut blocks)?;
             Ok(blocks)
         });
         self.memtable = memtable;
@@ -953,6 +954,7 @@ mod tests {
     use super::*;
     use crate::backup::{restore_at, segment_name, BackupError};
     use crate::crc::crc32;
+    use crate::encode::{encode_timestamps, put_bytes, put_ivarint, put_uvarint};
     use crate::memdisk::{FaultMode, FaultPlan, MemDisk};
     use crate::row::ColumnValue;
 
@@ -1271,15 +1273,42 @@ mod tests {
         f.sync().unwrap();
     }
 
+    /// Rewrite chunk 0 of `disk` as one float block of "s"/"f" at
+    /// timestamps 1 and 2 whose second value reuses a Gorilla window none
+    /// opened (`1.0` raw, then control bits `10`), and seal it: a stream
+    /// no encoder writes, under a matching CRC.
+    fn forge_window_reuse(disk: &MemDisk) {
+        let mut body = crate::chunk::CHUNK_MAGIC.to_vec();
+        body.extend_from_slice(&0u64.to_le_bytes());
+        body.extend_from_slice(&1u32.to_le_bytes());
+        put_bytes(&mut body, b"s");
+        put_bytes(&mut body, b"f");
+        body.push(0);
+        put_uvarint(&mut body, 2);
+        put_ivarint(&mut body, 1);
+        put_ivarint(&mut body, 2);
+        put_bytes(&mut body, &encode_timestamps(&[1, 2]));
+        let mut values = 1.0f64.to_bits().to_be_bytes().to_vec();
+        values.push(0x80);
+        put_bytes(&mut body, &values);
+        let crc = crc32(&body);
+        body.extend_from_slice(&crc.to_le_bytes());
+        let mut f = disk.create(&chunk_name(0)).unwrap();
+        f.append(&body).unwrap();
+        f.sync().unwrap();
+    }
+
     #[test]
     fn crc_valid_but_invalid_chunk_is_quarantined_at_every_read_site() {
-        for site in [
+        let forgers: [fn(&MemDisk); 2] = [forge_lying_header, forge_window_reuse];
+        let sites = [
             DetectionSite::Boot,
             DetectionSite::Scan,
             DetectionSite::Compact,
             DetectionSite::Scrub,
             DetectionSite::Backup,
-        ] {
+        ];
+        for (forge, site) in forgers.iter().flat_map(|f| sites.map(|s| (f, s))) {
             let disk = MemDisk::new(111);
             let vfs: Arc<dyn Vfs> = Arc::new(disk.clone());
             let (mut store, _) = TsStore::open(vfs.clone(), small_opts()).unwrap();
@@ -1289,7 +1318,7 @@ mod tests {
             store.append_owned(vec![row("s", "f", 3, 3.0)]);
             store.commit().unwrap();
             store.flush().unwrap();
-            forge_lying_header(&disk);
+            forge(&disk);
             match site {
                 DetectionSite::Boot => {
                     let (reopened, report) = TsStore::open(vfs, small_opts()).unwrap();

@@ -10,9 +10,12 @@
 //! The same file pins the durable format: a differential suite holds
 //! every chunk file, compaction report and scan of the block path — WAL
 //! frame, memtable, crash replay and the block-merge kernel — to a
-//! per-cell `BTreeMap` oracle (the builder the kernel replaced), a
-//! codec property holds the byte-wise bit I/O to a bit-at-a-time
-//! reference, and one golden pins a compacted chunk's length and CRC.
+//! per-cell `BTreeMap` oracle (the builder the kernel replaced) — with
+//! half its schedules append-only, so compaction splices encoded columns
+//! — a codec property holds the word-wide bit I/O, fresh or resumed at any
+//! bit, to a bit-at-a-time reference, a forged non-canonical chunk
+//! compacts to what re-encoding writes, and one golden pins a compacted
+//! chunk's length and CRC.
 //!
 //! The case count defaults to 256 and is raised in CI via the
 //! `PMOVE_CRASH_CASES` environment variable (the `persistence` job runs
@@ -487,6 +490,12 @@ fn block_kernel_matches_the_per_cell_oracle() {
     for case in 0..case_count() {
         let seed = 0xB10C ^ case.wrapping_mul(0x9E37_79B9);
         let mut rng = Rng(seed);
+        // Odd cases are append-only, as monitoring is: time only moves on
+        // and a field keeps its type, so flushed chunks are time-disjoint
+        // and compaction takes the splice path for every key a cutoff
+        // does not reach (and whose chunks this store wrote).
+        let append_only = case % 2 == 1;
+        let mut clock = 0i64;
         let disk = MemDisk::new(seed);
         let vfs: Arc<dyn Vfs> = Arc::new(disk.clone());
         let spec = vfs.disk_spec();
@@ -499,22 +508,36 @@ fn block_kernel_matches_the_per_cell_oracle() {
         let mut memtable: Vec<RowRecord> = Vec::new();
         let mut log: Vec<RowRecord> = Vec::new();
         let mut next_seq = 0u64;
-        for step in 0..(6 + rng.below(30)) {
+        // Longer append-only schedules: compaction needs chunks behind it
+        // to splice onto.
+        for step in 0..(6 + rng.below(30) + if append_only { 24 } else { 0 }) {
             let op = rng.below(10);
-            let cutoff = (op == 9).then(|| rng.below(600) as i64);
+            // An append-only cutoff falls in the oldest quarter of time, so
+            // it reaches some keys' oldest chunk block and not others'.
+            let cut_below = if append_only {
+                clock as u64 / 4 + 1
+            } else {
+                600
+            };
+            let cutoff = (op == 9).then(|| rng.below(cut_below) as i64);
             if op < 5 {
                 let batch: Vec<RowRecord> = (0..1 + rng.below(12))
                     .map(|_| {
-                        // Few keys and timestamps: duplicates within a
-                        // chunk, across chunks, and across types.
-                        let series = SERIES[rng.below(SERIES.len() as u64) as usize];
-                        let field = FIELDS[rng.below(FIELDS.len() as u64) as usize];
-                        RowRecord::new(
-                            series,
-                            field,
-                            rng.below(40) as i64 * 17,
-                            hostile_value(&mut rng),
-                        )
+                        // Few keys and (but in append-only cases) few
+                        // timestamps: duplicates within a chunk, across
+                        // chunks, and across types.
+                        let s = rng.below(SERIES.len() as u64) as usize;
+                        let f = rng.below(FIELDS.len() as u64) as usize;
+                        let (ts, value) = if append_only {
+                            clock += 1 + rng.below(3) as i64;
+                            let tag = ((s * FIELDS.len() + f) % 4) as u8;
+                            let typed = std::iter::repeat_with(|| hostile_value(&mut rng))
+                                .find(|v| v.type_tag() == tag);
+                            (clock, typed.expect("every type turns up"))
+                        } else {
+                            (rng.below(40) as i64 * 17, hostile_value(&mut rng))
+                        };
+                        RowRecord::new(SERIES[s], FIELDS[f], ts, value)
                     })
                     .collect();
                 store.append_owned(batch.clone());
@@ -639,8 +662,8 @@ fn block_kernel_matches_the_per_cell_oracle() {
     }
 }
 
-/// Bit-at-a-time MSB-first writer: the reference the byte-wise
-/// [`BitWriter`] must match.
+/// Bit-at-a-time MSB-first writer: the reference the word-wide
+/// [`BitWriter`] must match, fresh or resumed.
 #[derive(Default)]
 struct RefBits {
     bytes: Vec<u8>,
@@ -714,13 +737,33 @@ fn bit_codecs_match_a_bit_at_a_time_reference() {
             pushes.swap(i, rng.below(i as u64 + 1) as usize);
         }
         pushes.extend((0..32).map(|_| (rng.next(), 1 + rng.below(64) as u8)));
-        let (mut fast, mut slow) = (BitWriter::new(), RefBits::default());
+        let (mut fast, mut slow) = (BitWriter::default(), RefBits::default());
         for &(v, n) in &pushes {
             fast.push_bits(v, n);
             slow.push_bits(v, n);
         }
         let bytes = fast.into_bytes();
         assert_eq!(bytes, slow.bytes, "case {case}: push_bits");
+        // Re-opened after every bit (a whole stream behind it, so what
+        // lies past the offset must be dropped), the writer continues to
+        // the same bytes.
+        let mut start = 0usize;
+        for (k, &(v, n)) in pushes.iter().enumerate() {
+            for cut in start..start + n as usize {
+                let mut resumed = BitWriter::resume(bytes.clone(), cut);
+                resumed.push_bits(v, (start + n as usize - cut) as u8);
+                for &(v, n) in &pushes[k + 1..] {
+                    resumed.push_bits(v, n);
+                }
+                assert!(
+                    resumed.into_bytes() == slow.bytes,
+                    "case {case}: resume at bit {cut}"
+                );
+            }
+            start += n as usize;
+        }
+        let whole = BitWriter::resume(bytes.clone(), start).into_bytes();
+        assert_eq!(whole, slow.bytes, "case {case}: resume at the end");
         let (mut reader, mut pos) = (BitReader::new(&bytes), 0);
         for &(v, n) in &pushes {
             let want = RefBits::read_bits(&bytes, &mut pos, n);
@@ -754,6 +797,118 @@ fn bit_codecs_match_a_bit_at_a_time_reference() {
         let enc = encode_values(2, &column);
         assert_eq!(enc, slow.bytes, "case {case}: bool column");
         assert_eq!(decode_values(2, &enc, bools.len()).unwrap(), column);
+    }
+}
+
+/// Chunk `seq` holding, at timestamps 0, 10 and 20 of series
+/// `cpu,host=skx`, floats 1.0, 1.5, 1.0 in field `_cpu0` and bools true,
+/// false, true in field `ok` — under a valid CRC, in bytes the decoder
+/// accepts but no encoder writes: an overlong varint, trailing bytes, a
+/// fresh Gorilla window where the open one fits, non-zero pad bits.
+fn non_canonical_chunk(seq: u64) -> Vec<u8> {
+    let stamps = [0x80, 0x00, 0x14, 0x00, 0xFF]; // 0 overlong, +10, +0, junk
+    let mut floats = BitWriter::default();
+    floats.push_bits(1.0f64.to_bits(), 64);
+    // 1.5: a fresh window of 12 leading zeros and 1 bit, then that bit.
+    floats.push_bits(0b11, 2);
+    floats.push_bits(12, 5);
+    floats.push_bits(0, 6);
+    floats.push_bits(1, 1);
+    // 1.0: the XOR fits that window, but a wider one opens (10 and 3).
+    floats.push_bits(0b11, 2);
+    floats.push_bits(10, 5);
+    floats.push_bits(2, 6);
+    floats.push_bits(0b001, 3);
+    floats.push_bits(0b11, 2); // pad bits of the 94-bit stream, set
+    let mut floats = floats.into_bytes();
+    floats.push(0xAA);
+    let bools = [0b1011_1111, 0x00]; // true false true, pad set, junk
+    let mut body = b"PMCHUNK1".to_vec();
+    body.extend_from_slice(&seq.to_le_bytes());
+    body.extend_from_slice(&2u32.to_le_bytes());
+    for (field, tag, values) in [("_cpu0", 0u8, &floats[..]), ("ok", 2, &bools[..])] {
+        for key in ["cpu,host=skx", field] {
+            put_uvarint(&mut body, key.len() as u64);
+            body.extend_from_slice(key.as_bytes());
+        }
+        body.push(tag);
+        put_uvarint(&mut body, 3);
+        put_ivarint(&mut body, 0);
+        put_ivarint(&mut body, 20);
+        for column in [&stamps[..], values] {
+            put_uvarint(&mut body, column.len() as u64);
+            body.extend_from_slice(column);
+        }
+    }
+    let crc = crc32(&body);
+    body.extend_from_slice(&crc.to_le_bytes());
+    body
+}
+
+#[test]
+fn non_canonical_chunk_compacts_to_what_re_encoding_writes() {
+    let opts = StoreOptions {
+        flush_threshold_rows: usize::MAX,
+        compact_min_chunks: usize::MAX,
+    };
+    let cell =
+        |field: &str, ts: i64, value: ColumnValue| RowRecord::new("cpu,host=skx", field, ts, value);
+    let (f, b) = (ColumnValue::F64, ColumnValue::Bool);
+    let base = [
+        cell("_cpu0", 0, f(1.0)),
+        cell("_cpu0", 10, f(1.5)),
+        cell("_cpu0", 20, f(1.0)),
+        cell("ok", 0, b(true)),
+        cell("ok", 10, b(false)),
+        cell("ok", 20, b(true)),
+    ];
+    // After every cell of the base: each key's parts are time-disjoint.
+    let newer = [
+        cell("_cpu0", 30, f(1.5)),
+        cell("_cpu0", 40, f(1.75)),
+        cell("ok", 30, b(false)),
+    ];
+    let mut cells = Cells::new();
+    lww_into(&mut cells, &base);
+    lww_into(&mut cells, &newer);
+    // The forged base found at open, and swapped in under a live store
+    // whose manifest holds the CRC it wrote for chunk 0.
+    for swapped_live in [false, true] {
+        let disk = MemDisk::new(31);
+        let vfs: Arc<dyn Vfs> = Arc::new(disk.clone());
+        let forge = || {
+            let mut file = disk.create(&chunk_name(0)).unwrap();
+            file.append(&non_canonical_chunk(0)).unwrap();
+            file.sync().unwrap();
+        };
+        if !swapped_live {
+            forge();
+        }
+        let (mut store, _) = TsStore::open(vfs.clone(), opts).unwrap();
+        if swapped_live {
+            store.append_owned(base.to_vec());
+            store.commit().unwrap();
+            store.flush().unwrap().unwrap();
+            forge();
+        }
+        store.append_owned(newer.to_vec());
+        store.commit().unwrap();
+        store.flush().unwrap().unwrap();
+        let report = store.compact(None).unwrap().unwrap();
+        assert_eq!((report.rows_in, report.rows_out), (9, 9));
+        assert!(
+            disk.read(&chunk_name(2)).unwrap() == oracle_chunk(2, &cells),
+            "swapped live {swapped_live}: compacted chunk differs from re-encoding"
+        );
+        assert!(store.quarantined().is_empty());
+        let got = store.scan().unwrap();
+        assert_eq!(got.len(), cells.len());
+        for (r, ((series, field, ts), value)) in got.iter().zip(&cells) {
+            assert_eq!(
+                (&r.series, &r.field, r.ts, bits(&r.value)),
+                (series, field, *ts, bits(value))
+            );
+        }
     }
 }
 
