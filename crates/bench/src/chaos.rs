@@ -9,7 +9,7 @@
 
 use pmove_hwsim::network::LinkSpec;
 use pmove_hwsim::FaultSchedule;
-use pmove_pcp::{ResilienceConfig, Shipper};
+use pmove_pcp::Shipper;
 use pmove_tsdb::{Database, Point};
 
 /// Experiment duration in virtual seconds.
@@ -120,7 +120,7 @@ pub fn run_cell(name: &str, schedule: FaultSchedule, resilient: bool) -> ChaosRe
     )
     .with_fault_schedule(schedule.clone());
     if resilient {
-        shipper = shipper.with_resilience(ResilienceConfig::default());
+        shipper = shipper.with_resilience();
     }
 
     let fault_end_s = schedule.last_fault_end_s();

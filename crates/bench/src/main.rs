@@ -150,7 +150,7 @@ fn scrub_gates(g: &mut Gates) {
 /// admission run. `PMOVE_SERVE_SMOKE=1` shrinks the virtual durations
 /// tenfold for CI; the gates hold at both scales.
 fn serving_gates(g: &mut Gates) {
-    use pmove_serve::{Priority, ServingConfig};
+    use pmove_serve::{Priority, SLO_P99_NS};
     let scale = if std::env::var("PMOVE_SERVE_SMOKE").is_ok() {
         0.1
     } else {
@@ -158,7 +158,7 @@ fn serving_gates(g: &mut Gates) {
     };
     let out = serving::run(scale);
     print!("{}", serving::format(&out));
-    let slo = ServingConfig::default().slo_p99_ns;
+    let slo = SLO_P99_NS;
     let (steady, overload) = (&out.steady.report, &out.overload.report);
     g.check(steady.conserved(), || {
         format!("steady conservation: {steady:?}")

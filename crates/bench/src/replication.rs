@@ -81,7 +81,6 @@ pub fn run_cell(rf: usize) -> ReplCell {
         write_quorum: w,
         read_quorum: w,
         hint_capacity_values: HINT_CAPACITY,
-        ..ReplConfig::default()
     };
     let set = ReplicaSet::in_memory("chaosrepl", cfg).unwrap();
     let mut schedules = vec![FaultSchedule::none(); rf];

@@ -20,7 +20,7 @@
 //!   weighted priority scheduler is for.
 
 use pmove_obs::{AlertState, Registry, SloEngine, SloSpec};
-use pmove_serve::{Priority, QueryServer, ServeReport, ServeRequest, ServingConfig};
+use pmove_serve::{Priority, QueryServer, ServeReport, ServeRequest, ServingConfig, SLO_P99_NS};
 use pmove_tsdb::{Database, Point};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -130,9 +130,9 @@ pub fn poisson_schedule(
 
 /// Replay the run's latency histogram through the burn-rate engine at a
 /// handful of post-run evaluation ticks; true when any window fired.
-fn slo_alerted(reg: &Arc<Registry>, slo_p99_ns: u64, end_ns: u64) -> bool {
+fn slo_alerted(reg: &Arc<Registry>, end_ns: u64) -> bool {
     let mut slo = SloEngine::new();
-    slo.add(SloSpec::serving_p99(slo_p99_ns));
+    slo.add(SloSpec::serving_p99(SLO_P99_NS));
     let snap = reg.snapshot();
     for k in 0..6u64 {
         slo.evaluate(&snap, end_ns + k * 2_000_000_000);
@@ -152,9 +152,7 @@ pub fn run_steady(duration_ns: u64) -> ServingCell {
         tenant_rate_per_s: 50_000,
         tenant_burst: 4_000,
         tenant_cap: 256,
-        ..ServingConfig::default()
     };
-    let slo_p99_ns = cfg.slo_p99_ns;
     let schedule = poisson_schedule(SEED, duration_ns, STEADY_RATE_PER_S, 0.5, |panel, _| {
         format!("SELECT \"busy\" FROM \"panel{panel}\"")
     });
@@ -162,7 +160,7 @@ pub fn run_steady(duration_ns: u64) -> ServingCell {
     let reg = Arc::new(Registry::new());
     let mut srv = QueryServer::new(&db, cfg).unwrap().with_obs(reg.clone());
     let report = srv.run(&schedule).unwrap();
-    let alerted = slo_alerted(&reg, slo_p99_ns, report.end_ns);
+    let alerted = slo_alerted(&reg, report.end_ns);
     ServingCell {
         label: "steady",
         report,
@@ -181,9 +179,7 @@ pub fn run_overload(duration_ns: u64) -> ServingCell {
         tenant_rate_per_s: 50_000,
         tenant_burst: 4_000,
         tenant_cap: 64,
-        ..ServingConfig::default()
     };
-    let slo_p99_ns = cfg.slo_p99_ns;
     let schedule = poisson_schedule(
         SEED ^ 0xBAD_10AD,
         duration_ns,
@@ -201,7 +197,7 @@ pub fn run_overload(duration_ns: u64) -> ServingCell {
     let reg = Arc::new(Registry::new());
     let mut srv = QueryServer::new(&db, cfg).unwrap().with_obs(reg.clone());
     let report = srv.run(&schedule).unwrap();
-    let alerted = slo_alerted(&reg, slo_p99_ns, report.end_ns);
+    let alerted = slo_alerted(&reg, report.end_ns);
     ServingCell {
         label: "overload",
         report,
@@ -309,9 +305,8 @@ mod tests {
             "shared panels must ride the result cache: {:.3}",
             r.cache_hit_rate()
         );
-        let slo = ServingConfig::default().slo_p99_ns;
-        assert!(r.interactive.p99_ns < slo, "{:?}", r.interactive);
-        assert!(r.background.p99_ns < slo, "{:?}", r.background);
+        assert!(r.interactive.p99_ns < SLO_P99_NS, "{:?}", r.interactive);
+        assert!(r.background.p99_ns < SLO_P99_NS, "{:?}", r.background);
         assert!(!cell.alerted, "steady run must not page");
         assert!(
             r.fairness_served() > 0.95,
@@ -336,8 +331,7 @@ mod tests {
         // Priority scheduling keeps the interactive class inside the SLO
         // even while background floods the queue.
         assert!(r.interactive.count > 0);
-        let slo = ServingConfig::default().slo_p99_ns;
-        assert!(r.interactive.p99_ns < slo, "{:?}", r.interactive);
+        assert!(r.interactive.p99_ns < SLO_P99_NS, "{:?}", r.interactive);
     }
 
     #[test]

@@ -9,8 +9,7 @@
 
 use pmove_core::PMoveDaemon;
 use pmove_hwsim::{FaultKind, FaultSchedule};
-use pmove_obs::{AlertState, TraceConfig, TraceTree};
-use pmove_pcp::ResilienceConfig;
+use pmove_obs::{AlertState, TraceTree};
 
 /// Deterministic outputs of the tracing reproduction.
 pub struct TracingReport {
@@ -49,12 +48,9 @@ fn find_tree<'a>(
 /// that crossed the retry path.
 fn resilient_trace() -> String {
     let mut d = PMoveDaemon::for_preset("icl").expect("preset daemon");
-    let tracer = d.enable_tracing(TraceConfig {
-        ring_capacity: 4096,
-        ..TraceConfig::default()
-    });
+    let tracer = d.enable_tracing(4096);
     let fault = FaultSchedule::none().with_window(10.0, 20.0, FaultKind::LinkDown);
-    let report = d.monitor_resilient(40.0, 1.0, Some(ResilienceConfig::default()), Some(fault));
+    let report = d.monitor_resilient(40.0, 1.0, true, Some(fault));
     assert!(report.transport.conserved(), "{:?}", report.transport);
     assert_eq!(tracer.active_count(), 0, "orphaned traces after drain");
     let trees = tracer.flight_recorder();
@@ -68,10 +64,7 @@ fn resilient_trace() -> String {
 /// writes park as hints and replay on the heartbeat after recovery.
 fn replicated_run() -> (String, String, f64) {
     let mut d = PMoveDaemon::for_preset_replicated("icl", 7).expect("replicated daemon");
-    let tracer = d.enable_tracing(TraceConfig {
-        ring_capacity: 4096,
-        ..TraceConfig::default()
-    });
+    let tracer = d.enable_tracing(4096);
     let mut schedules = vec![FaultSchedule::none(); 3];
     schedules[0] = FaultSchedule::none().with_window(0.0, 5.0, FaultKind::LinkDown);
     let out = d

@@ -563,7 +563,6 @@ mod tests {
     #[test]
     fn self_dashboard_adds_resilience_panel_only_for_resilient_runs() {
         use pmove_hwsim::{FaultKind, FaultSchedule};
-        use pmove_pcp::ResilienceConfig;
         // A plain monitoring run registers only zero-valued supervision
         // counters — no resilience panel.
         let mut d0 = crate::telemetry::daemon::PMoveDaemon::for_preset("icl").unwrap();
@@ -577,7 +576,7 @@ mod tests {
         // A resilient run through an outage grows the panel.
         let mut d = crate::telemetry::daemon::PMoveDaemon::for_preset("icl").unwrap();
         let fault = FaultSchedule::none().with_window(5.0, 15.0, FaultKind::LinkDown);
-        d.monitor_resilient(30.0, 1.0, Some(ResilienceConfig::default()), Some(fault));
+        d.monitor_resilient(30.0, 1.0, true, Some(fault));
         let dash = d.self_dashboard();
         let panel = dash
             .panels

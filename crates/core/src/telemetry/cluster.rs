@@ -12,8 +12,11 @@ use crate::kb::superdb::SuperDb;
 use crate::telemetry::daemon::PMoveDaemon;
 use pmove_obs::Registry;
 use pmove_pcp::SamplingReport;
-use pmove_tsdb::{Query, RetentionPolicy};
+use pmove_tsdb::Query;
 use std::sync::Arc;
+
+/// Missed monitoring-round heartbeats before a dead node is quarantined.
+const HEARTBEAT_MISS_LIMIT: u32 = 3;
 
 /// Liveness view of one cluster node, as the supervisor sees it.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,17 +60,12 @@ pub struct Cluster {
     pub nodes: Vec<PMoveDaemon>,
     /// The global performance database.
     pub superdb: SuperDb,
-    /// Whether the cluster retention policy has been installed.
-    retention_installed: bool,
     /// Fleet-level observability registry (per-node telemetry lives in
     /// each daemon's own registry; this one holds cluster-wide counters
     /// and the `cluster.monitor_all` span).
     pub obs: Arc<Registry>,
     /// Per-node liveness bookkeeping (parallel to `nodes`).
     health: Vec<NodeState>,
-    /// Missed monitoring-round heartbeats before a dead node is
-    /// quarantined.
-    pub heartbeat_miss_limit: u32,
 }
 
 impl Cluster {
@@ -87,10 +85,8 @@ impl Cluster {
         Ok(Cluster {
             nodes,
             superdb,
-            retention_installed: false,
             obs,
             health,
-            heartbeat_miss_limit: 3,
         })
     }
 
@@ -159,9 +155,9 @@ impl Cluster {
 
     /// Run Scenario A on every live node for the same window; returns
     /// per-node reports in node order. Dead nodes miss the round's
-    /// heartbeat; after [`Cluster::heartbeat_miss_limit`] consecutive
-    /// misses the supervisor quarantines them — the node is skipped, its
-    /// SUPERDB data is marked stale, and the survivors keep reporting.
+    /// heartbeat; after three consecutive misses the supervisor
+    /// quarantines them — the node is skipped, its SUPERDB data is marked
+    /// stale, and the survivors keep reporting.
     pub fn monitor_all(&mut self, duration_s: f64, freq_hz: f64) -> Vec<(String, SamplingReport)> {
         let start_s = self
             .nodes
@@ -178,7 +174,7 @@ impl Cluster {
             }
             if !state.alive {
                 state.missed += 1;
-                if state.missed >= self.heartbeat_miss_limit {
+                if state.missed >= HEARTBEAT_MISS_LIMIT {
                     state.quarantined = true;
                     let key = d.kb.machine_key.as_str();
                     self.obs
@@ -238,32 +234,23 @@ impl Cluster {
             .max_by(|a, b| a.1.partial_cmp(&b.1).expect("loads are finite"))
     }
 
-    /// Install a retention policy on every node and enforce it now;
+    /// Keep the last `keep_ns` of data on every node and enforce it now;
     /// returns rows removed per node. (§V-B: "we rely on the retention
     /// policy of InfluxDB" when high-frequency sampling would overwhelm
-    /// storage.) The policy is installed once; later calls only enforce.
-    pub fn enforce_retention(&mut self, keep_ns: i64) -> Vec<(String, usize)> {
-        let first_call = !self.retention_installed;
-        self.retention_installed = true;
-        let removed: Vec<(String, usize)> = self
-            .nodes
-            .iter()
-            .map(|d| {
-                if first_call {
-                    d.ts.add_retention_policy(RetentionPolicy::keep("cluster", keep_ns));
-                }
-                let now_ns = (d.now_s * 1e9) as i64;
-                let removed =
-                    d.ts.enforce_retention(now_ns)
-                        .expect("in-memory retention enforcement cannot fail");
-                (d.kb.machine_key.clone(), removed)
-            })
-            .collect();
+    /// storage.) Each call sets the keep duration anew; a non-positive
+    /// `keep_ns` is an error and changes nothing.
+    pub fn enforce_retention(&mut self, keep_ns: i64) -> Result<Vec<(String, usize)>, PmoveError> {
+        let mut removed = Vec::with_capacity(self.nodes.len());
+        for d in &self.nodes {
+            d.ts.set_retention(keep_ns)?;
+            let now_ns = (d.now_s * 1e9) as i64;
+            removed.push((d.kb.machine_key.clone(), d.ts.enforce_retention(now_ns)?));
+        }
         let total: u64 = removed.iter().map(|(_, n)| *n as u64).sum();
         self.obs
             .counter("cluster.retention_rows_removed", &[])
             .add(total);
-        removed
+        Ok(removed)
     }
 
     /// Total component twins across the fleet (from SUPERDB).
@@ -324,7 +311,7 @@ mod tests {
         let mut c = cluster();
         c.monitor_all(30.0, 2.0);
         c.monitor_all(10.0, 1.0);
-        c.enforce_retention(10_000_000_000);
+        c.enforce_retention(10_000_000_000).unwrap();
         let snap = c.obs.snapshot();
         assert_eq!(
             snap.counter("cluster.kb_uploads", &[("node", "icl")]),
@@ -398,13 +385,44 @@ mod tests {
         c.monitor_all(30.0, 2.0);
         let before: usize = c.nodes.iter().map(|d| d.ts.total_rows()).sum();
         // Keep only the last 10 virtual seconds.
-        let removed = c.enforce_retention(10_000_000_000);
+        let removed = c.enforce_retention(10_000_000_000).unwrap();
         let removed_total: usize = removed.iter().map(|(_, n)| n).sum();
         assert!(removed_total > 0);
         let after: usize = c.nodes.iter().map(|d| d.ts.total_rows()).sum();
         assert_eq!(after + removed_total, before);
         // Fresh data is retained.
         assert!(after > 0);
+    }
+
+    #[test]
+    fn each_retention_call_applies_its_own_keep() {
+        let mut c = cluster();
+        c.monitor_all(30.0, 2.0);
+        let removed = |r: Vec<(String, usize)>| r.iter().map(|(_, n)| n).sum::<usize>();
+        let first = removed(c.enforce_retention(20_000_000_000).unwrap());
+        assert!(first > 0);
+        // A shorter keep removes the rows between the two cutoffs.
+        let second = removed(c.enforce_retention(10_000_000_000).unwrap());
+        assert!(second > 0, "the second, shorter keep was ignored");
+        let oldest = |d: &PMoveDaemon| {
+            let rows = d.ts.query("SELECT \"value\" FROM \"kernel_all_load\"");
+            rows.unwrap().rows.iter().map(|r| r.timestamp).min()
+        };
+        for d in &c.nodes {
+            let cutoff = (d.now_s * 1e9) as i64 - 10_000_000_000;
+            assert!(oldest(d).unwrap() >= cutoff, "{}", d.kb.machine_key);
+        }
+    }
+
+    #[test]
+    fn retention_refuses_a_non_positive_keep() {
+        let mut c = cluster();
+        c.monitor_all(10.0, 1.0);
+        let before: usize = c.nodes.iter().map(|d| d.ts.total_rows()).sum();
+        assert!(c.enforce_retention(0).is_err());
+        assert!(c.enforce_retention(-5).is_err());
+        let after: usize = c.nodes.iter().map(|d| d.ts.total_rows()).sum();
+        assert_eq!(after, before);
     }
 
     #[test]

@@ -19,13 +19,9 @@ use pmove_hwsim::kernel_profile::{KernelProfile, Precision};
 use pmove_hwsim::network::LinkSpec;
 use pmove_hwsim::{ExecModel, FaultSchedule, Machine};
 use pmove_kernels::hpcg;
-use pmove_obs::{
-    AlertState, BurnWindow, Objective, Registry, SloEngine, SloSpec, TraceConfig, Tracer,
-    Transition,
-};
+use pmove_obs::{Objective, Registry, SloEngine, SloSpec, Tracer, Transition};
 use pmove_pcp::{
-    run_replicated, Pmcd, ReplShipper, ResilienceConfig, SamplingConfig, SamplingLoop,
-    SamplingReport, Shipper,
+    run_replicated, Pmcd, ReplShipper, SamplingConfig, SamplingLoop, SamplingReport, Shipper,
 };
 use pmove_serve::{QueryServer, ServeReport, ServeRequest, ServingConfig};
 use pmove_tsdb::query::{Projection, Query};
@@ -802,11 +798,11 @@ impl PMoveDaemon {
     /// When `freq_hz` is not a positive finite number or `duration_s` is
     /// negative or not finite ([`SamplingConfig::try_new`] refuses them).
     pub fn monitor(&mut self, duration_s: f64, freq_hz: f64) -> SamplingReport {
-        self.monitor_resilient(duration_s, freq_hz, None, None)
+        self.monitor_resilient(duration_s, freq_hz, false, None)
     }
 
     /// [`PMoveDaemon::monitor`] with the self-healing transport when
-    /// `resilience` is given (spill instead of drop, retry with backoff
+    /// `resilient` is true (spill instead of drop, retry with backoff
     /// behind a circuit breaker, recovery gap markers) and an optional
     /// injected fault schedule (virtual-clock relative to the current
     /// daemon time: a window `[a, b)` in the schedule fires at `now_s +
@@ -819,7 +815,7 @@ impl PMoveDaemon {
         &mut self,
         duration_s: f64,
         freq_hz: f64,
-        resilience: Option<ResilienceConfig>,
+        resilient: bool,
         fault: Option<FaultSchedule>,
     ) -> SamplingReport {
         let fault = fault.map(|f| on_clock(f, self.now_s));
@@ -831,8 +827,8 @@ impl PMoveDaemon {
             if let Some(schedule) = fault {
                 shipper = shipper.with_fault_schedule(schedule);
             }
-            if let Some(cfg) = resilience {
-                shipper = shipper.with_resilience(cfg);
+            if resilient {
+                shipper = shipper.with_resilience();
             }
             Ok(SamplingLoop::run(config, pmcd, &mut shipper))
         })
@@ -879,10 +875,12 @@ impl PMoveDaemon {
     /// Attach a deterministic tracer to the registry so every pipeline
     /// stage (transport, replication, tsdb, WAL) records causal trace
     /// trees, and synthesize the boot trace from the already-stamped
-    /// `daemon.stepN.*` spans. Returns the tracer for direct inspection;
-    /// it is also reachable via `obs.tracer()`.
-    pub fn enable_tracing(&mut self, config: TraceConfig) -> Arc<Tracer> {
-        let tracer = Arc::new(Tracer::new(Self::trace_seed(self.machine.key()), config));
+    /// `daemon.stepN.*` spans. The flight recorder keeps the newest
+    /// `ring_capacity` finished traces. Returns the tracer for direct
+    /// inspection; it is also reachable via `obs.tracer()`.
+    pub fn enable_tracing(&mut self, ring_capacity: usize) -> Arc<Tracer> {
+        let seed = Self::trace_seed(self.machine.key());
+        let tracer = Arc::new(Tracer::new(seed, ring_capacity));
         self.obs.set_tracer(tracer.clone());
         self.record_boot_trace(&tracer);
         tracer
@@ -934,7 +932,6 @@ impl PMoveDaemon {
             g("pmove.trace.finished", s.finished);
             g("pmove.trace.retained", s.retained);
             g("pmove.trace.ring_evicted", s.ring_evicted);
-            g("pmove.trace.fault_upgrades", s.fault_upgrades);
             g("pmove.trace.spans_recorded", s.spans_recorded);
         }
     }
@@ -956,9 +953,8 @@ impl PMoveDaemon {
         }
         let s = tracer.stats();
         out.push_str(&format!(
-            "tracer: started={} finished={} retained={} ring_evicted={} \
-             fault_upgrades={} spans_recorded={}\n",
-            s.started, s.finished, s.retained, s.ring_evicted, s.fault_upgrades, s.spans_recorded
+            "tracer: started={} finished={} retained={} ring_evicted={} spans_recorded={}\n",
+            s.started, s.finished, s.retained, s.ring_evicted, s.spans_recorded
         ));
         out
     }
@@ -972,22 +968,6 @@ impl PMoveDaemon {
         if !self.slo.is_empty() {
             return;
         }
-        let windows = || {
-            vec![
-                BurnWindow {
-                    name: "fast".into(),
-                    window_ns: 10_000_000_000, // 10 s
-                    burn_threshold: 8.0,
-                    severity: AlertState::Page,
-                },
-                BurnWindow {
-                    name: "slow".into(),
-                    window_ns: 60_000_000_000, // 60 s
-                    burn_threshold: 2.0,
-                    severity: AlertState::Warning,
-                },
-            ]
-        };
         self.slo.add(SloSpec {
             name: "ingest_p99".into(),
             objective: Objective::LatencyBelow {
@@ -995,8 +975,6 @@ impl PMoveDaemon {
                 threshold_ns: 100_000,
             },
             target: 0.99,
-            windows: windows(),
-            clear_evals: 2,
         });
         self.slo.add(SloSpec {
             name: "query_p99".into(),
@@ -1005,14 +983,10 @@ impl PMoveDaemon {
                 threshold_ns: 2_500_000,
             },
             target: 0.99,
-            windows: windows(),
-            clear_evals: 2,
         });
-        // Serving-latency objective over the multi-tenant query layer;
-        // threshold from the default serving config, pinned to a latency
-        // bucket bound so budget accounting is exact.
-        self.slo
-            .add(SloSpec::serving_p99(ServingConfig::default().slo_p99_ns));
+        // Serving-latency objective over the multi-tenant query layer, at
+        // the threshold every serving run is held to.
+        self.slo.add(SloSpec::serving_p99(pmove_serve::SLO_P99_NS));
         self.slo.add(SloSpec {
             name: "conservation".into(),
             objective: Objective::Conservation {
@@ -1026,8 +1000,6 @@ impl PMoveDaemon {
                 pending_gauges: vec!["pcp.resilience.spill_pending".into()],
             },
             target: 0.999,
-            windows: windows(),
-            clear_evals: 2,
         });
         self.slo.add(SloSpec {
             name: "quorum_availability".into(),
@@ -1040,8 +1012,6 @@ impl PMoveDaemon {
                     .unwrap_or(2.0),
             },
             target: 0.99,
-            windows: windows(),
-            clear_evals: 2,
         });
         // Scrub staleness: page when the background scrubber's full-pass
         // heartbeat falls three periods behind. Daemons that never enable
@@ -1273,6 +1243,7 @@ impl PMoveDaemon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmove_obs::AlertState;
 
     #[test]
     fn construction_runs_steps_0_to_3() {
@@ -1535,7 +1506,7 @@ mod tests {
         // Warm the clock so the schedule shift is exercised.
         d.monitor(5.0, 1.0);
         let fault = FaultSchedule::none().with_window(10.0, 20.0, FaultKind::LinkDown);
-        let r = d.monitor_resilient(40.0, 1.0, Some(ResilienceConfig::default()), Some(fault));
+        let r = d.monitor_resilient(40.0, 1.0, true, Some(fault));
         assert_eq!(r.ticks, 40);
         assert!(r.transport.conserved(), "{:?}", r.transport);
         assert!(r.transport.values_spilled > 0, "outage forced spills");
@@ -1713,7 +1684,7 @@ mod tests {
     #[test]
     fn tracing_records_boot_and_monitor_traces() {
         let mut d = PMoveDaemon::for_preset("icl").unwrap();
-        let tracer = d.enable_tracing(TraceConfig::default());
+        let tracer = d.enable_tracing(256);
         // The boot trace is synthesized from the recorded step spans.
         let boot = tracer
             .flight_recorder()
@@ -1736,7 +1707,7 @@ mod tests {
         // Same-seed determinism: the last finished tree renders
         // identically across runs.
         let mut d2 = PMoveDaemon::for_preset("icl").unwrap();
-        let t2 = d2.enable_tracing(TraceConfig::default());
+        let t2 = d2.enable_tracing(256);
         d2.monitor(5.0, 2.0);
         assert_eq!(
             tracer.last_finished().unwrap().render(),
@@ -1751,7 +1722,7 @@ mod tests {
         let mut plain = PMoveDaemon::for_preset("icl").unwrap();
         let r_plain = plain.monitor(5.0, 2.0);
         let mut traced = PMoveDaemon::for_preset("icl").unwrap();
-        traced.enable_tracing(TraceConfig::default());
+        traced.enable_tracing(256);
         let r_traced = traced.monitor(5.0, 2.0);
         assert_eq!(r_plain.transport, r_traced.transport);
         assert_eq!(plain.ts.total_rows(), traced.ts.total_rows());

@@ -13,8 +13,6 @@ use pmove_core::PMoveDaemon;
 use pmove_hwsim::vendor::IsaExt;
 use pmove_hwsim::{FaultKind, FaultSchedule};
 use pmove_kernels::StreamKernel;
-use pmove_obs::TraceConfig;
-use pmove_pcp::ResilienceConfig;
 use pmove_serve::{Priority, ServeRequest, ServingConfig};
 use pmove_tsdb::store::{FaultMode, FaultPlan, MemDisk, ScrubConfig};
 use pmove_tsdb::RollupConfig;
@@ -31,14 +29,14 @@ fn durable_icl() -> String {
     // Three backup generations fit in the monitored time: one drill.
     assert!(d.enable_backups(5.0));
     d.enable_rollups(RollupConfig::default());
-    d.enable_tracing(TraceConfig::default());
+    d.enable_tracing(256);
     d.install_default_slos();
     for _ in 0..3 {
         d.monitor(5.0, 1.0);
     }
     d.ts.flush().unwrap();
     let outage = FaultSchedule::none().with_window(5.0, 15.0, FaultKind::LinkDown);
-    d.monitor_resilient(30.0, 1.0, Some(ResilienceConfig::default()), Some(outage));
+    d.monitor_resilient(30.0, 1.0, true, Some(outage));
     d.profile(&ProfileRequest {
         profile: stream_kernel_profile(StreamKernel::Triad, 1 << 30, 4, IsaExt::Avx512),
         command: "triad -n 1073741824 -t 4".into(),

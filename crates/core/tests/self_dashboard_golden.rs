@@ -5,8 +5,6 @@
 
 use pmove_core::PMoveDaemon;
 use pmove_hwsim::{FaultKind, FaultSchedule};
-use pmove_obs::TraceConfig;
-use pmove_pcp::ResilienceConfig;
 use pmove_serve::{Priority, ServeRequest, ServingConfig};
 use pmove_tsdb::store::{MemDisk, ScrubConfig};
 use pmove_tsdb::RollupConfig;
@@ -23,12 +21,12 @@ fn self_dashboard_of_a_busy_daemon_matches_golden() {
     }));
     assert!(d.enable_backups(5.0));
     d.enable_rollups(RollupConfig::default());
-    d.enable_tracing(TraceConfig::default());
+    d.enable_tracing(256);
     d.install_default_slos();
     d.monitor(10.0, 1.0);
     d.ts.flush().unwrap();
     let outage = FaultSchedule::none().with_window(5.0, 15.0, FaultKind::LinkDown);
-    d.monitor_resilient(30.0, 1.0, Some(ResilienceConfig::default()), Some(outage));
+    d.monitor_resilient(30.0, 1.0, true, Some(outage));
     let panel = "SELECT mean(\"value\") FROM \"kernel_all_load\"";
     let schedule: Vec<ServeRequest> = (0..8u64)
         .map(|i| ServeRequest {

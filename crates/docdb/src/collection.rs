@@ -1,10 +1,9 @@
-//! Collections: ordered bags of JSON documents with filters, updates and
-//! hash indexes.
+//! Collections: ordered bags of JSON documents with filters and hash
+//! indexes.
 
 use crate::error::DocDbError;
 use crate::filter::{equality_constraints, matches};
 use crate::index::PathIndex;
-use crate::update;
 use parking_lot::RwLock;
 use pmove_obs::{Counter, Registry};
 use serde_json::{json, Value};
@@ -21,7 +20,6 @@ struct Inner {
 struct CollectionObs {
     inserts: Counter,
     finds: Counter,
-    updates: Counter,
     deletes: Counter,
 }
 
@@ -31,7 +29,6 @@ impl CollectionObs {
         CollectionObs {
             inserts: registry.counter("docdb.inserts", &labels),
             finds: registry.counter("docdb.finds", &labels),
-            updates: registry.counter("docdb.updates", &labels),
             deletes: registry.counter("docdb.deletes", &labels),
         }
     }
@@ -173,35 +170,6 @@ impl Collection {
         Ok(self.find(filter)?.into_iter().next())
     }
 
-    /// Update all matching documents; returns the number updated. Every
-    /// match and every update is evaluated before any document or index
-    /// entry is replaced, so an `Err` leaves the collection untouched.
-    pub fn update_many(&self, filter: &Value, spec: &Value) -> Result<usize, DocDbError> {
-        self.obs.updates.inc();
-        let mut inner = self.inner.write();
-        let mut staged = Vec::new();
-        for (slot, doc) in inner.docs.iter().enumerate() {
-            let Some(doc) = doc else { continue };
-            if matches(doc, filter)? {
-                let mut new_doc = doc.clone();
-                update::apply(&mut new_doc, spec)?;
-                staged.push((slot, new_doc));
-            }
-        }
-        let updated = staged.len();
-        let inner = &mut *inner;
-        for (slot, new_doc) in staged {
-            for idx in &mut inner.indexes {
-                if let Some(old) = &inner.docs[slot] {
-                    idx.remove(slot, old);
-                }
-                idx.add(slot, &new_doc);
-            }
-            inner.docs[slot] = Some(new_doc);
-        }
-        Ok(updated)
-    }
-
     /// Delete all matching documents; returns the number deleted. The
     /// filter is evaluated against every document first, so an `Err`
     /// deletes nothing.
@@ -298,20 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn update_many_applies_operators() {
-        let c = filled();
-        let n = c
-            .update_many(
-                &json!({"@type": "Interface"}),
-                &json!({"$inc": {"freq": 1}}),
-            )
-            .unwrap();
-        assert_eq!(n, 2);
-        let d = c.find_one(&json!({"name": "cpu0"})).unwrap().unwrap();
-        assert_eq!(d["freq"], json!(4.7));
-    }
-
-    #[test]
     fn delete_many_removes() {
         let c = filled();
         let n = c.delete_many(&json!({"@type": "Telemetry"})).unwrap();
@@ -326,17 +280,13 @@ mod tests {
         c.create_index("@type");
         let count = |t: &str| c.find(&json!({"@type": t})).unwrap().len();
         assert_eq!(count("Interface"), 2);
-        // Update moves documents between index keys.
-        c.update_many(
-            &json!({"name": "cpu1"}),
-            &json!({"$set": {"@type": "Retired"}}),
-        )
-        .unwrap();
-        assert_eq!(count("Interface"), 1);
-        assert_eq!(count("Retired"), 1);
         // Delete removes from the index.
-        c.delete_many(&json!({"@type": "Retired"})).unwrap();
-        assert_eq!(count("Retired"), 0);
+        c.delete_many(&json!({"name": "cpu1"})).unwrap();
+        assert_eq!(count("Interface"), 1);
+        // An insert after the delete lands in the index too.
+        c.insert_one(json!({"@type": "Interface", "name": "cpu2"}))
+            .unwrap();
+        assert_eq!(count("Interface"), 2);
     }
 
     #[test]
@@ -356,23 +306,6 @@ mod tests {
         c.insert_one(json!({"_id": "a"})).unwrap();
         assert!(c.insert_one(json!({"_id": "a"})).is_err());
         assert!(c.insert_one(json!({"_id": "b"})).is_ok());
-    }
-
-    #[test]
-    fn failed_update_many_changes_nothing() {
-        // The first document takes the `$inc`; the second refuses it.
-        let c = empty("t");
-        c.create_index("n");
-        c.insert_one(json!({"n": 1})).unwrap();
-        c.insert_one(json!({"n": "x"})).unwrap();
-        let before = c.all();
-        assert!(c
-            .update_many(&json!({}), &json!({"$inc": {"n": 1}}))
-            .is_err());
-        assert_eq!(c.all(), before);
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.find(&json!({"n": 1})).unwrap(), before[..1]);
-        assert!(c.find(&json!({"n": 2.0})).unwrap().is_empty());
     }
 
     #[test]

@@ -76,14 +76,11 @@ mod tests {
         kb.insert_one(json!({"x": 1})).unwrap();
         kb.insert_one(json!({"x": 2})).unwrap();
         kb.find(&json!({"x": 1})).unwrap();
-        kb.update_many(&json!({"x": 1}), &json!({"$set": {"y": 3}}))
-            .unwrap();
         kb.delete_many(&json!({"x": 2})).unwrap();
         let snap = reg.snapshot();
         let labels = [("collection", "kb")];
         assert_eq!(snap.counter("docdb.inserts", &labels), Some(2));
         assert_eq!(snap.counter("docdb.finds", &labels), Some(1));
-        assert_eq!(snap.counter("docdb.updates", &labels), Some(1));
         assert_eq!(snap.counter("docdb.deletes", &labels), Some(1));
     }
 }

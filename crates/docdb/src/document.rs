@@ -19,75 +19,6 @@ pub(crate) fn get_path<'a>(doc: &'a Value, path: &str) -> Option<&'a Value> {
     Some(cur)
 }
 
-/// Write `value` at a dotted path, creating intermediate objects as needed.
-/// Returns `false` (and leaves the document untouched) when the path walks
-/// through a non-object, non-creatable value.
-pub(crate) fn set_path(doc: &mut Value, path: &str, value: Value) -> bool {
-    let mut cur = doc;
-    let segs: Vec<&str> = path.split('.').collect();
-    for (i, seg) in segs.iter().enumerate() {
-        let last = i + 1 == segs.len();
-        match cur {
-            Value::Object(map) => {
-                if last {
-                    map.insert(seg.to_string(), value);
-                    return true;
-                }
-                cur = map
-                    .entry(seg.to_string())
-                    .or_insert_with(|| Value::Object(Default::default()));
-            }
-            Value::Array(arr) => {
-                let Ok(idx) = seg.parse::<usize>() else {
-                    return false;
-                };
-                if idx >= arr.len() {
-                    return false;
-                }
-                if last {
-                    arr[idx] = value;
-                    return true;
-                }
-                cur = &mut arr[idx];
-            }
-            _ => return false,
-        }
-    }
-    false
-}
-
-/// Remove the value at a dotted path; returns the removed value if present.
-pub(crate) fn remove_path(doc: &mut Value, path: &str) -> Option<Value> {
-    let (parent_path, leaf) = match path.rfind('.') {
-        Some(i) => (Some(&path[..i]), &path[i + 1..]),
-        None => (None, path),
-    };
-    let parent = match parent_path {
-        Some(p) => get_path_mut(doc, p)?,
-        None => doc,
-    };
-    match parent {
-        Value::Object(map) => map.remove(leaf),
-        _ => None,
-    }
-}
-
-/// Mutable dotted-path access.
-pub(crate) fn get_path_mut<'a>(doc: &'a mut Value, path: &str) -> Option<&'a mut Value> {
-    let mut cur = doc;
-    for seg in path.split('.') {
-        cur = match cur {
-            Value::Object(map) => map.get_mut(seg)?,
-            Value::Array(arr) => {
-                let idx: usize = seg.parse().ok()?;
-                arr.get_mut(idx)?
-            }
-            _ => return None,
-        };
-    }
-    Some(cur)
-}
-
 /// Total order over JSON values used for comparisons and sorting:
 /// null < bool < number < string < array < object (Mongo's BSON ordering,
 /// simplified).
@@ -137,31 +68,6 @@ mod tests {
         assert_eq!(get_path(&d, "a.x"), None);
         assert_eq!(get_path(&d, "a.b.9"), None);
         assert_eq!(get_path(&d, "a.b.zz"), None);
-    }
-
-    #[test]
-    fn set_creates_intermediates() {
-        let mut d = json!({});
-        assert!(set_path(&mut d, "a.b.c", json!(1)));
-        assert_eq!(d, json!({"a": {"b": {"c": 1}}}));
-    }
-
-    #[test]
-    fn set_into_array_element() {
-        let mut d = json!({"a": [1, 2]});
-        assert!(set_path(&mut d, "a.1", json!(9)));
-        assert_eq!(d, json!({"a": [1, 9]}));
-        assert!(!set_path(&mut d, "a.5", json!(0)));
-        assert!(!set_path(&mut d, "a.1.b", json!(0)));
-    }
-
-    #[test]
-    fn remove_leaf_and_missing() {
-        let mut d = json!({"a": {"b": 1, "c": 2}});
-        assert_eq!(remove_path(&mut d, "a.b"), Some(json!(1)));
-        assert_eq!(remove_path(&mut d, "a.b"), None);
-        assert_eq!(d, json!({"a": {"c": 2}}));
-        assert_eq!(remove_path(&mut d, "a"), Some(json!({"c": 2})));
     }
 
     #[test]

@@ -9,8 +9,6 @@ pub enum DocDbError {
     NotAnObject,
     /// A filter expression was malformed.
     BadFilter(String),
-    /// An update expression was malformed.
-    BadUpdate(String),
     /// `_id` collision on insert.
     DuplicateId(String),
     /// The durable journal failed (disk error, crash, corruption).
@@ -28,7 +26,6 @@ impl fmt::Display for DocDbError {
         match self {
             DocDbError::NotAnObject => write!(f, "document is not a JSON object"),
             DocDbError::BadFilter(m) => write!(f, "bad filter: {m}"),
-            DocDbError::BadUpdate(m) => write!(f, "bad update: {m}"),
             DocDbError::DuplicateId(id) => write!(f, "duplicate _id: {id}"),
             DocDbError::Storage(m) => write!(f, "journal storage error: {m}"),
         }

@@ -9,8 +9,7 @@
 //! * a MongoDB-flavoured **filter language**: `$eq`, `$ne`, `$gt`, `$gte`,
 //!   `$lt`, `$lte`, `$in`, `$nin`, `$exists`, `$and`, `$or`, `$not`,
 //!   `$contains` (substring), with dotted-path field access;
-//! * **update operators**: `$set`, `$unset`, `$inc`, `$push`; a failed
-//!   `update_many` or `delete_many` changes nothing;
+//! * a failed `delete_many` changes nothing;
 //! * **hash indexes** over dotted paths, consulted automatically by equality
 //!   queries;
 //! * a [`DurableDatabase`] whose inserts and deletes are journaled through
@@ -36,7 +35,6 @@ mod error;
 mod filter;
 mod index;
 mod journal;
-mod update;
 
 pub use collection::Collection;
 pub use database::Database;

@@ -1,6 +1,5 @@
-//! Hostile input to the collection surface: generated filters and update
-//! specs through `find`, `update_many` and `delete_many` over generated
-//! documents. Every call answers `Ok` or `Err` and never panics; an `Err`
+//! Hostile input to the collection surface: generated filters through
+//! `find` and `delete_many` over generated documents. Every call answers `Ok` or `Err` and never panics; an `Err`
 //! leaves `all()` byte-equal to the state before the call; and a
 //! collection with hash indexes answers like one without.
 
@@ -50,7 +49,6 @@ const FILTER_OPS: &[&str] = &[
     "$contains",
     "$bogus",
 ];
-const UPDATE_OPS: &[&str] = &["$set", "$unset", "$inc", "$push", "$bogus"];
 
 fn value(g: &mut TestRng, depth: usize) -> Value {
     match below(g, if depth == 0 { 6 } else { 8 }) {
@@ -132,27 +130,6 @@ fn filter(g: &mut TestRng, depth: usize) -> Value {
     Value::Object(m)
 }
 
-fn update_spec(g: &mut TestRng) -> Value {
-    match below(g, 10) {
-        // Whole-document replacement.
-        0 => document(g),
-        1 => value(g, 1),
-        _ => {
-            let mut m = Map::new();
-            for _ in 0..1 + below(g, 2) {
-                let op = pick(g, UPDATE_OPS).to_string();
-                let args = if chance(g, 90) {
-                    object(g, PATHS, |g| value(g, 1))
-                } else {
-                    value(g, 1)
-                };
-                m.insert(op, args);
-            }
-            Value::Object(m)
-        }
-    }
-}
-
 /// A filter: almost always an object, sometimes not.
 fn any_filter(g: &mut TestRng) -> Value {
     if chance(g, 95) {
@@ -163,11 +140,11 @@ fn any_filter(g: &mut TestRng) -> Value {
 }
 
 /// One generated case: the paths to index, the documents to insert and
-/// the calls to make, each `(op, filter, update spec)`.
+/// the calls to make, each `(op, filter)`.
 struct Scenario {
     indexes: Vec<&'static str>,
     docs: Vec<Value>,
-    calls: Vec<(usize, Value, Value)>,
+    calls: Vec<(usize, Value)>,
 }
 
 fn scenario(g: &mut TestRng) -> Scenario {
@@ -175,16 +152,15 @@ fn scenario(g: &mut TestRng) -> Scenario {
         indexes: (0..below(g, 4)).map(|_| pick(g, PATHS)).collect(),
         docs: (0..below(g, 8)).map(|_| document(g)).collect(),
         calls: (0..1 + below(g, 6))
-            .map(|_| (below(g, 3), any_filter(g), update_spec(g)))
+            .map(|_| (below(g, 2), any_filter(g)))
             .collect(),
     }
 }
 
 /// One generated call against `c`; the answer as JSON.
-fn call(c: &Collection, op: usize, filter: &Value, spec: &Value) -> Result<Value, DocDbError> {
+fn call(c: &Collection, op: usize, filter: &Value) -> Result<Value, DocDbError> {
     match op {
         0 => c.find(filter).map(Value::from),
-        1 => c.update_many(filter, spec).map(Value::from),
         _ => c.delete_many(filter).map(Value::from),
     }
 }
@@ -206,19 +182,19 @@ proptest! {
         for doc in s.docs {
             prop_assert_eq!(plain.insert_one(doc.clone()), indexed.insert_one(doc));
         }
-        for (op, filter, spec) in s.calls {
+        for (op, filter) in s.calls {
             let before = snapshot(&plain);
-            let got = call(&plain, op, &filter, &spec);
+            let got = call(&plain, op, &filter);
             let after = snapshot(&plain);
             if got.is_err() {
-                prop_assert_eq!(&after, &before, "{} {}", filter, spec);
+                prop_assert_eq!(&after, &before, "{}", filter);
             }
             // An index narrows which documents `find` evaluates the filter
             // against, so it may skip the one a bad operator errs on;
-            // mutations scan every document either way.
-            let via_index = call(&indexed, op, &filter, &spec);
+            // `delete_many` scans every document either way.
+            let via_index = call(&indexed, op, &filter);
             if op != 0 || (got.is_ok() && via_index.is_ok()) {
-                prop_assert_eq!(via_index, got, "{} {}", filter, spec);
+                prop_assert_eq!(via_index, got, "{}", filter);
             }
             prop_assert_eq!(snapshot(&indexed), after);
         }

@@ -60,6 +60,6 @@ mod trace;
 
 pub use audit::{ConservationAudit, ConservationCell};
 pub use metrics::{latency_buckets, Counter, Gauge, Histogram, Registry};
-pub use slo::{AlertState, BurnWindow, Objective, SloEngine, SloSpec, Transition};
+pub use slo::{AlertState, Objective, SloEngine, SloSpec, Transition};
 pub use snapshot::Snapshot;
-pub use trace::{Span, TraceConfig, TraceTree, Tracer};
+pub use trace::{Span, TraceTree, Tracer};

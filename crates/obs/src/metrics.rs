@@ -540,16 +540,16 @@ mod tests {
 
     #[test]
     fn registry_tracer_slot_round_trips() {
-        use crate::trace::{TraceConfig, Tracer};
+        use crate::trace::Tracer;
         let reg = Registry::new();
         assert!(reg.tracer().is_none());
-        reg.set_tracer(Arc::new(Tracer::new(1, TraceConfig::default())));
+        reg.set_tracer(Arc::new(Tracer::new(1, 256)));
         assert!(reg.tracer().is_some());
     }
 
     #[test]
     fn disabled_registry_and_empty_handles_do_nothing() {
-        use crate::trace::{TraceConfig, Tracer};
+        use crate::trace::Tracer;
         let reg = Registry::disabled();
         assert!(!reg.is_enabled() && Registry::new().is_enabled());
         assert!(Arc::ptr_eq(&reg, &Registry::disabled()), "one instance");
@@ -566,7 +566,7 @@ mod tests {
         assert_eq!((h.count(), h.sum(), h.max(), h.exemplar()), (0, 0, 0, None));
         assert_eq!((h.mean(), h.quantile(0.99)), (0.0, 0.0));
         reg.record_span("s", 0, 10);
-        reg.set_tracer(Arc::new(Tracer::new(1, TraceConfig::default())));
+        reg.set_tracer(Arc::new(Tracer::new(1, 256)));
         assert!(reg.tracer().is_none());
         assert_eq!(reg.snapshot(), Snapshot::default());
         // A clone of a live handle shares its cell; empty ones share nothing.

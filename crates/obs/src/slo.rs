@@ -4,18 +4,21 @@
 //! [`crate::Registry`] (a latency histogram, a conservation equation, a
 //! quorum-health gauge) plus a target (e.g. 0.999 = 99.9% of events
 //! good). The [`SloEngine`] is fed snapshots on the *virtual* clock and,
-//! per configured window, computes the burn rate
+//! per window of the objective's burn ladder, computes the burn rate
 //!
 //! ```text
 //! burn = (bad events in window / total events in window) / (1 - target)
 //! ```
 //!
 //! so `burn == 1.0` means "spending budget exactly at the rate that
-//! exhausts it at the window's end". Fast windows with high thresholds
-//! page on sudden regressions; slow windows with low thresholds warn on
-//! smoulder. The alert state machine is `ok → warning → page` with
-//! deterministic hysteresis: upgrades are immediate, downgrades require
-//! `clear_evals` consecutive quiet evaluations. Everything derives from
+//! exhausts it at the window's end". Every objective has the same two
+//! windows — a fast 10 s window that pages on sudden regressions and a
+//! slow 60 s window that warns on smoulder — and its thresholds follow
+//! from its kind ([`Objective`]): heartbeat staleness pages at 2x and
+//! warns at 1x, everything else pages at 8x and warns at 2x. The alert
+//! state machine is `ok → warning → page` with deterministic hysteresis:
+//! upgrades are immediate, downgrades require two consecutive quiet
+//! evaluations. Everything derives from
 //! the snapshot and `now_ns`, so two same-seed runs produce identical
 //! alert timelines — the timeline is golden-testable.
 //!
@@ -94,20 +97,55 @@ impl std::fmt::Display for AlertState {
     }
 }
 
-/// One burn-rate evaluation window.
-#[derive(Debug, Clone)]
-pub struct BurnWindow {
+/// Length of the fast (paging) burn window on the virtual clock.
+const FAST_WINDOW_NS: u64 = 10_000_000_000;
+/// Length of the slow (warning) burn window on the virtual clock.
+const SLOW_WINDOW_NS: u64 = 60_000_000_000;
+/// Consecutive quiet evaluations required before downgrading.
+const CLEAR_EVALS: u32 = 2;
+
+/// One burn-rate evaluation window of an objective's ladder.
+#[derive(Debug, Clone, Copy)]
+struct BurnWindow {
     /// Label for timelines and meta-metrics (`fast`, `slow`).
-    pub name: String,
+    name: &'static str,
     /// Window length on the virtual clock.
-    pub window_ns: u64,
+    window_ns: u64,
     /// Fire when the windowed burn rate reaches this multiple.
-    pub burn_threshold: f64,
+    burn_threshold: f64,
     /// Severity this window escalates to.
-    pub severity: AlertState,
+    severity: AlertState,
 }
 
-/// A declarative service-level objective.
+impl Objective {
+    /// The burn ladder: the fast window pages and the slow one warns. A
+    /// heartbeat-staleness objective counts one event per evaluation, so
+    /// a stale heartbeat pages at 2x budget and warns at 1x; every other
+    /// objective pages at 8x and warns at 2x.
+    fn ladder(&self) -> [BurnWindow; 2] {
+        let (page, warn) = match self {
+            Objective::GaugeMaxAge { .. } => (2.0, 1.0),
+            _ => (8.0, 2.0),
+        };
+        [
+            BurnWindow {
+                name: "fast",
+                window_ns: FAST_WINDOW_NS,
+                burn_threshold: page,
+                severity: AlertState::Page,
+            },
+            BurnWindow {
+                name: "slow",
+                window_ns: SLOW_WINDOW_NS,
+                burn_threshold: warn,
+                severity: AlertState::Warning,
+            },
+        ]
+    }
+}
+
+/// A declarative service-level objective; its burn ladder follows from
+/// the objective.
 #[derive(Debug, Clone)]
 pub struct SloSpec {
     /// SLO name (`ingest_latency`, `quorum_availability`, ...).
@@ -116,20 +154,14 @@ pub struct SloSpec {
     pub objective: Objective,
     /// Fraction of events that must be good (0 < target < 1).
     pub target: f64,
-    /// Evaluation windows, typically one fast + one slow.
-    pub windows: Vec<BurnWindow>,
-    /// Consecutive quiet evaluations required before downgrading.
-    pub clear_evals: u32,
 }
 
 impl SloSpec {
     /// The default serving-latency objective: 99% of requests through the
     /// multi-tenant serving layer complete below `threshold_ns`
     /// (submit → completion, measured over the `pmove.serve.latency_ns`
-    /// histogram). Uses the standard burn ladder — fast 10 s window
-    /// paging at 8x, slow 60 s window warning at 2x, two quiet
-    /// evaluations to clear. `threshold_ns` must be one of the registry's
-    /// latency bucket bounds so budget accounting is exact.
+    /// histogram). `threshold_ns` must be one of the registry's latency
+    /// bucket bounds so budget accounting is exact.
     pub fn serving_p99(threshold_ns: u64) -> SloSpec {
         SloSpec {
             name: "serving_p99".into(),
@@ -138,21 +170,6 @@ impl SloSpec {
                 threshold_ns,
             },
             target: 0.99,
-            windows: vec![
-                BurnWindow {
-                    name: "fast".into(),
-                    window_ns: 10_000_000_000,
-                    burn_threshold: 8.0,
-                    severity: AlertState::Page,
-                },
-                BurnWindow {
-                    name: "slow".into(),
-                    window_ns: 60_000_000_000,
-                    burn_threshold: 2.0,
-                    severity: AlertState::Warning,
-                },
-            ],
-            clear_evals: 2,
         }
     }
 
@@ -161,8 +178,8 @@ impl SloSpec {
     /// `max_age_ns` (normally a small multiple of the configured full-pass
     /// period). Silent scrubber death is exactly the failure mode that
     /// lets latent corruption accumulate unnoticed, so the fast window
-    /// pages rather than warns; stores that never enabled scrubbing never
-    /// publish the gauge and are vacuously healthy.
+    /// pages; stores that never enabled scrubbing never publish the gauge
+    /// and are vacuously healthy.
     pub fn scrub_staleness(max_age_ns: u64) -> SloSpec {
         SloSpec {
             name: "scrub_staleness".into(),
@@ -171,21 +188,6 @@ impl SloSpec {
                 max_age_ns,
             },
             target: 0.9,
-            windows: vec![
-                BurnWindow {
-                    name: "fast".into(),
-                    window_ns: 10_000_000_000,
-                    burn_threshold: 2.0,
-                    severity: AlertState::Page,
-                },
-                BurnWindow {
-                    name: "slow".into(),
-                    window_ns: 60_000_000_000,
-                    burn_threshold: 1.0,
-                    severity: AlertState::Warning,
-                },
-            ],
-            clear_evals: 2,
         }
     }
 
@@ -204,21 +206,6 @@ impl SloSpec {
                 max_age_ns,
             },
             target: 0.9,
-            windows: vec![
-                BurnWindow {
-                    name: "fast".into(),
-                    window_ns: 10_000_000_000,
-                    burn_threshold: 2.0,
-                    severity: AlertState::Page,
-                },
-                BurnWindow {
-                    name: "slow".into(),
-                    window_ns: 60_000_000_000,
-                    burn_threshold: 1.0,
-                    severity: AlertState::Warning,
-                },
-            ],
-            clear_evals: 2,
         }
     }
 }
@@ -242,7 +229,8 @@ pub struct Transition {
 
 struct Tracker {
     spec: SloSpec,
-    /// Cumulative (t_ns, bad, total) samples, pruned to the longest window.
+    ladder: [BurnWindow; 2],
+    /// Cumulative (t_ns, bad, total) samples, pruned to the slow window.
     history: VecDeque<(u64, f64, f64)>,
     state: AlertState,
     quiet_streak: u32,
@@ -378,6 +366,7 @@ impl SloEngine {
     /// Register an objective.
     pub fn add(&mut self, spec: SloSpec) {
         self.trackers.push(Tracker {
+            ladder: spec.objective.ladder(),
             spec,
             history: VecDeque::new(),
             state: AlertState::Ok,
@@ -404,24 +393,17 @@ impl SloEngine {
         for tr in self.trackers.iter_mut() {
             let (bad, total) = tr.measure(snap, now_ns);
             tr.history.push_back((now_ns, bad, total));
-            let longest = tr
-                .spec
-                .windows
-                .iter()
-                .map(|w| w.window_ns)
-                .max()
-                .unwrap_or(0);
             // Keep one sample at or before the horizon as the baseline.
-            let horizon = now_ns.saturating_sub(longest);
+            let horizon = now_ns.saturating_sub(SLOW_WINDOW_NS);
             while tr.history.len() > 2 && tr.history[1].0 <= horizon {
                 tr.history.pop_front();
             }
 
             let mut desired = AlertState::Ok;
-            let mut driver: Option<(&BurnWindow, f64)> = None;
-            for w in &tr.spec.windows {
+            let mut driver: Option<(BurnWindow, f64)> = None;
+            for w in tr.ladder {
                 let burn = tr.burn(w.window_ns);
-                let labels = [("slo", tr.spec.name.as_str()), ("window", w.name.as_str())];
+                let labels = [("slo", tr.spec.name.as_str()), ("window", w.name)];
                 self.meta.gauge("pmove.slo.burn_rate", &labels).set(burn);
                 if burn >= w.burn_threshold && w.severity > desired {
                     desired = w.severity;
@@ -436,7 +418,7 @@ impl SloEngine {
                 tr.quiet_streak = 0;
             } else if desired < prev {
                 tr.quiet_streak += 1;
-                if tr.quiet_streak >= tr.spec.clear_evals {
+                if tr.quiet_streak >= CLEAR_EVALS {
                     next = desired;
                     tr.quiet_streak = 0;
                 }
@@ -445,7 +427,9 @@ impl SloEngine {
             }
 
             if next != prev {
-                let (window, burn) = driver.map(|(w, b)| (w.name.clone(), b)).unwrap_or_default();
+                let (window, burn) = driver
+                    .map(|(w, b)| (w.name.to_string(), b))
+                    .unwrap_or_default();
                 let t = Transition {
                     t_ns: now_ns,
                     slo: tr.spec.name.clone(),
@@ -520,21 +504,25 @@ mod tests {
                 threshold_ns: 100_000,
             },
             target: 0.99,
-            windows: vec![
-                BurnWindow {
-                    name: "fast".into(),
-                    window_ns: 5_000_000_000,
-                    burn_threshold: 8.0,
-                    severity: AlertState::Page,
-                },
-                BurnWindow {
-                    name: "slow".into(),
-                    window_ns: 30_000_000_000,
-                    burn_threshold: 2.0,
-                    severity: AlertState::Warning,
-                },
-            ],
-            clear_evals: 3,
+        }
+    }
+
+    #[test]
+    fn ladder_follows_the_objective() {
+        let latency = latency_spec().objective.ladder();
+        let staleness = SloSpec::scrub_staleness(1).objective.ladder();
+        for (ladder, page, warn) in [(latency, 8.0, 2.0), (staleness, 2.0, 1.0)] {
+            let [fast, slow] = ladder;
+            assert_eq!((fast.name, fast.window_ns), ("fast", 10_000_000_000));
+            assert_eq!(
+                (fast.burn_threshold, fast.severity),
+                (page, AlertState::Page)
+            );
+            assert_eq!((slow.name, slow.window_ns), ("slow", 60_000_000_000));
+            assert_eq!(
+                (slow.burn_threshold, slow.severity),
+                (warn, AlertState::Warning)
+            );
         }
     }
 
@@ -575,7 +563,7 @@ mod tests {
                 }
             }
         }
-        // Fast window sees 10% errors against a 1% budget: burn ~10
+        // Fast window sees ~8% errors against a 1% budget: burn ~8.3
         // fires the page threshold on the first regressed tick.
         assert_eq!(page_at, Some(6_000_000_000));
         // The fast window drained and hysteresis downgraded, but the slow
@@ -621,23 +609,27 @@ mod tests {
                 min: 2.0,
             },
             target: 0.9,
-            windows: vec![BurnWindow {
-                name: "fast".into(),
-                window_ns: 4_000_000_000,
-                burn_threshold: 2.0,
-                severity: AlertState::Page,
-            }],
-            clear_evals: 2,
         });
         for tick in 1..=3u64 {
             assert!(eng
                 .evaluate(&reg.snapshot(), tick * 1_000_000_000)
                 .is_empty());
         }
-        g.set(1.0); // quorum lost
+        // Quorum lost. One bad evaluation in four: burn 2.5 crosses the
+        // slow window's 2x and warns at once...
+        g.set(1.0);
         let fired = eng.evaluate(&reg.snapshot(), 4_000_000_000);
         assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].to, AlertState::Page);
+        assert_eq!(
+            (fired[0].to, fired[0].window.as_str()),
+            (AlertState::Warning, "slow")
+        );
+        // ...and a lasting loss fills the fast window until it pages.
+        let paged = (5..=20u64).find(|tick| {
+            let fired = eng.evaluate(&reg.snapshot(), tick * 1_000_000_000);
+            fired.iter().any(|t| t.to == AlertState::Page)
+        });
+        assert_eq!(paged, Some(11));
         assert_eq!(eng.state("quorum_availability"), Some(AlertState::Page));
     }
 
@@ -695,13 +687,6 @@ mod tests {
                 pending_gauges: vec!["pcp.resilience.spill_pending".into()],
             },
             target: 0.999,
-            windows: vec![BurnWindow {
-                name: "fast".into(),
-                window_ns: 10_000_000_000,
-                burn_threshold: 1.0,
-                severity: AlertState::Page,
-            }],
-            clear_evals: 1,
         });
         let fired = eng.evaluate(&reg.snapshot(), 1_000_000_000);
         assert_eq!(fired.len(), 1, "10% imbalance must fire");
@@ -736,9 +721,16 @@ mod tests {
             }
             other => panic!("unexpected objective {other:?}"),
         }
-        // Fast pages, slow warns.
-        assert_eq!(spec.windows[0].severity, AlertState::Page);
-        assert_eq!(spec.windows[1].severity, AlertState::Warning);
+        // Fast pages at 8x, slow warns at 2x.
+        let [fast, slow] = spec.objective.ladder();
+        assert_eq!(
+            (fast.severity, fast.burn_threshold),
+            (AlertState::Page, 8.0)
+        );
+        assert_eq!(
+            (slow.severity, slow.burn_threshold),
+            (AlertState::Warning, 2.0)
+        );
     }
 
     #[test]

@@ -8,13 +8,11 @@
 //!
 //! * **Deterministic**: `TraceId`s derive from a seed and a sequence
 //!   number via SplitMix64; timestamps come from the caller's virtual
-//!   clock; the head-sampling decision hashes the trace id, never a
-//!   wall clock or RNG. Two same-seed runs record identical trees.
-//! * **Sampling-controlled**: head sampling keeps `sample_rate` of
-//!   traces. Unsampled traces cost two atomic increments and no lock;
-//!   a fault site may *upgrade* an unsampled trace mid-flight
-//!   ([`Tracer::mark_fault`]), which records from the fault onward —
-//!   the "always sample on fault" policy.
+//!   clock, never a wall clock or RNG. Two same-seed runs record
+//!   identical trees.
+//! * **Complete**: every trace started on a tracer records; a fault site
+//!   flags its trace ([`Span::fault`]) so the flight recorder shows which
+//!   journeys went wrong.
 //! * **Bounded**: finished trees land in a drop-oldest ring (the
 //!   flight recorder), so memory is O(ring × spans) forever.
 //!
@@ -54,18 +52,13 @@ impl std::fmt::Display for TraceId {
 pub struct SpanId(pub u32);
 
 /// Propagated by value along a request's journey. The `span` field is the
-/// id the next child should use as parent. `root_start_ns` lets a fault
-/// site reconstruct the root when upgrading an unsampled trace.
+/// id the next child should use as parent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceContext {
     /// The trace this context belongs to.
     pub trace: TraceId,
     /// Current span (parent of any child opened from this context).
     pub span: SpanId,
-    /// Whether spans are being recorded for this trace.
-    pub sampled: bool,
-    /// Virtual timestamp the root span opened at.
-    pub root_start_ns: u64,
 }
 
 /// One recorded span inside a finished trace tree.
@@ -253,30 +246,6 @@ impl TraceTree {
     }
 }
 
-/// Sampling and retention policy for a [`Tracer`].
-#[derive(Debug, Clone)]
-pub struct TraceConfig {
-    /// Head-sampling probability in `[0, 1]`; the decision hashes the
-    /// trace id, so it is deterministic per seed + sequence.
-    pub sample_rate: f64,
-    /// Upgrade unsampled traces when a stage reports a fault
-    /// ("always sample on fault"). Upgraded traces record from the
-    /// fault onward; pre-fault child spans are not reconstructed.
-    pub sample_on_fault: bool,
-    /// Flight-recorder depth (finished traces kept, drop-oldest).
-    pub ring_capacity: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> TraceConfig {
-        TraceConfig {
-            sample_rate: 1.0,
-            sample_on_fault: true,
-            ring_capacity: 256,
-        }
-    }
-}
-
 struct ActiveTrace {
     spans: Vec<TraceSpan>,
     fault: bool,
@@ -291,17 +260,15 @@ struct TracerInner {
 /// Counters describing a tracer's lifetime activity (all monotonic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TracerStats {
-    /// Traces started (sampled or not).
+    /// Traces started.
     pub started: u64,
-    /// Traces finished (sampled or not).
+    /// Traces finished.
     pub finished: u64,
     /// Finished traces retained in (or through) the flight recorder.
     pub retained: u64,
     /// Retained traces evicted by the drop-oldest ring.
     pub ring_evicted: u64,
-    /// Unsampled traces upgraded by a fault site.
-    pub fault_upgrades: u64,
-    /// Spans recorded across all sampled traces.
+    /// Spans recorded across all traces.
     pub spans_recorded: u64,
 }
 
@@ -310,29 +277,28 @@ pub struct TracerStats {
 /// stages can discover it without new plumbing.
 pub struct Tracer {
     seed: u64,
-    config: TraceConfig,
+    ring_capacity: usize,
     next_seq: AtomicU64,
     started: AtomicU64,
     finished: AtomicU64,
     retained: AtomicU64,
     ring_evicted: AtomicU64,
-    fault_upgrades: AtomicU64,
     spans_recorded: AtomicU64,
     inner: Mutex<TracerInner>,
 }
 
 impl Tracer {
-    /// Build a tracer with the given id seed and policy.
-    pub fn new(seed: u64, config: TraceConfig) -> Tracer {
+    /// Build a tracer with the given id seed whose flight recorder keeps
+    /// the newest `ring_capacity` finished traces (drop-oldest).
+    pub fn new(seed: u64, ring_capacity: usize) -> Tracer {
         Tracer {
             seed,
-            config,
+            ring_capacity,
             next_seq: AtomicU64::new(0),
             started: AtomicU64::new(0),
             finished: AtomicU64::new(0),
             retained: AtomicU64::new(0),
             ring_evicted: AtomicU64::new(0),
-            fault_upgrades: AtomicU64::new(0),
             spans_recorded: AtomicU64::new(0),
             inner: Mutex::new(TracerInner::default()),
         }
@@ -345,47 +311,35 @@ impl Tracer {
         }
     }
 
-    /// Open a new trace rooted at `name`. Unsampled traces take no lock
-    /// and record nothing until a fault upgrades them.
+    /// Open a new trace rooted at `name`.
     pub fn start_trace(&self, name: &str, start_ns: u64) -> TraceContext {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         self.started.fetch_add(1, Ordering::Relaxed);
         let id = splitmix64(self.seed ^ seq.wrapping_mul(0x9e37_79b9_7f4a_7c15)).max(1);
-        let sampled = self.config.sample_rate >= 1.0
-            || (self.config.sample_rate > 0.0
-                && (splitmix64(id) >> 11) as f64 / ((1u64 << 53) as f64) < self.config.sample_rate);
-        let ctx = TraceContext {
+        self.spans_recorded.fetch_add(1, Ordering::Relaxed);
+        self.lock().active.insert(
+            id,
+            ActiveTrace {
+                spans: vec![TraceSpan {
+                    id: 1,
+                    parent: 0,
+                    name: name.to_string(),
+                    start_ns,
+                    end_ns: u64::MAX,
+                    status: "ok".to_string(),
+                }],
+                fault: false,
+            },
+        );
+        TraceContext {
             trace: TraceId(id),
             span: SpanId(1),
-            sampled,
-            root_start_ns: start_ns,
-        };
-        if sampled {
-            self.spans_recorded.fetch_add(1, Ordering::Relaxed);
-            self.lock().active.insert(
-                id,
-                ActiveTrace {
-                    spans: vec![TraceSpan {
-                        id: 1,
-                        parent: 0,
-                        name: name.to_string(),
-                        start_ns,
-                        end_ns: u64::MAX,
-                        status: "ok".to_string(),
-                    }],
-                    fault: false,
-                },
-            );
         }
-        ctx
     }
 
-    /// Open a child span under `parent`; no-op passthrough when the
-    /// trace is unsampled.
+    /// Open a child span under `parent`; a passthrough once the trace
+    /// has finished.
     pub fn child(&self, parent: TraceContext, name: &str, start_ns: u64) -> TraceContext {
-        if !parent.sampled {
-            return parent;
-        }
         let mut inner = self.lock();
         let Some(t) = inner.active.get_mut(&parent.trace.0) else {
             return parent;
@@ -413,9 +367,6 @@ impl Tracer {
 
     /// Close the context's current span with an explicit status.
     pub fn end_span_status(&self, ctx: TraceContext, end_ns: u64, status: &str) {
-        if !ctx.sampled {
-            return;
-        }
         let mut inner = self.lock();
         let Some(t) = inner.active.get_mut(&ctx.trace.0) else {
             return;
@@ -428,48 +379,10 @@ impl Tracer {
         }
     }
 
-    /// Report a fault on this trace. Sampled traces are flagged; an
-    /// unsampled trace is upgraded (when the policy allows) to record
-    /// from `now_ns` onward, rooted at `root_name` with the original
-    /// root start. Returns the context to continue with — callers must
-    /// replace their stored copy.
-    pub(crate) fn mark_fault(
-        &self,
-        ctx: TraceContext,
-        root_name: &str,
-        now_ns: u64,
-    ) -> TraceContext {
-        if ctx.sampled {
-            let mut inner = self.lock();
-            if let Some(t) = inner.active.get_mut(&ctx.trace.0) {
-                t.fault = true;
-            }
-            return ctx;
-        }
-        if !self.config.sample_on_fault {
-            return ctx;
-        }
-        let _ = now_ns;
-        self.fault_upgrades.fetch_add(1, Ordering::Relaxed);
-        self.spans_recorded.fetch_add(1, Ordering::Relaxed);
-        self.lock().active.insert(
-            ctx.trace.0,
-            ActiveTrace {
-                spans: vec![TraceSpan {
-                    id: 1,
-                    parent: 0,
-                    name: root_name.to_string(),
-                    start_ns: ctx.root_start_ns,
-                    end_ns: u64::MAX,
-                    status: "ok".to_string(),
-                }],
-                fault: true,
-            },
-        );
-        TraceContext {
-            span: SpanId(1),
-            sampled: true,
-            ..ctx
+    /// Flag the trace as having seen a fault.
+    pub(crate) fn mark_fault(&self, ctx: TraceContext) {
+        if let Some(t) = self.lock().active.get_mut(&ctx.trace.0) {
+            t.fault = true;
         }
     }
 
@@ -478,9 +391,6 @@ impl Tracer {
     /// `unclosed`, and move the tree into the flight recorder.
     pub fn finish_trace(&self, ctx: TraceContext, end_ns: u64, status: &str) {
         self.finished.fetch_add(1, Ordering::Relaxed);
-        if !ctx.sampled {
-            return;
-        }
         let mut inner = self.lock();
         let Some(mut t) = inner.active.remove(&ctx.trace.0) else {
             return;
@@ -503,7 +413,7 @@ impl Tracer {
         };
         self.retained.fetch_add(1, Ordering::Relaxed);
         inner.finished.push_back(tree);
-        while inner.finished.len() > self.config.ring_capacity.max(1) {
+        while inner.finished.len() > self.ring_capacity.max(1) {
             inner.finished.pop_front();
             self.ring_evicted.fetch_add(1, Ordering::Relaxed);
         }
@@ -531,7 +441,6 @@ impl Tracer {
             finished: self.finished.load(Ordering::Relaxed),
             retained: self.retained.load(Ordering::Relaxed),
             ring_evicted: self.ring_evicted.load(Ordering::Relaxed),
-            fault_upgrades: self.fault_upgrades.load(Ordering::Relaxed),
             spans_recorded: self.spans_recorded.load(Ordering::Relaxed),
         }
     }
@@ -551,11 +460,9 @@ impl std::fmt::Debug for Tracer {
 
 /// A tracer plus a context, or nothing: the one handle a pipeline stage
 /// carries, so each stage has one body whether or not a trace is
-/// attached. Three states — *none* (no tracer), *unsampled* (a root that
-/// keeps its context, so [`Span::fault`] can still upgrade it and
-/// [`Span::finish`] still ticks `TracerStats::finished`) and
-/// *recording*. Unless recording, every method returns at once (no lock,
-/// no allocation) and a child is [`Span::none`].
+/// attached. Two states — *none* (no tracer: every method returns at
+/// once, no lock, no allocation, and a child is [`Span::none`]) and
+/// *recording*.
 #[derive(Debug, Clone, Default)]
 pub struct Span(Option<(Arc<Tracer>, TraceContext)>);
 
@@ -570,21 +477,15 @@ impl Span {
         Span(tracer.map(|t| (t.clone(), t.start_trace(name, start_ns))))
     }
 
-    /// The tracer and context, when spans opened from here land in a
-    /// trace tree.
-    fn recording(&self) -> Option<&(Arc<Tracer>, TraceContext)> {
-        self.0.as_ref().filter(|live| live.1.sampled)
-    }
-
     /// True when spans opened from here land in a trace tree.
     pub fn is_recording(&self) -> bool {
-        self.recording().is_some()
+        self.0.is_some()
     }
 
     /// Open a child span under this one.
     pub fn child(&self, name: &str, start_ns: u64) -> Span {
         let open = |(t, ctx): &(Arc<Tracer>, _)| (t.clone(), t.child(*ctx, name, start_ns));
-        Span(self.recording().map(open))
+        Span(self.0.as_ref().map(open))
     }
 
     /// Close this span with status `ok`.
@@ -599,12 +500,11 @@ impl Span {
         }
     }
 
-    /// Report a fault on the trace (`Tracer::mark_fault`): a recording
-    /// trace is flagged, an unsampled root starts recording from here
-    /// when the tracer's `sample_on_fault` policy asks for it.
-    pub fn fault(&mut self, root_name: &str, now_ns: u64) {
-        if let Some((t, ctx)) = &mut self.0 {
-            *ctx = t.mark_fault(*ctx, root_name, now_ns);
+    /// Flag the trace as having seen a fault (rendered as `fault` on the
+    /// finished tree).
+    pub fn fault(&self) {
+        if let Some((t, ctx)) = &self.0 {
+            t.mark_fault(*ctx);
         }
     }
 
@@ -619,8 +519,8 @@ impl Span {
     /// recording — the tag ties the histogram's tail back to a concrete
     /// tree in the flight recorder.
     pub fn observe(&self, h: &Histogram, v: u64) {
-        match self.recording() {
-            Some(live) => h.record_exemplar(v, live.1.trace.0),
+        match &self.0 {
+            Some((_, ctx)) => h.record_exemplar(v, ctx.trace.0),
             None => h.record(v),
         }
     }
@@ -642,18 +542,18 @@ mod tests {
 
     #[test]
     fn ids_are_deterministic_per_seed() {
-        let a = Tracer::new(7, TraceConfig::default());
-        let b = Tracer::new(7, TraceConfig::default());
+        let a = Tracer::new(7, 256);
+        let b = Tracer::new(7, 256);
         for _ in 0..5 {
             assert_eq!(a.start_trace("x", 0).trace, b.start_trace("x", 0).trace);
         }
-        let c = Tracer::new(8, TraceConfig::default());
+        let c = Tracer::new(8, 256);
         assert_ne!(a.start_trace("x", 0).trace, c.start_trace("x", 0).trace);
     }
 
     #[test]
     fn tree_records_parentage_and_status() {
-        let tracer = Tracer::new(1, TraceConfig::default());
+        let tracer = Tracer::new(1, 256);
         let tree = demo_trace(&tracer);
         assert_eq!(tree.spans.len(), 3);
         assert_eq!(tree.root().name, "sample");
@@ -667,7 +567,7 @@ mod tests {
 
     #[test]
     fn attribution_covers_full_latency() {
-        let tracer = Tracer::new(1, TraceConfig::default());
+        let tracer = Tracer::new(1, 256);
         let tree = demo_trace(&tracer);
         let total: u64 = tree.stage_attribution().iter().map(|s| s.self_ns).sum();
         assert_eq!(total, tree.duration_ns());
@@ -677,43 +577,11 @@ mod tests {
     }
 
     #[test]
-    fn head_sampling_is_deterministic_and_rate_bounded() {
-        let count = |rate: f64| {
-            let t = Tracer::new(
-                42,
-                TraceConfig {
-                    sample_rate: rate,
-                    ..TraceConfig::default()
-                },
-            );
-            (0..1000).filter(|_| t.start_trace("x", 0).sampled).count()
-        };
-        assert_eq!(count(0.0), 0);
-        assert_eq!(count(1.0), 1000);
-        let tenth = count(0.1);
-        assert!(tenth > 40 && tenth < 200, "got {tenth}");
-        assert_eq!(tenth, count(0.1));
-    }
-
-    #[test]
-    fn unsampled_traces_record_nothing_until_fault() {
-        let tracer = Arc::new(Tracer::new(
-            3,
-            TraceConfig {
-                sample_rate: 0.0,
-                sample_on_fault: true,
-                ring_capacity: 8,
-            },
-        ));
-        let mut root = Span::root(Some(&tracer), "sample", 100);
-        assert!(!root.is_recording());
-        // The child of a non-recording span is the null span.
-        assert!(root.child("ship", 150).0.is_none());
-        assert_eq!(tracer.active_count(), 0);
-
-        // Fault upgrades: recording starts, rooted at the original start.
-        root.fault("sample", 500);
+    fn span_flags_faults_and_tags_exemplars() {
+        let tracer = Arc::new(Tracer::new(3, 8));
+        let root = Span::root(Some(&tracer), "sample", 100);
         assert!(root.is_recording());
+        root.fault();
         root.child("retry", 600).end_status(700, "spilled");
         let latency = Histogram::new(vec![1_000]);
         root.observe(&latency, 800);
@@ -721,27 +589,24 @@ mod tests {
         root.finish(900, "lost");
         let tree = tracer.last_finished().unwrap();
         assert!(tree.fault);
-        assert_eq!(tree.root().start_ns, 100);
-        assert_eq!((tree.terminal_status(), tree.spans.len()), ("lost", 2));
-        assert_eq!(tracer.stats().fault_upgrades, 1);
+        assert!(tree
+            .render()
+            .starts_with(&format!("trace {} dur=800ns status=lost fault\n", tree.id)));
+        assert_eq!(tree.spans.len(), 2);
 
-        // Unsampled and null spans: `finish` still ticks; nothing records.
-        Span::root(Some(&tracer), "sample", 0).finish(1, "inserted");
-        Span::none().finish(1, "inserted");
-        Span::none().observe(&latency, 5);
-        assert_eq!((tracer.stats().started, tracer.stats().finished), (2, 2));
+        // The null span records nothing and opens only null children.
+        let none = Span::none();
+        assert!(!none.is_recording() && !none.child("ship", 1).is_recording());
+        none.fault();
+        none.observe(&latency, 5);
+        none.finish(1, "inserted");
+        assert_eq!((tracer.stats().started, tracer.stats().finished), (1, 1));
         assert_eq!((tracer.stats().retained, latency.count()), (1, 2));
     }
 
     #[test]
     fn ring_drops_oldest() {
-        let tracer = Tracer::new(
-            5,
-            TraceConfig {
-                ring_capacity: 2,
-                ..TraceConfig::default()
-            },
-        );
+        let tracer = Tracer::new(5, 2);
         let mut ids = Vec::new();
         for i in 0..4 {
             let c = tracer.start_trace("t", i * 10);
@@ -757,7 +622,7 @@ mod tests {
 
     #[test]
     fn orphaned_children_are_flagged() {
-        let tracer = Tracer::new(9, TraceConfig::default());
+        let tracer = Tracer::new(9, 256);
         let root = tracer.start_trace("sample", 0);
         let _open = tracer.child(root, "never.closed", 10);
         tracer.finish_trace(root, 100, "inserted");
@@ -767,7 +632,7 @@ mod tests {
 
     #[test]
     fn render_is_stable() {
-        let tracer = Tracer::new(1, TraceConfig::default());
+        let tracer = Tracer::new(1, 256);
         let tree = demo_trace(&tracer);
         let a = tree.render();
         assert!(a.contains("- sample [0..2000] 2000ns status=inserted"));

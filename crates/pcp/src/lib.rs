@@ -24,8 +24,9 @@
 //! tick loop behind both. Each shipper has one ship path: `ship(t, point,
 //! freq_hz)` is `ship_span(t, point, freq_hz, Span::none())`, and the
 //! sampler passes the report's `pcp.sample` root span when the registry
-//! carries a tracer. [`ResilienceConfig`] sizes the opt-in spill buffer;
-//! the rest of the resilient policy is fixed.
+//! carries a tracer. The opt-in resilient mode
+//! ([`Shipper::with_resilience`]) has one fixed policy: spill bound,
+//! retries, backoff and breaker are constants.
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
@@ -48,6 +49,5 @@ pub use pmcd::Pmcd;
 pub use replication::{
     run_replicated, ReplSamplingReport, ReplShipOutcome, ReplShipper, ReplStats,
 };
-pub use resilience::ResilienceConfig;
 pub use sampler::{SamplingConfig, SamplingLoop, SamplingReport};
 pub use transport::{ShipOutcome, Shipper, ShipperStats, GAP_MEASUREMENT};

@@ -38,7 +38,7 @@
 use crate::error::PcpError;
 use crate::pmcd::Pmcd;
 use crate::sampler::{run_ticks, SampleSink, SamplingConfig};
-use crate::transport::{Shipper, FETCH_NS, RETRY_NS, SAMPLE_ROOT};
+use crate::transport::{Shipper, FETCH_NS, RETRY_NS};
 use pmove_hwsim::network::FaultSchedule;
 use pmove_hwsim::noise::NoiseSource;
 use pmove_obs::{Counter, Gauge, Histogram, Registry, Span};
@@ -47,6 +47,10 @@ use pmove_tsdb::store::Scrubber;
 use pmove_tsdb::{ExecMode, FieldValue, Origin, Point, Query, TsdbError};
 use std::collections::VecDeque;
 use std::sync::Arc;
+
+/// Consecutive missed heartbeats before the coordinator quarantines a
+/// replica (and fails over if it was the primary).
+const HEARTBEAT_MISS_LIMIT: u32 = 3;
 
 /// Outcome of offering one report to the coordinator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -316,7 +320,7 @@ impl<'a> ReplShipper<'a> {
     /// [`ReplShipper::ship`] under the report's root span: the quorum
     /// fan-out records one `repl.replica_write` child per replica (acked
     /// writes nest the replica's WAL group commit and shard ingest),
-    /// quorum misses upgrade the trace, park it with the ledger hint, and
+    /// quorum misses flag the trace, park it with the ledger hint, and
     /// heartbeat replay continues the same tree (`repl.hint_replay`) to a
     /// terminal status.
     pub fn ship_span(
@@ -350,8 +354,7 @@ impl<'a> ReplShipper<'a> {
         let mut cursor = quorum_start + Self::QUORUM_BASE_NS;
         // Replica writes are laid out sequentially on the virtual clock
         // so the critical-path analyzer attributes the fan-out exactly.
-        // The clock advances only while the fan-out is recorded: a report
-        // that starts recording at a quorum miss is stamped at its start.
+        // The clock advances only while the fan-out is recorded.
         tr.child("pcp.fetch", t_ns).end(t_ns + FETCH_NS);
         let qspan = tr.child("repl.quorum_write", quorum_start);
         let mut acks = vec![false; rf];
@@ -424,8 +427,8 @@ impl<'a> ReplShipper<'a> {
         } else {
             // Quorum missed: the first failed replica's hint carries the
             // ledger; the rest are repair bookkeeping. A miss is a fault
-            // site — unsampled traces upgrade here.
-            tr.fault(SAMPLE_ROOT, cursor);
+            // site.
+            tr.fault();
             tr.child("repl.hint_park", cursor)
                 .end_status(cursor, "hinted");
             let mut ledger_parked = false;
@@ -503,8 +506,8 @@ impl<'a> ReplShipper<'a> {
 
     /// Heartbeat every replica at time `t`: a link that answers clears
     /// the miss counter, lifts quarantine, and triggers hint replay; a
-    /// link that misses `heartbeat_miss_limit` beats in a row is
-    /// quarantined, promoting a new primary if it held the role.
+    /// link that misses three beats in a row is quarantined, promoting a
+    /// new primary if it held the role.
     pub fn heartbeat(&mut self, t: f64) {
         for i in 0..self.set.len() {
             let up = self.schedules[i].state_at(t).link_up;
@@ -522,9 +525,7 @@ impl<'a> ReplShipper<'a> {
             } else {
                 self.health[i].down = true;
                 self.health[i].misses += 1;
-                if self.health[i].misses >= self.set.config().heartbeat_miss_limit
-                    && !self.health[i].quarantined
-                {
+                if self.health[i].misses >= HEARTBEAT_MISS_LIMIT && !self.health[i].quarantined {
                     self.health[i].quarantined = true;
                     if i == self.primary {
                         self.promote();

@@ -15,27 +15,12 @@
 //!
 //! Everything is driven by the virtual clock and the shipper's seeded
 //! noise source, so resilient runs replay exactly. The default mode —
-//! no [`ResilienceConfig`] attached — is bit-identical to the paper's
-//! unbuffered behaviour.
+//! resilience not enabled — is bit-identical to the paper's unbuffered
+//! behaviour.
 
-/// Tuning for the resilient transport mode. The spill bound is the one
-/// value callers size to their workload; the retry, breaker and
-/// degradation policy below is fixed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ResilienceConfig {
-    /// Spill buffer bound, in field values. When full, the *oldest*
-    /// spilled report is evicted (counted, not silently dropped).
-    pub spill_capacity_values: u64,
-}
-
-impl Default for ResilienceConfig {
-    fn default() -> Self {
-        ResilienceConfig {
-            spill_capacity_values: 4096,
-        }
-    }
-}
-
+/// Spill buffer bound, in field values. When full, the *oldest* spilled
+/// report is evicted (counted, not silently dropped).
+pub(crate) const SPILL_CAPACITY_VALUES: u64 = 4096;
 /// Re-send attempts per spilled report before it is declared lost.
 pub(crate) const MAX_RETRIES: u32 = 6;
 /// First retry backoff (virtual seconds).
@@ -45,9 +30,9 @@ pub(crate) const BACKOFF_CAP_S: f64 = 4.0;
 /// Relative deterministic jitter applied to each backoff delay.
 pub(crate) const BACKOFF_JITTER: f64 = 0.2;
 /// Consecutive DB failures that open the circuit breaker.
-pub(crate) const BREAKER_THRESHOLD: u32 = 5;
+const BREAKER_THRESHOLD: u32 = 5;
 /// Time the breaker stays open before probing again (virtual seconds).
-pub(crate) const BREAKER_COOLDOWN_S: f64 = 2.0;
+const BREAKER_COOLDOWN_S: f64 = 2.0;
 /// Per-window loss percentage that counts as a "lossy" window for
 /// adaptive degradation.
 pub(crate) const DEGRADE_LOSS_PCT: f64 = 50.0;
@@ -69,13 +54,11 @@ pub(crate) enum BreakerState {
 }
 
 /// Circuit breaker on the DB insert path. Opens after
-/// `threshold` consecutive failures, stays open for `cooldown_s` of
-/// virtual time, then half-opens to probe; a probe success closes it,
-/// a probe failure re-opens it.
+/// [`BREAKER_THRESHOLD`] consecutive failures, stays open for
+/// [`BREAKER_COOLDOWN_S`] of virtual time, then half-opens to probe; a
+/// probe success closes it, a probe failure re-opens it.
 #[derive(Debug, Clone)]
 pub(crate) struct CircuitBreaker {
-    threshold: u32,
-    cooldown_s: f64,
     state: BreakerState,
     consecutive_failures: u32,
     opened_at_s: f64,
@@ -89,10 +72,8 @@ pub(crate) struct CircuitBreaker {
 
 impl CircuitBreaker {
     /// New closed breaker.
-    pub(crate) fn new(threshold: u32, cooldown_s: f64) -> CircuitBreaker {
+    pub(crate) fn new() -> CircuitBreaker {
         CircuitBreaker {
-            threshold: threshold.max(1),
-            cooldown_s,
             state: BreakerState::Closed,
             consecutive_failures: 0,
             opened_at_s: 0.0,
@@ -113,7 +94,7 @@ impl CircuitBreaker {
         match self.state {
             BreakerState::Closed | BreakerState::HalfOpen => true,
             BreakerState::Open => {
-                if t - self.opened_at_s >= self.cooldown_s {
+                if t - self.opened_at_s >= BREAKER_COOLDOWN_S {
                     self.state = BreakerState::HalfOpen;
                     self.half_opens += 1;
                     true
@@ -138,7 +119,7 @@ impl CircuitBreaker {
         self.consecutive_failures += 1;
         let trip = match self.state {
             BreakerState::HalfOpen => true,
-            BreakerState::Closed => self.consecutive_failures >= self.threshold,
+            BreakerState::Closed => self.consecutive_failures >= BREAKER_THRESHOLD,
             BreakerState::Open => false,
         };
         if trip {
@@ -155,10 +136,11 @@ mod tests {
 
     #[test]
     fn breaker_opens_after_threshold_and_recovers() {
-        let mut b = CircuitBreaker::new(3, 2.0);
+        let mut b = CircuitBreaker::new();
         assert_eq!(b.state(), BreakerState::Closed);
-        b.record_failure(0.0);
-        b.record_failure(0.1);
+        for i in 0..4 {
+            b.record_failure(f64::from(i) * 0.05);
+        }
         assert_eq!(b.state(), BreakerState::Closed);
         b.record_failure(0.2);
         assert_eq!(b.state(), BreakerState::Open);
@@ -176,27 +158,29 @@ mod tests {
 
     #[test]
     fn half_open_probe_failure_reopens_immediately() {
-        let mut b = CircuitBreaker::new(3, 1.0);
-        for i in 0..3 {
+        let mut b = CircuitBreaker::new();
+        for i in 0..5 {
             b.record_failure(i as f64 * 0.1);
         }
-        assert!(b.allow(2.0));
+        assert!(b.allow(2.5));
         assert_eq!(b.state(), BreakerState::HalfOpen);
         // A single failure in half-open trips the breaker again.
-        b.record_failure(2.0);
+        b.record_failure(2.5);
         assert_eq!(b.state(), BreakerState::Open);
         assert_eq!(b.opens, 2);
-        assert!(!b.allow(2.5));
+        assert!(!b.allow(3.0));
     }
 
     #[test]
     fn success_resets_failure_streak() {
-        let mut b = CircuitBreaker::new(3, 1.0);
-        b.record_failure(0.0);
-        b.record_failure(0.1);
+        let mut b = CircuitBreaker::new();
+        for i in 0..4 {
+            b.record_failure(f64::from(i) * 0.1);
+        }
         b.record_success();
-        b.record_failure(0.2);
-        b.record_failure(0.3);
+        for i in 4..8 {
+            b.record_failure(f64::from(i) * 0.1);
+        }
         assert_eq!(b.state(), BreakerState::Closed);
     }
 }

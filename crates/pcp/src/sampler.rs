@@ -14,10 +14,13 @@
 
 use crate::error::{require_finite, require_non_negative, require_positive, PcpError};
 use crate::pmcd::Pmcd;
-use crate::transport::{Shipper, ShipperStats, SAMPLE_ROOT};
+use crate::transport::{Shipper, ShipperStats};
 use pmove_obs::{Registry, Span};
 use pmove_tsdb::Point;
 use std::sync::Arc;
+
+/// Root span name of one report's trace.
+const SAMPLE_ROOT: &str = "pcp.sample";
 
 /// Configuration of one sampling run.
 #[derive(Debug, Clone)]
@@ -220,7 +223,6 @@ impl SamplingLoop {
 mod tests {
     use super::*;
     use crate::pmda_linux::LinuxAgent;
-    use crate::resilience::ResilienceConfig;
     use pmove_hwsim::network::{FaultKind, FaultSchedule, LinkSpec};
     use pmove_hwsim::MachineSpec;
     use pmove_tsdb::Database;
@@ -326,7 +328,7 @@ mod tests {
             FaultSchedule::none().with_window(0.0, 30.0, FaultKind::BandwidthDegraded(0.0001));
         let mut shipper = Shipper::new(&db, LinkSpec::mbit_100(), 0.5, &["resloop", "s"])
             .with_fault_schedule(schedule)
-            .with_resilience(ResilienceConfig::default());
+            .with_resilience();
         let cfg = SamplingConfig::new(vec!["kernel.percpu.cpu.idle".into()], 2.0, 0.0, 60.0);
         let report = SamplingLoop::run(&cfg, &mut pmcd, &mut shipper);
         assert!(report.ticks_skipped > 0, "stride engaged: {report:?}");

@@ -13,15 +13,16 @@
 //! Two opt-in extensions leave that default behaviour bit-identical:
 //!
 //! * a [`FaultSchedule`] injects link/backend faults on the virtual clock;
-//! * a [`ResilienceConfig`] turns the unbuffered path into a self-healing
-//!   one (spill buffer, retry/backoff, circuit breaker, gap markers).
+//! * [`Shipper::with_resilience`] turns the unbuffered path into a
+//!   self-healing one (spill buffer, retry/backoff, circuit breaker, gap
+//!   markers).
 //!
 //! Conservation invariant, audited by tests under arbitrary fault
 //! schedules: `values_offered == values_inserted + values_zeroed +
 //! values_lost + values_spill_pending + values_evicted`.
 
 use crate::error::{require_positive, PcpError};
-use crate::resilience::{self, BreakerState, CircuitBreaker, ResilienceConfig};
+use crate::resilience::{self, BreakerState, CircuitBreaker};
 use pmove_hwsim::network::{FaultSchedule, FaultState, LinkSpec};
 use pmove_hwsim::noise::NoiseSource;
 use pmove_obs::{Counter, Gauge, Registry, Span};
@@ -43,10 +44,6 @@ pub(crate) const ATTEMPT_BASE_NS: u64 = 12_000;
 const ATTEMPT_PER_VALUE_NS: u64 = 120;
 /// Modeled cost of one spill-replay attempt (ns).
 pub(crate) const RETRY_NS: u64 = 15_000;
-
-/// Root span name of one report's trace; fault sites that upgrade an
-/// unsampled trace re-create the root under it.
-pub(crate) const SAMPLE_ROOT: &str = "pcp.sample";
 
 /// Outcome of shipping one report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,9 +147,9 @@ impl TransportObs {
     }
 }
 
-/// Hoisted `pcp.resilience.*` handles, registered only when both a
-/// registry and a [`ResilienceConfig`] are attached — so default-mode
-/// snapshots carry no resilience series at all.
+/// Hoisted `pcp.resilience.*` handles, registered only when a registry is
+/// attached and resilient mode is on — so default-mode snapshots carry no
+/// resilience series at all.
 struct ResilienceObs {
     retries: Counter,
     spilled: Counter,
@@ -205,7 +202,7 @@ pub struct Shipper<'a> {
     pub(crate) obs: TransportObs,
     // --- fault injection + resilience (inert by default) ---
     fault: Option<FaultSchedule>,
-    rescfg: Option<ResilienceConfig>,
+    resilient: bool,
     robs: ResilienceObs,
     spill: VecDeque<SpilledReport>,
     breaker: CircuitBreaker,
@@ -251,13 +248,10 @@ impl<'a> Shipper<'a> {
             stats: ShipperStats::default(),
             obs: TransportObs::new(Registry::disabled()),
             fault: None,
-            rescfg: None,
+            resilient: false,
             robs: ResilienceObs::new(&Registry::disabled()),
             spill: VecDeque::new(),
-            breaker: CircuitBreaker::new(
-                resilience::BREAKER_THRESHOLD,
-                resilience::BREAKER_COOLDOWN_S,
-            ),
+            breaker: CircuitBreaker::new(),
             backoff_s: 0.0,
             next_retry_s: f64::NEG_INFINITY,
             outage_since: None,
@@ -285,21 +279,21 @@ impl<'a> Shipper<'a> {
     }
 
     /// Enable the resilient transport mode.
-    pub fn with_resilience(mut self, cfg: ResilienceConfig) -> Self {
-        self.rescfg = Some(cfg);
+    pub fn with_resilience(mut self) -> Self {
+        self.resilient = true;
         self.ensure_resilience_obs();
         self
     }
 
     fn ensure_resilience_obs(&mut self) {
-        if self.rescfg.is_some() {
+        if self.resilient {
             self.robs = ResilienceObs::new(&self.obs.registry);
         }
     }
 
-    /// True when a [`ResilienceConfig`] is attached.
+    /// True in resilient mode.
     pub(crate) fn is_resilient(&self) -> bool {
-        self.rescfg.is_some()
+        self.resilient
     }
 
     /// Tick stride the adaptive degradation currently suggests: sample
@@ -328,8 +322,7 @@ impl<'a> Shipper<'a> {
     /// [`Shipper::ship`] under the report's root span. The shipper owns
     /// the trace from here on: every terminal fate — inserted, zeroed,
     /// lost, evicted, recovered, spill_pending — finishes it with a
-    /// matching status, and fault paths upgrade unsampled traces when
-    /// the tracer's `sample_on_fault` policy is set. The span survives
+    /// matching status, and fault paths flag the trace. The span survives
     /// spill parking and replays, so one tree shows the report's whole
     /// journey.
     pub fn ship_span(&mut self, t: f64, point: Point, freq_hz: f64, span: Span) -> ShipOutcome {
@@ -344,7 +337,7 @@ impl<'a> Shipper<'a> {
     /// skipping ticks): give the resilient path a chance to drain its
     /// spill buffer. No-op in default mode.
     pub fn idle_tick(&mut self, t: f64) {
-        if self.rescfg.is_none() {
+        if !self.resilient {
             return;
         }
         let before = self.stats;
@@ -412,7 +405,7 @@ impl<'a> Shipper<'a> {
     /// suggested tick stride doubles (capped); after as many clean
     /// windows it halves back toward 1.
     fn evaluate_window(&mut self) {
-        if self.rescfg.is_none() || self.window_offered == 0 {
+        if !self.resilient || self.window_offered == 0 {
             return;
         }
         let loss = 100.0 * self.window_failed as f64 / self.window_offered as f64;
@@ -435,14 +428,14 @@ impl<'a> Shipper<'a> {
         self.window_failed = 0;
     }
 
-    fn ship_inner(&mut self, t: f64, point: Point, freq_hz: f64, mut tr: Span) -> ShipOutcome {
+    fn ship_inner(&mut self, t: f64, point: Point, freq_hz: f64, tr: Span) -> ShipOutcome {
         let values = point.field_count() as u64;
         self.stats.reports_offered += 1;
         self.stats.values_offered += values;
         let t_ns = (t * 1e9) as u64;
 
         let fault = self.fault_state_at(t);
-        if self.rescfg.is_some() {
+        if self.resilient {
             self.drain_spill(t);
         }
 
@@ -468,16 +461,16 @@ impl<'a> Shipper<'a> {
         let read_zero = self.noise.happens(Self::zero_probability(freq_hz));
 
         // DB path: circuit breaker, then backend brown-out.
-        if self.rescfg.is_some() && !self.breaker.allow(t) {
+        if self.resilient && !self.breaker.allow(t) {
             return self.fail_or_spill(t, point, values, tr, "breaker_open");
         }
         if fault.backend_availability < 1.0 && !self.noise.happens(fault.backend_availability) {
-            if self.rescfg.is_some() {
+            if self.resilient {
                 self.breaker.record_failure(t);
             }
             return self.fail_or_spill(t, point, values, tr, "backend_down");
         }
-        if self.rescfg.is_some() {
+        if self.resilient {
             self.breaker.record_success();
         }
 
@@ -494,7 +487,7 @@ impl<'a> Shipper<'a> {
                 return ShipOutcome::InsertedZero;
             }
             self.stats.values_lost += values;
-            tr.fault(SAMPLE_ROOT, t_ns);
+            tr.fault();
             tr.finish(end_ns, "lost");
             return ShipOutcome::Lost;
         }
@@ -507,7 +500,7 @@ impl<'a> Shipper<'a> {
             ShipOutcome::Inserted
         } else {
             self.stats.values_lost += values;
-            tr.fault(SAMPLE_ROOT, t_ns);
+            tr.fault();
             tr.finish(end_ns, "lost");
             ShipOutcome::Lost
         }
@@ -535,31 +528,30 @@ impl<'a> Shipper<'a> {
         t: f64,
         point: Point,
         values: u64,
-        mut tr: Span,
+        tr: Span,
         reason: &str,
     ) -> ShipOutcome {
         let t_ns = (t * 1e9) as u64;
-        // A failed delivery is a fault site: upgrade unsampled traces so
-        // the flight recorder always holds the interesting journeys.
-        tr.fault(SAMPLE_ROOT, t_ns);
+        // A failed delivery is a fault site.
+        tr.fault();
         tr.child("pcp.ship_attempt", t_ns)
             .end_status(t_ns + ATTEMPT_BASE_NS, reason);
-        let Some(cfg) = self.rescfg else {
+        if !self.resilient {
             self.stats.values_lost += values;
             tr.finish(t_ns + ATTEMPT_BASE_NS, "lost");
             return ShipOutcome::Lost;
-        };
+        }
         self.window_failed += values;
         if self.outage_since.is_none() {
             self.outage_since = Some(t);
         }
-        if values > cfg.spill_capacity_values {
+        if values > resilience::SPILL_CAPACITY_VALUES {
             // Could never fit; count it lost rather than churn the buffer.
             self.stats.values_lost += values;
             tr.finish(t_ns + ATTEMPT_BASE_NS, "lost");
             return ShipOutcome::Lost;
         }
-        while self.stats.values_spill_pending + values > cfg.spill_capacity_values {
+        while self.stats.values_spill_pending + values > resilience::SPILL_CAPACITY_VALUES {
             let old = self.spill.pop_front().expect("pending implies entries");
             self.stats.values_spill_pending -= old.values;
             self.stats.values_evicted += old.values;
@@ -581,7 +573,7 @@ impl<'a> Shipper<'a> {
     /// Try to replay spilled reports, oldest first, respecting the retry
     /// backoff, the circuit breaker, link state, and window capacity.
     fn drain_spill(&mut self, t: f64) {
-        if self.rescfg.is_none() || self.spill.is_empty() || t < self.next_retry_s {
+        if !self.resilient || self.spill.is_empty() || t < self.next_retry_s {
             return;
         }
         let fault = self.fault_state_at(t);
@@ -659,7 +651,7 @@ impl<'a> Shipper<'a> {
     /// point covering `[outage_start, t)` so queries can distinguish
     /// "lost" from "not sampled".
     fn note_success(&mut self, t: f64) {
-        if self.rescfg.is_none() {
+        if !self.resilient {
             return;
         }
         if let Some(start) = self.outage_since.take() {
@@ -891,7 +883,7 @@ mod tests {
         let schedule = FaultSchedule::none().with_window(0.0, 5.0, FaultKind::LinkDown);
         let mut s = Shipper::new(&db, LinkSpec::mbit_100(), 0.5, &["res1"])
             .with_fault_schedule(schedule)
-            .with_resilience(ResilienceConfig::default());
+            .with_resilience();
         let mut t = 0.25;
         let mut i = 0;
         while t < 10.0 {
@@ -920,19 +912,19 @@ mod tests {
     fn spill_buffer_evicts_oldest_when_full() {
         let db = Database::new("host");
         let schedule = FaultSchedule::none().with_window(0.0, 1000.0, FaultKind::LinkDown);
-        let cfg = ResilienceConfig {
-            spill_capacity_values: 32, // room for 4 reports of 8 values
-        };
         let mut s = Shipper::new(&db, LinkSpec::mbit_100(), 0.5, &["res2"])
             .with_fault_schedule(schedule)
-            .with_resilience(cfg);
-        for i in 0..10 {
-            s.ship(i as f64 * 0.5, report(i, 8), 2.0);
+            .with_resilience();
+        // 80 reports of 64 values through the outage: the 4,096-value
+        // buffer holds the newest 64 and evicts the oldest 16.
+        for i in 0..80 {
+            s.ship(i as f64 * 0.5, report(i, 64), 2.0);
         }
         let st = s.stats();
-        assert_eq!(st.values_spilled, 80);
-        assert_eq!(st.values_spill_pending, 32);
-        assert_eq!(st.values_evicted, 48);
+        assert_eq!(resilience::SPILL_CAPACITY_VALUES, 4096);
+        assert_eq!(st.values_spilled, 5120);
+        assert_eq!(st.values_spill_pending, 4096);
+        assert_eq!(st.values_evicted, 1024);
         assert!(st.conserved(), "{st:?}");
     }
 
@@ -944,7 +936,7 @@ mod tests {
             FaultSchedule::none().with_window(0.0, 20.0, FaultKind::BackendBrownout(0.0));
         let mut s = Shipper::new(&db, LinkSpec::mbit_100(), 0.5, &["res3"])
             .with_fault_schedule(schedule)
-            .with_resilience(ResilienceConfig::default());
+            .with_resilience();
         let mut t = 0.25;
         let mut i = 0;
         while t < 30.0 {
@@ -966,12 +958,9 @@ mod tests {
         // single 16-value report), then healthy.
         let schedule =
             FaultSchedule::none().with_window(0.0, 60.0, FaultKind::BandwidthDegraded(0.001));
-        let cfg = ResilienceConfig {
-            spill_capacity_values: 64,
-        };
         let mut s = Shipper::new(&db, LinkSpec::mbit_100(), 0.5, &["res4"])
             .with_fault_schedule(schedule)
-            .with_resilience(cfg);
+            .with_resilience();
         assert_eq!(s.suggested_stride(), 1);
         let mut t = 0.25;
         let mut i = 0;
@@ -998,7 +987,7 @@ mod tests {
         let mut s = Shipper::new(&db, LinkSpec::mbit_100(), 0.5, &["res5"])
             .with_obs(reg.clone())
             .with_fault_schedule(schedule)
-            .with_resilience(ResilienceConfig::default());
+            .with_resilience();
         let mut t = 0.25;
         let mut i = 0;
         while t < 10.0 {

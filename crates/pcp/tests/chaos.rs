@@ -10,9 +10,9 @@
 
 use pmove_hwsim::network::LinkSpec;
 use pmove_hwsim::FaultSchedule;
-use pmove_obs::{Registry, Span, TraceConfig, Tracer};
+use pmove_obs::{Registry, Span, Tracer};
 use pmove_pcp::{ReplShipOutcome, ReplShipper, ReplStats};
-use pmove_pcp::{ResilienceConfig, ShipOutcome, Shipper, ShipperStats};
+use pmove_pcp::{ShipOutcome, Shipper, ShipperStats};
 use pmove_tsdb::repl::{ReplConfig, ReplicaSet};
 use pmove_tsdb::{Database, FieldValue, Point};
 use proptest::prelude::*;
@@ -60,11 +60,7 @@ struct Case {
 }
 
 /// One full run; returns the final stats and the DB row count.
-fn run(
-    case: &Case,
-    fault: Option<FaultSchedule>,
-    resilience: Option<ResilienceConfig>,
-) -> (ShipperStats, usize) {
+fn run(case: &Case, fault: Option<FaultSchedule>, resilient: bool) -> (ShipperStats, usize) {
     let freq_hz = case.freq as f64;
     let db = Database::new("host");
     let mut shipper = Shipper::new(
@@ -77,8 +73,8 @@ fn run(
     if let Some(schedule) = fault {
         shipper = shipper.with_fault_schedule(schedule);
     }
-    if let Some(cfg) = resilience {
-        shipper = shipper.with_resilience(cfg);
+    if resilient {
+        shipper = shipper.with_resilience();
     }
     let ticks = case.freq * case.duration_s;
     let mut value_seed = case.seed;
@@ -95,7 +91,7 @@ fn run(
     }
     // Give the resilient transport idle time after the schedule ends so
     // spilled reports get their retry chances against a healthy backend.
-    if resilience.is_some() {
+    if resilient {
         let end_s = case.duration_s as f64;
         let tail = fault_tail_s.max(end_s);
         let mut t_idle = end_s;
@@ -120,15 +116,11 @@ proptest! {
         n_metrics in 1usize..=4,
         duration_s in 2u32..=6,
         resilient in any::<bool>(),
-        spill_capacity in 64u64..=8192,
     ) {
         let case = Case { seed, freq, domain, n_metrics, duration_s };
         let fault = FaultSchedule::random(seed, duration_s as f64);
-        let resilience = resilient.then_some(ResilienceConfig {
-            spill_capacity_values: spill_capacity,
-        });
 
-        let (st, rows) = run(&case, Some(fault.clone()), resilience);
+        let (st, rows) = run(&case, Some(fault.clone()), resilient);
         prop_assert!(
             st.conserved(),
             "offered={} != accounted={} (inserted={} zeroed={} lost={} pending={} evicted={}) fault={:?}",
@@ -151,7 +143,7 @@ proptest! {
 
         // Determinism: the identical configuration replays to identical
         // stats and identical DB contents.
-        let (st2, rows2) = run(&case, Some(fault), resilience);
+        let (st2, rows2) = run(&case, Some(fault), resilient);
         prop_assert_eq!(st, st2, "chaos run is not deterministic per seed");
         prop_assert_eq!(rows, rows2);
     }
@@ -169,8 +161,8 @@ proptest! {
         duration_s in 1u32..=4,
     ) {
         let case = Case { seed, freq, domain, n_metrics, duration_s };
-        let (plain, plain_rows) = run(&case, None, None);
-        let (scheduled, scheduled_rows) = run(&case, Some(FaultSchedule::none()), None);
+        let (plain, plain_rows) = run(&case, None, false);
+        let (scheduled, scheduled_rows) = run(&case, Some(FaultSchedule::none()), false);
         prop_assert_eq!(plain, scheduled);
         prop_assert_eq!(plain_rows, scheduled_rows);
         prop_assert_eq!(plain.values_spilled, 0);
@@ -181,8 +173,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(trace_cases()))]
 
-    /// Trace conservation under chaos: with head sampling at 1.0, every
-    /// offered report's trace terminates exactly once — in a terminal
+    /// Trace conservation under chaos: every offered report's trace
+    /// terminates exactly once — in a terminal
     /// status from the allowed set — and no span is left open (an
     /// `unclosed` span marks an orphan and fails the property).
     #[test]
@@ -193,21 +185,14 @@ proptest! {
         n_metrics in 1usize..=4,
         duration_s in 2u32..=5,
         resilient in any::<bool>(),
-        spill_capacity in 64u64..=4096,
     ) {
         let case = Case { seed, freq, domain, n_metrics, duration_s };
         let fault = FaultSchedule::random(seed, duration_s as f64);
-        let resilience = resilient.then_some(ResilienceConfig {
-            spill_capacity_values: spill_capacity,
-        });
 
         let freq_hz = case.freq as f64;
         let registry = Registry::shared();
-        let tracer = Arc::new(Tracer::new(seed, TraceConfig {
-            sample_rate: 1.0,
-            sample_on_fault: true,
-            ring_capacity: 100_000, // retain every trace for the audit
-        }));
+        // Retain every trace for the audit.
+        let tracer = Arc::new(Tracer::new(seed, 100_000));
         registry.set_tracer(tracer.clone());
         let db = Database::new("host");
         let mut shipper = Shipper::new(
@@ -218,8 +203,8 @@ proptest! {
         )
         .with_obs(registry.clone())
         .with_fault_schedule(fault.clone());
-        if let Some(cfg) = resilience {
-            shipper = shipper.with_resilience(cfg);
+        if resilient {
+            shipper = shipper.with_resilience();
         }
 
         let ticks = case.freq * case.duration_s;
@@ -239,7 +224,7 @@ proptest! {
             t += 1.0 / freq_hz;
         }
         let end_s = case.duration_s as f64;
-        if resilience.is_some() {
+        if resilient {
             let tail = fault.last_fault_end_s().max(end_s);
             let mut t_idle = end_s;
             while t_idle <= tail + 10.0 {
@@ -279,23 +264,10 @@ proptest! {
     }
 }
 
-/// The four ways a run can be traced: no tracer, head sampling off,
-/// every trace recorded, and recording that starts at a fault.
-fn trace_modes(seed: u64) -> [Option<Arc<Tracer>>; 4] {
-    let tracer = |sample_rate, sample_on_fault| {
-        let config = TraceConfig {
-            sample_rate,
-            sample_on_fault,
-            ring_capacity: 64,
-        };
-        Some(Arc::new(Tracer::new(seed, config)))
-    };
-    [
-        None,
-        tracer(0.0, false),
-        tracer(1.0, true),
-        tracer(0.0, true),
-    ]
+/// The two ways a run can be traced: no tracer, and every trace
+/// recorded.
+fn trace_modes(seed: u64) -> [Option<Arc<Tracer>>; 2] {
+    [None, Some(Arc::new(Tracer::new(seed, 64)))]
 }
 
 type Cells = Vec<(String, i64, String, u64)>;
@@ -316,7 +288,6 @@ fn cells(db: &Database) -> Cells {
 /// through `registry`.
 fn traced_shipper_run(
     case: &Case,
-    spill_capacity: u64,
     tracer: Option<Arc<Tracer>>,
     registry: Arc<Registry>,
 ) -> (ShipperStats, Vec<ShipOutcome>, Cells) {
@@ -334,9 +305,7 @@ fn traced_shipper_run(
     )
     .with_obs(registry)
     .with_fault_schedule(fault.clone())
-    .with_resilience(ResilienceConfig {
-        spill_capacity_values: spill_capacity,
-    });
+    .with_resilience();
     let mut outcomes = Vec::new();
     let mut value_seed = case.seed;
     let mut t = 0.0;
@@ -403,10 +372,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(trace_cases()))]
 
     /// Tracing is observationally invisible: whether no tracer is
-    /// attached, head sampling is off, every trace is recorded, or
-    /// recording starts at a fault, the resilient shipper and the quorum
-    /// coordinator keep the same ledger, return the same outcome for
-    /// every report, and store the same cells bit for bit.
+    /// attached or every trace is recorded, the resilient shipper and the
+    /// quorum coordinator keep the same ledger, return the same outcome
+    /// for every report, and store the same cells bit for bit.
     #[test]
     fn tracing_is_observationally_invisible(
         seed in any::<u64>(),
@@ -414,28 +382,24 @@ proptest! {
         domain in 1usize..=32,
         n_metrics in 1usize..=4,
         duration_s in 2u32..=5,
-        spill_capacity in 64u64..=4096,
         hint_capacity in 32u64..=2048,
     ) {
         let case = Case { seed, freq, domain, n_metrics, duration_s };
-        let [untraced, traced @ ..] = trace_modes(seed);
-        let plain = traced_shipper_run(&case, spill_capacity, untraced.clone(), Registry::shared());
+        let [untraced, recording] = trace_modes(seed);
+        let plain = traced_shipper_run(&case, untraced.clone(), Registry::shared());
         // No registry at all: same ledger, same outcomes, same cells.
-        let bare = traced_shipper_run(&case, spill_capacity, None, Registry::disabled());
+        let bare = traced_shipper_run(&case, None, Registry::disabled());
         prop_assert_eq!(&plain, &bare, "shipper diverged with no registry");
         let plain_repl = traced_repl_run(&case, hint_capacity, untraced);
         prop_assert!(plain.0.conserved() && plain_repl.0.conserved());
-        for (mode, tracer) in traced.into_iter().enumerate() {
-            let run =
-                traced_shipper_run(&case, spill_capacity, tracer.clone(), Registry::shared());
-            prop_assert_eq!(&plain, &run, "shipper diverged under trace mode {}", mode + 1);
-            let run = traced_repl_run(&case, hint_capacity, tracer.clone());
-            prop_assert_eq!(&plain_repl, &run, "coordinator diverged under trace mode {}", mode + 1);
-            // Both runs terminated every trace they started.
-            let tracer = tracer.expect("traced modes carry a tracer");
-            prop_assert_eq!(tracer.stats().started, tracer.stats().finished);
-            prop_assert_eq!(tracer.active_count(), 0);
-        }
+        let run = traced_shipper_run(&case, recording.clone(), Registry::shared());
+        prop_assert_eq!(&plain, &run, "shipper diverged when recording");
+        let run = traced_repl_run(&case, hint_capacity, recording.clone());
+        prop_assert_eq!(&plain_repl, &run, "coordinator diverged when recording");
+        // Both runs terminated every trace they started.
+        let tracer = recording.expect("the recording mode carries a tracer");
+        prop_assert_eq!(tracer.stats().started, tracer.stats().finished);
+        prop_assert_eq!(tracer.active_count(), 0);
     }
 }
 
@@ -446,8 +410,8 @@ proptest! {
 #[test]
 fn traced_single_write_lays_out_the_ingest_spans_per_point() {
     use pmove_tsdb::store::{MemDisk, StoreOptions};
-    let [_, _, recording, _] = trace_modes(7);
-    let tracer = recording.expect("the third mode records every trace");
+    let [_, recording] = trace_modes(7);
+    let tracer = recording.expect("the second mode records every trace");
     let registry = Registry::shared();
     registry.set_tracer(tracer.clone());
     let disk = Arc::new(MemDisk::new(7));

@@ -3,9 +3,8 @@
 //! All arithmetic is integer (`u128` intermediates), so refill is exact
 //! and bit-identical across runs: `elapsed_ns * rate` accumulates into a
 //! nanosecond-scaled credit and converts to whole tokens without drift.
-//! Besides `try_take`, the bucket can *reserve* a future token — the
-//! queue-overload policy admits a rate-limited request and parks it until
-//! the deterministic instant its token exists.
+//! Admission *reserves* a token — a rate-limited request is admitted and
+//! parked until the deterministic instant its token exists.
 
 /// Nanoseconds per virtual second.
 const NS_PER_S: u128 = 1_000_000_000;
@@ -69,8 +68,10 @@ impl TokenBucket {
         }
     }
 
-    /// Take one token at `now_ns` if available.
-    pub(crate) fn try_take(&mut self, now_ns: u64) -> bool {
+    /// Take one token at `now_ns` if available (the tests' oracle for
+    /// refill arithmetic).
+    #[cfg(test)]
+    fn try_take(&mut self, now_ns: u64) -> bool {
         self.refill(now_ns);
         if self.tokens > 0 {
             self.tokens -= 1;

@@ -27,23 +27,11 @@ impl fmt::Display for Priority {
     }
 }
 
-/// What to do with a request the tenant's token bucket cannot cover right
-/// now.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OverloadPolicy {
-    /// Refuse immediately (HTTP 429 semantics); the request is never
-    /// admitted.
-    Reject,
-    /// Admit and park in the queue until the bucket refills; the request
-    /// becomes dispatch-eligible at its deterministic token-reservation
-    /// time (and may still be shed if the queue overflows).
-    Queue,
-}
-
-/// Weighted-fair-queueing weight of [`Priority::Interactive`].
-pub(crate) const INTERACTIVE_WEIGHT: u32 = 8;
-/// Weighted-fair-queueing weight of [`Priority::Background`].
-pub(crate) const BACKGROUND_WEIGHT: u32 = 1;
+/// Serving-latency p99 objective (ns, submit -> completion). The default
+/// SLO installed over the `pmove.serve.latency_ns` histogram pages when
+/// the tail crosses it; it is one of the registry's latency bucket bounds
+/// so budget accounting is exact.
+pub const SLO_P99_NS: u64 = 5_000_000;
 
 /// Validated configuration of the serving front-end.
 #[derive(Debug, Clone)]
@@ -58,15 +46,8 @@ pub struct ServingConfig {
     /// Per-tenant bucket capacity (burst allowance).
     pub tenant_burst: u64,
     /// Per-tenant cap on requests in the layer at once (queued +
-    /// executing); exceeding it rejects regardless of policy.
+    /// executing); exceeding it rejects.
     pub tenant_cap: usize,
-    /// What happens when a tenant's bucket is empty.
-    pub overload: OverloadPolicy,
-    /// Serving-latency p99 objective (ns, submit -> completion). The
-    /// default SLO installed over the `pmove.serve.latency_ns` histogram
-    /// pages when the tail crosses it; must be one of the registry's
-    /// latency bucket bounds so budget accounting is exact.
-    pub slo_p99_ns: u64,
 }
 
 impl Default for ServingConfig {
@@ -77,8 +58,6 @@ impl Default for ServingConfig {
             tenant_rate_per_s: 50,
             tenant_burst: 100,
             tenant_cap: 64,
-            overload: OverloadPolicy::Queue,
-            slo_p99_ns: 5_000_000,
         }
     }
 }
@@ -102,9 +81,6 @@ impl ServingConfig {
         if self.tenant_cap == 0 {
             return Err(ServeError::ZeroTenantCap);
         }
-        if self.slo_p99_ns == 0 {
-            return Err(ServeError::ZeroSloThreshold);
-        }
         Ok(())
     }
 }
@@ -112,8 +88,7 @@ impl ServingConfig {
 /// Typed serving-layer failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// `queue_capacity == 0`: nothing could ever be admitted under the
-    /// queue policy.
+    /// `queue_capacity == 0`: nothing could ever be admitted.
     ZeroCapacityQueue,
     /// `max_concurrency == 0`: no dispatcher slots.
     ZeroConcurrency,
@@ -126,8 +101,6 @@ pub enum ServeError {
     },
     /// `tenant_cap == 0`: every request would be refused.
     ZeroTenantCap,
-    /// `slo_p99_ns == 0`: the latency objective would page on any sample.
-    ZeroSloThreshold,
     /// The backend failed to execute a query.
     Backend(String),
 }
@@ -142,7 +115,6 @@ impl fmt::Display for ServeError {
                 "serving config: zero-rate token bucket (rate={rate_per_s}/s, burst={burst})"
             ),
             ServeError::ZeroTenantCap => write!(f, "serving config: zero per-tenant cap"),
-            ServeError::ZeroSloThreshold => write!(f, "serving config: zero SLO threshold"),
             ServeError::Backend(e) => write!(f, "serving backend: {e}"),
         }
     }
@@ -208,15 +180,6 @@ mod tests {
             ..ServingConfig::default()
         };
         assert_eq!(cfg.validate(), Err(ServeError::ZeroTenantCap));
-    }
-
-    #[test]
-    fn zero_slo_threshold_is_rejected() {
-        let cfg = ServingConfig {
-            slo_p99_ns: 0,
-            ..ServingConfig::default()
-        };
-        assert_eq!(cfg.validate(), Err(ServeError::ZeroSloThreshold));
     }
 
     #[test]

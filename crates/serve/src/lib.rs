@@ -10,9 +10,9 @@
 //!   concurrency limit ([`ServingConfig::queue_capacity`],
 //!   [`ServingConfig::max_concurrency`]). Overflow sheds the
 //!   lowest-priority request present, never silently drops.
-//! - **Quotas** — per-tenant token buckets and an in-layer cap; the
-//!   bucket either rejects (HTTP-429 semantics) or parks the request until
-//!   its deterministic refill instant ([`OverloadPolicy`]).
+//! - **Quotas** — per-tenant token buckets and an in-layer cap; a request
+//!   the bucket cannot cover is admitted and parked until its
+//!   deterministic refill instant, and the cap rejects the rest.
 //! - **Priority scheduling** — weighted fair queueing over the
 //!   [`Priority`] classes with explicit tie-breaks, so a replay under the
 //!   same schedule is bit-identical.
@@ -34,6 +34,6 @@ mod report;
 mod sched;
 mod server;
 
-pub use config::{OverloadPolicy, Priority, ServeError, ServingConfig};
+pub use config::{Priority, ServeError, ServingConfig, SLO_P99_NS};
 pub use report::ServeReport;
 pub use server::{BackendExec, QueryBackend, QueryServer, ServeRequest};

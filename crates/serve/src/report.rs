@@ -3,25 +3,6 @@
 use crate::config::Priority;
 use std::collections::BTreeMap;
 
-/// Why a request was refused at admission (never admitted).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RejectReason {
-    /// The tenant's token bucket was empty under the `Reject` policy.
-    RateLimit,
-    /// The tenant already had `tenant_cap` requests in the layer.
-    TenantCap,
-}
-
-impl RejectReason {
-    /// Stable label for metrics and reports.
-    pub(crate) fn label(&self) -> &'static str {
-        match self {
-            RejectReason::RateLimit => "rate_limit",
-            RejectReason::TenantCap => "tenant_cap",
-        }
-    }
-}
-
 /// One shed decision: an *admitted* request dropped because the bounded
 /// queue overflowed. The invariant pinned by the fairness proptest is
 /// `priority == lowest_present` — the layer never sheds over the head of
@@ -103,7 +84,7 @@ impl LatencySummary {
 pub struct ServeReport {
     /// Requests submitted to the layer.
     pub submitted: u64,
-    /// Requests refused at admission (rate limit / tenant cap).
+    /// Requests refused at admission (tenant cap).
     pub rejected: u64,
     /// Requests admitted (queued, coalesced, or executed).
     pub admitted: u64,

@@ -5,7 +5,7 @@
 //! (request coalescing). Groups are ordered by a weighted-fair-queueing
 //! virtual clock — each priority class advances its virtual finish time
 //! by `SCALE / weight` per group, so a backlog of both classes dispatches
-//! `interactive_weight : background_weight` — with admission order
+//! [`INTERACTIVE_WEIGHT`] : [`BACKGROUND_WEIGHT`] — with admission order
 //! (`gseq`) as the tie-break, making the schedule bit-identical across
 //! replays.
 //!
@@ -21,6 +21,11 @@ use std::collections::BTreeMap;
 /// never collapse onto one virtual instant by rounding.
 const VCOST_SCALE: u128 = 1 << 40;
 
+/// Weighted-fair-queueing weight of [`Priority::Interactive`].
+const INTERACTIVE_WEIGHT: u32 = 8;
+/// Weighted-fair-queueing weight of [`Priority::Background`].
+const BACKGROUND_WEIGHT: u32 = 1;
+
 /// One admitted request waiting in the queue.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct QueuedRequest {
@@ -33,7 +38,7 @@ pub(crate) struct QueuedRequest {
     /// Virtual submit time.
     pub submit_ns: u64,
     /// Earliest virtual time the request may dispatch (its token-bucket
-    /// reservation under the queue overload policy).
+    /// reservation).
     pub eligible_ns: u64,
 }
 
@@ -99,8 +104,6 @@ pub(crate) enum AdmitOutcome {
 /// The weighted-fair admission queue.
 #[derive(Debug)]
 pub(crate) struct WfqQueue {
-    interactive_weight: u32,
-    background_weight: u32,
     capacity: usize,
     /// WFQ virtual clock: advances to the finish time of dispatched work.
     vtime: u128,
@@ -123,15 +126,9 @@ fn class_idx(p: Priority) -> usize {
 }
 
 impl WfqQueue {
-    /// Empty queue with the given class weights and request capacity.
-    pub(crate) fn new(
-        interactive_weight: u32,
-        background_weight: u32,
-        capacity: usize,
-    ) -> WfqQueue {
+    /// Empty queue with the given request capacity.
+    pub(crate) fn new(capacity: usize) -> WfqQueue {
         WfqQueue {
-            interactive_weight,
-            background_weight,
             capacity,
             vtime: 0,
             last_vfinish: [0; 2],
@@ -152,10 +149,10 @@ impl WfqQueue {
         self.len_requests == 0
     }
 
-    fn weight(&self, p: Priority) -> u32 {
+    fn weight(p: Priority) -> u32 {
         match p {
-            Priority::Interactive => self.interactive_weight,
-            Priority::Background => self.background_weight,
+            Priority::Interactive => INTERACTIVE_WEIGHT,
+            Priority::Background => BACKGROUND_WEIGHT,
         }
     }
 
@@ -163,7 +160,7 @@ impl WfqQueue {
     fn position(&mut self, p: Priority) -> u128 {
         let idx = class_idx(p);
         let vstart = self.vtime.max(self.last_vfinish[idx]);
-        let vfinish = vstart + VCOST_SCALE / u128::from(self.weight(p));
+        let vfinish = vstart + VCOST_SCALE / u128::from(Self::weight(p));
         self.last_vfinish[idx] = vfinish;
         vfinish
     }
@@ -290,12 +287,15 @@ mod tests {
 
     #[test]
     fn weighted_interleave_is_deterministic() {
-        // Backlog of both classes at weights 2:1 dispatches two
-        // interactive groups per background group.
-        let mut q = WfqQueue::new(2, 1, 64);
-        for i in 0..6 {
+        // Backlog of both classes at weights 8:1 dispatches eight
+        // interactive groups per background group; at equal virtual
+        // finish the earlier admission goes first (bg-0 before int-7).
+        let mut q = WfqQueue::new(64);
+        for i in 0..10 {
             q.admit(&format!("int-{i}"), req(i, Priority::Interactive));
-            q.admit(&format!("bg-{i}"), req(100 + i, Priority::Background));
+            if i < 3 {
+                q.admit(&format!("bg-{i}"), req(100 + i, Priority::Background));
+            }
         }
         let mut order = Vec::new();
         while let Some(g) = q.pop_eligible(0) {
@@ -304,15 +304,15 @@ mod tests {
         assert_eq!(
             order,
             vec![
-                "int-0", "bg-0", "int-1", "int-2", "bg-1", "int-3", "int-4", "bg-2", "int-5",
-                "bg-3", "bg-4", "bg-5"
+                "int-0", "int-1", "int-2", "int-3", "int-4", "int-5", "int-6", "bg-0", "int-7",
+                "int-8", "int-9", "bg-1", "bg-2"
             ]
         );
     }
 
     #[test]
     fn identical_keys_coalesce_into_one_group() {
-        let mut q = WfqQueue::new(8, 1, 64);
+        let mut q = WfqQueue::new(64);
         q.admit("panel", req(0, Priority::Interactive));
         q.admit("panel", req(1, Priority::Interactive));
         q.admit("other", req(2, Priority::Interactive));
@@ -325,7 +325,7 @@ mod tests {
 
     #[test]
     fn interactive_join_promotes_a_background_group() {
-        let mut q = WfqQueue::new(8, 1, 64);
+        let mut q = WfqQueue::new(64);
         q.admit("export", req(0, Priority::Background));
         q.admit("refresh-a", req(1, Priority::Interactive));
         q.admit("refresh-b", req(2, Priority::Interactive));
@@ -347,7 +347,7 @@ mod tests {
 
     #[test]
     fn full_queue_sheds_lowest_priority_latest_first() {
-        let mut q = WfqQueue::new(8, 1, 3);
+        let mut q = WfqQueue::new(3);
         q.admit("a", req(0, Priority::Interactive));
         q.admit("b", req(1, Priority::Background));
         q.admit("c", req(2, Priority::Background));
@@ -376,7 +376,7 @@ mod tests {
 
     #[test]
     fn eligibility_defers_dispatch() {
-        let mut q = WfqQueue::new(8, 1, 8);
+        let mut q = WfqQueue::new(8);
         let mut r = req(0, Priority::Interactive);
         r.eligible_ns = 500;
         q.admit("later", r);
@@ -388,7 +388,7 @@ mod tests {
     #[test]
     fn replay_is_bit_identical() {
         let run = || {
-            let mut q = WfqQueue::new(5, 2, 6);
+            let mut q = WfqQueue::new(6);
             let mut log = Vec::new();
             for i in 0..40u64 {
                 let p = if i % 3 == 0 {

@@ -10,8 +10,8 @@
 //! both lean on.
 
 use crate::bucket::TokenBucket;
-use crate::config::{OverloadPolicy, Priority, ServeError, ServingConfig};
-use crate::report::{LatencySummary, RejectReason, ServeReport, ShedEvent};
+use crate::config::{Priority, ServeError, ServingConfig};
+use crate::report::{LatencySummary, ServeReport, ShedEvent};
 use crate::sched::{AdmitOutcome, QueuedRequest, WfqQueue};
 use pmove_obs::{latency_buckets, Registry};
 use pmove_tsdb::{Database, ExecMode, Query, ReplicaSet, TsdbError};
@@ -193,11 +193,7 @@ impl<B: QueryBackend> QueryServer<B> {
             next_eseq += 1;
         }
 
-        let mut queue = WfqQueue::new(
-            crate::config::INTERACTIVE_WEIGHT,
-            crate::config::BACKGROUND_WEIGHT,
-            self.cfg.queue_capacity,
-        );
+        let mut queue = WfqQueue::new(self.cfg.queue_capacity);
         let mut buckets: BTreeMap<u32, TokenBucket> = BTreeMap::new();
         let mut in_layer: BTreeMap<u32, usize> = BTreeMap::new();
         let mut in_flight: BTreeMap<String, InFlight> = BTreeMap::new();
@@ -242,24 +238,15 @@ impl<B: QueryBackend> QueryServer<B> {
 
                     let occupancy = in_layer.get(&req.tenant).copied().unwrap_or(0);
                     if occupancy >= self.cfg.tenant_cap {
-                        self.reject(&mut report, req.tenant, RejectReason::TenantCap);
+                        self.reject(&mut report, req.tenant);
                         continue;
                     }
                     let bucket = buckets.entry(req.tenant).or_insert_with(|| {
                         TokenBucket::new(self.cfg.tenant_rate_per_s, self.cfg.tenant_burst)
                     });
-                    let eligible_ns = match self.cfg.overload {
-                        OverloadPolicy::Reject => {
-                            if !bucket.try_take(now) {
-                                self.reject(&mut report, req.tenant, RejectReason::RateLimit);
-                                continue;
-                            }
-                            now
-                        }
-                        // Reserve the next token: admit now, dispatch no
-                        // earlier than the deterministic refill instant.
-                        OverloadPolicy::Queue => bucket.reserve(now),
-                    };
+                    // Reserve the next token: admit now, dispatch no
+                    // earlier than the deterministic refill instant.
+                    let eligible_ns = bucket.reserve(now);
 
                     report.admitted += 1;
                     let stats = report.per_tenant.entry(req.tenant).or_default();
@@ -500,10 +487,12 @@ impl<B: QueryBackend> QueryServer<B> {
         }
     }
 
-    fn reject(&self, report: &mut ServeReport, tenant: u32, reason: RejectReason) {
+    /// Refuse a request at admission: the tenant already has
+    /// `tenant_cap` requests in the layer.
+    fn reject(&self, report: &mut ServeReport, tenant: u32) {
         report.rejected += 1;
         report.per_tenant.entry(tenant).or_default().rejected += 1;
-        self.count("pmove.serve.rejected_total", &[("reason", reason.label())]);
+        self.count("pmove.serve.rejected_total", &[("reason", "tenant_cap")]);
     }
 
     fn shed(
@@ -714,38 +703,7 @@ mod tests {
     }
 
     #[test]
-    fn reject_policy_refuses_over_rate_traffic() {
-        let db = db();
-        let cfg = ServingConfig {
-            overload: OverloadPolicy::Reject,
-            tenant_rate_per_s: 10,
-            tenant_burst: 2,
-            ..ServingConfig::default()
-        };
-        let mut srv = QueryServer::new(&db, cfg).unwrap();
-        // Five submissions in one instant against burst 2: three rejected.
-        let schedule: Vec<ServeRequest> = (0..5u64)
-            .map(|i| {
-                req(
-                    0,
-                    Priority::Interactive,
-                    &format!(
-                        "SELECT mean(\"busy\") FROM \"cpu\" WHERE time >= {}",
-                        i * 1_000_000_000
-                    ),
-                    100,
-                )
-            })
-            .collect();
-        let report = srv.run(&schedule).unwrap();
-        assert!(report.conserved());
-        assert_eq!(report.rejected, 3);
-        assert_eq!(report.admitted, 2);
-        assert_eq!(report.served, 2);
-    }
-
-    #[test]
-    fn tenant_cap_rejects_regardless_of_policy() {
+    fn tenant_cap_rejects_over_cap_traffic() {
         let db = db();
         let cfg = ServingConfig {
             tenant_cap: 2,

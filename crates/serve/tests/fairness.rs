@@ -9,7 +9,7 @@
 //! Case count defaults to 192 and is raised in CI's serving job via the
 //! `PMOVE_SERVE_CASES` environment variable.
 
-use pmove_serve::{OverloadPolicy, Priority, QueryServer, ServeRequest, ServingConfig};
+use pmove_serve::{Priority, QueryServer, ServeRequest, ServingConfig};
 use pmove_tsdb::{Database, Point};
 use proptest::prelude::*;
 use proptest::StrategyExt;
@@ -60,22 +60,16 @@ fn arrival() -> impl Strategy<Value = Arrival> {
 /// deferral, and tenant caps — not just the happy path.
 fn config() -> impl Strategy<Value = ServingConfig> {
     (
-        (2usize..10, 1usize..4, 1u64..200),  // queue, concurrency, rate
-        (1u64..6, 1usize..8, any::<bool>()), // burst, cap, policy
+        (2usize..10, 1usize..4, 1u64..200), // queue, concurrency, rate
+        (1u64..6, 1usize..8),               // burst, cap
     )
         .prop_map(
-            |((queue_capacity, max_concurrency, rate), (burst, cap, reject))| ServingConfig {
+            |((queue_capacity, max_concurrency, rate), (burst, cap))| ServingConfig {
                 queue_capacity,
                 max_concurrency,
                 tenant_rate_per_s: rate,
                 tenant_burst: burst,
                 tenant_cap: cap,
-                overload: if reject {
-                    OverloadPolicy::Reject
-                } else {
-                    OverloadPolicy::Queue
-                },
-                ..ServingConfig::default()
             },
         )
 }

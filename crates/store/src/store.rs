@@ -8,7 +8,8 @@
 //! cells it is frozen into a compressed chunk ([`crate::chunk`]) and the
 //! WAL is truncated. Compaction merges
 //! every live chunk last-write-wins and drops rows older than the
-//! retention cutoff, which is how `RetentionPolicy` finally reaches disk.
+//! retention cutoff, which is how the database's retention keep reaches
+//! disk.
 //! Flush, compaction and scan are the same block merge
 //! ([`crate::merge`]) with a different sink.
 //!

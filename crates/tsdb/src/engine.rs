@@ -17,7 +17,6 @@ use crate::exec::{self, ExecMode, ExecStats};
 use crate::line_protocol::{parse_series_key, render_series_key};
 use crate::point::Point;
 use crate::query::{Frame, Query, QueryResult};
-use crate::retention::RetentionPolicy;
 use crate::rollup::{RollupAudit, RollupConfig, RollupStore, RollupTickReport};
 use crate::series::SeriesKey;
 use crate::storage::Storage;
@@ -189,7 +188,9 @@ impl EngineObs {
 pub struct Database {
     name: String,
     storage: RwLock<Storage>,
-    retention: Mutex<Vec<RetentionPolicy>>,
+    /// How long data is kept, in timestamp units; `None` keeps
+    /// everything (InfluxDB's `autogen`).
+    retention: Mutex<Option<i64>>,
     hub: SubscriptionHub,
     obs: EngineObs,
     /// Durable storage engine; `None` for a memory-only database.
@@ -208,8 +209,8 @@ pub struct Database {
 }
 
 impl Database {
-    /// Create a database with the default infinite `autogen` retention
-    /// policy.
+    /// Create a database that keeps everything until
+    /// [`Database::set_retention`].
     pub fn new(name: impl Into<String>) -> Self {
         Database::with_obs(name, Registry::disabled())
     }
@@ -221,7 +222,7 @@ impl Database {
         Database {
             name: name.into(),
             storage: RwLock::new(Storage::new()),
-            retention: Mutex::new(vec![RetentionPolicy::infinite("autogen")]),
+            retention: Mutex::new(None),
             hub: SubscriptionHub::new(),
             obs: EngineObs::new(registry),
             store: None,
@@ -858,25 +859,26 @@ impl Database {
         self.cache.lock().len()
     }
 
-    /// Register a retention policy.
-    pub fn add_retention_policy(&self, policy: RetentionPolicy) {
-        self.retention.lock().push(policy);
+    /// Keep the last `keep` timestamp units of data from now on (the
+    /// paper's §V-B InfluxDB retention policy); replaces any earlier
+    /// keep. A non-positive `keep` is refused and changes nothing.
+    pub fn set_retention(&self, keep: i64) -> Result<(), TsdbError> {
+        if keep <= 0 {
+            return Err(TsdbError::InvalidRetention(keep));
+        }
+        *self.retention.lock() = Some(keep);
+        Ok(())
     }
 
-    /// Enforce the tightest retention policy at virtual time `now`:
-    /// expired rows are dropped from in-memory storage AND, when a store
+    /// Enforce the retention keep at virtual time `now`: rows older than
+    /// `now - keep` are dropped from in-memory storage AND, when a store
     /// is attached, expired cells are compacted out of the on-disk chunk
     /// set. Returns rows removed from memory.
     pub fn enforce_retention(&self, now: i64) -> Result<usize, TsdbError> {
-        let cutoff = self
-            .retention
-            .lock()
-            .iter()
-            .filter_map(|p| p.cutoff(now))
-            .max();
-        let Some(cutoff) = cutoff else {
+        let Some(keep) = *self.retention.lock() else {
             return Ok(0);
         };
+        let cutoff = now.saturating_sub(keep);
         let removed = self.storage.write().drop_before(cutoff);
         if removed > 0 {
             self.bump_all_versions();
@@ -991,13 +993,20 @@ mod tests {
     #[test]
     fn retention_enforcement() {
         let db = Database::new("test");
-        db.add_retention_policy(RetentionPolicy::keep("short", 10));
         for t in 0..20 {
             db.write_point(pt(t, 1.0)).unwrap();
         }
-        let removed = db.enforce_retention(20).unwrap();
-        assert_eq!(removed, 10);
+        assert_eq!(db.enforce_retention(20).unwrap(), 0, "keeps everything");
+        assert_eq!(db.set_retention(0), Err(TsdbError::InvalidRetention(0)));
+        assert!(db.set_retention(-1).is_err());
+        db.set_retention(15).unwrap();
+        assert_eq!(db.enforce_retention(20).unwrap(), 5);
+        // A later, shorter keep replaces the first.
+        db.set_retention(10).unwrap();
+        assert_eq!(db.enforce_retention(20).unwrap(), 5);
         assert_eq!(db.total_rows(), 10);
+        // The cutoff saturates instead of wrapping.
+        assert_eq!(db.enforce_retention(i64::MIN + 1).unwrap(), 0);
     }
 
     #[test]
@@ -1095,7 +1104,7 @@ mod tests {
             compact_min_chunks: 1_000_000,
         };
         let (db, _) = Database::open("test", vfs.clone(), opts).unwrap();
-        db.add_retention_policy(RetentionPolicy::keep("short", 10));
+        db.set_retention(10).unwrap();
         for t in 0..20 {
             db.write_point(pt(t, t as f64)).unwrap();
         }

@@ -24,6 +24,8 @@ pub enum TsdbError {
     /// typed cause is preserved so callers can distinguish "nothing to
     /// restore" from "backup bytes are damaged".
     Backup(pmove_store::BackupError),
+    /// A retention keep duration that is not positive.
+    InvalidRetention(i64),
 }
 
 impl From<pmove_store::StoreError> for TsdbError {
@@ -48,6 +50,9 @@ impl fmt::Display for TsdbError {
             TsdbError::Storage(msg) => write!(f, "storage engine error: {msg}"),
             TsdbError::Replication(msg) => write!(f, "replication error: {msg}"),
             TsdbError::Backup(e) => write!(f, "backup error: {e}"),
+            TsdbError::InvalidRetention(keep) => {
+                write!(f, "retention keep must be positive, got {keep}")
+            }
         }
     }
 }

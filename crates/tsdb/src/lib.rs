@@ -16,7 +16,7 @@
 //!   by a write-invalidated LRU query-result cache and continuous-query
 //!   rollup tiers;
 //! * **replica sets** with quorum configuration and Merkle anti-entropy
-//!   ([`repl`]), **retention policies**, **live subscriptions** feeding
+//!   ([`repl`]), **retention**, **live subscriptions** feeding
 //!   dashboards ([`subscribe`]), JSON measurement **snapshots**
 //!   ([`snapshot`]) and the self-metrics exporter ([`self_export`]).
 //!
@@ -65,7 +65,6 @@ pub mod line_protocol;
 mod point;
 pub mod query;
 pub mod repl;
-mod retention;
 mod rollup;
 pub mod self_export;
 mod series;
@@ -86,7 +85,6 @@ pub use exec::ExecMode;
 pub use point::Point;
 pub use query::{Frame, Query, QueryResult};
 pub use repl::ReplicaSet;
-pub use retention::RetentionPolicy;
 pub use rollup::RollupConfig;
 pub use self_export::export_snapshot;
 pub use series::SeriesKey;

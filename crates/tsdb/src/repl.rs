@@ -171,9 +171,6 @@ pub struct ReplConfig {
     /// Field values a single replica's hint queue may hold before
     /// drop-oldest eviction (0 disables hinted handoff).
     pub hint_capacity_values: u64,
-    /// Consecutive missed heartbeats before the coordinator quarantines a
-    /// replica (and fails over if it was the primary).
-    pub heartbeat_miss_limit: u32,
 }
 
 impl Default for ReplConfig {
@@ -183,14 +180,12 @@ impl Default for ReplConfig {
             write_quorum: 2,
             read_quorum: 2,
             hint_capacity_values: 4096,
-            heartbeat_miss_limit: 3,
         }
     }
 }
 
 impl ReplConfig {
-    /// Validate quorum arithmetic: `1 <= W,R <= RF` and a positive miss
-    /// limit. (W + R > RF gives read-your-writes after repair; smaller
+    /// Validate quorum arithmetic: `1 <= W,R <= RF`. (W + R > RF gives read-your-writes after repair; smaller
     /// quorums are legal but only eventually consistent, so the default
     /// keeps W + R = 4 > 3 = RF.)
     pub(crate) fn validate(&self) -> Result<(), TsdbError> {
@@ -208,9 +203,6 @@ impl ReplConfig {
         }
         if self.read_quorum == 0 || self.read_quorum > self.replication_factor {
             return bad("read_quorum", self.read_quorum);
-        }
-        if self.heartbeat_miss_limit == 0 {
-            return bad("heartbeat_miss_limit", 0);
         }
         Ok(())
     }

@@ -103,7 +103,7 @@ pub fn export_snapshot(db: &Database, snap: &Snapshot, t_ns: i64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmove_obs::{Registry, Span, TraceConfig, Tracer};
+    use pmove_obs::{Registry, Span, Tracer};
     use std::sync::Arc;
 
     fn filled_registry() -> Registry {
@@ -164,7 +164,7 @@ mod tests {
         }
         reg.record_span("stage", 0, 900_000);
         // A recording span tags what it observes with its trace id.
-        let tracer = Arc::new(Tracer::new(1, TraceConfig::default()));
+        let tracer = Arc::new(Tracer::new(1, 256));
         let span = Span::root(Some(&tracer), "sample", 0);
         span.observe(
             &reg.histogram("tsdb.ingest_ns", &[], pmove_obs::latency_buckets()),

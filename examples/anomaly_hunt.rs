@@ -74,7 +74,9 @@ fn main() {
     }
 
     // Retention keeps the fleet's storage bounded.
-    let removed = cluster.enforce_retention(15_000_000_000);
+    let removed = cluster
+        .enforce_retention(15_000_000_000)
+        .expect("a positive keep duration");
     println!(
         "retention removed {} old rows across the fleet",
         removed.iter().map(|(_, n)| n).sum::<usize>()

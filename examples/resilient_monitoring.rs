@@ -14,7 +14,6 @@
 use pmove::core::telemetry::Cluster;
 use pmove::core::PMoveDaemon;
 use pmove::hwsim::{FaultKind, FaultSchedule};
-use pmove::pcp::ResilienceConfig;
 
 fn main() {
     // A 15 s link outage and a deep brown-out inside a 60 s window.
@@ -27,7 +26,7 @@ fn main() {
     // Default (paper-mode) transport under the same faults: whatever the
     // outage swallows is gone.
     let mut plain = PMoveDaemon::for_preset("icl").expect("preset machine");
-    let report = plain.monitor_resilient(60.0, 2.0, None, Some(faults()));
+    let report = plain.monitor_resilient(60.0, 2.0, false, Some(faults()));
     println!("== default transport ==");
     println!(
         "offered {} inserted {} lost {}",
@@ -39,8 +38,7 @@ fn main() {
     // Self-healing transport: spill during the outage, drain after it,
     // mark the gap.
     let mut daemon = PMoveDaemon::for_preset("icl").expect("preset machine");
-    let report =
-        daemon.monitor_resilient(60.0, 2.0, Some(ResilienceConfig::default()), Some(faults()));
+    let report = daemon.monitor_resilient(60.0, 2.0, true, Some(faults()));
     println!("\n== resilient transport ==");
     println!(
         "offered {} inserted {} lost {} recovered {} gap markers {} conserved {}",
@@ -76,10 +74,9 @@ fn main() {
     // keep inserting, SUPERDB annotates the staleness.
     println!("\n== cluster failover ==");
     let mut cluster = Cluster::from_presets(&["icl", "csl", "zen3"]).expect("presets");
-    cluster.heartbeat_miss_limit = 2;
     cluster.monitor_all(10.0, 1.0);
     cluster.kill_node("csl");
-    for _ in 0..2 {
+    for _ in 0..3 {
         cluster.monitor_all(10.0, 1.0);
     }
     for h in cluster.node_health() {

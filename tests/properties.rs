@@ -68,18 +68,6 @@ proptest! {
             prop_assert_eq!(got, expected);
         }
     }
-
-    /// $inc is additive: applying n increments of d equals one of n*d.
-    #[test]
-    fn docdb_inc_additive(n in 1usize..10, d in -100i64..100) {
-        let col = pmove::docdb::Database::new("prop").collection("prop");
-        col.insert_one(json!({"_id": "x", "v": 0})).unwrap();
-        for _ in 0..n {
-            col.update_many(&json!({"_id": "x"}), &json!({"$inc": {"v": d}})).unwrap();
-        }
-        let doc = col.find_one(&json!({"_id": "x"})).unwrap().unwrap();
-        prop_assert_eq!(doc["v"].as_f64().unwrap(), (n as i64 * d) as f64);
-    }
 }
 
 // ---------------------------------------------------------------------
