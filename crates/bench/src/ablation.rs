@@ -20,17 +20,17 @@ use pmove_spmv::suite::SuiteMatrix;
 
 /// Loss behaviour of the skx 32 Hz × 6-metric cell at one capacity.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CapacityPoint {
+pub(crate) struct CapacityPoint {
     /// Shipper capacity in values/s.
-    pub capacity: f64,
+    pub(crate) capacity: f64,
     /// %L of the cell.
-    pub loss_pct: f64,
+    pub(crate) loss_pct: f64,
     /// L+Z% of the cell.
-    pub loss_plus_zero_pct: f64,
+    pub(crate) loss_plus_zero_pct: f64,
 }
 
 /// Sweep the end-to-end capacity and re-run the hottest Table III cell.
-pub fn capacity_sweep(capacities: &[f64]) -> Vec<CapacityPoint> {
+pub(crate) fn capacity_sweep(capacities: &[f64]) -> Vec<CapacityPoint> {
     use pmove_hwsim::network::LinkSpec;
     use pmove_hwsim::{ExecModel, Machine};
     use pmove_pcp::pmda_perfevent::PerfEventAgent;
@@ -99,7 +99,7 @@ pub fn capacity_sweep(capacities: &[f64]) -> Vec<CapacityPoint> {
 
 /// Mean absolute relative error of reading a true count of 1e6 through a
 /// 4-counter bank programmed with `n_events`, over `trials` reads.
-pub fn multiplexing_error(n_events: usize, trials: usize) -> f64 {
+pub(crate) fn multiplexing_error(n_events: usize, trials: usize) -> f64 {
     let mut bank = CounterBank::with_capacity(4);
     for i in 0..n_events {
         bank.program(&format!("EV{i}"));
@@ -121,17 +121,17 @@ pub fn multiplexing_error(n_events: usize, trials: usize) -> f64 {
 
 /// Max/mean work skew of the two partitioners on a matrix.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SkewPoint {
+pub(crate) struct SkewPoint {
     /// Worker count.
-    pub workers: usize,
+    pub(crate) workers: usize,
     /// Row-chunk skew (max/mean of nnz per chunk).
-    pub row_skew: f64,
+    pub(crate) row_skew: f64,
     /// Merge-path skew (max/mean of path elements per partition).
-    pub merge_skew: f64,
+    pub(crate) merge_skew: f64,
 }
 
 /// Sweep worker counts on the skewed `human_gene1` stand-in.
-pub fn partition_skew(workers: &[usize]) -> Vec<SkewPoint> {
+pub(crate) fn partition_skew(workers: &[usize]) -> Vec<SkewPoint> {
     let a = SuiteMatrix::HumanGene1.generate(1.0);
     workers
         .iter()

@@ -13,9 +13,9 @@ use pmove_pcp::Shipper;
 use pmove_tsdb::{Database, Point};
 
 /// Experiment duration in virtual seconds.
-pub const DURATION_S: f64 = 60.0;
+pub(crate) const DURATION_S: f64 = 60.0;
 /// Sampling frequency (samples/s).
-pub const FREQ_HZ: f64 = 4.0;
+pub(crate) const FREQ_HZ: f64 = 4.0;
 /// Instance-domain size per report (a 16-thread icl-style target).
 const DOMAIN: usize = 16;
 /// Metrics shipped per tick.
@@ -27,29 +27,29 @@ pub struct ChaosReport {
     /// Canned schedule name.
     pub schedule: String,
     /// Whether the resilient transport mode was on.
-    pub resilient: bool,
+    pub(crate) resilient: bool,
     /// Field values offered by the sampler.
-    pub offered: u64,
+    pub(crate) offered: u64,
     /// Field values acknowledged at the database (incl. zeros).
-    pub inserted: u64,
+    pub(crate) inserted: u64,
     /// Field values lost for good.
     pub lost: u64,
     /// Spilled values evicted by the bounded buffer.
     pub evicted: u64,
     /// Spilled values recovered into the database after retry.
-    pub recovered: u64,
+    pub(crate) recovered: u64,
     /// Gap-marker points written on recovery.
-    pub gap_markers: u64,
+    pub(crate) gap_markers: u64,
     /// Whether the 5-term conservation identity held.
     pub conserved: bool,
     /// Seconds after the last fault until the spill buffer drained;
     /// `None` when it never did (or there was nothing to drain).
-    pub recovery_s: Option<f64>,
+    pub(crate) recovery_s: Option<f64>,
 }
 
 impl ChaosReport {
     /// Values lost or evicted, as a percentage of offered.
-    pub fn loss_pct(&self) -> f64 {
+    pub(crate) fn loss_pct(&self) -> f64 {
         if self.offered == 0 {
             return 0.0;
         }
@@ -58,7 +58,7 @@ impl ChaosReport {
 }
 
 /// The three canned schedules of the experiment.
-pub fn canned_schedules() -> Vec<(String, FaultSchedule)> {
+pub(crate) fn canned_schedules() -> Vec<(String, FaultSchedule)> {
     vec![
         (
             // 2 s link outage every 10 s for the whole run.
@@ -109,7 +109,7 @@ pub(crate) fn report(
 }
 
 /// Run one cell: the fixed workload under `schedule`, resilient or not.
-pub fn run_cell(name: &str, schedule: FaultSchedule, resilient: bool) -> ChaosReport {
+pub(crate) fn run_cell(name: &str, schedule: FaultSchedule, resilient: bool) -> ChaosReport {
     let db = Database::new("host");
     let mode = if resilient { "on" } else { "off" };
     let mut shipper = Shipper::new(

@@ -19,23 +19,23 @@ use pmove_tsdb::{Database, Query};
 
 /// Elements per kernel run (large enough that runs span multiple sampling
 /// windows even at low frequency).
-pub const N: u64 = 1 << 33;
+pub(crate) const N: u64 = 1 << 33;
 /// Threads the kernels run with.
-pub const THREADS: u32 = 4;
+pub(crate) const THREADS: u32 = 4;
 
 /// Measured errors for one (machine, frequency, kernel) cell.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ErrCell {
+pub(crate) struct ErrCell {
     /// Machine key.
-    pub machine: String,
+    pub(crate) machine: String,
     /// Sampling frequency.
-    pub freq: f64,
+    pub(crate) freq: f64,
     /// Kernel name.
-    pub kernel: String,
+    pub(crate) kernel: String,
     /// Relative FLOP-count error in percent (positive = overcount).
-    pub flops_err_pct: f64,
+    pub(crate) flops_err_pct: f64,
     /// Relative byte-volume error in percent.
-    pub bytes_err_pct: f64,
+    pub(crate) bytes_err_pct: f64,
 }
 
 /// Events carrying (flops, loads, stores) per vendor.
@@ -55,7 +55,7 @@ fn events_for(machine: &Machine) -> (&'static str, &'static str, &'static str) {
 }
 
 /// Measure one cell.
-pub fn measure(machine_key: &str, freq: f64, kernel: StreamKernel) -> ErrCell {
+pub(crate) fn measure(machine_key: &str, freq: f64, kernel: StreamKernel) -> ErrCell {
     let machine = Machine::preset(machine_key).expect("known machine");
     let (flop_ev, load_ev, store_ev) = events_for(&machine);
     let events = [flop_ev, load_ev, store_ev];
@@ -105,15 +105,15 @@ pub fn measure(machine_key: &str, freq: f64, kernel: StreamKernel) -> ErrCell {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ErrSummary {
     /// Machine key.
-    pub machine: String,
+    pub(crate) machine: String,
     /// Sampling frequency.
-    pub freq: f64,
+    pub(crate) freq: f64,
     /// Mean FLOPs error (%).
-    pub mean_flops_err_pct: f64,
+    pub(crate) mean_flops_err_pct: f64,
     /// Mean bytes error (%).
-    pub mean_bytes_err_pct: f64,
+    pub(crate) mean_bytes_err_pct: f64,
     /// Mean |error| across both metrics (%).
-    pub mean_abs_err_pct: f64,
+    pub(crate) mean_abs_err_pct: f64,
 }
 
 /// Run the full sweep.

@@ -13,33 +13,38 @@ use pmove_hwsim::{ExecModel, Machine};
 use pmove_kernels::StreamKernel;
 
 /// Repetitions per configuration (the paper uses 5).
-pub const REPS: usize = 5;
+pub(crate) const REPS: usize = 5;
 /// Elements per kernel run.
-pub const N: u64 = 1 << 31;
+pub(crate) const N: u64 = 1 << 31;
 
 /// Overhead of one (kernel, frequency) cell, in percent.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OverheadCell {
     /// Kernel name.
-    pub kernel: String,
+    pub(crate) kernel: String,
     /// Sampling frequency.
-    pub freq: f64,
+    pub(crate) freq: f64,
     /// Mean run time without sampling (s).
-    pub base_s: f64,
+    pub(crate) base_s: f64,
     /// Mean run time with sampling (s).
-    pub sampled_s: f64,
+    pub(crate) sampled_s: f64,
 }
 
 impl OverheadCell {
     /// Overhead in percent (can be negative).
-    pub fn overhead_pct(&self) -> f64 {
+    pub(crate) fn overhead_pct(&self) -> f64 {
         100.0 * (self.sampled_s - self.base_s) / self.base_s
     }
 }
 
 /// Measure one cell on a machine. Distinct noise streams per repetition
 /// model independent runs.
-pub fn measure(machine: &Machine, kernel: StreamKernel, freq: f64, rep_seed: u64) -> OverheadCell {
+pub(crate) fn measure(
+    machine: &Machine,
+    kernel: StreamKernel,
+    freq: f64,
+    rep_seed: u64,
+) -> OverheadCell {
     let model = ExecModel::new(machine.spec.clone());
     let profile = stream_kernel_profile(
         kernel,

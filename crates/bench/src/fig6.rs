@@ -9,7 +9,7 @@ use pmove_pcp::resource::{agent_costs, host_disk_busy, usage, AgentUsage};
 /// 40 singular + 3 per-cpu (88 instances) + 4 per-node + 3 per-disk
 /// metrics ≈ 320 values, matching the reported 15 937 data points per
 /// 50-metric sweep cycle.
-pub fn values_per_report(spec: &MachineSpec) -> u64 {
+pub(crate) fn values_per_report(spec: &MachineSpec) -> u64 {
     40 + 3 * spec.total_threads() as u64 + 4 * spec.sockets as u64 + 3 * spec.disks.len() as u64
 }
 
@@ -17,13 +17,13 @@ pub fn values_per_report(spec: &MachineSpec) -> u64 {
 #[derive(Debug, Clone, PartialEq)]
 pub struct UsageRow {
     /// Agent name.
-    pub agent: String,
+    pub(crate) agent: String,
     /// Sampling frequency (reports/s).
-    pub freq: f64,
+    pub(crate) freq: f64,
     /// Usage numbers.
-    pub usage: AgentUsage,
+    pub(crate) usage: AgentUsage,
     /// Host-disk busy fraction caused.
-    pub disk_busy: f64,
+    pub(crate) disk_busy: f64,
 }
 
 /// Run the sweep on skx for the given frequencies.

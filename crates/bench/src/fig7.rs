@@ -18,45 +18,45 @@ use pmove_spmv::suite::SuiteMatrix;
 
 /// One execution's recalled metrics.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ExecRow {
+pub(crate) struct ExecRow {
     /// Matrix name.
-    pub matrix: String,
+    pub(crate) matrix: String,
     /// Algorithm label.
-    pub algo: String,
+    pub(crate) algo: String,
     /// Reordering label.
-    pub reorder: String,
+    pub(crate) reorder: String,
     /// Execution duration (s).
-    pub duration_s: f64,
+    pub(crate) duration_s: f64,
     /// Scalar double FP instructions recalled.
-    pub scalar_instr: f64,
+    pub(crate) scalar_instr: f64,
     /// AVX-512 double FP instructions recalled.
-    pub avx512_instr: f64,
+    pub(crate) avx512_instr: f64,
     /// Total memory operations recalled.
-    pub mem_ops: f64,
+    pub(crate) mem_ops: f64,
     /// Mean package power (W).
-    pub power_w: f64,
+    pub(crate) power_w: f64,
 }
 
 /// The whole experiment output.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig7Result {
     /// Per-execution rows (matrix × algorithm × reorder).
-    pub rows: Vec<ExecRow>,
+    pub(crate) rows: Vec<ExecRow>,
     /// Total time over all original-matrix executions.
-    pub total_original_s: f64,
+    pub(crate) total_original_s: f64,
     /// Total time over all RCM executions.
-    pub total_rcm_s: f64,
+    pub(crate) total_rcm_s: f64,
 }
 
 impl Fig7Result {
     /// RCM end-to-end improvement in percent.
-    pub fn rcm_improvement_pct(&self) -> f64 {
+    pub(crate) fn rcm_improvement_pct(&self) -> f64 {
         100.0 * (self.total_original_s - self.total_rcm_s) / self.total_original_s
     }
 }
 
 /// Generic events captured (the Fig. 7 panel set).
-pub const EVENTS: [&str; 4] = [
+pub(crate) const EVENTS: [&str; 4] = [
     "SCALAR_DP_INSTRUCTIONS",
     "AVX512_DP_INSTRUCTIONS",
     "TOTAL_MEMORY_OPERATIONS",

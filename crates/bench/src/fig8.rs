@@ -17,37 +17,26 @@ use pmove_spmv::suite::SuiteMatrix;
 
 /// One phase of the Fig. 8 panel (the colored squares in the paper).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Phase {
+pub(crate) struct Phase {
     /// Algorithm label (`mkl` / `merge`).
-    pub algo: String,
+    pub(crate) algo: String,
     /// Reordering label (`none` / `rcm`).
-    pub reorder: String,
+    pub(crate) reorder: String,
     /// Live-CARM trajectory of this phase.
-    pub points: Vec<LiveCarmPoint>,
+    pub(crate) points: Vec<LiveCarmPoint>,
     /// Mean achieved GFLOP/s over the phase.
-    pub mean_gflops: f64,
+    pub(crate) mean_gflops: f64,
     /// Mean arithmetic intensity over the phase.
-    pub mean_ai: f64,
+    pub(crate) mean_ai: f64,
 }
 
 /// Experiment output: the CARM plus the four phases.
 #[derive(Debug, Clone)]
 pub struct Fig8Result {
     /// The constructed CARM of the target.
-    pub carm: CarmModel,
+    pub(crate) carm: CarmModel,
     /// The four execution phases.
-    pub phases: Vec<Phase>,
-}
-
-impl Fig8Result {
-    /// Mean GFLOP/s of one (algo, reorder) phase.
-    pub fn gflops_of(&self, algo: &str, reorder: &str) -> f64 {
-        self.phases
-            .iter()
-            .find(|p| p.algo == algo && p.reorder == reorder)
-            .map(|p| p.mean_gflops)
-            .unwrap_or(0.0)
-    }
+    pub(crate) phases: Vec<Phase>,
 }
 
 /// Run the experiment at a matrix scale.
@@ -118,23 +107,30 @@ mod tests {
         CACHE.get_or_init(|| run(2.0))
     }
 
+    /// Mean GFLOP/s of one (algo, reorder) phase.
+    fn gflops(algo: &str, reorder: &str) -> f64 {
+        let phases = &result().phases;
+        let p = phases
+            .iter()
+            .find(|p| p.algo == algo && p.reorder == reorder);
+        p.expect("phase exists").mean_gflops
+    }
+
     #[test]
     fn rcm_yields_higher_performance_per_algorithm() {
-        let r = result();
         assert!(
-            r.gflops_of("mkl", "rcm") > r.gflops_of("mkl", "none"),
+            gflops("mkl", "rcm") > gflops("mkl", "none"),
             "mkl: rcm {} vs none {}",
-            r.gflops_of("mkl", "rcm"),
-            r.gflops_of("mkl", "none")
+            gflops("mkl", "rcm"),
+            gflops("mkl", "none")
         );
-        assert!(r.gflops_of("merge", "rcm") > r.gflops_of("merge", "none"));
+        assert!(gflops("merge", "rcm") > gflops("merge", "none"));
     }
 
     #[test]
     fn mkl_above_merge() {
-        let r = result();
-        assert!(r.gflops_of("mkl", "none") > r.gflops_of("merge", "none"));
-        assert!(r.gflops_of("mkl", "rcm") > r.gflops_of("merge", "rcm"));
+        assert!(gflops("mkl", "none") > gflops("merge", "none"));
+        assert!(gflops("mkl", "rcm") > gflops("merge", "rcm"));
     }
 
     #[test]

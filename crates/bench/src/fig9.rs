@@ -18,36 +18,26 @@ use pmove_kernels::StreamKernel;
 
 /// One benchmark's live-CARM characterization.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BenchPhase {
+pub(crate) struct BenchPhase {
     /// Kernel name.
-    pub kernel: String,
+    pub(crate) kernel: String,
     /// Theoretical AI (ground truth).
-    pub theoretical_ai: f64,
+    pub(crate) theoretical_ai: f64,
     /// Mean live AI captured by the panel.
-    pub live_ai: f64,
+    pub(crate) live_ai: f64,
     /// Mean live GFLOP/s.
-    pub live_gflops: f64,
+    pub(crate) live_gflops: f64,
     /// Trajectory points.
-    pub points: Vec<LiveCarmPoint>,
+    pub(crate) points: Vec<LiveCarmPoint>,
 }
 
 /// Experiment output.
 #[derive(Debug, Clone)]
 pub struct Fig9Result {
     /// The constructed CARM.
-    pub carm: CarmModel,
+    pub(crate) carm: CarmModel,
     /// One phase per benchmark.
-    pub phases: Vec<BenchPhase>,
-}
-
-impl Fig9Result {
-    /// Look up one phase.
-    pub fn phase(&self, kernel: &str) -> &BenchPhase {
-        self.phases
-            .iter()
-            .find(|p| p.kernel == kernel)
-            .expect("phase exists")
-    }
+    pub(crate) phases: Vec<BenchPhase>,
 }
 
 /// Run the experiment.
@@ -138,6 +128,14 @@ mod tests {
         CACHE.get_or_init(run)
     }
 
+    fn phase(kernel: &str) -> &'static BenchPhase {
+        let phases = &result().phases;
+        phases
+            .iter()
+            .find(|p| p.kernel == kernel)
+            .expect("phase exists")
+    }
+
     #[test]
     fn live_ai_captures_theoretical_ai() {
         // "the theoretical AI ... is accurately captured by the live-CARM".
@@ -152,14 +150,14 @@ mod tests {
                 p.theoretical_ai
             );
         }
-        assert!((result().phase("ddot").theoretical_ai - 0.125).abs() < 1e-12);
-        assert!((result().phase("peakflops").theoretical_ai - 2.0).abs() < 1e-12);
+        assert!((phase("ddot").theoretical_ai - 0.125).abs() < 1e-12);
+        assert!((phase("peakflops").theoretical_ai - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn peakflops_reaches_the_fp_roof() {
         let r = result();
-        let p = r.phase("peakflops");
+        let p = phase("peakflops");
         let peak = r.carm.peak_gflops();
         assert!(
             p.live_gflops > 0.8 * peak,
@@ -172,7 +170,7 @@ mod tests {
     #[test]
     fn triad_stays_under_the_l2_roof() {
         let r = result();
-        let p = r.phase("triad");
+        let p = phase("triad");
         let l2_roof = r.carm.attainable(p.live_ai, "L2").expect("L2 roof");
         assert!(
             p.live_gflops <= l2_roof * 1.05,
@@ -187,7 +185,7 @@ mod tests {
     #[test]
     fn ddot_surpasses_the_l2_roof() {
         let r = result();
-        let p = r.phase("ddot");
+        let p = phase("ddot");
         let l2_roof = r.carm.attainable(p.live_ai, "L2").expect("L2 roof");
         assert!(
             p.live_gflops > l2_roof,

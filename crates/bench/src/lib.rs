@@ -29,6 +29,7 @@
 //! | [`serving`] | `serving` | multi-tenant coalescing and overload admission |
 //! | [`tracing`] | `tracing` | golden trace trees, SLO timeline, tracer overhead |
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod ablation;
 pub mod chaos;

@@ -16,11 +16,11 @@ use pmove_pcp::ReplShipper;
 use pmove_tsdb::repl::{ReplConfig, ReplicaSet};
 
 /// Experiment duration in virtual seconds.
-pub const DURATION_S: f64 = 60.0;
+pub(crate) const DURATION_S: f64 = 60.0;
 /// Sampling frequency (samples/s) — below the stale-read-zero threshold.
-pub const FREQ_HZ: f64 = 4.0;
+pub(crate) const FREQ_HZ: f64 = 4.0;
 /// Partition window on replica 0 (seconds into the run).
-pub const PARTITION: (f64, f64) = (20.0, 40.0);
+pub(crate) const PARTITION: (f64, f64) = (20.0, 40.0);
 /// Instance-domain size per report (a 16-thread icl-style target).
 const DOMAIN: usize = 16;
 /// Metrics shipped per tick.
@@ -29,7 +29,7 @@ const N_METRICS: usize = 4;
 /// ~5120 values, so the RF=1 cell must evict.
 const HINT_CAPACITY: u64 = 2048;
 /// Replication factors swept.
-pub const RF_SWEEP: [usize; 4] = [1, 2, 3, 5];
+pub(crate) const RF_SWEEP: [usize; 4] = [1, 2, 3, 5];
 
 /// One cell of the loss-vs-RF curve.
 #[derive(Debug, Clone)]
@@ -37,27 +37,25 @@ pub struct ReplCell {
     /// Replication factor.
     pub rf: usize,
     /// Write quorum (majority of `rf`).
-    pub w: usize,
+    pub(crate) w: usize,
     /// Field values offered by the sampler.
-    pub offered: u64,
+    pub(crate) offered: u64,
     /// Values acknowledged by a W-quorum (incl. hint-replay graduations).
-    pub inserted: u64,
+    pub(crate) inserted: u64,
     /// Values lost outright.
-    pub lost: u64,
+    pub(crate) lost: u64,
     /// Ledger values evicted from a hint queue by drop-oldest overflow.
-    pub evicted: u64,
+    pub(crate) evicted: u64,
     /// Hint entries replayed when the replica's heartbeat returned.
-    pub replayed: u64,
-    /// Ledger values still parked as hints at the end (should be 0).
-    pub hinted: u64,
+    pub(crate) replayed: u64,
     /// Primary promotions after quarantine.
-    pub failovers: u64,
+    pub(crate) failovers: u64,
     /// Whether the 6-term conservation identity held.
     pub conserved: bool,
     /// Anti-entropy rounds to bit-identical convergence after the run.
-    pub repair_rounds: u64,
+    pub(crate) repair_rounds: u64,
     /// Cells streamed by those rounds.
-    pub cells_streamed: u64,
+    pub(crate) cells_streamed: u64,
     /// Whether the replicas converged within the round budget.
     pub converged: bool,
 }
@@ -74,7 +72,7 @@ impl ReplCell {
 
 /// Run one cell: the fixed workload at `rf` replicas, primary
 /// partitioned for [`PARTITION`], majority write quorum.
-pub fn run_cell(rf: usize) -> ReplCell {
+pub(crate) fn run_cell(rf: usize) -> ReplCell {
     let w = rf / 2 + 1;
     let cfg = ReplConfig {
         replication_factor: rf,
@@ -115,7 +113,6 @@ pub fn run_cell(rf: usize) -> ReplCell {
         lost: st.values_lost,
         evicted: st.values_evicted,
         replayed: st.hints_replayed,
-        hinted: st.values_hinted,
         failovers: st.failovers,
         conserved: st.conserved(),
         repair_rounds: repair.rounds,
@@ -124,7 +121,7 @@ pub fn run_cell(rf: usize) -> ReplCell {
     }
 }
 
-/// Sweep every RF in [`RF_SWEEP`] under the same schedule and workload.
+/// Sweep every RF in `RF_SWEEP` under the same schedule and workload.
 pub fn run() -> Vec<ReplCell> {
     RF_SWEEP.iter().map(|&rf| run_cell(rf)).collect()
 }
@@ -180,7 +177,6 @@ mod tests {
         for c in &cells {
             assert!(c.conserved, "rf={}: conservation violated", c.rf);
             assert!(c.converged, "rf={}: replicas did not converge", c.rf);
-            assert_eq!(c.hinted, 0, "rf={}: hints left parked", c.rf);
             assert_eq!(c.offered, rf1.offered, "same workload everywhere");
         }
         assert!(

@@ -19,9 +19,9 @@ use pmove_tsdb::store::{RotSchedule, ScrubConfig, StoreOptions};
 use pmove_tsdb::{Database, ExecMode, Query};
 
 /// Experiment duration in virtual seconds.
-pub const DURATION_S: f64 = 20.0;
+pub(crate) const DURATION_S: f64 = 20.0;
 /// Sampling frequency (samples/s) — below the stale-read-zero threshold.
-pub const FREQ_HZ: f64 = 4.0;
+pub(crate) const FREQ_HZ: f64 = 4.0;
 /// Instance-domain size per report.
 const DOMAIN: usize = 8;
 /// Metrics shipped per tick.
@@ -32,11 +32,11 @@ const FLUSH_EVERY: u32 = 16;
 /// Replica whose disk rots (RF − W = 1 victim budget).
 const VICTIM: usize = 1;
 /// Target period for one full scrub pass, in virtual seconds.
-pub const SCRUB_PERIOD_S: f64 = 8.0;
+pub(crate) const SCRUB_PERIOD_S: f64 = 8.0;
 /// Scrub tick cadence during the sweep.
 const SCRUB_TICK_S: f64 = 0.25;
 /// Rot-event counts swept (0 = no-fault control).
-pub const FLIP_SWEEP: [u32; 4] = [0, 1, 4, 8];
+pub(crate) const FLIP_SWEEP: [u32; 4] = [0, 1, 4, 8];
 
 /// One cell of the detection/repair table.
 #[derive(Debug, Clone)]
@@ -69,7 +69,7 @@ pub struct ScrubCell {
 
 /// Run one cell: fault-free shipping, `flips` rot events on the victim,
 /// one full scrub pass, then the oracle comparison.
-pub fn run_cell(flips: u32) -> ScrubCell {
+pub(crate) fn run_cell(flips: u32) -> ScrubCell {
     let oracle = Database::new("oracle");
     let (set, _) = ReplicaSet::durable(
         "scrubbench",
@@ -184,7 +184,7 @@ pub fn run_cell(flips: u32) -> ScrubCell {
     }
 }
 
-/// Sweep every flip count in [`FLIP_SWEEP`] under the same workload.
+/// Sweep every flip count in `FLIP_SWEEP` under the same workload.
 pub fn run() -> Vec<ScrubCell> {
     FLIP_SWEEP.iter().map(|&f| run_cell(f)).collect()
 }

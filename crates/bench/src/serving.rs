@@ -4,7 +4,7 @@
 //! Two runs drive the same populated store on the virtual clock, so
 //! every number below is bit-identical across machines and reruns:
 //!
-//! * **steady** — [`TENANTS`] tenants render the same [`PANELS`]
+//! * **steady** — `TENANTS` tenants render the same `PANELS`
 //!   dashboard panels at an aggregate arrival rate far above one
 //!   backend's sequential scan capacity. The layer survives because
 //!   identical panels coalesce onto shared executions and the shared
@@ -27,34 +27,32 @@ use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 
 /// Tenants generating load.
-pub const TENANTS: u32 = 64;
+pub(crate) const TENANTS: u32 = 64;
 /// Distinct dashboard panels (one measurement each).
-pub const PANELS: usize = 8;
+pub(crate) const PANELS: usize = 8;
 /// Steady-run aggregate arrival rate (requests/s of virtual time).
-pub const STEADY_RATE_PER_S: f64 = 1_000_000.0;
+pub(crate) const STEADY_RATE_PER_S: f64 = 1_000_000.0;
 /// Steady-run length (virtual ns).
-pub const STEADY_DURATION_NS: u64 = 30_000_000;
+pub(crate) const STEADY_DURATION_NS: u64 = 30_000_000;
 /// Overload-run aggregate arrival rate (requests/s of virtual time).
-pub const OVERLOAD_RATE_PER_S: f64 = 200_000.0;
+pub(crate) const OVERLOAD_RATE_PER_S: f64 = 200_000.0;
 /// Overload-run length (virtual ns).
-pub const OVERLOAD_DURATION_NS: u64 = 20_000_000;
+pub(crate) const OVERLOAD_DURATION_NS: u64 = 20_000_000;
 /// Gate: identical panels must coalesce at least this much.
 pub const COALESCING_FLOOR: f64 = 4.0;
 /// Fixed seed for the arrival process.
-pub const SEED: u64 = 0x5EE7_1E55;
+pub(crate) const SEED: u64 = 0x5EE7_1E55;
 
 /// One serving run plus its SLO verdict.
 #[derive(Debug, Clone)]
 pub struct ServingCell {
     /// Run label (`steady`, `overload`).
-    pub label: &'static str,
+    pub(crate) label: &'static str,
     /// The layer's own accounting.
     pub report: ServeReport,
     /// Whether the burn-rate engine ever left `ok` when replayed over
     /// the run's latency histogram.
     pub alerted: bool,
-    /// Requests in the generated schedule (= `report.submitted`).
-    pub offered: u64,
 }
 
 /// Both runs.
@@ -68,7 +66,7 @@ pub struct ServingOutcome {
 
 /// The store every run queries: [`PANELS`] measurements, 60 s of
 /// per-second points from 4 hosts each.
-pub fn build_store() -> Database {
+pub(crate) fn build_store() -> Database {
     let db = Database::new("serving-bench");
     for panel in 0..PANELS {
         for s in 0..60i64 {
@@ -92,7 +90,7 @@ pub fn build_store() -> Database {
 /// `interactive_frac`. `mk_query` maps (panel, request index) to query
 /// text, so callers choose between shared panels (coalescible) and
 /// per-request windows (not).
-pub fn poisson_schedule(
+pub(crate) fn poisson_schedule(
     seed: u64,
     duration_ns: u64,
     rate_per_s: f64,
@@ -144,7 +142,7 @@ fn slo_alerted(reg: &Arc<Registry>, end_ns: u64) -> bool {
 }
 
 /// Steady run: every request is one of the 8 shared panel scans.
-pub fn run_steady(duration_ns: u64) -> ServingCell {
+pub(crate) fn run_steady(duration_ns: u64) -> ServingCell {
     let db = build_store();
     let cfg = ServingConfig {
         queue_capacity: 1024,
@@ -156,7 +154,6 @@ pub fn run_steady(duration_ns: u64) -> ServingCell {
     let schedule = poisson_schedule(SEED, duration_ns, STEADY_RATE_PER_S, 0.5, |panel, _| {
         format!("SELECT \"busy\" FROM \"panel{panel}\"")
     });
-    let offered = schedule.len() as u64;
     let reg = Arc::new(Registry::new());
     let mut srv = QueryServer::new(&db, cfg).unwrap().with_obs(reg.clone());
     let report = srv.run(&schedule).unwrap();
@@ -165,13 +162,12 @@ pub fn run_steady(duration_ns: u64) -> ServingCell {
         label: "steady",
         report,
         alerted,
-        offered,
     }
 }
 
 /// Overload run: disjoint 10 s windows per request (nothing coalesces,
 /// nothing caches), a background-heavy flood, two slots, a small queue.
-pub fn run_overload(duration_ns: u64) -> ServingCell {
+pub(crate) fn run_overload(duration_ns: u64) -> ServingCell {
     let db = build_store();
     let cfg = ServingConfig {
         queue_capacity: 32,
@@ -193,7 +189,6 @@ pub fn run_overload(duration_ns: u64) -> ServingCell {
             format!("SELECT \"busy\" FROM \"panel{panel}\" WHERE time >= {lo} AND time < {hi}")
         },
     );
-    let offered = schedule.len() as u64;
     let reg = Arc::new(Registry::new());
     let mut srv = QueryServer::new(&db, cfg).unwrap().with_obs(reg.clone());
     let report = srv.run(&schedule).unwrap();
@@ -202,7 +197,6 @@ pub fn run_overload(duration_ns: u64) -> ServingCell {
         label: "overload",
         report,
         alerted,
-        offered,
     }
 }
 
@@ -291,7 +285,6 @@ mod tests {
         let cell = run_steady(STEADY_DURATION_NS);
         let r = &cell.report;
         assert!(r.conserved(), "{r:?}");
-        assert_eq!(r.submitted, cell.offered);
         assert_eq!(r.rejected, 0, "steady load must clear admission");
         assert_eq!(r.shed, 0, "steady load must not shed");
         assert_eq!(r.errors, 0);

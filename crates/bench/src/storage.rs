@@ -16,21 +16,21 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct StorageReport {
     /// Target host key.
-    pub host: String,
+    pub(crate) host: String,
     /// Sampling frequency (samples/s).
-    pub freq: f64,
+    pub(crate) freq: f64,
     /// Number of metrics sampled.
-    pub n_metrics: usize,
+    pub(crate) n_metrics: usize,
     /// Field values acknowledged at the database.
-    pub values_inserted: u64,
+    pub(crate) values_inserted: u64,
     /// Durable WAL bytes before the flush.
-    pub wal_bytes: u64,
+    pub(crate) wal_bytes: u64,
     /// The chunk the memtable froze into.
-    pub chunk: ChunkInfo,
+    pub(crate) chunk: ChunkInfo,
     /// Recovery with the WAL intact (replay every acknowledged row).
-    pub wal_recovery: RecoveryReport,
+    pub(crate) wal_recovery: RecoveryReport,
     /// Recovery after the flush (load the compressed chunk).
-    pub chunk_recovery: RecoveryReport,
+    pub(crate) chunk_recovery: RecoveryReport,
 }
 
 impl StorageReport {
@@ -50,7 +50,7 @@ fn opts_manual() -> StoreOptions {
 }
 
 /// Run one cell of the storage table.
-pub fn run_cell(host: &str, freq: f64, n_metrics: usize) -> StorageReport {
+pub(crate) fn run_cell(host: &str, freq: f64, n_metrics: usize) -> StorageReport {
     let disk = Arc::new(MemDisk::new(0xC0FFEE));
     let vfs: Arc<dyn Vfs> = disk.clone();
     let (db, _) = Database::open("influx", vfs.clone(), opts_manual()).expect("fresh disk");

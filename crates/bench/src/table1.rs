@@ -9,11 +9,11 @@ use pmove_core::abstraction::AbstractionLayer;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     /// Generic event compared.
-    pub generic: String,
+    pub(crate) generic: String,
     /// Formula on Intel Cascade Lake (`csl`), if mapped.
-    pub intel: Option<String>,
+    pub(crate) intel: Option<String>,
     /// Formula on AMD Zen3, if mapped.
-    pub amd: Option<String>,
+    pub(crate) amd: Option<String>,
 }
 
 /// The Table I rows (Energy, Total Memory Operations, L3 Hit) plus the

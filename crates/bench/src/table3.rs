@@ -19,49 +19,49 @@ use pmove_tsdb::Database;
 
 /// Experiment duration in (virtual) seconds — Expected values in the
 /// paper's table correspond to 10 s runs.
-pub const DURATION_S: f64 = 10.0;
+pub(crate) const DURATION_S: f64 = 10.0;
 
 /// One table cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     /// Target host key.
-    pub host: String,
+    pub(crate) host: String,
     /// Sampling frequency (samples/s).
-    pub freq: f64,
+    pub(crate) freq: f64,
     /// Number of metrics sampled.
-    pub n_metrics: usize,
+    pub(crate) n_metrics: usize,
     /// Field values expected at the DB.
-    pub expected: u64,
+    pub(crate) expected: u64,
     /// Field values inserted (including batched zeros).
     pub inserted: u64,
     /// Zero field values inserted.
-    pub zeros: u64,
+    pub(crate) zeros: u64,
 }
 
 impl Row {
     /// %L: lost values over expected.
-    pub fn loss_pct(&self) -> f64 {
+    pub(crate) fn loss_pct(&self) -> f64 {
         100.0 * (self.expected - self.inserted) as f64 / self.expected as f64
     }
 
     /// L+Z%: lost plus zeroed over expected.
-    pub fn loss_plus_zero_pct(&self) -> f64 {
+    pub(crate) fn loss_plus_zero_pct(&self) -> f64 {
         100.0 * ((self.expected - self.inserted) + self.zeros) as f64 / self.expected as f64
     }
 
     /// Tput: inserted data points per second.
-    pub fn tput(&self) -> f64 {
+    pub(crate) fn tput(&self) -> f64 {
         self.inserted as f64 / DURATION_S
     }
 
     /// A.Tput: actually useful (non-zero) data points per second.
-    pub fn actual_tput(&self) -> f64 {
+    pub(crate) fn actual_tput(&self) -> f64 {
         (self.inserted - self.zeros) as f64 / DURATION_S
     }
 }
 
 /// Metrics "highly unlikely to report zero" per vendor, in priority order.
-pub fn busy_metrics(machine: &Machine, n: usize) -> Vec<String> {
+pub(crate) fn busy_metrics(machine: &Machine, n: usize) -> Vec<String> {
     let names: &[&str] = match machine.spec.arch.vendor() {
         Vendor::Intel => &[
             "UNHALTED_CORE_CYCLES",
@@ -96,14 +96,9 @@ fn busy_kernel(machine: &Machine) -> KernelProfile {
         .with_working_set(1 << 34)
 }
 
-/// Run one cell of the table.
-pub fn run_cell(host: &str, freq: f64, n_metrics: usize) -> Row {
-    run_cell_audited(host, freq, n_metrics).0
-}
-
 /// Ship one cell's samples into a caller-provided database (possibly a
 /// durable one), observed through `registry` (possibly disabled). This is the body
-/// shared by [`run_cell_audited`] and the storage-engine bench, which
+/// shared by `run_cell_audited` and the storage-engine bench, which
 /// replays the same workload over the WAL/chunk store.
 pub fn run_cell_into(
     db: &Database,
@@ -146,11 +141,11 @@ pub fn run_cell_into(
     }
 }
 
-/// [`run_cell`] with the transport observed through `pmove-obs`: the cell's
-/// conservation counters come from the exported self-telemetry (not the
-/// transport's private stats), so the audit exercises the same numbers a
-/// self-dashboard would show.
-pub fn run_cell_audited(host: &str, freq: f64, n_metrics: usize) -> (Row, ConservationCell) {
+/// Run one cell of the table with the transport observed through
+/// `pmove-obs`: the cell's conservation counters come from the exported
+/// self-telemetry (not the transport's private stats), so the audit
+/// exercises the same numbers a self-dashboard would show.
+pub(crate) fn run_cell_audited(host: &str, freq: f64, n_metrics: usize) -> (Row, ConservationCell) {
     let registry = Registry::shared();
     let db = Database::new("host");
     let row = run_cell_into(&db, registry.clone(), host, freq, n_metrics);
@@ -171,13 +166,9 @@ pub fn run_cell_audited(host: &str, freq: f64, n_metrics: usize) -> (Row, Conser
     (row, cell)
 }
 
-/// Run the whole table (skx and icl × {2, 8, 32} Hz × {4, 5, 6} metrics).
-pub fn run() -> Vec<Row> {
-    run_audited().0
-}
-
-/// Run the whole table with a loss-conservation audit: one
-/// [`ConservationCell`] per table cell, named `host/freqHz/nm`.
+/// Run the whole table (skx and icl × {2, 8, 32} Hz × {4, 5, 6} metrics)
+/// with a loss-conservation audit: one [`ConservationCell`] per table
+/// cell, named `host/freqHz/nm`.
 pub fn run_audited() -> (Vec<Row>, ConservationAudit) {
     let mut rows = Vec::new();
     let mut audit = ConservationAudit::new();
@@ -225,18 +216,18 @@ mod tests {
     #[test]
     fn expected_counts_match_paper_formula() {
         // skx @ 2 Hz × 4 metrics × 88 threads × 10 s = 7040 (Table III).
-        let r = run_cell("skx", 2.0, 4);
+        let r = run_cell_audited("skx", 2.0, 4).0;
         assert_eq!(r.expected, 7040);
-        let r = run_cell("icl", 2.0, 4);
+        let r = run_cell_audited("icl", 2.0, 4).0;
         assert_eq!(r.expected, 1280);
     }
 
     #[test]
     fn low_frequency_losses_are_negligible() {
-        let r = run_cell("skx", 2.0, 6);
+        let r = run_cell_audited("skx", 2.0, 6).0;
         assert!(r.loss_pct() < 8.0, "loss {}", r.loss_pct());
         assert_eq!(r.zeros, 0, "no batched zeros at 2 Hz");
-        let r = run_cell("icl", 2.0, 5);
+        let r = run_cell_audited("icl", 2.0, 5).0;
         assert!(r.loss_pct() < 4.0);
     }
 
@@ -244,7 +235,7 @@ mod tests {
     fn skx_high_frequency_loses_many_points() {
         // "more than half of the data points are lost in transmission on
         // skx" (loss+zeros) at 32 Hz.
-        let r = run_cell("skx", 32.0, 5);
+        let r = run_cell_audited("skx", 32.0, 5).0;
         assert!(r.loss_pct() > 10.0, "loss {}", r.loss_pct());
         assert!(
             r.loss_plus_zero_pct() > 40.0,
@@ -257,7 +248,7 @@ mod tests {
     #[test]
     fn icl_small_domain_low_loss_but_zeros() {
         // icl at 32 Hz: ~2-3 % loss but ~1/3 of points are zeros.
-        let r = run_cell("icl", 32.0, 6);
+        let r = run_cell_audited("icl", 32.0, 6).0;
         assert!(r.loss_pct() < 10.0, "loss {}", r.loss_pct());
         let zero_frac = 100.0 * r.zeros as f64 / r.expected as f64;
         assert!(zero_frac > 15.0, "zeros {zero_frac}%");
@@ -266,14 +257,14 @@ mod tests {
     #[test]
     fn loss_correlates_with_domain_size() {
         // skx (88 fields/report) loses a larger share than icl (16).
-        let skx = run_cell("skx", 32.0, 6);
-        let icl = run_cell("icl", 32.0, 6);
+        let skx = run_cell_audited("skx", 32.0, 6).0;
+        let icl = run_cell_audited("icl", 32.0, 6).0;
         assert!(skx.loss_pct() > icl.loss_pct());
     }
 
     #[test]
     fn throughput_accounting_consistent() {
-        let r = run_cell("icl", 8.0, 6);
+        let r = run_cell_audited("icl", 8.0, 6).0;
         assert!(r.actual_tput() <= r.tput());
         assert!((r.tput() - r.inserted as f64 / 10.0).abs() < 1e-9);
     }
@@ -292,7 +283,7 @@ mod tests {
 
     #[test]
     fn formatting_contains_all_rows() {
-        let rows = vec![run_cell("icl", 2.0, 4)];
+        let rows = vec![run_cell_audited("icl", 2.0, 4).0];
         let text = format(&rows);
         assert!(text.contains("icl"));
         assert!(text.contains("1.28e3"));

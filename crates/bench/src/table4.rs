@@ -7,19 +7,19 @@ use pmove_spmv::suite::SuiteMatrix;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     /// SuiteSparse matrix name.
-    pub name: String,
+    pub(crate) name: String,
     /// SuiteSparse group.
-    pub group: String,
+    pub(crate) group: String,
     /// Original rows/cols.
-    pub original_rows: u64,
+    pub(crate) original_rows: u64,
     /// Original non-zeros.
-    pub original_nnz: u64,
+    pub(crate) original_nnz: u64,
     /// Stand-in rows.
-    pub standin_rows: usize,
+    pub(crate) standin_rows: usize,
     /// Stand-in non-zeros.
-    pub standin_nnz: usize,
+    pub(crate) standin_nnz: usize,
     /// Stand-in nnz/row.
-    pub standin_nnz_per_row: f64,
+    pub(crate) standin_nnz_per_row: f64,
 }
 
 /// Build the table at a given stand-in scale.

@@ -14,16 +14,16 @@ use pmove_hwsim::{ExecModel, MachineSpec, Quantity};
 #[derive(Debug, Clone, PartialEq)]
 pub struct VariabilityRow {
     /// ISA the kernel was compiled for.
-    pub isa: &'static str,
+    pub(crate) isa: &'static str,
     /// Effective core clock (GHz).
-    pub clock_ghz: f64,
+    pub(crate) clock_ghz: f64,
     /// Run time (s).
-    pub duration_s: f64,
+    pub(crate) duration_s: f64,
     /// Achieved GFLOP/s.
-    pub gflops: f64,
+    pub(crate) gflops: f64,
     /// Observed cycles-per-second per active thread (what a monitoring
     /// stack derives from CPU_CYCLES — the throttling fingerprint).
-    pub cycles_rate_per_thread: f64,
+    pub(crate) cycles_rate_per_thread: f64,
 }
 
 /// Run the same FP workload at every ISA width on a machine, DVFS on.
@@ -56,7 +56,7 @@ pub fn isa_sweep(spec: &MachineSpec) -> Vec<VariabilityRow> {
 
 /// The end-to-end variability this mechanism alone creates: max/min run
 /// time across ISA variants of the *same* logical workload.
-pub fn runtime_spread(rows: &[VariabilityRow]) -> f64 {
+pub(crate) fn runtime_spread(rows: &[VariabilityRow]) -> f64 {
     let max = rows.iter().map(|r| r.duration_s).fold(0.0, f64::max);
     let min = rows
         .iter()

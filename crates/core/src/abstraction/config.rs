@@ -6,18 +6,18 @@ use std::collections::BTreeMap;
 
 /// The mapping table of one PMU.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PmuConfig {
+pub(crate) struct PmuConfig {
     /// Canonical PMU name (`skx`).
-    pub pmu_name: String,
+    pub(crate) pmu_name: String,
     /// Optional alias (`[skx | skylakex]`).
-    pub alias: Option<String>,
+    pub(crate) alias: Option<String>,
     /// Generic event → formula.
-    pub mappings: BTreeMap<String, Formula>,
+    pub(crate) mappings: BTreeMap<String, Formula>,
 }
 
 impl PmuConfig {
     /// Formula for a generic event.
-    pub fn get(&self, generic: &str) -> Option<&Formula> {
+    pub(crate) fn get(&self, generic: &str) -> Option<&Formula> {
         self.mappings.get(generic)
     }
 }
@@ -30,12 +30,14 @@ pub struct AbstractionLayer {
 
 impl AbstractionLayer {
     /// Empty layer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Parse one or more `[pmu | alias]` sections from config text and
-    /// register them. Returns how many sections were added.
+    /// register them. Returns how many sections were added. The text is
+    /// registered whole or not at all: on any bad line the layer is left
+    /// as it was.
     ///
     /// Grammar (paper §IV-A):
     /// ```text
@@ -44,18 +46,13 @@ impl AbstractionLayer {
     /// ```
     /// Blank lines and `#` comments are ignored.
     pub fn register_config(&mut self, text: &str) -> Result<usize, PmoveError> {
-        let mut added = 0;
-        let mut current: Option<PmuConfig> = None;
+        let mut sections: Vec<PmuConfig> = Vec::new();
         for (lineno, raw) in text.lines().enumerate() {
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
             if let Some(header) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-                if let Some(done) = current.take() {
-                    self.upsert(done);
-                    added += 1;
-                }
                 let mut parts = header.splitn(2, '|');
                 let pmu_name = parts.next().unwrap_or("").trim().to_string();
                 if pmu_name.is_empty() {
@@ -68,14 +65,14 @@ impl AbstractionLayer {
                     .next()
                     .map(|a| a.trim().to_string())
                     .filter(|a| !a.is_empty());
-                current = Some(PmuConfig {
+                sections.push(PmuConfig {
                     pmu_name,
                     alias,
                     mappings: BTreeMap::new(),
                 });
                 continue;
             }
-            let Some(cfg) = current.as_mut() else {
+            let Some(cfg) = sections.last_mut() else {
                 return Err(PmoveError::BadEventConfig(format!(
                     "mapping before any [pmu] header at line {}",
                     lineno + 1
@@ -96,9 +93,9 @@ impl AbstractionLayer {
             let formula = Formula::parse(rhs.trim())?;
             cfg.mappings.insert(generic.to_string(), formula);
         }
-        if let Some(done) = current.take() {
-            self.upsert(done);
-            added += 1;
+        let added = sections.len();
+        for cfg in sections {
+            self.upsert(cfg);
         }
         Ok(added)
     }
@@ -118,7 +115,7 @@ impl AbstractionLayer {
     }
 
     /// Look up a PMU by name or alias.
-    pub fn pmu(&self, name: &str) -> Option<&PmuConfig> {
+    pub(crate) fn pmu(&self, name: &str) -> Option<&PmuConfig> {
         self.configs
             .iter()
             .find(|c| c.pmu_name == name || c.alias.as_deref() == Some(name))
@@ -151,7 +148,12 @@ impl AbstractionLayer {
     }
 
     /// Evaluate a generic event from hardware readings.
-    pub fn evaluate<F>(&self, pmu: &str, generic: &str, resolve: F) -> Result<f64, PmoveError>
+    pub(crate) fn evaluate<F>(
+        &self,
+        pmu: &str,
+        generic: &str,
+        resolve: F,
+    ) -> Result<f64, PmoveError>
     where
         F: FnMut(&str) -> Option<f64>,
     {
@@ -259,6 +261,17 @@ CPU_CYCLES: CYCLES
         assert!(layer.register_config("[p]\nnocolon\n").is_err());
         assert!(layer.register_config("[]\n").is_err());
         assert!(layer.register_config("[p]\nA: X +\n").is_err());
+    }
+
+    #[test]
+    fn rejected_config_registers_nothing() {
+        let mut layer = AbstractionLayer::new();
+        layer.register_config("[aa]\nX: E1\n").unwrap();
+        // A bad line after a good section: the good section is not applied.
+        assert!(layer.register_config("[aa]\nX: E2\n[bb]\nY E\n").is_err());
+        assert_eq!(layer.formula("aa", "X").unwrap().to_string(), "E1");
+        assert!(layer.pmu("bb").is_none());
+        assert_eq!(layer.pmu_names(), vec!["aa"]);
     }
 
     #[test]

@@ -17,19 +17,6 @@ pub const COMMON_EVENTS: &[&str] = &[
     "RAPL_ENERGY_PKG",
 ];
 
-/// Extended generic events mapped where hardware allows (per-width FLOP
-/// counts for live-CARM, L3 hits on AMD, DRAM energy on AMD).
-pub const EXTENDED_EVENTS: &[&str] = &[
-    "SCALAR_DP_FLOPS",
-    "SSE_DP_FLOPS",
-    "AVX2_DP_FLOPS",
-    "AVX512_DP_FLOPS",
-    "SCALAR_DP_INSTRUCTIONS",
-    "AVX512_DP_INSTRUCTIONS",
-    "L3_HIT",
-    "RAPL_ENERGY_DRAM",
-];
-
 /// Is this one of the events all PMU configs must define?
 pub fn is_common(event: &str) -> bool {
     COMMON_EVENTS.contains(&event)
@@ -46,12 +33,5 @@ mod tests {
         assert!(is_common("RAPL_ENERGY_PKG"));
         assert!(!is_common("AVX512_DP_FLOPS"));
         assert!(!is_common("MADE_UP"));
-    }
-
-    #[test]
-    fn no_overlap_between_sets() {
-        for e in EXTENDED_EVENTS {
-            assert!(!COMMON_EVENTS.contains(e));
-        }
     }
 }

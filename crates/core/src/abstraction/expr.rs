@@ -6,7 +6,7 @@ use std::fmt;
 
 /// One token of a formula.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub(crate) enum Token {
     /// A hardware event name (`MEM_INST_RETIRED:ALL_LOADS`).
     Event(String),
     /// A numeric constant (the `* 8` in width-scaling formulas).
@@ -29,7 +29,7 @@ impl fmt::Display for Token {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Formula {
     /// Token sequence: operand (op operand)*.
-    pub tokens: Vec<Token>,
+    pub(crate) tokens: Vec<Token>,
 }
 
 impl Formula {
@@ -68,7 +68,7 @@ impl Formula {
     }
 
     /// Hardware events referenced by the formula.
-    pub fn events(&self) -> Vec<&str> {
+    pub(crate) fn events(&self) -> Vec<&str> {
         self.tokens
             .iter()
             .filter_map(|t| match t {

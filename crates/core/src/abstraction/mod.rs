@@ -11,12 +11,12 @@
 //! [op] : ((+|-|*|/) (<hw_event> | <const>)) [op]
 //! ```
 
-pub mod config;
+mod config;
 pub mod events;
-pub mod expr;
-pub mod pmu_utils;
+mod expr;
+mod pmu_utils;
 pub mod presets;
 
-pub use config::{AbstractionLayer, PmuConfig};
-pub use expr::{Formula, Token};
+pub use config::AbstractionLayer;
+pub use expr::Formula;
 pub use pmu_utils::PmuUtils;

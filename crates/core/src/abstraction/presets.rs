@@ -9,7 +9,7 @@ use crate::abstraction::config::AbstractionLayer;
 
 /// Config text for the Intel server parts (SKX and CSL share the mapping;
 /// ICL differs only in alias).
-pub const INTEL_CONFIG: &str = "\
+pub(crate) const INTEL_CONFIG: &str = "\
 # Intel Skylake-X / Cascade Lake / Ice Lake mappings
 [skx | skylakex]
 CPU_CYCLES: UNHALTED_CORE_CYCLES
@@ -62,7 +62,7 @@ RAPL_ENERGY_PKG: RAPL_ENERGY_PKG
 /// operations use `LS_DISPATCH`; all FLOP widths merge into one counter.
 /// (Table I lists the L3-hit events with a `+`; hits are computed as
 /// references minus misses.)
-pub const AMD_CONFIG: &str = "\
+pub(crate) const AMD_CONFIG: &str = "\
 [zen3 | amdzen3]
 CPU_CYCLES: CYCLES_NOT_IN_HALT
 RETIRED_INSTRUCTIONS: RETIRED_INSTRUCTIONS

@@ -14,7 +14,7 @@ use pmove_tsdb::{Database, Query};
 #[derive(Debug, Clone, PartialEq)]
 pub struct Anomaly {
     /// Measurement scanned.
-    pub measurement: String,
+    pub(crate) measurement: String,
     /// Field (component instance) flagged.
     pub field: String,
     /// The field's mean over the window.

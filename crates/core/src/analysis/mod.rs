@@ -1,10 +1,9 @@
 //! Analysis utilities: automatic query generation, reports, anomaly scan.
 
-pub mod anomaly;
+mod anomaly;
 pub mod queries;
 pub mod report;
 pub mod trace;
 
-pub use anomaly::{anomaly_scan, Anomaly};
+pub use anomaly::anomaly_scan;
 pub use queries::queries_for_observation;
-pub use trace::{trace_anomaly, TraceStep};

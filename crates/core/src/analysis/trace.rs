@@ -16,17 +16,17 @@ use pmove_tsdb::{Database, Query};
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceStep {
     /// Twin id at this level.
-    pub id: Dtmi,
+    pub(crate) id: Dtmi,
     /// Component type (`thread`, `core`, `socket`, ...).
-    pub component_type: String,
+    pub(crate) component_type: String,
     /// Display name.
-    pub name: String,
+    pub(crate) name: String,
     /// (measurement, field, mean) for each telemetry stream with data.
-    pub stats: Vec<(String, String, f64)>,
+    pub(crate) stats: Vec<(String, String, f64)>,
 }
 
 /// Resolve the KB twin that owns an anomaly's (measurement, field) pair.
-pub fn locate_component<'a>(
+pub(crate) fn locate_component<'a>(
     kb: &'a KnowledgeBase,
     anomaly: &Anomaly,
 ) -> Option<&'a pmove_jsonld::Interface> {

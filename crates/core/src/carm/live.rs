@@ -2,7 +2,9 @@
 //!
 //! PMU events are sampled on a time-stamp basis and converted into live
 //! Arithmetic Intensity and GFLOP/s through abstraction-layer formulas,
-//! then plotted against the constructed CARM in real time. The byte
+//! then plotted against the constructed CARM. Like the paper's Grafana
+//! panel, [`LiveCarm::trajectory`] queries the time-series database each
+//! time the panel refreshes; nothing is pushed to it. The byte
 //! volume is inferred from the ratio of FP instruction widths applied to
 //! the measured load/store counts on Intel; AMD's `LS_DISPATCH` counts
 //! are 8 bytes each.
@@ -15,7 +17,7 @@ use pmove_tsdb::Database;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LiveCarmPoint {
     /// Window end time (virtual seconds).
-    pub t_s: f64,
+    pub(crate) t_s: f64,
     /// Arithmetic intensity (flops/byte) of the window.
     pub ai: f64,
     /// Achieved GFLOP/s of the window.
@@ -40,7 +42,7 @@ impl<'a> LiveCarm<'a> {
     /// Average bytes per memory instruction for the window, inferred from
     /// the FP-width mix (§IV-B-2). `resolve` returns summed HW event
     /// counts for the window.
-    pub fn bytes_per_mem_op<F>(&self, mut resolve: F) -> f64
+    pub(crate) fn bytes_per_mem_op<F>(&self, mut resolve: F) -> f64
     where
         F: FnMut(&str) -> Option<f64>,
     {
@@ -70,7 +72,7 @@ impl<'a> LiveCarm<'a> {
     }
 
     /// Compute one live point from windowed HW-event sums.
-    pub fn point<F>(
+    pub(crate) fn point<F>(
         &self,
         t_s: f64,
         window_s: f64,
@@ -169,102 +171,6 @@ impl<'a> LiveCarm<'a> {
     }
 }
 
-/// Streaming live-CARM: consumes points as the database publishes them
-/// (the real-time path of the panel — no polling, no queries).
-///
-/// Subscribe before the run starts, feed [`LiveCarmStream::drain`]
-/// periodically, and it emits one [`LiveCarmPoint`] per completed window.
-pub struct LiveCarmStream<'a> {
-    engine: LiveCarm<'a>,
-    rx: crossbeam::channel::Receiver<pmove_tsdb::Point>,
-    window_ns: i64,
-    current_window: Option<i64>,
-    sums: std::collections::BTreeMap<String, f64>,
-    emitted: Vec<LiveCarmPoint>,
-}
-
-impl<'a> LiveCarmStream<'a> {
-    /// Attach to a database: subscribes to all `perfevent_hwcounters_*`
-    /// measurements tagged with `obs_id`.
-    pub fn attach(
-        layer: &'a AbstractionLayer,
-        pmu: impl Into<String>,
-        db: &Database,
-        obs_id: &str,
-        window_s: f64,
-    ) -> Self {
-        let sub = pmove_tsdb::subscribe::Subscription::measurement("perfevent_hwcounters_")
-            .with_tag("tag", obs_id);
-        LiveCarmStream {
-            engine: LiveCarm::new(layer, pmu),
-            rx: db.subscribe(sub),
-            window_ns: (window_s * 1e9) as i64,
-            current_window: None,
-            sums: Default::default(),
-            emitted: Vec::new(),
-        }
-    }
-
-    fn event_of(measurement: &str) -> Option<String> {
-        measurement
-            .strip_prefix("perfevent_hwcounters_")
-            .map(str::to_string)
-    }
-
-    fn flush_window(&mut self, window: i64) -> Option<LiveCarmPoint> {
-        let sums = std::mem::take(&mut self.sums);
-        if sums.is_empty() {
-            return None;
-        }
-        let t_s = ((window + 1) * self.window_ns) as f64 / 1e9;
-        let window_s = self.window_ns as f64 / 1e9;
-        self.engine
-            .point(t_s, window_s, |e| {
-                // Measurement names flatten ':' to '_'; match flattened.
-                sums.get(&e.replace([':', '.'], "_")).copied()
-            })
-            .ok()
-    }
-
-    /// Drain all pending published points; returns newly completed
-    /// windows' live points.
-    pub fn drain(&mut self) -> Vec<LiveCarmPoint> {
-        let mut fresh = Vec::new();
-        while let Ok(p) = self.rx.try_recv() {
-            let Some(event) = Self::event_of(&p.measurement) else {
-                continue;
-            };
-            let w = p.timestamp.div_euclid(self.window_ns);
-            if let Some(cur) = self.current_window {
-                if w != cur {
-                    if let Some(point) = self.flush_window(cur) {
-                        fresh.push(point);
-                    }
-                    self.current_window = Some(w);
-                }
-            } else {
-                self.current_window = Some(w);
-            }
-            let total: f64 = p.fields.values().filter_map(|v| v.as_f64()).sum();
-            *self.sums.entry(event).or_insert(0.0) += total;
-        }
-        self.emitted.extend(fresh.iter().copied());
-        fresh
-    }
-
-    /// Flush the trailing partial window and return the complete
-    /// trajectory (call once the run has halted).
-    pub fn finish(mut self) -> Vec<LiveCarmPoint> {
-        self.drain();
-        if let Some(cur) = self.current_window.take() {
-            if let Some(point) = self.flush_window(cur) {
-                self.emitted.push(point);
-            }
-        }
-        self.emitted
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,10 +243,9 @@ mod tests {
     }
 
     #[test]
-    fn streaming_panel_matches_query_trajectory() {
-        // Run a Scenario-B profile while a LiveCarmStream is subscribed;
-        // the streamed points must match the after-the-fact query-based
-        // trajectory.
+    fn profiled_triad_trajectory_reads_its_intensity() {
+        // The panel queries the store on refresh: a Scenario-B triad
+        // profile's trajectory shows the triad's AI ≈ 0.0625.
         use crate::profiles::stream_kernel_profile;
         use crate::telemetry::pinning::PinningStrategy;
         use crate::telemetry::scenario_b::ProfileRequest;
@@ -348,11 +253,6 @@ mod tests {
         use pmove_kernels::StreamKernel;
 
         let mut d = crate::PMoveDaemon::for_preset("csl").unwrap();
-        let layer = d.layer.clone();
-        // The observation id is deterministic: first id of this factory.
-        let obs_id = crate::ids::IdFactory::new("csl").next_id();
-        let stream = LiveCarmStream::attach(&layer, "csl", &d.ts, &obs_id, 0.5);
-
         let request = ProfileRequest {
             profile: stream_kernel_profile(StreamKernel::Triad, 1 << 36, 28, IsaExt::Avx512),
             command: "triad".into(),
@@ -361,45 +261,12 @@ mod tests {
             pinning: PinningStrategy::Compact,
         };
         let outcome = d.profile(&request).unwrap();
-        assert_eq!(outcome.observation.id, obs_id, "deterministic ids");
-
-        let streamed = stream.finish();
-        assert!(!streamed.is_empty());
-        let queried = LiveCarm::new(&layer, "csl")
-            .trajectory(&d.ts, &obs_id, 0.5)
+        let points = LiveCarm::new(&d.layer, "csl")
+            .trajectory(&d.ts, &outcome.observation.id, 0.5)
             .unwrap();
-        assert_eq!(streamed.len(), queried.len());
-        for (s, q) in streamed.iter().zip(&queried) {
-            assert!((s.ai - q.ai).abs() < 1e-9, "{s:?} vs {q:?}");
-            assert!((s.gflops - q.gflops).abs() < 1e-6);
-        }
-        // Triad AI ≈ 0.0625 shows up live.
-        let mid = &streamed[streamed.len() / 2];
+        assert!(!points.is_empty());
+        let mid = &points[points.len() / 2];
         assert!((mid.ai - 0.0625).abs() < 0.01, "ai {}", mid.ai);
-    }
-
-    #[test]
-    fn stream_ignores_unrelated_measurements() {
-        let layer = builtin_layer();
-        let db = Database::new("t");
-        let mut stream = LiveCarmStream::attach(&layer, "csl", &db, "obs-x", 1.0);
-        // Unrelated measurement and wrong tag: no points.
-        db.write_point(
-            pmove_tsdb::Point::new("kernel_all_load")
-                .tag("tag", "obs-x")
-                .field("value", 1.0)
-                .timestamp(0),
-        )
-        .unwrap();
-        db.write_point(
-            pmove_tsdb::Point::new("perfevent_hwcounters_FP_ARITH_SCALAR_DOUBLE")
-                .tag("tag", "other")
-                .field("_cpu0", 5.0)
-                .timestamp(0),
-        )
-        .unwrap();
-        assert!(stream.drain().is_empty());
-        assert!(stream.finish().is_empty());
     }
 
     #[test]

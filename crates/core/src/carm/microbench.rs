@@ -46,7 +46,7 @@ fn working_set_for_level(machine: &Machine, level: u8, threads: u32) -> u64 {
 
 /// Measure the sustainable bandwidth of one memory level with a pure
 /// load/store streaming kernel, timed by the TSC.
-pub fn measure_level_bandwidth(machine: &Machine, level: u8, threads: u32) -> f64 {
+pub(crate) fn measure_level_bandwidth(machine: &Machine, level: u8, threads: u32) -> f64 {
     let model = ExecModel::new(machine.spec.clone());
     // Large enough to amortize the fixed launch overhead at any thread
     // count (the microbenchmarks stream gigabytes, like the real ones).
@@ -71,7 +71,7 @@ pub fn measure_level_bandwidth(machine: &Machine, level: u8, threads: u32) -> f6
 }
 
 /// Measure the peak FP throughput of one ISA extension.
-pub fn measure_peak_gflops(
+pub(crate) fn measure_peak_gflops(
     machine: &Machine,
     isa: pmove_hwsim::vendor::IsaExt,
     threads: u32,

@@ -1,9 +1,9 @@
 //! Cache-Aware Roofline Model (§IV-B).
 
-pub mod live;
+mod live;
 pub mod microbench;
-pub mod model;
+mod model;
 pub mod plot;
 
 pub use live::{LiveCarm, LiveCarmPoint};
-pub use model::{CarmModel, FpPeak, MemRoof};
+pub use model::CarmModel;

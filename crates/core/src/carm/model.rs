@@ -30,9 +30,9 @@ pub struct FpPeak {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CarmModel {
     /// Machine key.
-    pub machine: String,
+    pub(crate) machine: String,
     /// Thread count the model was measured with.
-    pub threads: u32,
+    pub(crate) threads: u32,
     /// Memory roofs, innermost (fastest) first.
     pub roofs: Vec<MemRoof>,
     /// Compute peaks, narrowest ISA first.
@@ -46,7 +46,7 @@ impl CarmModel {
     }
 
     /// Bandwidth of a named level.
-    pub fn bandwidth(&self, level: &str) -> Option<f64> {
+    pub(crate) fn bandwidth(&self, level: &str) -> Option<f64> {
         self.roofs
             .iter()
             .find(|r| r.level == level)
@@ -84,7 +84,7 @@ impl CarmModel {
     /// Serialize for KB storage ("the KB is also used to store all the
     /// microbenchmarking results ... allowing re-construction of the CARM
     /// plot without re-running").
-    pub fn to_results(&self) -> Vec<crate::kb::observation::BenchmarkResult> {
+    pub(crate) fn to_results(&self) -> Vec<crate::kb::observation::BenchmarkResult> {
         use crate::kb::observation::BenchmarkResult;
         let mut out = Vec::new();
         for r in &self.roofs {
@@ -110,7 +110,7 @@ impl CarmModel {
     }
 
     /// Reconstruct from KB-stored results.
-    pub fn from_results(
+    pub(crate) fn from_results(
         machine: &str,
         results: &[crate::kb::observation::BenchmarkResult],
     ) -> Option<CarmModel> {

@@ -9,15 +9,20 @@ use crate::carm::model::CarmModel;
 
 /// A polyline in (AI, GFLOP/s) space.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RoofSeries {
+pub(crate) struct RoofSeries {
     /// Roof label (`L1`, `DRAM`, `peak avx512`).
-    pub label: String,
+    pub(crate) label: String,
     /// Points along the roof, AI ascending.
-    pub points: Vec<(f64, f64)>,
+    pub(crate) points: Vec<(f64, f64)>,
 }
 
 /// Sample every roof over `[ai_min, ai_max]` (log-spaced, `n` samples).
-pub fn roof_series(model: &CarmModel, ai_min: f64, ai_max: f64, n: usize) -> Vec<RoofSeries> {
+pub(crate) fn roof_series(
+    model: &CarmModel,
+    ai_min: f64,
+    ai_max: f64,
+    n: usize,
+) -> Vec<RoofSeries> {
     assert!(ai_min > 0.0 && ai_max > ai_min && n >= 2, "bad plot range");
     let ais: Vec<f64> = (0..n)
         .map(|i| {

@@ -145,16 +145,6 @@ const SELF_PANELS: &[SelfPanel] = &[
         nonzero: true,
         per_labels: false,
     },
-    // Archiver/snapshot progress, the last-success heartbeat the
-    // backup-staleness SLO watches, restore accounting and the drill's
-    // bit-exact pass/fail gauge.
-    SelfPanel {
-        title: "backup & DR",
-        counters: &["store.backup.", "tsdb.restore.", "daemon.drill."],
-        gauges: &["store.backup.", "daemon.drill."],
-        nonzero: true,
-        per_labels: false,
-    },
     // Columnar write-path throughput and continuous-query materialization.
     SelfPanel {
         title: "batch & rollup",
@@ -193,7 +183,7 @@ const SELF_PANELS: &[SelfPanel] = &[
 /// one latency panel per histogram (p50/p90/p99 targets), the
 /// optional panels (`SELF_PANELS`) whose series the snapshot carries,
 /// per-daemon-step span timings, and the remaining spans.
-pub fn self_dashboard(kb: &KnowledgeBase, snap: &pmove_obs::Snapshot) -> Dashboard {
+pub(crate) fn self_dashboard(kb: &KnowledgeBase, snap: &pmove_obs::Snapshot) -> Dashboard {
     use pmove_tsdb::self_export::{measurement_for, SELF_PREFIX, SPAN_PREFIX};
     let target = |measurement: &str, params: &str| Target {
         datasource: Datasource::influx(&kb.db.influx_uid),

@@ -4,5 +4,4 @@ pub mod gen;
 pub mod model;
 pub mod render;
 
-pub use gen::{focus_dashboard, level_dashboard, subtree_dashboard};
-pub use model::{Dashboard, Panel, Target, TimeRange};
+pub use model::Dashboard;

@@ -32,9 +32,9 @@ pub struct Target {
 pub struct Datasource {
     /// Datasource type (`influxdb`).
     #[serde(rename = "type")]
-    pub kind: String,
+    pub(crate) kind: String,
     /// Datasource uid.
-    pub uid: String,
+    pub(crate) uid: String,
 }
 
 impl Datasource {
@@ -51,7 +51,7 @@ impl Datasource {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Panel {
     /// Panel id.
-    pub id: u32,
+    pub(crate) id: u32,
     /// Panel title (not in the minimal Listing 1, but Grafana accepts it).
     #[serde(default, skip_serializing_if = "String::is_empty")]
     pub title: String,
@@ -61,11 +61,11 @@ pub struct Panel {
 
 /// The dashboard time range.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TimeRange {
+pub(crate) struct TimeRange {
     /// Range start (`now-5m`).
-    pub from: String,
+    pub(crate) from: String,
     /// Range end (`now`).
-    pub to: String,
+    pub(crate) to: String,
 }
 
 impl Default for TimeRange {
@@ -81,14 +81,14 @@ impl Default for TimeRange {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Dashboard {
     /// Dashboard id.
-    pub id: u32,
+    pub(crate) id: u32,
     /// Dashboard title.
     #[serde(default, skip_serializing_if = "String::is_empty")]
     pub title: String,
     /// Panels.
     pub panels: Vec<Panel>,
     /// Time range.
-    pub time: TimeRange,
+    pub(crate) time: TimeRange,
 }
 
 impl Dashboard {

@@ -14,7 +14,7 @@ const SPARK: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'
 
 /// Render a numeric series as a sparkline of `width` characters
 /// (downsampled by bucket means).
-pub fn sparkline(values: &[f64], width: usize) -> String {
+pub(crate) fn sparkline(values: &[f64], width: usize) -> String {
     if values.is_empty() || width == 0 {
         return String::new();
     }

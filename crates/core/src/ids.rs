@@ -8,7 +8,7 @@
 use pmove_hwsim::noise::stable_hash;
 
 /// Generate a UUID-shaped id from labels (stable across runs).
-pub fn observation_id(labels: &[&str]) -> String {
+pub(crate) fn observation_id(labels: &[&str]) -> String {
     let h1 = stable_hash(labels);
     let h2 = stable_hash(&[&h1.to_string(), "second-half"]);
     format!(
@@ -30,7 +30,7 @@ pub struct IdFactory {
 
 impl IdFactory {
     /// Factory whose ids derive from a session prefix (machine key etc.).
-    pub fn new(prefix: impl Into<String>) -> Self {
+    pub(crate) fn new(prefix: impl Into<String>) -> Self {
         IdFactory {
             prefix: prefix.into(),
             counter: 0,
@@ -38,7 +38,7 @@ impl IdFactory {
     }
 
     /// Next id.
-    pub fn next_id(&mut self) -> String {
+    pub(crate) fn next_id(&mut self) -> String {
         let id = observation_id(&[&self.prefix, &self.counter.to_string()]);
         self.counter += 1;
         id

@@ -22,7 +22,7 @@ pub fn build_kb(report: &ProbeReport) -> Result<KnowledgeBase, PmoveError> {
 /// [`build_kb`] with `kb.builder.*` counters recorded in `obs`:
 /// interfaces built, telemetry entries attached (by kind), and GPU twins
 /// enriched.
-pub fn build_kb_observed(
+pub(crate) fn build_kb_observed(
     report: &ProbeReport,
     obs: &pmove_obs::Registry,
 ) -> Result<KnowledgeBase, PmoveError> {

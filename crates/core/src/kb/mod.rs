@@ -16,17 +16,17 @@ use crate::error::PmoveError;
 use pmove_jsonld::{Dtmi, Interface};
 use std::collections::BTreeMap;
 
-pub use observation::{AggObservation, BenchmarkInterface, BenchmarkResult, ObservationInterface};
+pub(crate) use observation::{AggObservation, BenchmarkInterface, ObservationInterface};
 
 /// Database connection parameters carried in the KB (the env of step ⓪).
 #[derive(Debug, Clone, PartialEq)]
-pub struct DbParams {
+pub(crate) struct DbParams {
     /// Time-series database name.
-    pub influx_db: String,
+    pub(crate) influx_db: String,
     /// Datasource uid referenced by dashboards (Listing 1's `uid`).
-    pub influx_uid: String,
+    pub(crate) influx_uid: String,
     /// Document database name.
-    pub mongo_db: String,
+    pub(crate) mongo_db: String,
 }
 
 impl Default for DbParams {
@@ -45,9 +45,9 @@ pub struct KnowledgeBase {
     /// Machine key (`csl`).
     pub machine_key: String,
     /// PMU name for the abstraction layer.
-    pub pmu_name: String,
+    pub(crate) pmu_name: String,
     /// Database parameters.
-    pub db: DbParams,
+    pub(crate) db: DbParams,
     /// All component interfaces (tree order).
     pub interfaces: Vec<Interface>,
     /// Containment: child → parent.
@@ -59,12 +59,12 @@ pub struct KnowledgeBase {
     /// Appended observation entries.
     pub observations: Vec<ObservationInterface>,
     /// Appended benchmark entries.
-    pub benchmarks: Vec<BenchmarkInterface>,
+    pub(crate) benchmarks: Vec<BenchmarkInterface>,
 }
 
 impl KnowledgeBase {
     /// Empty KB (builders populate it).
-    pub fn new(machine_key: impl Into<String>, pmu_name: impl Into<String>) -> Self {
+    pub(crate) fn new(machine_key: impl Into<String>, pmu_name: impl Into<String>) -> Self {
         KnowledgeBase {
             machine_key: machine_key.into(),
             pmu_name: pmu_name.into(),
@@ -79,12 +79,12 @@ impl KnowledgeBase {
     }
 
     /// Root twin id: `dtmi:dt:<machine>;1`.
-    pub fn root_id(&self) -> Dtmi {
+    pub(crate) fn root_id(&self) -> Dtmi {
         Dtmi::new(["dt", self.machine_key.as_str()], 1).expect("machine keys are valid segments")
     }
 
     /// Add an interface under an optional parent.
-    pub fn add_interface(&mut self, iface: Interface, parent: Option<&Dtmi>) {
+    pub(crate) fn add_interface(&mut self, iface: Interface, parent: Option<&Dtmi>) {
         let id = iface.id.clone();
         self.index.insert(id.clone(), self.interfaces.len());
         if let Some(p) = parent {
@@ -95,12 +95,12 @@ impl KnowledgeBase {
     }
 
     /// Look up an interface by id.
-    pub fn get(&self, id: &Dtmi) -> Option<&Interface> {
+    pub(crate) fn get(&self, id: &Dtmi) -> Option<&Interface> {
         self.index.get(id).map(|&i| &self.interfaces[i])
     }
 
     /// Mutable lookup.
-    pub fn get_mut(&mut self, id: &Dtmi) -> Option<&mut Interface> {
+    pub(crate) fn get_mut(&mut self, id: &Dtmi) -> Option<&mut Interface> {
         self.index
             .get(id)
             .copied()
@@ -113,17 +113,17 @@ impl KnowledgeBase {
     }
 
     /// Parent of a twin.
-    pub fn parent_of(&self, id: &Dtmi) -> Option<&Dtmi> {
+    pub(crate) fn parent_of(&self, id: &Dtmi) -> Option<&Dtmi> {
         self.parent.get(id)
     }
 
     /// Children of a twin.
-    pub fn children_of(&self, id: &Dtmi) -> &[Dtmi] {
+    pub(crate) fn children_of(&self, id: &Dtmi) -> &[Dtmi] {
         self.children.get(id).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Interfaces of one component type — the *level* of the level view.
-    pub fn of_type(&self, component_type: &str) -> Vec<&Interface> {
+    pub(crate) fn of_type(&self, component_type: &str) -> Vec<&Interface> {
         self.interfaces
             .iter()
             .filter(|i| i.component_type == component_type)
@@ -141,29 +141,29 @@ impl KnowledgeBase {
     }
 
     /// Append an observation entry (step B8).
-    pub fn append_observation(&mut self, obs: ObservationInterface) {
+    pub(crate) fn append_observation(&mut self, obs: ObservationInterface) {
         self.observations.push(obs);
     }
 
     /// Append a benchmark entry.
-    pub fn append_benchmark(&mut self, b: BenchmarkInterface) {
+    pub(crate) fn append_benchmark(&mut self, b: BenchmarkInterface) {
         self.benchmarks.push(b);
     }
 
     /// Find an observation by id.
-    pub fn observation(&self, id: &str) -> Option<&ObservationInterface> {
+    pub(crate) fn observation(&self, id: &str) -> Option<&ObservationInterface> {
         self.observations.iter().find(|o| o.id == id)
     }
 
     /// Validate the whole model against the DTDL rules.
-    pub fn validate(&self) -> Result<(), PmoveError> {
+    pub(crate) fn validate(&self) -> Result<(), PmoveError> {
         pmove_jsonld::validate::validate_model(&self.interfaces)?;
         Ok(())
     }
 
     /// Project the KB into an RDF graph (interfaces, properties,
     /// telemetry, relationships as triples).
-    pub fn to_graph(&self) -> pmove_jsonld::Graph {
+    pub(crate) fn to_graph(&self) -> pmove_jsonld::Graph {
         let mut g = pmove_jsonld::Graph::new();
         for iface in &self.interfaces {
             pmove_jsonld::serialize::interface_to_triples(iface, &mut g);

@@ -22,23 +22,23 @@ pub struct ObservationInterface {
     /// Unique observation id (the `tag` in InfluxDB).
     pub id: String,
     /// Machine the observation ran on.
-    pub machine: String,
+    pub(crate) machine: String,
     /// Executed command line.
-    pub command: String,
+    pub(crate) command: String,
     /// Pinning strategy name (`balanced`, `compact`, ...).
-    pub pinning: String,
+    pub(crate) pinning: String,
     /// OS thread indices the kernel was bound to.
-    pub affinity: Vec<u32>,
+    pub(crate) affinity: Vec<u32>,
     /// Virtual start time (seconds).
-    pub start_s: f64,
+    pub(crate) start_s: f64,
     /// Virtual end time (seconds).
-    pub end_s: f64,
+    pub(crate) end_s: f64,
     /// Sampling frequency used.
-    pub freq_hz: f64,
+    pub(crate) freq_hz: f64,
     /// Sampled metrics.
     pub metrics: Vec<MetricRef>,
     /// Report generated on the fly before appending to the KB.
-    pub report: Value,
+    pub(crate) report: Value,
 }
 
 impl ObservationInterface {
@@ -84,7 +84,7 @@ impl ObservationInterface {
     }
 
     /// Observation duration in seconds.
-    pub fn duration_s(&self) -> f64 {
+    pub(crate) fn duration_s(&self) -> f64 {
         self.end_s - self.start_s
     }
 }
@@ -94,16 +94,16 @@ impl ObservationInterface {
 #[derive(Debug, Clone, PartialEq)]
 pub struct AggObservation {
     /// Source observation id.
-    pub id: String,
+    pub(crate) id: String,
     /// Machine key.
-    pub machine: String,
+    pub(crate) machine: String,
     /// Per-(metric, field) summaries.
-    pub summaries: Vec<(String, String, Summary)>,
+    pub(crate) summaries: Vec<(String, String, Summary)>,
 }
 
 impl AggObservation {
     /// Serialize for the global database.
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(&self) -> Value {
         json!({
             "@type": "AGGObservationInterface",
             "observation": self.id,
@@ -126,11 +126,11 @@ impl AggObservation {
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkResult {
     /// Metric name (`triad_bandwidth`, `hpcg_gflops`, `L1_bw_gbps`).
-    pub name: String,
+    pub(crate) name: String,
     /// Value.
-    pub value: f64,
+    pub(crate) value: f64,
     /// Unit string.
-    pub unit: String,
+    pub(crate) unit: String,
 }
 
 /// A `BenchmarkInterface` entry recording CARM/STREAM/HPCG results
@@ -152,7 +152,7 @@ pub struct BenchmarkInterface {
 
 impl BenchmarkInterface {
     /// Serialize for the KB.
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(&self) -> Value {
         json!({
             "@type": "BenchmarkInterface",
             "id": self.id,
@@ -163,14 +163,6 @@ impl BenchmarkInterface {
                 "name": r.name, "value": r.value, "unit": r.unit,
             })).collect::<Vec<_>>(),
         })
-    }
-
-    /// Look up one result by name.
-    pub fn result(&self, name: &str) -> Option<f64> {
-        self.results
-            .iter()
-            .find(|r| r.name == name)
-            .map(|r| r.value)
     }
 }
 
@@ -252,7 +244,7 @@ mod tests {
     }
 
     #[test]
-    fn benchmark_interface_lookup() {
+    fn benchmark_interface_to_json() {
         let b = BenchmarkInterface {
             id: "b1".into(),
             machine: "csl".into(),
@@ -264,8 +256,6 @@ mod tests {
                 unit: "B/s".into(),
             }],
         };
-        assert_eq!(b.result("triad_bandwidth"), Some(1.1e11));
-        assert_eq!(b.result("nope"), None);
         assert_eq!(b.to_json()["benchmark"], json!("stream"));
     }
 }

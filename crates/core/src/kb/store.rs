@@ -47,7 +47,7 @@ pub fn insert_kb(db: &Database, kb: &KnowledgeBase) -> Result<usize, PmoveError>
 
 /// [`insert_kb`] against a journaled database: every mutation is framed
 /// through the WAL so the KB collections survive a daemon restart.
-pub fn insert_kb_durable(
+pub(crate) fn insert_kb_durable(
     db: &pmove_docdb::DurableDatabase,
     kb: &KnowledgeBase,
 ) -> Result<usize, PmoveError> {
@@ -101,7 +101,7 @@ pub fn load_interfaces(
 }
 
 /// Machines present in the store.
-pub fn machines(db: &Database) -> Vec<String> {
+pub(crate) fn machines(db: &Database) -> Vec<String> {
     let col = db.collection(KB_COLLECTION);
     let mut keys: Vec<String> = col
         .all()

@@ -19,9 +19,9 @@ use serde_json::json;
 /// The global database pair.
 pub struct SuperDb {
     /// Global document database (KBs, observation entries).
-    pub doc: DocDb,
+    pub(crate) doc: DocDb,
     /// Global time-series database (TS observations).
-    pub ts: TsDb,
+    pub(crate) ts: TsDb,
 }
 
 impl Default for SuperDb {
@@ -100,7 +100,7 @@ impl SuperDb {
     /// supervisor calls this when it quarantines a node, so global views
     /// stop presenting dead-node twins as live. Re-marking updates the
     /// timestamp.
-    pub fn mark_stale(&self, machine: &str, since_s: f64) -> Result<(), PmoveError> {
+    pub(crate) fn mark_stale(&self, machine: &str, since_s: f64) -> Result<(), PmoveError> {
         let col = self.doc.collection("staleness");
         col.delete_many(&json!({ "_id": machine }))?;
         col.insert_one(json!({
@@ -112,7 +112,7 @@ impl SuperDb {
     }
 
     /// Clear a machine's staleness annotation (node rejoined).
-    pub fn clear_stale(&self, machine: &str) -> Result<(), PmoveError> {
+    pub(crate) fn clear_stale(&self, machine: &str) -> Result<(), PmoveError> {
         self.doc
             .collection("staleness")
             .delete_many(&json!({ "_id": machine }))?;

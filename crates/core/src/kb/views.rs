@@ -12,7 +12,7 @@ use pmove_jsonld::{Dtmi, Interface};
 use std::collections::{BTreeMap, HashSet};
 
 /// Focus view: the component itself.
-pub fn focus<'a>(kb: &'a KnowledgeBase, id: &Dtmi) -> Option<&'a Interface> {
+pub(crate) fn focus<'a>(kb: &'a KnowledgeBase, id: &Dtmi) -> Option<&'a Interface> {
     kb.get(id)
 }
 
@@ -29,7 +29,7 @@ pub fn focus_path<'a>(kb: &'a KnowledgeBase, id: &Dtmi) -> Vec<&'a Interface> {
 }
 
 /// Subtree view: pre-order traversal from a component to all its leaves.
-pub fn subtree<'a>(kb: &'a KnowledgeBase, id: &Dtmi) -> Vec<&'a Interface> {
+pub(crate) fn subtree<'a>(kb: &'a KnowledgeBase, id: &Dtmi) -> Vec<&'a Interface> {
     let mut out = Vec::new();
     // Ids are walked by reference, the KB's own.
     let mut stack: Vec<&'a Dtmi> = kb.get(id).map(|root| &root.id).into_iter().collect();
@@ -43,14 +43,16 @@ pub fn subtree<'a>(kb: &'a KnowledgeBase, id: &Dtmi) -> Vec<&'a Interface> {
 }
 
 /// Level view: every interface of one component type.
-pub fn level<'a>(kb: &'a KnowledgeBase, component_type: &str) -> Vec<&'a Interface> {
+pub(crate) fn level<'a>(kb: &'a KnowledgeBase, component_type: &str) -> Vec<&'a Interface> {
     kb.of_type(component_type)
 }
 
 /// All telemetry DB measurements visible from a set of interfaces —
 /// the metric selection step of automatic dashboard generation:
 /// measurements in name order, each with its fields in first-seen order.
-pub fn telemetry_measurements<'a>(interfaces: &[&'a Interface]) -> Vec<(&'a str, Vec<&'a str>)> {
+pub(crate) fn telemetry_measurements<'a>(
+    interfaces: &[&'a Interface],
+) -> Vec<(&'a str, Vec<&'a str>)> {
     // Per measurement, the ordered fields beside the set of those seen.
     let mut by_db: BTreeMap<&str, (Vec<&str>, HashSet<&str>)> = BTreeMap::new();
     for iface in interfaces {

@@ -43,18 +43,18 @@
 //! assert!(daemon.ts.measurements().contains(&"kernel_all_load".to_string()));
 //! ```
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod abstraction;
 pub mod analysis;
 pub mod carm;
 pub mod dashboard;
-pub mod error;
-pub mod ids;
+mod error;
+mod ids;
 pub mod kb;
 pub mod probe;
 pub mod profiles;
 pub mod telemetry;
 
 pub use error::PmoveError;
-pub use kb::KnowledgeBase;
-pub use telemetry::daemon::{DaemonMode, PMoveDaemon};
+pub use telemetry::daemon::PMoveDaemon;

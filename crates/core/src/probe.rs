@@ -5,7 +5,6 @@
 //! target is a simulated [`Machine`] and the probing module is
 //! `pmove_hwsim::probe`; this layer adds validation and typed access.
 
-use crate::error::PmoveError;
 use pmove_hwsim::probe::probe_machine;
 use pmove_hwsim::Machine;
 use serde_json::Value;
@@ -25,28 +24,6 @@ impl ProbeReport {
         }
     }
 
-    /// Parse a report received as JSON, validating required sections.
-    pub fn from_json(json: Value) -> Result<ProbeReport, PmoveError> {
-        for section in [
-            "system",
-            "cpu",
-            "memory",
-            "components",
-            "pmu_events",
-            "sw_metrics",
-        ] {
-            if json.get(section).is_none() {
-                return Err(PmoveError::BadProbeReport(format!(
-                    "missing section {section}"
-                )));
-            }
-        }
-        if json["components"].as_array().is_none_or(|a| a.is_empty()) {
-            return Err(PmoveError::BadProbeReport("no components".into()));
-        }
-        Ok(ProbeReport { json })
-    }
-
     /// Target hostname.
     pub fn hostname(&self) -> &str {
         self.json["system"]["hostname"]
@@ -55,7 +32,7 @@ impl ProbeReport {
     }
 
     /// PMU name for the abstraction layer (`skx`, `zen3`, ...).
-    pub fn pmu_name(&self) -> &str {
+    pub(crate) fn pmu_name(&self) -> &str {
         self.json["cpu"]["pmu_name"].as_str().unwrap_or("unknown")
     }
 
@@ -65,7 +42,7 @@ impl ProbeReport {
     }
 
     /// The component records.
-    pub fn components(&self) -> &[Value] {
+    pub(crate) fn components(&self) -> &[Value] {
         self.json["components"]
             .as_array()
             .map(Vec::as_slice)
@@ -81,7 +58,7 @@ impl ProbeReport {
     }
 
     /// The SW metric descriptors.
-    pub fn sw_metrics(&self) -> &[Value] {
+    pub(crate) fn sw_metrics(&self) -> &[Value] {
         self.json["sw_metrics"]
             .as_array()
             .map(Vec::as_slice)
@@ -100,7 +77,6 @@ impl ProbeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde_json::json;
 
     #[test]
     fn collect_and_accessors() {
@@ -113,23 +89,5 @@ mod tests {
         assert!(r.pmu_event_names().contains(&"FP_ARITH:SCALAR_DOUBLE"));
         assert!(r.sw_metrics().len() >= 15);
         assert!(r.gpus().is_empty());
-    }
-
-    #[test]
-    fn validation_roundtrip() {
-        let m = Machine::preset("icl").unwrap();
-        let r = ProbeReport::collect(&m);
-        let back = ProbeReport::from_json(r.json.clone()).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn rejects_incomplete_reports() {
-        assert!(ProbeReport::from_json(json!({})).is_err());
-        assert!(ProbeReport::from_json(json!({
-            "system": {}, "cpu": {}, "memory": {},
-            "components": [], "pmu_events": [], "sw_metrics": []
-        }))
-        .is_err());
     }
 }

@@ -91,7 +91,7 @@ impl Cluster {
     }
 
     /// Node daemon by machine key.
-    pub fn node(&self, key: &str) -> Option<&PMoveDaemon> {
+    pub(crate) fn node(&self, key: &str) -> Option<&PMoveDaemon> {
         self.nodes.iter().find(|d| d.kb.machine_key == key)
     }
 

@@ -26,7 +26,7 @@ use pmove_pcp::{
 use pmove_serve::{QueryServer, ServeReport, ServeRequest, ServingConfig};
 use pmove_tsdb::query::{Projection, Query};
 use pmove_tsdb::repl::{RepairReport, ReplConfig, ReplicaSet};
-use pmove_tsdb::store::{MemDisk, ScrubConfig, Scrubber, StoreOptions, Vfs};
+use pmove_tsdb::store::{ScrubConfig, Scrubber, StoreOptions, Vfs};
 use std::fmt;
 use std::sync::Arc;
 
@@ -44,17 +44,6 @@ fn on_clock(schedule: FaultSchedule, start_s: f64) -> FaultSchedule {
         .fold(FaultSchedule::none(), |shifted, w| {
             shifted.with_window(start_s + w.start_s, start_s + w.end_s, w.kind)
         })
-}
-
-/// What boot step ④ recovered from the durable stores.
-#[derive(Debug, Clone, Copy)]
-pub struct BootRecovery {
-    /// Time-series store recovery (chunk load + WAL replay).
-    pub ts: pmove_tsdb::store::RecoveryReport,
-    /// Document-database journal replay.
-    pub doc: pmove_docdb::JournalReport,
-    /// Modeled recovery time in nanoseconds (the step ④ span length).
-    pub modeled_ns: u64,
 }
 
 /// How much of the stack the daemon is running, and why not all of it.
@@ -91,20 +80,6 @@ impl fmt::Display for DaemonMode {
     }
 }
 
-/// Backup scheduler state, present once [`PMoveDaemon::enable_backups`]
-/// attached a destination.
-#[derive(Clone, Copy)]
-struct BackupSchedule {
-    /// Capture cadence in virtual seconds.
-    period_s: f64,
-    /// Virtual time of the last completed generation.
-    last_s: f64,
-    /// Completed generations since the last restore drill.
-    since_drill: u64,
-    /// Restore drills run so far; seeds each drill's scratch disk.
-    drills: u64,
-}
-
 /// The daemon.
 pub struct PMoveDaemon {
     /// The target machine (host ≠ target in the paper; the daemon holds a
@@ -120,9 +95,7 @@ pub struct PMoveDaemon {
     pub doc: Arc<pmove_docdb::Database>,
     /// Journal wrapper around `doc` when the daemon is durable; KB
     /// mutations route through it so they survive restarts.
-    pub doc_journal: Option<pmove_docdb::DurableDatabase>,
-    /// Step ④ recovery outcome; `None` on memory-only daemons.
-    pub recovery: Option<BootRecovery>,
+    pub(crate) doc_journal: Option<pmove_docdb::DurableDatabase>,
     /// Replicated telemetry store (RF durable replicas behind a quorum
     /// coordinator); `None` unless booted via
     /// [`PMoveDaemon::for_preset_replicated`].
@@ -144,15 +117,13 @@ pub struct PMoveDaemon {
     /// SLO engine over the registry's metrics; objectives install via
     /// [`PMoveDaemon::install_default_slos`] or [`SloEngine::add`] and
     /// evaluate on the daemon's virtual clock.
-    pub slo: SloEngine,
-    /// Which stack the daemon is running (see [`DaemonMode`]).
+    pub(crate) slo: SloEngine,
+    /// Which stack the daemon is running (see `DaemonMode`).
     pub mode: DaemonMode,
     /// Background integrity scrubber over the durable time-series store;
     /// `None` until [`PMoveDaemon::enable_scrubbing`]. Its config is the
     /// cadence the `scrub_staleness` SLO holds it to.
     scrubber: Option<Scrubber>,
-    /// `None` until [`PMoveDaemon::enable_backups`].
-    backup: Option<BackupSchedule>,
 }
 
 /// Modeled boot-step durations (virtual ns, deterministic): reading the
@@ -169,48 +140,11 @@ const STEP5_SUPERVISE_NS: u64 = 40_000;
 const REPAIR_BASE_NS: u64 = 60_000;
 /// Modeled per-cell cost of streaming a divergent range during repair.
 const REPAIR_PER_CELL_NS: u64 = 700;
-/// Run an automated restore drill after every this many completed backup
-/// generations.
-const DRILL_EVERY_BACKUPS: u64 = 3;
-/// Modeled fixed cost of fencing + committing one backup generation.
-const BACKUP_BASE_NS: u64 = 80_000;
-/// Modeled per-byte cost of copying chunk bytes to the backup disk.
-const BACKUP_PER_BYTE_NS: u64 = 2;
-/// Modeled fixed cost of one restore drill (scratch restore + diff).
-const DRILL_BASE_NS: u64 = 250_000;
-
 /// FNV-1a over `bytes`: the deterministic seed/fingerprint hash.
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
     })
-}
-
-/// Flatten a database's cell space into a diffable map: `(canonical
-/// series, timestamp, field) -> value fingerprint`, floats fingerprinted
-/// by `f64::to_bits` so the drill comparison is bit-exact (NaN payloads
-/// and signed zeros included). Gap-marker annotations are skipped — they
-/// are in-memory derivations, deliberately never persisted, so a restored
-/// store cannot be expected to reproduce them.
-fn drill_cell_map(
-    db: &pmove_tsdb::Database,
-) -> std::collections::BTreeMap<(String, i64, String), (u8, u64)> {
-    use pmove_tsdb::FieldValue as F;
-    let mut map = std::collections::BTreeMap::new();
-    db.for_each_cell(&mut |key, ts, field, value| {
-        let canonical = key.canonical();
-        if canonical.starts_with(pmove_tsdb::GAP_MEASUREMENT) {
-            return;
-        }
-        let fp = match value {
-            F::Float(x) => (0u8, x.to_bits()),
-            F::Int(x) => (1, *x as u64),
-            F::Bool(x) => (2, u64::from(*x)),
-            F::Str(s) => (3, fnv1a(s.as_bytes())),
-        };
-        map.insert((canonical, ts, field.to_string()), fp);
-    });
-    map
 }
 
 /// Steps ⓪–②: environment, probe, KB generation. Returns the KB and the
@@ -269,7 +203,7 @@ impl PMoveDaemon {
         let obs = Registry::shared();
         let (kb, boot_ns) = boot_steps_0_to_2(&machine, &env, &obs)?;
 
-        let (ts, doc, doc_journal, recovered) = match vfs {
+        let (ts, doc, doc_journal, recovery_ns) = match vfs {
             None => {
                 let ts = pmove_tsdb::Database::with_obs(&env.influx_db, obs.clone());
                 let doc = pmove_docdb::Database::with_obs(&env.mongo_db, obs.clone());
@@ -284,21 +218,21 @@ impl PMoveDaemon {
                 )?;
                 let (journal, doc_rec) =
                     pmove_docdb::DurableDatabase::open(&env.mongo_db, vfs, obs.clone())?;
-                (ts, journal.shared(), Some(journal), Some((ts_rec, doc_rec)))
+                let recovery_ns = ts_rec.modeled_ns + doc_rec.modeled_ns;
+                (ts, journal.shared(), Some(journal), Some(recovery_ns))
             }
         };
         // Indexes are rebuilt on every boot, so they are not journaled.
         doc.collection(store::KB_COLLECTION).create_index("@type");
 
         let ids = IdFactory::new(machine.key());
-        let mut daemon = PMoveDaemon {
+        let daemon = PMoveDaemon {
             machine,
             kb,
             layer: builtin_layer(),
             ts,
             doc,
             doc_journal,
-            recovery: None,
             repl: None,
             repl_recovery: Vec::new(),
             ids,
@@ -308,7 +242,6 @@ impl PMoveDaemon {
             obs,
             mode: DaemonMode::Normal,
             scrubber: None,
-            backup: None,
         };
         let insert_ns = daemon.sync_kb()? as u64 * STEP3_PER_DOC_NS; // ③
         daemon
@@ -317,16 +250,10 @@ impl PMoveDaemon {
         let mut boot_ns = boot_ns + insert_ns;
 
         // ④ recovery: replaying WAL + journal over the chunk set.
-        if let Some((ts_rec, doc_rec)) = recovered {
-            let modeled_ns = ts_rec.modeled_ns + doc_rec.modeled_ns;
+        if let Some(modeled_ns) = recovery_ns {
             daemon
                 .obs
                 .record_span("daemon.step4.recovery", boot_ns, boot_ns + modeled_ns);
-            daemon.recovery = Some(BootRecovery {
-                ts: ts_rec,
-                doc: doc_rec,
-                modeled_ns,
-            });
             boot_ns += modeled_ns;
         }
         Ok((daemon, boot_ns))
@@ -345,7 +272,7 @@ impl PMoveDaemon {
     /// Supervised boot (step ⑤) for a preset machine with default env:
     /// try the full durable stack first; when recovery of the tsdb/docdb
     /// fails (crashed disk, torn files), fall back to a memory-only daemon
-    /// in [`DaemonMode::BootFallback`] instead of refusing to start —
+    /// in `DaemonMode::BootFallback` instead of refusing to start —
     /// monitoring availability beats durability when the two conflict.
     /// The decision is stamped as a `daemon.step5.supervise` span right
     /// after the last boot step, the chosen mode as the `daemon.mode`
@@ -424,7 +351,7 @@ impl PMoveDaemon {
     /// Failure handling is graduated: a quarantined primary is *failed
     /// over* (the coordinator promotes the lowest healthy replica) and
     /// the daemon stays fully operational; the daemon drops to
-    /// [`DaemonMode::QuorumLost`] only when the window ends with fewer
+    /// `DaemonMode::QuorumLost` only when the window ends with fewer
     /// than W replicas reachable — and that lifts by itself once a later
     /// window ends with the quorum restored.
     pub fn monitor_replicated(
@@ -455,8 +382,8 @@ impl PMoveDaemon {
 
     /// One monitoring window — the only place Scenario A configures the
     /// collectors from the KB, advances the daemon clock, stamps
-    /// `daemon.monitor` and runs the periodic duties (scrub, rollup,
-    /// backup), so every monitoring mode gets all of them. `sample` ships
+    /// `daemon.monitor` and runs the periodic duties (scrub, rollup), so
+    /// every monitoring mode gets both. `sample` ships
     /// the window through the mode's transport. An invalid frequency or
     /// duration, or a failed `sample`, leaves the clock untouched.
     fn monitor_window<R>(
@@ -479,7 +406,6 @@ impl PMoveDaemon {
             .record_span("daemon.monitor", s_to_ns(start_s), s_to_ns(self.now_s));
         self.scrub_tick();
         self.rollup_tick();
-        self.backup_tick();
         Ok(out)
     }
 
@@ -562,7 +488,7 @@ impl PMoveDaemon {
     }
 
     /// Guard for operations that mutate the KB: refused while degraded.
-    pub fn ensure_writable(&self) -> Result<(), PmoveError> {
+    pub(crate) fn ensure_writable(&self) -> Result<(), PmoveError> {
         match &self.mode {
             DaemonMode::Normal => Ok(()),
             mode => Err(PmoveError::DegradedMode(mode.to_string())),
@@ -573,11 +499,6 @@ impl PMoveDaemon {
     /// specific threads); subsequent Scenario A windows reflect it.
     pub fn set_background_load(&mut self, busy: &[(u32, f64)]) {
         self.background_busy = busy.to_vec();
-    }
-
-    /// True when both databases persist to a VFS.
-    pub fn is_durable(&self) -> bool {
-        self.doc_journal.is_some() && self.ts.is_durable()
     }
 
     /// Re-insert the KB (step ③ re-occurs whenever the KB changes).
@@ -609,135 +530,6 @@ impl PMoveDaemon {
         }
         self.scrubber = Some(Scrubber::new(cfg));
         true
-    }
-
-    /// Enable scheduled backups of the durable time-series store:
-    /// committed WAL frames stream continuously into a generation-
-    /// addressed archive on a dedicated seeded backup disk, and every
-    /// `period_s` of monitored virtual time the monitor loop captures a
-    /// complete snapshot generation there ([`PMoveDaemon::backup_tick`]).
-    /// Every third generation an automated restore drill restores the
-    /// newest backup into a scratch store and diffs it bit-exactly
-    /// against the live database. Call before
-    /// [`PMoveDaemon::install_default_slos`] so the `backup_staleness`
-    /// objective (pages when the `store.backup.last_success` heartbeat
-    /// falls three periods behind) picks up this cadence. Returns
-    /// `false` (and enables nothing) on a memory-only daemon, and `false`
-    /// plus a `daemon.backup.errors` tick when `period_s` is not a
-    /// positive finite number or the destination cannot be attached.
-    pub fn enable_backups(&mut self, period_s: f64) -> bool {
-        let Some(mut store) = self.ts.store() else {
-            return false;
-        };
-        let seed = Self::trace_seed(self.machine.key()) ^ 0xBACC_BACC_BACC_BACC;
-        let dest: Arc<dyn Vfs> = Arc::new(MemDisk::new(seed | 1));
-        let attached = period_s > 0.0 && period_s.is_finite() && {
-            // Stamp the clock first so catch-up archival of any already-
-            // committed WAL tail carries the current time, not 0.
-            store.note_time((self.now_s * 1e9).round() as i64);
-            store.enable_backup(dest).is_ok()
-        };
-        if !attached {
-            self.obs.counter("daemon.backup.errors", &[]).inc();
-            return false;
-        }
-        // Group archival: the commit fast path stages the payload and the
-        // destination write happens every 32 records (or at any flush or
-        // snapshot fence), keeping archiver ingest overhead negligible.
-        store.set_archive_group(32);
-        self.backup = Some(BackupSchedule {
-            period_s,
-            last_s: self.now_s,
-            since_drill: 0,
-            drills: 0,
-        });
-        true
-    }
-
-    /// One backup-scheduler tick at the current virtual time: stamp the
-    /// store's virtual clock (archived records carry it; it is what
-    /// point-in-time restore targets), and when a full period has elapsed
-    /// capture a snapshot generation, stamped as a `daemon.backup` span.
-    /// Every [`DRILL_EVERY_BACKUPS`] completed generations the tick also
-    /// runs [`PMoveDaemon::restore_drill`]. No-op until
-    /// [`PMoveDaemon::enable_backups`].
-    fn backup_tick(&mut self) {
-        let Some(schedule) = self.backup.as_mut() else {
-            return;
-        };
-        let Some(mut store) = self.ts.store() else {
-            return;
-        };
-        store.note_time((self.now_s * 1e9).round() as i64);
-        if self.now_s - schedule.last_s + 1e-9 < schedule.period_s {
-            return;
-        }
-        let start = s_to_ns(self.now_s);
-        let backup = store.backup_now();
-        drop(store); // the drill below takes the store lock itself
-        let Ok(report) = backup else {
-            self.obs.counter("daemon.backup.errors", &[]).inc();
-            return;
-        };
-        schedule.last_s = self.now_s;
-        schedule.since_drill += 1;
-        let drill_due = schedule.since_drill >= DRILL_EVERY_BACKUPS;
-        if drill_due {
-            schedule.since_drill = 0;
-        }
-        let modeled = BACKUP_BASE_NS + report.bytes * BACKUP_PER_BYTE_NS;
-        self.obs
-            .record_span("daemon.backup", start, start + modeled.max(1));
-        if drill_due {
-            self.restore_drill();
-        }
-    }
-
-    /// Disaster-recovery drill: restore the newest backup generation (plus
-    /// the archived WAL tail) into a scratch store and diff every restored
-    /// cell bit-exactly (`f64::to_bits`) against the live database.
-    /// Publishes `daemon.drill.*` metrics — `bit_exact` is the pass/fail
-    /// gauge an operator alerts on — and stamps a `daemon.restore_drill`
-    /// span. Returns `Some(true)` when the restored state matched,
-    /// `Some(false)` on any mismatch or restore refusal, `None` when
-    /// backups are not enabled.
-    pub fn restore_drill(&mut self) -> Option<bool> {
-        let schedule = self.backup.as_mut()?;
-        let src = self.ts.store()?.backup_dest()?;
-        let start = s_to_ns(self.now_s);
-        schedule.drills += 1;
-        self.obs.counter("daemon.drill.runs", &[]).inc();
-        let seed = Self::trace_seed(self.machine.key()) ^ 0xD1A1_0000_0000_0000 ^ schedule.drills;
-        let scratch: Arc<dyn Vfs> = Arc::new(MemDisk::new(seed | 1));
-        let mut scratch_db =
-            pmove_tsdb::Database::with_obs(format!("{}-drill", self.ts.name()), self.obs.clone());
-        let restored =
-            scratch_db.restore_at(src.as_ref(), scratch, StoreOptions::default(), i64::MAX);
-        let ok = match restored {
-            Ok(report) => {
-                let live = drill_cell_map(&self.ts);
-                let rest = drill_cell_map(&scratch_db);
-                let mismatches = live
-                    .iter()
-                    .filter(|(k, v)| rest.get(*k) != Some(*v))
-                    .count()
-                    + rest.iter().filter(|(k, _)| !live.contains_key(*k)).count();
-                let c = |name: &str, v: u64| self.obs.counter(name, &[]).add(v);
-                c("daemon.drill.cells_compared", live.len() as u64);
-                c("daemon.drill.mismatches", mismatches as u64);
-                mismatches == 0 && report.conserved()
-            }
-            Err(_) => {
-                self.obs.counter("daemon.drill.restore_errors", &[]).inc();
-                false
-            }
-        };
-        self.obs
-            .gauge("daemon.drill.bit_exact", &[])
-            .set(if ok { 1.0 } else { 0.0 });
-        self.obs
-            .record_span("daemon.restore_drill", start, start + DRILL_BASE_NS.max(1));
-        Some(ok)
     }
 
     /// Enable continuous-query rollup tiers on the daemon's time-series
@@ -806,7 +598,7 @@ impl PMoveDaemon {
     /// behind a circuit breaker, recovery gap markers) and an optional
     /// injected fault schedule (virtual-clock relative to the current
     /// daemon time: a window `[a, b)` in the schedule fires at `now_s +
-    /// a`). Monitoring is allowed in every [`DaemonMode`].
+    /// a`). Monitoring is allowed in every `DaemonMode`.
     ///
     /// # Panics
     ///
@@ -1020,12 +812,6 @@ impl PMoveDaemon {
         let period_s = scrub.unwrap_or_default().full_pass_period_s;
         self.slo
             .add(SloSpec::scrub_staleness((period_s * 3.0 * 1e9) as u64));
-        // Backup staleness: page when the newest complete generation's
-        // fence falls three backup periods behind. Daemons that never
-        // enable backups never publish the gauge and stay vacuously Ok.
-        let period_s = self.backup.map_or(60.0, |b| b.period_s);
-        self.slo
-            .add(SloSpec::backup_staleness((period_s * 3.0 * 1e9) as u64));
     }
 
     /// Evaluate every installed SLO against the current registry state at
@@ -1245,6 +1031,10 @@ mod tests {
     use super::*;
     use pmove_obs::AlertState;
 
+    fn result(b: &BenchmarkInterface, name: &str) -> f64 {
+        b.results.iter().find(|r| r.name == name).unwrap().value
+    }
+
     #[test]
     fn construction_runs_steps_0_to_3() {
         let d = PMoveDaemon::for_preset("icl").unwrap();
@@ -1267,11 +1057,7 @@ mod tests {
         let vfs: Arc<dyn Vfs> = disk.clone();
 
         let mut d = PMoveDaemon::for_preset_durable("icl", vfs.clone()).unwrap();
-        assert!(d.is_durable());
-        let rec = d.recovery.expect("durable boot reports recovery");
-        assert_eq!(rec.ts.chunks_loaded, 0);
-        assert_eq!(rec.ts.wal_rows, 0);
-        assert_eq!(rec.doc.records_replayed, 0);
+        assert!(d.ts.is_durable() && d.doc_journal.is_some());
         d.monitor(5.0, 2.0);
         let rows = d.ts.total_rows();
         let kb_len = d.kb.len();
@@ -1282,10 +1068,6 @@ mod tests {
         // the WAL/journal alone.
         disk.restart();
         let d2 = PMoveDaemon::for_preset_durable("icl", vfs).unwrap();
-        let rec2 = d2.recovery.unwrap();
-        assert!(rec2.ts.wal_rows > 0 || rec2.ts.chunks_loaded > 0);
-        assert!(rec2.doc.records_replayed > 0);
-        assert!(rec2.modeled_ns > 0);
         assert_eq!(d2.ts.total_rows(), rows, "telemetry survives the restart");
         assert_eq!(d2.doc.collection(store::KB_COLLECTION).all().len(), kb_len);
         // Step ④ is stamped right after step ③ on the boot timeline.
@@ -1370,82 +1152,13 @@ mod tests {
     }
 
     #[test]
-    fn backup_daemon_archives_snapshots_and_drills_bit_exactly() {
-        use pmove_tsdb::store::{MemDisk, Vfs};
-        let disk = Arc::new(MemDisk::new(51));
-        let vfs: Arc<dyn Vfs> = disk;
-        let mut d = PMoveDaemon::for_preset_durable("icl", vfs).unwrap();
-        // A period that is not a positive finite number is refused, not a
-        // panic (an infinite one would never capture a generation).
-        assert!(![0.0, -10.0, f64::NAN, f64::INFINITY]
-            .into_iter()
-            .any(|p| d.enable_backups(p)));
-        let errors = d.obs.snapshot().counter("daemon.backup.errors", &[]);
-        assert_eq!((errors, d.backup.is_none()), (Some(4), true));
-        assert!(d.enable_backups(10.0));
-        d.install_default_slos();
-        // Memory-only daemons have nothing durable to back up.
-        let mut plain = PMoveDaemon::for_preset("icl").unwrap();
-        assert!(!plain.enable_backups(10.0));
-
-        // Each monitoring window ends with a backup tick; after 40 s of
-        // monitored time at a 10 s period four generations exist and the
-        // scheduled drill (every third) has run once.
-        for _ in 0..8 {
-            d.monitor(5.0, 2.0);
-        }
-        let stats = d.ts.store().unwrap().backup_stats();
-        let stats = stats.expect("backups enabled");
-        assert!(
-            stats.generations_completed >= 3,
-            "40 s / 10 s period produced {} generations",
-            stats.generations_completed
-        );
-        assert!(stats.records_archived > 0, "archiver saw no commits");
-        assert_eq!(stats.backup_errors, 0);
-        let snap = d.obs.snapshot();
-        assert!(snap.span("daemon.backup").is_some());
-        assert_eq!(snap.counter("daemon.drill.runs", &[]), Some(1));
-        assert_eq!(
-            snap.gauge("daemon.drill.bit_exact", &[]),
-            Some(1.0),
-            "scheduled drill restore diverged from the live store"
-        );
-        assert!(
-            snap.gauges
-                .iter()
-                .any(|(k, _)| k.name == "store.backup.last_success"),
-            "backup heartbeat gauge missing"
-        );
-        // An explicit drill also passes and counts its cells.
-        assert_eq!(d.restore_drill(), Some(true));
-        let snap = d.obs.snapshot();
-        assert!(
-            snap.counter("daemon.drill.cells_compared", &[])
-                .unwrap_or(0)
-                > 0
-        );
-        assert_eq!(snap.counter("daemon.drill.mismatches", &[]), Some(0));
-        // The heartbeat is fresh, so the staleness SLO stays quiet.
-        d.evaluate_slos();
-        assert_eq!(d.slo.state("backup_staleness"), Some(AlertState::Ok));
-        // The self-dashboard grew the backup & DR panel.
-        let dash = d.self_dashboard();
-        assert!(
-            dash.panels.iter().any(|p| p.title == "backup & DR"),
-            "dashboard panels: {:?}",
-            dash.panels.iter().map(|p| &p.title).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
     fn supervised_boot_uses_full_stack_when_storage_is_healthy() {
         use pmove_tsdb::store::{MemDisk, Vfs};
         let disk = Arc::new(MemDisk::new(21));
         let vfs: Arc<dyn Vfs> = disk;
         let d = PMoveDaemon::for_preset_supervised("icl", vfs).unwrap();
         assert_eq!(d.mode, DaemonMode::Normal);
-        assert!(d.is_durable());
+        assert!(d.ts.is_durable() && d.doc_journal.is_some());
         assert!(d.ensure_writable().is_ok());
         let snap = d.obs.snapshot();
         // Step ⑤ starts where step ④ ended.
@@ -1475,7 +1188,7 @@ mod tests {
         };
         assert!(reason.contains("virtual disk crashed"), "{reason}");
         assert_eq!(d.ensure_writable(), Err(PmoveError::DegradedMode(reason)));
-        assert!(!d.is_durable());
+        assert!(!d.ts.is_durable() && d.doc_journal.is_none());
         // Monitoring still runs end to end...
         let r = d.monitor(5.0, 2.0);
         assert_eq!(r.ticks, 10);
@@ -1598,7 +1311,7 @@ mod tests {
         let mut d = PMoveDaemon::for_preset("csl").unwrap();
         let b = d.run_stream_benchmark(1 << 24).unwrap();
         assert_eq!(b.benchmark, "stream");
-        let triad = b.result("triad_bandwidth").unwrap();
+        let triad = result(&b, "triad_bandwidth");
         // A DRAM-resident STREAM triad should land near (≤) the machine's
         // sustainable DRAM bandwidth and within 2x below it.
         let dram = d.machine.spec.dram_bw_total();
@@ -1676,9 +1389,9 @@ mod tests {
     fn hpcg_benchmark_converges_and_records() {
         let mut d = PMoveDaemon::for_preset("zen3").unwrap();
         let b = d.run_hpcg_benchmark(8, 8, 8).unwrap();
-        assert!(b.result("final_rel_residual").unwrap() < 1e-9);
-        assert!(b.result("hpcg_gflops").unwrap() > 0.0);
-        assert!(b.result("iterations").unwrap() >= 1.0);
+        assert!(result(&b, "final_rel_residual") < 1e-9);
+        assert!(result(&b, "hpcg_gflops") > 0.0);
+        assert!(result(&b, "iterations") >= 1.0);
     }
 
     #[test]
@@ -1737,9 +1450,9 @@ mod tests {
     fn default_slos_stay_quiet_on_healthy_runs() {
         let mut d = PMoveDaemon::for_preset("icl").unwrap();
         d.install_default_slos();
-        assert_eq!(d.slo.len(), 7);
+        assert_eq!(d.slo.len(), 6);
         d.install_default_slos(); // idempotent
-        assert_eq!(d.slo.len(), 7);
+        assert_eq!(d.slo.len(), 6);
         d.monitor(5.0, 2.0);
         let fired = d.evaluate_slos();
         assert!(fired.is_empty(), "{fired:?}");
@@ -1747,8 +1460,6 @@ mod tests {
         assert_eq!(d.slo.state("conservation"), Some(AlertState::Ok));
         // No serving traffic yet: the serving SLO idles at Ok.
         assert_eq!(d.slo.state("serving_p99"), Some(AlertState::Ok));
-        // No backups configured: the staleness SLO is vacuously healthy.
-        assert_eq!(d.slo.state("backup_staleness"), Some(AlertState::Ok));
         // Meta-gauges are published under the pmove.slo.* namespace.
         let snap = d.obs.snapshot();
         assert!(snap.gauges.iter().any(|(k, _)| k.name == "pmove.slo.state"));

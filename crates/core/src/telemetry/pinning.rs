@@ -25,35 +25,14 @@ pub enum PinningStrategy {
 }
 
 impl PinningStrategy {
-    /// All strategies.
-    pub fn all() -> [PinningStrategy; 4] {
-        [
-            PinningStrategy::Balanced,
-            PinningStrategy::Compact,
-            PinningStrategy::NumaBalanced,
-            PinningStrategy::NumaCompact,
-        ]
-    }
-
     /// Strategy name used in observation metadata.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             PinningStrategy::Balanced => "balanced",
             PinningStrategy::Compact => "compact",
             PinningStrategy::NumaBalanced => "numa_balanced",
             PinningStrategy::NumaCompact => "numa_compact",
         }
-    }
-
-    /// Parse from a label.
-    pub fn parse(label: &str) -> Option<Self> {
-        Some(match label {
-            "balanced" => PinningStrategy::Balanced,
-            "compact" => PinningStrategy::Compact,
-            "numa_balanced" => PinningStrategy::NumaBalanced,
-            "numa_compact" => PinningStrategy::NumaCompact,
-            _ => return None,
-        })
     }
 
     /// Choose `n` OS thread indices on `machine` according to the
@@ -132,7 +111,7 @@ impl PinningStrategy {
 
     /// Generate the launch script of step B2: affinity binding plus the
     /// kernel command line.
-    pub fn launch_script(&self, machine: &Machine, n: u32, command: &str) -> String {
+    pub(crate) fn launch_script(&self, machine: &Machine, n: u32, command: &str) -> String {
         let cpus = self.assign(machine, n);
         let list = cpus
             .iter()
@@ -223,7 +202,12 @@ mod tests {
     #[test]
     fn assignments_never_exceed_machine() {
         let m = Machine::preset("icl").unwrap();
-        for s in PinningStrategy::all() {
+        for s in [
+            PinningStrategy::Balanced,
+            PinningStrategy::Compact,
+            PinningStrategy::NumaBalanced,
+            PinningStrategy::NumaCompact,
+        ] {
             let v = s.assign(&m, 999);
             assert_eq!(v.len(), 16, "{s:?}");
             let mut sorted = v.clone();
@@ -240,13 +224,5 @@ mod tests {
         assert!(s.contains("taskset -c 0,44,2,46 triad -n 1048576 -t 4"));
         assert!(s.contains("OMP_NUM_THREADS=4"));
         assert!(s.contains("numa_balanced"));
-    }
-
-    #[test]
-    fn labels_roundtrip() {
-        for s in PinningStrategy::all() {
-            assert_eq!(PinningStrategy::parse(s.label()), Some(s));
-        }
-        assert_eq!(PinningStrategy::parse("bogus"), None);
     }
 }

@@ -38,7 +38,7 @@ pub fn default_sw_metrics() -> Vec<String> {
 /// GPU SW metrics sampled when devices are attached (`pcp-pmda-nvidia`
 /// "essentially capturing every metric supported by NVML"; this is the
 /// always-on subset).
-pub fn default_gpu_metrics() -> Vec<String> {
+pub(crate) fn default_gpu_metrics() -> Vec<String> {
     vec![
         "nvidia.memused".into(),
         "nvidia.gpuactive".into(),

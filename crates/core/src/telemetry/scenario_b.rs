@@ -50,7 +50,7 @@ pub struct ProfileOutcome {
 /// sampler and pmcd report their `pcp.*` self-telemetry into `obs`
 /// (possibly disabled).
 #[allow(clippy::too_many_arguments)]
-pub fn profile_kernel(
+pub(crate) fn profile_kernel(
     machine: &Machine,
     kb: &mut KnowledgeBase,
     layer: &AbstractionLayer,

@@ -1,7 +1,7 @@
 //! Pin the self-observability dashboard of one busy daemon — durable,
-//! scrubbing, backing up, rolling up, traced, through a link outage on
-//! the resilient transport, serving queries — to its captured JSON:
-//! panel titles, panel order and every target.
+//! scrubbing, rolling up, traced, through a link outage on the resilient
+//! transport, serving queries — to its captured JSON: panel titles, panel
+//! order and every target.
 
 use pmove_core::PMoveDaemon;
 use pmove_hwsim::{FaultKind, FaultSchedule};
@@ -19,7 +19,6 @@ fn self_dashboard_of_a_busy_daemon_matches_golden() {
         full_pass_period_s: 4.0,
         ..ScrubConfig::default()
     }));
-    assert!(d.enable_backups(5.0));
     d.enable_rollups(RollupConfig::default());
     d.enable_tracing(256);
     d.install_default_slos();
@@ -47,7 +46,6 @@ fn self_dashboard_of_a_busy_daemon_matches_golden() {
         "query engine",
         "transport resilience",
         "integrity",
-        "backup & DR",
         "batch & rollup",
         "tracing & SLO",
         "query serving",

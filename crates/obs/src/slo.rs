@@ -190,24 +190,6 @@ impl SloSpec {
             target: 0.9,
         }
     }
-
-    /// The backup-staleness objective: the backup scheduler's
-    /// `store.backup.last_success` heartbeat (the fence timestamp of the
-    /// newest complete generation) must be no older than `max_age_ns`.
-    /// Backups that silently stop are worthless precisely when they are
-    /// finally needed, so — like scrub staleness — the fast window pages.
-    /// Databases that never enabled backups never publish the gauge and
-    /// are vacuously healthy.
-    pub fn backup_staleness(max_age_ns: u64) -> SloSpec {
-        SloSpec {
-            name: "backup_staleness".into(),
-            objective: Objective::GaugeMaxAge {
-                gauge: "store.backup.last_success".into(),
-                max_age_ns,
-            },
-            target: 0.9,
-        }
-    }
 }
 
 /// One alert state transition, timestamped on the virtual clock.

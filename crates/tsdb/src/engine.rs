@@ -1,9 +1,8 @@
-//! The database engine: writes, queries, retention enforcement and live
-//! subscriptions.
+//! The database engine: writes, queries and retention enforcement.
 //!
 //! Every write runs one body, `Database::ingest`: admit per point →
 //! group per series → one WAL frame and commit → ledger → modeled spans →
-//! publish → storage → rollup marks → version bumps.
+//! storage → rollup marks → version bumps.
 //! [`Database::write_point`] and [`Database::write`] hand it a batch of
 //! one, [`Database::write_batch`] any number and alone ticks the
 //! `tsdb.batch.*` counters. The database admits every point that carries
@@ -20,9 +19,7 @@ use crate::query::{Frame, Query, QueryResult};
 use crate::rollup::{RollupAudit, RollupConfig, RollupStore, RollupTickReport};
 use crate::series::SeriesKey;
 use crate::storage::Storage;
-use crate::subscribe::{Subscription, SubscriptionHub};
 use crate::value::FieldValue;
-use crossbeam::channel::Receiver;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use pmove_obs::{Counter, Histogram, Registry, Span};
 use pmove_store::{
@@ -191,7 +188,6 @@ pub struct Database {
     /// How long data is kept, in timestamp units; `None` keeps
     /// everything (InfluxDB's `autogen`).
     retention: Mutex<Option<i64>>,
-    hub: SubscriptionHub,
     obs: EngineObs,
     /// Durable storage engine; `None` for a memory-only database.
     store: Option<Mutex<TsStore>>,
@@ -223,7 +219,6 @@ impl Database {
             name: name.into(),
             storage: RwLock::new(Storage::new()),
             retention: Mutex::new(None),
-            hub: SubscriptionHub::new(),
             obs: EngineObs::new(registry),
             store: None,
             exec_mode: Mutex::new(ExecMode::default()),
@@ -421,12 +416,12 @@ impl Database {
     ) -> Result<RestoreReport, TsdbError> {
         let report = pmove_store::restore_at(src, Arc::clone(&target), t_vts)?;
         // The restored store deliberately gets no per-store `store.*`
-        // metrics: registering a StoreObs would publish zero-valued
-        // `store.scrub.last_full_pass` / `store.backup.last_success`
-        // heartbeat gauges under this database's label, and the staleness
-        // SLOs alert on the *oldest* matching label set — a restore drill
-        // would page the very objectives it exists to protect. The
-        // restore itself is accounted by the `tsdb.restore.*` counters.
+        // metrics: registering a StoreObs would publish a zero-valued
+        // `store.scrub.last_full_pass` heartbeat gauge under this
+        // database's label, and the scrub-staleness SLO alerts on the
+        // *oldest* matching label set — a restore into a scratch database
+        // would page it. The restore itself is accounted by the
+        // `tsdb.restore.*` counters.
         let store = TsStore::open(target, opts)?.0;
         self.store = Some(Mutex::new(store));
         self.rebuild_from_store()?;
@@ -466,7 +461,7 @@ impl Database {
     }
 
     /// Write one client point. Fails on empty fields; on success the
-    /// point is stored, counted, and published to subscribers.
+    /// point is stored and counted.
     pub fn write_point(&self, point: Point) -> Result<(), TsdbError> {
         self.write(point, Origin::Client, &Span::none(), 0).0
     }
@@ -480,8 +475,7 @@ impl Database {
     /// anti-entropy repair) skips the client ledger — the replication
     /// coordinator owns value accounting and a repaired cell was already
     /// counted when it was first accepted — but keeps the WAL durability
-    /// barrier, the live-subscription publish, and the per-measurement
-    /// write-version bump, so the LRU query cache can never serve
+    /// barrier and the per-measurement write-version bump, so the LRU query cache can never serve
     /// pre-repair rows.
     pub fn write(
         &self,
@@ -504,7 +498,7 @@ impl Database {
     /// stored rows are the same bit for bit.
     ///
     /// A WAL commit error fails the entire call before anything is counted
-    /// inserted or published; the caller may retry the same batch (last
+    /// inserted; the caller may retry the same batch (last
     /// write wins makes the retry idempotent).
     pub fn write_batch(&self, points: Vec<Point>) -> Result<BatchOutcome, TsdbError> {
         let (out, _) = self.ingest(points, Origin::Client, &Span::none(), 0)?;
@@ -520,8 +514,7 @@ impl Database {
     /// The write body under every entry point. Admission — the
     /// empty-field check — runs per point in arrival order; the
     /// `tsdb.points_*` ledger (`offered == inserted + rejected`) counts
-    /// [`Origin::Client`] points only; the WAL barrier, the subscriber
-    /// publish, the rollup marks and the write-version bumps apply to
+    /// [`Origin::Client`] points only; the WAL barrier, the rollup marks and the write-version bumps apply to
     /// every accepted point. The modeled spans nest under `span` from
     /// `start_ns` on the virtual clock: `tsdb.ingest` around
     /// `store.wal.group_commit` (durable only) and then one
@@ -541,18 +534,11 @@ impl Database {
         let mut results = Vec::with_capacity(points.size_hint().0);
         let mut batch = ColumnarBatch::default();
         let mut rejected = 0usize;
-        // Subscribers get a copy of each point admitted while they listen,
-        // in arrival order, once the batch is durable.
-        let listening = !self.hub.is_empty();
-        let mut heard = Vec::new();
         for point in points {
             if point.fields.is_empty() {
                 rejected += 1;
                 results.push(Err(TsdbError::EmptyFields));
                 continue;
-            }
-            if listening {
-                heard.push(point.clone());
             }
             batch.push(point);
             results.push(Ok(()));
@@ -572,8 +558,8 @@ impl Database {
             return Ok((outcome, start_ns));
         }
         // Durability barrier: when a store is attached, the batch rides
-        // one WAL frame and one group commit before it is counted,
-        // published, or made queryable: an acknowledged write is a
+        // one WAL frame and one group commit before it is counted or
+        // made queryable: an acknowledged write is a
         // durable write.
         if let Some(store) = &self.store {
             let blocks = batch.blocks();
@@ -617,9 +603,6 @@ impl Database {
         } else {
             let applied = self.obs.registry.counter("tsdb.repl.remote_applied", &[]);
             applied.add(outcome.accepted as u64);
-        }
-        for point in &heard {
-            self.hub.publish(point);
         }
         batch.apply(&mut self.storage.write());
         // Queries hold `rollups` shared for as long as they run: wait for
@@ -889,11 +872,6 @@ impl Database {
         Ok(removed)
     }
 
-    /// Subscribe to live points.
-    pub fn subscribe(&self, sub: Subscription) -> Receiver<Point> {
-        self.hub.subscribe(sub)
-    }
-
     /// Sorted list of measurement names.
     pub fn measurements(&self) -> Vec<String> {
         self.storage.read().measurement_names()
@@ -926,7 +904,6 @@ impl std::fmt::Debug for Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::FieldValue;
 
     fn pt(ts: i64, v: f64) -> Point {
         Point::new("m").tag("tag", "o1").field("v", v).timestamp(ts)
@@ -1016,16 +993,6 @@ mod tests {
         assert_eq!(db.write_batch(points.unwrap()).unwrap().accepted, 2);
         let r = db.query("SELECT \"v\" FROM \"m\"").unwrap();
         assert_eq!(r.rows[1].values["v"], Some(2.0));
-    }
-
-    #[test]
-    fn subscription_sees_writes() {
-        let db = Database::new("test");
-        let rx = db.subscribe(Subscription::measurement("m"));
-        db.write_point(pt(1, 5.0)).unwrap();
-        let got: Vec<Point> = rx.try_iter().collect();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].fields["v"], FieldValue::Float(5.0));
     }
 
     #[test]
@@ -1254,7 +1221,6 @@ mod tests {
             let (db, _) =
                 Database::open_with_obs("o", vfs.clone(), manual_opts(), reg.clone()).unwrap();
             db.enable_rollups(RollupConfig { tiers: vec![10] });
-            let rx = db.subscribe(Subscription::measurement(""));
             let v0 = db.write_version("m");
             let write = |p: Point| db.write(p, origin, &Span::none(), 0).0;
             assert!(write(pt(1, 1.0)).is_ok());
@@ -1279,9 +1245,8 @@ mod tests {
                 assert_eq!(snap.counter(name, &[]), Some(0), "{name}");
             }
 
-            // Same for both: subscriber publish, rollup mark, write-version
-            // bump, and the WAL barrier (the rows survive a reopen).
-            assert_eq!(rx.try_iter().count(), 2);
+            // Same for both: rollup mark, write-version bump, and the WAL
+            // barrier (the rows survive a reopen).
             assert_eq!(db.rollup_audit().unwrap().dirty_buckets, 1);
             assert_eq!(db.write_version("m"), v0 + 2);
             drop(db);

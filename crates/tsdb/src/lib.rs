@@ -16,8 +16,7 @@
 //!   by a write-invalidated LRU query-result cache and continuous-query
 //!   rollup tiers;
 //! * **replica sets** with quorum configuration and Merkle anti-entropy
-//!   ([`repl`]), **retention**, **live subscriptions** feeding
-//!   dashboards ([`subscribe`]), JSON measurement **snapshots**
+//!   ([`repl`]), **retention**, JSON measurement **snapshots**
 //!   ([`snapshot`]) and the self-metrics exporter ([`self_export`]).
 //!
 //! The database admits every point that carries a field: Table III's
@@ -70,7 +69,6 @@ pub mod self_export;
 mod series;
 pub mod snapshot;
 pub mod storage;
-pub mod subscribe;
 mod value;
 
 /// The durable storage engine backing [`Database::open`] (re-exported so

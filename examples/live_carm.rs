@@ -6,9 +6,10 @@
 //! cargo run --example live_carm
 //! ```
 
-use pmove::core::carm::microbench::{construct_carm, representative_thread_counts};
+use pmove::core::carm::microbench::{
+    carm_from_kb, construct_carm_sweep, representative_thread_counts,
+};
 use pmove::core::carm::{plot, LiveCarm};
-use pmove::core::kb::observation::BenchmarkInterface;
 use pmove::core::profiles::stream_kernel_profile_at_level;
 use pmove::core::telemetry::pinning::PinningStrategy;
 use pmove::core::telemetry::scenario_b::ProfileRequest;
@@ -24,19 +25,13 @@ fn main() {
         representative_thread_counts(&daemon.machine)
     );
 
-    // Construct the CARM and cache it in the KB so the plot can be
-    // re-constructed later without re-running the microbenchmarks.
-    let carm = construct_carm(&daemon.machine, threads);
-    let bench = BenchmarkInterface {
-        id: daemon.ids.next_id(),
-        machine: daemon.kb.machine_key.clone(),
-        benchmark: "carm".into(),
-        compiler: "gcc".into(),
-        results: carm.to_results(),
-    };
-    daemon.kb.append_benchmark(bench);
+    // Construct the CARM at every representative thread count and cache
+    // them in the KB, so the plot is re-constructed from the KB without
+    // re-running the microbenchmarks.
+    construct_carm_sweep(&daemon.machine, &mut daemon.kb, &mut daemon.ids);
     daemon.sync_kb().expect("KB sync");
-    println!("CARM constructed and stored in the KB:");
+    let carm = carm_from_kb(&daemon.kb, threads).expect("CARM cached in the KB");
+    println!("CARM re-constructed from the KB:");
     for r in &carm.roofs {
         println!("  {:<5} {:8.1} GB/s", r.level, r.bandwidth_bps / 1e9);
     }
