@@ -1056,8 +1056,18 @@ mod tests {
         let disk = Arc::new(MemDisk::new(11));
         let vfs: Arc<dyn Vfs> = disk.clone();
 
+        // Replay counts on the daemon's own registry: the docdb journal
+        // and the tsdb WAL.
+        let env = DbParams::default();
+        let replayed = |d: &PMoveDaemon| {
+            let snap = d.obs.snapshot();
+            let journal = snap.counter("docdb.journal.records_replayed", &[("db", &env.mongo_db)]);
+            let wal = snap.counter("wal.records_replayed", &[("db", &env.influx_db)]);
+            (journal.unwrap(), wal.unwrap())
+        };
         let mut d = PMoveDaemon::for_preset_durable("icl", vfs.clone()).unwrap();
         assert!(d.ts.is_durable() && d.doc_journal.is_some());
+        assert_eq!(replayed(&d), (0, 0), "a fresh disk replays nothing");
         d.monitor(5.0, 2.0);
         let rows = d.ts.total_rows();
         let kb_len = d.kb.len();
@@ -1070,6 +1080,9 @@ mod tests {
         let d2 = PMoveDaemon::for_preset_durable("icl", vfs).unwrap();
         assert_eq!(d2.ts.total_rows(), rows, "telemetry survives the restart");
         assert_eq!(d2.doc.collection(store::KB_COLLECTION).all().len(), kb_len);
+        let (journal, wal) = replayed(&d2);
+        assert!(journal > 0, "the docdb journal replays on reboot");
+        assert!(wal > 0, "the tsdb WAL replays on reboot");
         // Step ④ is stamped right after step ③ on the boot timeline.
         let snap = d2.obs.snapshot();
         let s3 = snap.span("daemon.step3.kb_insert").unwrap();

@@ -28,6 +28,9 @@ fn abstraction_cases() -> u32 {
 }
 
 const PMUS: [&str; 4] = ["aa", "bb", "skx", "zen3"];
+/// Every PMU name a layer here can hold: the generated headers' and the
+/// builtin presets' (`skx`, `csl`, `icl`, `zen3`).
+const LAYER_PMUS: [&str; 6] = ["aa", "bb", "skx", "zen3", "csl", "icl"];
 const ALIASES: [&str; 3] = ["alpha", "aa", "skylakex"];
 const GENERICS: [&str; 5] = [
     "X",
@@ -162,7 +165,7 @@ proptest! {
         }
 
         let resolve = resolver(values);
-        for pmu in layer.pmu_names() {
+        for pmu in LAYER_PMUS {
             for generic in GENERICS {
                 let Ok(f) = layer.formula(pmu, generic) else {
                     continue;

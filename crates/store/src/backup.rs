@@ -386,7 +386,7 @@ pub(crate) struct BackupState {
     /// Records written into the current segment (seal only non-empty).
     seg_records: u64,
     /// Open handle on the current segment, reused across drains so each
-    /// group archival pays one append + sync, not an open as well. Seals
+    /// archive write pays one append + sync, not an open as well. Seals
     /// and write errors drop it; the next drain reopens.
     writer: Option<Box<dyn VirtualFile>>,
     /// Store virtual timestamp, stamped onto archived records.
@@ -396,13 +396,6 @@ pub(crate) struct BackupState {
     pending: Vec<Vec<u8>>,
     /// The last archive write failed; resynchronize before writing.
     dirty: bool,
-    /// Group-archival threshold: staged payloads are written to the
-    /// destination once at least this many are pending (1 = archive on
-    /// every commit). Flushes, snapshot fences, and re-attachment always
-    /// drain regardless, so the archive lag is bounded by `group - 1`
-    /// commits — and the WAL still holds those rows, so nothing is lost
-    /// short of losing the primary disk itself.
-    group: u64,
     /// Next generation id (never reused, aborted jobs included).
     next_gen: u64,
     job: Option<BackupJob>,
@@ -454,7 +447,6 @@ impl BackupState {
             vts,
             pending: wal_payloads.to_vec(),
             dirty: false,
-            group: 1,
             next_gen: max_gen.map_or(0, |m| m + 1),
             job: None,
             pinned: BTreeSet::new(),
@@ -486,29 +478,9 @@ impl BackupState {
         self.pending.push(payload);
     }
 
-    /// Set the group-archival threshold (clamped to at least 1).
-    pub(crate) fn set_group(&mut self, group: u64) {
-        self.group = group.max(1);
-    }
-
-    /// Archive pending payloads if the group threshold is met (the
-    /// per-commit fast path: below the threshold this is a no-op, so a
-    /// commit pays only one `Vec` push for archival).
-    pub(crate) fn archive_maybe(&mut self) -> u64 {
-        if (self.pending.len() as u64) < self.group {
-            return 0;
-        }
-        self.archive_pending()
-    }
-
     /// Running totals.
     pub(crate) fn stats(&self) -> BackupStats {
         self.stats
-    }
-
-    /// The backup destination.
-    pub(crate) fn dest(&self) -> Arc<dyn Vfs> {
-        self.dest.clone()
     }
 
     /// Is `seq` pinned by an in-progress snapshot job?
@@ -615,7 +587,7 @@ impl BackupState {
     /// fence must never claim coverage the archive doesn't have) and
     /// seal the current segment.
     pub(crate) fn on_flush(&mut self) {
-        // Drain any group-archival backlog first: the fence below may
+        // Drain any backlog a failed archive write left: the fence below may
         // only advance over records the archive actually holds.
         self.archive_pending();
         if self.pending.is_empty() && !self.dirty {
@@ -635,7 +607,7 @@ impl BackupState {
             return Err(StoreError::Io("backup already in progress".into()));
         }
         // A completed generation advertises coverage up to its fence:
-        // drain the group-archival backlog so the advertisement is true.
+        // drain the archive backlog so the advertisement is true.
         self.archive_pending();
         let gen = self.next_gen;
         self.next_gen += 1;

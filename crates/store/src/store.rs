@@ -461,10 +461,9 @@ impl TsStore {
         }
         if let Some(bk) = &mut self.bk {
             // Archive only what the primary acknowledged; archival lag
-            // (a slow or crashed backup disk) never fails the commit.
-            // Below the group-archival threshold this is a no-op — the
-            // backlog drains on the next flush, snapshot, or full group.
-            bk.archive_maybe();
+            // (a slow or crashed backup disk) never fails the commit: a
+            // failed write leaves the backlog pending for the next one.
+            bk.archive_pending();
         }
         if info.records > 0 {
             let obs = &self.obs;
@@ -737,22 +736,6 @@ impl TsStore {
         self.bk = Some(bk);
         self.sync_backup_obs();
         Ok(attach)
-    }
-
-    /// Set the archiver's group-archival threshold: commits stage their
-    /// payload and the archive write happens once `group` records are
-    /// pending (flushes and snapshot fences always drain). `group = 1`
-    /// (the default) archives on every commit; the daemon uses a larger
-    /// group so archival adds one `Vec` push to the commit fast path.
-    pub fn set_archive_group(&mut self, group: u64) {
-        if let Some(bk) = &mut self.bk {
-            bk.set_group(group);
-        }
-    }
-
-    /// The backup destination, when backups are enabled.
-    pub fn backup_dest(&self) -> Option<Arc<dyn Vfs>> {
-        self.bk.as_ref().map(|bk| bk.dest())
     }
 
     /// Running backup/archive totals, when backups are enabled.
