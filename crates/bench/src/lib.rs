@@ -1,12 +1,13 @@
 //! # pmove-bench — experiment drivers and reproduction harness
 //!
-//! One module per table/figure of the paper's evaluation (§V) and per
-//! deterministic system experiment. Each module exposes a structured
-//! `run*` API plus a `format*` renderer; the single `pmove-bench
-//! <experiment>` binary (`src/main.rs`) prints the rendered output and
-//! enforces the experiment's gates, and `EXPERIMENTS.md` records the
-//! paper-vs-measured comparison. Wall-clock performance is measured by
-//! `benchmark/`, not here.
+//! One module per table/figure of the paper's evaluation (§V), plus the
+//! variability study, the ablations and the golden trace trees. Each
+//! module exposes a structured `run*` API plus a `format*` renderer; the
+//! single `pmove-bench <experiment>` binary (`src/main.rs`) prints the
+//! rendered output, `tests/` pins it, and `EXPERIMENTS.md` records the
+//! paper-vs-measured comparison. The extension features (storage, chaos,
+//! replication, scrub, serving) are measured by their own crates'
+//! property suites, and wall-clock performance by `benchmark/`.
 //!
 //! | module | `pmove-bench` name | reproduces |
 //! |---|---|---|
@@ -22,27 +23,17 @@
 //! | [`fig9`]   | `fig9` | Fig. 9 — live-CARM during likwid benchmarks |
 //! | [`variability`] | `variability` | DVFS/AVX-throttling variability study |
 //! | [`ablation`] | `ablations` | capacity, multiplexing, partition-skew ablations |
-//! | [`storage`] | `storage` | chunk compression and modeled recovery time |
-//! | [`chaos`]  | `chaos` | loss and recovery under injected faults |
-//! | [`replication`] | `replication` | loss-vs-RF curve through the quorum coordinator |
-//! | [`scrub`]  | `scrub` | latent-rot detection and read-repair |
-//! | [`serving`] | `serving` | multi-tenant coalescing and overload admission |
 //! | [`tracing`] | `tracing` | golden trace trees, SLO timeline, tracer overhead |
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
 pub mod ablation;
-pub mod chaos;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod replication;
-pub mod scrub;
-pub mod serving;
-pub mod storage;
 pub mod table1;
 pub mod table2;
 pub mod table3;

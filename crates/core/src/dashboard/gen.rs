@@ -642,7 +642,7 @@ mod tests {
 
     #[test]
     fn self_dashboard_adds_integrity_panel_only_when_scrubbing_ran() {
-        use pmove_tsdb::store::{MemDisk, RotSchedule, ScrubConfig, Vfs};
+        use pmove_tsdb::store::{MemDisk, RotSchedule, Vfs};
         use std::sync::Arc;
         // A daemon that never scrubs registers no live store.scrub.*
         // series, so no panel grows.
@@ -659,10 +659,7 @@ mod tests {
         let disk = Arc::new(MemDisk::new(41));
         let vfs: Arc<dyn Vfs> = disk.clone();
         let mut d = crate::telemetry::daemon::PMoveDaemon::for_preset_durable("icl", vfs).unwrap();
-        assert!(d.enable_scrubbing(ScrubConfig {
-            full_pass_period_s: 4.0,
-            ..ScrubConfig::default()
-        }));
+        assert!(d.enable_scrubbing(4.0));
         d.monitor(5.0, 1.0);
         d.ts.flush().unwrap();
         disk.schedule_rot(RotSchedule::none().at(6.0, 1).with_prefix("chunk-"));

@@ -26,7 +26,7 @@ use pmove_pcp::{
 use pmove_serve::{QueryServer, ServeReport, ServeRequest, ServingConfig};
 use pmove_tsdb::query::{Projection, Query};
 use pmove_tsdb::repl::{RepairReport, ReplConfig, ReplicaSet};
-use pmove_tsdb::store::{ScrubConfig, Scrubber, StoreOptions, Vfs};
+use pmove_tsdb::store::{Scrubber, StoreOptions, Vfs};
 use std::fmt;
 use std::sync::Arc;
 
@@ -121,7 +121,7 @@ pub struct PMoveDaemon {
     /// Which stack the daemon is running (see `DaemonMode`).
     pub mode: DaemonMode,
     /// Background integrity scrubber over the durable time-series store;
-    /// `None` until [`PMoveDaemon::enable_scrubbing`]. Its config is the
+    /// `None` until [`PMoveDaemon::enable_scrubbing`]. Its period is the
     /// cadence the `scrub_staleness` SLO holds it to.
     scrubber: Option<Scrubber>,
 }
@@ -238,7 +238,7 @@ impl PMoveDaemon {
             ids,
             now_s: 0.0,
             background_busy: Vec::new(),
-            slo: SloEngine::new().with_meta(obs.clone()),
+            slo: SloEngine::new(obs.clone()),
             obs,
             mode: DaemonMode::Normal,
             scrubber: None,
@@ -512,23 +512,21 @@ impl PMoveDaemon {
     /// Enable background integrity scrubbing over the durable
     /// time-series store: subsequent monitoring windows each end with one
     /// scrubber tick, so the whole store is CRC-verified within
-    /// `cfg.full_pass_period_s` of monitored virtual time. Returns
-    /// `false` (and enables nothing) on a memory-only daemon — there are
-    /// no on-disk chunks to verify — and `false` plus a
-    /// `daemon.scrub.errors` tick when `cfg` cannot keep that promise: a
-    /// period that is not a positive finite number (a zero staleness
-    /// bound, or a pass that never finishes) or a negative or NaN burst
-    /// (nothing ever verifies).
-    pub fn enable_scrubbing(&mut self, cfg: ScrubConfig) -> bool {
+    /// `period_s` of monitored virtual time. Returns `false` (and enables
+    /// nothing) on a memory-only daemon — there are no on-disk chunks to
+    /// verify — and `false` plus a `daemon.scrub.errors` tick when
+    /// `period_s` cannot keep that promise: a period that is not a
+    /// positive finite number (a zero staleness bound, or a pass that
+    /// never finishes).
+    pub fn enable_scrubbing(&mut self, period_s: f64) -> bool {
         if !self.ts.is_durable() {
             return false;
         }
-        let period_s = cfg.full_pass_period_s;
-        if !(period_s > 0.0 && period_s.is_finite() && cfg.burst_bytes >= 0.0) {
+        if !(period_s > 0.0 && period_s.is_finite()) {
             self.obs.counter("daemon.scrub.errors", &[]).inc();
             return false;
         }
-        self.scrubber = Some(Scrubber::new(cfg));
+        self.scrubber = Some(Scrubber::new(period_s));
         true
     }
 
@@ -807,9 +805,9 @@ impl PMoveDaemon {
         });
         // Scrub staleness: page when the background scrubber's full-pass
         // heartbeat falls three periods behind. Daemons that never enable
-        // scrubbing never publish the gauge and stay vacuously Ok.
-        let scrub = self.scrubber.as_ref().map(Scrubber::config);
-        let period_s = scrub.unwrap_or_default().full_pass_period_s;
+        // scrubbing never publish the gauge and stay vacuously Ok under
+        // a nominal 60 s period.
+        let period_s = self.scrubber.as_ref().map_or(60.0, Scrubber::period_s);
         self.slo
             .add(SloSpec::scrub_staleness((period_s * 3.0 * 1e9) as u64));
     }
@@ -1099,32 +1097,21 @@ mod tests {
 
     #[test]
     fn scrubbing_daemon_quarantines_rot_and_annotates_gaps() {
-        use pmove_tsdb::store::{MemDisk, RotSchedule, ScrubConfig, Vfs};
+        use pmove_tsdb::store::{MemDisk, RotSchedule, Vfs};
         let disk = Arc::new(MemDisk::new(41));
         let vfs: Arc<dyn Vfs> = disk.clone();
         let mut d = PMoveDaemon::for_preset_durable("icl", vfs).unwrap();
-        // A config whose pass never finishes, never verifies anything or
-        // gives the staleness SLO a zero bound is refused, not installed.
-        let period = |full_pass_period_s| ScrubConfig {
-            full_pass_period_s,
-            ..ScrubConfig::default()
-        };
-        let refused = [0.0, -4.0, f64::NAN, f64::INFINITY].map(period);
-        let negative_burst = ScrubConfig {
-            burst_bytes: -1.0,
-            ..period(4.0)
-        };
-        assert!(!refused
-            .into_iter()
-            .chain([negative_burst])
-            .any(|cfg| d.enable_scrubbing(cfg)));
+        // A period whose pass never finishes or gives the staleness SLO a
+        // zero bound is refused, not installed.
+        let refused = [0.0, -4.0, f64::NAN, f64::INFINITY];
+        assert!(!refused.into_iter().any(|p| d.enable_scrubbing(p)));
         let errors = d.obs.snapshot().counter("daemon.scrub.errors", &[]);
-        assert_eq!((errors, d.scrubber.is_none()), (Some(5), true));
-        assert!(d.enable_scrubbing(period(4.0)));
+        assert_eq!((errors, d.scrubber.is_none()), (Some(4), true));
+        assert!(d.enable_scrubbing(4.0));
         d.install_default_slos();
         // Memory-only daemons have nothing to scrub and refuse to enable.
         let mut plain = PMoveDaemon::for_preset("icl").unwrap();
-        assert!(!plain.enable_scrubbing(ScrubConfig::default()));
+        assert!(!plain.enable_scrubbing(60.0));
 
         d.monitor(5.0, 2.0);
         d.ts.flush().unwrap();

@@ -13,7 +13,7 @@ use pmove_hwsim::vendor::IsaExt;
 use pmove_hwsim::{FaultKind, FaultSchedule};
 use pmove_kernels::StreamKernel;
 use pmove_serve::{Priority, ServeRequest, ServingConfig};
-use pmove_tsdb::store::{FaultMode, FaultPlan, MemDisk, ScrubConfig};
+use pmove_tsdb::store::{FaultMode, FaultPlan, MemDisk};
 use pmove_tsdb::RollupConfig;
 use std::sync::Arc;
 
@@ -21,10 +21,7 @@ const GOLDEN: &str = include_str!("golden/registry.prom");
 
 fn durable_icl() -> String {
     let mut d = PMoveDaemon::for_preset_durable("icl", Arc::new(MemDisk::new(11))).unwrap();
-    assert!(d.enable_scrubbing(ScrubConfig {
-        full_pass_period_s: 4.0,
-        ..ScrubConfig::default()
-    }));
+    assert!(d.enable_scrubbing(4.0));
     d.enable_rollups(RollupConfig::default());
     d.enable_tracing(256);
     d.install_default_slos();

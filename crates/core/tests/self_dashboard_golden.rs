@@ -6,7 +6,7 @@
 use pmove_core::PMoveDaemon;
 use pmove_hwsim::{FaultKind, FaultSchedule};
 use pmove_serve::{Priority, ServeRequest, ServingConfig};
-use pmove_tsdb::store::{MemDisk, ScrubConfig};
+use pmove_tsdb::store::MemDisk;
 use pmove_tsdb::RollupConfig;
 use std::sync::Arc;
 
@@ -15,10 +15,7 @@ const GOLDEN: &str = include_str!("golden/self_dashboard.json");
 #[test]
 fn self_dashboard_of_a_busy_daemon_matches_golden() {
     let mut d = PMoveDaemon::for_preset_durable("icl", Arc::new(MemDisk::new(11))).unwrap();
-    assert!(d.enable_scrubbing(ScrubConfig {
-        full_pass_period_s: 4.0,
-        ..ScrubConfig::default()
-    }));
+    assert!(d.enable_scrubbing(4.0));
     d.enable_rollups(RollupConfig::default());
     d.enable_tracing(256);
     d.install_default_slos();

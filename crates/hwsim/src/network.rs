@@ -90,8 +90,8 @@ impl FaultState {
 
 /// A deterministic fault schedule: a list of windows evaluated against
 /// the virtual clock. The schedule itself holds no randomness — a seeded
-/// generator ([`FaultSchedule::random`]) and canned scenarios build the
-/// window lists, and consumers draw any per-event randomness (e.g.
+/// generator ([`FaultSchedule::random`]) or [`FaultSchedule::with_window`]
+/// builds the window list, and consumers draw any per-event randomness (e.g.
 /// brown-out write rejections) from their own seeded noise sources, so
 /// every run replays exactly.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -151,39 +151,6 @@ impl FaultSchedule {
         state
     }
 
-    /// Canned scenario: the link flaps — down for `down_s` out of every
-    /// `period_s`, repeating over `[0, duration_s)`.
-    pub fn link_flaps(period_s: f64, down_s: f64, duration_s: f64) -> FaultSchedule {
-        assert!(period_s > 0.0 && down_s > 0.0 && down_s <= period_s);
-        let mut s = FaultSchedule::none();
-        let mut t = period_s - down_s;
-        while t < duration_s {
-            s = s.with_window(t, (t + down_s).min(duration_s), FaultKind::LinkDown);
-            t += period_s;
-        }
-        s
-    }
-
-    /// Canned scenario: one backend brown-out in the middle third of the
-    /// run, accepting writes with probability `availability`.
-    pub fn midrun_brownout(duration_s: f64, availability: f64) -> FaultSchedule {
-        FaultSchedule::none().with_window(
-            duration_s / 3.0,
-            2.0 * duration_s / 3.0,
-            FaultKind::BackendBrownout(availability),
-        )
-    }
-
-    /// Canned scenario: sustained bandwidth degradation over the middle
-    /// half of the run.
-    pub fn midrun_degraded(duration_s: f64, factor: f64) -> FaultSchedule {
-        FaultSchedule::none().with_window(
-            duration_s / 4.0,
-            3.0 * duration_s / 4.0,
-            FaultKind::BandwidthDegraded(factor),
-        )
-    }
-
     /// Seed-derived random schedule over `[0, duration_s)`: 0–3 windows
     /// of random kind, position, and severity. Same seed → same schedule.
     pub fn random(seed: u64, duration_s: f64) -> FaultSchedule {
@@ -240,26 +207,6 @@ mod tests {
         assert_eq!(at2.capacity_factor, 0.5);
         assert_eq!(s.state_at(3.0), FaultState::healthy());
         assert_eq!(s.last_fault_end_s(), 3.0);
-    }
-
-    #[test]
-    fn link_flaps_cover_the_run_periodically() {
-        let s = FaultSchedule::link_flaps(10.0, 2.0, 30.0);
-        assert_eq!(s.windows().len(), 3);
-        assert!(s.state_at(7.0).link_up);
-        assert!(!s.state_at(8.5).link_up);
-        assert!(s.state_at(10.5).link_up);
-        assert!(!s.state_at(19.0).link_up);
-    }
-
-    #[test]
-    fn canned_midrun_scenarios_hit_the_middle() {
-        let b = FaultSchedule::midrun_brownout(30.0, 0.2);
-        assert_eq!(b.state_at(5.0), FaultState::healthy());
-        assert_eq!(b.state_at(15.0).backend_availability, 0.2);
-        let d = FaultSchedule::midrun_degraded(40.0, 0.3);
-        assert_eq!(d.state_at(5.0), FaultState::healthy());
-        assert_eq!(d.state_at(20.0).capacity_factor, 0.3);
     }
 
     #[test]

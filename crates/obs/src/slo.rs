@@ -329,20 +329,15 @@ pub struct SloEngine {
 }
 
 impl SloEngine {
-    /// Engine with no objectives; add them with [`SloEngine::add`].
-    pub fn new() -> SloEngine {
+    /// Engine with no objectives (add them with [`SloEngine::add`]) that
+    /// publishes `pmove.slo.*` meta-metrics into `registry` on every
+    /// evaluation; `Registry::disabled()` publishes nothing.
+    pub fn new(registry: Arc<Registry>) -> SloEngine {
         SloEngine {
             trackers: Vec::new(),
             timeline: Vec::new(),
-            meta: Registry::disabled(),
+            meta: registry,
         }
-    }
-
-    /// Publish `pmove.slo.*` meta-metrics into `registry` on every
-    /// evaluation.
-    pub fn with_meta(mut self, registry: Arc<Registry>) -> SloEngine {
-        self.meta = registry;
-        self
     }
 
     /// Register an objective.
@@ -467,12 +462,6 @@ impl SloEngine {
     }
 }
 
-impl Default for SloEngine {
-    fn default() -> SloEngine {
-        SloEngine::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,7 +501,7 @@ mod tests {
     fn healthy_traffic_stays_ok() {
         let reg = Registry::new();
         let h = reg.histogram("tsdb.ingest_ns", &[], latency_buckets());
-        let mut eng = SloEngine::new();
+        let mut eng = SloEngine::new(Registry::disabled());
         eng.add(latency_spec());
         for tick in 1..=20u64 {
             for _ in 0..50 {
@@ -528,7 +517,7 @@ mod tests {
     fn p99_regression_pages_then_hysteresis_clears() {
         let reg = Registry::new();
         let h = reg.histogram("tsdb.ingest_ns", &[], latency_buckets());
-        let mut eng = SloEngine::new();
+        let mut eng = SloEngine::new(Registry::disabled());
         eng.add(latency_spec());
         // 5 healthy ticks, then 3 regressed ticks (half the samples slow),
         // then healthy again.
@@ -561,7 +550,7 @@ mod tests {
         let run = || {
             let reg = Registry::new();
             let h = reg.histogram("tsdb.ingest_ns", &[], latency_buckets());
-            let mut eng = SloEngine::new();
+            let mut eng = SloEngine::new(Registry::disabled());
             eng.add(latency_spec());
             for tick in 1..=12u64 {
                 for i in 0..20 {
@@ -583,7 +572,7 @@ mod tests {
         let reg = Registry::new();
         let g = reg.gauge("tsdb.repl.replicas_healthy", &[]);
         g.set(3.0);
-        let mut eng = SloEngine::new();
+        let mut eng = SloEngine::new(Registry::disabled());
         eng.add(SloSpec {
             name: "quorum_availability".into(),
             objective: Objective::GaugeAtLeast {
@@ -618,7 +607,7 @@ mod tests {
     #[test]
     fn gauge_max_age_pages_on_stale_heartbeat_only() {
         let reg = Registry::new();
-        let mut eng = SloEngine::new();
+        let mut eng = SloEngine::new(Registry::disabled());
         eng.add(SloSpec::scrub_staleness(5_000_000_000));
         // The gauge does not exist yet: vacuously good, never fires.
         for tick in 1..=4u64 {
@@ -660,7 +649,7 @@ mod tests {
         let reg = Registry::new();
         reg.counter("pcp.transport.values_offered", &[]).add(100);
         reg.counter("pcp.transport.values_inserted", &[]).add(90);
-        let mut eng = SloEngine::new().with_meta(Registry::shared());
+        let mut eng = SloEngine::new(Registry::shared());
         eng.add(SloSpec {
             name: "conservation".into(),
             objective: Objective::Conservation {
@@ -723,7 +712,7 @@ mod tests {
             &[("class", "interactive")],
             latency_buckets(),
         );
-        let mut eng = SloEngine::new();
+        let mut eng = SloEngine::new(Registry::disabled());
         eng.add(SloSpec::serving_p99(5_000_000));
         // Healthy serving latencies: no alert.
         for tick in 1..=5u64 {

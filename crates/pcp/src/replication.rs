@@ -878,7 +878,7 @@ mod tests {
 
     #[test]
     fn scrub_and_repair_widens_and_balances_the_ledger() {
-        use pmove_tsdb::store::{RotSchedule, ScrubConfig, StoreOptions};
+        use pmove_tsdb::store::{RotSchedule, StoreOptions};
         let (set, _) = ReplicaSet::durable(
             "s",
             ReplConfig::default(),
@@ -900,10 +900,7 @@ mod tests {
         // Latent rot lands on replica 1's chunk namespace after flush.
         set.disks()[1].schedule_rot(RotSchedule::none().at(1.0, 1).with_prefix("chunk-"));
         set.disks()[1].advance_rot(1.0);
-        let mut scrubbers = set.scrubbers(ScrubConfig {
-            full_pass_period_s: 5.0,
-            ..ScrubConfig::default()
-        });
+        let mut scrubbers = set.scrubbers(5.0);
         let mut now = 21.0;
         while coord.stats().values_corrupted == 0 {
             let r = coord.scrub_and_repair(&mut scrubbers, now, 4).unwrap();

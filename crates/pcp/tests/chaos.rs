@@ -3,13 +3,14 @@
 //! backend brown-outs — with the resilient mode on or off, and every run
 //! must replay bit-identically from its seed. A separate property pins
 //! the Table III contract: an attached-but-empty fault schedule changes
-//! nothing about the default transport.
+//! nothing about the default transport, and a fixed-schedule test pins
+//! what resilience buys: strictly less loss under each of three faults.
 //!
 //! Case count defaults to 256 and is raised in CI's chaos job via the
 //! `PMOVE_CHAOS_CASES` environment variable.
 
 use pmove_hwsim::network::LinkSpec;
-use pmove_hwsim::FaultSchedule;
+use pmove_hwsim::{FaultKind, FaultSchedule};
 use pmove_obs::{Registry, Span, Tracer};
 use pmove_pcp::{ReplShipOutcome, ReplShipper, ReplStats};
 use pmove_pcp::{ShipOutcome, Shipper, ShipperStats};
@@ -167,6 +168,53 @@ proptest! {
         prop_assert_eq!(plain_rows, scheduled_rows);
         prop_assert_eq!(plain.values_spilled, 0);
         prop_assert_eq!(plain.gap_markers, 0);
+    }
+}
+
+/// Resilience strictly reduces what a fault costs under each of three
+/// fixed 60 s schedules: a 2 s link outage every 10 s, a backend that
+/// accepts 30% of inserts over the middle third, and link capacity cut
+/// to 2% (below the offered ~256 values/s) over the middle half.
+#[test]
+fn resilient_mode_reduces_loss_under_each_fixed_schedule() {
+    let flaps = (0..6).fold(FaultSchedule::none(), |s, k| {
+        let t = 10.0 * k as f64 + 8.0;
+        s.with_window(t, t + 2.0, FaultKind::LinkDown)
+    });
+    let schedules = [
+        ("link-flaps", flaps),
+        (
+            "db-brownout",
+            FaultSchedule::none().with_window(20.0, 40.0, FaultKind::BackendBrownout(0.3)),
+        ),
+        (
+            "bandwidth-collapse",
+            FaultSchedule::none().with_window(15.0, 45.0, FaultKind::BandwidthDegraded(0.02)),
+        ),
+    ];
+    let case = Case {
+        seed: 0xC4A0_5EED,
+        freq: 4,
+        domain: 16,
+        n_metrics: 4,
+        duration_s: 60,
+    };
+    for (name, schedule) in schedules {
+        let (off, _) = run(&case, Some(schedule.clone()), false);
+        let (on, _) = run(&case, Some(schedule), true);
+        assert!(off.conserved() && on.conserved(), "{name}: {off:?} {on:?}");
+        assert_eq!(
+            off.values_offered, on.values_offered,
+            "{name}: same workload"
+        );
+        let lost_off = off.values_lost + off.values_evicted;
+        let lost_on = on.values_lost + on.values_evicted;
+        assert!(
+            lost_off > 0,
+            "{name}: the schedule must hurt the default mode"
+        );
+        assert!(lost_on < lost_off, "{name}: {lost_on} vs {lost_off} lost");
+        assert!(on.values_recovered > 0, "{name}: nothing was recovered");
     }
 }
 

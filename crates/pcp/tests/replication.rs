@@ -9,9 +9,11 @@
 //! Node kills are bounded by RF − W (one victim at RF=3, W=2), matching
 //! the fault budget quorum replication is supposed to absorb. Case count
 //! defaults to 64 (each case runs 3 replicas + repair + queries) and is
-//! raised in CI via `PMOVE_REPL_CASES`.
+//! raised in CI via `PMOVE_REPL_CASES`. One fixed-schedule test sweeps
+//! the replication factor past that budget: a primary partition that
+//! RF=1 loses values to and RF=3/W=2 rides out.
 
-use pmove_hwsim::FaultSchedule;
+use pmove_hwsim::{FaultKind, FaultSchedule};
 use pmove_pcp::{ReplShipper, ReplStats};
 use pmove_tsdb::repl::{ReplConfig, ReplicaSet};
 use pmove_tsdb::{Database, ExecMode, Point, Query};
@@ -69,6 +71,38 @@ struct Case {
 /// zero artefact is exercised separately in the coordinator unit tests).
 const FREQ_HZ: f64 = 4.0;
 
+/// Ship `case`'s stream through quorum writes over `set` under
+/// `schedules`, mirroring every offered point into `oracle`, then heal:
+/// heartbeats past the last fault see every replica, lift any quarantine
+/// and replay the parked hints.
+fn ship(
+    case: &Case,
+    set: &ReplicaSet,
+    schedules: Vec<FaultSchedule>,
+    oracle: &Database,
+) -> (ReplStats, Vec<bool>) {
+    let fault_tail = schedules.iter().map(FaultSchedule::last_fault_end_s);
+    let fault_tail = fault_tail.fold(0.0, f64::max);
+    let mut coord =
+        ReplShipper::new(set, schedules, &["repl", &format!("{:x}", case.seed)]).unwrap();
+    let ticks = (case.duration_s as f64 * FREQ_HZ) as u32;
+    let mut value_seed = case.seed;
+    for tick in 0..ticks {
+        let t = (tick + 1) as f64 / FREQ_HZ;
+        coord.heartbeat(t);
+        for m in 0..case.n_metrics {
+            let p = report((t * 1e9) as i64 + m as i64, m, case.domain, &mut value_seed);
+            oracle.write_point(p.clone()).unwrap();
+            coord.ship(t, p, FREQ_HZ);
+        }
+    }
+    let t_end = (case.duration_s as f64).max(fault_tail) + 1.0;
+    for k in 0..3 {
+        coord.heartbeat(t_end + k as f64);
+    }
+    (coord.stats(), coord.reachable())
+}
+
 /// One full run: the oracle receives every offered point; the coordinator
 /// routes the same stream through quorum writes under the case's fault
 /// schedule, then heals (heartbeats → hint replay, anti-entropy → repair).
@@ -86,35 +120,13 @@ fn run_case(case: &Case) -> (ReplStats, u64) {
     // random schedule — partitions, brown-outs, degraded bandwidth.
     let mut schedules = vec![FaultSchedule::none(); set.len()];
     schedules[case.victim] = FaultSchedule::random(case.seed, case.duration_s as f64);
-    let fault_tail = schedules[case.victim].last_fault_end_s();
-    let mut coord =
-        ReplShipper::new(&set, schedules, &["repl", &format!("{:x}", case.seed)]).unwrap();
-
-    let ticks = (case.duration_s as f64 * FREQ_HZ) as u32;
-    let mut value_seed = case.seed;
-    for tick in 0..ticks {
-        let t = (tick + 1) as f64 / FREQ_HZ;
-        coord.heartbeat(t);
-        for m in 0..case.n_metrics {
-            let p = report((t * 1e9) as i64 + m as i64, m, case.domain, &mut value_seed);
-            oracle.write_point(p.clone()).unwrap();
-            coord.ship(t, p, FREQ_HZ);
-        }
-    }
-    // The schedule is over: heartbeats see every replica, lift any
-    // quarantine, and replay the parked hints.
-    let t_end = (case.duration_s as f64).max(fault_tail) + 1.0;
-    for k in 0..3 {
-        coord.heartbeat(t_end + k as f64);
-    }
-    let stats = coord.stats();
+    let (stats, reachable) = ship(case, &set, schedules, &oracle);
 
     // Anti-entropy: replicas must converge bit-identically.
     let repair = set.repair_until_converged(4).unwrap();
     assert!(repair.converged, "repair did not converge: {repair:?}");
 
     // R-quorum read through the parallel engine vs the sequential oracle.
-    let reachable = coord.reachable();
     let mut compared = 0u64;
     for m in 0..case.n_metrics {
         let cols: Vec<String> = (0..case.domain).map(|i| format!("\"_cpu{i}\"")).collect();
@@ -214,4 +226,40 @@ proptest! {
         prop_assert_eq!(repair.rounds, 0);
         prop_assert_eq!(repair.ranges_repaired, 0);
     }
+}
+
+/// The primary partitioned for 20 s of a 60 s run, hint queues bounded at
+/// 2,048 values (the partition offers ~5,000): at RF=1 the overflow is
+/// evicted and there is no one to fail over to; at RF=3/W=2 the primary
+/// fails over and the majority loses nothing. Every RF of the sweep
+/// balances its ledger and converges after repair.
+#[test]
+fn majority_quorum_rides_out_the_partition_that_rf1_loses_to() {
+    let case = Case {
+        seed: 0xC4A0_5EED,
+        domain: 16,
+        n_metrics: 4,
+        duration_s: 60,
+        victim: 0,
+    };
+    let cell = |rf: usize| {
+        let w = rf / 2 + 1;
+        let cfg = ReplConfig {
+            replication_factor: rf,
+            write_quorum: w,
+            read_quorum: w,
+            hint_capacity_values: 2048,
+        };
+        let set = ReplicaSet::in_memory("repl", cfg).unwrap();
+        let mut schedules = vec![FaultSchedule::none(); rf];
+        schedules[case.victim] = FaultSchedule::none().with_window(20.0, 40.0, FaultKind::LinkDown);
+        let (st, _) = ship(&case, &set, schedules, &Database::new("oracle"));
+        assert!(st.conserved(), "rf={rf}: {st:?}");
+        assert!(set.repair_until_converged(8).unwrap().converged, "rf={rf}");
+        st
+    };
+    let [rf1, _, rf3, _] = [1, 2, 3, 5].map(cell);
+    assert!(rf1.values_evicted > 0 && rf1.failovers == 0, "{rf1:?}");
+    assert_eq!((rf3.values_lost, rf3.values_evicted), (0, 0), "{rf3:?}");
+    assert!(rf3.failovers > 0, "{rf3:?}");
 }

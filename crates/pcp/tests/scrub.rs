@@ -10,12 +10,13 @@
 //! Corruption is bounded to RF − W = 1 victim replica, matching the
 //! budget quorum replication absorbs. Case count defaults to 32 (each
 //! case runs 3 durable replicas + scrub + repair + queries) and is
-//! raised in CI via `PMOVE_SCRUB_CASES`.
+//! raised in CI via `PMOVE_SCRUB_CASES`. A fixed-seed test holds one
+//! scrub pass to finding every chunk that 1, 4 or 8 flips rot.
 
 use pmove_hwsim::FaultSchedule;
 use pmove_pcp::{ReplShipper, ReplStats};
 use pmove_tsdb::repl::{IntegrityReport, ReplConfig, ReplicaSet};
-use pmove_tsdb::store::{RotSchedule, ScrubConfig, StoreOptions};
+use pmove_tsdb::store::{RotSchedule, StoreOptions};
 use pmove_tsdb::{Database, ExecMode, Point, Query, TsdbError};
 use proptest::prelude::*;
 
@@ -82,11 +83,12 @@ fn manual_opts() -> StoreOptions {
 }
 
 /// One full run: healthy links throughout; every point lands on all RF
-/// replicas and the oracle. Mid-run and end-of-run flushes turn the
-/// replicas' memtables into durable chunks, a single seeded bit flip rots
-/// the victim's chunk namespace, then scrub sweeps run until the damage
-/// is found, quarantined, and read-repaired from the healthy quorum.
-fn run_case(case: &Case) -> (ReplStats, IntegrityReport, u64) {
+/// replicas and the oracle. A flush every 8 ticks and one at the end turn
+/// the replicas' memtables into durable chunks, `flips` seeded bit flips
+/// rot the victim's chunk namespace, then scrub sweeps run for
+/// `sweep_periods` full-pass periods: every rotted chunk must be found,
+/// quarantined, and read-repaired from the healthy quorum by the end.
+fn run_case(case: &Case, flips: u32, sweep_periods: f64) -> (ReplStats, IntegrityReport, u64) {
     let oracle = Database::new("oracle");
     let (set, _) = ReplicaSet::durable(
         "scrub",
@@ -112,9 +114,9 @@ fn run_case(case: &Case) -> (ReplStats, IntegrityReport, u64) {
             oracle.write_point(p.clone()).unwrap();
             coord.ship(t, p, FREQ_HZ);
         }
-        // Mid-run flush: two chunks per replica, so the flip can land in
-        // either generation of durable data.
-        if tick == ticks / 2 {
+        // At least two chunks per replica, so a flip can land in any
+        // generation of durable data.
+        if tick % 8 == 3 {
             for r in set.replicas() {
                 r.flush().unwrap();
             }
@@ -124,23 +126,27 @@ fn run_case(case: &Case) -> (ReplStats, IntegrityReport, u64) {
         r.flush().unwrap();
     }
 
-    // Latent rot: one seeded single-bit flip in the victim's chunk
-    // namespace (a single flip always breaks the CRC; multiple random
-    // flips could land on the same bit twice and cancel).
-    let rot = RotSchedule::random(case.seed, 1, 0.0, case.duration_s as f64).with_prefix("chunk-");
-    set.disks()[case.victim].schedule_rot(rot);
+    // Latent rot: seeded single-bit flips in the victim's chunk namespace
+    // (one flip always breaks the CRC; several could land on the same
+    // bit twice and cancel, so only fixed seeds fire more than one).
+    let rot = RotSchedule::random(case.seed, flips, 0.0, case.duration_s as f64);
+    set.disks()[case.victim].schedule_rot(rot.with_prefix("chunk-"));
     let fired = set.disks()[case.victim].advance_rot(case.duration_s as f64 + 1.0);
-    assert_eq!(fired.len(), 1, "rot event must fire after the flushes");
+    assert_eq!(
+        fired.len(),
+        flips as usize,
+        "rot must fire after the flushes"
+    );
+    let mut rotted: Vec<&str> = fired.iter().map(|r| r.file.as_str()).collect();
+    rotted.sort_unstable();
+    rotted.dedup();
 
-    // Scrub sweeps over two full periods: detection, quarantine, rebuild,
-    // and anti-entropy repair all happen inside the sweep loop.
-    let mut scrubbers = set.scrubbers(ScrubConfig {
-        full_pass_period_s: SCRUB_PERIOD_S,
-        ..ScrubConfig::default()
-    });
+    // Scrub sweeps: detection, quarantine, rebuild, and anti-entropy
+    // repair all happen inside the sweep loop.
+    let mut scrubbers = set.scrubbers(SCRUB_PERIOD_S);
     let mut total = IntegrityReport::default();
     let mut t = case.duration_s as f64 + 2.0;
-    let t_end = t + 2.0 * SCRUB_PERIOD_S;
+    let t_end = t + sweep_periods * SCRUB_PERIOD_S;
     while t <= t_end {
         let r = coord.scrub_and_repair(&mut scrubbers, t, 4).unwrap();
         assert!(r.converged, "sweep at t={t} left the set diverged");
@@ -151,6 +157,11 @@ fn run_case(case: &Case) -> (ReplStats, IntegrityReport, u64) {
         total.cells_repaired += r.cells_repaired;
         t += 0.5;
     }
+    // Every rotted chunk, and only those, sits in the victim's quarantine,
+    // whether a scrub tick or the rebuild's store scan found it.
+    let victim = set.replica(case.victim).store().unwrap();
+    assert_eq!(victim.quarantined().len(), rotted.len(), "{rotted:?}");
+    drop(victim);
 
     // R-quorum read through the parallel engine vs the sequential oracle.
     let reachable = coord.reachable();
@@ -198,7 +209,7 @@ proptest! {
         victim in 0usize..3,
     ) {
         let case = Case { seed, domain, n_metrics, duration_s, victim };
-        let (st, total, compared) = run_case(&case);
+        let (st, total, compared) = run_case(&case, 1, 2.0);
 
         // The flip landed in a durable chunk: the scrubber must find it
         // within one full pass, quarantine it, and repair every cell.
@@ -220,7 +231,7 @@ proptest! {
         prop_assert!(compared > 0, "comparison must cover actual cells");
 
         // Bit-reproducibility: the same case replays to identical stats.
-        let (st2, total2, compared2) = run_case(&case);
+        let (st2, total2, compared2) = run_case(&case, 1, 2.0);
         prop_assert_eq!(st, st2, "scrubbed run is not deterministic");
         prop_assert_eq!(total, total2);
         prop_assert_eq!(compared, compared2);
@@ -255,10 +266,7 @@ proptest! {
         for r in set.replicas() {
             r.flush().unwrap();
         }
-        let mut scrubbers = set.scrubbers(ScrubConfig {
-            full_pass_period_s: SCRUB_PERIOD_S,
-            ..ScrubConfig::default()
-        });
+        let mut scrubbers = set.scrubbers(SCRUB_PERIOD_S);
         let mut t = 5.0;
         let mut bytes = 0u64;
         while t <= 5.0 + 2.0 * SCRUB_PERIOD_S {
@@ -276,6 +284,30 @@ proptest! {
         prop_assert_eq!(st.values_corrupted, 0);
         prop_assert_eq!(st.values_repaired, 0);
         prop_assert!(set.converged());
+    }
+}
+
+/// One full scrub pass finds every chunk that 1, 4 or 8 seeded flips rot
+/// across a 20 s run's eleven flushed generations, and read-repair restores
+/// the victim bit-identically with nothing left pending.
+#[test]
+fn one_pass_detects_and_repairs_every_rotted_chunk() {
+    for flips in [1, 4, 8] {
+        let case = Case {
+            seed: 0xB17F_11B5 ^ u64::from(flips),
+            domain: 8,
+            n_metrics: 2,
+            duration_s: 20,
+            victim: 1,
+        };
+        let (st, total, compared) = run_case(&case, flips, 1.0);
+        // The pass reached every file: 3 replicas x (11 chunks + WAL).
+        assert!(total.files_checked >= 3 * 12, "flips={flips}: {total:?}");
+        assert!(total.cells_corrupted > 0, "flips={flips}: {total:?}");
+        assert_eq!(total.cells_repaired, total.cells_corrupted, "flips={flips}");
+        assert!(st.conserved(), "flips={flips}: {st:?}");
+        assert_eq!(st.values_corrupt_pending, 0, "flips={flips}");
+        assert!(compared > 0);
     }
 }
 
@@ -301,10 +333,7 @@ fn quarantine_rebuild_invalidates_cached_queries() {
     // Rot the only chunk, scrub until quarantined, rebuild.
     set.disks()[1].schedule_rot(RotSchedule::none().at(1.0, 1).with_prefix("chunk-"));
     set.disks()[1].advance_rot(1.0);
-    let mut scrubber = pmove_tsdb::store::Scrubber::new(ScrubConfig {
-        full_pass_period_s: SCRUB_PERIOD_S,
-        ..ScrubConfig::default()
-    });
+    let mut scrubber = pmove_tsdb::store::Scrubber::new(SCRUB_PERIOD_S);
     let mut t = 2.0;
     while db.store().unwrap().quarantined().is_empty() {
         scrubber.tick(&mut db.store().unwrap(), t).unwrap();

@@ -4,15 +4,19 @@
 //! `admitted == served + shed`) — and every shed decision hits the
 //! lowest-priority request present at that moment. A third property pins
 //! bit-identical replay: the same schedule against the same data produces
-//! the same report, byte for byte.
+//! the same report, byte for byte. Two fixed open-loop Poisson runs pin
+//! what the layer is for: shared panels coalesce inside the latency SLO,
+//! and an overload sheds background work while interactive stays inside.
 //!
 //! Case count defaults to 192 and is raised in CI's serving job via the
 //! `PMOVE_SERVE_CASES` environment variable.
 
-use pmove_serve::{Priority, QueryServer, ServeRequest, ServingConfig};
+use pmove_obs::{AlertState, Registry, SloEngine, SloSpec};
+use pmove_serve::{Priority, QueryServer, ServeReport, ServeRequest, ServingConfig, SLO_P99_NS};
 use pmove_tsdb::{Database, Point};
 use proptest::prelude::*;
 use proptest::StrategyExt;
+use std::sync::Arc;
 
 fn serve_cases() -> u32 {
     std::env::var("PMOVE_SERVE_CASES")
@@ -160,4 +164,144 @@ proptest! {
         };
         prop_assert_eq!(run(), run());
     }
+}
+
+/// Eight dashboard panels (one measurement each): 60 s of per-second
+/// points from 4 hosts.
+fn panels() -> Database {
+    let db = Database::new("serve-load");
+    for panel in 0..8i64 {
+        for s in 0..60i64 {
+            for host in 0..4i64 {
+                let p = Point::new(format!("panel{panel}"))
+                    .timestamp(s * 1_000_000_000 + host)
+                    .tag("host", format!("h{host}"))
+                    .field("busy", ((s * 7 + host * 13 + panel * 3) % 100) as f64);
+                db.write_point(p).unwrap();
+            }
+        }
+    }
+    db
+}
+
+/// Seeded open-loop Poisson arrivals over `duration_ns` of virtual time:
+/// exponential gaps at `rate_per_s`, tenant uniform over 64, panel
+/// uniform over 8, interactive with probability `interactive`;
+/// `query(panel, i)` is the text of request `i`. Draws are SplitMix64.
+fn poisson(
+    mut seed: u64,
+    duration_ns: u64,
+    rate_per_s: f64,
+    interactive: f64,
+    query: impl Fn(u64, u64) -> String,
+) -> Vec<ServeRequest> {
+    let mut next = move || {
+        seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let mut unit = move || (next() >> 11) as f64 / (1u64 << 53) as f64;
+    let (mut at_ns, mut out) = (0u64, Vec::new());
+    loop {
+        at_ns += ((-(1.0 - unit()).ln() * 1e9 / rate_per_s).ceil() as u64).max(1);
+        if at_ns >= duration_ns {
+            return out;
+        }
+        let tenant = (unit() * 64.0) as u32;
+        let panel = (unit() * 8.0) as u64;
+        let priority = if unit() < interactive {
+            Priority::Interactive
+        } else {
+            Priority::Background
+        };
+        let query = query(panel, out.len() as u64);
+        out.push(ServeRequest {
+            tenant,
+            priority,
+            query,
+            at_ns,
+        });
+    }
+}
+
+/// Serve `schedule` over [`panels`], then replay the run's latency
+/// histogram through the `serving_p99` burn-rate SLO for 10 s of
+/// post-run evaluations; true when it ever left `ok`.
+fn serve(cfg: ServingConfig, schedule: &[ServeRequest]) -> (ServeReport, bool) {
+    let db = panels();
+    let reg = Arc::new(Registry::new());
+    let mut srv = QueryServer::new(&db, cfg).unwrap().with_obs(reg.clone());
+    let report = srv.run(schedule).unwrap();
+    let mut slo = SloEngine::new(Registry::disabled());
+    slo.add(SloSpec::serving_p99(SLO_P99_NS));
+    let snap = reg.snapshot();
+    let alerted = (0..6u64).any(|k| {
+        slo.evaluate(&snap, report.end_ns + k * 2_000_000_000);
+        slo.state("serving_p99") != Some(AlertState::Ok)
+    });
+    (report, alerted)
+}
+
+/// 64 tenants render the same 8 panels at 1M requests/s for 30 ms, far
+/// above one backend's scan rate: identical panels coalesce at least
+/// 4x and ride the result cache, both classes' p99 stay under the SLO
+/// without the burn-rate alert firing, and tenants are served fairly.
+#[test]
+fn shared_panels_coalesce_inside_the_slo() {
+    let schedule = poisson(0x5EE7_1E55, 30_000_000, 1e6, 0.5, |panel, _| {
+        format!("SELECT \"busy\" FROM \"panel{panel}\"")
+    });
+    let cfg = ServingConfig {
+        queue_capacity: 1024,
+        max_concurrency: 4,
+        tenant_rate_per_s: 50_000,
+        tenant_burst: 4_000,
+        tenant_cap: 256,
+    };
+    let (r, alerted) = serve(cfg, &schedule);
+    assert!(r.conserved(), "{r:?}");
+    assert_eq!((r.rejected, r.shed, r.errors), (0, 0, 0));
+    assert!(r.coalescing_ratio() >= 4.0, "{:.2}", r.coalescing_ratio());
+    assert!(r.cache_hit_rate() > 0.9, "{:.3}", r.cache_hit_rate());
+    assert!(r.interactive.p99_ns < SLO_P99_NS, "{:?}", r.interactive);
+    assert!(r.background.p99_ns < SLO_P99_NS, "{:?}", r.background);
+    assert!(!alerted, "the steady run paged");
+    assert!(r.fairness_served() > 0.95, "{:.4}", r.fairness_served());
+}
+
+/// A 95%-background flood at 200k requests/s for 20 ms, every request a
+/// distinct 10 s window (nothing coalesces or caches), against two slots
+/// and a 32-deep queue: admission sheds, only background work is shed,
+/// and interactive p99 stays under the SLO.
+#[test]
+fn overload_sheds_background_and_keeps_interactive_inside_the_slo() {
+    let schedule = poisson(
+        0x5EE7_1E55 ^ 0xBAD_10AD,
+        20_000_000,
+        2e5,
+        0.05,
+        |panel, i| {
+            let lo = (i % 50) * 1_000_000_000 + i;
+            let hi = lo + 10_000_000_000;
+            format!("SELECT \"busy\" FROM \"panel{panel}\" WHERE time >= {lo} AND time < {hi}")
+        },
+    );
+    let cfg = ServingConfig {
+        queue_capacity: 32,
+        max_concurrency: 2,
+        tenant_rate_per_s: 50_000,
+        tenant_burst: 4_000,
+        tenant_cap: 64,
+    };
+    let (r, _) = serve(cfg, &schedule);
+    assert!(r.conserved(), "{r:?}");
+    assert!(r.shed > 0, "the flood never overloaded the queue");
+    assert!(r
+        .shed_events
+        .iter()
+        .all(|e| e.priority == Priority::Background));
+    assert!(r.interactive.count > 0);
+    assert!(r.interactive.p99_ns < SLO_P99_NS, "{:?}", r.interactive);
 }

@@ -5,7 +5,7 @@
 //! [`TsStore::verify_chunk`] / [`TsStore::scrub_wal`]. The bucket's
 //! refill rate is derived per pass from the bytes to cover and the
 //! configured full-pass period, so full-store verification completes
-//! within [`ScrubConfig::full_pass_period_s`] regardless of store size —
+//! within the scrubber's full-pass period regardless of store size —
 //! while each individual tick touches only as many bytes as the bucket
 //! allows, keeping the scrubber from starving ingest.
 //!
@@ -16,26 +16,9 @@
 use crate::error::StoreResult;
 use crate::store::{QuarantinedChunk, TsStore, VerifyOutcome, WalScrub};
 
-/// Tuning for one [`Scrubber`].
-#[derive(Debug, Clone, Copy)]
-pub struct ScrubConfig {
-    /// Target period for one full-store verification pass, in virtual
-    /// seconds. The token refill rate is derived from this and the pass
-    /// size, so bigger stores scrub faster rather than falling behind.
-    pub full_pass_period_s: f64,
-    /// Token-bucket burst: the most bytes one tick may verify beyond its
-    /// accrued refill.
-    pub burst_bytes: f64,
-}
-
-impl Default for ScrubConfig {
-    fn default() -> Self {
-        ScrubConfig {
-            full_pass_period_s: 60.0,
-            burst_bytes: 64.0 * 1024.0,
-        }
-    }
-}
+/// Token-bucket burst: the most bytes one tick may verify beyond its
+/// accrued refill.
+const BURST_BYTES: f64 = 64.0 * 1024.0;
 
 /// What one [`Scrubber::tick`] accomplished.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -73,7 +56,10 @@ struct Pass {
 /// Token-bucket paced integrity verifier over one [`TsStore`].
 #[derive(Debug)]
 pub struct Scrubber {
-    cfg: ScrubConfig,
+    /// Target period for one full-store verification pass, in virtual
+    /// seconds. The token refill rate is derived from this and the pass
+    /// size, so bigger stores scrub faster rather than falling behind.
+    period_s: f64,
     tokens: f64,
     last_s: Option<f64>,
     pass: Option<Pass>,
@@ -81,21 +67,21 @@ pub struct Scrubber {
 }
 
 impl Scrubber {
-    /// Scrubber with the given pacing config; the first tick starts the
-    /// first pass.
-    pub fn new(cfg: ScrubConfig) -> Scrubber {
+    /// Scrubber that verifies the whole store once every `period_s`
+    /// virtual seconds; the first tick starts the first pass.
+    pub fn new(period_s: f64) -> Scrubber {
         Scrubber {
-            cfg,
-            tokens: cfg.burst_bytes,
+            period_s,
+            tokens: BURST_BYTES,
             last_s: None,
             pass: None,
             full_passes: 0,
         }
     }
 
-    /// The pacing config this scrubber was built with.
-    pub fn config(&self) -> ScrubConfig {
-        self.cfg
+    /// The full-pass period this scrubber was built with.
+    pub fn period_s(&self) -> f64 {
+        self.period_s
     }
 
     /// Snapshot the store's current file set as a new pass work list.
@@ -114,7 +100,7 @@ impl Scrubber {
             + store.wal_size().unwrap_or(0) as f64;
         // Cover the whole snapshot within one period; the 1-byte/s floor
         // keeps an empty store's pass finishing instead of stalling.
-        let rate = (total_bytes / self.cfg.full_pass_period_s.max(1e-9)).max(1.0);
+        let rate = (total_bytes / self.period_s.max(1e-9)).max(1.0);
         Pass {
             items,
             idx: 0,
@@ -137,7 +123,7 @@ impl Scrubber {
             Some(p) => p.rate,
             None => 0.0,
         };
-        self.tokens = (self.tokens + elapsed * rate).min(self.cfg.burst_bytes.max(rate * elapsed));
+        self.tokens = (self.tokens + elapsed * rate).min(BURST_BYTES.max(rate * elapsed));
         loop {
             if self.pass.is_none() {
                 self.pass = Some(self.start_pass(store));
@@ -211,15 +197,17 @@ mod tests {
         }
     }
 
-    /// A store with `chunks` flushed chunks and a few WAL-resident rows.
-    fn seeded_store(seed: u64, chunks: usize) -> (MemDisk, TsStore) {
+    /// A store with `chunks` flushed chunks of `rows` rows each and a few
+    /// WAL-resident rows. Values are scrambled so chunks barely compress.
+    fn seeded_store(seed: u64, chunks: usize, rows: i64) -> (MemDisk, TsStore) {
         let disk = MemDisk::new(seed);
         let vfs: Arc<dyn Vfs> = Arc::new(disk.clone());
         let (mut store, _) = TsStore::open(vfs, opts()).unwrap();
+        let scrambled = |ts: i64| (ts as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) as f64;
         let mut ts = 0i64;
         for _ in 0..chunks {
-            let rows: Vec<RowRecord> = (0..16).map(|i| row(ts + i, (ts + i) as f64)).collect();
-            ts += 16;
+            let rows: Vec<RowRecord> = (0..rows).map(|i| row(ts + i, scrambled(ts + i))).collect();
+            ts += rows.len() as i64;
             store.append_owned(rows);
             store.commit().unwrap();
             store.flush().unwrap();
@@ -231,11 +219,8 @@ mod tests {
 
     #[test]
     fn clean_store_scrubs_with_no_findings() {
-        let (_disk, mut store) = seeded_store(1, 3);
-        let mut scrubber = Scrubber::new(ScrubConfig {
-            full_pass_period_s: 10.0,
-            ..ScrubConfig::default()
-        });
+        let (_disk, mut store) = seeded_store(1, 3, 16);
+        let mut scrubber = Scrubber::new(10.0);
         let mut now = 0.0;
         let (mut total_checked, mut passes) = (0, 0);
         while passes == 0 {
@@ -256,11 +241,10 @@ mod tests {
 
     #[test]
     fn rate_limit_spreads_work_across_ticks() {
-        let (_disk, mut store) = seeded_store(2, 8);
-        let mut scrubber = Scrubber::new(ScrubConfig {
-            full_pass_period_s: 8.0,
-            burst_bytes: 1.0, // tiny burst: at most one file per tick
-        });
+        // Eight ~40 KB chunks: several times the burst, so no tick can
+        // verify the whole store at once.
+        let (_disk, mut store) = seeded_store(2, 8, 4096);
+        let mut scrubber = Scrubber::new(8.0);
         let (mut per_tick, mut passes) = (Vec::new(), 0);
         let mut now = 0.0;
         while passes == 0 {
@@ -277,13 +261,10 @@ mod tests {
 
     #[test]
     fn rotted_chunk_is_detected_within_one_pass_and_quarantined() {
-        let (disk, mut store) = seeded_store(3, 4);
+        let (disk, mut store) = seeded_store(3, 4, 16);
         disk.schedule_rot(RotSchedule::none().at(1.0, 1).with_prefix("chunk-"));
         disk.advance_rot(2.0);
-        let mut scrubber = Scrubber::new(ScrubConfig {
-            full_pass_period_s: 10.0,
-            ..ScrubConfig::default()
-        });
+        let mut scrubber = Scrubber::new(10.0);
         let mut now = 2.0;
         let (mut quarantined, mut passes) = (Vec::new(), 0);
         while passes == 0 {
@@ -308,11 +289,11 @@ mod tests {
 
     #[test]
     fn rotted_wal_is_rewritten_from_memtable() {
-        let (disk, mut store) = seeded_store(4, 1);
+        let (disk, mut store) = seeded_store(4, 1, 16);
         assert_eq!(store.memtable_rows(), 2);
         disk.schedule_rot(RotSchedule::none().at(1.0, 1).with_prefix("wal.log"));
         disk.advance_rot(1.0);
-        let mut scrubber = Scrubber::new(ScrubConfig::default());
+        let mut scrubber = Scrubber::new(60.0);
         let mut now = 1.0;
         let (mut wal, mut passes) = (None, 0);
         while passes == 0 {
@@ -338,12 +319,9 @@ mod tests {
     #[test]
     fn same_seed_scrub_is_deterministic() {
         let run = |seed: u64| {
-            let (disk, mut store) = seeded_store(seed, 4);
+            let (disk, mut store) = seeded_store(seed, 4, 16);
             disk.schedule_rot(RotSchedule::random(seed, 3, 0.0, 20.0).with_prefix("chunk-"));
-            let mut scrubber = Scrubber::new(ScrubConfig {
-                full_pass_period_s: 10.0,
-                ..ScrubConfig::default()
-            });
+            let mut scrubber = Scrubber::new(10.0);
             let mut out = Vec::new();
             for step in 0..40 {
                 let now = step as f64;

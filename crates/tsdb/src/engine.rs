@@ -1181,7 +1181,7 @@ mod tests {
         let v_before = db.write_version("m");
         rot_chunk0(&disk);
         // Scrub detects the rot and quarantines the chunk...
-        let mut scrubber = pmove_store::Scrubber::new(pmove_store::ScrubConfig::default());
+        let mut scrubber = pmove_store::Scrubber::new(60.0);
         let mut now = 0.0;
         while db.store().unwrap().quarantined().is_empty() {
             scrubber.tick(&mut db.store().unwrap(), now).unwrap();

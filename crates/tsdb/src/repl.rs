@@ -34,7 +34,7 @@ use crate::point::Point;
 use crate::query::{Frame, Query, QueryResult};
 use crate::value::FieldValue;
 use pmove_obs::{Counter, Registry, Span};
-use pmove_store::{MemDisk, RecoveryReport, ScrubConfig, Scrubber, StoreOptions, Vfs};
+use pmove_store::{MemDisk, RecoveryReport, Scrubber, StoreOptions, Vfs};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
@@ -448,9 +448,10 @@ impl ReplicaSet {
         Ok(total)
     }
 
-    /// One background scrubber per replica, sharing one pacing config.
-    pub fn scrubbers(&self, cfg: ScrubConfig) -> Vec<Scrubber> {
-        (0..self.len()).map(|_| Scrubber::new(cfg)).collect()
+    /// One background scrubber per replica, each verifying its store
+    /// once every `period_s` virtual seconds.
+    pub fn scrubbers(&self, period_s: f64) -> Vec<Scrubber> {
+        (0..self.len()).map(|_| Scrubber::new(period_s)).collect()
     }
 
     /// One integrity sweep at virtual time `now_s`: tick every replica's
@@ -761,10 +762,7 @@ mod tests {
                 .with_prefix("chunk-"),
         );
         set.disks()[1].advance_rot(1.0);
-        let mut scrubbers = set.scrubbers(pmove_store::ScrubConfig {
-            full_pass_period_s: 5.0,
-            ..pmove_store::ScrubConfig::default()
-        });
+        let mut scrubbers = set.scrubbers(5.0);
         let mut total = IntegrityReport::default();
         let mut now = 1.0;
         while total.chunks_quarantined == 0 {
