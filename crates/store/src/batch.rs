@@ -25,11 +25,11 @@
 //! needs — survives. A payload that does not open with `0x00 | 0x02` is
 //! not a frame of this build.
 
-use crate::chunk::Block;
 use crate::encode::{
     check_count, get_ivarint, get_str, get_uvarint, put_bytes, put_ivarint, put_uvarint,
 };
 use crate::error::{StoreError, StoreResult};
+use crate::merge::Pair;
 use crate::row::{ColumnValue, RowRecord};
 use std::collections::btree_map::{BTreeMap, Entry};
 
@@ -311,8 +311,32 @@ impl WriteBatch {
 }
 
 /// One `(series, field)`'s acknowledged cells: timestamps beside values,
-/// in write order until [`Memtable::sorted`] orders them.
+/// in write order until [`Memtable::pairs`] orders them.
 type Cells = (Vec<i64>, Vec<ColumnValue>);
+
+/// Stable-sort a pair by timestamp: in place while the cells move little
+/// (a late sample moves past the few cells that overtook it, so the cost
+/// is the cells plus their displacement), through a permutation once the
+/// displacement outgrows eight moves a cell. Insertion never moves a cell
+/// past one of its own timestamp, so the order it leaves is as good a
+/// start for the permutation as the one it found.
+fn sort_pair(ts: &mut Vec<i64>, values: &mut Vec<ColumnValue>) {
+    let mut budget = 8 * ts.len();
+    for i in 1..ts.len() {
+        let at = ts[..i].partition_point(|&t| t <= ts[i]);
+        if i - at > budget {
+            let mut order: Vec<usize> = (0..ts.len()).collect();
+            order.sort_by_key(|&i| ts[i]);
+            *ts = order.iter().map(|&i| ts[i]).collect();
+            let moved = |&i: &usize| std::mem::replace(&mut values[i], ColumnValue::I64(0));
+            *values = order.iter().map(moved).collect();
+            return;
+        }
+        budget -= i - at;
+        ts[at..=i].rotate_right(1);
+        values[at..=i].rotate_right(1);
+    }
+}
 
 /// Acknowledged cells awaiting a flush, as one column pair per
 /// `(series, field)` however many commits brought them.
@@ -347,40 +371,31 @@ impl Memtable {
         self.cells
     }
 
-    /// Every pair in ascending `(series, field)` order, its timestamps
-    /// ascending. A pair that is not already is stable-sorted in place,
-    /// so writes of one timestamp keep their order and the last still wins.
-    fn sorted(&mut self) -> impl Iterator<Item = (&String, &String, &Cells)> {
+    /// The merge kernel's newest layer: every pair, borrowed, in
+    /// ascending `(series, field)` order, its timestamps ascending. A pair
+    /// that is not already is stable-sorted in place, so writes of one
+    /// timestamp keep their order and the last still wins.
+    pub(crate) fn pairs(&mut self) -> impl Iterator<Item = Pair<'_>> {
         self.series.iter_mut().flat_map(|(series, fields)| {
             fields.iter_mut().map(move |(field, cells)| {
                 let (ts, values) = &mut *cells;
                 if !ts.is_sorted() {
-                    let mut order: Vec<usize> = (0..ts.len()).collect();
-                    order.sort_by_key(|&i| ts[i]);
-                    *ts = order.iter().map(|&i| ts[i]).collect();
-                    let moved = |&i: &usize| std::mem::replace(&mut values[i], ColumnValue::I64(0));
-                    *values = order.iter().map(moved).collect();
+                    sort_pair(ts, values);
                 }
-                (series, field, &*cells)
+                Pair {
+                    series,
+                    field,
+                    ts,
+                    values,
+                }
             })
         })
-    }
-
-    /// The merge kernel's newest layer: one block per pair, copied out.
-    pub(crate) fn blocks(&mut self) -> Vec<Block> {
-        let block = |(series, field, (ts, values)): (&String, &String, &Cells)| Block {
-            series: series.clone(),
-            field: field.clone(),
-            ts: ts.clone(),
-            values: values.clone(),
-        };
-        self.sorted().map(block).collect()
     }
 
     /// Distinct `(series, field, timestamp)` cells held.
     pub(crate) fn distinct_cells(&mut self) -> usize {
         let distinct = |ts: &[i64]| 1 + ts.windows(2).filter(|w| w[0] != w[1]).count();
-        self.sorted().map(|(_, _, (ts, _))| distinct(ts)).sum()
+        self.pairs().map(|pair| distinct(pair.ts)).sum()
     }
 
     /// Everything held as one batch, each pair's cells in held order.
@@ -569,6 +584,35 @@ mod tests {
     }
 
     #[test]
+    fn pairs_sort_stably_in_place_or_through_a_permutation() {
+        // A few late samples sort in place; a reversed backfill outgrows
+        // the budget part way. Either way writes of one stamp keep their
+        // order: each value is its write position.
+        let late: Vec<i64> = (0..64)
+            .map(|i| if i % 9 == 4 { i - 3 } else { i / 2 })
+            .collect();
+        let backfill: Vec<i64> = (0..64).rev().map(|i| i / 2).collect();
+        for stamps in [late, backfill] {
+            let mut want: Vec<(i64, ColumnValue)> = stamps
+                .iter()
+                .copied()
+                .zip((0..).map(ColumnValue::I64))
+                .collect();
+            want.sort_by_key(|cell| cell.0);
+            let mut ts = stamps;
+            let mut values: Vec<ColumnValue> = (0..64).map(ColumnValue::I64).collect();
+            sort_pair(&mut ts, &mut values);
+            assert_eq!(ts.into_iter().zip(values).collect::<Vec<_>>(), want);
+        }
+    }
+
+    /// The memtable's pairs, copied out.
+    fn pairs(m: &mut Memtable) -> Vec<(String, Vec<i64>, Vec<ColumnValue>)> {
+        let owned = |p: Pair<'_>| (p.series.to_string(), p.ts.to_vec(), p.values.to_vec());
+        m.pairs().map(owned).collect()
+    }
+
+    #[test]
     fn memtable_holds_one_pair_per_key_and_sorts_stably() {
         let mut m = Memtable::default();
         for (ts, v) in [(5, 1.0), (1, 2.0), (5, 3.0), (3, 4.0)] {
@@ -586,23 +630,20 @@ mod tests {
             ColumnValue::Bool(true),
         )]));
         assert_eq!((m.cells(), m.distinct_cells()), (5, 4));
-        let blocks = m.blocks();
-        assert_eq!(blocks.len(), 2);
-        assert_eq!(
-            (blocks[0].series.as_str(), blocks[1].series.as_str()),
-            ("a", "s")
-        );
-        assert_eq!(blocks[1].ts, vec![1, 3, 5, 5]);
+        let held = pairs(&mut m);
+        assert_eq!(held.len(), 2);
+        assert_eq!((held[0].0.as_str(), held[1].0.as_str()), ("a", "s"));
+        assert_eq!(held[1].1, vec![1, 3, 5, 5]);
         let f = ColumnValue::F64;
-        assert_eq!(blocks[1].values, vec![f(2.0), f(4.0), f(1.0), f(3.0)]);
+        assert_eq!(held[1].2, vec![f(2.0), f(4.0), f(1.0), f(3.0)]);
         // The log rewritten from the memtable replays to the same pairs.
         let mut again = Memtable::default();
         again.absorb(WriteBatch::decode(&m.to_batch().encode()).unwrap());
-        assert_eq!(again.blocks(), blocks);
+        assert_eq!(pairs(&mut again), held);
         m.drop_before(4);
         assert_eq!(m.cells(), 3);
-        assert_eq!(m.blocks()[1].ts, vec![5, 5]);
+        assert_eq!(pairs(&mut m)[1].1, vec![5, 5]);
         m.drop_before(100);
-        assert_eq!((m.cells(), m.blocks().len()), (0, 0));
+        assert_eq!((m.cells(), pairs(&mut m).len()), (0, 0));
     }
 }

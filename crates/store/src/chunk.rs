@@ -5,10 +5,11 @@
 //! encoded, float values Gorilla XOR compressed, the whole file sealed
 //! with a trailing CRC32. Blocks are the unit everything durable works
 //! in: a chunk decodes to blocks (one key per block, never per cell), the
-//! merge kernel (`crate::merge`) consumes and produces blocks, and
-//! `ChunkWriter` encodes them straight into the output file — or, for a
-//! key whose parts are time-disjoint, copies the oldest part's encoded
-//! columns out of its chunk and continues them.
+//! merge kernel (`crate::merge`) walks blocks cell by cell in one
+//! validating walk (`Cells`) and produces blocks, and `ChunkWriter`
+//! encodes them straight into the output file — copying, where the
+//! kernel says so, the encoded prefix of a block this store wrote and
+//! continuing it.
 //!
 //! Layout:
 //!
@@ -35,7 +36,7 @@ use crate::encode::{
     TsEnd, ValueCursor, ValueEncoder, ValueEnd,
 };
 use crate::error::{StoreError, StoreResult};
-use crate::merge::{merge_blocks, MergeError, Part, Sink};
+use crate::merge::{merge_blocks, Pair, Sink};
 use crate::row::{ColumnValue, RowRecord};
 use crate::vfs::Vfs;
 
@@ -70,13 +71,6 @@ pub struct Block {
     pub ts: Vec<i64>,
     /// Value column, `values[i]` written at `ts[i]`.
     pub values: Vec<ColumnValue>,
-}
-
-impl Block {
-    /// `(series, field)` as [`BlockRef::key`] gives it.
-    pub(crate) fn key(&self) -> (&[u8], &[u8]) {
-        (self.series.as_bytes(), self.field.as_bytes())
-    }
 }
 
 /// Summary of one written chunk.
@@ -137,29 +131,20 @@ impl From<&ChunkInfo> for ChunkSummary {
     }
 }
 
-/// One block's columns being encoded: from nothing, or resumed where a
-/// copied block's columns ended.
-#[derive(Default)]
-struct BlockEncoder {
-    stamps: TsEncoder,
-    values: ValueEncoder,
-    /// Raw footprint of the cells so far.
-    raw: u64,
-}
-
-impl BlockEncoder {
-    fn push(&mut self, ts: i64, value: &ColumnValue) {
-        self.stamps.push(ts);
-        self.values.push(value);
-        self.raw += value.raw_footprint() as u64;
-    }
-}
-
 /// Encoder for one chunk file: blocks go straight into the file image as
-/// the merge kernel emits them.
+/// the merge kernel emits them, their columns through encoders whose
+/// buffers serve every block in turn.
 pub(crate) struct ChunkWriter {
     body: Vec<u8>,
     info: ChunkInfo,
+    /// Where the open block's header starts in `body`.
+    open_at: usize,
+    /// The open block's first stamp.
+    first: i64,
+    stamps: TsEncoder,
+    values: ValueEncoder,
+    /// Raw footprint of the open block's cells.
+    raw: u64,
 }
 
 impl ChunkWriter {
@@ -176,33 +161,12 @@ impl ChunkWriter {
                 time_range: (i64::MAX, i64::MIN),
                 ..ChunkInfo::default()
             },
+            open_at: HEADER_LEN,
+            first: 0,
+            stamps: TsEncoder::default(),
+            values: ValueEncoder::default(),
+            raw: 0,
         }
-    }
-
-    /// Append the block of key `(series, field, type)` whose first stamp
-    /// is `first` and whose columns `columns` holds. Returns its cells.
-    fn put(
-        &mut self,
-        (series, field, tag): (&str, &str, u8),
-        first: i64,
-        columns: BlockEncoder,
-    ) -> u64 {
-        let TsEnd { count, last, .. } = columns.stamps.end();
-        let body = &mut self.body;
-        put_bytes(body, series.as_bytes());
-        put_bytes(body, field.as_bytes());
-        body.push(tag);
-        put_uvarint(body, count as u64);
-        put_ivarint(body, first);
-        put_ivarint(body, last);
-        put_bytes(body, &columns.stamps.into_bytes());
-        put_bytes(body, &columns.values.into_bytes());
-        let info = &mut self.info;
-        info.blocks += 1;
-        info.rows += count;
-        info.raw_bytes += columns.raw;
-        info.time_range = (info.time_range.0.min(first), info.time_range.1.max(last));
-        count as u64
     }
 
     /// Seal and persist the file (nothing is written when no block was
@@ -225,66 +189,88 @@ impl ChunkWriter {
 }
 
 impl Sink for ChunkWriter {
-    /// Encode the parts' cells as one block, straight into the image. The
-    /// oldest part, when its chunk is this store's own output, is not
-    /// re-encoded: its cursors walk it — checking it as a decode would and
-    /// finding where its columns end — and its encoded columns are copied
-    /// for the newer parts' cells to continue. Any other chunk's bytes may
-    /// hold what the encoder would not write, so it is re-encoded like the
-    /// rest.
-    fn emit(&mut self, parts: Vec<Part<'_>>) -> Result<u64, MergeError> {
-        let (key, first) = match &parts[0] {
-            Part::Chunk(at, block, _) => {
-                let (series, field) = block.keys().map_err(|e| (*at, e))?;
-                ((series, field, block.tag), block.min_ts)
-            }
-            Part::Mem(block) => {
-                let tag = block.values[0].type_tag();
-                (
-                    (block.series.as_str(), block.field.as_str(), tag),
-                    block.ts[0],
-                )
-            }
-        };
-        let mut columns = BlockEncoder::default();
-        let mut newer = &parts[..];
-        if let [Part::Chunk(at, base, true), rest @ ..] = &parts[..] {
-            let mut raw = 0;
-            let (stamps, values) = base
-                .cells(|_, v| raw += v.raw_footprint() as u64)
-                .map_err(|e| (*at, e))?;
-            columns = BlockEncoder {
-                stamps: TsEncoder::resume(base.ts_bytes.to_vec(), stamps),
-                values: ValueEncoder::resume(base.tag, base.val_bytes.to_vec(), values),
-                raw,
-            };
-            newer = rest;
+    fn open(&mut self, series: &str, field: &str, tag: u8, _: usize) {
+        self.open_at = self.body.len();
+        put_bytes(&mut self.body, series.as_bytes());
+        put_bytes(&mut self.body, field.as_bytes());
+        self.body.push(tag);
+        self.stamps.restart(&[], TsEnd::default());
+        self.values.restart(&[], ValueEnd::default());
+        self.raw = 0;
+    }
+
+    /// An own block's prefix is not re-encoded: the walk says where its
+    /// columns end, their encoded bits are copied out of the chunk and
+    /// the encoders restart there — exactly what re-encoding its cells
+    /// writes, since both encoders are prefix-closed. Any other chunk's
+    /// bytes may hold what the encoder would not write, so its prefix is
+    /// re-encoded cell by cell.
+    fn prefix(
+        &mut self,
+        base: &BlockRef<'_>,
+        own: bool,
+        cells: &mut Cells<'_>,
+        newer: Option<i64>,
+    ) -> StoreResult<Option<i64>> {
+        if !own {
+            return cells.before(newer, |ts, cells| self.cell(ts, &cells.value()));
         }
-        for part in newer {
-            match part {
-                Part::Chunk(at, block, _) => {
-                    let push = |ts, v: &ValueCursor<'_>| columns.push(ts, &v.value());
-                    block.cells(push).map_err(|e| (*at, e))?;
-                }
-                Part::Mem(block) => {
-                    for (&ts, value) in block.ts.iter().zip(&block.values) {
-                        columns.push(ts, value);
-                    }
-                }
-            }
+        let (mut end, mut raw) = (cells.end(), 0);
+        let head = cells.before(newer, |_, cells| {
+            raw += cells.raw_footprint() as u64;
+            end = cells.end();
+        })?;
+        let (stamps, values) = end;
+        if stamps.count > 0 {
+            self.first = base.min_ts;
+            self.stamps.restart(base.ts_bytes, stamps);
+            self.values.restart(base.val_bytes, values);
+            self.raw = raw;
         }
-        Ok(self.put(key, first, columns))
+        Ok(head)
+    }
+
+    fn cell(&mut self, ts: i64, value: &ColumnValue) {
+        if self.stamps.end().count == 0 {
+            self.first = ts;
+        }
+        self.stamps.push(ts);
+        self.values.push(value);
+        self.raw += value.raw_footprint() as u64;
+    }
+
+    fn close(&mut self) -> u64 {
+        let TsEnd { count, last, .. } = self.stamps.end();
+        let body = &mut self.body;
+        if count == 0 {
+            body.truncate(self.open_at);
+            return 0;
+        }
+        put_uvarint(body, count as u64);
+        put_ivarint(body, self.first);
+        put_ivarint(body, last);
+        put_bytes(body, self.stamps.bytes());
+        put_bytes(body, self.values.finish());
+        let info = &mut self.info;
+        info.blocks += 1;
+        info.rows += count;
+        info.raw_bytes += self.raw;
+        info.time_range = (
+            info.time_range.0.min(self.first),
+            info.time_range.1.max(last),
+        );
+        count as u64
     }
 }
 
-/// Build and persist a chunk from a memtable's blocks (within a block a
+/// Build and persist a chunk from the memtable's pairs (within a pair a
 /// later write of a cell follows an earlier one and wins, and the
 /// winner's type decides its block, so a cell rewritten with a new type
 /// cannot survive as two blocks). Returns `None` when there are none.
-pub(crate) fn write_blocks(
+pub(crate) fn write_blocks<'a>(
     vfs: &dyn Vfs,
     seq: u64,
-    newest: Vec<Block>,
+    newest: impl Iterator<Item = Pair<'a>>,
 ) -> StoreResult<Option<ChunkInfo>> {
     let mut writer = ChunkWriter::new(seq);
     let stats = merge_blocks(&[], newest, None, &mut writer).map_err(|(_, e)| e)?;
@@ -296,7 +282,7 @@ pub(crate) fn write_blocks(
 pub fn write_chunk(vfs: &dyn Vfs, seq: u64, rows: &[RowRecord]) -> StoreResult<Option<ChunkInfo>> {
     let mut memtable = Memtable::default();
     memtable.absorb(WriteBatch::from_rows(rows.iter().cloned()));
-    write_blocks(vfs, seq, memtable.blocks())
+    write_blocks(vfs, seq, memtable.pairs())
 }
 
 /// One block as it lies in a chunk file: key and encoded columns still
@@ -341,53 +327,43 @@ impl<'a> BlockRef<'a> {
         (self.series, self.field)
     }
 
-    /// `(type, min_ts, max_ts)` as the header states them.
-    pub(crate) fn span(&self) -> (u8, i64, i64) {
-        (self.tag, self.min_ts, self.max_ts)
+    /// The type, as the header states it.
+    pub(crate) fn tag(&self) -> u8 {
+        self.tag
+    }
+
+    /// The first stamp, as the header states it.
+    pub(crate) fn min_ts(&self) -> i64 {
+        self.min_ts
+    }
+
+    /// Cells, as the header states it — bounded by the bytes of the
+    /// timestamp column, since a stamp takes one at least, so that a
+    /// damaged header sizes no allocation.
+    pub(crate) fn count(&self) -> usize {
+        usize::try_from(self.count).map_or(0, |n| n.min(self.ts_bytes.len()))
     }
 
     /// The key as strings; one that is not UTF-8 makes the block corrupt.
-    fn keys(&self) -> StoreResult<(&'a str, &'a str)> {
+    pub(crate) fn keys(&self) -> StoreResult<(&'a str, &'a str)> {
         let key = |bytes| {
             std::str::from_utf8(bytes).map_err(|_| StoreError::Decode("block key not UTF-8".into()))
         };
         Ok((key(self.series)?, key(self.field)?))
     }
 
-    /// Walk both columns in step, enforcing the block invariants, and hand
-    /// each cell to `cell`: its timestamp, and the value cursor standing
-    /// on its value. Returns where the two columns ended. Every decode of
-    /// a block is this walk.
-    pub(crate) fn cells(
-        &self,
-        mut cell: impl FnMut(i64, &ValueCursor<'a>),
-    ) -> StoreResult<(TsEnd, ValueEnd)> {
-        let corrupt = |what: &str| StoreError::Corrupt(what.into());
+    /// The walk of both columns in step that every decode of the block
+    /// is: [`Cells::next`] enforces the block invariants cell by cell.
+    pub(crate) fn cells(&self) -> StoreResult<Cells<'a>> {
         let count = usize::try_from(self.count)
             .map_err(|_| StoreError::Decode("block count overflows usize".into()))?;
-        let mut stamps = TsCursor::new(self.ts_bytes, count)?;
-        let mut values = ValueCursor::new(self.tag, self.val_bytes, count)?;
-        for i in 0..count {
-            let prev = stamps.end().last;
-            let ts = stamps.step()?;
-            if i == 0 && ts != self.min_ts {
-                return Err(corrupt(
-                    "block header's min_ts disagrees with its timestamps",
-                ));
-            }
-            if i > 0 && ts <= prev {
-                return Err(corrupt("block timestamps not strictly ascending"));
-            }
-            values.step()?;
-            cell(ts, &values);
-        }
-        let end = stamps.end();
-        if count == 0 || end.last != self.max_ts {
-            return Err(corrupt(
-                "block is empty or its header's max_ts disagrees with its timestamps",
-            ));
-        }
-        Ok((end, values.end()))
+        Ok(Cells {
+            stamps: TsCursor::new(self.ts_bytes, count)?,
+            values: ValueCursor::new(self.tag, self.val_bytes, count)?,
+            count,
+            min_ts: self.min_ts,
+            max_ts: self.max_ts,
+        })
     }
 
     /// Decode both columns, enforcing the block invariants.
@@ -396,24 +372,101 @@ impl<'a> BlockRef<'a> {
         let mut block = Block {
             series: series.to_string(),
             field: field.to_string(),
-            ..Block::default()
+            ts: Vec::with_capacity(self.count()),
+            values: Vec::with_capacity(self.count()),
         };
-        self.append_to(&mut block)?;
+        self.cells()?.before(None, |ts, cells| {
+            block.ts.push(ts);
+            block.values.push(cells.value());
+        })?;
         Ok(block)
     }
+}
 
-    /// Decode the cells onto the end of `block`.
-    pub(crate) fn append_to(&self, block: &mut Block) -> StoreResult<()> {
-        // A timestamp takes a byte at least: the reservation is bounded by
-        // the file, whatever the header claims.
-        let room = usize::try_from(self.count).map_or(0, |n| n.min(self.ts_bytes.len()));
-        block.ts.reserve(room);
-        block.values.reserve(room);
-        self.cells(|ts, value| {
-            block.ts.push(ts);
-            block.values.push(value.value());
-        })?;
-        Ok(())
+/// The error for a stamp that does not follow cell `count`'s: the first
+/// is not the header's `min_ts`, a later one not above the one before.
+#[cold]
+fn disorder(count: usize) -> StoreError {
+    StoreError::Corrupt(match count {
+        0 => "block header's min_ts disagrees with its timestamps".into(),
+        _ => "block timestamps not strictly ascending".into(),
+    })
+}
+
+/// A block's cells, walked in order: both column cursors in step, each
+/// cell checked as it is reached — timestamps strictly ascending from the
+/// header's `min_ts` to its `max_ts`, at least one cell. After any cell
+/// the walk says where the two columns end.
+pub(crate) struct Cells<'a> {
+    stamps: TsCursor<'a>,
+    values: ValueCursor<'a>,
+    count: usize,
+    min_ts: i64,
+    max_ts: i64,
+}
+
+impl<'a> Cells<'a> {
+    /// Step to the next cell and return its stamp; `None` after the last.
+    #[inline]
+    pub(crate) fn next(&mut self) -> StoreResult<Option<i64>> {
+        let TsEnd { count, last, .. } = self.stamps.end();
+        if count == self.count {
+            return self.past_last(last);
+        }
+        let ts = self.stamps.step()?;
+        let in_order = match count {
+            0 => ts == self.min_ts,
+            _ => ts > last,
+        };
+        if !in_order {
+            return Err(disorder(count));
+        }
+        self.values.step()?;
+        Ok(Some(ts))
+    }
+
+    /// The walk past the last cell: it must have been one at least, and
+    /// the header's `max_ts`.
+    #[cold]
+    fn past_last(&self, last: i64) -> StoreResult<Option<i64>> {
+        if self.count == 0 || last != self.max_ts {
+            return Err(StoreError::Corrupt(
+                "block is empty or its header's max_ts disagrees with its timestamps".into(),
+            ));
+        }
+        Ok(None)
+    }
+
+    /// Step through the cells before `newer` (every cell when `None`),
+    /// handing each to `cell`; returns the stamp of the first cell at or
+    /// after `newer`, which the walk then stands on.
+    #[inline]
+    pub(crate) fn before(
+        &mut self,
+        newer: Option<i64>,
+        mut cell: impl FnMut(i64, &Self),
+    ) -> StoreResult<Option<i64>> {
+        loop {
+            match self.next()? {
+                Some(ts) if newer.is_none_or(|first| ts < first) => cell(ts, self),
+                head => return Ok(head),
+            }
+        }
+    }
+
+    /// The value of the cell stepped to last.
+    pub(crate) fn value(&self) -> ColumnValue {
+        self.values.value()
+    }
+
+    /// [`ColumnValue::raw_footprint`] of that value, without building it.
+    pub(crate) fn raw_footprint(&self) -> usize {
+        self.values.raw_footprint()
+    }
+
+    /// Where the two columns end after the cells stepped so far.
+    pub(crate) fn end(&self) -> (TsEnd, ValueEnd) {
+        (self.stamps.end(), self.values.end())
     }
 }
 
@@ -458,7 +511,7 @@ pub(crate) fn check_chunk(name: &str, data: &[u8]) -> StoreResult<ChunkSummary> 
     };
     for block in index_chunk(name, data)?.1 {
         block.keys()?;
-        block.cells(|_, _| ())?;
+        block.cells()?.before(None, |_, _| ())?;
         summary.add(&block);
     }
     Ok(summary)

@@ -3,13 +3,14 @@
 //!
 //! Each column has one encoder and one decoder, and both keep their state
 //! in the open. The decoder is a validating cursor (`TsCursor`,
-//! `ValueCursor`) that can say where its column ended — the last
-//! timestamp and delta; the last value, the Gorilla window and the bit
-//! length — and the encoder (`TsEncoder`, `ValueEncoder`) resumes from
-//! exactly that end state, so compaction copies a column's bytes and
-//! appends to them instead of decoding and re-encoding it. Encoding a
-//! whole column is a resume from nothing, decoding one a collect over its
-//! cursor.
+//! `ValueCursor`) that can say where its column ended after any cell —
+//! the last timestamp and delta; the last value, the Gorilla window — and
+//! how many bits that took, and the encoder (`TsEncoder`, `ValueEncoder`)
+//! restarts from exactly that end state over a copy of those bits, so
+//! compaction copies a column's untouched prefix and appends to it
+//! instead of decoding and re-encoding it. Encoding a whole column is a
+//! restart from nothing, decoding one a collect over its cursor. An
+//! encoder keeps its buffer from one column to the next.
 //!
 //! The bit I/O under the float and bool columns is word-wide: the writer
 //! fills a 64-bit accumulator and spills it a whole word at a time, the
@@ -119,7 +120,7 @@ fn low_bits(n: u32) -> u64 {
 
 /// MSB-first bit writer: pushes fill a 64-bit accumulator, which spills
 /// into the byte vector a whole word at a time. `BitWriter::default()` is
-/// the resume of an empty stream.
+/// the restart of an empty stream.
 #[derive(Default)]
 pub struct BitWriter {
     bytes: Vec<u8>,
@@ -132,18 +133,24 @@ impl BitWriter {
     /// Re-open the stream made of the first `bits` (at most `8 *
     /// bytes.len()`) bits of `bytes` — a partial last byte included,
     /// anything after it dropped — so that pushes continue it.
-    pub fn resume(mut bytes: Vec<u8>, bits: usize) -> BitWriter {
+    pub fn resume(bytes: Vec<u8>, bits: usize) -> BitWriter {
+        let mut writer = BitWriter::default();
+        writer.restart(&bytes, bits);
+        writer
+    }
+
+    /// [`BitWriter::resume`] into this writer's buffer: the first `bits`
+    /// bits of `from` replace whatever it held. The partial last byte's
+    /// bits after the `bits`th are not kept.
+    pub(crate) fn restart(&mut self, from: &[u8], bits: usize) {
         let (full, part) = (bits / 8, (bits % 8) as u32);
-        let acc = match part {
+        self.bytes.clear();
+        self.bytes.extend_from_slice(&from[..full]);
+        self.acc = match part {
             0 => 0,
-            _ => u64::from(bytes[full] >> (8 - part)),
+            _ => u64::from(from[full] >> (8 - part)),
         };
-        bytes.truncate(full);
-        BitWriter {
-            bytes,
-            acc,
-            pending: part,
-        }
+        self.pending = part;
     }
 
     /// Append one bit.
@@ -174,12 +181,19 @@ impl BitWriter {
 
     /// Finish (the last byte zero-padded) and return the byte buffer.
     pub fn into_bytes(mut self) -> Vec<u8> {
+        self.pad();
+        self.bytes
+    }
+
+    /// Spill the bits still pending, the last byte zero-padded: the
+    /// stream ends here.
+    fn pad(&mut self) {
         if self.pending > 0 {
             let word = self.acc << (64 - self.pending);
             let used = self.pending.div_ceil(8) as usize;
             self.bytes.extend_from_slice(&word.to_be_bytes()[..used]);
+            (self.acc, self.pending) = (0, 0);
         }
-        self.bytes
     }
 }
 
@@ -244,6 +258,8 @@ pub(crate) struct TsEnd {
     pub(crate) last: i64,
     /// The last delta (0 before the second stamp).
     delta: i64,
+    /// Bytes the stamps so far take.
+    bytes: usize,
 }
 
 /// Delta-of-delta timestamp encoder: the first stamp, then each delta
@@ -256,9 +272,12 @@ pub(crate) struct TsEncoder {
 }
 
 impl TsEncoder {
-    /// Continue the column `out` holds, which ended at `end`.
-    pub(crate) fn resume(out: Vec<u8>, end: TsEnd) -> TsEncoder {
-        TsEncoder { out, end }
+    /// Continue the column whose first `end.bytes` bytes `from` holds and
+    /// which ended there at `end`, in this encoder's buffer.
+    pub(crate) fn restart(&mut self, from: &[u8], end: TsEnd) {
+        self.out.clear();
+        self.out.extend_from_slice(&from[..end.bytes]);
+        self.end = end;
     }
 
     /// Append one stamp.
@@ -277,20 +296,26 @@ impl TsEncoder {
 
     /// Where the column ends now.
     pub(crate) fn end(&self) -> TsEnd {
-        self.end
+        TsEnd {
+            bytes: self.out.len(),
+            ..self.end
+        }
     }
 
     /// The encoded column.
-    pub(crate) fn into_bytes(self) -> Vec<u8> {
-        self.out
+    pub(crate) fn bytes(&self) -> &[u8] {
+        &self.out
     }
 }
 
 /// Encode a timestamp column: a `TsEncoder` over every stamp.
 pub fn encode_timestamps(ts: &[i64]) -> Vec<u8> {
-    let mut stamps = TsEncoder::resume(Vec::with_capacity(ts.len() + 8), TsEnd::default());
+    let mut stamps = TsEncoder {
+        out: Vec::with_capacity(ts.len() + 8),
+        end: TsEnd::default(),
+    };
     ts.iter().for_each(|&t| stamps.push(t));
-    stamps.into_bytes()
+    stamps.out
 }
 
 /// The one decoder of a timestamp column: a cursor that validates as it
@@ -329,7 +354,10 @@ impl<'a> TsCursor<'a> {
 
     /// Where the column ends after the stamps stepped so far.
     pub(crate) fn end(&self) -> TsEnd {
-        self.end
+        TsEnd {
+            bytes: self.pos,
+            ..self.end
+        }
     }
 }
 
@@ -344,7 +372,8 @@ pub(crate) struct ValueEnd {
     last: u64,
     /// The Gorilla window last opened: leading zeros, significant bits.
     window: Option<(u8, u8)>,
-    /// Bits used (float and bool columns).
+    /// Bits the values so far take (whole bytes for int and string
+    /// columns).
     bits: usize,
 }
 
@@ -362,17 +391,11 @@ pub(crate) struct ValueEncoder {
 }
 
 impl ValueEncoder {
-    /// Continue the column of type `tag` that `bytes` holds, which ended
-    /// at `end`.
-    pub(crate) fn resume(tag: u8, bytes: Vec<u8>, end: ValueEnd) -> ValueEncoder {
-        let bits = match tag {
-            0 | 2 => end.bits,
-            _ => bytes.len() * 8,
-        };
-        ValueEncoder {
-            out: BitWriter::resume(bytes, bits),
-            end,
-        }
+    /// Continue the column whose first `end.bits` bits `from` holds and
+    /// which ended there at `end`, in this encoder's buffer.
+    pub(crate) fn restart(&mut self, from: &[u8], end: ValueEnd) {
+        self.out.restart(from, end.bits);
+        self.end = end;
     }
 
     /// Append one value of the column's type.
@@ -390,8 +413,14 @@ impl ValueEncoder {
         end.count += 1;
     }
 
+    /// The encoded column, ended: the next push needs a restart.
+    pub(crate) fn finish(&mut self) -> &[u8] {
+        self.out.pad();
+        &self.out.bytes
+    }
+
     /// The encoded column.
-    pub(crate) fn into_bytes(self) -> Vec<u8> {
+    fn into_bytes(self) -> Vec<u8> {
         self.out.into_bytes()
     }
 }
@@ -504,10 +533,11 @@ impl<'a> ValueCursor<'a> {
 
     /// Where the column ends after the values stepped so far.
     pub(crate) fn end(&self) -> ValueEnd {
-        ValueEnd {
-            bits: self.bits.pos,
-            ..self.end
-        }
+        let bits = match self.tag {
+            0 | 2 => self.bits.pos,
+            _ => self.pos * 8,
+        };
+        ValueEnd { bits, ..self.end }
     }
 }
 
@@ -721,23 +751,27 @@ mod tests {
         let ints: Vec<ColumnValue> = (0..7).map(|i| ColumnValue::I64(i * i - 9)).collect();
         let bools: Vec<ColumnValue> = (0..7).map(|i| ColumnValue::Bool(i % 3 == 0)).collect();
         let strs: Vec<ColumnValue> = (0..7).map(|i| ColumnValue::Str("ab".repeat(i))).collect();
-        for cut in 0..=ts.len() {
-            let head = encode_timestamps(&ts[..cut]);
-            let mut cursor = TsCursor::new(&head, cut).unwrap();
+        // From a column of the first `cut` cells, and from the middle of
+        // the whole column, where the bits after the cut are live.
+        let (mut stamps, mut values) = (TsEncoder::default(), ValueEncoder::default());
+        for (cut, whole) in (0..=ts.len()).flat_map(|cut| [(cut, false), (cut, true)]) {
+            let n = if whole { ts.len() } else { cut };
+            let from = encode_timestamps(&ts[..n]);
+            let mut cursor = TsCursor::new(&from, n).unwrap();
             for _ in 0..cut {
                 cursor.step().unwrap();
             }
-            let mut resumed = TsEncoder::resume(head.clone(), cursor.end());
-            ts[cut..].iter().for_each(|&t| resumed.push(t));
-            assert_eq!(resumed.into_bytes(), encode_timestamps(&ts), "stamps {cut}");
+            stamps.restart(&from, cursor.end());
+            ts[cut..].iter().for_each(|&t| stamps.push(t));
+            assert_eq!(stamps.bytes(), encode_timestamps(&ts), "stamps {cut}");
             for (tag, column) in [(0, &floats), (1, &ints), (2, &bools), (3, &strs)] {
-                let head = encode_values(tag, &column[..cut]);
-                let mut cursor = ValueCursor::new(tag, &head, cut).unwrap();
+                let from = encode_values(tag, &column[..n]);
+                let mut cursor = ValueCursor::new(tag, &from, n).unwrap();
                 (0..cut).for_each(|_| cursor.step().unwrap());
-                let mut resumed = ValueEncoder::resume(tag, head.clone(), cursor.end());
-                column[cut..].iter().for_each(|v| resumed.push(v));
-                let whole = encode_values(tag, column);
-                assert_eq!(resumed.into_bytes(), whole, "type {tag} at {cut}");
+                values.restart(&from, cursor.end());
+                column[cut..].iter().for_each(|v| values.push(v));
+                let want = encode_values(tag, column);
+                assert_eq!(values.finish(), want, "type {tag} at {cut} of {n}");
             }
         }
     }

@@ -386,8 +386,8 @@ impl VirtualFile for MemFile {
             pending.len() as u64
         };
         if pending > 0 {
-            let spec = inner.spec.clone();
-            inner.usage.record_write(&spec, pending, SYNC_BLOCK_SIZE);
+            let Inner { spec, usage, .. } = &mut *inner;
+            usage.record_write(spec, pending, SYNC_BLOCK_SIZE);
         }
         Ok(())
     }

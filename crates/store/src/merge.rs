@@ -1,36 +1,39 @@
 //! The block-merge kernel: the one place last-write-wins is decided.
 //!
 //! Inputs are layers of already-sorted data — chunk block indexes oldest
-//! to newest, then optionally the memtable's blocks on top — and the
-//! output is the merged view in ascending `(series, field, type)` order,
-//! handed to a [`Sink`] as parts whose cells, in order, are the merge. The
-//! kernel walks the inputs key by key, collecting the parts of the
-//! smallest `(series, field)` any layer still holds, and takes one of two
-//! paths:
+//! to newest, then optionally the memtable's pairs on top, borrowed — and
+//! the output is the merged view in ascending `(series, field, type)`
+//! order, handed to a [`Sink`] one block at a time. The kernel walks the
+//! inputs key by key, collecting the parts of the smallest `(series,
+//! field)` any layer still holds, and takes one path for every key:
 //!
-//! - **Concatenation.** When the parts are of one type, each comes after
-//!   the one before (a chunk block's header `max_ts` below the next
-//!   part's `min_ts`) and none reaches back past the retention cutoff,
-//!   the parts are the merge already and go to the sink as they are. A
-//!   lone chunk block is such a key, and so is every key of append-only
-//!   monitoring.
-//! - **Sort.** Anything else decodes every part and stable-sorts the
-//!   cells by timestamp, the newest layer winning each cell (the winner's
-//!   type choosing the output block) and cells older than the cutoff
-//!   dropped in the same pass; each output block goes to the sink as a
-//!   part of its own.
+//! 1. **Prefix.** When the parts are of one type and no retention cutoff
+//!    reaches into the oldest part, that part's cells before the first
+//!    stamp of any newer part are the merge already: nothing can
+//!    interleave with them or supersede them. They go to the sink as
+//!    they are — as encoded bytes when the sink is the chunk writer and
+//!    the part's chunk is this store's own output, cell by cell
+//!    otherwise. A lone chunk block, and every key of append-only
+//!    monitoring, is all prefix.
+//! 2. **Merge.** The cells left — the oldest part's from the first newer
+//!    stamp on, and every newer part's — are merged as the sorted runs
+//!    they are: the smallest stamp any run stands on goes next, the
+//!    newest layer winning a stamp several runs share (and, within the
+//!    memtable's pair, the last write of it), and cells older than the
+//!    cutoff are dropped before the merge starts.
 //!
-//! The sink chooses the output form. `Vec<Block>` — scan, and so recovery
-//! — decodes and appends. The chunk writer — flush and compaction —
-//! encodes, and when the oldest part's chunk is this store's own output it
-//! copies that part's encoded columns and continues them with the newer
-//! parts' cells, so compaction costs what is new rather than what is
-//! stored. Either way a chunk block is decoded by the same validating
-//! column cursors, and a failure names the chunk it came from. Peak
-//! memory is one key's columns, whatever the chunks' size.
+//! A key whose parts are of more than one type has no prefix: its merge
+//! collects each winner under its type, and the sink gets one block per
+//! type. Every chunk block is read by the same validating walk
+//! ([`Cells`]), to its last cell, and a failure names the chunk it came
+//! from. The sink chooses the output form: `Vec<Block>` — scan, and so
+//! recovery — appends decoded cells; the chunk writer — flush and
+//! compaction — encodes them, so compaction costs the overlap late
+//! samples make rather than the history stored. Peak memory is one key's
+//! columns, whatever the chunks' size.
 
-use crate::chunk::{Block, BlockRef};
-use crate::error::StoreError;
+use crate::chunk::{Block, BlockRef, Cells};
+use crate::error::{StoreError, StoreResult};
 use crate::row::ColumnValue;
 
 /// Row accounting of one merge.
@@ -54,170 +57,285 @@ pub(crate) struct Layer<'a> {
     pub blocks: Vec<BlockRef<'a>>,
     /// The chunk is this store's own output — its trailer is the CRC the
     /// chunk writer sealed it with — so its encoded columns are exactly
-    /// what re-encoding their cells writes, and may be copied.
+    /// what re-encoding their cells writes, and a prefix may be copied.
     pub own: bool,
 }
 
-/// One layer's share of the key being merged.
-pub(crate) enum Part<'a> {
-    /// A chunk block: the chunk's position among the inputs, the block,
-    /// and whether the chunk is its [`Layer::own`] output.
-    Chunk(usize, BlockRef<'a>, bool),
-    /// The newest layer's block.
-    Mem(Block),
+/// One `(series, field)` of the newest layer, borrowed from the memtable:
+/// timestamps ascending (equal ones in write order), values of any type
+/// beside them, at least one cell.
+#[derive(Clone, Copy)]
+pub(crate) struct Pair<'a> {
+    pub series: &'a str,
+    pub field: &'a str,
+    pub ts: &'a [i64],
+    pub values: &'a [ColumnValue],
 }
 
-impl Part<'_> {
-    /// `(type, first, last)` when the part is of one type and its
-    /// timestamps strictly ascend (a chunk block's are, or it is corrupt).
-    fn span(&self) -> Option<(u8, i64, i64)> {
-        match self {
-            Part::Chunk(_, block, _) => Some(block.span()),
-            Part::Mem(block) => {
-                let tag = block.values.first()?.type_tag();
-                let one_type = block.values.iter().all(|v| v.type_tag() == tag);
-                let ascending = block.ts.windows(2).all(|w| w[0] < w[1]);
-                let last = block.ts[block.ts.len() - 1];
-                (one_type && ascending).then_some((tag, block.ts[0], last))
-            }
-        }
-    }
-
-    /// The part's cells.
-    fn decode(self) -> Result<Block, MergeError> {
-        match self {
-            Part::Chunk(at, block, _) => block.decode().map_err(|e| (at, e)),
-            Part::Mem(block) => Ok(block),
-        }
+impl<'a> Pair<'a> {
+    /// `(series, field)` as [`BlockRef::key`] gives it.
+    fn key(&self) -> (&'a [u8], &'a [u8]) {
+        (self.series.as_bytes(), self.field.as_bytes())
     }
 }
 
-/// Where the merged view goes; the sink chooses its form.
+/// Where the merged view goes, one block at a time; the sink chooses its
+/// form.
 pub(crate) trait Sink {
-    /// Take the merge of one key as parts, oldest first, of one type and
-    /// time-disjoint, so that their cells in order are the merge. Returns
-    /// how many cells that is.
-    fn emit(&mut self, parts: Vec<Part<'_>>) -> Result<u64, MergeError>;
+    /// Open the output block of `(series, field)` and type `tag`, which
+    /// will hold at most `room` cells.
+    fn open(&mut self, series: &str, field: &str, tag: u8, room: usize);
+
+    /// Begin the open block with the cells `cells` walks before `newer`
+    /// ([`Cells::before`]): the prefix of `base`, which is this store's
+    /// own output when `own`. Returns the stamp of the cell the walk then
+    /// stands on.
+    fn prefix(
+        &mut self,
+        base: &BlockRef<'_>,
+        own: bool,
+        cells: &mut Cells<'_>,
+        newer: Option<i64>,
+    ) -> StoreResult<Option<i64>>;
+
+    /// Append a cell to the open block, after every cell it holds.
+    fn cell(&mut self, ts: i64, value: &ColumnValue);
+
+    /// Close the open block and return its cells; an empty one is dropped.
+    fn close(&mut self) -> u64;
 }
 
 impl Sink for Vec<Block> {
-    fn emit(&mut self, parts: Vec<Part<'_>>) -> Result<u64, MergeError> {
-        let mut parts = parts.into_iter();
-        let Some(first) = parts.next() else {
-            return Ok(0);
-        };
-        let mut block = first.decode()?;
-        for part in parts {
-            match part {
-                Part::Chunk(at, newer, _) => newer.append_to(&mut block).map_err(|e| (at, e))?,
-                Part::Mem(newer) => {
-                    block.ts.extend(newer.ts);
-                    block.values.extend(newer.values);
-                }
-            }
+    fn open(&mut self, series: &str, field: &str, _tag: u8, room: usize) {
+        self.push(Block {
+            series: series.to_string(),
+            field: field.to_string(),
+            ts: Vec::with_capacity(room),
+            values: Vec::with_capacity(room),
+        });
+    }
+
+    /// Decoded, like every other cell.
+    fn prefix(
+        &mut self,
+        _: &BlockRef<'_>,
+        _: bool,
+        cells: &mut Cells<'_>,
+        newer: Option<i64>,
+    ) -> StoreResult<Option<i64>> {
+        let block = self.last_mut().expect("a block is open");
+        cells.before(newer, |ts, cells| {
+            block.ts.push(ts);
+            block.values.push(cells.value());
+        })
+    }
+
+    fn cell(&mut self, ts: i64, value: &ColumnValue) {
+        let block = self.last_mut().expect("a block is open");
+        block.ts.push(ts);
+        block.values.push(value.clone());
+    }
+
+    fn close(&mut self) -> u64 {
+        let cells = self.last().map_or(0, |block| block.ts.len());
+        if cells == 0 {
+            self.pop();
         }
-        let cells = block.ts.len() as u64;
-        self.push(block);
-        Ok(cells)
+        cells as u64
     }
 }
 
-/// Whether `parts` (oldest first) concatenate into their merge: one type,
-/// each part after the one before, nothing before `cutoff`.
-fn disjoint(parts: &[Part<'_>], cutoff: Option<i64>) -> bool {
-    let mut prev: Option<(u8, i64)> = None;
-    for part in parts {
-        let Some((tag, first, last)) = part.span() else {
-            return false;
-        };
-        let fits = match prev {
-            None => cutoff.is_none_or(|cut| first >= cut),
-            Some((prev_tag, prev_last)) => prev_tag == tag && prev_last < first,
-        };
-        if !fits {
-            return false;
-        }
-        prev = Some((tag, last));
-    }
-    true
+/// One part's cells not merged yet.
+enum Run<'a> {
+    /// A chunk block's walk, the chunk's position among the inputs, and
+    /// the stamp of the cell the walk stands on (`None`: past the last).
+    Chunk(usize, Cells<'a>, Option<i64>),
+    /// The newest layer's cells from the first on.
+    Mem(&'a [i64], &'a [ColumnValue]),
 }
 
-/// Merge `chunks` (oldest first) under `newest` (newer than every chunk:
-/// one block per key in ascending key order, whose timestamps may repeat,
-/// a later write after an earlier) into `sink`. A chunk block that fails
-/// to decode aborts the merge with the position of its chunk in `chunks`;
+impl<'a> Run<'a> {
+    /// The walk of chunk block `block`, standing on its first cell.
+    fn chunk(at: usize, block: &BlockRef<'a>) -> Result<Run<'a>, MergeError> {
+        let mut cells = block.cells().map_err(|e| (at, e))?;
+        let head = cells.next().map_err(|e| (at, e))?;
+        Ok(Run::Chunk(at, cells, head))
+    }
+
+    /// The stamp of the cell the run stands on.
+    fn head(&self) -> Option<i64> {
+        match self {
+            Run::Chunk(_, _, head) => *head,
+            Run::Mem(ts, _) => ts.first().copied(),
+        }
+    }
+
+    /// Step past the cell the run stands on.
+    fn advance(&mut self) -> Result<(), MergeError> {
+        match self {
+            Run::Chunk(at, cells, head) => *head = cells.next().map_err(|e| (*at, e))?,
+            Run::Mem(ts, values) => (*ts, *values) = (&ts[1..], &values[1..]),
+        }
+        Ok(())
+    }
+}
+
+/// Hand `sink`'s open block the cells of `base`, the key's oldest part,
+/// before `newer` (the first stamp of any newer part; every cell when
+/// there is none), and return the rest of the base as a run.
+fn prefix<'a>(
+    sink: &mut impl Sink,
+    at: usize,
+    base: &BlockRef<'a>,
+    own: bool,
+    newer: Option<i64>,
+) -> Result<Run<'a>, MergeError> {
+    let mut cells = base.cells().map_err(|e| (at, e))?;
+    let head = sink
+        .prefix(base, own, &mut cells, newer)
+        .map_err(|e| (at, e))?;
+    Ok(Run::Chunk(at, cells, head))
+}
+
+/// Merge `chunks` (oldest first) under `newest` (newer than every chunk,
+/// in ascending key order) into `sink`. A chunk block that fails to
+/// decode aborts the merge with the position of its chunk in `chunks`;
 /// what the sink received until then is void.
-pub(crate) fn merge_blocks(
-    chunks: &[Layer<'_>],
-    mut newest: Vec<Block>,
+pub(crate) fn merge_blocks<'a>(
+    chunks: &[Layer<'a>],
+    newest: impl Iterator<Item = Pair<'a>>,
     cutoff: Option<i64>,
     sink: &mut impl Sink,
 ) -> Result<MergeStats, MergeError> {
     let mut stats = MergeStats::default();
     let mut heads = vec![0usize; chunks.len()];
-    let mut row = 0usize;
-    // (timestamp, part, position in part) of every cell of the current key.
-    let mut cells: Vec<(i64, u32, u32)> = Vec::new();
+    let mut newest = newest.peekable();
+    // Per key: its chunk blocks, its runs, and — parts of several types —
+    // its winners by type. Cleared, not freed, from key to key.
+    let mut parts: Vec<(usize, BlockRef<'a>, bool)> = Vec::new();
+    let mut runs: Vec<Run<'a>> = Vec::new();
+    let mut typed: [(Vec<i64>, Vec<ColumnValue>); 4] = Default::default();
     loop {
         let chunk_keys = chunks
             .iter()
             .zip(&heads)
             .filter_map(|(c, &h)| c.blocks.get(h).map(BlockRef::key));
-        let Some(key) = chunk_keys.chain(newest.get(row).map(Block::key)).min() else {
+        let Some(key) = chunk_keys.chain(newest.peek().map(Pair::key)).min() else {
             return Ok(stats);
         };
-        // This key's blocks from every layer that has it, oldest first.
-        let mut parts: Vec<Part<'_>> = Vec::new();
+        // This key's parts from every layer that has it, oldest first.
+        parts.clear();
         for (i, chunk) in chunks.iter().enumerate() {
             while let Some(&block) = chunk.blocks.get(heads[i]).filter(|b| b.key() == key) {
-                parts.push(Part::Chunk(i, block, chunk.own));
+                parts.push((i, block, chunk.own));
                 heads[i] += 1;
             }
         }
-        if newest.get(row).is_some_and(|b| b.key() == key) {
-            parts.push(Part::Mem(std::mem::take(&mut newest[row])));
-            row += 1;
-        }
-        if disjoint(&parts, cutoff) {
-            let rows = sink.emit(parts)?;
-            stats.rows_in += rows;
-            stats.rows_out += rows;
-            continue;
-        }
-        let mut parts = parts
-            .into_iter()
-            .map(Part::decode)
-            .collect::<Result<Vec<_>, _>>()?;
-        stats.rows_in += parts.iter().map(|p| p.ts.len() as u64).sum::<u64>();
-        cells.clear();
-        for (p, part) in parts.iter().enumerate() {
-            let skip = cutoff.map_or(0, |cut| part.ts.partition_point(|&t| t < cut));
-            stats.dropped_retention += skip as u64;
-            cells.extend((skip..part.ts.len()).map(|i| (part.ts[i], p as u32, i as u32)));
-        }
-        // Stable: cells of one timestamp stay oldest layer first (and, in
-        // `newest`'s block, in write order), so the last of a run wins.
-        cells.sort_by_key(|c| c.0);
-        let mut outs: [(Vec<i64>, Vec<ColumnValue>); 4] = Default::default();
-        for (i, &(ts, p, pos)) in cells.iter().enumerate() {
-            if cells.get(i + 1).is_some_and(|next| next.0 == ts) {
-                continue;
+        let mem = newest.next_if(|pair| pair.key() == key);
+        let offered =
+            parts.iter().map(|p| p.1.count()).sum::<usize>() + mem.map_or(0, |pair| pair.ts.len());
+        stats.rows_in += offered as u64;
+        let (series, field) = match parts.first() {
+            Some((at, block, _)) => block.keys().map_err(|e| (*at, e))?,
+            None => mem
+                .map(|pair| (pair.series, pair.field))
+                .expect("a layer has the key"),
+        };
+        let mem_tags = mem
+            .iter()
+            .flat_map(|pair| pair.values.iter().map(ColumnValue::type_tag));
+        let mut tags = parts.iter().map(|p| p.1.tag()).chain(mem_tags);
+        let first_tag = tags.next().expect("a part holds a cell");
+        let one_type = tags.all(|tag| tag == first_tag).then_some(first_tag);
+
+        runs.clear();
+        let mut rest = &parts[..];
+        if let Some(tag) = one_type {
+            sink.open(series, field, tag, offered);
+            if let Some((at, base, own)) = parts
+                .first()
+                .filter(|(_, base, _)| cutoff.is_none_or(|cut| cut <= base.min_ts()))
+            {
+                let newer_parts = parts[1..].iter().map(|p| p.1.min_ts());
+                let newer = newer_parts.chain(mem.map(|pair| pair.ts[0])).min();
+                runs.push(prefix(sink, *at, base, *own, newer)?);
+                rest = &parts[1..];
             }
-            let slot = &mut parts[p as usize].values[pos as usize];
-            let value = std::mem::replace(slot, ColumnValue::Bool(false));
-            let out = &mut outs[value.type_tag() as usize];
-            out.0.push(ts);
-            out.1.push(value);
         }
-        for (ts, values) in outs.into_iter().filter(|o| !o.0.is_empty()) {
-            stats.rows_out += ts.len() as u64;
-            let block = Block {
-                series: parts[0].series.clone(),
-                field: parts[0].field.clone(),
-                ts,
-                values,
-            };
-            sink.emit(vec![Part::Mem(block)])?;
+        for (at, block, _) in rest {
+            runs.push(Run::chunk(*at, block)?);
         }
+        if let Some(pair) = mem {
+            runs.push(Run::Mem(pair.ts, pair.values));
+        }
+        if let Some(cut) = cutoff {
+            for run in &mut runs {
+                while run.head().is_some_and(|ts| ts < cut) {
+                    run.advance()?;
+                    stats.dropped_retention += 1;
+                }
+            }
+        }
+
+        match one_type {
+            Some(_) => {
+                merge_runs(&mut runs, |ts, value| sink.cell(ts, value))?;
+                stats.rows_out += sink.close();
+            }
+            None => {
+                merge_runs(&mut runs, |ts, value| {
+                    let (stamps, values) = &mut typed[value.type_tag() as usize];
+                    stamps.push(ts);
+                    values.push(value.clone());
+                })?;
+                for (tag, (stamps, values)) in typed.iter_mut().enumerate() {
+                    if stamps.is_empty() {
+                        continue;
+                    }
+                    sink.open(series, field, tag as u8, stamps.len());
+                    for (&ts, value) in stamps.iter().zip(values.iter()) {
+                        sink.cell(ts, value);
+                    }
+                    stamps.clear();
+                    values.clear();
+                    stats.rows_out += sink.close();
+                }
+            }
+        }
+    }
+}
+
+/// Merge `runs` (each ascending, a later one newer) and hand `emit` each
+/// stamp's winner, in stamp order: of runs standing on one stamp the
+/// newest wins, and within the newest layer's pair the last write.
+fn merge_runs(
+    runs: &mut [Run<'_>],
+    mut emit: impl FnMut(i64, &ColumnValue),
+) -> Result<(), MergeError> {
+    loop {
+        let mut win: Option<(i64, usize)> = None;
+        for (r, run) in runs.iter().enumerate() {
+            if let Some(ts) = run.head().filter(|&ts| win.is_none_or(|(w, _)| ts <= w)) {
+                win = Some((ts, r));
+            }
+        }
+        let Some((ts, w)) = win else {
+            return Ok(());
+        };
+        for run in &mut runs[..w] {
+            if run.head() == Some(ts) {
+                run.advance()?;
+            }
+        }
+        let run = &mut runs[w];
+        match run {
+            Run::Chunk(_, cells, _) => emit(ts, &cells.value()),
+            Run::Mem(stamps, values) => {
+                let same = stamps.iter().take_while(|&&t| t == ts).count();
+                (*stamps, *values) = (&stamps[same - 1..], &values[same - 1..]);
+                emit(ts, &values[0]);
+            }
+        }
+        run.advance()?;
     }
 }

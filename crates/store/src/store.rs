@@ -486,7 +486,9 @@ impl TsStore {
             return Ok(None);
         }
         let seq = self.next_seq;
-        let info = write_blocks(self.vfs.as_ref(), seq, self.memtable.blocks())?
+        // The memtable's pairs go to the writer borrowed: a failed write
+        // leaves every acknowledged cell where it was.
+        let info = write_blocks(self.vfs.as_ref(), seq, self.memtable.pairs())?
             .expect("non-empty memtable produces a chunk");
         self.chunks.insert(seq, ChunkSummary::from(&info));
         self.wal.reset()?;
@@ -521,7 +523,8 @@ impl TsStore {
         let ((stats, writer), chunks_in, bytes_before) =
             self.merge_live(DetectionSite::Compact, |chunks| {
                 let mut writer = ChunkWriter::new(seq);
-                let stats = merge_blocks(chunks, Vec::new(), retention_cutoff, &mut writer)?;
+                let stats =
+                    merge_blocks(chunks, std::iter::empty(), retention_cutoff, &mut writer)?;
                 Ok((stats, writer))
             })?;
         let written = writer.finish(self.vfs.as_ref(), stats.rows_in)?;
@@ -628,7 +631,7 @@ impl TsStore {
         let mut memtable = std::mem::take(&mut self.memtable);
         let merged = self.merge_live(DetectionSite::Scan, |chunks| {
             let mut blocks = Vec::new();
-            merge_blocks(chunks, memtable.blocks(), None, &mut blocks)?;
+            merge_blocks(chunks, memtable.pairs(), None, &mut blocks)?;
             Ok(blocks)
         });
         self.memtable = memtable;

@@ -32,7 +32,7 @@ use pmove_store::{
     chunk_name, ColumnValue, CompactionReport, FaultMode, FaultPlan, MemDisk, RowRecord, StoreObs,
     StoreOptions, TsStore, Vfs,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 const DEFAULT_CASES: u64 = 256;
@@ -532,187 +532,273 @@ fn bits(v: &ColumnValue) -> (u8, u64, &str) {
     }
 }
 
+/// How a differential case writes.
+#[derive(Clone, Copy, PartialEq)]
+enum Writes {
+    /// Few keys and few timestamps, any type: duplicates within a chunk,
+    /// across chunks, and across types.
+    Random,
+    /// Monitoring: time only moves on and a field keeps its type, so
+    /// flushed chunks are time-disjoint and compaction copies every key's
+    /// oldest block whole, unless a cutoff reaches it (or this store did
+    /// not write it).
+    AppendOnly,
+    /// Monitoring as fleets deliver it: a field keeps its type, but one
+    /// cell in five is stamped up to 30 ticks late and one in ten resends
+    /// the key's last stamp with a new value, so a key's newer chunks
+    /// reach back into its oldest block and compaction copies only the
+    /// prefix before them.
+    Late,
+}
+
 #[test]
 fn block_kernel_matches_the_per_cell_oracle() {
+    for case in 0..case_count() {
+        let seed = 0xB10C ^ case.wrapping_mul(0x9E37_79B9);
+        let writes = match case % 2 {
+            1 => Writes::AppendOnly,
+            _ => Writes::Random,
+        };
+        kernel_case(seed, writes);
+    }
+    let late_cases = case_count() / 2;
+    let partial = (0..late_cases)
+        .filter(|case| kernel_case(0x1A7E ^ case.wrapping_mul(0x9E37_79B9), Writes::Late))
+        .count();
+    println!("{partial} of {late_cases} late-arrival cases compacted a partial prefix");
+    assert!(
+        4 * partial >= late_cases as usize,
+        "only {partial} of {late_cases} late-arrival cases took a partial prefix"
+    );
+}
+
+/// Whether compacting `chunks` under `cutoff` copies a partial prefix of
+/// some key: the key's cells are of one type, its oldest chunk is in
+/// `own` and starts at or after the cutoff, and the first stamp of its
+/// newer chunks falls strictly inside that chunk's stamps.
+fn takes_partial_prefix(
+    chunks: &BTreeMap<u64, Cells>,
+    own: &BTreeSet<u64>,
+    cutoff: Option<i64>,
+) -> bool {
+    type Parts<'a> = Vec<(u64, Vec<(i64, u8)>)>;
+    let mut keys: BTreeMap<(&str, &str), Parts<'_>> = BTreeMap::new();
+    for (seq, cells) in chunks {
+        for ((series, field, ts), value) in cells {
+            let parts = keys.entry((series, field)).or_default();
+            if parts.last().is_none_or(|p| p.0 != *seq) {
+                parts.push((*seq, Vec::new()));
+            }
+            parts.last_mut().unwrap().1.push((*ts, value.type_tag()));
+        }
+    }
+    keys.values().any(|parts| {
+        let (base_seq, base) = &parts[0];
+        let tag = base[0].1;
+        let one_type = parts.iter().all(|p| p.1.iter().all(|c| c.1 == tag));
+        let newer = parts[1..].iter().map(|p| p.1[0].0).min();
+        one_type
+            && own.contains(base_seq)
+            && cutoff.is_none_or(|cut| cut <= base[0].0)
+            && newer.is_some_and(|n| base[0].0 < n && n <= base[base.len() - 1].0)
+    })
+}
+
+/// One differential case: a seeded schedule of commits, flushes,
+/// compactions (some under a retention cutoff) and crash/reopen cycles,
+/// each step checked against the per-cell model. Returns whether some
+/// compaction copied a partial prefix.
+fn kernel_case(seed: u64, writes: Writes) -> bool {
     // Thresholds out of reach: the schedule below decides every flush
     // and compaction, so the model needs no trigger logic.
     let opts = StoreOptions {
         flush_threshold_rows: usize::MAX,
         compact_min_chunks: usize::MAX,
     };
-    for case in 0..case_count() {
-        let seed = 0xB10C ^ case.wrapping_mul(0x9E37_79B9);
-        let mut rng = Rng(seed);
-        // Odd cases are append-only, as monitoring is: time only moves on
-        // and a field keeps its type, so flushed chunks are time-disjoint
-        // and compaction takes the splice path for every key a cutoff
-        // does not reach (and whose chunks this store wrote).
-        let append_only = case % 2 == 1;
-        let mut clock = 0i64;
-        let disk = MemDisk::new(seed);
-        let vfs: Arc<dyn Vfs> = Arc::new(disk.clone());
-        let spec = vfs.disk_spec();
-        let (mut store, _) = TsStore::open(vfs.clone(), opts).unwrap();
-        // The model: live chunks as cell maps, the memtable in write order,
-        // and what the log holds — every commit since the last flush,
-        // which is what a reopen replays (cells retention dropped from
-        // the memtable alone come back with it).
-        let mut chunks: BTreeMap<u64, Cells> = BTreeMap::new();
-        let mut memtable: Vec<RowRecord> = Vec::new();
-        let mut log: Vec<RowRecord> = Vec::new();
-        let mut next_seq = 0u64;
-        // Longer append-only schedules: compaction needs chunks behind it
-        // to splice onto.
-        for step in 0..(6 + rng.below(30) + if append_only { 24 } else { 0 }) {
-            let op = rng.below(10);
-            // An append-only cutoff falls in the oldest quarter of time, so
-            // it reaches some keys' oldest chunk block and not others'.
-            let cut_below = if append_only {
-                clock as u64 / 4 + 1
-            } else {
-                600
-            };
-            let cutoff = (op == 9).then(|| rng.below(cut_below) as i64);
-            if op < 5 {
-                let batch: Vec<RowRecord> = (0..1 + rng.below(12))
-                    .map(|_| {
-                        // Few keys and (but in append-only cases) few
-                        // timestamps: duplicates within a chunk, across
-                        // chunks, and across types.
-                        let s = rng.below(SERIES.len() as u64) as usize;
-                        let f = rng.below(FIELDS.len() as u64) as usize;
-                        let (ts, value) = if append_only {
-                            clock += 1 + rng.below(3) as i64;
-                            let tag = ((s * FIELDS.len() + f) % 4) as u8;
-                            let typed = std::iter::repeat_with(|| hostile_value(&mut rng))
-                                .find(|v| v.type_tag() == tag);
-                            (clock, typed.expect("every type turns up"))
-                        } else {
-                            (rng.below(40) as i64 * 17, hostile_value(&mut rng))
-                        };
-                        RowRecord::new(SERIES[s], FIELDS[f], ts, value)
-                    })
-                    .collect();
-                store.append_owned(batch.clone());
-                store.commit().unwrap();
-                log.extend(batch.iter().cloned());
-                memtable.extend(batch);
-            } else if op == 5 {
-                // Crash and recover: frames and memtable are rebuilt from
-                // the log, chunks re-indexed from their files.
-                drop(store);
-                disk.restart();
-                let (reopened, report) = TsStore::open(vfs.clone(), opts).unwrap();
-                store = reopened;
-                memtable = log.clone();
-                // Sequence numbers resume past the files that exist.
-                next_seq = chunks.keys().next_back().map_or(0, |seq| seq + 1);
-                assert_eq!(
-                    (report.chunks_loaded, report.wal_rows),
-                    (chunks.len(), log.len() as u64),
-                    "seed {seed} step {step}"
-                );
-                assert_eq!(
-                    (report.wal_corrupt_frames, report.wal_bytes_dropped),
-                    (0, 0)
-                );
-            } else if op < 8 {
-                let info = store.flush().unwrap();
-                assert_eq!(
-                    info.is_some(),
-                    !memtable.is_empty(),
-                    "seed {seed} step {step}"
-                );
-                if let Some(info) = info {
-                    let mut cells = Cells::new();
-                    lww_into(&mut cells, &memtable);
-                    assert_eq!((info.seq, info.rows), (next_seq, cells.len()));
-                    assert_eq!(info.rows_deduped, memtable.len() - cells.len());
-                    chunks.insert(next_seq, cells);
-                    next_seq += 1;
-                    memtable.clear();
-                    log.clear();
+    let mut partial = false;
+    let mut rng = Rng(seed);
+    let append_only = writes != Writes::Random;
+    let mut clock = 0i64;
+    let disk = MemDisk::new(seed);
+    let vfs: Arc<dyn Vfs> = Arc::new(disk.clone());
+    let spec = vfs.disk_spec();
+    let (mut store, _) = TsStore::open(vfs.clone(), opts).unwrap();
+    // The model: live chunks as cell maps, the memtable in write order,
+    // and what the log holds — every commit since the last flush,
+    // which is what a reopen replays (cells retention dropped from
+    // the memtable alone come back with it).
+    let mut chunks: BTreeMap<u64, Cells> = BTreeMap::new();
+    let mut memtable: Vec<RowRecord> = Vec::new();
+    let mut log: Vec<RowRecord> = Vec::new();
+    let mut next_seq = 0u64;
+    // Chunks this process wrote since the store was last opened.
+    let mut own: BTreeSet<u64> = BTreeSet::new();
+    // The key's last stamp, which a resend repeats.
+    let mut last_ts: BTreeMap<(usize, usize), i64> = BTreeMap::new();
+    // Longer append-only schedules: compaction needs chunks behind it
+    // to splice onto.
+    for step in 0..(6 + rng.below(30) + if append_only { 24 } else { 0 }) {
+        let op = rng.below(10);
+        // An append-only cutoff falls in the oldest quarter of time, so
+        // it reaches some keys' oldest chunk block and not others'.
+        let cut_below = if append_only {
+            clock as u64 / 4 + 1
+        } else {
+            600
+        };
+        let cutoff = (op == 9).then(|| rng.below(cut_below) as i64);
+        if op < 5 {
+            let batch: Vec<RowRecord> = (0..1 + rng.below(12))
+                .map(|_| {
+                    // Few keys and (but in append-only cases) few
+                    // timestamps: duplicates within a chunk, across
+                    // chunks, and across types.
+                    let s = rng.below(SERIES.len() as u64) as usize;
+                    let f = rng.below(FIELDS.len() as u64) as usize;
+                    let (ts, value) = if append_only {
+                        clock += 1 + rng.below(3) as i64;
+                        let tag = ((s * FIELDS.len() + f) % 4) as u8;
+                        let typed = std::iter::repeat_with(|| hostile_value(&mut rng))
+                            .find(|v| v.type_tag() == tag);
+                        let mut ts = clock;
+                        if writes == Writes::Late {
+                            ts = match (rng.below(10), last_ts.get(&(s, f))) {
+                                (0 | 1, _) => (clock - 1 - rng.below(30) as i64).max(0),
+                                (2, Some(&last)) => last,
+                                _ => clock,
+                            };
+                            last_ts.insert((s, f), ts);
+                        }
+                        (ts, typed.expect("every type turns up"))
+                    } else {
+                        (rng.below(40) as i64 * 17, hostile_value(&mut rng))
+                    };
+                    RowRecord::new(SERIES[s], FIELDS[f], ts, value)
+                })
+                .collect();
+            store.append_owned(batch.clone());
+            store.commit().unwrap();
+            log.extend(batch.iter().cloned());
+            memtable.extend(batch);
+        } else if op == 5 {
+            // Crash and recover: frames and memtable are rebuilt from
+            // the log, chunks re-indexed from their files.
+            drop(store);
+            disk.restart();
+            let (reopened, report) = TsStore::open(vfs.clone(), opts).unwrap();
+            store = reopened;
+            memtable = log.clone();
+            own.clear();
+            // Sequence numbers resume past the files that exist.
+            next_seq = chunks.keys().next_back().map_or(0, |seq| seq + 1);
+            assert_eq!(
+                (report.chunks_loaded, report.wal_rows),
+                (chunks.len(), log.len() as u64),
+                "seed {seed} step {step}"
+            );
+            assert_eq!(
+                (report.wal_corrupt_frames, report.wal_bytes_dropped),
+                (0, 0)
+            );
+        } else if op < 8 {
+            let info = store.flush().unwrap();
+            assert_eq!(
+                info.is_some(),
+                !memtable.is_empty(),
+                "seed {seed} step {step}"
+            );
+            if let Some(info) = info {
+                let mut cells = Cells::new();
+                lww_into(&mut cells, &memtable);
+                assert_eq!((info.seq, info.rows), (next_seq, cells.len()));
+                assert_eq!(info.rows_deduped, memtable.len() - cells.len());
+                chunks.insert(next_seq, cells);
+                own.insert(next_seq);
+                next_seq += 1;
+                memtable.clear();
+                log.clear();
+            }
+        } else {
+            partial |= takes_partial_prefix(&chunks, &own, cutoff);
+            let report = match cutoff {
+                Some(cut) => {
+                    memtable.retain(|r| r.ts >= cut);
+                    store.enforce_retention(cut).unwrap()
                 }
-            } else {
-                let report = match cutoff {
-                    Some(cut) => {
-                        memtable.retain(|r| r.ts >= cut);
-                        store.enforce_retention(cut).unwrap()
-                    }
-                    None => store.compact(None).unwrap(),
-                };
-                let runs = !chunks.is_empty() && (chunks.len() >= 2 || cutoff.is_some());
-                assert_eq!(report.is_some(), runs, "seed {seed} step {step}");
-                if let Some(report) = report {
-                    let mut merged = Cells::new();
-                    let (mut rows_in, mut bytes_before, mut expired) = (0, 0, 0);
-                    for (seq, cells) in &chunks {
-                        rows_in += cells.len() as u64;
-                        bytes_before += oracle_chunk(*seq, cells).len() as u64;
-                        for (key, value) in cells {
-                            if cutoff.is_some_and(|cut| key.2 < cut) {
-                                expired += 1;
-                            } else {
-                                merged.insert(key.clone(), value.clone());
-                            }
+                None => store.compact(None).unwrap(),
+            };
+            let runs = !chunks.is_empty() && (chunks.len() >= 2 || cutoff.is_some());
+            assert_eq!(report.is_some(), runs, "seed {seed} step {step}");
+            if let Some(report) = report {
+                let mut merged = Cells::new();
+                let (mut rows_in, mut bytes_before, mut expired) = (0, 0, 0);
+                for (seq, cells) in &chunks {
+                    rows_in += cells.len() as u64;
+                    bytes_before += oracle_chunk(*seq, cells).len() as u64;
+                    for (key, value) in cells {
+                        if cutoff.is_some_and(|cut| key.2 < cut) {
+                            expired += 1;
+                        } else {
+                            merged.insert(key.clone(), value.clone());
                         }
                     }
-                    let rows_out = merged.len() as u64;
-                    let bytes_after = match rows_out {
-                        0 => 0,
-                        _ => oracle_chunk(next_seq, &merged).len() as u64,
-                    };
-                    let want = CompactionReport {
-                        chunks_in: chunks.len(),
-                        rows_in,
-                        rows_out,
-                        rows_dropped_lww: rows_in - rows_out - expired,
-                        rows_dropped_retention: expired,
-                        bytes_before,
-                        bytes_after,
-                        modeled_ns: (spec.write_time(bytes_before + bytes_after, 8192) * 1e9)
-                            as u64,
-                    };
-                    assert_eq!(report, want, "seed {seed} step {step}");
-                    chunks.clear();
-                    if rows_out > 0 {
-                        chunks.insert(next_seq, merged);
-                        next_seq += 1;
-                    }
+                }
+                let rows_out = merged.len() as u64;
+                let bytes_after = match rows_out {
+                    0 => 0,
+                    _ => oracle_chunk(next_seq, &merged).len() as u64,
+                };
+                let want = CompactionReport {
+                    chunks_in: chunks.len(),
+                    rows_in,
+                    rows_out,
+                    rows_dropped_lww: rows_in - rows_out - expired,
+                    rows_dropped_retention: expired,
+                    bytes_before,
+                    bytes_after,
+                    modeled_ns: (spec.write_time(bytes_before + bytes_after, 8192) * 1e9) as u64,
+                };
+                assert_eq!(report, want, "seed {seed} step {step}");
+                chunks.clear();
+                if rows_out > 0 {
+                    chunks.insert(next_seq, merged);
+                    own.insert(next_seq);
+                    next_seq += 1;
                 }
             }
-            // (a) Every chunk file is byte for byte the oracle's.
-            let on_disk: Vec<String> = disk
-                .list()
-                .unwrap()
-                .into_iter()
-                .filter(|n| n.starts_with("chunk-"))
-                .collect();
-            let want: Vec<String> = chunks.keys().map(|&seq| chunk_name(seq)).collect();
-            assert_eq!(on_disk, want, "seed {seed} step {step}");
-            for (seq, cells) in &chunks {
-                assert!(
-                    disk.read(&chunk_name(*seq)).unwrap() == oracle_chunk(*seq, cells),
-                    "seed {seed} step {step}: chunk {seq} differs from the oracle"
-                );
-            }
-            // (c) The scan is the model's merged view, bit for bit.
-            let mut view = Cells::new();
-            for cells in chunks.values() {
-                view.extend(cells.iter().map(|(k, v)| (k.clone(), v.clone())));
-            }
-            lww_into(&mut view, &memtable);
-            let got = store.scan().unwrap();
-            assert_eq!(got.len(), view.len(), "seed {seed} step {step}");
-            for (r, ((series, field, ts), value)) in got.iter().zip(&view) {
-                assert_eq!(
-                    (&r.series, &r.field, r.ts, bits(&r.value)),
-                    (series, field, *ts, bits(value)),
-                    "seed {seed} step {step}"
-                );
-            }
+        }
+        // (a) Every chunk file is byte for byte the oracle's.
+        let on_disk: Vec<String> = disk
+            .list()
+            .unwrap()
+            .into_iter()
+            .filter(|n| n.starts_with("chunk-"))
+            .collect();
+        let want: Vec<String> = chunks.keys().map(|&seq| chunk_name(seq)).collect();
+        assert_eq!(on_disk, want, "seed {seed} step {step}");
+        for (seq, cells) in &chunks {
+            assert!(
+                disk.read(&chunk_name(*seq)).unwrap() == oracle_chunk(*seq, cells),
+                "seed {seed} step {step}: chunk {seq} differs from the oracle"
+            );
+        }
+        // (c) The scan is the model's merged view, bit for bit.
+        let mut view = Cells::new();
+        for cells in chunks.values() {
+            view.extend(cells.iter().map(|(k, v)| (k.clone(), v.clone())));
+        }
+        lww_into(&mut view, &memtable);
+        let got = store.scan().unwrap();
+        assert_eq!(got.len(), view.len(), "seed {seed} step {step}");
+        for (r, ((series, field, ts), value)) in got.iter().zip(&view) {
+            assert_eq!(
+                (&r.series, &r.field, r.ts, bits(&r.value)),
+                (series, field, *ts, bits(value)),
+                "seed {seed} step {step}"
+            );
         }
     }
+    partial
 }
 
 /// Bit-at-a-time MSB-first writer: the reference the word-wide
@@ -1025,4 +1111,227 @@ fn compacted_chunk_format_is_pinned() {
     assert_eq!(report.bytes_after, data.len() as u64);
     assert_eq!((report.rows_in, report.rows_out), (2415, 2005));
     assert_eq!((data.len(), crc32(&data)), (7907, 558_161_692));
+}
+
+// ------------------------------------------------------- prefix splice
+
+/// Cells of series `cpu,host=skx` at `stamps`: a float, an int, a bool
+/// and a string field, each value picked from its column by `pick`.
+fn typed_cells(stamps: &[i64], pick: impl Fn(usize) -> usize) -> Vec<RowRecord> {
+    let floats = [1.0, 1.0, 3.7, 3.7, -2.5, 0.1];
+    let ints = [5, 7, 7, -3, 100, 0];
+    let bools = [true, false, false, true, true, false];
+    let strs = ["a", "", "bc", "bc", "d", "τ"];
+    let mut rows = Vec::new();
+    for (i, &ts) in stamps.iter().enumerate() {
+        let at = pick(i) % floats.len();
+        let cell = |field: &str, value| RowRecord::new("cpu,host=skx", field, ts, value);
+        rows.push(cell("_cpu0", ColumnValue::F64(floats[at])));
+        rows.push(cell("ctx", ColumnValue::I64(ints[at])));
+        rows.push(cell("ok", ColumnValue::Bool(bools[at])));
+        rows.push(cell("note", ColumnValue::Str(strs[at].into())));
+    }
+    rows
+}
+
+/// Flush `base` into chunk 0 and each of `newer` into a chunk of its
+/// own, then compact — under `cutoff` when given, after reopening the
+/// store when `foreign`, so that chunk 0 is not its own output. The
+/// compacted chunk must be byte for byte what re-encoding the merged
+/// cells writes, and the scan must be those cells.
+fn compacts_like_re_encoding(
+    case: &str,
+    base: &[RowRecord],
+    newer: &[Vec<RowRecord>],
+    cutoff: Option<i64>,
+    foreign: bool,
+) {
+    let opts = StoreOptions {
+        flush_threshold_rows: usize::MAX,
+        compact_min_chunks: usize::MAX,
+    };
+    let disk = MemDisk::new(41);
+    let vfs: Arc<dyn Vfs> = Arc::new(disk.clone());
+    let (mut store, _) = TsStore::open(vfs.clone(), opts).unwrap();
+    let mut cells = Cells::new();
+    for (i, rows) in std::iter::once(base)
+        .chain(newer.iter().map(Vec::as_slice))
+        .enumerate()
+    {
+        store.append_owned(rows.to_vec());
+        store.commit().unwrap();
+        store.flush().unwrap().unwrap();
+        lww_into(&mut cells, rows);
+        if i == 0 && foreign {
+            drop(store);
+            store = TsStore::open(vfs.clone(), opts).unwrap().0;
+        }
+    }
+    let report = match cutoff {
+        Some(cut) => {
+            cells.retain(|key, _| key.2 >= cut);
+            store.enforce_retention(cut)
+        }
+        None => store.compact(None),
+    };
+    let report = report.unwrap().unwrap();
+    let seq = 1 + newer.len() as u64;
+    assert_eq!(report.rows_out, cells.len() as u64, "{case}");
+    assert!(
+        disk.read(&chunk_name(seq)).unwrap() == oracle_chunk(seq, &cells),
+        "{case}: compacted chunk differs from re-encoding"
+    );
+    let got = store.scan().unwrap();
+    assert_eq!(got.len(), cells.len(), "{case}");
+    for (r, ((series, field, ts), value)) in got.iter().zip(&cells) {
+        assert_eq!(
+            (&r.series, &r.field, r.ts, bits(&r.value)),
+            (series, field, *ts, bits(value)),
+            "{case}"
+        );
+    }
+}
+
+#[test]
+fn prefix_splices_compact_to_what_re_encoding_writes() {
+    // A base of five cells per field at 10..=50, every value column
+    // exercised; the newer chunk's first stamp decides the prefix.
+    let base = typed_cells(&[10, 20, 30, 40, 50], |i| i);
+    let newer = |stamps: &[i64]| typed_cells(stamps, |i| i + 4);
+    let cases: [(&str, Vec<i64>); 5] = [
+        ("before the base's first cell", vec![5, 60]),
+        ("at a middle cell", vec![35, 45]),
+        (
+            "equal to a base stamp, the newer cell winning",
+            vec![30, 50],
+        ),
+        ("after the last cell: the whole base", vec![60, 70]),
+        // Two cells: the float column's prefix is 64 + 1 bits and the
+        // bool column's 2, each ending mid-byte with live bits after it.
+        ("at a Gorilla prefix that ends mid-byte", vec![25]),
+    ];
+    for (case, stamps) in &cases {
+        compacts_like_re_encoding(case, &base, &[newer(stamps)], None, false);
+    }
+    // Several newer chunks: the earliest first stamp of any of them cuts.
+    let two = [newer(&[45, 55]), newer(&[22])];
+    compacts_like_re_encoding("two newer chunks", &base, &two, None, false);
+    // The three that keep no prefix: a newer part of another type, a
+    // retention cutoff inside the base, and a base this store did not
+    // write.
+    let retyped = vec![RowRecord::new(
+        "cpu,host=skx",
+        "_cpu0",
+        35,
+        ColumnValue::I64(9),
+    )];
+    compacts_like_re_encoding("another type", &base, &[retyped], None, false);
+    let later = [newer(&[35, 60])];
+    compacts_like_re_encoding("cutoff inside the base", &base, &later, Some(25), false);
+    compacts_like_re_encoding("foreign base", &base, &later, None, true);
+}
+
+// --------------------------------------------------- every crash point
+
+/// The scripted operation whose every crash point is tested.
+#[derive(Clone, Copy, Debug)]
+enum Scripted {
+    /// A flush of a memtable that holds late cells and resends.
+    Flush,
+    /// A compaction of an own chunk under a chunk whose late cells reach
+    /// into it: the prefix-splicing path.
+    Compact,
+}
+
+/// Base cells of three series × two float fields at 0..40, then late
+/// cells and resends reaching back ten stamps into them.
+fn scripted_batches() -> [Vec<RowRecord>; 2] {
+    let mut rng = Rng(0x5C_21F7);
+    let cell = |s: usize, f: usize, ts: i64, rng: &mut Rng| {
+        let value = ColumnValue::F64(rng.below(1_000) as f64 / 8.0);
+        RowRecord::new(SERIES[s], FIELDS[f], ts, value)
+    };
+    let mut base = Vec::new();
+    let mut late = Vec::new();
+    for ts in 0..40 {
+        for s in 0..3 {
+            for f in 0..2 {
+                base.push(cell(s, f, ts, &mut rng));
+                late.push(cell(s, f, 40 + ts, &mut rng));
+                if ts % 4 == 0 {
+                    late.push(cell(s, f, 30 + rng.below(10) as i64, &mut rng));
+                }
+            }
+        }
+    }
+    [base, late]
+}
+
+/// Run `op` over the scripted state on a fresh disk, crashing at its
+/// `crash_at`th disk operation under `mode` (never, when `None`); then
+/// restart, reopen and scan. Returns the operations `op` took and what
+/// the reopened store holds.
+fn run_scripted(op: Scripted, crash: Option<(u64, FaultMode)>) -> (u64, Vec<RowRecord>) {
+    let opts = StoreOptions {
+        flush_threshold_rows: usize::MAX,
+        compact_min_chunks: usize::MAX,
+    };
+    let disk = MemDisk::new(0x5C_21F7);
+    let vfs: Arc<dyn Vfs> = Arc::new(disk.clone());
+    let (mut store, _) = TsStore::open(vfs.clone(), opts).unwrap();
+    let [base, late] = scripted_batches();
+    store.append_owned(base);
+    store.commit().unwrap();
+    store.flush().unwrap().unwrap();
+    store.append_owned(late);
+    store.commit().unwrap();
+    if let Scripted::Compact = op {
+        store.flush().unwrap().unwrap();
+    }
+    let before = disk.ops_done();
+    if let Some((k, mode)) = crash {
+        disk.schedule_fault(FaultPlan {
+            crash_at_op: before + k,
+            mode,
+        });
+    }
+    let done = match op {
+        Scripted::Flush => store.flush().map(|_| ()),
+        Scripted::Compact => store.compact(None).map(|_| ()),
+    };
+    assert_eq!(done.is_err(), crash.is_some(), "{op:?} at {crash:?}");
+    let ops = disk.ops_done() - before;
+    drop(store);
+    disk.restart();
+    let (mut store, _) = TsStore::open(vfs, opts).unwrap();
+    (ops, store.scan().unwrap())
+}
+
+#[test]
+fn every_crash_point_of_a_flush_and_a_splicing_compaction_keeps_every_acked_cell() {
+    let want = view_of_prefix(&scripted_batches(), 2);
+    for (op, pinned) in [(Scripted::Flush, 4), (Scripted::Compact, 3)] {
+        // Flush: create, append and sync the chunk, truncate the log.
+        // Compaction: create, append and sync the merged chunk; removing
+        // the inputs is not a write.
+        let (n, clean) = run_scripted(op, None);
+        println!("{op:?}: {n} disk operations");
+        assert_eq!(n, pinned, "{op:?}");
+        assert!(clean == want, "{op:?} without a crash");
+        for k in 1..=n {
+            for mode in [
+                FaultMode::CleanStop,
+                FaultMode::TornTail,
+                FaultMode::BitFlip,
+            ] {
+                let (_, got) = run_scripted(op, Some((k, mode)));
+                assert!(
+                    got == want,
+                    "{op:?} crashed at operation {k} under {mode:?}: {} cells recovered, {} acknowledged",
+                    got.len(),
+                    want.len()
+                );
+            }
+        }
+    }
 }
