@@ -314,30 +314,6 @@ impl WriteBatch {
 /// in write order until [`Memtable::pairs`] orders them.
 type Cells = (Vec<i64>, Vec<ColumnValue>);
 
-/// Stable-sort a pair by timestamp: in place while the cells move little
-/// (a late sample moves past the few cells that overtook it, so the cost
-/// is the cells plus their displacement), through a permutation once the
-/// displacement outgrows eight moves a cell. Insertion never moves a cell
-/// past one of its own timestamp, so the order it leaves is as good a
-/// start for the permutation as the one it found.
-fn sort_pair(ts: &mut Vec<i64>, values: &mut Vec<ColumnValue>) {
-    let mut budget = 8 * ts.len();
-    for i in 1..ts.len() {
-        let at = ts[..i].partition_point(|&t| t <= ts[i]);
-        if i - at > budget {
-            let mut order: Vec<usize> = (0..ts.len()).collect();
-            order.sort_by_key(|&i| ts[i]);
-            *ts = order.iter().map(|&i| ts[i]).collect();
-            let moved = |&i: &usize| std::mem::replace(&mut values[i], ColumnValue::I64(0));
-            *values = order.iter().map(moved).collect();
-            return;
-        }
-        budget -= i - at;
-        ts[at..=i].rotate_right(1);
-        values[at..=i].rotate_right(1);
-    }
-}
-
 /// Acknowledged cells awaiting a flush, as one column pair per
 /// `(series, field)` however many commits brought them.
 #[derive(Debug, Default)]
@@ -380,7 +356,11 @@ impl Memtable {
             fields.iter_mut().map(move |(field, cells)| {
                 let (ts, values) = &mut *cells;
                 if !ts.is_sorted() {
-                    sort_pair(ts, values);
+                    let mut order: Vec<usize> = (0..ts.len()).collect();
+                    order.sort_by_key(|&i| ts[i]);
+                    *ts = order.iter().map(|&i| ts[i]).collect();
+                    let moved = |&i: &usize| std::mem::replace(&mut values[i], ColumnValue::I64(0));
+                    *values = order.iter().map(moved).collect();
                 }
                 Pair {
                     series,
@@ -581,29 +561,6 @@ mod tests {
             WriteBatch::decode(&absurd),
             Err(StoreError::Decode(_))
         ));
-    }
-
-    #[test]
-    fn pairs_sort_stably_in_place_or_through_a_permutation() {
-        // A few late samples sort in place; a reversed backfill outgrows
-        // the budget part way. Either way writes of one stamp keep their
-        // order: each value is its write position.
-        let late: Vec<i64> = (0..64)
-            .map(|i| if i % 9 == 4 { i - 3 } else { i / 2 })
-            .collect();
-        let backfill: Vec<i64> = (0..64).rev().map(|i| i / 2).collect();
-        for stamps in [late, backfill] {
-            let mut want: Vec<(i64, ColumnValue)> = stamps
-                .iter()
-                .copied()
-                .zip((0..).map(ColumnValue::I64))
-                .collect();
-            want.sort_by_key(|cell| cell.0);
-            let mut ts = stamps;
-            let mut values: Vec<ColumnValue> = (0..64).map(ColumnValue::I64).collect();
-            sort_pair(&mut ts, &mut values);
-            assert_eq!(ts.into_iter().zip(values).collect::<Vec<_>>(), want);
-        }
     }
 
     /// The memtable's pairs, copied out.

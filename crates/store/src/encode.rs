@@ -130,19 +130,11 @@ pub struct BitWriter {
 }
 
 impl BitWriter {
-    /// Re-open the stream made of the first `bits` (at most `8 *
-    /// bytes.len()`) bits of `bytes` — a partial last byte included,
-    /// anything after it dropped — so that pushes continue it.
-    pub fn resume(bytes: Vec<u8>, bits: usize) -> BitWriter {
-        let mut writer = BitWriter::default();
-        writer.restart(&bytes, bits);
-        writer
-    }
-
-    /// [`BitWriter::resume`] into this writer's buffer: the first `bits`
-    /// bits of `from` replace whatever it held. The partial last byte's
-    /// bits after the `bits`th are not kept.
-    pub(crate) fn restart(&mut self, from: &[u8], bits: usize) {
+    /// Re-open, in this writer's buffer, the stream made of the first
+    /// `bits` (at most `8 * from.len()`) bits of `from` — a partial last
+    /// byte included, anything after it dropped — so that pushes continue
+    /// it. Whatever the writer held goes.
+    pub fn restart(&mut self, from: &[u8], bits: usize) {
         let (full, part) = (bits / 8, (bits % 8) as u32);
         self.bytes.clear();
         self.bytes.extend_from_slice(&from[..full]);

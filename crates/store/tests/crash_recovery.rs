@@ -889,7 +889,8 @@ fn bit_codecs_match_a_bit_at_a_time_reference() {
         let mut start = 0usize;
         for (k, &(v, n)) in pushes.iter().enumerate() {
             for cut in start..start + n as usize {
-                let mut resumed = BitWriter::resume(bytes.clone(), cut);
+                let mut resumed = BitWriter::default();
+                resumed.restart(&bytes, cut);
                 resumed.push_bits(v, (start + n as usize - cut) as u8);
                 for &(v, n) in &pushes[k + 1..] {
                     resumed.push_bits(v, n);
@@ -901,7 +902,9 @@ fn bit_codecs_match_a_bit_at_a_time_reference() {
             }
             start += n as usize;
         }
-        let whole = BitWriter::resume(bytes.clone(), start).into_bytes();
+        let mut whole = BitWriter::default();
+        whole.restart(&bytes, start);
+        let whole = whole.into_bytes();
         assert_eq!(whole, slow.bytes, "case {case}: resume at the end");
         let (mut reader, mut pos) = (BitReader::new(&bytes), 0);
         for &(v, n) in &pushes {
@@ -1238,14 +1241,18 @@ fn prefix_splices_compact_to_what_re_encoding_writes() {
 enum Scripted {
     /// A flush of a memtable that holds late cells and resends.
     Flush,
+    /// The same flush with a second commit in the memtable, which
+    /// resends cells of the first with new values.
+    FlushTwoCommits,
     /// A compaction of an own chunk under a chunk whose late cells reach
     /// into it: the prefix-splicing path.
     Compact,
 }
 
 /// Base cells of three series × two float fields at 0..40, then late
-/// cells and resends reaching back ten stamps into them.
-fn scripted_batches() -> [Vec<RowRecord>; 2] {
+/// cells and resends reaching back ten stamps into them, then new values
+/// for every fifth stamp of the late cells.
+fn scripted_batches() -> [Vec<RowRecord>; 3] {
     let mut rng = Rng(0x5C_21F7);
     let cell = |s: usize, f: usize, ts: i64, rng: &mut Rng| {
         let value = ColumnValue::F64(rng.below(1_000) as f64 / 8.0);
@@ -1264,29 +1271,44 @@ fn scripted_batches() -> [Vec<RowRecord>; 2] {
             }
         }
     }
-    [base, late]
+    let resent = late
+        .iter()
+        .filter(|r| r.ts % 5 == 0)
+        .map(|r| {
+            let value = ColumnValue::F64(rng.below(1_000) as f64 / 8.0);
+            RowRecord::new(&r.series, &r.field, r.ts, value)
+        })
+        .collect();
+    [base, late, resent]
 }
 
-/// Run `op` over the scripted state on a fresh disk, crashing at its
-/// `crash_at`th disk operation under `mode` (never, when `None`); then
-/// restart, reopen and scan. Returns the operations `op` took and what
-/// the reopened store holds.
-fn run_scripted(op: Scripted, crash: Option<(u64, FaultMode)>) -> (u64, Vec<RowRecord>) {
+/// Run `op` over the scripted state on a fresh disk of seed `seed`,
+/// crashing at its `crash_at`th disk operation under `mode` (never, when
+/// `None`); then restart, reopen and scan. Returns the operations `op`
+/// took and what the reopened store holds.
+fn run_scripted(op: Scripted, seed: u64, crash: Option<(u64, FaultMode)>) -> (u64, Vec<RowRecord>) {
     let opts = StoreOptions {
         flush_threshold_rows: usize::MAX,
         compact_min_chunks: usize::MAX,
     };
-    let disk = MemDisk::new(0x5C_21F7);
+    let disk = MemDisk::new(seed);
     let vfs: Arc<dyn Vfs> = Arc::new(disk.clone());
     let (mut store, _) = TsStore::open(vfs.clone(), opts).unwrap();
-    let [base, late] = scripted_batches();
+    let [base, late, resent] = scripted_batches();
     store.append_owned(base);
     store.commit().unwrap();
     store.flush().unwrap().unwrap();
     store.append_owned(late);
     store.commit().unwrap();
-    if let Scripted::Compact = op {
-        store.flush().unwrap().unwrap();
+    match op {
+        Scripted::Flush => {}
+        Scripted::FlushTwoCommits => {
+            store.append_owned(resent);
+            store.commit().unwrap();
+        }
+        Scripted::Compact => {
+            store.flush().unwrap().unwrap();
+        }
     }
     let before = disk.ops_done();
     if let Some((k, mode)) = crash {
@@ -1296,7 +1318,7 @@ fn run_scripted(op: Scripted, crash: Option<(u64, FaultMode)>) -> (u64, Vec<RowR
         });
     }
     let done = match op {
-        Scripted::Flush => store.flush().map(|_| ()),
+        Scripted::Flush | Scripted::FlushTwoCommits => store.flush().map(|_| ()),
         Scripted::Compact => store.compact(None).map(|_| ()),
     };
     assert_eq!(done.is_err(), crash.is_some(), "{op:?} at {crash:?}");
@@ -1307,31 +1329,63 @@ fn run_scripted(op: Scripted, crash: Option<(u64, FaultMode)>) -> (u64, Vec<RowR
     (ops, store.scan().unwrap())
 }
 
-#[test]
-fn every_crash_point_of_a_flush_and_a_splicing_compaction_keeps_every_acked_cell() {
-    let want = view_of_prefix(&scripted_batches(), 2);
-    for (op, pinned) in [(Scripted::Flush, 4), (Scripted::Compact, 3)] {
-        // Flush: create, append and sync the chunk, truncate the log.
-        // Compaction: create, append and sync the merged chunk; removing
-        // the inputs is not a write.
-        let (n, clean) = run_scripted(op, None);
-        println!("{op:?}: {n} disk operations");
-        assert_eq!(n, pinned, "{op:?}");
-        assert!(clean == want, "{op:?} without a crash");
+/// Crash `op` at each of its `pinned` disk operations under each of
+/// `modes`, on a disk of each of `seeds`: the reopened store must hold
+/// exactly the acknowledged cells.
+fn every_crash_point(op: Scripted, pinned: u64, modes: &[FaultMode], seeds: &[u64]) {
+    let commits = match op {
+        Scripted::FlushTwoCommits => 3,
+        Scripted::Flush | Scripted::Compact => 2,
+    };
+    let want = view_of_prefix(&scripted_batches(), commits);
+    let (n, clean) = run_scripted(op, seeds[0], None);
+    println!("{op:?}: {n} disk operations");
+    assert_eq!(n, pinned, "{op:?}");
+    assert!(clean == want, "{op:?} without a crash");
+    for &seed in seeds {
         for k in 1..=n {
-            for mode in [
-                FaultMode::CleanStop,
-                FaultMode::TornTail,
-                FaultMode::BitFlip,
-            ] {
-                let (_, got) = run_scripted(op, Some((k, mode)));
+            for &mode in modes {
+                let (_, got) = run_scripted(op, seed, Some((k, mode)));
                 assert!(
                     got == want,
-                    "{op:?} crashed at operation {k} under {mode:?}: {} cells recovered, {} acknowledged",
+                    "{op:?} on disk seed {seed} crashed at operation {k} under {mode:?}: {} cells recovered, {} acknowledged, {} recovered ones not acknowledged",
                     got.len(),
-                    want.len()
+                    want.len(),
+                    got.iter().filter(|cell| !want.contains(cell)).count()
                 );
             }
         }
     }
+}
+
+const EVERY_MODE: [FaultMode; 3] = [
+    FaultMode::CleanStop,
+    FaultMode::TornTail,
+    FaultMode::BitFlip,
+];
+
+#[test]
+fn every_crash_point_of_a_flush_and_a_splicing_compaction_keeps_every_acked_cell() {
+    // Flush: create, append and sync the chunk, truncate the log.
+    // Compaction: create, append and sync the merged chunk; removing the
+    // inputs is not a write.
+    every_crash_point(Scripted::Flush, 4, &EVERY_MODE, &[0x5C_21F7]);
+    every_crash_point(Scripted::Compact, 3, &EVERY_MODE, &[0x5C_21F7]);
+    // With two commits in the memtable a bit flip breaks recovery (the
+    // ignored test below); a crash that only loses unsynced bytes does
+    // not.
+    let lossy = [FaultMode::CleanStop, FaultMode::TornTail];
+    every_crash_point(Scripted::FlushTwoCommits, 4, &lossy, &[0x5C_21F7]);
+}
+
+/// ROADMAP item 15's open hole, pinned: fails until it is closed. A bit
+/// flip at the log truncation that lands in the second frame ends the
+/// replay there, and the first frame's older values are replayed over
+/// the flushed chunk, which already holds the newer ones. Nothing ties a
+/// log frame to the chunk that absorbed it.
+#[test]
+#[ignore = "ROADMAP 15: a bit flip in the log's second frame during a flush's truncation replays older values over the chunk"]
+fn every_crash_point_of_a_two_commit_flush_survives_a_bit_flip() {
+    let seeds: Vec<u64> = (0..16).collect();
+    every_crash_point(Scripted::FlushTwoCommits, 4, &[FaultMode::BitFlip], &seeds);
 }
