@@ -1,21 +1,22 @@
-//! End-to-end backup/restore property tests — the PR's headline
-//! invariant: under random ingest, clean-stop crashes on the primary,
-//! latent rot on the primary's chunks, and a snapshot generation captured
-//! mid-stream, a point-in-time restore at any fence T onto a fresh store
-//! is bit-identical (`f64::to_bits`) to the oracle's prefix at T, with
-//! the restore conservation ledger (snapshot + replayed == restored +
-//! deduped) balanced — and a corrupted backup is *detected and refused*
-//! with a typed error, never silently restored.
+//! Backup/restore property tests. A backup is a verified copy: one
+//! generation holds every live chunk, the memtable's acknowledged cells
+//! as one WAL frame, and a manifest written last. Under random ingest
+//! with NaN and ±0 payloads, flushes, compactions and clean-stop crashes
+//! of the primary, restoring the newest generation onto a fresh disk is
+//! bit-identical (`f64::to_bits`) to the primary's `scan_blocks()` when
+//! the generation was taken. A corrupted generation is refused with a
+//! typed error or is harmless (an older generation restores, or none),
+//! never wrong; a torn generation is invisible. Every crash point of one
+//! backup and of one restore is enumerated.
 //!
 //! Case count defaults to 32 and is raised in CI via
 //! `PMOVE_BACKUP_CASES`.
 
 use pmove_tsdb::store::{
-    chunk_name, list_generations, restore_at, restore_replay_all, BackupError, ColumnValue,
-    FaultMode, FaultPlan, MemDisk, RotSchedule, RowRecord, StoreOptions, TsStore, Vfs,
+    restore_at, BackupError, Block, ColumnValue, FaultMode, FaultPlan, MemDisk, RotSchedule,
+    RowRecord, StoreOptions, TsStore, Vfs,
 };
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn backup_cases() -> u32 {
@@ -41,6 +42,7 @@ fn value(seed: &mut u64) -> f64 {
     match v % 23 {
         0 => -0.0,
         1 => f64::NAN,
+        2 => 0.0,
         _ => (v % 1_000_000) as f64 / 7.0,
     }
 }
@@ -56,8 +58,8 @@ fn manual_opts() -> StoreOptions {
 fn batch(b: u64, rows_per_batch: usize, seed: &mut u64) -> Vec<RowRecord> {
     (0..rows_per_batch)
         .map(|i| {
-            // Occasional timestamp collisions exercise last-write-wins
-            // dedup on the replay path.
+            // Occasional timestamp collisions: last-write-wins across
+            // the chunk set and the memtable.
             let ts = if next(seed).is_multiple_of(11) && b > 0 {
                 (b as i64 - 1) * 100 + i as i64
             } else {
@@ -73,20 +75,48 @@ fn batch(b: u64, rows_per_batch: usize, seed: &mut u64) -> Vec<RowRecord> {
         .collect()
 }
 
-/// The oracle's view of a store: last-write-wins cell map, floats keyed
-/// by bits.
-type CellMap = BTreeMap<(String, String, i64), u64>;
+/// A store's merged view, values as bits: `scan_blocks()` compared
+/// where `==` on NaN or ±0 would lie.
+type Bits = Vec<(String, String, Vec<i64>, Vec<u64>)>;
 
-fn cells_of(rows: &[RowRecord]) -> CellMap {
-    let mut m = CellMap::new();
-    for r in rows {
-        let bits = match r.value {
-            ColumnValue::F64(x) => x.to_bits(),
-            _ => unreachable!("this test writes only f64 cells"),
-        };
-        m.insert((r.series.clone(), r.field.clone(), r.ts), bits);
-    }
-    m
+fn bits_of(blocks: Vec<Block>) -> Bits {
+    blocks
+        .into_iter()
+        .map(|b| {
+            let values = b
+                .values
+                .iter()
+                .map(|v| match v {
+                    ColumnValue::F64(x) => x.to_bits(),
+                    _ => unreachable!("this test writes only f64 cells"),
+                })
+                .collect();
+            (b.series, b.field, b.ts, values)
+        })
+        .collect()
+}
+
+fn view(store: &mut TsStore) -> Bits {
+    bits_of(store.scan_blocks().unwrap())
+}
+
+/// Restore the generation `restore_at(dest, _, t)` picks onto a fresh
+/// disk and return its id with what the restored store holds.
+fn restore(dest: &MemDisk, t: i64, scratch_seed: u64) -> Result<(u64, Bits), BackupError> {
+    let target = MemDisk::new(scratch_seed | 1);
+    let gen = restore_at(dest, Arc::new(target.clone()) as Arc<dyn Vfs>, t)?;
+    let (mut restored, _) = TsStore::open(Arc::new(target), manual_opts()).unwrap();
+    Ok((gen, view(&mut restored)))
+}
+
+/// Flip bit `bit` of byte `at` (modulo the length) of file `name`.
+fn flip(disk: &MemDisk, name: &str, at: usize, bit: u64) {
+    let mut data = disk.read(name).unwrap();
+    let at = at % data.len();
+    data[at] ^= 1 << (bit % 8);
+    let mut f = disk.create(name).unwrap();
+    f.append(&data).unwrap();
+    f.sync().unwrap();
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -95,25 +125,23 @@ struct Case {
     n_batches: u64,
     rows_per_batch: usize,
     flush_every: u64,
-    backup_after: u64,
+    compact_every: u64,
+    backup_every: u64,
     crash_after: Option<u64>,
-    rot_primary: bool,
 }
 
-/// Outcome of one driven run, everything needed for the PITR checks.
+/// Outcome of one driven run: the backup disk, the primary, and what
+/// the primary held when each generation was taken, by generation id.
 struct RunOutcome {
+    primary: MemDisk,
     dest: MemDisk,
-    /// Oracle prefix per fence: `oracle_at[i]` is the cell map after the
-    /// batch committed at vts `fences[i]`.
-    fences: Vec<i64>,
-    oracle_at: Vec<CellMap>,
-    generations: usize,
+    taken: Vec<Bits>,
 }
 
-/// Drive a store through the case's schedule. Crashes use `CleanStop` on
-/// a commit boundary, so an errored commit leaves no trace and the oracle
-/// stays exact; the store is reopened and the archiver re-attached (its
-/// catch-up re-archives the surviving WAL tail, which restore dedups).
+/// Drive a store through the case's schedule, taking a backup after
+/// every `backup_every`th batch and after the last. Crashes use
+/// `CleanStop` on a commit, so the failed commit leaves no trace; the
+/// store is reopened and backups are enabled again.
 fn run_case(case: &Case) -> RunOutcome {
     let primary = MemDisk::new(case.seed | 1);
     let dest = MemDisk::new((case.seed ^ 0xBACC) | 1);
@@ -121,22 +149,11 @@ fn run_case(case: &Case) -> RunOutcome {
     store
         .enable_backup(Arc::new(dest.clone()) as Arc<dyn Vfs>)
         .unwrap();
-
     let mut value_seed = case.seed;
-    let mut oracle = CellMap::new();
-    let mut fences = Vec::new();
-    let mut oracle_at = Vec::new();
-    let mut generations = 0usize;
-    let mut crashed = false;
-
+    let mut taken = Vec::new();
     for b in 0..case.n_batches {
-        let vts = (b as i64 + 1) * 1_000;
-        store.note_time(vts);
         let rows = batch(b, case.rows_per_batch, &mut value_seed);
-
-        if !crashed && case.crash_after == Some(b) {
-            // Clean stop on the very next disk op: the commit fails
-            // all-or-nothing, the batch is never acknowledged.
+        if case.crash_after == Some(b) {
             primary.schedule_fault(FaultPlan {
                 crash_at_op: primary.ops_done() + 1,
                 mode: FaultMode::CleanStop,
@@ -145,339 +162,345 @@ fn run_case(case: &Case) -> RunOutcome {
             assert!(store.commit().is_err(), "commit under crash must fail");
             primary.restart();
             drop(store);
-            let (s, _) = TsStore::open(Arc::new(primary.clone()), manual_opts()).unwrap();
-            store = s;
-            store.note_time(vts);
+            store = TsStore::open(Arc::new(primary.clone()), manual_opts())
+                .unwrap()
+                .0;
             store
                 .enable_backup(Arc::new(dest.clone()) as Arc<dyn Vfs>)
                 .unwrap();
-            crashed = true;
-            // The batch was not acknowledged: the oracle never saw it,
-            // and neither fence nor generation advances for it.
-            continue;
+        } else {
+            store.append_owned(rows);
+            store.commit().unwrap();
         }
-
-        store.append_owned(rows.clone());
-        store.commit().unwrap();
-        oracle.extend(cells_of(&rows));
-        fences.push(vts);
-        oracle_at.push(oracle.clone());
-
         if case.flush_every > 0 && (b + 1) % case.flush_every == 0 {
             store.flush().unwrap();
         }
-        if b == case.backup_after {
-            store.backup_now().unwrap();
-            generations += 1;
+        if case.compact_every > 0 && (b + 1) % case.compact_every == 0 {
+            store.compact(None).unwrap();
+        }
+        if (b + 1) % case.backup_every == 0 || b + 1 == case.n_batches {
+            let want = view(&mut store);
+            assert_eq!(store.backup_now().unwrap(), taken.len() as u64);
+            taken.push(want);
         }
     }
-    // Latent rot on the primary's live chunks *after* the run: the backup
-    // bytes live on their own disk, so a restore must not be confused by
-    // a rotting primary.
-    if case.rot_primary {
-        primary.schedule_rot(RotSchedule::none().at(1.0, 1).with_prefix("chunk-"));
-        primary.advance_rot(2.0);
-    }
     RunOutcome {
+        primary,
         dest,
-        fences,
-        oracle_at,
-        generations,
+        taken,
     }
 }
 
-/// Restore the backup at `t_vts` onto a fresh disk and return the
-/// restored cell map plus the conservation report.
-fn restore_cells(
-    dest: &MemDisk,
-    t_vts: i64,
-    scratch_seed: u64,
-) -> (CellMap, pmove_tsdb::store::RestoreReport) {
-    let scratch = MemDisk::new(scratch_seed | 1);
-    let report = restore_at(dest, Arc::new(scratch.clone()) as Arc<dyn Vfs>, t_vts).unwrap();
-    let (mut restored, _) = TsStore::open(Arc::new(scratch), manual_opts()).unwrap();
-    (cells_of(&restored.scan().unwrap()), report)
+/// The id the next backup onto `dest` takes: one past every generation
+/// that left a file there, torn ones included.
+fn next_id(dest: &MemDisk) -> u64 {
+    let ids = generation_files(dest)
+        .iter()
+        .map(|n| n[4..12].parse::<u64>().unwrap())
+        .max();
+    ids.map_or(0, |id| id + 1)
+}
+
+/// The files of every generation on `dest`, sorted by name.
+fn generation_files(dest: &MemDisk) -> Vec<String> {
+    let mut names = dest.list().unwrap();
+    names.retain(|n| n.starts_with("gen-"));
+    names
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(backup_cases()))]
 
-    /// Headline invariant: restore-at-T equals the oracle prefix at T,
-    /// bit for bit, for every committed fence T — through crashes, rot,
-    /// and a mid-stream snapshot — and the restore ledger balances.
+    /// Restoring the newest generation — and any older one by its id —
+    /// is bit-identical to what the primary held when it was taken,
+    /// through primary crashes and rot of the primary afterwards; the
+    /// same case writes the same backup bytes.
     #[test]
-    fn restore_at_any_fence_is_bit_identical_to_oracle_prefix(
+    fn restoring_a_generation_is_bit_identical_to_the_primary_when_taken(
         seed in any::<u64>(),
-        n_batches in 4u64..=10,
-        rows_per_batch in 1usize..=5,
+        n_batches in 3u64..=10,
+        rows_per_batch in 1usize..=6,
         flush_every in 0u64..=3,
-        backup_frac in 0u64..=2,
+        compact_every in 0u64..=4,
+        backup_every in 1u64..=4,
         crash_sel in 0u64..=8,
-        rot_primary in any::<bool>(),
     ) {
-        // 0 = no crash; otherwise a clean stop before batch (sel - 1).
-        let crash = crash_sel.checked_sub(1);
+        // 0 = no crash; otherwise a clean stop at batch (sel - 1).
         let case = Case {
             seed,
             n_batches,
             rows_per_batch,
             flush_every,
-            backup_after: backup_frac * n_batches / 3,
-            crash_after: crash.map(|c| c % n_batches),
-            rot_primary,
+            compact_every,
+            backup_every,
+            crash_after: crash_sel.checked_sub(1).map(|c| c % n_batches),
         };
         let out = run_case(&case);
-        prop_assert!(out.generations >= 1 || case.crash_after == Some(case.backup_after));
-        prop_assert!(!out.fences.is_empty(), "no batch ever committed");
+        // Rot on the primary's chunks after the run: the backup bytes
+        // live on their own disk.
+        out.primary.schedule_rot(RotSchedule::none().at(1.0, 1).with_prefix("chunk-"));
+        out.primary.advance_rot(2.0);
 
-        // Every committed fence is a valid PITR target; check the final
-        // fence plus one interior fence to bound runtime.
-        let last = out.fences.len() - 1;
-        let mid = last / 2;
-        for &i in &[mid, last] {
-            let (got, report) = restore_cells(&out.dest, out.fences[i], seed ^ i as u64);
-            let want = &out.oracle_at[i];
-            prop_assert_eq!(
-                &got, want,
-                "restore at fence {} (vts {}) diverged from the oracle prefix",
-                i, out.fences[i]
-            );
+        let newest = out.taken.len() as u64 - 1;
+        let (gen, got) = restore(&out.dest, i64::MAX, seed).unwrap();
+        prop_assert_eq!(gen, newest);
+        prop_assert!(&got == out.taken.last().unwrap(), "newest generation diverged");
+        let older = seed % (newest + 1);
+        let (gen, got) = restore(&out.dest, older as i64, seed ^ 0xA5).unwrap();
+        prop_assert_eq!(gen, older);
+        prop_assert!(got == out.taken[older as usize], "generation {} diverged", older);
+        prop_assert_eq!(restore(&out.dest, -1, seed).unwrap_err(), BackupError::NoBackup);
+
+        let again = run_case(&case);
+        let files = generation_files(&out.dest);
+        prop_assert_eq!(&files, &generation_files(&again.dest));
+        for name in &files {
             prop_assert!(
-                report.conserved(),
-                "ledger unbalanced at fence {}: {:?}",
-                i, report
+                out.dest.read(name).unwrap() == again.dest.read(name).unwrap(),
+                "same-seed backups differ in {}", name
             );
-            // restored_rows counts physical rows (adopted chunk rows plus
-            // distinct replayed cells); LWW collisions inside the chunk
-            // set mean it can exceed the distinct-cell count, never trail
-            // it.
-            prop_assert!(report.restored_rows >= want.len() as u64);
         }
-
-        // Bit-reproducibility: the same case replays identically.
-        let out2 = run_case(&case);
-        prop_assert_eq!(out.fences, out2.fences);
-        prop_assert_eq!(out.oracle_at.last(), out2.oracle_at.last());
-        let t = *out.fences.last().unwrap();
-        let (a, _) = restore_cells(&out.dest, t, seed ^ 0xA5);
-        let (b, _) = restore_cells(&out2.dest, t, seed ^ 0xA5);
-        prop_assert_eq!(a, b, "same-seed restores are not bit-identical");
     }
 
-    /// Corrupted-backup safety: flip one byte anywhere in the backup
-    /// destination (manifest, snapshot chunk, or archive segment) and a
-    /// restore must either refuse with a typed error or produce a store
-    /// that is bit-identical to *some committed oracle prefix* — the full
-    /// one when the flipped byte lies in data the restore never touches,
-    /// or a shorter fence when the flip mimics a torn final-segment tail
-    /// (byte-indistinguishable from a destination crash mid-append, which
-    /// restore must tolerate). What it must never do is return a state
-    /// matching no prefix. Corruption in bytes whose integrity carries a
-    /// witness — a chunk the chosen generation references — is always a
-    /// refusal.
+    /// Flip one bit anywhere on the backup disk: the restore refuses
+    /// with a typed error or restores some generation bit-identically,
+    /// never a state the primary did not hold. A flip in a file the
+    /// newest manifest names is always a refusal; a flip in the newest
+    /// manifest makes that generation invisible, and the one before it
+    /// restores.
     #[test]
-    fn corrupted_backups_are_refused_or_harmless_never_wrong(
+    fn corrupted_generations_are_refused_or_harmless_never_wrong(
         seed in any::<u64>(),
-        n_batches in 3u64..=6,
+        n_batches in 4u64..=8,
         rows_per_batch in 2usize..=4,
+        at in any::<usize>(),
     ) {
         let case = Case {
             seed,
             n_batches,
             rows_per_batch,
             flush_every: 2,
-            backup_after: n_batches - 1,
+            compact_every: 0,
+            backup_every: n_batches / 2,
             crash_after: None,
-            rot_primary: false,
         };
         let out = run_case(&case);
-        let t = *out.fences.last().unwrap();
-        let want = out.oracle_at.last().unwrap();
-
-        // Arbitrary victim byte anywhere on the destination.
-        let mut names = out.dest.list().unwrap();
-        names.retain(|n| n.contains("chunk-") || n.starts_with("archive/") || n.contains("manifest"));
-        prop_assert!(!names.is_empty(), "backup destination holds no payload files");
-        names.sort();
-        let victim = names[(seed as usize) % names.len()].clone();
-        let mut data = out.dest.read(&victim).unwrap();
-        prop_assert!(!data.is_empty());
-        let at = (seed as usize / 7) % data.len();
-        data[at] ^= 1 << (seed % 8);
-        let mut f = out.dest.create(&victim).unwrap();
-        f.append(&data).unwrap();
-        f.sync().unwrap();
-
-        let scratch = MemDisk::new(seed | 1);
-        match restore_at(&out.dest, Arc::new(scratch.clone()) as Arc<dyn Vfs>, t) {
-            Err(
-                BackupError::NoBackup
-                | BackupError::ManifestCorrupt { .. }
-                | BackupError::ChunkCorrupt { .. }
-                | BackupError::ArchiveCorrupt { .. }
-                | BackupError::ArchiveGap { .. }
-                | BackupError::ArchiveDecode { .. },
-            ) => {}
-            Err(other) => prop_assert!(
-                false,
-                "unexpected refusal for victim {}: {:?}", victim, other
+        let newest = out.taken.len() as u64 - 1;
+        prop_assert!(newest >= 1, "two generations at least");
+        let files = generation_files(&out.dest);
+        let victim = &files[(seed as usize) % files.len()];
+        flip(&out.dest, victim, at, seed);
+        match restore(&out.dest, i64::MAX, seed) {
+            Ok((gen, got)) => prop_assert!(
+                got == out.taken[gen as usize],
+                "a flip in {} restored generation {} wrong", victim, gen
             ),
-            Ok(_) => {
-                // The restore accepted the bytes: the result must be a
-                // bit-exact committed prefix — usually the full oracle
-                // (flip outside everything read), possibly an earlier
-                // fence (flip forged a torn tail on the last segment).
-                let (mut restored, _) =
-                    TsStore::open(Arc::new(scratch), manual_opts()).unwrap();
-                let got = cells_of(&restored.scan().unwrap());
-                let is_prefix = got.is_empty()
-                    || out.oracle_at.iter().any(|m| m == &got);
-                prop_assert!(
-                    is_prefix,
-                    "corruption in {} restored a state matching no oracle prefix:\n got {:?}\nwant (full) {:?}",
-                    victim, got, want
-                );
-            }
+            Err(BackupError::NoBackup | BackupError::FileCorrupt { .. }) => {}
+            Err(other) => prop_assert!(false, "flip in {}: {:?}", victim, other),
         }
 
-        // Guaranteed-refusal half: corrupt a chunk the chosen generation
-        // references — the restore verifies every referenced chunk, so
-        // this must always be a typed refusal, never a restored store.
-        let out2 = run_case(&case);
-        let gens = list_generations(&out2.dest).unwrap();
-        prop_assert_eq!(gens.len(), 1);
-        let needed = format!("gen-{:08}/{}", gens[0].gen, gens[0].chunks[0].name);
-        let mut data = out2.dest.read(&needed).unwrap();
-        let at = (seed as usize / 3) % data.len();
-        data[at] ^= 0x40;
-        let mut f = out2.dest.create(&needed).unwrap();
-        f.append(&data).unwrap();
-        f.sync().unwrap();
-        let scratch2 = MemDisk::new(seed | 1);
-        match restore_at(&out2.dest, Arc::new(scratch2) as Arc<dyn Vfs>, t) {
-            Err(BackupError::ChunkCorrupt { .. } | BackupError::ManifestCorrupt { .. }) => {}
+        let prefix = format!("gen-{newest:08}/");
+        let manifest = format!("{prefix}manifest");
+        let data_files: Vec<&String> = files
+            .iter()
+            .filter(|n| n.starts_with(&prefix) && **n != manifest)
+            .collect();
+        let data_file = data_files[(seed as usize) % data_files.len()];
+        let again = run_case(&case);
+        flip(&again.dest, data_file, at, seed);
+        match restore(&again.dest, i64::MAX, seed) {
+            Err(BackupError::FileCorrupt { gen, .. }) => prop_assert_eq!(gen, newest),
             other => prop_assert!(
                 false,
-                "corrupt referenced chunk {} was not refused: {:?}",
-                needed,
-                other.map(|r| format!("{r:?}"))
+                "a flip in {} was not refused: {:?}", data_file, other.map(|(g, _)| g)
             ),
         }
+        let again = run_case(&case);
+        flip(&again.dest, &manifest, at, seed);
+        let (gen, got) = restore(&again.dest, i64::MAX, seed).unwrap();
+        prop_assert_eq!(gen, newest - 1);
+        prop_assert!(got == out.taken[gen as usize]);
     }
 
-    /// Crash-during-backup: the destination disk dies mid-snapshot. The
-    /// torn generation must be invisible (no valid manifest), the live
-    /// store untouched, and the next backup tick must produce a complete
-    /// generation that restores faithfully.
+    /// The backup disk dies part way into a backup: the torn generation
+    /// is invisible, the live store untouched, and the next backup takes
+    /// a fresh id and restores bit-exactly.
     #[test]
-    fn torn_backup_generation_is_invisible_and_recoverable(
+    fn a_torn_generation_is_invisible(
         seed in any::<u64>(),
-        n_batches in 3u64..=6,
-        crash_op_offset in 1u64..=6,
+        n_batches in 2u64..=6,
+        crash_op in 1u64..=12,
+        mode_sel in 0usize..3,
     ) {
-        let primary = MemDisk::new(seed | 1);
-        let dest = MemDisk::new((seed ^ 0xDEAD) | 1);
-        let (mut store, _) = TsStore::open(Arc::new(primary.clone()), manual_opts()).unwrap();
-        store.enable_backup(Arc::new(dest.clone()) as Arc<dyn Vfs>).unwrap();
-        let mut value_seed = seed;
-        let mut oracle = CellMap::new();
-        for b in 0..n_batches {
-            store.note_time((b as i64 + 1) * 1_000);
-            let rows = batch(b, 3, &mut value_seed);
-            store.append_owned(rows.clone());
-            store.commit().unwrap();
-            oracle.extend(cells_of(&rows));
-            store.flush().unwrap();
-        }
-        let live_before = cells_of(&store.scan().unwrap());
-
-        // Kill the destination a few ops into the snapshot copy.
-        dest.schedule_fault(FaultPlan {
-            crash_at_op: dest.ops_done() + crash_op_offset,
-            mode: FaultMode::TornTail,
-        });
-        prop_assert!(store.backup_now().is_err(), "backup must surface the dest crash");
-        dest.restart();
-
-        // Torn generation: no valid manifest committed.
-        prop_assert!(list_generations(&dest).unwrap().is_empty());
-        // Live store untouched by the failed backup.
-        prop_assert_eq!(&cells_of(&store.scan().unwrap()), &live_before);
-        // The chunk pins were released: compaction may proceed.
-        store.append_owned(vec![RowRecord::new("s0", "f0", 999_999, ColumnValue::F64(1.5))]);
-        store.note_time((n_batches as i64 + 1) * 1_000);
+        let case = Case {
+            seed,
+            n_batches,
+            rows_per_batch: 3,
+            flush_every: 1,
+            compact_every: 0,
+            backup_every: n_batches,
+            crash_after: None,
+        };
+        let out = run_case(&case);
+        let (mut store, _) = TsStore::open(Arc::new(out.primary.clone()), manual_opts()).unwrap();
+        store.enable_backup(Arc::new(out.dest.clone()) as Arc<dyn Vfs>).unwrap();
+        store.append_owned(batch(n_batches, 3, &mut seed.clone()));
         store.commit().unwrap();
-        store.flush().unwrap();
-        store.compact(None).unwrap();
-        for seq in 0..n_batches {
-            prop_assert!(
-                !primary.exists(&chunk_name(seq)).unwrap(),
-                "aborted backup left chunk {} pinned", seq
-            );
+        let live = view(&mut store);
+        // Three operations per file: every chunk, the log frame, the
+        // manifest. Past the last one the backup completes.
+        let ops = 3 * (n_batches + 2);
+        let crash = 1 + crash_op % ops;
+        out.dest.schedule_fault(FaultPlan {
+            crash_at_op: out.dest.ops_done() + crash,
+            mode: [FaultMode::CleanStop, FaultMode::TornTail, FaultMode::BitFlip][mode_sel],
+        });
+        prop_assert!(store.backup_now().is_err(), "backup must surface the crash");
+        out.dest.restart();
+        // A torn sync may still have persisted the whole manifest: then
+        // the generation is complete.
+        match restore(&out.dest, i64::MAX, seed).unwrap() {
+            (0, got) => prop_assert!(&got == out.taken.last().unwrap()),
+            (gen, got) => prop_assert!(gen == 1 && got == live, "generation {}", gen),
         }
-
-        // Next tick: a complete generation that restores bit-exactly.
-        let report = store.backup_now().unwrap();
-        prop_assert!(report.chunks >= 1);
-        let gens = list_generations(&dest).unwrap();
-        prop_assert_eq!(gens.len(), 1);
-        prop_assert_eq!(gens[0].gen, report.gen);
-        let (got, rr) = restore_cells(&dest, i64::MAX, seed ^ 0x51);
-        prop_assert_eq!(&got, &cells_of(&store.scan().unwrap()));
-        prop_assert!(rr.conserved(), "{:?}", rr);
+        prop_assert!(view(&mut store) == live, "the live store moved");
+        let fresh = next_id(&out.dest);
+        prop_assert_eq!(store.backup_now().unwrap(), fresh);
+        let (gen, got) = restore(&out.dest, i64::MAX, seed).unwrap();
+        prop_assert!(gen == fresh && got == live);
     }
 }
 
-/// Restore-from-snapshot does real work: with a generation present, the
-/// restore copies chunks and replays only the archive tail beyond the
-/// fence, while an archive-only replay (`restore_replay_all`) walks every
-/// record. Both agree bit-exactly; the snapshot path replays strictly
-/// fewer records. This is the correctness half of the ≥5x bench gate.
-#[test]
-fn snapshot_restore_agrees_with_full_replay_and_replays_less() {
-    let primary = MemDisk::new(0x00C0_FFEE | 1);
-    let dest = MemDisk::new(0xBEEF | 1);
-    let (mut store, _) = TsStore::open(Arc::new(primary), manual_opts()).unwrap();
+// --------------------------------------------------- every crash point
+
+/// Cells of three series × two fields at `0..40` past `base`, with
+/// resends of earlier stamps; the values draw NaN and ±0.
+fn scripted(base: i64, seed: &mut u64) -> Vec<RowRecord> {
+    let mut rows = Vec::new();
+    for ts in 0..40 {
+        for s in 0..3 {
+            for f in 0..2 {
+                let ts = if ts % 4 == 0 {
+                    base - 5 + ts
+                } else {
+                    base + ts
+                };
+                rows.push(RowRecord::new(
+                    format!("s{s}"),
+                    format!("f{f}"),
+                    ts,
+                    ColumnValue::F64(value(seed)),
+                ));
+            }
+        }
+    }
+    rows
+}
+
+/// The scripted primary: a chunk and a memtable, optionally backed up
+/// as generation 0 (`previous`), then a second chunk and a memtable of
+/// resends. Returns the store, its backup disk (seed `seed`) and what
+/// the primary held at generation 0 (when taken) and now.
+fn scripted_primary(previous: bool, seed: u64) -> (TsStore, MemDisk, Option<Bits>, Bits) {
+    let dest = MemDisk::new(seed);
+    let (mut store, _) = TsStore::open(Arc::new(MemDisk::new(0x5C_21F7)), manual_opts()).unwrap();
     store
         .enable_backup(Arc::new(dest.clone()) as Arc<dyn Vfs>)
         .unwrap();
-    let mut seed = 7u64;
-    for b in 0..20u64 {
-        store.note_time((b as i64 + 1) * 1_000);
-        store.append_owned(batch(b, 4, &mut seed));
-        store.commit().unwrap();
-        if b % 4 == 3 {
-            store.flush().unwrap();
+    let mut values = 0xB4C0_u64;
+    store.append_owned(scripted(0, &mut values));
+    store.commit().unwrap();
+    store.flush().unwrap().unwrap();
+    store.append_owned(scripted(40, &mut values));
+    store.commit().unwrap();
+    let first = previous.then(|| {
+        let want = view(&mut store);
+        assert_eq!(store.backup_now().unwrap(), 0);
+        want
+    });
+    store.flush().unwrap().unwrap();
+    store.append_owned(scripted(80, &mut values));
+    store.append_owned(scripted(60, &mut values));
+    store.commit().unwrap();
+    let now = view(&mut store);
+    (store, dest, first, now)
+}
+
+/// Every crash point of one backup and of one restore, under every
+/// `FaultMode`, on the disks of each of a few seeds:
+///   * a backup crashed at its kth operation leaves the previous
+///     generation restorable bit-identically, or `NoBackup` when there
+///     was none; the next backup takes a fresh id and restores the
+///     primary bit-identically;
+///   * a restore crashed at its kth operation reports the crash, and
+///     running it again over what it left restores the new generation
+///     bit-identically.
+#[test]
+fn every_crash_point_of_a_backup_and_a_restore() {
+    const MODES: [FaultMode; 3] = [
+        FaultMode::CleanStop,
+        FaultMode::TornTail,
+        FaultMode::BitFlip,
+    ];
+    // Backup: create, append and sync two chunks, the log frame and the
+    // manifest. Restore: the same for the three files the manifest names.
+    let (mut store, dest, _, now) = scripted_primary(true, 1);
+    let before = dest.ops_done();
+    assert_eq!(store.backup_now().unwrap(), 1);
+    let n_backup = dest.ops_done() - before;
+    let target = MemDisk::new(1);
+    assert_eq!(restore_at(&dest, Arc::new(target.clone()), i64::MAX), Ok(1));
+    let n_restore = target.ops_done();
+    println!("backup_now: {n_backup} disk operations, restore_at: {n_restore}");
+    assert_eq!((n_backup, n_restore), (12, 9));
+    let (mut restored, _) = TsStore::open(Arc::new(target), manual_opts()).unwrap();
+    assert!(view(&mut restored) == now);
+
+    for seed in [1, 2, 3] {
+        for k in 1..=n_backup {
+            for mode in MODES {
+                for previous in [true, false] {
+                    let at = format!("seed {seed}, operation {k}, {mode:?}, previous {previous}");
+                    let (mut store, dest, first, now) = scripted_primary(previous, seed);
+                    dest.schedule_fault(FaultPlan {
+                        crash_at_op: dest.ops_done() + k,
+                        mode,
+                    });
+                    assert!(store.backup_now().is_err(), "{at}");
+                    dest.restart();
+                    let new = u64::from(previous);
+                    match (restore(&dest, i64::MAX, seed), first) {
+                        // A torn sync that persisted the whole manifest.
+                        (Ok((gen, got)), _) if gen == new => assert!(got == now, "{at}"),
+                        (Ok((0, got)), Some(first)) => assert!(got == first, "{at}"),
+                        (Err(BackupError::NoBackup), None) => {}
+                        (other, _) => panic!("{at}: {:?}", other.map(|(gen, _)| gen)),
+                    }
+                    let fresh = next_id(&dest);
+                    assert!(fresh > new || k == 1, "{at}: a torn id is never reused");
+                    assert_eq!(store.backup_now().unwrap(), fresh, "{at}");
+                    let (gen, got) = restore(&dest, i64::MAX, seed).unwrap();
+                    assert!(gen == fresh && got == now, "{at}");
+                }
+            }
         }
-        if b == 15 {
-            store.backup_now().unwrap();
+        for k in 1..=n_restore {
+            for mode in MODES {
+                let at = format!("seed {seed}, restore operation {k}, {mode:?}");
+                let (mut store, dest, _, now) = scripted_primary(true, seed);
+                store.backup_now().unwrap();
+                let target = MemDisk::new(seed);
+                let vfs: Arc<dyn Vfs> = Arc::new(target.clone());
+                target.schedule_fault(FaultPlan {
+                    crash_at_op: k,
+                    mode,
+                });
+                assert!(restore_at(&dest, vfs.clone(), i64::MAX).is_err(), "{at}");
+                target.restart();
+                assert_eq!(restore_at(&dest, vfs.clone(), i64::MAX), Ok(1), "{at}");
+                let (mut restored, _) = TsStore::open(vfs, manual_opts()).unwrap();
+                assert!(view(&mut restored) == now, "{at}");
+            }
         }
     }
-    let t = 21_000i64;
-    let scratch_a = MemDisk::new(3);
-    let snap = restore_at(&dest, Arc::new(scratch_a.clone()) as Arc<dyn Vfs>, t).unwrap();
-    let scratch_b = MemDisk::new(5);
-    let full = restore_replay_all(&dest, Arc::new(scratch_b.clone()) as Arc<dyn Vfs>, t).unwrap();
-    assert!(snap.gen.is_some(), "snapshot path must use the generation");
-    assert!(
-        full.gen.is_none(),
-        "replay-all path must ignore generations"
-    );
-    assert!(
-        snap.replayed_records < full.replayed_records,
-        "snapshot restore replayed {} records, full replay {}",
-        snap.replayed_records,
-        full.replayed_records
-    );
-    // The snapshot sits 4/5 into the stream, so the tail it replays is at
-    // most a fifth of the archive.
-    assert!(snap.replayed_records * 5 <= full.replayed_records);
-    let (mut a, _) = TsStore::open(Arc::new(scratch_a), manual_opts()).unwrap();
-    let (mut b, _) = TsStore::open(Arc::new(scratch_b), manual_opts()).unwrap();
-    assert_eq!(
-        cells_of(&a.scan().unwrap()),
-        cells_of(&b.scan().unwrap()),
-        "snapshot restore and full replay disagree"
-    );
-    assert!(snap.conserved() && full.conserved());
 }

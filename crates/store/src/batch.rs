@@ -372,12 +372,6 @@ impl Memtable {
         })
     }
 
-    /// Distinct `(series, field, timestamp)` cells held.
-    pub(crate) fn distinct_cells(&mut self) -> usize {
-        let distinct = |ts: &[i64]| 1 + ts.windows(2).filter(|w| w[0] != w[1]).count();
-        self.pairs().map(|pair| distinct(pair.ts)).sum()
-    }
-
     /// Everything held as one batch, each pair's cells in held order.
     pub(crate) fn to_batch(&self) -> WriteBatch {
         let mut batch = WriteBatch::default();
@@ -390,22 +384,6 @@ impl Memtable {
             }
         }
         batch
-    }
-
-    /// Drop every cell older than `cutoff`.
-    pub(crate) fn drop_before(&mut self, cutoff: i64) {
-        let mut left = 0;
-        self.series.retain(|_, fields| {
-            fields.retain(|_, (ts, values)| {
-                let mut stamps = ts.iter();
-                values.retain(|_| stamps.next().is_some_and(|&t| t >= cutoff));
-                ts.retain(|&t| t >= cutoff);
-                left += ts.len();
-                !ts.is_empty()
-            });
-            !fields.is_empty()
-        });
-        self.cells = left;
     }
 }
 
@@ -586,7 +564,7 @@ mod tests {
             9,
             ColumnValue::Bool(true),
         )]));
-        assert_eq!((m.cells(), m.distinct_cells()), (5, 4));
+        assert_eq!(m.cells(), 5);
         let held = pairs(&mut m);
         assert_eq!(held.len(), 2);
         assert_eq!((held[0].0.as_str(), held[1].0.as_str()), ("a", "s"));
@@ -597,10 +575,5 @@ mod tests {
         let mut again = Memtable::default();
         again.absorb(WriteBatch::decode(&m.to_batch().encode()).unwrap());
         assert_eq!(pairs(&mut again), held);
-        m.drop_before(4);
-        assert_eq!(m.cells(), 3);
-        assert_eq!(pairs(&mut m)[1].1, vec![5, 5]);
-        m.drop_before(100);
-        assert_eq!((m.cells(), pairs(&mut m).len()), (0, 0));
     }
 }

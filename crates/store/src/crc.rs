@@ -5,8 +5,8 @@
 //! input bytes per iteration, breaking the per-byte load-use dependency
 //! chain of the classic table walk. Same polynomial, same check values,
 //! roughly 3-4x the throughput — this sits on the ingest path (WAL
-//! framing), the flush path (chunk checksums), and the backup archiver,
-//! so it is the single hottest routine in the store.
+//! framing) and the flush path (chunk checksums), so it is the single
+//! hottest routine in the store.
 
 /// Lazily built slicing-by-8 tables for the reflected polynomial
 /// `0xEDB88320`. `tables()[0]` is the classic byte-at-a-time table;
@@ -39,14 +39,10 @@ fn tables() -> &'static [[u32; 256]; 8] {
     })
 }
 
-/// Start a streaming CRC32 (pair with [`crc32_update`] / [`crc32_finish`]).
-pub(crate) fn crc32_init() -> u32 {
-    0xFFFF_FFFF
-}
-
-/// Fold `data` into a streaming CRC32 state from [`crc32_init`].
-pub(crate) fn crc32_update(mut c: u32, data: &[u8]) -> u32 {
+/// CRC32 of `data` (standard init/final XOR with `0xFFFFFFFF`).
+pub fn crc32(data: &[u8]) -> u32 {
     let t = tables();
+    let mut c = 0xFFFF_FFFFu32;
     let mut chunks = data.chunks_exact(8);
     for ch in &mut chunks {
         let lo = u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]) ^ c;
@@ -63,17 +59,7 @@ pub(crate) fn crc32_update(mut c: u32, data: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    c
-}
-
-/// Finish a streaming CRC32 state into the checksum value.
-pub(crate) fn crc32_finish(c: u32) -> u32 {
     c ^ 0xFFFF_FFFF
-}
-
-/// CRC32 of `data` (standard init/final XOR with `0xFFFFFFFF`).
-pub fn crc32(data: &[u8]) -> u32 {
-    crc32_finish(crc32_update(crc32_init(), data))
 }
 
 #[cfg(test)]
@@ -108,16 +94,6 @@ mod tests {
                 c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
             }
             assert_eq!(crc32(&data[..len]), c ^ 0xFFFF_FFFF, "len {len}");
-        }
-    }
-
-    #[test]
-    fn streaming_split_agrees_with_one_shot() {
-        let data: Vec<u8> = (0u32..100).map(|i| (i * 13 + 5) as u8).collect();
-        for split in [0, 1, 7, 8, 9, 50, 99, 100] {
-            let c = crc32_update(crc32_init(), &data[..split]);
-            let c = crc32_update(c, &data[split..]);
-            assert_eq!(crc32_finish(c), crc32(&data), "split {split}");
         }
     }
 }

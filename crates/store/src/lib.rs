@@ -5,7 +5,7 @@
 //! immutable TSM-style chunks (delta-of-delta timestamps, Gorilla XOR
 //! floats), compaction with last-write-wins dedup and retention-cutoff
 //! drops, crash recovery that tolerates torn tails and bit flips,
-//! background scrubbing, and online backups with point-in-time restore.
+//! background scrubbing, and verified backup copies.
 //!
 //! Every byte goes through the [`Vfs`] trait. Its implementation is
 //! [`MemDisk`], a seeded fault-injecting in-memory disk layered on the
@@ -25,7 +25,8 @@
 //! - `merge` — the block-merge kernel under flush, compaction and scan
 //! - `store` — the engine tying them together ([`TsStore`])
 //! - `scrub` / `backup` — background integrity verification
-//!   ([`Scrubber`]) and backups with point-in-time restore ([`restore_at`])
+//!   ([`Scrubber`]) and verified copies onto a second disk, restored by
+//!   [`restore_at`]
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
@@ -43,7 +44,7 @@ mod store;
 mod vfs;
 mod wal;
 
-pub use backup::{list_generations, restore_at, restore_replay_all, BackupError, RestoreReport};
+pub use backup::{restore_at, BackupError};
 pub use batch::WriteBatch;
 pub use chunk::{chunk_name, Block, ChunkInfo};
 pub use error::StoreError;

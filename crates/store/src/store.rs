@@ -22,7 +22,7 @@
 //! wall clock — so the `pmove.self.wal.*` / `pmove.self.compaction.*`
 //! telemetry is bit-reproducible across runs and hosts.
 
-use crate::backup::{BackupAttach, BackupReport, BackupState, BackupStats};
+use crate::backup::Generation;
 use crate::batch::{Memtable, WriteBatch};
 use crate::chunk::{
     check_chunk, chunk_name, index_chunk, parse_chunk_name, probe_chunk, write_blocks, Block,
@@ -32,7 +32,7 @@ use crate::error::{StoreError, StoreResult};
 use crate::merge::{merge_blocks, Layer, MergeError};
 use crate::row::RowRecord;
 use crate::vfs::Vfs;
-use crate::wal::{scan_frames, CommitInfo, Wal};
+use crate::wal::{frames, scan_frames, CommitInfo, Wal};
 use pmove_hwsim::disk::DiskSpec;
 use pmove_obs::{latency_buckets, Counter, Gauge, Histogram, Registry};
 use std::collections::BTreeMap;
@@ -102,7 +102,7 @@ pub enum DetectionSite {
     Compact,
     /// The background scrubber.
     Scrub,
-    /// A backup job verifying a chunk before copying it out.
+    /// A backup verifying a chunk before copying it out.
     Backup,
 }
 
@@ -219,15 +219,6 @@ pub struct StoreObs {
     scrub_wal_rewrites: Counter,
     scrub_full_passes: Counter,
     scrub_last_full_pass: Gauge,
-    backup_generations: Counter,
-    backup_chunks_copied: Counter,
-    backup_bytes_copied: Counter,
-    backup_chunks_skipped: Counter,
-    backup_errors: Counter,
-    backup_archive_records: Counter,
-    backup_archive_bytes: Counter,
-    backup_archive_errors: Counter,
-    backup_last_success: Gauge,
 }
 
 impl StoreObs {
@@ -265,15 +256,6 @@ impl StoreObs {
             scrub_wal_rewrites: registry.counter("store.scrub.wal_rewrites", l),
             scrub_full_passes: registry.counter("store.scrub.full_passes", l),
             scrub_last_full_pass: registry.gauge("store.scrub.last_full_pass", l),
-            backup_generations: registry.counter("store.backup.generations", l),
-            backup_chunks_copied: registry.counter("store.backup.chunks_copied", l),
-            backup_bytes_copied: registry.counter("store.backup.bytes_copied", l),
-            backup_chunks_skipped: registry.counter("store.backup.chunks_skipped", l),
-            backup_errors: registry.counter("store.backup.errors", l),
-            backup_archive_records: registry.counter("store.backup.archive_records", l),
-            backup_archive_bytes: registry.counter("store.backup.archive_bytes", l),
-            backup_archive_errors: registry.counter("store.backup.archive_errors", l),
-            backup_last_success: registry.gauge("store.backup.last_success", l),
         }
     }
 }
@@ -296,14 +278,8 @@ pub struct TsStore {
     next_seq: u64,
     /// Every chunk quarantined over this store's lifetime (boot included).
     quarantined: Vec<QuarantinedChunk>,
-    /// Archive + snapshot machinery, present when backups are enabled.
-    bk: Option<BackupState>,
-    /// Backup stats already mirrored into `obs` (delta tracking).
-    bk_synced: BackupStats,
-    /// Virtual-clock stamp from [`TsStore::note_time`]; kept on the store
-    /// (not just the backup state) so an archiver attached after a
-    /// restart resumes at the caller's clock, never at 0.
-    vts: i64,
+    /// The backup disk, once [`TsStore::enable_backup`] named one.
+    backup: Option<Arc<dyn Vfs>>,
     obs: StoreObs,
 }
 
@@ -405,9 +381,7 @@ impl TsStore {
                 chunks,
                 next_seq,
                 quarantined,
-                bk: None,
-                bk_synced: BackupStats::default(),
-                vts: 0,
+                backup: None,
                 obs,
             },
             report,
@@ -422,9 +396,6 @@ impl TsStore {
         }
         let payload = batch.encode();
         self.wal.append(&payload);
-        if let Some(bk) = &mut self.bk {
-            bk.stage(payload);
-        }
         self.obs.wal_records_appended.add(batch.cells() as u64);
         self.staged.push(batch);
     }
@@ -459,19 +430,12 @@ impl TsStore {
         for batch in self.staged.drain(..) {
             self.memtable.absorb(batch);
         }
-        if let Some(bk) = &mut self.bk {
-            // Archive only what the primary acknowledged; archival lag
-            // (a slow or crashed backup disk) never fails the commit: a
-            // failed write leaves the backlog pending for the next one.
-            bk.archive_pending();
-        }
         if info.records > 0 {
             let obs = &self.obs;
             obs.wal_commits.inc();
             obs.wal_bytes_committed.add(info.bytes);
             obs.wal_commit_ns.record(self.modeled_commit_ns(info.bytes));
         }
-        self.sync_backup_obs();
         if self.memtable.cells() >= self.opts.flush_threshold_rows {
             self.flush()?;
         }
@@ -479,9 +443,20 @@ impl TsStore {
     }
 
     /// Freeze the memtable into a new immutable chunk and truncate the
-    /// WAL. The chunk is written and synced *before* the reset, so a
-    /// crash in between duplicates rows instead of losing them.
+    /// WAL, then compact when the chunk count reaches
+    /// `compact_min_chunks`.
     pub fn flush(&mut self) -> StoreResult<Option<ChunkInfo>> {
+        let info = self.flush_memtable()?;
+        if info.is_some() && self.chunks.len() >= self.opts.compact_min_chunks {
+            self.compact(None)?;
+        }
+        Ok(info)
+    }
+
+    /// [`TsStore::flush`] without the compaction. The chunk is written
+    /// and synced *before* the WAL reset, so a crash in between
+    /// duplicates rows instead of losing them.
+    fn flush_memtable(&mut self) -> StoreResult<Option<ChunkInfo>> {
         if self.memtable.cells() == 0 {
             return Ok(None);
         }
@@ -494,17 +469,11 @@ impl TsStore {
         self.wal.reset()?;
         self.memtable = Memtable::default();
         self.next_seq += 1;
-        if let Some(bk) = &mut self.bk {
-            bk.on_flush();
-        }
         self.obs.compaction_snapshots.inc();
         self.obs.wal_resets.inc();
         self.obs
             .compaction_flush_ns
             .record((self.spec.write_time(info.bytes, IO_BLOCK_SIZE) * 1e9) as u64);
-        if self.chunks.len() >= self.opts.compact_min_chunks {
-            self.compact(None)?;
-        }
         Ok(Some(info))
     }
 
@@ -529,14 +498,8 @@ impl TsStore {
             })?;
         let written = writer.finish(self.vfs.as_ref(), stats.rows_in)?;
         // Only after the merged chunk is durable do the inputs go away.
-        // Inputs pinned by an in-progress backup job outlive the merge:
-        // the snapshot fenced them, so their bytes must stay readable
-        // until the job's manifest lands (or the job aborts).
         for old in std::mem::take(&mut self.chunks).into_keys() {
-            match self.bk.as_mut().filter(|bk| bk.is_pinned(old)) {
-                Some(bk) => bk.defer_delete(chunk_name(old)),
-                None => self.vfs.remove(&chunk_name(old))?,
-            }
+            self.vfs.remove(&chunk_name(old))?;
         }
         let bytes_after = written.as_ref().map_or(0, |info| info.bytes);
         if let Some(info) = &written {
@@ -569,10 +532,12 @@ impl TsStore {
         Ok(Some(report))
     }
 
-    /// Drop every durable row older than `cutoff` (used by retention
-    /// enforcement); compacts regardless of chunk count.
+    /// Drop every acknowledged row older than `cutoff` (used by
+    /// retention enforcement): the memtable is flushed first, so the
+    /// expired cells leave the WAL too and a reopen cannot replay them,
+    /// then every chunk is compacted under the cutoff.
     pub fn enforce_retention(&mut self, cutoff: i64) -> StoreResult<Option<CompactionReport>> {
-        self.memtable.drop_before(cutoff);
+        self.flush_memtable()?;
         self.compact(Some(cutoff))
     }
 
@@ -713,12 +678,7 @@ impl TsStore {
         };
         self.obs.scrub_bytes_verified.add(raw.len() as u64);
         if corrupt_frames > 0 {
-            let payloads = if self.memtable.cells() == 0 {
-                Vec::new()
-            } else {
-                vec![self.memtable.to_batch().encode()]
-            };
-            self.wal.rewrite(&payloads)?;
+            self.wal.rewrite(&self.memtable_payloads())?;
             out.rows_rewritten = self.memtable.cells() as u64;
             self.obs.scrub_corruptions.inc();
             self.obs.scrub_wal_rewrites.inc();
@@ -726,166 +686,52 @@ impl TsStore {
         Ok(out)
     }
 
-    // ------------------------------------------------------------ backup
-
-    /// Enable backups: attach the archiver to `dest` (its own [`Vfs`] —
-    /// a separate disk, so primary disasters never touch the backups)
-    /// and re-archive the live WAL contents so rows committed before
-    /// enablement, or recovered across a crash, are covered.
-    pub fn enable_backup(&mut self, dest: Arc<dyn Vfs>) -> StoreResult<BackupAttach> {
-        let vts = self.bk.as_ref().map_or(self.vts, |bk| bk.vts.max(self.vts));
-        let (payloads, _, _) = scan_frames(&self.wal.raw_bytes()?);
-        let (bk, attach) = BackupState::attach(dest, vts, &payloads)?;
-        self.bk = Some(bk);
-        self.sync_backup_obs();
-        Ok(attach)
-    }
-
-    /// Running backup/archive totals, when backups are enabled.
-    pub fn backup_stats(&self) -> Option<BackupStats> {
-        self.bk.as_ref().map(|bk| bk.stats())
-    }
-
-    /// Advance the store's virtual clock (monotonic); archived records
-    /// and snapshot fences are stamped with this timestamp.
-    pub fn note_time(&mut self, vts: i64) {
-        self.vts = self.vts.max(vts);
-        if let Some(bk) = &mut self.bk {
-            bk.note_time(vts);
+    /// The memtable's acknowledged cells as WAL payloads: one frame's
+    /// worth, or none when it is empty.
+    fn memtable_payloads(&self) -> Vec<Vec<u8>> {
+        match self.memtable.cells() {
+            0 => Vec::new(),
+            _ => vec![self.memtable.to_batch().encode()],
         }
     }
 
-    /// Begin an online snapshot generation: fence the archive at the
-    /// current sequence, pin the live chunk set against compaction, and
-    /// return the generation id. Writes continue concurrently.
-    pub(crate) fn backup_begin(&mut self) -> StoreResult<u64> {
-        let seqs = self.chunk_seqs();
-        let bk = self
-            .bk
-            .as_mut()
-            .ok_or_else(|| StoreError::Io("backups not enabled".into()))?;
-        bk.begin_job(&seqs)
+    // ------------------------------------------------------------ backup
+
+    /// Send backups to `dest`, its own [`Vfs`]: a separate disk, so a
+    /// primary disaster never takes the backups with it.
+    pub fn enable_backup(&mut self, dest: Arc<dyn Vfs>) -> StoreResult<()> {
+        self.backup = Some(dest);
+        Ok(())
     }
 
-    /// Copy up to `max_chunks` pending chunks of the active snapshot job
-    /// into its generation, verifying each chunk's CRC on the way out.
-    /// A chunk that fails verification is quarantined (the job skips it
-    /// and the loss is accounted like any other quarantine). Returns
-    /// `true` when every chunk has been processed.
-    pub(crate) fn backup_step(&mut self, max_chunks: usize) -> StoreResult<bool> {
-        for _ in 0..max_chunks {
-            let Some(seq) = self
-                .bk
-                .as_mut()
-                .ok_or_else(|| StoreError::Io("backups not enabled".into()))?
-                .job_todo_pop()
-            else {
-                return Ok(true);
-            };
+    /// Copy the store into a new generation on the backup disk, which
+    /// [`crate::restore_at`] restores, and return its id. Every live
+    /// chunk is verified on the way out; a damaged one is quarantined at
+    /// `DetectionSite::Backup` and the generation goes on without it.
+    /// The memtable's acknowledged cells go as one WAL frame and the
+    /// manifest last, so on any error the generation stays torn and
+    /// restore never sees it.
+    pub fn backup_now(&mut self) -> StoreResult<u64> {
+        let dest = self
+            .backup
+            .clone()
+            .ok_or_else(|| StoreError::Io("backups not enabled".into()))?;
+        let mut gen = Generation::begin(dest.as_ref())?;
+        for seq in self.chunk_seqs() {
             let name = chunk_name(seq);
-            let data = match self.vfs.read(&name) {
-                Ok(d) => d,
-                Err(StoreError::DiskCrashed) => return Err(StoreError::DiskCrashed),
-                Err(_) => {
-                    // Quarantined (or otherwise gone) mid-job: the
-                    // generation proceeds without it.
-                    self.bk.as_mut().expect("checked above").job_skip_chunk();
-                    continue;
-                }
-            };
+            let data = self.vfs.read(&name)?;
             match check_chunk(&name, &data) {
-                Ok(ChunkSummary { rows, .. }) => {
-                    let res = self
-                        .bk
-                        .as_mut()
-                        .expect("checked above")
-                        .job_copy_chunk(seq, &data, rows);
-                    self.sync_backup_obs();
-                    res?;
-                }
+                Ok(_) => gen.copy(&name, &data)?,
                 Err(_) => {
-                    // The live chunk itself is damaged: quarantine it
-                    // (if still live) and continue the generation over
-                    // the survivors.
-                    if self.chunks.contains_key(&seq) {
-                        self.quarantine(seq, &data, DetectionSite::Backup)?;
-                    }
-                    self.bk.as_mut().expect("checked above").job_skip_chunk();
+                    self.quarantine(seq, &data, DetectionSite::Backup)?;
                 }
             }
         }
-        Ok(self.bk.as_ref().is_some_and(|bk| bk.job_todo_is_empty()))
-    }
-
-    /// Write the active job's manifest — the commit point of the whole
-    /// generation — release the pins, and apply deferred deletions.
-    pub(crate) fn backup_finish(&mut self) -> StoreResult<BackupReport> {
-        let bk = self
-            .bk
-            .as_mut()
-            .ok_or_else(|| StoreError::Io("backups not enabled".into()))?;
-        let (report, deferred) = bk.finish_job()?;
-        self.obs.backup_generations.inc();
-        self.obs.backup_last_success.set(report.fence_vts as f64);
-        for name in deferred {
-            // Best-effort: these were compaction inputs the pin kept
-            // alive; failing to delete them costs bytes, not safety.
-            let _ = self.vfs.remove(&name);
+        let payloads = self.memtable_payloads();
+        if !payloads.is_empty() {
+            gen.copy(WAL_FILE, &frames(&payloads))?;
         }
-        self.sync_backup_obs();
-        Ok(report)
-    }
-
-    /// Abandon the active snapshot job (pins released, generation id
-    /// burned, torn files left without a manifest — invisible to
-    /// restore).
-    pub(crate) fn backup_abort(&mut self) {
-        let deferred = match &mut self.bk {
-            Some(bk) => bk.abort_job(),
-            None => Vec::new(),
-        };
-        for name in deferred {
-            let _ = self.vfs.remove(&name);
-        }
-        self.sync_backup_obs();
-    }
-
-    /// One-shot convenience: begin, copy every chunk, and finish a
-    /// snapshot generation. On any error the job is aborted — the torn
-    /// generation has no manifest and can never be restored from.
-    pub fn backup_now(&mut self) -> StoreResult<BackupReport> {
-        self.backup_begin()?;
-        let res = (|| -> StoreResult<BackupReport> {
-            while !self.backup_step(usize::MAX)? {}
-            self.backup_finish()
-        })();
-        if res.is_err() {
-            self.backup_abort();
-        }
-        res
-    }
-
-    /// Mirror backup stat deltas into the metric handles.
-    fn sync_backup_obs(&mut self) {
-        let Some(bk) = &self.bk else {
-            return;
-        };
-        let (now, obs) = (bk.stats(), &self.obs);
-        let was = self.bk_synced;
-        obs.backup_chunks_copied
-            .add(now.chunks_copied - was.chunks_copied);
-        obs.backup_bytes_copied
-            .add(now.bytes_copied - was.bytes_copied);
-        obs.backup_chunks_skipped
-            .add(now.chunks_skipped - was.chunks_skipped);
-        obs.backup_errors.add(now.backup_errors - was.backup_errors);
-        obs.backup_archive_records
-            .add(now.records_archived - was.records_archived);
-        obs.backup_archive_bytes
-            .add(now.bytes_archived - was.bytes_archived);
-        obs.backup_archive_errors
-            .add(now.archive_errors - was.archive_errors);
-        self.bk_synced = now;
+        gen.finish()
     }
 
     /// Record a completed full-store scrub pass at virtual time `now_s`
@@ -939,7 +785,6 @@ impl std::fmt::Debug for TsStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backup::{restore_at, segment_name, BackupError};
     use crate::crc::crc32;
     use crate::encode::{encode_timestamps, put_bytes, put_ivarint, put_uvarint};
     use crate::memdisk::{FaultMode, FaultPlan, MemDisk};
@@ -997,18 +842,6 @@ mod tests {
             assert_eq!(
                 store.scan().unwrap(),
                 vec![row("s", "f", 1, 1.0), row("s", "f", 2, 2.0)]
-            );
-
-            // As archive record 1 (`seq | vts | payload`) the same bytes
-            // are a typed restore refusal, not a shorter history.
-            let archive = MemDisk::new(seed);
-            let record = [&1u64.to_le_bytes()[..], &0i64.to_le_bytes(), bad].concat();
-            put_frames(&archive, &segment_name(0), &[&record]);
-            let target: Arc<dyn Vfs> = Arc::new(MemDisk::new(seed));
-            let err = restore_at(&archive, target, i64::MAX).unwrap_err();
-            assert!(
-                matches!(err, BackupError::ArchiveDecode { seq: 1 }),
-                "got {err:?}"
             );
         }
     }
@@ -1322,9 +1155,15 @@ mod tests {
                     assert!(matches!(out, VerifyOutcome::Quarantined(_)));
                 }
                 DetectionSite::Backup => {
-                    store.enable_backup(Arc::new(MemDisk::new(112))).unwrap();
-                    let report = store.backup_now().unwrap();
-                    assert_eq!(report.chunks, 1);
+                    let dest = MemDisk::new(112);
+                    store.enable_backup(Arc::new(dest.clone())).unwrap();
+                    assert_eq!(store.backup_now().unwrap(), 0);
+                    // The generation holds the survivor alone.
+                    let copied = dest.list().unwrap();
+                    assert_eq!(
+                        copied,
+                        ["gen-00000000/chunk-00000001.tsm", "gen-00000000/manifest"]
+                    );
                 }
             }
             assert_eq!(

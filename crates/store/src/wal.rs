@@ -77,6 +77,18 @@ pub(crate) fn scan_frames(data: &[u8]) -> (Vec<Vec<u8>>, usize, u64) {
     (payloads, pos, corrupt)
 }
 
+/// `payloads` framed as [`Wal::append`] frames them, one after another:
+/// the bytes of a log holding exactly those records.
+pub(crate) fn frames(payloads: &[Vec<u8>]) -> Vec<u8> {
+    let mut framed = Vec::new();
+    for p in payloads {
+        framed.extend_from_slice(&(p.len() as u32).to_le_bytes());
+        framed.extend_from_slice(&crc32(p).to_le_bytes());
+        framed.extend_from_slice(p);
+    }
+    framed
+}
+
 /// The write-ahead log over one [`Vfs`] file.
 pub struct Wal {
     vfs: Arc<dyn Vfs>,
@@ -174,12 +186,7 @@ impl Wal {
     /// already-durable frame. Buffered-but-uncommitted records are
     /// preserved for the next commit, exactly like `Wal::reset`.
     pub fn rewrite(&mut self, payloads: &[Vec<u8>]) -> StoreResult<()> {
-        let mut framed = Vec::new();
-        for p in payloads {
-            framed.extend_from_slice(&(p.len() as u32).to_le_bytes());
-            framed.extend_from_slice(&crc32(p).to_le_bytes());
-            framed.extend_from_slice(p);
-        }
+        let framed = frames(payloads);
         self.file = self.vfs.create(&self.name)?;
         if !framed.is_empty() {
             self.file.append(&framed)?;

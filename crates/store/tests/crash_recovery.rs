@@ -625,8 +625,7 @@ fn kernel_case(seed: u64, writes: Writes) -> bool {
     let (mut store, _) = TsStore::open(vfs.clone(), opts).unwrap();
     // The model: live chunks as cell maps, the memtable in write order,
     // and what the log holds — every commit since the last flush,
-    // which is what a reopen replays (cells retention dropped from
-    // the memtable alone come back with it).
+    // which is what a reopen replays.
     let mut chunks: BTreeMap<u64, Cells> = BTreeMap::new();
     let mut memtable: Vec<RowRecord> = Vec::new();
     let mut log: Vec<RowRecord> = Vec::new();
@@ -719,12 +718,20 @@ fn kernel_case(seed: u64, writes: Writes) -> bool {
                 log.clear();
             }
         } else {
+            if cutoff.is_some() && !memtable.is_empty() {
+                // Retention flushes the memtable first, so the cells it
+                // expires leave the log too and no reopen replays them.
+                let mut cells = Cells::new();
+                lww_into(&mut cells, &memtable);
+                chunks.insert(next_seq, cells);
+                own.insert(next_seq);
+                next_seq += 1;
+                memtable.clear();
+                log.clear();
+            }
             partial |= takes_partial_prefix(&chunks, &own, cutoff);
             let report = match cutoff {
-                Some(cut) => {
-                    memtable.retain(|r| r.ts >= cut);
-                    store.enforce_retention(cut).unwrap()
-                }
+                Some(cut) => store.enforce_retention(cut).unwrap(),
                 None => store.compact(None).unwrap(),
             };
             let runs = !chunks.is_empty() && (chunks.len() >= 2 || cutoff.is_some());

@@ -23,8 +23,7 @@ use crate::value::FieldValue;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use pmove_obs::{Counter, Histogram, Registry, Span};
 use pmove_store::{
-    Block, ChunkInfo, ColumnValue, RecoveryReport, RestoreReport, StoreObs, StoreOptions, TsStore,
-    Vfs,
+    Block, ChunkInfo, ColumnValue, RecoveryReport, StoreObs, StoreOptions, TsStore, Vfs,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -124,11 +123,6 @@ struct EngineObs {
     rollup_queries_routed: Counter,
     rollup_buckets_tier: Counter,
     rollup_buckets_raw: Counter,
-    // Point-in-time restore accounting.
-    restore_runs: Counter,
-    restore_rows: Counter,
-    restore_replayed_records: Counter,
-    restore_dedup_rows: Counter,
 }
 
 impl EngineObs {
@@ -172,10 +166,6 @@ impl EngineObs {
             rollup_queries_routed: c("tsdb.rollup.queries_routed"),
             rollup_buckets_tier: c("tsdb.rollup.buckets_tier"),
             rollup_buckets_raw: c("tsdb.rollup.buckets_raw"),
-            restore_runs: c("tsdb.restore.runs"),
-            restore_rows: c("tsdb.restore.rows_restored"),
-            restore_replayed_records: c("tsdb.restore.records_replayed"),
-            restore_dedup_rows: c("tsdb.restore.rows_deduped"),
             registry,
         }
     }
@@ -390,47 +380,13 @@ impl Database {
     }
 
     /// The durable store behind this database, locked — scrubbing,
-    /// backups, compaction and the quarantine record are called on it
-    /// directly (`db.store()?.backup_now()`). `None` when memory-only.
+    /// compaction and the quarantine record are called on it directly
+    /// (`scrubber.tick(&mut db.store()?, now_s)`). `None` when
+    /// memory-only.
     /// Hold the guard for one statement only: every `Database` method
     /// that touches the store takes the same lock.
     pub fn store(&self) -> Option<MutexGuard<'_, TsStore>> {
         self.store.as_ref().map(|s| s.lock())
-    }
-
-    /// Point-in-time restore: rebuild this database from the backup at
-    /// `src`. The newest snapshot generation with `fence_vts <= t_vts` is
-    /// loaded into `target` and archived WAL records up to `t_vts` are
-    /// replayed on top, every CRC verified — a typed
-    /// [`TsdbError::Backup`] refusal on any gap or corruption, never a
-    /// silently-wrong restore. On success the attached store is replaced,
-    /// series and rollup tiers are rebuilt from the restored bytes, and
-    /// every measurement's write version is bumped so the query cache can
-    /// never serve pre-restore rows.
-    pub fn restore_at(
-        &mut self,
-        src: &dyn Vfs,
-        target: Arc<dyn Vfs>,
-        opts: StoreOptions,
-        t_vts: i64,
-    ) -> Result<RestoreReport, TsdbError> {
-        let report = pmove_store::restore_at(src, Arc::clone(&target), t_vts)?;
-        // The restored store deliberately gets no per-store `store.*`
-        // metrics: registering a StoreObs would publish a zero-valued
-        // `store.scrub.last_full_pass` heartbeat gauge under this
-        // database's label, and the scrub-staleness SLO alerts on the
-        // *oldest* matching label set — a restore into a scratch database
-        // would page it. The restore itself is accounted by the
-        // `tsdb.restore.*` counters.
-        let store = TsStore::open(target, opts)?.0;
-        self.store = Some(Mutex::new(store));
-        self.rebuild_from_store()?;
-        let obs = &self.obs;
-        obs.restore_runs.inc();
-        obs.restore_rows.add(report.restored_rows);
-        obs.restore_replayed_records.add(report.replayed_records);
-        obs.restore_dedup_rows.add(report.dedup_rows);
-        Ok(report)
     }
 
     /// Number of stored cells (series × timestamp × field triples) — the
@@ -1065,30 +1021,37 @@ mod tests {
 
     #[test]
     fn retention_enforcement_reaches_disk() {
-        let vfs: Arc<dyn Vfs> = Arc::new(pmove_store::MemDisk::new(3));
-        let opts = StoreOptions {
-            flush_threshold_rows: 1_000_000,
-            compact_min_chunks: 1_000_000,
-        };
-        let (db, _) = Database::open("test", vfs.clone(), opts).unwrap();
-        db.set_retention(10).unwrap();
-        for t in 0..20 {
-            db.write_point(pt(t, t as f64)).unwrap();
+        // Flushed first or still in the memtable and the WAL, expired
+        // cells must leave disk: a reopen replays the WAL.
+        for (seed, flush_first) in [(3, true), (5, false)] {
+            let vfs: Arc<dyn Vfs> = Arc::new(pmove_store::MemDisk::new(seed));
+            let opts = StoreOptions {
+                flush_threshold_rows: 1_000_000,
+                compact_min_chunks: 1_000_000,
+            };
+            let (db, _) = Database::open("test", vfs.clone(), opts).unwrap();
+            db.set_retention(10).unwrap();
+            for t in 0..20 {
+                db.write_point(pt(t, t as f64)).unwrap();
+            }
+            if flush_first {
+                db.flush().unwrap();
+            }
+            let removed = db.enforce_retention(20).unwrap();
+            assert_eq!(removed, 10);
+            // Queries after enforcement see only in-window points...
+            let r = db.query("SELECT \"v\" FROM \"m\"").unwrap();
+            assert_eq!(r.rows.len(), 10);
+            assert_eq!(r.rows[0].values["v"], Some(10.0));
+            // ...and so does a cold reopen: the expired cells are gone
+            // from the chunk set and the log, not just from memory.
+            drop(db);
+            let (db, report) = Database::open("test", vfs, opts).unwrap();
+            let r = db.query("SELECT \"v\" FROM \"m\"").unwrap();
+            assert_eq!(r.rows.len(), 10, "flushed first: {flush_first}");
+            assert_eq!(r.rows[0].values["v"], Some(10.0));
+            assert_eq!((report.chunks_loaded, report.wal_rows), (1, 0));
         }
-        db.flush().unwrap();
-        let removed = db.enforce_retention(20).unwrap();
-        assert_eq!(removed, 10);
-        // Queries after enforcement see only in-window points...
-        let r = db.query("SELECT \"v\" FROM \"m\"").unwrap();
-        assert_eq!(r.rows.len(), 10);
-        assert_eq!(r.rows[0].values["v"], Some(10.0));
-        // ...and so does a cold reopen: the expired cells are gone from
-        // the chunk set, not just from memory.
-        drop(db);
-        let (db, _) = Database::open("test", vfs, opts).unwrap();
-        let r = db.query("SELECT \"v\" FROM \"m\"").unwrap();
-        assert_eq!(r.rows.len(), 10);
-        assert_eq!(r.rows[0].values["v"], Some(10.0));
     }
 
     #[test]

@@ -19,11 +19,6 @@ pub enum TsdbError {
     /// The replication layer failed: invalid quorum configuration or a
     /// quorum that cannot currently be assembled.
     Replication(String),
-    /// A backup or point-in-time restore was refused: missing generation,
-    /// manifest/chunk/archive corruption, or an archive sequence gap. The
-    /// typed cause is preserved so callers can distinguish "nothing to
-    /// restore" from "backup bytes are damaged".
-    Backup(pmove_store::BackupError),
     /// A retention keep duration that is not positive.
     InvalidRetention(i64),
 }
@@ -31,12 +26,6 @@ pub enum TsdbError {
 impl From<pmove_store::StoreError> for TsdbError {
     fn from(e: pmove_store::StoreError) -> Self {
         TsdbError::Storage(e.to_string())
-    }
-}
-
-impl From<pmove_store::BackupError> for TsdbError {
-    fn from(e: pmove_store::BackupError) -> Self {
-        TsdbError::Backup(e)
     }
 }
 
@@ -49,7 +38,6 @@ impl fmt::Display for TsdbError {
             TsdbError::UnknownMeasurement(m) => write!(f, "unknown measurement: {m}"),
             TsdbError::Storage(msg) => write!(f, "storage engine error: {msg}"),
             TsdbError::Replication(msg) => write!(f, "replication error: {msg}"),
-            TsdbError::Backup(e) => write!(f, "backup error: {e}"),
             TsdbError::InvalidRetention(keep) => {
                 write!(f, "retention keep must be positive, got {keep}")
             }
