@@ -20,10 +20,10 @@ const FIG9_GOLDEN: &str = include_str!("../../../docs/results/fig9.txt");
 /// the captured reference output, audit line included.
 #[test]
 fn table3_output_matches_captured_golden() {
-    assert!(matches!(
-        Database::new("probe").exec_mode(),
-        ExecMode::Parallel(_)
-    ));
+    // The default mode is the parallel executor; `pmove-tsdb`'s
+    // `a_database_starts_in_the_parallel_mode` pins that a database
+    // starts in it.
+    assert!(matches!(ExecMode::default(), ExecMode::Parallel(_)));
     let (rows, audit) = pmove_bench::table3::run_audited();
     let n = audit.verify().expect("audit balances");
     let text = format!(

@@ -13,6 +13,7 @@ use crate::kb::observation::{AggObservation, ObservationInterface};
 use crate::kb::{store, KnowledgeBase};
 use pmove_docdb::Database as DocDb;
 use pmove_tsdb::aggregate::Summary;
+use pmove_tsdb::query::Projection;
 use pmove_tsdb::{Database as TsDb, Point, Query};
 use serde_json::json;
 
@@ -222,8 +223,19 @@ impl SuperDb {
         measurement: &str,
         field: &str,
     ) -> Result<Vec<(i64, f64)>, PmoveError> {
-        let q = Query::parse(&format!("SELECT \"{field}\" FROM \"{measurement}\""))?;
-        Ok(self.ts.query_frame(&q)?.column_series(field))
+        // Built, not parsed: any name is one field of one measurement, so
+        // the answer is exactly that one column.
+        let q = Query {
+            projections: vec![Projection::Field(field.to_string())],
+            measurement: measurement.to_string(),
+            tag_filters: Vec::new(),
+            time_start: None,
+            time_end: None,
+            group_by_time: None,
+        };
+        let frame = self.ts.query_frame(&q)?;
+        let cells = frame.ts.iter().zip(&frame.cols[0]);
+        Ok(cells.filter_map(|(&ts, v)| v.map(|x| (ts, x))).collect())
     }
 }
 
@@ -284,6 +296,14 @@ mod tests {
         assert_eq!(stored, 5);
         let got = s.download_training_series("m", "_cpu0").unwrap();
         assert_eq!(got.len(), 5);
+        // A name that would break out of a query's quotes is still the
+        // one field asked for.
+        for t in 0..3 {
+            let p = Point::new("m").field("a\", \"_cpu0", 7.0).timestamp(t);
+            s.ts.write_point(p).unwrap();
+        }
+        let got = s.download_training_series("m", "a\", \"_cpu0").unwrap();
+        assert_eq!(got, vec![(0, 7.0), (1, 7.0), (2, 7.0)]);
         // The machine tag is stamped.
         let tagged =
             s.ts.query("SELECT \"_cpu0\" FROM \"m\" WHERE machine='icl'");

@@ -134,15 +134,6 @@ impl ServeReport {
         self.served as f64 / self.executions as f64
     }
 
-    /// Cache hit rate across executions.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.cache_hits as f64 / total as f64
-    }
-
     /// Jain fairness index over per-tenant served counts: 1.0 when every
     /// tenant got the same share, approaching `1/n` under starvation.
     pub fn fairness_served(&self) -> f64 {

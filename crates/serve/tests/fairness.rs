@@ -264,7 +264,8 @@ fn shared_panels_coalesce_inside_the_slo() {
     assert!(r.conserved(), "{r:?}");
     assert_eq!((r.rejected, r.shed, r.errors), (0, 0, 0));
     assert!(r.coalescing_ratio() >= 4.0, "{:.2}", r.coalescing_ratio());
-    assert!(r.cache_hit_rate() > 0.9, "{:.3}", r.cache_hit_rate());
+    let (hits, misses) = (r.cache_hits, r.cache_misses);
+    assert!(hits > 9 * misses, "{hits} cache hits, {misses} misses");
     assert!(r.interactive.p99_ns < SLO_P99_NS, "{:?}", r.interactive);
     assert!(r.background.p99_ns < SLO_P99_NS, "{:?}", r.background);
     assert!(!alerted, "the steady run paged");

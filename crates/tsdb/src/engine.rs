@@ -784,7 +784,7 @@ impl Database {
     }
 
     /// The current execution mode.
-    pub fn exec_mode(&self) -> ExecMode {
+    pub(crate) fn exec_mode(&self) -> ExecMode {
         *self.exec_mode.lock()
     }
 

@@ -5,8 +5,8 @@
 //! `run` with any [`ExecMode`] returns results **bit-identical** to the
 //! sequential reference executor (`crate::query::execute`), for every
 //! query. The differential test harness (`tests/differential.rs`) pins
-//! this. Rows are the public edge's view: the kernel answers in columns
-//! and [`Frame::into_rows`] converts where a caller asks for rows.
+//! this. Both answer in columns; rows are the public edge's view of the
+//! answer, made by [`Frame::into_rows`] where a caller asks for rows.
 //!
 //! The scan kernel
 //! ---------------
@@ -88,20 +88,15 @@ pub struct ExecStats {
     pub rollup_buckets_raw: u64,
 }
 
-/// Execute a query in the given mode, answering in rows: the kernel's
-/// frame converted at this edge, the oracle's rows as they are.
+/// Execute a query in the given mode, answering in rows: either
+/// executor's frame viewed at this edge.
 pub fn run(
     storage: &Storage,
     q: &Query,
     mode: ExecMode,
 ) -> Result<(QueryResult, ExecStats), TsdbError> {
-    match mode {
-        ExecMode::Sequential => Ok((query::execute(storage, q)?, ExecStats::default())),
-        ExecMode::Parallel(_) => {
-            let (frame, stats) = run_kernel(storage, q, None)?;
-            Ok((Arc::new(frame).into_rows(), stats))
-        }
-    }
+    let (frame, stats) = run_frame(storage, q, mode, None)?;
+    Ok((Arc::new(frame).into_rows(), stats))
 }
 
 /// [`run`] answering in columns, with optional rollup tiers: eligible
@@ -116,10 +111,7 @@ pub(crate) fn run_frame(
     rollups: Option<&RollupStore>,
 ) -> Result<(Frame, ExecStats), TsdbError> {
     match mode {
-        ExecMode::Sequential => {
-            let rows = query::execute(storage, q)?;
-            Ok((Frame::from_rows(rows), ExecStats::default()))
-        }
+        ExecMode::Sequential => Ok((query::execute(storage, q)?, ExecStats::default())),
         ExecMode::Parallel(_) => run_kernel(storage, q, rollups),
     }
 }
@@ -281,7 +273,7 @@ fn aggregate_ordered(plan: &QueryPlan, cursors: &[Cursor<'_>], out: &mut Frame) 
 mod tests {
     use super::*;
     use crate::point::Point;
-    use crate::query::execute;
+    use crate::query::execute_rows;
 
     type BitRows = Vec<(i64, Vec<(String, Option<u64>)>)>;
 
@@ -302,7 +294,7 @@ mod tests {
 
     fn assert_matches_oracle(storage: &Storage, text: &str) {
         let q = Query::parse(text).unwrap();
-        let oracle = execute(storage, &q).unwrap();
+        let oracle = execute_rows(storage, &q);
         for threads in [1, 2, 8] {
             let (got, _) = run(storage, &q, ExecMode::Parallel(threads)).unwrap();
             assert_eq!(got.columns, oracle.columns, "{text} ({threads} threads)");
@@ -410,7 +402,7 @@ mod tests {
         let s = corpus();
         let q = Query::parse("SELECT \"u\" FROM \"m\" WHERE time >= 150 AND time < 300").unwrap();
         let (got, stats) = run(&s, &q, ExecMode::Parallel(2)).unwrap();
-        let oracle = execute(&s, &q).unwrap();
+        let oracle = execute_rows(&s, &q);
         assert_eq!(bits(&got), bits(&oracle));
         assert!(stats.series_pruned > 0, "hosts a..h end at ts 117");
         assert_eq!(stats.rows_scanned, 1);
@@ -421,7 +413,7 @@ mod tests {
         let s = corpus();
         let q = Query::parse("SELECT sum(\"v\") FROM \"m\"").unwrap();
         let (got, stats) = run(&s, &q, ExecMode::Sequential).unwrap();
-        assert_eq!(bits(&got), bits(&execute(&s, &q).unwrap()));
+        assert_eq!(bits(&got), bits(&execute_rows(&s, &q)));
         assert_eq!(stats, ExecStats::default());
     }
 

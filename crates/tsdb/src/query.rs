@@ -10,6 +10,13 @@
 //! SELECT mean("value") FROM "m" WHERE host='skx'
 //! SELECT * FROM "m"
 //! ```
+//!
+//! Every executor — the scan kernel and the `execute` oracle alike —
+//! answers in a column-major [`Frame`]. Rows exist only at the public
+//! edge, and there they are views: [`Frame::into_rows`] gives each
+//! [`ResultRow`] the shared frame and its row index, so a row's
+//! [`RowValues`] reads its cells in place instead of holding a map of
+//! copied column names.
 
 use crate::aggregate::{Accumulator, AggregateFn};
 use crate::error::TsdbError;
@@ -267,14 +274,6 @@ impl Frame {
         }
     }
 
-    /// Extract the first column of that name as a (timestamp, value)
-    /// series, skipping nulls.
-    pub fn column_series(&self, column: &str) -> Vec<(i64, f64)> {
-        let at = self.columns.iter().position(|c| c == column);
-        let cells = self.ts.iter().zip(at.map_or(&[][..], |at| &self.cols[at]));
-        cells.filter_map(|(&ts, v)| v.map(|x| (ts, x))).collect()
-    }
-
     /// Sum every numeric cell, row by row (total data-point accounting).
     pub fn total(&self) -> f64 {
         let rows = 0..self.len();
@@ -282,30 +281,119 @@ impl Frame {
         cells.sum()
     }
 
-    /// The row view of the public edge — the one place rows are built. An
-    /// unshared frame gives its column names away; one the result cache
-    /// also holds is copied, once.
+    /// The row view of the public edge — the one place rows are built.
+    /// Every row shares the frame and one name-ordered index of its
+    /// columns; only the column names of the answer are copied.
     pub fn into_rows(self: Arc<Self>) -> QueryResult {
-        let row = |i: usize| {
-            let values = self.cols.iter().map(|col| col[i]);
-            ResultRow::from_values(self.ts[i], &self.columns, values)
+        let columns = self.columns.clone();
+        // A row reads like a map built in column order: by name, and of
+        // duplicate names the last column.
+        let mut by_name: Vec<usize> = (0..columns.len()).collect();
+        by_name.sort_by(|&a, &b| columns[a].cmp(&columns[b]).then(b.cmp(&a)));
+        by_name.dedup_by(|later, kept| columns[*later] == columns[*kept]);
+        let shape = Arc::new(RowShape {
+            frame: self,
+            by_name,
+        });
+        let row = |i| ResultRow {
+            timestamp: shape.frame.ts[i],
+            values: RowValues {
+                shape: shape.clone(),
+                row: i,
+            },
         };
-        let rows = (0..self.len()).map(row).collect();
-        let columns = Arc::try_unwrap(self)
-            .map_or_else(|shared| shared.columns.clone(), |owned| owned.columns);
+        let rows = (0..shape.frame.len()).map(row).collect();
         QueryResult { columns, rows }
     }
+}
 
-    /// The frame of a row result (how the [`execute`] oracle's answer
-    /// enters the cache).
-    pub(crate) fn from_rows(result: QueryResult) -> Frame {
-        let cell = |row: &ResultRow, col| row.values.get(col).copied().flatten();
-        let column = |col| result.rows.iter().map(|row| cell(row, col)).collect();
-        Frame {
-            cols: result.columns.iter().map(column).collect(),
-            ts: result.rows.iter().map(|row| row.timestamp).collect(),
-            columns: result.columns,
+/// What every row of one answer shares.
+struct RowShape {
+    frame: Arc<Frame>,
+    /// Column indices in name order, one per distinct name (the last
+    /// column of that name).
+    by_name: Vec<usize>,
+}
+
+/// One row's values by column name, read in place from the answer's
+/// frame. It answers like the ordered map from name to value it stands
+/// for: one entry per distinct name, the last column of a duplicated
+/// name, in name order; `None` is NULL.
+#[derive(Clone)]
+pub struct RowValues {
+    shape: Arc<RowShape>,
+    row: usize,
+}
+
+// Like `Frame`: `len` is what callers ask for.
+#[allow(clippy::len_without_is_empty)]
+impl RowValues {
+    /// The value of column `name`, if the answer has that column.
+    pub fn get<Q: AsRef<str> + ?Sized>(&self, name: &Q) -> Option<&Option<f64>> {
+        let (frame, name) = (&self.shape.frame, name.as_ref());
+        let by_name = &self.shape.by_name;
+        let at = by_name.binary_search_by(|&j| frame.columns[j].as_str().cmp(name));
+        at.ok().map(|at| &frame.cols[by_name[at]][self.row])
+    }
+
+    /// Number of distinct column names.
+    pub fn len(&self) -> usize {
+        self.shape.by_name.len()
+    }
+
+    /// `(name, value)` pairs in name order.
+    pub fn iter(&self) -> RowIter<'_> {
+        RowIter {
+            values: self,
+            by_name: self.shape.by_name.iter(),
         }
+    }
+}
+
+/// The iterator of [`RowValues::iter`].
+pub struct RowIter<'a> {
+    values: &'a RowValues,
+    by_name: std::slice::Iter<'a, usize>,
+}
+
+impl<'a> Iterator for RowIter<'a> {
+    type Item = (&'a String, &'a Option<f64>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let frame = &self.values.shape.frame;
+        let j = *self.by_name.next()?;
+        Some((&frame.columns[j], &frame.cols[j][self.values.row]))
+    }
+}
+
+impl<'a> IntoIterator for &'a RowValues {
+    type Item = (&'a String, &'a Option<f64>);
+    type IntoIter = RowIter<'a>;
+
+    fn into_iter(self) -> RowIter<'a> {
+        self.iter()
+    }
+}
+
+impl<Q: AsRef<str> + ?Sized> std::ops::Index<&Q> for RowValues {
+    type Output = Option<f64>;
+
+    fn index(&self, name: &Q) -> &Option<f64> {
+        self.get(name).expect("no entry found for key")
+    }
+}
+
+/// Entry by entry, so a NaN is unequal to itself as in a map.
+impl PartialEq for RowValues {
+    fn eq(&self, other: &RowValues) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+/// The map's text: `{"name": Some(1.0), ...}`.
+impl std::fmt::Debug for RowValues {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -315,31 +403,11 @@ pub struct ResultRow {
     /// Row timestamp (bucket start for aggregated queries).
     pub timestamp: i64,
     /// Column name -> value (`None` renders as null).
-    pub values: BTreeMap<String, Option<f64>>,
+    pub values: RowValues,
 }
 
-impl ResultRow {
-    /// One row from per-column values, in column order.
-    fn from_values(
-        timestamp: i64,
-        columns: &[String],
-        values: impl Iterator<Item = Option<f64>>,
-    ) -> ResultRow {
-        // Inserted one by one: collecting would stage every row's columns
-        // in a scratch vector first.
-        let mut row = BTreeMap::new();
-        for (col, v) in columns.iter().zip(values) {
-            row.insert(col.clone(), v);
-        }
-        ResultRow {
-            timestamp,
-            values: row,
-        }
-    }
-}
-
-/// Query result set as rows of maps: the view of the public edge, built
-/// by [`Frame::into_rows`] and by the `execute` oracle.
+/// Query result set as rows: the view of the public edge, built only by
+/// [`Frame::into_rows`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryResult {
     /// Column names in projection order.
@@ -625,8 +693,9 @@ impl<'a> Parser<'a> {
 /// matching row, stable-sort by timestamp (ties keep the gather's
 /// ascending series id), fold — so that its order of arithmetic is
 /// evident from the code.
-pub(crate) fn execute(storage: &Storage, q: &Query) -> Result<QueryResult, TsdbError> {
-    let (plan, m) = resolve(storage, q)?;
+pub(crate) fn execute(storage: &Storage, q: &Query) -> Result<Frame, TsdbError> {
+    let (mut plan, m) = resolve(storage, q)?;
+    let mut frame = Frame::new(std::mem::take(&mut plan.columns));
 
     let matched = plan.ids.iter().map(|&id| {
         let s = m.series(id).expect("id from matching_series");
@@ -645,7 +714,6 @@ pub(crate) fn execute(storage: &Storage, q: &Query) -> Result<QueryResult, TsdbE
         s.column(field?).and_then(|c| c.get(row))
     };
 
-    let mut rows = Vec::new();
     if plan.aggregated {
         // Bucketed or whole-range aggregation.
         let mut groups: BTreeMap<i64, Vec<Accumulator>> = BTreeMap::new();
@@ -669,27 +737,32 @@ pub(crate) fn execute(storage: &Storage, q: &Query) -> Result<QueryResult, TsdbE
                 }
             }
         }
+        frame.reserve(groups.len());
         for (ts, accs) in groups {
-            let values = accs.iter().map(Accumulator::finish);
-            rows.push(ResultRow::from_values(ts, &plan.columns, values));
+            frame.push_row(ts, accs.iter().map(Accumulator::finish));
         }
     } else {
+        frame.reserve(merged.len());
         for (ts, s, row) in merged {
-            let values = plan.fields.iter().map(|&field| value(s, row, field));
-            rows.push(ResultRow::from_values(ts, &plan.columns, values));
+            frame.push_row(ts, plan.fields.iter().map(|&field| value(s, row, field)));
         }
     }
+    Ok(frame)
+}
 
-    Ok(QueryResult {
-        columns: plan.columns,
-        rows,
-    })
+/// The oracle's answer, viewed as rows.
+#[cfg(test)]
+pub(crate) fn execute_rows(storage: &Storage, q: &Query) -> QueryResult {
+    Arc::new(execute(storage, q).unwrap()).into_rows()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{CacheLookup, QueryCache};
     use crate::point::Point;
+    use crate::Database;
+    use proptest::prelude::*;
 
     fn filled() -> Storage {
         let mut s = Storage::new();
@@ -727,8 +800,8 @@ mod tests {
         let s = filled();
         let q = Query::parse("SELECT \"_cpu0\" FROM \"m\" WHERE tag='obs1'").unwrap();
         let r = execute(&s, &q).unwrap();
-        assert_eq!(r.rows.len(), 10);
-        assert_eq!(Frame::from_rows(r).column_series("_cpu0").len(), 10);
+        assert_eq!(r.len(), 10);
+        assert!(r.cols[0].iter().all(Option::is_some));
     }
 
     #[test]
@@ -737,7 +810,7 @@ mod tests {
         let q =
             Query::parse("SELECT \"_cpu0\" FROM \"m\" WHERE tag='obs1' AND time >= 2 AND time < 5")
                 .unwrap();
-        let r = execute(&s, &q).unwrap();
+        let r = execute_rows(&s, &q);
         assert_eq!(r.rows.len(), 3);
         assert_eq!(r.rows[0].timestamp, 2);
     }
@@ -746,7 +819,7 @@ mod tests {
     fn aggregation_whole_range() {
         let s = filled();
         let q = Query::parse("SELECT mean(\"_cpu0\") FROM \"m\" WHERE tag='obs1'").unwrap();
-        let r = execute(&s, &q).unwrap();
+        let r = execute_rows(&s, &q);
         assert_eq!(r.rows.len(), 1);
         assert_eq!(r.rows[0].values["mean(_cpu0)"], Some(4.5));
     }
@@ -756,7 +829,7 @@ mod tests {
         let s = filled();
         let q = Query::parse("SELECT sum(\"_cpu0\") FROM \"m\" WHERE tag='obs1' GROUP BY time(5)")
             .unwrap();
-        let r = execute(&s, &q).unwrap();
+        let r = execute_rows(&s, &q);
         assert_eq!(r.rows.len(), 2);
         assert_eq!(r.rows[0].timestamp, 0);
         assert_eq!(
@@ -773,7 +846,7 @@ mod tests {
     fn wildcard_expands_fields() {
         let s = filled();
         let q = Query::parse("SELECT * FROM \"m\" WHERE tag='obs1'").unwrap();
-        let r = execute(&s, &q).unwrap();
+        let r = execute_rows(&s, &q);
         assert_eq!(r.columns, vec!["_cpu0".to_string(), "_cpu1".to_string()]);
     }
 
@@ -781,10 +854,9 @@ mod tests {
     fn missing_field_yields_null() {
         let s = filled();
         let q = Query::parse("SELECT \"_cpu1\" FROM \"m\" WHERE tag='obs2'").unwrap();
-        let r = execute(&s, &q).unwrap();
+        let r = execute_rows(&s, &q);
         assert_eq!(r.rows.len(), 1);
         assert_eq!(r.rows[0].values["_cpu1"], None);
-        assert!(Frame::from_rows(r).column_series("_cpu1").is_empty());
     }
 
     #[test]
@@ -822,7 +894,7 @@ mod tests {
         let mut s = Storage::new();
         s.insert(Point::new("m").field("v", 1.0).timestamp(-7));
         let q = Query::parse("SELECT sum(\"v\") FROM \"m\" GROUP BY time(5)").unwrap();
-        let r = execute(&s, &q).unwrap();
+        let r = execute_rows(&s, &q);
         assert_eq!(r.rows[0].timestamp, -10); // floor division
     }
 
@@ -878,24 +950,163 @@ mod tests {
             cols: vec![
                 vec![Some(1.0), None],
                 vec![None, None],
-                vec![Some(1.0), None],
+                vec![Some(3.0), None],
             ],
         };
-        assert!(frame.column_series("w").is_empty() && frame.column_series("x").is_empty());
-        assert_eq!(frame.column_series("v"), vec![(1, 1.0)]);
-        assert_eq!(frame.total(), 2.0);
+        assert_eq!(frame.total(), 4.0);
         let shared = Arc::new(frame.clone());
         let copied = shared.clone().into_rows();
-        assert_eq!(copied, shared.clone().into_rows());
+        assert_eq!(copied, shared.into_rows());
         assert_eq!(copied, Arc::new(frame.clone()).into_rows());
         assert_eq!(copied.columns, frame.columns);
         assert_eq!(copied.rows[1].timestamp, 2);
-        // A row is a map: the duplicate column is one entry.
+        // The duplicate column is one entry, the last one.
         assert_eq!(copied.rows[0].values.len(), 2);
-        assert_eq!(copied.rows[0].values["v"], Some(1.0));
-        assert_eq!(Frame::from_rows(copied), frame);
+        assert_eq!(copied.rows[0].values["v"], Some(3.0));
+        assert_eq!(copied.rows[0].values.get("x"), None);
         let empty = Arc::new(Frame::new(vec!["v".into()]));
         assert!(empty.len() == 0 && empty.into_rows().rows.is_empty());
+    }
+
+    /// Column names that repeat within a frame; `"c"` is never a column.
+    const NAMES: [&str; 4] = ["b", "a", "ab", "c"];
+
+    /// A cell from a code: NULL, ±0.0, a quiet NaN with a payload (either
+    /// sign) or any bit pattern.
+    fn cell(code: u64) -> Option<f64> {
+        match code % 5 {
+            0 => None,
+            1 => Some(0.0),
+            2 => Some(-0.0),
+            3 => Some(f64::from_bits(0x7ff8 << 48 | code & 0x8007_ffff_ffff_fff8)),
+            _ => Some(f64::from_bits(code)),
+        }
+    }
+
+    /// `rows` rows (at most 64) of columns named `NAMES[names[j]]`, cells
+    /// decoded from `codes` (64 per column).
+    fn frame_of(names: &[usize], rows: usize, codes: &[u64]) -> Frame {
+        Frame {
+            columns: names.iter().map(|&n| NAMES[n].to_string()).collect(),
+            ts: (0..rows as i64).map(|t| t * 10 - 7).collect(),
+            cols: codes
+                .chunks(64)
+                .take(names.len())
+                .map(|c| c[..rows].iter().map(|&c| cell(c)).collect())
+                .collect(),
+        }
+    }
+
+    /// Convert while the result cache holds the frame.
+    fn cached_rows(frame: &Frame) -> QueryResult {
+        let mut cache = QueryCache::new(1);
+        cache.insert("q".into(), 0, Arc::new(frame.clone()));
+        let CacheLookup::Hit(held) = cache.get("q", 0) else {
+            panic!("the entry was just inserted");
+        };
+        held.into_rows()
+    }
+
+    fn bits(v: Option<&Option<f64>>) -> Option<Option<u64>> {
+        v.map(|v| v.map(f64::to_bits))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Rows read exactly like the maps they replaced, whose builder
+        /// survives only as this test's model.
+        #[test]
+        fn rows_read_like_the_maps_they_replace(
+            names in prop::collection::vec(0usize..3, 1..=4),
+            rows in 0usize..=64,
+            codes in prop::collection::vec(any::<u64>(), 256),
+            flip in any::<usize>(),
+        ) {
+            let frame = frame_of(&names, rows, &codes);
+            let model = |frame: &Frame, row: usize| {
+                let mut map = BTreeMap::new();
+                for (name, col) in frame.columns.iter().zip(&frame.cols) {
+                    map.insert(name.clone(), col[row]);
+                }
+                map
+            };
+            // The same frame with one bit changed in every row.
+            let mut other = frame.clone();
+            for v in &mut other.cols[flip % frame.columns.len()] {
+                *v = Some(v.map_or(0.0, |x| f64::from_bits(x.to_bits() ^ 1)));
+            }
+            let others = Arc::new(other.clone()).into_rows();
+            let copy = Arc::new(frame.clone()).into_rows();
+            for result in [Arc::new(frame.clone()).into_rows(), cached_rows(&frame)] {
+                prop_assert_eq!(&result.columns, &frame.columns);
+                prop_assert_eq!(result.rows.len(), frame.len());
+                for (i, row) in result.rows.iter().enumerate() {
+                    let (want, values) = (model(&frame, i), &row.values);
+                    prop_assert_eq!(row.timestamp, frame.ts[i]);
+                    for name in NAMES {
+                        let want = bits(want.get(name));
+                        prop_assert_eq!(bits(values.get(name)), want);
+                        prop_assert_eq!(bits(values.get(&name.to_string())), want);
+                    }
+                    prop_assert_eq!(values.len(), want.len());
+                    let items = |it: &mut dyn Iterator<Item = (&String, &Option<f64>)>| {
+                        it.map(|(k, v)| (k.clone(), v.map(f64::to_bits))).collect::<Vec<_>>()
+                    };
+                    prop_assert_eq!(items(&mut values.iter()), items(&mut want.iter()));
+                    prop_assert_eq!(items(&mut values.into_iter()), items(&mut want.iter()));
+                    for name in want.keys() {
+                        let want = want[name].map(f64::to_bits);
+                        prop_assert_eq!(values[name.as_str()].map(f64::to_bits), want);
+                        prop_assert_eq!(values[name].map(f64::to_bits), want);
+                    }
+                    prop_assert_eq!(values == &values.clone(), want == want.clone());
+                    prop_assert_eq!(values == &copy.rows[i].values, want == want.clone());
+                    prop_assert_eq!(values == &others.rows[i].values, want == model(&other, i));
+                    prop_assert_eq!(format!("{values:?}"), format!("{want:?}"));
+                }
+            }
+        }
+    }
+
+    /// Rows hold their answer: a write that invalidates the cached frame
+    /// they view, and a query that evicts it, change nothing they read.
+    #[test]
+    fn rows_outlive_their_cache_entry() {
+        let db = Database::new("rows");
+        db.set_query_cache_capacity(1);
+        let write = |m: &str, v: f64| {
+            let p = Point::new(m).field("v", v).timestamp(1);
+            db.write_point(p).unwrap();
+        };
+        write("m", 1.0);
+        write("n", 2.0);
+        let q = Query::parse("SELECT \"v\" FROM \"m\"").unwrap();
+        let first = db.query_parsed(&q).unwrap();
+        let held = db.query_parsed(&q).unwrap();
+        assert_eq!(held, first);
+        write("m", 3.0);
+        assert_eq!(db.query_parsed(&q).unwrap().rows[0].values["v"], Some(3.0));
+        db.query("SELECT \"v\" FROM \"n\"").unwrap();
+        assert_eq!(db.query_cache_len(), 1);
+        for rows in [first, held] {
+            assert_eq!(rows.rows.len(), 1);
+            assert_eq!(rows.rows[0].values["v"], Some(1.0));
+        }
+    }
+
+    /// The goldens run in whatever mode a database starts in: the
+    /// parallel executor.
+    #[test]
+    fn a_database_starts_in_the_parallel_mode() {
+        let db = Database::new("probe");
+        assert!(matches!(db.exec_mode(), crate::ExecMode::Parallel(_)));
+    }
+
+    #[test]
+    fn query_results_cross_threads() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<QueryResult>();
     }
 
     #[test]

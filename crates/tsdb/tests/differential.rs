@@ -162,18 +162,17 @@ fn check_case(points: &[PointCode], queries: &[QueryCode], extra: PointCode) {
     let queries: Vec<Query> = queries.iter().map(query_of).collect();
 
     let oracle = db(ExecMode::Sequential, false);
-    let subjects: Vec<(Database, bool)> = [1usize, 2, 8]
+    let subjects: Vec<(Database, ExecMode, bool)> = [1usize, 2, 8]
         .iter()
         .flat_map(|&t| {
-            [false, true]
-                .iter()
-                .map(move |&c| (db(ExecMode::Parallel(t), c), c))
+            let mode = ExecMode::Parallel(t);
+            [false, true].iter().map(move |&c| (db(mode, c), mode, c))
         })
         .collect();
 
     for &(h, ts, f, code) in points {
         oracle.write_point(point(h, ts, f, value_of(code))).unwrap();
-        for (s, _) in &subjects {
+        for (s, ..) in &subjects {
             s.write_point(point(h, ts, f, value_of(code))).unwrap();
         }
     }
@@ -181,26 +180,26 @@ fn check_case(points: &[PointCode], queries: &[QueryCode], extra: PointCode) {
     // Phase A: identical cold, and identical served from cache.
     for q in &queries {
         let want = outcome(oracle.query_parsed(q));
-        for (s, cached) in &subjects {
+        for (s, mode, cached) in &subjects {
             assert_eq!(
                 outcome(s.query_parsed(q)),
                 want,
                 "mode {:?} cache={cached} query {}",
-                s.exec_mode(),
+                mode,
                 q.normalized()
             );
             assert_eq!(
                 outcome(s.query_parsed(q)),
                 want,
                 "repeat (cache hit) diverged: mode {:?} cache={cached} query {}",
-                s.exec_mode(),
+                mode,
                 q.normalized()
             );
             assert_eq!(
                 frame_outcome(s, q),
                 want,
                 "frame diverged: mode {:?} cache={cached} query {}",
-                s.exec_mode(),
+                mode,
                 q.normalized()
             );
         }
@@ -209,17 +208,17 @@ fn check_case(points: &[PointCode], queries: &[QueryCode], extra: PointCode) {
     // Phase B: a write lands; cached entries must not serve stale rows.
     let (h, ts, f, code) = extra;
     oracle.write_point(point(h, ts, f, value_of(code))).unwrap();
-    for (s, _) in &subjects {
+    for (s, ..) in &subjects {
         s.write_point(point(h, ts, f, value_of(code))).unwrap();
     }
     for q in &queries {
         let want = outcome(oracle.query_parsed(q));
-        for (s, cached) in &subjects {
+        for (s, mode, cached) in &subjects {
             assert_eq!(
                 outcome(s.query_parsed(q)),
                 want,
                 "post-write mode {:?} cache={cached} query {}",
-                s.exec_mode(),
+                mode,
                 q.normalized()
             );
         }

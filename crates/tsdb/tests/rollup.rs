@@ -153,7 +153,7 @@ fn check_case(stream: &[PointCode], queries: &[QueryCode]) {
     oracle.set_exec_mode(ExecMode::Sequential);
     oracle.set_query_cache_capacity(0);
 
-    let subjects: Vec<Database> = [1usize, 2, 8]
+    let subjects: Vec<(Database, ExecMode)> = [1usize, 2, 8]
         .iter()
         .map(|&t| {
             let d = Database::new("rollup");
@@ -162,7 +162,7 @@ fn check_case(stream: &[PointCode], queries: &[QueryCode]) {
             d.enable_rollups(RollupConfig {
                 tiers: TIERS.to_vec(),
             });
-            d
+            (d, ExecMode::Parallel(t))
         })
         .collect();
     let queries: Vec<Query> = queries.iter().map(query_of).collect();
@@ -174,19 +174,19 @@ fn check_case(stream: &[PointCode], queries: &[QueryCode]) {
     let compare = |stage: &str| {
         for q in &queries {
             let want = outcome(oracle.query_parsed(q));
-            for s in &subjects {
+            for (s, mode) in &subjects {
                 assert_eq!(
                     outcome(s.query_parsed(q)),
                     want,
                     "{stage}: mode {:?} query {}",
-                    s.exec_mode(),
+                    mode,
                     q.normalized()
                 );
                 assert_eq!(
                     frame_outcome(s, q),
                     want,
                     "{stage}: frame, mode {:?} query {}",
-                    s.exec_mode(),
+                    mode,
                     q.normalized()
                 );
             }
@@ -198,12 +198,12 @@ fn check_case(stream: &[PointCode], queries: &[QueryCode]) {
     for (i, code) in stream.iter().enumerate() {
         let ((_, _, _), (_, tick)) = code;
         if *tick == 0 {
-            for s in &subjects {
+            for (s, _) in &subjects {
                 s.rollup_tick().unwrap();
             }
         }
         oracle.write_point(point_of(code)).unwrap();
-        for s in &subjects {
+        for (s, _) in &subjects {
             s.write_point(point_of(code)).unwrap();
         }
         if i == stream.len() / 2 {
@@ -211,19 +211,18 @@ fn check_case(stream: &[PointCode], queries: &[QueryCode]) {
         }
     }
     compare("pre-tick");
-    for s in &subjects {
+    for (s, _) in &subjects {
         s.rollup_tick().unwrap();
     }
     compare("post-tick");
 
     // Conservation through the rollup path: with every dirty bucket
     // drained, each tier accounts for every raw row exactly.
-    for s in &subjects {
+    for (s, mode) in &subjects {
         let audit = s.rollup_audit().unwrap();
         assert!(
             audit.conserved(),
-            "rollup conservation violated: {audit:?} (mode {:?})",
-            s.exec_mode()
+            "rollup conservation violated: {audit:?} (mode {mode:?})"
         );
     }
 }

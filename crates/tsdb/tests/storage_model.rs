@@ -19,9 +19,9 @@
 
 use pmove_tsdb::aggregate::{Accumulator, AggregateFn};
 use pmove_tsdb::exec;
-use pmove_tsdb::query::{Projection, ResultRow};
+use pmove_tsdb::query::Projection;
 use pmove_tsdb::storage::Storage;
-use pmove_tsdb::{ExecMode, FieldValue, Point, Query, QueryResult, SeriesKey};
+use pmove_tsdb::{ExecMode, FieldValue, Point, Query, SeriesKey};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -115,8 +115,10 @@ impl Model {
         out
     }
 
-    /// Gather, stable-sort by timestamp, fold. `None`: unknown measurement.
-    fn query(&self, q: &Query) -> Option<QueryResult> {
+    /// Gather, stable-sort by timestamp, fold, each row a map from
+    /// column name to value; in [`bits`] form. `None`: unknown
+    /// measurement.
+    fn query(&self, q: &Query) -> Option<String> {
         let keys = self.field_keys.get(&q.measurement)?;
         let mut projections = Vec::new();
         for p in &q.projections {
@@ -156,11 +158,12 @@ impl Model {
         merged.sort_by_key(|r| r.timestamp);
 
         let number = |row: &Row, field: &String| row.fields.get(field).and_then(|v| v.as_f64());
-        let result_row = |timestamp, values: Vec<Option<f64>>| ResultRow {
-            timestamp,
-            values: named.iter().map(|(c, _)| c.clone()).zip(values).collect(),
+        let result_row = |timestamp, values: Vec<Option<f64>>| {
+            let row: BTreeMap<String, Option<f64>> =
+                named.iter().map(|(c, _)| c.clone()).zip(values).collect();
+            (timestamp, row)
         };
-        let rows = if projections
+        let rows: Vec<_> = if projections
             .iter()
             .any(|p| matches!(p, Projection::Aggregate(..)))
         {
@@ -198,10 +201,8 @@ impl Model {
                 })
                 .collect()
         };
-        Some(QueryResult {
-            columns: named.into_iter().map(|(c, _)| c).collect(),
-            rows,
-        })
+        let columns: Vec<String> = named.into_iter().map(|(c, _)| c).collect();
+        Some(bits(&columns, rows.iter().map(|(ts, row)| (*ts, row))))
     }
 }
 
@@ -217,15 +218,17 @@ fn cell(key: &SeriesKey, ts: i64, field: &str, value: &FieldValue) -> String {
     format!("{} {ts} {field}={v}", key.canonical())
 }
 
-fn outcome(r: Option<QueryResult>) -> String {
+/// An answer's columns, then per row its timestamp and every
+/// `(name, value)` in the row's order, values as bits.
+fn bits<'a, R>(columns: &[String], rows: impl Iterator<Item = (i64, R)>) -> String
+where
+    R: IntoIterator<Item = (&'a String, &'a Option<f64>)>,
+{
     use std::fmt::Write as _;
-    let Some(res) = r else {
-        return "unknown measurement".into();
-    };
-    let mut s = format!("columns={:?}\n", res.columns);
-    for row in &res.rows {
-        let _ = write!(s, "{}:", row.timestamp);
-        for (k, v) in &row.values {
+    let mut s = format!("columns={columns:?}\n");
+    for (timestamp, row) in rows {
+        let _ = write!(s, "{timestamp}:");
+        for (k, v) in row {
             match v {
                 Some(x) => {
                     let _ = write!(s, " {k}={:016x}", x.to_bits());
@@ -320,15 +323,20 @@ fn compare(stage: usize, storage: &Storage, model: &Model) {
     }
     for text in QUERIES {
         let q = Query::parse(text).unwrap();
-        let want = outcome(model.query(&q));
+        let want = model.query(&q);
         for mode in [
             ExecMode::Sequential,
             ExecMode::Parallel(1),
             ExecMode::Parallel(2),
             ExecMode::Parallel(8),
         ] {
-            let got = exec::run(storage, &q, mode).ok().map(|(result, _)| result);
-            assert_eq!(outcome(got), want, "op {stage}: {mode:?}: {text}");
+            let got = exec::run(storage, &q, mode).ok().map(|(res, _)| {
+                bits(
+                    &res.columns,
+                    res.rows.iter().map(|r| (r.timestamp, &r.values)),
+                )
+            });
+            assert_eq!(got, want, "op {stage}: {mode:?}: {text}");
         }
     }
 }
