@@ -1,6 +1,6 @@
-//! End-to-end causal-tracing reproduction: golden trace trees from
-//! fault-injected runs, critical-path attribution and the deterministic
-//! SLO alert timeline.
+//! End-to-end causal-tracing reproduction: the golden trace tree of a
+//! fault-injected replicated run, critical-path attribution and the
+//! deterministic SLO alert timeline.
 //!
 //! Everything derives from the virtual clock and seeded generators, so
 //! the rendered report is byte-identical across runs — the
@@ -13,9 +13,6 @@ use pmove_obs::{AlertState, TraceTree};
 
 /// Deterministic outputs of the tracing reproduction.
 pub struct TracingReport {
-    /// A recovered-after-retry trace from the fault-injected resilient
-    /// transport run (sampler → attempt → spill park → retry → ingest).
-    pub resilient_tree: String,
     /// A quorum-write trace from the replicated run (sampler → quorum
     /// fan-out → per-replica WAL group commit + shard ingest).
     pub replicated_tree: String,
@@ -41,22 +38,6 @@ fn find_tree<'a>(
                 .iter()
                 .all(|name| t.spans.iter().any(|s| s.name == *name))
     })
-}
-
-/// Fault-injected resilient run: a 10 s link outage mid-window forces
-/// spills; the drain recovers them. Returns the first recovered trace
-/// that crossed the retry path.
-fn resilient_trace() -> String {
-    let mut d = PMoveDaemon::for_preset("icl").expect("preset daemon");
-    let tracer = d.enable_tracing(4096);
-    let fault = FaultSchedule::none().with_window(10.0, 20.0, FaultKind::LinkDown);
-    let report = d.monitor_resilient(40.0, 1.0, true, Some(fault));
-    assert!(report.transport.conserved(), "{:?}", report.transport);
-    assert_eq!(tracer.active_count(), 0, "orphaned traces after drain");
-    let trees = tracer.flight_recorder();
-    let tree = find_tree(&trees, "recovered", &["pcp.retry", "tsdb.ingest"])
-        .expect("a spilled report recovered through the retry path");
-    tree.render()
 }
 
 /// Replicated run with the primary partitioned for the first half of the
@@ -98,7 +79,7 @@ fn replicated_run() -> (String, String, f64) {
 fn slo_run() -> (String, bool) {
     let mut d = PMoveDaemon::for_preset("icl").expect("preset daemon");
     d.install_default_slos();
-    d.monitor(2.0, 2.0);
+    d.monitor(2.0, 2.0, None);
     d.evaluate_slos();
     let h = d
         .obs
@@ -116,11 +97,9 @@ fn slo_run() -> (String, bool) {
 
 /// Run the full deterministic reproduction.
 pub fn run() -> TracingReport {
-    let resilient_tree = resilient_trace();
     let (replicated_tree, critical_path, attributed) = replicated_run();
     let (slo_timeline, paged) = slo_run();
     TracingReport {
-        resilient_tree,
         replicated_tree,
         critical_path,
         attributed,
@@ -132,9 +111,7 @@ pub fn run() -> TracingReport {
 /// Render the report.
 pub fn format(r: &TracingReport) -> String {
     let mut out = String::new();
-    out.push_str("== fault-injected resilient transport: recovered trace ==\n");
-    out.push_str(&r.resilient_tree);
-    out.push_str("\n== replicated quorum write: end-to-end trace ==\n");
+    out.push_str("== replicated quorum write: end-to-end trace ==\n");
     out.push_str(&r.replicated_tree);
     out.push('\n');
     out.push_str(&r.critical_path);

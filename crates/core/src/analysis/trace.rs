@@ -101,7 +101,7 @@ mod tests {
             pinning: PinningStrategy::Compact,
         };
         d.profile(&request).unwrap();
-        d.monitor(20.0, 2.0);
+        d.monitor(20.0, 2.0, None);
 
         // Hand-build an anomaly on cpu0's idle field (the pinned thread).
         let anomaly = Anomaly {

@@ -119,14 +119,6 @@ const SELF_PANELS: &[SelfPanel] = &[
         nonzero: false,
         per_labels: false,
     },
-    // Spill/retry/breaker series of the self-healing transport mode.
-    SelfPanel {
-        title: "transport resilience",
-        counters: &["pcp.resilience."],
-        gauges: &["pcp.resilience."],
-        nonzero: true,
-        per_labels: false,
-    },
     // Quorum-write, hinted-handoff and anti-entropy counters plus the
     // coordinator's health gauges: daemons booted over the replicated store.
     SelfPanel {
@@ -435,7 +427,7 @@ mod tests {
     #[test]
     fn self_dashboard_covers_loss_latency_and_steps() {
         let mut d = crate::telemetry::daemon::PMoveDaemon::for_preset("icl").unwrap();
-        d.monitor(5.0, 2.0);
+        d.monitor(5.0, 2.0, None);
         let dash = d.self_dashboard();
         assert!(dash.title.starts_with("self:"));
         let titles: Vec<&str> = dash.panels.iter().map(|p| p.title.as_str()).collect();
@@ -492,7 +484,7 @@ mod tests {
             Arc::new(MemDisk::new(3)),
         )
         .unwrap();
-        d.monitor(2.0, 2.0);
+        d.monitor(2.0, 2.0, None);
         let dash = d.self_dashboard();
         let storage = dash
             .panels
@@ -519,7 +511,7 @@ mod tests {
     #[test]
     fn self_dashboard_includes_query_engine_panel() {
         let mut d = crate::telemetry::daemon::PMoveDaemon::for_preset("icl").unwrap();
-        d.monitor(5.0, 2.0);
+        d.monitor(5.0, 2.0, None);
         // Drive the query path so the counters carry non-registration values
         // too (panel membership itself comes from registration).
         d.ts.query("SELECT * FROM \"kernel_all_load\"").ok();
@@ -551,55 +543,11 @@ mod tests {
     }
 
     #[test]
-    fn self_dashboard_adds_resilience_panel_only_for_resilient_runs() {
-        use pmove_hwsim::{FaultKind, FaultSchedule};
-        // A plain monitoring run registers only zero-valued supervision
-        // counters — no resilience panel.
-        let mut d0 = crate::telemetry::daemon::PMoveDaemon::for_preset("icl").unwrap();
-        d0.monitor(5.0, 1.0);
-        assert!(d0
-            .self_dashboard()
-            .panels
-            .iter()
-            .all(|p| p.title != "transport resilience"));
-
-        // A resilient run through an outage grows the panel.
-        let mut d = crate::telemetry::daemon::PMoveDaemon::for_preset("icl").unwrap();
-        let fault = FaultSchedule::none().with_window(5.0, 15.0, FaultKind::LinkDown);
-        d.monitor_resilient(30.0, 1.0, true, Some(fault));
-        let dash = d.self_dashboard();
-        let panel = dash
-            .panels
-            .iter()
-            .find(|p| p.title == "transport resilience")
-            .expect("resilient run exposes a resilience panel");
-        let ms: Vec<&str> = panel
-            .targets
-            .iter()
-            .map(|t| t.measurement.as_str())
-            .collect();
-        assert!(ms.contains(&"pmove.self.pcp.resilience.values_spilled"));
-        assert!(ms.contains(&"pmove.self.pcp.resilience.values_recovered"));
-        assert!(ms.contains(&"pmove.self.pcp.resilience.spill_pending"));
-        assert!(ms.contains(&"pmove.self.pcp.resilience.breaker_state"));
-        // The targeted series exist once self telemetry is exported.
-        d.export_self_telemetry();
-        let exported = d.ts.measurements();
-        for t in &panel.targets {
-            assert!(
-                exported.contains(&t.measurement),
-                "missing {}",
-                t.measurement
-            );
-        }
-    }
-
-    #[test]
     fn self_dashboard_adds_replication_panel_only_for_replicated_daemons() {
         use pmove_hwsim::{FaultKind, FaultSchedule};
         // A non-replicated daemon registers no tsdb.repl.* names at all.
         let mut d0 = crate::telemetry::daemon::PMoveDaemon::for_preset("icl").unwrap();
-        d0.monitor(5.0, 1.0);
+        d0.monitor(5.0, 1.0, None);
         assert!(d0
             .self_dashboard()
             .panels
@@ -647,7 +595,7 @@ mod tests {
         // A daemon that never scrubs registers no live store.scrub.*
         // series, so no panel grows.
         let mut d0 = crate::telemetry::daemon::PMoveDaemon::for_preset("icl").unwrap();
-        d0.monitor(5.0, 1.0);
+        d0.monitor(5.0, 1.0, None);
         assert!(d0
             .self_dashboard()
             .panels
@@ -660,12 +608,12 @@ mod tests {
         let vfs: Arc<dyn Vfs> = disk.clone();
         let mut d = crate::telemetry::daemon::PMoveDaemon::for_preset_durable("icl", vfs).unwrap();
         assert!(d.enable_scrubbing(4.0));
-        d.monitor(5.0, 1.0);
+        d.monitor(5.0, 1.0, None);
         d.ts.flush().unwrap();
         disk.schedule_rot(RotSchedule::none().at(6.0, 1).with_prefix("chunk-"));
         disk.advance_rot(6.0);
         for _ in 0..6 {
-            d.monitor(5.0, 1.0);
+            d.monitor(5.0, 1.0, None);
             if !d.ts.store().unwrap().quarantined().is_empty() {
                 break;
             }

@@ -24,7 +24,7 @@ pub enum PmoveError {
     Db(String),
     /// Ontology-layer failure.
     Ontology(String),
-    /// Collector-layer failure (invalid sampling/resilience config).
+    /// Collector-layer failure (invalid sampling config).
     Collector(String),
     /// The daemon booted in degraded monitor-only mode; the requested
     /// operation needs the full (durable) stack.

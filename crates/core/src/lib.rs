@@ -38,7 +38,7 @@
 //! assert!(daemon.kb.len() > 40);
 //!
 //! // Scenario A: always-on software telemetry.
-//! let report = daemon.monitor(10.0, 2.0);
+//! let report = daemon.monitor(10.0, 2.0, None);
 //! assert_eq!(report.ticks, 20);
 //! assert!(daemon.ts.measurements().contains(&"kernel_all_load".to_string()));
 //! ```

@@ -189,7 +189,7 @@ impl Cluster {
                 }
                 continue;
             }
-            let report = d.monitor(duration_s, freq_hz);
+            let report = d.monitor(duration_s, freq_hz, None);
             state.missed = 0;
             state.last_seen_s = d.now_s;
             reports.push((d.kb.machine_key.clone(), report));

@@ -346,7 +346,7 @@ impl PMoveDaemon {
     /// Scenario A through the replication coordinator: quorum writes,
     /// hinted handoff, heartbeat-driven failover. `schedules` carries one
     /// fault schedule per replica (relative to the current daemon clock,
-    /// like [`PMoveDaemon::monitor_resilient`]); `None` means no faults.
+    /// like [`PMoveDaemon::monitor`]); `None` means no faults.
     ///
     /// Failure handling is graduated: a quarantined primary is *failed
     /// over* (the coordinator promotes the lowest healthy replica) and
@@ -581,31 +581,20 @@ impl PMoveDaemon {
     }
 
     /// Scenario A: monitor system state for `duration_s` at `freq_hz` into
-    /// the host database over the paper's plain unbuffered transport.
+    /// the host database over the paper's unbuffered transport, under an
+    /// optional injected fault schedule (virtual-clock relative to the
+    /// current daemon time: a window `[a, b)` in the schedule fires at
+    /// `now_s + a`). A report the faulted path cannot carry is lost.
+    /// Monitoring is allowed in every `DaemonMode`.
     ///
     /// # Panics
     ///
     /// When `freq_hz` is not a positive finite number or `duration_s` is
     /// negative or not finite ([`SamplingConfig::try_new`] refuses them).
-    pub fn monitor(&mut self, duration_s: f64, freq_hz: f64) -> SamplingReport {
-        self.monitor_resilient(duration_s, freq_hz, false, None)
-    }
-
-    /// [`PMoveDaemon::monitor`] with the self-healing transport when
-    /// `resilient` is true (spill instead of drop, retry with backoff
-    /// behind a circuit breaker, recovery gap markers) and an optional
-    /// injected fault schedule (virtual-clock relative to the current
-    /// daemon time: a window `[a, b)` in the schedule fires at `now_s +
-    /// a`). Monitoring is allowed in every `DaemonMode`.
-    ///
-    /// # Panics
-    ///
-    /// On the sampling numbers [`PMoveDaemon::monitor`] panics on.
-    pub fn monitor_resilient(
+    pub fn monitor(
         &mut self,
         duration_s: f64,
         freq_hz: f64,
-        resilient: bool,
         fault: Option<FaultSchedule>,
     ) -> SamplingReport {
         let fault = fault.map(|f| on_clock(f, self.now_s));
@@ -616,9 +605,6 @@ impl PMoveDaemon {
                     .with_obs(d.obs.clone());
             if let Some(schedule) = fault {
                 shipper = shipper.with_fault_schedule(schedule);
-            }
-            if resilient {
-                shipper = shipper.with_resilience();
             }
             Ok(SamplingLoop::run(config, pmcd, &mut shipper))
         })
@@ -785,9 +771,7 @@ impl PMoveDaemon {
                     "pcp.transport.values_inserted".into(),
                     "pcp.transport.values_zeroed".into(),
                     "pcp.transport.values_lost".into(),
-                    "pcp.resilience.values_evicted".into(),
                 ],
-                pending_gauges: vec!["pcp.resilience.spill_pending".into()],
             },
             target: 0.999,
         });
@@ -1066,7 +1050,7 @@ mod tests {
         let mut d = PMoveDaemon::for_preset_durable("icl", vfs.clone()).unwrap();
         assert!(d.ts.is_durable() && d.doc_journal.is_some());
         assert_eq!(replayed(&d), (0, 0), "a fresh disk replays nothing");
-        d.monitor(5.0, 2.0);
+        d.monitor(5.0, 2.0, None);
         let rows = d.ts.total_rows();
         let kb_len = d.kb.len();
         assert!(rows > 0);
@@ -1113,7 +1097,7 @@ mod tests {
         let mut plain = PMoveDaemon::for_preset("icl").unwrap();
         assert!(!plain.enable_scrubbing(60.0));
 
-        d.monitor(5.0, 2.0);
+        d.monitor(5.0, 2.0, None);
         d.ts.flush().unwrap();
         // Latent rot: flip a bit inside a durable chunk while running.
         disk.schedule_rot(RotSchedule::none().at(6.0, 1).with_prefix("chunk-"));
@@ -1122,7 +1106,7 @@ mod tests {
         // windows the pass reaches the damaged chunk and quarantines it.
         let mut quarantined = false;
         for _ in 0..6 {
-            d.monitor(5.0, 2.0);
+            d.monitor(5.0, 2.0, None);
             if !d.ts.store().unwrap().quarantined().is_empty() {
                 quarantined = true;
                 break;
@@ -1190,7 +1174,7 @@ mod tests {
         assert_eq!(d.ensure_writable(), Err(PmoveError::DegradedMode(reason)));
         assert!(!d.ts.is_durable() && d.doc_journal.is_none());
         // Monitoring still runs end to end...
-        let r = d.monitor(5.0, 2.0);
+        let r = d.monitor(5.0, 2.0, None);
         assert_eq!(r.ticks, 10);
         assert!(d.ts.total_rows() > 0);
         // ...while KB-mutating operations are refused with a typed error.
@@ -1213,26 +1197,26 @@ mod tests {
     }
 
     #[test]
-    fn monitor_resilient_survives_injected_link_outage() {
+    fn monitor_loses_an_injected_link_outage_on_the_daemon_clock() {
         use pmove_hwsim::{FaultKind, FaultSchedule};
         let mut d = PMoveDaemon::for_preset("icl").unwrap();
-        // Warm the clock so the schedule shift is exercised.
-        d.monitor(5.0, 1.0);
-        let fault = FaultSchedule::none().with_window(10.0, 20.0, FaultKind::LinkDown);
-        let r = d.monitor_resilient(40.0, 1.0, true, Some(fault));
+        // Warm the clock so the schedule shift is exercised: the window
+        // [0, 10) fires at daemon time [5, 15), so ticks 6..=14 are lost
+        // (unshifted, only ticks 6..=9 would be).
+        d.monitor(5.0, 1.0, None);
+        let fault = FaultSchedule::none().with_window(0.0, 10.0, FaultKind::LinkDown);
+        let r = d.monitor(40.0, 1.0, Some(fault));
         assert_eq!(r.ticks, 40);
         assert!(r.transport.conserved(), "{:?}", r.transport);
-        assert!(r.transport.values_spilled > 0, "outage forced spills");
-        assert!(r.transport.values_recovered > 0, "drain recovered spills");
-        assert_eq!(r.transport.values_lost, 0, "nothing dropped for good");
-        assert!(r.transport.gap_markers >= 1);
+        assert_eq!(r.transport.values_zeroed, 0);
+        assert_eq!(40 * r.transport.values_lost, 9 * r.transport.values_offered);
         assert_eq!(d.now_s, 45.0);
     }
 
     #[test]
     fn monitor_advances_clock_and_stores_data() {
         let mut d = PMoveDaemon::for_preset("icl").unwrap();
-        let r = d.monitor(5.0, 2.0);
+        let r = d.monitor(5.0, 2.0, None);
         assert_eq!(r.ticks, 10);
         assert_eq!(d.now_s, 5.0);
         assert!(d.ts.total_rows() > 0);
@@ -1262,7 +1246,7 @@ mod tests {
     #[test]
     fn monitor_feeds_self_telemetry_and_conservation_holds() {
         let mut d = PMoveDaemon::for_preset("icl").unwrap();
-        let r = d.monitor(5.0, 2.0);
+        let r = d.monitor(5.0, 2.0, None);
         let snap = d.obs.snapshot();
         // Transport counters mirror the report exactly.
         let offered = snap.counter("pcp.transport.values_offered", &[]).unwrap();
@@ -1283,7 +1267,7 @@ mod tests {
     fn export_self_telemetry_writes_deterministic_series() {
         let run = || {
             let mut d = PMoveDaemon::for_preset("csl").unwrap();
-            d.monitor(5.0, 2.0);
+            d.monitor(5.0, 2.0, None);
             let n = d.export_self_telemetry();
             assert!(n > 0, "no self points written");
             d
@@ -1407,7 +1391,7 @@ mod tests {
         assert_eq!(boot.terminal_status(), "booted");
         assert!(boot.spans.len() >= 5, "{}", boot.render());
 
-        d.monitor(5.0, 2.0);
+        d.monitor(5.0, 2.0, None);
         assert_eq!(tracer.active_count(), 0, "no orphaned traces");
         let s = tracer.stats();
         assert_eq!(s.started, s.finished);
@@ -1421,7 +1405,7 @@ mod tests {
         // identically across runs.
         let mut d2 = PMoveDaemon::for_preset("icl").unwrap();
         let t2 = d2.enable_tracing(256);
-        d2.monitor(5.0, 2.0);
+        d2.monitor(5.0, 2.0, None);
         assert_eq!(
             tracer.last_finished().unwrap().render(),
             t2.last_finished().unwrap().render()
@@ -1433,10 +1417,10 @@ mod tests {
         // Tracing must not perturb what the pipeline actually does: same
         // report, same rows, same series with and without a tracer.
         let mut plain = PMoveDaemon::for_preset("icl").unwrap();
-        let r_plain = plain.monitor(5.0, 2.0);
+        let r_plain = plain.monitor(5.0, 2.0, None);
         let mut traced = PMoveDaemon::for_preset("icl").unwrap();
         traced.enable_tracing(256);
-        let r_traced = traced.monitor(5.0, 2.0);
+        let r_traced = traced.monitor(5.0, 2.0, None);
         assert_eq!(r_plain.transport, r_traced.transport);
         assert_eq!(plain.ts.total_rows(), traced.ts.total_rows());
         let q = "SELECT \"value\" FROM \"kernel_all_load\"";
@@ -1453,7 +1437,7 @@ mod tests {
         assert_eq!(d.slo.len(), 6);
         d.install_default_slos(); // idempotent
         assert_eq!(d.slo.len(), 6);
-        d.monitor(5.0, 2.0);
+        d.monitor(5.0, 2.0, None);
         let fired = d.evaluate_slos();
         assert!(fired.is_empty(), "{fired:?}");
         assert_eq!(d.slo.state("ingest_p99"), Some(AlertState::Ok));
@@ -1474,7 +1458,7 @@ mod tests {
         let run = || {
             let mut d = PMoveDaemon::for_preset("icl").unwrap();
             d.install_default_slos();
-            d.monitor(2.0, 2.0);
+            d.monitor(2.0, 2.0, None);
             d.evaluate_slos();
             // Regress the ingest path: a burst of samples far above the
             // objective threshold.
@@ -1641,7 +1625,7 @@ mod tests {
 
         // A plain (non-replicated) daemon serves off its host database.
         let mut plain = PMoveDaemon::for_preset("icl").unwrap();
-        plain.monitor(5.0, 1.0);
+        plain.monitor(5.0, 1.0, None);
         let r2 = plain
             .serve_queries(ServingConfig::default(), &schedule)
             .unwrap();
@@ -1768,7 +1752,7 @@ mod tests {
     #[test]
     fn monitoring_populates_the_tsdb() {
         let mut d = PMoveDaemon::for_preset("icl").unwrap();
-        let report = d.monitor(10.0, 1.0);
+        let report = d.monitor(10.0, 1.0, None);
         assert_eq!(report.ticks, 10);
         assert_eq!(report.transport.values_lost, 0);
         // Measurements exist with KB-declared names.
@@ -1789,7 +1773,7 @@ mod tests {
         let mut spec = pmove_hwsim::MachineSpec::csl();
         spec.gpus.push(pmove_hwsim::gpu::GpuSpec::gv100());
         let (mut d, _) = PMoveDaemon::boot(Machine::new(spec), DbParams::default(), None).unwrap();
-        d.monitor(10.0, 1.0);
+        d.monitor(10.0, 1.0, None);
         let ms = d.ts.measurements();
         assert!(ms.contains(&"nvidia_memused".to_string()), "{ms:?}");
         assert!(ms.contains(&"nvidia_power".to_string()));
@@ -1810,7 +1794,7 @@ mod tests {
         // the series the single-node shipper does: same collector stack,
         // same tick grid, bit-identical values on every replica.
         let mut plain = PMoveDaemon::for_preset("icl").unwrap();
-        let report = plain.monitor(10.0, 1.0);
+        let report = plain.monitor(10.0, 1.0, None);
         let mut d = PMoveDaemon::for_preset_replicated("icl", 7).unwrap();
         let out = d.monitor_replicated(10.0, 1.0, None).unwrap();
         assert_eq!(out.report.ticks, report.ticks);
@@ -1834,7 +1818,7 @@ mod tests {
         // over 60 s yields 60 ticks, no losses, no zeros.
         let mut d = PMoveDaemon::for_preset("csl").unwrap();
         d.now_s = 100.0;
-        let report = d.monitor(60.0, 1.0);
+        let report = d.monitor(60.0, 1.0, None);
         assert_eq!(report.ticks, 60);
         assert_eq!(
             report.transport.values_lost + report.transport.values_zeroed,

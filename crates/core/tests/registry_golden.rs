@@ -1,7 +1,7 @@
 //! Pin the whole self-observability registry as Prometheus text — every
 //! name, label, count, bucket and exemplar — after two busy daemons:
 //! (a) durable `icl`, scrubbing, rolling up, traced, SLOs installed,
-//! through plain and resilient monitoring, a profile, a serving schedule
+//! through plain monitoring and a link outage, a profile, a serving schedule
 //! and a self-telemetry export; (b) replicated `skx` with one replica's
 //! disk crashed mid-window, then repaired.
 
@@ -26,11 +26,11 @@ fn durable_icl() -> String {
     d.enable_tracing(256);
     d.install_default_slos();
     for _ in 0..3 {
-        d.monitor(5.0, 1.0);
+        d.monitor(5.0, 1.0, None);
     }
     d.ts.flush().unwrap();
     let outage = FaultSchedule::none().with_window(5.0, 15.0, FaultKind::LinkDown);
-    d.monitor_resilient(30.0, 1.0, true, Some(outage));
+    d.monitor(30.0, 1.0, Some(outage));
     d.profile(&ProfileRequest {
         profile: stream_kernel_profile(StreamKernel::Triad, 1 << 30, 4, IsaExt::Avx512),
         command: "triad -n 1073741824 -t 4".into(),

@@ -1,7 +1,6 @@
 //! Pin the self-observability dashboard of one busy daemon — durable,
-//! scrubbing, rolling up, traced, through a link outage on the resilient
-//! transport, serving queries — to its captured JSON: panel titles, panel
-//! order and every target.
+//! scrubbing, rolling up, traced, through a link outage, serving queries
+//! — to its captured JSON: panel titles, panel order and every target.
 
 use pmove_core::PMoveDaemon;
 use pmove_hwsim::{FaultKind, FaultSchedule};
@@ -19,10 +18,10 @@ fn self_dashboard_of_a_busy_daemon_matches_golden() {
     d.enable_rollups(RollupConfig::default());
     d.enable_tracing(256);
     d.install_default_slos();
-    d.monitor(10.0, 1.0);
+    d.monitor(10.0, 1.0, None);
     d.ts.flush().unwrap();
     let outage = FaultSchedule::none().with_window(5.0, 15.0, FaultKind::LinkDown);
-    d.monitor_resilient(30.0, 1.0, true, Some(outage));
+    d.monitor(30.0, 1.0, Some(outage));
     let panel = "SELECT mean(\"value\") FROM \"kernel_all_load\"";
     let schedule: Vec<ServeRequest> = (0..8u64)
         .map(|i| ServeRequest {
@@ -41,7 +40,6 @@ fn self_dashboard_of_a_busy_daemon_matches_golden() {
     for title in [
         "storage engine",
         "query engine",
-        "transport resilience",
         "integrity",
         "batch & rollup",
         "tracing & SLO",

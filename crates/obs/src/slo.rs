@@ -43,15 +43,13 @@ pub enum Objective {
         /// Samples above this are budget burn.
         threshold_ns: u64,
     },
-    /// Conservation: `offered` must equal the accounted counters plus
-    /// in-flight gauges; any imbalance is budget burn.
+    /// Conservation: `offered` must equal the sum of the accounted
+    /// counters; any imbalance is budget burn.
     Conservation {
         /// Counter of offered values.
         offered: String,
         /// Counters of terminal dispositions.
         accounted: Vec<String>,
-        /// Gauges of values still in flight (spill queue, hints).
-        pending_gauges: Vec<String>,
     },
     /// The gauge must be at least `min` at evaluation time; each
     /// evaluation contributes one event (good or bad).
@@ -244,24 +242,10 @@ impl Tracker {
                 }
                 (bad, total)
             }
-            Objective::Conservation {
-                offered,
-                accounted,
-                pending_gauges,
-            } => {
+            Objective::Conservation { offered, accounted } => {
                 let off = snap.counter_total(offered) as f64;
                 let acc: f64 = accounted.iter().map(|n| snap.counter_total(n) as f64).sum();
-                let pending: f64 = pending_gauges
-                    .iter()
-                    .map(|n| {
-                        snap.gauges
-                            .iter()
-                            .filter(|(k, _)| k.name == *n)
-                            .map(|(_, v)| *v)
-                            .sum::<f64>()
-                    })
-                    .sum();
-                ((off - acc - pending).abs(), off)
+                ((off - acc).abs(), off)
             }
             Objective::GaugeAtLeast { gauge, min } => {
                 let healthy = snap
@@ -654,16 +638,18 @@ mod tests {
             name: "conservation".into(),
             objective: Objective::Conservation {
                 offered: "pcp.transport.values_offered".into(),
-                accounted: vec!["pcp.transport.values_inserted".into()],
-                pending_gauges: vec!["pcp.resilience.spill_pending".into()],
+                accounted: vec![
+                    "pcp.transport.values_inserted".into(),
+                    "pcp.transport.values_lost".into(),
+                ],
             },
             target: 0.999,
         });
         let fired = eng.evaluate(&reg.snapshot(), 1_000_000_000);
         assert_eq!(fired.len(), 1, "10% imbalance must fire");
-        // Balance the books via the pending gauge: imbalance stops
+        // Balance the books via the lost counter: imbalance stops
         // growing, the window drains, hysteresis clears.
-        reg.gauge("pcp.resilience.spill_pending", &[]).set(10.0);
+        reg.counter("pcp.transport.values_lost", &[]).add(10);
         let mut cleared = false;
         for tick in 2..=30u64 {
             for t in eng.evaluate(&reg.snapshot(), tick * 1_000_000_000) {

@@ -17,8 +17,8 @@
 //!   flight recorder), so memory is O(ring × spans) forever.
 //!
 //! Context propagation is by value: a [`Span`] (tracer + `Copy`
-//! [`TraceContext`], or nothing) rides on reports across retries, spill
-//! queues, hinted handoff, and quorum fan-out. A trace is terminated
+//! [`TraceContext`], or nothing) rides on reports across retries,
+//! hinted handoff, and quorum fan-out. A trace is terminated
 //! exactly once via [`Span::finish`]; any child span still open at that
 //! point is force-closed with status `unclosed`, which the chaos
 //! proptest treats as an orphan and rejects.
@@ -75,7 +75,7 @@ pub struct TraceSpan {
     /// Virtual close timestamp (>= start; `u64::MAX` while still open).
     pub end_ns: u64,
     /// Outcome marker: `ok`, or a terminal/fault marker such as
-    /// `inserted`, `spilled`, `lost`, `hinted`, `unclosed`.
+    /// `inserted`, `lost`, `hinted`, `recovered`, `unclosed`.
     pub status: String,
 }
 

@@ -24,9 +24,9 @@
 //! tick loop behind both. Each shipper has one ship path: `ship(t, point,
 //! freq_hz)` is `ship_span(t, point, freq_hz, Span::none())`, and the
 //! sampler passes the report's `pcp.sample` root span when the registry
-//! carries a tracer. The opt-in resilient mode
-//! ([`Shipper::with_resilience`]) has one fixed policy: spill bound,
-//! retries, backoff and breaker are constants.
+//! carries a tracer. The single-node path never buffers (an outage is
+//! loss, as the paper measures); the replicated coordinator's hinted
+//! handoff is the one buffer for outages.
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
@@ -39,7 +39,6 @@ pub mod pmda_nvidia;
 pub mod pmda_perfevent;
 pub mod pmda_proc;
 mod replication;
-mod resilience;
 pub mod resource;
 mod sampler;
 mod transport;
@@ -50,4 +49,4 @@ pub use replication::{
     run_replicated, ReplSamplingReport, ReplShipOutcome, ReplShipper, ReplStats,
 };
 pub use sampler::{SamplingConfig, SamplingLoop, SamplingReport};
-pub use transport::{ShipOutcome, Shipper, ShipperStats, GAP_MEASUREMENT};
+pub use transport::{ShipOutcome, Shipper, ShipperStats};

@@ -18,14 +18,12 @@
 //!
 //! ```text
 //! offered + corrupted ==
-//!     inserted + zeroed + lost + pending + evicted + hinted
+//!     inserted + zeroed + lost + evicted + hinted
 //!     + repaired + corrupt_pending
 //! ```
 //!
-//! `pending` is PR 3's spill term — always 0 in coordinator mode, kept so
-//! the equation is uniform across transports. `hinted` is the *currently
-//! parked* ledger values; a finished run can legitimately end with
-//! `hinted > 0` when a replica never came back.
+//! `hinted` is the *currently parked* ledger values; a finished run can
+//! legitimately end with `hinted > 0` when a replica never came back.
 //!
 //! `corrupted` / `repaired` / `corrupt_pending` are the integrity terms:
 //! a cell destroyed by latent disk rot (its chunk quarantined) re-enters
@@ -33,7 +31,7 @@
 //! as `repaired` (read-repair restored it from the surviving R-quorum)
 //! or as `corrupt_pending` (the hole is still open, annotated with
 //! `pmove_gap` markers). With no corruption all three are 0 and the
-//! equation collapses to PR 5's six-term identity.
+//! equation collapses to the five-term transport identity.
 
 use crate::error::PcpError;
 use crate::pmcd::Pmcd;
@@ -79,8 +77,6 @@ pub struct ReplStats {
     pub values_zeroed: u64,
     /// Values lost outright (quorum missed and hint queue unable to hold).
     pub values_lost: u64,
-    /// PR 3 spill term; always 0 in coordinator mode.
-    pub values_spill_pending: u64,
     /// Ledger values evicted from a hint queue by drop-oldest overflow.
     pub values_evicted: u64,
     /// Ledger values currently parked as hints (not yet replayed).
@@ -110,13 +106,12 @@ pub struct ReplStats {
 }
 
 impl ReplStats {
-    /// Sum of the accounted fates: the six transport fates plus the two
+    /// Sum of the accounted fates: the five transport fates plus the two
     /// integrity exits (`repaired`, `corrupt_pending`).
     pub fn accounted(&self) -> u64 {
         self.values_inserted
             + self.values_zeroed
             + self.values_lost
-            + self.values_spill_pending
             + self.values_evicted
             + self.values_hinted
             + self.values_repaired
@@ -670,14 +665,9 @@ impl SampleSink for ReplShipper<'_> {
         self.obs.registry.clone()
     }
 
-    fn skips_ticks(&self) -> bool {
-        false
-    }
-
-    fn begin_tick(&mut self, pmcd: &mut Pmcd, _tick: u64, t_now: f64) -> bool {
+    fn begin_tick(&mut self, pmcd: &mut Pmcd, t_now: f64) {
         pmcd.heartbeat_all(t_now);
         self.heartbeat(t_now);
-        true
     }
 
     fn ship(&mut self, t_now: f64, point: Point, freq_hz: f64, span: Span) {
@@ -700,7 +690,7 @@ pub fn run_replicated(
     pmcd: &mut Pmcd,
     coord: &mut ReplShipper<'_>,
 ) -> ReplSamplingReport {
-    let (_, total_domain) = run_ticks(config, pmcd, coord);
+    let total_domain = run_ticks(config, pmcd, coord);
     ReplSamplingReport {
         ticks: config.ticks(),
         expected_values: config.ticks() * total_domain,

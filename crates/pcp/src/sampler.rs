@@ -5,12 +5,6 @@
 //! There is no queue: whatever the shipper cannot take in that window is
 //! gone. This is the experiment driver for Table III and the telemetry
 //! engine for Scenarios A and B.
-//!
-//! When the shipper runs in resilient mode the loop additionally drives
-//! agent heartbeats (supervised PMDA restarts) and honours the shipper's
-//! adaptive tick stride: under sustained loss some ticks are skipped —
-//! traded for spill-drain opportunities — and counted in
-//! [`SamplingReport::ticks_skipped`].
 
 use crate::error::{require_finite, require_non_negative, require_positive, PcpError};
 use crate::pmcd::Pmcd;
@@ -74,8 +68,6 @@ impl SamplingConfig {
 pub struct SamplingReport {
     /// Ticks scheduled.
     pub ticks: u64,
-    /// Ticks skipped by adaptive frequency degradation (0 in default mode).
-    pub ticks_skipped: u64,
     /// Field values expected (ticks × total domain size).
     pub expected_values: u64,
     /// Transport statistics.
@@ -87,17 +79,14 @@ pub struct SamplingReport {
 pub(crate) trait SampleSink {
     /// The attached observability registry, possibly disabled.
     fn registry(&self) -> Arc<Registry>;
-    /// True when [`SampleSink::begin_tick`] may skip ticks, which
-    /// registers the `pcp.resilience.ticks_skipped` counter up front.
-    fn skips_ticks(&self) -> bool;
     /// Per-tick supervision before the fetch (agent and replica
-    /// heartbeats, spill drain). Returns false to skip this tick's fetch.
-    fn begin_tick(&mut self, pmcd: &mut Pmcd, tick: u64, t_now: f64) -> bool;
+    /// heartbeats). The unbuffered shipper supervises nothing.
+    fn begin_tick(&mut self, _pmcd: &mut Pmcd, _t_now: f64) {}
     /// Ship one fetched report under its root span.
     fn ship(&mut self, t_now: f64, point: Point, freq_hz: f64, span: Span);
-    /// Last drain/replay opportunity at the end of the run, then seal the
-    /// trace of every report still parked.
-    fn end_run(&mut self, t_end: f64);
+    /// Last replay opportunity at the end of the run, then seal the trace
+    /// of every report still parked. The unbuffered shipper parks nothing.
+    fn end_run(&mut self, _t_end: f64) {}
 }
 
 impl SampleSink for Shipper<'_> {
@@ -105,77 +94,35 @@ impl SampleSink for Shipper<'_> {
         self.obs.registry.clone()
     }
 
-    fn skips_ticks(&self) -> bool {
-        self.is_resilient()
-    }
-
-    fn begin_tick(&mut self, pmcd: &mut Pmcd, tick: u64, t_now: f64) -> bool {
-        if !self.is_resilient() {
-            return true;
-        }
-        // Supervise the agents: detect crashed PMDAs, restart them after
-        // their backoff elapses.
-        pmcd.heartbeat_all(t_now);
-        // Adaptive frequency degradation: under sustained loss the
-        // shipper suggests sampling every n-th tick only; the freed ticks
-        // still drain the spill buffer.
-        let stride = self.suggested_stride();
-        if stride > 1 && !tick.is_multiple_of(stride) {
-            self.idle_tick(t_now);
-            return false;
-        }
-        true
-    }
-
     fn ship(&mut self, t_now: f64, point: Point, freq_hz: f64, span: Span) {
         self.ship_span(t_now, point, freq_hz, span);
     }
-
-    fn end_run(&mut self, t_end: f64) {
-        // Spill left over from a fault that ended near the end can still
-        // land (no-op in default mode); what stays parked terminates its
-        // trace as `spill_pending` — the trace-side twin of the
-        // conservation ledger's pending term.
-        self.idle_tick(t_end);
-        self.seal_pending_traces(t_end);
-    }
 }
 
-/// The unbuffered tick loop. Returns `(ticks skipped, field values per
-/// tick)`; the sink holds the transport statistics.
+/// The unbuffered tick loop. Returns the field values per tick; the sink
+/// holds the transport statistics.
 pub(crate) fn run_ticks(
     config: &SamplingConfig,
     pmcd: &mut Pmcd,
     sink: &mut impl SampleSink,
-) -> (u64, u64) {
+) -> u64 {
     let period = 1.0 / config.freq_hz;
     let mut t_prev = config.start_s;
     let mut total_domain = None;
-    let mut ticks_skipped = 0u64;
     // Hoisted self-observability handles (shared with the sink's
     // registry, so one snapshot covers the whole pipeline).
     let obs = sink.registry();
     // Causal tracing: when the registry carries a tracer, every shipped
     // report gets a `pcp.sample` root trace the transport then threads
-    // through retries, spill and hints to a terminal status.
+    // through its ship attempt (and hints, when replicated) to a terminal
+    // status.
     let tracer = obs.tracer();
     let tick_counter = obs.counter("pcp.sampler.ticks", &[]);
     let point_counter = obs.counter("pcp.sampler.points_fetched", &[]);
-    let skip_counter = sink
-        .skips_ticks()
-        .then(|| obs.counter("pcp.resilience.ticks_skipped", &[]));
 
     for tick in 0..config.ticks() {
         let t_now = config.start_s + (tick + 1) as f64 * period;
-        if !sink.begin_tick(pmcd, tick, t_now) {
-            // `t_prev` is *not* advanced, so the next real fetch covers
-            // the whole skipped window (PCP counter semantics).
-            ticks_skipped += 1;
-            if let Some(c) = &skip_counter {
-                c.inc();
-            }
-            continue;
-        }
+        sink.begin_tick(pmcd, t_now);
         let points = pmcd.fetch_all(&config.metrics, t_prev, t_now);
         if total_domain.is_none() && !points.is_empty() {
             total_domain = Some(points.iter().map(|p| p.field_count() as u64).sum());
@@ -195,7 +142,7 @@ pub(crate) fn run_ticks(
     let start_ns = (config.start_s * 1e9).round().max(0.0) as u64;
     let end_ns = (t_prev * 1e9).round().max(0.0) as u64;
     obs.record_span("pcp.sampling", start_ns, end_ns);
-    (ticks_skipped, total_domain.unwrap_or(0))
+    total_domain.unwrap_or(0)
 }
 
 /// The loop itself.
@@ -209,10 +156,9 @@ impl SamplingLoop {
         pmcd: &mut Pmcd,
         shipper: &mut Shipper<'_>,
     ) -> SamplingReport {
-        let (ticks_skipped, total_domain) = run_ticks(config, pmcd, shipper);
+        let total_domain = run_ticks(config, pmcd, shipper);
         SamplingReport {
             ticks: config.ticks(),
-            ticks_skipped,
             expected_values: config.ticks() * total_domain,
             transport: shipper.stats(),
         }
@@ -223,7 +169,7 @@ impl SamplingLoop {
 mod tests {
     use super::*;
     use crate::pmda_linux::LinuxAgent;
-    use pmove_hwsim::network::{FaultKind, FaultSchedule, LinkSpec};
+    use pmove_hwsim::network::LinkSpec;
     use pmove_hwsim::MachineSpec;
     use pmove_tsdb::Database;
 
@@ -314,25 +260,5 @@ mod tests {
             snap.counter("pcp.transport.values_offered", &[]),
             Some(report.transport.values_offered)
         );
-        // Default mode never skips ticks.
-        assert_eq!(report.ticks_skipped, 0);
-    }
-
-    #[test]
-    fn resilient_run_skips_ticks_under_crushed_bandwidth_and_conserves() {
-        let mut pmcd = Pmcd::new();
-        pmcd.register(Box::new(LinuxAgent::new(MachineSpec::icl())));
-        let db = Database::new("host");
-        // Bandwidth crushed below a single report for the first 30 s.
-        let schedule =
-            FaultSchedule::none().with_window(0.0, 30.0, FaultKind::BandwidthDegraded(0.0001));
-        let mut shipper = Shipper::new(&db, LinkSpec::mbit_100(), 0.5, &["resloop", "s"])
-            .with_fault_schedule(schedule)
-            .with_resilience();
-        let cfg = SamplingConfig::new(vec!["kernel.percpu.cpu.idle".into()], 2.0, 0.0, 60.0);
-        let report = SamplingLoop::run(&cfg, &mut pmcd, &mut shipper);
-        assert!(report.ticks_skipped > 0, "stride engaged: {report:?}");
-        assert!(report.transport.values_recovered > 0);
-        assert!(report.transport.conserved(), "{:?}", report.transport);
     }
 }

@@ -1,16 +1,15 @@
 //! Chaos property tests: the transport's loss-conservation identity must
 //! survive *arbitrary* injected faults — link flaps, bandwidth collapse,
-//! backend brown-outs — with the resilient mode on or off, and every run
-//! must replay bit-identically from its seed. A separate property pins
-//! the Table III contract: an attached-but-empty fault schedule changes
-//! nothing about the default transport, and a fixed-schedule test pins
-//! what resilience buys: strictly less loss under each of three faults.
+//! backend brown-outs — and every run must replay bit-identically from
+//! its seed. A separate property pins the Table III contract: an
+//! attached-but-empty fault schedule changes nothing about the default
+//! transport.
 //!
 //! Case count defaults to 256 and is raised in CI's chaos job via the
 //! `PMOVE_CHAOS_CASES` environment variable.
 
 use pmove_hwsim::network::LinkSpec;
-use pmove_hwsim::{FaultKind, FaultSchedule};
+use pmove_hwsim::FaultSchedule;
 use pmove_obs::{Registry, Span, Tracer};
 use pmove_pcp::{ReplShipOutcome, ReplShipper, ReplStats};
 use pmove_pcp::{ShipOutcome, Shipper, ShipperStats};
@@ -61,7 +60,7 @@ struct Case {
 }
 
 /// One full run; returns the final stats and the DB row count.
-fn run(case: &Case, fault: Option<FaultSchedule>, resilient: bool) -> (ShipperStats, usize) {
+fn run(case: &Case, fault: Option<FaultSchedule>) -> (ShipperStats, usize) {
     let freq_hz = case.freq as f64;
     let db = Database::new("host");
     let mut shipper = Shipper::new(
@@ -70,12 +69,8 @@ fn run(case: &Case, fault: Option<FaultSchedule>, resilient: bool) -> (ShipperSt
         1.0 / freq_hz,
         &["chaos", &format!("{:x}", case.seed)],
     );
-    let fault_tail_s = fault.as_ref().map(|f| f.last_fault_end_s()).unwrap_or(0.0);
     if let Some(schedule) = fault {
         shipper = shipper.with_fault_schedule(schedule);
-    }
-    if resilient {
-        shipper = shipper.with_resilience();
     }
     let ticks = case.freq * case.duration_s;
     let mut value_seed = case.seed;
@@ -90,25 +85,14 @@ fn run(case: &Case, fault: Option<FaultSchedule>, resilient: bool) -> (ShipperSt
         }
         t += 1.0 / freq_hz;
     }
-    // Give the resilient transport idle time after the schedule ends so
-    // spilled reports get their retry chances against a healthy backend.
-    if resilient {
-        let end_s = case.duration_s as f64;
-        let tail = fault_tail_s.max(end_s);
-        let mut t_idle = end_s;
-        while t_idle <= tail + 10.0 {
-            shipper.idle_tick(t_idle);
-            t_idle += 0.5;
-        }
-    }
     (shipper.stats(), db.total_rows())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(chaos_cases()))]
 
-    /// The 5-term identity holds under any fault schedule, resilient or
-    /// not, and the whole run replays bit-identically from its seed.
+    /// The 3-term identity holds under any fault schedule, and the whole
+    /// run replays bit-identically from its seed.
     #[test]
     fn conservation_survives_arbitrary_faults(
         seed in any::<u64>(),
@@ -116,41 +100,32 @@ proptest! {
         domain in 1usize..=64,
         n_metrics in 1usize..=4,
         duration_s in 2u32..=6,
-        resilient in any::<bool>(),
     ) {
         let case = Case { seed, freq, domain, n_metrics, duration_s };
         let fault = FaultSchedule::random(seed, duration_s as f64);
 
-        let (st, rows) = run(&case, Some(fault.clone()), resilient);
+        let (st, rows) = run(&case, Some(fault.clone()));
         prop_assert!(
             st.conserved(),
-            "offered={} != accounted={} (inserted={} zeroed={} lost={} pending={} evicted={}) fault={:?}",
+            "offered={} != accounted={} (inserted={} zeroed={} lost={}) fault={:?}",
             st.values_offered, st.accounted(), st.values_inserted, st.values_zeroed,
-            st.values_lost, st.values_spill_pending, st.values_evicted, fault
+            st.values_lost, fault
         );
         // Everything the sampler produced was offered.
         let expected = (freq * duration_s) as u64 * n_metrics as u64 * domain as u64;
         prop_assert_eq!(st.values_offered, expected);
-        // Without resilience there is no spill machinery to populate.
-        if !resilient {
-            prop_assert_eq!(st.values_spilled, 0);
-            prop_assert_eq!(st.values_spill_pending, 0);
-            prop_assert_eq!(st.values_evicted, 0);
-            prop_assert_eq!(st.values_recovered, 0);
-            prop_assert_eq!(st.retries, 0);
-        }
         // The DB never holds more report rows than inserted values imply.
-        prop_assert!(rows as u64 <= st.values_inserted + st.values_zeroed + st.gap_markers * 2);
+        prop_assert!(rows as u64 <= st.values_inserted + st.values_zeroed);
 
         // Determinism: the identical configuration replays to identical
         // stats and identical DB contents.
-        let (st2, rows2) = run(&case, Some(fault), resilient);
+        let (st2, rows2) = run(&case, Some(fault));
         prop_assert_eq!(st, st2, "chaos run is not deterministic per seed");
         prop_assert_eq!(rows, rows2);
     }
 
-    /// Table III contract: attaching an *empty* schedule (and no
-    /// resilience) leaves the default transport bit-identical — same
+    /// Table III contract: attaching an *empty* schedule leaves the
+    /// default transport bit-identical — same
     /// stats, same rows — so the paper-mode loss model is untouched by
     /// the chaos machinery.
     #[test]
@@ -162,59 +137,10 @@ proptest! {
         duration_s in 1u32..=4,
     ) {
         let case = Case { seed, freq, domain, n_metrics, duration_s };
-        let (plain, plain_rows) = run(&case, None, false);
-        let (scheduled, scheduled_rows) = run(&case, Some(FaultSchedule::none()), false);
+        let (plain, plain_rows) = run(&case, None);
+        let (scheduled, scheduled_rows) = run(&case, Some(FaultSchedule::none()));
         prop_assert_eq!(plain, scheduled);
         prop_assert_eq!(plain_rows, scheduled_rows);
-        prop_assert_eq!(plain.values_spilled, 0);
-        prop_assert_eq!(plain.gap_markers, 0);
-    }
-}
-
-/// Resilience strictly reduces what a fault costs under each of three
-/// fixed 60 s schedules: a 2 s link outage every 10 s, a backend that
-/// accepts 30% of inserts over the middle third, and link capacity cut
-/// to 2% (below the offered ~256 values/s) over the middle half.
-#[test]
-fn resilient_mode_reduces_loss_under_each_fixed_schedule() {
-    let flaps = (0..6).fold(FaultSchedule::none(), |s, k| {
-        let t = 10.0 * k as f64 + 8.0;
-        s.with_window(t, t + 2.0, FaultKind::LinkDown)
-    });
-    let schedules = [
-        ("link-flaps", flaps),
-        (
-            "db-brownout",
-            FaultSchedule::none().with_window(20.0, 40.0, FaultKind::BackendBrownout(0.3)),
-        ),
-        (
-            "bandwidth-collapse",
-            FaultSchedule::none().with_window(15.0, 45.0, FaultKind::BandwidthDegraded(0.02)),
-        ),
-    ];
-    let case = Case {
-        seed: 0xC4A0_5EED,
-        freq: 4,
-        domain: 16,
-        n_metrics: 4,
-        duration_s: 60,
-    };
-    for (name, schedule) in schedules {
-        let (off, _) = run(&case, Some(schedule.clone()), false);
-        let (on, _) = run(&case, Some(schedule), true);
-        assert!(off.conserved() && on.conserved(), "{name}: {off:?} {on:?}");
-        assert_eq!(
-            off.values_offered, on.values_offered,
-            "{name}: same workload"
-        );
-        let lost_off = off.values_lost + off.values_evicted;
-        let lost_on = on.values_lost + on.values_evicted;
-        assert!(
-            lost_off > 0,
-            "{name}: the schedule must hurt the default mode"
-        );
-        assert!(lost_on < lost_off, "{name}: {lost_on} vs {lost_off} lost");
-        assert!(on.values_recovered > 0, "{name}: nothing was recovered");
     }
 }
 
@@ -232,7 +158,6 @@ proptest! {
         domain in 1usize..=32,
         n_metrics in 1usize..=4,
         duration_s in 2u32..=5,
-        resilient in any::<bool>(),
     ) {
         let case = Case { seed, freq, domain, n_metrics, duration_s };
         let fault = FaultSchedule::random(seed, duration_s as f64);
@@ -250,10 +175,7 @@ proptest! {
             &["chaos", &format!("{:x}", case.seed)],
         )
         .with_obs(registry.clone())
-        .with_fault_schedule(fault.clone());
-        if resilient {
-            shipper = shipper.with_resilience();
-        }
+        .with_fault_schedule(fault);
 
         let ticks = case.freq * case.duration_s;
         let mut value_seed = case.seed;
@@ -271,28 +193,16 @@ proptest! {
             }
             t += 1.0 / freq_hz;
         }
-        let end_s = case.duration_s as f64;
-        if resilient {
-            let tail = fault.last_fault_end_s().max(end_s);
-            let mut t_idle = end_s;
-            while t_idle <= tail + 10.0 {
-                shipper.idle_tick(t_idle);
-                t_idle += 0.5;
-            }
-        }
-        shipper.seal_pending_traces(end_s);
-
         let stats = tracer.stats();
         prop_assert_eq!(stats.started, offered_reports);
         prop_assert_eq!(
             stats.started, stats.finished,
             "started != finished: some trace never terminated"
         );
-        prop_assert_eq!(tracer.active_count(), 0, "open traces after seal");
+        prop_assert_eq!(tracer.active_count(), 0, "open traces after the run");
         let trees = tracer.flight_recorder();
         prop_assert_eq!(trees.len() as u64, offered_reports);
-        const TERMINAL: [&str; 6] =
-            ["inserted", "zeroed", "lost", "evicted", "recovered", "spill_pending"];
+        const TERMINAL: [&str; 3] = ["inserted", "zeroed", "lost"];
         for tree in &trees {
             prop_assert!(
                 TERMINAL.contains(&tree.terminal_status()),
@@ -332,8 +242,8 @@ fn cells(db: &Database) -> Cells {
     out
 }
 
-/// The resilient single-node run of `case` under `tracer`, observed
-/// through `registry`.
+/// The single-node run of `case` under `tracer` and a random fault
+/// schedule, observed through `registry`.
 fn traced_shipper_run(
     case: &Case,
     tracer: Option<Arc<Tracer>>,
@@ -352,8 +262,7 @@ fn traced_shipper_run(
         &["chaos", &format!("{:x}", case.seed)],
     )
     .with_obs(registry)
-    .with_fault_schedule(fault.clone())
-    .with_resilience();
+    .with_fault_schedule(fault);
     let mut outcomes = Vec::new();
     let mut value_seed = case.seed;
     let mut t = 0.0;
@@ -365,13 +274,6 @@ fn traced_shipper_run(
         }
         t += 1.0 / freq_hz;
     }
-    let end_s = case.duration_s as f64;
-    let mut t_idle = end_s;
-    while t_idle <= fault.last_fault_end_s().max(end_s) + 10.0 {
-        shipper.idle_tick(t_idle);
-        t_idle += 0.5;
-    }
-    shipper.seal_pending_traces(t_idle);
     (shipper.stats(), outcomes, cells(&db))
 }
 
@@ -420,7 +322,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(trace_cases()))]
 
     /// Tracing is observationally invisible: whether no tracer is
-    /// attached or every trace is recorded, the resilient shipper and the
+    /// attached or every trace is recorded, the faulted shipper and the
     /// quorum coordinator keep the same ledger, return the same outcome
     /// for every report, and store the same cells bit for bit.
     #[test]

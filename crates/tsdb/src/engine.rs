@@ -29,10 +29,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Measurement holding gap-marker annotation points for time ranges the
-/// durable store lost to quarantined chunks. Matches the marker
-/// measurement the PCP shipper writes for transport outages
-/// (`pmove_pcp::GAP_MEASUREMENT`), so one dashboard query surfaces both
-/// kinds of hole.
+/// durable store lost to quarantined chunks: `gap_start_s`, `gap_end_s`
+/// and `rows_lost` per marker. [`Database::annotate_quarantine_gaps`] is
+/// its only writer.
 pub const GAP_MEASUREMENT: &str = "pmove_gap";
 
 /// Translate a stored field value into its durable column form.

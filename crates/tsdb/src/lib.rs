@@ -16,8 +16,8 @@
 //!   by a write-invalidated LRU query-result cache and continuous-query
 //!   rollup tiers;
 //! * **replica sets** with quorum configuration and Merkle anti-entropy
-//!   ([`repl`]), **retention**, JSON measurement **snapshots**
-//!   ([`snapshot`]) and the self-metrics exporter ([`self_export`]).
+//!   ([`repl`]), **retention** and the self-metrics exporter
+//!   ([`self_export`]).
 //!
 //! The database admits every point that carries a field: Table III's
 //! database-side backpressure is modelled once, by the PCP shipper's
@@ -66,7 +66,6 @@ pub mod repl;
 mod rollup;
 pub mod self_export;
 mod series;
-pub mod snapshot;
 pub mod storage;
 mod value;
 

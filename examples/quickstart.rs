@@ -19,7 +19,7 @@ fn main() {
     );
 
     // Scenario A: monitor system state for 30 virtual seconds at 2 Hz.
-    let report = daemon.monitor(30.0, 2.0);
+    let report = daemon.monitor(30.0, 2.0, None);
     println!(
         "scenario A: {} ticks, {} values stored, {:.1}% lost\n",
         report.ticks,

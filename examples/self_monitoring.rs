@@ -21,7 +21,7 @@ fn main() {
 
     // Scenario A window, then a Scenario B profile (the paper's Fig. 4
     // flow) — both feed the daemon's own observability registry.
-    daemon.monitor(30.0, 2.0);
+    daemon.monitor(30.0, 2.0, None);
     let request = ProfileRequest {
         profile: profiles::stream_kernel_profile(StreamKernel::Triad, 1 << 32, 28, IsaExt::Avx512),
         command: "stream_triad".into(),

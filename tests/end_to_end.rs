@@ -34,7 +34,7 @@ fn steps_0_to_3_produce_queryable_kb() {
 #[test]
 fn scenario_a_feeds_dashboards() {
     let mut d = daemon();
-    d.monitor(20.0, 2.0);
+    d.monitor(20.0, 2.0, None);
     let dash = gen::level_dashboard(&d.kb, "thread").expect("dashboard");
     let text = render::render_dashboard(&d.ts, &dash, None);
     // The per-cpu idle panel rendered real sparkline data.
@@ -93,7 +93,7 @@ fn scenario_b_roundtrip_through_queries() {
 #[test]
 fn focus_and_subtree_dashboards_scope_fields_correctly() {
     let mut d = daemon();
-    d.monitor(10.0, 1.0);
+    d.monitor(10.0, 1.0, None);
     let cpu2 = d.kb.by_name("cpu2").unwrap().id.clone();
     let focus = gen::focus_dashboard(&d.kb, &cpu2, false).unwrap();
     assert!(focus
@@ -129,7 +129,7 @@ fn benchmarks_recorded_and_reloadable() {
 #[test]
 fn anomaly_scan_over_monitored_data() {
     let mut d = daemon();
-    d.monitor(30.0, 2.0);
+    d.monitor(30.0, 2.0, None);
     // The ambient system state is roughly uniform across threads: the
     // scan should not fire at a high threshold.
     let found = pmove::core::analysis::anomaly_scan(&d.ts, "kernel_percpu_cpu_idle", None, 3.5);

@@ -225,7 +225,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// dashboards and snapshots
+// dashboards
 // ---------------------------------------------------------------------
 
 proptest! {
@@ -254,25 +254,6 @@ proptest! {
         }
         let back = Dashboard::from_json(&d.to_json()).unwrap();
         prop_assert_eq!(back, d);
-    }
-
-    /// tsdb snapshot export/import preserves every (timestamp, value).
-    #[test]
-    fn tsdb_snapshot_roundtrip(values in prop::collection::vec(-1e9f64..1e9, 1..40)) {
-        let src = pmove::tsdb::Database::new("src");
-        for (t, v) in values.iter().enumerate() {
-            src.write_point(
-                pmove::tsdb::Point::new("m").tag("tag", "x").field("v", *v).timestamp(t as i64),
-            ).unwrap();
-        }
-        let doc = pmove::tsdb::snapshot::export_measurement(&src, "m", Some(("tag", "x"))).unwrap();
-        let dst = pmove::tsdb::Database::new("dst");
-        let n = pmove::tsdb::snapshot::import_measurement(&dst, &doc).unwrap();
-        prop_assert_eq!(n, values.len());
-        let got = dst.query("SELECT \"v\" FROM \"m\" WHERE tag='x'").unwrap();
-        for (row, v) in got.rows.iter().zip(&values) {
-            prop_assert_eq!(row.values["v"], Some(*v));
-        }
     }
 
     /// DTMI hierarchy laws: a child extends its parent's path by one
