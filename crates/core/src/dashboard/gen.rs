@@ -10,13 +10,16 @@ use crate::kb::views;
 use crate::kb::KnowledgeBase;
 use pmove_jsonld::{Dtmi, Interface};
 
-fn targets_for(kb: &KnowledgeBase, interfaces: &[&Interface]) -> Vec<(String, Vec<Target>)> {
+/// Panel targets for a set of interfaces on the InfluxDB datasource
+/// `uid`: per measurement in name order, one target per field (first
+/// seen, deduplicated), or a `"value"` target when it has no fields.
+pub(crate) fn targets_for(uid: &str, interfaces: &[&Interface]) -> Vec<(String, Vec<Target>)> {
     views::telemetry_measurements(interfaces)
         .into_iter()
         .map(|(measurement, fields)| {
             let targets = if fields.is_empty() {
                 vec![Target {
-                    datasource: Datasource::influx(&kb.db.influx_uid),
+                    datasource: Datasource::influx(uid),
                     measurement: measurement.to_string(),
                     params: "value".into(),
                 }]
@@ -24,7 +27,7 @@ fn targets_for(kb: &KnowledgeBase, interfaces: &[&Interface]) -> Vec<(String, Ve
                 fields
                     .into_iter()
                     .map(|f| Target {
-                        datasource: Datasource::influx(&kb.db.influx_uid),
+                        datasource: Datasource::influx(uid),
                         measurement: measurement.to_string(),
                         params: f.to_string(),
                     })
@@ -37,7 +40,7 @@ fn targets_for(kb: &KnowledgeBase, interfaces: &[&Interface]) -> Vec<(String, Ve
 
 fn build(kb: &KnowledgeBase, id: u32, title: String, interfaces: &[&Interface]) -> Dashboard {
     let mut d = Dashboard::new(id, title);
-    for (measurement, targets) in targets_for(kb, interfaces) {
+    for (measurement, targets) in targets_for(&kb.db.influx_uid, interfaces) {
         d = d.panel(measurement, targets);
     }
     d

@@ -8,6 +8,7 @@
 //! cross-machine level views of Fig. 2c/d); without one, they can only
 //! download selected data for ML training.
 
+use crate::dashboard::{gen, Dashboard};
 use crate::error::PmoveError;
 use crate::kb::observation::{AggObservation, ObservationInterface};
 use crate::kb::{store, KnowledgeBase};
@@ -97,66 +98,15 @@ impl SuperDb {
         store::machines(&self.doc)
     }
 
-    /// Annotate a machine's data as stale from `since_s` on: the cluster
-    /// supervisor calls this when it quarantines a node, so global views
-    /// stop presenting dead-node twins as live. Re-marking updates the
-    /// timestamp.
-    pub(crate) fn mark_stale(&self, machine: &str, since_s: f64) -> Result<(), PmoveError> {
-        let col = self.doc.collection("staleness");
-        col.delete_many(&json!({ "_id": machine }))?;
-        col.insert_one(json!({
-            "_id": machine,
-            "machine": machine,
-            "stale_since_s": since_s,
-        }))?;
-        Ok(())
-    }
-
-    /// Clear a machine's staleness annotation (node rejoined).
-    pub(crate) fn clear_stale(&self, machine: &str) -> Result<(), PmoveError> {
-        self.doc
-            .collection("staleness")
-            .delete_many(&json!({ "_id": machine }))?;
-        Ok(())
-    }
-
-    /// When the machine is marked stale, the virtual time its data went
-    /// stale at.
-    pub fn staleness(&self, machine: &str) -> Option<f64> {
-        self.doc
-            .collection("staleness")
-            .find_one(&json!({ "_id": machine }))
-            .ok()
-            .flatten()
-            .and_then(|d| d["stale_since_s"].as_f64())
-    }
-
-    /// Machines currently annotated as stale.
-    pub fn stale_machines(&self) -> Vec<String> {
-        let mut out: Vec<String> = self
-            .doc
-            .collection("staleness")
-            .all()
-            .into_iter()
-            .filter_map(|d| d["machine"].as_str().map(str::to_string))
-            .collect();
-        out.sort();
-        out
-    }
-
     /// Cross-machine level view: interfaces of one component type from
-    /// every uploaded machine (the SUPERDB power behind Fig. 2d). Machines
-    /// marked stale are excluded — their twins describe hardware nobody is
-    /// monitoring; [`SuperDb::staleness`] explains the exclusion.
+    /// every uploaded machine, in machine order (the SUPERDB power behind
+    /// Fig. 2d).
     pub fn global_level_view(
         &self,
         component_type: &str,
     ) -> Result<Vec<(String, pmove_jsonld::Interface)>, PmoveError> {
         let mut out = Vec::new();
         for machine in self.machines() {
-            if self.staleness(&machine).is_some() {
-                continue;
-            }
             for iface in store::load_interfaces(&self.doc, &machine)? {
                 if iface.component_type == component_type {
                     out.push((machine.clone(), iface));
@@ -168,52 +118,22 @@ impl SuperDb {
 
     /// Cross-machine level-view dashboard (Fig. 2d: "the level-view
     /// dashboards for different processes ... on different servers"):
-    /// one panel per (machine, measurement), targets per field.
+    /// per machine, one panel per measurement, targets per field, all on
+    /// the `superdb` datasource.
     pub fn global_level_dashboard(
         &self,
         component_type: &str,
-    ) -> Result<Option<crate::dashboard::Dashboard>, PmoveError> {
-        use crate::dashboard::model::{Dashboard, Datasource, Target};
+    ) -> Result<Option<Dashboard>, PmoveError> {
         let twins = self.global_level_view(component_type)?;
-        if twins.is_empty() {
-            return Ok(None);
-        }
         let mut d = Dashboard::new(4, format!("global level: {component_type}"));
-        // Group telemetry by (machine, db measurement).
-        use std::collections::BTreeMap;
-        let mut panels: BTreeMap<(String, String), Vec<String>> = BTreeMap::new();
-        for (machine, iface) in &twins {
-            for t in iface.telemetry() {
-                let fields = panels
-                    .entry((machine.clone(), t.db_name.clone()))
-                    .or_default();
-                if let Some(f) = &t.field_name {
-                    if !fields.contains(f) {
-                        fields.push(f.clone());
-                    }
-                }
+        // The view is in machine order, so each machine's twins are one run.
+        for run in twins.chunk_by(|a, b| a.0 == b.0) {
+            let interfaces: Vec<_> = run.iter().map(|(_, iface)| iface).collect();
+            for (measurement, targets) in gen::targets_for("superdb", &interfaces) {
+                d = d.panel(format!("{}: {measurement}", run[0].0), targets);
             }
         }
-        for ((machine, measurement), fields) in panels {
-            let targets = if fields.is_empty() {
-                vec![Target {
-                    datasource: Datasource::influx("superdb"),
-                    measurement: measurement.clone(),
-                    params: "value".into(),
-                }]
-            } else {
-                fields
-                    .into_iter()
-                    .map(|f| Target {
-                        datasource: Datasource::influx("superdb"),
-                        measurement: measurement.clone(),
-                        params: f,
-                    })
-                    .collect()
-            };
-            d = d.panel(format!("{machine}: {measurement}"), targets);
-        }
-        Ok(Some(d))
+        Ok((!twins.is_empty()).then_some(d))
     }
 
     /// Download raw rows for ML training (the no-local-instance path):
@@ -333,31 +253,6 @@ mod tests {
             .iter()
             .any(|p| p.title == "icl: perfevent_hwcounters_RAPL_ENERGY_DRAM"));
         assert!(s.global_level_dashboard("gpu").unwrap().is_none());
-    }
-
-    #[test]
-    fn stale_machines_drop_out_of_global_views() {
-        let s = SuperDb::new();
-        s.upload_kb(&kb("icl")).unwrap();
-        s.upload_kb(&kb("zen3")).unwrap();
-        assert_eq!(s.global_level_view("socket").unwrap().len(), 2);
-        assert!(s.staleness("icl").is_none());
-
-        s.mark_stale("icl", 42.5).unwrap();
-        let sockets = s.global_level_view("socket").unwrap();
-        assert_eq!(sockets.len(), 1);
-        assert_eq!(sockets[0].0, "zen3");
-        assert_eq!(s.staleness("icl"), Some(42.5));
-        assert_eq!(s.stale_machines(), vec!["icl".to_string()]);
-        // The machine itself stays in the catalog; only views filter it.
-        assert_eq!(s.machines(), vec!["icl".to_string(), "zen3".to_string()]);
-        // Re-marking updates the annotation instead of erroring.
-        s.mark_stale("icl", 60.0).unwrap();
-        assert_eq!(s.staleness("icl"), Some(60.0));
-
-        s.clear_stale("icl").unwrap();
-        assert!(s.staleness("icl").is_none());
-        assert_eq!(s.global_level_view("socket").unwrap().len(), 2);
     }
 
     #[test]

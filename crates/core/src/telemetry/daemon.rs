@@ -530,25 +530,36 @@ impl PMoveDaemon {
         true
     }
 
-    /// Enable continuous-query rollup tiers on the daemon's time-series
-    /// store: subsequent monitoring windows each end with one rollup tick
-    /// folding freshly written buckets into the configured tiers, so
-    /// long-window aggregate queries over monitored history are served
-    /// from downsampled cells instead of raw scans.
-    pub fn enable_rollups(&mut self, cfg: pmove_tsdb::RollupConfig) {
-        self.ts.enable_rollups(cfg);
+    /// Every time-series database monitoring writes into: the host
+    /// database, plus each replica when the daemon booted replicated.
+    fn telemetry_dbs(&self) -> impl Iterator<Item = &pmove_tsdb::Database> {
+        let replicas = self.repl.iter().flat_map(ReplicaSet::replicas);
+        std::iter::once(&self.ts).chain(replicas)
     }
 
-    /// One rollup materialization tick at the current virtual time,
-    /// stamped as a `daemon.rollup` span. No-op until
+    /// Enable continuous-query rollup tiers on every database the daemon
+    /// writes telemetry into: subsequent monitoring windows each end with
+    /// one rollup tick folding freshly written buckets into the configured
+    /// tiers, so long-window aggregate queries over monitored history are
+    /// served from downsampled cells instead of raw scans.
+    pub fn enable_rollups(&mut self, cfg: pmove_tsdb::RollupConfig) {
+        for db in self.telemetry_dbs() {
+            db.enable_rollups(cfg.clone());
+        }
+    }
+
+    /// One rollup materialization tick of every telemetry database at the
+    /// current virtual time, stamped as one `daemon.rollup` span as long
+    /// as the ticks' modeled time together. No-op until
     /// [`PMoveDaemon::enable_rollups`].
     fn rollup_tick(&mut self) {
-        let Some(report) = self.ts.rollup_tick() else {
+        let ticks = self.telemetry_dbs().filter_map(|db| db.rollup_tick());
+        let Some(modeled_ns) = ticks.map(|r| r.modeled_ns()).reduce(|a, b| a + b) else {
             return;
         };
         let start = s_to_ns(self.now_s);
         self.obs
-            .record_span("daemon.rollup", start, start + report.modeled_ns().max(1));
+            .record_span("daemon.rollup", start, start + modeled_ns.max(1));
     }
 
     /// One scrubber tick at the current virtual time, stamped as a
@@ -1543,6 +1554,11 @@ mod tests {
         let span = snap.span("daemon.rollup").expect("rollup ran");
         assert_eq!(span.count, 1);
         assert_eq!(span.last_start_ns, s_to_ns(d.now_s));
+        // The window was written into the replicas, so that is where the
+        // duty must fold it.
+        for (i, replica) in d.repl.as_ref().unwrap().replicas().iter().enumerate() {
+            assert!(replica.rollup_cell_count() > 0, "replica {i}");
+        }
     }
 
     #[test]

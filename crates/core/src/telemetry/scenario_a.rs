@@ -97,7 +97,7 @@ pub(crate) fn configure_collectors(
 }
 
 /// How a replicated monitoring window left the coordinator: the sampling
-/// report plus the cluster-health view the daemon uses for failover and
+/// report plus the replica-health view the daemon uses for failover and
 /// degradation decisions.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplicatedOutcome {

@@ -931,8 +931,16 @@ mod tests {
         assert_eq!(db.enforce_retention(20).unwrap(), 0, "keeps everything");
         assert_eq!(db.set_retention(0), Err(TsdbError::InvalidRetention(0)));
         assert!(db.set_retention(-1).is_err());
+        // A refused keep sets nothing, so nothing is removed.
+        assert_eq!(db.enforce_retention(20).unwrap(), 0);
+        assert_eq!(db.total_rows(), 20);
         db.set_retention(15).unwrap();
         assert_eq!(db.enforce_retention(20).unwrap(), 5);
+        // A refused keep leaves the one in force as it was.
+        assert!(db.set_retention(0).is_err());
+        assert!(db.set_retention(-1).is_err());
+        assert_eq!(db.enforce_retention(20).unwrap(), 0);
+        assert_eq!(db.total_rows(), 15);
         // A later, shorter keep replaces the first.
         db.set_retention(10).unwrap();
         assert_eq!(db.enforce_retention(20).unwrap(), 5);

@@ -1,16 +1,13 @@
-//! Monitoring through faults: what an outage costs the paper's transport,
-//! and how a cluster rides out a dead node.
+//! Monitoring through faults: what an outage costs the paper's transport.
 //!
 //! A link outage and a backend brown-out are injected into a Scenario A
 //! run over the paper's unbuffered transport: whatever the faults swallow
-//! is lost, and the ledger still balances. A cluster then loses a node
-//! mid-run and quarantines it while the survivors keep reporting.
+//! is lost, and the ledger still balances.
 //!
 //! ```sh
 //! cargo run --example resilient_monitoring
 //! ```
 
-use pmove::core::telemetry::Cluster;
 use pmove::core::PMoveDaemon;
 use pmove::hwsim::{FaultKind, FaultSchedule};
 
@@ -31,32 +28,5 @@ fn main() {
         report.transport.values_inserted + report.transport.values_zeroed,
         report.transport.values_lost,
         report.transport.conserved(),
-    );
-
-    // Cluster failover: csl dies mid-run, gets quarantined, survivors
-    // keep inserting, SUPERDB annotates the staleness.
-    println!("\n== cluster failover ==");
-    let mut cluster = Cluster::from_presets(&["icl", "csl", "zen3"]).expect("presets");
-    cluster.monitor_all(10.0, 1.0);
-    cluster.kill_node("csl");
-    for _ in 0..3 {
-        cluster.monitor_all(10.0, 1.0);
-    }
-    for h in cluster.node_health() {
-        println!(
-            "node {:5} alive={} quarantined={} missed={} last_seen={}s",
-            h.key, h.alive, h.quarantined, h.missed_heartbeats, h.last_seen_s
-        );
-    }
-    println!(
-        "superdb staleness for csl: {:?}; live machines in socket view: {:?}",
-        cluster.superdb.staleness("csl"),
-        cluster
-            .superdb
-            .global_level_view("socket")
-            .unwrap()
-            .iter()
-            .map(|(m, _)| m.clone())
-            .collect::<Vec<_>>()
     );
 }
