@@ -97,9 +97,10 @@ fn busy_kernel(machine: &Machine) -> KernelProfile {
 }
 
 /// Ship one cell's samples into a caller-provided database (possibly a
-/// durable one), observed through `registry` (possibly disabled). This is the body
-/// shared by `run_cell_audited` and the storage-engine bench, which
-/// replays the same workload over the WAL/chunk store.
+/// durable one), observed through `registry` (possibly disabled). This is
+/// the body shared by `run_cell_audited` and `tests/query_golden.rs`,
+/// which interleaves two cells' ingest with cached queries on one
+/// database.
 pub fn run_cell_into(
     db: &Database,
     registry: std::sync::Arc<Registry>,

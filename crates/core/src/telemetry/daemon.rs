@@ -371,7 +371,7 @@ impl PMoveDaemon {
             let report = run_replicated(config, pmcd, &mut coord);
             Ok(ReplicatedOutcome {
                 report,
-                healthy: coord.healthy_count(),
+                healthy: coord.reachable().into_iter().filter(|&up| up).count(),
                 primary: coord.primary(),
                 degraded: coord.is_degraded(),
             })
@@ -448,7 +448,10 @@ impl PMoveDaemon {
     /// R-quorum read over the replica set (every replica assumed
     /// reachable — post-run analytics path).
     pub fn quorum_query(&self, text: &str) -> Result<pmove_tsdb::QueryResult, PmoveError> {
-        Ok(self.replicas()?.quorum_read(text)?)
+        let set = self.replicas()?;
+        let q = Query::parse(text)?;
+        let reachable = vec![true; set.len()];
+        Ok(set.quorum_read_with_mode(&q, &reachable, pmove_tsdb::ExecMode::default())?)
     }
 
     /// Run a multi-tenant serving schedule against the daemon's telemetry

@@ -42,7 +42,7 @@ use pmove_hwsim::noise::NoiseSource;
 use pmove_obs::{Counter, Gauge, Histogram, Registry, Span};
 use pmove_tsdb::repl::{IntegrityReport, ReplicaSet};
 use pmove_tsdb::store::Scrubber;
-use pmove_tsdb::{ExecMode, FieldValue, Origin, Point, Query, TsdbError};
+use pmove_tsdb::{ExecMode, FieldValue, Origin, Point, PreparedWrite, Query, TsdbError};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -131,7 +131,9 @@ impl ReplStats {
 /// hints exist purely so a returning replica converges faster.
 #[derive(Debug, Clone)]
 struct HintEntry {
-    point: Point,
+    /// The report as every replica applies it, shared by the replicas
+    /// that missed it.
+    write: Arc<PreparedWrite>,
     values: u64,
     ledger: bool,
     /// The report's trace, kept open while parked (ledger entries only:
@@ -253,7 +255,7 @@ impl<'a> ReplShipper<'a> {
     }
 
     /// Replicas currently believed up (last heartbeat saw the link).
-    pub fn healthy_count(&self) -> usize {
+    fn healthy_count(&self) -> usize {
         self.health.iter().filter(|h| !h.down).count()
     }
 
@@ -318,10 +320,14 @@ impl<'a> ReplShipper<'a> {
     /// quorum misses flag the trace, park it with the ledger hint, and
     /// heartbeat replay continues the same tree (`repl.hint_replay`) to a
     /// terminal status.
+    ///
+    /// The report is prepared once, after the stale-read zeroing: every
+    /// reachable replica applies the same grouping, block shape and WAL
+    /// frame, borrowed, and the replicas that missed it park it shared.
     pub fn ship_span(
         &mut self,
         t: f64,
-        point: Point,
+        mut point: Point,
         freq_hz: f64,
         mut tr: Span,
     ) -> ReplShipOutcome {
@@ -332,15 +338,12 @@ impl<'a> ReplShipper<'a> {
         // Stale-read zeros at high frequency — same artefact model as the
         // single-node shipper.
         let read_zero = self.noise.happens(Shipper::zero_probability(freq_hz));
-        let point = if read_zero {
-            let mut zeroed = point;
-            for v in zeroed.fields.values_mut() {
+        if read_zero {
+            for v in point.fields.values_mut() {
                 *v = FieldValue::Float(0.0);
             }
-            zeroed
-        } else {
-            point
-        };
+        }
+        let write = PreparedWrite::from(point);
 
         let w = self.set.config().write_quorum;
         let rf = self.set.len();
@@ -364,7 +367,7 @@ impl<'a> ReplShipper<'a> {
                 let (res, ingest_end) =
                     self.set
                         .replica(i)
-                        .write(point.clone(), Origin::Client, &rspan, end_ns);
+                        .write_prepared(&write, Origin::Client, &rspan, end_ns);
                 end_ns = ingest_end;
                 if res.is_ok() {
                     *ack = true;
@@ -387,6 +390,8 @@ impl<'a> ReplShipper<'a> {
         tr.observe(&self.obs.quorum_write_ns, modeled_ns);
 
         let quorum = ack_count >= w;
+        // Every replica that missed the report parks it, shared.
+        let write = Arc::new(write);
         if quorum {
             self.stats.quorum_writes += 1;
             self.obs.quorum_writes.inc();
@@ -402,7 +407,7 @@ impl<'a> ReplShipper<'a> {
             self.stats.values_zeroed += n;
             for (i, &acked) in acks.iter().enumerate() {
                 if !acked {
-                    self.park(i, point.clone(), n, false, Span::none(), cursor);
+                    self.park(i, write.clone(), n, false, Span::none(), cursor);
                 }
             }
             tr.finish(cursor, "zeroed");
@@ -414,7 +419,7 @@ impl<'a> ReplShipper<'a> {
             self.stats.values_inserted += n;
             for (i, &acked) in acks.iter().enumerate() {
                 if !acked {
-                    self.park(i, point.clone(), n, false, Span::none(), cursor);
+                    self.park(i, write.clone(), n, false, Span::none(), cursor);
                 }
             }
             tr.finish(cursor, "inserted");
@@ -435,9 +440,9 @@ impl<'a> ReplShipper<'a> {
                 if ledger_pending {
                     ledger_pending = false;
                     let trace = std::mem::take(&mut tr);
-                    ledger_parked = self.park(i, point.clone(), n, true, trace, cursor);
+                    ledger_parked = self.park(i, write.clone(), n, true, trace, cursor);
                 } else {
-                    self.park(i, point.clone(), n, false, Span::none(), cursor);
+                    self.park(i, write.clone(), n, false, Span::none(), cursor);
                 }
             }
             if ledger_parked {
@@ -457,7 +462,7 @@ impl<'a> ReplShipper<'a> {
     fn park(
         &mut self,
         i: usize,
-        point: Point,
+        write: Arc<PreparedWrite>,
         values: u64,
         ledger: bool,
         trace: Span,
@@ -485,7 +490,7 @@ impl<'a> ReplShipper<'a> {
             old.trace.finish(now_ns, "evicted");
         }
         self.hints[i].push_back(HintEntry {
-            point,
+            write,
             values,
             ledger,
             trace,
@@ -532,20 +537,20 @@ impl<'a> ReplShipper<'a> {
     }
 
     /// Replay replica `i`'s hints, oldest first, stopping at the first
-    /// write the replica rejects (retried on the next heartbeat). A
-    /// parked trace gains one `repl.hint_replay` child per attempt and
-    /// terminates `recovered` when the replay lands.
+    /// write the replica rejects (retried on the next heartbeat). The
+    /// parked report is written borrowed, so a rejected one stays at the
+    /// front as it was. A parked trace gains one `repl.hint_replay` child
+    /// per attempt and terminates `recovered` when the replay lands.
     fn replay_hints(&mut self, t: f64, i: usize) {
         let t_ns = (t * 1e9) as u64;
-        while let Some(front) = self.hints[i].front() {
-            let values = front.values;
+        while !self.hints[i].is_empty() {
             if !self.replica_write_ok(t, i) {
                 break;
             }
-            let entry = self.hints[i].pop_front().expect("checked non-empty");
-            let replay = entry.trace.child("repl.hint_replay", t_ns);
-            let (res, end_ns) = self.set.replica(i).write(
-                entry.point.clone(),
+            let front = self.hints[i].front().expect("checked non-empty");
+            let replay = front.trace.child("repl.hint_replay", t_ns);
+            let (res, end_ns) = self.set.replica(i).write_prepared(
+                &front.write,
                 Origin::Remote,
                 &replay,
                 t_ns + RETRY_NS,
@@ -553,9 +558,10 @@ impl<'a> ReplShipper<'a> {
             let status = if res.is_ok() { "ok" } else { "rejected" };
             replay.end_status(end_ns, status);
             if res.is_err() {
-                self.hints[i].push_front(entry);
                 break;
             }
+            let entry = self.hints[i].pop_front().expect("checked non-empty");
+            let values = entry.values;
             self.queued_values[i] -= values;
             self.stats.hints_replayed += 1;
             self.obs.hints_replayed.inc();
@@ -793,6 +799,35 @@ mod tests {
         assert!(s.values_evicted > 0, "{s:?}");
         assert_eq!(s.values_hinted, 8);
         assert!(s.conserved(), "{s:?}");
+    }
+
+    /// ROADMAP 22's hazard, pinned until that item removes non-ledger
+    /// hints: during one long outage of replica 1, a quorum miss parks a
+    /// ledger hint there, and the non-ledger hints of the
+    /// quorum-successful writes after it evict it, because `park` drops
+    /// the oldest entry whatever its kind. `values_evicted` then grows
+    /// although the ledger values alone fit `hint_capacity_values`.
+    #[test]
+    #[ignore = "ROADMAP 22: a non-ledger hint evicts an older ledger hint"]
+    fn non_ledger_hints_never_evict_a_ledger_hint_that_fits() {
+        let cfg = ReplConfig {
+            hint_capacity_values: 8, // two 4-field reports
+            ..ReplConfig::default()
+        };
+        let set = ReplicaSet::in_memory("s", cfg).unwrap();
+        let mut schedules = healthy_schedules(3);
+        schedules[1] = FaultSchedule::none().with_window(0.0, 100.0, FaultKind::LinkDown);
+        schedules[2] = FaultSchedule::none().with_window(0.0, 1.5, FaultKind::LinkDown);
+        let mut coord = ReplShipper::new(&set, schedules, &["t10"]).unwrap();
+        // Only replica 0 acks: the ledger hint parks on replica 1.
+        assert_eq!(coord.ship(1.0, report(1, 4), 2.0), ReplShipOutcome::Hinted);
+        for t in 2..10 {
+            let out = coord.ship(t as f64, report(t, 4), 2.0);
+            assert_eq!(out, ReplShipOutcome::Inserted, "t={t}");
+        }
+        let s = coord.stats();
+        assert!(s.conserved(), "{s:?}");
+        assert_eq!((s.values_hinted, s.values_evicted), (4, 0), "{s:?}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The write path's unit: cells in block shape, from the caller to the
 //! chunk writer.
 //!
-//! A [`WriteBatch`] holds what one `append` call offers: per series its
+//! A [`WriteBatch`] holds what one commit offers: per series its
 //! key once, the timestamps of its points once (arrival order), and per
 //! field one column — name once, values of one type, and the rows it
 //! covers when that is not all of them. The same structure is the WAL
@@ -31,7 +31,9 @@ use crate::encode::{
 use crate::error::{StoreError, StoreResult};
 use crate::merge::Pair;
 use crate::row::{ColumnValue, RowRecord};
+use crate::wal::{seal_frame, FRAME_HEADER};
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::sync::Arc;
 
 /// Version byte of the frame [`WriteBatch::encode`] writes.
 const FRAME_VERSION: u8 = 2;
@@ -210,34 +212,50 @@ impl WriteBatch {
     /// The batch as one WAL frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + 10 * self.cells);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// The batch as one whole WAL frame, `[len][crc]` and the payload
+    /// [`WriteBatch::encode`] writes: what `TsStore::commit_prepared`
+    /// appends. Framed once, it can be committed to any number of logs.
+    pub fn frame(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(FRAME_HEADER + 16 + 10 * self.cells);
+        out.resize(FRAME_HEADER, 0);
+        self.encode_into(&mut out);
+        seal_frame(&mut out);
+        out
+    }
+
+    /// Append the frame payload to `out`.
+    fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&[0, FRAME_VERSION]);
-        put_uvarint(&mut out, self.series.len() as u64);
+        put_uvarint(out, self.series.len() as u64);
         for sb in &self.series {
-            put_bytes(&mut out, sb.series.as_bytes());
-            put_uvarint(&mut out, sb.ts.len() as u64);
+            put_bytes(out, sb.series.as_bytes());
+            put_uvarint(out, sb.ts.len() as u64);
             let mut prev = 0i64;
             for &ts in &sb.ts {
-                put_ivarint(&mut out, ts.wrapping_sub(prev));
+                put_ivarint(out, ts.wrapping_sub(prev));
                 prev = ts;
             }
-            put_uvarint(&mut out, sb.columns.len() as u64);
+            put_uvarint(out, sb.columns.len() as u64);
             for col in &sb.columns {
-                put_bytes(&mut out, col.field.as_bytes());
+                put_bytes(out, col.field.as_bytes());
                 out.push(col.values[0].type_tag());
-                put_uvarint(&mut out, col.values.len() as u64);
+                put_uvarint(out, col.values.len() as u64);
                 if col.values.len() < sb.ts.len() {
                     let mut next = 0u32;
                     for &row in &col.rows {
-                        put_uvarint(&mut out, u64::from(row - next));
+                        put_uvarint(out, u64::from(row - next));
                         next = row + 1;
                     }
                 }
                 for v in &col.values {
-                    put_value(&mut out, v);
+                    put_value(out, v);
                 }
             }
         }
-        out
     }
 
     /// Decode a WAL frame payload. Anything [`WriteBatch::encode`]
@@ -323,9 +341,16 @@ pub(crate) struct Memtable {
 }
 
 impl Memtable {
-    /// Append `batch`'s cells, newer than everything held.
-    pub(crate) fn absorb(&mut self, batch: WriteBatch) {
+    /// Append `batch`'s cells, newer than everything held. The last
+    /// handle gives its columns up; a batch still shared — a report other
+    /// replicas apply — is copied, a series or field name only the first
+    /// time the memtable holds it.
+    pub(crate) fn absorb(&mut self, batch: Arc<WriteBatch>) {
         self.cells += batch.cells;
+        let batch = match Arc::try_unwrap(batch) {
+            Ok(batch) => batch,
+            Err(shared) => return self.absorb_copy(&shared),
+        };
         for sb in batch.series {
             let fields = self.series.entry(sb.series).or_default();
             for col in sb.columns {
@@ -336,6 +361,29 @@ impl Memtable {
                         let (ts, values) = held.into_mut();
                         ts.extend(stamps);
                         values.extend(col.values);
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`Memtable::absorb`] of a batch that stays shared.
+    fn absorb_copy(&mut self, batch: &WriteBatch) {
+        for sb in &batch.series {
+            if !self.series.contains_key(&sb.series) {
+                self.series.insert(sb.series.clone(), BTreeMap::new());
+            }
+            let fields = self.series.get_mut(&sb.series).expect("inserted");
+            for col in &sb.columns {
+                let stamps = col.rows.iter().map(|&r| sb.ts[r as usize]);
+                match fields.get_mut(&col.field) {
+                    Some((ts, values)) => {
+                        ts.extend(stamps);
+                        values.extend_from_slice(&col.values);
+                    }
+                    None => {
+                        let cells = (stamps.collect(), col.values.clone());
+                        fields.insert(col.field.clone(), cells);
                     }
                 }
             }
@@ -550,21 +598,19 @@ mod tests {
     #[test]
     fn memtable_holds_one_pair_per_key_and_sorts_stably() {
         let mut m = Memtable::default();
-        for (ts, v) in [(5, 1.0), (1, 2.0), (5, 3.0), (3, 4.0)] {
-            m.absorb(WriteBatch::from_rows([cell(
-                "s",
-                "f",
-                ts,
-                ColumnValue::F64(v),
-            )]));
+        // A batch still shared elsewhere is copied, the last handle moved:
+        // both hold the same cells.
+        let mut copied = Memtable::default();
+        let cells = [(5, 1.0), (1, 2.0), (5, 3.0), (3, 4.0)]
+            .map(|(ts, v)| cell("s", "f", ts, ColumnValue::F64(v)));
+        let flip = cell("a", "z", 9, ColumnValue::Bool(true));
+        for c in cells.into_iter().chain([flip]) {
+            let batch = Arc::new(WriteBatch::from_rows([c]));
+            copied.absorb(batch.clone());
+            m.absorb(batch);
         }
-        m.absorb(WriteBatch::from_rows([cell(
-            "a",
-            "z",
-            9,
-            ColumnValue::Bool(true),
-        )]));
-        assert_eq!(m.cells(), 5);
+        assert_eq!(pairs(&mut copied), pairs(&mut m));
+        assert_eq!((m.cells(), copied.cells()), (5, 5));
         let held = pairs(&mut m);
         assert_eq!(held.len(), 2);
         assert_eq!((held[0].0.as_str(), held[1].0.as_str()), ("a", "s"));
@@ -573,7 +619,9 @@ mod tests {
         assert_eq!(held[1].2, vec![f(2.0), f(4.0), f(1.0), f(3.0)]);
         // The log rewritten from the memtable replays to the same pairs.
         let mut again = Memtable::default();
-        again.absorb(WriteBatch::decode(&m.to_batch().encode()).unwrap());
+        again.absorb(Arc::new(
+            WriteBatch::decode(&m.to_batch().encode()).unwrap(),
+        ));
         assert_eq!(pairs(&mut again), held);
     }
 }

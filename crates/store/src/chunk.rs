@@ -281,7 +281,9 @@ pub(crate) fn write_blocks<'a>(
 /// order, through the same memtable a store would hold them in.
 pub fn write_chunk(vfs: &dyn Vfs, seq: u64, rows: &[RowRecord]) -> StoreResult<Option<ChunkInfo>> {
     let mut memtable = Memtable::default();
-    memtable.absorb(WriteBatch::from_rows(rows.iter().cloned()));
+    memtable.absorb(std::sync::Arc::new(WriteBatch::from_rows(
+        rows.iter().cloned(),
+    )));
     write_blocks(vfs, seq, memtable.pairs())
 }
 

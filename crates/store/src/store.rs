@@ -1,12 +1,16 @@
 //! The storage engine: WAL + memtable + immutable chunks + compaction.
 //!
-//! Write path: [`TsStore::append_batch`] frames a [`WriteBatch`] into the
-//! WAL buffer and stages it; [`TsStore::commit`] group-commits the buffer
-//! (one append, one sync) and only then folds the staged batches into the
-//! memtable ([`crate::batch`]) — a cell is *acknowledged* exactly when its
-//! commit returns `Ok`. When the memtable crosses `flush_threshold_rows`
-//! cells it is frozen into a compressed chunk ([`crate::chunk`]) and the
-//! WAL is truncated. Compaction merges
+//! Write path: [`TsStore::commit_prepared`] stages a shared [`WriteBatch`]
+//! already framed ([`WriteBatch::frame`]) and group-commits it behind
+//! anything staged (one append, one sync); only then do the staged
+//! cells enter the memtable ([`crate::batch`]) — a cell is
+//! *acknowledged* exactly when its commit returns `Ok`. A batch prepared
+//! once is so committed to any number of stores; a failed commit leaves
+//! it staged for the next commit to land. Row callers stage with
+//! [`TsStore::append_owned`] and commit with [`TsStore::commit`]. When
+//! the memtable crosses `flush_threshold_rows` cells it is frozen into a
+//! compressed chunk ([`crate::chunk`]) and the WAL is truncated.
+//! Compaction merges
 //! every live chunk last-write-wins and drops rows older than the
 //! retention cutoff, which is how the database's retention keep reaches
 //! disk.
@@ -269,7 +273,7 @@ pub struct TsStore {
     spec: DiskSpec,
     wal: Wal,
     /// Batches framed into the WAL buffer but not yet acknowledged.
-    staged: Vec<WriteBatch>,
+    staged: Vec<Arc<WriteBatch>>,
     /// Acknowledged cells awaiting a flush.
     memtable: Memtable,
     /// Manifest of live (valid) chunk files by sequence number, kept so
@@ -342,7 +346,7 @@ impl TsStore {
         for (i, payload) in payloads.iter().enumerate() {
             bytes_read += payload.len() as u64 + 8;
             match WriteBatch::decode(payload) {
-                Ok(batch) => memtable.absorb(batch),
+                Ok(batch) => memtable.absorb(Arc::new(batch)),
                 Err(_) => {
                     // A payload that deframes but does not decode (a frame
                     // version newer than this build, or damage sealed under
@@ -388,21 +392,17 @@ impl TsStore {
         ))
     }
 
-    /// Stage `batch` and frame it as one WAL record. Not durable — and
-    /// not visible to [`TsStore::scan_blocks`] — until [`TsStore::commit`].
-    pub fn append_batch(&mut self, batch: WriteBatch) {
+    /// Stage `rows` as one batch, framed as one WAL record. Not durable
+    /// — and not visible to [`TsStore::scan_blocks`] — until
+    /// [`TsStore::commit`].
+    pub fn append_owned(&mut self, rows: Vec<RowRecord>) {
+        let batch = WriteBatch::from_rows(rows);
         if batch.cells() == 0 {
             return;
         }
-        let payload = batch.encode();
-        self.wal.append(&payload);
+        self.wal.append(&batch.encode());
         self.obs.wal_records_appended.add(batch.cells() as u64);
-        self.staged.push(batch);
-    }
-
-    /// [`TsStore::append_batch`] for callers whose unit is the row.
-    pub fn append_owned(&mut self, rows: Vec<RowRecord>) {
-        self.append_batch(WriteBatch::from_rows(rows));
+        self.staged.push(Arc::new(batch));
     }
 
     /// Modeled group-commit latency for a payload of `bytes` on this
@@ -427,6 +427,33 @@ impl TsStore {
     /// acknowledged and enter the memtable (flushing if over threshold).
     pub fn commit(&mut self) -> StoreResult<CommitInfo> {
         let info = self.wal.commit()?;
+        self.acknowledge(info)
+    }
+
+    /// Group-commit every staged record and then `batch`, whose WAL frame
+    /// is `frame` ([`WriteBatch::frame`]): one append, one sync. The batch
+    /// is shared, not rebuilt, so a report prepared once commits so to
+    /// every replica, each memtable copying its cells; a batch this call
+    /// holds the last handle of is moved in. On error it stays staged and
+    /// unacknowledged, exactly as if appended, and the next commit lands
+    /// it once.
+    pub fn commit_prepared(
+        &mut self,
+        batch: Arc<WriteBatch>,
+        frame: &[u8],
+    ) -> StoreResult<CommitInfo> {
+        if batch.cells() == 0 {
+            return self.commit();
+        }
+        self.obs.wal_records_appended.add(batch.cells() as u64);
+        self.staged.push(batch);
+        let info = self.wal.commit_frame(frame)?;
+        self.acknowledge(info)
+    }
+
+    /// A commit landed: the staged batches enter the memtable, and a
+    /// memtable over threshold flushes.
+    fn acknowledge(&mut self, info: CommitInfo) -> StoreResult<CommitInfo> {
         for batch in self.staged.drain(..) {
             self.memtable.absorb(batch);
         }
@@ -758,7 +785,7 @@ impl TsStore {
 
     /// Rows staged for the next commit.
     pub(crate) fn staged_rows(&self) -> usize {
-        self.staged.iter().map(WriteBatch::cells).sum()
+        self.staged.iter().map(|batch| batch.cells()).sum()
     }
 
     /// Sequence numbers of the live chunks, ascending.
@@ -985,6 +1012,68 @@ mod tests {
         assert!(store.commit().is_err());
         assert_eq!(store.staged_rows(), 1);
         assert!(store.scan().is_err() || store.scan().unwrap().is_empty());
+    }
+
+    /// A batch framed once commits to the log exactly what staging its
+    /// rows and committing them writes: the same bytes, in as many disk
+    /// operations, read back as the same cells.
+    #[test]
+    fn a_prepared_commit_writes_what_append_and_commit_write() {
+        let rows = || {
+            let (f, i) = (ColumnValue::F64, ColumnValue::I64);
+            vec![
+                RowRecord::new("s", "a", 1, f(1.0)),
+                RowRecord::new("s", "b", 1, i(2)),
+                RowRecord::new("t", "a", 3, f(3.0)),
+                RowRecord::new("s", "a", 0, f(4.0)),
+            ]
+        };
+        let run = |prepared: bool| {
+            let disk = MemDisk::new(108);
+            let (mut store, _) = TsStore::open(Arc::new(disk.clone()), small_opts()).unwrap();
+            if prepared {
+                let batch = WriteBatch::from_rows(rows());
+                let frame = batch.frame();
+                store.commit_prepared(Arc::new(batch), &frame).unwrap();
+            } else {
+                store.append_owned(rows());
+                store.commit().unwrap();
+            }
+            let log = disk.read(WAL_FILE).unwrap();
+            (log, disk.ops_done(), store.scan().unwrap())
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    /// The replicated write path's failure contract, store side: a
+    /// prepared batch whose group commit fails, at its append or at its
+    /// sync, stays staged and unacknowledged, and the next commit lands
+    /// it once, ahead of the batch that commit carries.
+    #[test]
+    fn failed_prepared_commit_keeps_the_batch_staged_and_lands_it_once() {
+        for op in [1, 2] {
+            let disk = MemDisk::new(107);
+            let vfs: Arc<dyn Vfs> = Arc::new(disk.clone());
+            let (mut store, _) = TsStore::open(vfs.clone(), small_opts()).unwrap();
+            let first = Arc::new(WriteBatch::from_rows([row("s", "f", 1, 1.0)]));
+            let second = Arc::new(WriteBatch::from_rows([row("s", "f", 2, 2.0)]));
+            let frames = [first.frame(), second.frame()];
+            disk.schedule_fault(FaultPlan {
+                crash_at_op: disk.ops_done() + op,
+                mode: FaultMode::CleanStop,
+            });
+            assert!(store.commit_prepared(first, &frames[0]).is_err());
+            assert_eq!((store.staged_rows(), store.memtable_rows()), (1, 0));
+            disk.restart();
+            store.commit_prepared(second, &frames[1]).unwrap();
+            assert_eq!((store.staged_rows(), store.memtable_rows()), (0, 2));
+            let log = frames.concat();
+            assert_eq!(disk.read(WAL_FILE).unwrap(), log, "crash at op {op}");
+            let (mut reopened, report) = TsStore::open(vfs, small_opts()).unwrap();
+            assert_eq!(report.wal_rows, 2);
+            let want = vec![row("s", "f", 1, 1.0), row("s", "f", 2, 2.0)];
+            assert_eq!(reopened.scan().unwrap(), want);
+        }
     }
 
     #[test]

@@ -77,14 +77,31 @@ pub(crate) fn scan_frames(data: &[u8]) -> (Vec<Vec<u8>>, usize, u64) {
     (payloads, pos, corrupt)
 }
 
+/// Bytes of a frame's `[len][crc]` header.
+pub(crate) const FRAME_HEADER: usize = 8;
+
+/// Fill the `[len][crc]` header at the front of `frame` for the payload
+/// behind it: the one place a frame is sealed.
+pub(crate) fn seal_frame(frame: &mut [u8]) {
+    let (head, payload) = frame.split_at_mut(FRAME_HEADER);
+    head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    head[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+}
+
+/// Append `payload` to `out` as one frame.
+fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
+    let at = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER]);
+    out.extend_from_slice(payload);
+    seal_frame(&mut out[at..]);
+}
+
 /// `payloads` framed as [`Wal::append`] frames them, one after another:
 /// the bytes of a log holding exactly those records.
 pub(crate) fn frames(payloads: &[Vec<u8>]) -> Vec<u8> {
     let mut framed = Vec::new();
     for p in payloads {
-        framed.extend_from_slice(&(p.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&crc32(p).to_le_bytes());
-        framed.extend_from_slice(p);
+        put_frame(&mut framed, p);
     }
     framed
 }
@@ -144,11 +161,7 @@ impl Wal {
 
     /// Buffer one record for the next commit.
     pub fn append(&mut self, payload: &[u8]) {
-        self.pending
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.pending
-            .extend_from_slice(&crc32(payload).to_le_bytes());
-        self.pending.extend_from_slice(payload);
+        put_frame(&mut self.pending, payload);
         self.pending_records += 1;
     }
 
@@ -171,6 +184,33 @@ impl Wal {
         self.durable_records += self.pending_records;
         self.pending_records = 0;
         Ok(info)
+    }
+
+    /// Group-commit every buffered record and then `frame`, one record
+    /// already framed (`seal_frame`), in one append and one sync. With
+    /// nothing buffered the frame is written from the caller's bytes, not
+    /// copied. On error it stays buffered and unacknowledged, as if
+    /// appended, so the next commit lands it once.
+    pub(crate) fn commit_frame(&mut self, frame: &[u8]) -> StoreResult<CommitInfo> {
+        if !self.pending.is_empty() {
+            self.buffer(frame);
+            return self.commit();
+        }
+        if let Err(e) = self.file.append(frame).and_then(|()| self.file.sync()) {
+            self.buffer(frame);
+            return Err(e);
+        }
+        self.durable_records += 1;
+        Ok(CommitInfo {
+            records: 1,
+            bytes: frame.len() as u64,
+        })
+    }
+
+    /// Hold one framed record for the next commit.
+    fn buffer(&mut self, frame: &[u8]) {
+        self.pending.extend_from_slice(frame);
+        self.pending_records += 1;
     }
 
     /// Truncate the log (after its records were flushed into a chunk).

@@ -39,8 +39,10 @@ use crate::series::SeriesKey;
 use crate::storage::Storage;
 use crate::value::FieldValue;
 use pmove_store::{RowRecord, WriteBatch};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::{Arc, OnceLock};
 
 /// FNV-1a for the batch's series-grouping map: the keys are short strings
 /// hashed millions of times per ingest run, where SipHash's setup cost
@@ -148,29 +150,135 @@ impl ColumnarBatch {
         self.blocks().into_rows()
     }
 
-    /// Move the batch's field sets into storage: each series is opened
-    /// once, in first-appearance order (the order ids are allocated in),
-    /// and its rows are written in arrival order into the series' columns
-    /// (the field sets are taken apart there, field names interned per
-    /// measurement — see [`crate::storage`]). Keys and timestamps stay
-    /// behind for the caller's rollup marks and version bumps.
-    pub(crate) fn apply(&mut self, storage: &mut Storage) {
-        for sc in &mut self.series {
+    /// Write the batch's field sets into storage, borrowed: each series
+    /// is opened once, in first-appearance order (the order ids are
+    /// allocated in), and its rows are written in arrival order into the
+    /// series' columns — values copied, field names interned per
+    /// measurement by reference (see [`crate::storage`]). So one batch
+    /// can be applied to any number of databases.
+    pub(crate) fn apply(&self, storage: &mut Storage) {
+        for sc in &self.series {
             let mut series = storage.append(&sc.key);
-            for (ts, fields) in &mut sc.rows {
-                series.row_named(*ts, std::mem::take(fields));
+            for (ts, fields) in &sc.rows {
+                let cells = fields.iter().map(|(name, v)| (name.as_str(), v.clone()));
+                series.row_named(*ts, cells);
             }
         }
     }
 
-    /// The measurements the batch holds points of, each once.
-    pub(crate) fn measurements(mut self) -> impl Iterator<Item = String> {
-        let by_name =
-            |a: &SeriesColumns, b: &SeriesColumns| a.key.measurement.cmp(&b.key.measurement);
-        self.series.sort_unstable_by(by_name);
-        self.series
-            .dedup_by(|a, b| a.key.measurement == b.key.measurement);
-        self.series.into_iter().map(|sc| sc.key.measurement)
+    /// The slot of one series of each measurement the batch holds.
+    fn measurement_slots(&self) -> Vec<usize> {
+        let name = |slot: &usize| self.series[*slot].key.measurement.as_str();
+        let mut slots: Vec<usize> = (0..self.series.len()).collect();
+        slots.sort_unstable_by(|a, b| name(a).cmp(name(b)));
+        slots.dedup_by(|a, b| name(a) == name(b));
+        slots
+    }
+}
+
+/// A write admitted and grouped once, then applied, borrowed, to any
+/// number of databases ([`crate::Database::write_prepared`]): the quorum
+/// coordinator prepares each report once (`PreparedWrite::from(point)`)
+/// and every replica applies it, so a report written to three replicas
+/// is grouped, rendered into the store's block shape and framed for the
+/// WAL once instead of three times. Every engine write runs through one;
+/// `write`, `write_point` and `write_batch` prepare a write applied once,
+/// which keeps no handle on the store's share.
+#[derive(Debug)]
+pub struct PreparedWrite {
+    /// The admitted points, grouped per series.
+    pub(crate) batch: ColumnarBatch,
+    /// Points offered, admitted or not.
+    pub(crate) offered: usize,
+    /// Arrival positions of the points refused for carrying no field.
+    pub(crate) refused: Vec<usize>,
+    /// One series slot per measurement written: what the write-version
+    /// bumps walk.
+    pub(crate) measurements: Vec<usize>,
+    /// For a write shared by several databases, the store's share once
+    /// the first durable one made it; `None` for a write applied once.
+    kept: Option<OnceLock<(Arc<WriteBatch>, Vec<u8>)>>,
+}
+
+impl PreparedWrite {
+    /// Admit `points` in arrival order — a point without fields is
+    /// refused — and group the rest per series, for one database.
+    pub(crate) fn new(points: impl IntoIterator<Item = Point>) -> PreparedWrite {
+        let mut batch = ColumnarBatch::default();
+        let (mut offered, mut refused) = (0, Vec::new());
+        for point in points {
+            if point.fields.is_empty() {
+                refused.push(offered);
+            } else {
+                batch.push(point);
+            }
+            offered += 1;
+        }
+        PreparedWrite {
+            measurements: batch.measurement_slots(),
+            batch,
+            offered,
+            refused,
+            kept: None,
+        }
+    }
+
+    /// The durable store's share: the batch in block shape
+    /// ([`ColumnarBatch::blocks`]) and its `[len][crc][payload]` frame. A
+    /// shared write makes it once and keeps it for every database after
+    /// the first; a write applied once hands the store the only handle,
+    /// so the memtable takes the block columns over instead of copying.
+    pub(crate) fn wal(&self) -> (Arc<WriteBatch>, Cow<'_, [u8]>) {
+        let make = || {
+            let blocks = self.batch.blocks();
+            let frame = blocks.frame();
+            (Arc::new(blocks), frame)
+        };
+        match &self.kept {
+            Some(kept) => {
+                let (blocks, frame) = kept.get_or_init(make);
+                (blocks.clone(), Cow::Borrowed(frame))
+            }
+            None => {
+                let (blocks, frame) = make();
+                (blocks, Cow::Owned(frame))
+            }
+        }
+    }
+
+    /// The measurements written, each once.
+    pub(crate) fn measurements(&self) -> impl Iterator<Item = &str> {
+        let series = self.batch.series();
+        let name = |&slot: &usize| series[slot].key.measurement.as_str();
+        self.measurements.iter().map(name)
+    }
+
+    /// The outcome of this write once applied, `commit_ns` its modeled
+    /// group commit: one result a point offered, in arrival order.
+    pub(crate) fn outcome(&self, commit_ns: u64) -> BatchOutcome {
+        let result = |at| match self.refused.binary_search(&at) {
+            Ok(_) => Err(crate::error::TsdbError::EmptyFields),
+            Err(_) => Ok(()),
+        };
+        let results = (0..self.offered).map(result).collect();
+        BatchOutcome {
+            results,
+            accepted: self.batch.points,
+            rejected: self.refused.len(),
+            series: self.batch.series().len(),
+            commit_ns,
+        }
+    }
+}
+
+impl From<Point> for PreparedWrite {
+    /// One report, prepared once for every replica it is written to.
+    fn from(point: Point) -> PreparedWrite {
+        let kept = Some(OnceLock::new());
+        PreparedWrite {
+            kept,
+            ..PreparedWrite::new([point])
+        }
     }
 }
 

@@ -1,15 +1,20 @@
 //! The database engine: writes, queries and retention enforcement.
 //!
-//! Every write runs one body, `Database::ingest`: admit per point →
-//! group per series → one WAL frame and commit → ledger → modeled spans →
-//! storage → rollup marks → version bumps.
-//! [`Database::write_point`] and [`Database::write`] hand it a batch of
+//! Every write is prepared once and then applied: a [`PreparedWrite`]
+//! admits per point and groups per series (and, for a durable database,
+//! renders the store's block shape and its WAL frame — once for a report
+//! every replica applies), and one body, `Database::apply`, applies it
+//! borrowed: ledger → one WAL commit → modeled spans → storage → rollup
+//! marks → version bumps.
+//! [`Database::write_point`] and [`Database::write`] prepare a batch of
 //! one, [`Database::write_batch`] any number and alone ticks the
-//! `tsdb.batch.*` counters. The database admits every point that carries
+//! `tsdb.batch.*` counters, and [`Database::write_prepared`] applies one
+//! prepared elsewhere — the quorum coordinator's report, prepared once
+//! for every replica. The database admits every point that carries
 //! a field: Table III's database-side backpressure is modelled once, by
 //! the PCP shipper's capacity window.
 
-use crate::batch::{BatchOutcome, ColumnarBatch};
+use crate::batch::{BatchOutcome, PreparedWrite};
 use crate::cache::{CacheLookup, QueryCache};
 use crate::error::TsdbError;
 use crate::exec::{self, ExecMode, ExecStats};
@@ -439,8 +444,24 @@ impl Database {
         span: &Span,
         start_ns: u64,
     ) -> (Result<(), TsdbError>, u64) {
-        match self.ingest([point], origin, span, start_ns) {
-            Ok((mut out, end_ns)) => (out.results.pop().expect("one result a point"), end_ns),
+        self.write_prepared(&PreparedWrite::new([point]), origin, span, start_ns)
+    }
+
+    /// [`Database::write`] of a point prepared once
+    /// (`PreparedWrite::from(point)`) and applied here borrowed, so the
+    /// same report can be written to every replica of a set without
+    /// being regrouped, re-rendered or re-framed per replica. Stored
+    /// cells, WAL bytes and the ledger are those of [`Database::write`].
+    pub fn write_prepared(
+        &self,
+        write: &PreparedWrite,
+        origin: Origin,
+        span: &Span,
+        start_ns: u64,
+    ) -> (Result<(), TsdbError>, u64) {
+        match self.apply(write, origin, span, start_ns) {
+            Ok(_) if !write.refused.is_empty() => (Err(TsdbError::EmptyFields), start_ns),
+            Ok((_, end_ns)) => (Ok(()), end_ns),
             Err(e) => (Err(e), start_ns),
         }
     }
@@ -456,7 +477,9 @@ impl Database {
     /// inserted; the caller may retry the same batch (last
     /// write wins makes the retry idempotent).
     pub fn write_batch(&self, points: Vec<Point>) -> Result<BatchOutcome, TsdbError> {
-        let (out, _) = self.ingest(points, Origin::Client, &Span::none(), 0)?;
+        let write = PreparedWrite::new(points);
+        let (commit_ns, _) = self.apply(&write, Origin::Client, &Span::none(), 0)?;
+        let out = write.outcome(commit_ns);
         self.obs.batch_batches.inc();
         self.obs.batch_points.add(out.accepted as u64);
         self.obs.batch_rejected.add(out.rejected as u64);
@@ -466,66 +489,46 @@ impl Database {
         Ok(out)
     }
 
-    /// The write body under every entry point. Admission — the
-    /// empty-field check — runs per point in arrival order; the
-    /// `tsdb.points_*` ledger (`offered == inserted + rejected`) counts
-    /// [`Origin::Client`] points only; the WAL barrier, the rollup marks and the write-version bumps apply to
-    /// every accepted point. The modeled spans nest under `span` from
-    /// `start_ns` on the virtual clock: `tsdb.ingest` around
-    /// `store.wal.group_commit` (durable only) and then one
-    /// `tsdb.shard_ingest` a point, its status the Merkle shard of the
-    /// point's series (a label the trace goldens pin). Returns the
-    /// outcome plus the modeled end timestamp (`start_ns` when nothing
-    /// was accepted).
-    fn ingest(
+    /// The write body under every entry point, applying `write` borrowed.
+    /// The `tsdb.points_*` ledger (`offered == inserted + rejected`)
+    /// counts [`Origin::Client`] points only; the WAL barrier, the rollup
+    /// marks and the write-version bumps apply to every accepted point.
+    /// The modeled spans nest under `span` from `start_ns` on the virtual
+    /// clock: `tsdb.ingest` around `store.wal.group_commit` (durable only)
+    /// and then one `tsdb.shard_ingest` a point, its status the Merkle
+    /// shard of the point's series (a label the trace goldens pin).
+    /// Returns the modeled group-commit cost (0 when memory-only) and end
+    /// timestamp (`start_ns` when nothing was accepted).
+    fn apply(
         &self,
-        points: impl IntoIterator<Item = Point>,
+        write: &PreparedWrite,
         origin: Origin,
         span: &Span,
         start_ns: u64,
-    ) -> Result<(BatchOutcome, u64), TsdbError> {
+    ) -> Result<(u64, u64), TsdbError> {
         let client = origin == Origin::Client;
-        let points = points.into_iter();
-        let mut results = Vec::with_capacity(points.size_hint().0);
-        let mut batch = ColumnarBatch::default();
-        let mut rejected = 0usize;
-        for point in points {
-            if point.fields.is_empty() {
-                rejected += 1;
-                results.push(Err(TsdbError::EmptyFields));
-                continue;
-            }
-            batch.push(point);
-            results.push(Ok(()));
-        }
+        let batch = &write.batch;
         if client {
-            self.obs.points_offered.add(results.len() as u64);
-            self.obs.points_rejected.add(rejected as u64);
+            self.obs.points_offered.add(write.offered as u64);
+            self.obs.points_rejected.add(write.refused.len() as u64);
         }
-        let mut outcome = BatchOutcome {
-            results,
-            accepted: batch.points,
-            rejected,
-            series: batch.series().len(),
-            commit_ns: 0,
-        };
-        if outcome.accepted == 0 {
-            return Ok((outcome, start_ns));
+        if batch.points == 0 {
+            return Ok((0, start_ns));
         }
         // Durability barrier: when a store is attached, the batch rides
         // one WAL frame and one group commit before it is counted or
         // made queryable: an acknowledged write is a
         // durable write.
+        let mut commit_ns = 0;
         if let Some(store) = &self.store {
-            let blocks = batch.blocks();
+            let (blocks, frame) = write.wal();
             let mut st = store.lock();
-            st.append_batch(blocks);
-            let info = st.commit()?;
-            outcome.commit_ns = st.modeled_commit_ns(info.bytes).max(1);
+            let info = st.commit_prepared(blocks, &frame)?;
+            commit_ns = st.modeled_commit_ns(info.bytes).max(1);
         }
         let ingest = span.child("tsdb.ingest", start_ns);
-        let mut end_ns = start_ns + outcome.commit_ns;
-        if outcome.commit_ns > 0 {
+        let mut end_ns = start_ns + commit_ns;
+        if commit_ns > 0 {
             ingest.child("store.wal.group_commit", start_ns).end(end_ns);
         }
         let (mut values, mut zeros) = (0u64, 0u64);
@@ -552,12 +555,12 @@ impl Database {
         }
         ingest.end(end_ns);
         if client {
-            self.obs.points_inserted.add(outcome.accepted as u64);
+            self.obs.points_inserted.add(batch.points as u64);
             self.obs.values_inserted.add(values);
             self.obs.zero_values_inserted.add(zeros);
         } else {
             let applied = self.obs.registry.counter("tsdb.repl.remote_applied", &[]);
-            applied.add(outcome.accepted as u64);
+            applied.add(batch.points as u64);
         }
         batch.apply(&mut self.storage.write());
         // Queries hold `rollups` shared for as long as they run: wait for
@@ -571,10 +574,10 @@ impl Database {
                 }
             }
         }
-        for measurement in batch.measurements() {
-            self.bump_version(&measurement);
+        for measurement in write.measurements() {
+            self.bump_version(measurement);
         }
-        Ok((outcome, end_ns))
+        Ok((commit_ns, end_ns))
     }
 
     /// Current write version of one measurement: bumped on every accepted
@@ -783,6 +786,7 @@ impl Database {
     }
 
     /// The current execution mode.
+    #[cfg(test)]
     pub(crate) fn exec_mode(&self) -> ExecMode {
         *self.exec_mode.lock()
     }

@@ -74,7 +74,7 @@ mod value;
 /// direct `pmove-store` dependency).
 pub use pmove_store as store;
 
-pub use batch::ColumnarBatch;
+pub use batch::{ColumnarBatch, PreparedWrite};
 pub use engine::{Database, Origin, GAP_MEASUREMENT};
 pub use error::TsdbError;
 pub use exec::ExecMode;

@@ -587,15 +587,6 @@ impl ReplicaSet {
     ) -> Result<(std::sync::Arc<Frame>, bool), TsdbError> {
         self.read_replica(reachable)?.query_arc_cached(q, mode)
     }
-
-    /// [`ReplicaSet::quorum_read_with_mode`] over query text with every
-    /// replica reachable, in the replicas' default execution mode.
-    pub fn quorum_read(&self, text: &str) -> Result<QueryResult, TsdbError> {
-        let q = Query::parse(text)?;
-        let reachable = vec![true; self.len()];
-        let mode = self.replicas[0].exec_mode();
-        self.quorum_read_with_mode(&q, &reachable, mode)
-    }
 }
 
 impl std::fmt::Debug for ReplicaSet {
@@ -792,6 +783,63 @@ mod tests {
         // Repair re-entered as remote writes, which keep the WAL barrier:
         // the healed cells are durable again.
         assert!(set.replica(1).is_durable());
+    }
+
+    /// The prepared write's failure contract across a set (the
+    /// replicated twin of the store's
+    /// `failed_commit_keeps_rows_staged_and_unacked`): one report is
+    /// prepared once and applied to every replica; a fault that fails
+    /// replica 1's group commit, at its append or at its sync, leaves the
+    /// report staged and unacknowledged there, the next commit lands it
+    /// once, and replicas 0 and 2 never notice. After a flush every
+    /// replica holds the same cells in the same bytes.
+    #[test]
+    fn a_failed_replica_commit_keeps_the_prepared_report_staged_there() {
+        use crate::batch::PreparedWrite;
+        use pmove_store::{FaultMode, FaultPlan};
+        let opts = StoreOptions {
+            flush_threshold_rows: 1_000_000,
+            compact_min_chunks: 1_000_000,
+        };
+        for op in [1, 2] {
+            let (set, _) = ReplicaSet::durable("s", ReplConfig::default(), 5, opts).unwrap();
+            let apply = |write: &PreparedWrite| -> Vec<bool> {
+                let span = Span::none();
+                let results = set.replicas().iter();
+                let ok = |r: &Database| r.write_prepared(write, Origin::Client, &span, 0).0.is_ok();
+                results.map(ok).collect()
+            };
+            let faulty = &set.disks()[1];
+            faulty.schedule_fault(FaultPlan {
+                crash_at_op: faulty.ops_done() + op,
+                mode: FaultMode::CleanStop,
+            });
+            let first = PreparedWrite::from(pt("h0", 1, 1.5));
+            assert_eq!(apply(&first), [true, false, true], "crash at op {op}");
+            // Unacknowledged: replica 1 serves nothing of the report.
+            let rows: Vec<usize> = set.replicas().iter().map(Database::total_rows).collect();
+            assert_eq!(rows, [1, 0, 1]);
+            faulty.restart();
+            let second = PreparedWrite::from(pt("h1", 2, 2.5));
+            assert_eq!(apply(&second), [true; 3]);
+            // The chunk is written from the memtable, which must hold the
+            // staged report as well.
+            for r in set.replicas() {
+                r.flush().unwrap().unwrap();
+            }
+
+            let files = |disk: &MemDisk| -> Vec<(String, Vec<u8>)> {
+                let names = disk.list().unwrap().into_iter();
+                names.map(|n| (n.clone(), disk.read(&n).unwrap())).collect()
+            };
+            let want = files(&set.disks()[0]);
+            for (i, disk) in set.disks().iter().enumerate() {
+                assert_eq!(files(disk), want, "replica {i}, crash at op {op}");
+                let vfs: Arc<dyn Vfs> = disk.clone();
+                let (db, _) = Database::open("r", vfs, opts).unwrap();
+                assert_eq!(db.total_rows(), 2, "replica {i}");
+            }
+        }
     }
 
     #[test]

@@ -466,11 +466,12 @@ impl Appender<'_> {
         self.series.upsert(ts, cells);
     }
 
-    /// Write one row of cells addressed by field name.
-    pub(crate) fn row_named(
+    /// Write one row of cells addressed by field name, owned or
+    /// borrowed: a name is copied only when the measurement first sees it.
+    pub(crate) fn row_named<N: AsRef<str> + Into<String>>(
         &mut self,
         ts: i64,
-        cells: impl IntoIterator<Item = (String, FieldValue)>,
+        cells: impl IntoIterator<Item = (N, FieldValue)>,
     ) {
         let fields = &mut *self.fields;
         let cells = cells.into_iter().map(|(name, v)| (intern(fields, name), v));
