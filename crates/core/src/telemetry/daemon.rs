@@ -448,10 +448,7 @@ impl PMoveDaemon {
     /// R-quorum read over the replica set (every replica assumed
     /// reachable — post-run analytics path).
     pub fn quorum_query(&self, text: &str) -> Result<pmove_tsdb::QueryResult, PmoveError> {
-        let set = self.replicas()?;
-        let q = Query::parse(text)?;
-        let reachable = vec![true; set.len()];
-        Ok(set.quorum_read_with_mode(&q, &reachable, pmove_tsdb::ExecMode::default())?)
+        Ok(self.replicas()?.quorum_read(text)?)
     }
 
     /// Run a multi-tenant serving schedule against the daemon's telemetry

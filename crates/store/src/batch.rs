@@ -33,7 +33,7 @@ use crate::merge::Pair;
 use crate::row::{ColumnValue, RowRecord};
 use crate::wal::{seal_frame, FRAME_HEADER};
 use std::collections::btree_map::{BTreeMap, Entry};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Version byte of the frame [`WriteBatch::encode`] writes.
 const FRAME_VERSION: u8 = 2;
@@ -64,6 +64,10 @@ pub struct WriteBatch {
     last_col: Option<usize>,
     /// Some field of the current series block owns more than one column.
     split: bool,
+    /// The whole WAL frame, made by the first commit of the batch and
+    /// reused by every later one: a batch shared by several stores is
+    /// framed once. Adding a cell drops it.
+    frame: OnceLock<Vec<u8>>,
 }
 
 fn put_value(out: &mut Vec<u8>, value: &ColumnValue) {
@@ -118,6 +122,7 @@ impl WriteBatch {
             columns: Vec::new(),
         });
         (self.last_col, self.split) = (None, false);
+        self.frame.take();
     }
 
     /// Add a cell to the open series block, in arrival order. It joins
@@ -125,6 +130,7 @@ impl WriteBatch {
     /// of smaller field names — so a point's sorted field set is one row
     /// — and opens a new row otherwise.
     pub fn push(&mut self, ts: i64, field: &str, value: ColumnValue) {
+        self.frame.take();
         let sb = self.series.last_mut().expect("series() opens a block");
         let last = self.last_col.filter(|_| sb.ts.last() == Some(&ts));
         let last = last.filter(|&c| sb.columns[c].field.as_str() < field);
@@ -217,14 +223,23 @@ impl WriteBatch {
     }
 
     /// The batch as one whole WAL frame, `[len][crc]` and the payload
-    /// [`WriteBatch::encode`] writes: what `TsStore::commit_prepared`
-    /// appends. Framed once, it can be committed to any number of logs.
-    pub fn frame(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(FRAME_HEADER + 16 + 10 * self.cells);
-        out.resize(FRAME_HEADER, 0);
-        self.encode_into(&mut out);
-        seal_frame(&mut out);
-        out
+    /// [`WriteBatch::encode`] writes: what a commit of the batch appends
+    /// to the log.
+    pub(crate) fn frame(&self) -> &[u8] {
+        self.frame.get_or_init(|| {
+            let mut out = Vec::with_capacity(FRAME_HEADER + 16 + 10 * self.cells);
+            out.resize(FRAME_HEADER, 0);
+            self.encode_into(&mut out);
+            seal_frame(&mut out);
+            out
+        })
+    }
+
+    /// Drop the frame a commit made, when no other store shares it.
+    pub(crate) fn drop_frame(batch: &mut Arc<WriteBatch>) {
+        if let Some(batch) = Arc::get_mut(batch) {
+            batch.frame.take();
+        }
     }
 
     /// Append the frame payload to `out`.
@@ -533,6 +548,22 @@ mod tests {
                 (g, w) => assert_eq!(g, w),
             }
         }
+    }
+
+    /// The frame a batch keeps is the log record of the cells it holds
+    /// now: a cell added after a commit framed it, or a series opened,
+    /// is in the next frame.
+    #[test]
+    fn a_kept_frame_follows_the_cells_added_after_it() {
+        let framed = |batch: &WriteBatch| crate::wal::frames(&[batch.encode()]);
+        let mut batch = WriteBatch::from_rows([cell("s", "a", 1, ColumnValue::F64(1.0))]);
+        assert_eq!(batch.frame(), framed(&batch));
+        batch.push(2, "a", ColumnValue::F64(2.0));
+        assert_eq!(batch.frame(), framed(&batch));
+        batch.series("t".into(), 1);
+        batch.push(3, "b", ColumnValue::I64(3));
+        assert_eq!(batch.frame(), framed(&batch));
+        assert_eq!(WriteBatch::decode(&batch.frame()[8..]).unwrap().cells(), 3);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The storage engine: WAL + memtable + immutable chunks + compaction.
 //!
-//! Write path: [`TsStore::commit_prepared`] stages a shared [`WriteBatch`]
-//! already framed ([`WriteBatch::frame`]) and group-commits it behind
-//! anything staged (one append, one sync); only then do the staged
+//! Write path: [`TsStore::commit_prepared`] stages a shared [`WriteBatch`],
+//! framed once however many stores commit it, and group-commits it
+//! behind anything staged (one append, one sync); only then do the staged
 //! cells enter the memtable ([`crate::batch`]) — a cell is
 //! *acknowledged* exactly when its commit returns `Ok`. A batch prepared
 //! once is so committed to any number of stores; a failed commit leaves
@@ -396,13 +396,19 @@ impl TsStore {
     /// — and not visible to [`TsStore::scan_blocks`] — until
     /// [`TsStore::commit`].
     pub fn append_owned(&mut self, rows: Vec<RowRecord>) {
-        let batch = WriteBatch::from_rows(rows);
+        self.stage(Arc::new(WriteBatch::from_rows(rows)));
+    }
+
+    /// Frame `batch` into the WAL buffer and stage it for the next
+    /// commit. A frame no other store shares is dropped once buffered.
+    fn stage(&mut self, mut batch: Arc<WriteBatch>) {
         if batch.cells() == 0 {
             return;
         }
-        self.wal.append(&batch.encode());
+        self.wal.buffer(batch.frame());
+        WriteBatch::drop_frame(&mut batch);
         self.obs.wal_records_appended.add(batch.cells() as u64);
-        self.staged.push(Arc::new(batch));
+        self.staged.push(batch);
     }
 
     /// Modeled group-commit latency for a payload of `bytes` on this
@@ -423,37 +429,21 @@ impl TsStore {
             * 1e9) as u64
     }
 
+    /// Stage `batch` and group-commit it behind everything staged: one
+    /// append, one sync. The batch is shared, not rebuilt, and framed
+    /// once ([`WriteBatch`] keeps its frame), so a report prepared once
+    /// commits so to every replica, each memtable copying its cells; a
+    /// batch this call holds the last handle of is moved in. On error it
+    /// stays staged and unacknowledged, and the next commit lands it once.
+    pub fn commit_prepared(&mut self, batch: Arc<WriteBatch>) -> StoreResult<CommitInfo> {
+        self.stage(batch);
+        self.commit()
+    }
+
     /// Group-commit every staged record; on success the cells are
     /// acknowledged and enter the memtable (flushing if over threshold).
     pub fn commit(&mut self) -> StoreResult<CommitInfo> {
         let info = self.wal.commit()?;
-        self.acknowledge(info)
-    }
-
-    /// Group-commit every staged record and then `batch`, whose WAL frame
-    /// is `frame` ([`WriteBatch::frame`]): one append, one sync. The batch
-    /// is shared, not rebuilt, so a report prepared once commits so to
-    /// every replica, each memtable copying its cells; a batch this call
-    /// holds the last handle of is moved in. On error it stays staged and
-    /// unacknowledged, exactly as if appended, and the next commit lands
-    /// it once.
-    pub fn commit_prepared(
-        &mut self,
-        batch: Arc<WriteBatch>,
-        frame: &[u8],
-    ) -> StoreResult<CommitInfo> {
-        if batch.cells() == 0 {
-            return self.commit();
-        }
-        self.obs.wal_records_appended.add(batch.cells() as u64);
-        self.staged.push(batch);
-        let info = self.wal.commit_frame(frame)?;
-        self.acknowledge(info)
-    }
-
-    /// A commit landed: the staged batches enter the memtable, and a
-    /// memtable over threshold flushes.
-    fn acknowledge(&mut self, info: CommitInfo) -> StoreResult<CommitInfo> {
         for batch in self.staged.drain(..) {
             self.memtable.absorb(batch);
         }
@@ -1033,8 +1023,7 @@ mod tests {
             let (mut store, _) = TsStore::open(Arc::new(disk.clone()), small_opts()).unwrap();
             if prepared {
                 let batch = WriteBatch::from_rows(rows());
-                let frame = batch.frame();
-                store.commit_prepared(Arc::new(batch), &frame).unwrap();
+                store.commit_prepared(Arc::new(batch)).unwrap();
             } else {
                 store.append_owned(rows());
                 store.commit().unwrap();
@@ -1057,17 +1046,16 @@ mod tests {
             let (mut store, _) = TsStore::open(vfs.clone(), small_opts()).unwrap();
             let first = Arc::new(WriteBatch::from_rows([row("s", "f", 1, 1.0)]));
             let second = Arc::new(WriteBatch::from_rows([row("s", "f", 2, 2.0)]));
-            let frames = [first.frame(), second.frame()];
+            let log = [first.frame(), second.frame()].concat();
             disk.schedule_fault(FaultPlan {
                 crash_at_op: disk.ops_done() + op,
                 mode: FaultMode::CleanStop,
             });
-            assert!(store.commit_prepared(first, &frames[0]).is_err());
+            assert!(store.commit_prepared(first).is_err());
             assert_eq!((store.staged_rows(), store.memtable_rows()), (1, 0));
             disk.restart();
-            store.commit_prepared(second, &frames[1]).unwrap();
+            store.commit_prepared(second).unwrap();
             assert_eq!((store.staged_rows(), store.memtable_rows()), (0, 2));
-            let log = frames.concat();
             assert_eq!(disk.read(WAL_FILE).unwrap(), log, "crash at op {op}");
             let (mut reopened, report) = TsStore::open(vfs, small_opts()).unwrap();
             assert_eq!(report.wal_rows, 2);

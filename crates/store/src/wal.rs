@@ -186,29 +186,9 @@ impl Wal {
         Ok(info)
     }
 
-    /// Group-commit every buffered record and then `frame`, one record
-    /// already framed (`seal_frame`), in one append and one sync. With
-    /// nothing buffered the frame is written from the caller's bytes, not
-    /// copied. On error it stays buffered and unacknowledged, as if
-    /// appended, so the next commit lands it once.
-    pub(crate) fn commit_frame(&mut self, frame: &[u8]) -> StoreResult<CommitInfo> {
-        if !self.pending.is_empty() {
-            self.buffer(frame);
-            return self.commit();
-        }
-        if let Err(e) = self.file.append(frame).and_then(|()| self.file.sync()) {
-            self.buffer(frame);
-            return Err(e);
-        }
-        self.durable_records += 1;
-        Ok(CommitInfo {
-            records: 1,
-            bytes: frame.len() as u64,
-        })
-    }
-
-    /// Hold one framed record for the next commit.
-    fn buffer(&mut self, frame: &[u8]) {
+    /// Buffer one record already framed (`seal_frame`) for the next
+    /// commit.
+    pub(crate) fn buffer(&mut self, frame: &[u8]) {
         self.pending.extend_from_slice(frame);
         self.pending_records += 1;
     }

@@ -39,7 +39,6 @@ use crate::series::SeriesKey;
 use crate::storage::Storage;
 use crate::value::FieldValue;
 use pmove_store::{RowRecord, WriteBatch};
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, OnceLock};
@@ -197,7 +196,7 @@ pub struct PreparedWrite {
     pub(crate) measurements: Vec<usize>,
     /// For a write shared by several databases, the store's share once
     /// the first durable one made it; `None` for a write applied once.
-    kept: Option<OnceLock<(Arc<WriteBatch>, Vec<u8>)>>,
+    kept: Option<OnceLock<Arc<WriteBatch>>>,
 }
 
 impl PreparedWrite {
@@ -224,25 +223,16 @@ impl PreparedWrite {
     }
 
     /// The durable store's share: the batch in block shape
-    /// ([`ColumnarBatch::blocks`]) and its `[len][crc][payload]` frame. A
-    /// shared write makes it once and keeps it for every database after
-    /// the first; a write applied once hands the store the only handle,
-    /// so the memtable takes the block columns over instead of copying.
-    pub(crate) fn wal(&self) -> (Arc<WriteBatch>, Cow<'_, [u8]>) {
-        let make = || {
-            let blocks = self.batch.blocks();
-            let frame = blocks.frame();
-            (Arc::new(blocks), frame)
-        };
+    /// ([`ColumnarBatch::blocks`]), which frames itself on its first
+    /// commit. A shared write makes it once and keeps it, frame and all,
+    /// for every database after the first; a write applied once hands
+    /// the store the only handle, so the memtable takes the block columns
+    /// over instead of copying.
+    pub(crate) fn blocks(&self) -> Arc<WriteBatch> {
+        let make = || Arc::new(self.batch.blocks());
         match &self.kept {
-            Some(kept) => {
-                let (blocks, frame) = kept.get_or_init(make);
-                (blocks.clone(), Cow::Borrowed(frame))
-            }
-            None => {
-                let (blocks, frame) = make();
-                (blocks, Cow::Owned(frame))
-            }
+            Some(kept) => kept.get_or_init(make).clone(),
+            None => make(),
         }
     }
 

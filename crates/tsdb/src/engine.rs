@@ -521,9 +521,9 @@ impl Database {
         // durable write.
         let mut commit_ns = 0;
         if let Some(store) = &self.store {
-            let (blocks, frame) = write.wal();
+            let blocks = write.blocks();
             let mut st = store.lock();
-            let info = st.commit_prepared(blocks, &frame)?;
+            let info = st.commit_prepared(blocks)?;
             commit_ns = st.modeled_commit_ns(info.bytes).max(1);
         }
         let ingest = span.child("tsdb.ingest", start_ns);
@@ -786,7 +786,6 @@ impl Database {
     }
 
     /// The current execution mode.
-    #[cfg(test)]
     pub(crate) fn exec_mode(&self) -> ExecMode {
         *self.exec_mode.lock()
     }

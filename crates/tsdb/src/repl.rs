@@ -587,6 +587,15 @@ impl ReplicaSet {
     ) -> Result<(std::sync::Arc<Frame>, bool), TsdbError> {
         self.read_replica(reachable)?.query_arc_cached(q, mode)
     }
+
+    /// [`ReplicaSet::quorum_read_with_mode`] over query text with every
+    /// replica reachable, in the replicas' default execution mode.
+    pub fn quorum_read(&self, text: &str) -> Result<QueryResult, TsdbError> {
+        let q = Query::parse(text)?;
+        let reachable = vec![true; self.len()];
+        let mode = self.replicas[0].exec_mode();
+        self.quorum_read_with_mode(&q, &reachable, mode)
+    }
 }
 
 impl std::fmt::Debug for ReplicaSet {
