@@ -41,8 +41,8 @@ fn find_tree<'a>(
 }
 
 /// Replicated run with the primary partitioned for the first half of the
-/// window: quorum writes continue on the remaining replicas, missed
-/// writes park as hints and replay on the heartbeat after recovery.
+/// window: quorum writes continue on the remaining replicas, and the
+/// window's (untraced) repair duty brings the primary back up to date.
 fn replicated_run() -> (String, String, f64) {
     let mut d = PMoveDaemon::for_preset_replicated("icl", 7).expect("replicated daemon");
     let tracer = d.enable_tracing(4096);

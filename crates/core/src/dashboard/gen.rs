@@ -557,11 +557,13 @@ mod tests {
             .iter()
             .all(|p| p.title != "replication"));
 
-        // A replicated window through a partition grows the panel with
+        // A replicated window through a partition that breaks the write
+        // quorum (only quorum misses park hints) grows the panel with
         // both the health gauges and the active hint counters.
         let mut d = crate::telemetry::daemon::PMoveDaemon::for_preset_replicated("icl", 7).unwrap();
         let mut schedules = vec![FaultSchedule::none(); 3];
         schedules[1] = FaultSchedule::none().with_window(2.0, 8.0, FaultKind::LinkDown);
+        schedules[2] = FaultSchedule::none().with_window(2.0, 8.0, FaultKind::LinkDown);
         d.monitor_replicated(15.0, 1.0, Some(schedules)).unwrap();
         let dash = d.self_dashboard();
         let panel = dash

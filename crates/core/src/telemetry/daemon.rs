@@ -124,6 +124,9 @@ pub struct PMoveDaemon {
     /// `None` until [`PMoveDaemon::enable_scrubbing`]. Its period is the
     /// cadence the `scrub_staleness` SLO holds it to.
     scrubber: Option<Scrubber>,
+    /// A replica missed a write no repair has brought it yet (see
+    /// `repair_tick`).
+    repair_due: bool,
 }
 
 /// Modeled boot-step durations (virtual ns, deterministic): reading the
@@ -140,6 +143,8 @@ const STEP5_SUPERVISE_NS: u64 = 40_000;
 const REPAIR_BASE_NS: u64 = 60_000;
 /// Modeled per-cell cost of streaming a divergent range during repair.
 const REPAIR_PER_CELL_NS: u64 = 700;
+/// Anti-entropy rounds the window's repair duty allows.
+const REPAIR_ROUNDS: u64 = 8;
 /// FNV-1a over `bytes`: the deterministic seed/fingerprint hash.
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -242,6 +247,7 @@ impl PMoveDaemon {
             obs,
             mode: DaemonMode::Normal,
             scrubber: None,
+            repair_due: false,
         };
         let insert_ns = daemon.sync_kb()? as u64 * STEP3_PER_DOC_NS; // ③
         daemon
@@ -348,6 +354,9 @@ impl PMoveDaemon {
     /// fault schedule per replica (relative to the current daemon clock,
     /// like [`PMoveDaemon::monitor`]); `None` means no faults.
     ///
+    /// A replica that missed a write catches up by the window's repair
+    /// duty (`repair_tick`), with no operator step.
+    ///
     /// Failure handling is graduated: a quarantined primary is *failed
     /// over* (the coordinator promotes the lowest healthy replica) and
     /// the daemon stays fully operational; the daemon drops to
@@ -363,7 +372,7 @@ impl PMoveDaemon {
         let start_s = self.now_s;
         let schedules: Option<Vec<_>> =
             schedules.map(|list| list.into_iter().map(|s| on_clock(s, start_s)).collect());
-        let outcome = self.monitor_window(duration_s, freq_hz, |d, config, pmcd| {
+        let sample = |d: &Self, config: &SamplingConfig, pmcd: &mut Pmcd| {
             let set = d.replicas()?;
             let schedules = schedules.unwrap_or_else(|| vec![FaultSchedule::none(); set.len()]);
             let labels = [d.machine.key(), "scenario_a", set.name()];
@@ -374,7 +383,11 @@ impl PMoveDaemon {
                 healthy: coord.reachable().into_iter().filter(|&up| up).count(),
                 primary: coord.primary(),
                 degraded: coord.is_degraded(),
+                repair: None,
             })
+        };
+        let outcome = self.monitor_window(duration_s, freq_hz, sample, |d, out| {
+            out.repair = d.repair_tick(out);
         })?;
         self.apply_replication_health(&outcome);
         Ok(outcome)
@@ -384,13 +397,16 @@ impl PMoveDaemon {
     /// collectors from the KB, advances the daemon clock, stamps
     /// `daemon.monitor` and runs the periodic duties (scrub, rollup), so
     /// every monitoring mode gets both. `sample` ships
-    /// the window through the mode's transport. An invalid frequency or
-    /// duration, or a failed `sample`, leaves the clock untouched.
+    /// the window through the mode's transport; `repair` is the mode's
+    /// catch-up duty, run after the scrub so that the rollup folds what
+    /// it repaired. An invalid frequency or duration, or a failed
+    /// `sample`, leaves the clock untouched.
     fn monitor_window<R>(
         &mut self,
         duration_s: f64,
         freq_hz: f64,
         sample: impl FnOnce(&Self, &SamplingConfig, &mut Pmcd) -> Result<R, PmoveError>,
+        repair: impl FnOnce(&mut Self, &mut R),
     ) -> Result<R, PmoveError> {
         let start_s = self.now_s;
         let (mut pmcd, metrics) = scenario_a::configure_collectors(
@@ -400,11 +416,12 @@ impl PMoveDaemon {
             &self.obs,
         );
         let config = SamplingConfig::try_new(metrics, freq_hz, start_s, duration_s)?;
-        let out = sample(self, &config, &mut pmcd)?;
+        let mut out = sample(self, &config, &mut pmcd)?;
         self.now_s += duration_s;
         self.obs
             .record_span("daemon.monitor", s_to_ns(start_s), s_to_ns(self.now_s));
         self.scrub_tick();
+        repair(self, &mut out);
         self.rollup_tick();
         Ok(out)
     }
@@ -431,9 +448,31 @@ impl PMoveDaemon {
         }
     }
 
+    /// The replicated window's repair duty: a window whose ledger shows a
+    /// missed write (fewer acks than reports × RF) makes anti-entropy
+    /// due, and it runs once a window ends with every replica reachable,
+    /// never through a down link. A failed repair (a crashed replica
+    /// disk) ticks `daemon.repair.errors` and, like one that did not
+    /// converge, stays due; it never fails the window.
+    fn repair_tick(&mut self, window: &ReplicatedOutcome) -> Option<RepairReport> {
+        let rf = self.replicas().ok()?.len();
+        let ledger = window.report.transport;
+        self.repair_due |= ledger.replica_acks < ledger.reports_offered * rf as u64;
+        if !self.repair_due || window.healthy < rf {
+            return None;
+        }
+        let repair = self.repair_replicas(REPAIR_ROUNDS).ok();
+        if repair.is_none() {
+            self.obs.counter("daemon.repair.errors", &[]).inc();
+        }
+        self.repair_due = !repair.is_some_and(|r| r.converged);
+        repair
+    }
+
     /// Run anti-entropy until the replicas converge bit-identically (or
     /// `max_rounds` is hit), stamped as a `daemon.repair` span whose
-    /// modeled length scales with the cells streamed.
+    /// modeled length scales with the cells streamed: the on-demand call
+    /// beside the windows' own repair duty.
     pub fn repair_replicas(&mut self, max_rounds: u64) -> Result<RepairReport, PmoveError> {
         let report = self.replicas()?.repair_until_converged(max_rounds)?;
         let start_ns = s_to_ns(self.now_s);
@@ -609,7 +648,7 @@ impl PMoveDaemon {
         fault: Option<FaultSchedule>,
     ) -> SamplingReport {
         let fault = fault.map(|f| on_clock(f, self.now_s));
-        self.monitor_window(duration_s, freq_hz, |d, config, pmcd| {
+        let sample = |d: &Self, config: &SamplingConfig, pmcd: &mut Pmcd| {
             let labels = [d.machine.key(), "scenario_a"];
             let mut shipper =
                 Shipper::try_new(&d.ts, LinkSpec::mbit_100(), 1.0 / freq_hz, &labels)?
@@ -618,8 +657,9 @@ impl PMoveDaemon {
                 shipper = shipper.with_fault_schedule(schedule);
             }
             Ok(SamplingLoop::run(config, pmcd, &mut shipper))
-        })
-        .expect("a positive finite frequency and a non-negative finite duration")
+        };
+        self.monitor_window(duration_s, freq_hz, sample, |_, _| {})
+            .expect("a positive finite frequency and a non-negative finite duration")
     }
 
     /// Scenario B: profile a kernel; appends the observation and syncs
@@ -1601,6 +1641,84 @@ mod tests {
         assert_eq!(r.rows.len(), 25);
     }
 
+    /// Every replica answers `SELECT *` on every measurement with the
+    /// same rows, compared bit for bit.
+    fn replicas_bit_identical(set: &ReplicaSet) -> bool {
+        let bits = |i: usize, q: &str| -> Vec<(i64, Vec<Option<u64>>)> {
+            let rows = set.replica(i).query(q).unwrap().rows;
+            let row = |r: &pmove_tsdb::query::ResultRow| {
+                let cells = r.values.iter().map(|(_, v)| v.map(f64::to_bits));
+                (r.timestamp, cells.collect())
+            };
+            rows.iter().map(row).collect()
+        };
+        set.replica(0).measurements().iter().all(|m| {
+            let q = format!("SELECT * FROM \"{m}\"");
+            (1..set.len()).all(|i| bits(i, &q) == bits(0, &q))
+        })
+    }
+
+    #[test]
+    fn a_missed_write_is_repaired_by_the_first_window_with_every_replica_up() {
+        use pmove_hwsim::{FaultKind, FaultSchedule};
+        let mut d = PMoveDaemon::for_preset_replicated("icl", 17).unwrap();
+        // Replica 1 drops off at 5 s and is still down when window 1
+        // ends: the quorum holds, replica 1 misses writes, and the repair
+        // waits rather than write through a down link.
+        let mut schedules = vec![FaultSchedule::none(); 3];
+        schedules[1] = FaultSchedule::none().with_window(5.0, 100.0, FaultKind::LinkDown);
+        let out = d.monitor_replicated(10.0, 1.0, Some(schedules)).unwrap();
+        let ledger = out.report.transport;
+        assert!(
+            ledger.replica_acks < 3 * ledger.reports_offered,
+            "{ledger:?}"
+        );
+        assert_eq!((out.healthy, out.repair), (2, None));
+        assert!(d.obs.snapshot().span("daemon.repair").is_none());
+        assert!(!d.repl.as_ref().unwrap().converged());
+        // Window 2 is fault-free: it ends with every replica up, so its
+        // duty runs the repair window 1 left due, with no explicit call.
+        let out = d.monitor_replicated(10.0, 1.0, None).unwrap();
+        let rep = out.repair.expect("the due repair ran");
+        assert!(rep.converged && rep.cells_streamed > 0, "{rep:?}");
+        let snap = d.obs.snapshot();
+        let span = snap.span("daemon.repair").expect("repair span");
+        assert_eq!(span.count, 1);
+        let set = d.repl.as_ref().unwrap();
+        assert!(set.converged() && replicas_bit_identical(set));
+        // Nothing is due any more: window 3 repairs nothing.
+        assert_eq!(d.monitor_replicated(5.0, 1.0, None).unwrap().repair, None);
+    }
+
+    #[test]
+    fn a_crashed_replica_disk_fails_the_repair_not_the_window() {
+        use pmove_tsdb::store::{FaultMode, FaultPlan};
+        let mut d = PMoveDaemon::for_preset_replicated("icl", 19).unwrap();
+        let disk = d.repl.as_ref().unwrap().disks()[1].clone();
+        disk.schedule_fault(FaultPlan {
+            crash_at_op: 40,
+            mode: FaultMode::CleanStop,
+        });
+        // Replica 1's disk crashes mid-window: its writes are refused, so
+        // the repair is due, every link is up, and the repair fails.
+        let out = d.monitor_replicated(10.0, 1.0, None).unwrap();
+        assert!(disk.crashed());
+        assert!(out.report.transport.conserved());
+        assert_eq!(out.repair, None);
+        let errors = d.obs.snapshot().counter("daemon.repair.errors", &[]);
+        assert_eq!((errors, d.repair_due), (Some(1), true));
+        assert!(d.obs.snapshot().span("daemon.repair").is_none());
+        // Back up: the next window converges the set.
+        disk.restart();
+        let out = d.monitor_replicated(10.0, 1.0, None).unwrap();
+        let rep = out.repair.expect("the due repair ran");
+        assert!(rep.converged && rep.cells_streamed > 0, "{rep:?}");
+        let errors = d.obs.snapshot().counter("daemon.repair.errors", &[]);
+        assert_eq!((errors, d.repair_due), (Some(1), false));
+        let set = d.repl.as_ref().unwrap();
+        assert!(set.converged() && replicas_bit_identical(set));
+    }
+
     #[test]
     fn daemon_serves_multi_tenant_queries_over_the_quorum() {
         use pmove_serve::Priority;
@@ -1684,9 +1802,10 @@ mod tests {
         assert!(!out2.degraded);
         assert_eq!(d.mode, DaemonMode::Normal);
         assert_eq!(d.obs.snapshot().gauge("daemon.mode", &[]), Some(0.0));
-        // Hints replayed during recovery + one repair pass reconverge.
-        let rep = d.repair_replicas(8).unwrap();
-        assert!(rep.converged);
+        // Replicas 1 and 2 missed window 1; window 2's repair duty
+        // reconverges the set with no explicit repair call.
+        assert!(out2.repair.is_some_and(|r| r.converged), "{out2:?}");
+        assert!(d.repl.as_ref().unwrap().converged());
     }
 
     #[test]

@@ -97,8 +97,8 @@ pub(crate) fn configure_collectors(
 }
 
 /// How a replicated monitoring window left the coordinator: the sampling
-/// report plus the replica-health view the daemon uses for failover and
-/// degradation decisions.
+/// report, the replica-health view the daemon uses for failover and
+/// degradation decisions, and the repair the window ended with.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplicatedOutcome {
     /// The sampling run (ticks, expected values, conservation ledger).
@@ -110,4 +110,7 @@ pub struct ReplicatedOutcome {
     /// True when fewer than W replicas were reachable at the end of the
     /// window — the only condition that degrades the daemon.
     pub degraded: bool,
+    /// The anti-entropy repair the window's duty ran, if one was due and
+    /// every replica answered at the window's end.
+    pub repair: Option<pmove_tsdb::repl::RepairReport>,
 }

@@ -3,7 +3,8 @@
 //! (a) durable `icl`, scrubbing, rolling up, traced, SLOs installed,
 //! through plain monitoring and a link outage, a profile, a serving schedule
 //! and a self-telemetry export; (b) replicated `skx` with one replica's
-//! disk crashed mid-window, then repaired.
+//! disk crashed mid-window (the window's repair duty fails on it and
+//! ticks `daemon.repair.errors`), then restarted and repaired on demand.
 
 use pmove_core::profiles::stream_kernel_profile;
 use pmove_core::telemetry::scenario_b::ProfileRequest;

@@ -5,14 +5,16 @@
 //! storage half — replicas, Merkle trees, anti-entropy — lives in
 //! `pmove_tsdb::repl`). Each shipped report is written to every replica
 //! whose fault schedule currently lets writes through; the write counts
-//! as **inserted** once `W` replicas acknowledge. Replicas that missed a
-//! quorum-successful write get a *non-ledger* hint (repair bookkeeping:
-//! the value is already safely counted as inserted). When fewer than `W`
-//! replicas acknowledge, the report itself is parked as a *ledger* hint
-//! on the first failed replica, counted in the `hinted` conservation
-//! term; it graduates to `inserted` when the replica's heartbeat returns
-//! and the hint replays, or to `evicted` if the bounded drop-oldest queue
-//! pushes it out first.
+//! as **inserted** once `W` replicas acknowledge. When fewer than `W`
+//! replicas acknowledge, the report is parked as a *hint* on the first
+//! replica that missed it, counted in the `hinted` conservation term; it
+//! graduates to `inserted` when the replica's heartbeat returns and the
+//! hint replays, or to `evicted` if the bounded drop-oldest queue pushes
+//! it out first. A hint exists for the report's accounting, so a replica
+//! that missed a quorum-successful (or stale-read-zeroed) write parks
+//! nothing: it catches up by anti-entropy
+//! ([`ReplicaSet::repair_until_converged`]), which the replicated daemon
+//! runs after every window in which a replica missed a write.
 //!
 //! ## The widened conservation equation
 //!
@@ -22,7 +24,7 @@
 //!     + repaired + corrupt_pending
 //! ```
 //!
-//! `hinted` is the *currently parked* ledger values; a finished run can
+//! `hinted` counts the values *currently parked*; a finished run can
 //! legitimately end with `hinted > 0` when a replica never came back.
 //!
 //! `corrupted` / `repaired` / `corrupt_pending` are the integrity terms:
@@ -57,7 +59,7 @@ pub enum ReplShipOutcome {
     Inserted,
     /// Stale-read artefact: the report landed as batched zeros.
     InsertedZero,
-    /// Quorum missed; the report is parked as a ledger hint.
+    /// Quorum missed; the report is parked as a hint.
     Hinted,
     /// Quorum missed and the hint queue could not hold the report.
     Lost,
@@ -77,9 +79,9 @@ pub struct ReplStats {
     pub values_zeroed: u64,
     /// Values lost outright (quorum missed and hint queue unable to hold).
     pub values_lost: u64,
-    /// Ledger values evicted from a hint queue by drop-oldest overflow.
+    /// Values evicted from a hint queue by drop-oldest overflow.
     pub values_evicted: u64,
-    /// Ledger values currently parked as hints (not yet replayed).
+    /// Values currently parked as hints (not yet replayed).
     pub values_hinted: u64,
     /// Cells destroyed by latent disk rot: removed from a replica's
     /// durable state when its chunk was quarantined.
@@ -89,7 +91,7 @@ pub struct ReplStats {
     pub values_repaired: u64,
     /// Corrupted cells not yet repaired (open, gap-annotated holes).
     pub values_corrupt_pending: u64,
-    /// Hint entries queued (ledger and non-ledger).
+    /// Hint entries queued: one per quorum-missed write that fit.
     pub hints_queued: u64,
     /// Hint entries successfully replayed.
     pub hints_replayed: u64,
@@ -126,19 +128,16 @@ impl ReplStats {
     }
 }
 
-/// One parked report. `ledger` marks the single hint that carries the
-/// report's conservation accounting (a quorum-missed write); non-ledger
-/// hints exist purely so a returning replica converges faster.
-#[derive(Debug, Clone)]
+/// One parked report: a write that missed its quorum, parked on the
+/// first replica that missed it. Its values are counted `hinted` until
+/// the entry replays or is evicted.
+#[derive(Debug)]
 struct HintEntry {
-    /// The report as every replica applies it, shared by the replicas
-    /// that missed it.
-    write: Arc<PreparedWrite>,
+    /// The report as the replicas applied it.
+    write: PreparedWrite,
     values: u64,
-    ledger: bool,
-    /// The report's trace, kept open while parked (ledger entries only:
-    /// non-ledger hints belong to reports already terminated at offer
-    /// time). Terminates on replay, eviction, or end-of-run seal.
+    /// The report's trace, kept open while parked. Terminates on replay,
+    /// eviction, or end-of-run seal.
     trace: Span,
 }
 
@@ -232,7 +231,7 @@ impl<'a> ReplShipper<'a> {
         Ok(ReplShipper {
             set,
             schedules,
-            hints: vec![VecDeque::new(); n],
+            hints: (0..n).map(|_| VecDeque::new()).collect(),
             queued_values: vec![0; n],
             health: vec![ReplicaHealth::default(); n],
             primary: 0,
@@ -263,11 +262,6 @@ impl<'a> ReplShipper<'a> {
     /// to monitor-only mode exactly while this holds.
     pub fn is_degraded(&self) -> bool {
         self.healthy_count() < self.set.config().write_quorum
-    }
-
-    /// Ledger and non-ledger values currently parked across all queues.
-    fn hints_pending_values(&self) -> u64 {
-        self.queued_values.iter().sum()
     }
 
     /// Statistics snapshot.
@@ -317,19 +311,20 @@ impl<'a> ReplShipper<'a> {
     /// [`ReplShipper::ship`] under the report's root span: the quorum
     /// fan-out records one `repl.replica_write` child per replica (acked
     /// writes nest the replica's WAL group commit and shard ingest),
-    /// quorum misses flag the trace, park it with the ledger hint, and
-    /// heartbeat replay continues the same tree (`repl.hint_replay`) to a
-    /// terminal status.
+    /// quorum misses flag the trace, park it with the hint, and heartbeat
+    /// replay continues the same tree (`repl.hint_replay`) to a terminal
+    /// status.
     ///
     /// The report is prepared once, after the stale-read zeroing: every
     /// reachable replica applies the same grouping, block shape and WAL
-    /// frame, borrowed, and the replicas that missed it park it shared.
+    /// frame, borrowed, and a quorum miss parks it on the first replica
+    /// that missed it.
     pub fn ship_span(
         &mut self,
         t: f64,
         mut point: Point,
         freq_hz: f64,
-        mut tr: Span,
+        tr: Span,
     ) -> ReplShipOutcome {
         let n = point.field_count() as u64;
         self.stats.reports_offered += 1;
@@ -345,7 +340,6 @@ impl<'a> ReplShipper<'a> {
         }
         let write = PreparedWrite::from(point);
 
-        let w = self.set.config().write_quorum;
         let rf = self.set.len();
         let t_ns = (t * 1e9) as u64;
         let quorum_start = t_ns + FETCH_NS;
@@ -355,9 +349,9 @@ impl<'a> ReplShipper<'a> {
         // The clock advances only while the fan-out is recorded.
         tr.child("pcp.fetch", t_ns).end(t_ns + FETCH_NS);
         let qspan = tr.child("repl.quorum_write", quorum_start);
-        let mut acks = vec![false; rf];
         let mut ack_count = 0usize;
-        for (i, ack) in acks.iter_mut().enumerate() {
+        let mut first_miss = None;
+        for i in 0..rf {
             let reachable = self.replica_write_ok(t, i);
             let rspan = qspan.child("repl.replica_write", cursor);
             let mut end_ns = cursor + Self::QUORUM_PER_ACK_NS;
@@ -370,13 +364,15 @@ impl<'a> ReplShipper<'a> {
                         .write_prepared(&write, Origin::Client, &rspan, end_ns);
                 end_ns = ingest_end;
                 if res.is_ok() {
-                    *ack = true;
                     ack_count += 1;
                     "acked"
                 } else {
                     "rejected"
                 }
             };
+            if status != "acked" {
+                first_miss.get_or_insert(i);
+            }
             rspan.end_status(end_ns, status);
             if rspan.is_recording() {
                 cursor = end_ns;
@@ -389,9 +385,7 @@ impl<'a> ReplShipper<'a> {
             + Self::QUORUM_PER_VALUE_NS * n;
         tr.observe(&self.obs.quorum_write_ns, modeled_ns);
 
-        let quorum = ack_count >= w;
-        // Every replica that missed the report parks it, shared.
-        let write = Arc::new(write);
+        let quorum = ack_count >= self.set.config().write_quorum;
         if quorum {
             self.stats.quorum_writes += 1;
             self.obs.quorum_writes.inc();
@@ -402,14 +396,8 @@ impl<'a> ReplShipper<'a> {
 
         if read_zero {
             // Zeros are terminal at offer time: the ledger counts them
-            // zeroed whether or not the quorum landed; misses still get
-            // non-ledger hints so replicas converge on the zero rows.
+            // zeroed whether or not the quorum landed.
             self.stats.values_zeroed += n;
-            for (i, &acked) in acks.iter().enumerate() {
-                if !acked {
-                    self.park(i, write.clone(), n, false, Span::none(), cursor);
-                }
-            }
             tr.finish(cursor, "zeroed");
             self.export_gauges();
             return ReplShipOutcome::InsertedZero;
@@ -417,35 +405,16 @@ impl<'a> ReplShipper<'a> {
 
         let outcome = if quorum {
             self.stats.values_inserted += n;
-            for (i, &acked) in acks.iter().enumerate() {
-                if !acked {
-                    self.park(i, write.clone(), n, false, Span::none(), cursor);
-                }
-            }
             tr.finish(cursor, "inserted");
             ReplShipOutcome::Inserted
         } else {
-            // Quorum missed: the first failed replica's hint carries the
-            // ledger; the rest are repair bookkeeping. A miss is a fault
-            // site.
+            // Quorum missed: a fault site. The report parks on the first
+            // replica that missed it.
             tr.fault();
             tr.child("repl.hint_park", cursor)
                 .end_status(cursor, "hinted");
-            let mut ledger_parked = false;
-            let mut ledger_pending = true;
-            for (i, &acked) in acks.iter().enumerate() {
-                if acked {
-                    continue;
-                }
-                if ledger_pending {
-                    ledger_pending = false;
-                    let trace = std::mem::take(&mut tr);
-                    ledger_parked = self.park(i, write.clone(), n, true, trace, cursor);
-                } else {
-                    self.park(i, write.clone(), n, false, Span::none(), cursor);
-                }
-            }
-            if ledger_parked {
+            let i = first_miss.expect("W <= RF: a missed quorum has a replica that missed it");
+            if self.park(i, write, n, tr, cursor) {
                 ReplShipOutcome::Hinted
             } else {
                 ReplShipOutcome::Lost
@@ -456,15 +425,14 @@ impl<'a> ReplShipper<'a> {
     }
 
     /// Park a report on replica `i`'s bounded hint queue (drop-oldest).
-    /// Returns whether the entry was parked; a ledger entry that cannot
-    /// be parked is counted lost here. `trace` rides on ledger entries
-    /// and terminates with the entry's fate.
+    /// Returns whether the entry was parked; a report that cannot be
+    /// parked is counted lost here. `trace` rides on the entry and
+    /// terminates with its fate.
     fn park(
         &mut self,
         i: usize,
-        write: Arc<PreparedWrite>,
+        write: PreparedWrite,
         values: u64,
-        ledger: bool,
         trace: Span,
         now_ns: u64,
     ) -> bool {
@@ -472,9 +440,7 @@ impl<'a> ReplShipper<'a> {
         if values > cap {
             self.stats.hints_dropped += 1;
             self.obs.hints_dropped.inc();
-            if ledger {
-                self.stats.values_lost += values;
-            }
+            self.stats.values_lost += values;
             trace.finish(now_ns, "lost");
             return false;
         }
@@ -483,24 +449,19 @@ impl<'a> ReplShipper<'a> {
             self.queued_values[i] -= old.values;
             self.stats.hints_dropped += 1;
             self.obs.hints_dropped.inc();
-            if old.ledger {
-                self.stats.values_hinted -= old.values;
-                self.stats.values_evicted += old.values;
-            }
+            self.stats.values_hinted -= old.values;
+            self.stats.values_evicted += old.values;
             old.trace.finish(now_ns, "evicted");
         }
         self.hints[i].push_back(HintEntry {
             write,
             values,
-            ledger,
             trace,
         });
         self.queued_values[i] += values;
         self.stats.hints_queued += 1;
         self.obs.hints_queued.inc();
-        if ledger {
-            self.stats.values_hinted += values;
-        }
+        self.stats.values_hinted += values;
         true
     }
 
@@ -512,13 +473,9 @@ impl<'a> ReplShipper<'a> {
         for i in 0..self.set.len() {
             let up = self.schedules[i].state_at(t).link_up;
             if up {
-                self.health[i].down = false;
-                self.health[i].misses = 0;
-                if self.health[i].quarantined {
-                    // The replica rejoined; hint replay below brings it
-                    // back toward convergence before anti-entropy runs.
-                    self.health[i].quarantined = false;
-                }
+                // The replica answers: it rejoins, and its parked hints
+                // replay below.
+                self.health[i] = ReplicaHealth::default();
                 if !self.hints[i].is_empty() {
                     self.replay_hints(t, i);
                 }
@@ -565,12 +522,11 @@ impl<'a> ReplShipper<'a> {
             self.queued_values[i] -= values;
             self.stats.hints_replayed += 1;
             self.obs.hints_replayed.inc();
-            if entry.ledger {
-                // The report is now durable on one replica; anti-entropy
-                // spreads it to the rest, so it graduates to inserted.
-                self.stats.values_hinted -= values;
-                self.stats.values_inserted += values;
-            }
+            // The report is now durable on the replica that parked it;
+            // anti-entropy spreads it to the rest, so it graduates to
+            // inserted.
+            self.stats.values_hinted -= values;
+            self.stats.values_inserted += values;
             entry.trace.finish(t_ns + RETRY_NS, "recovered");
         }
     }
@@ -634,7 +590,7 @@ impl<'a> ReplShipper<'a> {
 
     fn export_gauges(&self) {
         let o = &self.obs;
-        o.hints_pending.set(self.hints_pending_values() as f64);
+        o.hints_pending.set(self.stats.values_hinted as f64);
         o.replicas_healthy.set(self.healthy_count() as f64);
         o.primary.set(self.primary as f64);
     }
@@ -739,7 +695,7 @@ mod tests {
     }
 
     #[test]
-    fn single_replica_outage_keeps_quorum_and_hints() {
+    fn single_replica_outage_keeps_quorum_and_parks_nothing() {
         let set = ReplicaSet::in_memory("s", ReplConfig::default()).unwrap();
         let mut schedules = healthy_schedules(3);
         schedules[1] = FaultSchedule::none().with_window(2.0, 6.0, FaultKind::LinkDown);
@@ -749,14 +705,17 @@ mod tests {
             assert_eq!(out, ReplShipOutcome::Inserted, "t={t}");
             coord.heartbeat(t as f64);
         }
-        coord.heartbeat(10.0); // replica 1 is back: hints replay
+        coord.heartbeat(10.0);
         let s = coord.stats();
         assert_eq!(s.values_inserted, 40);
         assert_eq!(s.values_lost, 0);
-        assert!(s.hints_queued > 0);
-        assert_eq!(s.hints_replayed, s.hints_queued);
+        // Every write reached its quorum, so nothing parks: replica 1
+        // missed writes and catches up by anti-entropy alone.
+        assert_eq!((s.hints_queued, s.values_hinted), (0, 0), "{s:?}");
+        assert!(s.replica_acks < 3 * s.reports_offered, "{s:?}");
         assert!(s.conserved(), "{s:?}");
-        assert!(set.converged(), "hint replay restored convergence");
+        assert!(!set.converged(), "replica 1 missed the outage's writes");
+        assert!(set.repair_until_converged(8).unwrap().converged);
     }
 
     #[test]
@@ -801,15 +760,13 @@ mod tests {
         assert!(s.conserved(), "{s:?}");
     }
 
-    /// ROADMAP 22's hazard, pinned until that item removes non-ledger
-    /// hints: during one long outage of replica 1, a quorum miss parks a
-    /// ledger hint there, and the non-ledger hints of the
-    /// quorum-successful writes after it evict it, because `park` drops
-    /// the oldest entry whatever its kind. `values_evicted` then grows
-    /// although the ledger values alone fit `hint_capacity_values`.
+    /// During one long outage of replica 1, a quorum miss parks a hint
+    /// there, and the quorum-successful writes after it, which replica 1
+    /// also misses, park nothing, so they cannot evict it: eviction only
+    /// ever drops a parked value when the parked values overflow
+    /// `hint_capacity_values`.
     #[test]
-    #[ignore = "ROADMAP 22: a non-ledger hint evicts an older ledger hint"]
-    fn non_ledger_hints_never_evict_a_ledger_hint_that_fits() {
+    fn a_quorum_successful_miss_never_evicts_a_parked_ledger_hint() {
         let cfg = ReplConfig {
             hint_capacity_values: 8, // two 4-field reports
             ..ReplConfig::default()
@@ -819,7 +776,7 @@ mod tests {
         schedules[1] = FaultSchedule::none().with_window(0.0, 100.0, FaultKind::LinkDown);
         schedules[2] = FaultSchedule::none().with_window(0.0, 1.5, FaultKind::LinkDown);
         let mut coord = ReplShipper::new(&set, schedules, &["t10"]).unwrap();
-        // Only replica 0 acks: the ledger hint parks on replica 1.
+        // Only replica 0 acks: the hint parks on replica 1.
         assert_eq!(coord.ship(1.0, report(1, 4), 2.0), ReplShipOutcome::Hinted);
         for t in 2..10 {
             let out = coord.ship(t as f64, report(t, 4), 2.0);
@@ -828,6 +785,7 @@ mod tests {
         let s = coord.stats();
         assert!(s.conserved(), "{s:?}");
         assert_eq!((s.values_hinted, s.values_evicted), (4, 0), "{s:?}");
+        assert_eq!(s.hints_queued, 1, "{s:?}");
     }
 
     #[test]

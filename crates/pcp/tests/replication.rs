@@ -180,12 +180,14 @@ proptest! {
             (case.duration_s as f64 * FREQ_HZ) as u64 * case.n_metrics as u64 * case.domain as u64;
         prop_assert_eq!(st.values_offered, expected);
         // 4 Hz: no stale-read zeros; generous hints + healed replica: no
-        // loss, no evictions, every ledger hint replayed.
+        // loss, no evictions, every hint replayed.
         prop_assert_eq!(st.values_zeroed, 0);
         prop_assert_eq!(st.values_lost, 0);
         prop_assert_eq!(st.values_evicted, 0);
         prop_assert_eq!(st.values_hinted, 0);
         prop_assert_eq!(st.values_inserted, expected);
+        // A hint is one quorum-missed write: nothing else parks.
+        prop_assert_eq!(st.hints_queued, st.quorum_write_failures);
         prop_assert!(compared > 0, "comparison must cover actual cells");
 
         // Bit-reproducibility: the same case replays to identical stats.

@@ -1,13 +1,17 @@
-//! Replicated monitoring: quorum writes, hinted handoff, and
+//! Replicated monitoring: quorum writes, failover, and the daemon's own
 //! anti-entropy repair through a partition.
 //!
 //! A 3-replica daemon (RF=3, W=2, R=2) monitors through a schedule that
 //! first partitions the primary — forcing a failover while the surviving
 //! majority keeps acking quorum writes — and then takes out a second
 //! replica so the quorum itself breaks and the daemon degrades to
-//! monitor-only. When the replicas return, hint replay plus Merkle
-//! anti-entropy converge the set bit-identically, and the degradation
-//! lifts on its own.
+//! monitor-only. Each window that shows a replica missed a write ends
+//! with a Merkle anti-entropy repair, once every replica answers again:
+//! window 1 repairs the primary's gap at once (it is back before the
+//! window ends), window 2 ends with two replicas down and defers, and
+//! window 3 repairs what window 2 left due. The set converges
+//! bit-identically with no operator step, and the degradation lifts on
+//! its own.
 //!
 //! ```sh
 //! cargo run --example replicated_monitoring
@@ -15,6 +19,18 @@
 
 use pmove::core::PMoveDaemon;
 use pmove::hwsim::{FaultKind, FaultSchedule};
+use pmove::tsdb::repl::RepairReport;
+
+/// The window's repair duty, as one line.
+fn repair_line(repair: Option<RepairReport>) -> String {
+    match repair {
+        Some(r) => format!(
+            "repair: {} rounds, {} ranges, {} cells streamed, converged {}",
+            r.rounds, r.ranges_repaired, r.cells_streamed, r.converged
+        ),
+        None => "repair: none this window".to_string(),
+    }
+}
 
 fn main() {
     let mut daemon = PMoveDaemon::for_preset_replicated("icl", 42).expect("replicated boot");
@@ -53,6 +69,7 @@ fn main() {
         out.degraded,
         out.report.transport.conserved(),
     );
+    println!("{}", repair_line(out.repair));
 
     // Window 2: two replicas down through the end of the window — the
     // write quorum is unreachable, so the daemon drops to monitor-only.
@@ -67,10 +84,11 @@ fn main() {
         "healthy {}/{}, degraded {}, mode: {}",
         out.healthy, set_len, out.degraded, daemon.mode
     );
+    println!("{}", repair_line(out.repair));
 
-    // Window 3: everything back. The degradation lifts by itself, and a
-    // repair pass streams the divergent ranges until the replicas are
-    // bit-identical.
+    // Window 3: everything back. The degradation lifts by itself, and the
+    // window's repair duty streams the divergent ranges until the
+    // replicas are bit-identical.
     let out = daemon
         .monitor_replicated(20.0, 1.0, None)
         .expect("healthy window");
@@ -79,11 +97,7 @@ fn main() {
         "healthy {}/{}, degraded {}, mode {}",
         out.healthy, set_len, out.degraded, daemon.mode
     );
-    let repair = daemon.repair_replicas(8).expect("anti-entropy");
-    println!(
-        "repair: {} rounds, {} ranges, {} cells streamed, converged {}",
-        repair.rounds, repair.ranges_repaired, repair.cells_streamed, repair.converged
-    );
+    println!("{}", repair_line(out.repair));
 
     // Convergence audit: every replica answers the same query with the
     // same bits, and the R-quorum read agrees.
