@@ -14,26 +14,24 @@
 //! that missed a quorum-successful (or stale-read-zeroed) write parks
 //! nothing: it catches up by anti-entropy
 //! ([`ReplicaSet::repair_until_converged`]), which the replicated daemon
-//! runs after every window in which a replica missed a write.
+//! runs after every window in which a replica missed a write or lost
+//! cells to a rotted chunk.
 //!
-//! ## The widened conservation equation
+//! ## The conservation equation
 //!
 //! ```text
-//! offered + corrupted ==
-//!     inserted + zeroed + lost + evicted + hinted
-//!     + repaired + corrupt_pending
+//! offered == inserted + zeroed + lost + evicted + hinted
 //! ```
 //!
 //! `hinted` counts the values *currently parked*; a finished run can
 //! legitimately end with `hinted > 0` when a replica never came back.
 //!
-//! `corrupted` / `repaired` / `corrupt_pending` are the integrity terms:
-//! a cell destroyed by latent disk rot (its chunk quarantined) re-enters
-//! the ledger on the left as `corrupted`, and exits on the right either
-//! as `repaired` (read-repair restored it from the surviving R-quorum)
-//! or as `corrupt_pending` (the hole is still open, annotated with
-//! `pmove_gap` markers). With no corruption all three are 0 and the
-//! equation collapses to the five-term transport identity.
+//! The ledger covers what the coordinator was offered. Cells a replica
+//! loses later, to a rotted chunk, are not its business: the replicated
+//! daemon's scrub duty quarantines the chunk and rebuilds the replica
+//! from what survived ([`pmove_tsdb::Database::scrub_tick`]), which
+//! makes its repair due, and the same anti-entropy duty refills the hole
+//! from the replica's peers.
 
 use crate::error::PcpError;
 use crate::pmcd::Pmcd;
@@ -42,8 +40,7 @@ use crate::transport::{Shipper, FETCH_NS, RETRY_NS};
 use pmove_hwsim::network::FaultSchedule;
 use pmove_hwsim::noise::NoiseSource;
 use pmove_obs::{Counter, Gauge, Histogram, Registry, Span};
-use pmove_tsdb::repl::{IntegrityReport, ReplicaSet};
-use pmove_tsdb::store::Scrubber;
+use pmove_tsdb::repl::ReplicaSet;
 use pmove_tsdb::{ExecMode, FieldValue, Origin, Point, PreparedWrite, Query, TsdbError};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -83,14 +80,6 @@ pub struct ReplStats {
     pub values_evicted: u64,
     /// Values currently parked as hints (not yet replayed).
     pub values_hinted: u64,
-    /// Cells destroyed by latent disk rot: removed from a replica's
-    /// durable state when its chunk was quarantined.
-    pub values_corrupted: u64,
-    /// Corrupted cells restored onto the damaged replicas by read-repair
-    /// from the surviving quorum.
-    pub values_repaired: u64,
-    /// Corrupted cells not yet repaired (open, gap-annotated holes).
-    pub values_corrupt_pending: u64,
     /// Hint entries queued: one per quorum-missed write that fit.
     pub hints_queued: u64,
     /// Hint entries successfully replayed.
@@ -108,23 +97,19 @@ pub struct ReplStats {
 }
 
 impl ReplStats {
-    /// Sum of the accounted fates: the five transport fates plus the two
-    /// integrity exits (`repaired`, `corrupt_pending`).
+    /// Sum of the five accounted fates.
     pub fn accounted(&self) -> u64 {
         self.values_inserted
             + self.values_zeroed
             + self.values_lost
             + self.values_evicted
             + self.values_hinted
-            + self.values_repaired
-            + self.values_corrupt_pending
     }
 
-    /// The widened conservation equation: every offered value has exactly
-    /// one fate, and every corrupted cell is either repaired or still an
-    /// open (annotated) hole.
+    /// The conservation equation: every offered value has exactly one
+    /// fate.
     pub fn conserved(&self) -> bool {
-        self.accounted() == self.values_offered + self.values_corrupted
+        self.accounted() == self.values_offered
     }
 }
 
@@ -158,9 +143,6 @@ struct ReplObs {
     hints_replayed: Counter,
     hints_dropped: Counter,
     failovers: Counter,
-    values_corrupted: Counter,
-    values_repaired: Counter,
-    corrupt_pending: Gauge,
     hints_pending: Gauge,
     replicas_healthy: Gauge,
     primary: Gauge,
@@ -179,9 +161,6 @@ impl ReplObs {
             hints_replayed: c("tsdb.repl.hints_replayed"),
             hints_dropped: c("tsdb.repl.hints_dropped"),
             failovers: c("tsdb.repl.failovers"),
-            values_corrupted: c("tsdb.repl.values_corrupted"),
-            values_repaired: c("tsdb.repl.values_repaired"),
-            corrupt_pending: g("tsdb.repl.corrupt_pending"),
             hints_pending: g("tsdb.repl.hints_pending"),
             replicas_healthy: g("tsdb.repl.replicas_healthy"),
             primary: g("tsdb.repl.primary"),
@@ -555,39 +534,6 @@ impl<'a> ReplShipper<'a> {
         }
     }
 
-    /// Run one scrub sweep over every replica at time `t` and repair any
-    /// quarantined chunks from the surviving replicas via anti-entropy
-    /// (see [`ReplicaSet::scrub_and_repair`]), folding the outcome into
-    /// the coordinator's conservation ledger.
-    pub fn scrub_and_repair(
-        &mut self,
-        scrubbers: &mut [Scrubber],
-        t: f64,
-        max_rounds: u64,
-    ) -> Result<IntegrityReport, TsdbError> {
-        let report = self.set.scrub_and_repair(scrubbers, t, max_rounds)?;
-        self.record_integrity(&report);
-        Ok(report)
-    }
-
-    /// Fold an integrity sweep into the conservation ledger: corrupted
-    /// cells widen the left-hand side of the equation, repaired cells
-    /// balance them on the right, and the cumulative shortfall between
-    /// the two is carried as `values_corrupt_pending`.
-    fn record_integrity(&mut self, report: &IntegrityReport) {
-        self.stats.values_corrupted += report.cells_corrupted;
-        self.stats.values_repaired += report.cells_repaired;
-        self.stats.values_corrupt_pending = self
-            .stats
-            .values_corrupted
-            .saturating_sub(self.stats.values_repaired);
-        self.obs.values_corrupted.add(report.cells_corrupted);
-        self.obs.values_repaired.add(report.cells_repaired);
-        self.obs
-            .corrupt_pending
-            .set(self.stats.values_corrupt_pending as f64);
-    }
-
     fn export_gauges(&self) {
         let o = &self.obs;
         o.hints_pending.set(self.stats.values_hinted as f64);
@@ -857,47 +803,5 @@ mod tests {
         assert_eq!(rep.served, 2);
         // Second, widely-spaced request hits the replica's result cache.
         assert_eq!(rep.cache_hits, 1);
-    }
-
-    #[test]
-    fn scrub_and_repair_widens_and_balances_the_ledger() {
-        use pmove_tsdb::store::{RotSchedule, StoreOptions};
-        let (set, _) = ReplicaSet::durable(
-            "s",
-            ReplConfig::default(),
-            23,
-            StoreOptions {
-                flush_threshold_rows: 1_000_000,
-                compact_min_chunks: 1_000_000,
-            },
-        )
-        .unwrap();
-        let mut coord = ReplShipper::new(&set, healthy_schedules(3), &["t9"]).unwrap();
-        for t in 0..20 {
-            let out = coord.ship(t as f64, report(t, 4), 2.0);
-            assert_eq!(out, ReplShipOutcome::Inserted);
-        }
-        for r in set.replicas() {
-            r.flush().unwrap().unwrap();
-        }
-        // Latent rot lands on replica 1's chunk namespace after flush.
-        set.disks()[1].schedule_rot(RotSchedule::none().at(1.0, 1).with_prefix("chunk-"));
-        set.disks()[1].advance_rot(1.0);
-        let mut scrubbers = set.scrubbers(5.0);
-        let mut now = 21.0;
-        while coord.stats().values_corrupted == 0 {
-            let r = coord.scrub_and_repair(&mut scrubbers, now, 4).unwrap();
-            assert!(r.converged, "sweep at t={now} left the set diverged");
-            now += 1.0;
-            assert!(now < 120.0, "scrub never found the rotted chunk");
-        }
-        let s = coord.stats();
-        // The widened identity balances: every corrupted value was
-        // recovered from the R-quorum, so nothing stays pending.
-        assert!(s.values_corrupted > 0, "{s:?}");
-        assert_eq!(s.values_repaired, s.values_corrupted, "{s:?}");
-        assert_eq!(s.values_corrupt_pending, 0, "{s:?}");
-        assert!(s.conserved(), "{s:?}");
-        assert!(set.converged());
     }
 }

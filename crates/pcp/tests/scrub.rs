@@ -1,11 +1,14 @@
-//! End-to-end integrity property tests — the PR's headline invariant:
-//! seeded latent bit-rot on one replica of an RF=3 durable set is
-//! detected by the background scrubber, quarantined (moved aside, never
-//! deleted), and read-repaired from the R-quorum, so that quorum reads
-//! through the parallel engine are bit-identical (`f64::to_bits`) to an
-//! uncorrupted single-node oracle — with the widened 8-term conservation
-//! ledger (offered + corrupted == inserted + zeroed + lost + pending +
-//! evicted + hinted + repaired + corrupt_pending) balanced throughout.
+//! End-to-end integrity property tests: seeded latent bit-rot on one
+//! replica of an RF=3 durable set is found by that replica's scrub step
+//! (`Database::scrub_tick`), quarantined (moved aside, never deleted) and
+//! rebuilt from what survived, then refilled by anti-entropy
+//! (`ReplicaSet::repair_until_converged`) — the replicated daemon's scrub
+//! and repair duties, step by step. Quorum reads through the parallel
+//! engine are then bit-identical (`f64::to_bits`) to an uncorrupted
+//! single-node oracle, every cell a rebuild dropped is a cell the repair
+//! restored, and the coordinator's 5-term ledger (offered == inserted +
+//! zeroed + lost + evicted + hinted) balances throughout: rot never
+//! touches it.
 //!
 //! Corruption is bounded to RF − W = 1 victim replica, matching the
 //! budget quorum replication absorbs. Case count defaults to 32 (each
@@ -15,8 +18,8 @@
 
 use pmove_hwsim::FaultSchedule;
 use pmove_pcp::{ReplShipper, ReplStats};
-use pmove_tsdb::repl::{IntegrityReport, ReplConfig, ReplicaSet};
-use pmove_tsdb::store::{RotSchedule, StoreOptions};
+use pmove_tsdb::repl::{ReplConfig, ReplicaSet};
+use pmove_tsdb::store::{RotSchedule, Scrubber, StoreOptions};
 use pmove_tsdb::{Database, ExecMode, Point, Query, TsdbError};
 use proptest::prelude::*;
 
@@ -73,6 +76,54 @@ const FREQ_HZ: f64 = 4.0;
 /// Full-store verification period handed to every scrubber.
 const SCRUB_PERIOD_S: f64 = 2.0;
 
+/// What a run of sweeps did, summed over the sweeps: the scrub work, the
+/// cells each quarantine's rebuild dropped and the cells anti-entropy
+/// then restored onto the rebuilt replicas, both counted as cell-count
+/// changes so last-write-wins duplicates are never counted twice.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Sweeps {
+    files_checked: u64,
+    bytes_verified: u64,
+    chunks_quarantined: u64,
+    cells_dropped: u64,
+    cells_restored: u64,
+    ranges_repaired: u64,
+}
+
+/// One sweep at `t`: every replica's scrub step, then anti-entropy until
+/// the set converges, which must happen within 4 rounds.
+fn sweep(set: &ReplicaSet, scrubbers: &mut [Scrubber], t: f64, total: &mut Sweeps) {
+    let mut rebuilt = Vec::new();
+    for (i, (db, scrubber)) in set.replicas().iter().zip(scrubbers).enumerate() {
+        let before = db.cell_count();
+        let r = db
+            .scrub_tick(scrubber, t)
+            .unwrap()
+            .expect("a durable replica");
+        total.files_checked += r.files_checked;
+        total.bytes_verified += r.bytes_verified;
+        if !r.quarantined.is_empty() {
+            total.chunks_quarantined += r.quarantined.len() as u64;
+            total.cells_dropped += before - db.cell_count();
+            rebuilt.push((i, db.cell_count()));
+        }
+    }
+    let repair = set.repair_until_converged(4).unwrap();
+    assert!(repair.converged, "sweep at t={t} left the set diverged");
+    total.ranges_repaired += repair.ranges_repaired;
+    for (i, base) in rebuilt {
+        total.cells_restored += set.replica(i).cell_count() - base;
+    }
+}
+
+/// One scrubber per replica, each verifying its store once every
+/// [`SCRUB_PERIOD_S`].
+fn scrubbers(set: &ReplicaSet) -> Vec<Scrubber> {
+    (0..set.len())
+        .map(|_| Scrubber::new(SCRUB_PERIOD_S))
+        .collect()
+}
+
 /// Chunks stay where flushes put them: thresholds high enough that no
 /// automatic flush or compaction moves data under the rot schedule.
 fn manual_opts() -> StoreOptions {
@@ -87,8 +138,8 @@ fn manual_opts() -> StoreOptions {
 /// the replicas' memtables into durable chunks, `flips` seeded bit flips
 /// rot the victim's chunk namespace, then scrub sweeps run for
 /// `sweep_periods` full-pass periods: every rotted chunk must be found,
-/// quarantined, and read-repaired from the healthy quorum by the end.
-fn run_case(case: &Case, flips: u32, sweep_periods: f64) -> (ReplStats, IntegrityReport, u64) {
+/// quarantined, and repaired from the healthy quorum by the end.
+fn run_case(case: &Case, flips: u32, sweep_periods: f64) -> (ReplStats, Sweeps, u64) {
     let oracle = Database::new("oracle");
     let (set, _) = ReplicaSet::durable(
         "scrub",
@@ -143,18 +194,12 @@ fn run_case(case: &Case, flips: u32, sweep_periods: f64) -> (ReplStats, Integrit
 
     // Scrub sweeps: detection, quarantine, rebuild, and anti-entropy
     // repair all happen inside the sweep loop.
-    let mut scrubbers = set.scrubbers(SCRUB_PERIOD_S);
-    let mut total = IntegrityReport::default();
+    let mut scrubbers = scrubbers(&set);
+    let mut total = Sweeps::default();
     let mut t = case.duration_s as f64 + 2.0;
     let t_end = t + sweep_periods * SCRUB_PERIOD_S;
     while t <= t_end {
-        let r = coord.scrub_and_repair(&mut scrubbers, t, 4).unwrap();
-        assert!(r.converged, "sweep at t={t} left the set diverged");
-        total.files_checked += r.files_checked;
-        total.bytes_verified += r.bytes_verified;
-        total.chunks_quarantined += r.chunks_quarantined;
-        total.cells_corrupted += r.cells_corrupted;
-        total.cells_repaired += r.cells_repaired;
+        sweep(&set, &mut scrubbers, t, &mut total);
         t += 0.5;
     }
     // Every rotted chunk, and only those, sits in the victim's quarantine,
@@ -197,9 +242,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(scrub_cases()))]
 
     /// Headline invariant: latent rot within the RF − W budget is fully
-    /// detected and quarantined by the scrubber, read-repair restores the
-    /// victim bit-identically from the healthy quorum, and the widened
-    /// conservation ledger balances with nothing left pending.
+    /// detected and quarantined by the scrub step, anti-entropy restores
+    /// the victim bit-identically from the healthy quorum, and the
+    /// coordinator's ledger balances.
     #[test]
     fn rot_is_detected_quarantined_and_repaired_bit_identically(
         seed in any::<u64>(),
@@ -214,20 +259,16 @@ proptest! {
         // The flip landed in a durable chunk: the scrubber must find it
         // within one full pass, quarantine it, and repair every cell.
         prop_assert!(total.chunks_quarantined >= 1, "rot was never detected");
-        prop_assert!(total.cells_corrupted > 0, "quarantine dropped no cells");
-        prop_assert_eq!(total.cells_repaired, total.cells_corrupted);
+        prop_assert!(total.cells_dropped > 0, "quarantine dropped no cells");
+        prop_assert_eq!(total.cells_restored, total.cells_dropped);
 
-        // Widened ledger: corrupted widens the left side, repaired
-        // balances it on the right, and nothing stays pending.
+        // The ledger counts what was offered; rot never enters it.
         prop_assert!(
             st.conserved(),
-            "offered={} + corrupted={} != accounted={} ({st:?})",
-            st.values_offered, st.values_corrupted, st.accounted()
+            "offered={} != accounted={} ({st:?})",
+            st.values_offered, st.accounted()
         );
-        prop_assert_eq!(st.values_corrupted, total.cells_corrupted);
-        prop_assert_eq!(st.values_repaired, total.cells_repaired);
-        prop_assert_eq!(st.values_corrupt_pending, 0);
-        prop_assert_eq!(st.values_lost, 0);
+        prop_assert_eq!(st.values_inserted, st.values_offered);
         prop_assert!(compared > 0, "comparison must cover actual cells");
 
         // Bit-reproducibility: the same case replays to identical stats.
@@ -238,8 +279,8 @@ proptest! {
     }
 
     /// No-fault control: with no rot scheduled the scrubber verifies the
-    /// whole store and finds nothing — zero quarantines, zero repair
-    /// traffic, and the ledger never grows its corruption terms.
+    /// whole store and finds nothing — zero quarantines and zero repair
+    /// traffic.
     #[test]
     fn clean_stores_scrub_without_repair_traffic(
         seed in any::<u64>(),
@@ -266,30 +307,27 @@ proptest! {
         for r in set.replicas() {
             r.flush().unwrap();
         }
-        let mut scrubbers = set.scrubbers(SCRUB_PERIOD_S);
+        let mut scrubbers = scrubbers(&set);
+        let mut total = Sweeps::default();
         let mut t = 5.0;
-        let mut bytes = 0u64;
         while t <= 5.0 + 2.0 * SCRUB_PERIOD_S {
-            let r = coord.scrub_and_repair(&mut scrubbers, t, 4).unwrap();
-            prop_assert_eq!(r.chunks_quarantined, 0);
-            prop_assert_eq!(r.cells_corrupted, 0);
-            prop_assert_eq!(r.cells_repaired, 0);
-            prop_assert_eq!(r.repair.ranges_repaired, 0, "clean scrub moved data");
-            bytes += r.bytes_verified;
+            sweep(&set, &mut scrubbers, t, &mut total);
             t += 0.5;
         }
-        prop_assert!(bytes > 0, "scrubber verified nothing");
+        prop_assert_eq!(total.chunks_quarantined, 0);
+        prop_assert_eq!(total.cells_dropped, 0);
+        prop_assert_eq!(total.cells_restored, 0);
+        prop_assert_eq!(total.ranges_repaired, 0, "clean scrub moved data");
+        prop_assert!(total.bytes_verified > 0, "scrubber verified nothing");
         let st = coord.stats();
-        prop_assert!(st.conserved());
-        prop_assert_eq!(st.values_corrupted, 0);
-        prop_assert_eq!(st.values_repaired, 0);
+        prop_assert!(st.conserved(), "{st:?}");
         prop_assert!(set.converged());
     }
 }
 
 /// One full scrub pass finds every chunk that 1, 4 or 8 seeded flips rot
-/// across a 20 s run's eleven flushed generations, and read-repair restores
-/// the victim bit-identically with nothing left pending.
+/// across a 20 s run's eleven flushed generations, and anti-entropy
+/// restores the victim bit-identically, every dropped cell of it.
 #[test]
 fn one_pass_detects_and_repairs_every_rotted_chunk() {
     for flips in [1, 4, 8] {
@@ -303,20 +341,19 @@ fn one_pass_detects_and_repairs_every_rotted_chunk() {
         let (st, total, compared) = run_case(&case, flips, 1.0);
         // The pass reached every file: 3 replicas x (11 chunks + WAL).
         assert!(total.files_checked >= 3 * 12, "flips={flips}: {total:?}");
-        assert!(total.cells_corrupted > 0, "flips={flips}: {total:?}");
-        assert_eq!(total.cells_repaired, total.cells_corrupted, "flips={flips}");
+        assert!(total.cells_dropped > 0, "flips={flips}: {total:?}");
+        assert_eq!(total.cells_restored, total.cells_dropped, "flips={flips}");
         assert!(st.conserved(), "flips={flips}: {st:?}");
-        assert_eq!(st.values_corrupt_pending, 0, "flips={flips}");
         assert!(compared > 0);
     }
 }
 
-/// Regression: rebuilding after a quarantine must bump the query-cache
-/// write versions, so a query that was answered (and cached) before the
-/// corruption cannot be served stale afterwards. The victim's only chunk
-/// vanishes into quarantine, so the post-rebuild query errors with
-/// `UnknownMeasurement` — a stale cache hit would have returned the old
-/// rows instead.
+/// Regression: the scrub step's rebuild after a quarantine must bump the
+/// query-cache write versions, so a query that was answered (and cached)
+/// before the corruption cannot be served stale afterwards. The victim's
+/// only chunk vanishes into quarantine, so the post-rebuild query errors
+/// with `UnknownMeasurement` — a stale cache hit would have returned the
+/// old rows instead.
 #[test]
 fn quarantine_rebuild_invalidates_cached_queries() {
     let (set, _) = ReplicaSet::durable("cache", ReplConfig::default(), 77, manual_opts()).unwrap();
@@ -330,17 +367,16 @@ fn quarantine_rebuild_invalidates_cached_queries() {
     // Warm the result cache.
     let q = "SELECT \"_cpu0\" FROM \"m0\"";
     assert_eq!(db.query(q).unwrap().rows.len(), 12);
-    // Rot the only chunk, scrub until quarantined, rebuild.
+    // Rot the only chunk, scrub until the step quarantines and rebuilds.
     set.disks()[1].schedule_rot(RotSchedule::none().at(1.0, 1).with_prefix("chunk-"));
     set.disks()[1].advance_rot(1.0);
-    let mut scrubber = pmove_tsdb::store::Scrubber::new(SCRUB_PERIOD_S);
+    let mut scrubber = Scrubber::new(SCRUB_PERIOD_S);
     let mut t = 2.0;
     while db.store().unwrap().quarantined().is_empty() {
-        scrubber.tick(&mut db.store().unwrap(), t).unwrap();
+        db.scrub_tick(&mut scrubber, t).unwrap();
         t += 0.5;
         assert!(t < 60.0, "scrub never found the rotted chunk");
     }
-    db.rebuild_from_store().unwrap();
     // All rows lived in the quarantined chunk: the measurement is gone.
     // A stale cache hit would have answered with the 12 old rows.
     assert!(matches!(db.query(q), Err(TsdbError::UnknownMeasurement(_))));

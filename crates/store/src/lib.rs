@@ -50,7 +50,7 @@ pub use chunk::{chunk_name, Block, ChunkInfo};
 pub use error::StoreError;
 pub use memdisk::{FaultMode, FaultPlan, MemDisk, RotSchedule};
 pub use row::{ColumnValue, RowRecord};
-pub use scrub::Scrubber;
+pub use scrub::{ScrubReport, Scrubber};
 pub use store::{CompactionReport, RecoveryReport, StoreObs, StoreOptions, TsStore};
 pub use vfs::Vfs;
 pub use wal::Wal;

@@ -28,7 +28,8 @@ use crate::value::FieldValue;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use pmove_obs::{Counter, Histogram, Registry, Span};
 use pmove_store::{
-    Block, ChunkInfo, ColumnValue, RecoveryReport, StoreObs, StoreOptions, TsStore, Vfs,
+    Block, ChunkInfo, ColumnValue, RecoveryReport, ScrubReport, Scrubber, StoreObs, StoreOptions,
+    TsStore, Vfs,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -297,22 +298,40 @@ impl Database {
         Ok(())
     }
 
+    /// One scrub step at virtual time `now_s`: `scrubber` verifies its
+    /// share of the durable store and, when the tick quarantined a chunk,
+    /// the in-memory view is rebuilt from what survived, so the loss is
+    /// visible — to queries, and to anti-entropy as Merkle divergence.
+    /// `Ok(None)` for a memory-only database.
+    ///
+    /// No gap markers are written here, because a replica's hole is
+    /// refilled from its peers and a repaired range is not a gap. A
+    /// database with no peers follows up with
+    /// [`Database::annotate_quarantine_gaps`].
+    pub fn scrub_tick(
+        &self,
+        scrubber: &mut Scrubber,
+        now_s: f64,
+    ) -> Result<Option<ScrubReport>, TsdbError> {
+        let Some(store) = &self.store else {
+            return Ok(None);
+        };
+        let report = scrubber.tick(&mut store.lock(), now_s)?;
+        if !report.quarantined.is_empty() {
+            self.rebuild_from_store()?;
+        }
+        Ok(Some(report))
+    }
+
     /// Rebuild the in-memory view from the durable store: the store is
     /// re-scanned (CRC-verifying every chunk, quarantining damage as it
     /// goes) and storage is replaced with exactly what survived. Every
     /// known measurement's write version is bumped — including
     /// measurements that vanished entirely — so the query cache can never
-    /// serve pre-rebuild rows. Returns `false` for a memory-only database.
-    ///
-    /// No gap markers are written here: this is the step that turns a
-    /// quarantine into visible Merkle divergence so anti-entropy can
-    /// repair the hole from replica peers, and a repaired range is not a
-    /// gap. Callers with no repair path (standalone nodes, unreachable
-    /// quorums) follow up with
-    /// [`Database::annotate_quarantine_gaps`].
-    pub fn rebuild_from_store(&self) -> Result<bool, TsdbError> {
+    /// serve pre-rebuild rows. A no-op for a memory-only database.
+    fn rebuild_from_store(&self) -> Result<(), TsdbError> {
         let Some(store) = &self.store else {
-            return Ok(false);
+            return Ok(());
         };
         let blocks = store.lock().scan_blocks()?;
         *self.storage.write() = Storage::new();
@@ -338,7 +357,7 @@ impl Database {
                 mark_all_rows(rs, &storage);
             }
         }
-        Ok(true)
+        Ok(())
     }
 
     /// Insert one in-memory [`GAP_MEASUREMENT`] marker point for every
@@ -383,10 +402,9 @@ impl Database {
         self.bump_version(GAP_MEASUREMENT);
     }
 
-    /// The durable store behind this database, locked — scrubbing,
-    /// compaction and the quarantine record are called on it directly
-    /// (`scrubber.tick(&mut db.store()?, now_s)`). `None` when
-    /// memory-only.
+    /// The durable store behind this database, locked — compaction,
+    /// backups and the quarantine record are called on it directly
+    /// (`db.store()?.backup_now()`). `None` when memory-only.
     /// Hold the guard for one statement only: every `Database` method
     /// that touches the store takes the same lock.
     pub fn store(&self) -> Option<MutexGuard<'_, TsStore>> {
@@ -1140,7 +1158,7 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_after_quarantine_drops_rows_and_invalidates_cache() {
+    fn a_quarantining_scrub_tick_rebuilds_and_invalidates_the_cache() {
         let disk = pmove_store::MemDisk::new(41);
         let vfs: Arc<dyn Vfs> = Arc::new(disk.clone());
         let (db, _) = Database::open("test", vfs, manual_opts()).unwrap();
@@ -1153,18 +1171,20 @@ mod tests {
         assert_eq!(db.query(q).unwrap().rows.len(), 4);
         let v_before = db.write_version("m");
         rot_chunk0(&disk);
-        // Scrub detects the rot and quarantines the chunk...
-        let mut scrubber = pmove_store::Scrubber::new(60.0);
+        // Until the scrub reaches the rotted chunk, the in-memory view
+        // (and the cache) serve the old rows; the tick that quarantines
+        // it rebuilds the view from what survived.
+        let mut scrubber = Scrubber::new(60.0);
         let mut now = 0.0;
-        while db.store().unwrap().quarantined().is_empty() {
-            scrubber.tick(&mut db.store().unwrap(), now).unwrap();
+        loop {
+            assert_eq!(db.query(q).unwrap().rows.len(), 4);
+            let report = db.scrub_tick(&mut scrubber, now).unwrap().unwrap();
+            if !report.quarantined.is_empty() {
+                break;
+            }
             now += 1.0;
             assert!(now < 200.0, "scrub never found the rotted chunk");
         }
-        // ...but the in-memory view (and the cache) still serve the old
-        // rows until the rebuild makes the durable loss visible.
-        assert_eq!(db.query(q).unwrap().rows.len(), 4);
-        assert!(db.rebuild_from_store().unwrap());
         assert!(
             db.write_version("m") > v_before,
             "rebuild must bump versions"

@@ -30,10 +30,10 @@
 //! with [`Database::write_point`] as its client spelling under
 //! [`pmove_obs::Span::none`]; [`Database::query`] and its pre-parsed
 //! forms;
-//! [`Database::flush`] and [`Database::rebuild_from_store`] for the
-//! engine's share of durability. Everything that is purely the durable
-//! store's — scrub ticks, compaction, the quarantine record — is called
-//! on [`store::TsStore`] through [`Database::store`].
+//! [`Database::flush`] and [`Database::scrub_tick`] for the engine's
+//! share of durability. Everything that is purely the durable store's —
+//! compaction, backups, the quarantine record — is called on
+//! [`store::TsStore`] through [`Database::store`].
 //!
 //! ```
 //! use pmove_tsdb::{Database, Point, FieldValue};

@@ -9,6 +9,11 @@
 //! quorum writes, hinted handoff, heartbeats, failover — lives in the
 //! `pmove-pcp` coordinator, which drives this type.
 //!
+//! Anti-entropy is the one way a replica catches up, whatever it lost: a
+//! write its link missed, or cells a scrub quarantined with a rotted
+//! chunk ([`Database::scrub_tick`] rebuilds the replica from what
+//! survived, which shows the hole as Merkle divergence).
+//!
 //! ## Merkle layout
 //!
 //! The cell space of a replica is every `(series, timestamp, field,
@@ -34,7 +39,7 @@ use crate::point::Point;
 use crate::query::{Frame, Query, QueryResult};
 use crate::value::FieldValue;
 use pmove_obs::{Counter, Registry, Span};
-use pmove_store::{MemDisk, RecoveryReport, Scrubber, StoreOptions, Vfs};
+use pmove_store::{MemDisk, RecoveryReport, StoreOptions, Vfs};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
@@ -222,53 +227,19 @@ pub struct RepairReport {
     pub converged: bool,
 }
 
-/// What one integrity sweep ([`ReplicaSet::scrub_and_repair`]) over the
-/// whole set did: the scrub work, the durable loss it uncovered, and the
-/// read-repair that healed it.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct IntegrityReport {
-    /// Files (chunks + WALs) CRC-verified across all replicas.
-    pub files_checked: u64,
-    /// Bytes read and checksummed across all replicas.
-    pub bytes_verified: u64,
-    /// Chunks found damaged and quarantined this sweep.
-    pub chunks_quarantined: u64,
-    /// WAL logs rewritten losslessly from their memtables.
-    pub wal_rewrites: u64,
-    /// Cells (field values) the quarantines removed from replica state —
-    /// measured as each victim's cell-count drop across its rebuild, so
-    /// last-write-wins duplicates are never double-counted.
-    pub cells_corrupted: u64,
-    /// Cells restored onto damaged replicas by anti-entropy read-repair —
-    /// measured as the victims' cell-count recovery, not stream volume.
-    pub cells_repaired: u64,
-    /// The anti-entropy work, when a repair ran.
-    pub repair: RepairReport,
-    /// True when every replica pair's Merkle roots agreed on exit.
-    pub converged: bool,
-}
-
 /// Hoisted `tsdb.repl.*` repair metrics.
 struct ReplSetObs {
-    registry: Arc<Registry>,
     merkle_rounds: Counter,
     merkle_ranges_repaired: Counter,
     merkle_cells_streamed: Counter,
-    scrub_chunks_quarantined: Counter,
-    scrub_cells_corrupted: Counter,
-    scrub_cells_repaired: Counter,
 }
 
 impl ReplSetObs {
-    fn new(registry: &Arc<Registry>) -> ReplSetObs {
+    fn new(registry: &Registry) -> ReplSetObs {
         ReplSetObs {
-            registry: Arc::clone(registry),
             merkle_rounds: registry.counter("tsdb.repl.merkle_rounds", &[]),
             merkle_ranges_repaired: registry.counter("tsdb.repl.merkle_ranges_repaired", &[]),
             merkle_cells_streamed: registry.counter("tsdb.repl.merkle_cells_streamed", &[]),
-            scrub_chunks_quarantined: registry.counter("tsdb.repl.scrub_chunks_quarantined", &[]),
-            scrub_cells_corrupted: registry.counter("tsdb.repl.scrub_cells_corrupted", &[]),
-            scrub_cells_repaired: registry.counter("tsdb.repl.scrub_cells_repaired", &[]),
         }
     }
 }
@@ -448,91 +419,6 @@ impl ReplicaSet {
         Ok(total)
     }
 
-    /// One background scrubber per replica, each verifying its store
-    /// once every `period_s` virtual seconds.
-    pub fn scrubbers(&self, period_s: f64) -> Vec<Scrubber> {
-        (0..self.len()).map(|_| Scrubber::new(period_s)).collect()
-    }
-
-    /// One integrity sweep at virtual time `now_s`: tick every replica's
-    /// scrubber, and for each replica that quarantined a chunk, rebuild
-    /// its in-memory view from the surviving durable state (making the
-    /// loss visible as Merkle divergence) and run anti-entropy until the
-    /// set converges — read-repair from the R-quorum of healthy peers.
-    /// A hole that outlives `max_rounds` of repair is annotated with
-    /// `pmove_gap` markers on the damaged replicas instead of being
-    /// silently dropped.
-    ///
-    /// `scrubbers` must hold one scrubber per replica (see
-    /// [`ReplicaSet::scrubbers`]); each keeps its own pass state so
-    /// replicas scrub independently.
-    pub fn scrub_and_repair(
-        &self,
-        scrubbers: &mut [Scrubber],
-        now_s: f64,
-        max_rounds: u64,
-    ) -> Result<IntegrityReport, TsdbError> {
-        if scrubbers.len() != self.len() {
-            return Err(TsdbError::Replication(format!(
-                "{} scrubbers for {} replicas",
-                scrubbers.len(),
-                self.len()
-            )));
-        }
-        let mut report = IntegrityReport::default();
-        let mut victims = Vec::new();
-        for (i, scrubber) in scrubbers.iter_mut().enumerate() {
-            let r = match self.replicas[i].store() {
-                Some(mut store) => scrubber.tick(&mut store, now_s)?,
-                None => continue,
-            };
-            report.files_checked += r.files_checked;
-            report.bytes_verified += r.bytes_verified;
-            if r.wal.is_some_and(|w| w.corrupt_frames > 0) {
-                report.wal_rewrites += 1;
-            }
-            if !r.quarantined.is_empty() {
-                report.chunks_quarantined += r.quarantined.len() as u64;
-                // One detection span per quarantined chunk, laid out
-                // over the tick's modeled verification time.
-                let start = (now_s * 1e9) as u64;
-                let end = start + r.modeled_ns.max(1);
-                for _ in &r.quarantined {
-                    self.obs.registry.record_span("scrub.detect", start, end);
-                }
-                victims.push(i);
-            }
-        }
-        // Turn each quarantine into visible divergence: replace the
-        // victim's in-memory view with what actually survived on disk.
-        for &i in &victims {
-            let before = self.replicas[i].cell_count();
-            self.replicas[i].rebuild_from_store()?;
-            report.cells_corrupted += before.saturating_sub(self.replicas[i].cell_count());
-        }
-        if !victims.is_empty() {
-            let base: Vec<u64> = victims
-                .iter()
-                .map(|&i| self.replicas[i].cell_count())
-                .collect();
-            report.repair = self.repair_until_converged(max_rounds)?;
-            for (k, &i) in victims.iter().enumerate() {
-                report.cells_repaired += self.replicas[i].cell_count().saturating_sub(base[k]);
-            }
-            if !report.repair.converged {
-                for &i in &victims {
-                    self.replicas[i].annotate_quarantine_gaps();
-                }
-            }
-        }
-        report.converged = self.converged();
-        let o = &self.obs;
-        o.scrub_chunks_quarantined.add(report.chunks_quarantined);
-        o.scrub_cells_corrupted.add(report.cells_corrupted);
-        o.scrub_cells_repaired.add(report.cells_repaired);
-        Ok(report)
-    }
-
     /// The replica an R-quorum read is served from: require at least R
     /// reachable replicas, consult the first R of them, and pick the
     /// freshest (most stored rows, ties to the lowest index —
@@ -633,6 +519,7 @@ fn collect_rows(db: &Database, want: &HashSet<(usize, usize)>) -> Vec<Point> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmove_store::Scrubber;
 
     fn pt(tag: &str, ts: i64, v: f64) -> Point {
         Point::new("m").tag("host", tag).field("v", v).timestamp(ts)
@@ -733,8 +620,11 @@ mod tests {
         assert!(matches!(err, Err(TsdbError::Replication(_))));
     }
 
+    /// A rotted chunk on one replica: the scrub step quarantines it and
+    /// rebuilds the replica from what survived, and anti-entropy restores
+    /// exactly the cells the rebuild dropped, bit-identically and durably.
     #[test]
-    fn scrub_and_repair_heals_a_rotted_replica_bit_identically() {
+    fn a_rotted_replica_is_scrubbed_and_healed_bit_identically() {
         let (set, _) = ReplicaSet::durable(
             "s",
             ReplConfig::default(),
@@ -762,24 +652,30 @@ mod tests {
                 .with_prefix("chunk-"),
         );
         set.disks()[1].advance_rot(1.0);
-        let mut scrubbers = set.scrubbers(5.0);
-        let mut total = IntegrityReport::default();
+        let mut scrubbers: Vec<_> = (0..set.len()).map(|_| Scrubber::new(5.0)).collect();
+        let (mut quarantined, mut dropped, mut restored) = (0, 0, 0);
         let mut now = 1.0;
-        while total.chunks_quarantined == 0 {
-            let r = set.scrub_and_repair(&mut scrubbers, now, 4).unwrap();
-            total.chunks_quarantined += r.chunks_quarantined;
-            total.cells_corrupted += r.cells_corrupted;
-            total.cells_repaired += r.cells_repaired;
-            assert!(r.converged, "sweep at t={now} left the set diverged");
+        while quarantined == 0 {
+            let mut victims = Vec::new();
+            for (i, (r, scrubber)) in set.replicas().iter().zip(&mut scrubbers).enumerate() {
+                let before = r.cell_count();
+                let report = r.scrub_tick(scrubber, now).unwrap().unwrap();
+                if !report.quarantined.is_empty() {
+                    quarantined += report.quarantined.len();
+                    dropped += before - r.cell_count();
+                    victims.push((i, r.cell_count()));
+                }
+            }
+            assert!(set.repair_until_converged(4).unwrap().converged, "t={now}");
+            for (i, base) in victims {
+                restored += set.replica(i).cell_count() - base;
+            }
             now += 1.0;
             assert!(now < 100.0, "scrub never found the rotted chunk");
         }
-        assert_eq!(total.chunks_quarantined, 1);
-        assert_eq!(total.cells_corrupted, 30);
-        // The widened conservation identity: every corrupted cell came
-        // back via read-repair, none were silently lost.
-        assert_eq!(total.cells_repaired, total.cells_corrupted);
-        assert!(set.converged());
+        assert_eq!((quarantined, dropped), (1, 30));
+        // Every dropped cell came back by anti-entropy; none was lost.
+        assert_eq!(restored, dropped);
         // The repaired replica answers bit-identically to the oracle.
         let healed = set.replica(1).query("SELECT \"v\" FROM \"m\"").unwrap();
         assert_eq!(healed.rows.len(), oracle.rows.len());
@@ -791,7 +687,9 @@ mod tests {
         }
         // Repair re-entered as remote writes, which keep the WAL barrier:
         // the healed cells are durable again.
-        assert!(set.replica(1).is_durable());
+        let vfs: Arc<dyn Vfs> = set.disks()[1].clone();
+        let (reopened, _) = Database::open("r", vfs, StoreOptions::default()).unwrap();
+        assert_eq!(reopened.cell_count(), set.replica(0).cell_count());
     }
 
     /// The prepared write's failure contract across a set (the

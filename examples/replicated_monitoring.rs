@@ -13,6 +13,12 @@
 //! bit-identically with no operator step, and the degradation lifts on
 //! its own.
 //!
+//! Scrubbing is on, so every window also CRC-verifies each replica's
+//! store. After window 3 a bit rots in one replica's flushed chunks: the
+//! next windows' scrub duty finds and quarantines the chunk and rebuilds
+//! the replica from what survived, and the same repair duty refills the
+//! hole from its peers.
+//!
 //! ```sh
 //! cargo run --example replicated_monitoring
 //! ```
@@ -20,6 +26,7 @@
 use pmove::core::PMoveDaemon;
 use pmove::hwsim::{FaultKind, FaultSchedule};
 use pmove::tsdb::repl::RepairReport;
+use pmove::tsdb::store::RotSchedule;
 
 /// The window's repair duty, as one line.
 fn repair_line(repair: Option<RepairReport>) -> String {
@@ -42,6 +49,9 @@ fn main() {
         daemon.repl_recovery.len(),
         daemon.mode
     );
+    // Every replica is durable: each window ends with a scrub tick of
+    // each replica's store, a full pass every 4 s of monitored time.
+    println!("scrubbing enabled: {}", daemon.enable_scrubbing(4.0));
 
     // Window 1: the primary (replica 0) is partitioned for the middle of
     // the run. W=2 of 3 stays reachable, so the coordinator fails over
@@ -98,6 +108,34 @@ fn main() {
         out.healthy, set_len, out.degraded, daemon.mode
     );
     println!("{}", repair_line(out.repair));
+
+    // Latent rot: one bit flips in replica 1's flushed chunks. The scrub
+    // duty finds it within a window or two; the window that quarantines
+    // the chunk rebuilds the replica and, with every replica up, its
+    // repair duty refills the hole from the peers.
+    let set = daemon.repl.as_ref().unwrap();
+    for replica in set.replicas() {
+        replica.flush().expect("flush");
+    }
+    let disk = set.disks()[1].clone();
+    let rot_at = daemon.now_s;
+    disk.schedule_rot(RotSchedule::none().at(rot_at, 1).with_prefix("chunk-"));
+    let fired = disk.advance_rot(rot_at);
+    println!("\n== windows 4+: bit rot on r1 ({} flip) ==", fired.len());
+    for window in 4..8 {
+        let out = daemon
+            .monitor_replicated(5.0, 1.0, None)
+            .expect("scrubbed window");
+        let set = daemon.repl.as_ref().unwrap();
+        let quarantined = set.replica(1).store().map_or(0, |s| s.quarantined().len());
+        println!(
+            "window {window}: r1 chunks quarantined {quarantined}, {}",
+            repair_line(out.repair)
+        );
+        if quarantined > 0 {
+            break;
+        }
+    }
 
     // Convergence audit: every replica answers the same query with the
     // same bits, and the R-quorum read agrees.
